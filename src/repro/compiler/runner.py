@@ -8,6 +8,7 @@ arrays.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,11 +29,21 @@ class ExecutionResult:
         return self.outputs[name]
 
 
+def _slice_units(chip: TspChip):
+    """:meth:`TspChip.mem_unit`, memoised for one host transfer.
+
+    A transfer touches a handful of slices word after word; the floorplan
+    lookup is paid per slice, not per word.
+    """
+    return functools.cache(chip.mem_unit)
+
+
 def load_compiled(chip: TspChip, compiled: CompiledProgram) -> None:
     """Emplace the memory image (weights, constants) into chip SRAM."""
+    unit = _slice_units(chip)
     for word in compiled.memory_image:
-        chip.load_memory(
-            word.hemisphere, word.slice_index, word.address, word.data[None, :]
+        unit(word.hemisphere, word.slice_index).host_write(
+            word.address, word.data[None, :]
         )
 
 
@@ -47,27 +58,24 @@ def bind_input(
             f"{planes.shape[1]}"
         )
     n_planes = 1 if spec.layout.is_parallel else spec.dtype.n_bytes
+    unit = _slice_units(chip)
     for p in range(n_planes):
         for j in range(spec.n_vectors):
             hemisphere, s, a = spec.layout.address_of(p, j)
-            chip.load_memory(hemisphere, s, a, planes[p, j][None, :])
+            unit(hemisphere, s).host_write(a, planes[p, j][None, :])
 
 
 def fetch_output(chip: TspChip, spec: TensorSpec) -> np.ndarray:
     """Read one output tensor back out of MEM."""
-    lanes = chip.config.n_lanes
-    if spec.layout.is_parallel:
-        planes = np.zeros((1, spec.n_vectors, lanes), dtype=np.uint8)
+    n_planes = 1 if spec.layout.is_parallel else spec.dtype.n_bytes
+    planes = np.zeros(
+        (n_planes, spec.n_vectors, chip.config.n_lanes), dtype=np.uint8
+    )
+    unit = _slice_units(chip)
+    for p in range(n_planes):
         for j in range(spec.n_vectors):
-            hemisphere, s, a = spec.layout.address_of(0, j)
-            planes[0, j] = chip.read_memory(hemisphere, s, a)[0]
-    else:
-        b = spec.dtype.n_bytes
-        planes = np.zeros((b, spec.n_vectors, lanes), dtype=np.uint8)
-        for p in range(b):
-            for j in range(spec.n_vectors):
-                hemisphere, s, a = spec.layout.address_of(p, j)
-                planes[p, j] = chip.read_memory(hemisphere, s, a)[0]
+            hemisphere, s, a = spec.layout.address_of(p, j)
+            planes[p, j] = unit(hemisphere, s).host_read(a)[0]
     return unpack_tensor(planes, spec.dtype, spec.length)
 
 

@@ -83,12 +83,13 @@ class Instruction:
         """Bytes of instruction text this occupies in the IQ.
 
         Used by the IFetch model: the compiler must refill 640-byte chunks
-        fast enough that no queue runs dry.  Delegates to the wire encoder
-        so occupancy matches the actual program text exactly.
+        fast enough that no queue runs dry.  The size is the structural
+        length of the wire encoding (no bytes are built), so occupancy
+        matches the actual program text exactly.
         """
-        from .encoding import encode  # local import to avoid a cycle
+        from .encoding import encoded_length  # local import: avoids a cycle
 
-        return len(encode(self))
+        return encoded_length(self)
 
     def payload(self) -> bytes:
         """Variable-length payload (e.g. permutation maps)."""

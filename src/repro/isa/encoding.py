@@ -18,6 +18,12 @@ Field encodings are chosen by the type of the field's default value:
 * float -> 8-byte IEEE double
 * enum  -> 1-byte index into the enum's member order
 * tuple -> 2-byte count, then 2-byte signed entries
+
+:func:`encoded_length` computes the size of that encoding structurally —
+same field walk, same range checks, no bytes built — for the consumers
+that only need occupancy (the IQ supply model, ``insert_ifetch``,
+``Program.text_bytes``).  :func:`encode` stays the wire format and the
+oracle the length is property-tested against.
 """
 
 from __future__ import annotations
@@ -36,6 +42,39 @@ _SHORT = struct.Struct("<h")
 _COUNT = struct.Struct("<H")
 
 
+#: dataclass field names per instruction class (``fields()`` is slow)
+_FIELD_NAMES: dict[type, tuple[str, ...]] = {}
+
+
+def _field_names(cls: type) -> tuple[str, ...]:
+    names = _FIELD_NAMES.get(cls)
+    if names is None:
+        names = _FIELD_NAMES[cls] = tuple(f.name for f in fields(cls))
+    return names
+
+
+def _check_scalar(value: int) -> None:
+    if not 0 <= value <= 0xFFFF:
+        raise EncodingError(
+            f"scalar field value {value} outside the 16-bit range"
+        )
+
+
+def _check_entries(values: tuple) -> None:
+    for v in values:
+        if not -0x8000 <= int(v) <= 0x7FFF:
+            raise EncodingError(
+                f"tuple entry {v} outside the signed 16-bit range"
+            )
+
+
+def _check_total(instruction: Instruction, total: int) -> None:
+    if total > 0xFFFF:
+        raise EncodingError(
+            f"{instruction.mnemonic} encodes to {total} bytes (> 64 KiB)"
+        )
+
+
 def _class_by_opcode(opcode: int) -> type[Instruction]:
     for mnemonic, code in OPCODE_BY_MNEMONIC.items():
         if code == opcode:
@@ -50,17 +89,32 @@ def _encode_field(value: object) -> bytes:
         members = list(type(value))
         return bytes([members.index(value)])
     if isinstance(value, int):
-        if not 0 <= value <= 0xFFFF:
-            raise EncodingError(
-                f"scalar field value {value} outside the 16-bit range"
-            )
+        _check_scalar(value)
         return _INT.pack(value)
     if isinstance(value, float):
         return _FLOAT.pack(value)
     if isinstance(value, tuple):
+        _check_entries(value)
         out = [_COUNT.pack(len(value))]
         out += [_SHORT.pack(int(v)) for v in value]
         return b"".join(out)
+    raise EncodingError(f"cannot encode field value {value!r}")
+
+
+def _field_length(value: object) -> int:
+    """Encoded size of one field: ``len(_encode_field(value))``, unbuilt."""
+    # plain ints are the common case: one identity test skips the 1-byte
+    # check (bool and int-valued enums are int subclasses)
+    if type(value) is not int and isinstance(value, (bool, enum.Enum)):
+        return 1
+    if isinstance(value, int):
+        _check_scalar(value)
+        return _INT.size
+    if isinstance(value, float):
+        return _FLOAT.size
+    if isinstance(value, tuple):
+        _check_entries(value)
+        return _COUNT.size + _SHORT.size * len(value)
     raise EncodingError(f"cannot encode field value {value!r}")
 
 
@@ -98,15 +152,25 @@ def _decode_field(
 def encode(instruction: Instruction) -> bytes:
     """Serialize one instruction to its wire format."""
     body = b"".join(
-        _encode_field(getattr(instruction, f.name))
-        for f in fields(instruction)
+        _encode_field(getattr(instruction, name))
+        for name in _field_names(type(instruction))
     )
     total = _HEADER.size + len(body)
-    if total > 0xFFFF:
-        raise EncodingError(
-            f"{instruction.mnemonic} encodes to {total} bytes (> 64 KiB)"
-        )
+    _check_total(instruction, total)
     return _HEADER.pack(instruction.opcode, total) + body
+
+
+def encoded_length(instruction: Instruction) -> int:
+    """``len(encode(instruction))`` without building the bytes.
+
+    Raises the same :class:`EncodingError` as :func:`encode` for an
+    out-of-range or unencodable field.
+    """
+    total = _HEADER.size
+    for name in _field_names(type(instruction)):
+        total += _field_length(getattr(instruction, name))
+    _check_total(instruction, total)
+    return total
 
 
 def decode(data: bytes, offset: int = 0) -> tuple[Instruction, int]:

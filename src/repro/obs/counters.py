@@ -332,6 +332,54 @@ class TelemetryCollector:
         self._srf_eo = self._bucket(_SRF_E_OCC)
         self._srf_wo = self._bucket(_SRF_W_OCC)
 
+    def on_stream_flow(
+        self,
+        cycle: int,
+        lanes: int,
+        live_e: int,
+        hops_e: int,
+        fell_e: int,
+        live_w: int,
+        hops_w: int,
+        fell_w: int,
+    ) -> None:
+        """Charge a stream shift that lies inside ``cycle``'s window.
+
+        Per direction, ``live`` values were in flight, completed ``hops``
+        hops between them and ``fell`` of them left the chip inside the
+        span.  Those integers settle the whole charge: the hop charge is
+        ``hops * lanes`` and the occupancy total is ``hops + fell``,
+        because a value occupies one cycle more than it hops exactly when
+        it falls off inside the span.
+        """
+        if live_e == 0 and live_w == 0:
+            return
+        eh = self._srf_eh
+        if eh is None:
+            self._init_srf()
+            eh = self._srf_eh
+        totals = self._totals
+        window = cycle // self.window_cycles
+        if live_e:
+            occ = hops_e + fell_e
+            eo = self._srf_eo
+            eo[window] = eo.get(window, 0) + occ
+            totals[_SRF_E_OCC] += occ
+            if hops_e:
+                amount = hops_e * lanes
+                eh[window] = eh.get(window, 0) + amount
+                totals[_SRF_E_HOP] += amount
+        if live_w:
+            occ = hops_w + fell_w
+            wo = self._srf_wo
+            wo[window] = wo.get(window, 0) + occ
+            totals[_SRF_W_OCC] += occ
+            if hops_w:
+                wh = self._srf_wh
+                amount = hops_w * lanes
+                wh[window] = wh.get(window, 0) + amount
+                totals[_SRF_W_HOP] += amount
+
     def on_stream_shift(
         self,
         first_cycle: int,
@@ -340,10 +388,6 @@ class TelemetryCollector:
         w_pos: np.ndarray,
         last: int,
         lanes: int,
-        hops_e: int | None = None,
-        hops_w: int | None = None,
-        fell_e: int | None = None,
-        fell_w: int | None = None,
     ) -> None:
         """Integrate SRF hop bytes and occupancy over an ``n``-cycle shift.
 
@@ -357,15 +401,11 @@ class TelemetryCollector:
         integrated into windows by :meth:`_integrate` — bit-identical to
         what the dense core accumulates one cycle at a time.
 
-        ``hops_*``/``fell_*`` are the per-direction completed-hop and
-        fall-off totals ``StreamRegisterFile._shift`` computes anyway
-        (recomputed here when absent).  Whenever the span lands in a
-        single telemetry window — every dense cycle and most skips —
-        those four integers settle the whole charge: the hop charge is
-        ``hops * lanes`` and the occupancy total is ``hops + fell``,
-        because a value occupies one cycle more than it hops exactly when
-        it falls off inside the span.  Only window-crossing spans pay for
-        the per-value integration.
+        This is the per-value path, exact over any span; the stream
+        register file takes it only for spans that cross a telemetry
+        window — a span inside one window (every dense cycle and most
+        skips) is settled by :meth:`on_stream_flow` from per-direction
+        totals alone.
         """
         live_e = e_pos.size
         live_w = w_pos.size
@@ -375,36 +415,6 @@ class TelemetryCollector:
         if eh is None:
             self._init_srf()
             eh = self._srf_eh
-        totals = self._totals
-        window = first_cycle // self.window_cycles
-        if (first_cycle + n - 1) // self.window_cycles == window:
-            if hops_e is None:
-                k = min(n, last + 1)
-                hops_e = int(np.minimum(last - e_pos, n).sum())
-                hops_w = int(np.minimum(w_pos, n).sum())
-                fell_e = int(np.count_nonzero(last - e_pos < k))
-                fell_w = int(np.count_nonzero(w_pos < k))
-            if live_e:
-                occ = hops_e + fell_e
-                eo = self._srf_eo
-                eo[window] = eo.get(window, 0) + occ
-                totals[_SRF_E_OCC] += occ
-                if hops_e:
-                    amount = hops_e * lanes
-                    eh[window] = eh.get(window, 0) + amount
-                    totals[_SRF_E_HOP] += amount
-            if live_w:
-                occ = hops_w + fell_w
-                wo = self._srf_wo
-                wo[window] = wo.get(window, 0) + occ
-                totals[_SRF_W_OCC] += occ
-                if hops_w:
-                    wh = self._srf_wh
-                    amount = hops_w * lanes
-                    wh[window] = wh.get(window, 0) + amount
-                    totals[_SRF_W_HOP] += amount
-            return
-        # span crosses a window boundary: exact per-value integration.
         # below ~a hundred live values plain Python beats numpy dispatch
         # overhead by a wide margin — and sparse occupancy is exactly the
         # regime the fast-forward core (and hence this hook) lives in

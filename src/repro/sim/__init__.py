@@ -11,7 +11,7 @@ that is not raises or yields wrong values that tests catch.
 from .chip import RunResult, TraceEvent, TspChip
 from .events import EventQueue, Phase
 from .faults import CorrectionRecord, FaultInjector
-from .icu import BarrierController, IcuQueue
+from .icu import BarrierController, IcuQueue, QueueSet
 from .memory import MemSliceUnit
 from .multichip import LinkSpec, MultiChipSystem
 from .mxm import MxmPlane, MxmUnit
@@ -50,6 +50,7 @@ __all__ = [
     "MxmPlane",
     "MxmUnit",
     "Phase",
+    "QueueSet",
     "RunResult",
     "StreamRegisterFile",
     "SxmUnit",

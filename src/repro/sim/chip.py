@@ -13,6 +13,13 @@ a fixed intra-cycle phase order that realizes the paper's timing contract:
 Because the phase order, queue order, and event order are all fixed, two
 runs of the same program are bit-identical — the determinism the TSP
 guarantees by construction (Section IV-F).
+
+There is one cycle loop, :func:`run_lockstep`, and one step body,
+:meth:`TspChip.step_cycle`; ``TspChip.run`` drives it over one chip and
+:class:`~repro.sim.multichip.MultiChipSystem` over several.  Its host cost
+follows dispatches and events, not queues x cycles: queues are indexed by
+wake cycle (:class:`~repro.sim.icu.QueueSet`), events by due cycle, and a
+stream hop is a ring rotation.
 """
 
 from __future__ import annotations
@@ -36,7 +43,7 @@ from ..isa.base import Instruction
 from ..isa.program import IcuId, Program
 from .c2c import C2cUnit
 from .events import EventQueue, Phase
-from .icu import BarrierController, IcuQueue
+from .icu import BarrierController, QueueSet
 from .memory import MemSliceUnit
 from .mxm import MxmUnit
 from .streamreg import StreamRegisterFile
@@ -190,21 +197,25 @@ class TspChip:
         self.superlane_enabled[superlane] = on
 
     def record_dispatch(
-        self, icu: IcuId, instruction: Instruction, cycle: int
+        self, icu: IcuId, name: str, instruction: Instruction, cycle: int
     ) -> None:
+        """Account one dispatch on queue ``icu`` (``name`` is its label).
+
+        Text is formatted only for a consumer that asked for it: the
+        recorder keeps the raw triple and a plan materialises trace
+        events on its first trace-enabled replay.
+        """
         self.activity.instructions += 1
         if self.trace_enabled:
             self.trace.append(
-                TraceEvent(
-                    cycle, str(icu), instruction.mnemonic, str(instruction)
-                )
+                TraceEvent(cycle, name, instruction.mnemonic, str(instruction))
             )
         if self.obs is not None:
             self.obs.on_dispatch(cycle, icu, instruction)
         if self.recorder is not None:
-            self.recorder.on_dispatch(icu, instruction, cycle)
+            self.recorder.on_dispatch(name, instruction, cycle)
         for checker in self.checkers:
-            checker.on_dispatch(cycle, str(icu), instruction)
+            checker.on_dispatch(cycle, name, instruction)
 
     # ------------------------------------------------------------------
     # invariant-checker hooks (repro.verify.invariants)
@@ -353,122 +364,45 @@ class TspChip:
         barrier: every queue parks on ``Sync`` and a designated notifier
         releases them, aligning all 144 queues to the same logical time.
 
-        ``fast_forward`` enables the quiescent-cycle-skipping core: spans
-        where no queue can dispatch and no event is due are crossed in one
-        bulk stream shift.  Because the TSP is fully deterministic with
-        compiler-known timing (Section IV-F), the next active cycle is
-        computable in advance and skipping is bit-identical to the
-        cycle-by-cycle path — ``fast_forward=False`` keeps the slow loop
-        as the reference (see :mod:`repro.verify.lockstep`).
+        ``fast_forward`` lets the loop cross quiescent spans — no queue
+        due, no event due — in one bulk stream shift.  Because the TSP is
+        fully deterministic with compiler-known timing (Section IV-F), the
+        next active cycle is known in advance and skipping is bit-identical
+        to visiting every cycle; ``fast_forward=False`` is the same step
+        body with skipping off, the dense lockstep reference (see
+        :mod:`repro.verify.lockstep`).
         """
-        queues = [
-            IcuQueue(self, icu, list(program.queue(icu)))
-            for icu in program.icus
-        ]
-        if warmup_barrier and queues:
-            from ..isa.icu import Notify, Sync
-
-            # the paper's compulsory post-reset barrier: every queue parks
-            # on Sync; the notifier queue issues Notify first, then parks
-            # too, so all queues resume at the same release cycle and the
-            # compiled schedule keeps its relative timing
-            for q in queues[1:]:
-                q.instructions.insert(0, Sync())
-            queues[0].instructions[0:0] = [Notify(), Sync()]
-
-        self.begin_run()
-        # per-run snapshots: the chip's tallies stay cumulative across
-        # back-to-back runs, the result reports only this run's window
-        self.activity.stream_hop_bytes = self.srf.hop_bytes_total
-        activity_start = self.activity.copy()
-        trace_start = len(self.trace)
-        corrections_start = self.srf.corrections
-        skipped = 0
-        cycle = 0
-        # snapshot for the hot loop: arming happens before run(), never
-        # during it, and a local int comparison is all an armed-but-quiet
-        # watchdog may cost per dense cycle
-        wd = self.watchdog
-        wd_deadline = wd.deadline if wd is not None else None
+        queues = self.make_queues(program, warmup_barrier)
+        window = self.open_run()
         try:
-            while True:
-                if cycle >= max_cycles:
-                    raise SimulationError(
-                        f"program did not finish within {max_cycles} cycles"
-                    )
-                self.now = cycle
-                drives = self.events.run_phase(cycle, Phase.DRIVE)
-                dispatch_before = self.activity.instructions
-                for queue in queues:
-                    queue.step(cycle)
-                captures = self.events.run_phase(cycle, Phase.CAPTURE)
-                self.srf.step(cycle)
-                self.activity.cycles += 1
-
-                pending = self.events.pending > 0
-                # a queue still burning a trailing NOP is not finished: its
-                # delay is part of the program's timed behaviour
-                all_done = all(
-                    q.done and cycle + 1 >= q.busy_until for q in queues
-                )
-                if all_done and not pending:
-                    cycle += 1
-                    break
-                # deadline pre-check inlined: before the deadline the
-                # armed watchdog costs one comparison per dense cycle
-                if wd_deadline is not None and cycle + 1 >= wd_deadline:
-                    self.check_watchdog(queues, cycle + 1)
-                if not pending and not all_done:
-                    # queues exist but none can ever progress
-                    stuck = [q for q in queues if not q.done]
-                    if stuck and all(q.parked for q in stuck):
-                        releases = [
-                            self.barrier.release_for(q.park_cycle)
-                            for q in stuck
-                        ]
-                        if all(r is None for r in releases):
-                            raise SimulationError(
-                                "barrier deadlock: Sync parked with no Notify"
-                            )
-                # only a quiet cycle (no event fired, no dispatch) can open
-                # a quiescent span worth skipping; dense workloads never
-                # pay the next_active_cycle scan at all
-                if fast_forward and (
-                    drives == 0
-                    and captures == 0
-                    and self.activity.instructions == dispatch_before
-                ):
-                    nxt = self.next_active_cycle(queues, cycle)
-                    # no candidate: every live queue is parked with no
-                    # release in sight — single-step, preserving the slow
-                    # path's behaviour (deadlock fault or max_cycles
-                    # timeout)
-                    target = min(
-                        cycle + 1 if nxt is None else nxt, max_cycles
-                    )
-                    if wd_deadline is not None and target >= wd_deadline:
-                        # never skip past the armed deadline: the check
-                        # above must run at the deadline cycle in both
-                        # execution cores
-                        target = max(wd_deadline - 1, cycle + 1)
-                    span = target - (cycle + 1)
-                    if span > 0:
-                        self.skip_cycles(cycle + 1, span)
-                        skipped += span
-                    cycle = target
-                else:
-                    cycle += 1
+            cycles, skipped = run_lockstep(
+                [self], [queues], max_cycles, fast_forward, standalone=True
+            )
         except TspError as fault:
             fault.with_context(chip=self.chip_id, cycle=self.now)
             raise
-
         for checker in self.checkers:
-            checker.finish(cycle)
+            checker.finish(cycles)
+        return self.close_run(window, cycles, skipped)
+
+    def open_run(self) -> tuple:
+        """Reset per-run state and snapshot the cumulative tallies.
+
+        The chip's tallies stay cumulative across back-to-back runs; the
+        snapshot lets :meth:`close_run` report only this run's window.
+        """
+        self.begin_run()
+        self.activity.stream_hop_bytes = self.srf.hop_bytes_total
+        return self.activity.copy(), len(self.trace), self.srf.corrections
+
+    def close_run(self, window: tuple, cycles: int, skipped: int) -> RunResult:
+        """The :class:`RunResult` of the run opened by :meth:`open_run`."""
+        activity_start, trace_start, corrections_start = window
         if self.obs is not None:
-            self.obs.on_run_end(cycle)
+            self.obs.on_run_end(cycles)
         self.activity.stream_hop_bytes = self.srf.hop_bytes_total
         return RunResult(
-            cycles=cycle,
+            cycles=cycles,
             instructions=self.activity.instructions
             - activity_start.instructions,
             activity=self.activity.delta(activity_start),
@@ -478,25 +412,38 @@ class TspChip:
         )
 
     # ------------------------------------------------------------------
-    # fast-forward core
+    # the cycle step and its skip horizon
     # ------------------------------------------------------------------
-    def next_active_cycle(
-        self,
-        queues: list[IcuQueue],
-        cycle: int,
-        include_drain: bool = True,
-    ) -> int | None:
+    def step_cycle(self, queues: QueueSet, cycle: int) -> bool:
+        """Advance one cycle — the one step body of every driver.
+
+        Returns whether the cycle was quiet (no event fired, nothing
+        dispatched): only a quiet cycle can open a quiescent span worth
+        skipping, so busy stretches never consult the horizon at all.
+        """
+        self.now = cycle
+        events = self.events
+        dispatched = self.activity.instructions
+        try:
+            fired = events.run_phase(cycle, Phase.DRIVE)
+            queues.dispatch(cycle)
+            fired += events.run_phase(cycle, Phase.CAPTURE)
+            self.srf.step(cycle)
+        except TspError as fault:
+            fault.with_context(chip=self.chip_id, cycle=cycle)
+            raise
+        self.activity.cycles += 1
+        return fired == 0 and self.activity.instructions == dispatched
+
+    def next_active_cycle(self, queues: QueueSet, cycle: int) -> int | None:
         """First cycle after ``cycle`` that needs full processing.
 
-        The min over the earliest per-queue next-dispatch cycle, the
-        earliest pending event deadline, and — once every queue has
-        retired, when ``include_drain`` — the cycle at which the longest
-        trailing ``busy_until`` horizon elapses (where ``run``'s
-        termination check can first pass).  The multichip driver passes
-        ``include_drain=False``: its idle test does not wait out trailing
-        NOP horizons, so a finished chip must not constrain the shared
-        skip horizon.  ``None`` means this chip never acts again on its
-        own (every live queue parked with no release in sight).
+        The min over three indexed facts: the earliest queue wake, the
+        earliest pending event cycle, and — once every queue has retired
+        — the cycle at which the running drain horizon (the longest
+        trailing ``busy_until``) elapses, where the termination test can
+        first pass.  ``None`` means this chip never acts again on its own
+        (every live queue parked with no release in sight).
 
         Every cycle strictly between ``cycle`` and the returned cycle is
         quiescent: no dispatch, no event, no state transition other than
@@ -504,19 +451,14 @@ class TspChip:
         :meth:`skip_cycles` without changing any outcome.
         """
         nxt = self.events.next_active_cycle(cycle)
-        all_done = True
-        horizon = 0
-        for q in queues:
-            if q.done:
-                if q.busy_until > horizon:
-                    horizon = q.busy_until
-                continue
-            all_done = False
-            wake = q.next_active_cycle(cycle)
-            if wake is not None and (nxt is None or wake < nxt):
-                nxt = wake
-        if all_done and include_drain:
-            wake = max(horizon - 1, cycle + 1)
+        wake = queues.next_wake()
+        if wake is None and queues.live == 0 and queues.drain - 1 > cycle:
+            # (a horizon already behind us is no reason to stop: a chip
+            # that drained must not pin its lockstep peers, or its own
+            # trailing events, to single steps)
+            wake = queues.drain - 1
+        if wake is not None:
+            wake = max(wake, cycle + 1)
             if nxt is None or wake < nxt:
                 nxt = wake
         return nxt
@@ -549,20 +491,6 @@ class TspChip:
         return image
 
     # ------------------------------------------------------------------
-    def step_cycle(self, queues: list[IcuQueue], cycle: int) -> None:
-        """Advance one cycle — used by the lockstep multichip driver."""
-        self.now = cycle
-        try:
-            self.events.run_phase(cycle, Phase.DRIVE)
-            for queue in queues:
-                queue.step(cycle)
-            self.events.run_phase(cycle, Phase.CAPTURE)
-            self.srf.step(cycle)
-        except TspError as fault:
-            fault.with_context(chip=self.chip_id, cycle=cycle)
-            raise
-        self.activity.cycles += 1
-
     def begin_run(self) -> None:
         """Reset cycle-keyed transient state before a run starts at cycle 0.
 
@@ -616,11 +544,105 @@ class TspChip:
         self.disarm_watchdog()
         self.detach_telemetry()
 
-    def make_queues(self, program: Program) -> list[IcuQueue]:
-        return [
-            IcuQueue(self, icu, list(program.queue(icu)))
-            for icu in program.icus
-        ]
+    def make_queues(
+        self, program: Program, warmup_barrier: bool = False
+    ) -> QueueSet:
+        return QueueSet(self, program, warmup_barrier)
 
-    def is_idle(self, queues: list[IcuQueue]) -> bool:
-        return all(q.done for q in queues) and self.events.pending == 0
+    def is_idle(self, queues: QueueSet) -> bool:
+        return queues.live == 0 and self.events.pending == 0
+
+
+def run_lockstep(
+    chips: list[TspChip],
+    queue_sets: list[QueueSet],
+    max_cycles: int,
+    fast_forward: bool,
+    standalone: bool,
+) -> tuple[int, int]:
+    """The cycle loop: run ``chips`` in lockstep until all have finished.
+
+    Returns ``(cycles, skipped)``.  Every chip takes
+    :meth:`TspChip.step_cycle` at each visited cycle; with
+    ``fast_forward``, a cycle that was quiet on every chip opens a skip to
+    the shared horizon — the min over the chips' next active cycles,
+    clamped to ``max_cycles`` and to the earliest armed watchdog deadline
+    so the check runs at the deadline cycle in both cores — crossed with
+    one bulk stream shift per chip.  C2C traffic is covered by the horizon
+    because a ``Send`` enqueues onto the peer before the horizon is read
+    and the peer's ``Receive`` is a scheduled dispatch of its own.
+
+    ``standalone`` is the single-chip contract: a chip whose every live
+    queue is parked with no Notify in flight faults as a barrier deadlock.
+    A multi-chip system leaves a hung barrier to its armed watchdogs (or
+    ``max_cycles``).
+
+    A run that aborts takes its pending events with it: they are keyed by
+    this run's cycle numbers and must not fire in the next one.  (Events
+    armed *before* a run — :meth:`FaultInjector.inject_stream_fault_at` —
+    are the next run's own, which is why ``begin_run`` keeps the store.)
+    """
+    pairs = list(zip(chips, queue_sets))
+    armed = [pair for pair in pairs if pair[0].watchdog is not None]
+    deadline = min(
+        (chip.watchdog.deadline for chip, _ in armed), default=None
+    )
+    skipped = 0
+    cycle = 0
+    try:
+        while True:
+            if cycle >= max_cycles:
+                raise SimulationError(
+                    f"{'program' if standalone else 'system'} did not "
+                    f"finish within {max_cycles} cycles"
+                )
+            quiet = True
+            for chip, queues in pairs:
+                if not chip.step_cycle(queues, cycle):
+                    quiet = False
+            cycle += 1
+            for chip, queues in pairs:
+                # a queue still burning a trailing NOP is not finished:
+                # its delay is part of the program's timed behaviour
+                if (
+                    queues.live
+                    or chip.events.pending
+                    or cycle < queues.drain
+                ):
+                    break
+            else:
+                return cycle, skipped
+            if deadline is not None and cycle >= deadline:
+                for chip, queues in armed:
+                    if cycle >= chip.watchdog.deadline:
+                        chip.check_watchdog(queues, cycle)
+            if standalone:
+                for chip, queues in pairs:
+                    if queues.deadlocked and not chip.events.pending:
+                        raise SimulationError(
+                            "barrier deadlock: Sync parked with no Notify"
+                        )
+            if not (fast_forward and quiet):
+                continue
+            horizons = [
+                chip.next_active_cycle(queues, cycle - 1)
+                for chip, queues in pairs
+            ]
+            # no candidate anywhere: every live queue in the system is
+            # parked with no release in sight — run out the clock
+            target = min(
+                (h for h in horizons if h is not None), default=max_cycles
+            )
+            target = min(target, max_cycles)
+            if deadline is not None and target >= deadline:
+                # never skip past an armed deadline
+                target = max(deadline - 1, cycle)
+            if target > cycle:
+                for chip, _ in pairs:
+                    chip.skip_cycles(cycle, target - cycle)
+                skipped += target - cycle
+                cycle = target
+    except BaseException:
+        for chip in chips:
+            chip.events.clear()
+        raise

@@ -1,4 +1,4 @@
-"""Deterministic event queue for the cycle simulator.
+"""Deterministic event store for the cycle simulator.
 
 The simulator is event-assisted: instruction dispatch happens in the main
 cycle loop, but an instruction's side effects (operand captures, result
@@ -13,13 +13,18 @@ Two phases exist per cycle:
   registers (visible to that cycle's readers);
 * ``CAPTURE`` events run after instruction dispatch and read operand values
   off stream registers (then typically do work and schedule future DRIVEs).
+
+Every event names its exact cycle and phase, so the store is one
+``cycle -> [callbacks]`` bucket table per phase: scheduling is a list
+append, running a phase is one dict pop, and a cycle with nothing due
+costs a failed lookup.  A heap of the cycles that own a bucket answers
+"when is the next event" without scanning the tables.
 """
 
 from __future__ import annotations
 
 import enum
-import heapq
-import itertools
+from heapq import heappop, heappush
 from typing import Callable
 
 
@@ -31,11 +36,17 @@ class Phase(enum.IntEnum):
 
 
 class EventQueue:
-    """A (cycle, phase, insertion-order) priority queue of callbacks."""
+    """Per-cycle DRIVE/CAPTURE buckets of callbacks, insertion-ordered."""
 
     def __init__(self) -> None:
-        self._heap: list[tuple[int, int, int, Callable[[int], None]]] = []
-        self._counter = itertools.count()
+        #: one ``cycle -> [action, ...]`` table per :class:`Phase`
+        self._buckets: tuple[dict[int, list], dict[int, list]] = ({}, {})
+        #: cycles a bucket was opened for, as a heap; entries outlive
+        #: their buckets and are dropped when they surface or when the
+        #: store drains
+        self._cycles: list[int] = []
+        #: events scheduled and not yet run
+        self.pending = 0
 
     def schedule(
         self, cycle: int, phase: Phase, action: Callable[[int], None]
@@ -43,43 +54,62 @@ class EventQueue:
         """Register ``action(cycle)`` to run at the given cycle and phase."""
         if cycle < 0:
             raise ValueError(f"cannot schedule at negative cycle {cycle}")
-        heapq.heappush(
-            self._heap, (cycle, int(phase), next(self._counter), action)
-        )
+        table = self._buckets[phase]
+        bucket = table.get(cycle)
+        if bucket is None:
+            table[cycle] = [action]
+            heappush(self._cycles, cycle)
+        else:
+            bucket.append(action)
+        self.pending += 1
 
     def run_phase(self, cycle: int, phase: Phase) -> int:
-        """Execute all events for (cycle, phase); returns the count run."""
+        """Execute all events for (cycle, phase); returns the count run.
+
+        An event that schedules more work for the same (cycle, phase)
+        opens a fresh bucket, drained before this returns — after every
+        event registered earlier, exactly the insertion order.
+        """
+        table = self._buckets[phase]
+        bucket = table.pop(cycle, None)
+        if bucket is None:
+            return 0
         run = 0
-        while self._heap:
-            c, p, _, _ = self._heap[0]
-            if c != cycle or p != int(phase):
-                break
-            _, _, _, action = heapq.heappop(self._heap)
-            action(cycle)
-            run += 1
+        while bucket is not None:
+            self.pending -= len(bucket)
+            for action in bucket:
+                action(cycle)
+            run += len(bucket)
+            bucket = table.pop(cycle, None)
+        if not self.pending:
+            # the store drained: whatever the heap still holds is stale,
+            # and only ``next_active_cycle`` would ever pop it — a dense
+            # run never asks, so drop it here
+            self._cycles.clear()
         return run
 
-    def has_work_at_or_before(self, cycle: int) -> bool:
-        return bool(self._heap) and self._heap[0][0] <= cycle
-
-    @property
-    def pending(self) -> int:
-        return len(self._heap)
-
-    def next_cycle(self) -> int | None:
-        """Earliest scheduled cycle, or None when empty."""
-        return self._heap[0][0] if self._heap else None
+    def clear(self) -> None:
+        """Drop every pending event (a new run restarts cycle numbering)."""
+        for table in self._buckets:
+            table.clear()
+        self._cycles.clear()
+        self.pending = 0
 
     def next_active_cycle(self, cycle: int) -> int | None:
         """Earliest cycle after ``cycle`` needing event service, or None.
 
         The fast-forward core must not skip past any pending event.  An
         event scheduled at or before ``cycle`` (stale, or same-cycle work
-        registered after its phase already ran) reports ``cycle + 1``, so
-        the skipping path degrades to the cycle-by-cycle behaviour of the
-        slow loop instead of jumping over it.
+        registered after its phase already ran) never runs and stays
+        pending; it reports ``cycle + 1``, so the skipping path degrades
+        to the cycle-by-cycle behaviour of the dense loop instead of
+        jumping over it.
         """
-        if not self._heap:
+        if not self.pending:
             return None
-        first = self._heap[0][0]
+        cycles = self._cycles
+        drive, capture = self._buckets
+        while cycles[0] not in drive and cycles[0] not in capture:
+            heappop(cycles)  # that cycle's buckets have run
+        first = cycles[0]
         return first if first > cycle else cycle + 1

@@ -12,16 +12,25 @@ instruction queues whose program order the compiler controls explicitly
   that drains by encoded instruction size and refills 640 bytes per fetch.
   In strict mode a queue that runs dry raises :class:`IqUnderflowError`,
   enforcing the paper's "IQs never go empty" requirement.
+
+Nothing here polls.  Every queue knows the cycle of its next action (its
+``wake``: the end of the current instruction's occupancy, or a parked
+``Sync``'s release), and a :class:`QueueSet` keeps the queues of one run
+indexed by it, so a cycle costs one :meth:`IcuQueue.step` per queue that
+actually acts — the compiler-known schedule the paper describes, honoured
+by the host loop too.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
+from heapq import heappop, heappush
+from typing import TYPE_CHECKING, Iterator
 
 from ..errors import IqUnderflowError, SimulationError
 from ..isa.base import Instruction
+from ..isa.encoding import encoded_length
 from ..isa.icu import Config, Ifetch, Nop, Notify, Repeat, Sync
-from ..isa.program import IcuId
+from ..isa.program import IcuId, Program
 from .events import Phase
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -59,27 +68,42 @@ class BarrierController:
 
 
 class IcuQueue:
-    """One independent instruction queue and its dispatcher."""
+    """One independent instruction queue and its dispatcher.
+
+    ``wake`` is the cycle of the queue's next action — dispatching its
+    next instruction, or retiring a released ``Sync`` — and ``None`` when
+    it has none of its own: it retired everything, or it is parked with no
+    ``Notify`` in flight (a later Notify is a dispatch on another queue,
+    which re-files this one; see :meth:`QueueSet.release_parked`).  Before
+    ``wake``, :meth:`step` is a guaranteed no-op — the contract that lets
+    the owning :class:`QueueSet` step only the queues that are due.
+    """
 
     def __init__(
         self,
-        chip: "TspChip",
+        owner: "QueueSet",
         icu: IcuId,
         instructions: list[Instruction],
+        index: int,
     ) -> None:
+        chip = owner.chip
+        self.owner = owner
         self.chip = chip
         self.icu = icu
+        self.index = index
         self._name = str(icu)
+        #: the functional slice this queue feeds, bound once per run
+        self.unit = chip.unit_for(icu)
         self.instructions = instructions
         self.pc = 0
         self.busy_until = 0
+        self.wake: int | None = 0 if instructions else None
         self.park_cycle: int | None = None
-        self.dispatched = 0
-        self.last_dispatch_cycle = -1
         self._previous: Instruction | None = None
 
-        # instruction-supply model
-        total_text = sum(i.encoded_size() for i in instructions)
+        # instruction-supply model: structural sizes, totalled once
+        self._sizes = [encoded_length(i) for i in instructions]
+        total_text = sum(self._sizes)
         capacity = chip.config.iq_capacity_bytes
         self.buffer_bytes = min(total_text, capacity)
         self.unfetched_bytes = total_text - self.buffer_bytes
@@ -90,69 +114,66 @@ class IcuQueue:
     @property
     def done(self) -> bool:
         """Retired every instruction — a parked Sync has not retired."""
-        return self.pc >= len(self.instructions) and not self.parked
+        return self.pc >= len(self.instructions) and self.park_cycle is None
 
     @property
     def parked(self) -> bool:
         return self.park_cycle is not None
 
-    # ------------------------------------------------------------------
-    def next_active_cycle(self, cycle: int) -> int | None:
-        """Earliest cycle after ``cycle`` at which this queue can act.
+    def prepend(self, instructions: list[Instruction]) -> None:
+        """Put reset-sequence instructions ahead of the program text.
 
-        ``None`` means the queue never acts again on its own: it has
-        retired everything, or it is parked on a ``Sync`` with no released
-        ``Notify`` (a later Notify is itself a dispatch on another queue,
-        i.e. an active cycle, after which the horizon is recomputed).
-        Between ``cycle`` and the returned cycle, :meth:`step` is a
-        guaranteed no-op — the contract the fast-forward core relies on.
+        They dispatch like any instruction but were never part of the
+        fetched text, so the supply model's totals stay the program's.
         """
-        if self.done:
-            return None
-        if self.parked:
-            release = self.chip.barrier.release_for(self.park_cycle)
-            if release is None:
-                return None
-            return release if release > cycle else cycle + 1
-        return self.busy_until if self.busy_until > cycle else cycle + 1
+        self.instructions[0:0] = instructions
+        self._sizes[0:0] = [encoded_length(i) for i in instructions]
+        self.wake = 0
 
     # ------------------------------------------------------------------
-    def step(self, cycle: int) -> bool:
-        """Attempt to dispatch at ``cycle``; returns True if work happened."""
-        if self.done:
-            return False
-        if self.parked:
-            release = self.chip.barrier.release_for(self.park_cycle)
-            if release is None or cycle < release:
-                return True  # parked, but the queue is still alive
-            if self.chip.obs is not None:
+    def step(self, cycle: int) -> None:
+        """Act at ``cycle``: retire a released Sync, then dispatch."""
+        wake = self.wake
+        if wake is None or cycle < wake:
+            return  # retired, parked, or still occupied
+        chip = self.chip
+        if self.park_cycle is not None:
+            if chip.obs is not None:
                 # both cores first observe the release at exactly this
-                # cycle (it is in the per-queue fast-forward horizon), so
-                # the parked span is identical in dense and skip modes
-                self.chip.obs.on_icu_parked(self._name, self.park_cycle, cycle)
+                # cycle (it is the queue's wake), so the parked span is
+                # identical in dense and skip modes
+                chip.obs.on_icu_parked(self._name, self.park_cycle, cycle)
             self.park_cycle = None
             if self.pc >= len(self.instructions):
-                return False  # the Sync was the final instruction
-        if cycle < self.busy_until:
-            return True
+                self.wake = None  # the Sync was the final instruction
+                return
 
         instruction = self.instructions[self.pc]
-        self._consume_text(instruction, cycle)
+        self._consume_text(self._sizes[self.pc], cycle)
         self.pc += 1
-        self.dispatched += 1
-        self.last_dispatch_cycle = cycle
-        self.chip.record_dispatch(self.icu, instruction, cycle)
-        self._dispatch(instruction, cycle)
-        if self.chip.obs is not None:
-            self.chip.obs.on_icu_dispatch(
+        chip.record_dispatch(self.icu, self._name, instruction, cycle)
+        handler = _ICU_HANDLERS.get(type(instruction))
+        if handler is None:
+            # a slice-specific instruction: hand to the functional unit
+            self.unit.execute(self.icu, instruction, cycle)
+            self._previous = instruction
+            self.busy_until = cycle + 1
+        else:
+            handler(self, instruction, cycle)
+        if self.park_cycle is None:  # a Sync files its own wake
+            if self.pc < len(self.instructions):
+                # each queue issues at most once per cycle (NOP 0 included)
+                self.wake = max(self.busy_until, cycle + 1)
+            else:
+                self.wake = None
+        if chip.obs is not None:
+            chip.obs.on_icu_dispatch(
                 self._name, cycle, instruction, self.busy_until,
                 self.buffer_bytes,
             )
-        return True
 
     # ------------------------------------------------------------------
-    def _consume_text(self, instruction: Instruction, cycle: int) -> None:
-        size = instruction.encoded_size()
+    def _consume_text(self, size: int, cycle: int) -> None:
         if self.buffer_bytes < size:
             if self.chip.strict_ifetch:
                 raise IqUnderflowError(
@@ -167,34 +188,26 @@ class IcuQueue:
         self.buffer_bytes -= size
 
     # ------------------------------------------------------------------
-    def _dispatch(self, instruction: Instruction, cycle: int) -> None:
-        if isinstance(instruction, Nop):
-            self.busy_until = cycle + instruction.count
-            return
-        if isinstance(instruction, Sync):
-            self.park_cycle = cycle
-            self.busy_until = cycle + 1
-            return
-        if isinstance(instruction, Notify):
-            self.chip.barrier.notify(cycle)
-            self.busy_until = cycle + 1
-            return
-        if isinstance(instruction, Ifetch):
-            self._exec_ifetch(instruction, cycle)
-            return
-        if isinstance(instruction, Config):
-            self.chip.set_superlane_power(
-                instruction.superlane, instruction.power_on
-            )
-            self.busy_until = cycle + 1
-            return
-        if isinstance(instruction, Repeat):
-            self._exec_repeat(instruction, cycle)
-            return
-        # a slice-specific instruction: hand to the functional unit
-        unit = self.chip.unit_for(self.icu)
-        unit.execute(self.icu, instruction, cycle)
-        self._previous = instruction
+    # ICU-common instructions (every slice's queue executes these itself)
+    # ------------------------------------------------------------------
+    def _exec_nop(self, instruction: Nop, cycle: int) -> None:
+        self.busy_until = cycle + instruction.count
+
+    def _exec_sync(self, instruction: Sync, cycle: int) -> None:
+        self.park_cycle = cycle
+        self.busy_until = cycle + 1
+        release = self.chip.barrier.release_for(cycle)
+        self.wake = None if release is None else max(release, cycle + 1)
+
+    def _exec_notify(self, instruction: Notify, cycle: int) -> None:
+        release = self.chip.barrier.notify(cycle)
+        self.busy_until = cycle + 1
+        self.owner.release_parked(release, cycle, self.index)
+
+    def _exec_config(self, instruction: Config, cycle: int) -> None:
+        self.chip.set_superlane_power(
+            instruction.superlane, instruction.power_on
+        )
         self.busy_until = cycle + 1
 
     def _exec_ifetch(self, instruction: Ifetch, cycle: int) -> None:
@@ -232,7 +245,7 @@ class IcuQueue:
                 cycle=cycle,
                 unit=self._name,
             )
-        unit = self.chip.unit_for(self.icu)
+        unit = self.unit
         for k in range(instruction.n):
             when = cycle + k * instruction.d
             # dispatch through the event queue so iteration timing is exact
@@ -241,5 +254,106 @@ class IcuQueue:
                 Phase.CAPTURE,
                 lambda c, ins=previous: unit.execute(self.icu, ins, c),
             )
-            self.chip.record_dispatch(self.icu, previous, when)
+            self.chip.record_dispatch(self.icu, self._name, previous, when)
         self.busy_until = cycle + (instruction.n - 1) * instruction.d + 1
+
+
+#: instruction type -> the queue's own handler; anything absent belongs to
+#: the queue's functional unit
+_ICU_HANDLERS = {
+    Nop: IcuQueue._exec_nop,
+    Sync: IcuQueue._exec_sync,
+    Notify: IcuQueue._exec_notify,
+    Ifetch: IcuQueue._exec_ifetch,
+    Config: IcuQueue._exec_config,
+    Repeat: IcuQueue._exec_repeat,
+}
+
+
+class QueueSet:
+    """The instruction queues of one run, indexed by wake cycle.
+
+    Each queue is in exactly one place: the ``(wake, index)`` heap of
+    queues with a known next action, the list parked on a ``Sync`` that no
+    ``Notify`` has released yet, or retired — counted out of ``live``,
+    with its trailing occupancy folded into ``drain``.  A cycle steps the
+    due heap entries in queue order, the chip's fixed dispatch order.
+    """
+
+    def __init__(
+        self, chip: "TspChip", program: Program, warmup_barrier: bool = False
+    ) -> None:
+        self.chip = chip
+        self.queues = [
+            IcuQueue(self, icu, list(program.queue(icu)), index)
+            for index, icu in enumerate(program.icus)
+        ]
+        if warmup_barrier and self.queues:
+            # the paper's compulsory post-reset barrier: every queue parks
+            # on Sync; the notifier queue issues Notify first, then parks
+            # too, so all queues resume at the same release cycle and the
+            # compiled schedule keeps its relative timing
+            for queue in self.queues[1:]:
+                queue.prepend([Sync()])
+            self.queues[0].prepend([Notify(), Sync()])
+        #: queues that have not retired
+        self.live = 0
+        #: cycle at which the last retired queue's occupancy (a trailing
+        #: NOP is timed behaviour) has elapsed
+        self.drain = 0
+        self._due: list[tuple[int, int]] = []
+        self._parked: list[IcuQueue] = []
+        for queue in self.queues:
+            if queue.wake is not None:
+                self.live += 1
+                self._due.append((queue.wake, queue.index))
+
+    def __len__(self) -> int:
+        return len(self.queues)
+
+    def __iter__(self) -> Iterator[IcuQueue]:
+        return iter(self.queues)
+
+    def __getitem__(self, index: int) -> IcuQueue:
+        return self.queues[index]
+
+    # ------------------------------------------------------------------
+    def dispatch(self, cycle: int) -> None:
+        """Step every queue whose wake has come, in queue order."""
+        due = self._due
+        queues = self.queues
+        while due and due[0][0] <= cycle:
+            queue = queues[heappop(due)[1]]
+            queue.step(cycle)
+            wake = queue.wake
+            if wake is not None:
+                heappush(due, (wake, queue.index))
+            elif queue.park_cycle is not None:
+                self._parked.append(queue)
+            else:
+                self.live -= 1
+                if queue.busy_until > self.drain:
+                    self.drain = queue.busy_until
+
+    def release_parked(self, release: int, cycle: int, notifier: int) -> None:
+        """A Notify issued at ``cycle`` releases at ``release``: re-file
+        every queue that was parked with nothing to wait for.
+
+        A queue the sweep has already passed this cycle cannot act before
+        the next one; a later queue still can (a zero-latency barrier).
+        """
+        for queue in self._parked:
+            first = cycle if queue.index > notifier else cycle + 1
+            queue.wake = max(release, first)
+            heappush(self._due, (queue.wake, queue.index))
+        self._parked.clear()
+
+    # ------------------------------------------------------------------
+    def next_wake(self) -> int | None:
+        """Earliest wake among the queues that have one, else None."""
+        return self._due[0][0] if self._due else None
+
+    @property
+    def deadlocked(self) -> bool:
+        """Every unretired queue is parked and no Notify is in flight."""
+        return self.live > 0 and len(self._parked) == self.live

@@ -179,16 +179,11 @@ class MemSliceUnit(FunctionalUnit):
     # ------------------------------------------------------------------
     def execute(self, icu: IcuId, instruction: Instruction, cycle: int) -> None:
         self._check_dead(cycle)
-        if isinstance(instruction, Read):
-            self._exec_read(instruction, cycle)
-        elif isinstance(instruction, Write):
-            self._exec_write(instruction, cycle)
-        elif isinstance(instruction, Gather):
-            self._exec_gather(instruction, cycle)
-        elif isinstance(instruction, Scatter):
-            self._exec_scatter(instruction, cycle)
-        else:
+        handler = _MEM_HANDLERS.get(type(instruction))
+        if handler is None:
             super().execute(icu, instruction, cycle)
+        else:
+            handler(self, instruction, cycle)
 
     def _exec_read(self, instruction: Read, cycle: int) -> None:
         self._record_access(
@@ -330,3 +325,12 @@ class MemSliceUnit(FunctionalUnit):
         byte, bitpos = divmod(local_bit, 8)
         self.storage[address, lane0 + byte] ^= np.uint8(1 << bitpos)
         self.chip.faults_injected += 1
+
+
+#: instruction type -> MEM slice handler
+_MEM_HANDLERS = {
+    Read: MemSliceUnit._exec_read,
+    Write: MemSliceUnit._exec_write,
+    Gather: MemSliceUnit._exec_gather,
+    Scatter: MemSliceUnit._exec_scatter,
+}

@@ -14,10 +14,10 @@ from dataclasses import dataclass
 
 from ..arch.geometry import Hemisphere
 from ..config import ArchConfig
-from ..errors import ConfigError, SimulationError, TspError
+from ..errors import ConfigError, SimulationError
 from ..isa.program import Program
 from .c2c import DEFAULT_LINK_LATENCY, LinkErrorModel
-from .chip import RunResult, TspChip
+from .chip import RunResult, TspChip, run_lockstep
 
 
 @dataclass(frozen=True)
@@ -137,14 +137,12 @@ class MultiChipSystem:
     ) -> list[RunResult]:
         """Execute one program per chip in cycle lockstep.
 
-        With ``fast_forward`` the system skips quiescent spans under a
-        *shared* horizon: the min over every chip's next active cycle.
-        All chips cross the span together with one bulk stream shift
-        each, so the lockstep contract — every chip observes the same
-        logical cycle — is preserved exactly.  C2C traffic is covered by
-        the horizon because a ``Send`` enqueues onto the peer before the
-        horizon is computed and the peer's ``Receive`` is a scheduled
-        dispatch of its own.
+        The loop and its step body are the single-chip ones
+        (:func:`repro.sim.chip.run_lockstep`), driven over every chip at
+        once: with ``fast_forward`` the system skips quiescent spans under
+        a *shared* horizon, all chips crossing the span together with one
+        bulk stream shift each, so the lockstep contract — every chip
+        observes the same logical cycle — is preserved exactly.
 
         Per-chip watchdogs (:meth:`TspChip.arm_watchdog`) are honoured:
         the shared horizon is clamped to the earliest armed deadline, and
@@ -162,85 +160,12 @@ class MultiChipSystem:
             chip.make_queues(program)
             for chip, program in zip(self.chips, programs)
         ]
-        starts = []
-        trace_starts = []
-        correction_starts = []
-        for chip in self.chips:
-            chip.begin_run()
-            chip.activity.stream_hop_bytes = chip.srf.hop_bytes_total
-            starts.append(chip.activity.copy())
-            trace_starts.append(len(chip.trace))
-            correction_starts.append(chip.srf.corrections)
-        watchdogs = [
-            (chip, queues)
-            for chip, queues in zip(self.chips, queue_sets)
-            if chip.watchdog is not None
+        windows = [chip.open_run() for chip in self.chips]
+        cycles, skipped = run_lockstep(
+            self.chips, queue_sets, max_cycles, fast_forward,
+            standalone=False,
+        )
+        return [
+            chip.close_run(window, cycles, skipped)
+            for chip, window in zip(self.chips, windows)
         ]
-        skipped = 0
-        cycle = 0
-        while True:
-            if cycle >= max_cycles:
-                raise SimulationError(
-                    f"system did not finish within {max_cycles} cycles"
-                )
-            for chip, queues in zip(self.chips, queue_sets):
-                chip.step_cycle(queues, cycle)
-            if all(
-                chip.is_idle(queues)
-                for chip, queues in zip(self.chips, queue_sets)
-            ):
-                cycle += 1
-                break
-            for chip, queues in watchdogs:
-                if cycle + 1 < chip.watchdog.deadline:
-                    continue
-                try:
-                    chip.check_watchdog(queues, cycle + 1)
-                except TspError as fault:
-                    fault.with_context(chip=chip.chip_id)
-                    raise
-            if fast_forward:
-                horizons = [
-                    chip.next_active_cycle(queues, cycle, include_drain=False)
-                    for chip, queues in zip(self.chips, queue_sets)
-                ]
-                finite = [h for h in horizons if h is not None]
-                # no candidate anywhere: every live queue in the system is
-                # parked with no release — run out the clock like the
-                # cycle-by-cycle path does
-                horizon = min(finite) if finite else max_cycles
-                target = min(horizon, max_cycles)
-                for chip, _ in watchdogs:
-                    # never skip past an armed deadline: the check above
-                    # must run at the deadline cycle in both cores
-                    target = min(
-                        target,
-                        max(chip.watchdog.deadline - 1, cycle + 1),
-                    )
-                span = target - (cycle + 1)
-                if span > 0:
-                    for chip in self.chips:
-                        chip.skip_cycles(cycle + 1, span)
-                    skipped += span
-                cycle = target
-            else:
-                cycle += 1
-        results = []
-        for chip, start, trace_start, corr_start in zip(
-            self.chips, starts, trace_starts, correction_starts
-        ):
-            if chip.obs is not None:
-                chip.obs.on_run_end(cycle)
-            chip.activity.stream_hop_bytes = chip.srf.hop_bytes_total
-            results.append(
-                RunResult(
-                    cycles=cycle,
-                    instructions=chip.activity.instructions
-                    - start.instructions,
-                    activity=chip.activity.delta(start),
-                    trace=list(chip.trace[trace_start:]),
-                    ecc_corrections=chip.srf.corrections - corr_start,
-                    skipped_cycles=skipped,
-                )
-            )
-        return results

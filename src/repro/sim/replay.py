@@ -35,14 +35,16 @@ Correctness strategy (fail closed):
   faults, disabled superlanes or attached hardware-fault hooks — faulty
   runs need the real machine.
 
-Observability is derived, not lost: the plan carries the recorded trace
-events, the telemetry-counter delta (mergeable into a fresh
+Observability is derived, not lost: the plan carries the recorded
+dispatches (formatted into trace events on the first trace-enabled
+replay), the telemetry-counter delta (mergeable into a fresh
 :class:`~repro.obs.counters.TelemetryCollector` of the same window), the
 exact cycle count and the activity-counter delta.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field, fields
 from collections import deque
 from typing import Any, Callable
@@ -65,25 +67,28 @@ from ..isa.vxm import BinaryOp, Convert, UnaryOp
 from . import alu
 from .chip import RunResult, TraceEvent
 
-_DIR_INDEX = {Direction.EASTWARD: 0, Direction.WESTWARD: 1}
+_EAST = Direction.EASTWARD
 
 #: instruction classes whose simulation effects the recorder understands.
 #: ``Config`` is deliberately absent (it flips superlane power mid-run,
 #: which would invalidate the recorded lane masks), as are Gather/Scatter
 #: (data-dependent addressing) and the C2C transfer set.
-_SUPPORTED = (
+_SUPPORTED = frozenset((
     Read, Write,
     UnaryOp, BinaryOp, Convert,
     Shift, Select, Permute, Distribute, Rotate, Transpose,
     LoadWeights, InstallWeights, ActivationBufferControl, Accumulate,
     Nop, Sync, Notify, Ifetch, Repeat,
-)
+))
 
 
-def _diag(direction: Direction, cycle: int, position: int) -> int:
-    if direction is Direction.EASTWARD:
-        return cycle - position
-    return cycle + position
+def _diag_key(direction: Direction, stream: int, cycle: int,
+              position: int) -> tuple:
+    """(dir index, stream, diagonal) of a value at ``position`` on ``cycle``
+    — an identity test, not an enum hash, picks the direction."""
+    if direction is _EAST:
+        return 0, stream, cycle - position
+    return 1, stream, cycle + position
 
 
 def probe_gather(
@@ -151,7 +156,9 @@ class ScheduleRecorder:
         # (id(plane), acc slot) -> ref | None for live accumulators
         self._mxm_acc: dict[tuple, Any] = {}
         self._mxm_planes: list = []
-        self.trace: list[TraceEvent] = []
+        #: raw (cycle, queue name, instruction) per dispatch — no text is
+        #: formatted unless a trace-enabled replay asks for it
+        self.dispatches: list[tuple] = []
         self.pending_emit: Any = None
         self._corr_start = chip.srf.corrections
         for name, spec in compiled.inputs.items():
@@ -183,8 +190,7 @@ class ScheduleRecorder:
     def resolve(self, cycle: int, direction: Direction, stream: int,
                 position: int, value: np.ndarray) -> tuple:
         """Map a captured stream value to a slot ref or fold a constant."""
-        d = _DIR_INDEX[direction]
-        entries = self._diag.get((d, stream, _diag(direction, cycle, position)))
+        entries = self._diag.get(_diag_key(direction, stream, cycle, position))
         if entries:
             best_c = -1
             best_ref = None
@@ -201,18 +207,15 @@ class ScheduleRecorder:
         """Register a tainted drive scheduled for (cycle, direction, stream)."""
         if self.failed is not None:
             return
-        d = _DIR_INDEX[direction]
-        key = (d, stream, _diag(direction, cycle, position))
+        key = _diag_key(direction, stream, cycle, position)
         self._diag.setdefault(key, []).append((cycle, slot))
-        self._announced.add((position, cycle, d, stream))
+        self._announced.add((position, cycle, key[0], stream))
 
     # -- chip-level hooks --------------------------------------------------
 
-    def on_dispatch(self, icu, instruction, cycle: int) -> None:
-        self.trace.append(
-            TraceEvent(cycle, str(icu), instruction.mnemonic, str(instruction))
-        )
-        if self.failed is None and not isinstance(instruction, _SUPPORTED):
+    def on_dispatch(self, name: str, instruction, cycle: int) -> None:
+        self.dispatches.append((cycle, name, instruction))
+        if self.failed is None and type(instruction) not in _SUPPORTED:
             self.fail(f"unsupported instruction {instruction.mnemonic}")
 
     def on_drive(self, direction: Direction, stream: int,
@@ -221,10 +224,10 @@ class ScheduleRecorder:
         if self.failed is not None:
             return
         cycle = self.chip.now
-        d = _DIR_INDEX[direction]
-        if (position, cycle, d, stream) in self._announced:
+        key = _diag_key(direction, stream, cycle, position)
+        if (position, cycle, key[0], stream) in self._announced:
             return
-        entries = self._diag.get((d, stream, _diag(direction, cycle, position)))
+        entries = self._diag.get(key)
         if entries is not None:
             entries.append((cycle, None))
 
@@ -380,7 +383,7 @@ class ScheduleRecorder:
             skipped=run.skipped_cycles,
             instructions=run.instructions,
             activity=run.activity.copy(),
-            trace=self.trace,
+            dispatches=self.dispatches,
             ops=self.ops,
             n_slots=self.n_slots,
             in_words=self.in_words,
@@ -389,7 +392,7 @@ class ScheduleRecorder:
         )
         if not plan.ok:
             plan.ops = []
-            plan.trace = []
+            plan.dispatches = []
             return plan
         if chip.obs is not None:
             plan.telemetry = chip.obs.export_state()
@@ -475,7 +478,8 @@ class ReplayPlan:
     skipped: int
     instructions: int
     activity: object
-    trace: list = field(repr=False, default_factory=list)
+    #: raw ``(cycle, queue name, instruction)`` per recorded dispatch
+    dispatches: list = field(repr=False, default_factory=list)
     ops: list = field(repr=False, default_factory=list)
     n_slots: int = 0
     in_words: list = field(repr=False, default_factory=list)
@@ -486,6 +490,15 @@ class ReplayPlan:
     telemetry_window: int | None = None
     #: number of times this plan has been replayed (single + batched)
     replays: int = 0
+
+    @functools.cached_property
+    def trace(self) -> list[TraceEvent]:
+        """The recorded dispatches as trace events, formatted on first use
+        (only a trace-enabled replay ever asks)."""
+        return [
+            TraceEvent(cycle, name, instruction.mnemonic, str(instruction))
+            for cycle, name, instruction in self.dispatches
+        ]
 
     # -- kernel interpreter ------------------------------------------------
 

@@ -11,6 +11,15 @@ the compiler's ``delta(j, i)`` arithmetic physically true in simulation.
 When ECC mode is on, 9 check bits ride with each 16-byte superlane word of
 every stream value (the paper stores 137 bits); a consumer slice verifies
 and corrects before operating (see :meth:`read_checked`).
+
+Storage is a ring: a hop moves no data.  Both directions are stored in
+*flow order* — slot ``q`` holds the eastward register at position ``q`` or
+the westward register at position ``last - q``, so every value flows
+toward higher ``q`` and leaves past ``q = last`` — and slot ``q`` lives at
+physical column ``(q - hops) mod n_positions`` where ``hops`` counts the
+shifts so far.  One hop is then ``hops += 1`` plus clearing the single
+column whose values just left the chip; the dense arrays still hold
+exactly the state the per-register hardware would.
 """
 
 from __future__ import annotations
@@ -22,15 +31,16 @@ from ..config import ArchConfig
 from ..errors import SimulationError, StreamContentionError
 from . import ecc
 
-_DIR_INDEX = {Direction.EASTWARD: 0, Direction.WESTWARD: 1}
+_EAST = Direction.EASTWARD
 
 
 class StreamRegisterFile:
     """All stream registers of one chip.
 
-    State is a dense array ``values[dir, stream, position, lane]`` plus a
-    validity mask.  ``step()`` advances the flow; ``drive()`` overwrites a
-    position (a producing slice); ``read()`` observes one (a consumer).
+    State is a dense array ``values[dir, stream, column, lane]`` plus a
+    validity mask, columns being ring slots (see the module docstring).
+    ``step()`` advances the flow; ``drive()`` overwrites a position (a
+    producing slice); ``read()`` observes one (a consumer).
     """
 
     def __init__(self, config: ArchConfig, floorplan: Floorplan) -> None:
@@ -39,6 +49,10 @@ class StreamRegisterFile:
         n_pos = floorplan.n_positions
         lanes = config.n_lanes
         streams = config.streams_per_direction
+        self._n_pos = n_pos
+        self._n_streams = streams
+        #: hops shifted so far, mod ``n_pos`` — the ring's rotation
+        self._hops = 0
         self._values = np.zeros((2, streams, n_pos, lanes), dtype=np.uint8)
         self._valid = np.zeros((2, streams, n_pos), dtype=bool)
         # ECC check bits per superlane word of each stream value
@@ -47,8 +61,11 @@ class StreamRegisterFile:
             (2, streams, n_pos, config.n_superlanes), dtype=np.uint16
         )
         self._driven_this_cycle: set[tuple[int, int, int]] = set()
-        #: live stream values, so quiescent steps can skip the dense shift
-        self._n_valid = 0
+        #: live values per direction as ``{ring column: count}``, and
+        #: their totals: a shift reads who completes hops and who leaves
+        #: the chip from these, never from a scan of the mask
+        self._live: tuple[dict[int, int], dict[int, int]] = ({}, {})
+        self._n_live = [0, 0]
         #: set when state was mutated behind ``drive()``'s back (fault
         #: injection, raw check overrides) — disables the empty-chip
         #: shortcut so such bytes still propagate exactly
@@ -65,9 +82,10 @@ class StreamRegisterFile:
         #: position)`` on every drive, *before* contention faulting, so
         #: invariant checkers see the colliding drive too
         self.on_drive = None
-        #: attached telemetry collector (repro.obs), or None; fed the
-        #: pre-shift valid positions of every ``_shift`` so hop bytes and
-        #: per-direction occupancy integrate exactly across bulk skips
+        #: attached telemetry collector (repro.obs), or None; fed every
+        #: ``_shift``'s per-direction hop and fall-off totals (and, for a
+        #: span crossing a telemetry window, the pre-shift positions) so
+        #: hop bytes and occupancy integrate exactly across bulk skips
         self.collector = None
         #: cycle number of the current/most recent shift (set by callers
         #: through ``step``/``step_n``; only meaningful with a collector)
@@ -89,7 +107,10 @@ class StreamRegisterFile:
             self._checks[:] = 0
             self._touched = False
         self._driven_this_cycle.clear()
-        self._n_valid = 0
+        self._hops = 0
+        for live in self._live:
+            live.clear()
+        self._n_live = [0, 0]
         self._dirty = False
         self.hop_bytes_total = 0
         self.corrections = 0
@@ -124,11 +145,15 @@ class StreamRegisterFile:
             self._dirty = True
 
     def _index(self, direction: Direction, stream: int, position: int):
-        if not 0 <= stream < self.config.streams_per_direction:
+        """(direction index, stream, physical ring column) of a register."""
+        if not 0 <= stream < self._n_streams:
             raise SimulationError(f"stream {stream} out of range")
-        if not 0 <= position < self.floorplan.n_positions:
+        n_pos = self._n_pos
+        if not 0 <= position < n_pos:
             raise SimulationError(f"position {position} is off-chip")
-        return _DIR_INDEX[direction], stream, position
+        if direction is _EAST:
+            return 0, stream, (position - self._hops) % n_pos
+        return 1, stream, (n_pos - 1 - position - self._hops) % n_pos
 
     # ------------------------------------------------------------------
     def drive(
@@ -163,7 +188,9 @@ class StreamRegisterFile:
         self._touched = True
         if not self._valid[d, s, p]:
             self._valid[d, s, p] = True
-            self._n_valid += 1
+            live = self._live[d]
+            live[p] = live.get(p, 0) + 1
+            self._n_live[d] += 1
         if self._ecc_enabled:
             words = vec.reshape(self.config.n_superlanes, -1)
             self._checks[d, s, p] = ecc.encode_checks(words)
@@ -216,10 +243,7 @@ class StreamRegisterFile:
         attached telemetry collector, so existing no-argument callers keep
         their exact behaviour.
         """
-        if self._n_valid or self._dirty:
-            self.now = now
-            self._shift(1)
-        self._driven_this_cycle.clear()
+        self.step_n(1, now)
 
     def step_n(self, n: int, now: int = 0) -> None:
         """Advance ``n`` hops at once — the fast-forward bulk path.
@@ -231,10 +255,8 @@ class StreamRegisterFile:
         quiescent cycle spans in one shot.  ``now`` is the first cycle of
         the span (telemetry attribution only).
         """
-        if n == 1:
-            self.step(now)
-            return
-        if n > 0 and (self._n_valid or self._dirty):
+        n_live = self._n_live
+        if n > 0 and (n_live[0] or n_live[1] or self._dirty):
             self.now = now
             self._shift(n)
         self._driven_this_cycle.clear()
@@ -243,69 +265,109 @@ class StreamRegisterFile:
         """Move all content ``n`` positions; charge completed hops.
 
         A hop is charged only when a value actually lands on the next
-        stream register: an eastward value at position ``p`` completes
-        ``min(n, last - p)`` hops before falling off the east edge (and
-        symmetrically westward), so edge values are never billed for the
-        cycle in which they leave the chip.
+        stream register: a value with ``room`` hops left before its edge
+        of the chip completes ``min(n, room)`` of them, so edge values are
+        never billed for the cycle in which they leave.  The accounting
+        reads the per-column live tallies — no mask is scanned, and a
+        shift that drops nothing touches no array.
         """
         lanes = self.config.n_lanes
-        n_pos = self.floorplan.n_positions
+        n_pos = self._n_pos
         last = n_pos - 1
-        e = _DIR_INDEX[Direction.EASTWARD]
-        w = _DIR_INDEX[Direction.WESTWARD]
-
-        e_pos = np.nonzero(self._valid[e])[1]
-        w_pos = np.nonzero(self._valid[w])[1]
-        hops_e = int(np.minimum(last - e_pos, n).sum())
-        hops_w = int(np.minimum(w_pos, n).sum())
-        self.hop_bytes_total += (hops_e + hops_w) * lanes
+        hops = self._hops
         k = min(n, n_pos)
+        live_e, live_w = self._live
+        n_live = self._n_live
         collector = self.collector
+        slots = None
         if collector is not None:
-            # hand over the per-direction hop and fall-off totals already
-            # computed here, so the collector's single-window fast path
-            # needs no per-value work of its own; a full flush drops every
-            # live value, no mask needed
-            if k == n_pos:
-                fell_e = e_pos.size
-                fell_w = w_pos.size
-            else:
-                fell_e = int((last - e_pos < k).sum())
-                fell_w = int((w_pos < k).sum())
+            width = collector.window_cycles
+            if self.now // width != (self.now + n - 1) // width:
+                # the span crosses a telemetry window: the collector
+                # integrates per value, from each one's pre-shift flow slot
+                slots = [
+                    np.array(
+                        [
+                            (column + hops) % n_pos
+                            for column, count in live.items()
+                            for _ in range(count)
+                        ],
+                        dtype=np.intp,
+                    )
+                    for live in self._live
+                ]
+        before_e, before_w = n_live
+        if n == 1:
+            # the one-hop step: every value completes the hop except the
+            # last flow slot's column, which leaves
+            column = (last - hops) % n_pos
+            fell_e = live_e.pop(column, 0)
+            fell_w = live_w.pop(column, 0)
+            moved_e = before_e - fell_e
+            moved_w = before_w - fell_w
+        else:
+            moved_e, fell_e = self._fly(live_e, n, k)
+            moved_w, fell_w = self._fly(live_w, n, k)
+        n_live[0] = before_e - fell_e
+        n_live[1] = before_w - fell_w
+        self.hop_bytes_total += (moved_e + moved_w) * lanes
+        if slots is not None:
             collector.on_stream_shift(
-                self.now, n, e_pos, w_pos, last, lanes,
-                hops_e, hops_w, fell_e, fell_w,
+                self.now, n, slots[0], last - slots[1], last, lanes
+            )
+        elif collector is not None:
+            # inside one window the totals computed here settle the charge
+            collector.on_stream_flow(
+                self.now, lanes,
+                before_e, moved_e, fell_e, before_w, moved_w, fell_w,
             )
 
-        if k == n_pos:
+        if k == n_pos:  # a full flush: every column left
             self._values[:] = 0
             self._valid[:] = False
             self._checks[:] = 0
-            self._n_valid = 0
+            self._hops = 0
             self._dirty = False
-        else:
-            self._values[e, :, k:] = self._values[e, :, :-k]
-            self._values[e, :, :k] = 0
-            self._valid[e, :, k:] = self._valid[e, :, :-k]
-            self._valid[e, :, :k] = False
+            return
+        if fell_e or fell_w or self._dirty:
+            # flow slots last-k+1 .. last left: k consecutive ring columns
+            self._clear_columns((n_pos - k - hops) % n_pos, k)
+        self._hops = (hops + k) % n_pos
 
-            self._values[w, :, :-k] = self._values[w, :, k:]
-            self._values[w, :, -k:] = 0
-            self._valid[w, :, :-k] = self._valid[w, :, k:]
-            self._valid[w, :, -k:] = False
+    def _fly(self, live: dict[int, int], n: int, k: int) -> tuple[int, int]:
+        """Fly one direction's values ``n`` hops: (completed hops, values
+        that left); columns that left are dropped from ``live``."""
+        n_pos = self._n_pos
+        hops = self._hops
+        moved = fell = 0
+        for column, count in list(live.items()):
+            room = n_pos - 1 - (column + hops) % n_pos
+            if room < k:
+                fell += count
+                moved += count * room
+                del live[column]
+            else:  # room >= k means k == n: the whole span is flown
+                moved += count * n
+        return moved, fell
 
-            if self._ecc_enabled:
-                self._checks[e, :, k:] = self._checks[e, :, :-k]
-                self._checks[e, :, :k] = 0
-                self._checks[w, :, :-k] = self._checks[w, :, k:]
-                self._checks[w, :, -k:] = 0
-
-            if collector is None:
-                fell_e = int((last - e_pos < k).sum())
-                fell_w = int((w_pos < k).sum())
-            self._n_valid -= fell_e + fell_w
+    def _clear_columns(self, start: int, k: int) -> None:
+        """Zero ``k`` ring columns from ``start``, wrapping at the seam."""
+        n_pos = self._n_pos
+        end = start + k
+        spans = (
+            ((start, end),) if end <= n_pos
+            else ((start, n_pos), (0, end - n_pos))
+        )
+        for a, b in spans:
+            self._values[:, :, a:b] = 0
+            self._valid[:, :, a:b] = False
+            if self._ecc_enabled or self._dirty:
+                self._checks[:, :, a:b] = 0
 
     # ------------------------------------------------------------------
     def snapshot_valid(self) -> np.ndarray:
-        """Copy of the validity mask, for tracing and tests."""
-        return self._valid.copy()
+        """The validity mask as ``[direction, stream, position]``, for
+        tracing and tests (a copy, un-rotated out of the ring)."""
+        columns = (np.arange(self._n_pos) - self._hops) % self._n_pos
+        flow = self._valid[:, :, columns]
+        return np.stack([flow[0], flow[1][:, ::-1]])

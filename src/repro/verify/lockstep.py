@@ -243,9 +243,10 @@ def _execute_replay(
     from ..compiler.runner import fetch_output
     from ..sim.replay import ScheduleRecorder
 
-    def _fresh_chip() -> TspChip:
+    def _fresh_chip(trace: bool) -> TspChip:
         chip = TspChip(
-            compiled.config, timing=timing, trace=True, enable_ecc=enable_ecc
+            compiled.config, timing=timing, trace=trace,
+            enable_ecc=enable_ecc,
         )
         chip.attach_telemetry(TelemetryCollector(window_cycles=64))
         load_compiled(chip, compiled)
@@ -253,7 +254,9 @@ def _execute_replay(
             bind_input(chip, spec, inputs[name])
         return chip
 
-    chip = _fresh_chip()
+    # recorded with tracing off, replayed with it on: the plan keeps raw
+    # dispatches and must format a trace equal to the simulated one
+    chip = _fresh_chip(trace=False)
     recorder = ScheduleRecorder(
         chip, compiled, warmup_barrier=warmup_barrier, fast_forward=True
     )
@@ -271,7 +274,7 @@ def _execute_replay(
     if not plan.ok:
         return None, plan
 
-    chip = _fresh_chip()
+    chip = _fresh_chip(trace=True)
     run = plan.replay_into(chip)
     outputs = {
         name: fetch_output(chip, spec)

@@ -146,6 +146,111 @@ class TestMultiChip:
         assert receiver.received_vectors == 1
 
 
+class TestSharedCycleCore:
+    """``MultiChipSystem.run`` and ``TspChip.run`` are one loop and one
+    step body: on link-free programs a system is N independent chips."""
+
+    @staticmethod
+    def _paced_copy(chip, gap, trailing_nop):
+        """Read -> gap -> write-back, optionally ending on a timed NOP."""
+        program = Program()
+        src = IcuId(chip.floorplan.mem_slice(Hemisphere.WEST, 0))
+        dst = IcuId(chip.floorplan.mem_slice(Hemisphere.EAST, 0))
+        program.add(src, Read(address=0, stream=0, direction=E))
+        program.add(src, Nop(gap))
+        program.add(src, Read(address=2, stream=1, direction=E))
+        program.add(dst, Nop(gap + 30))
+        if trailing_nop:
+            program.add(src, Nop(gap + 40))
+        return program
+
+    @pytest.mark.parametrize("trailing_nop", [False, True])
+    @pytest.mark.parametrize("fast_forward", [False, True])
+    def test_link_free_system_equals_independent_chips(
+        self, config, rng, fast_forward, trailing_nop
+    ):
+        n_chips = 3
+        data = rng.integers(0, 256, (4, config.n_lanes), dtype=np.uint8)
+        system = MultiChipSystem.ring(config, n_chips, trace=True)
+        singles = [TspChip(config, trace=True) for _ in range(n_chips)]
+        for chip in system.chips + singles:
+            chip.load_memory(Hemisphere.WEST, 0, 0, data)
+        # same length on every chip, so the lockstep system (which ends
+        # when the slowest chip does) ends where each chip alone would
+        programs = [
+            self._paced_copy(chip, 40, trailing_nop) for chip in system.chips
+        ]
+        together = system.run(programs, fast_forward=fast_forward)
+        alone = [
+            chip.run(program, fast_forward=fast_forward)
+            for chip, program in zip(singles, programs)
+        ]
+        for shared, own in zip(together, alone):
+            assert shared.cycles == own.cycles
+            assert shared.skipped_cycles == own.skipped_cycles
+            assert shared.instructions == own.instructions
+            assert shared.activity == own.activity
+            assert shared.trace == own.trace
+        if fast_forward:
+            assert together[0].skipped_cycles > 0
+        for chip, single in zip(system.chips, singles):
+            assert chip.memory_image() == single.memory_image()
+
+    @pytest.mark.parametrize("fast_forward", [False, True])
+    def test_system_waits_out_a_trailing_nop(self, config, fast_forward):
+        """A trailing NOP is timed behaviour on a system as on a chip:
+        ``Read`` at cycle 0, ``Nop(50)`` dispatched at cycle 1 holds its
+        queue through cycle 50, so the run is 51 cycles — on both chips,
+        though the peer's lone ``Read`` has long drained, and the drained
+        peer does not stop the system from skipping the wait."""
+        def program(chip, trailing):
+            program = Program()
+            src = IcuId(chip.floorplan.mem_slice(Hemisphere.WEST, 0))
+            program.add(src, Read(address=0, stream=0, direction=E))
+            if trailing:
+                program.add(src, Nop(trailing))
+            return program
+
+        system = MultiChipSystem.ring(config, 2)
+        results = system.run(
+            [program(system.chips[0], 50), program(system.chips[1], 0)],
+            fast_forward=fast_forward,
+        )
+        lone_chip = TspChip(config)
+        lone = lone_chip.run(program(lone_chip, 50), fast_forward=fast_forward)
+        assert [r.cycles for r in results] == [51, 51] == [lone.cycles] * 2
+        assert [r.instructions for r in results] == [2, 1]
+        skipped = 45 if fast_forward else 0
+        assert [r.skipped_cycles for r in results] == [skipped, skipped]
+        assert lone.skipped_cycles == skipped
+
+    def test_system_run_goes_through_the_chip_step_body(
+        self, config, monkeypatch
+    ):
+        """No second loop: every cycle a system visits is a
+        ``TspChip.step_cycle`` call, the same count a lone chip makes."""
+        visits = []
+        step_cycle = TspChip.step_cycle
+
+        def counting(chip, queues, cycle):
+            visits.append((chip.chip_id, cycle))
+            return step_cycle(chip, queues, cycle)
+
+        monkeypatch.setattr(TspChip, "step_cycle", counting)
+        system = MultiChipSystem.ring(config, 2)
+        programs = [self._paced_copy(c, 40, False) for c in system.chips]
+        system.run(programs)
+        by_chip = [
+            [cycle for chip_id, cycle in visits if chip_id == i]
+            for i in range(2)
+        ]
+        assert by_chip[0] == by_chip[1] and by_chip[0]
+        visits.clear()
+        lone = TspChip(config, chip_id=0)
+        lone.run(programs[0])
+        assert [cycle for _, cycle in visits] == by_chip[0]
+
+
 class TestRingSizing:
     def test_single_chip_ring_is_rejected(self, config):
         from repro.errors import ConfigError

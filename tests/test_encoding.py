@@ -1,11 +1,16 @@
 """Binary instruction encoding: exhaustive and property-based round-trips."""
 
+import dataclasses
+import enum
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.arch import Direction, DType
 from repro.errors import EncodingError
+from repro.isa.base import INSTRUCTION_REGISTRY
+from repro.isa.encoding import encoded_length
 from repro.isa import (
     Accumulate,
     ActivationBufferControl,
@@ -163,3 +168,86 @@ class TestPropertyBased:
         instruction = Convert(scale=scale)
         decoded, _ = decode(encode(instruction))
         assert decoded.scale == scale
+
+
+def _field_values(default, in_range: bool):
+    """Values of a field's wire type: encodable ones, or a mix with
+    scalars/entries the 16-bit formats cannot hold."""
+    if isinstance(default, bool):
+        return st.booleans()
+    if isinstance(default, enum.Enum):
+        return st.sampled_from(list(type(default)))
+    if isinstance(default, int):
+        return (
+            st.integers(0, 0xFFFF) if in_range
+            else st.integers(-0x20000, 0x20000)
+        )
+    if isinstance(default, float):
+        return st.floats(allow_nan=False)
+    if isinstance(default, tuple):
+        entries = (
+            st.integers(-0x8000, 0x7FFF) if in_range
+            else st.integers(-0x20000, 0x20000)
+        )
+        return st.lists(entries, max_size=40).map(tuple)
+    raise AssertionError(f"field default {default!r} has no wire type")
+
+
+@st.composite
+def _instructions(draw, in_range: bool):
+    """Any registered class with arbitrary wire-typed field values.
+
+    Built around ``__post_init__``: the encoder's contract is over wire
+    types, not over which operand values a slice accepts.
+    """
+    cls = draw(st.sampled_from(sorted(
+        INSTRUCTION_REGISTRY.values(), key=lambda c: c.mnemonic
+    )))
+    instruction = object.__new__(cls)
+    for f in dataclasses.fields(cls):
+        object.__setattr__(
+            instruction, f.name, draw(_field_values(f.default, in_range))
+        )
+    return instruction
+
+
+class TestStructuralLength:
+    """``encoded_length`` is ``len(encode(...))`` without the bytes."""
+
+    def test_every_registered_class_is_covered(self):
+        assert {type(i) for i in SAMPLES} == set(INSTRUCTION_REGISTRY.values())
+        for instruction in SAMPLES:
+            assert encoded_length(instruction) == len(encode(instruction))
+
+    @given(_instructions(in_range=True))
+    @settings(max_examples=400, deadline=None)
+    def test_length_matches_the_wire_format(self, instruction):
+        wire = encode(instruction)
+        assert encoded_length(instruction) == len(wire)
+        assert instruction.encoded_size() == len(wire)
+
+    @given(_instructions(in_range=False))
+    @settings(max_examples=400, deadline=None)
+    def test_unencodable_fields_raise_the_same_error(self, instruction):
+        try:
+            wire = encode(instruction)
+        except EncodingError as fault:
+            with pytest.raises(EncodingError) as structural:
+                encoded_length(instruction)
+            assert str(structural.value) == str(fault)
+        else:
+            assert encoded_length(instruction) == len(wire)
+
+    def test_oversized_tuple_payload_rejected_by_both(self):
+        huge = Permute(mapping=tuple(range(16)))
+        object.__setattr__(huge, "mapping", (0,) * 0x8000)
+        for measure in (encode, encoded_length):
+            with pytest.raises(EncodingError, match="64 KiB"):
+                measure(huge)
+
+    def test_non_wire_field_type_rejected_by_both(self):
+        odd = Nop(1)
+        object.__setattr__(odd, "count", "seven")
+        for measure in (encode, encoded_length):
+            with pytest.raises(EncodingError, match="cannot encode"):
+                measure(odd)

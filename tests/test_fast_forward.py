@@ -83,6 +83,87 @@ class TestEquivalence:
         assert result.ok
 
 
+def _ffn_chunk_program(config):
+    """The serving stack's FFN up-projection chunk (the cold-path unit)."""
+    from repro.nn.transformer import TransformerConfig
+    from repro.nn.tsp_inference import build_chunk_builder
+    from repro.serve import TransformerMlpServeModel
+
+    ffn = TransformerConfig(
+        d_model=32, n_heads=4, d_ff=64, seq_len=16, n_layers=1, vocab=128
+    )
+    model = TransformerMlpServeModel(
+        "ffn", ffn, config, seed=0, max_vectors_per_program=16
+    )
+    builder, _ = build_chunk_builder(config, model.runner.layers[0], 16)
+    return builder.compile().program
+
+
+def _compiled_programs(config):
+    programs = {
+        name: build().compile().program
+        for name, build in sorted(GOLDEN_PROGRAMS.items())
+    }
+    programs["ffn-chunk"] = _ffn_chunk_program(config)
+    return programs
+
+
+class TestWorkFollowsDispatches:
+    """Host work is proportional to dispatches, not queues x cycles:
+    a queue is stepped only when it dispatches or retires a released
+    Sync — never polled while busy, parked or retired."""
+
+    @pytest.fixture()
+    def step_calls(self, monkeypatch):
+        from repro.sim.icu import IcuQueue
+
+        calls = []
+        step = IcuQueue.step
+
+        def counting(queue, cycle):
+            calls.append((queue.index, cycle))
+            step(queue, cycle)
+
+        monkeypatch.setattr(IcuQueue, "step", counting)
+        return calls
+
+    @pytest.mark.parametrize("warmup_barrier", [False, True])
+    @pytest.mark.parametrize("fast_forward", [False, True])
+    def test_queue_steps_bounded_by_dispatches(
+        self, config, step_calls, fast_forward, warmup_barrier
+    ):
+        for name, program in _compiled_programs(config).items():
+            step_calls.clear()
+            chip = TspChip(config)
+            queues = len(program.icus)
+            result = chip.run(
+                program, fast_forward=fast_forward,
+                warmup_barrier=warmup_barrier,
+            )
+            # the warm-up barrier parks every queue once; each park is
+            # one dispatch (counted in instructions) and its release
+            # rides the step that dispatches the next instruction
+            releases = queues if warmup_barrier else 0
+            assert len(step_calls) <= result.instructions + releases, name
+            if name == "ffn-chunk" and not warmup_barrier:
+                # the all-queues-every-cycle sweep paid queues x cycles
+                assert len(step_calls) * 8 < queues * result.cycles
+            # at most one step per queue per cycle, in queue order
+            assert len(set(step_calls)) == len(step_calls), name
+            by_cycle = sorted(step_calls, key=lambda call: call[1])
+            assert by_cycle == sorted(step_calls, key=lambda c: (c[1], c[0]))
+
+    def test_dense_and_fast_step_the_same_queues_at_the_same_cycles(
+        self, config, step_calls
+    ):
+        program = _ffn_chunk_program(config)
+        TspChip(config).run(program, fast_forward=False)
+        dense = list(step_calls)
+        step_calls.clear()
+        TspChip(config).run(program, fast_forward=True)
+        assert step_calls == dense
+
+
 class TestPerRunState:
     def test_back_to_back_runs_are_independent(self, config, rng):
         """run() must not leak trace or activity into the next run."""
@@ -106,6 +187,18 @@ class TestPerRunState:
         chip.run(paced_program(chip))
         # the first result must not alias the chip's live counters
         assert result.activity.instructions == before
+
+    @pytest.mark.parametrize("fast_forward", [False, True])
+    def test_event_store_is_empty_between_runs(self, config, fast_forward):
+        """Un-scrubbed reuse (the resilience paths) must not accumulate
+        event bookkeeping: the dense core never asks for the next event
+        cycle, so the store has to shed its heap on its own."""
+        chip = TspChip(config)
+        program = _ffn_chunk_program(config)
+        for _ in range(3):
+            chip.run(program, fast_forward=fast_forward)
+            assert chip.events.pending == 0
+            assert chip.events._cycles == []
 
 
 class TestMaxCycles:

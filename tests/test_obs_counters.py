@@ -85,9 +85,14 @@ class TestStreamIntegration:
                 np.array(e0), np.array(w0), last, lanes,
             )
         else:
+            # one cycle never crosses a window: settled from the totals,
+            # the way the stream register file reports its one-hop steps
             for cycle, (e, w) in enumerate(positions_by_cycle):
-                collector.on_stream_shift(
-                    cycle, 1, np.array(e), np.array(w), last, lanes
+                fell_e, fell_w = e.count(last), w.count(0)
+                collector.on_stream_flow(
+                    cycle, lanes,
+                    len(e), len(e) - fell_e, fell_e,
+                    len(w), len(w) - fell_w, fell_w,
                 )
 
     def test_bulk_shift_equals_dense_steps(self):

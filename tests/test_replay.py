@@ -96,6 +96,43 @@ class TestRecordReplay:
         assert np.array_equal(result["acc"], oracle(x, w))
 
 
+class TestLazyPlanTrace:
+    """The recorder keeps raw dispatches; text is formatted on demand."""
+
+    def test_trace_off_recording_replays_the_simulated_trace(self, config):
+        """dense / fast / replay three-way: the replay leg records on a
+        trace-off chip and replays into a trace-enabled one."""
+        from repro.verify import assert_lockstep
+
+        compiled, _ = build_input_matmul(config)
+        result = assert_lockstep(compiled, inputs={"acts": acts_for(5)})
+        assert result.replay is not None, result.plan.reason
+        assert result.replay.run.trace  # non-empty, and == dense (lockstep)
+        assert result.replay.run.trace == result.slow.run.trace
+        assert result.replay.run.trace == result.fast.run.trace
+
+    def test_nothing_is_formatted_until_a_trace_is_asked_for(self, config):
+        compiled, _ = recorded_program(config)
+        plan = compiled.replay
+        assert plan.dispatches and "trace" not in vars(plan)
+        quiet = TspChip(config)
+        replayed = execute(compiled, chip=quiet, inputs={"acts": acts_for(6)})
+        assert plan.replays == 1
+        assert replayed.run.trace == [] and "trace" not in vars(plan)
+
+        traced = TspChip(config, trace=True)
+        replayed = execute(compiled, chip=traced, inputs={"acts": acts_for(6)})
+        assert plan.replays == 2
+        simulated = TspChip(config, trace=True)
+        reference = execute(
+            compiled, chip=simulated, inputs={"acts": acts_for(6)},
+            record=False,
+        )
+        assert replayed.run.trace == reference.run.trace
+        assert traced.trace == simulated.trace
+        assert "trace" in vars(plan)
+
+
 class TestBatched:
     def test_batched_matches_sequential(self, config):
         compiled, w = recorded_program(config)

@@ -136,3 +136,83 @@ class TestWatchdog:
                 [Program(), hung], max_cycles=50_000, fast_forward=False
             )
         assert exc.value.cycle == 300
+
+
+class TestAbortedRunLeavesNoEvents:
+    """A run that faults mid-flight takes its pending callbacks with it:
+    they are keyed by the dead run's cycle numbers and would otherwise
+    fire at the same numbers of the next run on the un-scrubbed chip."""
+
+    @staticmethod
+    def _matmul():
+        from golden_programs import GOLDEN_PROGRAMS
+
+        return GOLDEN_PROGRAMS["matmul"]().compile()
+
+    @pytest.mark.parametrize("fast_forward", [False, True])
+    def test_fault_disarm_rerun_matches_a_fresh_chip(
+        self, config, fast_forward
+    ):
+        from repro.compiler import execute
+
+        compiled = self._matmul()
+        fresh = TspChip(config, trace=True)
+        expected = execute(
+            compiled, chip=fresh, record=False, fast_forward=fast_forward
+        )
+        assert expected.run.cycles > 20
+
+        chip = TspChip(config, trace=True)
+        chip.arm_watchdog(Watchdog(deadline=10, label="abort"))
+        with pytest.raises(WatchdogError):
+            execute(
+                compiled, chip=chip, record=False, fast_forward=fast_forward
+            )
+        assert chip.events.pending == 0  # nothing of the dead run survives
+        chip.disarm_watchdog()
+        # no scrub(): begin_run alone must make the chip runnable again
+        again = execute(
+            compiled, chip=chip, record=False, fast_forward=fast_forward
+        )
+        for name, value in expected.outputs.items():
+            assert np.array_equal(again.outputs[name], value)
+        assert again.run.cycles == expected.run.cycles
+        assert again.run.instructions == expected.run.instructions
+        assert again.run.trace == expected.run.trace
+        assert again.run.skipped_cycles == expected.run.skipped_cycles
+        assert chip.memory_image() == fresh.memory_image()
+
+    def test_events_armed_before_a_run_still_belong_to_it(self, config, rng):
+        """The other side of the contract: ``begin_run`` keeps the store,
+        so a fault scheduled for the next run (``inject_stream_fault_at``)
+        fires in it."""
+        data = rng.integers(0, 256, (1, config.n_lanes), dtype=np.uint8)
+        chip = TspChip(config, enable_ecc=True)
+        chip.load_memory(Hemisphere.WEST, 0, 4, data)
+        src = chip.floorplan.position(
+            chip.floorplan.mem_slice(Hemisphere.WEST, 0)
+        )
+        injector = FaultInjector(chip)
+        injector.inject_stream_fault_at(6, E, 0, src + 1, bit=21)
+        chip.run(copy_program(chip))
+        assert len(injector.log) == 1  # the armed flip fired in this run
+
+    def test_multichip_abort_clears_every_chip(self, config, rng):
+        payload = rng.integers(0, 256, (4, config.n_lanes), dtype=np.uint8)
+        reference = MultiChipSystem.ring(config, 2)
+        plan = build_ring_transfer(reference, [0, 1], payload)
+        expected = reference.run(plan.programs)
+
+        system = MultiChipSystem.ring(config, 2)
+        plan = build_ring_transfer(system, [0, 1], payload)
+        system.chips[0].arm_watchdog(Watchdog(deadline=8))
+        with pytest.raises(WatchdogError):
+            system.run(plan.programs)
+        assert all(chip.events.pending == 0 for chip in system.chips)
+        system.chips[0].disarm_watchdog()
+        again = system.run(plan.programs)
+        for got, want in zip(again, expected):
+            assert got.cycles == want.cycles
+            assert got.activity == want.activity
+        for chip, ref in zip(system.chips, reference.chips):
+            assert chip.memory_image() == ref.memory_image()
