@@ -18,6 +18,10 @@ from ..errors import IsaError
 from .geometry import Direction
 
 
+#: DType labels that are not numpy's own name for the type
+_NUMPY_NAMES = {"fp16": "float16", "fp32": "float32"}
+
+
 class DType(enum.Enum):
     """Hardware-supported element types and their stream footprints."""
 
@@ -31,22 +35,13 @@ class DType(enum.Enum):
     def __init__(self, label: str, n_bytes: int) -> None:
         self.label = label
         self.n_bytes = n_bytes
+        #: the host-side element type (read on every tensor pack/unpack)
+        self.numpy_dtype = np.dtype(_NUMPY_NAMES.get(label, label))
 
     @property
     def n_streams(self) -> int:
         """Streams needed to carry one element per lane."""
         return self.n_bytes
-
-    @property
-    def numpy_dtype(self) -> np.dtype:
-        return {
-            DType.INT8: np.dtype(np.int8),
-            DType.UINT8: np.dtype(np.uint8),
-            DType.INT16: np.dtype(np.int16),
-            DType.FP16: np.dtype(np.float16),
-            DType.INT32: np.dtype(np.int32),
-            DType.FP32: np.dtype(np.float32),
-        }[self]
 
     @staticmethod
     def from_label(label: str) -> "DType":

@@ -483,7 +483,7 @@ class StreamProgramBuilder:
         return out_name
 
     # ------------------------------------------------------------------
-    def compile(self, blacklist=None) -> CompiledProgram:
+    def compile(self, blacklist=None, cache_key=None) -> CompiledProgram:
         """Schedule the graph in time and space.
 
         ``blacklist`` — a :class:`repro.resil.degrade.Blacklist` of dead
@@ -495,11 +495,14 @@ class StreamProgramBuilder:
         :mod:`repro.compiler.cachekey`): scheduling is deterministic, so
         equal keys mean bit-identical binaries and a compiled program can
         be cached and replayed for any later request of the same shape.
+        A program cache that just missed on this graph passes the
+        ``cache_key`` it looked up instead of having it hashed again.
         """
         scheduler = Scheduler(self.config, self.timing, blacklist=blacklist)
         compiled = scheduler.schedule(self.graph)
-        compiled.cache_key = graph_fingerprint(
-            self.graph, self.config, timing=self.timing, blacklist=blacklist
+        compiled.cache_key = (
+            cache_key if cache_key is not None
+            else self.fingerprint(blacklist)
         )
         return compiled
 

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import dataclasses
 import enum
+import functools
 import hashlib
 
 import numpy as np
@@ -62,17 +63,29 @@ def _feed_value(h, value) -> None:
         _feed(h, f"{type(value).__name__}:{value!r}")
 
 
+class _ByteSink(bytearray):
+    """hashlib's ``update`` protocol, collecting the stream instead."""
+
+    update = bytearray.extend
+
+
+@functools.lru_cache(maxsize=None)
+def _config_bytes(config: ArchConfig) -> bytes:
+    """The canonical byte stream of one configuration.
+
+    ``ArchConfig`` is frozen, so the stream is serialised once per
+    distinct configuration and fed to every digest as-is.
+    """
+    sink = _ByteSink()
+    for f in dataclasses.fields(config):
+        _feed(sink, f.name)
+        _feed_value(sink, getattr(config, f.name))
+    return bytes(sink)
+
+
 def config_fingerprint(config: ArchConfig) -> str:
     """Canonical hash of one architecture configuration."""
-    h = hashlib.sha256()
-    _feed_config(h, config)
-    return h.hexdigest()
-
-
-def _feed_config(h, config: ArchConfig) -> None:
-    for f in dataclasses.fields(config):
-        _feed(h, f.name)
-        _feed_value(h, getattr(config, f.name))
+    return hashlib.sha256(_config_bytes(config)).hexdigest()
 
 
 def graph_fingerprint(
@@ -90,7 +103,7 @@ def graph_fingerprint(
     """
     h = hashlib.sha256()
     _feed(h, "tsp-program/1")
-    _feed_config(h, config)
+    h.update(_config_bytes(config))
     _feed(h, "timing")
     _feed(h, "default" if timing is None else repr(timing))
     _feed(h, "blacklist")

@@ -16,6 +16,7 @@ reference path in :mod:`repro.nn.quantize`.
 
 from __future__ import annotations
 
+import itertools
 import time
 from dataclasses import dataclass, field
 
@@ -143,6 +144,9 @@ class TspCnnRunner:
         self.config = config
         self.max_vectors = max_vectors_per_program
         self.layers = self._lower(model, calibration)
+        #: (layer name, row bucket, blacklist) -> (builder, input
+        #: bindings, cache key); see :meth:`_resolve`
+        self._resolved: dict[tuple, tuple] = {}
 
     # ------------------------------------------------------------------
     def _lower(
@@ -235,121 +239,120 @@ class TspCnnRunner:
         ).astype(np.int8)
 
     # ------------------------------------------------------------------
-    def _run_matmul_chunk(
-        self,
-        layer: CompiledLayer,
-        acts_q: np.ndarray,
-        chip=None,
-        cache=None,
-        stats: ChunkRunStats | None = None,
-        fast_forward: bool = True,
-        blacklist=None,
-    ) -> tuple[np.ndarray, int]:
-        """Compile (or fetch from cache) and simulate one activation chunk.
+    def _resolve(self, layer: CompiledLayer, n_prog: int, cache, blacklist):
+        """``(builder, input bindings, cache key)`` of one program shape.
 
-        Returns the chip's int32 accumulators (bias and dequantization are
-        applied by the caller, matching the reference quantized path).
-        With a ``cache``, chunks are zero-padded up to a power-of-two row
-        bucket (capped at ``max_vectors``) so every chunk of a layer
-        replays one of a handful of compiled programs — per-row MXM
-        results are independent, so padding never changes the real rows,
-        and bucketing keeps a 1-row tail from simulating ``max_vectors``
-        dead rows.  A ``blacklist`` (dead MEM slices / MXM planes) reaches
-        the scheduler through the cache key, so degraded and healthy
-        binaries for the same shape coexist in one cache.
+        A chunk program is a pure function of (layer, row bucket,
+        blacklist) and the runner is immutable after lowering, so its
+        builder graph and content address are resolved once and shared by
+        every worker; a warm batch neither rebuilds nor re-hashes them.
+        Racing first resolutions compute equal values.
         """
-        n_rows = acts_q.shape[0]
-        n_prog = _pad_bucket(n_rows, self.max_vectors) if cache is not None \
-            else n_rows
-        g, bindings = build_chunk_builder(self.config, layer, n_prog)
-        if cache is not None:
-            compiled, _key, hit, compile_s = cache.get_or_compile(
-                g, blacklist=blacklist
+        memo_key = (layer.name, n_prog, blacklist)
+        resolved = self._resolved.get(memo_key)
+        if resolved is None:
+            g, bindings = build_chunk_builder(self.config, layer, n_prog)
+            resolved = self._resolved[memo_key] = (
+                g, bindings, cache.key_for(g, blacklist=blacklist)
             )
-        else:
-            t0 = time.perf_counter()
-            compiled = g.compile(blacklist=blacklist)
-            compile_s = time.perf_counter() - t0
-            hit = False
-        if n_prog != n_rows:
-            padded = np.zeros((n_prog, acts_q.shape[1]), dtype=acts_q.dtype)
-            padded[:n_rows] = acts_q
-        else:
-            padded = acts_q
-        inputs = {
-            name: padded[:, start:end] for name, start, end in bindings
-        }
+        return resolved
+
+    def _execute_span(
+        self, ctx, start_us: float, layer: CompiledLayer, chip, *,
+        n_chunks: int, n_rows: int, cycles: int, hit: bool, replay: bool,
+        trace=(),
+    ) -> None:
+        """Record one ``execute`` span under the ambient batch context."""
+        if ctx is None:
+            return
+        # span start is the clock anchor: host µs of run cycle 0
+        ctx.tracer.record_under(
+            ctx, "execute", start_us, ctx.tracer.now_us(),
+            chip=getattr(chip, "chip_id", None),
+            cycles=cycles,
+            clock_ghz=self.config.clock_ghz,
+            chip_events=tuple(trace) if ctx.tracer.chip_events else (),
+            args={
+                "layer": layer.name, "batch": n_chunks, "rows": n_rows,
+                "hit": hit, "replay": replay,
+            },
+        )
+
+    def _run_matmul_chunk(
+        self, layer: CompiledLayer, compiled, inputs: dict, n_rows: int,
+        hit: bool, chip, fast_forward: bool, record: bool,
+    ):
+        """The ``execute()`` route: load, bind, simulate, fetch one chunk.
+
+        What a group falls back to when its program has no usable replay
+        plan or the chip demands real simulation — and the run that
+        records the plan for next time.  One span per chunk: each run's
+        chip events are anchored to its own cycle 0.
+        """
         ctx = rtrace.current()
-        span_start = ctx.tracer.now_us() if ctx is not None else 0.0
-        t0 = time.perf_counter()
-        # without a cache the compiled program dies with this call, so
-        # recording a replay plan onto it would be pure overhead
+        start_us = ctx.tracer.now_us() if ctx is not None else 0.0
         result = execute(
             compiled, chip=chip, inputs=inputs, max_cycles=2_000_000,
-            fast_forward=fast_forward, record=cache is not None,
+            fast_forward=fast_forward, record=record,
         )
-        execute_s = time.perf_counter() - t0
-        if ctx is not None:
-            # span start is the clock anchor: host µs of run cycle 0
-            ctx.tracer.record_under(
-                ctx, "execute", span_start, ctx.tracer.now_us(),
-                chip=getattr(chip, "chip_id", None),
-                cycles=result.run.cycles,
-                clock_ghz=self.config.clock_ghz,
-                chip_events=(
-                    tuple(result.run.trace)
-                    if ctx.tracer.chip_events else ()
-                ),
-                args={
-                    "layer": layer.name, "rows": n_rows, "hit": hit,
-                    "fast_forward": fast_forward,
-                },
-            )
-        if stats is not None:
-            stats.compile_s += compile_s
-            stats.execute_s += execute_s
-            stats.cycles += result.run.cycles
-            stats.programs += 1
-            if cache is not None:
-                if hit:
-                    stats.cache_hits += 1
-                else:
-                    stats.cache_misses += 1
-        return result["acc"][:n_rows], result.run.cycles
+        self._execute_span(
+            ctx, start_us, layer, chip, n_chunks=1, n_rows=n_rows,
+            cycles=result.run.cycles, hit=hit, replay=False,
+            trace=result.run.trace,
+        )
+        return result
 
     def _run_matmul_group(
         self,
         layer: CompiledLayer,
         group: list[np.ndarray],
-        n_prog: int,
-        chip,
-        cache,
-        stats: ChunkRunStats | None,
-        fast_forward: bool,
-        blacklist,
-    ) -> tuple[list[np.ndarray], int] | None:
-        """Run several same-bucket chunks as one batched plan replay.
+        chip=None,
+        cache=None,
+        stats: ChunkRunStats | None = None,
+        fast_forward: bool = True,
+        blacklist=None,
+    ) -> tuple[list[np.ndarray], int]:
+        """Run the same-program chunks of one layer; one chunk or many.
 
-        Returns ``None`` when the shared program has no usable
-        :class:`~repro.sim.replay.ReplayPlan` yet (or the chip demands
-        real simulation); the caller falls back to the per-chunk loop,
-        whose first execution records the plan for next time.
+        Returns the chip's int32 accumulators per chunk (bias and
+        dequantization are applied by the caller, matching the reference
+        quantized path) and the simulated cycles.  With a ``cache``,
+        chunks are zero-padded up to a power-of-two row bucket (capped at
+        ``max_vectors``) so every chunk of a layer replays one of a
+        handful of compiled programs — per-row MXM results are
+        independent, so padding never changes the real rows, and
+        bucketing keeps a 1-row tail from simulating ``max_vectors`` dead
+        rows.  A ``blacklist`` (dead MEM slices / MXM planes) reaches the
+        scheduler through the cache key, so degraded and healthy binaries
+        for the same shape coexist in one cache.
+
+        The warm route is one cache lookup by the memoised key and one
+        pure batched replay of the program's recorded
+        :class:`~repro.sim.replay.ReplayPlan`; the chip's memory is never
+        touched.  Anything else — a miss, no (or a failed) plan yet, a
+        trace-enabled or non-pristine chip — runs chunk by chunk through
+        :meth:`_run_matmul_chunk`.
         """
         from ..compiler.runner import execute_batched
 
-        g, bindings = build_chunk_builder(self.config, layer, n_prog)
-        compiled, _key, hit, compile_s = cache.get_or_compile(
-            g, blacklist=blacklist
-        )
-        plan = compiled.replay
-        if plan is None or not plan.ok or plan.fast_forward != fast_forward:
-            return None
+        n_rows = group[0].shape[0]
+        if cache is not None:
+            n_prog = _pad_bucket(n_rows, self.max_vectors)
+            g, bindings, key = self._resolve(layer, n_prog, cache, blacklist)
+            compiled, _key, hit, compile_s = cache.get_or_compile(
+                g, blacklist=blacklist, key=key
+            )
+        else:
+            n_prog = n_rows
+            g, bindings = build_chunk_builder(self.config, layer, n_prog)
+            t0 = time.perf_counter()
+            compiled = g.compile(blacklist=blacklist)
+            compile_s = time.perf_counter() - t0
+            hit = False
         inputs_list = []
         for chunk in group:
             if chunk.shape[0] != n_prog:
-                padded = np.zeros(
-                    (n_prog, chunk.shape[1]), dtype=chunk.dtype
-                )
+                padded = np.zeros((n_prog, chunk.shape[1]), dtype=chunk.dtype)
                 padded[: chunk.shape[0]] = chunk
             else:
                 padded = chunk
@@ -357,40 +360,44 @@ class TspCnnRunner:
                 {name: padded[:, start:end] for name, start, end in bindings}
             )
         ctx = rtrace.current()
-        span_start = ctx.tracer.now_us() if ctx is not None else 0.0
+        start_us = ctx.tracer.now_us() if ctx is not None else 0.0
         t0 = time.perf_counter()
-        results = execute_batched(
-            compiled, inputs_list, chip=chip, max_cycles=2_000_000
-        )
-        execute_s = time.perf_counter() - t0
-        if results is None:
-            return None
-        n = len(group)
-        cycles = plan.cycles * n
-        if ctx is not None:
-            ctx.tracer.record_under(
-                ctx, "execute", span_start, ctx.tracer.now_us(),
-                chip=getattr(chip, "chip_id", None),
-                cycles=cycles,
-                clock_ghz=self.config.clock_ghz,
-                args={
-                    "layer": layer.name, "batch": n,
-                    "rows": sum(c.shape[0] for c in group),
-                    "hit": hit, "replay": True,
-                },
+        plan = compiled.replay
+        results = None
+        if plan is not None and plan.fast_forward == fast_forward:
+            results = execute_batched(
+                compiled, inputs_list, chip=chip, max_cycles=2_000_000
+            )
+        replayed = results is not None
+        if not replayed:
+            # without a cache the compiled program dies with this call,
+            # so recording a replay plan onto it would be pure overhead
+            results = [
+                self._run_matmul_chunk(
+                    layer, compiled, inputs, chunk.shape[0], hit, chip,
+                    fast_forward, record=cache is not None,
+                )
+                for chunk, inputs in zip(group, inputs_list)
+            ]
+        cycles = sum(res.run.cycles for res in results)
+        if replayed:
+            self._execute_span(
+                ctx, start_us, layer, chip, n_chunks=len(group),
+                n_rows=sum(c.shape[0] for c in group), cycles=cycles,
+                hit=hit, replay=True,
             )
         if stats is not None:
             stats.compile_s += compile_s
-            stats.execute_s += execute_s
+            stats.execute_s += time.perf_counter() - t0
             stats.cycles += cycles
-            stats.programs += n
-            if hit:
-                stats.cache_hits += n
-            else:
-                stats.cache_misses += n
+            stats.programs += len(group)
+            if cache is not None:
+                fresh = 0 if hit else 1  # one lower serves the whole group
+                stats.cache_misses += fresh
+                stats.cache_hits += len(group) - fresh
         return (
             [
-                res.outputs["acc"][: chunk.shape[0]]
+                res["acc"][: chunk.shape[0]]
                 for res, chunk in zip(results, group)
             ],
             cycles,
@@ -417,41 +424,31 @@ class TspCnnRunner:
             acts_q = acts.astype(np.int8, copy=False)
         else:
             acts_q = self.quantize_boundary(layer, acts)
+        step = self.max_vectors
+        pieces = [
+            acts_q[start : start + step]
+            for start in range(0, acts_q.shape[0], step)
+        ]
+        if cache is not None:
+            # consecutive chunks sharing a pad bucket run the same
+            # compiled program: they go through it as one group
+            groups = [
+                list(members) for _bucket, members in itertools.groupby(
+                    pieces, key=lambda c: _pad_bucket(c.shape[0], step)
+                )
+            ]
+        else:
+            # uncached chunks compile at their own row count
+            groups = [[piece] for piece in pieces]
         chunks = []
         cycles = 0
-        starts = list(range(0, acts_q.shape[0], self.max_vectors))
-        i = 0
-        while i < len(starts):
-            group = [acts_q[starts[i] : starts[i] + self.max_vectors]]
-            if cache is not None and chip is not None:
-                # consecutive chunks sharing a pad bucket replay the same
-                # compiled program — batch them through the recorded plan
-                bucket = _pad_bucket(group[0].shape[0], self.max_vectors)
-                while i + len(group) < len(starts):
-                    nxt_start = starts[i + len(group)]
-                    nxt = acts_q[nxt_start : nxt_start + self.max_vectors]
-                    if _pad_bucket(nxt.shape[0], self.max_vectors) != bucket:
-                        break
-                    group.append(nxt)
-                if len(group) >= 2:
-                    batched = self._run_matmul_group(
-                        layer, group, bucket, chip, cache, stats,
-                        fast_forward, blacklist,
-                    )
-                    if batched is not None:
-                        accs, group_cycles = batched
-                        chunks.extend(accs)
-                        cycles += group_cycles
-                        i += len(group)
-                        continue
-            for chunk in group:
-                acc, chunk_cycles = self._run_matmul_chunk(
-                    layer, chunk, chip=chip, cache=cache, stats=stats,
-                    fast_forward=fast_forward, blacklist=blacklist,
-                )
-                chunks.append(acc)
-                cycles += chunk_cycles
-            i += len(group)
+        for group in groups:
+            accs, group_cycles = self._run_matmul_group(
+                layer, group, chip=chip, cache=cache, stats=stats,
+                fast_forward=fast_forward, blacklist=blacklist,
+            )
+            chunks.extend(accs)
+            cycles += group_cycles
         acc = np.vstack(chunks).astype(np.float64)
         out = acc * (layer.in_scale * layer.weight_scale) + layer.bias
         if layer.relu:

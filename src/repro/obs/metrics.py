@@ -230,8 +230,8 @@ class SloTracker:
     ``observe`` classifies one completed request against its model's
     target; ``shed`` counts a request the server refused (rejected at
     submit).  Counters mirror into the serving telemetry registry under
-    ``slo:<model>`` so they ride the same snapshot/window machinery as
-    every other serve counter.  Models without a target are untracked.
+    ``slo:<model>``, next to every other serve counter.  Models without
+    a target are untracked.
     """
 
     def __init__(

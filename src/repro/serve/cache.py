@@ -106,23 +106,32 @@ class ProgramCache:
             self.stats.evictions += 1
 
     # ------------------------------------------------------------------
-    def get_or_compile(
-        self, builder, blacklist=None
-    ) -> tuple[CompiledProgram, str, bool, float]:
-        """Fingerprint ``builder``'s graph; compile only on a true miss.
-
-        Returns ``(program, key, hit, compile_seconds)``.  ``hit`` is True
-        whenever this caller did not run the scheduler itself — including
-        waiters coalesced onto another thread's in-flight compile.  The
-        scheduler runs outside the cache lock, so a long compile never
-        stalls unrelated lookups.
-        """
-        ctx = rtrace.current()
-        lookup_us = ctx.tracer.now_us() if ctx is not None else 0.0
-        key = graph_fingerprint(
+    @staticmethod
+    def key_for(builder, blacklist=None) -> str:
+        """The content address ``builder``'s program is filed under."""
+        return graph_fingerprint(
             builder.graph, builder.config,
             timing=builder.timing, blacklist=blacklist,
         )
+
+    def get_or_compile(
+        self, builder, blacklist=None, key: str | None = None
+    ) -> tuple[CompiledProgram, str, bool, float]:
+        """Look ``builder``'s graph up by content; compile on a true miss.
+
+        ``key`` is :meth:`key_for` of the same ``(builder, blacklist)``
+        when the caller already holds it (a builder's graph does not
+        change, so its owner hashes it once); fingerprinted here
+        otherwise.  Returns ``(program, key, hit, compile_seconds)``.
+        ``hit`` is True whenever this caller did not run the scheduler
+        itself — including waiters coalesced onto another thread's
+        in-flight compile.  The scheduler runs outside the cache lock, so
+        a long compile never stalls unrelated lookups.
+        """
+        ctx = rtrace.current()
+        lookup_us = ctx.tracer.now_us() if ctx is not None else 0.0
+        if key is None:
+            key = self.key_for(builder, blacklist)
         with self._lock:
             program = self._programs.get(key)
             if program is not None:
@@ -151,7 +160,7 @@ class ProgramCache:
         compile_us = ctx.tracer.now_us() if ctx is not None else 0.0
         t0 = time.perf_counter()
         try:
-            program = builder.compile(blacklist=blacklist)
+            program = builder.compile(blacklist=blacklist, cache_key=key)
         except BaseException as error:
             flight.error = error
             with self._lock:

@@ -13,10 +13,11 @@ uses — plus wall-clock :class:`~repro.obs.trace.HostSpan` records that
 render as a "serve" process alongside the chip's Perfetto tracks.
 
 Host-side time (queue waits, scheduler runs) has no chip cycle, so the
-serve registry counts in **microseconds since server start** instead of
-cycles; window indices are then 256-µs time buckets, which keeps every
-existing registry tool (snapshot, totals, window series) working
-unchanged.
+serve registry is stamped in **microseconds since server start** — and
+keeps no per-window history of them (:class:`_ServeRegistry`): a server
+lives for an unbounded number of batches, and its readers
+(``totals()``, ``snapshot()["scalars"]``) only ever ask for running
+totals and high-water marks.
 """
 
 from __future__ import annotations
@@ -45,6 +46,22 @@ from .request import (
     ServeFuture,
 )
 from .resilient import HealthPolicy, RetryPolicy
+
+
+class _ServeRegistry(TelemetryCollector):
+    """The serve registry: running totals and scalars, no window series.
+
+    A chip's collector sees a bounded number of cycles per run, so its
+    per-window dicts are bounded too.  The server stamps wall-clock µs
+    that only ever grow; bucketing those would retain a new window per
+    counter per batch for the server's whole life.
+    """
+
+    def count(
+        self, unit: str, counter: str, cycle: int, amount: int = 1
+    ) -> None:
+        key = (unit, counter)
+        self._totals[key] = self._totals.get(key, 0) + amount
 
 
 class InferenceServer:
@@ -92,7 +109,7 @@ class InferenceServer:
             policies=policies, default_policy=default_policy
         )
         self.cache = ProgramCache(capacity=cache_capacity)
-        self.registry = TelemetryCollector(name="serve")
+        self.registry = _ServeRegistry(name="serve")
         self.record_spans = record_spans
         self.max_spans = max_spans
         self.spans: deque[HostSpan] = deque(maxlen=max_spans)

@@ -289,6 +289,55 @@ class TestQueueDepthSampling:
         assert totals["shed"] == 1
 
 
+class _EchoModel(ServeModel):
+    """Answers with its payload: a batch costs only the server's own work."""
+
+    name = "echo"
+    payload_shape = (1,)
+
+    def run_batch(self, chip, cache, payloads, stats=None):
+        return list(payloads)
+
+    def run_reference(self, payload):
+        return payload
+
+
+def _retained(value) -> int:
+    """Entries held by ``value``, containers counted recursively."""
+    if isinstance(value, dict):
+        return len(value) + sum(_retained(v) for v in value.values())
+    if isinstance(value, (list, tuple, set, frozenset)):
+        return len(value) + sum(_retained(v) for v in value)
+    return 0
+
+
+class TestRegistryIsBounded:
+    """The serve registry must not retain anything per served batch: it
+    is stamped in ever-growing wall-clock µs, so a per-window series
+    would open a new window in every counter on every batch."""
+
+    def test_retention_equal_after_200_and_2000_batches(self, config):
+        with InferenceServer(
+            config, [_EchoModel()], n_workers=1,
+            default_policy=BatchPolicy(max_batch=1, max_delay_s=0.0),
+            slos={"echo": 10.0},
+        ) as server:
+            def serve(n_batches):
+                for _ in range(n_batches):
+                    server.run("echo", np.zeros(1), timeout=30.0)
+                return _retained(vars(server.registry))
+
+            after_200 = serve(200)
+            after_2000 = serve(1800)
+            totals = server.registry.totals()
+            assert totals["serve:echo"]["batches"] == 2000
+            assert totals["serve:echo"]["requests_ok"] == 2000
+            assert totals["slo:echo"]["hits"] == 2000
+            scalars = server.registry.snapshot()["scalars"]
+            assert scalars["serve"]["batch_size_high"] == 1
+        assert after_2000 == after_200
+
+
 # ----------------------------------------------------------------------
 def _cnn_server(config, **kwargs):
     data = make_shapes(n_train=64, n_test=16, image_size=8, n_classes=3,

@@ -93,6 +93,45 @@ class TestFingerprint:
         assert compiled.cache_key == g.fingerprint()
 
 
+    def test_golden_key_is_pinned(self):
+        """Keys outlive processes (and, one day, live on disk): the byte
+        stream behind a digest may be assembled differently, never change."""
+        config = small_test_chip()
+        w = (np.arange(128).reshape(16, 8) % 7 - 3).astype(np.int8)
+        g = StreamProgramBuilder(config)
+        x = g.input_tensor("x", (4, 16))
+        g.write_back(g.matmul(w, x, name="w"), name="y")
+        assert g.fingerprint() == (
+            "000259e0b2734aa15385b6cd9d9c0803"
+            "b35042837878bd3fc46287b0485a95c8"
+        )
+        assert g.compile().cache_key == g.fingerprint()
+        assert config_fingerprint(config) == (
+            "122dc044c1bd3aab81c49a8632d3ce62"
+            "d39883cf4a464ee7017828f0cfece643"
+        )
+
+    def test_cache_miss_hashes_the_graph_once(
+        self, config, weights, monkeypatch
+    ):
+        from repro.compiler import api, cachekey
+        from repro.serve import cache as cache_module
+
+        hashed = []
+
+        def counting(*args, **kwargs):
+            hashed.append(1)
+            return cachekey.graph_fingerprint(*args, **kwargs)
+
+        monkeypatch.setattr(api, "graph_fingerprint", counting)
+        monkeypatch.setattr(cache_module, "graph_fingerprint", counting)
+        g = build_matmul(config, weights)
+        program, key, hit, _ = ProgramCache().get_or_compile(g)
+        assert not hit and program.cache_key == key
+        assert len(hashed) == 1
+        assert key == cachekey.graph_fingerprint(g.graph, g.config)
+
+
 class TestLru:
     def test_hit_after_put(self, config, weights):
         cache = ProgramCache(capacity=4)
@@ -148,10 +187,12 @@ class TestSingleFlight:
                 self.config = self.inner.config
                 self.timing = self.inner.timing
 
-            def compile(self, blacklist=None):
+            def compile(self, blacklist=None, cache_key=None):
                 with compile_lock:
                     compiles.append(threading.current_thread().name)
-                return self.inner.compile(blacklist=blacklist)
+                return self.inner.compile(
+                    blacklist=blacklist, cache_key=cache_key
+                )
 
         results = []
         def worker():
@@ -180,7 +221,7 @@ class TestSingleFlight:
                 self.config = inner.config
                 self.timing = inner.timing
 
-            def compile(self, blacklist=None):
+            def compile(self, blacklist=None, cache_key=None):
                 raise boom
 
         with pytest.raises(RuntimeError):

@@ -1,0 +1,259 @@
+"""The one warm serving path of :class:`TspCnnRunner`.
+
+After warm-up, every bucket group of a forward — one chunk or many —
+is one cache lookup by a memoised key and one pure batched replay of
+the recorded plan: no builder rebuild, no re-hash, no memory-image
+reload, no write-through.  ``execute()`` remains what a miss, a
+perturbed or a trace-enabled chip falls back to, with identical answers.
+"""
+
+import threading
+
+import numpy as np
+import pytest
+
+from repro.arch import Hemisphere
+from repro.compiler import runner as runner_mod
+from repro.config import small_test_chip
+from repro.nn import tsp_inference
+from repro.nn.transformer import TransformerConfig
+from repro.nn.tsp_inference import ChunkRunStats
+from repro.obs import rtrace
+from repro.resil import Blacklist
+from repro.serve import ProgramCache, TransformerMlpServeModel
+from repro.serve import cache as cache_mod
+from repro.sim.chip import TspChip
+from repro.sim.faults import FaultInjector
+from repro.sim.replay import ReplayPlan
+from repro.verify.invariants import StreamCollisionChecker
+
+CONFIG = small_test_chip()
+DEAD = (Hemisphere.WEST, 1)
+
+
+def make_mlp(max_vectors=8):
+    return TransformerMlpServeModel(
+        "mlp",
+        TransformerConfig(d_model=16, n_heads=2, d_ff=32,
+                          seq_len=8, n_layers=1, vocab=64),
+        CONFIG, seed=5, max_vectors_per_program=max_vectors,
+    )
+
+
+@pytest.fixture()
+def calls(monkeypatch):
+    """Call counts of every route a chunk can take, by name."""
+    counts: dict[str, int] = {}
+
+    def counted(owner, attr, name):
+        original = getattr(owner, attr)
+
+        def wrapper(*args, **kwargs):
+            counts[name] = counts.get(name, 0) + 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, attr, wrapper)
+
+    counted(runner_mod, "load_compiled", "load_compiled")
+    counted(ReplayPlan, "replay_into", "replay_into")
+    counted(ReplayPlan, "run_batched", "run_batched")
+    counted(TspChip, "run", "chip.run")
+    counted(cache_mod, "graph_fingerprint", "graph_fingerprint")
+    counted(tsp_inference, "build_chunk_builder", "build_chunk_builder")
+    return counts
+
+
+@pytest.fixture()
+def warm():
+    """A model, two payloads (one lone chunk per layer), their oracle
+    answer, and a cache whose programs are compiled and recorded.
+
+    Listed before ``calls`` by its users, so the oracle's own fresh-chip
+    simulations are not counted.
+    """
+    model = make_mlp()
+    x = np.random.default_rng(11).standard_normal((2, 16))
+    expected = np.stack([model.run_reference(row) for row in x])
+    cache = ProgramCache()
+    chip = TspChip(CONFIG)
+    model.runner.forward(x, chip=chip, cache=cache)
+    chip.scrub()
+    return model, x, expected, cache, chip
+
+
+class TestLoneChunkReplaysPurely:
+    def test_no_reload_no_write_through_memory_untouched(self, warm, calls):
+        model, x, expected, cache, chip = warm
+        result = model.runner.forward(x, chip=chip, cache=cache)
+        assert np.array_equal(result.logits, expected)
+        # one lone chunk per layer, and nothing else ran
+        assert calls == {"run_batched": 2}
+        # SRAM is still dematerialised, exactly as scrub() left it
+        assert all(unit._storage is None for unit in chip.mem_units())
+
+    def test_cold_cache_records_through_execute(self, calls):
+        model = make_mlp()
+        x = np.random.default_rng(3).standard_normal((2, 16))
+        cache, chip = ProgramCache(), TspChip(CONFIG)
+        cold = model.runner.forward(x, chip=chip, cache=cache)
+        assert calls["chip.run"] == 2 and "run_batched" not in calls
+        assert cache.snapshot()["replay_plans"] == 2
+        chip.scrub()
+        again = model.runner.forward(x, chip=chip, cache=cache)
+        assert calls["chip.run"] == 2 and calls["run_batched"] == 2
+        assert np.array_equal(cold.logits, again.logits)
+        assert cold.total_cycles == again.total_cycles
+
+
+class TestBypassPreserved:
+    """A chip that demands real simulation never sees the pure plan."""
+
+    def check(self, warm, calls, chip, route, blacklist=None):
+        model, x, expected, cache, _chip = warm
+        if blacklist is not None:
+            # record the degraded programs on healthy hardware first
+            model.runner.forward(
+                x, chip=TspChip(CONFIG), cache=cache, blacklist=blacklist
+            )
+        calls.clear()
+        result = model.runner.forward(
+            x, chip=chip, cache=cache, blacklist=blacklist
+        )
+        assert calls.get(route) == 2
+        assert "run_batched" not in calls
+        assert np.array_equal(result.logits, expected)
+
+    def test_checker_attached_simulates(self, warm, calls):
+        chip = TspChip(CONFIG)
+        chip.attach_checker(StreamCollisionChecker())
+        self.check(warm, calls, chip, "chip.run")
+
+    def test_injected_fault_simulates(self, warm, calls):
+        chip = TspChip(CONFIG)
+        FaultInjector(chip).inject_sram_fault(Hemisphere.EAST, 0, 7, 3)
+        self.check(warm, calls, chip, "chip.run")
+
+    def test_dead_slice_simulates_the_degraded_binary(self, warm, calls):
+        chip = TspChip(CONFIG)
+        chip.mem_unit(*DEAD).mark_dead()
+        self.check(
+            warm, calls, chip, "chip.run",
+            blacklist=Blacklist(mem_slices=frozenset({DEAD})),
+        )
+
+    def test_trace_enabled_chip_replays_write_through(self, warm, calls):
+        chip = TspChip(CONFIG, trace=True)
+        self.check(warm, calls, chip, "replay_into")
+        assert chip.trace  # the plan's dispatches landed on the chip
+
+
+class TestIdentityResolvedOnce:
+    def test_warm_batches_never_rebuild_or_rehash(self, warm, calls):
+        model, x, _expected, cache, chip = warm
+        for _ in range(5):
+            chip.scrub()
+            model.runner.forward(x, chip=chip, cache=cache)
+        assert calls == {"run_batched": 10}
+
+    def test_first_batch_resolves_each_shape_once(self, calls):
+        model = make_mlp()
+        x = np.random.default_rng(0).standard_normal((2, 16))
+        model.runner.forward(x, chip=TspChip(CONFIG), cache=ProgramCache())
+        assert calls["graph_fingerprint"] == 2  # not a second time to compile
+        assert calls["build_chunk_builder"] == 2
+
+    def test_blacklist_resolves_to_its_own_key(self, warm):
+        model, _x, _expected, cache, _chip = warm
+        layer = model.runner.layers[0]
+        blacklist = Blacklist(mem_slices=frozenset({DEAD}))
+        healthy = model.runner._resolve(layer, 8, cache, None)
+        degraded = model.runner._resolve(layer, 8, cache, blacklist)
+        assert healthy[2] != degraded[2]
+        assert healthy[2] == healthy[0].fingerprint()
+        assert degraded[2] == degraded[0].fingerprint(blacklist)
+
+    def test_workers_sharing_a_runner_resolve_the_same_key(self, warm):
+        """Two workers race a cold runner's first resolution."""
+        _model, x, expected, _cache, _chip = warm
+        model, cache = make_mlp(), ProgramCache()
+        barrier = threading.Barrier(2)
+        outputs = []
+
+        def worker():
+            chip = TspChip(CONFIG)
+            barrier.wait()
+            outputs.append(
+                model.runner.forward(x, chip=chip, cache=cache).logits
+            )
+
+        threads = [threading.Thread(target=worker) for _ in range(2)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(60)
+        assert len(outputs) == 2
+        assert all(np.array_equal(out, expected) for out in outputs)
+        # one program per layer, each compiled once: both resolved alike
+        assert len(cache) == 2 and cache.stats.misses == 2
+        assert set(cache._programs) == {
+            key for _g, _bindings, key in model.runner._resolved.values()
+        }
+
+
+class TestGroupOfOneAccounting:
+    """A lone chunk reports what a group reports, per chunk."""
+
+    def forward(self, model, x, cache):
+        tracer = rtrace.RequestTracer(max_spans=64)
+        ctx = rtrace.TraceContext(
+            tracer=tracer, span_id=tracer.next_id(), batch_id=0,
+            model="mlp", worker="w0",
+        )
+        stats = ChunkRunStats()
+        token = rtrace.push(ctx)
+        try:
+            result = model.runner.forward(
+                x, chip=TspChip(CONFIG), cache=cache, stats=stats
+            )
+        finally:
+            rtrace.pop(token)
+        spans = [s for s in tracer.spans() if s.name == "execute"]
+        return result, stats, spans
+
+    def test_lone_chunk_equals_group_per_chunk(self):
+        model = make_mlp(max_vectors=8)
+        rng = np.random.default_rng(2)
+        lone_x = rng.standard_normal((8, 16))   # one full chunk per layer
+        group_x = rng.standard_normal((24, 16))  # a group of three
+        cache = ProgramCache()
+        cold, cold_stats, cold_spans = self.forward(model, lone_x, cache)
+        lone, lone_stats, lone_spans = self.forward(model, lone_x, cache)
+        group, group_stats, group_spans = self.forward(model, group_x, cache)
+
+        # a plan's cycle count is the same whichever route replays it
+        assert lone.total_cycles == cold.total_cycles
+        assert group.total_cycles == 3 * lone.total_cycles
+        assert lone.layer_cycles == cold.layer_cycles
+
+        assert (cold_stats.programs, cold_stats.cache_hits,
+                cold_stats.cache_misses) == (2, 0, 2)
+        assert (lone_stats.programs, lone_stats.cache_hits,
+                lone_stats.cache_misses, lone_stats.cycles) == (
+            2, 2, 0, lone.total_cycles)
+        assert (group_stats.programs, group_stats.cache_hits,
+                group_stats.cache_misses, group_stats.cycles) == (
+            6, 6, 0, 3 * lone.total_cycles)
+
+        for spans, batch, rows, replay, hit in (
+            (cold_spans, 1, 8, False, False),
+            (lone_spans, 1, 8, True, True),
+            (group_spans, 3, 24, True, True),
+        ):
+            assert len(spans) == 2  # one per layer
+            for span, layer in zip(spans, ("dense0", "dense1")):
+                assert span.args == {
+                    "layer": layer, "batch": batch, "rows": rows,
+                    "hit": hit, "replay": replay,
+                }
+                assert span.cycles == batch * cold.layer_cycles[layer]
+                assert span.clock_ghz == CONFIG.clock_ghz
