@@ -26,9 +26,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ..arch.geometry import Direction, Hemisphere
+from ..arch.geometry import Direction, Floorplan, Hemisphere
 from ..config import ArchConfig
 from ..errors import AllocationError
+from .placement import MemSlice
 
 #: bank policy: program inputs/constants in bank 0, results in bank 1
 INPUT_BANK = 0
@@ -78,11 +79,15 @@ class TensorLayout:
 class MemoryAllocator:
     """Bank-interleaved bump allocation across all MEM slices.
 
+    The allocator answers two questions without changing state — which
+    slices exist near a position (:meth:`slices_near`) and whether one has
+    room (:meth:`fits`, :meth:`fits_contiguous`) — so the scheduler can
+    score candidates freely; words are taken only by the ``alloc_*``
+    calls, on exactly the slices the caller chose.
+
     ``blacklisted_slices`` — ``(hemisphere, slice_index)`` pairs a
     degraded-mode recompilation must route around (dead SRAM tiles, see
-    :mod:`repro.resil.degrade`) — are simply never handed out; placement
-    falls onto the remaining healthy slices with the same rotation and
-    nearness policy.
+    :mod:`repro.resil.degrade`) — are simply never offered as candidates.
     """
 
     def __init__(
@@ -91,166 +96,102 @@ class MemoryAllocator:
         blacklisted_slices: frozenset[tuple[Hemisphere, int]] = frozenset(),
     ) -> None:
         self.config = config
-        self._blacklist = frozenset(blacklisted_slices)
-        # next free address per (hemisphere, slice, bank); bank b starts at b
-        self._cursor: dict[tuple[Hemisphere, int, int], int] = {}
-        for hemisphere in (Hemisphere.WEST, Hemisphere.EAST):
-            for s in range(config.mem_slices_per_hemisphere):
-                self._cursor[(hemisphere, s, 0)] = 0
-                self._cursor[(hemisphere, s, 1)] = 1
-        self._rotation: dict[Hemisphere, int] = {
-            Hemisphere.WEST: 0,
-            Hemisphere.EAST: 0,
-        }
+        floorplan = Floorplan(config)
+        self._slices = [
+            MemSlice(a.hemisphere, a.index, floorplan.position(a))
+            for a in floorplan.mem_slices()
+            if (a.hemisphere, a.index) not in blacklisted_slices
+        ]
+        # slices are keyed by their position (one int, unique per slice):
+        # next free address per (slice, bank), bank b starting at address b
+        self._cursor: dict[tuple[int, int], int] = {}
         # contiguous blocks (gather tables) grow down from the slice top
-        self._top: dict[tuple[Hemisphere, int], int] = {}
+        self._top: dict[int, int] = {}
 
-    def healthy_slices(self, hemisphere: Hemisphere) -> int:
-        """Slices available for placement in a hemisphere.
+    def slices_near(self, position: int) -> list[MemSlice]:
+        """Every healthy slice of both hemispheres, nearest first.
 
-        Degraded mode reduces this; wide concurrent allocations (weight
-        feeds, parallel layouts) must clamp their fan-out to it.
+        Section V-b asks that tensors be laid out "so that data transit
+        from memory slice MEM_i to MXM is minimized"; transit is the
+        position difference (Equation 4), so this is the order in which a
+        value driven at (or wanted at) ``position`` reaches the slices.
         """
-        dead = sum(1 for h, _ in self._blacklist if h is hemisphere)
-        return self.config.mem_slices_per_hemisphere - dead
+        return sorted(self._slices, key=lambda s: abs(s.position - position))
 
     # ------------------------------------------------------------------
-    def _take(
-        self, hemisphere: Hemisphere, slice_index: int, bank: int, n_words: int
-    ) -> int:
-        key = (hemisphere, slice_index, bank)
-        base = self._cursor[key]
-        end = base + 2 * (n_words - 1)
-        if end >= self.config.mem_words_per_slice_tile:
-            raise AllocationError(
-                f"MEM_{hemisphere.value}{slice_index} bank {bank} is full"
-            )
-        self._cursor[key] = end + 2
-        return base
+    def _span(self, s: MemSlice, bank: int, n_words: int) -> tuple[int, int]:
+        base = self._cursor.get((s.position, bank), bank)
+        return base, base + 2 * (n_words - 1)
 
-    def _next_slices(
-        self,
-        hemisphere: Hemisphere,
-        count: int,
-        near_index: int | None = None,
-        spread: int = 8,
-    ) -> list[int]:
-        """Pick ``count`` distinct slices for concurrent streams.
+    def _ceiling(self, s: MemSlice) -> int:
+        return self._top.get(s.position, self.config.mem_words_per_slice_tile)
 
-        With ``near_index`` given, slices are chosen from the ``spread``
-        closest to that MEM index — the paper's Section V-b guidance that
-        tensors be laid out "so that data transit from memory slice MEM_i
-        to MXM is minimized" — rotating within that neighbourhood to spread
-        load.  Without it, a plain round-robin over the hemisphere.
-        """
-        n = self.config.mem_slices_per_hemisphere
-        healthy = [
-            s for s in range(n) if (hemisphere, s) not in self._blacklist
+    def fits(self, s: MemSlice, bank: int, n_words: int) -> bool:
+        """Whether ``n_words`` bank-strided words still fit in a slice."""
+        return self._span(s, bank, n_words)[1] < self._ceiling(s)
+
+    def fits_contiguous(self, s: MemSlice, n_words: int) -> bool:
+        """Whether a stride-1 ``n_words`` table still fits in a slice."""
+        used = max(self._span(s, bank, 1)[0] for bank in (0, 1))
+        return self._ceiling(s) - n_words >= used
+
+    def candidates(
+        self, position: int, count: int, bank: int, n_words: int
+    ) -> list[MemSlice]:
+        """The slices a value can be placed in: healthy, with ``n_words``
+        free in ``bank``, nearest ``position`` first.  Fewer than the
+        ``count`` the value needs at once is an allocation failure."""
+        roomy = [
+            s for s in self.slices_near(position)
+            if self.fits(s, bank, n_words)
         ]
-        if count > len(healthy):
-            shortfall = (
-                f" ({n - len(healthy)} blacklisted)" if len(healthy) < n else ""
-            )
+        if len(roomy) < count:
             raise AllocationError(
-                f"need {count} concurrent slices, hemisphere "
-                f"{hemisphere.value} has {len(healthy)} healthy{shortfall}"
+                f"need {count} concurrent MEM slices with {n_words} free "
+                f"words in bank {bank}, the chip has {len(roomy)}"
             )
-        if near_index is None:
-            start = self._rotation[hemisphere]
-            self._rotation[hemisphere] = (start + count) % len(healthy)
-            return [healthy[(start + k) % len(healthy)] for k in range(count)]
-        window = max(count, min(spread, len(healthy)))
-        candidates = sorted(healthy, key=lambda s: abs(s - near_index))
-        neighbourhood = sorted(candidates[:window])
-        start = self._rotation[hemisphere] % window
-        self._rotation[hemisphere] += count
-        return [
-            neighbourhood[(start + k) % window] for k in range(count)
-        ]
+        return roomy
+
+    def _take(self, s: MemSlice, bank: int, n_words: int) -> WordPlacement:
+        if not self.fits(s, bank, n_words):
+            raise AllocationError(
+                f"MEM_{s.hemisphere.value}{s.index} bank {bank} is full"
+            )
+        base, end = self._span(s, bank, n_words)
+        self._cursor[(s.position, bank)] = end + 2
+        return WordPlacement(s.hemisphere, s.index, base, n_words)
 
     # ------------------------------------------------------------------
     def alloc_sequential(
-        self,
-        hemisphere: Hemisphere,
-        n_planes: int,
-        n_words: int,
-        bank: int = INPUT_BANK,
-        near_index: int | None = None,
+        self, slices: list[MemSlice], n_words: int, bank: int = INPUT_BANK
     ) -> TensorLayout:
-        """One slice per byte-plane, rows at consecutive (bank-strided)
-        addresses."""
-        slices = self._next_slices(hemisphere, n_planes, near_index)
-        planes = [
-            WordPlacement(
-                hemisphere, s, self._take(hemisphere, s, bank, n_words),
-                n_words,
-            )
-            for s in slices
-        ]
-        return TensorLayout(planes=planes)
+        """One of ``slices`` per byte-plane, rows at consecutive
+        (bank-strided) addresses."""
+        return TensorLayout(
+            planes=[self._take(s, bank, n_words) for s in slices]
+        )
 
     def alloc_parallel(
-        self,
-        hemisphere: Hemisphere,
-        n_rows: int,
-        bank: int = INPUT_BANK,
-        near_index: int | None = None,
+        self, slices: list[MemSlice], bank: int = INPUT_BANK
     ) -> TensorLayout:
-        """One slice per row — all rows readable in the same cycle."""
-        slices = self._next_slices(hemisphere, n_rows, near_index)
-        rows = [
-            WordPlacement(
-                hemisphere, s, self._take(hemisphere, s, bank, 1), 1
-            )
-            for s in slices
-        ]
-        return TensorLayout(parallel=rows)
+        """One of ``slices`` per row — all rows readable in the same
+        cycle."""
+        return TensorLayout(parallel=[self._take(s, bank, 1) for s in slices])
 
-    def alloc_contiguous(
-        self,
-        hemisphere: Hemisphere,
-        n_words: int,
-        near_index: int | None = None,
-    ) -> WordPlacement:
+    def alloc_contiguous(self, s: MemSlice, n_words: int) -> WordPlacement:
         """A stride-1 block in one slice, for stream-indirect tables.
 
         Gather offsets address consecutive words, so the table cannot use
         the bank-interleaved stride; contiguous blocks grow down from the
         top of the slice, away from both bank cursors.
         """
-        (slice_index,) = self._next_slices(hemisphere, 1, near_index)
-        top_key = (hemisphere, slice_index)
-        top = self._top.get(top_key, self.config.mem_words_per_slice_tile)
-        base = top - n_words
-        used = max(
-            self._cursor[(hemisphere, slice_index, 0)],
-            self._cursor[(hemisphere, slice_index, 1)],
-        )
-        if base < used:
+        if not self.fits_contiguous(s, n_words):
             raise AllocationError(
-                f"MEM_{hemisphere.value}{slice_index} cannot fit a "
+                f"MEM_{s.hemisphere.value}{s.index} cannot fit a "
                 f"{n_words}-word contiguous table"
             )
-        self._top[top_key] = base
-        return WordPlacement(
-            hemisphere, slice_index, base, n_words, stride=1
-        )
-
-    def alloc_weight_feed(
-        self, hemisphere: Hemisphere, n_streams: int, words_per_slice: int
-    ) -> TensorLayout:
-        """Weight staging for MXM install: ``n_streams`` slices, each
-        holding every ``n_streams``-th 320-byte chunk of the weight tile so
-        all streams can be fed simultaneously.  Placed near the outboard
-        edge of the hemisphere, adjacent to the MXM."""
-        outer = self.config.mem_slices_per_hemisphere - 1
-        return self.alloc_sequential(
-            hemisphere,
-            n_streams,
-            words_per_slice,
-            bank=INPUT_BANK,
-            near_index=outer,
-        )
+        base = self._top[s.position] = self._ceiling(s) - n_words
+        return WordPlacement(s.hemisphere, s.index, base, n_words, stride=1)
 
 
 @dataclass(frozen=True)

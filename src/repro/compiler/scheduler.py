@@ -23,14 +23,15 @@ by reasoning about vector 0 and issuing n back-to-back instructions.
 
 Physical constraints honoured here and enforced by the simulator: a stream
 value cannot be delayed once driven (a consumer must sample it exactly when
-it passes); MEM tensors are placed near their consumer (Section V-b); reads
-come from bank 0 and results land in bank 1 so one slice can do both in a
-cycle (Section IV-A).
+it passes); MEM tensors go where the cycle model says they complete first
+(Section V-b, :mod:`repro.compiler.placement`); reads come from bank 0 and
+results land in bank 1 so one slice can do both in a cycle (Section IV-A).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import islice
 
 import numpy as np
 
@@ -68,6 +69,14 @@ from .allocator import (
     TensorLayout,
 )
 from .graph import Graph, Node, OpKind
+from .placement import (
+    MemSlice,
+    co_consumed,
+    earliest,
+    feed_options,
+    operand_slices,
+    read_direction,
+)
 
 #: How many candidate start cycles to try before giving up on a node.
 SEARCH_LIMIT = 4096
@@ -134,13 +143,25 @@ class TensorSpec:
 
 @dataclass
 class ScheduleStats:
-    """Compiler-reported schedule facts (printed by benches)."""
+    """Compiler-reported schedule facts (printed by benches).
+
+    The four marks are the schedule's critical path, first to last: the
+    cycle a matmul's weights are fully installed, the cycle the first
+    activation vector is at the MXM, the cycle the first result vector is
+    on a stream, and the dispatch cycle of the last output ``Write``
+    (``makespan - 1`` for a program that ends in a write).  None where the
+    program has no such event.
+    """
 
     nodes: int = 0
     instructions: int = 0
     nops_inserted: int = 0
     makespan: int = 0
     stream_grants: dict = field(default_factory=dict)
+    weights_installed: int | None = None
+    first_operand: int | None = None
+    first_result: int | None = None
+    last_write: int | None = None
 
 
 @dataclass(frozen=True)
@@ -302,10 +323,15 @@ class Scheduler:
         self.layouts: dict[int, TensorLayout] = {}
         self.inputs: dict[str, TensorSpec] = {}
         self.outputs: dict[str, TensorSpec] = {}
+        self.stats = ScheduleStats()
         self._mxm_rr = 0
-        self._hemisphere_rr = 0
         self._transpose_rr = 0
         self._fp16_hemispheres: set[Hemisphere] = set()
+        self._mem_icus: dict[int, IcuId] = {}  # by slice position
+        self._partners: dict[int, set[int]] = {}  # see co_consumed
+        # dispatch cells planned by the node attempt in progress: not yet
+        # reserved in their queues, but no longer free to a placement probe
+        self._pending: dict[IcuId, set[int]] = {}
 
     # ------------------------------------------------------------------
     # small helpers
@@ -354,35 +380,55 @@ class Scheduler:
             self.floorplan.mem_slice(hemisphere, index)
         )
 
-    def _nearest_mem_index(
-        self, hemisphere: Hemisphere, position: int
-    ) -> int:
-        """The MEM slice index in ``hemisphere`` closest to a position."""
-        best, best_d = 0, None
-        for i in range(self.config.mem_slices_per_hemisphere):
-            d = abs(self._slice_position(hemisphere, i) - position)
-            if best_d is None or d < best_d:
-                best, best_d = i, d
-        return best
+    def _mem_icu(self, s: MemSlice) -> IcuId:
+        icu = self._mem_icus.get(s.position)
+        if icu is None:
+            icu = self._mem_icus[s.position] = IcuId(
+                self.floorplan.mem_slice(s.hemisphere, s.index)
+            )
+        return icu
 
-    def _pick_hemisphere(self) -> Hemisphere:
-        hemisphere = (
-            Hemisphere.EAST if self._hemisphere_rr % 2 == 0 else Hemisphere.WEST
+    def _cells_free(self, icu: IcuId, t: int, n: int = 1) -> bool:
+        """Dispatch cells ``t .. t+n-1`` of a queue are neither reserved
+        nor planned by the attempt in progress.  A pure probe: unlike
+        :meth:`queue` it never creates the queue."""
+        if t < 0:
+            return False
+        queue = self.queues.get(icu)
+        reserved = queue.cells if queue is not None else ()
+        planned = self._pending.get(icu, ())
+        return not any(
+            c in reserved or c in planned for c in range(t, t + n)
         )
-        self._hemisphere_rr += 1
-        return hemisphere
+
+    def _slice_free(self, s: MemSlice, t: int, n: int = 1) -> bool:
+        return self._cells_free(self._mem_icu(s), t, n)
+
+    def _plan_cell(self, icu: IcuId, t: int) -> None:
+        self._pending.setdefault(icu, set()).add(t)
+
+    def _mark(self, name: str, t: int, latest: bool = False) -> None:
+        """Fold a critical-path mark into the stats (first, or last)."""
+        seen = getattr(self.stats, name)
+        if seen is None or (t > seen if latest else t < seen):
+            setattr(self.stats, name, t)
 
     # ------------------------------------------------------------------
     # tensor residence
     # ------------------------------------------------------------------
     def ensure_layout(
-        self,
-        node: Node,
-        hemisphere: Hemisphere,
-        parallel: bool,
-        near_position: int | None = None,
-    ) -> TensorLayout:
-        """Place a CONSTANT/INPUT tensor in MEM on first use."""
+        self, node: Node, position: int, arrival_t0: int, parallel: bool
+    ) -> TensorLayout | None:
+        """Place a CONSTANT/INPUT tensor in MEM on first use.
+
+        The first consumer wants vector 0 at ``position`` at
+        ``arrival_t0``; every slice that can deliver that (read cells
+        free, dispatch not before cycle 0) completes at the same cycle, so
+        the tensor takes the ones least in the way of what comes back —
+        see :func:`repro.compiler.placement.operand_slices` — and never
+        share a slice with a tensor the same node consumes.  Returns None,
+        with nothing allocated, when none can.
+        """
         if node.id in self.layouts:
             layout = self.layouts[node.id]
             if layout.is_parallel != parallel:
@@ -392,24 +438,34 @@ class Scheduler:
                     "tensor instead"
                 )
             return layout
-        near = (
-            None
-            if near_position is None
-            else self._nearest_mem_index(hemisphere, near_position)
+        if parallel and node.dtype.n_bytes != 1:
+            raise CompileError(
+                "parallel (transpose-group) tensors must be 1-byte types"
+            )
+        count = node.n_vectors if parallel else node.dtype.n_bytes
+        rows = 1 if parallel else node.n_vectors
+        shared = {
+            (p.hemisphere, p.slice_index)
+            for partner in self._partners.get(node.id, ())
+            if partner in self.layouts
+            for p in self.layouts[partner].parallel
+            or self.layouts[partner].planes
+        }
+        roomy = [
+            s
+            for s in self.mem.candidates(position, count, INPUT_BANK, rows)
+            if (s.hemisphere, s.index) not in shared
+        ]
+        slices = operand_slices(
+            roomy, count, rows, position, arrival_t0, self.dfunc("Read"),
+            self._slice_free,
         )
+        if slices is None:
+            return None
         if parallel:
-            if node.dtype.n_bytes != 1:
-                raise CompileError(
-                    "parallel (transpose-group) tensors must be 1-byte types"
-                )
-            layout = self.mem.alloc_parallel(
-                hemisphere, node.n_vectors, bank=INPUT_BANK, near_index=near
-            )
+            layout = self.mem.alloc_parallel(slices)
         else:
-            layout = self.mem.alloc_sequential(
-                hemisphere, node.dtype.n_bytes, node.n_vectors,
-                bank=INPUT_BANK, near_index=near,
-            )
+            layout = self.mem.alloc_sequential(slices, rows)
         self.layouts[node.id] = layout
         spec = TensorSpec(
             node.name, layout, node.n_vectors, node.length, node.dtype
@@ -459,11 +515,11 @@ class Scheduler:
         position: int,
         arrival_t0: int,
         parallel_consumer: bool,
-        hemisphere_hint: Hemisphere,
     ) -> _Delivery | None:
         """Arrange for an operand to be on streams at ``position`` at
         ``arrival_t0``.  Returns None when that exact timing is infeasible
-        (the caller tries a later start)."""
+        (the caller tries a later start); on success the planned read
+        cells join ``_pending``."""
         if node_in.id in self.values:
             value = self.values[node_in.id]
             if not value.reaches(position):
@@ -481,18 +537,16 @@ class Scheduler:
             return _Delivery(value.grant.base, value.direction)
 
         layout = self.ensure_layout(
-            node_in, hemisphere_hint, parallel_consumer, near_position=position
+            node_in, position, arrival_t0, parallel_consumer
         )
-        placements = layout.parallel or layout.planes
-        ref_pos = self._slice_position(
-            placements[0].hemisphere, placements[0].slice_index
+        if layout is None:
+            return None
+        first = (layout.parallel or layout.planes)[0]
+        direction = read_direction(
+            first.hemisphere,
+            self._slice_position(first.hemisphere, first.slice_index),
+            position,
         )
-        if position == ref_pos:
-            direction = Direction.inward_for(placements[0].hemisphere)
-        else:
-            direction = (
-                Direction.EASTWARD if position > ref_pos else Direction.WESTWARD
-            )
         reads = self._plan_reads(
             node_in, layout, direction, position, arrival_t0, parallel_consumer
         )
@@ -526,6 +580,8 @@ class Scheduler:
             )
             for (icu, t, r) in reads
         ]
+        for icu, t, _read in reads:
+            self._plan_cell(icu, t)
         return _Delivery(grant.base, direction, reads, grant)
 
     def _plan_reads(
@@ -545,7 +601,6 @@ class Scheduler:
         """
         dfunc = self.dfunc("Read")
         reads: list[tuple[IcuId, int, Read]] = []
-        taken: set[tuple[IcuId, int]] = set()
 
         def plan_one(
             hemisphere: Hemisphere,
@@ -562,11 +617,8 @@ class Scheduler:
                     return False
             t_dispatch = arrival - abs(dx) - dfunc
             icu = IcuId(self.floorplan.mem_slice(hemisphere, slice_index))
-            if t_dispatch < 0 or not self.queue(icu).is_free(t_dispatch):
+            if not self._cells_free(icu, t_dispatch):
                 return False
-            if (icu, t_dispatch) in taken:
-                return False
-            taken.add((icu, t_dispatch))
             reads.append(
                 (
                     icu,
@@ -620,6 +672,7 @@ class Scheduler:
     # ------------------------------------------------------------------
     def schedule(self, graph: Graph) -> CompiledProgram:
         graph.validate()
+        self._partners = co_consumed(graph)
         for node in graph.topological_order():
             self._schedule_node(graph, node)
         program = Program()
@@ -629,16 +682,15 @@ class Scheduler:
             i, n = self.queues[icu].emit(program)
             instructions += i
             nops += n
-        stats = ScheduleStats(
-            nodes=len(graph.nodes),
-            instructions=instructions,
-            nops_inserted=nops,
-            makespan=max(
-                (max(q.cells) + 1 for q in self.queues.values() if q.cells),
-                default=0,
-            ),
-            stream_grants=self.streams.utilization(),
+        stats = self.stats
+        stats.nodes = len(graph.nodes)
+        stats.instructions = instructions
+        stats.nops_inserted = nops
+        stats.makespan = max(
+            (max(q.cells) + 1 for q in self.queues.values() if q.cells),
+            default=0,
         )
+        stats.stream_grants = self.streams.utilization()
         return CompiledProgram(
             config=self.config,
             program=program,
@@ -698,6 +750,7 @@ class Scheduler:
     def _schedule_node(self, graph: Graph, node: Node) -> None:
         if node.kind in (OpKind.CONSTANT, OpKind.INPUT):
             return  # placed lazily by the first consumer
+        self._pending.clear()
         if node.kind in (OpKind.UNARY, OpKind.BINARY, OpKind.CONVERT):
             self._schedule_vxm(graph, node)
         elif node.kind is OpKind.TEMPORAL_SHIFT:
@@ -740,14 +793,11 @@ class Scheduler:
         position = self.floorplan.position(self.floorplan.vxm())
         mnemonic = self._vxm_mnemonic(node)
         inputs = [graph.node(i) for i in node.inputs]
-        hemisphere = self._pick_hemisphere()
         t_min = max(
             self._operand_min_arrival(n_in, position) for n_in in inputs
         )
         for t_exec in range(t_min, t_min + SEARCH_LIMIT):
-            if self._try_vxm_at(
-                node, inputs, position, t_exec, hemisphere, mnemonic
-            ):
+            if self._try_vxm_at(node, inputs, position, t_exec, mnemonic):
                 return
         raise ScheduleError(
             f"could not place {node.name} within the search window — "
@@ -760,18 +810,15 @@ class Scheduler:
     MAX_DELAY_CHAIN = 64
 
     def _plan_delay_chain(
-        self,
-        value: StreamValue,
-        target_arrival: int,
-        position: int,
-        taken: set[tuple[IcuId, int]],
+        self, value: StreamValue, target_arrival: int, position: int
     ):
         """Retime an in-flight value to arrive at ``position`` at
         ``target_arrival`` by chaining COPY ops through VXM ALUs.
 
         A stream cannot be stalled, but a VXM ALU at the same position can
         re-drive it one ``d_func`` later — the compiler's retiming idiom.
-        Returns (delayed StreamValue, reservations, grants) or None.
+        Returns (delayed StreamValue, reservations, grants) or None; the
+        chain's cells join ``_pending``.
         """
         arrival = value.arrival_at(position)
         delay = target_arrival - arrival
@@ -786,12 +833,9 @@ class Scheduler:
             alu = None
             for candidate in range(16):
                 icu = IcuId(self.floorplan.vxm(), candidate)
-                if not self.queue(icu).is_free(t_exec, n):
-                    continue
-                if any((icu, t_exec + k) in taken for k in range(n)):
-                    continue
-                alu = candidate
-                break
+                if self._cells_free(icu, t_exec, n):
+                    alu = candidate
+                    break
             if alu is None:
                 for g in grants:
                     self.streams.release(g)
@@ -817,7 +861,7 @@ class Scheduler:
                 alu=alu,
             )
             for k in range(n):
-                taken.add((icu, t_exec + k))
+                self._plan_cell(icu, t_exec + k)
                 reservations.append((icu, t_exec + k, instr))
             current = StreamValue(
                 grant, position, t_exec + 1, n, current.dtype,
@@ -825,11 +869,9 @@ class Scheduler:
             )
         return current, reservations, grants
 
-    def _try_vxm_at(
-        self, node, inputs, position, t_exec, hemisphere, mnemonic
-    ) -> bool:
+    def _try_vxm_at(self, node, inputs, position, t_exec, mnemonic) -> bool:
         n = node.n_vectors
-        taken: set[tuple[IcuId, int]] = set()
+        self._pending.clear()
         chain_reservations: list[tuple[IcuId, int, Instruction]] = []
         chain_grants: list[StreamGrant] = []
         overrides: dict[int, StreamValue] = {}
@@ -852,7 +894,7 @@ class Scheduler:
                 )
             if value.arrival_at(position) == t_exec:
                 continue
-            planned = self._plan_delay_chain(value, t_exec, position, taken)
+            planned = self._plan_delay_chain(value, t_exec, position)
             if planned is None:
                 return fail()
             delayed, reservations, grants = planned
@@ -862,13 +904,11 @@ class Scheduler:
 
         alu = None
         for candidate in range(16):
-            icu = IcuId(self.floorplan.vxm(), candidate)
-            if not self.queue(icu).is_free(t_exec, n):
-                continue
-            if any((icu, t_exec + k) in taken for k in range(n)):
-                continue
-            alu = candidate
-            break
+            if self._cells_free(
+                IcuId(self.floorplan.vxm(), candidate), t_exec, n
+            ):
+                alu = candidate
+                break
         if alu is None:
             return fail()
 
@@ -884,7 +924,7 @@ class Scheduler:
                 delivery = _Delivery(value.grant.base, value.direction)
             else:
                 delivery = self._deliver_operand(
-                    n_in, position, t_exec, False, hemisphere
+                    n_in, position, t_exec, False
                 )
             if delivery is None:
                 return fail()
@@ -965,19 +1005,45 @@ class Scheduler:
         indices = graph.node(node.inputs[1])
         if table.kind is not OpKind.CONSTANT:
             raise CompileError("gather tables must be constant tensors")
-        hemisphere = self._pick_hemisphere()
         if table.id in self.layouts:
             raise CompileError(
                 f"{table.name} is already placed; gather tables need their "
                 "own contiguous placement"
             )
-        placement = self.mem.alloc_contiguous(
-            hemisphere, table.n_vectors,
-            near_index=0,  # near the VXM so results flow far
+        n = node.n_vectors
+
+        def start(s: MemSlice) -> int | None:
+            """First cycle slice ``s`` could dispatch the ``n`` Gathers."""
+            value = self.values.get(indices.id)
+            if value is not None and not value.reaches(s.position):
+                return None
+            t_min = self._operand_min_arrival(indices, s.position)
+            icu = self._mem_icu(s)
+            return next(
+                (
+                    t for t in range(t_min, t_min + SEARCH_LIMIT)
+                    if self._cells_free(icu, t, n)
+                ),
+                None,
+            )
+
+        # near the VXM so results flow far
+        vxm = self.floorplan.position(self.floorplan.vxm())
+        chosen = earliest(
+            [
+                s for s in self.mem.slices_near(vxm)
+                if self.mem.fits_contiguous(s, table.n_vectors)
+            ],
+            1, start,
         )
-        self.layouts[table.id] = TensorLayout(
-            planes=[placement]
-        )
+        if chosen is None:
+            raise AllocationError(
+                f"no MEM slice can hold {table.name} as a "
+                f"{table.n_vectors}-word contiguous table"
+            )
+        (home,) = chosen
+        placement = self.mem.alloc_contiguous(home, table.n_vectors)
+        self.layouts[table.id] = TensorLayout(planes=[placement])
         # materialize the table rows contiguously
         planes = pack_tensor(table.data, table.dtype, self.config.n_lanes)
         for j in range(table.n_vectors):
@@ -990,22 +1056,17 @@ class Scheduler:
                 )
             )
 
-        slice_addr = self.floorplan.mem_slice(
-            placement.hemisphere, placement.slice_index
-        )
-        position = self.floorplan.position(slice_addr)
-        icu = IcuId(slice_addr)
-        inward = Direction.inward_for(placement.hemisphere)
-        n = node.n_vectors
+        position = home.position
+        icu = self._mem_icu(home)
+        inward = Direction.inward_for(home.hemisphere)
         dfunc = self.dfunc("Gather")
-        t_min = self._operand_min_arrival(indices, position)
 
-        for t_exec in range(t_min, t_min + SEARCH_LIMIT):
+        t_first = start(home)
+        for t_exec in range(t_first, t_first + SEARCH_LIMIT):
             if not self.queue(icu).is_free(t_exec, n):
                 continue
-            delivery = self._deliver_operand(
-                indices, position, t_exec, False, placement.hemisphere
-            )
+            self._pending = {icu: set(range(t_exec, t_exec + n))}
+            delivery = self._deliver_operand(indices, position, t_exec, False)
             if delivery is None:
                 continue
             try:
@@ -1053,16 +1114,13 @@ class Scheduler:
         k = node.params["k"]
         n = node.n_vectors
         source = graph.node(node.inputs[0])
-        hemisphere = self._pick_hemisphere()
         t_min = self._operand_min_arrival(source, position)
 
         for t_exec in range(t_min, t_min + SEARCH_LIMIT):
-            delivery = self._deliver_operand(
-                source, position, t_exec, False, hemisphere
-            )
+            self._pending.clear()
+            delivery = self._deliver_operand(source, position, t_exec, False)
             if delivery is None:
                 continue
-            taken: set[tuple[IcuId, int]] = set()
             reservations: list[tuple[IcuId, int, Instruction]] = []
             grants: list[StreamGrant] = []
             current_base = delivery.base_stream
@@ -1073,14 +1131,9 @@ class Scheduler:
                 alu = None
                 for candidate in range(16):
                     icu = IcuId(self.floorplan.vxm(), candidate)
-                    if not self.queue(icu).is_free(cap_t, n):
-                        continue
-                    if any(
-                        (icu, cap_t + j) in taken for j in range(n)
-                    ):
-                        continue
-                    alu = candidate
-                    break
+                    if self._cells_free(icu, cap_t, n):
+                        alu = candidate
+                        break
                 if alu is None:
                     ok = False
                     break
@@ -1116,7 +1169,7 @@ class Scheduler:
                     alu=alu,
                 )
                 for j in range(n):
-                    taken.add((icu, cap_t + j))
+                    self._plan_cell(icu, cap_t + j)
                     reservations.append((icu, cap_t + j, instr))
                 current_base = grant.base
                 current_dir = grant.direction
@@ -1273,11 +1326,16 @@ class Scheduler:
         reservations: list[tuple[IcuId, int, Instruction]] = []
         grants: list[StreamGrant] = []
         weight_words: list[MemWord] = []
+        self._pending.clear()
 
         def rollback() -> bool:
             for g in grants:
                 self.streams.release(g)
             return False
+
+        def plan(icu: IcuId, t: int, instruction: Instruction) -> None:
+            self._plan_cell(icu, t)
+            reservations.append((icu, t, instruction))
 
         t_cursor = t_start
         for p_idx, tile in enumerate(tiles):
@@ -1288,92 +1346,65 @@ class Scheduler:
             w_padded[:, :m] = tile
             raw = w_padded.view(np.uint8).reshape(-1)
             n_chunks = -(-raw.size // lanes)
-            # degraded mode narrows the feed to the healthy slices: the
-            # install takes more cycles, but the matmul still places
-            n_streams = min(
-                16, n_chunks, self.mem.healthy_slices(hemisphere)
-            )
-            install_cycles = -(-n_chunks // n_streams)
-            flat = np.zeros(n_chunks * lanes, dtype=np.uint8)
-            flat[: raw.size] = raw
-            chunks = flat.reshape(n_chunks, lanes)
 
-            feed = self.mem.alloc_weight_feed(
-                hemisphere, n_streams, install_cycles
-            )
-
-            # find T_w: all n_streams weight feeds aligned at the MXM, with
-            # a stream group free for the whole feed flight; a group
-            # conflict retries a later window
+            # the feed whose last chunk installs first, with a stream group
+            # free for its whole flight; a group conflict retries later
             grant = None
-            plan = None
-            t_w = None
             search_from = t_cursor
             for _retry in range(64):
-                t_w, plan = self._find_weight_window(
-                    feed, n_streams, install_cycles, position, outward,
-                    weights_icu, search_from, dfunc_read, dskew_iw,
-                    reservations,
+                feed = self._plan_weight_feed(
+                    n_chunks, position, weights_icu, search_from
                 )
-                if t_w is None:
+                if feed is None:
                     return rollback()
+                t_w, slices, install_cycles = feed
                 try:
                     grant = self._grant_for_drive(
-                        outward, n_streams, t_w, install_cycles, False,
+                        outward, len(slices), t_w, install_cycles, False,
                         position,
                     )
                     break
                 except AllocationError:
                     search_from = t_w + install_cycles
-                    grant = None
             if grant is None:
                 return rollback()
             grants.append(grant)
-            reservations.extend(
-                (
-                    icu,
-                    t,
-                    Read(
-                        address=r.address,
-                        stream=grant.base + r.stream,
-                        direction=r.direction,
-                    ),
-                )
-                for (icu, t, r) in plan
-            )
-            reservations.append(
-                (
-                    weights_icu,
-                    t_w - dskew_iw,
-                    InstallWeights(
-                        plane=plane,
-                        base_stream=grant.base,
-                        n_streams=n_streams,
-                        direction=outward,
-                        rows=tile.shape[0],
-                        cols=lanes,
-                        dtype=weight_dtype,
-                    ),
-                )
-            )
-            for j in range(n_streams):
-                placement = feed.planes[j]
+            n_streams = len(slices)
+            flat = np.zeros(install_cycles * n_streams * lanes, dtype=np.uint8)
+            flat[: raw.size] = raw
+            chunks = flat.reshape(install_cycles, n_streams, lanes)
+            layout = self.mem.alloc_sequential(slices, install_cycles)
+            for j, (s, placement) in enumerate(zip(slices, layout.planes)):
+                t_first = t_w - abs(position - s.position) - dfunc_read
                 for c in range(install_cycles):
-                    chunk_index = c * n_streams + j
-                    data = (
-                        chunks[chunk_index]
-                        if chunk_index < n_chunks
-                        else np.zeros(lanes, dtype=np.uint8)
+                    address = placement.base_address + 2 * c
+                    plan(
+                        self._mem_icu(s),
+                        t_first + c,
+                        Read(
+                            address=address,
+                            stream=grant.base + j,
+                            direction=outward,
+                        ),
                     )
                     weight_words.append(
-                        MemWord(
-                            placement.hemisphere,
-                            placement.slice_index,
-                            placement.base_address + 2 * c,
-                            data,
-                        )
+                        MemWord(s.hemisphere, s.index, address, chunks[c, j])
                     )
+            plan(
+                weights_icu,
+                t_w - dskew_iw,
+                InstallWeights(
+                    plane=plane,
+                    base_stream=grant.base,
+                    n_streams=n_streams,
+                    direction=outward,
+                    rows=tile.shape[0],
+                    cols=lanes,
+                    dtype=weight_dtype,
+                ),
+            )
             install_done = t_w + install_cycles - 1
+            self._mark("weights_installed", install_done)
 
             # activations for this pass
             act = act_nodes[p_idx]
@@ -1383,27 +1414,13 @@ class Scheduler:
             )
             placed = False
             is_last = p_idx == len(tiles) - 1
-            reserved_cells = {
-                (icu, t) for (icu, t, _i) in reservations
-            }
             for t_a in range(t_a_min, t_a_min + SEARCH_LIMIT):
                 t_abc = t_a - dskew_abc
                 t_acc = t_a + depth - dskew_acc
-                if t_abc < 0 or t_acc <= t_abc:
-                    continue
-                if not self.queue(compute_icu).is_free(t_abc):
-                    continue
-                if not self.queue(compute_icu).is_free(t_acc):
-                    continue
-                if (compute_icu, t_abc) in reserved_cells or (
-                    compute_icu,
-                    t_acc,
-                ) in reserved_cells:
-                    continue
-                delivery = self._deliver_operand(
-                    act, position, t_a, False, hemisphere
-                )
-                if delivery is None:
+                if t_acc <= t_abc or not (
+                    self._cells_free(compute_icu, t_abc)
+                    and self._cells_free(compute_icu, t_acc)
+                ):
                     continue
                 out_grant = None
                 if is_last:
@@ -1412,49 +1429,48 @@ class Scheduler:
                             inward, 4, t_acc + dfunc_acc, n, False, position
                         )
                     except AllocationError:
-                        if delivery.grant is not None:
-                            self.streams.release(delivery.grant)
                         continue
+                delivery = self._deliver_operand(act, position, t_a, False)
+                if delivery is None:
+                    if out_grant is not None:
+                        self.streams.release(out_grant)
+                    continue
                 # every resource is granted: commit this pass to the plan
                 if delivery.grant is not None:
                     grants.append(delivery.grant)
                 reservations.extend(delivery.reads)
-                reservations.append(
-                    (
-                        compute_icu,
-                        t_abc,
-                        ActivationBufferControl(
-                            plane=plane,
-                            base_stream=delivery.base_stream,
-                            direction=delivery.direction,
-                            n_vectors=n,
-                            dtype=weight_dtype,
-                        ),
-                    )
+                plan(
+                    compute_icu,
+                    t_abc,
+                    ActivationBufferControl(
+                        plane=plane,
+                        base_stream=delivery.base_stream,
+                        direction=delivery.direction,
+                        n_vectors=n,
+                        dtype=weight_dtype,
+                    ),
                 )
-                reservations.append(
-                    (
-                        compute_icu,
-                        t_acc,
-                        Accumulate(
-                            plane=plane,
-                            base_stream=(
-                                out_grant.base if out_grant else 0
-                            ),
-                            direction=inward,
-                            n_vectors=n,
-                            out_dtype=node.dtype,
-                            accumulate=p_idx > 0,
-                            emit=is_last,
-                        ),
-                    )
+                plan(
+                    compute_icu,
+                    t_acc,
+                    Accumulate(
+                        plane=plane,
+                        base_stream=out_grant.base if out_grant else 0,
+                        direction=inward,
+                        n_vectors=n,
+                        out_dtype=node.dtype,
+                        accumulate=p_idx > 0,
+                        emit=is_last,
+                    ),
                 )
+                self._mark("first_operand", t_a)
                 if is_last:
                     grants.append(out_grant)
                     self.values[node.id] = StreamValue(
                         out_grant, position, t_acc + dfunc_acc, n,
                         node.dtype, m,
                     )
+                    self._mark("first_result", t_acc + dfunc_acc)
                 # a new install wipes in-flight results: wait for the drain
                 t_cursor = t_acc + dskew_acc + n + 1
                 placed = True
@@ -1467,67 +1483,64 @@ class Scheduler:
         self.memory_image.extend(weight_words)
         return True
 
+    def _plan_weight_feed(
+        self, n_chunks: int, position: int, weights_icu: IcuId, t_start: int
+    ) -> tuple[int, list[MemSlice], int] | None:
+        """Choose a weight feed: ``(t_w, slices, install cycles)``.
+
+        ``n_chunks`` 320-byte chunks reach the MXM over ``width`` streams,
+        slice ``j`` holding every ``width``-th chunk so all streams feed at
+        once.  A wider feed installs in fewer cycles, but its farthest
+        slice sets when the aligned feed can start; the winner is the width
+        whose last chunk installs first (degraded mode simply has fewer
+        slices to offer).  A pure probe: nothing is allocated or reserved.
+        """
+        options = feed_options(
+            self.mem.slices_near(position), n_chunks, position, t_start,
+            self.dfunc("Read"),
+            lambda s, n_words: self.mem.fits(s, INPUT_BANK, n_words),
+        )
+        # most promising first: stop once a bound cannot beat the best found
+        best = None
+        for bound, ready, roomy, width, cycles in options:
+            if best is not None and bound >= best[0] + best[2]:
+                break
+            found = self._find_weight_window(
+                roomy, width, cycles, position, weights_icu, ready
+            )
+            if found is not None and (
+                best is None or found[0] + cycles < best[0] + best[2]
+            ):
+                best = (*found, cycles)
+        return best
+
     def _find_weight_window(
-        self, feed, n_streams, install_cycles, position, outward,
-        weights_icu, t_start, dfunc_read, dskew_iw, prior_reservations,
-    ):
-        """Search for the earliest aligned weight-feed window."""
-        prior = {
-            (icu, t) for (icu, t, _i) in prior_reservations
-        }
+        self, roomy, width, install_cycles, position, weights_icu, t_start
+    ) -> tuple[int, list[MemSlice]] | None:
+        """Earliest ``t_w >= t_start`` at which the IW cell is free and
+        ``width`` of the ``roomy`` slices (nearest first) can each issue
+        their ``install_cycles`` reads; returns it with those slices."""
+        dfunc_read = self.dfunc("Read")
+        t_iw_offset = self.dskew("IW")
+        feeds = [
+            (s, self._mem_icu(s), abs(position - s.position) + dfunc_read)
+            for s in roomy
+        ]
         for t_w in range(t_start, t_start + SEARCH_LIMIT):
-            plan: list[tuple[IcuId, int, Read]] = []
-            taken: set[tuple[IcuId, int]] = set(prior)
-            feasible = True
-            for j in range(n_streams):
-                placement = feed.planes[j]
-                slice_pos = self._slice_position(
-                    placement.hemisphere, placement.slice_index
-                )
-                dx = position - slice_pos
-                flow = (
-                    Direction.EASTWARD if dx > 0 else Direction.WESTWARD
-                )
-                if dx != 0 and flow is not outward:
-                    feasible = False
-                    break
-                icu = IcuId(
-                    self.floorplan.mem_slice(
-                        placement.hemisphere, placement.slice_index
-                    )
-                )
-                for c in range(install_cycles):
-                    t_dispatch = t_w + c - abs(dx) - dfunc_read
-                    if (
-                        t_dispatch < 0
-                        or not self.queue(icu).is_free(t_dispatch)
-                        or (icu, t_dispatch) in taken
-                    ):
-                        feasible = False
-                        break
-                    taken.add((icu, t_dispatch))
-                    plan.append(
-                        (
-                            icu,
-                            t_dispatch,
-                            Read(
-                                address=placement.base_address + 2 * c,
-                                stream=j,
-                                direction=outward,
-                            ),
-                        )
-                    )
-                if not feasible:
-                    break
-            if not feasible:
+            if not self._cells_free(weights_icu, t_w - t_iw_offset):
                 continue
-            t_iw = t_w - dskew_iw
-            if t_iw < 0 or not self.queue(weights_icu).is_free(t_iw):
-                continue
-            if (weights_icu, t_iw) in prior:
-                continue
-            return t_w, plan
-        return None, None
+            slices = list(
+                islice(
+                    (
+                        s for s, icu, lead in feeds
+                        if self._cells_free(icu, t_w - lead, install_cycles)
+                    ),
+                    width,
+                )
+            )
+            if len(slices) == width:
+                return t_w, slices
+        return None
 
     # ------------------------------------------------------------------
     # SXM nodes
@@ -1582,6 +1595,7 @@ class Scheduler:
             )
             if icu is None:
                 continue
+            self._pending.clear()
             deliveries: list[_Delivery] = []
             seen: dict[int, _Delivery] = {}
             failed = False
@@ -1590,7 +1604,7 @@ class Scheduler:
                     deliveries.append(seen[n_in.id])
                     continue
                 delivery = self._deliver_operand(
-                    n_in, position, t_exec, parallel_in, hemisphere
+                    n_in, position, t_exec, parallel_in
                 )
                 if delivery is None:
                     failed = True
@@ -1696,78 +1710,48 @@ class Scheduler:
                 "constants are already in memory"
             )
         value = self.values[source.id]
-        hemisphere = (
-            Hemisphere.EAST
-            if value.direction is Direction.EASTWARD
-            else Hemisphere.WEST
-        )
         dskew = self.dskew("Write")
+        # sequential values write one row per cycle into one slice per
+        # byte-plane; parallel values write each row once, into its own
+        count = value.n_vectors if value.parallel else value.dtype.n_bytes
+        rows = 1 if value.parallel else value.n_vectors
 
-        for _attempt in range(self.config.mem_slices_per_hemisphere):
-            if value.parallel:
-                layout = self.mem.alloc_parallel(
-                    hemisphere, value.n_vectors, bank=RESULT_BANK
+        def landed(s: MemSlice) -> int | None:
+            if not value.reaches(s.position):
+                return None
+            first = value.arrival_at(s.position) - dskew
+            return first + rows if self._slice_free(s, first, rows) else None
+
+        slices = earliest(
+            self.mem.candidates(value.position, count, RESULT_BANK, rows),
+            count, landed,
+        )
+        if slices is None:
+            raise ScheduleError(
+                f"could not place output writes for {node.name}"
+            )
+        if value.parallel:
+            layout = self.mem.alloc_parallel(slices, bank=RESULT_BANK)
+        else:
+            layout = self.mem.alloc_sequential(slices, rows, bank=RESULT_BANK)
+        placements = layout.parallel or layout.planes
+        for index, (s, placement) in enumerate(zip(slices, placements)):
+            first = value.arrival_at(s.position) - dskew
+            queue = self.queue(self._mem_icu(s))
+            for j in range(rows):
+                queue.reserve(
+                    first + j,
+                    Write(
+                        address=placement.base_address + placement.stride * j,
+                        stream=value.grant.base + index,
+                        direction=value.direction,
+                    ),
+                    note=node.name,
                 )
-                placements = layout.parallel
-            else:
-                layout = self.mem.alloc_sequential(
-                    hemisphere, value.dtype.n_bytes, value.n_vectors,
-                    bank=RESULT_BANK,
-                )
-                placements = layout.planes
-            plan: list[tuple[IcuId, int, Instruction]] = []
-            feasible = True
-            for index, placement in enumerate(placements):
-                slice_pos = self._slice_position(
-                    placement.hemisphere, placement.slice_index
-                )
-                if not value.reaches(slice_pos):
-                    feasible = False
-                    break
-                arrival = value.arrival_at(slice_pos)
-                icu = IcuId(
-                    self.floorplan.mem_slice(
-                        placement.hemisphere, placement.slice_index
-                    )
-                )
-                stream = value.grant.base + index if value.parallel else (
-                    value.grant.base + index
-                )
-                n_writes = 1 if value.parallel else value.n_vectors
-                for j in range(n_writes):
-                    t_dispatch = arrival + j - dskew
-                    if t_dispatch < 0 or not self.queue(icu).is_free(
-                        t_dispatch
-                    ):
-                        feasible = False
-                        break
-                    address = (
-                        placement.base_address
-                        if value.parallel
-                        else placement.base_address + 2 * j
-                    )
-                    plan.append(
-                        (
-                            icu,
-                            t_dispatch,
-                            Write(
-                                address=address,
-                                stream=stream,
-                                direction=value.direction,
-                            ),
-                        )
-                    )
-                if not feasible:
-                    break
-            if feasible:
-                for icu, t, instruction in plan:
-                    self.queue(icu).reserve(t, instruction, note=node.name)
-                self.outputs[node.name] = TensorSpec(
-                    node.name, layout, value.n_vectors, node.length,
-                    value.dtype,
-                )
-                return
-        raise ScheduleError(f"could not place output writes for {node.name}")
+            self._mark("last_write", first + rows - 1, latest=True)
+        self.outputs[node.name] = TensorSpec(
+            node.name, layout, value.n_vectors, node.length, value.dtype
+        )
 
 
 # ----------------------------------------------------------------------

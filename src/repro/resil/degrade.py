@@ -8,9 +8,9 @@ computes the same bits.
 
 Three degradation axes are supported:
 
-* **Dead MEM slice** — the allocator simply never places tensors there
-  (:class:`repro.compiler.allocator.MemoryAllocator`); the rotation and
-  nearness policies fall onto the remaining healthy slices.
+* **Dead MEM slice** — the allocator never offers it as a placement
+  candidate (:class:`repro.compiler.allocator.MemoryAllocator`); feeds,
+  operands and results fall onto the next-nearest healthy slices.
 * **Dead MXM plane** — the scheduler steers matmuls to the surviving
   planes (:meth:`repro.compiler.scheduler.Scheduler._pick_mxm_plane`),
   trading throughput (fewer planes to round-robin over) for correctness.

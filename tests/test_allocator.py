@@ -1,74 +1,151 @@
 """Memory and stream allocation: banks, nearness, interval exclusivity."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.arch import Direction, Hemisphere
+from repro.arch.geometry import Floorplan
 from repro.compiler.allocator import (
     INPUT_BANK,
     MemoryAllocator,
     RESULT_BANK,
     StreamAllocator,
 )
+from repro.compiler import StreamProgramBuilder
 from repro.config import small_test_chip
 from repro.errors import AllocationError
+from repro.resil import Blacklist
+
+
+def vxm_position(config):
+    floorplan = Floorplan(config)
+    return floorplan.position(floorplan.vxm())
+
+
+def mxm_position(config, hemisphere):
+    floorplan = Floorplan(config)
+    return floorplan.position(floorplan.mxm(hemisphere))
+
+
+def east_of_vxm(alloc, config, count):
+    vxm = vxm_position(config)
+    return [s for s in alloc.slices_near(vxm) if s.position > vxm][:count]
 
 
 class TestMemoryAllocator:
     def test_bank_parity(self, config):
         """Inputs land in bank 0 (even addresses), results in bank 1."""
         alloc = MemoryAllocator(config)
-        inputs = alloc.alloc_sequential(Hemisphere.EAST, 1, 4, INPUT_BANK)
-        results = alloc.alloc_sequential(Hemisphere.EAST, 1, 4, RESULT_BANK)
+        one = east_of_vxm(alloc, config, 1)
+        inputs = alloc.alloc_sequential(one, 4, INPUT_BANK)
+        results = alloc.alloc_sequential(one, 4, RESULT_BANK)
         for j in range(4):
             assert inputs.address_of(0, j)[2] % 2 == 0
             assert results.address_of(0, j)[2] % 2 == 1
 
     def test_planes_get_distinct_slices(self, config):
         alloc = MemoryAllocator(config)
-        layout = alloc.alloc_sequential(Hemisphere.WEST, 4, 2)
+        layout = alloc.alloc_sequential(east_of_vxm(alloc, config, 4), 2)
         slices = {p.slice_index for p in layout.planes}
         assert len(slices) == 4
 
     def test_parallel_rows_distinct_slices(self, config):
         alloc = MemoryAllocator(config)
-        layout = alloc.alloc_parallel(Hemisphere.EAST, 16)
+        layout = alloc.alloc_parallel(east_of_vxm(alloc, config, 16))
         assert len({p.slice_index for p in layout.parallel}) == 16
         assert layout.is_parallel
 
     def test_sequential_addresses_bank_strided(self, config):
         alloc = MemoryAllocator(config)
-        layout = alloc.alloc_sequential(Hemisphere.EAST, 1, 3)
+        layout = alloc.alloc_sequential(east_of_vxm(alloc, config, 1), 3)
         addresses = [layout.address_of(0, j)[2] for j in range(3)]
         assert addresses == [addresses[0], addresses[0] + 2, addresses[0] + 4]
 
     def test_near_allocation_prefers_close_slices(self, config):
+        """Nearest first, in both hemispheres: MEM0 sits beside the VXM,
+        the outermost slice beside each SXM/MXM."""
         alloc = MemoryAllocator(config)
-        layout = alloc.alloc_sequential(
-            Hemisphere.EAST, 1, 1, near_index=0
+        near_vxm = alloc.slices_near(vxm_position(config))
+        assert {(s.hemisphere, s.index) for s in near_vxm[:2]} == {
+            (Hemisphere.WEST, 0), (Hemisphere.EAST, 0),
+        }
+        outer = config.mem_slices_per_hemisphere - 1
+        for hemisphere in (Hemisphere.WEST, Hemisphere.EAST):
+            position = mxm_position(config, hemisphere)
+            order = alloc.slices_near(position)
+            assert len(order) == config.n_mem_slices
+            own = order[: outer + 1]
+            assert [s.hemisphere for s in own] == [hemisphere] * (outer + 1)
+            assert [s.index for s in own] == list(range(outer, -1, -1))
+            transit = [abs(s.position - position) for s in order]
+            assert transit == sorted(transit)
+
+    def test_blacklisted_slices_are_never_offered(self, config):
+        dead = frozenset({(Hemisphere.WEST, 15), (Hemisphere.EAST, 0)})
+        alloc = MemoryAllocator(config, blacklisted_slices=dead)
+        offered = alloc.slices_near(mxm_position(config, Hemisphere.WEST))
+        assert len(offered) == config.n_mem_slices - 2
+        assert dead.isdisjoint((s.hemisphere, s.index) for s in offered)
+        assert (offered[0].hemisphere, offered[0].index) == (
+            Hemisphere.WEST, 14,
         )
-        assert layout.planes[0].slice_index < 8
+
+    def test_probing_never_mutates(self, config):
+        """``fits`` answers from the cursors without moving them."""
+        alloc = MemoryAllocator(config)
+        (s,) = east_of_vxm(alloc, config, 1)
+        half = config.mem_words_per_slice_tile // 2
+        for _ in range(3):
+            assert alloc.fits(s, RESULT_BANK, half)
+            assert not alloc.fits(s, RESULT_BANK, half + 1)
+        assert alloc.alloc_sequential([s], half, RESULT_BANK).planes[
+            0
+        ].base_address == 1
+        assert not alloc.fits(s, RESULT_BANK, 1)
+        assert alloc.fits(s, INPUT_BANK, half)
+
+    def test_contiguous_tables_cap_the_banks(self, config):
+        alloc = MemoryAllocator(config)
+        (s,) = east_of_vxm(alloc, config, 1)
+        words = config.mem_words_per_slice_tile
+        table = alloc.alloc_contiguous(s, words // 2)
+        assert (table.base_address, table.stride) == (words // 2, 1)
+        assert alloc.fits(s, INPUT_BANK, words // 4)
+        assert not alloc.fits(s, INPUT_BANK, words // 4 + 1)
+        assert not alloc.fits_contiguous(s, words // 2 + 1)
 
     def test_capacity_exhaustion(self, config):
         alloc = MemoryAllocator(config)
-        words = config.mem_words_per_slice_tile
-        with pytest.raises(AllocationError):
-            for _ in range(3 * config.mem_slices_per_hemisphere):
-                alloc.alloc_sequential(Hemisphere.EAST, 1, words)
+        (s,) = east_of_vxm(alloc, config, 1)
+        half = config.mem_words_per_slice_tile // 2
+        alloc.alloc_sequential([s], half)
+        with pytest.raises(AllocationError, match="bank 0 is full"):
+            alloc.alloc_sequential([s], 1)
 
     def test_too_many_concurrent_slices(self, config):
-        alloc = MemoryAllocator(config)
-        with pytest.raises(AllocationError):
-            alloc.alloc_parallel(
-                Hemisphere.EAST, config.mem_slices_per_hemisphere + 1
-            )
+        """A 16-row transpose group needs 16 slices at once; with 15
+        healthy ones the compile reports it."""
+        n = config.mem_slices_per_hemisphere
+        dead = {(Hemisphere.WEST, i) for i in range(n)}
+        dead.add((Hemisphere.EAST, 0))
+        g = StreamProgramBuilder(config)
+        x = g.constant_tensor("x", np.zeros((16, config.n_lanes), np.int8))
+        g.write_back(g.transpose16(x), name="t")
+        with pytest.raises(AllocationError, match="16 concurrent MEM slices"):
+            g.compile(blacklist=Blacklist(mem_slices=frozenset(dead)))
 
     def test_weight_feed_near_outer_edge(self, config):
+        """The slices a feed reaches first are the outboard ones, adjacent
+        to the MXM."""
         alloc = MemoryAllocator(config)
-        feed = alloc.alloc_weight_feed(Hemisphere.EAST, 8, 4)
+        feed = alloc.slices_near(mxm_position(config, Hemisphere.EAST))[:8]
         outer = config.mem_slices_per_hemisphere - 1
-        assert all(p.slice_index >= outer - 8 for p in feed.planes)
+        assert all(
+            s.hemisphere is Hemisphere.EAST and s.index >= outer - 8
+            for s in feed
+        )
 
 
 class TestStreamAllocator:

@@ -1,0 +1,307 @@
+"""Transit-aware placement: the pure scoring helpers, and the schedules
+they produce (results downstream of their producer, no allocator leak,
+degraded mode a bounded detour, critical-path marks on the stats)."""
+
+import numpy as np
+import pytest
+
+from repro.arch import Direction, Hemisphere
+from repro.arch.geometry import Floorplan
+from repro.compiler import Scheduler, StreamProgramBuilder, execute
+from repro.compiler.placement import (
+    MemSlice,
+    co_consumed,
+    contested_cycles,
+    earliest,
+    feed_options,
+    feed_widths,
+    operand_slices,
+    read_direction,
+)
+from repro.errors import CompileError
+from repro.resil import Blacklist, assert_avoids, compile_degraded
+from repro.verify.oracle import run_differential
+
+W, E = Hemisphere.WEST, Hemisphere.EAST
+
+
+def row(*positions):
+    return [MemSlice(E, i, p) for i, p in enumerate(positions)]
+
+
+class TestEarliest:
+    def test_takes_the_lowest_completion_cycles_in_order(self):
+        a, b, c, d = row(10, 11, 12, 13)
+        done = {a: 30, b: 10, c: 20, d: 40}
+        assert earliest([a, b, c, d], 2, done.get) == [b, c]
+
+    def test_ties_keep_candidate_order(self):
+        a, b, c = row(5, 6, 7)
+        assert earliest([c, a, b], 2, lambda s: 0) == [c, a]
+
+    def test_infeasible_candidates_are_skipped(self):
+        a, b, c = row(5, 6, 7)
+        score = lambda s: None if s is a else 1
+        assert earliest([a, b, c], 2, score) == [b, c]
+
+    def test_too_few_feasible_candidates_is_none(self):
+        a, b = row(5, 6)
+        assert earliest([a, b], 2, lambda s: None if s is a else 1) is None
+        assert earliest([], 1, lambda s: 0) is None
+
+    def test_tuple_scores_order_lexicographically(self):
+        a, b, c = row(5, 6, 7)
+        cost = {a: (1, 0), b: (0, 9), c: (0, 2)}
+        assert earliest([a, b, c], 3, cost.get) == [c, b, a]
+
+
+class TestContestedCycles:
+    def test_short_operands_are_never_in_the_way(self):
+        assert contested_cycles(rows=4, transit=1, dfunc_read=5) == 0
+
+    def test_long_operands_clear_with_distance(self):
+        # 32 reads from 2 hops away are still issuing when a derived
+        # value could be back; from 14 hops away they are not
+        assert contested_cycles(32, 2, 5) == 23
+        assert contested_cycles(32, 13, 5) == 1
+        assert contested_cycles(32, 14, 5) == 0
+
+
+class TestFeedWidths:
+    def test_one_option_per_install_length_narrowest_feed(self):
+        assert feed_widths(9, 16) == [(1, 9), (2, 5), (3, 3), (5, 2), (9, 1)]
+
+    def test_limit_caps_the_width(self):
+        assert feed_widths(64, 4) == [(1, 64), (2, 32), (3, 22), (4, 16)]
+        assert feed_widths(1, 16) == [(1, 1)]
+
+    @pytest.mark.parametrize("n_chunks", [1, 7, 9, 36, 64])
+    def test_every_option_carries_all_chunks(self, n_chunks):
+        for width, cycles in feed_widths(n_chunks, 16):
+            assert width * cycles >= n_chunks > width * (cycles - 1)
+
+
+class TestOperandSlices:
+    """Consumer at position 0, slices at 2, 3, 4, ... hops (as the MEM
+    slices inboard of a West MXM), ``d_func(Read) = 5``."""
+
+    always = staticmethod(lambda s, t, n: t >= 0)
+
+    def test_short_operand_takes_the_nearest_slice(self):
+        slices = row(2, 3, 4, 5)
+        (chosen,) = operand_slices(slices, 1, 4, 0, 20, 5, self.always)
+        assert chosen.position == 2
+
+    def test_long_operand_clears_the_landing_zone_within_its_slack(self):
+        slices = row(*range(2, 18))
+        # arrival 12 leaves 7 hops of slack: the farthest deliverable slice
+        # is the least contested
+        (chosen,) = operand_slices(slices, 1, 32, 0, 12, 5, self.always)
+        assert chosen.position == 7
+        # with slack to spare it stops at the first uncontested slice
+        (chosen,) = operand_slices(slices, 1, 32, 0, 40, 5, self.always)
+        assert chosen.position == 14
+
+    def test_busy_slices_are_skipped_and_none_when_nothing_delivers(self):
+        slices = row(2, 3, 4)
+        free = lambda s, t, n: t >= 0 and s.position != 2
+        (chosen,) = operand_slices(slices, 1, 4, 0, 20, 5, free)
+        assert chosen.position == 3
+        assert operand_slices(slices, 1, 4, 0, 6, 5, self.always) is None
+
+    def test_planes_stay_on_one_side_of_the_consumer(self):
+        west = [MemSlice(W, i, 9 - i) for i in range(3)]  # 9, 8, 7
+        east = [MemSlice(E, i, 11 + i) for i in range(3)]  # 11, 12, 13
+        both = [west[0], east[0], west[1], east[1], west[2], east[2]]
+        chosen = operand_slices(both, 2, 1, 10, 20, 5, self.always)
+        assert len({s.hemisphere for s in chosen}) == 1
+        # one side short of slices: the other takes the whole tensor
+        chosen = operand_slices(
+            [west[0], *east], 3, 1, 10, 20, 5, self.always
+        )
+        assert chosen == east
+
+    def test_read_direction(self):
+        assert read_direction(W, 5, 9) is Direction.EASTWARD
+        assert read_direction(E, 12, 9) is Direction.WESTWARD
+        # a consumer at the slice's own position: inward, by convention
+        assert read_direction(W, 9, 9) is Direction.EASTWARD
+        assert read_direction(E, 9, 9) is Direction.WESTWARD
+
+
+class TestFeedOptions:
+    near = row(*range(3, 19))  # MXM at position 1: 2 .. 17 hops
+    fits_all = staticmethod(lambda s, n_words: True)
+
+    def test_most_promising_first(self):
+        options = feed_options(self.near, 9, 1, 0, 5, self.fits_all)
+        bounds = [bound for bound, *_ in options]
+        assert bounds == sorted(bounds)
+        bound, ready, roomy, width, cycles = options[0]
+        # three streams: farthest slice 4 hops away, 3 install cycles
+        assert (width, cycles, ready, bound) == (3, 3, 9, 12)
+        assert roomy == self.near
+
+    def test_a_late_start_hides_the_reach(self):
+        """Once the MXM is busy until ``t_start`` a wide feed's transit is
+        free, and the widest (shortest) install wins."""
+        bound, ready, _roomy, width, cycles = feed_options(
+            self.near, 9, 1, 40, 5, self.fits_all
+        )[0]
+        assert (width, cycles, ready, bound) == (9, 1, 40, 41)
+
+    def test_widths_without_enough_roomy_slices_are_dropped(self):
+        fits = lambda s, n_words: s.position < 6  # three slices have room
+        widths = {w for _b, _r, _roomy, w, _c in
+                  feed_options(self.near, 9, 1, 0, 5, fits)}
+        assert widths == {1, 2, 3}
+
+
+class TestCoConsumed:
+    def test_tensors_one_node_consumes_are_partners(self, config):
+        g = StreamProgramBuilder(config)
+        lanes = config.n_lanes
+        x = g.constant_tensor("x", np.ones((2, lanes), np.int8))
+        y = g.constant_tensor("y", np.ones((2, lanes), np.int8))
+        z = g.constant_tensor("z", np.ones((2, lanes), np.int8))
+        g.write_back(g.add(g.add(x, y), z), name="out")
+        partners = co_consumed(g.graph)
+        assert partners[x.node_id] == {y.node_id}
+        assert partners[y.node_id] == {x.node_id}
+        assert partners[z.node_id] == set()  # its co-operand is in flight
+
+    def test_partners_never_share_a_slice(self, config):
+        """``y`` is first wanted one cycle after ``x``, when the slice
+        nearest the VXM has a free read cell again — but a later node
+        consumes both at once, and one queue cannot issue both reads."""
+        g = StreamProgramBuilder(config)
+        lanes = config.n_lanes
+        x = g.constant_tensor("x", np.full((1, lanes), 3, np.int8))
+        y = g.constant_tensor("y", np.full((1, lanes), 4, np.int8))
+        g.write_back(g.add(y, g.add(x, x)), name="a")
+        g.write_back(g.mul(y, x), name="b")
+        scheduler = Scheduler(config)
+        compiled = scheduler.schedule(g.graph)
+        home = {
+            node: {
+                (p.hemisphere, p.slice_index)
+                for p in scheduler.layouts[node.node_id].planes
+            }
+            for node in (x, y)
+        }
+        assert home[x].isdisjoint(home[y])
+        result = execute(compiled)
+        assert (result["a"] == 10).all() and (result["b"] == 12).all()
+
+
+def matmul_program(config, n=32, k=36, m=8, seed=3):
+    rng = np.random.default_rng(seed)
+    w = rng.integers(-8, 8, (k, m)).astype(np.int8)
+    x = rng.integers(-8, 8, (n, k)).astype(np.int8)
+    g = StreamProgramBuilder(config)
+    g.write_back(g.matmul(w, g.constant_tensor("x", x)), name="r")
+    return g, x.astype(np.int32) @ w.astype(np.int32)
+
+
+def slice_positions(config, placements):
+    floorplan = Floorplan(config)
+    return [
+        floorplan.position(floorplan.mem_slice(p.hemisphere, p.slice_index))
+        for p in placements
+    ]
+
+
+class TestResultsLandDownstream:
+    def test_matmul_result_stays_in_the_producers_hemisphere(self, config):
+        """An inward-flowing MXM result is written by the slices it meets
+        first, not carried across the chip to the far hemisphere."""
+        builder, expected = matmul_program(config)
+        compiled = builder.compile()
+        floorplan = Floorplan(config)
+        mxm = floorplan.position(floorplan.mxm(W))
+        landed = slice_positions(config, compiled.outputs["r"].layout.planes)
+        assert landed == [mxm + 2, mxm + 3, mxm + 4, mxm + 5]
+        assert np.array_equal(execute(compiled)["r"], expected)
+
+    def test_result_shares_a_slice_with_the_weights_it_used(self, config):
+        """Bank 0 streams operands, bank 1 takes the result: the slices
+        nearest the MXM hold both."""
+        builder, _ = matmul_program(config)
+        compiled = builder.compile()
+        result = {
+            (p.hemisphere, p.slice_index)
+            for p in compiled.outputs["r"].layout.planes
+        }
+        constants = {
+            (word.hemisphere, word.slice_index)
+            for word in compiled.memory_image
+        }
+        assert result & constants
+
+
+class TestWritesAllocateOnce:
+    def test_outputs_can_fill_result_memory_exactly(self, config):
+        """Placement probes candidates without taking words, so outputs
+        that exactly fill bank 1 of every slice they can reach still
+        place — with contended landing slices, a retry that leaked would
+        end in "bank 1 is full"."""
+        rows = 32
+        per_slice = config.mem_words_per_slice_tile // 2
+        n_outputs = config.mem_slices_per_hemisphere * per_slice // rows
+        rng = np.random.default_rng(0)
+        g = StreamProgramBuilder(config)
+        data = []
+        for i in range(n_outputs):
+            data.append(rng.integers(-9, 9, (rows, config.n_lanes), np.int8))
+            x = g.constant_tensor(f"x{i}", data[-1])
+            g.write_back(g.relu(x), name=f"y{i}")
+        result = execute(g.compile())
+        for i in range(n_outputs):
+            assert np.array_equal(result[f"y{i}"], np.maximum(data[i], 0))
+
+
+class TestDegradedPlacement:
+    @pytest.mark.parametrize("n", [4, 32])
+    def test_dead_nearest_slice_and_plane_is_a_bounded_detour(self, config, n):
+        """With the MEM slice nearest the MXM and one MXM plane dead the
+        program still places, matches the oracle, and pays one extra hop
+        out (the feed) and one back (the result)."""
+        builder, expected = matmul_program(config, n=n)
+        healthy = builder.compile()
+        outer = config.mem_slices_per_hemisphere - 1
+        blacklist = Blacklist(
+            mem_slices=frozenset({(W, outer)}),
+            mxm_planes=frozenset({(W, 0)}),
+        )
+        with pytest.raises(CompileError, match="degraded-mode violation"):
+            assert_avoids(healthy, blacklist)
+        degraded = compile_degraded(builder, blacklist)
+        result = run_differential(builder, compiled=degraded)
+        assert result.ok
+        assert np.array_equal(result.outputs["r"], expected)
+        extra = degraded.stats.makespan - healthy.stats.makespan
+        assert 0 <= extra <= 2
+
+
+class TestCriticalPathMarks:
+    def test_marks_bracket_the_makespan(self, config):
+        builder, _ = matmul_program(config)
+        stats = builder.compile().stats
+        assert (
+            0
+            <= stats.weights_installed
+            < stats.first_operand
+            < stats.first_result
+            < stats.last_write
+            == stats.makespan - 1
+        )
+
+    def test_programs_without_a_matmul_have_no_mxm_marks(self, config):
+        g = StreamProgramBuilder(config)
+        x = g.constant_tensor("x", np.ones((2, config.n_lanes), np.int8))
+        g.write_back(g.relu(x), name="y")
+        stats = g.compile().stats
+        assert stats.weights_installed is None
+        assert stats.first_operand is None
+        assert stats.first_result is None
+        assert stats.last_write == stats.makespan - 1

@@ -1,0 +1,121 @@
+"""Pinned schedule lengths: the next scheduling change is a one-line diff.
+
+The chunk programs here have the shapes of the repository benchmark's
+models (``benchmarks/e2e/workloads.py``): the 8x8 4-channel CNN lowered
+with ``max_vectors_per_program=32`` and the ``d_model=32, d_ff=64`` FFN
+with ``=16``.  A compiled program's cycle count is a function of shape
+alone, so the models are left untrained and every count below is exact.
+A change to a number in this file is a change to the benchmark's
+``sim_cycles_per_input`` — say so in the PR that makes it.
+"""
+
+import numpy as np
+import pytest
+
+from golden_programs import GOLDEN_PROGRAMS
+from repro.compiler import execute
+from repro.config import small_test_chip
+from repro.nn import make_shapes, make_small_cnn
+from repro.nn.transformer import TransformerConfig
+from repro.nn.tsp_inference import ChunkRunStats, build_chunk_builder
+from repro.serve import CnnServeModel, ProgramCache, TransformerMlpServeModel
+from repro.sim import TspChip
+
+FFN = TransformerConfig(
+    d_model=32, n_heads=4, d_ff=64, seq_len=16, n_layers=1, vocab=128
+)
+
+#: cycles of one run of each (model, layer, row bucket) chunk program
+CHUNK_CYCLES = {
+    ("cnn", "conv0", 8): 32,
+    ("cnn", "conv0", 16): 40,
+    ("cnn", "conv0", 32): 56,
+    ("cnn", "conv1", 8): 38,
+    ("cnn", "conv1", 16): 46,
+    ("cnn", "conv1", 32): 62,
+    ("cnn", "dense2", 8): 38,
+    ("cnn", "dense2", 16): 46,
+    ("cnn", "dense2", 32): 62,
+    ("ffn", "dense0", 8): 38,
+    ("ffn", "dense0", 16): 46,
+    ("ffn", "dense1", 8): 42,
+    ("ffn", "dense1", 16): 50,
+}
+
+
+@pytest.fixture(scope="module")
+def models():
+    config = small_test_chip()
+    data = make_shapes(
+        n_train=160, n_test=64, image_size=8, n_classes=3, noise=0.08, seed=0
+    )
+    cnn = CnnServeModel(
+        "cnn", make_small_cnn(3, channels=4, image_size=8, seed=0), config,
+        calibration=data.x_train[:32], max_vectors_per_program=32,
+    )
+    ffn = TransformerMlpServeModel(
+        "ffn", FFN, config, seed=0, max_vectors_per_program=16
+    )
+    return {"cnn": cnn, "ffn": ffn}, data
+
+
+@pytest.mark.parametrize("model, layer_name, bucket", sorted(CHUNK_CYCLES))
+def test_chunk_program_cycles(config, models, model, layer_name, bucket):
+    runner = models[0][model].runner
+    (layer,) = [
+        l for l in runner.layers if getattr(l, "name", None) == layer_name
+    ]
+    builder, bindings = build_chunk_builder(config, layer, bucket)
+    compiled = builder.compile()
+    acts = np.zeros((bucket, layer.weight_q.shape[0]), dtype=np.int8)
+    result = execute(
+        compiled,
+        inputs={name: acts[:, lo:hi] for name, lo, hi in bindings},
+    )
+    assert result.run.cycles == CHUNK_CYCLES[(model, layer_name, bucket)]
+    assert result.run.cycles == compiled.stats.makespan + 1
+
+
+def test_every_benchmark_bucket_is_pinned(models):
+    """The table covers each matrix layer at each power-of-two bucket."""
+    expected = set()
+    for name, model in models[0].items():
+        for layer in model.runner.layers:
+            bucket = 8
+            cap = model.runner.max_vectors
+            while hasattr(layer, "weight_q") and bucket <= cap:
+                expected.add((name, layer.name, bucket))
+                bucket *= 2
+    assert expected == set(CHUNK_CYCLES)
+
+
+def test_cnn_batch_of_four_images(config, models):
+    """closed-cnn's unit of work: 8 conv0 + 2 conv1 chunks of 32 rows and
+    one 8-row dense chunk — 610 cycles, 152.5 per image."""
+    by_name, data = models
+    stats = ChunkRunStats()
+    by_name["cnn"].run_batch(
+        TspChip(config), ProgramCache(), list(data.x_test[:4]), stats=stats
+    )
+    assert stats.programs == 11
+    assert stats.cycles == 8 * 56 + 2 * 62 + 38 == 610
+
+
+def test_ffn_single_token(config, models):
+    """One decode token: both projections in their 8-row bucket."""
+    stats = ChunkRunStats()
+    models[0]["ffn"].run_batch(
+        TspChip(config), ProgramCache(), [np.ones(FFN.d_model)], stats=stats
+    )
+    assert stats.programs == 2
+    assert stats.cycles == 38 + 42 == 80
+
+
+@pytest.mark.parametrize("fast_forward", [False, True])
+@pytest.mark.parametrize("name", sorted(GOLDEN_PROGRAMS))
+def test_run_length_is_the_scheduled_makespan(name, fast_forward):
+    """The simulator retires the program one cycle after the last
+    scheduled dispatch, in both execution engines."""
+    compiled = GOLDEN_PROGRAMS[name]().compile()
+    result = execute(compiled, fast_forward=fast_forward)
+    assert result.run.cycles == compiled.stats.makespan + 1
