@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 from ..arch.geometry import Direction, Floorplan, Hemisphere
 from ..config import ArchConfig
 from ..errors import AllocationError
-from .placement import MemSlice
+from .placement import MemSlice, split_rows
 
 #: bank policy: program inputs/constants in bank 0, results in bank 1
 INPUT_BANK = 0
@@ -54,10 +54,17 @@ class TensorLayout:
     ``planes[b]`` is the placement of byte-plane ``b`` (sequential layout);
     ``parallel[j]`` is the placement of row ``j`` (parallel layout, int8
     only).  Exactly one of the two lists is populated.
+
+    A sequential layout may split its rows into ``row_blocks`` contiguous
+    blocks, each with its own slice per byte-plane (``planes`` lists them
+    block after block), so the blocks can stream side by side — how a
+    matmul spread over several MXM planes feeds and drains them at once.
+    :meth:`address_of` hides the split: hosts bind and fetch by row.
     """
 
     planes: list[WordPlacement] = field(default_factory=list)
     parallel: list[WordPlacement] = field(default_factory=list)
+    row_blocks: int = 1
 
     @property
     def is_parallel(self) -> bool:
@@ -68,7 +75,9 @@ class TensorLayout:
         if self.is_parallel:
             p = self.parallel[row]
             return p.hemisphere, p.slice_index, p.base_address
-        p = self.planes[plane]
+        # every block but the last is as long as the first
+        block, row = divmod(row, self.planes[plane].n_words)
+        p = self.planes[block * (len(self.planes) // self.row_blocks) + plane]
         return (
             p.hemisphere,
             p.slice_index,
@@ -163,12 +172,23 @@ class MemoryAllocator:
 
     # ------------------------------------------------------------------
     def alloc_sequential(
-        self, slices: list[MemSlice], n_words: int, bank: int = INPUT_BANK
+        self,
+        slices: list[MemSlice],
+        n_words: int,
+        bank: int = INPUT_BANK,
+        row_blocks: int = 1,
     ) -> TensorLayout:
-        """One of ``slices`` per byte-plane, rows at consecutive
-        (bank-strided) addresses."""
+        """One of ``slices`` per byte-plane — per byte-plane of each row
+        block, block after block, when the ``n_words`` rows are split —
+        rows at consecutive (bank-strided) addresses."""
+        per_block = len(slices) // row_blocks
+        sizes = split_rows(n_words, row_blocks)
         return TensorLayout(
-            planes=[self._take(s, bank, n_words) for s in slices]
+            planes=[
+                self._take(s, bank, sizes[i // per_block])
+                for i, s in enumerate(slices)
+            ],
+            row_blocks=row_blocks,
         )
 
     def alloc_parallel(

@@ -257,6 +257,11 @@ class StreamProgramBuilder:
         tensors, the p-th of shape (n, K_p) with ``sum(K_p) == K`` and each
         ``K_p <= 320`` — the schedule accumulates across tiles in the MXM
         accumulators and emits results once.
+
+        An int8 matmul whose activations are program inputs and whose
+        result is written straight back may stream its rows through both
+        planes of a hemisphere (``placement.plane_split``); bindings and
+        results are the same, only the cycle count differs.
         """
         w = np.asarray(weights)
         if w.ndim != 2:

@@ -11,6 +11,9 @@ earliest:
   further hop is a cycle of pure transit on the critical path;
 * a *weight feed* takes the width whose last chunk installs first — a wide
   feed needs fewer install cycles, but its farthest slice sets the start;
+* a *matmul* streams its rows through as many MXM planes as make its last
+  result byte land first (:func:`plane_split`) — more planes shorten the
+  row stream but spread the results over more, farther slices;
 * an *operand* is wanted at a cycle its consumer fixes, so every slice that
   can deliver it completes together; what separates them is how long the
   slice would still be issuing the operand's reads when values derived
@@ -173,6 +176,57 @@ def feed_options(
             options.append((ready + cycles, ready, roomy, width, cycles))
     options.sort(key=lambda option: option[0])
     return options
+
+
+def split_rows(rows: int, blocks: int) -> list[int]:
+    """Sizes of the ``blocks`` contiguous row blocks of a ``rows``-row
+    tensor: every block as long as the first, the last taking what is
+    left (possibly nothing)."""
+    first = -(-rows // blocks)
+    return [max(0, min(first, rows - b * first)) for b in range(blocks)]
+
+
+def plane_split(
+    planes: list[int], rows: int, result_bytes: int, transits: list[int]
+) -> list[int]:
+    """The MXM planes — a prefix of ``planes`` — a matmul should stream its
+    rows through.
+
+    ``k`` planes holding the same weights each take one row block, so the
+    last row enters after ``ceil(rows / k)`` cycles instead of ``rows`` —
+    but each plane drains its own ``result_bytes`` byte-plane streams and
+    every stream needs a MEM slice to itself, so the results reach
+    ``k * result_bytes`` slices deep into ``transits`` (hops from the MXM
+    to each slice that could take one, nearest first).  The winner is the
+    ``k`` whose last byte lands first; a tie keeps fewer planes (fewer
+    instructions), and a chip short of planes or of near slices — a
+    degraded one — simply has less to win with.
+    """
+    best, best_done = 1, None
+    for k in range(1, len(planes) + 1):
+        need = k * result_bytes
+        if need > len(transits) or not split_rows(rows, k)[-1]:
+            break
+        done = -(-rows // k) + transits[need - 1]
+        if best_done is None or done < best_done:
+            best, best_done = k, done
+    return planes[:best]
+
+
+def rows_are_free(graph: Graph, matmul) -> bool:
+    """Whether the schedule alone decides how a matmul's rows are laid out.
+
+    True when every activation tensor is a program input nothing else
+    reads and the result goes straight to one ``Write``: the host binds
+    and fetches rows through the layout the scheduler publishes, so the
+    rows may be split into blocks.  A value chained into the VXM or SXM
+    must stay one row-per-cycle stream.
+    """
+    return all(
+        graph.node(a).kind is OpKind.INPUT
+        and [c.id for c in graph.consumers(a)] == [matmul.id]
+        for a in matmul.inputs[1:]
+    ) and [c.kind for c in graph.consumers(matmul.id)] == [OpKind.WRITE]
 
 
 def co_consumed(graph: Graph) -> dict[int, set[int]]:

@@ -75,7 +75,10 @@ from .placement import (
     earliest,
     feed_options,
     operand_slices,
+    plane_split,
     read_direction,
+    rows_are_free,
+    split_rows,
 )
 
 #: How many candidate start cycles to try before giving up on a node.
@@ -88,7 +91,9 @@ class StreamValue:
 
     ``parallel`` values put each row on its own stream simultaneously
     (transpose/rotate groups); sequential values stagger rows one cycle
-    apart on a single aligned group.
+    apart on a single aligned group — or, split into ``blocks`` row blocks
+    (a matmul on several MXM planes), on one sub-group per block, every
+    block's row 0 at ``t0``.
     """
 
     grant: StreamGrant
@@ -98,6 +103,7 @@ class StreamValue:
     dtype: DType
     length: int
     parallel: bool = False
+    blocks: int = 1
 
     @property
     def direction(self) -> Direction:
@@ -150,7 +156,8 @@ class ScheduleStats:
     activation vector is at the MXM, the cycle the first result vector is
     on a stream, and the dispatch cycle of the last output ``Write``
     (``makespan - 1`` for a program that ends in a write).  None where the
-    program has no such event.
+    program has no such event.  ``mxm_planes`` is the most planes one
+    matmul streams its rows through (0: the program has no matmul).
     """
 
     nodes: int = 0
@@ -162,6 +169,7 @@ class ScheduleStats:
     first_operand: int | None = None
     first_result: int | None = None
     last_write: int | None = None
+    mxm_planes: int = 0
 
 
 @dataclass(frozen=True)
@@ -417,17 +425,18 @@ class Scheduler:
     # tensor residence
     # ------------------------------------------------------------------
     def ensure_layout(
-        self, node: Node, position: int, arrival_t0: int, parallel: bool
+        self, node: Node, position: int, arrival_t0: int, parallel: bool,
+        blocks: int = 1,
     ) -> TensorLayout | None:
         """Place a CONSTANT/INPUT tensor in MEM on first use.
 
-        The first consumer wants vector 0 at ``position`` at
-        ``arrival_t0``; every slice that can deliver that (read cells
-        free, dispatch not before cycle 0) completes at the same cycle, so
-        the tensor takes the ones least in the way of what comes back —
-        see :func:`repro.compiler.placement.operand_slices` — and never
-        share a slice with a tensor the same node consumes.  Returns None,
-        with nothing allocated, when none can.
+        The first consumer wants vector 0 (of each row block) at
+        ``position`` at ``arrival_t0``; every slice that can deliver that
+        (read cells free, dispatch not before cycle 0) completes at the
+        same cycle, so the tensor takes the ones least in the way of what
+        comes back — see :func:`repro.compiler.placement.operand_slices` —
+        and never share a slice with a tensor the same node consumes.
+        Returns None, with nothing allocated, when none can.
         """
         if node.id in self.layouts:
             layout = self.layouts[node.id]
@@ -442,8 +451,8 @@ class Scheduler:
             raise CompileError(
                 "parallel (transpose-group) tensors must be 1-byte types"
             )
-        count = node.n_vectors if parallel else node.dtype.n_bytes
-        rows = 1 if parallel else node.n_vectors
+        count = node.n_vectors if parallel else node.dtype.n_bytes * blocks
+        rows = 1 if parallel else -(-node.n_vectors // blocks)
         shared = {
             (p.hemisphere, p.slice_index)
             for partner in self._partners.get(node.id, ())
@@ -465,7 +474,9 @@ class Scheduler:
         if parallel:
             layout = self.mem.alloc_parallel(slices)
         else:
-            layout = self.mem.alloc_sequential(slices, rows)
+            layout = self.mem.alloc_sequential(
+                slices, node.n_vectors, row_blocks=blocks
+            )
         self.layouts[node.id] = layout
         spec = TensorSpec(
             node.name, layout, node.n_vectors, node.length, node.dtype
@@ -515,11 +526,14 @@ class Scheduler:
         position: int,
         arrival_t0: int,
         parallel_consumer: bool,
+        blocks: int = 1,
     ) -> _Delivery | None:
         """Arrange for an operand to be on streams at ``position`` at
         ``arrival_t0``.  Returns None when that exact timing is infeasible
         (the caller tries a later start); on success the planned read
-        cells join ``_pending``."""
+        cells join ``_pending``.  A consumer free to lay the operand out
+        may ask for ``blocks`` row blocks side by side, block ``b`` on the
+        sub-group at ``base_stream + b * n_bytes``."""
         if node_in.id in self.values:
             value = self.values[node_in.id]
             if not value.reaches(position):
@@ -537,7 +551,7 @@ class Scheduler:
             return _Delivery(value.grant.base, value.direction)
 
         layout = self.ensure_layout(
-            node_in, position, arrival_t0, parallel_consumer
+            node_in, position, arrival_t0, parallel_consumer, blocks
         )
         if layout is None:
             return None
@@ -553,7 +567,8 @@ class Scheduler:
         if reads is None:
             return None
         width = (
-            node_in.n_vectors if parallel_consumer else node_in.dtype.n_bytes
+            node_in.n_vectors if parallel_consumer
+            else node_in.dtype.n_bytes * layout.row_blocks
         )
         # every byte-plane read is timed so the group is aligned at the
         # consumer, which means they all share one moving-frame window
@@ -562,7 +577,8 @@ class Scheduler:
                 direction,
                 width,
                 arrival_t0,
-                1 if parallel_consumer else node_in.n_vectors,
+                1 if parallel_consumer
+                else -(-node_in.n_vectors // layout.row_blocks),
                 parallel_consumer,
                 position,
             )
@@ -641,10 +657,14 @@ class Scheduler:
                     f"{node.name} is stored sequentially but is consumed as "
                     "a parallel stream group — store it parallel"
                 )
-            for p in range(node.dtype.n_bytes):
+            n_bytes = node.dtype.n_bytes
+            per_block = -(-node.n_vectors // layout.row_blocks)
+            for p in range(n_bytes):
                 for j in range(node.n_vectors):
+                    block, k = divmod(j, per_block)
                     hemisphere, s, a = layout.address_of(p, j)
-                    if not plan_one(hemisphere, s, a, p, arrival_t0 + j):
+                    stream = block * n_bytes + p
+                    if not plan_one(hemisphere, s, a, stream, arrival_t0 + k):
                         return None
         return reads
 
@@ -732,18 +752,20 @@ class Scheduler:
                 # the declared t0 is an alignment fiction: the physical
                 # drives happen k cycles later (see _schedule_temporal_shift)
                 continue
-            intent.drives.append(
-                PredictedDrive(
-                    name=node.name,
-                    direction=value.direction,
-                    base_stream=value.grant.base,
-                    width=value.grant.width,
-                    position=value.position,
-                    t0=value.t0,
-                    n_vectors=value.n_vectors,
-                    parallel=value.parallel,
+            width = value.grant.width // value.blocks
+            for b, rows in enumerate(split_rows(value.n_vectors, value.blocks)):
+                intent.drives.append(
+                    PredictedDrive(
+                        name=node.name,
+                        direction=value.direction,
+                        base_stream=value.grant.base + b * width,
+                        width=width,
+                        position=value.position,
+                        t0=value.t0,
+                        n_vectors=rows,
+                        parallel=value.parallel,
+                    )
                 )
-            )
         return intent
 
     # ------------------------------------------------------------------
@@ -1219,9 +1241,12 @@ class Scheduler:
 
         weight_dtype = node.params.get("weight_dtype", DType.INT8)
         fp16 = weight_dtype is DType.FP16
+        per_hemisphere = self.config.mxm_planes_per_hemisphere
         plane_global = self._mxm_rr % self.config.mxm_planes
-        self._mxm_rr += 2 if fp16 else 1
-        hemisphere = Hemisphere.WEST if plane_global < 2 else Hemisphere.EAST
+        hemisphere = (
+            Hemisphere.WEST if plane_global < per_hemisphere
+            else Hemisphere.EAST
+        )
         # in-flight activations dictate the hemisphere
         pinned = False
         for act in act_nodes:
@@ -1232,7 +1257,7 @@ class Scheduler:
                     else Hemisphere.WEST
                 )
                 pinned = True
-        plane = plane_global % 2
+        plane = plane_global % per_hemisphere
         if fp16 or hemisphere in self._fp16_hemispheres:
             # fp16 runs two byte-planes in tandem: the even plane hosts the
             # tile and its partner is captive (Section III-D); later int8
@@ -1245,6 +1270,25 @@ class Scheduler:
             self._fp16_hemispheres.add(hemisphere)
         position = self.floorplan.position(self.floorplan.mxm(hemisphere))
         depth = self.timing.mxm_pipeline_depth(self.config.mxm_plane_rows)
+        planes = [plane]
+        if hemisphere not in self._fp16_hemispheres and rows_are_free(
+            graph, node
+        ):
+            # rows the schedule may lay out freely stream through as many
+            # healthy sibling planes as land the last result byte first
+            siblings = [
+                p for p in range(per_hemisphere)
+                if p != plane and (hemisphere, p) not in self._dead_planes
+            ]
+            landing = self.mem.candidates(
+                position, node.dtype.n_bytes, RESULT_BANK, node.n_vectors
+            )
+            planes = plane_split(
+                planes + siblings, node.n_vectors, node.dtype.n_bytes,
+                [abs(s.position - position) for s in landing],
+            )
+        self._mxm_rr += 2 if fp16 else len(planes)
+        self.stats.mxm_planes = max(self.stats.mxm_planes, len(planes))
 
         t_min = self.dfunc("Read")
         for act in act_nodes:
@@ -1252,7 +1296,7 @@ class Scheduler:
         # the search loop lives inside _try_matmul_at per-pass, so a single
         # attempt suffices unless plane queues are hopeless
         if not self._try_matmul_at(
-            node, act_nodes, tiles, hemisphere, plane, position, depth,
+            node, act_nodes, tiles, hemisphere, planes, position, depth,
             t_min, m, weight_dtype,
         ):
             raise ScheduleError(
@@ -1279,6 +1323,7 @@ class Scheduler:
         dead = self._dead_planes
         if not dead:
             return hemisphere, plane
+        every = range(self.config.mxm_planes_per_hemisphere)
         other = (
             Hemisphere.EAST
             if hemisphere is Hemisphere.WEST
@@ -1293,9 +1338,9 @@ class Scheduler:
             if hemi in self._fp16_hemispheres:
                 order = [0]  # the odd plane is captive to an fp16 tandem
             elif hemi is hemisphere:
-                order = [plane, 1 - plane]
+                order = [plane] + [p for p in every if p != plane]
             else:
-                order = [0, 1]
+                order = every
             for p in order:
                 if (hemi, p) not in dead:
                     return hemi, p
@@ -1308,15 +1353,21 @@ class Scheduler:
         )
 
     def _try_matmul_at(
-        self, node, act_nodes, tiles, hemisphere, plane, position, depth,
+        self, node, act_nodes, tiles, hemisphere, planes, position, depth,
         t_start, m, weight_dtype=DType.INT8,
     ) -> bool:
+        """Plan the matmul on ``planes``: one weight feed installed into
+        all of them at once, each then streaming its own row block."""
         lanes = self.config.n_lanes
-        n = node.n_vectors
+        rows = split_rows(node.n_vectors, len(planes))
+        n = rows[0]
+        act_width = act_nodes[0].dtype.n_bytes
+        out_width = node.dtype.n_bytes
         outward = Direction.outward_for(hemisphere)
         inward = Direction.inward_for(hemisphere)
-        weights_icu = IcuId(self.floorplan.mxm(hemisphere), plane * 2)
-        compute_icu = IcuId(self.floorplan.mxm(hemisphere), plane * 2 + 1)
+        mxm = self.floorplan.mxm(hemisphere)
+        weights_icus = [IcuId(mxm, plane * 2) for plane in planes]
+        compute_icus = [IcuId(mxm, plane * 2 + 1) for plane in planes]
         dskew_iw = self.dskew("IW")
         dskew_abc = self.dskew("ABC")
         dskew_acc = self.dskew("ACC")
@@ -1353,7 +1404,7 @@ class Scheduler:
             search_from = t_cursor
             for _retry in range(64):
                 feed = self._plan_weight_feed(
-                    n_chunks, position, weights_icu, search_from
+                    n_chunks, position, weights_icus, search_from
                 )
                 if feed is None:
                     return rollback()
@@ -1390,19 +1441,20 @@ class Scheduler:
                     weight_words.append(
                         MemWord(s.hemisphere, s.index, address, chunks[c, j])
                     )
-            plan(
-                weights_icu,
-                t_w - dskew_iw,
-                InstallWeights(
-                    plane=plane,
-                    base_stream=grant.base,
-                    n_streams=n_streams,
-                    direction=outward,
-                    rows=tile.shape[0],
-                    cols=lanes,
-                    dtype=weight_dtype,
-                ),
-            )
+            for plane, icu in zip(planes, weights_icus):
+                plan(
+                    icu,
+                    t_w - dskew_iw,
+                    InstallWeights(
+                        plane=plane,
+                        base_stream=grant.base,
+                        n_streams=n_streams,
+                        direction=outward,
+                        rows=tile.shape[0],
+                        cols=lanes,
+                        dtype=weight_dtype,
+                    ),
+                )
             install_done = t_w + install_cycles - 1
             self._mark("weights_installed", install_done)
 
@@ -1417,20 +1469,23 @@ class Scheduler:
             for t_a in range(t_a_min, t_a_min + SEARCH_LIMIT):
                 t_abc = t_a - dskew_abc
                 t_acc = t_a + depth - dskew_acc
-                if t_acc <= t_abc or not (
-                    self._cells_free(compute_icu, t_abc)
-                    and self._cells_free(compute_icu, t_acc)
+                if t_acc <= t_abc or not all(
+                    self._cells_free(icu, t)
+                    for icu in compute_icus for t in (t_abc, t_acc)
                 ):
                     continue
                 out_grant = None
                 if is_last:
                     try:
                         out_grant = self._grant_for_drive(
-                            inward, 4, t_acc + dfunc_acc, n, False, position
+                            inward, out_width * len(planes),
+                            t_acc + dfunc_acc, n, False, position,
                         )
                     except AllocationError:
                         continue
-                delivery = self._deliver_operand(act, position, t_a, False)
+                delivery = self._deliver_operand(
+                    act, position, t_a, False, len(planes)
+                )
                 if delivery is None:
                     if out_grant is not None:
                         self.streams.release(out_grant)
@@ -1439,36 +1494,38 @@ class Scheduler:
                 if delivery.grant is not None:
                     grants.append(delivery.grant)
                 reservations.extend(delivery.reads)
-                plan(
-                    compute_icu,
-                    t_abc,
-                    ActivationBufferControl(
-                        plane=plane,
-                        base_stream=delivery.base_stream,
-                        direction=delivery.direction,
-                        n_vectors=n,
-                        dtype=weight_dtype,
-                    ),
-                )
-                plan(
-                    compute_icu,
-                    t_acc,
-                    Accumulate(
-                        plane=plane,
-                        base_stream=out_grant.base if out_grant else 0,
-                        direction=inward,
-                        n_vectors=n,
-                        out_dtype=node.dtype,
-                        accumulate=p_idx > 0,
-                        emit=is_last,
-                    ),
-                )
+                out_base = out_grant.base if out_grant else 0
+                for b, (plane, icu) in enumerate(zip(planes, compute_icus)):
+                    plan(
+                        icu,
+                        t_abc,
+                        ActivationBufferControl(
+                            plane=plane,
+                            base_stream=delivery.base_stream + b * act_width,
+                            direction=delivery.direction,
+                            n_vectors=rows[b],
+                            dtype=weight_dtype,
+                        ),
+                    )
+                    plan(
+                        icu,
+                        t_acc,
+                        Accumulate(
+                            plane=plane,
+                            base_stream=out_base + b * out_width,
+                            direction=inward,
+                            n_vectors=rows[b],
+                            out_dtype=node.dtype,
+                            accumulate=p_idx > 0,
+                            emit=is_last,
+                        ),
+                    )
                 self._mark("first_operand", t_a)
                 if is_last:
                     grants.append(out_grant)
                     self.values[node.id] = StreamValue(
-                        out_grant, position, t_acc + dfunc_acc, n,
-                        node.dtype, m,
+                        out_grant, position, t_acc + dfunc_acc,
+                        node.n_vectors, node.dtype, m, blocks=len(planes),
                     )
                     self._mark("first_result", t_acc + dfunc_acc)
                 # a new install wipes in-flight results: wait for the drain
@@ -1484,7 +1541,7 @@ class Scheduler:
         return True
 
     def _plan_weight_feed(
-        self, n_chunks: int, position: int, weights_icu: IcuId, t_start: int
+        self, n_chunks: int, position: int, icus: list[IcuId], t_start: int
     ) -> tuple[int, list[MemSlice], int] | None:
         """Choose a weight feed: ``(t_w, slices, install cycles)``.
 
@@ -1493,7 +1550,8 @@ class Scheduler:
         once.  A wider feed installs in fewer cycles, but its farthest
         slice sets when the aligned feed can start; the winner is the width
         whose last chunk installs first (degraded mode simply has fewer
-        slices to offer).  A pure probe: nothing is allocated or reserved.
+        slices to offer); every IW queue in ``icus`` installs from it at
+        once.  A pure probe: nothing is allocated or reserved.
         """
         options = feed_options(
             self.mem.slices_near(position), n_chunks, position, t_start,
@@ -1506,7 +1564,7 @@ class Scheduler:
             if best is not None and bound >= best[0] + best[2]:
                 break
             found = self._find_weight_window(
-                roomy, width, cycles, position, weights_icu, ready
+                roomy, width, cycles, position, icus, ready
             )
             if found is not None and (
                 best is None or found[0] + cycles < best[0] + best[2]
@@ -1515,9 +1573,9 @@ class Scheduler:
         return best
 
     def _find_weight_window(
-        self, roomy, width, install_cycles, position, weights_icu, t_start
+        self, roomy, width, install_cycles, position, icus, t_start
     ) -> tuple[int, list[MemSlice]] | None:
-        """Earliest ``t_w >= t_start`` at which the IW cell is free and
+        """Earliest ``t_w >= t_start`` at which the IW cells are free and
         ``width`` of the ``roomy`` slices (nearest first) can each issue
         their ``install_cycles`` reads; returns it with those slices."""
         dfunc_read = self.dfunc("Read")
@@ -1527,7 +1585,7 @@ class Scheduler:
             for s in roomy
         ]
         for t_w in range(t_start, t_start + SEARCH_LIMIT):
-            if not self._cells_free(weights_icu, t_w - t_iw_offset):
+            if not all(self._cells_free(i, t_w - t_iw_offset) for i in icus):
                 continue
             slices = list(
                 islice(
@@ -1712,9 +1770,12 @@ class Scheduler:
         value = self.values[source.id]
         dskew = self.dskew("Write")
         # sequential values write one row per cycle into one slice per
-        # byte-plane; parallel values write each row once, into its own
-        count = value.n_vectors if value.parallel else value.dtype.n_bytes
-        rows = 1 if value.parallel else value.n_vectors
+        # byte-plane (of each row block); parallel values write each row
+        # once, into its own
+        count = value.dtype.n_bytes * value.blocks
+        rows = -(-value.n_vectors // value.blocks)
+        if value.parallel:
+            count, rows = value.n_vectors, 1
 
         def landed(s: MemSlice) -> int | None:
             if not value.reaches(s.position):
@@ -1733,12 +1794,15 @@ class Scheduler:
         if value.parallel:
             layout = self.mem.alloc_parallel(slices, bank=RESULT_BANK)
         else:
-            layout = self.mem.alloc_sequential(slices, rows, bank=RESULT_BANK)
+            layout = self.mem.alloc_sequential(
+                slices, value.n_vectors, RESULT_BANK, value.blocks
+            )
         placements = layout.parallel or layout.planes
         for index, (s, placement) in enumerate(zip(slices, placements)):
             first = value.arrival_at(s.position) - dskew
             queue = self.queue(self._mem_icu(s))
-            for j in range(rows):
+            n = placement.n_words
+            for j in range(n):
                 queue.reserve(
                     first + j,
                     Write(
@@ -1748,7 +1812,7 @@ class Scheduler:
                     ),
                     note=node.name,
                 )
-            self._mark("last_write", first + rows - 1, latest=True)
+            self._mark("last_write", first + n - 1, latest=True)
         self.outputs[node.name] = TensorSpec(
             node.name, layout, value.n_vectors, node.length, value.dtype
         )

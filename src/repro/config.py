@@ -180,6 +180,11 @@ class ArchConfig:
     # Derived compute budget (conclusion)
     # ------------------------------------------------------------------
     @property
+    def mxm_planes_per_hemisphere(self) -> int:
+        """MACC planes in each hemisphere's MXM (paper: 2 of the 4)."""
+        return self.mxm_planes // self.hemispheres
+
+    @property
     def mxm_macc_units(self) -> int:
         """Total MACC cells across all MXM planes (paper: 409,600)."""
         return self.mxm_planes * self.mxm_plane_rows * self.mxm_plane_cols
@@ -248,6 +253,11 @@ class ArchConfig:
                 "MXM plane height must equal the lane count so a maxVL "
                 f"vector fills one plane edge: {self.mxm_plane_rows} != "
                 f"{self.n_lanes}"
+            )
+        if self.mxm_planes < 1 or self.mxm_planes % self.hemispheres:
+            raise ConfigError(
+                "MXM planes are split evenly between the hemispheres: "
+                f"{self.mxm_planes} planes over {self.hemispheres}"
             )
         if self.streams_per_direction < 1:
             raise ConfigError("need at least one stream per direction")

@@ -76,7 +76,7 @@ def all_icu_ids(config: ArchConfig, floorplan: Floorplan) -> list[IcuId]:
     for alu in range(16):
         ids.append(IcuId(floorplan.vxm(), alu))
     for hemisphere in (Hemisphere.WEST, Hemisphere.EAST):
-        for unit in range(2 * len(MXM_UNITS)):  # 2 planes x 2 queues
+        for unit in range(config.mxm_planes_per_hemisphere * len(MXM_UNITS)):
             ids.append(IcuId(floorplan.mxm(hemisphere), unit))
         for unit in range(len(SXM_UNITS)):
             ids.append(IcuId(floorplan.sxm(hemisphere), unit))

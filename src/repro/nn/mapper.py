@@ -42,6 +42,8 @@ class LayerMapping:
     stream_cycles: int  # activation vectors streamed per round
     vxm_vectors: int  # vectors through the requant/activation chain
     sxm_vectors: int  # vectors through the SXM (pool/reshape)
+    planes: int  # MXM planes on the chip the layer was mapped onto
+    lanes: int  # ... and the edge of each (square) plane
 
     @property
     def is_matrix_op(self) -> bool:
@@ -53,7 +55,7 @@ class LayerMapping:
         if not self.is_matrix_op:
             return 0
         tiles = self.k_tiles * self.m_tiles
-        return min(4, tiles * self.spatial_split)
+        return min(self.planes, tiles * self.spatial_split)
 
     @property
     def mxm_utilization(self) -> float:
@@ -63,7 +65,7 @@ class LayerMapping:
         total_cycles = self.rounds * self.stream_cycles
         if total_cycles == 0:
             return 0.0
-        peak = 4 * 320 * 320 * total_cycles
+        peak = self.planes * self.lanes * self.lanes * total_cycles
         return min(1.0, self.spec.macs / peak)
 
 
@@ -71,6 +73,7 @@ def map_layer(spec: LayerSpec, config: ArchConfig) -> LayerMapping:
     """Tile one layer onto the MXM/VXM/SXM."""
     lanes = config.n_lanes
     planes = config.mxm_planes
+    chip = {"planes": planes, "lanes": lanes}
     if spec.kind in (LayerKind.CONV, LayerKind.FC):
         k_tiles = -(-spec.k_dim // lanes)
         m_tiles = -(-spec.m_dim // lanes)
@@ -97,6 +100,7 @@ def map_layer(spec: LayerSpec, config: ArchConfig) -> LayerMapping:
             stream_cycles=stream,
             vxm_vectors=out_vectors,  # requant + ReLU chained on results
             sxm_vectors=0,
+            **chip,
         )
     # pooling / elementwise layers: pure streaming ops
     in_vectors = -(
@@ -106,7 +110,8 @@ def map_layer(spec: LayerSpec, config: ArchConfig) -> LayerMapping:
     if spec.kind is LayerKind.ADD:
         # residual adds chain on the producing conv's result stream
         return LayerMapping(
-            spec, 0, 0, 0, 0, 0, 0, vxm_vectors=out_vectors, sxm_vectors=0
+            spec, 0, 0, 0, 0, 0, 0, vxm_vectors=out_vectors, sxm_vectors=0,
+            **chip,
         )
     if spec.kind is LayerKind.STREAM_EW:
         # softmax/normalization: chained VXM stages at stream rate
@@ -116,6 +121,7 @@ def map_layer(spec: LayerSpec, config: ArchConfig) -> LayerMapping:
             stream_cycles=vectors,
             vxm_vectors=vectors,
             sxm_vectors=0,
+            **chip,
         )
     # max/avg pool stream every input vector through SXM + VXM
     return LayerMapping(
@@ -123,6 +129,7 @@ def map_layer(spec: LayerSpec, config: ArchConfig) -> LayerMapping:
         stream_cycles=in_vectors,
         vxm_vectors=out_vectors,
         sxm_vectors=in_vectors,
+        **chip,
     )
 
 

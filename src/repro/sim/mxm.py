@@ -1,4 +1,4 @@
-"""MXM simulation: two 320x320 MACC planes per hemisphere.
+"""MXM simulation: the hemisphere's 320x320 MACC planes (two of the four).
 
 The weight array of a plane is installed from streams (``IW``: 16 streams x
 16 bytes fill 256 weights per supercell per cycle, a full plane in 20
@@ -43,6 +43,9 @@ class MxmPlane:
     cols: int  # M: installed weight columns (output features)
     dtype: DType = DType.INT8
     weights: np.ndarray | None = None  # (rows, cols) int8 or fp16
+    #: ``weights`` at accumulator width (int64 / float32), converted once
+    #: per install and shared by every dot product and recorded plan op
+    wide: np.ndarray | None = None
     staging: np.ndarray | None = None  # LW buffer, raw bytes
     #: results awaiting ACC: (ready_cycle, vector) in stream order
     results: deque = field(default_factory=deque)
@@ -58,12 +61,17 @@ class MxmUnit(FunctionalUnit):
 
     def __init__(self, chip, address) -> None:
         super().__init__(chip, address)
-        lanes = chip.config.n_lanes
+        self._dark_planes()
+
+    def _dark_planes(self) -> None:
+        config = self.chip.config
         self.planes = [
-            MxmPlane(rows=lanes, cols=chip.config.mxm_plane_cols)
-            for _ in range(2)
+            MxmPlane(rows=config.n_lanes, cols=config.mxm_plane_cols)
+            for _ in range(config.mxm_planes_per_hemisphere)
         ]
-        self._staging_bytes: dict[int, bytearray] = {0: bytearray(), 1: bytearray()}
+        self._staging_bytes: dict[int, bytearray] = {
+            p: bytearray() for p in range(len(self.planes))
+        }
 
     def scrub(self) -> None:
         # checkout reset: installed weights, staging buffers, pending
@@ -85,11 +93,7 @@ class MxmUnit(FunctionalUnit):
             for p in self.planes
         ):
             return  # planes are already dark — nothing to reset
-        self.planes = [
-            MxmPlane(rows=lanes, cols=cols)
-            for _ in range(2)
-        ]
-        self._staging_bytes = {0: bytearray(), 1: bytearray()}
+        self._dark_planes()
 
     # ------------------------------------------------------------------
     def execute(self, icu: IcuId, instruction: Instruction, cycle: int) -> None:
@@ -206,10 +210,12 @@ class MxmUnit(FunctionalUnit):
             plane.weights = raw.view(np.int8).reshape(
                 instruction.rows, instruction.cols
             )
+            plane.wide = plane.weights.astype(np.int64)
         elif instruction.dtype is DType.FP16:
             plane.weights = raw.view(np.float16).reshape(
                 instruction.rows, instruction.cols
             )
+            plane.wide = plane.weights.astype(np.float32)
             partner = self.planes[1 - self.planes.index(plane)]
             partner.tandem_busy = True
         else:
@@ -271,13 +277,11 @@ class MxmUnit(FunctionalUnit):
         """One activation vector through the plane: ``r = W.T @ a``."""
         if dtype is DType.INT8:
             a = planes_bytes[0].view(np.int8)[: plane.rows].astype(np.int64)
-            w = plane.weights.astype(np.int64)
-            return w.T @ a  # (cols,) int64, narrowed at ACC
+            return plane.wide.T @ a  # (cols,) int64, narrowed at ACC
         # fp16: reassemble from the stream pair
         raw = np.stack(planes_bytes[:2], axis=1).reshape(-1)
         a = raw.view(np.float16)[: plane.rows].astype(np.float32)
-        w = plane.weights.astype(np.float32)
-        return (w.T @ a).astype(np.float64)
+        return (plane.wide.T @ a).astype(np.float64)
 
     # ------------------------------------------------------------------
     def _exec_acc(self, instruction: Accumulate, cycle: int) -> None:

@@ -304,11 +304,10 @@ class ScheduleRecorder:
             self.fail("tainted MXM compute with no installed weights")
             return
         slot = self._new_slot()
-        if dtype is DType.FP16:
-            w = plane.weights.astype(np.float32)
-        else:
-            w = plane.weights.astype(np.int64)
-        self.ops.append(("dot", slot, dtype, plane.rows, w, list(refs)))
+        # the install's one widened matrix, shared by every row's op
+        self.ops.append(
+            ("dot", slot, dtype, plane.rows, plane.wide, list(refs))
+        )
         q.append(("s", slot))
 
     def mxm_drain(self, plane, slot_idx: int, psum_value, accumulate: bool,

@@ -219,15 +219,9 @@ def _write_cycle_of(
     compiled: CompiledProgram, run: RunResult, name: str, row: int
 ) -> int | None:
     """Dispatch cycle of the Write that stored plane 0 of ``row``."""
-    spec = compiled.outputs[name]
-    layout = spec.layout
-    if layout.is_parallel:
-        placement = layout.parallel[row]
-        address = placement.base_address
-    else:
-        placement = layout.planes[0]
-        address = placement.base_address + 2 * row
-    icu_name = f"MEM_{placement.hemisphere.value}{placement.slice_index}"
+    layout = compiled.outputs[name].layout
+    hemisphere, slice_index, address = layout.address_of(0, row)
+    icu_name = f"MEM_{hemisphere.value}{slice_index}"
     needle = f"address={address},"
     for event in run.trace:
         if (

@@ -179,6 +179,25 @@ def case_matmul_int8_ktiled(config: ArchConfig, tracker: CoverageTracker):
     _oracle(b, tracker)
 
 
+def case_matmul_paired(config: ArchConfig, tracker: CoverageTracker):
+    """A serving-shaped ``input -> matmul -> write``: its odd row count
+    streams as two unequal row blocks through both planes of an MXM."""
+    lanes = config.n_lanes
+    b = StreamProgramBuilder(config)
+    acts = b.input_tensor("acts", (17, lanes))
+    w = _int8((lanes, 24), lo=-8, hi=8, offset=11)
+    b.write_back(b.matmul(w, acts, name="w"), "acc")
+    compiled = b.compile()
+    if compiled.stats.mxm_planes != 2:
+        raise VerificationError(
+            f"expected a two-plane schedule, got {compiled.stats.mxm_planes}"
+        )
+    _oracle(
+        b, tracker, inputs={"acts": _int8((17, lanes), lo=-8, hi=8)},
+        compiled=compiled,
+    )
+
+
 def case_matmul_fp16(config: ArchConfig, tracker: CoverageTracker):
     b = StreamProgramBuilder(config)
     a = b.constant_tensor("a", _fp16((2, 32)))
@@ -418,6 +437,7 @@ CASES = [
     ("temporal-shift", case_temporal_shift),
     ("gather", case_gather),
     ("matmul-int8-ktiled", case_matmul_int8_ktiled),
+    ("matmul-paired", case_matmul_paired),
     ("matmul-fp16", case_matmul_fp16),
     ("sxm-lane-ops", case_sxm_lane_ops),
     ("rotate", case_rotate),

@@ -63,6 +63,28 @@ class TestMemoryAllocator:
         addresses = [layout.address_of(0, j)[2] for j in range(3)]
         assert addresses == [addresses[0], addresses[0] + 2, addresses[0] + 4]
 
+    def test_row_blocks_hide_behind_address_of(self, config):
+        """Two row blocks of a 4-byte tensor: eight slices, block after
+        block; callers still address it by (byte-plane, row)."""
+        alloc = MemoryAllocator(config)
+        slices = east_of_vxm(alloc, config, 8)
+        layout = alloc.alloc_sequential(slices, 9, RESULT_BANK, row_blocks=2)
+        assert layout.row_blocks == 2
+        assert [p.n_words for p in layout.planes] == [5] * 4 + [4] * 4
+        for plane in range(4):
+            homes = [layout.address_of(plane, j) for j in range(9)]
+            first, second = slices[plane], slices[4 + plane]
+            assert {h[:2] for h in homes[:5]} == {
+                (first.hemisphere, first.index)
+            }
+            assert {h[:2] for h in homes[5:]} == {
+                (second.hemisphere, second.index)
+            }
+            base = layout.planes[plane].base_address
+            assert [h[2] for h in homes[:5]] == [base + 2 * j for j in range(5)]
+            base = layout.planes[4 + plane].base_address
+            assert [h[2] for h in homes[5:]] == [base + 2 * j for j in range(4)]
+
     def test_near_allocation_prefers_close_slices(self, config):
         """Nearest first, in both hemispheres: MEM0 sits beside the VXM,
         the outermost slice beside each SXM/MXM."""

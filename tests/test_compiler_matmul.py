@@ -182,6 +182,34 @@ class TestFusedPipelines:
         assert np.array_equal(result["r1"], matmul_oracle(x1, w1))
         assert np.array_equal(result["r2"], matmul_oracle(x2, w2))
 
+    def test_round_robin_follows_the_plane_count(self, config, rng):
+        """With one plane per hemisphere the second matmul goes East, not
+        to a West plane the chip does not have."""
+        lone = config.with_overrides(mxm_planes=2)
+        k, m, n = 64, 32, 2
+        g = StreamProgramBuilder(lone)
+        expected = {}
+        for name in ("r1", "r2"):
+            w = rng.integers(-5, 5, (k, m)).astype(np.int8)
+            x = rng.integers(-5, 5, (n, k)).astype(np.int8)
+            g.write_back(
+                g.matmul(w, g.constant_tensor(f"x_{name}", x), name=f"w_{name}"),
+                name=name,
+            )
+            expected[name] = matmul_oracle(x, w)
+        compiled = g.compile()
+        mxm_queues = sorted(
+            str(icu) for icu in compiled.program.icus
+            if str(icu).startswith("MXM")
+        )
+        assert mxm_queues == [
+            "MXM_E.plane0.compute", "MXM_E.plane0.weights",
+            "MXM_W.plane0.compute", "MXM_W.plane0.weights",
+        ]
+        result = execute(compiled)
+        for name, want in expected.items():
+            assert np.array_equal(result[name], want)
+
     def test_int32_output_written_directly(self, config, rng):
         k, m, n = 32, 16, 2
         w = rng.integers(-5, 5, (k, m)).astype(np.int8)

@@ -129,6 +129,15 @@ class TestValidation:
         with pytest.raises(ConfigError):
             ArchConfig(mxm_plane_rows=256).validate()
 
+    def test_mxm_planes_split_evenly_between_hemispheres(self):
+        assert groq_tsp_v1().mxm_planes_per_hemisphere == 2
+        lone = small_test_chip().with_overrides(mxm_planes=2)
+        assert lone.mxm_planes_per_hemisphere == 1
+        assert ArchConfig(mxm_planes=8).mxm_planes_per_hemisphere == 4
+        for planes in (0, 3):
+            with pytest.raises(ConfigError, match="split evenly"):
+                ArchConfig(mxm_planes=planes).validate()
+
     def test_needs_streams(self):
         with pytest.raises(ConfigError):
             ArchConfig(streams_per_direction=0).validate()

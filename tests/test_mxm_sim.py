@@ -88,6 +88,22 @@ class TestInstall:
         assert chip.weights_installed_cycle == done
         assert chip.weights_installed_bytes == config.n_lanes**2
 
+    def test_unit_holds_its_hemispheres_share_of_the_planes(self, config, rng):
+        """Plane count comes from the configuration — at construction and
+        when ``scrub`` rebuilds dark planes after a run."""
+        lone = config.with_overrides(mxm_planes=2)
+        for cfg, expected in ((config, 2), (lone, 1)):
+            chip = TspChip(cfg)
+            unit = chip.unit_at(chip.floorplan.mxm(Hemisphere.EAST))
+            assert len(unit.planes) == expected
+            w = rng.integers(-8, 8, (cfg.n_lanes, cfg.n_lanes)).astype(np.int8)
+            program, _done = weight_feed_program(chip, w)
+            chip.run(program)
+            assert unit.planes[0].weights is not None
+            chip.scrub()
+            assert len(unit.planes) == expected
+            assert all(p.weights is None and p.wide is None for p in unit.planes)
+
     def test_abc_without_weights_raises(self, config):
         chip = TspChip(config)
         program = Program()

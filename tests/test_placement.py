@@ -1,13 +1,16 @@
-"""Transit-aware placement: the pure scoring helpers, and the schedules
-they produce (results downstream of their producer, no allocator leak,
-degraded mode a bounded detour, critical-path marks on the stats)."""
+"""Transit-aware placement: the pure scoring helpers (where a tensor
+lives, how wide a weight feed is, how many MXM planes a matmul's rows
+stream through), and the schedules they produce (results downstream of
+their producer, no allocator leak, degraded mode a bounded detour,
+critical-path marks on the stats)."""
 
 import numpy as np
 import pytest
 
-from repro.arch import Direction, Hemisphere
+from repro.arch import Direction, DType, Hemisphere
 from repro.arch.geometry import Floorplan
 from repro.compiler import Scheduler, StreamProgramBuilder, execute
+from repro.compiler.graph import OpKind
 from repro.compiler.placement import (
     MemSlice,
     co_consumed,
@@ -16,7 +19,10 @@ from repro.compiler.placement import (
     feed_options,
     feed_widths,
     operand_slices,
+    plane_split,
     read_direction,
+    rows_are_free,
+    split_rows,
 )
 from repro.errors import CompileError
 from repro.resil import Blacklist, assert_avoids, compile_degraded
@@ -155,6 +161,122 @@ class TestFeedOptions:
         widths = {w for _b, _r, _roomy, w, _c in
                   feed_options(self.near, 9, 1, 0, 5, fits)}
         assert widths == {1, 2, 3}
+
+
+class TestSplitRows:
+    def test_blocks_are_contiguous_and_cover_every_row(self):
+        assert split_rows(32, 1) == [32]
+        assert split_rows(32, 2) == [16, 16]
+        assert split_rows(17, 2) == [9, 8]
+        assert split_rows(9, 4) == [3, 3, 3, 0]
+        assert split_rows(1, 2) == [1, 0]
+
+
+class TestPlaneSplit:
+    """Hops from a West MXM to the MEM slices inboard of it: 2, 3, 4, ...;
+    an int32 result is four byte-plane streams."""
+
+    near = list(range(2, 18))
+
+    def test_a_tie_keeps_one_plane(self):
+        # 8 rows: 8 + 5 on one plane, 4 + 9 on two; 9 rows: 9 + 5, 5 + 9
+        assert plane_split([0, 1], 8, 4, self.near) == [0]
+        assert plane_split([0, 1], 9, 4, self.near) == [0]
+
+    @pytest.mark.parametrize("rows", [10, 16, 17, 32, 64])
+    def test_longer_row_streams_take_both_planes(self, rows):
+        assert plane_split([0, 1], rows, 4, self.near) == [0, 1]
+
+    def test_the_preferred_plane_leads(self):
+        assert plane_split([1, 0], 32, 4, self.near) == [1, 0]
+        assert plane_split([1, 0], 4, 4, self.near) == [1]
+
+    def test_no_sibling_on_offer_is_one_plane(self):
+        assert plane_split([1], 64, 4, self.near) == [1]
+
+    def test_far_result_slices_cost_more_than_the_rows_they_save(self):
+        # slices at hops 6.. are gone: the second result would land
+        # across the chip, 22 hops out
+        far = [2, 3, 4, 5, 19, 20, 21, 22]
+        assert plane_split([0, 1], 16, 4, far) == [0]
+        assert plane_split([0, 1], 32, 4, far) == [0]
+        # ... until the row stream is long enough to pay for the trip
+        assert plane_split([0, 1], 36, 4, far) == [0, 1]
+
+    def test_too_few_slices_for_a_second_result_is_one_plane(self):
+        assert plane_split([0, 1], 64, 4, [2, 3, 4, 5, 6, 7, 8]) == [0]
+
+    def test_a_plane_is_never_handed_an_empty_row_block(self):
+        assert plane_split([0, 1], 1, 4, self.near) == [0]
+        # 9 rows in blocks of 3 leave a fourth plane nothing
+        assert len(plane_split([0, 1, 2, 3], 9, 1, [1] * 16)) == 3
+
+    def test_wider_hemispheres_split_further(self):
+        # four planes, 16 result slices: 64 rows stream in 16 cycles
+        assert plane_split([0, 1, 2, 3], 64, 4, self.near) == [0, 1, 2, 3]
+        # narrower results reach less deep: int8-wide results always split
+        assert plane_split([0, 1], 8, 1, self.near) == [0, 1]
+
+
+class TestRowsAreFree:
+    """Only ``input -> matmul -> write`` leaves the row layout to the
+    schedule."""
+
+    def graph(self, config, activations="input", epilogue=None, writes=1):
+        g = StreamProgramBuilder(config)
+        k = 16
+        if activations == "input":
+            acts = g.input_tensor("acts", (16, k))
+        else:
+            acts = g.constant_tensor("acts", np.ones((16, k), np.int8))
+        out = g.matmul(np.ones((k, 8), np.int8), acts, name="w")
+        if epilogue is not None:
+            out = epilogue(g, out)
+        for i in range(writes):
+            g.write_back(out, name=f"acc{i}")
+        (matmul,) = [
+            n for n in g.graph.nodes.values() if n.kind is OpKind.MATMUL
+        ]
+        return g, matmul
+
+    def test_serving_chunk_shape(self, config):
+        g, matmul = self.graph(config)
+        assert rows_are_free(g.graph, matmul)
+
+    def test_constant_activations_are_already_materialised(self, config):
+        g, matmul = self.graph(config, activations="constant")
+        assert not rows_are_free(g.graph, matmul)
+
+    def test_a_chained_result_must_stay_one_stream(self, config):
+        g, matmul = self.graph(
+            config, epilogue=lambda g, x: g.convert(x, DType.INT8, 0.1)
+        )
+        assert not rows_are_free(g.graph, matmul)
+
+    def test_a_result_written_twice_is_not_free(self, config):
+        g, matmul = self.graph(config, writes=2)
+        assert not rows_are_free(g.graph, matmul)
+
+    def test_an_input_another_node_reads_is_not_free(self, config):
+        g = StreamProgramBuilder(config)
+        acts = g.input_tensor("acts", (16, 16))
+        for name in ("a", "b"):
+            g.write_back(
+                g.matmul(np.ones((16, 8), np.int8), acts, name=f"w{name}"),
+                name=name,
+            )
+        for node in g.graph.nodes.values():
+            if node.kind is OpKind.MATMUL:
+                assert not rows_are_free(g.graph, node)
+        # and the shared-input program still compiles and runs on one
+        # plane per matmul
+        compiled = g.compile()
+        assert compiled.stats.mxm_planes == 1
+        x = (np.arange(256) % 7).astype(np.int8).reshape(16, 16)
+        result = execute(compiled, inputs={"acts": x})
+        expected = x.astype(np.int32) @ np.ones((16, 8), np.int32)
+        assert np.array_equal(result["a"], expected)
+        assert np.array_equal(result["b"], expected)
 
 
 class TestCoConsumed:

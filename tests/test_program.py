@@ -15,6 +15,14 @@ class TestIcuEnumeration:
         ids = all_icu_ids(config, Floorplan(config))
         assert len(ids) == 144
 
+    def test_mxm_queues_follow_the_plane_count(self, config):
+        """Two queues per plane the hemisphere actually has."""
+        lone = config.with_overrides(mxm_planes=2)
+        for cfg, per_hemisphere in ((config, 4), (lone, 2)):
+            ids = all_icu_ids(cfg, Floorplan(cfg))
+            west = Floorplan(cfg).mxm(Hemisphere.WEST)
+            assert sum(i.address == west for i in ids) == per_hemisphere
+
     def test_icu_ids_unique(self):
         config = groq_tsp_v1()
         ids = all_icu_ids(config, Floorplan(config))

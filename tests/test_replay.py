@@ -96,6 +96,31 @@ class TestRecordReplay:
         assert np.array_equal(result["acc"], oracle(x, w))
 
 
+class TestPlanSharesTheInstalledWeights:
+    def test_dot_ops_of_one_install_hold_one_widened_matrix(self, config):
+        """The int64 weights are widened once per ``IW``, not once per row:
+        a 32-row plan retains one matrix per MXM plane it ran on."""
+        rows, k, m = 32, 36, 4
+        rng = np.random.default_rng(0)
+        w = rng.integers(-12, 12, (k, m)).astype(np.int8)
+        g = StreamProgramBuilder(config)
+        acts = g.input_tensor("acts", (rows, k))
+        g.write_back(g.matmul(w, acts, name="weights"), name="acc")
+        compiled = g.compile()
+        x = rng.integers(-90, 90, (rows, k)).astype(np.int8)
+        result = execute(compiled, inputs={"acts": x})
+        assert np.array_equal(result["acc"], oracle(x, w))
+        dots = [op for op in compiled.replay.ops if op[0] == "dot"]
+        assert len(dots) == rows
+        matrices = {id(op[4]): op[4] for op in dots}
+        assert len(matrices) == compiled.stats.mxm_planes == 2
+        lanes = config.n_lanes
+        retained = sum(wide.nbytes for wide in matrices.values())
+        assert retained == 2 * k * lanes * 8  # was one copy per row: 16x
+        replayed = execute_batched(compiled, [{"acts": x}])
+        assert np.array_equal(replayed[0]["acc"], result["acc"])
+
+
 class TestLazyPlanTrace:
     """The recorder keeps raw dispatches; text is formatted on demand."""
 

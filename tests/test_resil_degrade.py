@@ -82,6 +82,22 @@ class TestBlacklistCompile:
             matmul_builder(config), compiled=degraded
         ).ok
 
+    def test_lone_plane_falls_back_across_the_chip(self, config):
+        """One plane per hemisphere: a dead West plane has no sibling, the
+        survivor is the East one."""
+        lone = config.with_overrides(mxm_planes=2)
+        blacklist = Blacklist(mxm_planes=frozenset({(Hemisphere.WEST, 0)}))
+        degraded = compile_degraded(matmul_builder(lone), blacklist)
+        mxm_icus = [
+            icu
+            for icu in degraded.program.icus
+            if icu.address.kind is SliceKind.MXM
+        ]
+        assert {(i.address.hemisphere, i.unit // 2) for i in mxm_icus} == {
+            (Hemisphere.EAST, 0)
+        }
+        assert run_differential(matmul_builder(lone), compiled=degraded).ok
+
     def test_all_planes_dead_raises(self, config):
         blacklist = Blacklist(
             mxm_planes=frozenset(

@@ -91,6 +91,19 @@ class TestMapper:
         assert not mapping.is_matrix_op
         assert mapping.stream_cycles == 0
 
+    def test_mapping_carries_the_chip_it_was_mapped_onto(self, config):
+        """On the 64-lane test chip a 64x64 layer fills one tile per plane:
+        the peak is 4 x 64 x 64 MACCs a cycle, not the full chip's."""
+        spec = LayerSpec("c", LayerKind.CONV, 64, 64, 1, 1, 8, 8)
+        mapping = map_layer(spec, config)
+        assert (mapping.planes, mapping.lanes) == (4, 64)
+        assert mapping.active_planes == 4
+        assert mapping.mxm_utilization == pytest.approx(1.0)
+        lone = map_layer(spec, config.with_overrides(mxm_planes=2))
+        assert lone.active_planes == 2
+        assert lone.stream_cycles == 2 * mapping.stream_cycles
+        assert lone.mxm_utilization == pytest.approx(1.0)
+
     def test_utilization_bounded(self, full_config):
         for spec in resnet_layers(50):
             mapping = map_layer(spec, full_config)

@@ -7,17 +7,24 @@ with ``=16``.  A compiled program's cycle count is a function of shape
 alone, so the models are left untrained and every count below is exact.
 A change to a number in this file is a change to the benchmark's
 ``sim_cycles_per_input`` — say so in the PR that makes it.
+
+Every count is also *explained*: ``ScheduleStats``' critical-path marks
+split it into feed + fill + stream + drain (EXPERIMENTS.md E21/E22), and
+``test_marks_explain_every_cycle`` holds the table to the cycle.
 """
 
 import numpy as np
 import pytest
 
 from golden_programs import GOLDEN_PROGRAMS
+from repro.arch import Hemisphere
 from repro.compiler import execute
 from repro.config import small_test_chip
+from repro.isa.encoding import encode_program_text
 from repro.nn import make_shapes, make_small_cnn
 from repro.nn.transformer import TransformerConfig
 from repro.nn.tsp_inference import ChunkRunStats, build_chunk_builder
+from repro.resil import Blacklist
 from repro.serve import CnnServeModel, ProgramCache, TransformerMlpServeModel
 from repro.sim import TspChip
 
@@ -28,18 +35,18 @@ FFN = TransformerConfig(
 #: cycles of one run of each (model, layer, row bucket) chunk program
 CHUNK_CYCLES = {
     ("cnn", "conv0", 8): 32,
-    ("cnn", "conv0", 16): 40,
-    ("cnn", "conv0", 32): 56,
+    ("cnn", "conv0", 16): 36,
+    ("cnn", "conv0", 32): 44,
     ("cnn", "conv1", 8): 38,
-    ("cnn", "conv1", 16): 46,
-    ("cnn", "conv1", 32): 62,
+    ("cnn", "conv1", 16): 42,
+    ("cnn", "conv1", 32): 50,
     ("cnn", "dense2", 8): 38,
-    ("cnn", "dense2", 16): 46,
-    ("cnn", "dense2", 32): 62,
+    ("cnn", "dense2", 16): 42,
+    ("cnn", "dense2", 32): 50,
     ("ffn", "dense0", 8): 38,
-    ("ffn", "dense0", 16): 46,
+    ("ffn", "dense0", 16): 42,
     ("ffn", "dense1", 8): 42,
-    ("ffn", "dense1", 16): 50,
+    ("ffn", "dense1", 16): 46,
 }
 
 
@@ -59,13 +66,24 @@ def models():
     return {"cnn": cnn, "ffn": ffn}, data
 
 
-@pytest.mark.parametrize("model, layer_name, bucket", sorted(CHUNK_CYCLES))
-def test_chunk_program_cycles(config, models, model, layer_name, bucket):
+#: the first matmul lands on MXM_W plane 0; this leaves it no sibling, so
+#: the same graph compiles to the one-plane schedule
+NO_SIBLING = Blacklist(mxm_planes=frozenset({(Hemisphere.WEST, 1)}))
+
+
+def chunk_builder(config, models, model, layer_name, bucket):
     runner = models[0][model].runner
     (layer,) = [
         l for l in runner.layers if getattr(l, "name", None) == layer_name
     ]
-    builder, bindings = build_chunk_builder(config, layer, bucket)
+    return (layer, *build_chunk_builder(config, layer, bucket))
+
+
+@pytest.mark.parametrize("model, layer_name, bucket", sorted(CHUNK_CYCLES))
+def test_chunk_program_cycles(config, models, model, layer_name, bucket):
+    layer, builder, bindings = chunk_builder(
+        config, models, model, layer_name, bucket
+    )
     compiled = builder.compile()
     acts = np.zeros((bucket, layer.weight_q.shape[0]), dtype=np.int8)
     result = execute(
@@ -74,6 +92,57 @@ def test_chunk_program_cycles(config, models, model, layer_name, bucket):
     )
     assert result.run.cycles == CHUNK_CYCLES[(model, layer_name, bucket)]
     assert result.run.cycles == compiled.stats.makespan + 1
+
+
+@pytest.mark.parametrize("model, layer_name, bucket", sorted(CHUNK_CYCLES))
+def test_marks_explain_every_cycle(config, models, model, layer_name, bucket):
+    """cycles = feed + fill + stream + drain, each read off the marks:
+    cycle 0 to the first activation at the MXM; on through the systolic
+    array and ``ACC``; one cycle per row of the longest row block; the
+    last result byte's transit to its slice (and the retiring cycle)."""
+    _layer, builder, _bindings = chunk_builder(
+        config, models, model, layer_name, bucket
+    )
+    stats = builder.compile().stats
+    feed = stats.first_operand
+    fill = stats.first_result - stats.first_operand
+    stream = -(-bucket // stats.mxm_planes)
+    drain = stats.last_write + 2 - stats.first_result - stream
+    assert stats.mxm_planes == (1 if bucket == 8 else 2)
+    assert fill == 7
+    assert drain == (5 if stats.mxm_planes == 1 else 9)
+    assert feed == CHUNK_CYCLES[(model, layer_name, bucket)] - (
+        fill + stream + drain
+    )
+    # the feed (weight reads, transit, install) is the layer's alone:
+    # neither the row count nor a second plane moves it
+    assert feed == CHUNK_CYCLES[(model, layer_name, 8)] - (7 + 8 + 5)
+
+
+@pytest.mark.parametrize(
+    "model, layer_name, bucket",
+    [key for key in sorted(CHUNK_CYCLES) if key[2] == 8],
+)
+def test_eight_row_programs_keep_one_plane(
+    config, models, model, layer_name, bucket
+):
+    """At 8 rows the halved stream (-4) ties with the deeper drain (+4) and
+    a tie keeps one plane: the binary is byte-for-byte the one compiled
+    with the sibling plane blacklisted."""
+    _layer, builder, _bindings = chunk_builder(
+        config, models, model, layer_name, bucket
+    )
+
+    def encoded(compiled):
+        program = compiled.program
+        return {
+            str(icu): encode_program_text(program.queue(icu))
+            for icu in program.icus
+        }
+
+    healthy = builder.compile()
+    assert healthy.stats.mxm_planes == 1
+    assert encoded(healthy) == encoded(builder.compile(blacklist=NO_SIBLING))
 
 
 def test_every_benchmark_bucket_is_pinned(models):
@@ -91,14 +160,14 @@ def test_every_benchmark_bucket_is_pinned(models):
 
 def test_cnn_batch_of_four_images(config, models):
     """closed-cnn's unit of work: 8 conv0 + 2 conv1 chunks of 32 rows and
-    one 8-row dense chunk — 610 cycles, 152.5 per image."""
+    one 8-row dense chunk — 490 cycles, 122.5 per image."""
     by_name, data = models
     stats = ChunkRunStats()
     by_name["cnn"].run_batch(
         TspChip(config), ProgramCache(), list(data.x_test[:4]), stats=stats
     )
     assert stats.programs == 11
-    assert stats.cycles == 8 * 56 + 2 * 62 + 38 == 610
+    assert stats.cycles == 8 * 44 + 2 * 50 + 38 == 490
 
 
 def test_ffn_single_token(config, models):

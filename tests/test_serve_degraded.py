@@ -13,6 +13,10 @@ a dead ring cable re-routes stage hand-offs the long way around the ring
 (store-and-forward through the intermediate chip) and still matches the
 single-chip oracle — dense and fast-forward — even with the blacklisted
 MEM slice physically marked dead on every chip.
+
+Plane pairing degrades by itself: a worker that lost the sibling MXM
+plane, or the MEM slices a second result would land in, serves the
+one-plane program of the same graph — same bits, its own cache key.
 """
 
 import numpy as np
@@ -21,11 +25,12 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.arch import Hemisphere
+from repro.compiler import execute
 from repro.config import small_test_chip
 from repro.nn import Dense, ReLU, Sequential
 from repro.nn.scaleout import execute_pipeline
-from repro.nn.tsp_inference import TspCnnRunner
-from repro.resil import Blacklist
+from repro.nn.tsp_inference import TspCnnRunner, build_chunk_builder
+from repro.resil import Blacklist, compile_degraded
 from repro.serve import (
     BatchPolicy,
     InferenceServer,
@@ -128,6 +133,71 @@ class TestDegradedWorkerBitIdentical:
             fast_forward=fast_forward, blacklist=blacklist,
         )
         assert np.array_equal(degraded.logits, oracle.logits)
+
+
+class TestPairingDegradesByItself:
+    """32-row chunks stream through both planes of MXM_W on a healthy
+    chip; no switch turns that off — a blacklist that takes away what the
+    second plane needs does."""
+
+    DEGRADED = {
+        "sibling plane": Blacklist(
+            mxm_planes=frozenset({(Hemisphere.WEST, 1)})
+        ),
+        # MEM_W11..W0 dead: past the four slices nearest MXM_W the next
+        # healthy ones are across the chip, too far for a second result
+        "far result slices": Blacklist(
+            mem_slices=frozenset((Hemisphere.WEST, i) for i in range(12))
+        ),
+    }
+
+    @pytest.fixture(scope="class")
+    def runner(self):
+        rng = np.random.default_rng(5)
+        model = Sequential([
+            Dense(16, 32, rng=np.random.default_rng(6)),
+            ReLU(),
+            Dense(32, 8, rng=np.random.default_rng(7)),
+        ])
+        return TspCnnRunner(
+            model, CONFIG, rng.standard_normal((24, 16)),
+            max_vectors_per_program=32,
+        )
+
+    @pytest.mark.parametrize("lost", sorted(DEGRADED))
+    def test_one_plane_program_same_bits_own_key(self, runner, lost):
+        blacklist = self.DEGRADED[lost]
+        layer = runner.layers[0]
+        builder, bindings = build_chunk_builder(CONFIG, layer, 32)
+        healthy = builder.compile()
+        degraded = compile_degraded(builder, blacklist)
+        assert healthy.stats.mxm_planes == 2
+        assert degraded.stats.mxm_planes == 1
+        assert healthy.cache_key != degraded.cache_key
+        acts = np.random.default_rng(8).integers(
+            -127, 128, (32, layer.weight_q.shape[0])
+        ).astype(np.int8)
+        inputs = {name: acts[:, lo:hi] for name, lo, hi in bindings}
+        assert np.array_equal(
+            execute(healthy, inputs=inputs)["acc"],
+            execute(degraded, inputs=inputs)["acc"],
+        )
+
+    @pytest.mark.parametrize("lost", sorted(DEGRADED))
+    def test_served_batch_matches_the_healthy_oracle(self, runner, lost):
+        """20 rows pad to the 32-row bucket: healthy and degraded binaries
+        of every layer sit side by side in one cache."""
+        x = np.random.default_rng(9).standard_normal((20, 16))
+        cache = ProgramCache()
+        oracle = runner.forward(x, cache=cache)
+        resident = len(cache)
+        degraded = runner.forward(
+            x, chip=TspChip(CONFIG, chip_id="degraded"), cache=cache,
+            blacklist=self.DEGRADED[lost],
+        )
+        assert np.array_equal(degraded.logits, oracle.logits)
+        assert len(cache) == 2 * resident
+        assert degraded.total_cycles > oracle.total_cycles
 
 
 class TestRingRerouteBitIdentical:
