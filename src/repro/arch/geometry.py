@@ -26,7 +26,18 @@ from ..config import ArchConfig
 from ..errors import ConfigError
 
 
-class SliceKind(enum.Enum):
+class _Member(enum.Enum):
+    """An enum whose members hash by identity.
+
+    ``Enum.__hash__`` is a Python-level ``hash(self._name_)``, re-entered
+    for every dict lookup keyed on a slice or queue; members are
+    singletons, so the object hash is the same relation for free.
+    """
+
+    __hash__ = object.__hash__
+
+
+class SliceKind(_Member):
     """Functional-slice families (Table I)."""
 
     VXM = "VXM"
@@ -36,7 +47,7 @@ class SliceKind(enum.Enum):
     C2C = "C2C"
 
 
-class Hemisphere(enum.Enum):
+class Hemisphere(_Member):
     """The chip is bisected into East and West hemispheres (Figure 5)."""
 
     WEST = "W"
@@ -47,7 +58,7 @@ class Hemisphere(enum.Enum):
         return Hemisphere.EAST if self is Hemisphere.WEST else Hemisphere.WEST
 
 
-class Direction(enum.Enum):
+class Direction(_Member):
     """Dataflow direction of a stream (Section II-B).
 
     Streams flow East or West; the paper also uses *inward* (toward the chip
@@ -94,6 +105,20 @@ class SliceAddress:
     kind: SliceKind
     hemisphere: Hemisphere | None = None
     index: int = 0
+
+    def __post_init__(self) -> None:
+        # addresses key the floorplan, every queue and every probe of one:
+        # hashed once here, not field by field at each lookup
+        object.__setattr__(
+            self, "_hash", hash((self.kind, self.hemisphere, self.index))
+        )
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        # rebuilt through __init__: a cached hash is this process's own
+        return SliceAddress, (self.kind, self.hemisphere, self.index)
 
     def __str__(self) -> str:
         if self.kind is SliceKind.VXM:

@@ -59,7 +59,9 @@ class TensorLayout:
     blocks, each with its own slice per byte-plane (``planes`` lists them
     block after block), so the blocks can stream side by side — how a
     matmul spread over several MXM planes feeds and drains them at once.
-    :meth:`address_of` hides the split: hosts bind and fetch by row.
+    The blocks may sit in both hemispheres (a matmul split into one part
+    per MXM, :meth:`join`).  :meth:`address_of` hides the split: hosts
+    bind and fetch by row.
     """
 
     planes: list[WordPlacement] = field(default_factory=list)
@@ -69,6 +71,17 @@ class TensorLayout:
     @property
     def is_parallel(self) -> bool:
         return bool(self.parallel)
+
+    @staticmethod
+    def join(parts: list["TensorLayout"]) -> "TensorLayout":
+        """One layout over the row blocks of ``parts``, in order — the
+        parts of one tensor, their blocks all cut to one size."""
+        if len(parts) == 1:
+            return parts[0]
+        return TensorLayout(
+            planes=[p for part in parts for p in part.planes],
+            row_blocks=sum(part.row_blocks for part in parts),
+        )
 
     def address_of(self, plane: int, row: int) -> tuple[Hemisphere, int, int]:
         """(hemisphere, slice, word address) of one row of one byte-plane."""
@@ -105,6 +118,7 @@ class MemoryAllocator:
         blacklisted_slices: frozenset[tuple[Hemisphere, int]] = frozenset(),
     ) -> None:
         self.config = config
+        self._words = config.mem_words_per_slice_tile
         floorplan = Floorplan(config)
         self._slices = [
             MemSlice(a.hemisphere, a.index, floorplan.position(a))
@@ -133,11 +147,15 @@ class MemoryAllocator:
         return base, base + 2 * (n_words - 1)
 
     def _ceiling(self, s: MemSlice) -> int:
-        return self._top.get(s.position, self.config.mem_words_per_slice_tile)
+        return self._top.get(s.position, self._words)
 
     def fits(self, s: MemSlice, bank: int, n_words: int) -> bool:
-        """Whether ``n_words`` bank-strided words still fit in a slice."""
-        return self._span(s, bank, n_words)[1] < self._ceiling(s)
+        """Whether ``n_words`` bank-strided words still fit in a slice.
+
+        (:meth:`_span` against :meth:`_ceiling`, spelled out: placement
+        asks this of every slice for every option it scores.)"""
+        last = self._cursor.get((s.position, bank), bank) + 2 * (n_words - 1)
+        return last < self._top.get(s.position, self._words)
 
     def fits_contiguous(self, s: MemSlice, n_words: int) -> bool:
         """Whether a stride-1 ``n_words`` table still fits in a slice."""
@@ -176,19 +194,24 @@ class MemoryAllocator:
         slices: list[MemSlice],
         n_words: int,
         bank: int = INPUT_BANK,
-        row_blocks: int = 1,
+        row_blocks: int | list[int] = 1,
     ) -> TensorLayout:
         """One of ``slices`` per byte-plane — per byte-plane of each row
         block, block after block, when the ``n_words`` rows are split —
-        rows at consecutive (bank-strided) addresses."""
-        per_block = len(slices) // row_blocks
-        sizes = split_rows(n_words, row_blocks)
+        rows at consecutive (bank-strided) addresses.  ``row_blocks`` is
+        how many even blocks to cut, or the block sizes themselves (a part
+        of a tensor cuts to the whole tensor's block size, not its own)."""
+        sizes = (
+            split_rows(n_words, row_blocks)
+            if isinstance(row_blocks, int) else row_blocks
+        )
+        per_block = len(slices) // len(sizes)
         return TensorLayout(
             planes=[
                 self._take(s, bank, sizes[i // per_block])
                 for i, s in enumerate(slices)
             ],
-            row_blocks=row_blocks,
+            row_blocks=len(sizes),
         )
 
     def alloc_parallel(

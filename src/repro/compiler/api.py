@@ -260,8 +260,10 @@ class StreamProgramBuilder:
 
         An int8 matmul whose activations are program inputs and whose
         result is written straight back may stream its rows through both
-        planes of a hemisphere (``placement.plane_split``); bindings and
-        results are the same, only the cycle count differs.
+        planes of a hemisphere (``placement.plane_split``), and through
+        the other hemisphere's too where a second weight copy pays
+        (``placement.matmul_parts``); bindings and results are the same,
+        only the cycle and instruction counts differ.
         """
         w = np.asarray(weights)
         if w.ndim != 2:

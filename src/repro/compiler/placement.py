@@ -13,7 +13,9 @@ earliest:
   feed needs fewer install cycles, but its farthest slice sets the start;
 * a *matmul* streams its rows through as many MXM planes as make its last
   result byte land first (:func:`plane_split`) — more planes shorten the
-  row stream but spread the results over more, farther slices;
+  row stream but spread the results over more, farther slices — and
+  engages the other hemisphere's planes only when the cycles that saves
+  outweigh the dispatches a second weight copy adds (:func:`matmul_parts`);
 * an *operand* is wanted at a cycle its consumer fixes, so every slice that
   can deliver it completes together; what separates them is how long the
   slice would still be issuing the operand's reads when values derived
@@ -33,9 +35,11 @@ from __future__ import annotations
 
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Any
 
 from ..arch.geometry import Direction, Hemisphere
+from ..errors import AllocationError
 from .graph import Graph, OpKind
 
 
@@ -162,14 +166,18 @@ def feed_options(
     most promising first.
 
     ``near`` lists the slices nearest the MXM first and ``fits(s, n)`` says
-    whether ``n`` words fit in slice ``s``.  At best an option's feed is
+    whether ``n`` words fit in slice ``s`` (and so any fewer).  At best an option's feed is
     the ``width`` nearest of its ``roomy`` slices, the farthest of which
     sets the aligned start ``ready``; ``bound = ready + cycles`` is then
     the earliest its last chunk could be installed.
     """
     options = []
+    fitting = [False] * len(near)
     for width, cycles in feed_widths(n_chunks, MAX_FEED_STREAMS):
-        roomy = [s for s in near if fits(s, cycles)]
+        # narrowest first, so installs only get shorter: a slice with room
+        # for one option has room for every later one, and is asked once
+        fitting = [ok or fits(s, cycles) for ok, s in zip(fitting, near)]
+        roomy = [s for ok, s in zip(fitting, near) if ok]
         if len(roomy) >= width:
             reach = abs(position - roomy[width - 1].position)
             ready = max(t_start, dfunc_read + reach)
@@ -187,7 +195,11 @@ def split_rows(rows: int, blocks: int) -> list[int]:
 
 
 def plane_split(
-    planes: list[int], rows: int, result_bytes: int, transits: list[int]
+    planes: list[int],
+    rows: int,
+    result_bytes: int,
+    transits: list[int],
+    ready: list[int] | None = None,
 ) -> list[int]:
     """The MXM planes — a prefix of ``planes`` — a matmul should stream its
     rows through.
@@ -197,10 +209,12 @@ def plane_split(
     but each plane drains its own ``result_bytes`` byte-plane streams and
     every stream needs a MEM slice to itself, so the results reach
     ``k * result_bytes`` slices deep into ``transits`` (hops from the MXM
-    to each slice that could take one, nearest first).  The winner is the
-    ``k`` whose last byte lands first; a tie keeps fewer planes (fewer
-    instructions), and a chip short of planes or of near slices — a
-    degraded one — simply has less to win with.
+    to each slice that could take one, nearest first), and nothing starts
+    before the last of the ``k`` planes is free (``ready[p]``: the cycle
+    ``planes[p]`` is done with its previous matmul; all idle when omitted).
+    The winner is the ``k`` whose last byte lands first; a tie keeps fewer
+    planes (fewer instructions), and a chip short of planes or of near
+    slices — a degraded one — simply has less to win with.
     """
     best, best_done = 1, None
     for k in range(1, len(planes) + 1):
@@ -208,9 +222,180 @@ def plane_split(
         if need > len(transits) or not split_rows(rows, k)[-1]:
             break
         done = -(-rows // k) + transits[need - 1]
+        if ready is not None:
+            done += max(ready[:k])
         if best_done is None or done < best_done:
             best, best_done = k, done
     return planes[:best]
+
+
+@dataclass(frozen=True)
+class MxmClock:
+    """A matmul's fixed delays, in cycles, from the timing model.
+
+    ``read``: ``d_func(Read)``; ``fill``: first activation at the MXM to
+    first result on a stream (the systolic depth plus ``ACC``); ``turn``:
+    end of a plane's row stream to the cycle it may start installing other
+    weights (a new install wipes results still draining); ``retire``: last
+    result byte at its slice to the program's last cycle.
+    """
+
+    read: int
+    fill: int
+    turn: int
+    retire: int
+
+    @classmethod
+    def of(cls, timing, plane_rows: int) -> "MxmClock":
+        """The delays ``timing`` gives a plane ``plane_rows`` deep."""
+        depth = timing.mxm_pipeline_depth(plane_rows)
+        return cls(
+            read=timing.functional_delay("Read"),
+            fill=depth - timing.operand_skew("ACC")
+            + timing.functional_delay("ACC"),
+            turn=depth + 1,
+            retire=1 - timing.operand_skew("Write"),
+        )
+
+
+@dataclass(frozen=True)
+class PlaneOffer:
+    """What one hemisphere's MXM, at ``position``, offers a matmul.
+
+    ``planes`` are its usable planes, first free first, and ``ready`` the
+    cycle each is done with its previous matmul; ``landing`` the MEM slices
+    with room for a result and ``near`` every slice a weight feed could
+    come from, ``fits(s, n)`` saying whether ``n`` words still fit in one —
+    both nearest the MXM first.
+    """
+
+    hemisphere: Hemisphere
+    position: int
+    planes: list[int]
+    ready: list[int]
+    landing: list[MemSlice]
+    near: list[MemSlice]
+    fits: Callable[[MemSlice, int], bool]
+
+    @cached_property
+    def transits(self) -> list[int]:
+        """Hops from the MXM to each landing slice, nearest first."""
+        return [abs(s.position - self.position) for s in self.landing]
+
+    def feed(self, n_chunks: int, t_start: int, dfunc_read: int):
+        """The best weight feed from ``t_start`` on (:func:`feed_options`):
+        ``(cycle its last chunk is installed, reads it issues)``."""
+        options = feed_options(
+            self.near, n_chunks, self.position, t_start, dfunc_read, self.fits
+        )
+        if not options:
+            raise AllocationError(
+                f"no MEM slice has room for {n_chunks} weight chunks"
+            )
+        bound, _ready, _roomy, width, cycles = options[0]
+        return bound, width * cycles
+
+
+@dataclass(frozen=True)
+class MatmulPart:
+    """One hemisphere's share of a matmul: ``rows[b]`` rows through
+    ``planes[b]``, from a weight copy and feed of its own."""
+
+    offer: PlaneOffer
+    planes: list[int]
+    rows: list[int]
+
+
+def matmul_cost(
+    parts: list[MatmulPart],
+    chunks: list[int],
+    widths: tuple[int, int],
+    clock: MxmClock,
+) -> tuple[int, int]:
+    """Predicted ``(cycles, instructions)`` of ``input -> matmul -> write``
+    scheduled as ``parts`` (which run side by side).
+
+    Per K-tile of ``chunks[p]`` weight chunks a part issues its feed's
+    reads, an ``IW``/``ABC``/``ACC`` per plane and one activation read per
+    row and byte (``widths = (activation, result)`` bytes); the first
+    activation follows the last chunk in, the next tile's install waits
+    for the drain, and block ``b``'s results land in the ``b``-th nearest
+    group of slices.  Exact for a program that is this matmul alone, as
+    long as no two of its streams want one slice's dispatch queue at once
+    — every benchmark chunk program (``tests/test_schedule_cycles.py``).
+    """
+    act_bytes, result_bytes = widths
+    cycles = instructions = 0
+    for part in parts:
+        k, n = len(part.planes), sum(part.rows)
+        t = max(part.offer.ready[:k])
+        instructions += n * result_bytes
+        for n_chunks in chunks:
+            t_a, reads = part.offer.feed(n_chunks, t, clock.read)
+            instructions += reads + 3 * k + n * act_bytes
+            t = t_a + part.rows[0] + clock.turn
+        drained = max(
+            block + part.offer.transits[(b + 1) * result_bytes - 1]
+            for b, block in enumerate(part.rows)
+        )
+        cycles = max(cycles, t_a + clock.fill + drained + clock.retire)
+    return cycles, instructions
+
+
+def matmul_parts(
+    rows: int,
+    offers: list[PlaneOffer],
+    chunks: list[int],
+    widths: tuple[int, int],
+    clock: MxmClock,
+) -> list[MatmulPart]:
+    """How a matmul whose rows are free is cut into parts, one per
+    hemisphere that takes a share.
+
+    ``offers[0]`` is the hemisphere the matmul lands in anyway; alone, it
+    streams all the rows through its own :func:`plane_split`.  A second
+    offer could take a share of the rows through planes that are otherwise
+    dark — the rows go out in proportion to the planes on offer, each
+    hemisphere then asks :func:`plane_split` how many of its planes that
+    share is worth, and the blocks are cut once, evenly over every plane
+    taken, so one layout addresses them all.  But those planes cannot
+    sample the first hemisphere's feed: they need a weight copy and reads
+    of their own.  The second hemisphere is therefore engaged only when it
+    shortens the program by a larger share than it lengthens the
+    instruction stream — predicted cycles x instructions
+    (:func:`matmul_cost`) must fall; a tie keeps fewer planes.
+    """
+    result_bytes = widths[1]
+
+    def planes_for(offer: PlaneOffer, share: int) -> list[int]:
+        return plane_split(
+            offer.planes, share, result_bytes, offer.transits, offer.ready
+        )
+
+    home = offers[0]
+    planes = planes_for(home, rows)
+    alone = [MatmulPart(home, planes, split_rows(rows, len(planes)))]
+    if len(offers) < 2:
+        return alone
+    away = offers[1]
+    shares = split_rows(rows, len(home.planes) + len(away.planes))
+    share = sum(shares[: len(home.planes)])
+    if share == rows:
+        return alone
+    near, far = planes_for(home, share), planes_for(away, rows - share)
+    cut = split_rows(rows, len(near) + len(far))
+    if not cut[-1]:
+        return alone
+    both = [
+        MatmulPart(home, near, cut[: len(near)]),
+        MatmulPart(away, far, cut[len(near):]),
+    ]
+
+    def product(parts: list[MatmulPart]) -> int:
+        cycles, instructions = matmul_cost(parts, chunks, widths, clock)
+        return cycles * instructions
+
+    return both if product(both) < product(alone) else alone
 
 
 def rows_are_free(graph: Graph, matmul) -> bool:

@@ -98,7 +98,8 @@ def execute(
     """
     from ..sim import replay as replay_mod
 
-    if chip is None:
+    throwaway = chip is None
+    if throwaway:
         chip = TspChip(compiled.config)
     load_compiled(chip, compiled)
     inputs = inputs or {}
@@ -149,6 +150,12 @@ def execute(
         name: fetch_output(chip, spec)
         for name, spec in compiled.outputs.items()
     }
+    if throwaway:
+        # nobody else will see this chip, and it is cyclic garbage (units
+        # point back at it): hand its SRAM back now, not when the cycle
+        # collector gets to it — a program spread over both hemispheres
+        # materialises twice the MEM slices
+        chip.scrub()
     return ExecutionResult(outputs=outputs, run=run)
 
 

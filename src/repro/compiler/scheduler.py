@@ -30,7 +30,7 @@ results land in bank 1 so one slice can do both in a cycle (Section IV-A).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from itertools import islice
 
 import numpy as np
@@ -70,15 +70,17 @@ from .allocator import (
 )
 from .graph import Graph, Node, OpKind
 from .placement import (
+    MatmulPart,
     MemSlice,
+    MxmClock,
+    PlaneOffer,
     co_consumed,
     earliest,
     feed_options,
+    matmul_parts,
     operand_slices,
-    plane_split,
     read_direction,
     rows_are_free,
-    split_rows,
 )
 
 #: How many candidate start cycles to try before giving up on a node.
@@ -91,9 +93,11 @@ class StreamValue:
 
     ``parallel`` values put each row on its own stream simultaneously
     (transpose/rotate groups); sequential values stagger rows one cycle
-    apart on a single aligned group — or, split into ``blocks`` row blocks
-    (a matmul on several MXM planes), on one sub-group per block, every
-    block's row 0 at ``t0``.
+    apart on a single aligned group — or, ``split`` into row blocks (a
+    matmul on several MXM planes), on one sub-group per block, every
+    block's row 0 at ``t0``.  A matmul split across both hemispheres is
+    one such value per hemisphere: the first carries the ``rest``, and
+    only a ``Write`` may consume it (``placement.rows_are_free``).
     """
 
     grant: StreamGrant
@@ -103,11 +107,17 @@ class StreamValue:
     dtype: DType
     length: int
     parallel: bool = False
-    blocks: int = 1
+    split: tuple[int, ...] = ()  # rows per block; () is one block
+    rest: tuple["StreamValue", ...] = ()
 
     @property
     def direction(self) -> Direction:
         return self.grant.direction
+
+    @property
+    def blocks(self) -> tuple[int, ...]:
+        """Rows of each block streamed side by side."""
+        return self.split or (self.n_vectors,)
 
     def reaches(self, position: int) -> bool:
         dx = position - self.position
@@ -332,7 +342,10 @@ class Scheduler:
         self.inputs: dict[str, TensorSpec] = {}
         self.outputs: dict[str, TensorSpec] = {}
         self.stats = ScheduleStats()
-        self._mxm_rr = 0
+        self._mxm_rr = 0  # the plane the next matmul prefers, all else equal
+        # (hemisphere, plane) -> first cycle a new install may start there
+        self._plane_busy: dict[tuple[Hemisphere, int], int] = {}
+        self._mxm_clock = MxmClock.of(self.timing, config.mxm_plane_rows)
         self._transpose_rr = 0
         self._fp16_hemispheres: set[Hemisphere] = set()
         self._mem_icus: dict[int, IcuId] = {}  # by slice position
@@ -354,12 +367,6 @@ class Scheduler:
 
     def dskew(self, mnemonic: str) -> int:
         return self.timing.operand_skew(mnemonic)
-
-    def _edge_distance(self, position: int, direction: Direction) -> int:
-        """Hops from a position to the die edge in the flow direction."""
-        if direction is Direction.EASTWARD:
-            return self.floorplan.n_positions - 1 - position
-        return position
 
     def _grant_for_drive(
         self,
@@ -412,6 +419,14 @@ class Scheduler:
     def _slice_free(self, s: MemSlice, t: int, n: int = 1) -> bool:
         return self._cells_free(self._mem_icu(s), t, n)
 
+    def _free_alu(self, t: int, n: int) -> int | None:
+        """The first VXM ALU slot free to dispatch at ``t .. t+n-1``."""
+        vxm = self.floorplan.vxm()
+        return next(
+            (a for a in range(16) if self._cells_free(IcuId(vxm, a), t, n)),
+            None,
+        )
+
     def _plan_cell(self, icu: IcuId, t: int) -> None:
         self._pending.setdefault(icu, set()).add(t)
 
@@ -426,16 +441,17 @@ class Scheduler:
     # ------------------------------------------------------------------
     def ensure_layout(
         self, node: Node, position: int, arrival_t0: int, parallel: bool,
-        blocks: int = 1,
+        blocks: list[int] | None = None,
     ) -> TensorLayout | None:
         """Place a CONSTANT/INPUT tensor in MEM on first use.
 
-        The first consumer wants vector 0 (of each row block) at
-        ``position`` at ``arrival_t0``; every slice that can deliver that
-        (read cells free, dispatch not before cycle 0) completes at the
-        same cycle, so the tensor takes the ones least in the way of what
-        comes back — see :func:`repro.compiler.placement.operand_slices` —
-        and never share a slice with a tensor the same node consumes.
+        The first consumer wants vector 0 (of each row block — ``blocks``
+        lists their rows, one block unless given) at ``position`` at
+        ``arrival_t0``; every slice that can deliver that (read cells
+        free, dispatch not before cycle 0) completes at the same cycle, so
+        the tensor takes the ones least in the way of what comes back —
+        see :func:`repro.compiler.placement.operand_slices` — and never
+        share a slice with a tensor the same node consumes.
         Returns None, with nothing allocated, when none can.
         """
         if node.id in self.layouts:
@@ -451,8 +467,10 @@ class Scheduler:
             raise CompileError(
                 "parallel (transpose-group) tensors must be 1-byte types"
             )
-        count = node.n_vectors if parallel else node.dtype.n_bytes * blocks
-        rows = 1 if parallel else -(-node.n_vectors // blocks)
+        blocks = blocks or [node.n_vectors]
+        count, rows = node.dtype.n_bytes * len(blocks), blocks[0]
+        if parallel:
+            count, rows = node.n_vectors, 1
         shared = {
             (p.hemisphere, p.slice_index)
             for partner in self._partners.get(node.id, ())
@@ -526,14 +544,14 @@ class Scheduler:
         position: int,
         arrival_t0: int,
         parallel_consumer: bool,
-        blocks: int = 1,
+        blocks: list[int] | None = None,
     ) -> _Delivery | None:
         """Arrange for an operand to be on streams at ``position`` at
         ``arrival_t0``.  Returns None when that exact timing is infeasible
         (the caller tries a later start); on success the planned read
         cells join ``_pending``.  A consumer free to lay the operand out
-        may ask for ``blocks`` row blocks side by side, block ``b`` on the
-        sub-group at ``base_stream + b * n_bytes``."""
+        may ask for row blocks of ``blocks`` rows side by side, block ``b``
+        on the sub-group at ``base_stream + b * n_bytes``."""
         if node_in.id in self.values:
             value = self.values[node_in.id]
             if not value.reaches(position):
@@ -577,8 +595,7 @@ class Scheduler:
                 direction,
                 width,
                 arrival_t0,
-                1 if parallel_consumer
-                else -(-node_in.n_vectors // layout.row_blocks),
+                1 if parallel_consumer else layout.planes[0].n_words,
                 parallel_consumer,
                 position,
             )
@@ -658,7 +675,7 @@ class Scheduler:
                     "a parallel stream group — store it parallel"
                 )
             n_bytes = node.dtype.n_bytes
-            per_block = -(-node.n_vectors // layout.row_blocks)
+            per_block = layout.planes[0].n_words
             for p in range(n_bytes):
                 for j in range(node.n_vectors):
                     block, k = divmod(j, per_block)
@@ -672,20 +689,15 @@ class Scheduler:
         for icu, t, instruction in delivery.reads:
             self.queue(icu).reserve(t, instruction)
 
+    # one delivery may serve two operand ports (add(x, x)): act on it once
     def _commit_deliveries(self, deliveries: list[_Delivery]) -> None:
-        committed: set[int] = set()
-        for delivery in deliveries:
-            if id(delivery) in committed:
-                continue
-            committed.add(id(delivery))
+        for delivery in {id(d): d for d in deliveries}.values():
             self._commit_delivery(delivery)
 
     def _release_deliveries(self, deliveries: list[_Delivery]) -> None:
-        released: set[int] = set()
-        for d in deliveries:
-            if d.grant is not None and id(d) not in released:
-                released.add(id(d))
-                self.streams.release(d.grant)
+        for delivery in {id(d): d for d in deliveries}.values():
+            if delivery.grant is not None:
+                self.streams.release(delivery.grant)
 
     # ------------------------------------------------------------------
     # the public entry point
@@ -746,26 +758,27 @@ class Scheduler:
                             n_vectors=1,
                         )
                     )
-        for node_id, value in self.values.items():
+        for node_id, whole in self.values.items():
             node = graph.node(node_id)
             if node.kind is OpKind.TEMPORAL_SHIFT:
                 # the declared t0 is an alignment fiction: the physical
                 # drives happen k cycles later (see _schedule_temporal_shift)
                 continue
-            width = value.grant.width // value.blocks
-            for b, rows in enumerate(split_rows(value.n_vectors, value.blocks)):
-                intent.drives.append(
-                    PredictedDrive(
-                        name=node.name,
-                        direction=value.direction,
-                        base_stream=value.grant.base + b * width,
-                        width=width,
-                        position=value.position,
-                        t0=value.t0,
-                        n_vectors=rows,
-                        parallel=value.parallel,
+            for value in (whole, *whole.rest):
+                width = value.grant.width // len(value.blocks)
+                for b, rows in enumerate(value.blocks):
+                    intent.drives.append(
+                        PredictedDrive(
+                            name=node.name,
+                            direction=value.direction,
+                            base_stream=value.grant.base + b * width,
+                            width=width,
+                            position=value.position,
+                            t0=value.t0,
+                            n_vectors=rows,
+                            parallel=value.parallel,
+                        )
                     )
-                )
         return intent
 
     # ------------------------------------------------------------------
@@ -852,12 +865,7 @@ class Scheduler:
         current = value
         for _step in range(delay):
             t_exec = current.arrival_at(position)
-            alu = None
-            for candidate in range(16):
-                icu = IcuId(self.floorplan.vxm(), candidate)
-                if self._cells_free(icu, t_exec, n):
-                    alu = candidate
-                    break
+            alu = self._free_alu(t_exec, n)
             if alu is None:
                 for g in grants:
                     self.streams.release(g)
@@ -924,13 +932,7 @@ class Scheduler:
             chain_reservations.extend(reservations)
             chain_grants.extend(grants)
 
-        alu = None
-        for candidate in range(16):
-            if self._cells_free(
-                IcuId(self.floorplan.vxm(), candidate), t_exec, n
-            ):
-                alu = candidate
-                break
+        alu = self._free_alu(t_exec, n)
         if alu is None:
             return fail()
 
@@ -1150,12 +1152,7 @@ class Scheduler:
             ok = True
             for step in range(k):
                 cap_t = t_exec + step
-                alu = None
-                for candidate in range(16):
-                    icu = IcuId(self.floorplan.vxm(), candidate)
-                    if self._cells_free(icu, cap_t, n):
-                        alu = candidate
-                        break
+                alu = self._free_alu(cap_t, n)
                 if alu is None:
                     ok = False
                     break
@@ -1241,138 +1238,128 @@ class Scheduler:
 
         weight_dtype = node.params.get("weight_dtype", DType.INT8)
         fp16 = weight_dtype is DType.FP16
-        per_hemisphere = self.config.mxm_planes_per_hemisphere
-        plane_global = self._mxm_rr % self.config.mxm_planes
-        hemisphere = (
-            Hemisphere.WEST if plane_global < per_hemisphere
-            else Hemisphere.EAST
-        )
-        # in-flight activations dictate the hemisphere
-        pinned = False
+        free = not fp16 and rows_are_free(graph, node)
+        offers = self._plane_offers(node, act_nodes, fp16, free)
+        # rows the schedule may lay out freely stream through as many
+        # planes, of one hemisphere or both, as the closed forms say pay
+        parts = [MatmulPart(offers[0], offers[0].planes[:1], [node.n_vectors])]
+        if free:
+            parts = matmul_parts(
+                node.n_vectors, offers,
+                [tile.shape[0] * weight_dtype.n_bytes for tile in tiles],
+                (act_nodes[0].dtype.n_bytes, node.dtype.n_bytes),
+                self._mxm_clock,
+            )
+        claimed = sum(len(part.planes) for part in parts)
+        self._mxm_rr += 2 if fp16 else claimed
+        self.stats.mxm_planes = max(self.stats.mxm_planes, claimed)
+        if fp16:
+            self._fp16_hemispheres.add(offers[0].hemisphere)
+        # each part of a split is a matmul of its own rows in its own
+        # hemisphere, on nodes of its own; the host sees one tensor per
+        # name, its row blocks in both (and only a Write consumes the result)
+        split = len(parts) > 1
+        values = []
+        for i, part in enumerate(parts):
+            piece, *acts = (
+                replace(n, id=(n.id, i), n_vectors=sum(part.rows))
+                if split else n
+                for n in (node, *act_nodes)
+            )
+            if not self._try_matmul_at(piece, acts, part):
+                raise ScheduleError(
+                    f"could not place matmul {node.name} within the search "
+                    "window"
+                )
+            values.append(self.values.pop(piece.id))
+        self.values[node.id] = replace(values[0], rest=tuple(values[1:]))
+        for act in {a.id: a for a in act_nodes}.values() if split else ():
+            layout = self.layouts[act.id] = TensorLayout.join(
+                [self.layouts.pop((act.id, i)) for i in range(len(parts))]
+            )
+            self.inputs[act.name] = TensorSpec(
+                act.name, layout, act.n_vectors, act.length, act.dtype
+            )
+
+    def _plane_offers(
+        self, node: Node, act_nodes: list[Node], fp16: bool, free: bool
+    ) -> list[PlaneOffer]:
+        """What each hemisphere's MXM offers ``node``, the one it lands in
+        first: in-flight activations dictate it, else it is where a plane
+        is free first — the round-robin only breaks ties, and a blacklist
+        (degraded mode) only shortens the offers.  An fp16 tile runs two
+        byte-planes in tandem, hosted by plane 0 with its siblings captive
+        (Section III-D): it needs them all healthy and idle, and later int8
+        work on that hemisphere must use plane 0 too.  ``free`` rows get
+        the landing slices the closed forms score.
+        """
+        every = range(self.config.mxm_planes_per_hemisphere)
+        east, lead = divmod(self._mxm_rr % self.config.mxm_planes, len(every))
+        home = Hemisphere.EAST if east else Hemisphere.WEST
+        hemispheres = [home, home.other]
         for act in act_nodes:
             if act.id in self.values:
-                hemisphere = (
-                    Hemisphere.EAST
-                    if self.values[act.id].direction is Direction.EASTWARD
+                inbound = self.values[act.id].direction
+                hemispheres = [
+                    Hemisphere.EAST if inbound is Direction.EASTWARD
                     else Hemisphere.WEST
+                ]
+        offers = []
+        for hemisphere in hemispheres:
+            busy = [self._plane_busy.get((hemisphere, p), 0) for p in every]
+            dead = [p for p in every if (hemisphere, p) in self._dead_planes]
+            if fp16:
+                planes, ready = ([] if dead else [0]), [max(busy)]
+            elif hemisphere in self._fp16_hemispheres:
+                planes, ready = ([] if 0 in dead else [0]), busy[:1]
+            else:
+                first = lead if hemisphere is home else 0
+                planes = sorted(
+                    (p for p in every if p not in dead),
+                    key=lambda p: (busy[p], p != first),
                 )
-                pinned = True
-        plane = plane_global % per_hemisphere
-        if fp16 or hemisphere in self._fp16_hemispheres:
-            # fp16 runs two byte-planes in tandem: the even plane hosts the
-            # tile and its partner is captive (Section III-D); later int8
-            # work on that hemisphere must use plane 0 too
-            plane = 0
-        hemisphere, plane = self._pick_mxm_plane(
-            node, hemisphere, plane, fp16, pinned
-        )
-        if fp16:
-            self._fp16_hemispheres.add(hemisphere)
-        position = self.floorplan.position(self.floorplan.mxm(hemisphere))
-        depth = self.timing.mxm_pipeline_depth(self.config.mxm_plane_rows)
-        planes = [plane]
-        if hemisphere not in self._fp16_hemispheres and rows_are_free(
-            graph, node
-        ):
-            # rows the schedule may lay out freely stream through as many
-            # healthy sibling planes as land the last result byte first
-            siblings = [
-                p for p in range(per_hemisphere)
-                if p != plane and (hemisphere, p) not in self._dead_planes
-            ]
+                ready = [busy[p] for p in planes]
+            if not planes:
+                continue
+            position = self.floorplan.position(self.floorplan.mxm(hemisphere))
             landing = self.mem.candidates(
                 position, node.dtype.n_bytes, RESULT_BANK, node.n_vectors
+            ) if free else []
+            near = self.mem.slices_near(position) if free else []
+            offers.append(PlaneOffer(
+                hemisphere, position, planes, ready, landing, near,
+                self._weights_fit,
+            ))
+        if not offers:
+            dead = sorted((h.value, p) for h, p in self._dead_planes)
+            pinned = " (hemisphere pinned by in-flight activations)"
+            raise CompileError(
+                f"degraded mode: no healthy MXM plane for {node.name} — "
+                f"blacklist {dead}{pinned if len(hemispheres) == 1 else ''}"
             )
-            planes = plane_split(
-                planes + siblings, node.n_vectors, node.dtype.n_bytes,
-                [abs(s.position - position) for s in landing],
-            )
-        self._mxm_rr += 2 if fp16 else len(planes)
-        self.stats.mxm_planes = max(self.stats.mxm_planes, len(planes))
+        return sorted(offers, key=lambda offer: offer.ready[0])
 
-        t_min = self.dfunc("Read")
-        for act in act_nodes:
-            t_min = max(t_min, self._operand_min_arrival(act, position))
-        # the search loop lives inside _try_matmul_at per-pass, so a single
-        # attempt suffices unless plane queues are hopeless
-        if not self._try_matmul_at(
-            node, act_nodes, tiles, hemisphere, planes, position, depth,
-            t_min, m, weight_dtype,
-        ):
-            raise ScheduleError(
-                f"could not place matmul {node.name} within the search window"
-            )
-
-    def _pick_mxm_plane(
-        self,
-        node,
-        hemisphere: Hemisphere,
-        plane: int,
-        fp16: bool,
-        pinned: bool,
-    ) -> tuple[Hemisphere, int]:
-        """Plane fallback for degraded mode (dead-plane blacklist).
-
-        With no blacklist the round-robin choice stands untouched.  With
-        one, the preferred plane falls back to its hemisphere sibling —
-        reduced throughput, since the round-robin now concentrates work on
-        one plane — or, when in-flight activations do not pin the
-        hemisphere, to the other hemisphere.  fp16 tandems need both
-        planes of a hemisphere healthy (the odd plane is captive).
-        """
-        dead = self._dead_planes
-        if not dead:
-            return hemisphere, plane
-        every = range(self.config.mxm_planes_per_hemisphere)
-        other = (
-            Hemisphere.EAST
-            if hemisphere is Hemisphere.WEST
-            else Hemisphere.WEST
-        )
-        candidates = [hemisphere] if pinned else [hemisphere, other]
-        for hemi in candidates:
-            if fp16:
-                if (hemi, 0) not in dead and (hemi, 1) not in dead:
-                    return hemi, 0
-                continue
-            if hemi in self._fp16_hemispheres:
-                order = [0]  # the odd plane is captive to an fp16 tandem
-            elif hemi is hemisphere:
-                order = [plane] + [p for p in every if p != plane]
-            else:
-                order = every
-            for p in order:
-                if (hemi, p) not in dead:
-                    return hemi, p
-        detail = (
-            " (hemisphere pinned by in-flight activations)" if pinned else ""
-        )
-        raise CompileError(
-            f"degraded mode: no healthy MXM plane for {node.name} — "
-            f"blacklist {sorted((h.value, p) for h, p in dead)}{detail}"
-        )
-
-    def _try_matmul_at(
-        self, node, act_nodes, tiles, hemisphere, planes, position, depth,
-        t_start, m, weight_dtype=DType.INT8,
-    ) -> bool:
-        """Plan the matmul on ``planes``: one weight feed installed into
-        all of them at once, each then streaming its own row block."""
+    def _try_matmul_at(self, node, act_nodes, part: MatmulPart) -> bool:
+        """Plan the matmul on the planes of ``part``, none of them touched
+        before it is free: one weight feed installed into all of them at
+        once, plane ``b`` then streaming its own block of ``rows[b]``."""
         lanes = self.config.n_lanes
-        rows = split_rows(node.n_vectors, len(planes))
+        tiles, m = node.params["weight_tiles"], node.params["m"]
+        weight_dtype = node.params.get("weight_dtype", DType.INT8)
+        hemisphere, planes, rows = part.offer.hemisphere, part.planes, part.rows
         n = rows[0]
+        mxm, position = self.floorplan.mxm(hemisphere), part.offer.position
+        depth = self.timing.mxm_pipeline_depth(self.config.mxm_plane_rows)
         act_width = act_nodes[0].dtype.n_bytes
         out_width = node.dtype.n_bytes
         outward = Direction.outward_for(hemisphere)
         inward = Direction.inward_for(hemisphere)
-        mxm = self.floorplan.mxm(hemisphere)
         weights_icus = [IcuId(mxm, plane * 2) for plane in planes]
         compute_icus = [IcuId(mxm, plane * 2 + 1) for plane in planes]
         dskew_iw = self.dskew("IW")
         dskew_abc = self.dskew("ABC")
         dskew_acc = self.dskew("ACC")
-        dfunc_acc = self.dfunc("ACC")
-        dfunc_read = self.dfunc("Read")
+        clock = self._mxm_clock
 
         reservations: list[tuple[IcuId, int, Instruction]] = []
         grants: list[StreamGrant] = []
@@ -1388,7 +1375,9 @@ class Scheduler:
             self._plan_cell(icu, t)
             reservations.append((icu, t, instruction))
 
-        t_cursor = t_start
+        t_cursor = max(clock.read, *part.offer.ready[: len(planes)])
+        for act in act_nodes:
+            t_cursor = max(t_cursor, self._operand_min_arrival(act, position))
         for p_idx, tile in enumerate(tiles):
             k_p = tile.shape[0]
             w_padded = np.zeros(
@@ -1426,7 +1415,7 @@ class Scheduler:
             chunks = flat.reshape(install_cycles, n_streams, lanes)
             layout = self.mem.alloc_sequential(slices, install_cycles)
             for j, (s, placement) in enumerate(zip(slices, layout.planes)):
-                t_first = t_w - abs(position - s.position) - dfunc_read
+                t_first = t_w - abs(position - s.position) - clock.read
                 for c in range(install_cycles):
                     address = placement.base_address + 2 * c
                     plan(
@@ -1479,12 +1468,12 @@ class Scheduler:
                     try:
                         out_grant = self._grant_for_drive(
                             inward, out_width * len(planes),
-                            t_acc + dfunc_acc, n, False, position,
+                            t_a + clock.fill, n, False, position,
                         )
                     except AllocationError:
                         continue
                 delivery = self._deliver_operand(
-                    act, position, t_a, False, len(planes)
+                    act, position, t_a, False, rows
                 )
                 if delivery is None:
                     if out_grant is not None:
@@ -1524,12 +1513,12 @@ class Scheduler:
                 if is_last:
                     grants.append(out_grant)
                     self.values[node.id] = StreamValue(
-                        out_grant, position, t_acc + dfunc_acc,
-                        node.n_vectors, node.dtype, m, blocks=len(planes),
+                        out_grant, position, t_a + clock.fill,
+                        node.n_vectors, node.dtype, m, split=tuple(rows),
                     )
-                    self._mark("first_result", t_acc + dfunc_acc)
+                    self._mark("first_result", t_a + clock.fill)
                 # a new install wipes in-flight results: wait for the drain
-                t_cursor = t_acc + dskew_acc + n + 1
+                t_cursor = t_a + n + clock.turn
                 placed = True
                 break
             if not placed:
@@ -1538,6 +1527,8 @@ class Scheduler:
         for icu, t, instruction in reservations:
             self.queue(icu).reserve(t, instruction, note=node.name)
         self.memory_image.extend(weight_words)
+        for plane in planes:
+            self._plane_busy[(hemisphere, plane)] = t_cursor
         return True
 
     def _plan_weight_feed(
@@ -1555,8 +1546,7 @@ class Scheduler:
         """
         options = feed_options(
             self.mem.slices_near(position), n_chunks, position, t_start,
-            self.dfunc("Read"),
-            lambda s, n_words: self.mem.fits(s, INPUT_BANK, n_words),
+            self.dfunc("Read"), self._weights_fit,
         )
         # most promising first: stop once a bound cannot beat the best found
         best = None
@@ -1571,6 +1561,9 @@ class Scheduler:
             ):
                 best = (*found, cycles)
         return best
+
+    def _weights_fit(self, s: MemSlice, n_words: int) -> bool:
+        return self.mem.fits(s, INPUT_BANK, n_words)
 
     def _find_weight_window(
         self, roomy, width, install_cycles, position, icus, t_start
@@ -1768,12 +1761,21 @@ class Scheduler:
                 "constants are already in memory"
             )
         value = self.values[source.id]
+        layout = TensorLayout.join(
+            [self._land(node, part) for part in (value, *value.rest)]
+        )
+        self.outputs[node.name] = TensorSpec(
+            node.name, layout, node.n_vectors, node.length, value.dtype
+        )
+
+    def _land(self, node: Node, value: StreamValue) -> TensorLayout:
+        """Write ``value`` into the slices it reaches first."""
         dskew = self.dskew("Write")
         # sequential values write one row per cycle into one slice per
         # byte-plane (of each row block); parallel values write each row
         # once, into its own
-        count = value.dtype.n_bytes * value.blocks
-        rows = -(-value.n_vectors // value.blocks)
+        count = value.dtype.n_bytes * len(value.blocks)
+        rows = value.blocks[0]
         if value.parallel:
             count, rows = value.n_vectors, 1
 
@@ -1795,7 +1797,7 @@ class Scheduler:
             layout = self.mem.alloc_parallel(slices, bank=RESULT_BANK)
         else:
             layout = self.mem.alloc_sequential(
-                slices, value.n_vectors, RESULT_BANK, value.blocks
+                slices, value.n_vectors, RESULT_BANK, list(value.blocks)
             )
         placements = layout.parallel or layout.planes
         for index, (s, placement) in enumerate(zip(slices, placements)):
@@ -1813,9 +1815,7 @@ class Scheduler:
                     note=node.name,
                 )
             self._mark("last_write", first + n - 1, latest=True)
-        self.outputs[node.name] = TensorSpec(
-            node.name, layout, value.n_vectors, node.length, value.dtype
-        )
+        return layout
 
 
 # ----------------------------------------------------------------------

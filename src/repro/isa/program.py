@@ -49,6 +49,16 @@ class IcuId:
     address: SliceAddress
     unit: int = 0
 
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_hash", hash((self.address, self.unit)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        # rebuilt through __init__: a cached hash is this process's own
+        return IcuId, (self.address, self.unit)
+
     def __str__(self) -> str:
         if self.address.kind is SliceKind.MEM:
             return str(self.address)

@@ -11,9 +11,9 @@ Three degradation axes are supported:
 * **Dead MEM slice** — the allocator never offers it as a placement
   candidate (:class:`repro.compiler.allocator.MemoryAllocator`); feeds,
   operands and results fall onto the next-nearest healthy slices.
-* **Dead MXM plane** — the scheduler steers matmuls to the surviving
-  planes (:meth:`repro.compiler.scheduler.Scheduler._pick_mxm_plane`),
-  trading throughput (fewer planes to round-robin over) for correctness.
+* **Dead MXM plane** — the scheduler offers matmuls only the surviving
+  planes (:meth:`repro.compiler.scheduler.Scheduler._plane_offers`),
+  trading throughput (fewer planes to spread rows over) for correctness.
 * **Dead C2C cable** — ring traffic is re-routed the long way around
   (:func:`plan_ring_route`), and :func:`build_ring_transfer` emits the
   fully timed store-and-forward programs for the surviving path.

@@ -198,6 +198,33 @@ def case_matmul_paired(config: ArchConfig, tracker: CoverageTracker):
     )
 
 
+def case_matmul_four_planes(config: ArchConfig, tracker: CoverageTracker):
+    """Light weights, many rows, two K-tiles: the far hemisphere pays for
+    its own weight copy and 34 rows stream as blocks of 9 + 9 + 9 + 7, two
+    per MXM, behind one ``acts*`` / ``acc`` layout each."""
+    b = StreamProgramBuilder(config)
+    tiles = [b.input_tensor(f"acts{i}", (34, k)) for i, k in enumerate((9, 5))]
+    w = _int8((14, 4), lo=-8, hi=8, offset=11)
+    b.write_back(b.matmul(w, tiles, name="w"), "acc")
+    compiled = b.compile()
+    blocks = [
+        (p.hemisphere, p.n_words)
+        for p in compiled.outputs["acc"].layout.planes[::4]
+    ]
+    west, east = Hemisphere.WEST, Hemisphere.EAST
+    if blocks != [(west, 9), (west, 9), (east, 9), (east, 7)]:
+        raise VerificationError(
+            f"expected row blocks 9 + 9 | 9 + 7 over both MXMs, got {blocks}"
+        )
+    _oracle(
+        b, tracker, compiled=compiled,
+        inputs={
+            "acts0": _int8((34, 9), lo=-8, hi=8),
+            "acts1": _int8((34, 5), lo=-8, hi=8, offset=3),
+        },
+    )
+
+
 def case_matmul_fp16(config: ArchConfig, tracker: CoverageTracker):
     b = StreamProgramBuilder(config)
     a = b.constant_tensor("a", _fp16((2, 32)))
@@ -438,6 +465,7 @@ CASES = [
     ("gather", case_gather),
     ("matmul-int8-ktiled", case_matmul_int8_ktiled),
     ("matmul-paired", case_matmul_paired),
+    ("matmul-four-planes", case_matmul_four_planes),
     ("matmul-fp16", case_matmul_fp16),
     ("sxm-lane-ops", case_sxm_lane_ops),
     ("rotate", case_rotate),

@@ -12,6 +12,7 @@ from repro.compiler.allocator import (
     MemoryAllocator,
     RESULT_BANK,
     StreamAllocator,
+    TensorLayout,
 )
 from repro.compiler import StreamProgramBuilder
 from repro.config import small_test_chip
@@ -84,6 +85,26 @@ class TestMemoryAllocator:
             assert [h[2] for h in homes[:5]] == [base + 2 * j for j in range(5)]
             base = layout.planes[4 + plane].base_address
             assert [h[2] for h in homes[5:]] == [base + 2 * j for j in range(4)]
+
+    def test_parts_join_into_one_layout_with_uniform_blocks(self, config):
+        """A tensor split across both hemispheres: each part cuts to the
+        whole tensor's block size (34 rows over four blocks are 9 + 9 and
+        9 + 7, not 9 + 9 and 8 + 8), so the joined layout addresses every
+        row with one ``divmod``."""
+        alloc = MemoryAllocator(config)
+        slices = east_of_vxm(alloc, config, 4)
+        near = alloc.alloc_sequential(slices[:2], 18, row_blocks=[9, 9])
+        far = alloc.alloc_sequential(slices[2:], 16, row_blocks=[9, 7])
+        assert TensorLayout.join([near]) is near
+        whole = TensorLayout.join([near, far])
+        assert whole.row_blocks == 4
+        assert [p.n_words for p in whole.planes] == [9, 9, 9, 7]
+        homes = [whole.address_of(0, j) for j in range(34)]
+        assert len(set(homes)) == 34
+        for j, (hemisphere, index, _address) in enumerate(homes):
+            assert (hemisphere, index) == (
+                slices[j // 9].hemisphere, slices[j // 9].index
+            )
 
     def test_near_allocation_prefers_close_slices(self, config):
         """Nearest first, in both hemispheres: MEM0 sits beside the VXM,

@@ -9,6 +9,7 @@ from repro.arch import DType
 from repro.compiler import StreamProgramBuilder, execute
 from repro.config import small_test_chip
 from repro.errors import CompileError
+from repro.verify import assert_lockstep
 
 
 def matmul_oracle(x, w):
@@ -181,6 +182,69 @@ class TestFusedPipelines:
         result = execute(g.compile())
         assert np.array_equal(result["r1"], matmul_oracle(x1, w1))
         assert np.array_equal(result["r2"], matmul_oracle(x2, w2))
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        shapes=st.lists(
+            st.tuples(
+                st.integers(1, 40),  # rows
+                st.sampled_from([9, 36, 64, 100]),  # K; 100 is K-tiled
+                st.sampled_from([4, 8, 32]),  # M
+            ),
+            min_size=2, max_size=6,
+        ),
+        seed=st.integers(0, 2**16),
+    )
+    def test_independent_matmuls_never_share_a_busy_plane(self, shapes, seed):
+        """More matmuls than planes, of any mix of sizes: a plane is a
+        scheduled resource, claimed only once its last matmul has drained
+        (an install wipes results in flight), and rows the schedule may
+        lay out (``input -> matmul -> write``) spread over any planes that
+        are free — all of it equal to numpy in every engine."""
+        config = small_test_chip()
+        lanes = config.n_lanes
+        rng = np.random.default_rng(seed)
+        g = StreamProgramBuilder(config)
+        inputs, expected = {}, {}
+        for i, (rows, k, m) in enumerate(shapes):
+            w = rng.integers(-9, 10, (k, m)).astype(np.int8)
+            x = rng.integers(-9, 10, (rows, k)).astype(np.int8)
+            handles = []
+            for t, lo in enumerate(range(0, k, lanes)):
+                hi = min(lo + lanes, k)
+                handles.append(g.input_tensor(f"x{i}_{t}", (rows, hi - lo)))
+                inputs[f"x{i}_{t}"] = x[:, lo:hi]
+            g.write_back(g.matmul(w, handles, name=f"w{i}"), name=f"y{i}")
+            expected[f"y{i}"] = matmul_oracle(x, w)
+        compiled = g.compile()
+        result = execute(compiled, inputs=inputs)
+        for name, want in expected.items():
+            assert np.array_equal(result[name], want), name
+        # dense, fast-forward and the recorded plan agree on everything
+        assert assert_lockstep(compiled, inputs=inputs).replay is not None
+
+    @pytest.mark.parametrize("rows", [(8, 12), (8, 8, 8, 8, 8), (16, 16, 16)])
+    def test_a_plane_is_not_claimed_while_its_matmul_drains(self, config, rows):
+        """The second of (8, 12) used to pair onto the plane the first
+        still occupied; the fifth of five wrapped round onto plane 0."""
+        rng = np.random.default_rng(0)
+        g = StreamProgramBuilder(config)
+        inputs, expected = {}, {}
+        for i, n in enumerate(rows):
+            w = rng.integers(-9, 10, (9, 4)).astype(np.int8)
+            inputs[f"x{i}"] = rng.integers(-9, 10, (n, 9)).astype(np.int8)
+            handle = g.input_tensor(f"x{i}", (n, 9))
+            g.write_back(g.matmul(w, handle, name=f"w{i}"), name=f"y{i}")
+            expected[f"y{i}"] = matmul_oracle(inputs[f"x{i}"], w)
+        compiled = g.compile()
+        for fast_forward in (False, True):
+            result = execute(
+                compiled, inputs=inputs, fast_forward=fast_forward,
+                record=False,
+            )
+            for name, want in expected.items():
+                assert np.array_equal(result[name], want), name
+        assert assert_lockstep(compiled, inputs=inputs).replay is not None
 
     def test_round_robin_follows_the_plane_count(self, config, rng):
         """With one plane per hemisphere the second matmul goes East, not

@@ -1,10 +1,13 @@
 """Floorplan geometry: positions, transit delays, directions."""
 
+import pickle
+
 import pytest
 
 from repro.arch import Direction, Floorplan, Hemisphere, SliceKind
 from repro.arch.geometry import SliceAddress
 from repro.errors import ConfigError
+from repro.isa import IcuId
 
 
 class TestLayout:
@@ -141,3 +144,31 @@ class TestIcuDecomposition:
         assert str(fp.vxm()) == "VXM"
         assert str(fp.mem_slice(Hemisphere.EAST, 3)) == "MEM_E3"
         assert str(fp.sxm(Hemisphere.WEST)) == "SXM_W"
+
+
+class TestHashing:
+    """Addresses and queue ids key every dict on the compile path: the
+    enums hash by identity and the dataclasses once, at construction."""
+
+    def test_enum_members_hash_by_identity(self):
+        for member in (*SliceKind, *Hemisphere, *Direction):
+            assert hash(member) == object.__hash__(member)
+            assert {member: 1}[type(member)(member.value)] == 1
+
+    def test_equal_addresses_and_queues_are_one_key(self):
+        a = SliceAddress(SliceKind.MEM, Hemisphere.WEST, 3)
+        b = SliceAddress(SliceKind.MEM, Hemisphere.WEST, 3)
+        assert a is not b and a == b and hash(a) == hash(b)
+        assert {a: "slice"}[b] == "slice"
+        assert {IcuId(a, 1): "queue"}[IcuId(b, 1)] == "queue"
+        assert hash(a) != hash(SliceAddress(SliceKind.MEM, Hemisphere.EAST, 3))
+        assert IcuId(a, 1) != IcuId(a, 0)
+
+    def test_a_copy_is_rebuilt_not_handed_a_stale_hash(self):
+        """The cached hash is built on this process's enum identities, so
+        pickling goes back through ``__init__``."""
+        icu = IcuId(SliceAddress(SliceKind.MXM, Hemisphere.EAST), 3)
+        clone = pickle.loads(pickle.dumps(icu))
+        assert clone == icu and hash(clone) == hash(icu)
+        assert clone.address.hemisphere is Hemisphere.EAST
+        assert {icu: 1}[clone] == 1

@@ -1,6 +1,7 @@
 """Transit-aware placement: the pure scoring helpers (where a tensor
 lives, how wide a weight feed is, how many MXM planes a matmul's rows
-stream through), and the schedules they produce (results downstream of
+stream through, whether the far hemisphere's are worth their weight copy),
+and the schedules they produce (results downstream of
 their producer, no allocator leak, degraded mode a bounded detour,
 critical-path marks on the stats)."""
 
@@ -12,12 +13,17 @@ from repro.arch.geometry import Floorplan
 from repro.compiler import Scheduler, StreamProgramBuilder, execute
 from repro.compiler.graph import OpKind
 from repro.compiler.placement import (
+    MatmulPart,
     MemSlice,
+    MxmClock,
+    PlaneOffer,
     co_consumed,
     contested_cycles,
     earliest,
     feed_options,
     feed_widths,
+    matmul_cost,
+    matmul_parts,
     operand_slices,
     plane_split,
     read_direction,
@@ -216,6 +222,172 @@ class TestPlaneSplit:
         assert plane_split([0, 1, 2, 3], 64, 4, self.near) == [0, 1, 2, 3]
         # narrower results reach less deep: int8-wide results always split
         assert plane_split([0, 1], 8, 1, self.near) == [0, 1]
+
+
+    def test_a_busy_sibling_is_not_worth_waiting_for(self):
+        """Planes are a scheduled resource: the sibling is still draining
+        another matmul until cycle 30, and 12 rows alone (12 + 5) are done
+        long before both could be (30 + 6 + 9)."""
+        assert plane_split([1, 0], 12, 4, self.near, ready=[0, 30]) == [1]
+        assert plane_split([1, 0], 12, 4, self.near, ready=[0, 0]) == [1, 0]
+        # ... unless the rows saved outlast the wait
+        assert plane_split([1, 0], 64, 4, self.near, ready=[0, 10]) == [1, 0]
+        # nothing starts before the first plane is free either way
+        assert plane_split([0, 1], 32, 4, self.near, ready=[40, 40]) == [0, 1]
+
+
+def offer(hemisphere=W, planes=(0, 1), ready=None, landing=range(2, 18)):
+    """One MXM of the small test chip as a matmul sees it: at position 1,
+    MEM slices 2, 3, 4, ... hops inboard with room for anything, every
+    plane idle; ``landing`` gives the hops to the slices a result may
+    take."""
+    planes = list(planes)
+    return PlaneOffer(
+        hemisphere, 1, planes, list(ready or [0] * len(planes)),
+        row(*(1 + hops for hops in landing)), row(*range(3, 19)),
+        lambda s, n_words: True,
+    )
+
+
+#: ``d_func(Read)``; the small chip's systolic depth is 4: fill = 4 +
+#: d_func(ACC), a new install waits depth + 1 past the row stream, a Write
+#: retires on arrival
+CLOCK = MxmClock(read=5, fill=7, turn=5, retire=0)
+INT8_TO_INT32 = (1, 4)
+
+#: (weight chunks, rows) -> ((cycles, instructions) in the near hemisphere
+#: alone, the same through both) for the 13 benchmark chunk programs
+#: (tests/test_schedule_cycles.py pins the scheduled side of these)
+CHUNK_PROGRAMS = {
+    "conv0 x8": (9, 8, (32, 52), (28, 64)),
+    "conv0 x16": (9, 16, (36, 95), (32, 104)),
+    "conv0 x32": (9, 32, (44, 175), (36, 190)),
+    "conv1 x8": (36, 8, (38, 79), (34, 118)),
+    "conv1 x16": (36, 16, (42, 122), (38, 158)),
+    "conv1 x32": (36, 32, (50, 202), (42, 244)),
+    "dense2 x8": (32, 8, (38, 75), (34, 110)),
+    "dense2 x16": (32, 16, (42, 118), (38, 150)),
+    "dense2 x32": (32, 32, (50, 198), (42, 236)),
+    "dense0 x8": (32, 8, (38, 75), (34, 110)),
+    "dense0 x16": (32, 16, (42, 118), (38, 150)),
+    "dense1 x8": (64, 8, (42, 107), (38, 174)),
+    "dense1 x16": (64, 16, (46, 150), (42, 214)),
+}
+
+
+class TestMatmulCost:
+    """feed + fill + stream + drain cycles; feed reads + three MXM
+    instructions per plane + a read per row in, a write per row and byte
+    out."""
+
+    def cost(self, parts, chunks=(9,)):
+        return matmul_cost(parts, list(chunks), INT8_TO_INT32, CLOCK)
+
+    def test_one_plane(self):
+        # 12 + 7 + 8 + 5 cycles; 9 + 3 + 8 + 32 instructions
+        assert self.cost([MatmulPart(offer(), [0], [8])]) == (32, 52)
+
+    def test_a_second_plane_halves_the_stream_and_deepens_the_drain(self):
+        # 12 + 7 + 16 + 9; three more MXM instructions than one plane's 172
+        part = MatmulPart(offer(), [0, 1], [16, 16])
+        assert self.cost([part]) == (44, 175)
+
+    def test_parts_run_side_by_side_and_each_pays_for_its_weights(self):
+        near = MatmulPart(offer(W), [0, 1], [8, 8])
+        far = MatmulPart(offer(E), [0, 1], [8, 8])
+        assert self.cost([near]) == (36, 9 + 6 + 16 + 64)
+        assert self.cost([near, far]) == (36, 2 * (9 + 6 + 16 + 64))
+
+    def test_the_longest_part_sets_the_cycles(self):
+        near = MatmulPart(offer(W), [0, 1], [6, 6])
+        far = MatmulPart(offer(E, planes=[0]), [0], [6])
+        # 12 + 7 + 6 + 9 in the paired hemisphere, + 5 in the other
+        assert self.cost([near, far])[0] == 34
+        late = MatmulPart(offer(E, planes=[0], ready=[20]), [0], [6])
+        assert self.cost([near, late])[0] == 20 + 1 + 7 + 6 + 5
+
+    def test_k_tiles_install_one_after_the_other(self):
+        """The second tile's install waits for the first tile's drain
+        (first activation + rows + turn), by when a feed as wide as its
+        chunks is in reach: one install cycle."""
+        part = MatmulPart(offer(), [0], [8])
+        cycles, instructions = self.cost([part], chunks=(9, 5))
+        assert cycles == (12 + 8 + 5) + 1 + 7 + 8 + 5
+        assert instructions == (9 + 3 + 8) + (5 + 3 + 8) + 32
+
+
+class TestMatmulParts:
+    """Engage the far hemisphere only when predicted cycles x predicted
+    instructions falls."""
+
+    def parts(self, rows, chunks, offers=None):
+        return matmul_parts(
+            rows, offers or [offer(W), offer(E)], [chunks], INT8_TO_INT32,
+            CLOCK,
+        )
+
+    @pytest.mark.parametrize("name", sorted(CHUNK_PROGRAMS))
+    def test_the_benchmark_chunk_programs(self, name):
+        chunks, rows, alone, both = CHUNK_PROGRAMS[name]
+        parts = self.parts(rows, chunks)
+        split = both[0] * both[1] < alone[0] * alone[1]
+        assert split == (name in ("conv0 x16", "conv0 x32"))
+        assert len(parts) == 1 + split
+        assert matmul_cost(parts, [chunks], INT8_TO_INT32, CLOCK) == (
+            both if split else alone
+        )
+        # and the road not taken costs what the table says
+        near_only = self.parts(rows, chunks, [offer(W)])
+        assert matmul_cost(near_only, [chunks], INT8_TO_INT32, CLOCK) == alone
+
+    def test_the_32_row_programs_bracket_break_even(self):
+        """conv0's 9 weight chunks are worth copying; conv1's 36 and
+        dense2's 32 fall 1.5 % and 0.1 % short — pinned, not argued."""
+        assert 36 * 190 < 44 * 175
+        assert 42 * 244 > 50 * 202 and 42 * 236 > 50 * 198
+        for chunks, planes in ((9, 4), (30, 4), (31, 2), (32, 2), (36, 2)):
+            parts = self.parts(32, chunks)
+            assert sum(len(part.planes) for part in parts) == planes
+
+    def test_blocks_are_cut_once_over_every_plane(self):
+        near, far = self.parts(34, 9)
+        assert (near.planes, far.planes) == ([0, 1], [0, 1])
+        assert (near.rows, far.rows) == ([9, 9], [9, 7])
+        assert (near.offer.hemisphere, far.offer.hemisphere) == (W, E)
+
+    def test_each_hemisphere_asks_plane_split_for_its_share(self):
+        # 16 rows: 8 a side tie at one plane each (8 + 5 = 4 + 9)
+        near, far = self.parts(16, 9)
+        assert (near.planes, near.rows, far.planes, far.rows) == (
+            [0], [8], [0], [8]
+        )
+
+    def test_too_few_rows_to_share_stay_at_home(self):
+        """Rows go out a plane at a time over the planes on offer, the
+        home hemisphere's first: one or two never leave it."""
+        for rows in (1, 2):
+            (part,) = self.parts(rows, 1)
+            assert part.planes == [0] and part.rows == [rows]
+        # eight do, if the weights are light enough to copy
+        assert [p.rows for p in self.parts(8, 1)] == [[4], [4]]
+        assert [p.rows for p in self.parts(8, 36)] == [[8]]
+
+    def test_a_degraded_far_hemisphere_is_left_alone(self):
+        # no far planes on offer: the scheduler passes one offer
+        (part,) = self.parts(32, 9, [offer(W)])
+        assert part.planes == [0, 1]
+        # far results would land across the chip: 14 hops and more
+        distant = offer(E, landing=range(14, 30))
+        (part,) = self.parts(32, 9, [offer(W), distant])
+        assert part.offer.hemisphere is W and part.planes == [0, 1]
+        # one far plane left: three planes, blocks 11 + 11 | 10
+        near, far = self.parts(32, 9, [offer(W), offer(E, planes=[1])])
+        assert (near.rows, far.planes, far.rows) == ([11, 11], [1], [10])
+
+    def test_busy_far_planes_are_not_worth_the_wait(self):
+        busy = offer(E, ready=[40, 40])
+        (part,) = self.parts(32, 9, [offer(W), busy])
+        assert part.offer.hemisphere is W
 
 
 class TestRowsAreFree:

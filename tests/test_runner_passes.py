@@ -87,6 +87,27 @@ class TestRunner:
         result = execute(compiled, chip=chip)
         assert "y" in result.outputs
 
+    def test_a_throwaway_chip_hands_its_sram_back(self, config, monkeypatch):
+        """``execute`` without a chip makes one nobody else will see — and
+        which only the cycle collector would free: it is scrubbed on the
+        way out.  A caller's chip is the caller's."""
+        scrubbed = []
+        scrub = TspChip.scrub
+        monkeypatch.setattr(
+            TspChip, "scrub", lambda chip: (scrubbed.append(chip), scrub(chip))
+        )
+        g = StreamProgramBuilder(config)
+        x = g.constant_tensor("x", np.full((1, 64), -3, np.int8))
+        g.write_back(g.relu(x), name="y")
+        compiled = g.compile()
+        assert (execute(compiled)["y"] == 0).all()
+        (throwaway,) = scrubbed
+        assert all(unit._storage is None for unit in throwaway.mem_units())
+        chip = TspChip(config)
+        execute(compiled, chip=chip)
+        assert scrubbed == [throwaway]
+        assert any(unit._storage is not None for unit in chip.mem_units())
+
     def test_result_getitem(self, config, rng):
         g = StreamProgramBuilder(config)
         x = g.constant_tensor(

@@ -9,8 +9,15 @@ A change to a number in this file is a change to the benchmark's
 ``sim_cycles_per_input`` — say so in the PR that makes it.
 
 Every count is also *explained*: ``ScheduleStats``' critical-path marks
-split it into feed + fill + stream + drain (EXPERIMENTS.md E21/E22), and
+split it into feed + fill + stream + drain (EXPERIMENTS.md E21-E23), and
 ``test_marks_explain_every_cycle`` holds the table to the cycle.
+
+Dispatches are pinned next to cycles: whether a program engages the far
+hemisphere's MXM planes is decided by predicted cycles x predicted
+instructions (``placement.matmul_parts``), and ``cold-churn`` simulates
+every instruction it compiles, so ``CHUNK_INSTRUCTIONS`` moves with the
+same care — and the closed form's prediction of both is held equal to
+what the scheduler then emits.
 """
 
 import numpy as np
@@ -19,6 +26,8 @@ import pytest
 from golden_programs import GOLDEN_PROGRAMS
 from repro.arch import Hemisphere
 from repro.compiler import execute
+from repro.compiler import scheduler as scheduler_module
+from repro.compiler.placement import matmul_cost
 from repro.config import small_test_chip
 from repro.isa.encoding import encode_program_text
 from repro.nn import make_shapes, make_small_cnn
@@ -35,8 +44,8 @@ FFN = TransformerConfig(
 #: cycles of one run of each (model, layer, row bucket) chunk program
 CHUNK_CYCLES = {
     ("cnn", "conv0", 8): 32,
-    ("cnn", "conv0", 16): 36,
-    ("cnn", "conv0", 32): 44,
+    ("cnn", "conv0", 16): 32,
+    ("cnn", "conv0", 32): 36,
     ("cnn", "conv1", 8): 38,
     ("cnn", "conv1", 16): 42,
     ("cnn", "conv1", 32): 50,
@@ -48,6 +57,33 @@ CHUNK_CYCLES = {
     ("ffn", "dense1", 8): 42,
     ("ffn", "dense1", 16): 46,
 }
+
+#: instructions (NOPs aside) of the same programs
+CHUNK_INSTRUCTIONS = {
+    ("cnn", "conv0", 8): 52,
+    ("cnn", "conv0", 16): 104,
+    ("cnn", "conv0", 32): 190,
+    ("cnn", "conv1", 8): 79,
+    ("cnn", "conv1", 16): 122,
+    ("cnn", "conv1", 32): 202,
+    ("cnn", "dense2", 8): 75,
+    ("cnn", "dense2", 16): 118,
+    ("cnn", "dense2", 32): 198,
+    ("ffn", "dense0", 8): 75,
+    ("ffn", "dense0", 16): 118,
+    ("ffn", "dense1", 8): 107,
+    ("ffn", "dense1", 16): 150,
+}
+
+#: MXM planes each program streams its rows through, (West, East): only
+#: ``conv0``'s nine weight chunks are cheap enough to copy to the far MXM
+#: (cycles x instructions, near hemisphere alone -> both: x16 36 * 95 =
+#: 3 420 -> 32 * 104 = 3 328, x32 44 * 175 = 7 700 -> 36 * 190 = 6 840);
+#: ``conv1`` x32 (50 * 202 = 10 100 < 42 * 244 = 10 248) and ``dense2``
+#: x32 (50 * 198 = 9 900 < 42 * 236 = 9 912) sit just short of break-even
+CHUNK_PLANES = {
+    key: (1, 0) if key[2] == 8 else (2, 0) for key in CHUNK_CYCLES
+} | {("cnn", "conv0", 16): (1, 1), ("cnn", "conv0", 32): (2, 2)}
 
 
 @pytest.fixture(scope="module")
@@ -92,25 +128,67 @@ def test_chunk_program_cycles(config, models, model, layer_name, bucket):
     )
     assert result.run.cycles == CHUNK_CYCLES[(model, layer_name, bucket)]
     assert result.run.cycles == compiled.stats.makespan + 1
+    assert (
+        compiled.stats.instructions
+        == result.run.instructions - compiled.stats.nops_inserted
+        == CHUNK_INSTRUCTIONS[(model, layer_name, bucket)]
+    )
+
+
+@pytest.mark.parametrize("model, layer_name, bucket", sorted(CHUNK_CYCLES))
+def test_closed_form_predicts_cycles_and_instructions(
+    config, models, monkeypatch, model, layer_name, bucket
+):
+    """What ``matmul_parts`` weighs is what the scheduler then emits: the
+    predicted (cycles, instructions) of the parts it chose are the pinned
+    counts, split or not."""
+    predicted = []
+
+    def watching(rows, offers, chunks, widths, clock):
+        parts = matmul_parts(rows, offers, chunks, widths, clock)
+        predicted.append(matmul_cost(parts, chunks, widths, clock))
+        return parts
+
+    matmul_parts = scheduler_module.matmul_parts
+    monkeypatch.setattr(scheduler_module, "matmul_parts", watching)
+    _layer, builder, _bindings = chunk_builder(
+        config, models, model, layer_name, bucket
+    )
+    stats = builder.compile().stats
+    assert predicted == [(stats.makespan + 1, stats.instructions)]
+    key = (model, layer_name, bucket)
+    assert predicted == [(CHUNK_CYCLES[key], CHUNK_INSTRUCTIONS[key])]
 
 
 @pytest.mark.parametrize("model, layer_name, bucket", sorted(CHUNK_CYCLES))
 def test_marks_explain_every_cycle(config, models, model, layer_name, bucket):
     """cycles = feed + fill + stream + drain, each read off the marks:
     cycle 0 to the first activation at the MXM; on through the systolic
-    array and ``ACC``; one cycle per row of the longest row block; the
-    last result byte's transit to its slice (and the retiring cycle)."""
+    array and ``ACC``; one cycle per row of the longest row block — the
+    rows over every plane of both MXMs; the last result byte's transit to
+    its slice (and the retiring cycle) — one plane's results reach the
+    four nearest slices, two planes' the eight nearest, of their own
+    hemisphere."""
     _layer, builder, _bindings = chunk_builder(
         config, models, model, layer_name, bucket
     )
-    stats = builder.compile().stats
+    compiled = builder.compile()
+    stats = compiled.stats
+    planes = CHUNK_PLANES[(model, layer_name, bucket)]
+    assert planes == tuple(
+        sum(
+            str(icu).startswith(f"MXM_{side}") and str(icu).endswith("weights")
+            for icu in compiled.program.icus
+        )
+        for side in "WE"
+    )
     feed = stats.first_operand
     fill = stats.first_result - stats.first_operand
-    stream = -(-bucket // stats.mxm_planes)
+    stream = -(-bucket // sum(planes))
     drain = stats.last_write + 2 - stats.first_result - stream
-    assert stats.mxm_planes == (1 if bucket == 8 else 2)
+    assert stats.mxm_planes == sum(planes)
     assert fill == 7
-    assert drain == (5 if stats.mxm_planes == 1 else 9)
+    assert drain == (5 if max(planes) == 1 else 9)
     assert feed == CHUNK_CYCLES[(model, layer_name, bucket)] - (
         fill + stream + drain
     )
@@ -160,14 +238,14 @@ def test_every_benchmark_bucket_is_pinned(models):
 
 def test_cnn_batch_of_four_images(config, models):
     """closed-cnn's unit of work: 8 conv0 + 2 conv1 chunks of 32 rows and
-    one 8-row dense chunk — 490 cycles, 122.5 per image."""
+    one 8-row dense chunk — 426 cycles, 106.5 per image."""
     by_name, data = models
     stats = ChunkRunStats()
     by_name["cnn"].run_batch(
         TspChip(config), ProgramCache(), list(data.x_test[:4]), stats=stats
     )
     assert stats.programs == 11
-    assert stats.cycles == 8 * 44 + 2 * 50 + 38 == 490
+    assert stats.cycles == 8 * 36 + 2 * 50 + 38 == 426
 
 
 def test_ffn_single_token(config, models):

@@ -14,9 +14,11 @@ a dead ring cable re-routes stage hand-offs the long way around the ring
 single-chip oracle — dense and fast-forward — even with the blacklisted
 MEM slice physically marked dead on every chip.
 
-Plane pairing degrades by itself: a worker that lost the sibling MXM
-plane, or the MEM slices a second result would land in, serves the
-one-plane program of the same graph — same bits, its own cache key.
+Spreading a matmul over MXM planes degrades by itself: a worker that lost
+the far hemisphere's planes, or the MEM slices next to them, serves the
+near-hemisphere program of the same graph; one that also lost the
+sibling plane, or the slices a second result would land in, the
+one-plane program — same bits, its own cache key each.
 """
 
 import numpy as np
@@ -27,10 +29,12 @@ from hypothesis import strategies as st
 from repro.arch import Hemisphere
 from repro.compiler import execute
 from repro.config import small_test_chip
+from repro.errors import CompileError
+from repro.isa.encoding import encode_program_text
 from repro.nn import Dense, ReLU, Sequential
 from repro.nn.scaleout import execute_pipeline
 from repro.nn.tsp_inference import TspCnnRunner, build_chunk_builder
-from repro.resil import Blacklist, compile_degraded
+from repro.resil import Blacklist, assert_avoids, compile_degraded
 from repro.serve import (
     BatchPolicy,
     InferenceServer,
@@ -135,41 +139,120 @@ class TestDegradedWorkerBitIdentical:
         assert np.array_equal(degraded.logits, oracle.logits)
 
 
+FAR_PLANES = frozenset({(Hemisphere.EAST, 0), (Hemisphere.EAST, 1)})
+
+
+@pytest.fixture(scope="module")
+def dense_runner():
+    rng = np.random.default_rng(5)
+    model = Sequential([
+        Dense(16, 32, rng=np.random.default_rng(6)),
+        ReLU(),
+        Dense(32, 8, rng=np.random.default_rng(7)),
+    ])
+    return TspCnnRunner(
+        model, CONFIG, rng.standard_normal((24, 16)),
+        max_vectors_per_program=32,
+    )
+
+
+def encoded(compiled):
+    program = compiled.program
+    return {
+        str(icu): encode_program_text(program.queue(icu))
+        for icu in program.icus
+    }
+
+
+class TestSplitDegradesByItself:
+    """The first layer's 32-row chunks (16 weight chunks: cheap to copy)
+    stream through all four planes on a healthy chip; no switch turns
+    that off — a blacklist that takes away what the far hemisphere's part
+    needs does, and what is left is the two-plane binary compiled before
+    the far planes were ever engaged.  This is the recipe for comparing
+    split against unsplit."""
+
+    DEGRADED = {
+        "far planes": Blacklist(mxm_planes=FAR_PLANES),
+        # MEM_E4..E15 dead: the healthy slices nearest MXM_E are 14 hops
+        # away, too far for a weight copy or a result to pay
+        "far near slices": Blacklist(
+            mem_slices=frozenset((Hemisphere.EAST, i) for i in range(4, 16))
+        ),
+    }
+
+    @pytest.mark.parametrize("lost", sorted(DEGRADED))
+    def test_near_hemisphere_program_same_bits_own_key(
+        self, dense_runner, lost
+    ):
+        blacklist = self.DEGRADED[lost]
+        layer = dense_runner.layers[0]
+        builder, bindings = build_chunk_builder(CONFIG, layer, 32)
+        healthy = builder.compile()
+        degraded = compile_degraded(builder, blacklist)
+        with pytest.raises(CompileError, match="degraded-mode violation"):
+            assert_avoids(healthy, blacklist)
+        assert healthy.stats.mxm_planes == 4
+        assert degraded.stats.mxm_planes == 2
+        assert healthy.stats.makespan + 8 == degraded.stats.makespan
+        assert healthy.cache_key != degraded.cache_key
+        # whichever way the far hemisphere was lost, the same binary: the
+        # near hemisphere's, which never touched anything East
+        others = [
+            builder.compile(blacklist=other)
+            for name, other in self.DEGRADED.items() if name != lost
+        ]
+        for other in others:
+            assert encoded(other) == encoded(degraded)
+            assert other.cache_key != degraded.cache_key
+        acts = np.random.default_rng(8).integers(
+            -127, 128, (32, layer.weight_q.shape[0])
+        ).astype(np.int8)
+        inputs = {name: acts[:, lo:hi] for name, lo, hi in bindings}
+        assert np.array_equal(
+            execute(healthy, inputs=inputs)["acc"],
+            execute(degraded, inputs=inputs)["acc"],
+        )
+
+    @pytest.mark.parametrize("lost", sorted(DEGRADED))
+    def test_served_batch_matches_the_healthy_oracle(self, dense_runner, lost):
+        x = np.random.default_rng(9).standard_normal((20, 16))
+        cache = ProgramCache()
+        oracle = dense_runner.forward(x, cache=cache)
+        resident = len(cache)
+        degraded = dense_runner.forward(
+            x, chip=TspChip(CONFIG, chip_id="degraded"), cache=cache,
+            blacklist=self.DEGRADED[lost],
+        )
+        assert np.array_equal(degraded.logits, oracle.logits)
+        assert len(cache) == 2 * resident
+        # only the first layer was split: 8 cycles back, the second unmoved
+        assert degraded.total_cycles == oracle.total_cycles + 8
+
+
 class TestPairingDegradesByItself:
-    """32-row chunks stream through both planes of MXM_W on a healthy
-    chip; no switch turns that off — a blacklist that takes away what the
-    second plane needs does."""
+    """With the far hemisphere dark, 32-row chunks stream through both
+    planes of MXM_W; no switch turns that off either — a blacklist that
+    takes away what the second plane needs does."""
 
     DEGRADED = {
         "sibling plane": Blacklist(
-            mxm_planes=frozenset({(Hemisphere.WEST, 1)})
+            mxm_planes=FAR_PLANES | {(Hemisphere.WEST, 1)}
         ),
         # MEM_W11..W0 dead: past the four slices nearest MXM_W the next
         # healthy ones are across the chip, too far for a second result
         "far result slices": Blacklist(
-            mem_slices=frozenset((Hemisphere.WEST, i) for i in range(12))
+            mxm_planes=FAR_PLANES,
+            mem_slices=frozenset((Hemisphere.WEST, i) for i in range(12)),
         ),
     }
 
-    @pytest.fixture(scope="class")
-    def runner(self):
-        rng = np.random.default_rng(5)
-        model = Sequential([
-            Dense(16, 32, rng=np.random.default_rng(6)),
-            ReLU(),
-            Dense(32, 8, rng=np.random.default_rng(7)),
-        ])
-        return TspCnnRunner(
-            model, CONFIG, rng.standard_normal((24, 16)),
-            max_vectors_per_program=32,
-        )
-
     @pytest.mark.parametrize("lost", sorted(DEGRADED))
-    def test_one_plane_program_same_bits_own_key(self, runner, lost):
+    def test_one_plane_program_same_bits_own_key(self, dense_runner, lost):
         blacklist = self.DEGRADED[lost]
-        layer = runner.layers[0]
+        layer = dense_runner.layers[0]
         builder, bindings = build_chunk_builder(CONFIG, layer, 32)
-        healthy = builder.compile()
+        healthy = builder.compile(blacklist=Blacklist(mxm_planes=FAR_PLANES))
         degraded = compile_degraded(builder, blacklist)
         assert healthy.stats.mxm_planes == 2
         assert degraded.stats.mxm_planes == 1
@@ -184,14 +267,14 @@ class TestPairingDegradesByItself:
         )
 
     @pytest.mark.parametrize("lost", sorted(DEGRADED))
-    def test_served_batch_matches_the_healthy_oracle(self, runner, lost):
+    def test_served_batch_matches_the_healthy_oracle(self, dense_runner, lost):
         """20 rows pad to the 32-row bucket: healthy and degraded binaries
         of every layer sit side by side in one cache."""
         x = np.random.default_rng(9).standard_normal((20, 16))
         cache = ProgramCache()
-        oracle = runner.forward(x, cache=cache)
+        oracle = dense_runner.forward(x, cache=cache)
         resident = len(cache)
-        degraded = runner.forward(
+        degraded = dense_runner.forward(
             x, chip=TspChip(CONFIG, chip_id="degraded"), cache=cache,
             blacklist=self.DEGRADED[lost],
         )
