@@ -91,7 +91,7 @@ def test_paced_program_rate(report_sink, small_config, benchmark):
 
 def test_fast_forward_speedup_and_artifact(report_sink, tmp_path):
     """The acceptance gates: fast ≥ slow everywhere, most paced cycles
-    skipped, replay ≥3× over fast, zero lockstep mismatches.
+    skipped, zero lockstep mismatches.
 
     Measures every workload in all execution cores via
     :func:`bench_emit.collect` and writes the ``BENCH_sim.json``
@@ -99,9 +99,10 @@ def test_fast_forward_speedup_and_artifact(report_sink, tmp_path):
     every workload fast-forward is never slower than the cycle-by-cycle
     core (0.90 absorbs timer noise).  The paced workloads must skip most
     of their cycles — the structural gate — and paced-64 carries a
-    wall-clock floor as well; the recorded schedule-replay plan must
-    beat the fast-forward core ≥3× on the paced serving shape, with the
-    three-way dense/fast-forward/replay lockstep bit-identical.
+    wall-clock floor as well; the three-way dense/fast-forward/replay
+    lockstep must be bit-identical.  ``replay_speedup`` is reported, not
+    gated: what a replay costs is asserted as work counts in tier-1
+    (``tests/test_replay.py::TestReplayWorkCounts``).
 
     The paced-64 floor is 1.4×, not more: a walked quiet cycle costs
     the dense core ~1 µs, so skipping one saves little and the ratio
@@ -141,10 +142,7 @@ def test_fast_forward_speedup_and_artifact(report_sink, tmp_path):
     for name in ("paced-64", "paced-320"):
         assert by_name[name]["skipped_fraction"] > 0.5, by_name[name]
     assert by_name["paced-64"]["speedup"] >= 1.4, by_name["paced-64"]
-    # the schedule-replay gates: ≥3× over fast on the paced workloads
-    # and on the serving chunk shape, bit-identical in three-way lockstep
-    for name in ("paced-64", "paced-320", "serve-64"):
-        assert by_name[name]["replay_speedup"] >= 3.0, by_name[name]
+    # the schedule-replay gate: bit-identical in three-way lockstep
     assert payload["replay"]["lockstep_ok"], payload["replay"]
 
 

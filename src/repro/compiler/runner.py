@@ -94,7 +94,8 @@ def execute(
     onto ``compiled.replay`` (see :mod:`repro.sim.replay`); later calls with
     matching run parameters on pristine chips execute the plan directly
     instead of simulating.  ``record=False`` disables both sides, forcing a
-    real simulation run.
+    real simulation run.  ``fast_forward`` picks the engine for whatever
+    must really simulate; a plan serves callers of either.
     """
     from ..sim import replay as replay_mod
 
@@ -112,12 +113,8 @@ def execute(
         raise SimulationError(f"unknown inputs bound: {sorted(unknown)}")
 
     plan = compiled.replay if record else None
-    if (
-        plan is not None
-        and plan.fast_forward == fast_forward
-        and replay_mod.replay_allowed(
-            plan, chip, max_cycles=max_cycles, warmup_barrier=warmup_barrier
-        )
+    if replay_mod.replay_allowed(
+        plan, chip, max_cycles=max_cycles, warmup_barrier=warmup_barrier
     ):
         run = plan.replay_into(chip)
     else:
@@ -128,10 +125,7 @@ def execute(
             and replay_mod.record_allowed(chip)
         ):
             recorder = replay_mod.ScheduleRecorder(
-                chip,
-                compiled,
-                warmup_barrier=warmup_barrier,
-                fast_forward=fast_forward,
+                chip, compiled, warmup_barrier=warmup_barrier
             )
             chip.recorder = recorder
         try:
@@ -181,48 +175,14 @@ def execute_batched(
     if not inputs_list:
         return []
     plan = compiled.replay
-    if plan is None or not plan.ok:
-        return None
-    if chip is not None:
-        if not replay_mod.replay_allowed(
-            plan, chip, max_cycles=max_cycles, warmup_barrier=warmup_barrier
-        ):
-            return None
-        if chip.trace_enabled:
-            return None
-    elif plan.cycles > max_cycles or warmup_barrier != plan.warmup_barrier:
+    if not replay_mod.replay_allowed(
+        plan, chip, max_cycles=max_cycles, warmup_barrier=warmup_barrier
+    ) or (chip is not None and chip.trace_enabled):
         return None
     outputs_list = plan.run_batched(inputs_list)
-    B = len(inputs_list)
     if chip is not None:
-        from dataclasses import fields as dc_fields
-
-        chip.activity.stream_hop_bytes = chip.srf.hop_bytes_total
-        for f in dc_fields(plan.activity):
-            if f.name == "stream_hop_bytes":
-                continue
-            setattr(
-                chip.activity,
-                f.name,
-                getattr(chip.activity, f.name)
-                + getattr(plan.activity, f.name) * B,
-            )
-        chip.srf.hop_bytes_total += plan.activity.stream_hop_bytes * B
-        chip.activity.stream_hop_bytes = chip.srf.hop_bytes_total
-        if chip.obs is not None and plan.telemetry is not None:
-            for _ in range(B):
-                chip.obs.merge_state(plan.telemetry)
+        plan.charge(chip, len(inputs_list))
     return [
-        ExecutionResult(
-            outputs=outputs,
-            run=RunResult(
-                cycles=plan.cycles,
-                instructions=plan.instructions,
-                activity=plan.activity.copy(),
-                trace=[],
-                ecc_corrections=0,
-                skipped_cycles=plan.skipped,
-            ),
-        )
+        ExecutionResult(outputs=outputs, run=plan.run_result([]))
         for outputs in outputs_list
     ]

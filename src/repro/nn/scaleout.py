@@ -48,6 +48,12 @@ from .perfmodel import LayerEstimate, estimate_network
 from .resnet import LayerSpec
 from .tsp_inference import ChunkRunStats, CompiledLayer, TspCnnRunner
 
+#: how a stage boundary's payload is staged and paced.  The staging
+#: *slice* is an argument (a blacklist moves it); nothing moves these.
+STAGE_BASE_ADDRESS = 0
+TRANSFER_INTERVAL = 1  # cycles between the sends of a direct hop
+TRANSFER_MAX_CYCLES = 2_000_000
+
 
 @dataclass
 class StagePlan:
@@ -306,10 +312,7 @@ def _pick_stage_slice(config: ArchConfig, stage_slice: int, blacklist):
     )
 
 
-def _transfer_for(
-    system, src, n_words, *, fingerprint, cache, stage_slice,
-    base_address, interval,
-):
+def _transfer_for(system, src, n_words, *, fingerprint, cache, stage_slice):
     """Build (or fetch) the timed transfer programs for one hop shape.
 
     The key folds in the partition fingerprint and the link's
@@ -321,23 +324,21 @@ def _transfer_for(
 
     def factory():
         return build_forward_transfer(
-            system, src, n_words,
-            stage_slice=stage_slice, base_address=base_address,
-            interval=interval,
+            system, src, n_words, stage_slice=stage_slice,
+            base_address=STAGE_BASE_ADDRESS, interval=TRANSFER_INTERVAL,
         )
 
     if cache is None or not hasattr(cache, "get_or_build"):
         return factory()
     key = (
         f"xfer:{fingerprint}:{src}:{n_words}:{link.arrival_latency}:"
-        f"{interval}:{stage_slice}:{base_address}"
+        f"{stage_slice}"
     )
     return cache.get_or_build(key, factory)
 
 
 def _ring_transfer_for(
-    system, route, n_words, *, fingerprint, cache, stage_slice,
-    base_address, interval,
+    system, route, n_words, *, fingerprint, cache, stage_slice
 ):
     """Build (or fetch) the timed store-and-forward plan for one route.
 
@@ -356,9 +357,8 @@ def _ring_transfer_for(
         return build_ring_transfer(
             system, route,
             np.zeros((n_words, lanes), dtype=np.uint8),
-            stage_slice=stage_slice, base_address=base_address,
-            interval=interval,
-        )
+            stage_slice=stage_slice, base_address=STAGE_BASE_ADDRESS,
+        )  # paced at the builder's own store-and-forward interval
 
     if cache is None or not hasattr(cache, "get_or_build"):
         return factory()
@@ -371,7 +371,7 @@ def _ring_transfer_for(
     )
     key = (
         f"ringxfer:{fingerprint}:{'-'.join(map(str, route))}:{n_words}:"
-        f"{latencies}:{interval}:{stage_slice}:{base_address}"
+        f"{latencies}:{stage_slice}"
     )
     return cache.get_or_build(key, factory)
 
@@ -386,10 +386,7 @@ def execute_pipeline(
     stats: ChunkRunStats | None = None,
     plan: PartitionPlan | None = None,
     fast_forward: bool = True,
-    interval: int = 1,
     stage_slice: int = 0,
-    base_address: int = 0,
-    max_cycles: int = 2_000_000,
     blacklist=None,
 ) -> PipelineRunResult:
     """Run one batch through an executed N-chip pipeline.
@@ -472,7 +469,7 @@ def execute_pipeline(
         else frozenset()
     )
     ring_n = len(system.chips)
-    words_cap = (1 << config.mem_addr_bits) - base_address
+    words_cap = (1 << config.mem_addr_bits) - STAGE_BASE_ADDRESS
     stage_stats = [ChunkRunStats() for _ in range(n_chips)]
     stages: list[ExecutedStage] = []
     current = x
@@ -529,20 +526,19 @@ def execute_pipeline(
                             system, index, chunk.shape[0],
                             fingerprint=plan.fingerprint, cache=cache,
                             stage_slice=stage_slice,
-                            base_address=base_address,
-                            interval=interval,
                         )
                         chip.load_memory(
-                            Hemisphere.WEST, stage_slice, base_address,
+                            Hemisphere.WEST, stage_slice, STAGE_BASE_ADDRESS,
                             chunk,
                         )
                         runs = system.run(
-                            transfer.programs, max_cycles=max_cycles,
+                            transfer.programs,
+                            max_cycles=TRANSFER_MAX_CYCLES,
                             fast_forward=fast_forward,
                         )
                         hop_cycles = runs[0].cycles
                         landed_words = system.chips[index + 1].read_memory(
-                            Hemisphere.WEST, stage_slice, base_address,
+                            Hemisphere.WEST, stage_slice, STAGE_BASE_ADDRESS,
                             chunk.shape[0],
                         )
                     else:
@@ -550,23 +546,22 @@ def execute_pipeline(
                             system, route, chunk.shape[0],
                             fingerprint=plan.fingerprint, cache=cache,
                             stage_slice=stage_slice,
-                            base_address=base_address,
-                            interval=max(interval, 4),
                         )
                         # the plan is payload-free: stage this chunk at
                         # the route head before every lockstep run
                         system.chips[route[0]].load_memory(
                             ring_plan.dst_hemisphere, stage_slice,
-                            base_address, chunk,
+                            STAGE_BASE_ADDRESS, chunk,
                         )
                         runs = system.run(
-                            ring_plan.programs, max_cycles=max_cycles,
+                            ring_plan.programs,
+                            max_cycles=TRANSFER_MAX_CYCLES,
                             fast_forward=fast_forward,
                         )
                         hop_cycles = max(r.cycles for r in runs)
                         landed_words = system.chips[route[-1]].read_memory(
                             ring_plan.dst_hemisphere, stage_slice,
-                            base_address, chunk.shape[0],
+                            STAGE_BASE_ADDRESS, chunk.shape[0],
                         )
                     transfer_cycles += hop_cycles
                     if stage_ctx is not None:

@@ -362,12 +362,9 @@ class TspCnnRunner:
         ctx = rtrace.current()
         start_us = ctx.tracer.now_us() if ctx is not None else 0.0
         t0 = time.perf_counter()
-        plan = compiled.replay
-        results = None
-        if plan is not None and plan.fast_forward == fast_forward:
-            results = execute_batched(
-                compiled, inputs_list, chip=chip, max_cycles=2_000_000
-            )
+        results = execute_batched(
+            compiled, inputs_list, chip=chip, max_cycles=2_000_000
+        )
         replayed = results is not None
         if not replayed:
             # without a cache the compiled program dies with this call,

@@ -68,9 +68,11 @@ class RunResult:
 
     All counts are per-run windows: a chip reused for back-to-back runs
     keeps its own cumulative tallies, but each result reports only what
-    its run contributed.  ``skipped_cycles`` counts the quiescent cycles
-    the fast-forward core crossed in bulk (0 on the cycle-by-cycle path);
-    they are included in ``cycles``.
+    its run contributed.  ``skipped_cycles`` counts the cycles nobody
+    walked: the quiescent spans the fast-forward core crossed in bulk, 0
+    on the cycle-by-cycle path, and all of them for a replayed plan
+    (:mod:`repro.sim.replay`).  They are included in ``cycles``, so
+    ``cycles - skipped_cycles`` is the walked-cycle count on every route.
     """
 
     cycles: int

@@ -8,8 +8,10 @@ exploits that literally.  On the first execution of a
 :class:`ScheduleRecorder` hooks the simulator and folds the resolved
 operation stream into a linear :class:`ReplayPlan` of fused numpy kernels;
 subsequent executions with new inputs run the plan directly — no ICU
-queues, no event heap, no per-cycle SRF stepping — and a batched entry
-point evaluates B inputs in one pass along a leading batch axis.
+queues, no event heap, no per-cycle SRF stepping.  One interpreter runs
+the kernels, always along a leading batch axis: the pure entry point
+evaluates B inputs in one pass, the write-through one is a batch of one
+whose words come from and go back to a chip's SRAM.
 
 Correctness strategy (fail closed):
 
@@ -32,8 +34,8 @@ Correctness strategy (fail closed):
   recording run itself is never disturbed.
 * **Bypass predicate.**  :func:`replay_allowed` refuses to replay onto a
   chip with checkers, armed watchdogs, error models, dead slices, injected
-  faults, disabled superlanes or attached hardware-fault hooks — faulty
-  runs need the real machine.
+  faults, events armed for the next run, disabled superlanes or attached
+  hardware-fault hooks — faulty runs need the real machine.
 
 Observability is derived, not lost: the plan carries the recorded
 dispatches (formatted into trace events on the first trace-enabled
@@ -52,7 +54,7 @@ from typing import Any, Callable
 import numpy as np
 
 from ..arch.geometry import Direction, Hemisphere
-from ..arch.streams import DType, join_byte_planes, split_to_byte_planes
+from ..arch.streams import DType
 from ..errors import SimulationError
 from ..isa.icu import Ifetch, Nop, Notify, Repeat, Sync
 from ..isa.mem import Read, Write
@@ -131,12 +133,10 @@ class ScheduleRecorder:
     the run completes untouched.
     """
 
-    def __init__(self, chip, compiled, *, warmup_barrier: bool,
-                 fast_forward: bool) -> None:
+    def __init__(self, chip, compiled, *, warmup_barrier: bool) -> None:
         self.chip = chip
         self.compiled = compiled
         self.warmup_barrier = warmup_barrier
-        self.fast_forward = fast_forward
         self.failed: str | None = None
         self.lanes = chip.config.n_lanes
         self.ops: list[tuple] = []
@@ -375,11 +375,9 @@ class ScheduleRecorder:
             timing=chip.timing,
             ecc_enabled=chip.srf_ecc_enabled,
             warmup_barrier=self.warmup_barrier,
-            fast_forward=self.fast_forward,
             lanes=self.lanes,
             cycles=run.cycles,
             final_now=chip.now,
-            skipped=run.skipped_cycles,
             instructions=run.instructions,
             activity=run.activity.copy(),
             dispatches=self.dispatches,
@@ -425,38 +423,29 @@ def _load(values: list, ref: tuple) -> np.ndarray:
     return values[ref[1]] if ref[0] == "s" else ref[1]
 
 
-def _join_refs(values: list, refs: list, dtype: DType,
-               B: int | None) -> np.ndarray:
-    vals = [_load(values, r) for r in refs]
-    if B is not None and any(v.ndim == 2 for v in vals):
-        lanes = max(v.shape[-1] for v in vals)
-        vals = [
-            np.broadcast_to(v, (B, lanes)) if v.ndim == 1 else v
-            for v in vals
-        ]
-        stacked = np.stack(vals, axis=2)
-        return np.ascontiguousarray(stacked).view(dtype.numpy_dtype)\
-            .reshape(B, -1)
-    return join_byte_planes(vals, dtype)
+def _rows(values: list, ref: tuple, B: int) -> np.ndarray:
+    """A ref over the batch: a slot as stored, a recorded constant (one
+    lane vector, the same for every input) broadcast to ``(B, lanes)``."""
+    value = _load(values, ref)
+    if value.ndim == 2:
+        return value
+    return np.broadcast_to(value, (B, value.shape[0]))
+
+
+def _join_refs(values: list, refs: list, dtype: DType, B: int) -> np.ndarray:
+    stacked = np.stack([_rows(values, r, B) for r in refs], axis=2)
+    return np.ascontiguousarray(stacked).view(dtype.numpy_dtype)\
+        .reshape(B, -1)
 
 
 def _store_planes(values: list, z: np.ndarray, out_dtype: DType,
                   slots: list) -> None:
-    if z.ndim == 2:
-        arr = np.ascontiguousarray(z, dtype=out_dtype.numpy_dtype)
-        raw = arr.view(np.uint8).reshape(
-            arr.shape[0], arr.shape[1], out_dtype.n_bytes
-        )
-        planes = [
-            np.ascontiguousarray(raw[:, :, b])
-            for b in range(out_dtype.n_bytes)
-        ]
-    else:
-        planes = split_to_byte_planes(
-            np.asarray(z, dtype=out_dtype.numpy_dtype), out_dtype
-        )
-    for slot, plane in zip(slots, planes):
-        values[slot] = plane
+    arr = np.ascontiguousarray(z, dtype=out_dtype.numpy_dtype)
+    raw = arr.view(np.uint8).reshape(
+        arr.shape[0], arr.shape[1], out_dtype.n_bytes
+    )
+    for b, slot in enumerate(slots):
+        values[slot] = np.ascontiguousarray(raw[:, :, b])
 
 
 @dataclass
@@ -470,11 +459,9 @@ class ReplayPlan:
     timing: object
     ecc_enabled: bool
     warmup_barrier: bool
-    fast_forward: bool
     lanes: int
     cycles: int
     final_now: int
-    skipped: int
     instructions: int
     activity: object
     #: raw ``(cycle, queue name, instruction)`` per recorded dispatch
@@ -501,8 +488,14 @@ class ReplayPlan:
 
     # -- kernel interpreter ------------------------------------------------
 
-    def _execute_ops(self, values: list, mem_read, mem_write,
-                     B: int | None) -> None:
+    def _execute_ops(self, values: list, mem_read, mem_write, B: int) -> None:
+        """Run every op over a leading batch axis of ``B`` inputs.
+
+        The one interpreter behind both front ends: ``mem_read(key)``
+        returns a ``(B, lanes)`` word, ``mem_write(key, vector, is_const)``
+        takes one back (a recorded constant stays one lane vector), and
+        every slot in between holds ``B`` rows.
+        """
         lanes = self.lanes
         for op in self.ops:
             tag = op[0]
@@ -533,60 +526,31 @@ class ReplayPlan:
                 _store_planes(values, z, out_dtype, slots)
             elif tag == "route":
                 _, slot, in_refs, src_input, src_lane, zero_mask = op
-                if B is None:
-                    if src_input is None:
-                        out = _load(values, in_refs[0])[src_lane]
-                    else:
-                        stacked = np.stack(
-                            [_load(values, r) for r in in_refs]
-                        )
-                        out = stacked[src_input, src_lane]
+                if src_input is None:
+                    out = _rows(values, in_refs[0], B)[:, src_lane]
                 else:
-                    vals = [_load(values, r) for r in in_refs]
-                    vals = [
-                        np.broadcast_to(v, (B, lanes)) if v.ndim == 1 else v
-                        for v in vals
-                    ]
-                    if src_input is None:
-                        out = vals[0][:, src_lane]
-                    else:
-                        stacked = np.stack(vals, axis=1)
-                        out = stacked[:, src_input, src_lane]
+                    stacked = np.stack(
+                        [_rows(values, r, B) for r in in_refs], axis=1
+                    )
+                    out = stacked[:, src_input, src_lane]
                 if zero_mask is not None:
-                    out[..., zero_mask] = 0
+                    out[:, zero_mask] = 0
                 values[slot] = out
             elif tag == "dot":
                 _, slot, dtype, rows, w, refs = op
                 if dtype is DType.FP16:
-                    if B is None:
-                        raw = np.stack(
-                            [_load(values, refs[0]), _load(values, refs[1])],
-                            axis=1,
-                        ).reshape(-1)
-                        a = raw.view(np.float16)[:rows].astype(np.float32)
-                        values[slot] = (w.T @ a).astype(np.float64)
-                    else:
-                        p0 = np.ascontiguousarray(np.broadcast_to(
-                            _load(values, refs[0]), (B, lanes)))
-                        p1 = np.ascontiguousarray(np.broadcast_to(
-                            _load(values, refs[1]), (B, lanes)))
-                        out = np.empty((B, w.shape[1]), dtype=np.float64)
-                        for b in range(B):
-                            raw = np.stack([p0[b], p1[b]], axis=1).reshape(-1)
-                            a = raw.view(np.float16)[:rows]\
-                                .astype(np.float32)
-                            out[b] = (w.T @ a).astype(np.float64)
-                        values[slot] = out
+                    a = _join_refs(values, refs[:2], dtype, B)[:, :rows]\
+                        .astype(np.float32)
+                    # a matrix-vector product per input, as the MXM
+                    # computes it: one (B, K) @ (K, M) product may round
+                    # in another order
+                    values[slot] = np.stack(
+                        [w.T @ row for row in a]
+                    ).astype(np.float64)
                 else:
-                    plane0 = _load(values, refs[0])
-                    if B is None:
-                        a = plane0.view(np.int8)[:rows].astype(np.int64)
-                        values[slot] = w.T @ a
-                    else:
-                        p0 = np.ascontiguousarray(
-                            np.broadcast_to(plane0, (B, lanes)))
-                        a = p0.view(np.int8)[:, :rows].astype(np.int64)
-                        values[slot] = a @ w
+                    p0 = np.ascontiguousarray(_rows(values, refs[0], B))
+                    a = p0.view(np.int8)[:, :rows].astype(np.int64)
+                    values[slot] = a @ w
             elif tag == "acc":
                 _, out_slot, ref_a, ref_b = op
                 values[out_slot] = _load(values, ref_a) + _load(values, ref_b)
@@ -599,17 +563,38 @@ class ReplayPlan:
                     ).astype(np.int32)
                 else:
                     narrowed = value.astype(np.float32)
-                if narrowed.ndim == 2:
-                    padded = np.zeros((B, lanes), dtype=narrowed.dtype)
-                    n = min(narrowed.shape[1], lanes)
-                    padded[:, :n] = narrowed[:, :n]
-                else:
-                    padded = np.zeros(lanes, dtype=narrowed.dtype)
-                    n = min(narrowed.shape[0], lanes)
-                    padded[:n] = narrowed[:n]
+                padded = np.zeros((B, lanes), dtype=narrowed.dtype)
+                n = min(narrowed.shape[1], lanes)
+                padded[:, :n] = narrowed[:, :n]
                 _store_planes(values, padded, out_dtype, slots)
             else:  # pragma: no cover - recorder and interpreter move together
                 raise SimulationError(f"unknown replay op {tag!r}")
+
+    def charge(self, chip, runs: int) -> None:
+        """Land ``runs`` executions' activity, hop bytes and telemetry on
+        ``chip`` — what that many real runs would have added to it."""
+        for f in fields(self.activity):
+            if f.name != "stream_hop_bytes":
+                setattr(chip.activity, f.name,
+                        getattr(chip.activity, f.name)
+                        + getattr(self.activity, f.name) * runs)
+        chip.srf.hop_bytes_total += self.activity.stream_hop_bytes * runs
+        chip.activity.stream_hop_bytes = chip.srf.hop_bytes_total
+        if chip.obs is not None and self.telemetry is not None:
+            for _ in range(runs):
+                chip.obs.merge_state(self.telemetry)
+
+    def run_result(self, trace: list) -> RunResult:
+        """One replayed run's :class:`RunResult`; a replay walks no cycle,
+        so every one of them counts as skipped."""
+        return RunResult(
+            cycles=self.cycles,
+            instructions=self.instructions,
+            activity=self.activity.copy(),
+            trace=trace,
+            ecc_corrections=0,
+            skipped_cycles=self.cycles,
+        )
 
     # -- write-through single-input replay ---------------------------------
 
@@ -619,55 +604,31 @@ class ReplayPlan:
         Memory effects, ECC check storage, activity counters, trace and
         telemetry deltas, and ``chip.now`` all land on the chip; the
         caller binds inputs beforehand and fetches outputs afterwards
-        exactly as for a real run.
+        exactly as for a real run.  The ops run through the batched
+        kernels as a batch of one: a word read is lifted to ``(1, lanes)``
+        and a computed word's row 0 is written through.
         """
         chip.begin_run()
-        chip.activity.stream_hop_bytes = chip.srf.hop_bytes_total
-        units: dict = {}
-
-        def _unit(key):
-            u = units.get(key[:2])
-            if u is None:
-                u = chip.mem_unit(key[0], key[1])
-                units[key[:2]] = u
-            return u
-
+        unit = functools.cache(chip.mem_unit)
         ecc = chip.srf_ecc_enabled
 
         def mem_read(key):
-            return _unit(key).storage[key[2]].copy()
+            return unit(key[0], key[1]).storage[key[2]].copy()[None]
 
         def mem_write(key, vector, is_const):
-            u = _unit(key)
-            u.storage[key[2]] = vector
+            u = unit(key[0], key[1])
+            u.storage[key[2]] = vector if is_const else vector[0]
             if ecc:
                 u._store_checks(key[2])
 
-        values: list = [None] * self.n_slots
-        self._execute_ops(values, mem_read, mem_write, None)
+        self._execute_ops([None] * self.n_slots, mem_read, mem_write, 1)
 
-        for f in fields(self.activity):
-            if f.name == "stream_hop_bytes":
-                continue
-            setattr(chip.activity, f.name,
-                    getattr(chip.activity, f.name)
-                    + getattr(self.activity, f.name))
-        chip.srf.hop_bytes_total += self.activity.stream_hop_bytes
-        chip.activity.stream_hop_bytes = chip.srf.hop_bytes_total
+        self.charge(chip, 1)
         if chip.trace_enabled:
             chip.trace.extend(self.trace)
-        if chip.obs is not None and self.telemetry is not None:
-            chip.obs.merge_state(self.telemetry)
         chip.now = self.final_now
         self.replays += 1
-        return RunResult(
-            cycles=self.cycles,
-            instructions=self.instructions,
-            activity=self.activity.copy(),
-            trace=list(self.trace) if chip.trace_enabled else [],
-            ecc_corrections=0,
-            skipped_cycles=self.skipped,
-        )
+        return self.run_result(list(self.trace) if chip.trace_enabled else [])
 
     # -- pure batched replay -----------------------------------------------
 
@@ -712,8 +673,7 @@ class ReplayPlan:
             if not is_const:
                 overlay[key] = vector
 
-        values: list = [None] * self.n_slots
-        self._execute_ops(values, mem_read, mem_write, B)
+        self._execute_ops([None] * self.n_slots, mem_read, mem_write, B)
 
         stacked_out: dict[str, np.ndarray] = {}
         for name, spec in self.outputs.items():
@@ -755,6 +715,9 @@ def _chip_is_pristine(chip) -> str | None:
         return "watchdog armed"
     if chip.recorder is not None:
         return "recording in progress"
+    if chip.events.pending:
+        # armed before the run, they belong to it: only a run fires them
+        return "events armed for the next run"
     if getattr(chip, "faults_injected", 0):
         return "injected faults present"
     if getattr(chip, "external_fault_hooks", False):
@@ -785,13 +748,19 @@ def record_allowed(chip) -> bool:
 
 def replay_allowed(plan: ReplayPlan | None, chip, *, max_cycles: int,
                    warmup_barrier: bool) -> bool:
-    """May ``plan`` stand in for a real ``chip.run`` right now?"""
+    """May ``plan`` stand in for a real ``chip.run`` right now?
+
+    ``chip`` is ``None`` for a pure batched evaluation, which touches no
+    chip: only the plan's own bounds can refuse it.
+    """
     if plan is None or not plan.ok:
         return False
     if plan.cycles > max_cycles:
         return False
     if warmup_barrier != plan.warmup_barrier:
         return False
+    if chip is None:
+        return True
     if chip.config is not plan.config and chip.config != plan.config:
         return False
     if chip.timing is not plan.timing and chip.timing != plan.timing:

@@ -98,12 +98,15 @@ class LockstepResult:
     program is outside the replay engine's supported set (``plan`` then
     carries the reason) or when the harness cannot record (raw
     ``Program`` without tensor I/O, ``chip_setup`` fault campaigns).
+    ``batched`` rides with it: the same plan's pure evaluation of the
+    inputs bound twice, one output dict per row — the route that serves.
     """
 
     slow: LockstepExecution
     fast: LockstepExecution
     replay: LockstepExecution | None = None
     plan: object | None = None
+    batched: list[dict[str, np.ndarray]] | None = None
     mismatches: list[str] = field(default_factory=list)
 
     @property
@@ -213,13 +216,14 @@ def run_lockstep(
         compiled, inputs, True, timing, max_cycles, warmup_barrier,
         enable_ecc, config, chip_setup,
     )
-    replay = None
-    plan = None
+    replay = plan = batched = None
     if chip_setup is None and isinstance(compiled, CompiledProgram):
-        replay, plan = _execute_replay(
+        replay, plan, batched = _execute_replay(
             compiled, inputs, timing, max_cycles, warmup_barrier, enable_ecc
         )
-    result = LockstepResult(slow=slow, fast=fast, replay=replay, plan=plan)
+    result = LockstepResult(
+        slow=slow, fast=fast, replay=replay, plan=plan, batched=batched
+    )
     _compare(result)
     return result
 
@@ -234,8 +238,9 @@ def _execute_replay(
 ):
     """Record the program on one fresh chip, replay it on another.
 
-    Returns ``(execution, plan)``; ``execution`` is ``None`` when the
-    recorder marked the plan unsupported (the reason rides on ``plan``).
+    Returns ``(execution, plan, batched)``; ``execution`` and ``batched``
+    are ``None`` when the recorder marked the plan unsupported (the
+    reason rides on ``plan``).
     Checkers are deliberately absent from both chips — a chip with
     checkers attached is outside the replay engine's bypass predicate by
     design, so the recording must happen without them.
@@ -257,9 +262,7 @@ def _execute_replay(
     # recorded with tracing off, replayed with it on: the plan keeps raw
     # dispatches and must format a trace equal to the simulated one
     chip = _fresh_chip(trace=False)
-    recorder = ScheduleRecorder(
-        chip, compiled, warmup_barrier=warmup_barrier, fast_forward=True
-    )
+    recorder = ScheduleRecorder(chip, compiled, warmup_barrier=warmup_barrier)
     chip.recorder = recorder
     try:
         run = chip.run(
@@ -272,7 +275,7 @@ def _execute_replay(
         chip.recorder = None
     plan = recorder.finish(run)
     if not plan.ok:
-        return None, plan
+        return None, plan, None
 
     chip = _fresh_chip(trace=True)
     run = plan.replay_into(chip)
@@ -289,6 +292,7 @@ def _execute_replay(
             telemetry=chip.obs.snapshot(),
         ),
         plan,
+        plan.run_batched([inputs, inputs]),
     )
 
 
@@ -377,12 +381,13 @@ def _compare_replay(result: LockstepResult) -> None:
 
     Everything the replay engine reconstructs must be bit-identical to
     the dense run: outputs, memory, cycle/instruction counts, activity,
-    the dispatch trace, and the merged telemetry snapshot.
-    ``skipped_cycles`` is compared against the fast leg — the plan was
-    recorded under fast-forward, whose skip tally is part of its
-    contract.
+    the dispatch trace, and the merged telemetry snapshot.  A replay
+    walks no cycle, so its ``skipped_cycles`` must equal its ``cycles``.
+    Both rows of the pure batched evaluation must equal the dense outputs
+    too — a constant that failed to broadcast against a batched slot
+    shows up there, not in the batch of one.
     """
-    slow, fast, replay = result.slow, result.fast, result.replay
+    slow, replay = result.slow, result.replay
     note = result.mismatches.append
 
     if replay.run.cycles != slow.run.cycles:
@@ -395,10 +400,10 @@ def _compare_replay(result: LockstepResult) -> None:
             f"replay instructions: slow={slow.run.instructions} "
             f"replay={replay.run.instructions}"
         )
-    if replay.run.skipped_cycles != fast.run.skipped_cycles:
+    if replay.run.skipped_cycles != replay.run.cycles:
         note(
-            f"replay skipped cycles: fast={fast.run.skipped_cycles} "
-            f"replay={replay.run.skipped_cycles}"
+            f"replay skipped cycles: cycles={replay.run.cycles} "
+            f"skipped={replay.run.skipped_cycles}"
         )
     if replay.run.activity != slow.run.activity:
         note(
@@ -423,6 +428,11 @@ def _compare_replay(result: LockstepResult) -> None:
             note(f"replay output {name!r} missing from one mode")
         elif a.shape != b.shape or a.tobytes() != b.tobytes():
             note(f"replay output {name!r} differs bit-wise")
+    for row, outputs in enumerate(result.batched):
+        for name, a in slow.outputs.items():
+            b = outputs.get(name)
+            if b is None or a.shape != b.shape or a.tobytes() != b.tobytes():
+                note(f"batched replay row {row}: output {name!r} differs")
     for name in sorted(set(slow.memory) | set(replay.memory)):
         a, b = slow.memory.get(name), replay.memory.get(name)
         if a is None or b is None:

@@ -2,7 +2,8 @@
 
 Compiled cases go through :func:`repro.verify.oracle.assert_conformance`
 with the full checker stack attached (stream collisions, bank discipline,
-the Equation-4/5 timing contract); instructions the stream compiler never
+the Equation-4/5 timing contract) and then through the three-way
+dense / fast-forward / replay lockstep; instructions the stream compiler never
 emits — ``LW``, ``Scatter``, ``Repeat``, ``Config``, ``Ifetch``,
 ``Deskew``/``Send``/``Receive`` — are exercised by hand-built programs with
 independently computed expected results.  One :class:`CoverageTracker`
@@ -50,6 +51,7 @@ from .invariants import (
     StreamCollisionChecker,
     TimingContractChecker,
 )
+from .lockstep import assert_lockstep
 from .oracle import assert_conformance
 
 E = Direction.EASTWARD
@@ -130,6 +132,10 @@ def _oracle(builder, tracker, inputs=None, warmup=False, compiled=None):
     )
     for checker in checkers:
         checker.raise_if_violated()
+    assert_lockstep(
+        compiled, inputs=inputs, timing=builder.timing,
+        warmup_barrier=warmup,
+    )
 
 
 def case_elementwise_int8(config: ArchConfig, tracker: CoverageTracker):
@@ -270,6 +276,71 @@ def case_warmup_barrier(config: ArchConfig, tracker: CoverageTracker):
     y = b.constant_tensor("y", _int8((2, 32), offset=1))
     b.write_back(b.add(x, y), "sum")
     _oracle(b, tracker, warmup=True)
+
+
+# ----------------------------------------------------------------------
+# input-fed programs: what a replay plan cannot fold to constants
+# ----------------------------------------------------------------------
+# A constants-only program records as ``wconst`` writes and nothing else;
+# only a value derived from a run-time input leaves a ``vxm1`` / ``vxm2`` /
+# ``vxmc`` / ``route`` / ``dot`` op in the plan.  Each builder returns
+# ``(builder, inputs)``; ``offset`` varies the inputs, not the program, so
+# a test can bind several distinct batches to one binary.
+def fed_vxm_chain(config: ArchConfig, offset: int = 0):
+    """``relu(x) + const + y``: unary, input ⊕ constant, input ⊕ input."""
+    b = StreamProgramBuilder(config)
+    x = b.input_tensor("x", (4, 50))
+    y = b.input_tensor("y", (4, 50))
+    c = b.constant_tensor("c", _int8((4, 50), offset=3))
+    b.write_back(b.add(b.add(b.relu(x), c), y), "out")
+    return b, {
+        "x": _int8((4, 50), offset=offset),
+        "y": _int8((4, 50), offset=offset + 5),
+    }
+
+
+def fed_convert(config: ArchConfig, offset: int = 0):
+    b = StreamProgramBuilder(config)
+    x = b.input_tensor("x", (3, 40))
+    b.write_back(b.convert(x, DType.INT32), "wide")
+    return b, {"x": _int8((3, 40), offset=offset)}
+
+
+def fed_sxm_routes(config: ArchConfig, offset: int = 0):
+    """One-source gathers (shift zero-fills) and a two-source select
+    whose other side is a constant."""
+    lanes = config.n_lanes
+    b = StreamProgramBuilder(config)
+    x = b.input_tensor("x", (2, lanes))
+    y = b.constant_tensor("y", _int8((2, lanes), offset=9))
+    b.write_back(b.shift(x, 3), "north")
+    b.write_back(b.permute(x, list(reversed(range(lanes)))), "rev")
+    mask = [i % 2 for i in range(config.lanes_per_superlane)]
+    b.write_back(b.select(x, y, mask), "sel")
+    return b, {"x": _int8((2, lanes), offset=offset)}
+
+
+def fed_matmul_fp16(config: ArchConfig, offset: int = 0):
+    b = StreamProgramBuilder(config)
+    a = b.input_tensor("a", (2, 32), DType.FP16)
+    b.write_back(b.matmul(_fp16((32, 16), offset=7), a, name="wf"), "mmf")
+    return b, {"a": _fp16((2, 32), offset=offset)}
+
+
+FED_PROGRAMS = [
+    ("fed-vxm-chain", fed_vxm_chain),
+    ("fed-convert", fed_convert),
+    ("fed-sxm-routes", fed_sxm_routes),
+    ("fed-matmul-fp16", fed_matmul_fp16),
+]
+
+
+def _fed_case(build):
+    def case(config: ArchConfig, tracker: CoverageTracker):
+        builder, inputs = build(config)
+        _oracle(builder, tracker, inputs=inputs)
+
+    return case
 
 
 # ----------------------------------------------------------------------
@@ -471,6 +542,7 @@ CASES = [
     ("rotate", case_rotate),
     ("transpose16", case_transpose16),
     ("warmup-barrier", case_warmup_barrier),
+    *((name, _fed_case(build)) for name, build in FED_PROGRAMS),
     ("scatter-hand", case_scatter_hand),
     ("mxm-lw-staging", case_mxm_lw_staging),
     ("c2c-loopback", case_c2c_loopback),

@@ -18,6 +18,7 @@ pin the contract that makes record-once/replay-many safe:
 """
 
 import numpy as np
+import pytest
 
 from repro.arch import Direction, DType, Hemisphere
 from repro.compiler import StreamProgramBuilder, execute
@@ -26,7 +27,12 @@ from repro.resil.health import Watchdog
 from repro.serve import ChipPool, DynamicBatcher, ProgramCache
 from repro.serve.resilient import probe_memory
 from repro.sim import LinkErrorModel, TspChip
-from repro.sim.replay import record_allowed, replay_allowed
+from repro.sim.faults import FaultInjector
+from repro.sim.icu import QueueSet
+from repro.sim.replay import ScheduleRecorder, record_allowed, replay_allowed
+from repro.sim.streamreg import StreamRegisterFile
+from repro.verify.invariants import StreamCollisionChecker
+from repro.verify.suite import FED_PROGRAMS
 
 N_ROWS, K, M = 4, 16, 8
 
@@ -76,7 +82,8 @@ class TestRecordReplay:
         assert replayed.run.cycles == reference.run.cycles
         assert replayed.run.instructions == reference.run.instructions
         assert replayed.run.activity == reference.run.activity
-        assert replayed.run.skipped_cycles == reference.run.skipped_cycles
+        # a replay walks no cycle, whichever engine the reference ran on
+        assert replayed.run.skipped_cycles == replayed.run.cycles
 
     def test_replay_leaves_identical_chip_memory(self, config):
         compiled, _ = recorded_program(config)
@@ -159,6 +166,76 @@ class TestLazyPlanTrace:
         assert "trace" in vars(plan)
 
 
+class TestReplayWorkCounts:
+    """What a replay costs, as counts: no cycle walked, no queue dispatched,
+    each plan op run once however many inputs ride the batch."""
+
+    @pytest.fixture()
+    def entered(self, monkeypatch):
+        counts = {}
+
+        def counted(owner, attr):
+            original = getattr(owner, attr)
+
+            def wrapper(*args, **kwargs):
+                counts[attr] = counts.get(attr, 0) + 1
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(owner, attr, wrapper)
+
+        counted(TspChip, "step_cycle")
+        counted(QueueSet, "dispatch")
+        counted(StreamRegisterFile, "step")
+        counted(StreamRegisterFile, "step_n")
+        return counts
+
+    @staticmethod
+    def count_ops(plan):
+        """Swap in an op list that logs every op the interpreter takes."""
+        taken = []
+
+        class Logged(list):
+            def __iter__(self):
+                for op in list.__iter__(self):
+                    taken.append(op[0])
+                    yield op
+
+        plan.ops = Logged(plan.ops)
+        return taken
+
+    def test_write_through_replay_walks_no_cycle(self, config, entered):
+        compiled, _ = recorded_program(config)
+        plan = compiled.replay
+        taken = self.count_ops(plan)
+        chip = TspChip(config)
+        entered.clear()
+        result = execute(compiled, chip=chip, inputs={"acts": acts_for(7)})
+        assert plan.replays == 1
+        # begin_run's drain of whatever the last run left in flight is the
+        # only stream shift; nothing steps, nothing dispatches
+        assert entered == {"step_n": 1}
+        assert len(taken) == len(plan.ops)
+        assert result.run.cycles - result.run.skipped_cycles == 0
+
+    @pytest.mark.parametrize("B", [1, 5])
+    def test_batched_replay_runs_each_op_once_whatever_B(
+        self, config, entered, B
+    ):
+        compiled, _ = recorded_program(config)
+        plan = compiled.replay
+        taken = self.count_ops(plan)
+        chip = TspChip(config)
+        entered.clear()
+        results = execute_batched(
+            compiled, [{"acts": acts_for(i)} for i in range(B)], chip=chip
+        )
+        assert plan.replays == B
+        assert entered == {}
+        assert len(taken) == len(plan.ops)
+        for res in results:
+            assert res.run.cycles - res.run.skipped_cycles == 0
+
+
 class TestBatched:
     def test_batched_matches_sequential(self, config):
         compiled, w = recorded_program(config)
@@ -175,6 +252,23 @@ class TestBatched:
             assert np.array_equal(res["acc"], reference["acc"])
             assert res.run.cycles == reference.run.cycles
             assert res.run.activity == reference.run.activity
+
+    @pytest.mark.parametrize("name, build", FED_PROGRAMS)
+    def test_input_fed_ops_match_three_simulations(self, config, name, build):
+        """``vxm1`` / ``vxm2`` / ``vxmc`` / ``route`` / fp16 ``dot``: the ops
+        a constants-only program folds away, fed three distinct inputs in
+        one pass against three real simulations."""
+        builder, inputs = build(config)
+        compiled = builder.compile()
+        execute(compiled, inputs=inputs)
+        assert compiled.replay.ok, compiled.replay.reason
+        batch = [build(config, offset)[1] for offset in (1, 2, 3)]
+        results = execute_batched(compiled, batch)
+        assert results is not None
+        for bound, res in zip(batch, results):
+            reference = execute(compiled, inputs=bound, record=False)
+            for out, expected in reference.outputs.items():
+                assert res[out].tobytes() == expected.tobytes(), (name, out)
 
     def test_batched_accounts_on_the_chip(self, config):
         compiled, _ = recorded_program(config)
@@ -200,76 +294,121 @@ class TestBatched:
         )
 
 
+EAST = Hemisphere.EAST
+
+
+def _on_fresh_chip(perturb, undo=TspChip.scrub):
+    """A bypass-table row: ``perturb`` a fresh chip, ``undo`` it later."""
+
+    def setup(config):
+        chip = TspChip(config)
+        perturb(chip)
+        return chip, lambda: undo(chip)
+
+    return setup
+
+
+def _pool_checkout_hook(config):
+    pool = ChipPool(config, [], DynamicBatcher(), ProgramCache(), n_workers=1)
+    worker = pool.workers[0]
+    worker.inject_at_checkout(lambda hw: None)
+    worker._checkout()
+    # the hook was one-shot: the next checkout scrubs the flag away
+    return worker.chip, worker._checkout
+
+
+def _start_recording(chip):
+    compiled, _ = build_input_matmul(chip.config)
+    chip.recorder = ScheduleRecorder(chip, compiled, warmup_barrier=False)
+
+
+#: every public way to perturb a chip, as ``setup(config) -> (chip, undo)``.
+#: The recorded program lives in the West hemisphere, so the East MEM
+#: slice 0 faults perturb the chip without killing the run.
+PERTURBATIONS = {
+    "link-error-model": _on_fresh_chip(
+        lambda chip: chip.c2c_unit(EAST).set_error_model(
+            0, LinkErrorModel(dead_after=0)
+        ),
+        lambda chip: chip.c2c_unit(EAST).set_error_model(0, None),
+    ),
+    "dead-slice": _on_fresh_chip(
+        lambda chip: chip.mem_unit(EAST, 0).mark_dead(),
+        lambda chip: chip.mem_unit(EAST, 0).revive(),
+    ),
+    "sram-flip": _on_fresh_chip(
+        lambda chip: FaultInjector(chip).inject_sram_fault(EAST, 0, 7, 3)
+    ),
+    "double-sram-flip": _on_fresh_chip(
+        lambda chip: FaultInjector(chip).inject_double_sram_fault(
+            EAST, 0, 7, (3, 4)
+        )
+    ),
+    "stream-flip-now": _on_fresh_chip(
+        lambda chip: FaultInjector(chip).inject_stream_fault(
+            Direction.EASTWARD, 0, 0, 5
+        )
+    ),
+    "stream-flip-armed": _on_fresh_chip(
+        lambda chip: FaultInjector(chip).inject_stream_fault_at(
+            22, Direction.EASTWARD, 28, 2, 3
+        )
+    ),
+    "superlane-off": _on_fresh_chip(
+        lambda chip: chip.set_superlane_power(0, False),
+        lambda chip: chip.set_superlane_power(0, True),
+    ),
+    "checker-attached": _on_fresh_chip(
+        lambda chip: chip.attach_checker(StreamCollisionChecker())
+    ),
+    "watchdog-armed": _on_fresh_chip(
+        lambda chip: chip.arm_watchdog(Watchdog(deadline=10**9, label="t")),
+        TspChip.disarm_watchdog,
+    ),
+    "recording": _on_fresh_chip(_start_recording),
+    "pool-checkout-hook": _pool_checkout_hook,
+}
+
+
 class TestBypass:
     """Every divergence source must force real simulation (fail-closed)."""
 
-    def test_error_model_bypasses_replay(self, config):
+    @pytest.mark.parametrize("name", PERTURBATIONS)
+    def test_perturbed_chip_simulates(self, config, name):
         compiled, _ = recorded_program(config)
-        chip = TspChip(config)
-        chip.c2c_unit(Hemisphere.EAST).set_error_model(
-            0, LinkErrorModel(dead_after=0)
-        )
-        assert not replay_allowed(
-            compiled.replay, chip, max_cycles=10**6, warmup_barrier=False
-        )
-        assert not record_allowed(chip)
-
-    def test_dead_mem_slice_bypasses_replay(self, config):
-        compiled, _ = recorded_program(config)
-        chip = TspChip(config)
-        chip.mem_unit(Hemisphere.WEST, 0).mark_dead()
-        assert not replay_allowed(
-            compiled.replay, chip, max_cycles=10**6, warmup_barrier=False
-        )
-        assert not record_allowed(chip)
-
-    def test_injected_mem_fault_bypasses_replay(self, config):
-        compiled, _ = recorded_program(config)
-        chip = TspChip(config)
-        chip.mem_unit(Hemisphere.WEST, 0).inject_fault(0, 3)
-        assert not replay_allowed(
-            compiled.replay, chip, max_cycles=10**6, warmup_barrier=False
-        )
-
-    def test_stream_fault_bypasses_replay(self, config):
-        compiled, _ = recorded_program(config)
-        chip = TspChip(config)
-        chip.srf.inject_stream_fault(Direction.EASTWARD, 0, 0, 5)
-        assert not replay_allowed(
-            compiled.replay, chip, max_cycles=10**6, warmup_barrier=False
-        )
-
-    def test_watchdog_bypasses_replay_and_real_run_still_exact(
-        self, config
-    ):
-        compiled, w = recorded_program(config)
         plan = compiled.replay
-        chip = TspChip(config)
-        chip.arm_watchdog(Watchdog(deadline=10**9, label="t"))
+        x = acts_for(30)
+        chip, undo = PERTURBATIONS[name](config)
         assert not replay_allowed(
             plan, chip, max_cycles=10**6, warmup_barrier=False
         )
-        x = acts_for(30)
+        assert not record_allowed(chip)
         result = execute(compiled, chip=chip, inputs={"acts": x})
         assert plan.replays == 0  # bypassed, not replayed
-        assert np.array_equal(result["acc"], oracle(x, w))
-        chip.disarm_watchdog()
-        chip.scrub()
-        assert replay_allowed(
-            plan, chip, max_cycles=10**6, warmup_barrier=False
+        twin, _ = PERTURBATIONS[name](config)
+        reference = execute(
+            compiled, chip=twin, inputs={"acts": x}, record=False
         )
+        assert np.array_equal(result["acc"], reference["acc"])
+        assert result.run.cycles == reference.run.cycles
+        undo()
+        execute(compiled, chip=chip, inputs={"acts": x})
+        assert plan.replays == 1  # pristine again: the plan serves
 
-    def test_external_fault_hook_flag_bypasses_until_scrub(self, config):
-        compiled, _ = recorded_program(config)
+    def test_armed_flip_fires_in_the_run_it_was_armed_for(self, config):
+        """A flip armed for a future cycle belongs to the next run on that
+        chip: the plan must not answer around it with the healthy result
+        and leave it waiting for whichever run comes after."""
+        compiled, w = recorded_program(config)
+        x = acts_for(31)
         chip = TspChip(config)
-        chip.external_fault_hooks = True
-        assert not replay_allowed(
-            compiled.replay, chip, max_cycles=10**6, warmup_barrier=False
-        )
-        chip.scrub()
-        assert replay_allowed(
-            compiled.replay, chip, max_cycles=10**6, warmup_barrier=False
-        )
+        injector = FaultInjector(chip)
+        injector.inject_stream_fault_at(22, Direction.EASTWARD, 28, 2, 3)
+        assert chip.events.pending == 1
+        result = execute(compiled, chip=chip, inputs={"acts": x})
+        assert compiled.replay.replays == 0
+        assert len(injector.log) == 1 and chip.events.pending == 0
+        assert not np.array_equal(result["acc"], oracle(x, w))  # it landed
 
     def test_plan_bound_checks(self, config):
         compiled, _ = recorded_program(config)
