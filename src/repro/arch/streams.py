@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import IsaError
+from ..errors import CompileError, IsaError
 from .geometry import Direction
 
 
@@ -125,3 +125,27 @@ def join_byte_planes(planes: list[np.ndarray], dtype: DType) -> np.ndarray:
         [np.asarray(p, dtype=np.uint8) for p in planes], axis=1
     )
     return np.ascontiguousarray(stacked).view(dtype.numpy_dtype).reshape(-1)
+
+
+def pack_tensor(data: np.ndarray, dtype: DType, lanes: int) -> np.ndarray:
+    """(n, L) host tensor -> (bytes, n, lanes) byte-plane words."""
+    arr = np.atleast_2d(np.asarray(data, dtype=dtype.numpy_dtype))
+    n, length = arr.shape
+    if length > lanes:
+        raise CompileError(
+            f"vector length {length} exceeds the {lanes}-lane maxVL"
+        )
+    padded = np.zeros((n, lanes), dtype=dtype.numpy_dtype)
+    padded[:, :length] = arr
+    raw = padded.view(np.uint8).reshape(n, lanes, dtype.n_bytes)
+    return np.ascontiguousarray(raw.transpose(2, 0, 1))
+
+
+def unpack_tensor(
+    planes: np.ndarray, dtype: DType, length: int
+) -> np.ndarray:
+    """(bytes, n, lanes) byte-plane words -> (n, length) host tensor."""
+    b, n, lanes = planes.shape
+    raw = np.ascontiguousarray(planes.transpose(1, 2, 0))
+    full = raw.reshape(n, lanes * b).view(dtype.numpy_dtype)
+    return full[:, :length].copy()

@@ -19,11 +19,9 @@ from .allocator import (
     WordPlacement,
 )
 from .partition import (
-    ForwardTransfer,
     PartitionPlan,
     PartitionStage,
     TimedProgram,
-    build_forward_transfer,
     pack_payload,
     partition_contiguous,
     unpack_payload,
@@ -54,11 +52,9 @@ from .scheduler import (
 __all__ = [
     "CompiledProgram",
     "ExecutionResult",
-    "ForwardTransfer",
     "PartitionPlan",
     "PartitionStage",
     "TimedProgram",
-    "build_forward_transfer",
     "pack_payload",
     "partition_contiguous",
     "unpack_payload",

@@ -1,4 +1,4 @@
-"""Pipeline partitioning and compiler-scheduled C2C activation forwarding.
+"""Pipeline partitioning, and the host-side pieces of C2C forwarding.
 
 The paper provisions 3.84 Tb/s of deterministic chip-to-chip bandwidth so
 "large-scale systems" stay schedulable by a single compiler: Send and
@@ -14,17 +14,16 @@ module is the compiler side of that story for pipeline parallelism:
 * :class:`PartitionPlan` — the named stages plus a content fingerprint,
   so every partition-dependent cached artifact (C2C transfer programs,
   serve-layer entries) keys on *which* split produced it.
-* :func:`build_forward_transfer` — the timed Read -> Send -> Receive
-  programs that forward one activation payload across a single eastward
-  ring hop, with every dispatch cycle computed here at plan time.
 * :func:`pack_payload` / :func:`unpack_payload` — raw-byte packing of an
   activation tensor into the ``(n_words, n_lanes)`` uint8 vectors the
   C2C links ship.
+* :class:`TimedProgram` — absolute dispatch cycles -> ``Nop``-padded ICU
+  queues: a planner thinks in absolute cycles and lets the helper insert
+  the gaps.
 
-:class:`TimedProgram` (absolute dispatch cycles -> ``Nop``-padded ICU
-queues) lives here because both this planner and the resilience planner
-(:mod:`repro.resil.degrade`, which re-exports it) build programs the same
-way: think in absolute cycles, then let the helper insert the gaps.
+The timed Read -> Send -> Receive programs themselves have one planner,
+:func:`repro.resil.degrade.build_ring_transfer`: a stage boundary is a
+two-chip route.
 """
 
 from __future__ import annotations
@@ -34,12 +33,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..arch.geometry import Direction, Hemisphere
 from ..config import ArchConfig
-from ..errors import C2cLinkError, CompileError, ConfigError
-from ..isa.c2c import Deskew, Receive, Send
+from ..errors import CompileError, ConfigError
 from ..isa.icu import Nop
-from ..isa.mem import Read
 from ..isa.program import IcuId, Program
 from .cachekey import config_fingerprint
 
@@ -219,124 +215,4 @@ def unpack_payload(
         np.frombuffer(flat[:n_bytes].tobytes(), dtype=dtype)
         .reshape(shape)
         .copy()
-    )
-
-
-# ----------------------------------------------------------------------
-# Single-hop activation forwarding
-
-
-@dataclass
-class ForwardTransfer:
-    """Timed programs that ship one staged payload from chip to chip+1.
-
-    ``programs`` holds one :class:`Program` per chip of the system the
-    transfer was planned against (empty for uninvolved chips), ready for
-    :meth:`repro.sim.MultiChipSystem.run`.  The payload must be staged
-    (``load_memory``) into the source chip's WEST ``stage_slice`` at
-    ``base_address`` before the run; it lands at the same coordinates on
-    the destination chip.
-    """
-
-    src: int
-    dst: int
-    n_words: int
-    stage_slice: int
-    base_address: int
-    #: emplace cycle of the last vector on the destination chip
-    last_emplace: int
-    programs: list[Program]
-
-
-def build_forward_transfer(
-    system,
-    src: int,
-    n_words: int,
-    stage_slice: int = 0,
-    base_address: int = 0,
-    interval: int = 1,
-) -> ForwardTransfer:
-    """Plan one eastward activation hop ``src -> src + 1`` on a ring.
-
-    Fully timed at plan time, exactly like the resilience planner's
-    store-and-forward (:func:`repro.resil.degrade.build_ring_transfer`):
-    per vector ``i``, a MEM ``Read`` drives the EASTWARD stream at
-    ``i * interval``, the egress ``Send`` captures it as it passes the
-    C2C slice, and the destination chip's ``Receive`` emplaces it into
-    its own WEST staging slice after the link's
-    :attr:`~repro.sim.c2c.C2cLink.arrival_latency` — which already
-    includes the retransmission slack of any error model attached to the
-    cable, so a plan built against a lossy link is correct without
-    replanning.  Data flowing east stages in WEST MEM (it departs on the
-    EASTWARD stream path) and lands in the receiver's WEST MEM, so one
-    staging convention composes across every pipeline stage.
-    """
-    n_chips = len(system.chips)
-    dst = src + 1
-    if not 0 <= src < n_chips - 1:
-        raise ConfigError(
-            f"forward hop {src}->{dst} outside a {n_chips}-chip system"
-        )
-    chip0 = system.chips[0]
-    config = chip0.config
-    if n_words < 1:
-        raise ConfigError("a transfer needs at least one vector")
-    if base_address + n_words > (1 << config.mem_addr_bits):
-        raise ConfigError(
-            f"{n_words} staged vectors at address {base_address} overflow "
-            f"the {1 << config.mem_addr_bits}-word MEM slice; chunk the "
-            "payload"
-        )
-    link = system.chips[src].c2c_unit(Hemisphere.EAST).links[0]
-    if link.peer is None:
-        raise C2cLinkError(
-            f"chip {src} East link 0 is not wired — cannot forward to "
-            f"chip {dst}"
-        )
-
-    floorplan = chip0.floorplan
-    timing = chip0.timing
-    direction = Direction.EASTWARD
-    mem_address = floorplan.mem_slice(Hemisphere.WEST, stage_slice)
-    c2c_out = floorplan.c2c(Hemisphere.EAST)
-    hops = floorplan.delta(mem_address, c2c_out)
-    d_read = Read(address=0, stream=0, direction=direction).dfunc(timing)
-    d_send_skew = Send(link=0, stream=0, direction=direction).dskew(timing)
-    d_recv = Receive(link=0, mem_slice=0, address=0).dfunc(timing)
-
-    timed = [TimedProgram() for _ in range(n_chips)]
-    mem_icu = IcuId(mem_address)
-    send_icu = IcuId(c2c_out, 0)
-    recv_icu = IcuId(floorplan.c2c(Hemisphere.WEST), 0)
-    # calibrate the egress once, well before the first capture
-    timed[src].at(send_icu, 0, Deskew(link=0))
-    last_emplace = 0
-    for i in range(n_words):
-        t_read = i * interval
-        t_capture = t_read + d_read + hops
-        t_emplace = t_capture + link.arrival_latency
-        timed[src].at(
-            mem_icu,
-            t_read,
-            Read(address=base_address + i, stream=0, direction=direction),
-        )
-        timed[src].at(
-            send_icu,
-            t_capture - d_send_skew,
-            Send(link=0, stream=0, direction=direction),
-        )
-        timed[dst].at(
-            recv_icu,
-            t_emplace - d_recv,
-            Receive(link=0, mem_slice=stage_slice, address=base_address + i),
-        )
-        last_emplace = t_emplace
-    return ForwardTransfer(
-        src=src,
-        dst=dst,
-        n_words=n_words,
-        stage_slice=stage_slice,
-        base_address=base_address,
-        last_emplace=last_emplace,
-        programs=[t.build() for t in timed],
     )

@@ -13,9 +13,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..arch.streams import pack_tensor, unpack_tensor
 from ..errors import SimulationError
 from ..sim.chip import RunResult, TspChip
-from .scheduler import CompiledProgram, TensorSpec, pack_tensor, unpack_tensor
+from .schedule import CompiledProgram, TensorSpec
 
 
 @dataclass

@@ -1,0 +1,381 @@
+"""What the scheduler produces, and the transaction it produces it with.
+
+The dataclasses are the compiler's outputs — a :class:`CompiledProgram`
+with its memory image, tensor specs, :class:`ScheduleStats` and the
+checkable :class:`ScheduleIntent` — and :class:`StreamValue`, the
+scheduler's record of a value in flight.  :class:`QueueBuilder` is one
+ICU's committed dispatch cells; :class:`Attempt` is the tentative schedule
+of one node, the only thing that writes to a queue or returns a stream
+grant.
+"""
+
+from __future__ import annotations
+
+from collections.abc import Callable, Sequence
+from dataclasses import dataclass, field
+
+import numpy as np
+
+from ..arch.geometry import Direction, Hemisphere
+from ..arch.streams import DType
+from ..config import ArchConfig
+from ..errors import AllocationError, ScheduleError
+from ..isa import IcuId, Instruction, Nop, Program
+from .allocator import StreamAllocator, StreamGrant, TensorLayout
+
+#: How many candidate start cycles to try before giving up on a node.
+SEARCH_LIMIT = 4096
+
+#: Largest stream retiming (in chained-COPY cycles) the scheduler will
+#: synthesize to align two in-flight operands.
+MAX_DELAY_CHAIN = 64
+
+
+@dataclass
+class StreamValue:
+    """A value in flight: where and when its vectors are on streams.
+
+    ``parallel`` values put each row on its own stream simultaneously
+    (transpose/rotate groups); sequential values stagger rows one cycle
+    apart on a single aligned group — or, ``split`` into row blocks (a
+    matmul on several MXM planes), on one sub-group per block, every
+    block's row 0 at ``t0``.  A matmul split across both hemispheres is
+    one such value per hemisphere: the first carries the ``rest``, and
+    only a ``Write`` may consume it (``placement.rows_are_free``).
+    """
+
+    grant: StreamGrant
+    position: int
+    t0: int  # drive cycle of vector 0 (row 0) at `position`
+    n_vectors: int
+    dtype: DType
+    length: int
+    parallel: bool = False
+    split: tuple[int, ...] = ()  # rows per block; () is one block
+    rest: tuple["StreamValue", ...] = ()
+
+    @property
+    def direction(self) -> Direction:
+        return self.grant.direction
+
+    @property
+    def blocks(self) -> tuple[int, ...]:
+        """Rows of each block streamed side by side."""
+        return self.split or (self.n_vectors,)
+
+    def reaches(self, position: int) -> bool:
+        dx = position - self.position
+        if dx == 0:
+            return True
+        flow = Direction.EASTWARD if dx > 0 else Direction.WESTWARD
+        return flow is self.direction
+
+    def arrival_at(self, position: int) -> int:
+        """Cycle vector 0 is present at ``position`` (Equation 4 transit)."""
+        if not self.reaches(position):
+            raise ScheduleError(
+                f"value flowing {self.direction.value} from position "
+                f"{self.position} can never reach position {position}"
+            )
+        return self.t0 + abs(position - self.position)
+
+
+@dataclass
+class MemWord:
+    """One initialized 320-byte MEM word of the memory image."""
+
+    hemisphere: Hemisphere
+    slice_index: int
+    address: int
+    data: np.ndarray  # (lanes,) uint8
+
+
+@dataclass
+class TensorSpec:
+    """Host-visible description of a MEM-resident tensor."""
+
+    name: str
+    layout: TensorLayout
+    n_vectors: int
+    length: int
+    dtype: DType
+
+
+@dataclass
+class ScheduleStats:
+    """Compiler-reported schedule facts (printed by benches).
+
+    The four marks are the schedule's critical path, first to last: the
+    cycle a matmul's weights are fully installed, the cycle the first
+    activation vector is at the MXM, the cycle the first result vector is
+    on a stream, and the dispatch cycle of the last output ``Write``
+    (``makespan - 1`` for a program that ends in a write).  None where the
+    program has no such event.  ``mxm_planes`` is the most planes one
+    matmul streams its rows through (0: the program has no matmul).
+    """
+
+    nodes: int = 0
+    instructions: int = 0
+    nops_inserted: int = 0
+    makespan: int = 0
+    stream_grants: dict = field(default_factory=dict)
+    weights_installed: int | None = None
+    first_operand: int | None = None
+    first_result: int | None = None
+    last_write: int | None = None
+    mxm_planes: int = 0
+
+
+@dataclass(frozen=True)
+class PredictedDrive:
+    """One stream drive the scheduler's timing model promises will happen.
+
+    ``parallel`` values place ``n_vectors`` rows on streams ``base_stream ..
+    base_stream + width - 1`` all at ``t0``; sequential values drive the
+    ``width``-stream group once per row at ``t0 .. t0 + n_vectors - 1``.
+    """
+
+    name: str
+    direction: Direction
+    base_stream: int
+    width: int
+    position: int
+    t0: int
+    n_vectors: int
+    parallel: bool = False
+
+    def expected_drives(self) -> list[tuple[Direction, int, int, int]]:
+        """(direction, stream, position, cycle) tuples this drive implies."""
+        out = []
+        for k in range(self.n_vectors):
+            t = self.t0 if self.parallel else self.t0 + k
+            for s in range(self.width):
+                out.append(
+                    (self.direction, self.base_stream + s, self.position, t)
+                )
+        # parallel groups repeat the same (stream, cycle) per row; dedup
+        return sorted(set(out), key=lambda e: (e[3], e[1], e[2]))
+
+
+@dataclass
+class ScheduleIntent:
+    """The scheduler's cycle-exact predictions, replayable against a run.
+
+    This is Equation 4 made checkable: ``dispatch_cells`` records every
+    reserved (queue, cycle, mnemonic) cell before NOP padding, and
+    ``drives`` records where and when each scheduled value's vectors are
+    promised to appear on stream registers.  The timing-contract checker in
+    :mod:`repro.verify.invariants` replays both against an actual run.
+    """
+
+    #: str(IcuId) -> {dispatch cycle: mnemonic}
+    dispatch_cells: dict[str, dict[int, str]] = field(default_factory=dict)
+    drives: list[PredictedDrive] = field(default_factory=list)
+
+
+@dataclass
+class CompiledProgram:
+    """Everything needed to execute a compiled graph on a chip."""
+
+    config: ArchConfig
+    program: Program
+    memory_image: list[MemWord]
+    inputs: dict[str, TensorSpec]
+    outputs: dict[str, TensorSpec]
+    stats: ScheduleStats
+    intent: ScheduleIntent | None = None
+    #: content-addressed identity of (graph, config, timing, blacklist) —
+    #: see :mod:`repro.compiler.cachekey`; the serving layer's program
+    #: cache keys on it.  A compiled program is immutable after scheduling,
+    #: so one instance can be executed any number of times on any chip of
+    #: the same configuration.
+    cache_key: str | None = None
+    #: recorded :class:`repro.sim.replay.ReplayPlan`, populated by the
+    #: runner after the first clean execution; rides the compiled program
+    #: (and hence the serving program cache) rather than living in a
+    #: parallel registry.  Excluded from equality: the plan is a derived
+    #: acceleration structure, not part of the program's identity.
+    replay: object | None = field(default=None, repr=False, compare=False)
+
+
+class QueueBuilder:
+    """Time-indexed dispatch cells for one ICU, NOP-padded at assembly."""
+
+    def __init__(self, icu: IcuId) -> None:
+        self.icu = icu
+        self.cells: dict[int, Instruction] = {}
+        self.notes: dict[int, str] = {}
+
+    def reserve(self, t: int, instruction: Instruction, note: str = "") -> None:
+        if t in self.cells:
+            raise ScheduleError(
+                f"{self.icu}: dispatch cell {t} is already taken"
+            )
+        if t < 0:
+            raise ScheduleError(f"{self.icu}: dispatch before cycle 0")
+        self.cells[t] = instruction
+        if note:
+            self.notes[t] = note
+
+    def emit(self, program: Program) -> tuple[int, int]:
+        """Write NOP-padded instructions into ``program``.
+
+        Returns (instructions, nops) emitted.
+        """
+        cursor = 0
+        nops = 0
+        for t in sorted(self.cells):
+            gap = t - cursor
+            while gap > 0:
+                chunk = min(gap, 0xFFFF)
+                program.add(self.icu, Nop(chunk))
+                nops += 1
+                gap -= chunk
+            program.add(self.icu, self.cells[t], note=self.notes.get(t))
+            cursor = t + 1
+        return len(self.cells), nops
+
+
+@dataclass(frozen=True)
+class Delivery:
+    """Where a consumer finds one operand: the group's base stream."""
+
+    base_stream: int
+    direction: Direction
+
+
+@dataclass
+class UnitOp:
+    """What a lowering asks :meth:`Scheduler._place` to place: one
+    instruction, dispatched ``cells`` times back to back on the first of
+    ``icus`` that is free, consuming its operands at ``position`` and
+    driving a ``width``-stream result ``d_func(mnemonic)`` later."""
+
+    position: int
+    width: int
+    direction: Direction
+    icus: Sequence[IcuId] = ()
+    cells: int = 0
+    mnemonic: str = ""
+    #: (queue chosen, operand deliveries in input order, output grant)
+    build: (
+        Callable[[IcuId, list[Delivery], StreamGrant], Instruction] | None
+    ) = None
+    parallel_in: bool = False  # operands arrive as a one-row-per-stream group
+    parallel_out: bool = False
+    #: an in-flight operand that arrives early is re-driven until it is due
+    retime: bool = False
+    #: a temporal shift has no instruction of its own (no ``icus``): its
+    #: result is the operand, re-driven this many cycles later
+    redrive: int = 0
+
+
+class Attempt:
+    """The tentative schedule of one node: a transaction over the queues
+    and the stream allocator.
+
+    A placement attempt *plans* dispatch cells and takes stream grants as
+    it goes; nothing reaches a queue before :meth:`commit`, and leaving
+    the ``with`` block uncommitted gives every grant back, so an attempt
+    abandoned at any point leaves the queues, the set of queues that
+    exist and the stream allocator exactly as it found them.  A planned
+    cell is not free to the attempt's own later probes
+    (:meth:`cells_free` is the one probe, and it is pure).  One attempt is
+    live at a time: the scheduler owns a single instance and re-enters it
+    per candidate cycle.
+    """
+
+    def __init__(
+        self, queues: dict[IcuId, QueueBuilder], streams: StreamAllocator
+    ) -> None:
+        self.queues = queues
+        self.streams = streams
+        #: cells claimed so far, by queue in the order first claimed
+        self.cells: dict[IcuId, set[int]] = {}
+        self.reservations: list[tuple[IcuId, int, Instruction, str]] = []
+        self.grants: list[StreamGrant] = []
+
+    def __enter__(self) -> "Attempt":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        for grant in self.grants:
+            self.streams.release(grant)
+        self._forget()
+
+    def _forget(self) -> None:
+        self.cells.clear()
+        self.reservations.clear()
+        self.grants.clear()
+
+    def cells_free(self, icu: IcuId, t: int, n: int = 1) -> bool:
+        """Dispatch cells ``t .. t+n-1`` of a queue are neither reserved
+        nor planned by this attempt.  Never creates the queue."""
+        if t < 0:
+            return False
+        queue = self.queues.get(icu)
+        reserved = queue.cells if queue is not None else ()
+        planned = self.cells.get(icu, ())
+        return not any(
+            c in reserved or c in planned for c in range(t, t + n)
+        )
+
+    def first_free(
+        self, icus: Sequence[IcuId], t: int, n: int
+    ) -> IcuId | None:
+        """The first of ``icus`` whose cells ``t .. t+n-1`` are free."""
+        return next((c for c in icus if self.cells_free(c, t, n)), None)
+
+    def hold(self, icu: IcuId, t: int, n: int = 1) -> None:
+        """Claim cells whose instruction is not known yet."""
+        self.cells.setdefault(icu, set()).update(range(t, t + n))
+
+    def plan(
+        self, icu: IcuId, t: int, instruction: Instruction, note: str = ""
+    ) -> None:
+        self.cells.setdefault(icu, set()).add(t)
+        self.reservations.append((icu, t, instruction, note))
+
+    def grant(
+        self,
+        direction: Direction,
+        width: int,
+        t0: int,
+        n_vectors: int,
+        parallel: bool,
+        position: int,
+    ) -> StreamGrant | None:
+        """Streams for a value present at ``position`` from ``t0``, or
+        None when no aligned group is free.
+
+        Intervals are booked in the *moving frame* of the stream: for an
+        eastward value, ``c = t - position`` is invariant as it flows (it
+        advances one position per cycle), so two values on the same stream
+        collide iff their ``c`` windows overlap — regardless of where they
+        were driven.  This is exact: a value driven behind another on the
+        same stream never catches up.
+        """
+        c0 = t0 - position if direction is Direction.EASTWARD else t0 + position
+        span = 0 if parallel else n_vectors - 1
+        try:
+            grant = self.streams.allocate(direction, width, c0, c0 + span)
+        except AllocationError:
+            return None
+        self.grants.append(grant)
+        return grant
+
+    def give_back(self, grant: StreamGrant) -> None:
+        """Return one grant early: the attempt goes on without it."""
+        self.grants.remove(grant)
+        self.streams.release(grant)
+
+    def commit(self, note: str = "") -> None:
+        """Reserve every planned cell (``note`` annotates those planned
+        without one) and keep the grants.  Queues come into being in the
+        order the attempt first claimed a cell of them."""
+        for icu in self.cells:
+            if icu not in self.queues:
+                self.queues[icu] = QueueBuilder(icu)
+        for icu, t, instruction, own in self.reservations:
+            self.queues[icu].reserve(t, instruction, own or note)
+        self._forget()

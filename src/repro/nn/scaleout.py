@@ -16,7 +16,7 @@ per chip, activations forwarded over C2C — twice over:
   run.  Each stage's matmul programs execute on its own chip of a
   :meth:`repro.sim.MultiChipSystem.ring`, and stage boundaries ship the
   int8 activations through compiler-scheduled C2C ``Send``/``Receive``
-  programs (:func:`repro.compiler.build_forward_transfer`) — the
+  programs (:func:`repro.resil.degrade.build_ring_transfer`) — the
   returned per-stage cycles are measured, not modeled, and the logits
   are bit-identical to the single-chip oracle (quantize-before-ship
   commutes with the consumer's layout glue; see
@@ -35,7 +35,6 @@ import numpy as np
 from ..arch.geometry import Hemisphere
 from ..compiler.partition import (
     PartitionPlan,
-    build_forward_transfer,
     pack_payload,
     partition_contiguous,
     unpack_payload,
@@ -312,31 +311,6 @@ def _pick_stage_slice(config: ArchConfig, stage_slice: int, blacklist):
     )
 
 
-def _transfer_for(system, src, n_words, *, fingerprint, cache, stage_slice):
-    """Build (or fetch) the timed transfer programs for one hop shape.
-
-    The key folds in the partition fingerprint and the link's
-    ``arrival_latency`` — a different split, a different latency budget,
-    or an attached error model (more retry slack) must never replay
-    another partition's timed programs.
-    """
-    link = system.chips[src].c2c_unit(Hemisphere.EAST).links[0]
-
-    def factory():
-        return build_forward_transfer(
-            system, src, n_words, stage_slice=stage_slice,
-            base_address=STAGE_BASE_ADDRESS, interval=TRANSFER_INTERVAL,
-        )
-
-    if cache is None or not hasattr(cache, "get_or_build"):
-        return factory()
-    key = (
-        f"xfer:{fingerprint}:{src}:{n_words}:{link.arrival_latency}:"
-        f"{stage_slice}"
-    )
-    return cache.get_or_build(key, factory)
-
-
 def _ring_transfer_for(
     system, route, n_words, *, fingerprint, cache, stage_slice
 ):
@@ -349,7 +323,7 @@ def _ring_transfer_for(
     payload itself is *not* part of the plan: the caller re-loads it
     into the route head's staging slice before every run.
     """
-    from ..resil.degrade import build_ring_transfer
+    from ..resil.degrade import STORE_AND_FORWARD_INTERVAL, build_ring_transfer
 
     lanes = system.chips[0].config.n_lanes
 
@@ -358,7 +332,11 @@ def _ring_transfer_for(
             system, route,
             np.zeros((n_words, lanes), dtype=np.uint8),
             stage_slice=stage_slice, base_address=STAGE_BASE_ADDRESS,
-        )  # paced at the builder's own store-and-forward interval
+            interval=(
+                TRANSFER_INTERVAL if len(route) == 2
+                else STORE_AND_FORWARD_INTERVAL
+            ),
+        )
 
     if cache is None or not hasattr(cache, "get_or_build"):
         return factory()
@@ -370,7 +348,7 @@ def _ring_transfer_for(
         for a in route[:-1]
     )
     key = (
-        f"ringxfer:{fingerprint}:{'-'.join(map(str, route))}:{n_words}:"
+        f"xfer:{fingerprint}:{'-'.join(map(str, route))}:{n_words}:"
         f"{latencies}:{stage_slice}"
     )
     return cache.get_or_build(key, factory)
@@ -508,8 +486,7 @@ def execute_pipeline(
                 quantized = runner.quantize_boundary(consumer, current)
                 words = pack_payload(quantized, lanes)
                 egress_vectors = words.shape[0]
-                # a dead ring cable re-routes this hop the long way
-                # around; the direct two-chip route keeps the fast path
+                # a dead ring cable re-routes this hop the long way around
                 route = (
                     plan_ring_route(ring_n, index, index + 1, dead_cables)
                     if dead_cables else [index, index + 1]
@@ -521,48 +498,27 @@ def execute_pipeline(
                         stage_ctx.tracer.now_us()
                         if stage_ctx is not None else 0.0
                     )
-                    if len(route) == 2:
-                        transfer = _transfer_for(
-                            system, index, chunk.shape[0],
-                            fingerprint=plan.fingerprint, cache=cache,
-                            stage_slice=stage_slice,
-                        )
-                        chip.load_memory(
-                            Hemisphere.WEST, stage_slice, STAGE_BASE_ADDRESS,
-                            chunk,
-                        )
-                        runs = system.run(
-                            transfer.programs,
-                            max_cycles=TRANSFER_MAX_CYCLES,
-                            fast_forward=fast_forward,
-                        )
-                        hop_cycles = runs[0].cycles
-                        landed_words = system.chips[index + 1].read_memory(
-                            Hemisphere.WEST, stage_slice, STAGE_BASE_ADDRESS,
-                            chunk.shape[0],
-                        )
-                    else:
-                        ring_plan = _ring_transfer_for(
-                            system, route, chunk.shape[0],
-                            fingerprint=plan.fingerprint, cache=cache,
-                            stage_slice=stage_slice,
-                        )
-                        # the plan is payload-free: stage this chunk at
-                        # the route head before every lockstep run
-                        system.chips[route[0]].load_memory(
-                            ring_plan.dst_hemisphere, stage_slice,
-                            STAGE_BASE_ADDRESS, chunk,
-                        )
-                        runs = system.run(
-                            ring_plan.programs,
-                            max_cycles=TRANSFER_MAX_CYCLES,
-                            fast_forward=fast_forward,
-                        )
-                        hop_cycles = max(r.cycles for r in runs)
-                        landed_words = system.chips[route[-1]].read_memory(
-                            ring_plan.dst_hemisphere, stage_slice,
-                            STAGE_BASE_ADDRESS, chunk.shape[0],
-                        )
+                    ring_plan = _ring_transfer_for(
+                        system, route, chunk.shape[0],
+                        fingerprint=plan.fingerprint, cache=cache,
+                        stage_slice=stage_slice,
+                    )
+                    # the plan is payload-free: stage this chunk at the
+                    # route head before every lockstep run
+                    system.chips[route[0]].load_memory(
+                        ring_plan.dst_hemisphere, stage_slice,
+                        STAGE_BASE_ADDRESS, chunk,
+                    )
+                    runs = system.run(
+                        ring_plan.programs,
+                        max_cycles=TRANSFER_MAX_CYCLES,
+                        fast_forward=fast_forward,
+                    )
+                    hop_cycles = runs[0].cycles  # lockstep: one count
+                    landed_words = system.chips[route[-1]].read_memory(
+                        ring_plan.dst_hemisphere, stage_slice,
+                        STAGE_BASE_ADDRESS, chunk.shape[0],
+                    )
                     transfer_cycles += hop_cycles
                     if stage_ctx is not None:
                         tracer = stage_ctx.tracer

@@ -33,7 +33,7 @@ import numpy as np
 
 from ..arch.geometry import Direction, Hemisphere, SliceKind
 from ..compiler.partition import TimedProgram
-from ..errors import C2cLinkError, CompileError, MemoryFaultError
+from ..errors import C2cLinkError, CompileError, ConfigError, MemoryFaultError
 from ..isa.c2c import Deskew, Receive, Send
 from ..isa.mem import Read
 from ..isa.program import IcuId, Program
@@ -232,6 +232,10 @@ def plan_ring_route(
     return min(candidates, key=len)
 
 
+#: cycles between a detour's sends: each relay re-reads what it received
+STORE_AND_FORWARD_INTERVAL = 4
+
+
 @dataclass
 class RingTransferPlan:
     """A timed store-and-forward transfer along a ring route."""
@@ -254,7 +258,7 @@ def build_ring_transfer(
     payload: np.ndarray,
     stage_slice: int = 0,
     base_address: int = 0,
-    interval: int = 4,
+    interval: int = STORE_AND_FORWARD_INTERVAL,
 ) -> RingTransferPlan:
     """Fully timed multi-hop vector transfer along ``route``.
 
@@ -278,6 +282,18 @@ def build_ring_transfer(
     timing = chip0.timing
     payload = np.atleast_2d(np.asarray(payload, dtype=np.uint8))
     n_words = payload.shape[0]
+    if not all(0 <= chip < n_chips for chip in route):
+        raise ConfigError(
+            f"route {route} leaves a {n_chips}-chip system"
+        )
+    if n_words < 1:
+        raise ConfigError("a transfer needs at least one vector")
+    words_per_slice = 1 << chip0.config.mem_addr_bits
+    if base_address + n_words > words_per_slice:
+        raise ConfigError(
+            f"{n_words} staged vectors at address {base_address} overflow "
+            f"the {words_per_slice}-word MEM slice; chunk the payload"
+        )
 
     timed = [TimedProgram() for _ in range(n_chips)]
     if len(route) == 1:

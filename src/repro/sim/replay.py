@@ -54,7 +54,7 @@ from typing import Any, Callable
 import numpy as np
 
 from ..arch.geometry import Direction, Hemisphere
-from ..arch.streams import DType
+from ..arch.streams import DType, pack_tensor, unpack_tensor
 from ..errors import SimulationError
 from ..isa.icu import Ifetch, Nop, Notify, Repeat, Sync
 from ..isa.mem import Read, Write
@@ -638,8 +638,6 @@ class ReplayPlan:
         Returns one ``{name: tensor}`` output dict per input binding,
         bit-identical to B sequential executions.
         """
-        from ..compiler.scheduler import pack_tensor, unpack_tensor
-
         B = len(inputs_list)
         lanes = self.lanes
         packed: dict[str, np.ndarray] = {}

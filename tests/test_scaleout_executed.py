@@ -21,7 +21,6 @@ import pytest
 from repro.arch import Hemisphere
 from repro.compiler import (
     PartitionPlan,
-    build_forward_transfer,
     pack_payload,
     partition_contiguous,
     unpack_payload,
@@ -43,6 +42,7 @@ from repro.nn import (
 )
 from repro.nn.scaleout import ScaleOutEstimate, StagePlan
 from repro.nn.tsp_inference import TspCnnRunner
+from repro.resil.degrade import build_ring_transfer
 from repro.serve import ProgramCache
 from repro.sim import DEFAULT_LINK_LATENCY, LinkErrorModel, MultiChipSystem
 
@@ -172,8 +172,7 @@ def run_forward_transfer(config, payload, model=None, fast_forward=True):
     system = MultiChipSystem.ring(config, 2)
     if model is not None:
         system.set_link_error_model(0, Hemisphere.EAST, 0, model)
-    transfer = build_forward_transfer(system, 0, payload.shape[0])
-    system.chips[0].load_memory(Hemisphere.WEST, 0, 0, payload)
+    transfer = build_ring_transfer(system, [0, 1], payload, interval=1)
     results = system.run(transfer.programs, fast_forward=fast_forward)
     landed = system.chips[1].read_memory(
         Hemisphere.WEST, 0, 0, payload.shape[0]
@@ -215,15 +214,24 @@ class TestForwardTransfer:
 
     def test_staging_overflow_rejected(self, config):
         system = MultiChipSystem.ring(config, 2)
+        too_many = np.zeros(
+            ((1 << config.mem_addr_bits) + 1, config.n_lanes), np.uint8
+        )
         with pytest.raises(ConfigError):
-            build_forward_transfer(
-                system, 0, (1 << config.mem_addr_bits) + 1
-            )
+            build_ring_transfer(system, [0, 1], too_many)
 
     def test_hop_outside_system_rejected(self, config):
         system = MultiChipSystem.ring(config, 2)
+        payload = np.zeros((4, config.n_lanes), np.uint8)
         with pytest.raises(ConfigError):
-            build_forward_transfer(system, 1, 4)
+            build_ring_transfer(system, [1, 2], payload)
+
+    def test_empty_payload_rejected(self, config):
+        system = MultiChipSystem.ring(config, 2)
+        with pytest.raises(ConfigError):
+            build_ring_transfer(
+                system, [0, 1], np.zeros((0, config.n_lanes), np.uint8)
+            )
 
 
 # ----------------------------------------------------------------------

@@ -26,7 +26,7 @@ import pytest
 from golden_programs import GOLDEN_PROGRAMS
 from repro.arch import Hemisphere
 from repro.compiler import execute
-from repro.compiler import scheduler as scheduler_module
+from repro.compiler import lower_mxm
 from repro.compiler.placement import matmul_cost
 from repro.config import small_test_chip
 from repro.isa.encoding import encode_program_text
@@ -149,8 +149,8 @@ def test_closed_form_predicts_cycles_and_instructions(
         predicted.append(matmul_cost(parts, chunks, widths, clock))
         return parts
 
-    matmul_parts = scheduler_module.matmul_parts
-    monkeypatch.setattr(scheduler_module, "matmul_parts", watching)
+    matmul_parts = lower_mxm.matmul_parts
+    monkeypatch.setattr(lower_mxm, "matmul_parts", watching)
     _layer, builder, _bindings = chunk_builder(
         config, models, model, layer_name, bucket
     )
