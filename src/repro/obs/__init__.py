@@ -1,27 +1,30 @@
-"""Chip-wide telemetry: counters, Perfetto traces, bottleneck attribution.
+"""Observability: one way to count, one way to trace, on chip and host.
 
-Three layers, all exact under fast-forward simulation:
+What is here, all exact under fast-forward simulation:
 
-* :mod:`repro.obs.counters` — the hierarchical per-unit counter registry
-  (:class:`TelemetryCollector`), windowed and integrated analytically
-  across quiescent-span skips so dense and fast-forward runs produce
-  bit-identical telemetry.
-* :mod:`repro.obs.trace` — :class:`PerfettoTraceBuilder`, joining
-  compile-time schedule intent with runtime dispatch into Chrome/Perfetto
-  trace JSON (true durations, counter tracks, producer→consumer flows).
+* :mod:`repro.obs.counters` — the counter registry in its two kinds:
+  :class:`CounterRegistry` (locked totals and high/low-water marks — a
+  server's whole book) and :class:`TelemetryCollector`, which extends it
+  with cycle windows integrated analytically across quiescent-span
+  skips, so dense and fast-forward runs produce bit-identical telemetry.
+* :mod:`repro.obs.trace` — :class:`PerfettoTraceBuilder`, the one
+  renderer of chip traces and request traces: it joins compile-time
+  schedule intent with runtime dispatch into Chrome/Perfetto trace JSON
+  (true durations, counter tracks, producer→consumer flows).
 * :mod:`repro.obs.attribution` — :func:`attribute` /
   :func:`render_report`, the per-phase roofline + top-slices + stall
   taxonomy report behind ``python -m repro.obs``.
-* :mod:`repro.obs.rtrace` — request-scoped distributed tracing across
-  the serving stack (:class:`RequestTracer`, :class:`TraceContext`),
-  anchoring the chip cycle domain to the host µs domain.
+* :mod:`repro.obs.rtrace` — request-scoped tracing across the serving
+  stack (:class:`RequestTracer`, :class:`TraceContext`), the one record
+  of every host span, anchoring the chip cycle domain to host µs.
 * :mod:`repro.obs.metrics` — bounded-memory serving metrics
   (:class:`LatencyHistogram`, :class:`SloTracker`,
-  :class:`MetricsExporter`) behind ``python -m repro.obs.metrics``.
+  :class:`MetricsExporter`); ``python -m repro.serve --prom/--json``
+  writes them.
 """
 
 from .attribution import attribute, render_report, write_report
-from .counters import AutoTelemetry, TelemetryCollector
+from .counters import AutoTelemetry, CounterRegistry, TelemetryCollector
 from .metrics import (
     LatencyHistogram,
     MetricsExporter,
@@ -30,7 +33,6 @@ from .metrics import (
 )
 from .rtrace import RequestTracer, Span, TraceContext
 from .trace import (
-    HostSpan,
     PerfettoTraceBuilder,
     instruction_duration,
     write_trace,
@@ -38,7 +40,7 @@ from .trace import (
 
 __all__ = [
     "AutoTelemetry",
-    "HostSpan",
+    "CounterRegistry",
     "LatencyHistogram",
     "MetricsExporter",
     "PerfettoTraceBuilder",

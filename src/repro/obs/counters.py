@@ -1,12 +1,20 @@
-"""The chip-wide telemetry counter registry.
+"""The counter registry, in its two kinds.
 
-A :class:`TelemetryCollector` is the observability analogue of the paper's
-determinism argument: because every state transition on the TSP happens at
-a compiler-known cycle, *telemetry does not need to sample* — every counter
+A :class:`CounterRegistry` is the whole book of a *host*: running totals
+and high/low-water marks keyed ``unit`` → ``counter name``, behind one
+lock, because a server is counted from many threads and lives for an
+unbounded number of batches — it keeps no history, only what its readers
+(``totals()``, ``snapshot()``) ask for.  A :class:`TelemetryCollector` is
+the registry of a *chip*: the same totals and marks, plus the cycle each
+increment happened at.
+
+The collector is the observability analogue of the paper's determinism
+argument: because every state transition on the TSP happens at a
+compiler-known cycle, *telemetry does not need to sample* — every counter
 increment can be attributed to an exact cycle, bucketed into fixed-width
 windows, and the result is a fact, not an estimate.
 
-The registry is hierarchical: counters are keyed ``domain:unit`` →
+Its registry is hierarchical: counters are keyed ``domain:unit`` →
 ``counter name`` → ``window index`` → value, e.g.
 
     mem:MEM_W3   read_bytes / write_bytes / bank_conflicts
@@ -48,6 +56,7 @@ telemetry code beyond one ``is not None`` test per instrumentation site
 
 from __future__ import annotations
 
+import threading
 from collections import Counter
 
 import numpy as np
@@ -62,7 +71,63 @@ _SRF_E_OCC = ("srf:E", "occupancy_cycles")
 _SRF_W_OCC = ("srf:W", "occupancy_cycles")
 
 
-class TelemetryCollector:
+def _by_unit(flat: dict[tuple[str, str], int]) -> dict[str, dict[str, int]]:
+    """``(unit, counter) -> value`` nested as ``unit -> counter -> value``."""
+    nested: dict[str, dict[str, int]] = {}
+    for (unit, name), value in flat.items():
+        nested.setdefault(unit, {})[name] = value
+    return nested
+
+
+class CounterRegistry:
+    """Thread-safe running totals and high/low-water marks.
+
+    Keys are ``unit`` → ``counter name`` (``serve:cnn`` → ``batches``,
+    ``slo:cnn`` → ``hits``).  Every write and every read-out takes the
+    registry's lock, so concurrent writers never lose an update and a
+    read-out is one consistent image.
+    """
+
+    def __init__(self, name: str | None = None) -> None:
+        self.name = name
+        self._lock = threading.Lock()
+        #: (unit, counter) -> running total
+        self._totals: dict[tuple[str, str], int] = {}
+        #: (unit, counter) -> extremum scalars (queue depth marks)
+        self._high: dict[tuple[str, str], int] = {}
+        self._low: dict[tuple[str, str], int] = {}
+
+    def count(self, unit: str, counter: str, amount: int = 1) -> None:
+        key = (unit, counter)
+        with self._lock:
+            self._totals[key] = self._totals.get(key, 0) + amount
+
+    def mark_high(self, unit: str, counter: str, value: int) -> None:
+        key = (unit, counter)
+        with self._lock:
+            if key not in self._high or value > self._high[key]:
+                self._high[key] = value
+
+    def mark_low(self, unit: str, counter: str, value: int) -> None:
+        key = (unit, counter)
+        with self._lock:
+            if key not in self._low or value < self._low[key]:
+                self._low[key] = value
+
+    def totals(self) -> dict[str, dict[str, int]]:
+        """Running totals per unit."""
+        with self._lock:
+            flat = dict(self._totals)
+        return _by_unit(flat)
+
+    def snapshot(self) -> dict:
+        """JSON-able image of every total and scalar, one consistent read."""
+        with self._lock:
+            totals, marks = dict(self._totals), {**self._high, **self._low}
+        return {"totals": _by_unit(totals), "scalars": _by_unit(marks)}
+
+
+class TelemetryCollector(CounterRegistry):
     """Hierarchical per-unit perf counters in fixed-width cycle windows.
 
     Attach to a chip with :meth:`~repro.sim.chip.TspChip.attach_telemetry`;
@@ -71,6 +136,10 @@ class TelemetryCollector:
     ``run()``, so windows of back-to-back runs on the same chip alias onto
     each other (totals stay exact; attach a fresh collector per run when
     per-window data matters).
+
+    One chip runs on one thread, so the hooks (and :meth:`count`, which
+    here takes the cycle the amount belongs to) write the inherited
+    dicts directly, without the lock.
     """
 
     def __init__(
@@ -78,15 +147,11 @@ class TelemetryCollector:
     ) -> None:
         if window_cycles < 1:
             raise ValueError("window_cycles must be >= 1")
+        super().__init__(name=name)
         self.window_cycles = window_cycles
-        self.name = name
-        #: (unit, counter) -> {window index -> amount}
+        #: (unit, counter) -> {window index -> amount}; the inherited
+        #: running total of a counter == the sum of its windows
         self._windows: dict[tuple[str, str], dict[int, int]] = {}
-        #: (unit, counter) -> running total (== sum of the windows)
-        self._totals: dict[tuple[str, str], int] = {}
-        #: (unit, counter) -> extremum scalars (queue depth marks)
-        self._high: dict[tuple[str, str], int] = {}
-        self._low: dict[tuple[str, str], int] = {}
         #: observed cycles, accumulated by ``on_run_end``
         self.cycles = 0
         #: (cycle, IcuId, Instruction) per dispatch, for the trace builder
@@ -171,16 +236,6 @@ class TelemetryCollector:
             tail = start_cycle + n_cycles - last * width
             buckets[last] = buckets.get(last, 0) + tail * per_cycle
         self._totals[key] += n_cycles * per_cycle
-
-    def mark_high(self, unit: str, counter: str, value: int) -> None:
-        key = (unit, counter)
-        if key not in self._high or value > self._high[key]:
-            self._high[key] = value
-
-    def mark_low(self, unit: str, counter: str, value: int) -> None:
-        key = (unit, counter)
-        if key not in self._low or value < self._low[key]:
-            self._low[key] = value
 
     # ------------------------------------------------------------------
     # simulator hooks (see the instrumentation sites in repro.sim)
@@ -576,11 +631,9 @@ class TelemetryCollector:
                 added += v
             totals[key] += added
         for key, value in state["high"].items():
-            if key not in self._high or value > self._high[key]:
-                self._high[key] = value
+            self.mark_high(*key, value)
         for key, value in state["low"].items():
-            if key not in self._low or value < self._low[key]:
-                self._low[key] = value
+            self.mark_low(*key, value)
         self.cycles += state["cycles"]
         self.dispatch_log.extend(state["dispatch_log"])
 
@@ -599,24 +652,12 @@ class TelemetryCollector:
             counters.setdefault(unit, {})[name] = {
                 str(w): buckets[w] for w in sorted(buckets)
             }
-        scalars: dict[str, dict[str, int]] = {}
-        for (unit, name), value in self._high.items():
-            scalars.setdefault(unit, {})[name] = value
-        for (unit, name), value in self._low.items():
-            scalars.setdefault(unit, {})[name] = value
         return {
             "window_cycles": self.window_cycles,
             "cycles": self.cycles,
             "counters": counters,
-            "scalars": scalars,
+            "scalars": _by_unit({**self._high, **self._low}),
         }
-
-    def totals(self) -> dict[str, dict[str, int]]:
-        """Whole-run totals per unit (sum of every window)."""
-        out: dict[str, dict[str, int]] = {}
-        for (unit, name), total in self._totals.items():
-            out.setdefault(unit, {})[name] = total
-        return out
 
     def windows_for(self, unit: str, counter: str) -> dict[int, int]:
         """The window series of one counter (empty dict if never touched)."""

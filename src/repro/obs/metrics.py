@@ -12,32 +12,28 @@ This module replaces that with the datacenter-standard kit:
   **merge** by adding counts (associative and commutative, which the
   property tests assert), so per-worker or per-window histograms roll up
   exactly.
-* :class:`SloTracker` — per-model latency deadline targets with
-  hit / violation / shed counters, mirrored into the serving
-  :class:`~repro.obs.counters.TelemetryCollector` registry so SLO
-  attainment shows up next to every other serve counter.
+* :class:`SloTracker` — per-model latency deadline targets; its hit /
+  violation / shed counters *are* the ``slo:<model>`` units of the
+  serving :class:`~repro.obs.counters.CounterRegistry` (no second
+  tally), so SLO attainment sits next to every other serve counter.
 * :class:`MetricsExporter` — one-pass Prometheus-text + JSON snapshots
   of an :class:`~repro.serve.InferenceServer`: request counters, latency
   histograms (cumulative ``le`` buckets), SLO attainment, cache, pool,
-  batcher, span-buffer accounting, the whole serve counter registry, and
-  any chip telemetry collectors handed to it.
+  batcher, the tracer's span accounting, the whole serve counter
+  registry, and any chip telemetry collectors handed to it.
 
-``python -m repro.obs.metrics`` stands up a small serve session (with
-request tracing on, optionally pipeline-sharded over ``--chips`` chips),
-fires a burst of requests, and writes the metrics snapshot in both
-formats plus the unified Perfetto trace; ``--overhead-gate`` instead
-measures the wall-clock cost of tracing on the serve workload and folds
-the ratio into ``BENCH_obs.json``, failing if it exceeds the gate.
+``python -m repro.serve --prom PATH --json PATH`` serves a demo mix and
+writes both formats.
 """
 
 from __future__ import annotations
 
 import json
 import math
-import threading
-import time
 
 import numpy as np
+
+from .counters import CounterRegistry
 
 
 def percentile(values, q: float) -> float:
@@ -229,38 +225,26 @@ class SloTracker:
 
     ``observe`` classifies one completed request against its model's
     target; ``shed`` counts a request the server refused (rejected at
-    submit).  Counters mirror into the serving telemetry registry under
-    ``slo:<model>``, next to every other serve counter.  Models without
-    a target are untracked.
+    submit).  The counters live in ``registry`` under ``slo:<model>``
+    and nowhere else — :meth:`snapshot` is a view of those units.
+    Models without a target are untracked.
     """
 
     def __init__(
         self,
         targets: dict[str, float] | None = None,
         default_target_s: float | None = None,
-        registry=None,
+        registry: CounterRegistry | None = None,
     ) -> None:
         self.targets = dict(targets or {})
         self.default_target_s = default_target_s
-        self.registry = registry
-        self._lock = threading.Lock()
-        #: model -> {"hits": n, "violations": n, "shed": n}
-        self.counts: dict[str, dict[str, int]] = {}
+        self.registry = registry if registry is not None else CounterRegistry()
 
     def target_for(self, model: str) -> float | None:
         return self.targets.get(model, self.default_target_s)
 
-    def _bump(self, model: str, kind: str, us: int) -> None:
-        with self._lock:
-            counter = self.counts.setdefault(
-                model, {"hits": 0, "violations": 0, "shed": 0}
-            )
-            counter[kind] += 1
-        if self.registry is not None:
-            self.registry.count(f"slo:{model}", kind, us)
-
     def observe(
-        self, model: str, total_s: float, us: int = 0, ok: bool = True
+        self, model: str, total_s: float, ok: bool = True
     ) -> bool | None:
         """Classify one finished request; None when the model is untracked.
 
@@ -270,21 +254,25 @@ class SloTracker:
         if target is None:
             return None
         hit = ok and total_s <= target
-        self._bump(model, "hits" if hit else "violations", us)
+        self.registry.count(f"slo:{model}", "hits" if hit else "violations")
         return hit
 
-    def shed(self, model: str, us: int = 0) -> None:
+    def shed(self, model: str) -> None:
         """One request rejected before entering the queue."""
-        if self.target_for(model) is None:
-            return
-        self._bump(model, "shed", us)
+        if self.target_for(model) is not None:
+            self.registry.count(f"slo:{model}", "shed")
 
     def snapshot(self) -> dict:
         """Per-model targets, counters, and attainment ratio."""
-        with self._lock:
-            counts = {m: dict(c) for m, c in self.counts.items()}
         out = {}
-        for model, c in sorted(counts.items()):
+        for unit, counters in sorted(self.registry.totals().items()):
+            if not unit.startswith("slo:"):
+                continue
+            model = unit[len("slo:"):]
+            c = {
+                kind: counters.get(kind, 0)
+                for kind in ("hits", "violations", "shed")
+            }
             finished = c["hits"] + c["violations"]
             out[model] = {
                 "target_ms": round(self.target_for(model) * 1e3, 3),
@@ -315,11 +303,12 @@ def _labels(**labels) -> str:
 class MetricsExporter:
     """One-pass Prometheus-text + JSON snapshots of a serving stack.
 
-    ``snapshot()`` reads the server rollup, the latency histograms, the
-    SLO tracker, the span accounting, the whole serve counter registry,
-    and any extra chip :class:`~repro.obs.TelemetryCollector` s — each
-    surface once, under its own lock — and both renderers work off that
-    one image, so the two formats can never disagree.
+    ``snapshot()`` reads the server rollup (requests, SLOs and span
+    accounting are views inside it), the latency histograms, the whole
+    serve counter registry, and any extra chip
+    :class:`~repro.obs.TelemetryCollector` s — each surface once, under
+    its own lock — and both renderers work off that one image, so the
+    two formats can never disagree.
     """
 
     def __init__(self, server, collectors: list | None = None) -> None:
@@ -329,9 +318,10 @@ class MetricsExporter:
     # ------------------------------------------------------------------
     def snapshot(self) -> dict:
         server = self.server
+        stats = server.stats()
         payload = {
             "schema": "tsp-serve-metrics/1",
-            "stats": server.stats(),
+            "stats": stats,
             "histograms": {
                 model: {
                     phase: hist.snapshot()
@@ -339,15 +329,9 @@ class MetricsExporter:
                 }
                 for model, phases in server.histogram_snapshot().items()
             },
-            "slo": server.slo.snapshot(),
-            "registry": {
-                "totals": server.registry.totals(),
-                "scalars": server.registry.snapshot()["scalars"],
-            },
-            "tracing": (
-                server.tracer.snapshot()
-                if server.tracer is not None else None
-            ),
+            "slo": stats["slo"],
+            "registry": server.registry.snapshot(),
+            "tracing": stats["tracing"],
             "chips": [
                 {
                     "name": collector.name or f"chip{i}",
@@ -481,7 +465,7 @@ class MetricsExporter:
         spans = stats["spans"]
         metric(
             "tsp_serve_spans", "gauge",
-            "Span ring-buffer accounting (recorded/dropped/capacity).",
+            "Request-tracer ring accounting (recorded/dropped/capacity).",
             [
                 (_labels(kind="recorded"), spans["recorded"]),
                 (_labels(kind="dropped"), spans["dropped"]),
@@ -552,257 +536,3 @@ def _cumulative_from_snapshot(hist: dict) -> list[tuple[float, int]]:
         out.append((upper / 1e6, running))
     out.append((math.inf, hist["count"]))
     return out
-
-
-# ----------------------------------------------------------------------
-# `python -m repro.obs.metrics` — demo exporter + tracing-overhead gate
-# ----------------------------------------------------------------------
-def _build_demo_models(config, seed: int, n_chips: int):
-    """A small served model mix (trained CNN + transformer FFN)."""
-    from ..nn import make_shapes, make_small_cnn, train
-    from ..nn.transformer import TransformerConfig
-    from ..serve.models import (
-        CnnServeModel,
-        ShardedCnnServeModel,
-        TransformerMlpServeModel,
-    )
-
-    data = make_shapes(
-        n_train=128, n_test=32, image_size=8, n_classes=3, noise=0.08,
-        seed=seed,
-    )
-    cnn = make_small_cnn(3, channels=4, image_size=8, seed=seed)
-    train(cnn, data, epochs=2, lr=0.1, seed=seed)
-    if n_chips > 1:
-        cnn_model = ShardedCnnServeModel(
-            "cnn", cnn, config, calibration=data.x_train[:32],
-            n_chips=n_chips, max_vectors_per_program=32,
-        )
-    else:
-        cnn_model = CnnServeModel(
-            "cnn", cnn, config, calibration=data.x_train[:32],
-            max_vectors_per_program=32,
-        )
-    mlp = TransformerMlpServeModel(
-        "mlp",
-        TransformerConfig(
-            d_model=32, n_heads=4, d_ff=64, seq_len=16, n_layers=1,
-            vocab=128,
-        ),
-        config,
-        seed=seed,
-        max_vectors_per_program=16,
-    )
-    return [cnn_model, mlp], data
-
-
-def _run_session(
-    config, models, data, *, n_requests, workers, n_chips, seed,
-    tracing, chip_events=False, slos=None, max_spans=4096,
-):
-    """Fire a burst of requests at a server; returns (server, wall_s).
-
-    The server is closed but not discarded: the exporter and trace
-    writer read it afterwards.
-    """
-    from ..serve import BatchPolicy, InferenceServer
-
-    rng = np.random.default_rng(seed)
-    server = InferenceServer(
-        config, models,
-        n_workers=workers,
-        n_chips=n_chips,
-        default_policy=BatchPolicy(max_batch=4, max_delay_s=0.002),
-        record_spans=True,
-        tracing=tracing,
-        trace_chip_events=chip_events,
-        slos=slos,
-        max_spans=max_spans,
-    )
-    images = data.x_test
-    t0 = time.monotonic()
-    futures = []
-    for i in range(n_requests):
-        futures.append(server.submit("cnn", images[i % len(images)]))
-        futures.append(server.submit("mlp", rng.standard_normal(32)))
-    for future in futures:
-        future.result(timeout=300.0)
-    wall_s = time.monotonic() - t0
-    server.close()
-    return server, wall_s
-
-
-def _overhead_gate(args) -> int:
-    """Paired traced/untraced serve trials -> BENCH_obs.json gate."""
-    import gc
-
-    from ..config import small_test_chip
-
-    config = small_test_chip()
-    models, data = _build_demo_models(config, args.seed, n_chips=1)
-    ratios = []
-    pairs = []
-    gc_was_enabled = gc.isenabled()
-    try:
-        for trial in range(args.trials):
-            gc.collect()
-            gc.disable()
-            _, plain_s = _run_session(
-                config, models, data,
-                n_requests=args.requests, workers=args.workers,
-                n_chips=1, seed=args.seed + trial, tracing=False,
-            )
-            _, traced_s = _run_session(
-                config, models, data,
-                n_requests=args.requests, workers=args.workers,
-                n_chips=1, seed=args.seed + trial, tracing=True,
-            )
-            if gc_was_enabled:
-                gc.enable()
-            ratios.append(traced_s / plain_s)
-            pairs.append(
-                {"plain_s": round(plain_s, 4), "traced_s": round(traced_s, 4)}
-            )
-            print(
-                f"  trial {trial + 1}/{args.trials}: plain {plain_s:.3f}s "
-                f"traced {traced_s:.3f}s ratio {ratios[-1]:.3f}",
-                flush=True,
-            )
-    finally:
-        if gc_was_enabled:
-            gc.enable()
-    median_ratio = float(np.median(ratios))
-    block = {
-        "workload": {
-            "requests": 2 * args.requests,
-            "workers": args.workers,
-            "trials": args.trials,
-            "seed": args.seed,
-        },
-        "pairs": pairs,
-        "ratios": [round(r, 4) for r in ratios],
-        "median_ratio": round(median_ratio, 4),
-        "gate": args.gate,
-    }
-    try:
-        with open(args.bench_json) as handle:
-            payload = json.load(handle)
-    except (OSError, ValueError):
-        payload = {"schema": "tsp-obs/1"}
-    payload["tracing_overhead"] = block
-    with open(args.bench_json, "w") as handle:
-        json.dump(payload, handle, indent=2)
-        handle.write("\n")
-    print(
-        f"  tracing overhead: median ratio {median_ratio:.3f} "
-        f"(gate <= {args.gate}) -> {args.bench_json}"
-    )
-    if median_ratio > args.gate:
-        print(
-            f"  GATE FAILED: tracing overhead {median_ratio:.3f}x exceeds "
-            f"{args.gate}x"
-        )
-        return 1
-    return 0
-
-
-def main(argv=None) -> int:
-    import argparse
-
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.obs.metrics",
-        description="Serve a demo workload with request tracing on and "
-        "export the metrics snapshot (Prometheus text + JSON) and the "
-        "unified Perfetto trace; or gate the tracing overhead.",
-    )
-    parser.add_argument("--requests", type=int, default=8,
-                        help="requests per model (default 8)")
-    parser.add_argument("--workers", type=int, default=2)
-    parser.add_argument("--chips", type=int, default=1,
-                        help="chips per worker; >1 serves the CNN "
-                        "pipeline-sharded over a C2C ring")
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--slo-ms", type=float, default=2000.0,
-                        help="per-model latency SLO target (default "
-                        "2000 ms; generous — these are simulated chips)")
-    parser.add_argument("--prom", metavar="PATH", default=None,
-                        help="write the Prometheus text snapshot here")
-    parser.add_argument("--json", metavar="PATH", default=None,
-                        help="write the JSON snapshot here")
-    parser.add_argument("--trace", metavar="PATH", default=None,
-                        help="write the unified Perfetto trace here")
-    parser.add_argument("--max-spans", type=int, default=4096)
-    parser.add_argument("--overhead-gate", action="store_true",
-                        help="measure tracing overhead on the serve "
-                        "workload and gate it instead of exporting")
-    parser.add_argument("--bench-json", default="BENCH_obs.json",
-                        help="artifact the overhead block merges into "
-                        "(default: %(default)s)")
-    parser.add_argument("--gate", type=float, default=1.10,
-                        help="max traced/untraced ratio (default 1.10)")
-    parser.add_argument("--trials", type=int, default=3)
-    args = parser.parse_args(argv)
-
-    if args.overhead_gate:
-        print(
-            f"tracing-overhead gate: {2 * args.requests} requests x "
-            f"{args.trials} paired trials ...", flush=True,
-        )
-        return _overhead_gate(args)
-
-    from ..config import small_test_chip
-
-    config = small_test_chip()
-    print("training demo models ...", flush=True)
-    models, data = _build_demo_models(config, args.seed, args.chips)
-    print(
-        f"serving {2 * args.requests} requests on {args.workers} workers "
-        f"x {args.chips} chip(s), tracing on ...", flush=True,
-    )
-    server, wall_s = _run_session(
-        config, models, data,
-        n_requests=args.requests, workers=args.workers,
-        n_chips=args.chips, seed=args.seed,
-        tracing=True, chip_events=args.trace is not None,
-        slos={m.name: args.slo_ms / 1e3 for m in models},
-        max_spans=args.max_spans,
-    )
-    exporter = MetricsExporter(server)
-    snap = exporter.write(args.prom, args.json)
-    print(f"  wall time   {wall_s * 1e3:8.1f} ms")
-    for model, lat in sorted(snap["stats"]["latency"].items()):
-        print(
-            f"  {model:<8} n={lat['n']:<4} p50={lat['p50_ms']:8.2f} ms  "
-            f"p99={lat['p99_ms']:8.2f} ms"
-        )
-    for model, slo in sorted(snap["slo"].items()):
-        print(
-            f"  slo:{model:<8} target {slo['target_ms']:.0f} ms  "
-            f"attainment {slo['attainment']:.0%} "
-            f"({slo['hits']} hit / {slo['violations']} missed / "
-            f"{slo['shed']} shed)"
-        )
-    tracing = snap["tracing"] or {}
-    print(
-        f"  spans       {tracing.get('recorded', 0)} recorded, "
-        f"{tracing.get('dropped', 0)} dropped "
-        f"(cap {tracing.get('max_spans', 0)})"
-    )
-    if args.trace:
-        from .trace import PerfettoTraceBuilder, write_trace
-
-        builder = PerfettoTraceBuilder(clock_ghz=config.clock_ghz)
-        builder.add_request_trace(server.tracer)
-        write_trace(builder.build(), args.trace)
-        print(f"  trace       {args.trace}")
-    for label, path in (("prometheus", args.prom), ("json", args.json)):
-        if path:
-            print(f"  {label:<11} {path}")
-    if not args.prom and not args.json:
-        print()
-        print(exporter.prometheus_text(snap))
-    return 0
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

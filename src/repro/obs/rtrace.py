@@ -48,8 +48,9 @@ from dataclasses import dataclass, field
 
 #: host-side phases a request passes through, in causal order; the
 #: final four only appear on self-healing paths (a failed batch's
-#: requeue, a worker's health transitions, quarantined hardware
-#: returning to service)
+#: requeue, a worker's health transitions, and — on the ``health``
+#: track, parented to no batch — quarantined hardware returning to
+#: service)
 PHASES = (
     "queue_wait",
     "batch_form",
@@ -155,7 +156,6 @@ class RequestTracer:
     def __init__(
         self,
         max_spans: int = 4096,
-        origin_s: float | None = None,
         chip_events: bool = False,
         clock=time.monotonic,
     ) -> None:
@@ -166,7 +166,7 @@ class RequestTracer:
         #: the pool's chips constructed with ``trace=True``)
         self.chip_events = chip_events
         self._clock = clock
-        self._origin_s = clock() if origin_s is None else origin_s
+        self._origin_s = clock()
         self._lock = threading.Lock()
         self._spans: deque[Span] = deque(maxlen=max_spans)
         self._ids = itertools.count(1)

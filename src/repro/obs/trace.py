@@ -26,7 +26,6 @@ microseconds.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 
 from ..arch.geometry import Direction
 from ..errors import IsaError
@@ -41,6 +40,7 @@ from ..isa.mxm import (
 )
 from ..isa.sxm import Distribute, Permute, Rotate, Select, Shift, Transpose
 from ..isa.vxm import BinaryOp, Convert, UnaryOp
+from ..sim.tracer import mnemonic_duration
 
 #: domain-level counter tracks emitted when a collector is given
 _COUNTER_TRACKS = (
@@ -78,14 +78,6 @@ def instruction_duration(instruction, timing, config) -> int:
         return max(
             1, instruction.dfunc(timing), instruction.dskew(timing) + 1
         )
-    except IsaError:
-        return 1
-
-
-def mnemonic_duration(mnemonic: str, timing) -> int:
-    """Duration when only the mnemonic survives (plain ``TraceEvent``)."""
-    try:
-        return max(1, timing.functional_delay(mnemonic))
     except IsaError:
         return 1
 
@@ -273,24 +265,6 @@ def _flow_key(direction: Direction, stream: int, position: int, t: int):
 
 
 # ----------------------------------------------------------------------
-@dataclass
-class HostSpan:
-    """One wall-clock span of host-side work (batching, compile, execute).
-
-    Unlike chip spans, whose timestamps derive from simulated cycles,
-    host spans are stamped in real microseconds by the serving layer —
-    the two clock domains render as separate processes in the same trace,
-    which is exactly how a datacenter profile shows host queueing next to
-    accelerator occupancy.
-    """
-
-    track: str  # row within the host process, e.g. "worker0"
-    name: str
-    start_us: float
-    dur_us: float
-    args: dict = field(default_factory=dict)
-
-
 class PerfettoTraceBuilder:
     """Accumulate one or more chips' runs into one trace-event list."""
 
@@ -466,39 +440,6 @@ class PerfettoTraceBuilder:
                     "position": drive.position,
                     "n_vectors": drive.n_vectors,
                 },
-            })
-
-    # ------------------------------------------------------------------
-    def add_host_spans(
-        self, spans: list[HostSpan], name: str = "serve", pid: int = 100
-    ) -> None:
-        """Add host-side wall-clock spans as their own process.
-
-        Each distinct ``span.track`` becomes one thread row (the batcher,
-        each pool worker); timestamps are the spans' real microseconds,
-        not simulated cycles, so pick a ``pid`` clear of the chip pids.
-        """
-        self.events.append({
-            "name": "process_name", "ph": "M", "pid": pid,
-            "args": {"name": name},
-        })
-        self.events.append({
-            "name": "process_sort_index", "ph": "M", "pid": pid,
-            "args": {"sort_index": pid},
-        })
-        tids = {t: i for i, t in enumerate(sorted({s.track for s in spans}))}
-        for track, tid in tids.items():
-            self.events.append({
-                "name": "thread_name", "ph": "M", "pid": pid, "tid": tid,
-                "args": {"name": track},
-            })
-        for span in spans:
-            self.events.append({
-                "name": span.name, "cat": "serve", "ph": "X",
-                "ts": round(span.start_us, 3),
-                "dur": round(max(span.dur_us, 0.001), 3),
-                "pid": pid, "tid": tids[span.track],
-                "args": dict(span.args),
             })
 
     # ------------------------------------------------------------------

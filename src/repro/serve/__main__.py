@@ -5,8 +5,10 @@ Trains a small ShapeSet CNN on the host, stands up an
 registered, fires a burst of interleaved requests at it, and prints the
 serving rollup: per-model latency percentiles, cache hit rate, batch
 triggers, and the differential check against the sequential unbatched
-oracle.  ``--trace serve.json`` additionally writes a Perfetto trace with
-one row per pool worker.
+oracle.  ``--trace serve.json`` additionally writes the unified Perfetto
+trace (request / batch / phase spans with the on-chip events anchored to
+them); ``--prom`` / ``--json`` write the metrics snapshot in Prometheus
+text and JSON.
 """
 
 from __future__ import annotations
@@ -47,6 +49,10 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--trace", metavar="PATH",
                         help="write a Perfetto trace of the serve run")
+    parser.add_argument("--prom", metavar="PATH",
+                        help="write the Prometheus text metrics snapshot")
+    parser.add_argument("--json", metavar="PATH",
+                        help="write the JSON metrics snapshot")
     parser.add_argument("--check", action="store_true",
                         help="verify every output against the sequential "
                              "unbatched oracle (slower)")
@@ -87,7 +93,6 @@ def main(argv: list[str] | None = None) -> int:
         n_workers=args.workers,
         n_chips=args.chips,
         default_policy=policy,
-        record_spans=args.trace is not None,
         tracing=args.trace is not None,
         trace_chip_events=args.trace is not None,
     )
@@ -138,14 +143,17 @@ def main(argv: list[str] | None = None) -> int:
         from ..obs.trace import PerfettoTraceBuilder, write_trace
         builder = PerfettoTraceBuilder(clock_ghz=config.clock_ghz)
         # one unified trace: request/batch/phase spans + anchored
-        # on-chip events, host batch spans as a separate process
+        # on-chip events
         builder.add_request_trace(server.tracer)
-        builder.add_host_spans(list(server.spans), name="serve.batches",
-                               pid=101)
         write_trace(builder.build(), args.trace)
         print(f"  trace              {args.trace} "
-              f"({len(server.tracer)} rtrace spans, "
-              f"{server.tracer.snapshot()['dropped']} dropped)")
+              f"({stats['spans']['recorded']} spans, "
+              f"{stats['spans']['dropped']} dropped)")
+    if args.prom or args.json:
+        from ..obs.metrics import MetricsExporter
+        MetricsExporter(server).write(args.prom, args.json)
+        for path in filter(None, (args.prom, args.json)):
+            print(f"  metrics            {path}")
 
     print()
     print(json.dumps(stats, indent=2))

@@ -711,6 +711,8 @@ class ChipPool:
         """
         hardware = record.hardware
         blacklist = record.blacklist
+        tracer = self.tracer
+        start_us = tracer.now_us() if tracer is not None else 0.0
         try:
             for _ in range(self.health_policy.probes_required):
                 self.scrub_hardware(hardware)
@@ -750,11 +752,17 @@ class ChipPool:
             else:
                 self._spares.append(entry)
             self._cond.notify_all()
-        self._emit(
-            "repair", worker=record.worker,
-            degraded=bool(blacklist),
-            probes=record.probes_passed,
-        )
+        details = {
+            "worker": record.worker,
+            "degraded": bool(blacklist),
+            "probes": record.probes_passed,
+        }
+        if tracer is not None:
+            # the repair thread serves no batch: a root span, own track
+            tracer.record(
+                "repair", "health", start_us, tracer.now_us(), args=details
+            )
+        self._emit("repair", **details)
 
     def _emit(self, kind: str, **details) -> None:
         if self.on_health is not None:

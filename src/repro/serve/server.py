@@ -6,18 +6,14 @@ models, :meth:`submit` payloads (non-blocking, returns a
 convenience call.  Internally it owns a
 :class:`~repro.serve.batcher.DynamicBatcher`, a content-addressed
 :class:`~repro.serve.cache.ProgramCache`, and a
-:class:`~repro.serve.pool.ChipPool` of simulated chips, and exports the
-serving-layer counters through the same
-:class:`~repro.obs.counters.TelemetryCollector` registry the simulator
-uses — plus wall-clock :class:`~repro.obs.trace.HostSpan` records that
-render as a "serve" process alongside the chip's Perfetto tracks.
+:class:`~repro.serve.pool.ChipPool` of simulated chips.
 
-Host-side time (queue waits, scheduler runs) has no chip cycle, so the
-serve registry is stamped in **microseconds since server start** — and
-keeps no per-window history of them (:class:`_ServeRegistry`): a server
-lives for an unbounded number of batches, and its readers
-(``totals()``, ``snapshot()["scalars"]``) only ever ask for running
-totals and high-water marks.
+It keeps one set of books.  Every serving event is counted once, in one
+:class:`~repro.obs.counters.CounterRegistry` (locked running totals and
+high-water marks; no history, because a server lives for an unbounded
+number of batches) — ``stats()["requests"]``, ``stats()["slo"]`` and the
+metrics exporter are views of it — and, with ``tracing=True``, traced
+once, as spans of one :class:`~repro.obs.rtrace.RequestTracer`.
 """
 
 from __future__ import annotations
@@ -30,10 +26,9 @@ import numpy as np
 
 from ..config import ArchConfig
 from ..errors import RequestError, ServeError
-from ..obs.counters import TelemetryCollector
+from ..obs.counters import CounterRegistry
 from ..obs.metrics import LatencyHistogram, SloTracker
 from ..obs.rtrace import RequestTracer
-from ..obs.trace import HostSpan
 from .batcher import DynamicBatcher
 from .cache import ProgramCache
 from .models import ServeModel
@@ -48,33 +43,17 @@ from .request import (
 from .resilient import HealthPolicy, RetryPolicy
 
 
-class _ServeRegistry(TelemetryCollector):
-    """The serve registry: running totals and scalars, no window series.
-
-    A chip's collector sees a bounded number of cycles per run, so its
-    per-window dicts are bounded too.  The server stamps wall-clock µs
-    that only ever grow; bucketing those would retain a new window per
-    counter per batch for the server's whole life.
-    """
-
-    def count(
-        self, unit: str, counter: str, cycle: int, amount: int = 1
-    ) -> None:
-        key = (unit, counter)
-        self._totals[key] = self._totals.get(key, 0) + amount
-
-
 class InferenceServer:
     """Serve registered models on a pool of simulated TSP chips.
 
     Observability is bounded-memory end to end: latency accounting lives
     in log-bucketed :class:`~repro.obs.metrics.LatencyHistogram` s
-    (O(buckets), not O(requests)), host spans in a drop-oldest ring
-    buffer of at most ``max_spans`` entries (evictions counted in the
-    registry), and — with ``tracing=True`` — a
+    (O(buckets), not O(requests)), counters in a totals-only registry,
+    and — with ``tracing=True`` — a
     :class:`~repro.obs.rtrace.RequestTracer` that connects every
     request's queue-wait / batch / cache / compile / execute / transfer /
-    respond phases into one span tree, equally bounded.
+    respond phases into one span tree, in a drop-oldest ring of at most
+    ``max_spans`` spans (evictions counted).
     """
 
     def __init__(
@@ -86,7 +65,6 @@ class InferenceServer:
         cache_capacity: int = 64,
         policies: dict[str, BatchPolicy] | None = None,
         default_policy: BatchPolicy | None = None,
-        record_spans: bool = False,
         max_spans: int = 4096,
         tracing: bool = False,
         trace_chip_events: bool = False,
@@ -109,18 +87,10 @@ class InferenceServer:
             policies=policies, default_policy=default_policy
         )
         self.cache = ProgramCache(capacity=cache_capacity)
-        self.registry = _ServeRegistry(name="serve")
-        self.record_spans = record_spans
+        self.registry = CounterRegistry(name="serve")
         self.max_spans = max_spans
-        self.spans: deque[HostSpan] = deque(maxlen=max_spans)
-        self.spans_dropped = 0
-        self._start_s = time.monotonic()
         self.tracer: RequestTracer | None = (
-            RequestTracer(
-                max_spans=max_spans,
-                origin_s=self._start_s,
-                chip_events=trace_chip_events,
-            )
+            RequestTracer(max_spans=max_spans, chip_events=trace_chip_events)
             if tracing else None
         )
         self.slo = SloTracker(
@@ -133,10 +103,6 @@ class InferenceServer:
         self.shed_factor = shed_factor
         self._lock = threading.Lock()
         self._next_request_id = 0
-        self._completed = 0
-        self._failed = 0
-        self._retried = 0
-        self._shed = 0
         #: recent pool health events (quarantine/repair/degraded/retired)
         self.health_events: deque[dict] = deque(maxlen=256)
         #: model -> phase ("total" | "queue") -> bounded histogram
@@ -182,7 +148,6 @@ class InferenceServer:
         self._closed = True
         aborted = self.batcher.abort()
         now = time.monotonic()
-        us = self._now_us()
         for request in aborted:
             request.timing.completed_s = now
             request.future.set_error(
@@ -194,19 +159,11 @@ class InferenceServer:
                 )
             )
         if aborted:
-            with self._lock:
-                self._failed += len(aborted)
-                self.registry.count(
-                    "serve", "requests_shutdown", us, len(aborted)
-                )
+            self.registry.count("serve", "requests_shutdown", len(aborted))
         self.pool.shutdown()
         self.pool.join(timeout=timeout)
 
     # ------------------------------------------------------------------
-    def _now_us(self) -> int:
-        """Microseconds since server start — the registry's 'cycle'."""
-        return int((time.monotonic() - self._start_s) * 1e6)
-
     def _histogram(self, model: str, phase: str) -> LatencyHistogram:
         phases = self._histograms.setdefault(model, {})
         hist = phases.get(phase)
@@ -225,8 +182,7 @@ class InferenceServer:
             }
 
     def _observe(self, outcome: BatchOutcome) -> None:
-        """Pool callback: fold one batch into counters and spans."""
-        us = self._now_us()
+        """Pool callback: fold one batch into counters and histograms."""
         model = outcome.batch.model
         unit = f"serve:{model}"
         reg = self.registry
@@ -237,81 +193,40 @@ class InferenceServer:
         final = [
             r for r in outcome.batch.requests if r.id not in requeued_ids
         ]
+        if outcome.ok:
+            reg.count(unit, "requests_ok", n)
+        else:
+            if requeued_ids:
+                reg.count(unit, "requests_retried", len(requeued_ids))
+            if final:
+                reg.count(unit, "requests_failed", len(final))
+        if outcome.degraded:
+            reg.count(unit, "degraded_batches")
+        reg.count(unit, "batches")
+        reg.count(unit, f"trigger_{outcome.batch.trigger}")
+        reg.count(unit, "batched_requests", n)
+        reg.count(unit, "cache_hits", outcome.stats.cache_hits)
+        reg.count(unit, "cache_misses", outcome.stats.cache_misses)
+        reg.count(unit, "chip_cycles", outcome.stats.cycles)
+        reg.count(unit, "compile_us", int(outcome.stats.compile_s * 1e6))
+        reg.count(unit, "execute_us", int(outcome.stats.execute_s * 1e6))
+        reg.mark_high("serve", "batch_size_high", n)
+        reg.mark_high("serve", "queue_depth_high", self.batcher.depth_high)
         with self._lock:
-            if outcome.ok:
-                self._completed += n
-                reg.count(unit, "requests_ok", us, n)
-            else:
-                if requeued_ids:
-                    self._retried += len(requeued_ids)
-                    reg.count(
-                        unit, "requests_retried", us, len(requeued_ids)
-                    )
-                if final:
-                    self._failed += len(final)
-                    reg.count(unit, "requests_failed", us, len(final))
-            if outcome.degraded:
-                reg.count(unit, "degraded_batches", us, 1)
             total_hist = self._histogram(model, "total")
             queue_hist = self._histogram(model, "queue")
             for request in final:
                 total_hist.record(request.timing.total_s)
                 queue_hist.record(request.timing.queue_s)
-            reg.count(unit, "batches", us, 1)
-            reg.count(unit, f"trigger_{outcome.batch.trigger}", us, 1)
-            reg.count(unit, "batched_requests", us, n)
-            reg.count(unit, "cache_hits", us, outcome.stats.cache_hits)
-            reg.count(unit, "cache_misses", us, outcome.stats.cache_misses)
-            reg.count(unit, "chip_cycles", us, outcome.stats.cycles)
-            reg.count(
-                unit, "compile_us", us, int(outcome.stats.compile_s * 1e6)
-            )
-            reg.count(
-                unit, "execute_us", us, int(outcome.stats.execute_s * 1e6)
-            )
-            reg.mark_high("serve", "batch_size_high", n)
-            reg.mark_high("serve", "queue_depth_high", self.batcher.depth_high)
-            for request in final:
-                self.slo.observe(
-                    model, request.timing.total_s, us, ok=outcome.ok
-                )
-            if self.record_spans:
-                start_us = int(
-                    (outcome.started_s - self._start_s) * 1e6
-                )
-                dur_us = max(
-                    int((outcome.finished_s - outcome.started_s) * 1e6), 1
-                )
-                if len(self.spans) == self.max_spans:
-                    self.spans_dropped += 1
-                    reg.count("serve", "spans_dropped", us, 1)
-                self.spans.append(
-                    HostSpan(
-                        track=outcome.worker,
-                        name=(
-                            f"{model} "
-                            f"batch{outcome.batch.id} x{n}"
-                        ),
-                        start_us=start_us,
-                        dur_us=dur_us,
-                        args={
-                            "trigger": outcome.batch.trigger,
-                            "ok": outcome.ok,
-                            "cycles": outcome.stats.cycles,
-                            "cache_hits": outcome.stats.cache_hits,
-                            "cache_misses": outcome.stats.cache_misses,
-                        },
-                    )
-                )
+        for request in final:
+            self.slo.observe(model, request.timing.total_s, ok=outcome.ok)
         if self.tracer is not None:
             self._trace_requests(outcome)
 
     def _observe_health(self, event: dict) -> None:
         """Pool callback: count quarantine/repair/degraded transitions."""
-        us = self._now_us()
-        with self._lock:
-            self.registry.count("serve", f"health_{event['kind']}", us, 1)
-            self.health_events.append(dict(event))
+        self.registry.count("serve", f"health_{event['kind']}")
+        self.health_events.append(dict(event))
 
     def _trace_requests(self, outcome: BatchOutcome) -> None:
         """Record each request's root + queue-wait spans, linked to the
@@ -397,15 +312,14 @@ class InferenceServer:
             self.batcher.submit(request)
         except ServeError:
             # rejected before entering the queue — an SLO shed
-            self.slo.shed(model, self._now_us())
+            self.slo.shed(model)
             raise
         # sample queue depth on every submit, not just at batch
         # completion — peaks between batches are exactly the interesting
         # ones for admission control
-        with self._lock:
-            self.registry.mark_high(
-                "serve", "queue_depth_high", self.batcher.depth_high
-            )
+        self.registry.mark_high(
+            "serve", "queue_depth_high", self.batcher.depth_high
+        )
         return request.future
 
     def _admit(self, request: InferenceRequest, now: float) -> None:
@@ -426,18 +340,13 @@ class InferenceServer:
         limit = self.shed_factor * capacity * policy.max_batch
         if self.batcher.depth() < limit:
             return
-        us = self._now_us()
         victim = self.batcher.shed_victim(
             request.priority, request.slack_s(now), now
         )
         if victim is None:
             victim = request
-        with self._lock:
-            self._shed += 1
-            self.registry.count(
-                f"serve:{victim.model}", "requests_shed_capacity", us, 1
-            )
-        self.slo.shed(victim.model, us)
+        self.registry.count(f"serve:{victim.model}", "requests_shed_capacity")
+        self.slo.shed(victim.model)
         error = RequestError(
             f"request {victim.id} ({victim.model}) shed: pool capacity "
             f"{capacity}/{len(self.pool.workers)}, queue over "
@@ -469,10 +378,15 @@ class InferenceServer:
     def stats(self) -> dict:
         """One JSON-able rollup: requests, latency quantiles, cache, pool.
 
+        ``requests`` and ``slo`` are views of the counter registry and
+        ``spans`` of the tracer — nothing here is a tally of its own.
         Latency quantiles come from the bounded histograms — upper
         bounds within ``1/sub_buckets`` of exact — so a long-running
         server's stats cost never grows with traffic.
         """
+        # the registry first: a request is numbered before anything about
+        # it is counted, so finished <= submitted holds in every image
+        totals = self.registry.totals()
         with self._lock:
             latency = {
                 model: {
@@ -483,28 +397,31 @@ class InferenceServer:
                 }
                 for model, phases in self._histograms.items()
             }
-            completed, failed = self._completed, self._failed
-            retried, shed = self._retried, self._shed
             submitted = self._next_request_id
-            spans = {
-                "recorded": len(self.spans),
-                "dropped": self.spans_dropped,
-                "max_spans": self.max_spans,
-            }
+
+        def served(counter: str) -> int:
+            return sum(
+                counters.get(counter, 0)
+                for unit, counters in totals.items()
+                if unit.startswith("serve:")
+            )
+
+        tracing = self.tracer.snapshot() if self.tracer is not None else None
         return {
             "requests": {
                 "submitted": submitted,
-                "completed": completed,
-                "failed": failed,
-                "retried": retried,
-                "shed": shed,
+                "completed": served("requests_ok"),
+                "failed": served("requests_failed")
+                + totals.get("serve", {}).get("requests_shutdown", 0),
+                "retried": served("requests_retried"),
+                "shed": served("requests_shed_capacity"),
             },
             "latency": latency,
             "slo": self.slo.snapshot(),
-            "spans": spans,
-            "tracing": (
-                self.tracer.snapshot() if self.tracer is not None else None
-            ),
+            "spans": tracing or {
+                "recorded": 0, "dropped": 0, "max_spans": self.max_spans,
+            },
+            "tracing": tracing,
             "cache": self.cache.snapshot(),
             "batcher": {
                 "released": dict(self.batcher.released),

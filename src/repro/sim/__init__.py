@@ -21,7 +21,6 @@ from .tracer import (
     dispatch_counts,
     render_schedule,
     render_stagger,
-    to_chrome_trace,
     utilization_histogram,
 )
 from .vxm import VxmUnit
@@ -60,6 +59,5 @@ __all__ = [
     "dispatch_counts",
     "render_schedule",
     "render_stagger",
-    "to_chrome_trace",
     "utilization_histogram",
 ]

@@ -4,7 +4,8 @@ Figure 11 shows an instruction schedule as a grid — functional units down
 the side, cycles across the top, one glyph per dispatched instruction.
 Figure 6 shows the staggered SIMD execution of a single instruction across
 the 20 tiles of a slice.  Both are regenerated here as ASCII from a chip's
-trace.
+trace.  (The Perfetto rendering of the same trace is
+:meth:`repro.obs.trace.PerfettoTraceBuilder.add_chip`.)
 """
 
 from __future__ import annotations
@@ -12,15 +13,18 @@ from __future__ import annotations
 from collections import defaultdict
 
 from ..arch.timing import TimingModel
+from ..errors import IsaError
 from .chip import TraceEvent
 
 
-def _mnemonic_duration(mnemonic: str, timing: TimingModel) -> int:
-    # deferred: repro.obs pulls in the attribution/roofline stack, which
-    # imports the compiler and would cycle back into repro.sim at load time
-    from ..obs.trace import mnemonic_duration
+def mnemonic_duration(mnemonic: str, timing: TimingModel) -> int:
+    """Cycles a dispatch occupies when only its mnemonic survives (a
+    plain ``TraceEvent``): its functional delay, at least 1."""
+    try:
+        return max(1, timing.functional_delay(mnemonic))
+    except IsaError:
+        return 1
 
-    return mnemonic_duration(mnemonic, timing)
 
 #: Compact glyphs for the mnemonics that appear in schedule plots.
 _GLYPHS = {
@@ -134,59 +138,6 @@ def dispatch_counts(trace: list[TraceEvent]) -> dict[str, int]:
     return dict(counts)
 
 
-def to_chrome_trace(
-    trace: list[TraceEvent],
-    clock_ghz: float = 1.0,
-    timing: TimingModel | None = None,
-) -> list[dict]:
-    """Convert a dispatch trace to Chrome trace-event JSON objects.
-
-    Load the result (``json.dump`` it to a file) in ``chrome://tracing``
-    or Perfetto: one row per instruction queue, one slice per dispatched
-    instruction.  Timestamps and durations are **microseconds** of
-    simulated time — the unit the Chrome trace-event format expects — so
-    one cycle at ``clock_ghz`` GHz is ``1e-3 / clock_ghz`` µs.  Each
-    slice's ``dur`` covers the instruction's functional delay under
-    ``timing`` (default :class:`~repro.arch.timing.TimingModel`), not a
-    fixed one-cycle sliver.  NOPs are skipped — they are padding, not
-    work.
-
-    For richer traces (flow arrows, counter tracks, per-chip processes)
-    use :class:`repro.obs.PerfettoTraceBuilder` instead.
-    """
-    if timing is None:
-        timing = TimingModel()
-    us_per_cycle = 1e-3 / clock_ghz
-    events: list[dict] = []
-    tids = {icu: i for i, icu in enumerate(sorted({e.icu for e in trace}))}
-    for icu, tid in tids.items():
-        events.append(
-            {
-                "name": "thread_name",
-                "ph": "M",
-                "pid": 0,
-                "tid": tid,
-                "args": {"name": icu},
-            }
-        )
-    for event in trace:
-        if event.mnemonic == "NOP":
-            continue
-        events.append(
-            {
-                "name": event.mnemonic,
-                "cat": "dispatch",
-                "ph": "X",
-                "ts": event.cycle * us_per_cycle,
-                "dur": _mnemonic_duration(event.mnemonic, timing) * us_per_cycle,
-                "pid": 0,
-                "tid": tids[event.icu],
-                "args": {"text": event.text, "cycle": event.cycle},
-            }
-        )
-    return events
-
-
 def utilization_histogram(
     trace: list[TraceEvent],
     total_cycles: int,
@@ -209,7 +160,7 @@ def utilization_histogram(
     busy: dict[str, int] = defaultdict(int)
     for event in trace:
         if event.mnemonic != "NOP":
-            busy[event.icu] += _mnemonic_duration(event.mnemonic, timing)
+            busy[event.icu] += mnemonic_duration(event.mnemonic, timing)
     return {
         icu: min(1.0, count / total_cycles) for icu, count in busy.items()
     }

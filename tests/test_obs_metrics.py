@@ -5,8 +5,11 @@ Covers the tentpole's metrics layer and its satellites:
 * :class:`LatencyHistogram` quantile *bounds* (pXX overstates the exact
   percentile by at most ``1/sub_buckets``), merge associativity (a
   hypothesis property), and O(buckets) memory.
-* :class:`SloTracker` hit/violation/shed classification wired into the
-  serve counter registry.
+* :class:`SloTracker` hit/violation/shed classification, kept in the
+  serve counter registry and nowhere else (no lost count under
+  concurrent sheds).
+* One set of books: ``stats()["requests"]`` / ``stats()["slo"]`` and the
+  exporter are views of ``registry.totals()`` and the tracer.
 * The submit-time queue-depth sampling regression: peaks between batch
   completions must reach the registry scalar.
 * ``InferenceServer.stats()`` and :class:`MetricsExporter` under
@@ -15,6 +18,7 @@ Covers the tentpole's metrics layer and its satellites:
 """
 
 import json
+import sys
 import threading
 
 import numpy as np
@@ -22,9 +26,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.errors import ServeError
+from repro.errors import RequestError, ServeError, WatchdogError
 from repro.nn import make_shapes, make_small_cnn, train
-from repro.obs.counters import TelemetryCollector
+from repro.obs.counters import CounterRegistry, TelemetryCollector
 from repro.obs.metrics import (
     LatencyHistogram,
     MetricsExporter,
@@ -197,12 +201,12 @@ class TestLatencyHistogram:
 
 class TestSloTracker:
     def test_classification_and_registry(self):
-        registry = TelemetryCollector(name="serve")
+        registry = CounterRegistry(name="serve")
         slo = SloTracker(targets={"cnn": 0.010}, registry=registry)
-        assert slo.observe("cnn", 0.005, us=10) is True
-        assert slo.observe("cnn", 0.500, us=20) is False
-        assert slo.observe("cnn", 0.001, us=30, ok=False) is False
-        slo.shed("cnn", us=40)
+        assert slo.observe("cnn", 0.005) is True
+        assert slo.observe("cnn", 0.500) is False
+        assert slo.observe("cnn", 0.001, ok=False) is False
+        slo.shed("cnn")
         snap = slo.snapshot()["cnn"]
         assert snap["hits"] == 1
         assert snap["violations"] == 2
@@ -300,6 +304,146 @@ class _EchoModel(ServeModel):
 
     def run_reference(self, payload):
         return payload
+
+
+class TestNoLostSloCounts:
+    """Sheds race each other (and ``_observe``) from every submitter
+    thread; with one locked registry as the only book, none is lost and
+    no second tally exists to disagree."""
+
+    def test_concurrent_sheds_all_counted(self, config):
+        server = InferenceServer(
+            config, [_EchoModel()], n_workers=1, slos={"echo": 1.0},
+        )
+        server.close()  # every submit is now refused: one shed each
+        n_threads, per_thread = 8, 1000
+        refused = []
+
+        def submitter():
+            n = 0
+            for _ in range(per_thread):
+                try:
+                    server.submit("echo", np.zeros(1))
+                except ServeError:
+                    n += 1
+            refused.append(n)
+
+        threads = [
+            threading.Thread(target=submitter) for _ in range(n_threads)
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        calls = n_threads * per_thread
+        assert sum(refused) == calls
+        assert (
+            server.stats()["slo"]["echo"]["shed"]
+            == server.registry.totals()["slo:echo"]["shed"]
+            == calls
+        )
+
+
+class _ScriptedModel(ServeModel):
+    """Echoes; fails the next batch on request; holds batches on request."""
+
+    name = "book"
+    payload_shape = (1,)
+
+    def __init__(self):
+        self.fail_next = False
+        self.gate = threading.Event()
+        self.gate.set()
+        self.held = threading.Semaphore(0)
+
+    def run_batch(self, chip, cache, payloads, stats=None):
+        if not self.gate.is_set():
+            self.held.release()
+            assert self.gate.wait(timeout=30.0)
+        if self.fail_next:
+            self.fail_next = False
+            raise WatchdogError("injected hang")
+        return list(payloads)
+
+    def run_reference(self, payload):
+        return payload
+
+
+class TestOneBook:
+    """Successes, a forced retry, a capacity shed and a ``close()`` over
+    a queued request: every rollup is a view of the one registry."""
+
+    def test_stats_slo_and_exporter_are_views(self, config, monkeypatch):
+        model = _ScriptedModel()
+        server = InferenceServer(
+            config, [model], n_workers=2, shed_factor=1,
+            default_policy=BatchPolicy(max_batch=1, max_delay_s=0.0),
+            slos={"book": 60.0}, tracing=True,
+        )
+        x = np.zeros(1)
+        for _ in range(2):
+            server.run("book", x, timeout=30.0)
+        model.fail_next = True  # a hardware-class failure: retried
+        server.submit("book", x, deadline_s=30.0).result(timeout=30.0)
+        # hold one batch on each worker, then shrink admitted capacity:
+        # the queue may hold one request, and a second evicts it
+        model.gate.clear()
+        running = [server.submit("book", x) for _ in range(2)]
+        for _ in running:
+            assert model.held.acquire(timeout=30.0)
+        monkeypatch.setattr(server.pool, "capacity", lambda: 1)
+        victim = server.submit("book", x, priority=0)
+        queued = server.submit("book", x, priority=1)
+        assert victim.error(timeout=30.0).outcome == "shed"
+        closer = threading.Thread(target=server.close)
+        closer.start()
+        error = queued.error(timeout=30.0)
+        model.gate.set()
+        closer.join(timeout=60.0)
+        assert not closer.is_alive()
+        assert isinstance(error, RequestError)
+        assert error.outcome == "shutdown"
+        for future in running:
+            future.result(timeout=30.0)
+
+        stats = server.stats()
+        totals = server.registry.totals()
+        unit = totals["serve:book"]
+        assert stats["requests"] == {
+            "submitted": 7,
+            "completed": unit["requests_ok"],
+            "failed": unit.get("requests_failed", 0)
+            + totals["serve"]["requests_shutdown"],
+            "retried": unit["requests_retried"],
+            "shed": unit["requests_shed_capacity"],
+        }
+        assert stats["requests"] == {
+            "submitted": 7, "completed": 5, "failed": 1, "retried": 1,
+            "shed": 1,
+        }
+        assert set(stats["slo"]) == {
+            unit[len("slo:"):] for unit in totals if unit.startswith("slo:")
+        }
+        for kind, n in (("hits", 5), ("violations", 0), ("shed", 1)):
+            assert stats["slo"]["book"][kind] == n
+            assert totals["slo:book"].get(kind, 0) == n
+        tracer = server.tracer.snapshot()
+        assert tracer["recorded"] > 0
+        text = MetricsExporter(server).prometheus_text()
+        for kind, key in (("recorded", "recorded"), ("dropped", "dropped"),
+                          ("capacity", "max_spans")):
+            assert f'tsp_serve_spans{{kind="{kind}"}} {tracer[key]}' in text
+        # no parallel tallies left to disagree with the registry
+        assert not {"_completed", "_failed", "_retried", "_shed"} & set(
+            vars(server)
+        )
+        assert "counts" not in vars(server.slo)
 
 
 def _retained(value) -> int:
@@ -432,7 +576,7 @@ class TestExporter:
         from repro.testing import make_small_config
         server, data = _cnn_server(
             make_small_config(),
-            tracing=True, record_spans=True, slos={"cnn": 60.0},
+            tracing=True, slos={"cnn": 60.0},
         )
         futures = [server.submit("cnn", data.x_test[i % 16])
                    for i in range(8)]

@@ -21,12 +21,22 @@ from repro.nn import make_shapes, make_small_cnn, train
 from repro.nn.scaleout import execute_pipeline
 from repro.nn.tsp_inference import TspCnnRunner
 from repro.obs import rtrace
+from repro.obs.metrics import MetricsExporter
 from repro.obs.rtrace import PHASES, RequestTracer, TraceContext
 from repro.obs.trace import PerfettoTraceBuilder
 from repro.serve import BatchPolicy, InferenceServer
 from repro.serve.models import CnnServeModel, ShardedCnnServeModel
 from repro.testing import make_small_config
 from repro.verify import assert_trace_lockstep
+
+
+#: phases the serving-path tests of this file assert spans of
+#: (``TestServeTracing`` the single-chip ones, ``TestShardedTracing``
+#: ``stage`` and ``transfer``, ``TestTracingWork`` ``batch_form``)
+SERVING_PHASES = {
+    "queue_wait", "batch_form", "checkout", "cache", "compile", "execute",
+    "stage", "transfer", "respond",
+}
 
 
 class TestRequestTracer:
@@ -95,10 +105,17 @@ class TestRequestTracer:
         assert rtrace.current() is None
 
     def test_phase_names_cover_serving_path(self):
-        assert set(PHASES) >= {
-            "queue_wait", "batch_form", "checkout", "cache", "compile",
-            "execute", "stage", "transfer", "respond",
-        }
+        """Every listed phase is a span some test sees recorded: the
+        serving ones below in this file, the self-healing ones in
+        ``tests/test_serve_resilient.py`` — no phantom phases."""
+        import test_serve_resilient as resilient
+
+        for path in resilient.HEALING_PHASE_TESTS.values():
+            owner, test = path.split(".")
+            assert callable(getattr(getattr(resilient, owner), test))
+        assert set(PHASES) == SERVING_PHASES | set(
+            resilient.HEALING_PHASE_TESTS
+        )
 
 
 # ----------------------------------------------------------------------
@@ -139,7 +156,6 @@ def _serve_traced(config, models, n_requests, payloads, *, n_chips=1,
         config, models, n_workers=n_workers, n_chips=n_chips,
         default_policy=BatchPolicy(max_batch=4, max_delay_s=0.002),
         tracing=True, trace_chip_events=chip_events, max_spans=max_spans,
-        record_spans=True,
     )
     futures = [
         server.submit(models[0].name, payloads[i % len(payloads)])
@@ -231,10 +247,25 @@ class TestServeTracing:
         assert stats["spans"]["max_spans"] == 4096
 
 
-class TestSpanRingBuffer:
-    """Satellite: ``server.spans`` must not grow without bound."""
+@pytest.fixture()
+def recorded(monkeypatch):
+    """Name of every span handed to ``RequestTracer.record``, in order."""
+    names = []
+    record = RequestTracer.record
 
-    def test_host_spans_capped_with_dropped_counter(self, config):
+    def counting(self, name, *args, **kwargs):
+        names.append(name)
+        return record(self, name, *args, **kwargs)
+
+    monkeypatch.setattr(RequestTracer, "record", counting)
+    return names
+
+
+class TestSpanRingBuffer:
+    """A server's span memory must not grow without bound, and what it
+    sheds is counted where the exporter reads it."""
+
+    def test_host_spans_capped_with_dropped_counter(self, config, recorded):
         cnn, data = _trained_cnn()
         model = CnnServeModel("cnn", cnn, config,
                               calibration=data.x_train[:16],
@@ -242,7 +273,7 @@ class TestSpanRingBuffer:
         server = InferenceServer(
             config, [model], n_workers=1,
             default_policy=BatchPolicy(max_batch=1, max_delay_s=0.0),
-            record_spans=True, max_spans=2,
+            tracing=True, max_spans=2,
         )
         futures = [
             server.submit("cnn", data.x_test[i % 8]) for i in range(6)
@@ -250,15 +281,18 @@ class TestSpanRingBuffer:
         for future in futures:
             future.result(timeout=300.0)
         server.close()
-        assert len(server.spans) <= 2
-        assert server.spans_dropped == server.pool.workers[0].batches_run - 2
-        dropped = server.registry.totals().get("serve", {}).get(
-            "spans_dropped", 0
-        )
-        assert dropped == server.spans_dropped
+        tracer = server.tracer
+        # drop-oldest: what survives is what was recorded last
+        assert [s.name for s in tracer.spans()] == recorded[-2:]
+        assert tracer.dropped == len(recorded) - 2
         stats = server.stats()
-        assert stats["spans"]["recorded"] <= 2
-        assert stats["spans"]["dropped"] == server.spans_dropped
+        assert stats["spans"] == stats["tracing"] == {
+            "recorded": 2, "dropped": tracer.dropped, "max_spans": 2,
+        }
+        text = MetricsExporter(server).prometheus_text()
+        assert 'tsp_serve_spans{kind="recorded"} 2' in text
+        assert f'tsp_serve_spans{{kind="dropped"}} {tracer.dropped}' in text
+        assert 'tsp_serve_spans{kind="capacity"} 2' in text
 
     def test_max_spans_validated(self, config):
         cnn, data = _trained_cnn()
@@ -267,6 +301,88 @@ class TestSpanRingBuffer:
                               max_vectors_per_program=32)
         with pytest.raises(Exception):
             InferenceServer(config, [model], max_spans=0)
+
+
+class _AmbientCnn(CnnServeModel):
+    """A CNN adapter that notes the ambient trace context of each batch."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.ambient = []
+
+    def run_batch(self, *args, **kwargs):
+        self.ambient.append(rtrace.current())
+        return super().run_batch(*args, **kwargs)
+
+
+class TestTracingWork:
+    """What tracing costs, as counts of work: nothing when off, and when
+    on a number of spans that follows the batch's layer groups and its
+    requests — never its chunks or rows."""
+
+    def serve(self, config, tracing):
+        """Full batches of 1 and of 4 images, twice; the first round
+        compiles, the second is the warm one.  Returns the server and the
+        warm results by batch size."""
+        cnn, data = _trained_cnn()
+        sizes = (1, 4)
+        models = [
+            _AmbientCnn(f"cnn{n}", cnn, config,
+                        calibration=data.x_train[:16],
+                        max_vectors_per_program=32)
+            for n in sizes
+        ]
+        # released by the full trigger alone: the delay never expires
+        with InferenceServer(
+            config, models, n_workers=1, tracing=tracing,
+            policies={
+                f"cnn{n}": BatchPolicy(max_batch=n, max_delay_s=300.0)
+                for n in sizes
+            },
+        ) as server:
+            for _round in range(2):
+                warm = {}
+                for n in sizes:
+                    futures = [
+                        server.submit(f"cnn{n}", data.x_test[i])
+                        for i in range(n)
+                    ]
+                    warm[n] = [f.result(timeout=300.0) for f in futures]
+        assert all(r.batch_size == n for n in sizes for r in warm[n])
+        return server, warm
+
+    def test_untraced_batch_records_nothing(self, config, recorded):
+        server, _ = self.serve(config, tracing=False)
+        assert recorded == []
+        assert server.tracer is None
+        for model in server.models.values():
+            assert model.ambient == [None, None]
+
+    def test_traced_spans_follow_groups_and_requests(self, config,
+                                                     recorded):
+        server, warm = self.serve(config, tracing=True)
+        for model in server.models.values():
+            assert all(ctx.tracer is server.tracer for ctx in model.ambient)
+        spans = server.tracer.spans()
+        assert len(spans) == len(recorded)  # nothing recorded twice
+        for n, results in warm.items():
+            batch_id = results[0].batch_id
+            names = sorted(
+                s.name.split()[0] for s in spans if s.batch_id == batch_id
+            )
+            # one cache lookup + one execute per layer group (conv0,
+            # conv1, dense2), whatever the batch: conv0 alone is 2
+            # chunks of 32 rows for one image and 8 for four
+            assert names == sorted(
+                ["batch", "batch_form", "checkout", "respond"]
+                + 3 * ["cache", "execute"]
+                + n * ["request", "queue_wait"]
+            )
+            chunks = {
+                s.args["layer"]: s.args["batch"] for s in spans
+                if s.batch_id == batch_id and s.name == "execute"
+            }
+            assert chunks["conv0"] == 2 * n
 
 
 class TestShardedTracing:

@@ -63,6 +63,24 @@ def wait_until(predicate, timeout=20.0, interval=0.01):
     return predicate()
 
 
+def span_names(server):
+    return {span.name for span in server.tracer.spans()}
+
+
+#: self-healing trace phase -> the test below that asserts a span of that
+#: name is recorded (tests/test_obs_rtrace.py checks the table against
+#: ``rtrace.PHASES``)
+HEALING_PHASE_TESTS = {
+    "retry": "TestRetryBudget.test_flaky_batch_retries_to_success",
+    "quarantine":
+        "TestQuarantineAndRepair.test_spare_swaps_in_then_repair_restores_spare",
+    "repair":
+        "TestQuarantineAndRepair.test_spare_swaps_in_then_repair_restores_spare",
+    "recompile_degraded":
+        "TestDegradedInPlace.test_dead_mem_slice_serves_bit_identical",
+}
+
+
 class HostMathModel(ServeModel):
     """Pure-host model: lets failure-policy tests skip the simulator."""
 
@@ -124,7 +142,7 @@ class TestRetryBudget:
         model = HostMathModel(fail_times=1)
         server = InferenceServer(
             config, [model], n_workers=1,
-            default_policy=fast_policy(),
+            default_policy=fast_policy(), tracing=True,
         )
         try:
             payload = np.arange(4.0)
@@ -137,6 +155,7 @@ class TestRetryBudget:
             assert stats["requests"]["failed"] == 0
         finally:
             server.close()
+        assert "retry" in span_names(server)
 
     def test_exhaustion_carries_attempt_chip_and_cause(self, config):
         model = HostMathModel(fail_times=10**6)
@@ -215,7 +234,7 @@ class TestQuarantineAndRepair:
     def test_spare_swaps_in_then_repair_restores_spare(self, config):
         server = InferenceServer(
             config, [make_mlp(config)], n_workers=1, n_spares=1,
-            default_policy=fast_policy(),
+            default_policy=fast_policy(), tracing=True,
             health_policy=HealthPolicy(quarantine_after=2,
                                        probes_required=1),
         )
@@ -246,6 +265,15 @@ class TestQuarantineAndRepair:
             )
             events = [e["kind"] for e in server.health_events]
             assert "quarantine" in events and "repair" in events
+            # one write feeds the event ring and the registry alike
+            counted = server.registry.totals()["serve"]
+            for kind in set(events):
+                assert counted[f"health_{kind}"] == events.count(kind)
+            assert {"quarantine", "repair"} <= span_names(server)
+            repair = next(
+                s for s in server.tracer.spans() if s.name == "repair"
+            )
+            assert (repair.track, repair.parent_id) == ("health", None)
             assert np.array_equal(
                 server.submit("mlp", payload, deadline_s=30.0)
                 .result(timeout=30.0).output,
@@ -307,7 +335,7 @@ class TestDegradedInPlace:
 
         server = InferenceServer(
             config, [make_mlp(config)], n_workers=1,
-            default_policy=fast_policy(),
+            default_policy=fast_policy(), tracing=True,
         )
         try:
             payload = np.linspace(-1.0, 1.0, 16)
@@ -330,6 +358,7 @@ class TestDegradedInPlace:
             assert not server.pool.quarantined
             events = [e["kind"] for e in server.health_events]
             assert "degraded_enter" in events
+            assert "recompile_degraded" in span_names(server)
         finally:
             server.close()
 

@@ -6,11 +6,8 @@ import numpy as np
 
 from repro.arch import Direction, Hemisphere
 from repro.isa import IcuId, Nop, Program, Read, Write
-from repro.sim import (
-    TspChip,
-    to_chrome_trace,
-    utilization_histogram,
-)
+from repro.obs.trace import PerfettoTraceBuilder
+from repro.sim import TspChip, utilization_histogram
 
 
 def traced_run(config, rng):
@@ -27,33 +24,38 @@ def traced_run(config, rng):
     return chip, result
 
 
+def chip_trace_events(chip, clock_ghz=1.0):
+    """The one chip-trace renderer, fed a plain ``TraceEvent`` list."""
+    builder = PerfettoTraceBuilder(clock_ghz=clock_ghz)
+    builder.add_chip(trace=chip.trace, timing=chip.timing)
+    return builder.build()
+
+
 class TestChromeTrace:
     def test_events_are_json_serializable(self, config, rng):
         chip, _ = traced_run(config, rng)
-        events = to_chrome_trace(chip.trace, clock_ghz=1.0)
-        json.dumps(events)  # must not raise
+        json.dumps(chip_trace_events(chip))  # must not raise
 
     def test_one_row_per_icu(self, config, rng):
         chip, _ = traced_run(config, rng)
-        events = to_chrome_trace(chip.trace)
         names = [
-            e["args"]["name"] for e in events if e["name"] == "thread_name"
+            e["args"]["name"] for e in chip_trace_events(chip)
+            if e["name"] == "thread_name"
         ]
         assert "MEM_W0" in names and "MEM_E0" in names
 
     def test_nops_excluded(self, config, rng):
         chip, _ = traced_run(config, rng)
-        events = to_chrome_trace(chip.trace)
-        assert all(e["name"] != "NOP" for e in events)
+        assert all(e["name"] != "NOP" for e in chip_trace_events(chip))
 
     def test_timestamps_scale_with_clock(self, config, rng):
         chip, _ = traced_run(config, rng)
         fast = [
-            e for e in to_chrome_trace(chip.trace, clock_ghz=2.0)
+            e for e in chip_trace_events(chip, clock_ghz=2.0)
             if e["ph"] == "X"
         ]
         slow = [
-            e for e in to_chrome_trace(chip.trace, clock_ghz=1.0)
+            e for e in chip_trace_events(chip, clock_ghz=1.0)
             if e["ph"] == "X"
         ]
         nonzero = [
@@ -62,6 +64,7 @@ class TestChromeTrace:
         assert nonzero
         for f, s in nonzero:
             assert f["ts"] == s["ts"] / 2
+            assert f["dur"] == s["dur"] / 2
 
 
 class TestUtilization:
