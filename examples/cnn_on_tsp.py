@@ -38,7 +38,7 @@ def main() -> None:
     for name, cycles in on_chip.layer_cycles.items():
         print(f"  {name:<12} {cycles:>6} simulated cycles")
     print(f"  total        {on_chip.total_cycles:>6} cycles across "
-          f"{on_chip.programs_run} compiled layer programs")
+          f"{on_chip.programs_run} matrix layers")
     print(f"\nprediction agreement vs host fp32: {agreement:.0%}")
     rel = np.abs(on_chip.logits - host_logits).mean() / np.abs(
         host_logits

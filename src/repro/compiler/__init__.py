@@ -9,7 +9,11 @@ positions with ``delta(j, i)`` and instruction timing with
 """
 
 from .api import StreamProgramBuilder, TensorHandle
-from .cachekey import config_fingerprint, graph_fingerprint
+from .cachekey import (
+    config_fingerprint,
+    graph_fingerprint,
+    shape_fingerprint,
+)
 from .graph import Graph, Node, OpKind
 from .allocator import (
     MemoryAllocator,
@@ -38,8 +42,10 @@ from .textlayout import (
 )
 from .scheduler import (
     CompiledProgram,
+    ConstantSlot,
     MemWord,
     PredictedDrive,
+    Schedule,
     ScheduleIntent,
     ScheduleStats,
     Scheduler,
@@ -51,6 +57,7 @@ from .scheduler import (
 
 __all__ = [
     "CompiledProgram",
+    "ConstantSlot",
     "ExecutionResult",
     "PartitionPlan",
     "PartitionStage",
@@ -64,6 +71,7 @@ __all__ = [
     "Node",
     "OpKind",
     "PredictedDrive",
+    "Schedule",
     "ScheduleIntent",
     "ScheduleStats",
     "Scheduler",
@@ -82,6 +90,7 @@ __all__ = [
     "fetch_output",
     "graph_fingerprint",
     "insert_ifetch",
+    "shape_fingerprint",
     "layout_program_text",
     "materialize_text",
     "recover_program_text",

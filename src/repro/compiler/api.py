@@ -31,9 +31,9 @@ from ..config import ArchConfig
 from ..errors import CompileError
 from ..isa.sxm import ShiftDirection
 from ..isa.vxm import AluOp
-from .cachekey import graph_fingerprint
+from .cachekey import graph_fingerprint, shape_fingerprint
 from .graph import Graph, Node, OpKind
-from .scheduler import CompiledProgram, Scheduler
+from .scheduler import CompiledProgram, Schedule, Scheduler
 
 
 @dataclass(frozen=True)
@@ -491,7 +491,7 @@ class StreamProgramBuilder:
 
     # ------------------------------------------------------------------
     def compile(self, blacklist=None, cache_key=None) -> CompiledProgram:
-        """Schedule the graph in time and space.
+        """Schedule the graph in time and space, then bind its constants.
 
         ``blacklist`` — a :class:`repro.resil.degrade.Blacklist` of dead
         resources — recompiles the same graph in degraded mode: placement
@@ -505,17 +505,44 @@ class StreamProgramBuilder:
         A program cache that just missed on this graph passes the
         ``cache_key`` it looked up instead of having it hashed again.
         """
-        scheduler = Scheduler(self.config, self.timing, blacklist=blacklist)
-        compiled = scheduler.schedule(self.graph)
-        compiled.cache_key = (
-            cache_key if cache_key is not None
-            else self.fingerprint(blacklist)
+        return self.schedule(blacklist).bind(
+            self.graph, cache_key or self.fingerprint(blacklist)
         )
-        return compiled
+
+    def schedule(self, blacklist=None) -> Schedule:
+        """The time × space search: everything about the program that is
+        decided by shapes — and so shared by every graph with this one's
+        :meth:`shape_key`, whatever its constants hold."""
+        scheduler = Scheduler(self.config, self.timing, blacklist=blacklist)
+        schedule = scheduler.schedule(self.graph)
+        schedule.shape_key = self.shape_key(blacklist)
+        return schedule
+
+    def bind(
+        self, schedule: Schedule, blacklist=None, cache_key=None
+    ) -> CompiledProgram:
+        """Emplace this graph's constants into ``schedule`` — its own, or
+        one made for the same :meth:`shape_key` and ``blacklist``; either
+        way the program :meth:`compile` returns, byte for byte."""
+        if schedule.shape_key != self.shape_key(blacklist):
+            raise CompileError(
+                "this schedule was made for a graph of another shape, "
+                "configuration or blacklist"
+            )
+        return schedule.bind(
+            self.graph, cache_key or self.fingerprint(blacklist)
+        )
 
     def fingerprint(self, blacklist=None) -> str:
         """The cache key :meth:`compile` would attach, without compiling."""
         return graph_fingerprint(
+            self.graph, self.config, timing=self.timing, blacklist=blacklist
+        )
+
+    def shape_key(self, blacklist=None) -> str:
+        """:meth:`fingerprint` with every constant's bytes left out: what
+        a schedule is a function of."""
+        return shape_fingerprint(
             self.graph, self.config, timing=self.timing, blacklist=blacklist
         )
 

@@ -16,6 +16,13 @@ names (they key the input/output specs), op parameters, constant data
 bytes, and the full architectural configuration.  Anything else — Python
 object identity, insertion order of dict params, host endianness of the
 hash input — is canonicalized away.
+
+Constant bytes are the one ingredient the *schedule* never reads: they
+are emplaced in MEM before execution and no instruction is made from
+them.  :func:`shape_fingerprint` is the same digest without them — the
+identity of a :class:`~repro.compiler.schedule.Schedule`, which a program
+cache uses to bind a never-seen model's weights to a schedule it already
+holds instead of searching again.
 """
 
 from __future__ import annotations
@@ -36,21 +43,23 @@ def _feed(h, token: str) -> None:
     h.update(b"\x00")
 
 
-def _feed_array(h, arr: np.ndarray) -> None:
+def _feed_array(h, arr: np.ndarray, data: bool = True) -> None:
     _feed(h, f"ndarray:{arr.dtype.str}:{arr.shape}")
-    h.update(np.ascontiguousarray(arr).tobytes())
+    if data:
+        h.update(np.ascontiguousarray(arr).tobytes())
 
 
-def _feed_value(h, value) -> None:
-    """Canonicalize one op parameter into the hash stream."""
+def _feed_value(h, value, data: bool = True) -> None:
+    """Canonicalize one op parameter into the hash stream (``data``:
+    with the bytes of any array in it, or only its dtype and shape)."""
     if isinstance(value, np.ndarray):
-        _feed_array(h, value)
+        _feed_array(h, value, data)
     elif isinstance(value, enum.Enum):
         _feed(h, f"enum:{type(value).__name__}.{value.name}")
     elif isinstance(value, (list, tuple)):
         _feed(h, f"seq:{len(value)}")
         for item in value:
-            _feed_value(h, item)
+            _feed_value(h, item, data)
     elif isinstance(value, bool):
         _feed(h, f"bool:{value}")
     elif isinstance(value, int):
@@ -101,8 +110,35 @@ def graph_fingerprint(
     pass the actual objects when compiling with overrides so degraded-mode
     binaries never alias healthy ones in a cache.
     """
+    return _fingerprint(
+        "tsp-program/1", graph, config, timing, blacklist, data=True
+    )
+
+
+def shape_fingerprint(
+    graph: Graph,
+    config: ArchConfig,
+    timing=None,
+    blacklist=None,
+) -> str:
+    """:func:`graph_fingerprint` with every constant's bytes left out.
+
+    What a :class:`~repro.compiler.schedule.Schedule` is a function of:
+    two graphs with equal shape keys differ at most in what their
+    ``CONSTANT`` nodes (and the weight tiles cut from them) hold — bytes
+    that reach the memory image and no instruction — so one's schedule
+    binds to the other's constants.  Shapes, dtypes, names, every other
+    parameter, the configuration, the timing model and the blacklist all
+    stay in.
+    """
+    return _fingerprint(
+        "tsp-schedule/1", graph, config, timing, blacklist, data=False
+    )
+
+
+def _fingerprint(tag, graph, config, timing, blacklist, data: bool) -> str:
     h = hashlib.sha256()
-    _feed(h, "tsp-program/1")
+    _feed(h, tag)
     h.update(_config_bytes(config))
     _feed(h, "timing")
     _feed(h, "default" if timing is None else repr(timing))
@@ -117,8 +153,8 @@ def graph_fingerprint(
         _feed(h, f"name:{node.name}")
         for key in sorted(node.params):
             _feed(h, f"param:{key}")
-            _feed_value(h, node.params[key])
+            _feed_value(h, node.params[key], data)
         if node.data is not None:
-            _feed_array(h, node.data)
+            _feed_array(h, node.data, data)
     _feed_value(h, graph.outputs)
     return h.hexdigest()

@@ -35,7 +35,7 @@ from .placement import (
     matmul_parts,
     rows_are_free,
 )
-from .schedule import SEARCH_LIMIT, MemWord, StreamValue, TensorSpec
+from .schedule import SEARCH_LIMIT, ConstantSlot, StreamValue, TensorSpec
 
 
 class MxmLowering:
@@ -173,14 +173,17 @@ class MxmLowering:
         t_cursor = max(clock.read, *part.offer.ready[: len(part.planes)])
         for act in act_nodes:
             t_cursor = max(t_cursor, self._operand_min_arrival(act, position))
-        weight_words: list[MemWord] = []
+        weight_slots: list[ConstantSlot] = []
+        k_from = 0
         with self.attempt as attempt:
             for p_idx, (tile, act) in enumerate(zip(tiles, act_nodes)):
+                k_to = k_from + tile.shape[0]
                 installed = self._plan_install(
-                    node, part, tile, t_cursor, weight_words
+                    node, part, (k_from, k_to), t_cursor, weight_slots
                 )
                 if installed is None:
                     return False
+                k_from = k_to
                 t_a = self._plan_pass(
                     node, part, act, installed + 1,
                     accumulate=p_idx > 0, last=p_idx == len(tiles) - 1,
@@ -190,17 +193,18 @@ class MxmLowering:
                 # a new install wipes in-flight results: wait for the drain
                 t_cursor = t_a + part.rows[0] + clock.turn
             attempt.commit(note=node.name)
-        self.memory_image.extend(weight_words)
+        self.slots.extend(weight_slots)
         for plane in part.planes:
             self._plane_busy[(part.offer.hemisphere, plane)] = t_cursor
         return True
 
     def _plan_install(
-        self, node: Node, part: MatmulPart, tile: np.ndarray, t_from: int,
-        weight_words: list[MemWord],
+        self, node: Node, part: MatmulPart, tile: tuple[int, int],
+        t_from: int, weight_slots: list[ConstantSlot],
     ) -> int | None:
-        """Plan one K-tile's weight feed (its MEM words go to
-        ``weight_words``) and an ``IW`` per plane; the cycle the last
+        """Plan the weight feed of one K-tile — rows ``tile`` of the
+        weights constant; the MEM words it will stream from go to
+        ``weight_slots`` — and an ``IW`` per plane; the cycle the last
         chunk is installed, or None."""
         attempt, lanes = self.attempt, self.config.n_lanes
         weight_dtype = node.params.get("weight_dtype", DType.INT8)
@@ -208,12 +212,9 @@ class MxmLowering:
         outward = Direction.outward_for(hemisphere)
         mxm = self.floorplan.mxm(hemisphere)
         iw_icus = [IcuId(mxm, plane * 2) for plane in part.planes]
-        w_padded = np.zeros(
-            (tile.shape[0], lanes), dtype=weight_dtype.numpy_dtype
-        )
-        w_padded[:, : node.params["m"]] = tile
-        raw = w_padded.view(np.uint8).reshape(-1)
-        n_chunks = -(-raw.size // lanes)
+        k_rows = tile[1] - tile[0]
+        # a tile is fed lane-padded, as whole lane-wide chunks
+        n_chunks = k_rows * weight_dtype.n_bytes
 
         # the feed whose last chunk installs first, with a stream group
         # free for its whole flight; a group conflict retries later
@@ -232,10 +233,8 @@ class MxmLowering:
         if grant is None:
             return None
         n_streams = len(slices)
-        flat = np.zeros(install_cycles * n_streams * lanes, dtype=np.uint8)
-        flat[: raw.size] = raw
-        chunks = flat.reshape(install_cycles, n_streams, lanes)
         layout = self.mem.alloc_sequential(slices, install_cycles)
+        words = []
         for j, (s, placement) in enumerate(zip(slices, layout.planes)):
             t_first = t_w - abs(position - s.position) - self._mxm_clock.read
             icu = self._mem_icu(s)
@@ -250,9 +249,10 @@ class MxmLowering:
                         direction=outward,
                     ),
                 )
-                weight_words.append(
-                    MemWord(s.hemisphere, s.index, address, chunks[c, j])
-                )
+                words.append((s.hemisphere, s.index, address))
+        weight_slots.append(
+            ConstantSlot(node.inputs[0], tuple(words), tile, n_streams)
+        )
         for plane, icu in zip(part.planes, iw_icus):
             attempt.plan(
                 icu,
@@ -262,7 +262,7 @@ class MxmLowering:
                     base_stream=grant.base,
                     n_streams=n_streams,
                     direction=outward,
-                    rows=tile.shape[0],
+                    rows=k_rows,
                     cols=lanes,
                     dtype=weight_dtype,
                 ),

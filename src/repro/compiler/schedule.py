@@ -1,12 +1,14 @@
 """What the scheduler produces, and the transaction it produces it with.
 
-The dataclasses are the compiler's outputs — a :class:`CompiledProgram`
-with its memory image, tensor specs, :class:`ScheduleStats` and the
-checkable :class:`ScheduleIntent` — and :class:`StreamValue`, the
-scheduler's record of a value in flight.  :class:`QueueBuilder` is one
-ICU's committed dispatch cells; :class:`Attempt` is the tentative schedule
-of one node, the only thing that writes to a queue or returns a stream
-grant.
+The dataclasses are the compiler's outputs — a :class:`Schedule` (program
+text, tensor specs, :class:`ScheduleStats`, the checkable
+:class:`ScheduleIntent` and a :class:`ConstantSlot` per constant: all a
+function of shapes alone) and the :class:`CompiledProgram` that
+:meth:`Schedule.bind` makes of it by packing one graph's constants into
+those slots — and :class:`StreamValue`, the scheduler's record of a value
+in flight.  :class:`QueueBuilder` is one ICU's committed dispatch cells;
+:class:`Attempt` is the tentative schedule of one node, the only thing
+that writes to a queue or returns a stream grant.
 """
 
 from __future__ import annotations
@@ -17,11 +19,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..arch.geometry import Direction, Hemisphere
-from ..arch.streams import DType
+from ..arch.streams import DType, pack_tensor
 from ..config import ArchConfig
-from ..errors import AllocationError, ScheduleError
+from ..errors import AllocationError, CompileError, ScheduleError
 from ..isa import IcuId, Instruction, Nop, Program
 from .allocator import StreamAllocator, StreamGrant, TensorLayout
+from .graph import Graph, Node
 
 #: How many candidate start cycles to try before giving up on a node.
 SEARCH_LIMIT = 4096
@@ -88,6 +91,49 @@ class MemWord:
     slice_index: int
     address: int
     data: np.ndarray  # (lanes,) uint8
+
+
+@dataclass(frozen=True)
+class ConstantSlot:
+    """The MEM words one constant will occupy, in memory-image order.
+
+    The scheduler decides *where* a constant lives from its shape alone;
+    :meth:`pack` is the only code that reads its bytes.  A plain tensor
+    fills its words byte plane by byte plane, vector by vector.  A
+    matmul's K-tile — rows ``tile`` of the weights constant — is padded
+    to full lanes and cut into lane-wide chunks dealt round-robin over
+    the ``streams`` slices that feed the MXM side by side.
+    """
+
+    node_id: int
+    #: ``(hemisphere, slice index, address)`` per word
+    words: tuple[tuple[Hemisphere, int, int], ...]
+    tile: tuple[int, int] | None = None
+    streams: int = 1
+
+    def pack(self, node: Node, lanes: int) -> np.ndarray:
+        """``node``'s bytes as one ``(lanes,)`` uint8 row per word."""
+        if node.data is None:
+            raise CompileError(f"{node.name} has no data to bind")
+        if self.tile is None:
+            rows = pack_tensor(node.data, node.dtype, lanes)
+        else:
+            tile = node.data[slice(*self.tile)]
+            padded = np.zeros((tile.shape[0], lanes), node.dtype.numpy_dtype)
+            padded[:, : tile.shape[1]] = tile
+            # whole feed cycles: the last is zero-filled past the end
+            cycles = -(-padded.nbytes // (self.streams * lanes))
+            rows = np.zeros((cycles, self.streams, lanes), dtype=np.uint8)
+            rows.reshape(-1)[: padded.nbytes] = padded.view(np.uint8).reshape(-1)
+            rows = rows.transpose(1, 0, 2)
+        rows = rows.reshape(-1, lanes)
+        if len(rows) != len(self.words):
+            raise CompileError(
+                f"{node.name} packs into {len(rows)} MEM words and the "
+                f"schedule keeps {len(self.words)} for it: this graph is "
+                "not the shape that was scheduled"
+            )
+        return rows
 
 
 @dataclass
@@ -174,8 +220,56 @@ class ScheduleIntent:
 
 
 @dataclass
+class Schedule:
+    """Everything the scheduler decides — none of it from a constant's
+    bytes: a pure function of the graph's shapes, dtypes, names and op
+    parameters, the configuration, the timing model and the blacklist
+    (:func:`repro.compiler.cachekey.shape_fingerprint`).
+
+    One schedule serves every graph of that shape: :meth:`bind` packs a
+    graph's constants into ``slots`` and the bound programs share the
+    program text, specs, stats and intent, which nothing mutates.
+    """
+
+    config: ArchConfig
+    program: Program
+    slots: list[ConstantSlot]
+    inputs: dict[str, TensorSpec]
+    outputs: dict[str, TensorSpec]
+    stats: ScheduleStats
+    intent: ScheduleIntent
+    #: ``shape_fingerprint`` of what was scheduled, attached by
+    #: :meth:`repro.compiler.api.StreamProgramBuilder.schedule`
+    shape_key: str | None = None
+
+    def bind(self, graph: Graph, cache_key: str | None = None) -> "CompiledProgram":
+        """The program of ``graph`` — one this schedule's shape — with
+        its constants emplaced; byte for byte what scheduling ``graph``
+        from scratch compiles."""
+        lanes = self.config.n_lanes
+        return CompiledProgram(
+            config=self.config,
+            program=self.program,
+            memory_image=[
+                MemWord(*where, data)
+                for slot in self.slots
+                for where, data in zip(
+                    slot.words, slot.pack(graph.node(slot.node_id), lanes)
+                )
+            ],
+            inputs=self.inputs,
+            outputs=self.outputs,
+            stats=self.stats,
+            intent=self.intent,
+            cache_key=cache_key,
+            schedule=self,
+        )
+
+
+@dataclass
 class CompiledProgram:
-    """Everything needed to execute a compiled graph on a chip."""
+    """Everything needed to execute a compiled graph on a chip: a
+    :class:`Schedule` bound to one graph's constants."""
 
     config: ArchConfig
     program: Program
@@ -196,6 +290,9 @@ class CompiledProgram:
     #: parallel registry.  Excluded from equality: the plan is a derived
     #: acceleration structure, not part of the program's identity.
     replay: object | None = field(default=None, repr=False, compare=False)
+    #: what this program was bound from; a program of the same shape and
+    #: other constants can be bound from it too
+    schedule: Schedule | None = field(default=None, repr=False, compare=False)
 
 
 class QueueBuilder:

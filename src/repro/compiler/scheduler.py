@@ -68,10 +68,12 @@ from .schedule import (  # noqa: F401 (the module's public names live on)
     SEARCH_LIMIT,
     Attempt,
     CompiledProgram,
+    ConstantSlot,
     Delivery,
     MemWord,
     PredictedDrive,
     QueueBuilder,
+    Schedule,
     ScheduleIntent,
     ScheduleStats,
     StreamValue,
@@ -109,7 +111,9 @@ class Scheduler(VxmLowering, MxmLowering, SxmLowering):
         self.mem = MemoryAllocator(config, blacklisted_slices=dead_slices)
         self.streams = StreamAllocator(config)
         self.queues: dict[IcuId, QueueBuilder] = {}
-        self.memory_image: list[MemWord] = []
+        #: where each constant will live, in memory-image order — the
+        #: schedule never reads what it will hold
+        self.slots: list[ConstantSlot] = []
         self.values: dict[int, StreamValue] = {}
         self.layouts: dict[int, TensorLayout] = {}
         self.inputs: dict[str, TensorSpec] = {}
@@ -231,15 +235,12 @@ class Scheduler(VxmLowering, MxmLowering, SxmLowering):
         return layout
 
     def _materialize(self, node: Node, layout: TensorLayout) -> None:
-        """Append a constant tensor's words to the memory image."""
-        planes = pack_tensor(node.data, node.dtype, self.config.n_lanes)
+        """Keep a constant tensor's words of the memory image for it."""
         n_planes = 1 if layout.is_parallel else node.dtype.n_bytes
-        for p in range(n_planes):
-            for j in range(node.n_vectors):
-                hemisphere, s, a = layout.address_of(p, j)
-                self.memory_image.append(
-                    MemWord(hemisphere, s, a, planes[p, j])
-                )
+        self.slots.append(ConstantSlot(node.id, tuple(
+            layout.address_of(p, j)
+            for p in range(n_planes) for j in range(node.n_vectors)
+        )))
 
     # ------------------------------------------------------------------
     # operand delivery
@@ -526,7 +527,7 @@ class Scheduler(VxmLowering, MxmLowering, SxmLowering):
     # ------------------------------------------------------------------
     # the public entry point
     # ------------------------------------------------------------------
-    def schedule(self, graph: Graph) -> CompiledProgram:
+    def schedule(self, graph: Graph) -> Schedule:
         graph.validate()
         self._partners = co_consumed(graph)
         for node in graph.topological_order():
@@ -547,10 +548,10 @@ class Scheduler(VxmLowering, MxmLowering, SxmLowering):
             default=0,
         )
         stats.stream_grants = self.streams.utilization()
-        return CompiledProgram(
+        return Schedule(
             config=self.config,
             program=program,
-            memory_image=self.memory_image,
+            slots=self.slots,
             inputs=self.inputs,
             outputs=self.outputs,
             stats=stats,

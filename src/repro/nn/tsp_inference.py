@@ -3,11 +3,13 @@
 This is the end-to-end deployment path of Section IV, at test-chip scale:
 each convolution/dense layer is lowered to an im2col matmul, its weights
 quantized to int8 (the paper's layer-based symmetric strategy), compiled to
-a ``MatMul -> Requantize -> ReLU`` stream program, and executed on the
-cycle-accurate simulator.  Host code performs only the data-layout glue the
-paper's compiler also treats as layout (im2col patch extraction, pooling
-subsampling, flattening); every multiply and every activation of the
-network runs on the chip.
+an ``input -> matmul -> write int32`` stream program, and executed on the
+cycle-accurate simulator.  Every multiply-accumulate of the network runs
+on the chip; the host does the data-layout glue the paper's compiler also
+treats as layout (im2col patch extraction, pooling subsampling,
+flattening) and — for now — each layer's epilogue: the int32 accumulators
+are dequantized, biased and rectified in float64, and the next layer's
+int8 input is rounded from that (``TspCnnRunner._matrix_forward``).
 
 The runner calibrates per-layer activation scales on a calibration batch
 (standard post-training quantization) and verifies against the host
@@ -55,6 +57,9 @@ class TspForwardResult:
 
     logits: np.ndarray
     total_cycles: int
+    #: matrix layers that ran on the chip — not chunk programs: a layer
+    #: of more rows than ``max_vectors_per_program`` runs several
+    #: (``ChunkRunStats.programs`` counts those)
     programs_run: int
     layer_cycles: dict[str, int] = field(default_factory=dict)
 
@@ -82,14 +87,6 @@ class ChunkRunStats:
         self.programs += other.programs
         self.cache_hits += other.cache_hits
         self.cache_misses += other.cache_misses
-
-
-def _pad_bucket(n_rows: int, cap: int) -> int:
-    """Smallest power-of-two row count >= n_rows (min 8, capped)."""
-    bucket = 8
-    while bucket < n_rows:
-        bucket *= 2
-    return min(bucket, cap)
 
 
 def build_chunk_builder(
@@ -144,7 +141,7 @@ class TspCnnRunner:
         self.config = config
         self.max_vectors = max_vectors_per_program
         self.layers = self._lower(model, calibration)
-        #: (layer name, row bucket, blacklist) -> (builder, input
+        #: (layer name, rows, blacklist) -> (builder, input
         #: bindings, cache key); see :meth:`_resolve`
         self._resolved: dict[tuple, tuple] = {}
 
@@ -239,19 +236,19 @@ class TspCnnRunner:
         ).astype(np.int8)
 
     # ------------------------------------------------------------------
-    def _resolve(self, layer: CompiledLayer, n_prog: int, cache, blacklist):
+    def _resolve(self, layer: CompiledLayer, n_rows: int, cache, blacklist):
         """``(builder, input bindings, cache key)`` of one program shape.
 
-        A chunk program is a pure function of (layer, row bucket,
-        blacklist) and the runner is immutable after lowering, so its
-        builder graph and content address are resolved once and shared by
-        every worker; a warm batch neither rebuilds nor re-hashes them.
-        Racing first resolutions compute equal values.
+        A chunk program is a pure function of (layer, rows, blacklist)
+        and the runner is immutable after lowering, so its builder graph
+        and content address are resolved once and shared by every worker;
+        a warm batch neither rebuilds nor re-hashes them.  Racing first
+        resolutions compute equal values.
         """
-        memo_key = (layer.name, n_prog, blacklist)
+        memo_key = (layer.name, n_rows, blacklist)
         resolved = self._resolved.get(memo_key)
         if resolved is None:
-            g, bindings = build_chunk_builder(self.config, layer, n_prog)
+            g, bindings = build_chunk_builder(self.config, layer, n_rows)
             resolved = self._resolved[memo_key] = (
                 g, bindings, cache.key_for(g, blacklist=blacklist)
             )
@@ -316,15 +313,13 @@ class TspCnnRunner:
 
         Returns the chip's int32 accumulators per chunk (bias and
         dequantization are applied by the caller, matching the reference
-        quantized path) and the simulated cycles.  With a ``cache``,
-        chunks are zero-padded up to a power-of-two row bucket (capped at
-        ``max_vectors``) so every chunk of a layer replays one of a
-        handful of compiled programs — per-row MXM results are
-        independent, so padding never changes the real rows, and
-        bucketing keeps a 1-row tail from simulating ``max_vectors`` dead
-        rows.  A ``blacklist`` (dead MEM slices / MXM planes) reaches the
-        scheduler through the cache key, so degraded and healthy binaries
-        for the same shape coexist in one cache.
+        quantized path) and the simulated cycles.  The program is built
+        at exactly the rows the chunks carry — nothing is zero-padded —
+        so a cache holds one entry per (layer, rows) and a one-token
+        request simulates one vector.  A ``blacklist`` (dead MEM slices /
+        MXM planes) reaches the scheduler through the cache key, so
+        degraded and healthy binaries for the same shape coexist in one
+        cache.
 
         The warm route is one cache lookup by the memoised key and one
         pure batched replay of the program's recorded
@@ -337,28 +332,20 @@ class TspCnnRunner:
 
         n_rows = group[0].shape[0]
         if cache is not None:
-            n_prog = _pad_bucket(n_rows, self.max_vectors)
-            g, bindings, key = self._resolve(layer, n_prog, cache, blacklist)
+            g, bindings, key = self._resolve(layer, n_rows, cache, blacklist)
             compiled, _key, hit, compile_s = cache.get_or_compile(
                 g, blacklist=blacklist, key=key
             )
         else:
-            n_prog = n_rows
-            g, bindings = build_chunk_builder(self.config, layer, n_prog)
+            g, bindings = build_chunk_builder(self.config, layer, n_rows)
             t0 = time.perf_counter()
             compiled = g.compile(blacklist=blacklist)
             compile_s = time.perf_counter() - t0
             hit = False
-        inputs_list = []
-        for chunk in group:
-            if chunk.shape[0] != n_prog:
-                padded = np.zeros((n_prog, chunk.shape[1]), dtype=chunk.dtype)
-                padded[: chunk.shape[0]] = chunk
-            else:
-                padded = chunk
-            inputs_list.append(
-                {name: padded[:, start:end] for name, start, end in bindings}
-            )
+        inputs_list = [
+            {name: chunk[:, start:end] for name, start, end in bindings}
+            for chunk in group
+        ]
         ctx = rtrace.current()
         start_us = ctx.tracer.now_us() if ctx is not None else 0.0
         t0 = time.perf_counter()
@@ -371,16 +358,16 @@ class TspCnnRunner:
             # so recording a replay plan onto it would be pure overhead
             results = [
                 self._run_matmul_chunk(
-                    layer, compiled, inputs, chunk.shape[0], hit, chip,
+                    layer, compiled, inputs, n_rows, hit, chip,
                     fast_forward, record=cache is not None,
                 )
-                for chunk, inputs in zip(group, inputs_list)
+                for inputs in inputs_list
             ]
         cycles = sum(res.run.cycles for res in results)
         if replayed:
             self._execute_span(
                 ctx, start_us, layer, chip, n_chunks=len(group),
-                n_rows=sum(c.shape[0] for c in group), cycles=cycles,
+                n_rows=n_rows * len(group), cycles=cycles,
                 hit=hit, replay=True,
             )
         if stats is not None:
@@ -392,13 +379,7 @@ class TspCnnRunner:
                 fresh = 0 if hit else 1  # one lower serves the whole group
                 stats.cache_misses += fresh
                 stats.cache_hits += len(group) - fresh
-        return (
-            [
-                res["acc"][: chunk.shape[0]]
-                for res, chunk in zip(results, group)
-            ],
-            cycles,
-        )
+        return [res["acc"] for res in results], cycles
 
     def _matrix_forward(
         self,
@@ -426,20 +407,12 @@ class TspCnnRunner:
             acts_q[start : start + step]
             for start in range(0, acts_q.shape[0], step)
         ]
-        if cache is not None:
-            # consecutive chunks sharing a pad bucket run the same
-            # compiled program: they go through it as one group
-            groups = [
-                list(members) for _bucket, members in itertools.groupby(
-                    pieces, key=lambda c: _pad_bucket(c.shape[0], step)
-                )
-            ]
-        else:
-            # uncached chunks compile at their own row count
-            groups = [[piece] for piece in pieces]
         chunks = []
         cycles = 0
-        for group in groups:
+        # consecutive chunks of one row count run the same compiled
+        # program: they go through it as one group
+        for _rows, members in itertools.groupby(pieces, key=len):
+            group = list(members)
             accs, group_cycles = self._run_matmul_group(
                 layer, group, chip=chip, cache=cache, stats=stats,
                 fast_forward=fast_forward, blacklist=blacklist,

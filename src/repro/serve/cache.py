@@ -9,9 +9,17 @@ the first request of a (model, shape, dtype, batch) shape pays the
 compile, every later request replays the cached program — recompiles
 never block the hot path twice.
 
+The search itself never reads a weight: it is a function of the graph's
+*shape key* (:func:`repro.compiler.cachekey.shape_fingerprint`).  So a
+miss on a never-seen model first looks among the resident programs for
+one of the same shape key and binds the new constants to *its* schedule;
+only with no such sibling resident does the scheduler run.
+
 Thread-safe with single-flight compilation: when several workers miss on
 the same key simultaneously, one compiles and the rest wait for its
-result instead of duplicating the scheduler run.
+result instead of duplicating the scheduler run — and a worker missing
+on a sibling of a key being scheduled waits for that schedule and binds
+to it.
 """
 
 from __future__ import annotations
@@ -21,7 +29,7 @@ import time
 from collections import OrderedDict
 from dataclasses import dataclass
 
-from ..compiler.cachekey import graph_fingerprint
+from ..compiler.cachekey import graph_fingerprint, shape_fingerprint
 from ..compiler.scheduler import CompiledProgram
 from ..obs import rtrace
 
@@ -42,6 +50,11 @@ class CacheStats:
     misses: int = 0
     evictions: int = 0
     compile_s: float = 0.0
+    #: of the programs :meth:`ProgramCache.get_or_compile` made on a miss
+    #: (``bound``), how many it ran the scheduler for; the rest borrowed
+    #: a resident sibling's schedule
+    scheduled: int = 0
+    bound: int = 0
 
     @property
     def lookups(self) -> int:
@@ -59,6 +72,8 @@ class _InFlight:
         self.done = threading.Event()
         self.program: CompiledProgram | None = None
         self.error: BaseException | None = None
+        #: set (under the cache lock) once the leader has hashed it
+        self.shape_key: str | None = None
 
 
 class ProgramCache:
@@ -123,10 +138,12 @@ class ProgramCache:
         when the caller already holds it (a builder's graph does not
         change, so its owner hashes it once); fingerprinted here
         otherwise.  Returns ``(program, key, hit, compile_seconds)``.
-        ``hit`` is True whenever this caller did not run the scheduler
+        ``hit`` is True whenever this caller did not make the program
         itself — including waiters coalesced onto another thread's
-        in-flight compile.  The scheduler runs outside the cache lock, so
-        a long compile never stalls unrelated lookups.
+        in-flight compile.  A miss makes it from a resident sibling's
+        schedule when there is one (:meth:`_make`) and by running the
+        scheduler otherwise; either way outside the cache lock, so a long
+        compile never stalls unrelated lookups.
         """
         ctx = rtrace.current()
         lookup_us = ctx.tracer.now_us() if ctx is not None else 0.0
@@ -160,7 +177,7 @@ class ProgramCache:
         compile_us = ctx.tracer.now_us() if ctx is not None else 0.0
         t0 = time.perf_counter()
         try:
-            program = builder.compile(blacklist=blacklist, cache_key=key)
+            program, scheduled = self._make(builder, blacklist, key, flight)
         except BaseException as error:
             flight.error = error
             with self._lock:
@@ -169,15 +186,61 @@ class ProgramCache:
             raise
         compile_s = time.perf_counter() - t0
         if ctx is not None:
-            _span(ctx, "compile", compile_us, key)
+            _span(ctx, "compile", compile_us, key, scheduled=scheduled)
         with self._lock:
             self.stats.misses += 1
             self.stats.compile_s += compile_s
+            self.stats.scheduled += scheduled
+            self.stats.bound += 1
             self._insert(key, program)
             del self._inflight[key]
         flight.program = program
         flight.done.set()
         return program, key, False, compile_s
+
+    def _make(
+        self, builder, blacklist, key: str, flight: _InFlight
+    ) -> tuple[CompiledProgram, bool]:
+        """The program of a missed ``key``, and whether the scheduler ran.
+
+        A schedule is a function of the shape key alone, so any resident
+        program of that shape key lends its schedule and the miss costs a
+        bind.  A sibling still in flight is waited for instead of being
+        raced; flights learn their shape keys one at a time under the
+        lock and wait only for one that learned it earlier, so the first
+        of a shape schedules and nobody waits in a circle.
+        """
+        shape_key = shape_fingerprint(
+            builder.graph, builder.config,
+            timing=builder.timing, blacklist=blacklist,
+        )
+        with self._lock:
+            flight.shape_key = shape_key
+            # residents are programs or get_or_build artifacts
+            schedule = next(
+                (
+                    s for s in (
+                        getattr(p, "schedule", None)
+                        for p in self._programs.values()
+                    )
+                    if getattr(s, "shape_key", None) == shape_key
+                ),
+                None,
+            )
+            ahead = None if schedule is not None else next(
+                (
+                    f for f in self._inflight.values()
+                    if f is not flight and f.shape_key == shape_key
+                ),
+                None,
+            )
+        if ahead is not None:
+            ahead.done.wait()
+            # nothing to borrow if it failed: this miss schedules then
+            schedule = getattr(ahead.program, "schedule", None)
+        if schedule is None:
+            return builder.compile(blacklist=blacklist, cache_key=key), True
+        return schedule.bind(builder.graph, key), False
 
     # ------------------------------------------------------------------
     def get_or_build(self, key: str, factory):
@@ -227,6 +290,8 @@ class ProgramCache:
                 "hits": self.stats.hits,
                 "misses": self.stats.misses,
                 "evictions": self.stats.evictions,
+                "scheduled": self.stats.scheduled,
+                "bound": self.stats.bound,
                 "hit_rate": round(self.stats.hit_rate, 4),
                 "compile_s": round(self.stats.compile_s, 6),
             }

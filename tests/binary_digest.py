@@ -19,11 +19,18 @@ draw, each over a few seeds and on a degraded chip.
 Run (not collected by pytest)::
 
     PYTHONPATH=src:tests python tests/binary_digest.py
+
+``--rebind`` proves that a schedule never reads a constant: each corpus
+program's graph is scheduled, a twin's constants — same shapes, other
+bytes (:func:`reweighted`) — are bound to that schedule, and the digest
+must equal the twin compiled from scratch.  Exit 1 on any difference.
 """
 
 from __future__ import annotations
 
+import copy
 import hashlib
+import sys
 from dataclasses import asdict
 from functools import partial
 
@@ -32,6 +39,7 @@ import numpy as np
 from golden_programs import GOLDEN_PROGRAMS
 from repro.arch import DType, Hemisphere
 from repro.compiler import StreamProgramBuilder
+from repro.compiler.graph import OpKind
 from repro.config import small_test_chip
 from repro.errors import TspError
 from repro.isa.encoding import encode_program_text
@@ -79,6 +87,39 @@ def digest(build) -> str:
     return h.hexdigest()
 
 
+def reweighted(builder, seed: int = 1):
+    """A twin of ``builder``: the same graph, every constant holding
+    other bytes (a matmul's weight tiles are cut from its new weights)."""
+    rng = np.random.default_rng(seed)
+    twin = copy.copy(builder)
+    graph = twin.graph = copy.deepcopy(builder.graph)
+    for node in graph.nodes.values():
+        if node.kind is OpKind.CONSTANT:
+            node.data = (
+                rng.integers(0, 256, node.data.nbytes, dtype=np.uint8)
+                .view(node.data.dtype).reshape(node.data.shape)
+            )
+    for node in graph.nodes.values():
+        if node.kind is OpKind.MATMUL:
+            weights = graph.node(node.inputs[0]).data
+            cuts = np.cumsum([t.shape[0] for t in node.params["weight_tiles"]])
+            node.params["weight_tiles"] = np.split(weights, cuts[:-1])
+    return twin
+
+
+def rebound(build):
+    """``build`` is a corpus thunk — ``builder.compile``, perhaps partial
+    over a blacklist.  Returns two thunks compiling a :func:`reweighted`
+    twin: from scratch, and by binding it to ``builder``'s schedule."""
+    kwargs = getattr(build, "keywords", {})
+    builder = getattr(build, "func", build).__self__
+    twin = reweighted(builder)
+    return (
+        partial(twin.compile, **kwargs),
+        lambda: twin.bind(builder.schedule(**kwargs), **kwargs),
+    )
+
+
 # ----------------------------------------------------------------------
 # the corpus: (name, compile thunk) pairs
 # ----------------------------------------------------------------------
@@ -116,7 +157,7 @@ def suite_programs():
     caught = []
 
     def catch(builder, tracker, inputs=None, warmup=False, compiled=None):
-        caught.append(builder.compile if compiled is None else lambda: compiled)
+        caught.append(builder.compile)
 
     original, suite._oracle = suite._oracle, catch
     try:
@@ -353,16 +394,24 @@ def corpus():
         yield from source()
 
 
-def main() -> None:
+def main(rebind: bool = False) -> int:
     total = hashlib.sha256()
-    count = 0
+    count = differ = 0
     for name, build in corpus():
+        if rebind:
+            fresh, build = rebound(build)
+            if digest(fresh) != digest(build):
+                name += "  != compiled from scratch"
+                differ += 1
         line = f"{digest(build)}  {name}"
         print(line)
         total.update(line.encode())
         count += 1
     print(f"{total.hexdigest()}  TOTAL over {count} programs")
+    if rebind:
+        print(f"{count - differ} of {count} bound programs equal a fresh compile")
+    return 1 if differ else 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main(rebind="--rebind" in sys.argv[1:]))

@@ -475,7 +475,7 @@ class TestCoConsumed:
         g.write_back(g.add(y, g.add(x, x)), name="a")
         g.write_back(g.mul(y, x), name="b")
         scheduler = Scheduler(config)
-        compiled = scheduler.schedule(g.graph)
+        compiled = scheduler.schedule(g.graph).bind(g.graph)
         home = {
             node: {
                 (p.hemisphere, p.slice_index)

@@ -41,7 +41,10 @@ FFN = TransformerConfig(
     d_model=32, n_heads=4, d_ff=64, seq_len=16, n_layers=1, vocab=128
 )
 
-#: cycles of one run of each (model, layer, row bucket) chunk program
+#: cycles of one run of each (model, layer, rows) chunk program: a program
+#: is built at exactly the rows it carries, so what the benchmark serves is
+#: rows 1..8 (partial batches; ``cold-churn`` is one token, 31 + 35 cycles)
+#: and whole ``max_vectors_per_program`` chunks; 8 and 16 are kept as pins
 CHUNK_CYCLES = {
     ("cnn", "conv0", 8): 32,
     ("cnn", "conv0", 16): 32,
@@ -75,6 +78,20 @@ CHUNK_INSTRUCTIONS = {
     ("ffn", "dense1", 16): 150,
 }
 
+#: below 8 rows everything is one plane, where a row is one cycle of stream
+#: and five instructions (an activation ``Read``, four result-byte
+#: ``Write`` s): pinned at one row, the slope at the other six
+for _layer, (_cycles, _instructions) in {
+    ("cnn", "conv0"): (25, 17),
+    ("cnn", "conv1"): (31, 44),
+    ("cnn", "dense2"): (31, 40),
+    ("ffn", "dense0"): (31, 40),
+    ("ffn", "dense1"): (35, 72),
+}.items():
+    for _rows in range(1, 8):
+        CHUNK_CYCLES[(*_layer, _rows)] = _cycles + _rows - 1
+        CHUNK_INSTRUCTIONS[(*_layer, _rows)] = _instructions + 5 * (_rows - 1)
+
 #: MXM planes each program streams its rows through, (West, East): only
 #: ``conv0``'s nine weight chunks are cheap enough to copy to the far MXM
 #: (cycles x instructions, near hemisphere alone -> both: x16 36 * 95 =
@@ -82,7 +99,7 @@ CHUNK_INSTRUCTIONS = {
 #: ``conv1`` x32 (50 * 202 = 10 100 < 42 * 244 = 10 248) and ``dense2``
 #: x32 (50 * 198 = 9 900 < 42 * 236 = 9 912) sit just short of break-even
 CHUNK_PLANES = {
-    key: (1, 0) if key[2] == 8 else (2, 0) for key in CHUNK_CYCLES
+    key: (1, 0) if key[2] <= 8 else (2, 0) for key in CHUNK_CYCLES
 } | {("cnn", "conv0", 16): (1, 1), ("cnn", "conv0", 32): (2, 2)}
 
 
@@ -105,6 +122,9 @@ def models():
 #: the first matmul lands on MXM_W plane 0; this leaves it no sibling, so
 #: the same graph compiles to the one-plane schedule
 NO_SIBLING = Blacklist(mxm_planes=frozenset({(Hemisphere.WEST, 1)}))
+
+
+LAYERS = sorted({key[:2] for key in CHUNK_CYCLES})
 
 
 def chunk_builder(config, models, model, layer_name, bucket):
@@ -135,22 +155,29 @@ def test_chunk_program_cycles(config, models, model, layer_name, bucket):
     )
 
 
-@pytest.mark.parametrize("model, layer_name, bucket", sorted(CHUNK_CYCLES))
-def test_closed_form_predicts_cycles_and_instructions(
-    config, models, monkeypatch, model, layer_name, bucket
-):
-    """What ``matmul_parts`` weighs is what the scheduler then emits: the
-    predicted (cycles, instructions) of the parts it chose are the pinned
-    counts, split or not."""
-    predicted = []
+@pytest.fixture()
+def predicted(monkeypatch):
+    """``matmul_cost``'s (cycles, instructions) for the parts of every
+    matmul scheduled during the test, in order."""
+    predictions = []
 
     def watching(rows, offers, chunks, widths, clock):
         parts = matmul_parts(rows, offers, chunks, widths, clock)
-        predicted.append(matmul_cost(parts, chunks, widths, clock))
+        predictions.append(matmul_cost(parts, chunks, widths, clock))
         return parts
 
     matmul_parts = lower_mxm.matmul_parts
     monkeypatch.setattr(lower_mxm, "matmul_parts", watching)
+    return predictions
+
+
+@pytest.mark.parametrize("model, layer_name, bucket", sorted(CHUNK_CYCLES))
+def test_closed_form_predicts_cycles_and_instructions(
+    config, models, predicted, model, layer_name, bucket
+):
+    """What ``matmul_parts`` weighs is what the scheduler then emits: the
+    predicted (cycles, instructions) of the parts it chose are the pinned
+    counts, split or not."""
     _layer, builder, _bindings = chunk_builder(
         config, models, model, layer_name, bucket
     )
@@ -158,6 +185,45 @@ def test_closed_form_predicts_cycles_and_instructions(
     assert predicted == [(stats.makespan + 1, stats.instructions)]
     key = (model, layer_name, bucket)
     assert predicted == [(CHUNK_CYCLES[key], CHUNK_INSTRUCTIONS[key])]
+
+
+@pytest.mark.parametrize("model, layer_name", LAYERS)
+def test_closed_form_is_exact_at_every_row_count(
+    config, models, predicted, model, layer_name
+):
+    """Not only at the pinned rows: with programs built at the rows they
+    carry, any count from 1 to the cap is served, and ``matmul_cost``
+    predicts the cycles *and* the instructions of each."""
+    scheduled = []
+    for rows in range(1, 33):
+        _layer, builder, _bindings = chunk_builder(
+            config, models, model, layer_name, rows
+        )
+        stats = builder.compile().stats
+        scheduled.append((stats.makespan + 1, stats.instructions))
+    assert predicted == scheduled
+
+
+def test_more_rows_can_take_fewer_cycles(config, models):
+    """The one place exact rows are not monotone: ``conv0`` at 12 rows
+    runs 30 cycles where 8 rows run 32.  Planes are chosen by cycles x
+    instructions, not cycles: copying ``conv0``'s nine weight chunks to
+    the far MXM costs a dozen instructions, which the halved stream
+    repays from 12 rows on (30 * 84 = 2 520 < 34 * 75 = 2 550 on the
+    near hemisphere's two planes) and not at 8 (28 * 64 > 32 * 52) —
+    and from 12 to 19 rows the two splits trade the lead row by row,
+    each product within 2 % of the other."""
+    def scheduled(rows):
+        _layer, builder, _bindings = chunk_builder(
+            config, models, "cnn", "conv0", rows
+        )
+        stats = builder.compile().stats
+        return stats.makespan + 1, stats.instructions, stats.mxm_planes
+
+    assert [scheduled(rows) for rows in range(8, 17)] == [
+        (32, 52, 1), (33, 57, 1), (33, 65, 2), (33, 70, 2), (30, 84, 2),
+        (34, 80, 2), (31, 94, 2), (35, 90, 2), (32, 104, 2),
+    ]
 
 
 @pytest.mark.parametrize("model, layer_name, bucket", sorted(CHUNK_CYCLES))
@@ -223,39 +289,41 @@ def test_eight_row_programs_keep_one_plane(
     assert encoded(healthy) == encoded(builder.compile(blacklist=NO_SIBLING))
 
 
-def test_every_benchmark_bucket_is_pinned(models):
-    """The table covers each matrix layer at each power-of-two bucket."""
+def test_every_benchmark_layer_is_pinned(models):
+    """The table covers each matrix layer at 1..8 rows and at each power
+    of two up to its ``max_vectors_per_program``."""
     expected = set()
     for name, model in models[0].items():
         for layer in model.runner.layers:
-            bucket = 8
-            cap = model.runner.max_vectors
-            while hasattr(layer, "weight_q") and bucket <= cap:
-                expected.add((name, layer.name, bucket))
-                bucket *= 2
+            if hasattr(layer, "weight_q"):
+                cap = model.runner.max_vectors
+                expected |= {
+                    (name, layer.name, rows)
+                    for rows in (*range(1, 8), 8, 16, 32) if rows <= cap
+                }
     assert expected == set(CHUNK_CYCLES)
 
 
 def test_cnn_batch_of_four_images(config, models):
     """closed-cnn's unit of work: 8 conv0 + 2 conv1 chunks of 32 rows and
-    one 8-row dense chunk — 426 cycles, 106.5 per image."""
+    one dense chunk of the batch's 4 rows — 422 cycles, 105.5 per image."""
     by_name, data = models
     stats = ChunkRunStats()
     by_name["cnn"].run_batch(
         TspChip(config), ProgramCache(), list(data.x_test[:4]), stats=stats
     )
     assert stats.programs == 11
-    assert stats.cycles == 8 * 36 + 2 * 50 + 38 == 426
+    assert stats.cycles == 8 * 36 + 2 * 50 + 34 == 422
 
 
 def test_ffn_single_token(config, models):
-    """One decode token: both projections in their 8-row bucket."""
+    """One decode token: both projections as one-row programs."""
     stats = ChunkRunStats()
     models[0]["ffn"].run_batch(
         TspChip(config), ProgramCache(), [np.ones(FFN.d_model)], stats=stats
     )
     assert stats.programs == 2
-    assert stats.cycles == 38 + 42 == 80
+    assert stats.cycles == 31 + 35 == 66
 
 
 @pytest.mark.parametrize("fast_forward", [False, True])

@@ -216,18 +216,24 @@ class TestSplitDegradesByItself:
 
     @pytest.mark.parametrize("lost", sorted(DEGRADED))
     def test_served_batch_matches_the_healthy_oracle(self, dense_runner, lost):
-        x = np.random.default_rng(9).standard_normal((20, 16))
-        cache = ProgramCache()
-        oracle = dense_runner.forward(x, cache=cache)
-        resident = len(cache)
-        degraded = dense_runner.forward(
-            x, chip=TspChip(CONFIG, chip_id="degraded"), cache=cache,
-            blacklist=self.DEGRADED[lost],
-        )
-        assert np.array_equal(degraded.logits, oracle.logits)
-        assert len(cache) == 2 * resident
-        # only the first layer was split: 8 cycles back, the second unmoved
-        assert degraded.total_cycles == oracle.total_cycles + 8
+        """A batch is a program of exactly its rows.  The first layer's far
+        copy pays from 24 rows on — four planes stream 6 rows each where
+        the near two stream 12, so losing the far hemisphere gives 6
+        cycles back (8 at 32 rows: 8 against 16) — and a 20-row batch
+        never left the near hemisphere: same cycles, own cache keys.  The
+        second layer is unmoved throughout."""
+        for rows, back in ((20, 0), (24, 6), (32, 8)):
+            x = np.random.default_rng(9).standard_normal((rows, 16))
+            cache = ProgramCache()
+            oracle = dense_runner.forward(x, cache=cache)
+            resident = len(cache)
+            degraded = dense_runner.forward(
+                x, chip=TspChip(CONFIG, chip_id="degraded"), cache=cache,
+                blacklist=self.DEGRADED[lost],
+            )
+            assert np.array_equal(degraded.logits, oracle.logits)
+            assert len(cache) == 2 * resident
+            assert degraded.total_cycles == oracle.total_cycles + back
 
 
 class TestPairingDegradesByItself:
@@ -268,8 +274,8 @@ class TestPairingDegradesByItself:
 
     @pytest.mark.parametrize("lost", sorted(DEGRADED))
     def test_served_batch_matches_the_healthy_oracle(self, dense_runner, lost):
-        """20 rows pad to the 32-row bucket: healthy and degraded binaries
-        of every layer sit side by side in one cache."""
+        """A 20-row batch is a 20-row program per layer: healthy and
+        degraded binaries of every layer sit side by side in one cache."""
         x = np.random.default_rng(9).standard_normal((20, 16))
         cache = ProgramCache()
         oracle = dense_runner.forward(x, cache=cache)
