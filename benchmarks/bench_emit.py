@@ -1,66 +1,61 @@
 """Emit ``BENCH_sim.json`` — the simulator's perf-trajectory artifact.
 
 Standard housekeeping for a simulator release: measure how many simulated
-cycles per host-second the model sustains, in both execution cores
-(``fast_forward=False`` reference and the quiescent-cycle-skipping fast
-path), on three representative workloads:
+cycles per host-second the cycle simulator sustains on representative
+workloads:
 
 * ``dense-64`` / ``dense-320`` — compiled tensor programs with dispatches
-  nearly every cycle.  Fast-forward finds almost nothing to skip; these
-  pin down that the skipping machinery costs ~nothing when idle.
+  nearly every cycle.
 * ``paced-64`` / ``paced-320`` — a steady-state request stream: one
   activation read + write-back per request, a new request every
   ``interval`` cycles, driven by ``Repeat``.  This is the serving shape
-  the paper targets (deadline-paced inference, Section I), and most of
-  its cycles are quiescent — the fast path's headline win.
+  the paper targets (deadline-paced inference, Section I); most of its
+  cycles dispatch nothing, so it prices a walked quiet cycle.
+* ``serve-64`` — the serving path's cacheable unit, an input-fed matmul.
 
-Each workload is additionally measured with a
-:class:`repro.obs.TelemetryCollector` attached to the fast path
-(``fast_telemetry``), so the artifact tracks the cost of observability
-alongside the cost of simulation itself, and with the resilience
-runtime armed (``fast_resil``: a :class:`~repro.resil.Watchdog` that
-never fires, a :class:`~repro.sim.FaultInjector`, and a post-run
-:class:`~repro.resil.HealthMonitor` poll) so the artifact tracks the
-cost of the fault hooks when no fault ever occurs.
+Each workload is measured in four modes.  ``sim`` is the simulator
+itself.  ``telemetry`` is the simulator with a
+:class:`repro.obs.TelemetryCollector` attached, so the artifact tracks
+the cost of observability alongside the cost of simulation, and
+``resil`` the simulator with the resilience runtime armed (a
+:class:`~repro.resil.Watchdog` that never fires, a
+:class:`~repro.sim.FaultInjector`, and a post-run
+:class:`~repro.resil.HealthMonitor` poll), so it tracks the cost of the
+fault hooks when no fault ever occurs.  ``replay`` records a
+:class:`repro.sim.replay.ReplayPlan` on a first execution and times the
+plan's write-through replay on a fresh chip instead of the simulator;
+``replay_speedup`` is the plan's win over ``sim`` on the identical
+workload, and a simulated-vs-replayed lockstep run
+(``replay.lockstep_ok``) pins bit-exactness of what the artifact is
+measuring.
 
-Every workload is also measured in **replay** mode: the first execution
-records a :class:`repro.sim.replay.ReplayPlan` (the schedule-replay
-engine), and the timed region replays the plan on a fresh chip instead of
-running the event-driven simulator.  ``replay_speedup`` is the plan's win
-over the fast-forward core on the identical workload, and a three-way
-dense/fast-forward/replay lockstep run (``replay.lockstep_ok``) pins
-bit-exactness of what the artifact is measuring.
-
-The artifact schema (``tsp-sim-bench/4``)::
+The artifact schema (``tsp-sim-bench/5``)::
 
     {
-      "schema": "tsp-sim-bench/4",
+      "schema": "tsp-sim-bench/5",
       "host": {"python": ..., "numpy": ..., "machine": ...},
       "workloads": [
         {
           "name": "paced-64", "lanes": 64, "cycles": <simulated cycles>,
           "modes": {
-            "slow": {"seconds": s, "cpu_seconds": c,
-                     "cycles_per_host_second": r, "skipped_cycles": 0},
-            "fast": {"seconds": s, "cpu_seconds": c,
-                     "cycles_per_host_second": r, "skipped_cycles": k},
-            "fast_telemetry": {...same, collector attached...},
-            "fast_resil": {...same, watchdog armed...},
+            "sim": {"seconds": s, "cpu_seconds": c,
+                    "cycles_per_host_second": r},
+            "telemetry": {...same, collector attached...},
+            "resil": {...same, watchdog armed...},
             "replay": {...same, recorded plan replayed...}
           },
-          "speedup": fast_rate / slow_rate,
-          "skipped_fraction": k / cycles,
-          "telemetry_overhead": fast_rate / telemetry_rate - 1,
-          "resil_overhead": fast_rate / resil_rate - 1,
-          "replay_speedup": replay_rate / fast_rate
+          "telemetry_overhead": telemetry_seconds / sim_seconds - 1,
+          "resil_overhead": resil_seconds / sim_seconds - 1,
+          "replay_speedup": sim_seconds / replay_seconds
         }, ...
       ],
       "replay": {"lockstep_ok": true, "checked": ["serve-64", ...]}
     }
 
-Runnable standalone (``python benchmarks/bench_emit.py [-o PATH]``) and
-imported by ``test_simulator_performance.py``, which asserts the paced
-speedup floor and writes the same artifact from its own run.
+Runnable standalone (``python benchmarks/bench_emit.py [-o PATH]``, the
+command that regenerates the committed file) and imported by
+``test_simulator_performance.py``, which writes the same artifact from
+its own run.
 """
 
 from __future__ import annotations
@@ -85,7 +80,7 @@ from repro.sim import FaultInjector, TspChip
 from repro.testing import make_full_config, make_small_config
 from repro.verify.lockstep import run_lockstep
 
-SCHEMA = "tsp-sim-bench/4"
+SCHEMA = "tsp-sim-bench/5"
 
 # a deadline no benchmark workload can reach: the watchdog hook runs
 # every cycle but never fires, which is exactly the cost being measured
@@ -112,7 +107,7 @@ def build_busy_program_full(config, n: int = 64) -> CompiledProgram:
     """The 320-lane chip: heavier per-cycle state, same dense shape.
 
     Long enough (``n`` rows) that a single run clears the host timer's
-    noise floor — the dense speedup gate compares ratios of these runs.
+    noise floor.
     """
     g = StreamProgramBuilder(config)
     rng = np.random.default_rng(0)
@@ -130,7 +125,7 @@ def build_paced_program(
     One MEM slice reads an activation vector eastward every ``interval``
     cycles (``Read`` + ``Repeat``); the far hemisphere writes the arriving
     vector back on the same cadence.  Between requests the chip is fully
-    quiescent — the span the fast-forward core exists to skip.
+    quiescent.
     """
     floorplan = Floorplan(config)
     program = Program()
@@ -195,7 +190,6 @@ def build_serve_program(config) -> tuple[CompiledProgram, dict]:
 def measure(
     config,
     program,
-    fast_forward: bool,
     repeats: int = 3,
     attach_telemetry: bool = False,
     attach_resil: bool = False,
@@ -206,7 +200,7 @@ def measure(
 
     With ``replay_plan``, the timed region replays the recorded plan
     (:meth:`~repro.sim.replay.ReplayPlan.replay_into`) instead of running
-    the event-driven simulator — load and input binding stay outside the
+    the simulator — load and input binding stay outside the
     timed region in both cases, so the ratio isolates execution itself.
 
     The collector pauses garbage collection around the timed region:
@@ -214,7 +208,7 @@ def measure(
     millisecond-scale differences this artifact exists to track.
     """
     best = None
-    cycles = skipped = 0
+    cycles = 0
     for _ in range(repeats):
         chip = TspChip(config)
         if attach_telemetry:
@@ -237,7 +231,7 @@ def measure(
             if replay_plan is not None:
                 result = replay_plan.replay_into(chip)
             else:
-                result = chip.run(to_run, fast_forward=fast_forward)
+                result = chip.run(to_run)
             cpu_elapsed = time.process_time() - cpu_start
             elapsed = time.perf_counter() - start
         finally:
@@ -248,7 +242,9 @@ def measure(
             # the gate is about the per-cycle hooks, not the poll
             report = HealthMonitor().poll(chip, cycle=result.cycles)
             assert report.verdict == "healthy", report.render()
-        cycles, skipped = result.cycles, result.skipped_cycles
+        cycles = result.cycles
+        # a simulation walks every cycle, a replay none
+        assert result.skipped_cycles == (cycles if replay_plan else 0)
         if best is None or elapsed < best:
             best = elapsed
             best_cpu = cpu_elapsed
@@ -258,7 +254,6 @@ def measure(
         # stealing wall time, which the tight overhead gates rely on
         "cpu_seconds": round(best_cpu, 6),
         "cycles_per_host_second": round(cycles / best, 1),
-        "skipped_cycles": skipped,
         "cycles": cycles,
     }
 
@@ -283,74 +278,50 @@ def measure_workload(
         if isinstance(program, CompiledProgram)
         else None
     )
-    slow = fast = telemetry = resil = replay = None
+    best: dict[str, dict] = {}
     overheads = []
     resil_overheads = []
     replay_speedups = []
+
+    def keep(mode: str, run: dict) -> None:
+        if mode not in best or run["seconds"] < best[mode]["seconds"]:
+            best[mode] = run
+
     for _ in range(repeats):
-        s = measure(
-            config, program, fast_forward=False, repeats=1, inputs=inputs
-        )
-        f = measure(
-            config, program, fast_forward=True, repeats=1, inputs=inputs
-        )
+        sim = measure(config, program, repeats=1, inputs=inputs)
         t = measure(
-            config, program, fast_forward=True, repeats=1,
-            attach_telemetry=True, inputs=inputs,
+            config, program, repeats=1, attach_telemetry=True, inputs=inputs
         )
         r = measure(
-            config, program, fast_forward=True, repeats=1,
-            attach_resil=True, inputs=inputs,
+            config, program, repeats=1, attach_resil=True, inputs=inputs
         )
         # overhead ratios are taken within a round (adjacent runs),
         # medians across rounds, so a disturbance in one round cannot
         # skew the figures
-        overheads.append(t["seconds"] / f["seconds"] - 1.0)
-        resil_overheads.append(r["seconds"] / f["seconds"] - 1.0)
-        if slow is None or s["seconds"] < slow["seconds"]:
-            slow = s
-        if fast is None or f["seconds"] < fast["seconds"]:
-            fast = f
-        if telemetry is None or t["seconds"] < telemetry["seconds"]:
-            telemetry = t
-        if resil is None or r["seconds"] < resil["seconds"]:
-            resil = r
+        overheads.append(t["seconds"] / sim["seconds"] - 1.0)
+        resil_overheads.append(r["seconds"] / sim["seconds"] - 1.0)
+        keep("sim", sim)
+        keep("telemetry", t)
+        keep("resil", r)
         if plan is not None:
             p = measure(
-                config, program, fast_forward=True, repeats=1,
-                inputs=inputs, replay_plan=plan,
+                config, program, repeats=1, inputs=inputs, replay_plan=plan
             )
-            assert p["cycles"] == f["cycles"]
-            assert p["skipped_cycles"] == p["cycles"]  # a replay walks none
-            replay_speedups.append(f["seconds"] / p["seconds"])
-            if replay is None or p["seconds"] < replay["seconds"]:
-                replay = p
-    cycles = fast["cycles"]
+            assert p["cycles"] == sim["cycles"]
+            replay_speedups.append(sim["seconds"] / p["seconds"])
+            keep("replay", p)
     entry = {
         "name": name,
         "lanes": lanes,
-        "cycles": cycles,
+        "cycles": best["sim"]["cycles"],
         "modes": {
-            "slow": {k: v for k, v in slow.items() if k != "cycles"},
-            "fast": {k: v for k, v in fast.items() if k != "cycles"},
-            "fast_telemetry": {
-                k: v for k, v in telemetry.items() if k != "cycles"
-            },
-            "fast_resil": {k: v for k, v in resil.items() if k != "cycles"},
+            mode: {k: v for k, v in run.items() if k != "cycles"}
+            for mode, run in best.items()
         },
-        # best-vs-best: host noise only ever *inflates* a run, so the
-        # minimum per mode is the robust throughput estimate and their
-        # ratio the defensible speedup (a median of per-round ratios
-        # still swings ±15% on sub-100ms dense runs)
-        "speedup": round(slow["seconds"] / fast["seconds"], 2),
-        "skipped_fraction": round(fast["skipped_cycles"] / cycles, 4),
         "telemetry_overhead": round(statistics.median(overheads), 4),
         "resil_overhead": round(statistics.median(resil_overheads), 4),
     }
-    if replay is not None:
-        entry["modes"]["replay"] = {
-            k: v for k, v in replay.items() if k != "cycles"
-        }
+    if replay_speedups:
         entry["replay_speedup"] = round(
             statistics.median(replay_speedups), 2
         )
@@ -358,12 +329,12 @@ def measure_workload(
 
 
 def check_replay_lockstep(quick: bool = False) -> dict:
-    """Three-way dense/fast-forward/replay lockstep over the workloads.
+    """Simulated-vs-replayed lockstep over the workloads.
 
-    ``run_lockstep`` records a plan from a fresh fast-forward run and
-    asserts the replayed outputs, memory, cycle counts, trace, and
-    telemetry are bit-identical to the dense reference — the artifact's
-    proof that replay mode measures the same computation.
+    ``run_lockstep`` records a plan from a fresh simulation and asserts
+    the replayed outputs, memory, cycle counts, trace, and telemetry are
+    bit-identical to a simulated reference — the artifact's proof that
+    replay mode measures the same computation.
     """
     small = make_small_config()
     checked = []
@@ -448,17 +419,14 @@ def main(argv=None) -> None:
     payload = collect(quick=args.quick)
     write_artifact(payload, args.output)
     for w in payload["workloads"]:
-        fast = w["modes"]["fast"]["cycles_per_host_second"]
-        slow = w["modes"]["slow"]["cycles_per_host_second"]
+        sim = w["modes"]["sim"]["cycles_per_host_second"]
         replay = (
             f"   replay {w['replay_speedup']:.1f}x"
             if "replay_speedup" in w
             else ""
         )
         print(
-            f"{w['name']:>10}: slow {slow:>12,.0f} cyc/s   "
-            f"fast {fast:>12,.0f} cyc/s   speedup {w['speedup']:.2f}x   "
-            f"skipped {w['skipped_fraction']:.1%}   "
+            f"{w['name']:>10}: sim {sim:>12,.0f} cyc/s   "
             f"telemetry {w['telemetry_overhead']:+.1%}   "
             f"resil {w['resil_overhead']:+.1%}{replay}"
         )

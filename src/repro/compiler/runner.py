@@ -86,7 +86,6 @@ def execute(
     inputs: dict[str, np.ndarray] | None = None,
     max_cycles: int = 1_000_000,
     warmup_barrier: bool = False,
-    fast_forward: bool = True,
     record: bool = True,
 ) -> ExecutionResult:
     """Load, bind, run, and read back a compiled program.
@@ -95,8 +94,7 @@ def execute(
     onto ``compiled.replay`` (see :mod:`repro.sim.replay`); later calls with
     matching run parameters on pristine chips execute the plan directly
     instead of simulating.  ``record=False`` disables both sides, forcing a
-    real simulation run.  ``fast_forward`` picks the engine for whatever
-    must really simulate; a plan serves callers of either.
+    real simulation run — the reference a replay is compared against.
     """
     from ..sim import replay as replay_mod
 
@@ -134,7 +132,6 @@ def execute(
                 compiled.program,
                 max_cycles=max_cycles,
                 warmup_barrier=warmup_barrier,
-                fast_forward=fast_forward,
             )
         finally:
             if recorder is not None:

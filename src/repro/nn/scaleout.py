@@ -363,7 +363,6 @@ def execute_pipeline(
     cache=None,
     stats: ChunkRunStats | None = None,
     plan: PartitionPlan | None = None,
-    fast_forward: bool = True,
     stage_slice: int = 0,
     blacklist=None,
 ) -> PipelineRunResult:
@@ -376,8 +375,8 @@ def execute_pipeline(
     compiler-scheduled ``Read -> Send -> Receive`` transfer in lockstep —
     the consumer then computes on exactly the bytes that landed in *its*
     MEM, so the transport is honest and the logits stay bit-identical to
-    the single-chip oracle (dense or fast-forward).  Payloads larger
-    than the staging slice are chunked.
+    the single-chip oracle.  Payloads larger than the staging slice are
+    chunked.
 
     ``system`` defaults to a fresh :meth:`MultiChipSystem.ring`; pass a
     pooled one to reuse chips across batches (the serve path).  ``cache``
@@ -406,7 +405,7 @@ def execute_pipeline(
         for layer in runner.layers:
             current, layer_cycles = runner.apply_layer(
                 layer, current, chip=chip, cache=cache, stats=stats,
-                fast_forward=fast_forward, blacklist=blacklist,
+                blacklist=blacklist,
             )
             cycles += layer_cycles
             if isinstance(layer, CompiledLayer):
@@ -475,7 +474,6 @@ def execute_pipeline(
                     cache=cache,
                     stats=stage_stats[index],
                     prequantized=(index > 0 and position == start),
-                    fast_forward=fast_forward,
                     blacklist=blacklist,
                 )
                 cycles += layer_cycles
@@ -510,9 +508,7 @@ def execute_pipeline(
                         STAGE_BASE_ADDRESS, chunk,
                     )
                     runs = system.run(
-                        ring_plan.programs,
-                        max_cycles=TRANSFER_MAX_CYCLES,
-                        fast_forward=fast_forward,
+                        ring_plan.programs, max_cycles=TRANSFER_MAX_CYCLES
                     )
                     hop_cycles = runs[0].cycles  # lockstep: one count
                     landed_words = system.chips[route[-1]].read_memory(

@@ -277,7 +277,7 @@ class TspCnnRunner:
 
     def _run_matmul_chunk(
         self, layer: CompiledLayer, compiled, inputs: dict, n_rows: int,
-        hit: bool, chip, fast_forward: bool, record: bool,
+        hit: bool, chip, record: bool,
     ):
         """The ``execute()`` route: load, bind, simulate, fetch one chunk.
 
@@ -290,7 +290,7 @@ class TspCnnRunner:
         start_us = ctx.tracer.now_us() if ctx is not None else 0.0
         result = execute(
             compiled, chip=chip, inputs=inputs, max_cycles=2_000_000,
-            fast_forward=fast_forward, record=record,
+            record=record,
         )
         self._execute_span(
             ctx, start_us, layer, chip, n_chunks=1, n_rows=n_rows,
@@ -306,7 +306,6 @@ class TspCnnRunner:
         chip=None,
         cache=None,
         stats: ChunkRunStats | None = None,
-        fast_forward: bool = True,
         blacklist=None,
     ) -> tuple[list[np.ndarray], int]:
         """Run the same-program chunks of one layer; one chunk or many.
@@ -359,7 +358,7 @@ class TspCnnRunner:
             results = [
                 self._run_matmul_chunk(
                     layer, compiled, inputs, n_rows, hit, chip,
-                    fast_forward, record=cache is not None,
+                    record=cache is not None,
                 )
                 for inputs in inputs_list
             ]
@@ -389,7 +388,6 @@ class TspCnnRunner:
         cache=None,
         stats: ChunkRunStats | None = None,
         prequantized: bool = False,
-        fast_forward: bool = True,
         blacklist=None,
     ) -> tuple[np.ndarray, int]:
         """Quantize, run on chip (in chunks), dequantize + bias (+ReLU).
@@ -415,7 +413,7 @@ class TspCnnRunner:
             group = list(members)
             accs, group_cycles = self._run_matmul_group(
                 layer, group, chip=chip, cache=cache, stats=stats,
-                fast_forward=fast_forward, blacklist=blacklist,
+                blacklist=blacklist,
             )
             chunks.extend(accs)
             cycles += group_cycles
@@ -434,7 +432,6 @@ class TspCnnRunner:
         cache=None,
         stats: ChunkRunStats | None = None,
         prequantized: bool = False,
-        fast_forward: bool = True,
         blacklist=None,
     ) -> tuple[np.ndarray, int]:
         """Run one lowered layer; returns ``(activations, chip cycles)``.
@@ -454,8 +451,7 @@ class TspCnnRunner:
             )
             out, cycles = self._matrix_forward(
                 layer, cols, chip=chip, cache=cache, stats=stats,
-                prequantized=prequantized, fast_forward=fast_forward,
-                blacklist=blacklist,
+                prequantized=prequantized, blacklist=blacklist,
             )
             n = current.shape[0]
             return out.reshape(n, ho, wo, -1).transpose(0, 3, 1, 2), cycles
@@ -466,7 +462,6 @@ class TspCnnRunner:
             cache=cache,
             stats=stats,
             prequantized=prequantized,
-            fast_forward=fast_forward,
             blacklist=blacklist,
         )
 
@@ -476,7 +471,6 @@ class TspCnnRunner:
         chip=None,
         cache=None,
         stats: ChunkRunStats | None = None,
-        fast_forward: bool = True,
         blacklist=None,
     ) -> TspForwardResult:
         """Batch inference; every MAC runs on the simulated chip.
@@ -497,7 +491,7 @@ class TspCnnRunner:
         for layer in self.layers:
             current, cycles = self.apply_layer(
                 layer, current, chip=chip, cache=cache, stats=stats,
-                fast_forward=fast_forward, blacklist=blacklist,
+                blacklist=blacklist,
             )
             if isinstance(layer, CompiledLayer):
                 total_cycles += cycles

@@ -28,26 +28,22 @@ Its registry is hierarchical: counters are keyed ``domain:unit`` →
 
 plus scalar high/low-water marks (instruction-queue depth).
 
-**Exactness under fast-forward.**  Counters fall into two classes:
+**Exactness.**  Counters fall into two classes:
 
 * *Transition-attributed* counters (dispatches, SRAM bytes, MACCs, ALU
   ops, stall/parked spans) are incremented at state transitions —
-  dispatches and scheduled events — which the fast-forward core executes
-  at exactly the same cycles as the dense core (a skipped span contains no
-  transition by construction of ``next_active_cycle``).  Multi-cycle spans
-  (a ``NOP 500``'s occupancy, a parked ``Sync``) are known in full at the
-  transition that starts them, so :meth:`count_span` distributes them over
+  dispatches and scheduled events.  Multi-cycle spans (a ``NOP 500``'s
+  occupancy, a parked ``Sync``) are known in full at the transition that
+  starts or ends them, so :meth:`count_span` distributes them over
   windows in closed form.
-* *Flow-integrated* counters (stream hop bytes, per-direction SRF
-  occupancy) change on every cycle a value is in flight.  During a bulk
-  ``step_n(n)`` skip the per-cycle totals form a non-increasing step
-  function of the per-value remaining-hop counts, which
-  :meth:`on_stream_shift` integrates analytically into the same windows
-  the dense path fills one cycle at a time.
+* *Flow-counted* counters (stream hop bytes, per-direction SRF
+  occupancy) change on every cycle a value is in flight; the stream
+  register file reports each hop's totals to :meth:`on_stream_flow`.
 
-Both classes are therefore bit-identical between the dense and
-fast-forward cores — a property ``repro.verify.lockstep`` asserts on every
-compiled program in the fuzz corpus.
+A replayed plan merges the recorded run's windows (:meth:`merge_state`),
+so simulation and replay produce identical snapshots — a property
+``repro.verify.lockstep`` asserts on every compiled program in the fuzz
+corpus.
 
 Collectors are opt-in: a chip with no collector attached executes zero
 telemetry code beyond one ``is not None`` test per instrumentation site
@@ -57,10 +53,6 @@ telemetry code beyond one ``is not None`` test per instrumentation site
 from __future__ import annotations
 
 import threading
-from collections import Counter
-
-import numpy as np
-
 from ..arch.power import ActivityCounts
 
 # registry keys of the four SRF counters — the only ones touched on every
@@ -211,9 +203,7 @@ class TelemetryCollector(CounterRegistry):
         """Attribute ``per_cycle`` to each of ``n_cycles`` starting at
         ``start_cycle``, distributed over windows in closed form.
 
-        Bit-identical to calling :meth:`count` once per covered cycle —
-        the discipline that keeps multi-cycle spans exact when the
-        fast-forward core crosses them without visiting each cycle.
+        Bit-identical to calling :meth:`count` once per covered cycle.
         """
         if n_cycles <= 0 or per_cycle == 0:
             return
@@ -379,8 +369,8 @@ class TelemetryCollector(CounterRegistry):
     def _init_srf(self) -> None:
         """Resolve and cache the four SRF counter buckets.
 
-        All four are registered together on the first live shift, in both
-        cores alike, so dense/fast snapshots stay identical.
+        All four are registered together on the first live hop, whichever
+        direction carried it.
         """
         self._srf_eh = self._bucket(_SRF_E_HOP)
         self._srf_wh = self._bucket(_SRF_W_HOP)
@@ -398,14 +388,14 @@ class TelemetryCollector(CounterRegistry):
         hops_w: int,
         fell_w: int,
     ) -> None:
-        """Charge a stream shift that lies inside ``cycle``'s window.
+        """Charge the stream hop that completes ``cycle``.
 
-        Per direction, ``live`` values were in flight, completed ``hops``
-        hops between them and ``fell`` of them left the chip inside the
-        span.  Those integers settle the whole charge: the hop charge is
-        ``hops * lanes`` and the occupancy total is ``hops + fell``,
-        because a value occupies one cycle more than it hops exactly when
-        it falls off inside the span.
+        Per direction, ``live`` values were in flight, ``hops`` of them
+        landed on the next register and ``fell`` left the chip.  Those
+        integers settle the whole charge: the hop charge is ``hops *
+        lanes`` and the occupancy is ``hops + fell`` (a value that leaves
+        still occupied its register this cycle, but is never billed the
+        hop — the same contract as ``StreamRegisterFile.hop_bytes_total``).
         """
         if live_e == 0 and live_w == 0:
             return
@@ -434,153 +424,6 @@ class TelemetryCollector(CounterRegistry):
                 amount = hops_w * lanes
                 wh[window] = wh.get(window, 0) + amount
                 totals[_SRF_W_HOP] += amount
-
-    def on_stream_shift(
-        self,
-        first_cycle: int,
-        n: int,
-        e_pos: np.ndarray,
-        w_pos: np.ndarray,
-        last: int,
-        lanes: int,
-    ) -> None:
-        """Integrate SRF hop bytes and occupancy over an ``n``-cycle shift.
-
-        ``e_pos``/``w_pos`` are the pre-shift positions of valid values.
-        An eastward value at position ``p`` completes ``min(n, last - p)``
-        hops (it is never billed for the cycle it falls off the edge, the
-        same contract as ``StreamRegisterFile.hop_bytes_total``) and
-        occupies a live register for ``min(n, last - p + 1)`` cycles;
-        westward is the mirror image.  The per-cycle totals over the span
-        are the non-increasing step functions of those per-value counts,
-        integrated into windows by :meth:`_integrate` — bit-identical to
-        what the dense core accumulates one cycle at a time.
-
-        This is the per-value path, exact over any span; the stream
-        register file takes it only for spans that cross a telemetry
-        window — a span inside one window (every dense cycle and most
-        skips) is settled by :meth:`on_stream_flow` from per-direction
-        totals alone.
-        """
-        live_e = e_pos.size
-        live_w = w_pos.size
-        if live_e == 0 and live_w == 0:
-            return
-        eh = self._srf_eh
-        if eh is None:
-            self._init_srf()
-            eh = self._srf_eh
-        # below ~a hundred live values plain Python beats numpy dispatch
-        # overhead by a wide margin — and sparse occupancy is exactly the
-        # regime the fast-forward core (and hence this hook) lives in
-        if live_e + live_w <= 128:
-            if live_e:
-                e_list = e_pos.tolist()
-                self._integrate(
-                    _SRF_E_HOP, eh, first_cycle,
-                    [min(n, last - p) for p in e_list], lanes,
-                )
-                self._integrate(
-                    _SRF_E_OCC, self._srf_eo, first_cycle,
-                    [min(n, last - p + 1) for p in e_list], 1,
-                )
-            if live_w:
-                w_list = w_pos.tolist()
-                self._integrate(
-                    _SRF_W_HOP, self._srf_wh, first_cycle,
-                    [min(n, p) for p in w_list], lanes,
-                )
-                self._integrate(
-                    _SRF_W_OCC, self._srf_wo, first_cycle,
-                    [min(n, p + 1) for p in w_list], 1,
-                )
-            return
-        self._integrate(
-            _SRF_E_HOP, eh, first_cycle, np.minimum(last - e_pos, n), lanes
-        )
-        self._integrate(
-            _SRF_W_HOP, self._srf_wh, first_cycle, np.minimum(w_pos, n),
-            lanes,
-        )
-        self._integrate(
-            _SRF_E_OCC, self._srf_eo, first_cycle,
-            np.minimum(last - e_pos + 1, n), 1,
-        )
-        self._integrate(
-            _SRF_W_OCC, self._srf_wo, first_cycle, np.minimum(w_pos + 1, n),
-            1,
-        )
-
-    def _integrate(
-        self,
-        key: tuple[str, str],
-        buckets: dict[int, int],
-        start_cycle: int,
-        durations,
-        scale: int,
-    ) -> None:
-        """Charge ``#{d > k} * scale`` at ``start_cycle + k`` for each k.
-
-        ``durations`` (a list or ndarray) holds one entry per in-flight
-        value: how many of the span's cycles that value contributes.  The
-        per-cycle total is a non-increasing step function with at most
-        ``len(unique(d))`` segments, each charged in closed form over the
-        windows it crosses (same head/full/tail split as
-        :meth:`count_span`, against the pre-resolved ``buckets``).
-        """
-        remaining = len(durations)
-        if remaining == 0:
-            return
-        width = self.window_cycles
-        if remaining == 1:
-            # the overwhelmingly common fast-forward case: one live value
-            d = int(durations[0])
-            if d <= 0:
-                return
-            first = start_cycle // width
-            last = (start_cycle + d - 1) // width
-            if first == last:
-                buckets[first] = buckets.get(first, 0) + d * scale
-            else:
-                head = (first + 1) * width - start_cycle
-                buckets[first] = buckets.get(first, 0) + head * scale
-                full = width * scale
-                for w in range(first + 1, last):
-                    buckets[w] = buckets.get(w, 0) + full
-                tail = start_cycle + d - last * width
-                buckets[last] = buckets.get(last, 0) + tail * scale
-            self._totals[key] += d * scale
-            return
-        if isinstance(durations, list):
-            tally = sorted(Counter(durations).items())
-        else:
-            values, counts = np.unique(durations, return_counts=True)
-            tally = zip(values.tolist(), counts.tolist())
-        totals = self._totals
-        prev = 0
-        for d, c in tally:
-            d = int(d)
-            if d > prev and remaining > 0:
-                per_cycle = remaining * scale
-                n_cycles = d - prev
-                start = start_cycle + prev
-                first = start // width
-                last = (start + n_cycles - 1) // width
-                if first == last:
-                    buckets[first] = (
-                        buckets.get(first, 0) + n_cycles * per_cycle
-                    )
-                else:
-                    head = (first + 1) * width - start
-                    buckets[first] = buckets.get(first, 0) + head * per_cycle
-                    full = width * per_cycle
-                    for w in range(first + 1, last):
-                        buckets[w] = buckets.get(w, 0) + full
-                    tail = start + n_cycles - last * width
-                    buckets[last] = buckets.get(last, 0) + tail * per_cycle
-                totals[key] += n_cycles * per_cycle
-            remaining -= int(c)
-            prev = d
 
     # ------------------------------------------------------------------
     # state transfer (schedule replay)
@@ -643,8 +486,8 @@ class TelemetryCollector(CounterRegistry):
     def snapshot(self) -> dict:
         """Canonical, JSON-able image of every counter and scalar.
 
-        The lockstep comparator asserts snapshot equality between the
-        dense and fast-forward cores; dict comparison is order-blind, so
+        The lockstep comparator asserts snapshot equality between a
+        simulation and its replays; dict comparison is order-blind, so
         any hook ordering that differs only *within* a cycle is fine.
         """
         counters: dict[str, dict[str, dict[str, int]]] = {}

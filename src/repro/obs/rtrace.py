@@ -18,9 +18,9 @@ Three pieces:
   and record child spans without any signature change.  When no tracer is
   installed the cost is one ``ContextVar.get`` returning ``None``.
 * :class:`Span` — one phase of one request or batch: ``queue_wait``,
-  ``batch_form``, ``checkout``, ``cache``, ``compile``, ``execute``,
-  ``stage``, ``transfer``, ``respond``, plus the per-request ``request``
-  root.  Spans that ran on a chip also carry the **clock anchor**: the
+  ``batch_form``, ``checkout``, ``cache``, ``compile_wait``, ``compile``,
+  ``build``, ``execute``, ``stage``, ``transfer``, ``respond``, plus the
+  per-request ``request`` and per-batch ``batch <model>#<id>`` roots.  Spans that ran on a chip also carry the **clock anchor**: the
   host-monotonic microsecond at which the chip run's cycle 0 happened,
   the run's cycle count, and the clock rate — enough to place every
   cycle-stamped chip event on the host timeline
@@ -32,7 +32,7 @@ Three pieces:
 
 The cycle-domain content of a trace (span cycle counts, chip event
 cycles) is a pure function of the executed programs, so it is
-bit-identical between the dense and fast-forward cores —
+bit-identical between any two sessions that ran them —
 :func:`RequestTracer.cycle_signature` projects exactly that content and
 :func:`repro.verify.lockstep.assert_trace_lockstep` gates on it.
 """
@@ -46,7 +46,10 @@ from collections import deque
 from contextvars import ContextVar
 from dataclasses import dataclass, field
 
-#: host-side phases a request passes through, in causal order; the
+#: host-side phases a request passes through, in causal order — every
+#: span name but the ``request`` / ``batch …`` roots (``compile_wait`` is
+#: a lookup coalesced onto another thread's in-flight compile, ``build``
+#: a missed :meth:`~repro.serve.cache.ProgramCache.get_or_build`); the
 #: final four only appear on self-healing paths (a failed batch's
 #: requeue, a worker's health transitions, and — on the ``health``
 #: track, parented to no batch — quarantined hardware returning to
@@ -56,7 +59,9 @@ PHASES = (
     "batch_form",
     "checkout",
     "cache",
+    "compile_wait",
     "compile",
+    "build",
     "execute",
     "stage",
     "transfer",
@@ -312,10 +317,9 @@ class RequestTracer:
         cycles, events)`` where ``events`` are the dispatch events in
         (icu, cycle, mnemonic) form.  Host microseconds are excluded —
         they differ run to run — so two traces of the same work agree
-        exactly iff the chips did cycle-identical work, which is how the
-        dense-vs-fast-forward gate
-        (:func:`repro.verify.lockstep.assert_trace_lockstep`) consumes
-        it.  Sorted, so worker scheduling order cannot perturb it.
+        exactly iff the chips did cycle-identical work, which is how
+        :func:`repro.verify.lockstep.assert_trace_lockstep` consumes it.
+        Sorted, so worker scheduling order cannot perturb it.
         """
         sig = []
         for span in self.spans():

@@ -4,7 +4,7 @@ Three pillars on top of the deterministic simulator:
 
 * :mod:`repro.resil.health` — CSR/link-counter polling into per-chip
   :class:`HealthReport` s, wearout trends, and the :class:`Watchdog`
-  that bounds hangs at an exact deadline in both execution cores.
+  that bounds hangs at an exact deadline.
 * :mod:`repro.resil.degrade` — degraded-mode recompilation against a
   :class:`Blacklist` of dead hardware, plus ring re-routing and fully
   timed store-and-forward transfer plans.

@@ -22,7 +22,7 @@ import numpy as np
 
 from ..arch.geometry import Direction, Hemisphere
 from ..config import ArchConfig
-from ..errors import C2cLinkError, MemoryFaultError, WatchdogError
+from ..errors import C2cLinkError, MemoryFaultError, TspError, WatchdogError
 from ..isa.icu import Sync
 from ..isa.mem import Read, Write
 from ..isa.program import IcuId, Program
@@ -56,7 +56,7 @@ class ScenarioResult:
     detection_latency: int = 0
     #: data bit-exact with the fault-free reference
     bit_exact: bool | None = None
-    #: dense and fast-forward cores agree on cycles and bits
+    #: a second run of the same seeds reproduced cycles and bits
     deterministic: bool | None = None
     #: degraded-path cycles / healthy-path cycles (1.0 = free recovery)
     slowdown: float | None = None
@@ -73,7 +73,6 @@ def _two_chip_transfer(
     config: ArchConfig,
     payload: np.ndarray,
     model: LinkErrorModel | None,
-    fast_forward: bool = True,
 ):
     """Run one chip-0 -> chip-1 transfer, optionally through an error
     process on the cable; returns (landed, cycles, link, monitor)."""
@@ -81,7 +80,7 @@ def _two_chip_transfer(
     if model is not None:
         system.set_link_error_model(0, Hemisphere.EAST, 0, model)
     plan = build_ring_transfer(system, [0, 1], payload)
-    results = system.run(plan.programs, fast_forward=fast_forward)
+    results = system.run(plan.programs)
     monitor = HealthMonitor()
     monitor.poll_system(system)
     landed = read_transferred(system, plan)
@@ -98,23 +97,22 @@ def scenario_correctable_link_noise(
     config: ArchConfig, quick: bool
 ) -> ScenarioResult:
     """Seeded BER on a cable: FEC corrects in-line, bits and timing are
-    identical to the fault-free run in both execution cores."""
+    identical to the fault-free run, and a second run reproduces them."""
     n_words = 4 if quick else 16
     payload = _payload(config, n_words, seed=11)
-    # high enough that several vectors take a single-bit hit
-    model = LinkErrorModel(seed=3, ber=2e-3, max_retries=1)
+    # high enough that vectors of either size take single-bit hits, low
+    # enough that no 128-bit word of the 16 takes two on both its copies
+    model = LinkErrorModel(seed=3, ber=1e-3, max_retries=1)
     clean, clean_cycles, _, _ = _two_chip_transfer(config, payload, None)
     noisy, noisy_cycles, link, monitor = _two_chip_transfer(
         config, payload, model
     )
-    dense, dense_cycles, _, _ = _two_chip_transfer(
-        config, payload, model, fast_forward=False
-    )
+    again, again_cycles, _, _ = _two_chip_transfer(config, payload, model)
     bit_exact = bool(
         np.array_equal(noisy, payload) and np.array_equal(clean, payload)
     )
     deterministic = bool(
-        np.array_equal(noisy, dense) and noisy_cycles == dense_cycles
+        np.array_equal(noisy, again) and noisy_cycles == again_cycles
     )
     return ScenarioResult(
         name="correctable_link_noise",
@@ -412,6 +410,22 @@ SCENARIOS = [
 ]
 
 
+def _run_scenario(scenario, config: ArchConfig, quick: bool) -> ScenarioResult:
+    """One scenario's result; a fault it did not catch itself is a failed
+    result carrying the error text, never a traceback out of the campaign."""
+    try:
+        return scenario(config, quick)
+    except TspError as fault:
+        return ScenarioResult(
+            name=scenario.__name__.removeprefix("scenario_"),
+            fault="scenario did not complete",
+            detected=False,
+            recovered=False,
+            bit_exact=False,
+            notes=f"uncaught {type(fault).__name__}: {fault}",
+        )
+
+
 def run_campaign(
     config: ArchConfig | None = None, quick: bool = False
 ) -> dict:
@@ -419,7 +433,7 @@ def run_campaign(
     from ..testing import make_small_config
 
     config = config or make_small_config()
-    results = [scenario(config, quick) for scenario in SCENARIOS]
+    results = [_run_scenario(s, config, quick) for s in SCENARIOS]
     detected = sum(r.detected for r in results)
     recoverable = [r for r in results if r.bit_exact is not None]
     recovered = sum(r.recovered for r in recoverable)
@@ -457,11 +471,12 @@ def render_campaign(payload: dict) -> str:
         lines.append(f"      {s['fault']}; {s['notes']}")
     summary = payload["summary"]
     rate = summary["recovery_rate"]
+    worst = summary["max_degraded_slowdown"]
     lines.append(
         f"  -- {summary['detected']}/{summary['n_scenarios']} detected, "
         f"recovery rate "
         f"{'n/a' if rate is None else f'{rate:.0%}'}, "
         f"max degraded slowdown "
-        f"{summary['max_degraded_slowdown']:.2f}x"
+        f"{'n/a' if worst is None else f'{worst:.2f}x'}"
     )
     return "\n".join(lines)

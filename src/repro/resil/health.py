@@ -12,10 +12,8 @@ The :class:`Watchdog` is the liveness half: armed on a chip
 (:meth:`repro.sim.chip.TspChip.arm_watchdog`), it aborts a run whose
 deadline passes with work still unfinished — hung ICU queues, a barrier
 release that never comes from a peer chip, a serving deadline missed.
-The check is exact under fast-forward: the skip horizon is clamped to the
-deadline, so the dense and skipping cores fault at the same cycle with
-the same architectural state, and a healthy run that finishes before the
-deadline is untouched in both.
+The check runs from the deadline cycle on, so the fault names that exact
+cycle, and a healthy run that finishes before the deadline is untouched.
 """
 
 from __future__ import annotations

@@ -274,7 +274,8 @@ class ProgramCache:
 
     # ------------------------------------------------------------------
     def snapshot(self) -> dict:
-        """Counters + residency, for ``BENCH_serve.json`` and stats()."""
+        """Counters + residency, for ``InferenceServer.stats()`` (and
+        through it the metrics exporter and the benchmark's tracer)."""
         with self._lock:
             return {
                 "capacity": self.capacity,

@@ -20,8 +20,8 @@ schedule slack the compiler reserved up front (:attr:`C2cLink.
 arrival_latency`), and a ``Receive`` placed after that slack observes
 bit-identical data and timing whether zero or ``max_retries``
 retransmissions were needed.  Corruption is a pure function of ``(seed,
-link, sequence, attempt)`` — never of cycles — so the dense and
-fast-forward execution cores see byte-identical faults.
+link, sequence, attempt)`` — never of cycles — so any two runs see
+byte-identical faults.
 """
 
 from __future__ import annotations
@@ -56,9 +56,9 @@ class LinkErrorModel:
 
     Attach to the *sending* endpoint (``C2cUnit.set_error_model``); every
     vector it ships is then corrupted as a pure function of ``(seed,
-    link index, sequence number, attempt)``.  Because no term depends on
-    wall-clock cycles, the dense and fast-forward cores — and any two runs
-    with the same seed — observe byte-identical faults.
+    link index, sequence number, attempt)``.  No term depends on
+    wall-clock cycles, so any two runs with the same seed observe
+    byte-identical faults.
 
     * ``ber`` — independent per-bit flip probability per transfer attempt.
     * ``burst`` — ``(first_seq, n_vectors)``: those sequence numbers take

@@ -16,10 +16,13 @@ guarantees by construction (Section IV-F).
 
 There is one cycle loop, :func:`run_lockstep`, and one step body,
 :meth:`TspChip.step_cycle`; ``TspChip.run`` drives it over one chip and
-:class:`~repro.sim.multichip.MultiChipSystem` over several.  Its host cost
-follows dispatches and events, not queues x cycles: queues are indexed by
-wake cycle (:class:`~repro.sim.icu.QueueSet`), events by due cycle, and a
-stream hop is a ring rotation.
+:class:`~repro.sim.multichip.MultiChipSystem` over several.  Every cycle
+is walked — this simulator is the oracle a replayed plan
+(:mod:`repro.sim.replay`) is compared against, and the engine for any
+chip a plan cannot stand in for — but a cycle's host cost follows
+dispatches and events, not queues: queues are indexed by wake cycle
+(:class:`~repro.sim.icu.QueueSet`), events by due cycle, and a stream hop
+is a ring rotation.
 """
 
 from __future__ import annotations
@@ -69,10 +72,10 @@ class RunResult:
     All counts are per-run windows: a chip reused for back-to-back runs
     keeps its own cumulative tallies, but each result reports only what
     its run contributed.  ``skipped_cycles`` counts the cycles nobody
-    walked: the quiescent spans the fast-forward core crossed in bulk, 0
-    on the cycle-by-cycle path, and all of them for a replayed plan
-    (:mod:`repro.sim.replay`).  They are included in ``cycles``, so
-    ``cycles - skipped_cycles`` is the walked-cycle count on every route.
+    walked: 0 for a simulation, which visits every cycle, and all of them
+    for a replayed plan (:mod:`repro.sim.replay`).  They are included in
+    ``cycles``, so ``cycles - skipped_cycles`` is the walked-cycle count
+    on either route.
     """
 
     cycles: int
@@ -235,10 +238,7 @@ class TspChip:
         ``watchdog`` only needs ``deadline`` (a cycle number) and ``label``
         attributes — see :class:`repro.resil.health.Watchdog`.  If the
         program has not finished by the deadline the run aborts with a
-        :class:`~repro.errors.WatchdogError` naming the hung queues.  The
-        check is exact under fast-forward: the skip horizon is clamped to
-        the deadline, so both execution cores fault at the same cycle with
-        the same architectural state.
+        :class:`~repro.errors.WatchdogError` naming the hung queues.
         """
         self.watchdog = watchdog
 
@@ -287,7 +287,7 @@ class TspChip:
 
         One collector per chip; attaching replaces any previous one.  The
         stream register file gets a direct reference so hop/occupancy
-        integration needs no indirection through the chip.
+        counting needs no indirection through the chip.
         """
         collector.bind(self)
         self.obs = collector
@@ -358,34 +358,25 @@ class TspChip:
         program: Program,
         max_cycles: int = 1_000_000,
         warmup_barrier: bool = False,
-        fast_forward: bool = True,
     ) -> RunResult:
         """Execute a program to completion; returns cycle-exact results.
 
         ``warmup_barrier`` prepends the paper's compulsory post-reset
         barrier: every queue parks on ``Sync`` and a designated notifier
         releases them, aligning all 144 queues to the same logical time.
-
-        ``fast_forward`` lets the loop cross quiescent spans — no queue
-        due, no event due — in one bulk stream shift.  Because the TSP is
-        fully deterministic with compiler-known timing (Section IV-F), the
-        next active cycle is known in advance and skipping is bit-identical
-        to visiting every cycle; ``fast_forward=False`` is the same step
-        body with skipping off, the dense lockstep reference (see
-        :mod:`repro.verify.lockstep`).
         """
         queues = self.make_queues(program, warmup_barrier)
         window = self.open_run()
         try:
-            cycles, skipped = run_lockstep(
-                [self], [queues], max_cycles, fast_forward, standalone=True
+            cycles = run_lockstep(
+                [self], [queues], max_cycles, standalone=True
             )
         except TspError as fault:
             fault.with_context(chip=self.chip_id, cycle=self.now)
             raise
         for checker in self.checkers:
             checker.finish(cycles)
-        return self.close_run(window, cycles, skipped)
+        return self.close_run(window, cycles)
 
     def open_run(self) -> tuple:
         """Reset per-run state and snapshot the cumulative tallies.
@@ -397,7 +388,7 @@ class TspChip:
         self.activity.stream_hop_bytes = self.srf.hop_bytes_total
         return self.activity.copy(), len(self.trace), self.srf.corrections
 
-    def close_run(self, window: tuple, cycles: int, skipped: int) -> RunResult:
+    def close_run(self, window: tuple, cycles: int) -> RunResult:
         """The :class:`RunResult` of the run opened by :meth:`open_run`."""
         activity_start, trace_start, corrections_start = window
         if self.obs is not None:
@@ -410,81 +401,29 @@ class TspChip:
             activity=self.activity.delta(activity_start),
             trace=list(self.trace[trace_start:]),
             ecc_corrections=self.srf.corrections - corrections_start,
-            skipped_cycles=skipped,
         )
 
     # ------------------------------------------------------------------
-    # the cycle step and its skip horizon
-    # ------------------------------------------------------------------
-    def step_cycle(self, queues: QueueSet, cycle: int) -> bool:
-        """Advance one cycle — the one step body of every driver.
-
-        Returns whether the cycle was quiet (no event fired, nothing
-        dispatched): only a quiet cycle can open a quiescent span worth
-        skipping, so busy stretches never consult the horizon at all.
-        """
+    def step_cycle(self, queues: QueueSet, cycle: int) -> None:
+        """Advance one cycle — the one step body of every driver."""
         self.now = cycle
         events = self.events
-        dispatched = self.activity.instructions
         try:
-            fired = events.run_phase(cycle, Phase.DRIVE)
+            events.run_phase(cycle, Phase.DRIVE)
             queues.dispatch(cycle)
-            fired += events.run_phase(cycle, Phase.CAPTURE)
+            events.run_phase(cycle, Phase.CAPTURE)
             self.srf.step(cycle)
         except TspError as fault:
             fault.with_context(chip=self.chip_id, cycle=cycle)
             raise
         self.activity.cycles += 1
-        return fired == 0 and self.activity.instructions == dispatched
-
-    def next_active_cycle(self, queues: QueueSet, cycle: int) -> int | None:
-        """First cycle after ``cycle`` that needs full processing.
-
-        The min over three indexed facts: the earliest queue wake, the
-        earliest pending event cycle, and — once every queue has retired
-        — the cycle at which the running drain horizon (the longest
-        trailing ``busy_until``) elapses, where the termination test can
-        first pass.  ``None`` means this chip never acts again on its own
-        (every live queue parked with no release in sight).
-
-        Every cycle strictly between ``cycle`` and the returned cycle is
-        quiescent: no dispatch, no event, no state transition other than
-        the one-hop stream advance, so it can be crossed in bulk by
-        :meth:`skip_cycles` without changing any outcome.
-        """
-        nxt = self.events.next_active_cycle(cycle)
-        wake = queues.next_wake()
-        if wake is None and queues.live == 0 and queues.drain - 1 > cycle:
-            # (a horizon already behind us is no reason to stop: a chip
-            # that drained must not pin its lockstep peers, or its own
-            # trailing events, to single steps)
-            wake = queues.drain - 1
-        if wake is not None:
-            wake = max(wake, cycle + 1)
-            if nxt is None or wake < nxt:
-                nxt = wake
-        return nxt
-
-    def skip_cycles(self, first_cycle: int, n: int) -> None:
-        """Bulk-advance ``n`` quiescent cycles: one vectorized stream
-        shift, activity integrated analytically, checkers notified once.
-        """
-        if n <= 0:
-            return
-        self.srf.step_n(n, first_cycle)
-        self.activity.cycles += n
-        for checker in self.checkers:
-            # duck-typed: pre-existing custom checkers may lack the hook
-            notify = getattr(checker, "on_cycles_skipped", None)
-            if notify is not None:
-                notify(first_cycle, n)
 
     # ------------------------------------------------------------------
     def memory_image(self) -> dict[str, bytes]:
         """Raw bytes of every materialized MEM slice, keyed by slice name.
 
-        Used by the lockstep fast-vs-slow comparator to assert that two
-        execution modes left bit-identical architectural memory state.
+        Used by the lockstep comparator to assert that two execution
+        routes left bit-identical architectural memory state.
         """
         image: dict[str, bytes] = {}
         for address, unit in self._units.items():
@@ -509,12 +448,7 @@ class TspChip:
         # callers snapshot hop_bytes_total after this, so neither run's
         # reported window is polluted by the other's traffic (the telemetry
         # collector is likewise blind to the drain)
-        collector = self.srf.collector
-        self.srf.collector = None
-        try:
-            self.srf.step_n(self.floorplan.n_positions)
-        finally:
-            self.srf.collector = collector
+        self.srf.flush()
 
     def scrub(self) -> None:
         """Factory-reset the chip for checkout by a new program.
@@ -559,20 +493,13 @@ def run_lockstep(
     chips: list[TspChip],
     queue_sets: list[QueueSet],
     max_cycles: int,
-    fast_forward: bool,
     standalone: bool,
-) -> tuple[int, int]:
+) -> int:
     """The cycle loop: run ``chips`` in lockstep until all have finished.
 
-    Returns ``(cycles, skipped)``.  Every chip takes
-    :meth:`TspChip.step_cycle` at each visited cycle; with
-    ``fast_forward``, a cycle that was quiet on every chip opens a skip to
-    the shared horizon — the min over the chips' next active cycles,
-    clamped to ``max_cycles`` and to the earliest armed watchdog deadline
-    so the check runs at the deadline cycle in both cores — crossed with
-    one bulk stream shift per chip.  C2C traffic is covered by the horizon
-    because a ``Send`` enqueues onto the peer before the horizon is read
-    and the peer's ``Receive`` is a scheduled dispatch of its own.
+    Returns the cycle count.  Every chip takes :meth:`TspChip.step_cycle`
+    at every cycle; an armed watchdog is checked from its deadline cycle
+    on.
 
     ``standalone`` is the single-chip contract: a chip whose every live
     queue is parked with no Notify in flight faults as a barrier deadlock.
@@ -589,7 +516,6 @@ def run_lockstep(
     deadline = min(
         (chip.watchdog.deadline for chip, _ in armed), default=None
     )
-    skipped = 0
     cycle = 0
     try:
         while True:
@@ -598,10 +524,8 @@ def run_lockstep(
                     f"{'program' if standalone else 'system'} did not "
                     f"finish within {max_cycles} cycles"
                 )
-            quiet = True
             for chip, queues in pairs:
-                if not chip.step_cycle(queues, cycle):
-                    quiet = False
+                chip.step_cycle(queues, cycle)
             cycle += 1
             for chip, queues in pairs:
                 # a queue still burning a trailing NOP is not finished:
@@ -613,7 +537,7 @@ def run_lockstep(
                 ):
                     break
             else:
-                return cycle, skipped
+                return cycle
             if deadline is not None and cycle >= deadline:
                 for chip, queues in armed:
                     if cycle >= chip.watchdog.deadline:
@@ -624,26 +548,6 @@ def run_lockstep(
                         raise SimulationError(
                             "barrier deadlock: Sync parked with no Notify"
                         )
-            if not (fast_forward and quiet):
-                continue
-            horizons = [
-                chip.next_active_cycle(queues, cycle - 1)
-                for chip, queues in pairs
-            ]
-            # no candidate anywhere: every live queue in the system is
-            # parked with no release in sight — run out the clock
-            target = min(
-                (h for h in horizons if h is not None), default=max_cycles
-            )
-            target = min(target, max_cycles)
-            if deadline is not None and target >= deadline:
-                # never skip past an armed deadline
-                target = max(deadline - 1, cycle)
-            if target > cycle:
-                for chip, _ in pairs:
-                    chip.skip_cycles(cycle, target - cycle)
-                skipped += target - cycle
-                cycle = target
     except BaseException:
         for chip in chips:
             chip.events.clear()

@@ -17,14 +17,12 @@ Two phases exist per cycle:
 Every event names its exact cycle and phase, so the store is one
 ``cycle -> [callbacks]`` bucket table per phase: scheduling is a list
 append, running a phase is one dict pop, and a cycle with nothing due
-costs a failed lookup.  A heap of the cycles that own a bucket answers
-"when is the next event" without scanning the tables.
+costs a failed lookup.
 """
 
 from __future__ import annotations
 
 import enum
-from heapq import heappop, heappush
 from typing import Callable
 
 
@@ -41,10 +39,6 @@ class EventQueue:
     def __init__(self) -> None:
         #: one ``cycle -> [action, ...]`` table per :class:`Phase`
         self._buckets: tuple[dict[int, list], dict[int, list]] = ({}, {})
-        #: cycles a bucket was opened for, as a heap; entries outlive
-        #: their buckets and are dropped when they surface or when the
-        #: store drains
-        self._cycles: list[int] = []
         #: events scheduled and not yet run
         self.pending = 0
 
@@ -58,7 +52,6 @@ class EventQueue:
         bucket = table.get(cycle)
         if bucket is None:
             table[cycle] = [action]
-            heappush(self._cycles, cycle)
         else:
             bucket.append(action)
         self.pending += 1
@@ -81,35 +74,10 @@ class EventQueue:
                 action(cycle)
             run += len(bucket)
             bucket = table.pop(cycle, None)
-        if not self.pending:
-            # the store drained: whatever the heap still holds is stale,
-            # and only ``next_active_cycle`` would ever pop it — a dense
-            # run never asks, so drop it here
-            self._cycles.clear()
         return run
 
     def clear(self) -> None:
         """Drop every pending event (a new run restarts cycle numbering)."""
         for table in self._buckets:
             table.clear()
-        self._cycles.clear()
         self.pending = 0
-
-    def next_active_cycle(self, cycle: int) -> int | None:
-        """Earliest cycle after ``cycle`` needing event service, or None.
-
-        The fast-forward core must not skip past any pending event.  An
-        event scheduled at or before ``cycle`` (stale, or same-cycle work
-        registered after its phase already ran) never runs and stays
-        pending; it reports ``cycle + 1``, so the skipping path degrades
-        to the cycle-by-cycle behaviour of the dense loop instead of
-        jumping over it.
-        """
-        if not self.pending:
-            return None
-        cycles = self._cycles
-        drive, capture = self._buckets
-        while cycles[0] not in drive and cycles[0] not in capture:
-            heappop(cycles)  # that cycle's buckets have run
-        first = cycles[0]
-        return first if first > cycle else cycle + 1

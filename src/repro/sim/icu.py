@@ -139,9 +139,8 @@ class IcuQueue:
         chip = self.chip
         if self.park_cycle is not None:
             if chip.obs is not None:
-                # both cores first observe the release at exactly this
-                # cycle (it is the queue's wake), so the parked span is
-                # identical in dense and skip modes
+                # the release is first observed at exactly this cycle
+                # (it is the queue's wake): the parked span in full
                 chip.obs.on_icu_parked(self._name, self.park_cycle, cycle)
             self.park_cycle = None
             if self.pc >= len(self.instructions):
@@ -349,10 +348,6 @@ class QueueSet:
         self._parked.clear()
 
     # ------------------------------------------------------------------
-    def next_wake(self) -> int | None:
-        """Earliest wake among the queues that have one, else None."""
-        return self._due[0][0] if self._due else None
-
     @property
     def deadlocked(self) -> bool:
         """Every unretired queue is parked and no Notify is in flight."""

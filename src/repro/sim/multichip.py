@@ -133,19 +133,15 @@ class MultiChipSystem:
         self,
         programs: list[Program],
         max_cycles: int = 1_000_000,
-        fast_forward: bool = True,
     ) -> list[RunResult]:
         """Execute one program per chip in cycle lockstep.
 
         The loop and its step body are the single-chip ones
         (:func:`repro.sim.chip.run_lockstep`), driven over every chip at
-        once: with ``fast_forward`` the system skips quiescent spans under
-        a *shared* horizon, all chips crossing the span together with one
-        bulk stream shift each, so the lockstep contract — every chip
-        observes the same logical cycle — is preserved exactly.
+        once, so the lockstep contract — every chip observes the same
+        logical cycle — holds by construction.
 
         Per-chip watchdogs (:meth:`TspChip.arm_watchdog`) are honoured:
-        the shared horizon is clamped to the earliest armed deadline, and
         a chip with unfinished work past its deadline aborts the whole
         system with a :class:`~repro.errors.WatchdogError` carrying the
         chip's identity — the single-chip deadlock detector does not run
@@ -161,11 +157,10 @@ class MultiChipSystem:
             for chip, program in zip(self.chips, programs)
         ]
         windows = [chip.open_run() for chip in self.chips]
-        cycles, skipped = run_lockstep(
-            self.chips, queue_sets, max_cycles, fast_forward,
-            standalone=False,
+        cycles = run_lockstep(
+            self.chips, queue_sets, max_cycles, standalone=False
         )
         return [
-            chip.close_run(window, cycles, skipped)
+            chip.close_run(window, cycles)
             for chip, window in zip(self.chips, windows)
         ]

@@ -83,13 +83,8 @@ class StreamRegisterFile:
         #: invariant checkers see the colliding drive too
         self.on_drive = None
         #: attached telemetry collector (repro.obs), or None; fed every
-        #: ``_shift``'s per-direction hop and fall-off totals (and, for a
-        #: span crossing a telemetry window, the pre-shift positions) so
-        #: hop bytes and occupancy integrate exactly across bulk skips
+        #: hop's per-direction live, hop and fall-off totals
         self.collector = None
-        #: cycle number of the current/most recent shift (set by callers
-        #: through ``step``/``step_n``; only meaningful with a collector)
-        self.now = 0
 
     # ------------------------------------------------------------------
     def scrub(self) -> None:
@@ -114,7 +109,6 @@ class StreamRegisterFile:
         self._dirty = False
         self.hop_bytes_total = 0
         self.corrections = 0
-        self.now = 0
 
     # ------------------------------------------------------------------
     def enable_ecc(self, enabled: bool = True) -> None:
@@ -239,130 +233,65 @@ class StreamRegisterFile:
     def step(self, now: int = 0) -> None:
         """Advance every stream one hop; edge values fall off the chip.
 
-        ``now`` is the cycle being completed — only consumed by an
-        attached telemetry collector, so existing no-argument callers keep
-        their exact behaviour.
-        """
-        self.step_n(1, now)
-
-    def step_n(self, n: int, now: int = 0) -> None:
-        """Advance ``n`` hops at once — the fast-forward bulk path.
-
-        Bit-identical to calling :meth:`step` ``n`` times: values past the
-        chip edge fall off, and ``hop_bytes_total`` integrates each value's
-        completed hops analytically instead of summing the mask ``n``
-        times.  Used by :meth:`~repro.sim.chip.TspChip.run` to cross
-        quiescent cycle spans in one shot.  ``now`` is the first cycle of
-        the span (telemetry attribution only).
-        """
-        n_live = self._n_live
-        if n > 0 and (n_live[0] or n_live[1] or self._dirty):
-            self.now = now
-            self._shift(n)
-        self._driven_this_cycle.clear()
-
-    def _shift(self, n: int) -> None:
-        """Move all content ``n`` positions; charge completed hops.
-
         A hop is charged only when a value actually lands on the next
-        stream register: a value with ``room`` hops left before its edge
-        of the chip completes ``min(n, room)`` of them, so edge values are
-        never billed for the cycle in which they leave.  The accounting
-        reads the per-column live tallies — no mask is scanned, and a
-        shift that drops nothing touches no array.
+        stream register, so an edge value is never billed for the cycle
+        in which it leaves.  The accounting reads the per-column live
+        tallies — no mask is scanned, and a hop that drops nothing
+        touches no array.  ``now`` is the cycle being completed — only
+        consumed by an attached telemetry collector.
         """
-        lanes = self.config.n_lanes
-        n_pos = self._n_pos
-        last = n_pos - 1
-        hops = self._hops
-        k = min(n, n_pos)
-        live_e, live_w = self._live
         n_live = self._n_live
-        collector = self.collector
-        slots = None
-        if collector is not None:
-            width = collector.window_cycles
-            if self.now // width != (self.now + n - 1) // width:
-                # the span crosses a telemetry window: the collector
-                # integrates per value, from each one's pre-shift flow slot
-                slots = [
-                    np.array(
-                        [
-                            (column + hops) % n_pos
-                            for column, count in live.items()
-                            for _ in range(count)
-                        ],
-                        dtype=np.intp,
-                    )
-                    for live in self._live
-                ]
-        before_e, before_w = n_live
-        if n == 1:
-            # the one-hop step: every value completes the hop except the
-            # last flow slot's column, which leaves
-            column = (last - hops) % n_pos
-            fell_e = live_e.pop(column, 0)
-            fell_w = live_w.pop(column, 0)
+        if n_live[0] or n_live[1] or self._dirty:
+            n_pos = self._n_pos
+            hops = self._hops
+            # the last flow slot's column: whatever it holds leaves
+            column = (n_pos - 1 - hops) % n_pos
+            before_e, before_w = n_live
+            fell_e = self._live[0].pop(column, 0)
+            fell_w = self._live[1].pop(column, 0)
             moved_e = before_e - fell_e
             moved_w = before_w - fell_w
-        else:
-            moved_e, fell_e = self._fly(live_e, n, k)
-            moved_w, fell_w = self._fly(live_w, n, k)
-        n_live[0] = before_e - fell_e
-        n_live[1] = before_w - fell_w
-        self.hop_bytes_total += (moved_e + moved_w) * lanes
-        if slots is not None:
-            collector.on_stream_shift(
-                self.now, n, slots[0], last - slots[1], last, lanes
-            )
-        elif collector is not None:
-            # inside one window the totals computed here settle the charge
-            collector.on_stream_flow(
-                self.now, lanes,
-                before_e, moved_e, fell_e, before_w, moved_w, fell_w,
-            )
+            n_live[0] = moved_e
+            n_live[1] = moved_w
+            lanes = self.config.n_lanes
+            self.hop_bytes_total += (moved_e + moved_w) * lanes
+            if self.collector is not None:
+                self.collector.on_stream_flow(
+                    now, lanes,
+                    before_e, moved_e, fell_e, before_w, moved_w, fell_w,
+                )
+            if fell_e or fell_w or self._dirty:
+                self._values[:, :, column] = 0
+                self._valid[:, :, column] = False
+                if self._ecc_enabled or self._dirty:
+                    self._checks[:, :, column] = 0
+            self._hops = (hops + 1) % n_pos
+        self._driven_this_cycle.clear()
 
-        if k == n_pos:  # a full flush: every column left
+    def flush(self) -> None:
+        """Drain the chip: every in-flight value runs off its edge.
+
+        What ``n_positions`` single steps would leave — an empty file,
+        each value billed the hops it had left — without walking them:
+        the idle gap between two runs.  An attached collector is not told
+        (the gap belongs to neither run's windows).
+        """
+        if self._n_live[0] or self._n_live[1] or self._dirty:
+            n_pos = self._n_pos
+            hops = self._hops
+            moved = 0
+            for live in self._live:
+                for column, count in live.items():
+                    moved += count * (n_pos - 1 - (column + hops) % n_pos)
+                live.clear()
+            self._n_live = [0, 0]
+            self.hop_bytes_total += moved * self.config.n_lanes
             self._values[:] = 0
             self._valid[:] = False
             self._checks[:] = 0
             self._hops = 0
             self._dirty = False
-            return
-        if fell_e or fell_w or self._dirty:
-            # flow slots last-k+1 .. last left: k consecutive ring columns
-            self._clear_columns((n_pos - k - hops) % n_pos, k)
-        self._hops = (hops + k) % n_pos
-
-    def _fly(self, live: dict[int, int], n: int, k: int) -> tuple[int, int]:
-        """Fly one direction's values ``n`` hops: (completed hops, values
-        that left); columns that left are dropped from ``live``."""
-        n_pos = self._n_pos
-        hops = self._hops
-        moved = fell = 0
-        for column, count in list(live.items()):
-            room = n_pos - 1 - (column + hops) % n_pos
-            if room < k:
-                fell += count
-                moved += count * room
-                del live[column]
-            else:  # room >= k means k == n: the whole span is flown
-                moved += count * n
-        return moved, fell
-
-    def _clear_columns(self, start: int, k: int) -> None:
-        """Zero ``k`` ring columns from ``start``, wrapping at the seam."""
-        n_pos = self._n_pos
-        end = start + k
-        spans = (
-            ((start, end),) if end <= n_pos
-            else ((start, n_pos), (0, end - n_pos))
-        )
-        for a, b in spans:
-            self._values[:, :, a:b] = 0
-            self._valid[:, :, a:b] = False
-            if self._ecc_enabled or self._dirty:
-                self._checks[:, :, a:b] = 0
+        self._driven_this_cycle.clear()
 
     # ------------------------------------------------------------------
     def snapshot_valid(self) -> np.ndarray:

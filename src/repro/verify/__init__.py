@@ -14,10 +14,10 @@ scheduled.  This package makes that claim checkable for the reproduction:
   :class:`~repro.sim.chip.TspChip` that watch stream drives, SRAM bank
   accesses, and instruction dispatch against the scheduler's predictions
   (Equation 4/5);
-* :mod:`repro.verify.lockstep` — executes one compiled program under both
-  the fast-forward and cycle-by-cycle simulator cores and asserts
-  bit-identical memory, outputs, traces, cycle counts, and checker event
-  streams — the equivalence proof-obligation of the skipping core;
+* :mod:`repro.verify.lockstep` — simulates one compiled program, records
+  and replays it (write-through and batched), and asserts bit-identical
+  memory, outputs, traces, cycle counts, telemetry and checker dispatch
+  streams — the equivalence proof-obligation of the replay engine;
 * :mod:`repro.verify.coverage` — tracks which opcodes, dtypes, and slice
   families a run exercises and enforces a coverage threshold;
 * :mod:`repro.verify.suite` — the conformance sweep exercising every

@@ -64,17 +64,6 @@ class InvariantChecker:
     ) -> None:  # pragma: no cover - overridden
         pass
 
-    def on_cycles_skipped(self, first_cycle: int, n_cycles: int) -> None:
-        """Bulk notification from the fast-forward core.
-
-        The simulator crossed ``n_cycles`` quiescent cycles starting at
-        ``first_cycle`` in one shot.  By construction no dispatch, drive,
-        or SRAM access occurred in the span — the per-event hooks above
-        miss nothing — so the base implementation is a no-op.  Checkers
-        that integrate per-cycle state (occupancy accounting, power
-        windows) override this to account for the span in bulk.
-        """
-
     def finish(self, cycle: int) -> None:
         pass
 

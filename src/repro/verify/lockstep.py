@@ -1,25 +1,25 @@
-"""Lockstep fast-vs-slow comparator for the fast-forward core.
+"""Lockstep comparator: a simulation against its replays.
 
-The fast-forward execution core (:meth:`repro.sim.chip.TspChip.run` with
-``fast_forward=True``) claims to be *provably equivalent* to the
-cycle-by-cycle reference path: skipping a quiescent span changes no
-architectural outcome because the TSP's timing is fully deterministic and
-compiler-known (Section IV-F).  This module turns that claim into a
-checkable property: :func:`run_lockstep` executes the same compiled
-program on two fresh chips — one per mode — and compares every observable
-surface bit-for-bit:
+A compiled program has two execution routes: the cycle simulator
+(:meth:`repro.sim.chip.TspChip.run`) and the replay of a plan recorded
+from one simulated run (:mod:`repro.sim.replay`), which walks no cycle.
+The replay claims to be *equivalent* to the simulation because the TSP's
+timing is fully deterministic and compiler-known (Section IV-F).  This
+module turns that claim into a checkable property: :func:`run_lockstep`
+simulates the program on a fresh chip, records it on a second, replays
+the plan write-through onto a third and evaluates it batched with no
+chip at all, then compares every observable surface bit-for-bit:
 
 * output tensors and the full materialized MEM image;
 * cycle count, per-run instruction count, and every activity tally
-  (including the analytically integrated ``stream_hop_bytes``);
-* the dispatch trace;
-* the checker event streams (every dispatch, stream drive, and SRAM
-  access observed by an attached recorder);
+  (including ``stream_hop_bytes``);
+* the dispatch trace, and the dispatches the simulated chip's checker
+  saw (every dispatch, stream drive, and SRAM access is recorded);
 * ECC correction counts;
 * the full telemetry snapshot of an attached
   :class:`~repro.obs.TelemetryCollector` — every per-unit counter in
   every sampling window, proving that observability is *exact* under
-  fast-forward, not merely the architectural end state.
+  replay, not merely the architectural end state.
 
 ``assert_lockstep`` raises :class:`~repro.errors.DivergenceError` with a
 rendered report on any mismatch, mirroring the differential oracle's
@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..compiler.runner import bind_input, load_compiled
+from ..compiler.runner import bind_input, fetch_output, load_compiled
 from ..compiler.scheduler import CompiledProgram
 from ..errors import DivergenceError, SimulationError
 from ..obs.counters import TelemetryCollector
@@ -44,9 +44,9 @@ from .invariants import InvariantChecker
 class RecordingChecker(InvariantChecker):
     """Records the full observable event stream of one run.
 
-    Attached to both the fast and slow chips so the comparator can assert
-    that the two modes presented *identical* streams to the invariant
-    layer — not merely identical end states.
+    Attached to the simulated chip so the comparator can hold the stream
+    the invariant layer was shown against what the replay reconstructs —
+    not merely the end states.
     """
 
     name = "recording"
@@ -54,7 +54,6 @@ class RecordingChecker(InvariantChecker):
     def __init__(self) -> None:
         super().__init__()
         self.events: list[tuple] = []
-        self.skips: list[tuple[int, int]] = []
         self.final_cycle: int | None = None
 
     def on_dispatch(self, cycle, icu, instruction) -> None:
@@ -68,23 +67,17 @@ class RecordingChecker(InvariantChecker):
     def on_mem_access(self, cycle, slice_name, kind, bank, address) -> None:
         self.events.append(("mem", cycle, slice_name, kind, bank, address))
 
-    def on_cycles_skipped(self, first_cycle, n_cycles) -> None:
-        # bookkeeping only: skips are a fast-path artifact, not an
-        # architectural event, so they are excluded from the comparison
-        self.skips.append((first_cycle, n_cycles))
-
     def finish(self, cycle) -> None:
         self.final_cycle = cycle
 
 
 @dataclass
 class LockstepExecution:
-    """One half of a lockstep pair."""
+    """One leg of the comparison."""
 
     run: RunResult
     outputs: dict[str, np.ndarray]
     memory: dict[str, bytes]
-    recorder: RecordingChecker
     telemetry: dict
 
 
@@ -92,18 +85,19 @@ class LockstepExecution:
 class LockstepResult:
     """All executions plus every detected divergence.
 
-    ``replay`` is the third leg of the comparator: the program recorded
-    once into a :class:`repro.sim.replay.ReplayPlan` and re-executed as
-    fused numpy kernels on a fresh chip.  It is ``None`` when the
+    ``simulated`` is the reference: the cycle simulator with tracing, a
+    :class:`RecordingChecker` (``recorder``) and a telemetry collector
+    attached.  ``replay`` is the program recorded once into a
+    :class:`repro.sim.replay.ReplayPlan` and re-executed as fused numpy
+    kernels, write-through, on a fresh chip.  It is ``None`` when the
     program is outside the replay engine's supported set (``plan`` then
-    carries the reason) or when the harness cannot record (raw
-    ``Program`` without tensor I/O, ``chip_setup`` fault campaigns).
-    ``batched`` rides with it: the same plan's pure evaluation of the
-    inputs bound twice, one output dict per row — the route that serves.
+    carries the reason).  ``batched`` rides with it: the same plan's pure
+    evaluation of the inputs bound twice, one output dict per row — the
+    route that serves.
     """
 
-    slow: LockstepExecution
-    fast: LockstepExecution
+    simulated: LockstepExecution
+    recorder: RecordingChecker
     replay: LockstepExecution | None = None
     plan: object | None = None
     batched: list[dict[str, np.ndarray]] | None = None
@@ -114,186 +108,91 @@ class LockstepResult:
         return not self.mismatches
 
     def render(self) -> str:
-        lines = [
-            "lockstep comparator: fast-forward and cycle-by-cycle paths "
-            "disagree"
-        ]
+        lines = ["lockstep comparator: simulation and replay disagree"]
         lines.extend(f"  {m}" for m in self.mismatches)
         return "\n".join(lines)
 
 
-def _execute_mode(
-    compiled,
-    inputs: dict[str, np.ndarray],
-    fast_forward: bool,
-    timing,
-    max_cycles: int,
-    warmup_barrier: bool,
-    enable_ecc: bool,
-    config=None,
-    chip_setup=None,
-) -> LockstepExecution:
-    from ..compiler.runner import fetch_output
-
-    is_compiled = isinstance(compiled, CompiledProgram)
-    if not is_compiled and config is None:
-        raise SimulationError(
-            "lockstep over a raw Program needs an explicit config"
-        )
-    chip = TspChip(
-        compiled.config if is_compiled else config,
-        timing=timing,
-        trace=True,
-        enable_ecc=enable_ecc,
-    )
-    recorder = RecordingChecker()
-    chip.attach_checker(recorder)
-    # small windows so a typical corpus program spans several of them —
-    # the per-window comparison then exercises count_span's head/full/tail
-    # distribution, not just the grand totals
-    chip.attach_telemetry(TelemetryCollector(window_cycles=64))
-    if is_compiled:
-        load_compiled(chip, compiled)
-        for name, spec in compiled.inputs.items():
-            if name not in inputs:
-                raise SimulationError(f"input {name!r} was not bound")
-            bind_input(chip, spec, inputs[name])
-    if chip_setup is not None:
-        # fault-campaign hook: wire C2C loopbacks, attach link error
-        # models, preload raw payloads, arm watchdogs — identically on
-        # the fast and slow chips
-        chip_setup(chip)
-    run = chip.run(
-        compiled.program if is_compiled else compiled,
-        max_cycles=max_cycles,
-        warmup_barrier=warmup_barrier,
-        fast_forward=fast_forward,
-    )
-    outputs = (
-        {
-            name: fetch_output(chip, spec)
-            for name, spec in compiled.outputs.items()
-        }
-        if is_compiled
-        else {}
-    )
-    return LockstepExecution(
-        run=run,
-        outputs=outputs,
-        memory=chip.memory_image(),
-        recorder=recorder,
-        telemetry=chip.obs.snapshot(),
-    )
-
-
 def run_lockstep(
-    compiled,
+    compiled: CompiledProgram,
     inputs: dict[str, np.ndarray] | None = None,
     timing=None,
     max_cycles: int = 1_000_000,
     warmup_barrier: bool = False,
     enable_ecc: bool = False,
-    config=None,
-    chip_setup=None,
 ) -> LockstepResult:
-    """Execute ``compiled`` in both modes on fresh chips; compare all state.
+    """Simulate ``compiled``, record it, replay it; compare all state.
 
-    ``compiled`` is normally a :class:`CompiledProgram`; a raw
-    :class:`~repro.isa.Program` is also accepted (pass ``config``), in
-    which case no memory image or tensor I/O is involved and the final
-    MEM comparison covers whatever the program itself materialized.
-    ``chip_setup(chip)``, when given, runs on *each* fresh chip just
-    before its run — the fault-campaign hook for wiring links, attaching
-    :class:`~repro.sim.LinkErrorModel` s, preloading payloads, or arming
-    watchdogs, applied identically to both modes.
+    Every leg starts from a fresh chip with the same memory image and
+    inputs.  The recording happens on a chip of its own with no checker
+    attached — a chip with checkers is outside the replay engine's bypass
+    predicate by design — and with tracing off, while the replay runs
+    with it on: the plan keeps raw dispatches and must format a trace
+    equal to the simulated one.
     """
-    inputs = inputs or {}
-    slow = _execute_mode(
-        compiled, inputs, False, timing, max_cycles, warmup_barrier,
-        enable_ecc, config, chip_setup,
-    )
-    fast = _execute_mode(
-        compiled, inputs, True, timing, max_cycles, warmup_barrier,
-        enable_ecc, config, chip_setup,
-    )
-    replay = plan = batched = None
-    if chip_setup is None and isinstance(compiled, CompiledProgram):
-        replay, plan, batched = _execute_replay(
-            compiled, inputs, timing, max_cycles, warmup_barrier, enable_ecc
-        )
-    result = LockstepResult(
-        slow=slow, fast=fast, replay=replay, plan=plan, batched=batched
-    )
-    _compare(result)
-    return result
-
-
-def _execute_replay(
-    compiled: CompiledProgram,
-    inputs: dict[str, np.ndarray],
-    timing,
-    max_cycles: int,
-    warmup_barrier: bool,
-    enable_ecc: bool,
-):
-    """Record the program on one fresh chip, replay it on another.
-
-    Returns ``(execution, plan, batched)``; ``execution`` and ``batched``
-    are ``None`` when the recorder marked the plan unsupported (the
-    reason rides on ``plan``).
-    Checkers are deliberately absent from both chips — a chip with
-    checkers attached is outside the replay engine's bypass predicate by
-    design, so the recording must happen without them.
-    """
-    from ..compiler.runner import fetch_output
+    # imported on use, as in compiler.runner: ``repro.serve`` reaches this
+    # module through ``repro.resil``, and loading the replay engine at
+    # import time instead of at first execute read +1.2 MiB of peak RSS on
+    # the benchmark's open-mix workload (EXPERIMENTS.md E28)
     from ..sim.replay import ScheduleRecorder
 
-    def _fresh_chip(trace: bool) -> TspChip:
+    inputs = inputs or {}
+
+    def fresh_chip(trace: bool) -> TspChip:
         chip = TspChip(
             compiled.config, timing=timing, trace=trace,
             enable_ecc=enable_ecc,
         )
+        # small windows so a typical corpus program spans several of
+        # them — the per-window comparison then exercises count_span's
+        # head/full/tail distribution, not just the grand totals
         chip.attach_telemetry(TelemetryCollector(window_cycles=64))
         load_compiled(chip, compiled)
         for name, spec in compiled.inputs.items():
+            if name not in inputs:
+                raise SimulationError(f"input {name!r} was not bound")
             bind_input(chip, spec, inputs[name])
         return chip
 
-    # recorded with tracing off, replayed with it on: the plan keeps raw
-    # dispatches and must format a trace equal to the simulated one
-    chip = _fresh_chip(trace=False)
-    recorder = ScheduleRecorder(chip, compiled, warmup_barrier=warmup_barrier)
-    chip.recorder = recorder
-    try:
-        run = chip.run(
+    def simulate(chip: TspChip) -> RunResult:
+        return chip.run(
             compiled.program,
             max_cycles=max_cycles,
             warmup_barrier=warmup_barrier,
-            fast_forward=True,
         )
+
+    def execution(chip: TspChip, run: RunResult) -> LockstepExecution:
+        return LockstepExecution(
+            run=run,
+            outputs={
+                name: fetch_output(chip, spec)
+                for name, spec in compiled.outputs.items()
+            },
+            memory=chip.memory_image(),
+            telemetry=chip.obs.snapshot(),
+        )
+
+    chip = fresh_chip(trace=True)
+    checker = RecordingChecker()
+    chip.attach_checker(checker)
+    result = LockstepResult(
+        simulated=execution(chip, simulate(chip)), recorder=checker
+    )
+
+    chip = fresh_chip(trace=False)
+    recorder = ScheduleRecorder(chip, compiled, warmup_barrier=warmup_barrier)
+    chip.recorder = recorder
+    try:
+        run = simulate(chip)
     finally:
         chip.recorder = None
-    plan = recorder.finish(run)
-    if not plan.ok:
-        return None, plan, None
-
-    chip = _fresh_chip(trace=True)
-    run = plan.replay_into(chip)
-    outputs = {
-        name: fetch_output(chip, spec)
-        for name, spec in compiled.outputs.items()
-    }
-    return (
-        LockstepExecution(
-            run=run,
-            outputs=outputs,
-            memory=chip.memory_image(),
-            recorder=RecordingChecker(),
-            telemetry=chip.obs.snapshot(),
-        ),
-        plan,
-        plan.run_batched([inputs, inputs]),
-    )
+    result.plan = plan = recorder.finish(run)
+    if plan.ok:
+        chip = fresh_chip(trace=True)
+        result.replay = execution(chip, plan.replay_into(chip))
+        result.batched = plan.run_batched([inputs, inputs])
+        _compare(result)
+    return result
 
 
 def assert_lockstep(compiled: CompiledProgram, **kwargs) -> LockstepResult:
@@ -306,152 +205,85 @@ def assert_lockstep(compiled: CompiledProgram, **kwargs) -> LockstepResult:
 
 # ----------------------------------------------------------------------
 def _compare(result: LockstepResult) -> None:
-    slow, fast = result.slow, result.fast
-    note = result.mismatches.append
-
-    if slow.run.cycles != fast.run.cycles:
-        note(
-            f"cycle count: slow={slow.run.cycles} fast={fast.run.cycles}"
-        )
-    if slow.run.instructions != fast.run.instructions:
-        note(
-            f"instructions: slow={slow.run.instructions} "
-            f"fast={fast.run.instructions}"
-        )
-    if slow.run.ecc_corrections != fast.run.ecc_corrections:
-        note(
-            f"ecc corrections: slow={slow.run.ecc_corrections} "
-            f"fast={fast.run.ecc_corrections}"
-        )
-    if slow.run.activity != fast.run.activity:
-        note(
-            f"activity counts: slow={slow.run.activity} "
-            f"fast={fast.run.activity}"
-        )
-
-    if slow.run.trace != fast.run.trace:
-        for i, (a, b) in enumerate(zip(slow.run.trace, fast.run.trace)):
-            if a != b:
-                note(f"trace[{i}]: slow={a} fast={b}")
-                break
-        else:
-            note(
-                f"trace length: slow={len(slow.run.trace)} "
-                f"fast={len(fast.run.trace)}"
-            )
-
-    sev, fev = slow.recorder.events, fast.recorder.events
-    if sev != fev:
-        for i, (a, b) in enumerate(zip(sev, fev)):
-            if a != b:
-                note(f"checker event[{i}]: slow={a} fast={b}")
-                break
-        else:
-            note(f"checker events: slow={len(sev)} fast={len(fev)}")
-    if slow.recorder.final_cycle != fast.recorder.final_cycle:
-        note(
-            f"checker finish cycle: slow={slow.recorder.final_cycle} "
-            f"fast={fast.recorder.final_cycle}"
-        )
-
-    if slow.telemetry != fast.telemetry:
-        note(_telemetry_divergence(slow.telemetry, fast.telemetry))
-
-    for name in sorted(set(slow.outputs) | set(fast.outputs)):
-        a, b = slow.outputs.get(name), fast.outputs.get(name)
-        if a is None or b is None:
-            note(f"output {name!r} missing from one mode")
-        elif a.shape != b.shape or a.tobytes() != b.tobytes():
-            note(f"output {name!r} differs bit-wise")
-
-    slices = sorted(set(slow.memory) | set(fast.memory))
-    for name in slices:
-        a, b = slow.memory.get(name), fast.memory.get(name)
-        if a is None or b is None:
-            note(f"MEM slice {name} materialized in only one mode")
-        elif a != b:
-            note(f"MEM slice {name} differs bit-wise")
-
-    if result.replay is not None:
-        _compare_replay(result)
-
-
-def _compare_replay(result: LockstepResult) -> None:
-    """Third leg: the replayed plan against the cycle-by-cycle reference.
+    """The replayed plan against the simulation.
 
     Everything the replay engine reconstructs must be bit-identical to
-    the dense run: outputs, memory, cycle/instruction counts, activity,
-    the dispatch trace, and the merged telemetry snapshot.  A replay
-    walks no cycle, so its ``skipped_cycles`` must equal its ``cycles``.
-    Both rows of the pure batched evaluation must equal the dense outputs
-    too — a constant that failed to broadcast against a batched slot
-    shows up there, not in the batch of one.
+    the simulated run: outputs, memory, cycle/instruction counts, ECC
+    corrections, activity, the dispatch trace, and the merged telemetry
+    snapshot.  A simulation walks every cycle and a replay none, so
+    ``skipped_cycles`` must be 0 and ``cycles`` respectively.  Both rows
+    of the pure batched evaluation must equal the simulated outputs too
+    — a constant that failed to broadcast against a batched slot shows
+    up there, not in the batch of one.
     """
-    slow, replay = result.slow, result.replay
+    sim, replay = result.simulated, result.replay
     note = result.mismatches.append
 
-    if replay.run.cycles != slow.run.cycles:
+    for what in ("cycles", "instructions", "ecc_corrections", "activity"):
+        a, b = getattr(sim.run, what), getattr(replay.run, what)
+        if a != b:
+            note(f"{what}: simulated={a} replay={b}")
+    if sim.run.skipped_cycles or replay.run.skipped_cycles != replay.run.cycles:
         note(
-            f"replay cycle count: slow={slow.run.cycles} "
-            f"replay={replay.run.cycles}"
+            f"skipped cycles: simulated={sim.run.skipped_cycles} "
+            f"replay={replay.run.skipped_cycles} of {replay.run.cycles}"
         )
-    if replay.run.instructions != slow.run.instructions:
+
+    def first_difference(what: str, a: list, b: list) -> None:
+        if a == b:
+            return
+        for i, (x, y) in enumerate(zip(a, b)):
+            if x != y:
+                note(f"{what}[{i}]: simulated={x} replay={y}")
+                return
+        note(f"{what} length: simulated={len(a)} replay={len(b)}")
+
+    first_difference("trace", sim.run.trace, replay.run.trace)
+    first_difference(
+        "checker dispatch",
+        [e[1:] for e in result.recorder.events if e[0] == "dispatch"],
+        [(t.cycle, t.icu, t.mnemonic, t.text) for t in replay.run.trace],
+    )
+    if result.recorder.final_cycle != replay.run.cycles:
         note(
-            f"replay instructions: slow={slow.run.instructions} "
-            f"replay={replay.run.instructions}"
+            f"checker finish cycle: simulated="
+            f"{result.recorder.final_cycle} replay={replay.run.cycles}"
         )
-    if replay.run.skipped_cycles != replay.run.cycles:
-        note(
-            f"replay skipped cycles: cycles={replay.run.cycles} "
-            f"skipped={replay.run.skipped_cycles}"
-        )
-    if replay.run.activity != slow.run.activity:
-        note(
-            f"replay activity counts: slow={slow.run.activity} "
-            f"replay={replay.run.activity}"
-        )
-    if replay.run.trace != slow.run.trace:
-        for i, (a, b) in enumerate(zip(slow.run.trace, replay.run.trace)):
-            if a != b:
-                note(f"replay trace[{i}]: slow={a} replay={b}")
-                break
-        else:
-            note(
-                f"replay trace length: slow={len(slow.run.trace)} "
-                f"replay={len(replay.run.trace)}"
-            )
-    if replay.telemetry != slow.telemetry:
-        note("replay " + _telemetry_divergence(slow.telemetry, replay.telemetry))
-    for name in sorted(set(slow.outputs) | set(replay.outputs)):
-        a, b = slow.outputs.get(name), replay.outputs.get(name)
+
+    if sim.telemetry != replay.telemetry:
+        note(_telemetry_divergence(sim.telemetry, replay.telemetry))
+
+    for name in sorted(set(sim.outputs) | set(replay.outputs)):
+        a, b = sim.outputs.get(name), replay.outputs.get(name)
         if a is None or b is None:
-            note(f"replay output {name!r} missing from one mode")
+            note(f"output {name!r} missing from one route")
         elif a.shape != b.shape or a.tobytes() != b.tobytes():
-            note(f"replay output {name!r} differs bit-wise")
+            note(f"output {name!r} differs bit-wise")
     for row, outputs in enumerate(result.batched):
-        for name, a in slow.outputs.items():
+        for name, a in sim.outputs.items():
             b = outputs.get(name)
             if b is None or a.shape != b.shape or a.tobytes() != b.tobytes():
                 note(f"batched replay row {row}: output {name!r} differs")
-    for name in sorted(set(slow.memory) | set(replay.memory)):
-        a, b = slow.memory.get(name), replay.memory.get(name)
+
+    for name in sorted(set(sim.memory) | set(replay.memory)):
+        a, b = sim.memory.get(name), replay.memory.get(name)
         if a is None or b is None:
-            note(f"replay MEM slice {name} materialized in only one mode")
+            note(f"MEM slice {name} materialized on only one route")
         elif a != b:
-            note(f"replay MEM slice {name} differs bit-wise")
+            note(f"MEM slice {name} differs bit-wise")
 
 
-def _telemetry_divergence(slow: dict, fast: dict) -> str:
+def _telemetry_divergence(sim: dict, replay: dict) -> str:
     """Locate the first differing counter between two telemetry snapshots."""
     for scope in ("window_cycles", "cycles"):
-        if slow.get(scope) != fast.get(scope):
+        if sim.get(scope) != replay.get(scope):
             return (
-                f"telemetry {scope}: slow={slow.get(scope)} "
-                f"fast={fast.get(scope)}"
+                f"telemetry {scope}: simulated={sim.get(scope)} "
+                f"replay={replay.get(scope)}"
             )
-    sc, fc = slow.get("counters", {}), fast.get("counters", {})
-    for unit in sorted(set(sc) | set(fc)):
-        a, b = sc.get(unit, {}), fc.get(unit, {})
+    sc, rc = sim.get("counters", {}), replay.get("counters", {})
+    for unit in sorted(set(sc) | set(rc)):
+        a, b = sc.get(unit, {}), rc.get(unit, {})
         for counter in sorted(set(a) | set(b)):
             wa, wb = a.get(counter, {}), b.get(counter, {})
             if wa == wb:
@@ -461,14 +293,14 @@ def _telemetry_divergence(slow: dict, fast: dict) -> str:
                 if va != vb:
                     return (
                         f"telemetry {unit}.{counter} window {window}: "
-                        f"slow={va} fast={vb}"
+                        f"simulated={va} replay={vb}"
                     )
-    ss, fs = slow.get("scalars", {}), fast.get("scalars", {})
-    for key in sorted(set(ss) | set(fs)):
-        if ss.get(key) != fs.get(key):
+    ss, rs = sim.get("scalars", {}), replay.get("scalars", {})
+    for key in sorted(set(ss) | set(rs)):
+        if ss.get(key) != rs.get(key):
             return (
-                f"telemetry scalar {key}: slow={ss.get(key)} "
-                f"fast={fs.get(key)}"
+                f"telemetry scalar {key}: simulated={ss.get(key)} "
+                f"replay={rs.get(key)}"
             )
     return "telemetry snapshots differ (structure mismatch)"
 
@@ -481,8 +313,8 @@ def assert_trace_lockstep(tracer_a, tracer_b) -> None:
     (:meth:`repro.obs.rtrace.RequestTracer.cycle_signature` — span cycle
     counts plus retained instruction-dispatch events, host microseconds
     excluded, order-insensitive) is a pure function of the executed
-    programs, so a serve session traced under the dense core and one
-    traced under the fast-forward core must agree exactly.  Raises
+    programs, so two serve sessions that ran the same programs — one
+    simulating them, one replaying them — must agree exactly.  Raises
     :class:`~repro.errors.DivergenceError` at the first differing entry.
     """
     sig_a = tracer_a.cycle_signature()

@@ -89,16 +89,13 @@ def run_differential(
     checkers: list[InvariantChecker] | None = None,
     warmup_barrier: bool = False,
     max_cycles: int = 1_000_000,
-    fast_forward: bool = True,
 ) -> DifferentialResult:
     """Execute on the simulator and the interpreter; compare bit-exactly.
 
     ``after_load(chip)`` runs after the memory image and inputs are
     emplaced but before the program starts — the hook used by negative
     tests to seed faults.  ``checkers`` are attached to the chip for the
-    run and returned on the result for inspection.  ``fast_forward``
-    selects the simulator's execution core, so the oracle can referee
-    both the skipping path and the cycle-by-cycle reference.
+    run and returned on the result for inspection.
     """
     compiled = compiled if compiled is not None else builder.compile()
     inputs = inputs or {}
@@ -118,7 +115,6 @@ def run_differential(
         compiled.program,
         max_cycles=max_cycles,
         warmup_barrier=warmup_barrier,
-        fast_forward=fast_forward,
     )
     outputs = {
         name: fetch_output(chip, spec)

@@ -2,9 +2,8 @@
 
 Compiled cases go through :func:`repro.verify.oracle.assert_conformance`
 with the full checker stack attached (stream collisions, bank discipline,
-the Equation-4/5 timing contract) and then through the three-way
-dense / fast-forward / replay lockstep; instructions the stream compiler never
-emits — ``LW``, ``Scatter``, ``Repeat``, ``Config``, ``Ifetch``,
+the Equation-4/5 timing contract) and then through the simulated /
+replayed lockstep; instructions the stream compiler never emits — ``LW``, ``Scatter``, ``Repeat``, ``Config``, ``Ifetch``,
 ``Deskew``/``Send``/``Receive`` — are exercised by hand-built programs with
 independently computed expected results.  One :class:`CoverageTracker`
 observes every run, and :func:`run_conformance` fails if any instruction

@@ -165,9 +165,8 @@ class TestSharedCycleCore:
         return program
 
     @pytest.mark.parametrize("trailing_nop", [False, True])
-    @pytest.mark.parametrize("fast_forward", [False, True])
     def test_link_free_system_equals_independent_chips(
-        self, config, rng, fast_forward, trailing_nop
+        self, config, rng, trailing_nop
     ):
         n_chips = 3
         data = rng.integers(0, 256, (4, config.n_lanes), dtype=np.uint8)
@@ -180,29 +179,24 @@ class TestSharedCycleCore:
         programs = [
             self._paced_copy(chip, 40, trailing_nop) for chip in system.chips
         ]
-        together = system.run(programs, fast_forward=fast_forward)
+        together = system.run(programs)
         alone = [
-            chip.run(program, fast_forward=fast_forward)
-            for chip, program in zip(singles, programs)
+            chip.run(program) for chip, program in zip(singles, programs)
         ]
         for shared, own in zip(together, alone):
             assert shared.cycles == own.cycles
-            assert shared.skipped_cycles == own.skipped_cycles
+            assert shared.skipped_cycles == own.skipped_cycles == 0
             assert shared.instructions == own.instructions
             assert shared.activity == own.activity
             assert shared.trace == own.trace
-        if fast_forward:
-            assert together[0].skipped_cycles > 0
         for chip, single in zip(system.chips, singles):
             assert chip.memory_image() == single.memory_image()
 
-    @pytest.mark.parametrize("fast_forward", [False, True])
-    def test_system_waits_out_a_trailing_nop(self, config, fast_forward):
+    def test_system_waits_out_a_trailing_nop(self, config):
         """A trailing NOP is timed behaviour on a system as on a chip:
         ``Read`` at cycle 0, ``Nop(50)`` dispatched at cycle 1 holds its
         queue through cycle 50, so the run is 51 cycles — on both chips,
-        though the peer's lone ``Read`` has long drained, and the drained
-        peer does not stop the system from skipping the wait."""
+        though the peer's lone ``Read`` has long drained."""
         def program(chip, trailing):
             program = Program()
             src = IcuId(chip.floorplan.mem_slice(Hemisphere.WEST, 0))
@@ -213,16 +207,14 @@ class TestSharedCycleCore:
 
         system = MultiChipSystem.ring(config, 2)
         results = system.run(
-            [program(system.chips[0], 50), program(system.chips[1], 0)],
-            fast_forward=fast_forward,
+            [program(system.chips[0], 50), program(system.chips[1], 0)]
         )
         lone_chip = TspChip(config)
-        lone = lone_chip.run(program(lone_chip, 50), fast_forward=fast_forward)
+        lone = lone_chip.run(program(lone_chip, 50))
         assert [r.cycles for r in results] == [51, 51] == [lone.cycles] * 2
         assert [r.instructions for r in results] == [2, 1]
-        skipped = 45 if fast_forward else 0
-        assert [r.skipped_cycles for r in results] == [skipped, skipped]
-        assert lone.skipped_cycles == skipped
+        assert [r.skipped_cycles for r in results] == [0, 0]
+        assert lone.skipped_cycles == 0
 
     def test_system_run_goes_through_the_chip_step_body(
         self, config, monkeypatch

@@ -47,9 +47,9 @@ def conform(builder, inputs=None, seed=None):
 
     Every corpus program is additionally executed under the lockstep
     comparator (:func:`repro.verify.assert_lockstep`), so the fuzz corpus
-    continuously re-proves that the fast-forward core is bit-identical to
-    the cycle-by-cycle reference — memory, traces, cycle counts, and
-    checker event streams.
+    continuously re-proves that a recorded plan's replay is bit-identical
+    to the simulation — memory, traces, cycle counts, telemetry, and the
+    checker's dispatch stream.
 
     Returns the :class:`repro.verify.DifferentialResult`, so callers can
     additionally assert their own independent numpy oracle against

@@ -71,8 +71,8 @@ class TestEventQueue:
 
     def test_event_for_the_current_cycle_after_its_phase_ran_is_stale(self):
         """A DRIVE registered during CAPTURE of the same cycle has missed
-        its phase: it never runs, stays pending, and pins the skip
-        horizon to single steps instead of being jumped over."""
+        its phase: it never runs and stays pending (so the run it belongs
+        to cannot finish quietly)."""
         q = EventQueue()
         log = []
 
@@ -83,35 +83,16 @@ class TestEventQueue:
         assert q.run_phase(3, Phase.DRIVE) == 0
         assert q.run_phase(3, Phase.CAPTURE) == 1
         assert q.pending == 1
-        assert q.next_active_cycle(3) == 4
         assert q.run_phase(4, Phase.DRIVE) == 0
         assert log == [] and q.pending == 1
-        assert q.next_active_cycle(10) == 11
 
-    def test_next_active_cycle_over_stale_and_future_entries(self):
+    def test_stale_entry_does_not_block_later_events(self):
         q = EventQueue()
-        assert q.next_active_cycle(0) is None
         q.schedule(9, Phase.CAPTURE, lambda c: None)
         q.schedule(4, Phase.DRIVE, lambda c: None)
-        assert q.next_active_cycle(0) == 4
-        assert q.next_active_cycle(4) == 5  # cycle 4's event is now stale
-        # a stale entry does not block later events from running
+        # cycle 4 passes unserved: its event is stale from here on
         assert q.run_phase(9, Phase.CAPTURE) == 1
         assert q.pending == 1
-        assert q.next_active_cycle(9) == 10
-
-    def test_next_active_cycle_forgets_cycles_that_ran(self):
-        q = EventQueue()
-        for cycle in (2, 6):
-            q.schedule(cycle, Phase.DRIVE, lambda c: None)
-            q.schedule(cycle, Phase.CAPTURE, lambda c: None)
-        q.run_phase(2, Phase.DRIVE)
-        assert q.next_active_cycle(1) == 2  # CAPTURE at 2 still due
-        q.run_phase(2, Phase.CAPTURE)
-        assert q.next_active_cycle(2) == 6
-        q.run_phase(6, Phase.DRIVE)
-        q.run_phase(6, Phase.CAPTURE)
-        assert q.pending == 0 and q.next_active_cycle(6) is None
 
     def test_clear_drops_everything(self):
         q = EventQueue()
@@ -119,12 +100,11 @@ class TestEventQueue:
         q.schedule(8, Phase.CAPTURE, lambda c: None)
         q.clear()
         assert q.pending == 0
-        assert q.next_active_cycle(0) is None
         assert q.run_phase(1, Phase.DRIVE) == 0
+        assert q.run_phase(8, Phase.CAPTURE) == 0
 
-    def test_cycle_heap_empties_when_the_store_drains(self):
-        # nobody asks ``next_active_cycle`` on a dense run, so the heap of
-        # bucket cycles must not rely on it to shrink
+    def test_bucket_tables_empty_when_the_store_drains(self):
+        # a chip reused for many runs must not grow its event store
         q = EventQueue()
         for _run in range(3):
             for cycle in range(50):
@@ -133,4 +113,4 @@ class TestEventQueue:
             for cycle in range(50):
                 q.run_phase(cycle, Phase.DRIVE)
                 q.run_phase(cycle, Phase.CAPTURE)
-            assert q.pending == 0 and q._cycles == []
+            assert q.pending == 0 and q._buckets == ({}, {})

@@ -2,10 +2,10 @@
 
 The load-bearing property is the one ``ISSUE``d by the paper's determinism
 argument: an attached :class:`~repro.obs.TelemetryCollector` produces a
-**bit-identical** snapshot whether the run executed cycle-by-cycle or
-under fast-forward — per window, per unit, per counter.  The tests here
-assert that directly, plus the closed-form primitives it rests on and the
-coarse ``ActivityCounts`` rollup contract.
+**bit-identical** snapshot whether the run was simulated cycle by cycle
+or replayed from its recorded plan — per window, per unit, per counter.
+The tests here assert that directly, plus the closed-form primitives it
+rests on and the coarse ``ActivityCounts`` rollup contract.
 """
 
 from __future__ import annotations
@@ -22,20 +22,15 @@ from repro.sim.chip import TspChip
 from golden_programs import GOLDEN_PROGRAMS
 
 
-def _run_with_collector(compiled, fast_forward, window_cycles=64):
+def _run_with_collector(compiled, window_cycles=64):
+    """``execute`` on a fresh chip with a fresh collector: the first call
+    for a program simulates and records it, later ones replay the plan."""
     chip = TspChip(compiled.config)
     collector = TelemetryCollector(window_cycles=window_cycles)
     chip.attach_telemetry(collector)
-    from repro.compiler.runner import bind_input, fetch_output, load_compiled
-
-    load_compiled(chip, compiled)
     assert not compiled.inputs
-    run = chip.run(compiled.program, fast_forward=fast_forward)
-    outputs = {
-        name: fetch_output(chip, spec)
-        for name, spec in compiled.outputs.items()
-    }
-    return run, collector, outputs
+    result = execute(compiled, chip=chip)
+    return result.run, collector, result.outputs
 
 
 class TestCountSpan:
@@ -73,78 +68,62 @@ class TestCountSpan:
             TelemetryCollector(window_cycles=0)
 
 
-class TestStreamIntegration:
-    """Flow-integrated SRF counters: bulk skip == one cycle at a time."""
+class TestStreamFlow:
+    """Flow-counted SRF counters: per-direction totals == per-value walk."""
 
-    def _drive(self, collector, positions_by_cycle, last, lanes, bulk):
-        """Feed the same trajectory as n=1 steps or one bulk shift."""
-        if bulk:
-            e0, w0 = positions_by_cycle[0]
-            collector.on_stream_shift(
-                0, len(positions_by_cycle),
-                np.array(e0), np.array(w0), last, lanes,
-            )
-        else:
-            # one cycle never crosses a window: settled from the totals,
-            # the way the stream register file reports its one-hop steps
-            for cycle, (e, w) in enumerate(positions_by_cycle):
-                fell_e, fell_w = e.count(last), w.count(0)
-                collector.on_stream_flow(
-                    cycle, lanes,
-                    len(e), len(e) - fell_e, fell_e,
-                    len(w), len(w) - fell_w, fell_w,
-                )
-
-    def test_bulk_shift_equals_dense_steps(self):
-        last, lanes, n = 7, 16, 6
+    def test_flow_totals_equal_per_value_counting(self):
+        last, lanes, n, width = 7, 16, 6, 4
         e = np.array([0, 3, 6, 7])
         w = np.array([0, 1, 5])
-        trajectory = []
-        ce, cw = e.copy(), w.copy()
-        for _ in range(n):
-            trajectory.append((ce.tolist(), cw.tolist()))
-            ce = ce[ce < last] + 1
-            cw = cw[cw > 0] - 1
-        dense = TelemetryCollector(window_cycles=4)
-        bulk = TelemetryCollector(window_cycles=4)
-        self._drive(dense, trajectory, last, lanes, bulk=False)
-        self._drive(bulk, trajectory, last, lanes, bulk=True)
-        assert dense.snapshot() == bulk.snapshot()
+        flow = TelemetryCollector(window_cycles=width)
+        walked = TelemetryCollector(window_cycles=width)
+        for cycle in range(n):
+            # the way the stream register file reports each one-hop step
+            fell_e, fell_w = int((e == last).sum()), int((w == 0).sum())
+            flow.on_stream_flow(
+                cycle, lanes,
+                e.size, e.size - fell_e, fell_e,
+                w.size, w.size - fell_w, fell_w,
+            )
+            # one value at a time: a live register is occupied this
+            # cycle; the hop is billed only if the value lands
+            for unit, positions, edge in (("srf:E", e, last), ("srf:W", w, 0)):
+                for p in positions.tolist():
+                    walked.count(unit, "occupancy_cycles", cycle)
+                    if p != edge:
+                        walked.count(unit, "hop_bytes", cycle, lanes)
+            e = e[e < last] + 1
+            w = w[w > 0] - 1
+        assert flow.snapshot() == walked.snapshot()
 
     def test_empty_register_file_counts_nothing(self):
         collector = TelemetryCollector(window_cycles=4)
-        collector.on_stream_shift(
-            0, 10, np.array([], dtype=int), np.array([], dtype=int), 7, 16
-        )
+        collector.on_stream_flow(0, 16, 0, 0, 0, 0, 0, 0)
         assert collector.totals() == {}
 
 
-class TestFastForwardExactness:
-    """Dense vs fast-forward telemetry, over every golden program."""
+class TestReplayExactness:
+    """Simulated vs replayed telemetry, over every golden program."""
 
     @pytest.mark.parametrize("name", sorted(GOLDEN_PROGRAMS))
     def test_snapshots_bit_identical(self, name):
         compiled = GOLDEN_PROGRAMS[name]().compile()
-        slow_run, slow, slow_out = _run_with_collector(compiled, False)
-        fast_run, fast, fast_out = _run_with_collector(compiled, True)
-        assert slow.snapshot() == fast.snapshot()
-        for key in slow_out:
-            assert slow_out[key].tobytes() == fast_out[key].tobytes()
+        sim_run, simulated, sim_out = _run_with_collector(compiled)
+        replay_run, replayed, replay_out = _run_with_collector(compiled)
+        assert compiled.replay.replays == 1
+        assert sim_run.skipped_cycles == 0
+        assert replay_run.skipped_cycles == replay_run.cycles
+        assert simulated.snapshot() == replayed.snapshot()
+        for key in sim_out:
+            assert sim_out[key].tobytes() == replay_out[key].tobytes()
 
-    def test_skip_path_exercised(self):
-        # at least the matmul golden contains quiescent spans, so the
-        # equality above covers the analytic integration, not only n=1
+    def test_rollup_equals_run_activity(self):
         compiled = GOLDEN_PROGRAMS["matmul"]().compile()
-        fast_run, _, _ = _run_with_collector(compiled, True)
-        assert fast_run.skipped_cycles > 0
-
-    @pytest.mark.parametrize("fast_forward", [False, True])
-    def test_rollup_equals_run_activity(self, fast_forward):
-        compiled = GOLDEN_PROGRAMS["matmul"]().compile()
-        run, collector, _ = _run_with_collector(compiled, fast_forward)
-        rollup = collector.rollup()
-        assert rollup == run.activity
-        assert rollup.cycles == run.cycles
+        for _route in ("simulated", "replayed"):
+            run, collector, _ = _run_with_collector(compiled)
+            rollup = collector.rollup()
+            assert rollup == run.activity
+            assert rollup.cycles == run.cycles
 
 
 class TestRollupMapping:

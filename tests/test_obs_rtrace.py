@@ -8,10 +8,12 @@ Three layers of guarantees:
   queue-wait, batch, checkout, cache/compile, per-chip execution, and —
   sharded over a ring — per-stage and per-hop transfer spans, rendered
   into ONE unified Perfetto trace with chip events anchored to host µs.
-* The cycle-domain projection of a trace is bit-identical between the
-  dense and fast-forward cores (:func:`assert_trace_lockstep`), because
+* The cycle-domain projection of a trace is bit-identical between two
+  sessions of the same work (:func:`assert_trace_lockstep`), because
   on-chip work is a pure function of the executed programs.
 """
+
+import threading
 
 import numpy as np
 import pytest
@@ -32,11 +34,45 @@ from repro.verify import assert_trace_lockstep
 
 #: phases the serving-path tests of this file assert spans of
 #: (``TestServeTracing`` the single-chip ones, ``TestShardedTracing``
-#: ``stage`` and ``transfer``, ``TestTracingWork`` ``batch_form``)
+#: ``stage``, ``transfer`` and ``build``, ``TestTracingWork``
+#: ``batch_form``, ``TestCacheSpans`` ``compile_wait``)
 SERVING_PHASES = {
-    "queue_wait", "batch_form", "checkout", "cache", "compile", "execute",
-    "stage", "transfer", "respond",
+    "queue_wait", "batch_form", "checkout", "cache", "compile_wait",
+    "compile", "build", "execute", "stage", "transfer", "respond",
 }
+
+
+@pytest.fixture(scope="module", autouse=True)
+def _span_names():
+    """Name of every span handed to ``RequestTracer.record`` while this
+    module runs (module-scoped, so class-scoped sessions are seen too)."""
+    names = []
+    record = RequestTracer.record
+
+    def noting(self, name, *args, **kwargs):
+        names.append(name)
+        return record(self, name, *args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(RequestTracer, "record", noting)
+        yield names
+
+
+@pytest.fixture(autouse=True)
+def recorded(request, _span_names):
+    """The spans recorded during this test (and the fixtures it set up),
+    in order.  The other way round from
+    ``test_phase_names_cover_serving_path``: whatever a serving test
+    records is a root or a listed phase — no unlisted phases."""
+    yield _span_names
+    names = set(_span_names)
+    _span_names.clear()
+    if request.cls is TestRequestTracer:
+        return  # the tracer's own unit tests record made-up names
+    phases = {
+        n for n in names if n != "request" and not n.startswith("batch ")
+    }
+    assert phases <= set(PHASES), phases - set(PHASES)
 
 
 class TestRequestTracer:
@@ -107,7 +143,8 @@ class TestRequestTracer:
     def test_phase_names_cover_serving_path(self):
         """Every listed phase is a span some test sees recorded: the
         serving ones below in this file, the self-healing ones in
-        ``tests/test_serve_resilient.py`` — no phantom phases."""
+        ``tests/test_serve_resilient.py`` — no phantom phases.  (That no
+        recorded span is unlisted is held by the ``recorded`` fixture.)"""
         import test_serve_resilient as resilient
 
         for path in resilient.HEALING_PHASE_TESTS.values():
@@ -247,20 +284,6 @@ class TestServeTracing:
         assert stats["spans"]["max_spans"] == 4096
 
 
-@pytest.fixture()
-def recorded(monkeypatch):
-    """Name of every span handed to ``RequestTracer.record``, in order."""
-    names = []
-    record = RequestTracer.record
-
-    def counting(self, name, *args, **kwargs):
-        names.append(name)
-        return record(self, name, *args, **kwargs)
-
-    monkeypatch.setattr(RequestTracer, "record", counting)
-    return names
-
-
 class TestSpanRingBuffer:
     """A server's span memory must not grow without bound, and what it
     sheds is counted where the exporter reads it."""
@@ -398,6 +421,7 @@ class TestShardedTracing:
         names = [s.name for s in tree]
         assert "stage" in names
         assert "transfer" in names
+        assert "build" in names  # the hop's transfer programs, first seen
         transfers = [s for s in tree if s.name == "transfer"]
         for span in transfers:
             assert span.cycles > 0
@@ -441,43 +465,100 @@ class TestShardedTracing:
         assert {s.id for s in tree} <= spans_in_trace
 
 
+class TestCacheSpans:
+    def test_coalesced_lookup_records_compile_wait(self, config):
+        """Two workers miss on one key: the leader's lookup is ``cache``
+        + ``compile``, the waiter's — parked on the in-flight compile —
+        is one ``compile_wait``."""
+        from repro.compiler import StreamProgramBuilder
+        from repro.serve import ProgramCache
+
+        builder = StreamProgramBuilder(config)
+        x = builder.constant_tensor(
+            "x", np.arange(2 * config.n_lanes, dtype=np.int8).reshape(2, -1)
+        )
+        builder.write_back(builder.add(x, x), "y")
+        cache = ProgramCache()
+        key = cache.key_for(builder)
+        tracer = RequestTracer(max_spans=64)
+        compiling, parked = threading.Event(), threading.Event()
+
+        class Announcing(threading.Event):
+            def wait(self, timeout=None):
+                parked.set()
+                return super().wait(timeout)
+
+        compile_ = builder.compile
+
+        def slow_compile(**kwargs):
+            cache._inflight[key].done = Announcing()
+            compiling.set()
+            assert parked.wait(30.0)  # hold the flight open for the waiter
+            return compile_(**kwargs)
+
+        builder.compile = slow_compile
+        results = {}
+
+        def lookup(worker):
+            ctx = TraceContext(
+                tracer=tracer, span_id=tracer.next_id(), worker=worker
+            )
+            token = rtrace.push(ctx)
+            try:
+                results[worker] = cache.get_or_compile(builder)
+            finally:
+                rtrace.pop(token)
+
+        leader = threading.Thread(target=lookup, args=("leader",))
+        waiter = threading.Thread(target=lookup, args=("waiter",))
+        leader.start()
+        assert compiling.wait(30.0)
+        waiter.start()
+        for thread in (leader, waiter):
+            thread.join(60.0)
+            assert not thread.is_alive()
+        by_worker = {
+            worker: [s.name for s in tracer.spans() if s.track == worker]
+            for worker in ("leader", "waiter")
+        }
+        assert by_worker == {
+            "leader": ["cache", "compile"], "waiter": ["compile_wait"],
+        }
+        assert results["waiter"][0] is results["leader"][0]
+        assert results["waiter"][2] and not results["leader"][2]  # hit flags
+
+
 class TestTraceLockstep:
-    def _traced_pipeline(self, config, runner, x, n_chips, fast_forward):
+    def _traced_pipeline(self, config, runner, x, n_chips):
         tracer = RequestTracer(max_spans=4096, chip_events=True)
         ctx = TraceContext(tracer=tracer, span_id=tracer.next_id(),
                            batch_id=0, model="cnn", worker="w0")
         token = rtrace.push(ctx)
         try:
-            result = execute_pipeline(
-                runner, x, n_chips, fast_forward=fast_forward,
-            )
+            result = execute_pipeline(runner, x, n_chips)
         finally:
             rtrace.pop(token)
         return tracer, result
 
-    def test_dense_and_fast_forward_traces_cycle_identical(self, config):
+    def test_two_sessions_of_the_same_work_are_cycle_identical(self, config):
         cnn, data = _trained_cnn()
         runner = TspCnnRunner(cnn, config, data.x_train[:16],
                               max_vectors_per_program=32)
         x = data.x_test[:2]
-        dense, res_d = self._traced_pipeline(config, runner, x, 2, False)
-        fast, res_f = self._traced_pipeline(config, runner, x, 2, True)
-        assert np.array_equal(res_d.logits, res_f.logits)
-        sig = dense.cycle_signature()
+        first, res_a = self._traced_pipeline(config, runner, x, 2)
+        again, res_b = self._traced_pipeline(config, runner, x, 2)
+        assert np.array_equal(res_a.logits, res_b.logits)
+        sig = first.cycle_signature()
         assert sig  # anchored spans exist
-        assert sig == fast.cycle_signature()
-        assert_trace_lockstep(dense, fast)
+        assert sig == again.cycle_signature()
+        assert_trace_lockstep(first, again)
 
     def test_divergent_traces_raise(self, config):
         cnn, data = _trained_cnn()
         runner = TspCnnRunner(cnn, config, data.x_train[:16],
                               max_vectors_per_program=32)
-        one, _ = self._traced_pipeline(
-            config, runner, data.x_test[:1], 2, True
-        )
-        two, _ = self._traced_pipeline(
-            config, runner, data.x_test[:2], 2, True
-        )
+        one, _ = self._traced_pipeline(config, runner, data.x_test[:1], 2)
+        two, _ = self._traced_pipeline(config, runner, data.x_test[:2], 2)
         with pytest.raises(DivergenceError):
             assert_trace_lockstep(one, two)
 

@@ -115,7 +115,7 @@ class TestPairingIsInvisibleExceptInCycles:
             == len(near.replay.ops)
             == len(single.replay.ops)
         )
-        # dense / fast-forward / recorded-plan replay agree on everything
+        # simulation and recorded-plan replay agree on everything
         result = assert_lockstep(healthy, inputs=inputs)
         assert result.replay is not None, result.plan.reason
         # ... and so does the pure batched plan the warm path serves from

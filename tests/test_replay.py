@@ -20,6 +20,7 @@ pin the contract that makes record-once/replay-many safe:
 import numpy as np
 import pytest
 
+from golden_programs import GOLDEN_PROGRAMS
 from repro.arch import Direction, DType, Hemisphere
 from repro.compiler import StreamProgramBuilder, execute
 from repro.compiler.runner import execute_batched
@@ -31,6 +32,7 @@ from repro.sim.faults import FaultInjector
 from repro.sim.icu import QueueSet
 from repro.sim.replay import ScheduleRecorder, record_allowed, replay_allowed
 from repro.sim.streamreg import StreamRegisterFile
+from repro.verify import assert_lockstep
 from repro.verify.invariants import StreamCollisionChecker
 from repro.verify.suite import FED_PROGRAMS
 
@@ -129,20 +131,64 @@ class TestPlanSharesTheInstalledWeights:
         assert np.array_equal(replayed[0]["acc"], result["acc"])
 
 
+class TestLockstep:
+    """The comparator over the golden programs: simulation, write-through
+    replay and batched replay agree on every observable surface."""
+
+    @pytest.mark.parametrize("name", sorted(GOLDEN_PROGRAMS))
+    def test_lockstep_on_golden_programs(self, name):
+        builder = GOLDEN_PROGRAMS[name]()
+        result = assert_lockstep(builder.compile(), timing=builder.timing)
+        assert result.ok and result.replay is not None, result.plan.reason
+
+    def test_lockstep_with_warmup_barrier(self):
+        builder = GOLDEN_PROGRAMS["matmul"]()
+        compiled = builder.compile()
+        result = assert_lockstep(
+            compiled, timing=builder.timing, warmup_barrier=True
+        )
+        assert result.ok and result.replay is not None, result.plan.reason
+        # the barrier's park/release epoch is part of the compared run
+        assert result.replay.run.cycles > compiled.stats.makespan + 1
+
+    def test_lockstep_with_ecc(self):
+        builder = GOLDEN_PROGRAMS["conv3"]()
+        result = assert_lockstep(
+            builder.compile(), timing=builder.timing, enable_ecc=True
+        )
+        assert result.ok and result.replay is not None, result.plan.reason
+
+    def test_a_divergence_is_reported(self, config):
+        """The comparator is not vacuous: a replay that lands one wrong
+        byte, or one cycle off, fails it and says where."""
+        from repro.errors import DivergenceError
+        from repro.sim.replay import ReplayPlan
+
+        compiled, _ = build_input_matmul(config)
+        honest = ReplayPlan.replay_into
+
+        def off_by_one(plan, chip):
+            run = honest(plan, chip)
+            run.cycles += 1
+            return run
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(ReplayPlan, "replay_into", off_by_one)
+            with pytest.raises(DivergenceError, match="cycles: simulated="):
+                assert_lockstep(compiled, inputs={"acts": acts_for(5)})
+
+
 class TestLazyPlanTrace:
     """The recorder keeps raw dispatches; text is formatted on demand."""
 
     def test_trace_off_recording_replays_the_simulated_trace(self, config):
-        """dense / fast / replay three-way: the replay leg records on a
-        trace-off chip and replays into a trace-enabled one."""
-        from repro.verify import assert_lockstep
-
+        """Simulated vs replayed: the replay leg records on a trace-off
+        chip and replays into a trace-enabled one."""
         compiled, _ = build_input_matmul(config)
         result = assert_lockstep(compiled, inputs={"acts": acts_for(5)})
         assert result.replay is not None, result.plan.reason
-        assert result.replay.run.trace  # non-empty, and == dense (lockstep)
-        assert result.replay.run.trace == result.slow.run.trace
-        assert result.replay.run.trace == result.fast.run.trace
+        assert result.replay.run.trace  # non-empty, and == simulated
+        assert result.replay.run.trace == result.simulated.run.trace
 
     def test_nothing_is_formatted_until_a_trace_is_asked_for(self, config):
         compiled, _ = recorded_program(config)
@@ -186,7 +232,7 @@ class TestReplayWorkCounts:
         counted(TspChip, "step_cycle")
         counted(QueueSet, "dispatch")
         counted(StreamRegisterFile, "step")
-        counted(StreamRegisterFile, "step_n")
+        counted(StreamRegisterFile, "flush")
         return counts
 
     @staticmethod
@@ -212,8 +258,8 @@ class TestReplayWorkCounts:
         result = execute(compiled, chip=chip, inputs={"acts": acts_for(7)})
         assert plan.replays == 1
         # begin_run's drain of whatever the last run left in flight is the
-        # only stream shift; nothing steps, nothing dispatches
-        assert entered == {"step_n": 1}
+        # only stream movement; nothing steps, nothing dispatches
+        assert entered == {"flush": 1}
         assert len(taken) == len(plan.ops)
         assert result.run.cycles - result.run.skipped_cycles == 0
 

@@ -56,6 +56,49 @@ class TestCampaign:
             assert s["name"] in text
 
 
+class TestFullSize:
+    """CI's ``--quick`` is not the only size that has to work."""
+
+    def test_full_size_campaign_detects_and_recovers(self, tmp_path, capsys):
+        from repro.resil.__main__ import main
+
+        out = tmp_path / "BENCH_resil.json"
+        assert main(["-o", str(out)]) == 0
+        assert "8/8 detected" in capsys.readouterr().out
+        payload = json.loads(out.read_text())
+        assert not payload["quick"]
+        summary = payload["summary"]
+        assert summary["detected"] == summary["n_scenarios"]
+        assert summary["recovered"] == summary["recovery_attempts"]
+        noise = payload["scenarios"][0]
+        assert noise["name"] == "correctable_link_noise"
+        # every one of the 16 vectors corrected in line, and reproducibly
+        assert "across 16 vectors" in noise["notes"]
+        assert noise["bit_exact"] and noise["deterministic"]
+
+    def test_uncaught_fault_is_a_failed_scenario_not_a_traceback(
+        self, monkeypatch, capsys
+    ):
+        from repro.errors import C2cLinkError
+        from repro.resil import campaign
+        from repro.resil.__main__ import main
+
+        def scenario_cable_on_fire(config, quick):
+            raise C2cLinkError("vector seq 11 failed FEC", chip=1, cycle=117)
+
+        monkeypatch.setattr(
+            campaign, "SCENARIOS",
+            [campaign.scenario_watchdog_hang, scenario_cable_on_fire],
+        )
+        assert main([]) == 1  # the exit code is the gate
+        failed = run_campaign()["scenarios"][1]
+        assert failed["name"] == "cable_on_fire"
+        assert not failed["detected"] and not failed["recovered"]
+        assert "C2cLinkError" in failed["notes"]
+        assert "[chip 1, cycle 117] vector seq 11" in failed["notes"]
+        assert "cable_on_fire" in capsys.readouterr().out
+
+
 class TestCli:
     def test_main_writes_the_report(self, tmp_path, capsys):
         from repro.resil.__main__ import main

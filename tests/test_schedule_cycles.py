@@ -326,11 +326,10 @@ def test_ffn_single_token(config, models):
     assert stats.cycles == 31 + 35 == 66
 
 
-@pytest.mark.parametrize("fast_forward", [False, True])
 @pytest.mark.parametrize("name", sorted(GOLDEN_PROGRAMS))
-def test_run_length_is_the_scheduled_makespan(name, fast_forward):
+def test_run_length_is_the_scheduled_makespan(name):
     """The simulator retires the program one cycle after the last
-    scheduled dispatch, in both execution engines."""
+    scheduled dispatch."""
     compiled = GOLDEN_PROGRAMS[name]().compile()
-    result = execute(compiled, fast_forward=fast_forward)
+    result = execute(compiled)
     assert result.run.cycles == compiled.stats.makespan + 1

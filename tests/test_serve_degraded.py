@@ -11,8 +11,8 @@ the allocator simply never places on the dead resource; the arithmetic
 The deterministic half pins the scale-out story: a 3-chip pipeline with
 a dead ring cable re-routes stage hand-offs the long way around the ring
 (store-and-forward through the intermediate chip) and still matches the
-single-chip oracle — dense and fast-forward — even with the blacklisted
-MEM slice physically marked dead on every chip.
+single-chip oracle even with the blacklisted MEM slice physically marked
+dead on every chip.
 
 Spreading a matmul over MXM planes degrades by itself: a worker that lost
 the far hemisphere's planes, or the MEM slices next to them, serves the
@@ -120,21 +120,16 @@ class TestDegradedWorkerBitIdentical:
     )
     @given(
         blacklist=one_resource_blacklists(),
-        fast_forward=st.booleans(),
         seed=st.integers(0, 2**16),
     )
-    def test_runner_dense_and_fast_forward_match_reference(
-        self, mlp, blacklist, fast_forward, seed
-    ):
-        """Below the pool: the degraded compile itself is bit-exact in
-        both execution cores."""
+    def test_runner_matches_reference(self, mlp, blacklist, seed):
+        """Below the pool: the degraded compile itself is bit-exact."""
         rng = np.random.default_rng(seed)
         x = rng.standard_normal((2, 16))
         oracle = mlp.runner.forward(x)
         chip = TspChip(CONFIG, chip_id="degraded")
         degraded = mlp.runner.forward(
-            x, chip=chip, cache=ProgramCache(),
-            fast_forward=fast_forward, blacklist=blacklist,
+            x, chip=chip, cache=ProgramCache(), blacklist=blacklist,
         )
         assert np.array_equal(degraded.logits, oracle.logits)
 
@@ -305,17 +300,13 @@ class TestRingRerouteBitIdentical:
         )
         return runner, rng.standard_normal((3, 16))
 
-    @pytest.mark.parametrize("fast_forward", [True, False])
-    def test_dead_cable_reroutes_around_ring(self, fast_forward):
+    def test_dead_cable_reroutes_around_ring(self):
         runner, x = self.pipeline_runner()
         oracle = runner.forward(x)
         # cable 0 (East(0) <-> West(1)) dark: the stage-0 -> stage-1
         # hand-off must go 0 -> 2 -> 1 the long way around
         blacklist = Blacklist(ring_cables=frozenset({0}))
-        result = execute_pipeline(
-            runner, x, 3, blacklist=blacklist,
-            fast_forward=fast_forward,
-        )
+        result = execute_pipeline(runner, x, 3, blacklist=blacklist)
         assert np.array_equal(result.logits, oracle.logits)
 
     def test_reroute_with_physically_dead_slice(self):

@@ -152,8 +152,9 @@ class TestEccTransport:
         assert srf.hop_bytes_total == 0
 
 
-class TestStepN:
-    """``step_n(k)`` must be observably identical to ``k`` single steps."""
+class TestFlush:
+    """``flush()`` must be observably identical to stepping every value
+    off the chip, one hop at a time."""
 
     def _populate(self, config, srf, seed):
         rng = np.random.default_rng(seed)
@@ -171,7 +172,7 @@ class TestStepN:
                     )
                 except StreamContentionError:
                     pass
-        srf.step()  # commit the drives so step_n starts from clean state
+        srf.step()  # commit the drives so the flush starts from clean state
 
     def _snapshot(self, config, srf):
         n_pos = Floorplan(config).n_positions
@@ -190,33 +191,42 @@ class TestStepN:
                         )
         return state
 
-    @given(k=st.integers(1, 40), seed=st.integers(0, 100))
+    @given(k=st.integers(0, 40), seed=st.integers(0, 100))
     @settings(max_examples=30, deadline=None)
-    def test_step_n_equals_k_steps(self, k, seed):
+    def test_flush_equals_stepping_everything_off(self, k, seed):
+        """From any ring rotation ``k``: same empty file, same bytes."""
         from repro.config import small_test_chip
 
         config = small_test_chip()
         floorplan = Floorplan(config)
-        bulk = StreamRegisterFile(config, floorplan)
+        flushed = StreamRegisterFile(config, floorplan)
         single = StreamRegisterFile(config, floorplan)
-        self._populate(config, bulk, seed)
-        self._populate(config, single, seed)
+        for srf in (flushed, single):
+            for _ in range(k):
+                srf.step()
+            self._populate(config, srf, seed)
 
-        bulk.step_n(k)
-        for _ in range(k):
+        flushed.flush()
+        for _ in range(floorplan.n_positions):
             single.step()
 
-        assert self._snapshot(config, bulk) == self._snapshot(config, single)
-        assert bulk.hop_bytes_total == single.hop_bytes_total
+        assert self._snapshot(config, flushed) == []
+        assert self._snapshot(config, single) == []
+        assert flushed.hop_bytes_total == single.hop_bytes_total
+        # and the flushed file carries on like the stepped one
+        for srf in (flushed, single):
+            srf.drive(Direction.WESTWARD, 1, 5, vec(config, 9))
+            srf.step()
+        assert self._snapshot(config, flushed) == self._snapshot(config, single)
 
-    def test_step_n_past_the_edge_clears_everything(self, config, srf):
+    def test_flush_clears_everything(self, config, srf):
         n_pos = Floorplan(config).n_positions
         srf.drive(Direction.EASTWARD, 0, 3, vec(config))
-        srf.step_n(n_pos + 10)
+        srf.flush()
         assert self._snapshot(config, srf) == []
         # 3 → edge is n_pos - 1 - 3 completed hops
         assert srf.hop_bytes_total == (n_pos - 1 - 3) * config.n_lanes
 
-    def test_step_n_on_empty_file_is_free(self, config, srf):
-        srf.step_n(10_000)
+    def test_flush_on_empty_file_is_free(self, config, srf):
+        srf.flush()
         assert srf.hop_bytes_total == 0
