@@ -5,7 +5,10 @@ how many simulated cycles per host-second the model sustains on
 representative programs, so users can size their experiments.  Workload
 builders and the ``BENCH_sim.json`` artifact schema live in
 :mod:`bench_emit`; this module adds the pytest-benchmark timing tables,
-the replay lockstep gate and the two overhead gates.
+the replay lockstep gate and the two observer-overhead *reports* — what
+observing a run costs is gated as work counts in tier-1
+(``tests/test_chip.py::TestObserversFollowDispatches``), not as one
+wall-clock divided by another.
 """
 
 import os
@@ -118,23 +121,19 @@ def test_replay_lockstep_and_artifact(report_sink, tmp_path):
 
 
 def test_telemetry_overhead_gate(report_sink, small_config):
-    """Observability must stay cheap.
+    """Report what an attached collector costs; gate only its structure.
 
     Attached: a full :class:`~repro.obs.TelemetryCollector` on the paced
-    serving workload costs at most 45% of host throughput — the
-    collector's per-dispatch and per-live-cycle bookkeeping against a
-    run that walks every cycle.  45% is PR 15's threshold, unmoved: it
-    was the rounded-up maximum of 20 measurements against the skipping
-    core (21.7–44.1%); against the one simulator ten runs read
-    14.1–27.5% (EXPERIMENTS.md E28).  The two configurations are
-    measured in interleaved pairs and the overhead is
-    the median of the per-pair ratios: drift in host speed (CPU frequency
-    scaling, noisy CI neighbours) hits both halves of a pair alike, and
-    the median sheds the odd pair that straddles a disturbance.
-    Detached: a chip constructed without a collector executes zero
-    telemetry code beyond one ``is not None`` test per instrumentation
-    site — asserted structurally, since a wall-clock "no measurable cost"
-    claim cannot be told apart from timer noise in CI.
+    serving workload — the collector's per-dispatch and per-live-cycle
+    bookkeeping against a run that walks every cycle (ten runs read
+    14.1–27.5 %, EXPERIMENTS.md E28).  The figure is *reported*: the two
+    configurations are measured in interleaved pairs and the overhead is
+    the median of the per-pair ratios, so drift in host speed hits both
+    halves of a pair alike.  What is *gated* is the work behind it, in
+    tier-1: callbacks per dispatch O(1), none on a cycle where nothing
+    happens.  Detached: a chip constructed without a collector executes
+    zero telemetry code beyond one ``is not None`` test per
+    instrumentation site — asserted structurally here.
     """
     program = build_paced_program(small_config, requests=600, interval=64)
     detached = attached = None
@@ -158,11 +157,10 @@ def test_telemetry_overhead_gate(report_sink, small_config):
                round(detached["cycles_per_host_second"]))
     report.add("attached cycles / host second", "—",
                round(attached["cycles_per_host_second"]))
-    report.add("attached overhead", "<= 45%", f"{overhead:.1%}")
+    report.add("attached overhead", "reported", f"{overhead:.1%}")
     report_sink.append(report.render())
 
     assert attached["cycles"] == detached["cycles"]
-    assert overhead <= 0.45, (attached, detached)
 
     # detached really is detached: no collector object anywhere on the hot
     # path, so the per-site guard short-circuits
@@ -172,67 +170,40 @@ def test_telemetry_overhead_gate(report_sink, small_config):
 
 
 def test_resilience_overhead_gate(report_sink, small_config):
-    """Fault hooks that never fire must cost (almost) nothing.
+    """Report what armed-but-silent fault hooks cost; gate the structure.
 
     Armed: a watchdog whose deadline the workload can never reach, a
     :class:`~repro.sim.FaultInjector` standing by, and a post-run health
     poll — the steady-state resilience configuration of a serving
-    deployment with no faults occurring.  The armed watchdog adds one
-    comparison per cycle walked, which must stay within 2% of the paced
-    workload's host throughput (ten runs read −2.7…+1.8%, EXPERIMENTS.md
-    E28).
-
-    A 2% bar sits below a shared host's wall-clock noise floor, so the
-    estimator works on CPU time — neighbours stealing the core inflate
-    wall time but not ``process_time`` — and cancels what remains:
-    ratios are taken within adjacent-run pairs, the order inside a
-    pair alternates and consecutive pairs are combined geometrically
-    (the second run of a pair is systematically slower, and the two
-    orders see that penalty once in each direction), and a trial that
-    still reads high is remeasured — noise only ever inflates the
-    estimate, so the minimum over trials is the defensible figure.
+    deployment with no faults occurring (ten runs read −2.7…+1.8 %,
+    EXPERIMENTS.md E28: below a shared host's noise floor, which is why
+    the old ≤ 2 % bar needed CPU time, balanced pairs and a three-trial
+    retry loop, and why it is now a count — an armed watchdog is checked
+    from its deadline cycle on, so one that never fires is entered zero
+    times).  The report keeps the CPU-time, order-balanced estimator.
     Disarmed: a chip that never armed a watchdog executes a single
-    ``is not None`` test per run-loop iteration — asserted structurally.
+    ``is not None`` test per run — asserted structurally.
     """
-    # longer than the telemetry gate's workload: a 2% bar needs the
-    # per-run noise floor pushed further below the thing being measured
     program = build_paced_program(small_config, requests=1200, interval=64)
-
-    def run(attach_resil):
-        return bench_emit.measure(
-            small_config, program, repeats=1, attach_resil=attach_resil
-        )
-
-    disarmed = armed = None
-
-    def trial():
-        nonlocal disarmed, armed
-        ratios = []
-        for pair in range(6):
-            order = (False, True) if pair % 2 == 0 else (True, False)
-            pair_times = {}
-            for attach in order:
-                m = run(attach)
-                pair_times[attach] = m["cpu_seconds"]
-                best = armed if attach else disarmed
-                if best is None or m["cpu_seconds"] < best["cpu_seconds"]:
-                    if attach:
-                        armed = m
-                    else:
-                        disarmed = m
-            ratios.append(pair_times[True] / pair_times[False])
-        balanced = [
-            (ratios[i] * ratios[i + 1]) ** 0.5
-            for i in range(0, len(ratios), 2)
-        ]
-        return statistics.median(balanced) - 1.0
-
-    estimates = []
-    for _ in range(3):
-        estimates.append(trial())
-        if estimates[-1] <= 0.02:
-            break
-    overhead = min(estimates)
+    best = {}
+    ratios = []
+    for pair in range(6):
+        order = (False, True) if pair % 2 == 0 else (True, False)
+        cpu = {}
+        for attach in order:
+            m = bench_emit.measure(
+                small_config, program, repeats=1, attach_resil=attach
+            )
+            cpu[attach] = m["cpu_seconds"]
+            if attach not in best or cpu[attach] < best[attach]["cpu_seconds"]:
+                best[attach] = m
+        ratios.append(cpu[True] / cpu[False])
+    # the second run of a pair is systematically slower: combine the two
+    # orders geometrically so each sees that penalty once per direction
+    overhead = statistics.median(
+        (ratios[i] * ratios[i + 1]) ** 0.5 for i in range(0, 6, 2)
+    ) - 1.0
+    armed, disarmed = best[True], best[False]
 
     report = ExperimentReport(
         "housekeeping", "Resilience-hook overhead (paced workload)"
@@ -241,12 +212,11 @@ def test_resilience_overhead_gate(report_sink, small_config):
                round(disarmed["cycles_per_host_second"]))
     report.add("armed cycles / host second", "—",
                round(armed["cycles_per_host_second"]))
-    report.add("armed overhead", "<= 2%", f"{overhead:.1%}")
+    report.add("armed overhead", "reported", f"{overhead:.1%}")
     report_sink.append(report.render())
 
     # the armed run is cycle-identical: hooks observe, never steer
     assert armed["cycles"] == disarmed["cycles"]
-    assert overhead <= 0.02, (armed, disarmed)
 
     # disarmed really is disarmed
     chip = TspChip(small_config)

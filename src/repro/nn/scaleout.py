@@ -450,21 +450,13 @@ def execute_pipeline(
     stage_stats = [ChunkRunStats() for _ in range(n_chips)]
     stages: list[ExecutedStage] = []
     current = x
-    batch_ctx = rtrace.current()
     for index, (start, stop) in enumerate(segments):
         chip = system.chips[index]
-        # open a per-stage span so this stage's execute spans (recorded
-        # by the chunk executor via the ambient context) and its outbound
+        # a per-stage span: this stage's execute spans (recorded by the
+        # chunk executor via the ambient context) and its outbound
         # transfer spans nest under it rather than directly under the batch
-        stage_ctx = token = None
-        stage_start_us = 0.0
-        if batch_ctx is not None:
-            tracer = batch_ctx.tracer
-            stage_ctx = batch_ctx.child(tracer.next_id())
-            token = rtrace.push(stage_ctx)
-            stage_start_us = tracer.now_us()
-        cycles = 0
-        try:
+        with rtrace.span("stage", nest=True) as stage_span:
+            cycles = 0
             for position in range(start, stop):
                 layer = runner.layers[position]
                 current, layer_cycles = runner.apply_layer(
@@ -492,69 +484,46 @@ def execute_pipeline(
                 landed = []
                 for offset in range(0, words.shape[0], words_cap):
                     chunk = words[offset : offset + words_cap]
-                    hop_start_us = (
-                        stage_ctx.tracer.now_us()
-                        if stage_ctx is not None else 0.0
-                    )
-                    ring_plan = _ring_transfer_for(
-                        system, route, chunk.shape[0],
-                        fingerprint=plan.fingerprint, cache=cache,
-                        stage_slice=stage_slice,
-                    )
-                    # the plan is payload-free: stage this chunk at the
-                    # route head before every lockstep run
-                    system.chips[route[0]].load_memory(
-                        ring_plan.dst_hemisphere, stage_slice,
-                        STAGE_BASE_ADDRESS, chunk,
-                    )
-                    runs = system.run(
-                        ring_plan.programs, max_cycles=TRANSFER_MAX_CYCLES
-                    )
-                    hop_cycles = runs[0].cycles  # lockstep: one count
-                    landed_words = system.chips[route[-1]].read_memory(
-                        ring_plan.dst_hemisphere, stage_slice,
-                        STAGE_BASE_ADDRESS, chunk.shape[0],
-                    )
-                    transfer_cycles += hop_cycles
-                    if stage_ctx is not None:
-                        tracer = stage_ctx.tracer
-                        tracer.record_under(
-                            stage_ctx, "transfer",
-                            hop_start_us, tracer.now_us(),
-                            chip=getattr(chip, "chip_id", None),
-                            cycles=hop_cycles,
-                            clock_ghz=config.clock_ghz,
-                            chip_events=(
-                                tuple(runs[index].trace)
-                                if tracer.chip_events else ()
-                            ),
-                            args={
-                                "hop": f"{index}->{index + 1}",
-                                "route": list(route),
-                                "vectors": int(chunk.shape[0]),
-                            },
+                    with rtrace.span("transfer") as hop:
+                        ring_plan = _ring_transfer_for(
+                            system, route, chunk.shape[0],
+                            fingerprint=plan.fingerprint, cache=cache,
+                            stage_slice=stage_slice,
                         )
+                        # the plan is payload-free: stage this chunk at
+                        # the route head before every lockstep run
+                        system.chips[route[0]].load_memory(
+                            ring_plan.dst_hemisphere, stage_slice,
+                            STAGE_BASE_ADDRESS, chunk,
+                        )
+                        runs = system.run(
+                            ring_plan.programs,
+                            max_cycles=TRANSFER_MAX_CYCLES,
+                        )
+                        hop_cycles = runs[0].cycles  # lockstep: one count
+                        landed_words = system.chips[route[-1]].read_memory(
+                            ring_plan.dst_hemisphere, stage_slice,
+                            STAGE_BASE_ADDRESS, chunk.shape[0],
+                        )
+                        if hop:
+                            hop.anchor(
+                                chip, hop_cycles, config.clock_ghz,
+                                runs[index].trace,
+                                hop=f"{index}->{index + 1}",
+                                route=list(route),
+                                vectors=int(chunk.shape[0]),
+                            )
+                    transfer_cycles += hop_cycles
                     landed.append(
                         np.asarray(landed_words, dtype=np.uint8)
                     )
                 received = np.vstack(landed)
                 current = unpack_payload(received, quantized.shape, np.int8)
-        finally:
-            if stage_ctx is not None:
-                rtrace.pop(token)
-        if batch_ctx is not None:
-            tracer = batch_ctx.tracer
-            tracer.record_under(
-                batch_ctx, "stage", stage_start_us, tracer.now_us(),
-                span_id=stage_ctx.span_id,
-                chip=getattr(chip, "chip_id", None),
-                cycles=cycles,
-                clock_ghz=config.clock_ghz,
-                args={
-                    "stage": index,
-                    "layers": list(plan.stages[index].names),
-                },
-            )
+            if stage_span:
+                stage_span.anchor(
+                    chip, cycles, config.clock_ghz, stage=index,
+                    layers=list(plan.stages[index].names),
+                )
         stages.append(
             ExecutedStage(
                 chip=index,

@@ -254,27 +254,6 @@ class TspCnnRunner:
             )
         return resolved
 
-    def _execute_span(
-        self, ctx, start_us: float, layer: CompiledLayer, chip, *,
-        n_chunks: int, n_rows: int, cycles: int, hit: bool, replay: bool,
-        trace=(),
-    ) -> None:
-        """Record one ``execute`` span under the ambient batch context."""
-        if ctx is None:
-            return
-        # span start is the clock anchor: host µs of run cycle 0
-        ctx.tracer.record_under(
-            ctx, "execute", start_us, ctx.tracer.now_us(),
-            chip=getattr(chip, "chip_id", None),
-            cycles=cycles,
-            clock_ghz=self.config.clock_ghz,
-            chip_events=tuple(trace) if ctx.tracer.chip_events else (),
-            args={
-                "layer": layer.name, "batch": n_chunks, "rows": n_rows,
-                "hit": hit, "replay": replay,
-            },
-        )
-
     def _run_matmul_chunk(
         self, layer: CompiledLayer, compiled, inputs: dict, n_rows: int,
         hit: bool, chip, record: bool,
@@ -286,17 +265,17 @@ class TspCnnRunner:
         records the plan for next time.  One span per chunk: each run's
         chip events are anchored to its own cycle 0.
         """
-        ctx = rtrace.current()
-        start_us = ctx.tracer.now_us() if ctx is not None else 0.0
-        result = execute(
-            compiled, chip=chip, inputs=inputs, max_cycles=2_000_000,
-            record=record,
-        )
-        self._execute_span(
-            ctx, start_us, layer, chip, n_chunks=1, n_rows=n_rows,
-            cycles=result.run.cycles, hit=hit, replay=False,
-            trace=result.run.trace,
-        )
+        with rtrace.span("execute") as span:
+            result = execute(
+                compiled, chip=chip, inputs=inputs, max_cycles=2_000_000,
+                record=record,
+            )
+            if span:
+                span.anchor(
+                    chip, result.run.cycles, self.config.clock_ghz,
+                    result.run.trace, layer=layer.name, batch=1,
+                    rows=n_rows, hit=hit, replay=False,
+                )
         return result
 
     def _run_matmul_group(
@@ -345,14 +324,21 @@ class TspCnnRunner:
             {name: chunk[:, start:end] for name, start, end in bindings}
             for chunk in group
         ]
-        ctx = rtrace.current()
-        start_us = ctx.tracer.now_us() if ctx is not None else 0.0
         t0 = time.perf_counter()
-        results = execute_batched(
-            compiled, inputs_list, chip=chip, max_cycles=2_000_000
-        )
-        replayed = results is not None
-        if not replayed:
+        with rtrace.span("execute") as span:
+            results = execute_batched(
+                compiled, inputs_list, chip=chip, max_cycles=2_000_000
+            )
+            if results is None:
+                span.set(name=None)  # not replayed: a span per chunk below
+            elif span:
+                span.anchor(
+                    chip, sum(res.run.cycles for res in results),
+                    self.config.clock_ghz, layer=layer.name,
+                    batch=len(group), rows=n_rows * len(group),
+                    hit=hit, replay=True,
+                )
+        if results is None:
             # without a cache the compiled program dies with this call,
             # so recording a replay plan onto it would be pure overhead
             results = [
@@ -363,12 +349,6 @@ class TspCnnRunner:
                 for inputs in inputs_list
             ]
         cycles = sum(res.run.cycles for res in results)
-        if replayed:
-            self._execute_span(
-                ctx, start_us, layer, chip, n_chunks=len(group),
-                n_rows=n_rows * len(group), cycles=cycles,
-                hit=hit, replay=True,
-            )
         if stats is not None:
             stats.compile_s += compile_s
             stats.execute_s += time.perf_counter() - t0

@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import json
 import math
+import threading
 
 import numpy as np
 
@@ -220,6 +221,35 @@ class LatencyHistogram:
 
 
 # ----------------------------------------------------------------------
+class LatencyEstimator:
+    """Thread-safe per-model EWMA of observed batch latency.
+
+    The retry path's cost model: "one more attempt takes about this
+    long".  Optimistic before the first observation (``initial_s``) so a
+    cold server never refuses the retry that would have warmed it up.
+    """
+
+    def __init__(self, alpha: float = 0.3, initial_s: float = 0.05) -> None:
+        self.alpha = alpha
+        self.initial_s = initial_s
+        self._lock = threading.Lock()
+        self._estimates: dict[str, float] = {}
+
+    def observe(self, model: str, seconds: float) -> None:
+        with self._lock:
+            previous = self._estimates.get(model)
+            if previous is None:
+                self._estimates[model] = seconds
+            else:
+                self._estimates[model] = (
+                    self.alpha * seconds + (1 - self.alpha) * previous
+                )
+
+    def estimate(self, model: str) -> float:
+        with self._lock:
+            return self._estimates.get(model, self.initial_s)
+
+
 class SloTracker:
     """Per-model latency SLOs: deadline targets and attainment counters.
 

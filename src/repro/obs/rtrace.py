@@ -9,13 +9,13 @@ spans instead of per-subsystem counters.
 Three pieces:
 
 * :class:`TraceContext` — the propagation token.  The pool worker opens a
-  batch-scoped context before running a batch and installs it as the
-  *ambient* context (a :class:`contextvars.ContextVar`, naturally
+  batch's root span (:func:`root`), which installs a batch-scoped context
+  as the *ambient* one (a :class:`contextvars.ContextVar`, naturally
   thread-local across pool workers); deep layers that already exist —
   :meth:`repro.serve.cache.ProgramCache.get_or_compile`, the chunk
   executor in :mod:`repro.nn.tsp_inference`, the ring transfers in
-  :func:`repro.nn.scaleout.execute_pipeline` — ask :func:`current` for it
-  and record child spans without any signature change.  When no tracer is
+  :func:`repro.nn.scaleout.execute_pipeline` — open their spans under it
+  with :func:`span` and no signature change.  When no tracer is
   installed the cost is one ``ContextVar.get`` returning ``None``.
 * :class:`Span` — one phase of one request or batch: ``queue_wait``,
   ``batch_form``, ``checkout``, ``cache``, ``compile_wait``, ``compile``,
@@ -89,6 +89,100 @@ def pop(token) -> None:
     _CURRENT.reset(token)
 
 
+class _NoSpan:
+    """What :func:`span` hands out with tracing off: falsy, times nothing."""
+
+    __slots__ = ()
+
+    def __bool__(self) -> bool:
+        return False
+
+    def __enter__(self) -> "_NoSpan":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        return None
+
+    def set(self, **fields) -> None:
+        pass
+
+
+_NO_SPAN = _NoSpan()
+
+
+class OpenSpan:
+    """A span being timed: opened by ``with``, recorded when the block
+    ends without raising.  The block attaches what it learns only while
+    running with :meth:`set` (``args``, or another ``name`` — a lookup
+    knows it was a ``compile_wait`` only once it is over; ``name=None``
+    drops the span) and :meth:`anchor`."""
+
+    def __init__(self, ctx: "TraceContext", name: str, nest: bool,
+                 fields: dict) -> None:
+        self.ctx = ctx
+        self.fields = {"name": name, **fields}
+        #: a nesting span's own id: what the block's spans are parented to
+        self.id = ctx.tracer.next_id() if nest else None
+
+    def __enter__(self) -> "OpenSpan":
+        if self.id is not None:
+            self._token = push(self.ctx.child(self.id))
+        self.start_us = self.ctx.tracer.now_us()
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        if self.id is not None:
+            pop(self._token)
+        name = self.fields.pop("name")
+        if exc_type is None and name is not None:
+            tracer = self.ctx.tracer
+            tracer.record_under(
+                self.ctx, name, self.start_us, tracer.now_us(),
+                span_id=self.id, **self.fields,
+            )
+
+    def set(self, **fields) -> None:
+        self.fields.update(fields)
+
+    def anchor(self, chip, cycles: int, clock_ghz: float, trace=(),
+               **args) -> None:
+        """Attach a chip run's clock anchor (the span's start is the host
+        µs of the run's cycle 0), its dispatch events if the tracer keeps
+        them, and ``args``."""
+        self.fields.update(
+            chip=getattr(chip, "chip_id", None), cycles=cycles,
+            clock_ghz=clock_ghz, args=args,
+            chip_events=tuple(trace) if self.ctx.tracer.chip_events else (),
+        )
+
+
+def span(name: str, *, nest: bool = False, **fields):
+    """Time the ``with`` block as a ``name`` span under the ambient context.
+
+    The one way to open a span whose two ends are the two ends of a
+    block (``batch_form`` and the request roots, whose ends are known
+    only afterwards, are recorded with :meth:`RequestTracer.record`).
+    With tracing off this is one ``ContextVar.get`` and a shared falsy
+    no-op, so a site guards work it does only for the span's sake with
+    ``if span:``.  ``nest=True`` makes the span the ambient parent of the
+    spans its block records.
+    """
+    ctx = _CURRENT.get()
+    if ctx is None:
+        return _NO_SPAN
+    return OpenSpan(ctx, name, nest, fields)
+
+
+def root(tracer: "RequestTracer | None", name: str, track: str, *,
+         batch_id: int | None = None, model: str | None = None):
+    """Like :func:`span` with ``nest=True``, but parentless and on a named
+    track: a batch on its worker's, a repair on ``health``."""
+    if tracer is None:
+        return _NO_SPAN
+    ctx = TraceContext(tracer, None, batch_id, model, track)
+    return OpenSpan(ctx, name, True, {})
+
+
 @dataclass(frozen=True)
 class TraceContext:
     """The propagation token: which tracer, and which parent span.
@@ -99,7 +193,7 @@ class TraceContext:
     """
 
     tracer: "RequestTracer"
-    span_id: int
+    span_id: int | None
     batch_id: int | None = None
     model: str | None = None
     worker: str | None = None

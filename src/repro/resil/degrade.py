@@ -59,6 +59,13 @@ class Blacklist:
     def __bool__(self) -> bool:
         return bool(self.mem_slices or self.mxm_planes or self.ring_cables)
 
+    def __or__(self, other: "Blacklist") -> "Blacklist":
+        return Blacklist(
+            self.mem_slices | other.mem_slices,
+            self.mxm_planes | other.mxm_planes,
+            self.ring_cables | other.ring_cables,
+        )
+
     def describe(self) -> str:
         parts = []
         for hemisphere, s in sorted(

@@ -22,7 +22,9 @@ from collections import deque
 from dataclasses import dataclass, field
 
 from ..arch.geometry import Hemisphere
+from ..errors import SimulationError
 from ..sim.chip import TspChip
+from .degrade import Blacklist
 
 #: default CSR correction count at which a chip is flagged marginal
 #: (mirrors FaultInjector.wearout_flag)
@@ -199,3 +201,46 @@ class HealthMonitor:
             return 0.0
         first, last = history[0][1], history[-1][1]
         return (last - first) / (len(history) - 1)
+
+
+# host-level probes: the serving repair policy's measurements
+def probe_memory(*chips, skip: Blacklist | None = None) -> None:
+    """Host-level SRAM sweep: write+read one word in every MEM slice.
+
+    The repair policy's probe: cheap (no compile, no simulation run) yet
+    it touches every slice of every one of ``chips``, so a dead slice
+    raises :class:`~repro.errors.MemoryFaultError` with the slice's unit
+    context.  Slices on ``skip`` are not probed (known-dead hardware a
+    degraded blacklist already routes around).
+    """
+    skip_slices = skip.mem_slices if skip is not None else frozenset()
+    for chip in chips:
+        for hemisphere in Hemisphere:
+            for index in range(chip.config.mem_slices_per_hemisphere):
+                if (hemisphere, index) in skip_slices:
+                    continue
+                unit = chip.mem_unit(hemisphere, index)
+                word = unit.host_read(0)
+                unit.host_write(0, word)
+
+
+def blacklist_recovered(chips, blacklist: Blacklist) -> bool:
+    """True when every blacklisted resource probes healthy again.
+
+    The degraded worker's periodic re-check.  Only MEM slices are
+    probeable from the host; a blacklist carrying MXM planes or ring
+    cables is conservatively treated as still faulty (those need a full
+    compiled probe, which quarantine-and-repair covers).
+    """
+    if blacklist.mxm_planes or blacklist.ring_cables:
+        return False
+    for chip in chips:
+        for hemisphere, index in blacklist.mem_slices:
+            unit = chip.mem_unit(hemisphere, index)
+            if unit.dead:
+                return False
+            try:
+                unit.host_read(0)
+            except SimulationError:
+                return False
+    return True

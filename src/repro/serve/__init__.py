@@ -20,6 +20,7 @@ or ``python -m repro.serve`` for a self-contained demo.
 """
 
 from ..errors import RequestError
+from ..obs.metrics import LatencyEstimator
 from .batcher import DynamicBatcher
 from .cache import CacheStats, ProgramCache
 from .models import (
@@ -28,9 +29,10 @@ from .models import (
     ShardedCnnServeModel,
     TransformerMlpServeModel,
 )
-from .pool import BatchOutcome, ChipPool, PoolWorker
+from .pool import ChipPool, PoolWorker
 from .request import (
     Batch,
+    BatchOutcome,
     BatchPolicy,
     InferenceRequest,
     InferenceResult,
@@ -40,7 +42,6 @@ from .request import (
 from .resilient import (
     Diagnosis,
     HealthPolicy,
-    LatencyEstimator,
     QuarantineRecord,
     RetryPolicy,
     diagnose,

@@ -32,7 +32,8 @@ class DynamicBatcher:
     ) -> None:
         self._policies = dict(policies or {})
         self._default = default_policy or BatchPolicy()
-        self._clock = clock
+        #: the serving clock: the pool and the server stamp with it too
+        self.clock = clock
         self._queues: dict[str, deque[InferenceRequest]] = {}
         self._cond = threading.Condition()
         self._closed = False
@@ -210,10 +211,10 @@ class DynamicBatcher:
         lock, so no request can be dispatched twice, and a ``timeout``
         (seconds) bounds the wait for callers that must stay responsive.
         """
-        give_up = None if timeout is None else self._clock() + timeout
+        give_up = None if timeout is None else self.clock() + timeout
         with self._cond:
             while True:
-                now = self._clock()
+                now = self.clock()
                 batch = self._ready_batch(now)
                 if batch is not None:
                     for request in batch.requests:

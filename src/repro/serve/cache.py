@@ -34,12 +34,10 @@ from ..compiler.scheduler import CompiledProgram
 from ..obs import rtrace
 
 
-def _span(ctx, name: str, start_us: float, key: str, **args) -> None:
-    """Record one cache-phase span under the ambient batch context."""
-    ctx.tracer.record_under(
-        ctx, name, start_us, ctx.tracer.now_us(),
-        args={"key": key[:16], **args},
-    )
+def _keyed(span, key: str, **args) -> None:
+    """Attach the looked-up key (and what became of it) to a cache span."""
+    if span:
+        span.set(args={"key": key[:16], **args})
 
 
 @dataclass
@@ -97,22 +95,6 @@ class ProgramCache:
             return key in self._programs
 
     # ------------------------------------------------------------------
-    def get(self, key: str) -> CompiledProgram | None:
-        """LRU lookup by fingerprint; counts a hit or miss."""
-        with self._lock:
-            program = self._programs.get(key)
-            if program is None:
-                self.stats.misses += 1
-                return None
-            self._programs.move_to_end(key)
-            self.stats.hits += 1
-            return program
-
-    def put(self, key: str, program: CompiledProgram) -> None:
-        """Insert (or refresh) one compiled program, evicting LRU overflow."""
-        with self._lock:
-            self._insert(key, program)
-
     def _insert(self, key: str, program: CompiledProgram) -> None:
         self._programs[key] = program
         self._programs.move_to_end(key)
@@ -145,39 +127,41 @@ class ProgramCache:
         scheduler otherwise; either way outside the cache lock, so a long
         compile never stalls unrelated lookups.
         """
-        ctx = rtrace.current()
-        lookup_us = ctx.tracer.now_us() if ctx is not None else 0.0
-        if key is None:
-            key = self.key_for(builder, blacklist)
-        with self._lock:
-            program = self._programs.get(key)
-            if program is not None:
-                self._programs.move_to_end(key)
-                self.stats.hits += 1
-                if ctx is not None:
-                    _span(ctx, "cache", lookup_us, key, hit=True)
-                return program, key, True, 0.0
-            flight = self._inflight.get(key)
-            leader = flight is None
+        with rtrace.span("cache") as lookup:
+            if key is None:
+                key = self.key_for(builder, blacklist)
+            with self._lock:
+                program = self._programs.get(key)
+                if program is not None:
+                    self._programs.move_to_end(key)
+                    self.stats.hits += 1
+                    _keyed(lookup, key, hit=True)
+                    return program, key, True, 0.0
+                flight = self._inflight.get(key)
+                leader = flight is None
+                if leader:
+                    flight = self._inflight[key] = _InFlight()
             if leader:
-                flight = self._inflight[key] = _InFlight()
-        if not leader:
-            flight.done.wait()
-            if ctx is not None:
+                _keyed(lookup, key, hit=False)
+            else:
                 # coalesced onto another thread's single-flight compile
-                _span(ctx, "compile_wait", lookup_us, key)
+                flight.done.wait()
+                _keyed(lookup, key)
+                lookup.set(name="compile_wait")
+        if not leader:
             if flight.error is not None:
                 raise flight.error
             with self._lock:
                 self.stats.hits += 1
             assert flight.program is not None
             return flight.program, key, True, 0.0
-        if ctx is not None:
-            _span(ctx, "cache", lookup_us, key, hit=False)
-        compile_us = ctx.tracer.now_us() if ctx is not None else 0.0
         t0 = time.perf_counter()
         try:
-            program, scheduled = self._make(builder, blacklist, key, flight)
+            with rtrace.span("compile") as compiling:
+                program, scheduled = self._make(
+                    builder, blacklist, key, flight
+                )
+                _keyed(compiling, key, scheduled=scheduled)
         except BaseException as error:
             flight.error = error
             with self._lock:
@@ -185,8 +169,6 @@ class ProgramCache:
             flight.done.set()
             raise
         compile_s = time.perf_counter() - t0
-        if ctx is not None:
-            _span(ctx, "compile", compile_us, key, scheduled=scheduled)
         with self._lock:
             self.stats.misses += 1
             self.stats.compile_s += compile_s
@@ -254,22 +236,20 @@ class ProgramCache:
         tolerated (transfer planning is cheap — single-flight is reserved
         for scheduler runs in :meth:`get_or_compile`).
         """
-        ctx = rtrace.current()
-        lookup_us = ctx.tracer.now_us() if ctx is not None else 0.0
-        with self._lock:
-            value = self._programs.get(key)
-            if value is not None:
-                self._programs.move_to_end(key)
-                self.stats.hits += 1
-                if ctx is not None:
-                    _span(ctx, "cache", lookup_us, key, hit=True)
-                return value
-        value = factory()
-        with self._lock:
-            self.stats.misses += 1
-            self._insert(key, value)
-        if ctx is not None:
-            _span(ctx, "build", lookup_us, key)
+        with rtrace.span("cache") as lookup:
+            with self._lock:
+                value = self._programs.get(key)
+                if value is not None:
+                    self._programs.move_to_end(key)
+                    self.stats.hits += 1
+                    _keyed(lookup, key, hit=True)
+                    return value
+            value = factory()
+            with self._lock:
+                self.stats.misses += 1
+                self._insert(key, value)
+            _keyed(lookup, key)
+            lookup.set(name="build")
         return value
 
     # ------------------------------------------------------------------

@@ -5,6 +5,12 @@ One :class:`InferenceRequest` is one caller's tensor plus a
 :class:`Batch`, a pool worker executes the batch on a simulated chip, and
 each request resolves to an :class:`InferenceResult` carrying the
 queue/compile/execute latency breakdown the SLO dashboards need.
+
+A request ends in exactly one place, :meth:`InferenceRequest.finish`: the
+only caller of the future's resolvers, it stamps the completion time,
+builds the :class:`~repro.errors.RequestError` of every outcome but
+``ok`` and has the request counted (``on_finish``) before the caller can
+see the answer.  The first finish wins; a later one changes nothing.
 """
 
 from __future__ import annotations
@@ -14,7 +20,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..errors import ServeError
+from ..errors import RequestError, ServeError
+from ..nn.tsp_inference import ChunkRunStats
 
 
 @dataclass(frozen=True)
@@ -79,50 +86,65 @@ class InferenceResult:
 
 
 class ServeFuture:
-    """A one-shot, thread-safe completion handle."""
+    """A one-shot, thread-safe completion handle: the first resolution
+    is the answer, a later one returns False and changes nothing."""
 
     def __init__(self) -> None:
-        self._done = threading.Event()
+        #: its lock is re-entrant: InferenceRequest.finish holds it
+        #: around a resolver
+        self._cond = threading.Condition()
+        self._resolved = False
         self._result: InferenceResult | None = None
         self._error: BaseException | None = None
 
-    def set_result(self, result: InferenceResult) -> None:
-        self._result = result
-        self._done.set()
+    def _resolve(self, result, error) -> bool:
+        with self._cond:
+            if self._resolved:
+                return False
+            self._result, self._error, self._resolved = result, error, True
+            self._cond.notify_all()
+            return True
 
-    def set_error(self, error: BaseException) -> None:
-        self._error = error
-        self._done.set()
+    def set_result(self, result: InferenceResult) -> bool:
+        return self._resolve(result, None)
+
+    def set_error(self, error: BaseException) -> bool:
+        return self._resolve(None, error)
 
     def done(self) -> bool:
-        return self._done.is_set()
+        return self._resolved
+
+    def _wait(self, timeout: float | None) -> None:
+        with self._cond:
+            if not self._cond.wait_for(lambda: self._resolved, timeout):
+                raise ServeError("timed out waiting for an inference result")
 
     def result(self, timeout: float | None = None) -> InferenceResult:
         """Block until resolved; re-raises the worker's failure."""
-        if not self._done.wait(timeout):
-            raise ServeError("timed out waiting for an inference result")
+        self._wait(timeout)
         if self._error is not None:
             raise self._error
-        assert self._result is not None
         return self._result
 
     def error(self, timeout: float | None = None) -> BaseException | None:
         """Block until resolved; returns the failure instead of raising."""
-        if not self._done.wait(timeout):
-            raise ServeError("timed out waiting for an inference result")
+        self._wait(timeout)
         return self._error
 
 
-@dataclass
+@dataclass(eq=False)  # a request is itself, not its field values
 class InferenceRequest:
     """One queued inference call.
 
-    ``deadline_s`` is an *absolute* ``time.monotonic()`` instant (None =
+    ``deadline_s`` is an *absolute* instant on the serving clock (None =
     no deadline): the retry path re-enqueues a failed request only while
     the deadline still has one estimated batch-latency of slack, and
     admission control sheds the most deadline-hopeless requests first.
     ``priority`` orders shedding (lower sheds first); ``attempt`` counts
     executions — 0 on first dispatch, bumped by every retry requeue.
+    ``outcome`` is None until :meth:`finish` sets it, once, to ``ok`` or
+    a ``RequestError.outcome``; ``on_finish`` is called with the request
+    at that moment (the server counts there).
     """
 
     id: int
@@ -133,12 +155,52 @@ class InferenceRequest:
     deadline_s: float | None = None
     priority: int = 0
     attempt: int = 0
+    outcome: str | None = None
+    on_finish: object = field(default=None, repr=False)
 
     def slack_s(self, now: float) -> float:
         """Seconds of deadline budget left (inf with no deadline)."""
         if self.deadline_s is None:
             return float("inf")
         return self.deadline_s - now
+
+    def finish(
+        self, outcome: str, now: float, *, result=None, detail: str = "",
+        cause: BaseException | None = None, chip_index: int | None = None,
+    ) -> bool:
+        """The one terminal transition; False when the request had ended.
+
+        ``ok`` delivers ``result`` (an :class:`InferenceResult`); every
+        other outcome raises, in the caller, a
+        :class:`~repro.errors.RequestError` reading ``request <id>
+        (<model>) <detail>`` that carries the outcome, the attempt and —
+        from ``cause``, which becomes its ``__cause__`` — the
+        chip/cycle/unit the fault was attributed to.  Counted
+        (``on_finish``) before the future resolves, so whoever sees the
+        answer also sees it in the books.
+        """
+        with self.future._cond:
+            if self.outcome is not None:
+                return False
+            self.outcome = outcome
+            self.timing.completed_s = now
+            error = None if outcome == "ok" else RequestError(
+                f"request {self.id} ({self.model}) {detail}",
+                outcome=outcome, attempt=self.attempt, chip_index=chip_index,
+                chip=getattr(cause, "chip_id", None),
+                cycle=getattr(cause, "cycle", None),
+                unit=getattr(cause, "unit", None),
+            )
+            try:
+                if self.on_finish is not None:
+                    self.on_finish(self)
+            finally:  # a bookkeeping bug must not leave the caller waiting
+                if error is None:
+                    self.future.set_result(result)
+                else:
+                    error.__cause__ = cause
+                    self.future.set_error(error)
+            return True
 
 
 @dataclass
@@ -153,3 +215,26 @@ class Batch:
 
     def __len__(self) -> int:
         return len(self.requests)
+
+
+@dataclass
+class BatchOutcome:
+    """What one executed batch reports up to the server."""
+
+    batch: Batch
+    worker: str
+    ok: bool
+    stats: ChunkRunStats = field(default_factory=ChunkRunStats)
+    error: BaseException | None = None
+    started_s: float = 0.0
+    finished_s: float = 0.0
+    #: the batch's span id in the request tracer (None when tracing off) —
+    #: the linkage request root spans point at via args["batch_span"]
+    span_id: int | None = None
+    #: highest request attempt in the batch at execution time
+    attempt: int = 0
+    #: requests re-enqueued for retry instead of ended — they come back
+    #: through a later batch
+    requeued: list = field(default_factory=list)
+    #: served by a degraded worker (recompiled against its blacklist)
+    degraded: bool = False

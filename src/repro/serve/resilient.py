@@ -1,36 +1,31 @@
-"""Self-healing serving policies: retry budgets, fault diagnosis, repair.
+"""Self-healing serving policy: what to do, as functions of values.
 
 The TSP has no hardware arbitration to mask a fault — a failed batch is
 a *software* event the serving tier must close the loop on (the paper's
 Section II-D fleet-health story, and the datacenter-accelerator stance of
-the TPU paper: degradation is a serving concern).  This module holds the
-policy vocabulary the :class:`~repro.serve.pool.ChipPool` executes:
-
-* :class:`RetryPolicy` — how many attempts a request gets and how much
-  deadline slack a retry must still have (one estimated batch latency,
-  from the :class:`LatencyEstimator` EWMA).
-* :class:`HealthPolicy` — how many transient strikes quarantine a chip,
-  how many clean probes repair it, and how often a degraded chip
-  re-checks its blacklisted hardware.
-* :func:`diagnose` — classify a batch failure as ``software`` (never
-  retry), ``degradable`` (localizable to a :class:`~repro.resil.Blacklist`
-  — recompile around it and keep serving), or ``transient`` (retry the
-  requests, strike the chip).
-* :func:`probe_memory` / :func:`blacklist_recovered` — the repair
-  policy's hardware checks: a host-level sweep over every MEM slice, and
-  the degraded worker's periodic re-probe of just its blacklisted
-  resources.
+the TPU paper: degradation is a serving concern).  This module decides;
+the :class:`~repro.serve.pool.ChipPool` reads the clock, holds the locks
+and performs what was decided.  The knobs are :class:`RetryPolicy` and
+:class:`HealthPolicy`; the decisions, one function each and none of them
+reading a clock, taking a lock or touching a chip: :func:`diagnose` (an
+exception → software / degradable / transient), :func:`request_fate`,
+:func:`hardware_fate`, :func:`health_flag`, :func:`recheck_due`,
+:func:`repair_verdict`, :func:`rehome` and :func:`shed_limit`.  Below
+them sit what the decisions are about: the :class:`Hardware` record a
+chip's health lives on and the :class:`QuarantineRecord`.  (The repair
+policy's two host-level measurements, ``probe_memory`` and
+``blacklist_recovered``, live in :mod:`repro.resil.health` and are
+re-exported here.)
 """
 
 from __future__ import annotations
 
 import re
-import threading
 from dataclasses import dataclass, field
 
-from ..arch.geometry import Hemisphere
 from ..errors import ServeError, SimulationError
 from ..resil.degrade import Blacklist, blacklist_from_fault
+from ..resil.health import blacklist_recovered, probe_memory  # noqa: F401
 
 #: chip ids of pooled ring members look like ``pool0.c2`` / ``spare1.c0``
 _RING_CHIP_ID = re.compile(r".*\.c(\d+)$")
@@ -77,35 +72,6 @@ class HealthPolicy:
             raise ServeError("probes_required must be >= 1")
 
 
-class LatencyEstimator:
-    """Thread-safe per-model EWMA of observed batch latency.
-
-    The retry path's cost model: "one more attempt takes about this
-    long".  Optimistic before the first observation (``initial_s``) so a
-    cold server never refuses the retry that would have warmed it up.
-    """
-
-    def __init__(self, alpha: float = 0.3, initial_s: float = 0.05) -> None:
-        self.alpha = alpha
-        self.initial_s = initial_s
-        self._lock = threading.Lock()
-        self._estimates: dict[str, float] = {}
-
-    def observe(self, model: str, seconds: float) -> None:
-        with self._lock:
-            previous = self._estimates.get(model)
-            if previous is None:
-                self._estimates[model] = seconds
-            else:
-                self._estimates[model] = (
-                    self.alpha * seconds + (1 - self.alpha) * previous
-                )
-
-    def estimate(self, model: str) -> float:
-        with self._lock:
-            return self._estimates.get(model, self.initial_s)
-
-
 # ----------------------------------------------------------------------
 # Diagnosis
 
@@ -138,44 +104,161 @@ def chip_index_of(error: BaseException) -> int | None:
 
 def diagnose(error: BaseException, n_chips: int = 1) -> Diagnosis:
     """Classify one batch failure for the retry/quarantine machinery."""
+    chip_index, name = chip_index_of(error), type(error).__name__
     if not isinstance(error, SimulationError):
         return Diagnosis(
-            kind="software",
-            reason=f"{type(error).__name__} is not a hardware fault",
+            "software", None, chip_index, f"{name} is not a hardware fault"
         )
-    chip_index = chip_index_of(error)
     blacklist = blacklist_from_fault(
         error, chip_index=chip_index or 0, n_chips=n_chips
     )
-    if blacklist is not None:
-        return Diagnosis(
-            kind="degradable",
-            blacklist=blacklist,
-            chip_index=chip_index,
-            reason=f"localized to {blacklist.describe()}",
-        )
+    if blacklist is None:
+        return Diagnosis("transient", None, chip_index, f"unlocalized {name}")
     return Diagnosis(
-        kind="transient",
-        chip_index=chip_index,
-        reason=f"unlocalized {type(error).__name__}",
-    )
-
-
-def merge_blacklists(
-    a: Blacklist | None, b: Blacklist | None
-) -> Blacklist:
-    """Union of two blacklists (either may be None)."""
-    a = a or Blacklist()
-    b = b or Blacklist()
-    return Blacklist(
-        mem_slices=a.mem_slices | b.mem_slices,
-        mxm_planes=a.mxm_planes | b.mxm_planes,
-        ring_cables=a.ring_cables | b.ring_cables,
+        "degradable", blacklist, chip_index,
+        f"localized to {blacklist.describe()}",
     )
 
 
 # ----------------------------------------------------------------------
-# Quarantine accounting and repair probes
+# Decisions
+
+
+def request_fate(
+    kind: str, attempt: int, slack_s: float, estimate_s: float,
+    retry: RetryPolicy,
+) -> str:
+    """What becomes of one request of a failed batch of diagnosis ``kind``:
+    ``"failed"`` (a software fault fails again for certain),
+    ``"retryable_exhausted"`` (``attempt`` was the last allowed, or the
+    deadline's ``slack_s`` will not cover one more batch of
+    ``estimate_s``) or ``"requeue"``."""
+    if kind == "software":
+        return "failed"
+    if attempt + 1 >= retry.max_attempts or slack_s < estimate_s:
+        return "retryable_exhausted"
+    return "requeue"
+
+
+def hardware_fate(
+    diagnosis: Diagnosis, blacklist: Blacklist | None, strikes: int,
+    health: HealthPolicy,
+) -> tuple[str | None, Blacklist | None]:
+    """What becomes of hardware carrying ``blacklist`` and ``strikes`` that
+    just failed a batch, as ``(action, blacklist)``: ``"degrade"`` with
+    the merged blacklist to recompile around (only when it names something
+    new), ``"strike"``, ``"quarantine"`` on the strike that reaches
+    ``quarantine_after``, or None (a software fault; a known-dead
+    resource failing again)."""
+    if diagnosis.kind == "degradable":
+        known = blacklist or Blacklist()
+        merged = known | diagnosis.blacklist
+        if merged != known:
+            return "degrade", merged
+    elif diagnosis.kind == "transient":
+        if strikes + 1 >= health.quarantine_after:
+            return "quarantine", blacklist
+        return "strike", blacklist
+    return None, blacklist
+
+
+def health_flag(report, health: HealthPolicy) -> str | None:
+    """Why the chip a :class:`~repro.resil.HealthReport` describes should
+    be quarantined, or None: a failed verdict, or ECC corrections / link
+    FEC corrections + retries at the wear-out level."""
+    threshold = health.wearout_threshold
+    if report.verdict == "failed":
+        return f"{report.chip_id}: health verdict failed"
+    if report.ecc_corrections >= threshold:
+        return (
+            f"{report.chip_id}: {report.ecc_corrections} ECC "
+            f"corrections >= wearout threshold {threshold}"
+        )
+    link_trouble = sum(lh.corrected + lh.retries for lh in report.links)
+    if link_trouble >= threshold:
+        return (
+            f"{report.chip_id}: {link_trouble} link FEC "
+            f"corrections/retries >= threshold {threshold}"
+        )
+    return None
+
+
+def recheck_due(degraded_ok: int, health: HealthPolicy) -> bool:
+    """Has degraded hardware served enough clean batches to re-probe the
+    resources it routes around?"""
+    return degraded_ok >= health.recheck_after
+
+
+def repair_verdict(
+    probes_passed: int, failed: bool, localized: Blacklist | None,
+    blacklist: Blacklist | None, health: HealthPolicy,
+) -> tuple[str, Blacklist | None]:
+    """What a repair's probe results so far mean, with the blacklist the
+    hardware carries from here: ``"probe"`` again; back to service
+    ``"healthy"`` or ``"degraded"`` (a probe failure ``localized`` to a
+    resource joins the blacklist instead of failing the repair); or
+    ``"retired"`` — a probe failed and nothing localizes it."""
+    if failed:
+        if localized is None:
+            return "retired", blacklist
+        blacklist = (blacklist or Blacklist()) | localized
+    elif probes_passed < health.probes_required:
+        return "probe", blacklist
+    return ("degraded" if blacklist else "healthy"), blacklist
+
+
+def rehome(parked: list):
+    """Where repaired hardware goes: the first ``parked`` worker (capacity
+    before comfort), else None — the spare shelf."""
+    return parked[0] if parked else None
+
+
+def shed_limit(capacity: int, n_workers: int, per_worker: int) -> int | None:
+    """The queue depth at which admission control starts shedding, or
+    None: at full capacity every request queues; with workers quarantined
+    the queue holds ``per_worker`` requests for each that still serves."""
+    return None if capacity >= n_workers else per_worker * capacity
+
+
+# ----------------------------------------------------------------------
+# Hardware and quarantine accounting
+
+
+class Hardware:
+    """One worker's worth of chips — a single chip or a whole ring, and
+    the one place that knows which — with the health that travels with
+    them from a worker into quarantine, the spare shelf and back."""
+
+    def __init__(self, chips: list, system=None) -> None:
+        self.chips = chips
+        self.system = system
+        #: what fault hooks are handed and persistent faults are keyed by
+        self.device = system if system is not None else chips[0]
+        #: resources this hardware's programs are recompiled around
+        self.blacklist: Blacklist | None = None
+        #: consecutive transient failures since the last clean batch
+        self.strikes = 0
+        #: clean degraded batches since the last blacklist re-probe
+        self.degraded_ok = 0
+
+    def target(self, model):
+        """What ``model`` runs on: the ring if it is sharded, else a chip."""
+        if self.system is not None and getattr(model, "n_chips", 1) > 1:
+            return self.system
+        return self.chips[0]
+
+    def scrub(self) -> None:
+        """Factory-reset every chip for the next tenant.
+
+        A ring also drops injected link error models:
+        :meth:`~repro.sim.c2c.C2cUnit.scrub` keeps them (channel
+        configuration on a fixed deployment), but a pooled ring is
+        re-tenanted per batch — a dead link injected against one batch
+        must not poison the next tenant's transfers.
+        """
+        self.device.scrub()
+        if self.system is not None:
+            self.system.clear_error_models()
 
 
 @dataclass
@@ -185,57 +268,11 @@ class QuarantineRecord:
     worker: str
     reason: str
     since_s: float
+    #: the pool's hardware record (chips + blacklist) under repair
     hardware: object = field(repr=False, default=None)
-    blacklist: Blacklist | None = None
     probes_passed: int = 0
     repaired_s: float | None = None
 
     @property
     def active(self) -> bool:
         return self.repaired_s is None
-
-
-def _chips_of(hardware) -> list:
-    return list(hardware.chips) if hasattr(hardware, "chips") else [hardware]
-
-
-def probe_memory(hardware, skip: Blacklist | None = None) -> None:
-    """Host-level SRAM sweep: write+read one word in every MEM slice.
-
-    The repair policy's probe: cheap (no compile, no simulation run) yet
-    it touches every slice of every chip of ``hardware``, so a dead slice
-    raises :class:`~repro.errors.MemoryFaultError` with the slice's unit
-    context.  Slices on ``skip`` are not probed (known-dead hardware a
-    degraded blacklist already routes around).
-    """
-    skip_slices = skip.mem_slices if skip is not None else frozenset()
-    for chip in _chips_of(hardware):
-        for hemisphere in Hemisphere:
-            for index in range(chip.config.mem_slices_per_hemisphere):
-                if (hemisphere, index) in skip_slices:
-                    continue
-                unit = chip.mem_unit(hemisphere, index)
-                word = unit.host_read(0)
-                unit.host_write(0, word)
-
-
-def blacklist_recovered(hardware, blacklist: Blacklist) -> bool:
-    """True when every blacklisted resource probes healthy again.
-
-    The degraded worker's periodic re-check.  Only MEM slices are
-    probeable from the host; a blacklist carrying MXM planes or ring
-    cables is conservatively treated as still faulty (those need a full
-    compiled probe, which quarantine-and-repair covers).
-    """
-    if blacklist.mxm_planes or blacklist.ring_cables:
-        return False
-    for chip in _chips_of(hardware):
-        for hemisphere, index in blacklist.mem_slices:
-            unit = chip.mem_unit(hemisphere, index)
-            if unit.dead:
-                return False
-            try:
-                unit.host_read(0)
-            except SimulationError:
-                return False
-    return True

@@ -13,34 +13,37 @@ It keeps one set of books.  Every serving event is counted once, in one
 high-water marks; no history, because a server lives for an unbounded
 number of batches) — ``stats()["requests"]``, ``stats()["slo"]`` and the
 metrics exporter are views of it — and, with ``tracing=True``, traced
-once, as spans of one :class:`~repro.obs.rtrace.RequestTracer`.
+once, as spans of one :class:`~repro.obs.rtrace.RequestTracer`.  A
+terminal outcome is counted in one method, ``_finished``, called once per
+request whoever ended it (a worker, admission control, ``close()``), so
+``submitted == completed + failed + shed`` + queued + in a batch.
 """
 
 from __future__ import annotations
 
 import threading
-import time
-from collections import deque
+from collections import defaultdict, deque
 
 import numpy as np
 
 from ..config import ArchConfig
-from ..errors import RequestError, ServeError
+from ..errors import ServeError
 from ..obs.counters import CounterRegistry
 from ..obs.metrics import LatencyHistogram, SloTracker
 from ..obs.rtrace import RequestTracer
 from .batcher import DynamicBatcher
 from .cache import ProgramCache
 from .models import ServeModel
-from .pool import BatchOutcome, ChipPool
+from .pool import ChipPool
 from .request import (
+    BatchOutcome,
     BatchPolicy,
     InferenceRequest,
     InferenceResult,
     RequestTiming,
     ServeFuture,
 )
-from .resilient import HealthPolicy, RetryPolicy
+from .resilient import HealthPolicy, RetryPolicy, shed_limit
 
 
 class InferenceServer:
@@ -69,7 +72,6 @@ class InferenceServer:
         tracing: bool = False,
         trace_chip_events: bool = False,
         slos: dict[str, float] | None = None,
-        slo_default_s: float | None = None,
         n_spares: int = 0,
         retry: RetryPolicy | None = None,
         health_policy: HealthPolicy | None = None,
@@ -93,11 +95,7 @@ class InferenceServer:
             RequestTracer(max_spans=max_spans, chip_events=trace_chip_events)
             if tracing else None
         )
-        self.slo = SloTracker(
-            targets=slos,
-            default_target_s=slo_default_s,
-            registry=self.registry,
-        )
+        self.slo = SloTracker(targets=slos, registry=self.registry)
         if shed_factor < 1:
             raise ServeError("shed_factor must be >= 1")
         self.shed_factor = shed_factor
@@ -106,7 +104,9 @@ class InferenceServer:
         #: recent pool health events (quarantine/repair/degraded/retired)
         self.health_events: deque[dict] = deque(maxlen=256)
         #: model -> phase ("total" | "queue") -> bounded histogram
-        self._histograms: dict[str, dict[str, LatencyHistogram]] = {}
+        self._histograms: dict[str, dict[str, LatencyHistogram]] = (
+            defaultdict(lambda: defaultdict(LatencyHistogram))
+        )
         chip_kwargs = {"trace": True} if trace_chip_events else None
         self.pool = ChipPool(
             config,
@@ -146,31 +146,15 @@ class InferenceServer:
         if self._closed:
             return
         self._closed = True
-        aborted = self.batcher.abort()
-        now = time.monotonic()
-        for request in aborted:
-            request.timing.completed_s = now
-            request.future.set_error(
-                RequestError(
-                    f"request {request.id} ({request.model}) dropped: "
-                    "server shutting down",
-                    outcome="shutdown",
-                    attempt=request.attempt,
-                )
+        now = self.batcher.clock()
+        for request in self.batcher.abort():
+            request.finish(
+                "shutdown", now, detail="dropped: server shutting down"
             )
-        if aborted:
-            self.registry.count("serve", "requests_shutdown", len(aborted))
         self.pool.shutdown()
         self.pool.join(timeout=timeout)
 
     # ------------------------------------------------------------------
-    def _histogram(self, model: str, phase: str) -> LatencyHistogram:
-        phases = self._histograms.setdefault(model, {})
-        hist = phases.get(phase)
-        if hist is None:
-            hist = phases[phase] = LatencyHistogram()
-        return hist
-
     def histogram_snapshot(self) -> dict[str, dict[str, LatencyHistogram]]:
         """Consistent copies of every latency histogram (model x phase)."""
         with self._lock:
@@ -181,25 +165,38 @@ class InferenceServer:
                 for model, phases in self._histograms.items()
             }
 
+    def _finished(self, request: InferenceRequest) -> None:
+        """The one place a terminal outcome is counted: called by
+        :meth:`~repro.serve.request.InferenceRequest.finish`, once per
+        request, before its future resolves.  A request answered or
+        failed on a chip has a latency to record and an SLO to be held
+        to; one shed or dropped at shutdown has neither."""
+        outcome, model = request.outcome, request.model
+        if outcome == "shed":
+            self.registry.count(f"serve:{model}", "requests_shed_capacity")
+        elif outcome == "shutdown":
+            self.registry.count("serve", "requests_shutdown")
+        else:
+            ok = outcome == "ok"
+            self.registry.count(
+                f"serve:{model}", "requests_ok" if ok else "requests_failed"
+            )
+            timing = request.timing
+            with self._lock:
+                phases = self._histograms[model]
+                phases["total"].record(timing.total_s)
+                phases["queue"].record(timing.queue_s)
+            self.slo.observe(model, timing.total_s, ok=ok)
+
     def _observe(self, outcome: BatchOutcome) -> None:
-        """Pool callback: fold one batch into counters and histograms."""
+        """Pool callback: fold one batch into the per-batch counters (its
+        requests were counted as each ended; the requeued have not)."""
         model = outcome.batch.model
         unit = f"serve:{model}"
         reg = self.registry
         n = len(outcome.batch.requests)
-        requeued_ids = {r.id for r in outcome.requeued}
-        # requests re-enqueued for retry are neither completed nor
-        # failed — they come back through a later batch's outcome
-        final = [
-            r for r in outcome.batch.requests if r.id not in requeued_ids
-        ]
-        if outcome.ok:
-            reg.count(unit, "requests_ok", n)
-        else:
-            if requeued_ids:
-                reg.count(unit, "requests_retried", len(requeued_ids))
-            if final:
-                reg.count(unit, "requests_failed", len(final))
+        if outcome.requeued:
+            reg.count(unit, "requests_retried", len(outcome.requeued))
         if outcome.degraded:
             reg.count(unit, "degraded_batches")
         reg.count(unit, "batches")
@@ -212,14 +209,6 @@ class InferenceServer:
         reg.count(unit, "execute_us", int(outcome.stats.execute_s * 1e6))
         reg.mark_high("serve", "batch_size_high", n)
         reg.mark_high("serve", "queue_depth_high", self.batcher.depth_high)
-        with self._lock:
-            total_hist = self._histogram(model, "total")
-            queue_hist = self._histogram(model, "queue")
-            for request in final:
-                total_hist.record(request.timing.total_s)
-                queue_hist.record(request.timing.queue_s)
-        for request in final:
-            self.slo.observe(model, request.timing.total_s, ok=outcome.ok)
         if self.tracer is not None:
             self._trace_requests(outcome)
 
@@ -229,40 +218,37 @@ class InferenceServer:
         self.health_events.append(dict(event))
 
     def _trace_requests(self, outcome: BatchOutcome) -> None:
-        """Record each request's root + queue-wait spans, linked to the
-        batch span the pool worker recorded (``args["batch_span"]``)."""
-        tracer = self.tracer
-        for request in outcome.batch.requests:
-            start_us = tracer.us_of(request.timing.submitted_s)
-            end_us = tracer.us_of(
-                request.timing.completed_s or outcome.finished_s
-            )
+        """Record the spans whose ends are known only once the batch is
+        over: how long it took to form, and each request's root +
+        queue-wait, linked to the batch span the pool worker recorded
+        (``args["batch_span"]``)."""
+        tracer, batch = self.tracer, outcome.batch
+        ids = {"batch_id": batch.id, "model": batch.model}
+        started_us = tracer.us_of(outcome.started_s)
+        tracer.record(
+            "batch_form", outcome.worker,
+            tracer.us_of(min(r.timing.submitted_s for r in batch.requests)),
+            started_us, parent_id=outcome.span_id, **ids,
+            args={"trigger": batch.trigger, "n": len(batch.requests)},
+        )
+        for request in batch.requests:
+            timing = request.timing
+            start_us = tracer.us_of(timing.submitted_s)
             root = tracer.record(
-                "request",
-                "requests",
-                start_us,
-                end_us,
-                request_id=request.id,
-                batch_id=outcome.batch.id,
-                model=outcome.batch.model,
+                "request", "requests", start_us,
+                tracer.us_of(timing.completed_s or outcome.finished_s),
+                request_id=request.id, **ids,
                 args={
                     "batch_span": outcome.span_id,
                     "worker": outcome.worker,
                     "ok": outcome.ok,
                 },
             )
-            dispatched_s = (
-                request.timing.dispatched_s or outcome.started_s
-            )
             tracer.record(
-                "queue_wait",
-                "requests",
-                start_us,
-                tracer.us_of(dispatched_s),
-                parent_id=root.id,
-                request_id=request.id,
-                batch_id=outcome.batch.id,
-                model=outcome.batch.model,
+                "queue_wait", "requests", start_us,
+                tracer.us_of(timing.dispatched_s) if timing.dispatched_s
+                else started_us,
+                parent_id=root.id, request_id=request.id, **ids,
             )
 
     # ------------------------------------------------------------------
@@ -291,7 +277,7 @@ class InferenceServer:
             )
         payload = np.asarray(payload, dtype=np.float64)
         served.validate(payload)
-        now = time.monotonic()
+        now = self.batcher.clock()
         budget = (
             deadline_s if deadline_s is not None
             else self.pool.retry.default_deadline_s
@@ -306,14 +292,10 @@ class InferenceServer:
             timing=RequestTiming(submitted_s=now),
             deadline_s=None if budget is None else now + budget,
             priority=priority,
+            on_finish=self._finished,
         )
-        self._admit(request, now)
-        try:
-            self.batcher.submit(request)
-        except ServeError:
-            # rejected before entering the queue — an SLO shed
-            self.slo.shed(model)
-            raise
+        if not self._admit(request, now):
+            raise request.future.error()
         # sample queue depth on every submit, not just at batch
         # completion — peaks between batches are exactly the interesting
         # ones for admission control
@@ -322,42 +304,50 @@ class InferenceServer:
         )
         return request.future
 
-    def _admit(self, request: InferenceRequest, now: float) -> None:
-        """Capacity-aware admission control at the submit edge.
+    def _admit(self, request: InferenceRequest, now: float) -> bool:
+        """The submit edge: queue ``request``, or turn someone away.
 
-        At full capacity every request queues.  When quarantines shrink
-        the pool, the queue is capped at ``shed_factor`` batches per
-        surviving worker; past that, the least valuable request — lowest
-        priority, then smallest deadline slack — is shed with a distinct
-        ``shed`` outcome.  That victim is usually an already-queued
-        request (its future fails immediately); when the newcomer itself
-        is the least valuable, :meth:`submit` raises instead.
+        With the pool shrunk by quarantines and the queue at its cap
+        (:func:`~repro.serve.resilient.shed_limit`), the least valuable
+        request — lowest priority, then smallest deadline slack — is
+        ``shed``: usually a queued one, whose place the newcomer takes.
+        When the newcomer is worth least it is the one refused (False,
+        its future already failed) — and a closing server has one
+        answer for it, ``shutdown``, whether the closed batcher refused
+        or the capacity its exiting workers took away.
         """
-        capacity = self.pool.capacity()
-        if capacity >= len(self.pool.workers):
-            return
-        policy = self.batcher.policy_for(request.model)
-        limit = self.shed_factor * capacity * policy.max_batch
-        if self.batcher.depth() < limit:
-            return
-        victim = self.batcher.shed_victim(
-            request.priority, request.slack_s(now), now
+        pool, batcher = self.pool, self.batcher
+        capacity, n_workers = pool.capacity(), len(pool.workers)
+        limit = shed_limit(
+            capacity, n_workers,
+            self.shed_factor * batcher.policy_for(request.model).max_batch,
         )
-        if victim is None:
-            victim = request
-        self.registry.count(f"serve:{victim.model}", "requests_shed_capacity")
-        self.slo.shed(victim.model)
-        error = RequestError(
-            f"request {victim.id} ({victim.model}) shed: pool capacity "
-            f"{capacity}/{len(self.pool.workers)}, queue over "
-            f"{limit} requests",
-            outcome="shed",
-            attempt=victim.attempt,
-        )
-        if victim is request:
-            raise error
-        victim.timing.completed_s = now
-        victim.future.set_error(error)
+        victim = shed = None
+        if limit is not None and batcher.depth() >= limit:
+            shed = f"shed: pool capacity {capacity}/{n_workers}, " \
+                f"queue over {limit} requests"
+            victim = batcher.shed_victim(
+                request.priority, request.slack_s(now), now
+            ) or request
+        queued = victim is not request
+        if queued:
+            if victim is not None:
+                self._refuse(victim, "shed", now, shed)
+            try:
+                batcher.submit(request)
+            except ServeError:  # closed under us
+                queued = False
+        if not queued and batcher.closed:
+            self._refuse(
+                request, "shutdown", now, "rejected: server shutting down"
+            )
+        elif not queued:
+            self._refuse(request, "shed", now, shed)
+        return queued
+
+    def _refuse(self, request, outcome: str, now: float, detail: str) -> None:
+        self.slo.shed(request.model)
+        request.finish(outcome, now, detail=detail)
 
     def run(
         self, model: str, payload: np.ndarray, timeout: float = 60.0

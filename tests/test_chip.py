@@ -1,5 +1,7 @@
 """Chip-level behaviour: determinism, power gating, tracing, limits,
-per-run state on a reused chip, and host work that follows dispatches."""
+per-run state on a reused chip, and host work that follows dispatches —
+the core's, and that of the observers riding it (an armed watchdog, an
+attached telemetry collector)."""
 
 import numpy as np
 import pytest
@@ -344,6 +346,120 @@ class TestWorkFollowsDispatches:
         result = chip.run(program)
         assert len(step_calls) <= result.instructions
         assert len(step_calls) * 8 < len(program.icus) * result.cycles
+
+
+class TestObserversFollowDispatches:
+    """What observing a run costs, as counts of work (these were two
+    wall-clock ratio gates in ``benchmarks/test_simulator_performance.py``,
+    ≤ 2 % and ≤ 45 %, measured below a shared host's noise floor): an
+    armed watchdog that never fires does nothing at all, and a telemetry
+    collector is called a bounded number of times per dispatch and not
+    once on a cycle where nothing happens."""
+
+    @pytest.fixture()
+    def programs(self, config):
+        programs = _compiled_programs(config)
+        programs["paced"] = paced_program(
+            TspChip(config), requests=6, interval=64
+        )
+        return programs
+
+    def test_never_firing_watchdog_is_never_checked(
+        self, config, programs, monkeypatch
+    ):
+        from repro.resil import Watchdog
+
+        checks = []
+        check = TspChip.check_watchdog
+        monkeypatch.setattr(
+            TspChip, "check_watchdog",
+            lambda chip, queues, cycle: (
+                checks.append(cycle), check(chip, queues, cycle)
+            ),
+        )
+        for name, program in programs.items():
+            bare = TspChip(config).run(program)
+            chip = TspChip(config)
+            chip.arm_watchdog(Watchdog(deadline=10**9, label="never"))
+            armed = chip.run(program)
+            assert checks == [], name  # checked from the deadline on only
+            # hooks observe, never steer: the armed run is cycle-identical
+            assert (armed.cycles, armed.instructions, armed.activity) == (
+                bare.cycles, bare.instructions, bare.activity
+            ), name
+        # and one that does fire is entered exactly at its deadline
+        chip = TspChip(config)
+        chip.arm_watchdog(Watchdog(deadline=5, label="fires"))
+        with pytest.raises(SimulationError, match="fired"):
+            chip.run(programs["paced"])
+        assert checks == [5]
+
+    def test_collector_callbacks_follow_dispatches(
+        self, config, programs, monkeypatch
+    ):
+        from repro.obs import TelemetryCollector
+        from repro.sim.events import EventQueue
+        from repro.sim.icu import IcuQueue
+
+        now = [None]   # the cycle being stepped; None outside a run
+        calls = []     # (hook, cycle) of every collector callback
+        eventful = set()  # cycles with a dispatch, an event or a live hop
+
+        def counting(name, hook):
+            def counted(self, *args, **kwargs):
+                calls.append((name, now[0]))
+                return hook(self, *args, **kwargs)
+            return counted
+
+        for name, hook in vars(TelemetryCollector).items():
+            if name.startswith("on_"):
+                monkeypatch.setattr(
+                    TelemetryCollector, name, counting(name, hook)
+                )
+
+        def noting(method, happened):
+            def noted(self, cycle, *args):
+                result = method(self, cycle, *args)
+                if happened(self, result):
+                    eventful.add(cycle)
+                return result
+            return noted
+
+        monkeypatch.setattr(IcuQueue, "step", noting(
+            IcuQueue.step, lambda queue, _: True
+        ))
+        monkeypatch.setattr(EventQueue, "run_phase", noting(
+            EventQueue.run_phase, lambda events, run: run > 0
+        ))
+        step_cycle = TspChip.step_cycle
+
+        def stepping(chip, queues, cycle):
+            now[0] = cycle
+            if any(chip.srf._n_live):
+                eventful.add(cycle)
+            step_cycle(chip, queues, cycle)
+            now[0] = None
+
+        monkeypatch.setattr(TspChip, "step_cycle", stepping)
+        for name, program in programs.items():
+            calls.clear()
+            eventful.clear()
+            chip = TspChip(config)
+            chip.attach_telemetry(TelemetryCollector())
+            result = chip.run(program)
+            in_run = [call for call in calls if call[1] is not None]
+            flows = [call for call in in_run if call[0] == "on_stream_flow"]
+            # O(1) per dispatch: every program here reads 2.3-3.1
+            assert len(in_run) - len(flows) <= 4 * result.instructions, name
+            # at most one flow charge per cycle, none on an empty file
+            assert len(flows) == len(set(flows)) <= result.cycles, name
+            # and nothing at all on a cycle where nothing happened
+            assert {cycle for _, cycle in in_run} <= eventful, name
+            # outside the cycle loop: queue depths at load, the closing
+            # call — per queue, never per cycle
+            assert len(calls) - len(in_run) <= 2 * len(program.icus) + 1
+        # the paced program is mostly such cycles (the last one checked)
+        assert len(eventful) * 2 < result.cycles
 
 
 class TestActivityAccounting:

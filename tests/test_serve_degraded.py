@@ -98,8 +98,8 @@ class TestDegradedWorkerBitIdentical:
         ) as server:
             worker = server.pool.workers[0]
             # the post-repair "degraded spare" state, installed directly
+            # (state is derived from the blacklist, no longer assigned)
             worker.blacklist = blacklist
-            worker.state = "degraded"
             futures = [
                 server.submit("mlp", p, deadline_s=60.0)
                 for p in payloads
