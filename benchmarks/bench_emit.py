@@ -332,7 +332,7 @@ def check_replay_lockstep(quick: bool = False) -> dict:
     """Simulated-vs-replayed lockstep over the workloads.
 
     ``run_lockstep`` records a plan from a fresh simulation and asserts
-    the replayed outputs, memory, cycle counts, trace, and telemetry are
+    the replayed outputs, memory, cycle counts, activity and trace are
     bit-identical to a simulated reference — the artifact's proof that
     replay mode measures the same computation.
     """

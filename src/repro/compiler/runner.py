@@ -164,9 +164,10 @@ def execute_batched(
     plan unsupported, or the chip is in a state that demands real
     simulation) — the caller falls back to sequential :func:`execute`
     calls.  On success the results are bit-identical to B sequential
-    executions; when a chip is given, the B runs' activity and cycle
-    accounting land on it, but its memory is untouched (the batch never
-    materializes per-input SRAM state).
+    executions; when a chip is given, the B runs land on it as B
+    back-to-back runs would (:meth:`~repro.sim.replay.ReplayPlan.charge`),
+    but its memory is untouched (the batch never materializes per-input
+    SRAM state).
     """
     from ..sim import replay as replay_mod
 
@@ -175,12 +176,12 @@ def execute_batched(
     plan = compiled.replay
     if not replay_mod.replay_allowed(
         plan, chip, max_cycles=max_cycles, warmup_barrier=warmup_barrier
-    ) or (chip is not None and chip.trace_enabled):
+    ):
         return None
     outputs_list = plan.run_batched(inputs_list)
     if chip is not None:
         plan.charge(chip, len(inputs_list))
     return [
-        ExecutionResult(outputs=outputs, run=plan.run_result([]))
+        ExecutionResult(outputs=outputs, run=plan.run_result(chip))
         for outputs in outputs_list
     ]

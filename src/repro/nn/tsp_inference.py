@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import itertools
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -258,11 +258,12 @@ class TspCnnRunner:
         self, layer: CompiledLayer, compiled, inputs: dict, n_rows: int,
         hit: bool, chip, record: bool,
     ):
-        """The ``execute()`` route: load, bind, simulate, fetch one chunk.
+        """The ``execute()`` route: load, bind, run, fetch one chunk.
 
         What a group falls back to when its program has no usable replay
         plan or the chip demands real simulation — and the run that
-        records the plan for next time.  One span per chunk: each run's
+        records the plan for next time, after which the group's later
+        chunks replay it write-through.  One span per chunk: each run's
         chip events are anchored to its own cycle 0.
         """
         with rtrace.span("execute") as span:
@@ -274,7 +275,8 @@ class TspCnnRunner:
                 span.anchor(
                     chip, result.run.cycles, self.config.clock_ghz,
                     result.run.trace, layer=layer.name, batch=1,
-                    rows=n_rows, hit=hit, replay=False,
+                    rows=n_rows, hit=hit,
+                    replay=result.run.skipped_cycles == result.run.cycles,
                 )
         return result
 
@@ -303,7 +305,7 @@ class TspCnnRunner:
         pure batched replay of the program's recorded
         :class:`~repro.sim.replay.ReplayPlan`; the chip's memory is never
         touched.  Anything else — a miss, no (or a failed) plan yet, a
-        trace-enabled or non-pristine chip — runs chunk by chunk through
+        non-pristine chip — runs chunk by chunk through
         :meth:`_run_matmul_chunk`.
         """
         from ..compiler.runner import execute_batched
@@ -332,11 +334,19 @@ class TspCnnRunner:
             if results is None:
                 span.set(name=None)  # not replayed: a span per chunk below
             elif span:
+                # one span for the group: its runs back to back, each
+                # run's events shifted past the cycles of those before it
+                trace, start = [], 0
+                for res in results:
+                    trace += [
+                        replace(event, cycle=event.cycle + start)
+                        for event in res.run.trace
+                    ]
+                    start += res.run.cycles
                 span.anchor(
-                    chip, sum(res.run.cycles for res in results),
-                    self.config.clock_ghz, layer=layer.name,
-                    batch=len(group), rows=n_rows * len(group),
-                    hit=hit, replay=True,
+                    chip, start, self.config.clock_ghz, trace,
+                    layer=layer.name, batch=len(group),
+                    rows=n_rows * len(group), hit=hit, replay=True,
                 )
         if results is None:
             # without a cache the compiled program dies with this call,

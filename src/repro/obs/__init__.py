@@ -5,8 +5,8 @@ What is here, all exact — a fact per cycle, never a sample:
 * :mod:`repro.obs.counters` — the counter registry in its two kinds:
   :class:`CounterRegistry` (locked totals and high/low-water marks — a
   server's whole book) and :class:`TelemetryCollector`, which extends it
-  with cycle windows, so a simulated run and its replay produce
-  bit-identical telemetry.
+  with cycle windows; a chip with a collector always simulates, so every
+  count is one it watched.
 * :mod:`repro.obs.trace` — :class:`PerfettoTraceBuilder`, the one
   renderer of chip traces and request traces: it joins compile-time
   schedule intent with runtime dispatch into Chrome/Perfetto trace JSON

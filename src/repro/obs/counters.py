@@ -40,10 +40,10 @@ plus scalar high/low-water marks (instruction-queue depth).
   occupancy) change on every cycle a value is in flight; the stream
   register file reports each hop's totals to :meth:`on_stream_flow`.
 
-A replayed plan merges the recorded run's windows (:meth:`merge_state`),
-so simulation and replay produce identical snapshots — a property
-``repro.verify.lockstep`` asserts on every compiled program in the fuzz
-corpus.
+A collector counts only what its chip simulates.  A chip with one
+attached never replays a recorded plan (:mod:`repro.sim.replay` refuses
+it as it refuses a checker), so every count is a transition the collector
+watched, and :meth:`rollup` equals the run's own ``RunResult.activity``.
 
 Collectors are opt-in: a chip with no collector attached executes zero
 telemetry code beyond one ``is not None`` test per instrumentation site
@@ -426,69 +426,14 @@ class TelemetryCollector(CounterRegistry):
                 totals[_SRF_W_HOP] += amount
 
     # ------------------------------------------------------------------
-    # state transfer (schedule replay)
-    # ------------------------------------------------------------------
-    @property
-    def is_fresh(self) -> bool:
-        """True while no counter, scalar, or dispatch has been observed."""
-        return (
-            not self._windows
-            and not self._high
-            and not self._low
-            and self.cycles == 0
-            and not self.dispatch_log
-        )
-
-    def export_state(self) -> dict:
-        """Detached copy of the full counter state, for replay plans.
-
-        The export of a collector that observed exactly one run is the
-        run's telemetry delta; :meth:`merge_state` folds it into another
-        collector of the same window width as if that collector had
-        observed the run itself.
-        """
-        return {
-            "windows": {
-                key: dict(buckets)
-                for key, buckets in self._windows.items()
-            },
-            "high": dict(self._high),
-            "low": dict(self._low),
-            "cycles": self.cycles,
-            "dispatch_log": list(self.dispatch_log),
-        }
-
-    def merge_state(self, state: dict) -> None:
-        """Fold an :meth:`export_state` image into this collector.
-
-        Additive counters merge window-by-window through :meth:`_bucket`
-        so the hot-path caches keep pointing at the live dicts; high/low
-        marks merge by extremum (they are absolute, not deltas).
-        """
-        totals = self._totals
-        for key, windows in state["windows"].items():
-            buckets = self._bucket(key)
-            added = 0
-            for w, v in windows.items():
-                buckets[w] = buckets.get(w, 0) + v
-                added += v
-            totals[key] += added
-        for key, value in state["high"].items():
-            self.mark_high(*key, value)
-        for key, value in state["low"].items():
-            self.mark_low(*key, value)
-        self.cycles += state["cycles"]
-        self.dispatch_log.extend(state["dispatch_log"])
-
-    # ------------------------------------------------------------------
     # read-out
     # ------------------------------------------------------------------
     def snapshot(self) -> dict:
         """Canonical, JSON-able image of every counter and scalar.
 
-        The lockstep comparator asserts snapshot equality between a
-        simulation and its replays; dict comparison is order-blind, so
-        any hook ordering that differs only *within* a cycle is fine.
+        Dict comparison is order-blind, so two simulations of one program
+        give equal snapshots even where hook order differs *within* a
+        cycle.
         """
         counters: dict[str, dict[str, dict[str, int]]] = {}
         for (unit, name), buckets in self._windows.items():

@@ -391,13 +391,12 @@ class MetricsExporter:
         requests = stats["requests"]
         metric(
             "tsp_serve_requests_total", "counter",
-            "Requests by terminal state.",
+            "Requests submitted, retried, and by terminal state.",
             [
                 (_labels(state=state), requests[state])
                 for state in (
                     "submitted", "completed", "failed", "retried", "shed"
                 )
-                if state in requests  # retried/shed: newer servers only
             ],
         )
         hist_samples: list[tuple[str, object]] = []
@@ -475,15 +474,13 @@ class MetricsExporter:
                     ("quarantined", "quarantined"),
                     ("spares", "spares"),
                 )
-                if key in pool  # health fields: newer servers only
             ],
         )
-        if "repaired" in pool:
-            metric(
-                "tsp_serve_pool_repairs_total", "counter",
-                "Quarantined hardware returned to service.",
-                [(_labels(), pool["repaired"])],
-            )
+        metric(
+            "tsp_serve_pool_repairs_total", "counter",
+            "Quarantined hardware returned to service.",
+            [(_labels(), pool["repaired"])],
+        )
         metric(
             "tsp_serve_batches_total", "counter",
             "Batches released, by trigger.",

@@ -147,12 +147,12 @@ class OpenSpan:
     def anchor(self, chip, cycles: int, clock_ghz: float, trace=(),
                **args) -> None:
         """Attach a chip run's clock anchor (the span's start is the host
-        µs of the run's cycle 0), its dispatch events if the tracer keeps
-        them, and ``args``."""
+        µs of the run's cycle 0), the dispatch events its chip traced
+        (none unless the chip was built with ``trace=True``), and
+        ``args``."""
         self.fields.update(
             chip=getattr(chip, "chip_id", None), cycles=cycles,
-            clock_ghz=clock_ghz, args=args,
-            chip_events=tuple(trace) if self.ctx.tracer.chip_events else (),
+            clock_ghz=clock_ghz, args=args, chip_events=tuple(trace),
         )
 
 
@@ -216,8 +216,8 @@ class Span:
     ``start_us``/``dur_us`` are host-monotonic microseconds since the
     tracer's origin.  Spans that executed a chip run additionally carry
     the chip-domain anchor (``chip``, ``cycles``, ``clock_ghz``) and —
-    when the tracer retains them — the run's dispatched instruction
-    events, each stamped in cycles relative to the anchor.
+    when the chip traced — the run's dispatched instruction events, each
+    stamped in cycles relative to the anchor.
     """
 
     id: int
@@ -255,15 +255,11 @@ class RequestTracer:
     def __init__(
         self,
         max_spans: int = 4096,
-        chip_events: bool = False,
         clock=time.monotonic,
     ) -> None:
         if max_spans < 1:
             raise ValueError("max_spans must be >= 1")
         self.max_spans = max_spans
-        #: retain per-run chip dispatch events on anchored spans (needs
-        #: the pool's chips constructed with ``trace=True``)
-        self.chip_events = chip_events
         self._clock = clock
         self._origin_s = clock()
         self._lock = threading.Lock()

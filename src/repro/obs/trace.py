@@ -467,7 +467,7 @@ class PerfettoTraceBuilder:
           ``span.start_us + cycle * 1e-3 / clock_ghz`` — the anchor math
           that folds the deterministic cycle domain into the host µs
           domain — and a flow arrow connects the owning host span to the
-          first on-chip event.
+          span's earliest on-chip event, on that event's queue row.
         """
         spans = tracer.spans()
         self.events.append({
@@ -551,7 +551,7 @@ class PerfettoTraceBuilder:
         """Place one anchored run's cycle-stamped events on the host
         timeline and draw the host-span -> chip flow arrow."""
         cycle_us = 1e-3 / span.clock_ghz
-        first_ts = None
+        first_ts = first_tid = None
         for event in span.chip_events:
             if event.mnemonic == "NOP":
                 continue
@@ -564,7 +564,7 @@ class PerfettoTraceBuilder:
                 })
             ts = round(span.start_us + event.cycle * cycle_us, 6)
             if first_ts is None or ts < first_ts:
-                first_ts = ts
+                first_ts, first_tid = ts, tid
             dur = (
                 mnemonic_duration(event.mnemonic, timing)
                 if timing is not None else 1
@@ -591,9 +591,7 @@ class PerfettoTraceBuilder:
             })
             self.events.append({
                 **common, "ph": "f", "bp": "e", "ts": first_ts,
-                "pid": chip_pid, "tid": icu_tids[
-                    next(iter(icu_tids))
-                ],
+                "pid": chip_pid, "tid": first_tid,
             })
 
     # ------------------------------------------------------------------

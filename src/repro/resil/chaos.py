@@ -16,8 +16,9 @@ traffic — and gates on the self-healing contract:
   hangs or silent corruption.
 
 Results (availability, p99 during vs after the fault, recovery wave
-counts, health-event tallies) land in ``BENCH_chaos.json``; the exit
-code is the gate, so CI can run ``--smoke`` directly.
+counts, health transitions by kind as the server's registry counted them)
+land in ``BENCH_chaos.json``; the exit code is the gate, so CI can run
+``--smoke`` directly.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ from ..nn.transformer import TransformerConfig
 from ..sim.c2c import LinkErrorModel
 from .health import Watchdog
 
-SCHEMA = "tsp-chaos/1"
+SCHEMA = "tsp-chaos/2"
 
 #: recovery must complete within this many post-fault waves
 MAX_RECOVERY_WAVES = 12
@@ -198,6 +199,7 @@ def _run_scenario(
         stats = server.stats()
     finally:
         server.close()
+    counted = server.registry.totals().get("serve", {})
 
     def _p99_ms(samples):
         if not samples:
@@ -220,7 +222,11 @@ def _run_scenario(
         "quarantines": stats["pool"]["quarantines_total"],
         "repaired": stats["pool"]["repaired"],
         "worker_states": stats["pool"]["states"],
-        "health_events": [e["kind"] for e in server.health_events],
+        "health": {
+            name.removeprefix("health_"): n
+            for name, n in sorted(counted.items())
+            if name.startswith("health_")
+        },
         "p99_during_ms": _p99_ms(tally.during_s),
         "p99_after_ms": _p99_ms(tally.after_s),
         "recovery_waves": recovery_waves,

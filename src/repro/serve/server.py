@@ -22,7 +22,7 @@ request whoever ended it (a worker, admission control, ``close()``), so
 from __future__ import annotations
 
 import threading
-from collections import defaultdict, deque
+from collections import defaultdict
 
 import numpy as np
 
@@ -56,7 +56,10 @@ class InferenceServer:
     :class:`~repro.obs.rtrace.RequestTracer` that connects every
     request's queue-wait / batch / cache / compile / execute / transfer /
     respond phases into one span tree, in a drop-oldest ring of at most
-    ``max_spans`` spans (evictions counted).
+    ``max_spans`` spans (evictions counted).  ``trace_chip_events=True``
+    builds the pool's chips with ``trace=True``; a chip-anchored span
+    keeps the dispatch events its chip traced, on whichever route (a
+    simulation or a replay) the run took.
     """
 
     def __init__(
@@ -92,8 +95,7 @@ class InferenceServer:
         self.registry = CounterRegistry(name="serve")
         self.max_spans = max_spans
         self.tracer: RequestTracer | None = (
-            RequestTracer(max_spans=max_spans, chip_events=trace_chip_events)
-            if tracing else None
+            RequestTracer(max_spans=max_spans) if tracing else None
         )
         self.slo = SloTracker(targets=slos, registry=self.registry)
         if shed_factor < 1:
@@ -101,12 +103,11 @@ class InferenceServer:
         self.shed_factor = shed_factor
         self._lock = threading.Lock()
         self._next_request_id = 0
-        #: recent pool health events (quarantine/repair/degraded/retired)
-        self.health_events: deque[dict] = deque(maxlen=256)
         #: model -> phase ("total" | "queue") -> bounded histogram
         self._histograms: dict[str, dict[str, LatencyHistogram]] = (
             defaultdict(lambda: defaultdict(LatencyHistogram))
         )
+        # the one switch for chip events: a span keeps what its chip traced
         chip_kwargs = {"trace": True} if trace_chip_events else None
         self.pool = ChipPool(
             config,
@@ -213,9 +214,10 @@ class InferenceServer:
             self._trace_requests(outcome)
 
     def _observe_health(self, event: dict) -> None:
-        """Pool callback: count quarantine/repair/degraded transitions."""
+        """Pool callback: count quarantine/repair/degraded transitions —
+        the ``serve.health_<kind>`` counters and the tracer's healing
+        spans are the one record of a chip's health."""
         self.registry.count("serve", f"health_{event['kind']}")
-        self.health_events.append(dict(event))
 
     def _trace_requests(self, outcome: BatchOutcome) -> None:
         """Record the spans whose ends are known only once the batch is

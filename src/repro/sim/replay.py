@@ -33,15 +33,18 @@ Correctness strategy (fail closed):
   ``Scatter``, ``Config``, C2C transfers) marks the plan unsupported; the
   recording run itself is never disturbed.
 * **Bypass predicate.**  :func:`replay_allowed` refuses to replay onto a
-  chip with checkers, armed watchdogs, error models, dead slices, injected
-  faults, events armed for the next run, disabled superlanes or attached
-  hardware-fault hooks — faulty runs need the real machine.
+  chip with checkers, a telemetry collector, armed watchdogs, error
+  models, dead slices, injected faults, events armed for the next run,
+  disabled superlanes or attached hardware-fault hooks — faulty runs need
+  the real machine, and an instrument observes only a run it watched.
 
-Observability is derived, not lost: the plan carries the recorded
-dispatches (formatted into trace events on the first trace-enabled
-replay), the telemetry-counter delta (mergeable into a fresh
-:class:`~repro.obs.counters.TelemetryCollector` of the same window), the
-exact cycle count and the activity-counter delta.
+What a replay reproduces is what a caller reads back from a run: its
+:class:`~repro.sim.chip.RunResult` (outputs, cycles, instructions,
+activity, dispatch trace) plus the SRAM words it writes.  The plan carries
+the recorded dispatches (formatted into trace events on the first
+trace-enabled replay), the exact cycle count and the activity-counter
+delta, and :meth:`ReplayPlan.charge` is the one place a replayed run lands
+on a chip.
 """
 
 from __future__ import annotations
@@ -391,9 +394,6 @@ class ScheduleRecorder:
             plan.ops = []
             plan.dispatches = []
             return plan
-        if chip.obs is not None:
-            plan.telemetry = chip.obs.export_state()
-            plan.telemetry_window = chip.obs.window_cycles
         for name, spec in self.compiled.outputs.items():
             n_planes = 1 if spec.layout.is_parallel else spec.dtype.n_bytes
             words = []
@@ -472,8 +472,6 @@ class ReplayPlan:
     out_words: dict = field(repr=False, default_factory=dict)
     inputs: dict = field(repr=False, default_factory=dict)
     outputs: dict = field(repr=False, default_factory=dict)
-    telemetry: dict | None = field(repr=False, default=None)
-    telemetry_window: int | None = None
     #: number of times this plan has been replayed (single + batched)
     replays: int = 0
 
@@ -571,8 +569,10 @@ class ReplayPlan:
                 raise SimulationError(f"unknown replay op {tag!r}")
 
     def charge(self, chip, runs: int) -> None:
-        """Land ``runs`` executions' activity, hop bytes and telemetry on
-        ``chip`` — what that many real runs would have added to it."""
+        """Land ``runs`` back-to-back executions on ``chip``: everything
+        but SRAM that that many real runs would have left there —
+        activity, hop bytes, the dispatches when the chip traces, and
+        ``chip.now``.  Both replay entry points land here."""
         for f in fields(self.activity):
             if f.name != "stream_hop_bytes":
                 setattr(chip.activity, f.name,
@@ -580,18 +580,19 @@ class ReplayPlan:
                         + getattr(self.activity, f.name) * runs)
         chip.srf.hop_bytes_total += self.activity.stream_hop_bytes * runs
         chip.activity.stream_hop_bytes = chip.srf.hop_bytes_total
-        if chip.obs is not None and self.telemetry is not None:
-            for _ in range(runs):
-                chip.obs.merge_state(self.telemetry)
+        if chip.trace_enabled:
+            chip.trace.extend(self.trace * runs)
+        chip.now = self.final_now
 
-    def run_result(self, trace: list) -> RunResult:
-        """One replayed run's :class:`RunResult`; a replay walks no cycle,
-        so every one of them counts as skipped."""
+    def run_result(self, chip) -> RunResult:
+        """One replayed run's :class:`RunResult` on ``chip`` (or on none);
+        a replay walks no cycle, so every one of them counts as skipped."""
+        traced = chip is not None and chip.trace_enabled
         return RunResult(
             cycles=self.cycles,
             instructions=self.instructions,
             activity=self.activity.copy(),
-            trace=trace,
+            trace=list(self.trace) if traced else [],
             ecc_corrections=0,
             skipped_cycles=self.cycles,
         )
@@ -601,12 +602,11 @@ class ReplayPlan:
     def replay_into(self, chip) -> RunResult:
         """Apply the plan to ``chip`` exactly as ``chip.run`` would have.
 
-        Memory effects, ECC check storage, activity counters, trace and
-        telemetry deltas, and ``chip.now`` all land on the chip; the
-        caller binds inputs beforehand and fetches outputs afterwards
-        exactly as for a real run.  The ops run through the batched
-        kernels as a batch of one: a word read is lifted to ``(1, lanes)``
-        and a computed word's row 0 is written through.
+        Memory effects and ECC check storage land here, the rest through
+        :meth:`charge`; the caller binds inputs beforehand and fetches
+        outputs afterwards exactly as for a real run.  The ops run through
+        the batched kernels as a batch of one: a word read is lifted to
+        ``(1, lanes)`` and a computed word's row 0 is written through.
         """
         chip.begin_run()
         unit = functools.cache(chip.mem_unit)
@@ -624,11 +624,8 @@ class ReplayPlan:
         self._execute_ops([None] * self.n_slots, mem_read, mem_write, 1)
 
         self.charge(chip, 1)
-        if chip.trace_enabled:
-            chip.trace.extend(self.trace)
-        chip.now = self.final_now
         self.replays += 1
-        return self.run_result(list(self.trace) if chip.trace_enabled else [])
+        return self.run_result(chip)
 
     # -- pure batched replay -----------------------------------------------
 
@@ -709,6 +706,8 @@ def _chip_is_pristine(chip) -> str | None:
     """Reason the chip needs real simulation, or None if replay is safe."""
     if chip.checkers:
         return "conformance checkers attached"
+    if chip.obs is not None:
+        return "telemetry collector attached"
     if chip.watchdog is not None:
         return "watchdog armed"
     if chip.recorder is not None:
@@ -736,12 +735,7 @@ def _chip_is_pristine(chip) -> str | None:
 
 def record_allowed(chip) -> bool:
     """May a recording of this chip's next run generalize to clean chips?"""
-    if _chip_is_pristine(chip) is not None:
-        return False
-    obs = chip.obs
-    if obs is not None and not obs.is_fresh:
-        return False
-    return True
+    return _chip_is_pristine(chip) is None
 
 
 def replay_allowed(plan: ReplayPlan | None, chip, *, max_cycles: int,
@@ -765,12 +759,4 @@ def replay_allowed(plan: ReplayPlan | None, chip, *, max_cycles: int,
         return False
     if chip.srf_ecc_enabled != plan.ecc_enabled:
         return False
-    if _chip_is_pristine(chip) is not None:
-        return False
-    obs = chip.obs
-    if obs is not None:
-        if plan.telemetry is None:
-            return False
-        if obs.window_cycles != plan.telemetry_window:
-            return False
-    return True
+    return _chip_is_pristine(chip) is None

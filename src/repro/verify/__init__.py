@@ -16,8 +16,9 @@ scheduled.  This package makes that claim checkable for the reproduction:
   (Equation 4/5);
 * :mod:`repro.verify.lockstep` — simulates one compiled program, records
   and replays it (write-through and batched), and asserts bit-identical
-  memory, outputs, traces, cycle counts, telemetry and checker dispatch
-  streams — the equivalence proof-obligation of the replay engine;
+  memory, outputs, traces, cycle counts, activity and checker dispatch
+  streams — everything a caller reads back from a run, the equivalence
+  proof-obligation of the replay engine;
 * :mod:`repro.verify.coverage` — tracks which opcodes, dtypes, and slice
   families a run exercises and enforces a coverage threshold;
 * :mod:`repro.verify.suite` — the conformance sweep exercising every

@@ -15,11 +15,11 @@ chip at all, then compares every observable surface bit-for-bit:
   (including ``stream_hop_bytes``);
 * the dispatch trace, and the dispatches the simulated chip's checker
   saw (every dispatch, stream drive, and SRAM access is recorded);
-* ECC correction counts;
-* the full telemetry snapshot of an attached
-  :class:`~repro.obs.TelemetryCollector` — every per-unit counter in
-  every sampling window, proving that observability is *exact* under
-  replay, not merely the architectural end state.
+* ECC correction counts.
+
+That is everything a caller reads back from a run.  A telemetry collector
+is not on the list: a chip with one attached simulates, never replays, so
+its counts need no proof here.
 
 ``assert_lockstep`` raises :class:`~repro.errors.DivergenceError` with a
 rendered report on any mismatch, mirroring the differential oracle's
@@ -36,7 +36,6 @@ import numpy as np
 from ..compiler.runner import bind_input, fetch_output, load_compiled
 from ..compiler.scheduler import CompiledProgram
 from ..errors import DivergenceError, SimulationError
-from ..obs.counters import TelemetryCollector
 from ..sim.chip import RunResult, TspChip
 from .invariants import InvariantChecker
 
@@ -78,16 +77,15 @@ class LockstepExecution:
     run: RunResult
     outputs: dict[str, np.ndarray]
     memory: dict[str, bytes]
-    telemetry: dict
 
 
 @dataclass
 class LockstepResult:
     """All executions plus every detected divergence.
 
-    ``simulated`` is the reference: the cycle simulator with tracing, a
-    :class:`RecordingChecker` (``recorder``) and a telemetry collector
-    attached.  ``replay`` is the program recorded once into a
+    ``simulated`` is the reference: the cycle simulator with tracing and
+    a :class:`RecordingChecker` (``recorder``) attached.  ``replay`` is
+    the program recorded once into a
     :class:`repro.sim.replay.ReplayPlan` and re-executed as fused numpy
     kernels, write-through, on a fresh chip.  It is ``None`` when the
     program is outside the replay engine's supported set (``plan`` then
@@ -143,10 +141,6 @@ def run_lockstep(
             compiled.config, timing=timing, trace=trace,
             enable_ecc=enable_ecc,
         )
-        # small windows so a typical corpus program spans several of
-        # them — the per-window comparison then exercises count_span's
-        # head/full/tail distribution, not just the grand totals
-        chip.attach_telemetry(TelemetryCollector(window_cycles=64))
         load_compiled(chip, compiled)
         for name, spec in compiled.inputs.items():
             if name not in inputs:
@@ -169,7 +163,6 @@ def run_lockstep(
                 for name, spec in compiled.outputs.items()
             },
             memory=chip.memory_image(),
-            telemetry=chip.obs.snapshot(),
         )
 
     chip = fresh_chip(trace=True)
@@ -209,12 +202,12 @@ def _compare(result: LockstepResult) -> None:
 
     Everything the replay engine reconstructs must be bit-identical to
     the simulated run: outputs, memory, cycle/instruction counts, ECC
-    corrections, activity, the dispatch trace, and the merged telemetry
-    snapshot.  A simulation walks every cycle and a replay none, so
-    ``skipped_cycles`` must be 0 and ``cycles`` respectively.  Both rows
-    of the pure batched evaluation must equal the simulated outputs too
-    — a constant that failed to broadcast against a batched slot shows
-    up there, not in the batch of one.
+    corrections, activity and the dispatch trace.  A simulation walks
+    every cycle and a replay none, so ``skipped_cycles`` must be 0 and
+    ``cycles`` respectively.  Both rows of the pure batched evaluation
+    must equal the simulated outputs too — a constant that failed to
+    broadcast against a batched slot shows up there, not in the batch of
+    one.
     """
     sim, replay = result.simulated, result.replay
     note = result.mismatches.append
@@ -250,9 +243,6 @@ def _compare(result: LockstepResult) -> None:
             f"{result.recorder.final_cycle} replay={replay.run.cycles}"
         )
 
-    if sim.telemetry != replay.telemetry:
-        note(_telemetry_divergence(sim.telemetry, replay.telemetry))
-
     for name in sorted(set(sim.outputs) | set(replay.outputs)):
         a, b = sim.outputs.get(name), replay.outputs.get(name)
         if a is None or b is None:
@@ -271,38 +261,6 @@ def _compare(result: LockstepResult) -> None:
             note(f"MEM slice {name} materialized on only one route")
         elif a != b:
             note(f"MEM slice {name} differs bit-wise")
-
-
-def _telemetry_divergence(sim: dict, replay: dict) -> str:
-    """Locate the first differing counter between two telemetry snapshots."""
-    for scope in ("window_cycles", "cycles"):
-        if sim.get(scope) != replay.get(scope):
-            return (
-                f"telemetry {scope}: simulated={sim.get(scope)} "
-                f"replay={replay.get(scope)}"
-            )
-    sc, rc = sim.get("counters", {}), replay.get("counters", {})
-    for unit in sorted(set(sc) | set(rc)):
-        a, b = sc.get(unit, {}), rc.get(unit, {})
-        for counter in sorted(set(a) | set(b)):
-            wa, wb = a.get(counter, {}), b.get(counter, {})
-            if wa == wb:
-                continue
-            for window in sorted(set(wa) | set(wb), key=int):
-                va, vb = wa.get(window), wb.get(window)
-                if va != vb:
-                    return (
-                        f"telemetry {unit}.{counter} window {window}: "
-                        f"simulated={va} replay={vb}"
-                    )
-    ss, rs = sim.get("scalars", {}), replay.get("scalars", {})
-    for key in sorted(set(ss) | set(rs)):
-        if ss.get(key) != rs.get(key):
-            return (
-                f"telemetry scalar {key}: simulated={ss.get(key)} "
-                f"replay={rs.get(key)}"
-            )
-    return "telemetry snapshots differ (structure mismatch)"
 
 
 # ----------------------------------------------------------------------

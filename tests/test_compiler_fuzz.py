@@ -48,7 +48,7 @@ def conform(builder, inputs=None, seed=None):
     Every corpus program is additionally executed under the lockstep
     comparator (:func:`repro.verify.assert_lockstep`), so the fuzz corpus
     continuously re-proves that a recorded plan's replay is bit-identical
-    to the simulation — memory, traces, cycle counts, telemetry, and the
+    to the simulation — memory, traces, cycle counts, activity, and the
     checker's dispatch stream.
 
     Returns the :class:`repro.verify.DifferentialResult`, so callers can

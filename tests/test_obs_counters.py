@@ -1,11 +1,12 @@
 """Telemetry counter registry: exactness, integration, and rollup.
 
-The load-bearing property is the one ``ISSUE``d by the paper's determinism
-argument: an attached :class:`~repro.obs.TelemetryCollector` produces a
-**bit-identical** snapshot whether the run was simulated cycle by cycle
-or replayed from its recorded plan — per window, per unit, per counter.
-The tests here assert that directly, plus the closed-form primitives it
-rests on and the coarse ``ActivityCounts`` rollup contract.
+An attached :class:`~repro.obs.TelemetryCollector` counts only what its
+chip simulated: a chip with a collector never replays a recorded plan,
+so every count is a transition the collector watched.  The tests here
+pin that (a recorded program still simulates under a collector, twice to
+the same snapshot), the closed-form primitives the counts rest on
+(``count_span``, stream flow), and the coarse ``ActivityCounts`` rollup
+contract (``rollup() == run.activity``).
 """
 
 from __future__ import annotations
@@ -23,8 +24,8 @@ from golden_programs import GOLDEN_PROGRAMS
 
 
 def _run_with_collector(compiled, window_cycles=64):
-    """``execute`` on a fresh chip with a fresh collector: the first call
-    for a program simulates and records it, later ones replay the plan."""
+    """``execute`` on a fresh chip with a fresh collector — a simulation,
+    whether or not the program carries a recorded plan."""
     chip = TspChip(compiled.config)
     collector = TelemetryCollector(window_cycles=window_cycles)
     chip.attach_telemetry(collector)
@@ -103,24 +104,35 @@ class TestStreamFlow:
 
 
 class TestReplayExactness:
-    """Simulated vs replayed telemetry, over every golden program."""
+    """A recorded plan never stands in for a run a collector watches, over
+    every golden program: each ``execute()`` simulates, so the counts are
+    exact by construction."""
 
     @pytest.mark.parametrize("name", sorted(GOLDEN_PROGRAMS))
     def test_snapshots_bit_identical(self, name):
         compiled = GOLDEN_PROGRAMS[name]().compile()
-        sim_run, simulated, sim_out = _run_with_collector(compiled)
-        replay_run, replayed, replay_out = _run_with_collector(compiled)
-        assert compiled.replay.replays == 1
-        assert sim_run.skipped_cycles == 0
-        assert replay_run.skipped_cycles == replay_run.cycles
-        assert simulated.snapshot() == replayed.snapshot()
-        for key in sim_out:
-            assert sim_out[key].tobytes() == replay_out[key].tobytes()
+        runs = [_run_with_collector(compiled)]
+        assert compiled.replay is None  # a watched run records nothing
+        execute(compiled)  # a clean chip records the plan
+        plan = compiled.replay
+        assert plan is not None and plan.ok, plan and plan.reason
+        runs += [_run_with_collector(compiled) for _ in range(2)]
+        assert plan.replays == 0  # every watched run simulated
+        (run, collector, outputs), *later = runs
+        assert collector.rollup() == run.activity
+        for again, other, other_outputs in later:
+            assert run.skipped_cycles == again.skipped_cycles == 0
+            assert collector.snapshot() == other.snapshot()
+            for key in outputs:
+                assert outputs[key].tobytes() == other_outputs[key].tobytes()
 
     def test_rollup_equals_run_activity(self):
         compiled = GOLDEN_PROGRAMS["matmul"]().compile()
-        for _route in ("simulated", "replayed"):
+        for recorded in (False, True):
+            if recorded:
+                execute(compiled)
             run, collector, _ = _run_with_collector(compiled)
+            assert (compiled.replay is not None) == recorded
             rollup = collector.rollup()
             assert rollup == run.activity
             assert rollup.cycles == run.cycles

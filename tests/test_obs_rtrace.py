@@ -276,12 +276,67 @@ class TestServeTracing:
             cycle_us = 1e-3 / span.clock_ghz
             expected = span.start_us + event["args"]["cycle"] * cycle_us
             assert event["ts"] == pytest.approx(expected, abs=1e-3)
+        # every host->chip arrow ends on a dispatch slice of its row
+        slices = [e for e in events if e.get("cat") == "dispatch"]
+        arrows = [e for e in events if e["ph"] == "f"]
+        assert arrows
+        for arrow in arrows:
+            assert any(
+                (e["pid"], e["tid"]) == (arrow["pid"], arrow["tid"])
+                and e["ts"] <= arrow["ts"] <= e["ts"] + e["dur"]
+                for e in slices
+            )
 
     def test_stats_exposes_tracing_accounting(self, traced_server):
         stats = traced_server.stats()
         assert stats["tracing"]["recorded"] == len(traced_server.tracer)
         assert stats["tracing"]["dropped"] == 0
         assert stats["spans"]["max_spans"] == 4096
+
+
+class TestAnchorArrows:
+    def test_each_arrow_lands_on_its_own_spans_first_slice(self):
+        """Two spans on one chip whose earliest dispatches sit on different
+        queues: each arrow ends on its own span's earliest slice, not on
+        the first queue the chip ever showed."""
+        from repro.sim.chip import TraceEvent
+
+        tracer = RequestTracer(max_spans=8)
+        anchor = {"chip": "c0", "cycles": 4, "clock_ghz": 1.0}
+        first = tracer.record(
+            "execute", "w0", 10.0, 20.0, **anchor, chip_events=(
+                TraceEvent(0, "MEM_W0", "Read", "read"),
+                TraceEvent(2, "VXM_0", "Add", "add"),
+            ),
+        )
+        second = tracer.record(
+            "execute", "w0", 30.0, 40.0, **anchor, chip_events=(
+                TraceEvent(1, "VXM_0", "Add", "add"),
+                TraceEvent(0, "MXM_W", "Acc", "acc"),
+            ),
+        )
+        builder = PerfettoTraceBuilder(clock_ghz=1.0)
+        builder.add_request_trace(tracer)
+        events = builder.build()
+        starts = {e["id"]: e for e in events if e["ph"] == "s"}
+        arrows = {e["id"]: e for e in events if e["ph"] == "f"}
+        assert len(arrows) == 2
+        for span in (first, second):
+            (flow,) = [
+                i for i, e in starts.items() if e["ts"] == span.start_us
+            ]
+            arrow = arrows[flow]
+            earliest = min(
+                (e for e in events if e.get("cat") == "dispatch"
+                 and e["args"]["span"] == span.id),
+                key=lambda e: e["ts"],
+            )
+            assert (arrow["pid"], arrow["tid"]) == (
+                earliest["pid"], earliest["tid"]
+            )
+            assert earliest["ts"] <= arrow["ts"] <= (
+                earliest["ts"] + earliest["dur"]
+            )
 
 
 class TestSpanRingBuffer:
@@ -408,6 +463,82 @@ class TestTracingWork:
             assert chunks["conv0"] == 2 * n
 
 
+class TestChipEventsKeepTheRoute:
+    """``trace_chip_events`` changes what a span carries, never the route a
+    batch takes: a traced session replays its warm groups batched, as an
+    untraced one does."""
+
+    @pytest.fixture()
+    def routes(self, monkeypatch):
+        from repro.sim.chip import TspChip
+        from repro.sim.replay import ReplayPlan
+
+        counts = {}
+
+        def counted(owner, attr, name):
+            original = getattr(owner, attr)
+
+            def wrapper(*args, **kwargs):
+                counts[name] = counts.get(name, 0) + 1
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(owner, attr, wrapper)
+
+        counted(ReplayPlan, "run_batched", "run_batched")
+        counted(ReplayPlan, "replay_into", "replay_into")
+        counted(TspChip, "run", "chip.run")
+        return counts
+
+    @staticmethod
+    def serve(config, cnn, data, chip_events, routes):
+        """Three full batches of two images on one worker (released by the
+        full trigger alone), from a cold cache; the routes counted."""
+        model = CnnServeModel("cnn", cnn, config,
+                              calibration=data.x_train[:16],
+                              max_vectors_per_program=32)
+        routes.clear()
+        with InferenceServer(
+            config, [model], n_workers=1, tracing=True,
+            trace_chip_events=chip_events,
+            default_policy=BatchPolicy(max_batch=2, max_delay_s=300.0),
+        ) as server:
+            answers = []
+            for _round in range(3):
+                futures = [
+                    server.submit("cnn", data.x_test[i]) for i in range(2)
+                ]
+                answers += [f.result(timeout=300.0).output for f in futures]
+        return server, answers, dict(routes)
+
+    def test_traced_and_untraced_sessions_take_the_same_routes(
+        self, config, routes
+    ):
+        cnn, data = _trained_cnn()
+        plain, plain_answers, plain_routes = self.serve(
+            config, cnn, data, False, routes
+        )
+        traced, traced_answers, traced_routes = self.serve(
+            config, cnn, data, True, routes
+        )
+        assert all(
+            np.array_equal(a, b)
+            for a, b in zip(plain_answers, traced_answers, strict=True)
+        )
+        assert traced_routes == plain_routes
+        assert traced_routes["run_batched"] > 0
+        for server, with_events in ((plain, False), (traced, True)):
+            warm = [
+                s for s in server.tracer.spans()
+                if s.name == "execute" and s.args["hit"]
+            ]
+            assert warm
+            for span in warm:
+                assert span.args["replay"] is True
+                assert bool(span.chip_events) == with_events
+                for event in span.chip_events:
+                    assert 0 <= event.cycle <= span.cycles
+
+
 class TestShardedTracing:
     def test_two_chip_pipeline_records_stage_and_transfer(self, config):
         cnn, data = _trained_cnn()
@@ -530,7 +661,7 @@ class TestCacheSpans:
 
 class TestTraceLockstep:
     def _traced_pipeline(self, config, runner, x, n_chips):
-        tracer = RequestTracer(max_spans=4096, chip_events=True)
+        tracer = RequestTracer(max_spans=4096)
         ctx = TraceContext(tracer=tracer, span_id=tracer.next_id(),
                            batch_id=0, model="cnn", worker="w0")
         token = rtrace.push(ctx)

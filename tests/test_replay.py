@@ -9,8 +9,9 @@ pin the contract that makes record-once/replay-many safe:
 * the batched entry point equals B sequential executions;
 * anything that can make a run diverge from the recording — error
   models, injected faults, dead slices, armed watchdogs, hardware fault
-  hooks, stream corruption — bypasses the plan and falls back to real
-  simulation (fail-closed);
+  hooks, stream corruption — and any instrument that observes a run (a
+  checker, a telemetry collector) bypasses the plan and falls back to
+  real simulation (fail-closed);
 * the serving pool's checkout path flags fault hooks so a chaos window
   never serves replayed results, and repair probes never poison replay
   (the checkout scrub restores pristine state);
@@ -24,7 +25,8 @@ from golden_programs import GOLDEN_PROGRAMS
 from repro.arch import Direction, DType, Hemisphere
 from repro.compiler import StreamProgramBuilder, execute
 from repro.compiler.runner import execute_batched
-from repro.resil.health import Watchdog
+from repro.obs import TelemetryCollector
+from repro.resil.health import HealthMonitor, Watchdog
 from repro.serve import ChipPool, DynamicBatcher, ProgramCache
 from repro.serve.resilient import probe_memory
 from repro.sim import LinkErrorModel, TspChip
@@ -331,6 +333,23 @@ class TestBatched:
             == plan.activity.stream_hop_bytes * 3
         )
 
+    def test_batched_replay_leaves_the_final_cycle_on_the_chip(self, config):
+        """``chip.now`` after a batch is where a simulation of its last
+        input leaves it, so a health poll reports the cycle it ran to."""
+        compiled, _ = recorded_program(config)
+        simulated = TspChip(config)
+        execute(compiled, chip=simulated, inputs={"acts": acts_for(25)},
+                record=False)
+        chip = TspChip(config)
+        chip.scrub()
+        assert chip.now == 0
+        execute_batched(
+            compiled, [{"acts": acts_for(25 + i)} for i in range(2)],
+            chip=chip,
+        )
+        assert chip.now == compiled.replay.final_now == simulated.now > 0
+        assert HealthMonitor().poll(chip).cycle == simulated.now
+
     def test_batched_empty_and_unrecorded(self, config):
         compiled, _ = build_input_matmul(config)
         assert execute_batched(compiled, []) == []
@@ -413,6 +432,10 @@ PERTURBATIONS = {
     ),
     "recording": _on_fresh_chip(_start_recording),
     "pool-checkout-hook": _pool_checkout_hook,
+    "telemetry-collector": _on_fresh_chip(
+        lambda chip: chip.attach_telemetry(TelemetryCollector()),
+        TspChip.detach_telemetry,
+    ),
 }
 
 

@@ -289,12 +289,10 @@ class TestQuarantineAndRepair:
                 and server.pool.n_spares == 1,
                 timeout=30.0,
             )
-            events = [e["kind"] for e in server.health_events]
-            assert "quarantine" in events and "repair" in events
-            # one write feeds the event ring and the registry alike
+            # the registry's counters and the healing spans are the record
             counted = server.registry.totals()["serve"]
-            for kind in set(events):
-                assert counted[f"health_{kind}"] == events.count(kind)
+            assert counted["health_quarantine"] >= 1
+            assert counted["health_repair"] >= 1
             assert {"quarantine", "repair"} <= span_names(server)
             repair = next(
                 s for s in server.tracer.spans() if s.name == "repair"
@@ -388,8 +386,8 @@ class TestDegradedInPlace:
             assert (hemisphere, index) in worker.blacklist.mem_slices
             assert server.pool.capacity() == 1  # no quarantine
             assert not server.pool.quarantined
-            events = [e["kind"] for e in server.health_events]
-            assert "degraded_enter" in events
+            counted = server.registry.totals()["serve"]
+            assert counted["health_degraded_enter"] >= 1
             assert "recompile_degraded" in span_names(server)
         finally:
             server.close()

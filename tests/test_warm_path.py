@@ -3,8 +3,9 @@
 After warm-up, every bucket group of a forward — one chunk or many —
 is one cache lookup by a memoised key and one pure batched replay of
 the recorded plan: no builder rebuild, no re-hash, no memory-image
-reload, no write-through.  ``execute()`` remains what a miss, a
-perturbed or a trace-enabled chip falls back to, with identical answers.
+reload, no write-through.  A chip with tracing on takes the same route
+(the plan's dispatches land on its trace).  ``execute()`` remains what a
+miss or a perturbed chip falls back to, with identical answers.
 """
 
 import threading
@@ -91,6 +92,20 @@ class TestLoneChunkReplaysPurely:
         # SRAM is still dematerialised, exactly as scrub() left it
         assert all(unit._storage is None for unit in chip.mem_units())
 
+    def test_trace_enabled_chip_replays_purely(self, warm, calls):
+        model, x, expected, cache, _chip = warm
+        chip = TspChip(CONFIG, trace=True)
+        result = model.runner.forward(x, chip=chip, cache=cache)
+        assert np.array_equal(result.logits, expected)
+        assert calls == {"run_batched": 2}
+        assert all(unit._storage is None for unit in chip.mem_units())
+        # what two simulations of the same chunks append: without a cache
+        # every program is compiled afresh and simulated, never recorded
+        simulated = TspChip(CONFIG, trace=True)
+        model.runner.forward(x, chip=simulated)
+        assert calls["chip.run"] == 2
+        assert chip.trace and chip.trace == simulated.trace
+
     def test_cold_cache_records_through_execute(self, calls):
         model = make_mlp()
         x = np.random.default_rng(3).standard_normal((2, 16))
@@ -140,11 +155,6 @@ class TestBypassPreserved:
             warm, calls, chip, "chip.run",
             blacklist=Blacklist(mem_slices=frozenset({DEAD})),
         )
-
-    def test_trace_enabled_chip_replays_write_through(self, warm, calls):
-        chip = TspChip(CONFIG, trace=True)
-        self.check(warm, calls, chip, "replay_into")
-        assert chip.trace  # the plan's dispatches landed on the chip
 
 
 class TestIdentityResolvedOnce:
