@@ -80,6 +80,16 @@ def fetch_output(chip: TspChip, spec: TensorSpec) -> np.ndarray:
     return unpack_tensor(planes, spec.dtype, spec.length)
 
 
+def _plan(compiled: CompiledProgram):
+    """``compiled``'s replay plan — bound now from its schedule's if the
+    schedule gained one after this program was bound — or None."""
+    if compiled.replay is None:
+        recorded = getattr(compiled.schedule, "replay", None)
+        if recorded is not None:
+            compiled.replay = recorded.bind(compiled.memory_image)
+    return compiled.replay
+
+
 def execute(
     compiled: CompiledProgram,
     chip: TspChip | None = None,
@@ -90,9 +100,11 @@ def execute(
 ) -> ExecutionResult:
     """Load, bind, run, and read back a compiled program.
 
-    The first clean execution records a :class:`repro.sim.replay.ReplayPlan`
-    onto ``compiled.replay`` (see :mod:`repro.sim.replay`); later calls with
-    matching run parameters on pristine chips execute the plan directly
+    The first clean execution of any program of a schedule records a
+    :class:`repro.sim.replay.ReplayPlan` onto ``compiled.schedule.replay``
+    and binds it to ``compiled.replay`` (see :mod:`repro.sim.replay`);
+    later calls with matching run parameters on pristine chips — for this
+    program or any other of its schedule — execute a bound plan directly
     instead of simulating.  ``record=False`` disables both sides, forcing a
     real simulation run — the reference a replay is compared against.
     """
@@ -111,18 +123,14 @@ def execute(
     if unknown:
         raise SimulationError(f"unknown inputs bound: {sorted(unknown)}")
 
-    plan = compiled.replay if record else None
+    plan = _plan(compiled) if record else None
     if replay_mod.replay_allowed(
         plan, chip, max_cycles=max_cycles, warmup_barrier=warmup_barrier
     ):
         run = plan.replay_into(chip)
     else:
         recorder = None
-        if (
-            record
-            and compiled.replay is None
-            and replay_mod.record_allowed(chip)
-        ):
+        if record and plan is None and replay_mod.record_allowed(chip):
             recorder = replay_mod.ScheduleRecorder(
                 chip, compiled, warmup_barrier=warmup_barrier
             )
@@ -137,7 +145,10 @@ def execute(
             if recorder is not None:
                 chip.recorder = None
         if recorder is not None:
-            compiled.replay = recorder.finish(run)
+            recorded = recorder.finish(run)
+            if compiled.schedule is not None:
+                compiled.schedule.replay = recorded
+            compiled.replay = recorded.bind(compiled.memory_image)
     outputs = {
         name: fetch_output(chip, spec)
         for name, spec in compiled.outputs.items()
@@ -160,8 +171,9 @@ def execute_batched(
 ) -> list[ExecutionResult] | None:
     """Evaluate B input bindings through the recorded plan in one pass.
 
-    Returns ``None`` when the batch cannot be replayed (no recorded plan,
-    plan unsupported, or the chip is in a state that demands real
+    Returns ``None`` when the batch cannot be replayed (no plan recorded
+    for the program's schedule yet, plan unsupported, or the chip is in a
+    state that demands real
     simulation) — the caller falls back to sequential :func:`execute`
     calls.  On success the results are bit-identical to B sequential
     executions; when a chip is given, the B runs land on it as B
@@ -173,7 +185,7 @@ def execute_batched(
 
     if not inputs_list:
         return []
-    plan = compiled.replay
+    plan = _plan(compiled)
     if not replay_mod.replay_allowed(
         plan, chip, max_cycles=max_cycles, warmup_barrier=warmup_barrier
     ):

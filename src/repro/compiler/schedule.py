@@ -228,7 +228,8 @@ class Schedule:
 
     One schedule serves every graph of that shape: :meth:`bind` packs a
     graph's constants into ``slots`` and the bound programs share the
-    program text, specs, stats and intent, which nothing mutates.
+    program text, specs, stats and intent, which nothing mutates — and,
+    once any of them has run clean, the replay plan.
     """
 
     config: ArchConfig
@@ -241,13 +242,18 @@ class Schedule:
     #: ``shape_fingerprint`` of what was scheduled, attached by
     #: :meth:`repro.compiler.api.StreamProgramBuilder.schedule`
     shape_key: str | None = None
+    #: :class:`repro.sim.replay.ReplayPlan` recorded by the runner on the
+    #: first clean execution of any program of this schedule; the memory
+    #: image is among its inputs, so every program binds its own from it
+    replay: object | None = field(default=None, repr=False, compare=False)
 
     def bind(self, graph: Graph, cache_key: str | None = None) -> "CompiledProgram":
         """The program of ``graph`` — one this schedule's shape — with
         its constants emplaced; byte for byte what scheduling ``graph``
-        from scratch compiles."""
+        from scratch compiles, and already carrying its replay plan when
+        this schedule has one."""
         lanes = self.config.n_lanes
-        return CompiledProgram(
+        program = CompiledProgram(
             config=self.config,
             program=self.program,
             memory_image=[
@@ -264,6 +270,9 @@ class Schedule:
             cache_key=cache_key,
             schedule=self,
         )
+        if self.replay is not None:
+            program.replay = self.replay.bind(program.memory_image)
+        return program
 
 
 @dataclass
@@ -284,10 +293,11 @@ class CompiledProgram:
     #: so one instance can be executed any number of times on any chip of
     #: the same configuration.
     cache_key: str | None = None
-    #: recorded :class:`repro.sim.replay.ReplayPlan`, populated by the
-    #: runner after the first clean execution; rides the compiled program
-    #: (and hence the serving program cache) rather than living in a
-    #: parallel registry.  Excluded from equality: the plan is a derived
+    #: this program's :class:`repro.sim.replay.ReplayPlan`: its schedule's
+    #: plan bound to its memory image, by :meth:`Schedule.bind` or by the
+    #: runner once the schedule has one; rides the compiled program (and
+    #: hence the serving program cache) rather than living in a parallel
+    #: registry.  Excluded from equality: the plan is a derived
     #: acceleration structure, not part of the program's identity.
     replay: object | None = field(default=None, repr=False, compare=False)
     #: what this program was bound from; a program of the same shape and

@@ -21,9 +21,13 @@ What is here, all exact — a fact per cycle, never a sample:
   (:class:`LatencyHistogram`, :class:`SloTracker`,
   :class:`MetricsExporter`); ``python -m repro.serve --prom/--json``
   writes them.
+
+The attribution names load on first use (PEP 562): the report pulls in
+:mod:`repro.baselines`, which a serving process never runs.
 """
 
-from .attribution import attribute, render_report, write_report
+import importlib
+
 from .counters import AutoTelemetry, CounterRegistry, TelemetryCollector
 from .metrics import (
     LatencyHistogram,
@@ -56,3 +60,15 @@ __all__ = [
     "write_report",
     "write_trace",
 ]
+
+#: public name -> the submodule that defines it, imported on first access
+_LAZY = dict.fromkeys(("attribute", "render_report", "write_report"),
+                      "attribution")
+
+
+def __getattr__(name: str):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_LAZY[name]}", __name__), name)
+    globals()[name] = value
+    return value

@@ -11,14 +11,13 @@ Three pillars on top of the deterministic simulator:
 * :mod:`repro.resil.campaign` — the seeded fault-campaign runner behind
   ``python -m repro.resil`` (detection latency, recovery rate, degraded
   slowdown -> ``BENCH_resil.json``).
+
+The campaign names load on first use (PEP 562): the campaign pulls in the
+whole of :mod:`repro.verify`, which a serving process never runs.
 """
 
-from .campaign import (
-    SCENARIOS,
-    ScenarioResult,
-    render_campaign,
-    run_campaign,
-)
+import importlib
+
 from .degrade import (
     Blacklist,
     RingTransferPlan,
@@ -58,3 +57,17 @@ __all__ = [
     "render_campaign",
     "run_campaign",
 ]
+
+#: public name -> the submodule that defines it, imported on first access
+_LAZY = dict.fromkeys(
+    ("SCENARIOS", "ScenarioResult", "render_campaign", "run_campaign"),
+    "campaign",
+)
+
+
+def __getattr__(name: str):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_LAZY[name]}", __name__), name)
+    globals()[name] = value
+    return value

@@ -151,6 +151,9 @@ class MxmUnit(FunctionalUnit):
                 raise SimulationError(
                     f"{self.address}: IW from empty LW buffer"
                 )
+            recorder = self.chip.recorder
+            if recorder is not None and recorder.active:
+                recorder.mxm_install(plane, instruction, [])
             raw = plane.staging.reshape(-1)[:total_bytes].copy()
             self._finish_install(
                 plane, instruction, raw, cycle + self.dskew(instruction)
@@ -158,6 +161,7 @@ class MxmUnit(FunctionalUnit):
             return
 
         staging = bytearray()
+        refs: list = []  # the recorder's ref of every captured vector
         n_cycles = instruction.install_cycles(lanes)
         # the last IW capture cycle: installation completes here
         done_cycle = cycle + self.dskew(instruction) + n_cycles - 1
@@ -170,12 +174,12 @@ class MxmUnit(FunctionalUnit):
             ) -> None:
                 recorder = self.chip.recorder
                 if recorder is not None and recorder.active:
-                    refs = recorder.operand_refs(
+                    refs.extend(recorder.operand_refs(
                         self, when, instruction.direction,
                         instruction.base_stream, vectors,
-                    )
-                    if any(r[0] == "s" for r in refs):
-                        recorder.fail("input-derived IW weight install")
+                    ))
+                    if last:
+                        recorder.mxm_install(plane, instruction, refs)
                 for v in vectors:
                     staging.extend(v.tobytes())
                 if last:

@@ -1,27 +1,39 @@
-"""Deterministic schedule replay: record a program's plan once, re-run data.
+"""Deterministic schedule replay: record a schedule's plan once, re-run data.
 
 The TSP has no dynamic behaviour (paper Sections I, IV-F): the compiler
 knows the cycle-exact schedule ahead of time, so a program's execution is a
-pure, input-invariant *plan* over which only data varies.  This module
-exploits that literally.  On the first execution of a
-:class:`~repro.compiler.scheduler.CompiledProgram`, a
-:class:`ScheduleRecorder` hooks the simulator and folds the resolved
-operation stream into a linear :class:`ReplayPlan` of fused numpy kernels;
-subsequent executions with new inputs run the plan directly — no ICU
-queues, no event heap, no per-cycle SRF stepping.  One interpreter runs
-the kernels, always along a leading batch axis: the pure entry point
-evaluates B inputs in one pass, the write-through one is a batch of one
-whose words come from and go back to a chip's SRAM.
+pure *plan* over which only data varies — and since a
+:class:`~repro.compiler.schedule.Schedule` is a function of shape alone,
+so is the plan.  This module exploits that literally.  On the first clean
+execution of any program of a schedule, a :class:`ScheduleRecorder` hooks
+the simulator and folds the resolved operation stream into a linear
+:class:`ReplayPlan` of fused numpy kernels whose inputs are the run-time
+input tensors *and* the memory image.  :meth:`ReplayPlan.bind` specialises
+it to one program's memory image; every later execution of every program
+of the schedule runs a bound plan directly — no ICU queues, no event heap,
+no per-cycle SRF stepping.  One interpreter runs the kernels, always along
+a leading batch axis: the pure entry point evaluates B inputs in one pass,
+the write-through one is a batch of one whose words come from and go back
+to a chip's SRAM.
 
 Correctness strategy (fail closed):
 
-* **Taint-based constant folding.**  The words holding program inputs seed
-  a taint set.  Values derived (through streams, the VXM/SXM/MXM, or MEM
-  round-trips) from tainted words are recorded as dataflow ops over
-  *slots*; everything else is input-invariant and folds to the constant
-  observed during recording.  A read of a word that is neither tainted nor
-  known (memory image / written earlier in the run) marks the plan
-  unsupported, so replay never bakes in stale tenant state.
+* **Taint-based dataflow.**  The words holding program inputs and the
+  words of the memory image both seed a taint set: they are the plan's
+  inputs.  Values derived from tainted words (through streams, the
+  VXM/SXM/MXM — a weight install included — or MEM round-trips) are
+  recorded as dataflow ops over *slots*; everything else is the same for
+  every program of the schedule and folds to the constant observed during
+  recording.  A read of a word that is neither tainted nor written with a
+  constant earlier in the run marks the plan unsupported, so replay never
+  bakes in stale tenant state.
+* **Binding is partial evaluation.**  :meth:`ReplayPlan.bind` runs every
+  op that depends on no run-time input once, on one program's memory
+  image, and folds its value into the ops that remain — the same
+  one-lane-vector constants the recorder folds — so a bound plan is the
+  plan that recording that very program would have produced.  A constant
+  that would have to reach something the plan cannot express (an
+  input-derived weight install, an ``LW`` staging load) fails closed.
 * **Diagonal provenance.**  A stream value driven at position ``p`` on
   cycle ``c`` flows along the diagonal ``c - p`` (eastward; ``c + p``
   westward).  Producers of tainted values *announce* their drives;
@@ -43,14 +55,14 @@ What a replay reproduces is what a caller reads back from a run: its
 activity, dispatch trace) plus the SRAM words it writes.  The plan carries
 the recorded dispatches (formatted into trace events on the first
 trace-enabled replay), the exact cycle count and the activity-counter
-delta, and :meth:`ReplayPlan.charge` is the one place a replayed run lands
-on a chip.
+delta — all of them functions of the schedule — and
+:meth:`ReplayPlan.charge` is the one place a replayed run lands on a chip.
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 from collections import deque
 from typing import Any, Callable
 
@@ -132,8 +144,8 @@ class ScheduleRecorder:
     Attach via ``chip.recorder`` *before* ``chip.run``; call
     :meth:`finish` with the returned :class:`RunResult` afterwards.  The
     recorder never alters the recorded run — on anything it cannot prove
-    input-invariant it flips to ``failed`` and keeps mirroring cheaply so
-    the run completes untouched.
+    a function of the plan's inputs it flips to ``failed`` and keeps
+    mirroring cheaply so the run completes untouched.
     """
 
     def __init__(self, chip, compiled, *, warmup_barrier: bool) -> None:
@@ -144,10 +156,11 @@ class ScheduleRecorder:
         self.lanes = chip.config.n_lanes
         self.ops: list[tuple] = []
         self.n_slots = 0
-        # word key -> tainted (input-derived) right now
+        # word keys holding a plan input (a run-time input or a memory-image
+        # word) or a value derived from one right now
         self.tainted: set[tuple] = set()
-        # word keys whose pre-read value is reproduced at replay time
-        # (memory image or constant-written during the run)
+        # word keys written with a constant during the run: a read of one
+        # folds to what the recording observed
         self.known: set[tuple] = set()
         self.in_words: list[tuple] = []
         # (dir_idx, stream, diagonal) -> [(drive_cycle, slot | None)]
@@ -158,7 +171,9 @@ class ScheduleRecorder:
         self._mxm_results: dict[int, deque] = {}
         # (id(plane), acc slot) -> ref | None for live accumulators
         self._mxm_acc: dict[tuple, Any] = {}
-        self._mxm_planes: list = []
+        # id(plane) -> slot ref of its recorded weight install; a plane
+        # absent here computes with weights that fold to a constant
+        self._mxm_weights: dict[int, tuple] = {}
         #: raw (cycle, queue name, instruction) per dispatch — no text is
         #: formatted unless a trace-enabled replay asks for it
         self.dispatches: list[tuple] = []
@@ -173,7 +188,7 @@ class ScheduleRecorder:
                     self.tainted.add(key)
                     self.in_words.append((name, p, j, key))
         for word in compiled.memory_image:
-            self.known.add((word.hemisphere, word.slice_index, word.address))
+            self.tainted.add((word.hemisphere, word.slice_index, word.address))
 
     # -- plumbing ----------------------------------------------------------
 
@@ -295,21 +310,35 @@ class ScheduleRecorder:
         if q is None:
             q = deque()
             self._mxm_results[id(plane)] = q
-            self._mxm_planes.append(plane)
         return q
+
+    def mxm_install(self, plane, instruction, refs: list) -> None:
+        """One ``IW``: ``refs`` of every weight vector it captured, in
+        order (none for an install from the ``LW`` buffer, which only
+        constants reach)."""
+        if all(r[0] == "c" for r in refs):
+            self._mxm_weights.pop(id(plane), None)
+            return
+        slot = self._new_slot()
+        self.ops.append(("install", slot, instruction.dtype, instruction.rows,
+                         instruction.cols, list(refs)))
+        self._mxm_weights[id(plane)] = ("s", slot)
 
     def mxm_compute(self, plane, dtype: DType, refs: list) -> None:
         q = self.mxm_track(plane)
-        if all(r[0] == "c" for r in refs):
-            q.append(None)
-            return
-        if plane.weights is None:
-            self.fail("tainted MXM compute with no installed weights")
-            return
+        weights = self._mxm_weights.get(id(plane))
+        if weights is None:
+            if all(r[0] == "c" for r in refs):
+                q.append(None)
+                return
+            if plane.weights is None:
+                self.fail("tainted MXM compute with no installed weights")
+                return
+            weights = ("c", plane.wide)
         slot = self._new_slot()
         # the install's one widened matrix, shared by every row's op
         self.ops.append(
-            ("dot", slot, dtype, plane.rows, plane.wide, list(refs))
+            ("dot", slot, dtype, plane.rows, weights, list(refs))
         )
         q.append(("s", slot))
 
@@ -355,6 +384,9 @@ class ScheduleRecorder:
     # -- finish ------------------------------------------------------------
 
     def finish(self, run: RunResult) -> "ReplayPlan":
+        """The plan of the recorded program's schedule: memory-image words
+        are among its inputs, so :meth:`ReplayPlan.bind` it to a program
+        before running it."""
         chip = self.chip
         if self.failed is None and run.ecc_corrections:
             self.fail("ECC corrections during recording run")
@@ -373,7 +405,6 @@ class ScheduleRecorder:
         plan = ReplayPlan(
             ok=self.failed is None,
             reason=self.failed,
-            cache_key=getattr(self.compiled, "cache_key", None),
             config=chip.config,
             timing=chip.timing,
             ecc_enabled=chip.srf_ecc_enabled,
@@ -448,13 +479,67 @@ def _store_planes(values: list, z: np.ndarray, out_dtype: DType,
         values[slot] = np.ascontiguousarray(raw[:, :, b])
 
 
+#: per op tag, the fields holding one ref and the fields holding a list of
+#: refs; ``read`` and ``wconst`` name MEM words, not refs
+_REF_FIELDS = {
+    "write": ((2,), ()),
+    "vxm1": ((), (3,)),
+    "vxm2": ((), (3, 4)),
+    "vxmc": ((), (4,)),
+    "route": ((), (2,)),
+    "dot": ((), (5,)),
+    "acc": ((2, 3), ()),
+    "emit": ((2,), ()),
+    "install": ((), (5,)),
+}
+
+
+def _fold_refs(op: tuple, known: dict) -> tuple[tuple, bool]:
+    """``op`` with every slot ``known`` holds turned into its one-lane
+    constant, and whether a slot is left (the op depends on an input)."""
+    singles, lists = _REF_FIELDS[op[0]]
+    folded = list(op)
+    live = False
+
+    def fold(ref):
+        nonlocal live
+        if ref[0] == "s":
+            value = known.get(ref[1])
+            if value is None:
+                live = True
+                return ref
+            return ("c", value[0])
+        return ref
+
+    for i in singles:
+        folded[i] = fold(op[i])
+    for i in lists:
+        folded[i] = [fold(r) for r in op[i]]
+    return tuple(folded), live
+
+
+def _widen(dtype: DType, rows: int, cols: int, refs: list) -> np.ndarray:
+    """The weights an ``IW`` of constant vectors installs, at accumulator
+    width — what :class:`~repro.sim.mxm.MxmPlane` keeps as ``wide``."""
+    raw = np.concatenate([ref[1] for ref in refs])
+    raw = raw[: rows * cols * dtype.n_bytes]
+    if dtype is DType.FP16:
+        return raw.view(np.float16).reshape(rows, cols).astype(np.float32)
+    return raw.view(np.int8).reshape(rows, cols).astype(np.int64)
+
+
 @dataclass
 class ReplayPlan:
-    """The recorded, input-invariant execution plan of one program."""
+    """The recorded execution plan of a schedule, or of one program of it.
+
+    :meth:`ScheduleRecorder.finish` returns the schedule's plan, whose
+    inputs include the memory image; :meth:`bind` turns it into one
+    program's plan, whose only inputs are the run-time input tensors.
+    Only a bound plan runs.
+    """
 
     ok: bool
     reason: str | None
-    cache_key: object
     config: object
     timing: object
     ecc_enabled: bool
@@ -472,8 +557,6 @@ class ReplayPlan:
     out_words: dict = field(repr=False, default_factory=dict)
     inputs: dict = field(repr=False, default_factory=dict)
     outputs: dict = field(repr=False, default_factory=dict)
-    #: number of times this plan has been replayed (single + batched)
-    replays: int = 0
 
     @functools.cached_property
     def trace(self) -> list[TraceEvent]:
@@ -486,16 +569,17 @@ class ReplayPlan:
 
     # -- kernel interpreter ------------------------------------------------
 
-    def _execute_ops(self, values: list, mem_read, mem_write, B: int) -> None:
-        """Run every op over a leading batch axis of ``B`` inputs.
+    def _execute_ops(self, ops, values, mem_read, mem_write, B: int) -> None:
+        """Run ``ops`` over a leading batch axis of ``B`` inputs.
 
-        The one interpreter behind both front ends: ``mem_read(key)``
-        returns a ``(B, lanes)`` word, ``mem_write(key, vector, is_const)``
-        takes one back (a recorded constant stays one lane vector), and
-        every slot in between holds ``B`` rows.
+        The one interpreter behind both front ends and :meth:`bind`:
+        ``mem_read(key)`` returns a ``(B, lanes)`` word,
+        ``mem_write(key, vector, is_const)`` takes one back (a recorded
+        constant stays one lane vector), and every slot in between holds
+        ``B`` rows.
         """
         lanes = self.lanes
-        for op in self.ops:
+        for op in ops:
             tag = op[0]
             if tag == "read":
                 _, slot, key = op
@@ -568,6 +652,70 @@ class ReplayPlan:
             else:  # pragma: no cover - recorder and interpreter move together
                 raise SimulationError(f"unknown replay op {tag!r}")
 
+    # -- binding -----------------------------------------------------------
+
+    def bind(self, memory_image) -> "ReplayPlan":
+        """This schedule plan for the program holding ``memory_image``.
+
+        A partial evaluation: every op that depends on no run-time input
+        runs here, once, through the interpreter, and its value is folded
+        into the ops that remain as a one-lane constant — so the bound
+        plan is op for op what recording this program would have folded,
+        and costs what that plan costs per replay.
+        """
+        if not self.ok:
+            return self
+        mem = {
+            (word.hemisphere, word.slice_index, word.address): word.data[None]
+            for word in memory_image
+        }
+        known: dict[int, np.ndarray] = {}  # slot -> (1, ...) value
+        weights: dict[int, np.ndarray] = {}  # install slot -> wide matrix
+        ops = []
+        for op in self.ops:
+            tag = op[0]
+            if tag == "read":
+                _, slot, key = op
+                if key in mem:
+                    known[slot] = mem[key]
+                else:
+                    ops.append(op)
+                continue
+            if tag == "wconst":
+                mem[op[1]] = op[2][None]
+                ops.append(op)
+                continue
+            if tag == "dot":
+                kind, w = op[4]
+                op = op[:4] + (weights[w] if kind == "s" else w,) + op[5:]
+            folded, live = _fold_refs(op, known)
+            if tag == "write":
+                key = op[1]
+                if live:
+                    mem.pop(key, None)
+                    ops.append(folded)
+                else:
+                    mem[key] = known[op[2][1]]
+                    ops.append(("wconst", key, folded[2][1]))
+            elif tag == "install":
+                if live:
+                    return replace(self, ok=False, ops=[], dispatches=[],
+                                   reason="input-derived IW weight install")
+                weights[op[1]] = _widen(*folded[2:])
+            elif live:
+                ops.append(folded)
+            else:
+                self._execute_ops((op,), known, None, None, 1)
+        out_words = {
+            name: [
+                ("c", mem[payload][0]) if kind == "t" and payload in mem
+                else (kind, payload)
+                for kind, payload in words
+            ]
+            for name, words in self.out_words.items()
+        }
+        return replace(self, ops=ops, out_words=out_words)
+
     def charge(self, chip, runs: int) -> None:
         """Land ``runs`` back-to-back executions on ``chip``: everything
         but SRAM that that many real runs would have left there —
@@ -621,10 +769,10 @@ class ReplayPlan:
             if ecc:
                 u._store_checks(key[2])
 
-        self._execute_ops([None] * self.n_slots, mem_read, mem_write, 1)
-
+        self._execute_ops(
+            self.ops, [None] * self.n_slots, mem_read, mem_write, 1
+        )
         self.charge(chip, 1)
-        self.replays += 1
         return self.run_result(chip)
 
     # -- pure batched replay -----------------------------------------------
@@ -668,7 +816,9 @@ class ReplayPlan:
             if not is_const:
                 overlay[key] = vector
 
-        self._execute_ops([None] * self.n_slots, mem_read, mem_write, B)
+        self._execute_ops(
+            self.ops, [None] * self.n_slots, mem_read, mem_write, B
+        )
 
         stacked_out: dict[str, np.ndarray] = {}
         for name, spec in self.outputs.items():
@@ -685,7 +835,6 @@ class ReplayPlan:
                     else:
                         arr[:, p, j, :] = overlay[payload]
             stacked_out[name] = arr
-        self.replays += B
         return [
             {
                 name: unpack_tensor(

@@ -9,8 +9,11 @@ can import it without path games.
 
 from __future__ import annotations
 
+import copy
+
 import numpy as np
 
+from .compiler.graph import OpKind
 from .config import ArchConfig, groq_tsp_v1, small_test_chip
 
 #: every suite derives its random data from this seed unless a test
@@ -31,3 +34,36 @@ def make_small_config() -> ArchConfig:
 def make_rng(seed: int = DEFAULT_TEST_SEED) -> np.random.Generator:
     """The suites' deterministic random source."""
     return np.random.default_rng(seed)
+
+
+def redrawn(builder, seed: int = 1):
+    """A never-seen model of ``builder``'s shape: a twin holding the same
+    graph with every constant redrawn at its shape and dtype (a matmul's
+    weight tiles are cut from its new weights), so
+    ``redrawn(b).bind(b.schedule())`` is another program of ``b``'s
+    schedule.
+
+    Integers cover their dtype's range.  Floats are drawn from [0.25, 2):
+    finite and positive, inside the domain of every float op the suites
+    build (``rsqrt``, ``exp``, ``tanh``).
+    """
+    rng = np.random.default_rng(seed)
+    twin = copy.copy(builder)
+    graph = twin.graph = copy.deepcopy(builder.graph)
+    for node in graph.nodes.values():
+        if node.kind is OpKind.CONSTANT:
+            dtype = node.data.dtype
+            if np.issubdtype(dtype, np.floating):
+                data = rng.uniform(0.25, 2.0, node.data.shape)
+            else:
+                info = np.iinfo(dtype)
+                data = rng.integers(
+                    info.min, info.max, node.data.shape, endpoint=True
+                )
+            node.data = data.astype(dtype)
+    for node in graph.nodes.values():
+        if node.kind is OpKind.MATMUL:
+            weights = graph.node(node.inputs[0]).data
+            cuts = np.cumsum([t.shape[0] for t in node.params["weight_tiles"]])
+            node.params["weight_tiles"] = np.split(weights, cuts[:-1])
+    return twin

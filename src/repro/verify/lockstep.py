@@ -8,7 +8,10 @@ timing is fully deterministic and compiler-known (Section IV-F).  This
 module turns that claim into a checkable property: :func:`run_lockstep`
 simulates the program on a fresh chip, records it on a second, replays
 the plan write-through onto a third and evaluates it batched with no
-chip at all, then compares every observable surface bit-for-bit:
+chip at all — and, given a *sibling* (another program of the same
+schedule, other constants), does the same for the sibling with the plan
+recorded on the first, since a plan belongs to a schedule — then
+compares every observable surface bit-for-bit:
 
 * output tensors and the full materialized MEM image;
 * cycle count, per-run instruction count, and every activity tally
@@ -91,7 +94,8 @@ class LockstepResult:
     program is outside the replay engine's supported set (``plan`` then
     carries the reason).  ``batched`` rides with it: the same plan's pure
     evaluation of the inputs bound twice, one output dict per row — the
-    route that serves.
+    route that serves.  ``sibling`` holds the same comparison for another
+    program of the schedule, replaying the plan recorded on this one.
     """
 
     simulated: LockstepExecution
@@ -99,6 +103,7 @@ class LockstepResult:
     replay: LockstepExecution | None = None
     plan: object | None = None
     batched: list[dict[str, np.ndarray]] | None = None
+    sibling: "LockstepResult | None" = None
     mismatches: list[str] = field(default_factory=list)
 
     @property
@@ -118,6 +123,7 @@ def run_lockstep(
     max_cycles: int = 1_000_000,
     warmup_barrier: bool = False,
     enable_ecc: bool = False,
+    sibling: CompiledProgram | None = None,
 ) -> LockstepResult:
     """Simulate ``compiled``, record it, replay it; compare all state.
 
@@ -127,6 +133,14 @@ def run_lockstep(
     predicate by design — and with tracing off, while the replay runs
     with it on: the plan keeps raw dispatches and must format a trace
     equal to the simulated one.
+
+    ``sibling`` — another program of ``compiled``'s schedule, its
+    constants other bytes (:func:`repro.testing.redrawn`) — adds the leg
+    that proves the plan belongs to the schedule: the plan recorded on
+    ``compiled`` is bound to the sibling's memory image and compared
+    with the sibling's own simulation on every surface above.  A weight
+    that leaked into a folded constant differs there
+    (``result.sibling``, its mismatches prefixed ``sibling:``).
     """
     # imported on use, as in compiler.runner: ``repro.serve`` reaches this
     # module through ``repro.resil``, and loading the replay engine at
@@ -135,14 +149,16 @@ def run_lockstep(
     from ..sim.replay import ScheduleRecorder
 
     inputs = inputs or {}
+    if sibling is not None and sibling.program is not compiled.program:
+        raise SimulationError("a lockstep sibling must share the schedule")
 
-    def fresh_chip(trace: bool) -> TspChip:
+    def fresh_chip(program: CompiledProgram, trace: bool) -> TspChip:
         chip = TspChip(
-            compiled.config, timing=timing, trace=trace,
+            program.config, timing=timing, trace=trace,
             enable_ecc=enable_ecc,
         )
-        load_compiled(chip, compiled)
-        for name, spec in compiled.inputs.items():
+        load_compiled(chip, program)
+        for name, spec in program.inputs.items():
             if name not in inputs:
                 raise SimulationError(f"input {name!r} was not bound")
             bind_input(chip, spec, inputs[name])
@@ -165,26 +181,35 @@ def run_lockstep(
             memory=chip.memory_image(),
         )
 
-    chip = fresh_chip(trace=True)
-    checker = RecordingChecker()
-    chip.attach_checker(checker)
-    result = LockstepResult(
-        simulated=execution(chip, simulate(chip)), recorder=checker
-    )
+    def legs(program: CompiledProgram, plan) -> LockstepResult:
+        chip = fresh_chip(program, trace=True)
+        checker = RecordingChecker()
+        chip.attach_checker(checker)
+        result = LockstepResult(
+            simulated=execution(chip, simulate(chip)), recorder=checker,
+            plan=plan,
+        )
+        if plan.ok:
+            chip = fresh_chip(program, trace=True)
+            result.replay = execution(chip, plan.replay_into(chip))
+            result.batched = plan.run_batched([inputs, inputs])
+            _compare(result)
+        return result
 
-    chip = fresh_chip(trace=False)
+    chip = fresh_chip(compiled, trace=False)
     recorder = ScheduleRecorder(chip, compiled, warmup_barrier=warmup_barrier)
     chip.recorder = recorder
     try:
         run = simulate(chip)
     finally:
         chip.recorder = None
-    result.plan = plan = recorder.finish(run)
-    if plan.ok:
-        chip = fresh_chip(trace=True)
-        result.replay = execution(chip, plan.replay_into(chip))
-        result.batched = plan.run_batched([inputs, inputs])
-        _compare(result)
+    recorded = recorder.finish(run)
+    result = legs(compiled, recorded.bind(compiled.memory_image))
+    if sibling is not None and recorded.ok:
+        result.sibling = legs(sibling, recorded.bind(sibling.memory_image))
+        result.mismatches += [
+            f"sibling: {m}" for m in result.sibling.mismatches
+        ]
     return result
 
 

@@ -43,6 +43,7 @@ from ..isa import (
     Write,
 )
 from ..sim.chip import TspChip
+from ..testing import redrawn
 from .coverage import CoverageTracker
 from .invariants import (
     BankDisciplineChecker,
@@ -134,6 +135,7 @@ def _oracle(builder, tracker, inputs=None, warmup=False, compiled=None):
     assert_lockstep(
         compiled, inputs=inputs, timing=builder.timing,
         warmup_barrier=warmup,
+        sibling=redrawn(builder).bind(compiled.schedule),
     )
 
 

@@ -22,13 +22,13 @@ Run (not collected by pytest)::
 
 ``--rebind`` proves that a schedule never reads a constant: each corpus
 program's graph is scheduled, a twin's constants — same shapes, other
-bytes (:func:`reweighted`) — are bound to that schedule, and the digest
-must equal the twin compiled from scratch.  Exit 1 on any difference.
+values (:func:`repro.testing.redrawn`) — are bound to that schedule, and
+the digest must equal the twin compiled from scratch.  Exit 1 on any
+difference.
 """
 
 from __future__ import annotations
 
-import copy
 import hashlib
 import sys
 from dataclasses import asdict
@@ -39,13 +39,13 @@ import numpy as np
 from golden_programs import GOLDEN_PROGRAMS
 from repro.arch import DType, Hemisphere
 from repro.compiler import StreamProgramBuilder
-from repro.compiler.graph import OpKind
 from repro.config import small_test_chip
 from repro.errors import TspError
 from repro.isa.encoding import encode_program_text
 from repro.nn import make_shapes, make_small_cnn
 from repro.resil import Blacklist
 from repro.serve import CnnServeModel, TransformerMlpServeModel
+from repro.testing import redrawn
 from repro.verify import suite
 from test_compiler_fuzz import build_random_graph
 from test_schedule_cycles import CHUNK_CYCLES, FFN, NO_SIBLING, chunk_builder
@@ -87,33 +87,13 @@ def digest(build) -> str:
     return h.hexdigest()
 
 
-def reweighted(builder, seed: int = 1):
-    """A twin of ``builder``: the same graph, every constant holding
-    other bytes (a matmul's weight tiles are cut from its new weights)."""
-    rng = np.random.default_rng(seed)
-    twin = copy.copy(builder)
-    graph = twin.graph = copy.deepcopy(builder.graph)
-    for node in graph.nodes.values():
-        if node.kind is OpKind.CONSTANT:
-            node.data = (
-                rng.integers(0, 256, node.data.nbytes, dtype=np.uint8)
-                .view(node.data.dtype).reshape(node.data.shape)
-            )
-    for node in graph.nodes.values():
-        if node.kind is OpKind.MATMUL:
-            weights = graph.node(node.inputs[0]).data
-            cuts = np.cumsum([t.shape[0] for t in node.params["weight_tiles"]])
-            node.params["weight_tiles"] = np.split(weights, cuts[:-1])
-    return twin
-
-
 def rebound(build):
     """``build`` is a corpus thunk — ``builder.compile``, perhaps partial
-    over a blacklist.  Returns two thunks compiling a :func:`reweighted`
+    over a blacklist.  Returns two thunks compiling a :func:`redrawn`
     twin: from scratch, and by binding it to ``builder``'s schedule."""
     kwargs = getattr(build, "keywords", {})
     builder = getattr(build, "func", build).__self__
-    twin = reweighted(builder)
+    twin = redrawn(builder)
     return (
         partial(twin.compile, **kwargs),
         lambda: twin.bind(builder.schedule(**kwargs), **kwargs),

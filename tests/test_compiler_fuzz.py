@@ -26,6 +26,7 @@ from hypothesis import strategies as st
 from repro.arch import DType
 from repro.compiler import StreamProgramBuilder
 from repro.config import small_test_chip
+from repro.testing import redrawn
 from repro.verify import (
     BankDisciplineChecker,
     StreamCollisionChecker,
@@ -49,7 +50,8 @@ def conform(builder, inputs=None, seed=None):
     comparator (:func:`repro.verify.assert_lockstep`), so the fuzz corpus
     continuously re-proves that a recorded plan's replay is bit-identical
     to the simulation — memory, traces, cycle counts, activity, and the
-    checker's dispatch stream.
+    checker's dispatch stream — for the program it was recorded on and,
+    bound to other constants, for a sibling of the same schedule.
 
     Returns the :class:`repro.verify.DifferentialResult`, so callers can
     additionally assert their own independent numpy oracle against
@@ -66,7 +68,10 @@ def conform(builder, inputs=None, seed=None):
     )
     for checker in checkers:
         checker.raise_if_violated()
-    assert_lockstep(compiled, inputs=inputs, timing=builder.timing)
+    assert_lockstep(
+        compiled, inputs=inputs, timing=builder.timing,
+        sibling=redrawn(builder).bind(compiled.schedule),
+    )
     return result
 
 

@@ -4,8 +4,10 @@ The TSP's determinism means a compiled program's execution plan is a pure
 function of the binary — only the data changes between runs.  These tests
 pin the contract that makes record-once/replay-many safe:
 
-* the first clean ``execute()`` records a :class:`ReplayPlan`; later runs
-  replay it bit-identically (outputs, memory, cycles, activity);
+* the first clean ``execute()`` of a schedule records a :class:`ReplayPlan`
+  whose inputs include the memory image; every program of the schedule
+  binds it and replays bit-identically (outputs, memory, cycles,
+  activity);
 * the batched entry point equals B sequential executions;
 * anything that can make a run diverge from the recording — error
   models, injected faults, dead slices, armed watchdogs, hardware fault
@@ -17,6 +19,10 @@ pin the contract that makes record-once/replay-many safe:
   (the checkout scrub restores pristine state);
 * scrub keeps chip reuse bit-exact (the trimmed scrub fast path).
 """
+
+import sys
+import threading
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -41,13 +47,19 @@ from repro.verify.suite import FED_PROGRAMS
 N_ROWS, K, M = 4, 16, 8
 
 
-def build_input_matmul(config, seed=0):
-    """An int8 matmul whose activations are a run-time input tensor."""
+def input_matmul_builder(config, seed=0):
+    """An int8 matmul whose activations are a run-time input tensor; the
+    ``seed`` draws only the weights, so every seed is one schedule."""
     rng = np.random.default_rng(seed)
     w = rng.integers(-12, 12, (K, M)).astype(np.int8)
     g = StreamProgramBuilder(config)
     acts = g.input_tensor("acts", (N_ROWS, K))
     g.write_back(g.matmul(w, acts, name="weights"), name="acc")
+    return g, w
+
+
+def build_input_matmul(config, seed=0):
+    g, w = input_matmul_builder(config, seed)
     return g.compile(), w
 
 
@@ -75,11 +87,10 @@ class TestRecordReplay:
         first = execute(compiled, inputs={"acts": x1})
         plan = compiled.replay
         assert plan is not None and plan.ok, plan and plan.reason
-        assert plan.replays == 0
+        assert first.run.skipped_cycles == 0  # the recording simulated
         assert np.array_equal(first["acc"], oracle(x1, w))
 
         replayed = execute(compiled, inputs={"acts": x2})
-        assert plan.replays == 1  # the second run used the plan
         reference = execute(compiled, inputs={"acts": x2}, record=False)
         assert np.array_equal(replayed["acc"], oracle(x2, w))
         assert np.array_equal(replayed["acc"], reference["acc"])
@@ -95,8 +106,8 @@ class TestRecordReplay:
         real_chip = TspChip(config)
         execute(compiled, chip=real_chip, inputs={"acts": x}, record=False)
         replay_chip = TspChip(config)
-        execute(compiled, chip=replay_chip, inputs={"acts": x})
-        assert compiled.replay.replays == 1
+        replayed = execute(compiled, chip=replay_chip, inputs={"acts": x})
+        assert replayed.run.skipped_cycles == replayed.run.cycles
         assert real_chip.memory_image() == replay_chip.memory_image()
 
     def test_record_disabled_never_records(self, config):
@@ -105,6 +116,79 @@ class TestRecordReplay:
         result = execute(compiled, inputs={"acts": x}, record=False)
         assert compiled.replay is None
         assert np.array_equal(result["acc"], oracle(x, w))
+
+
+class TestOnePlanPerSchedule:
+    """The plan is recorded once per schedule, with the memory image among
+    its inputs, and bound to every program of that schedule."""
+
+    def test_a_never_seen_model_replays_its_first_run(self, config):
+        seen, _ = input_matmul_builder(config, seed=0)
+        unseen, w = input_matmul_builder(config, seed=1)
+        first = seen.compile()
+        early = unseen.bind(first.schedule)  # before anything has run
+        execute(first, inputs={"acts": acts_for(1)})
+        recorded = first.schedule.replay
+        assert recorded is not None and recorded.ok
+        late = unseen.bind(first.schedule)  # bound with its own plan
+        assert early.replay is None and late.replay.ok
+        x = acts_for(2)
+        for program in (early, late):
+            result = execute(program, inputs={"acts": x})
+            assert result.run.skipped_cycles == result.run.cycles
+            assert np.array_equal(result["acc"], oracle(x, w))
+        # the early program picked the plan up instead of recording again
+        assert early.replay.ok and first.schedule.replay is recorded
+
+    def test_threads_bind_one_plan_to_their_own_weights(self, config):
+        """More threads than cores each pick the one recorded plan up for
+        a model of its own at once: every answer is its own model's, and
+        nobody records again."""
+        seen, _ = input_matmul_builder(config, seed=0)
+        first = seen.compile()
+        models = [input_matmul_builder(config, seed=s) for s in range(1, 9)]
+        programs = [g.bind(first.schedule) for g, _w in models]
+        execute(first, inputs={"acts": acts_for(1)})
+        recorded = first.schedule.replay
+        x = acts_for(3)
+        results = [None] * len(programs)
+        barrier = threading.Barrier(len(programs))
+
+        def worker(i):
+            barrier.wait(10)
+            results[i] = execute(programs[i], inputs={"acts": x})
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [
+                threading.Thread(target=worker, args=(i,))
+                for i in range(len(programs))
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        for (_g, w), result in zip(models, results):
+            assert result.run.skipped_cycles == result.run.cycles
+            assert np.array_equal(result["acc"], oracle(x, w))
+        assert first.schedule.replay is recorded
+
+    def test_an_input_derived_weight_install_fails_closed(self, config):
+        """No compiled program installs weights it reads from an input,
+        but a plan that did would bind to a refusal, never to a guess."""
+        compiled, _ = recorded_program(config)
+        key = compiled.replay.in_words[0][3]
+        plan = replace(compiled.replay, ops=[
+            ("read", 0, key),
+            ("install", 1, DType.INT8, 1, config.n_lanes, [("s", 0)]),
+        ])
+        bound = plan.bind(compiled.memory_image)
+        assert not bound.ok
+        assert bound.reason == "input-derived IW weight install"
 
 
 class TestPlanSharesTheInstalledWeights:
@@ -198,12 +282,12 @@ class TestLazyPlanTrace:
         assert plan.dispatches and "trace" not in vars(plan)
         quiet = TspChip(config)
         replayed = execute(compiled, chip=quiet, inputs={"acts": acts_for(6)})
-        assert plan.replays == 1
+        assert replayed.run.skipped_cycles == replayed.run.cycles
         assert replayed.run.trace == [] and "trace" not in vars(plan)
 
         traced = TspChip(config, trace=True)
         replayed = execute(compiled, chip=traced, inputs={"acts": acts_for(6)})
-        assert plan.replays == 2
+        assert replayed.run.skipped_cycles == replayed.run.cycles
         simulated = TspChip(config, trace=True)
         reference = execute(
             compiled, chip=simulated, inputs={"acts": acts_for(6)},
@@ -258,7 +342,6 @@ class TestReplayWorkCounts:
         chip = TspChip(config)
         entered.clear()
         result = execute(compiled, chip=chip, inputs={"acts": acts_for(7)})
-        assert plan.replays == 1
         # begin_run's drain of whatever the last run left in flight is the
         # only stream movement; nothing steps, nothing dispatches
         assert entered == {"flush": 1}
@@ -277,7 +360,7 @@ class TestReplayWorkCounts:
         results = execute_batched(
             compiled, [{"acts": acts_for(i)} for i in range(B)], chip=chip
         )
-        assert plan.replays == B
+        assert len(results) == B
         assert entered == {}
         assert len(taken) == len(plan.ops)
         for res in results:
@@ -453,7 +536,7 @@ class TestBypass:
         )
         assert not record_allowed(chip)
         result = execute(compiled, chip=chip, inputs={"acts": x})
-        assert plan.replays == 0  # bypassed, not replayed
+        assert result.run.skipped_cycles == 0  # bypassed, not replayed
         twin, _ = PERTURBATIONS[name](config)
         reference = execute(
             compiled, chip=twin, inputs={"acts": x}, record=False
@@ -461,8 +544,9 @@ class TestBypass:
         assert np.array_equal(result["acc"], reference["acc"])
         assert result.run.cycles == reference.run.cycles
         undo()
-        execute(compiled, chip=chip, inputs={"acts": x})
-        assert plan.replays == 1  # pristine again: the plan serves
+        again = execute(compiled, chip=chip, inputs={"acts": x})
+        # pristine again: the plan serves
+        assert again.run.skipped_cycles == again.run.cycles
 
     def test_armed_flip_fires_in_the_run_it_was_armed_for(self, config):
         """A flip armed for a future cycle belongs to the next run on that
@@ -475,7 +559,7 @@ class TestBypass:
         injector.inject_stream_fault_at(22, Direction.EASTWARD, 28, 2, 3)
         assert chip.events.pending == 1
         result = execute(compiled, chip=chip, inputs={"acts": x})
-        assert compiled.replay.replays == 0
+        assert result.run.skipped_cycles == 0
         assert len(injector.log) == 1 and chip.events.pending == 0
         assert not np.array_equal(result["acc"], oracle(x, w))  # it landed
 
@@ -561,7 +645,7 @@ class TestPoolCheckout:
         chip.scrub()
         x = acts_for(40)
         result = execute(compiled, chip=chip, inputs={"acts": x})
-        assert compiled.replay.replays == 1
+        assert result.run.skipped_cycles == result.run.cycles
         assert np.array_equal(result["acc"], oracle(x, w))
 
 

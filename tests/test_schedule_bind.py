@@ -16,13 +16,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from binary_digest import DEGRADED, digest, reweighted
+from binary_digest import DEGRADED, digest
 from repro.arch import DType, Hemisphere
 from repro.compiler import StreamProgramBuilder
 from repro.config import small_test_chip
 from repro.errors import CompileError, ScheduleError
 from repro.isa.encoding import encode_program_text
 from repro.resil import Blacklist
+from repro.testing import redrawn
 
 CONFIG = small_test_chip()
 LANES = CONFIG.n_lanes
@@ -122,8 +123,9 @@ class TestBoundEqualsFresh:
             a.data.tobytes() != b.data.tobytes()
             for a, b in zip(first.memory_image, second.memory_image)
         )
-        # a plan is recorded per bound program: it folds the weights in
+        # nothing has run: no plan yet, for the schedule or its programs
         assert first.replay is None and second.replay is None
+        assert first.schedule.replay is None
 
     def test_compile_is_schedule_then_bind(self):
         g = model_program(3, 0)
@@ -136,8 +138,8 @@ class TestShapeKey:
     def test_constant_bytes_are_out_everything_else_is_in(self):
         base = model_program(11, 0)
         assert model_program(11, 1).shape_key() == base.shape_key()
-        assert reweighted(base).shape_key() == base.shape_key()
-        assert reweighted(base).fingerprint() != base.fingerprint()
+        assert redrawn(base).shape_key() == base.shape_key()
+        assert redrawn(base).fingerprint() != base.fingerprint()
         assert model_program(12, 0).shape_key() != base.shape_key()
         assert base.shape_key(DEGRADED) != base.shape_key()
         assert base.shape_key() != base.fingerprint()

@@ -36,6 +36,8 @@ from repro.nn.tsp_inference import ChunkRunStats, build_chunk_builder
 from repro.resil import Blacklist
 from repro.serve import CnnServeModel, ProgramCache, TransformerMlpServeModel
 from repro.sim import TspChip
+from repro.testing import redrawn
+from repro.verify import assert_lockstep
 
 FFN = TransformerConfig(
     d_model=32, n_heads=4, d_ff=64, seq_len=16, n_layers=1, vocab=128
@@ -153,6 +155,60 @@ def test_chunk_program_cycles(config, models, model, layer_name, bucket):
         == result.run.instructions - compiled.stats.nops_inserted
         == CHUNK_INSTRUCTIONS[(model, layer_name, bucket)]
     )
+
+
+def chunk_inputs(bindings, rows, depth, seed):
+    acts = np.random.default_rng(seed).integers(-128, 128, (rows, depth))
+    return {name: acts[:, lo:hi].astype(np.int8) for name, lo, hi in bindings}
+
+
+@pytest.mark.parametrize("model, layer_name, bucket", sorted(CHUNK_CYCLES))
+def test_a_plan_bound_from_a_siblings_recording_is_its_own(
+    config, models, model, layer_name, bucket
+):
+    """A replay plan belongs to the schedule: recorded on a never-seen
+    model of the same shape and bound to this program's weights, it is
+    the plan recorded on this program — the same ops, the same constant
+    output words, the same bits out — so the warm routes run the kernels
+    they ran when every program recorded its own."""
+    layer, builder, bindings = chunk_builder(
+        config, models, model, layer_name, bucket
+    )
+    depth = layer.weight_q.shape[0]
+    own, stranger = builder.compile(), redrawn(builder).compile()
+    execute(own, inputs=chunk_inputs(bindings, bucket, depth, 0))
+    execute(stranger, inputs=chunk_inputs(bindings, bucket, depth, 1))
+    assert own.schedule is not stranger.schedule
+    direct = own.replay
+    borrowed = stranger.schedule.replay.bind(own.memory_image)
+    assert direct.ok and borrowed.ok
+    assert [op[0] for op in borrowed.ops] == [op[0] for op in direct.ops]
+    assert {
+        name: [kind for kind, _ in words]
+        for name, words in borrowed.out_words.items()
+    } == {
+        name: [kind for kind, _ in words]
+        for name, words in direct.out_words.items()
+    }
+    batch = [chunk_inputs(bindings, bucket, depth, seed) for seed in (2, 3)]
+    for a, b in zip(borrowed.run_batched(batch), direct.run_batched(batch)):
+        assert a["acc"].tobytes() == b["acc"].tobytes()
+
+
+@pytest.mark.parametrize("model, layer_name, bucket", sorted(CHUNK_CYCLES))
+def test_chunk_programs_lockstep_with_a_sibling(
+    config, models, model, layer_name, bucket
+):
+    layer, builder, bindings = chunk_builder(
+        config, models, model, layer_name, bucket
+    )
+    compiled = builder.compile()
+    result = assert_lockstep(
+        compiled,
+        inputs=chunk_inputs(bindings, bucket, layer.weight_q.shape[0], 4),
+        sibling=redrawn(builder).bind(compiled.schedule),
+    )
+    assert result.sibling.replay is not None
 
 
 @pytest.fixture()
