@@ -21,11 +21,12 @@ the cost of observability alongside the cost of simulation, and
 :class:`~repro.resil.Watchdog` that never fires, a
 :class:`~repro.sim.FaultInjector`, and a post-run
 :class:`~repro.resil.HealthMonitor` poll), so it tracks the cost of the
-fault hooks when no fault ever occurs.  ``replay`` records a
-:class:`repro.sim.replay.ReplayPlan` on a first execution and times the
-plan's write-through replay on a fresh chip instead of the simulator;
-``replay_speedup`` is the plan's win over ``sim`` on the identical
-workload, and a simulated-vs-replayed lockstep run
+fault hooks when no fault ever occurs.  ``replay`` (compiled workloads
+only: the paced stream is hand-built, and only the compiler emits a
+:class:`repro.sim.replay.ReplayPlan`) finishes the plan on a first
+execution and times its write-through replay on a fresh chip instead of
+the simulator; ``replay_speedup`` is the plan's win over ``sim`` on the
+identical workload, and a simulated-vs-replayed lockstep run
 (``replay.lockstep_ok``) pins bit-exactness of what the artifact is
 measuring.
 
@@ -49,7 +50,7 @@ The artifact schema (``tsp-sim-bench/5``)::
           "replay_speedup": sim_seconds / replay_seconds
         }, ...
       ],
-      "replay": {"lockstep_ok": true, "checked": ["serve-64", ...]}
+      "replay": {"lockstep_ok": true, "checked": ["serve-64", "dense-64"]}
     }
 
 Runnable standalone (``python benchmarks/bench_emit.py [-o PATH]``, the
@@ -72,7 +73,7 @@ import numpy as np
 from repro.arch import Direction, Floorplan, Hemisphere
 from repro.compiler import StreamProgramBuilder, execute, load_compiled
 from repro.compiler.runner import bind_input
-from repro.compiler.scheduler import CompiledProgram, MemWord, ScheduleStats
+from repro.compiler.scheduler import CompiledProgram
 from repro.isa import IcuId, Nop, Program, Read, Repeat, Write
 from repro.obs import TelemetryCollector
 from repro.resil import HealthMonitor, Watchdog
@@ -141,31 +142,6 @@ def build_paced_program(
     )
     program.add(dst, Repeat(n=requests - 1, d=interval))
     return program
-
-
-def build_paced_compiled(
-    config, requests: int = 1500, interval: int = 64
-) -> CompiledProgram:
-    """The paced stream wrapped as a :class:`CompiledProgram`.
-
-    The wrapper places the source word in the memory image, which is all
-    the schedule recorder needs to fold the run to constants — so the
-    serving-shaped workload can be measured in replay mode too.  The
-    embedded program is byte-identical to :func:`build_paced_program`.
-    """
-    rng = np.random.default_rng(1)
-    word = MemWord(
-        Hemisphere.WEST, 0, 0,
-        rng.integers(0, 256, config.n_lanes, dtype=np.uint8),
-    )
-    return CompiledProgram(
-        config=config,
-        program=build_paced_program(config, requests, interval),
-        memory_image=[word],
-        inputs={},
-        outputs={},
-        stats=ScheduleStats(),
-    )
 
 
 def build_serve_program(config) -> tuple[CompiledProgram, dict]:
@@ -259,7 +235,7 @@ def measure(
 
 
 def record_plan(program: CompiledProgram, inputs: dict | None = None):
-    """One clean execution to record the program's replay plan."""
+    """One clean execution to finish the program's replay plan."""
     if program.replay is None:
         execute(program, inputs=inputs or {})
     plan = program.replay
@@ -331,7 +307,7 @@ def measure_workload(
 def check_replay_lockstep(quick: bool = False) -> dict:
     """Simulated-vs-replayed lockstep over the workloads.
 
-    ``run_lockstep`` records a plan from a fresh simulation and asserts
+    ``run_lockstep`` finishes a plan from a fresh simulation and asserts
     the replayed outputs, memory, cycle counts, activity and trace are
     bit-identical to a simulated reference — the artifact's proof that
     replay mode measures the same computation.
@@ -340,10 +316,7 @@ def check_replay_lockstep(quick: bool = False) -> dict:
     checked = []
     ok = True
     serve, serve_inputs = build_serve_program(small)
-    cases = [
-        ("serve-64", serve, serve_inputs),
-        ("paced-64", build_paced_compiled(small, requests=200), None),
-    ]
+    cases = [("serve-64", serve, serve_inputs)]
     if not quick:
         cases.append(("dense-64", build_busy_program(small), None))
     for name, program, inputs in cases:
@@ -373,14 +346,14 @@ def collect(quick: bool = False) -> dict:
             "paced-64",
             64,
             small,
-            build_paced_compiled(small, requests=paced_small),
+            build_paced_program(small, requests=paced_small),
             repeats,
         ),
         measure_workload(
             "paced-320",
             320,
             full,
-            build_paced_compiled(full, requests=paced_full),
+            build_paced_program(full, requests=paced_full),
             repeats,
         ),
         measure_workload(

@@ -157,6 +157,11 @@ class MemoryAllocator:
         last = self._cursor.get((s.position, bank), bank) + 2 * (n_words - 1)
         return last < self._top.get(s.position, self._words)
 
+    def room(self, s: MemSlice, bank: int) -> int:
+        """How many bank-strided words still fit in a slice."""
+        free = self._ceiling(s) - self._cursor.get((s.position, bank), bank)
+        return max(0, (free + 1) // 2)
+
     def fits_contiguous(self, s: MemSlice, n_words: int) -> bool:
         """Whether a stride-1 ``n_words`` table still fits in a slice."""
         used = max(self._span(s, bank, 1)[0] for bank in (0, 1))

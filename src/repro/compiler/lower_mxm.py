@@ -5,7 +5,10 @@ A matmul is not a :class:`~.schedule.UnitOp` — per K-tile it plans a
 weight feed, an ``IW`` per plane and an ``ABC``/``ACC`` pair per plane —
 but it is planned the same way: everything :meth:`_try_matmul_at` takes
 belongs to the scheduler's one :class:`~.schedule.Attempt` until the last
-pass is granted.
+pass is granted.  So do its plan ops: an ``install`` per ``IW`` from the
+feed's reads, a ``dot`` per row an ``ABC`` streams, an ``acc`` per row an
+``ACC`` folds into a K-tile's partial sums and an ``emit`` per row it
+drives.
 """
 
 from __future__ import annotations
@@ -23,7 +26,6 @@ from ..isa import (
     ActivationBufferControl,
     IcuId,
     InstallWeights,
-    Read,
 )
 from .allocator import INPUT_BANK, RESULT_BANK, TensorLayout
 from .graph import Graph, Node, OpKind
@@ -115,7 +117,8 @@ class MxmLowering:
         byte-planes in tandem, hosted by plane 0 with its siblings captive
         (Section III-D): it needs them all healthy and idle, and later int8
         work on that hemisphere must use plane 0 too.  ``free`` rows get
-        the landing slices the closed forms score.
+        the landing slices the closed forms score, each with the room it
+        has left: a part lands only its own blocks.
         """
         every = range(self.config.mxm_planes_per_hemisphere)
         east, lead = divmod(self._mxm_rr % self.config.mxm_planes, len(every))
@@ -146,13 +149,11 @@ class MxmLowering:
             if not planes:
                 continue
             position = self.floorplan.position(self.floorplan.mxm(hemisphere))
-            landing = self.mem.candidates(
-                position, node.dtype.n_bytes, RESULT_BANK, node.n_vectors
-            ) if free else []
             near = self.mem.slices_near(position) if free else []
             offers.append(PlaneOffer(
-                hemisphere, position, planes, ready, landing, near,
+                hemisphere, position, planes, ready, near, near,
                 self._weights_fit,
+                [self.mem.room(s, RESULT_BANK) for s in near],
             ))
         if not offers:
             dead = sorted((h.value, p) for h, p in self._dead_planes)
@@ -175,6 +176,8 @@ class MxmLowering:
             t_cursor = max(t_cursor, self._operand_min_arrival(act, position))
         weight_slots: list[ConstantSlot] = []
         k_from = 0
+        # per row, the plan ref of its partial sum over the tiles so far
+        sums: list = [None] * node.n_vectors
         with self.attempt as attempt:
             for p_idx, (tile, act) in enumerate(zip(tiles, act_nodes)):
                 k_to = k_from + tile.shape[0]
@@ -185,7 +188,7 @@ class MxmLowering:
                     return False
                 k_from = k_to
                 t_a = self._plan_pass(
-                    node, part, act, installed + 1,
+                    node, part, act, installed[0] + 1, installed[1], sums,
                     accumulate=p_idx > 0, last=p_idx == len(tiles) - 1,
                 )
                 if t_a is None:
@@ -201,11 +204,12 @@ class MxmLowering:
     def _plan_install(
         self, node: Node, part: MatmulPart, tile: tuple[int, int],
         t_from: int, weight_slots: list[ConstantSlot],
-    ) -> int | None:
+    ) -> tuple[int, list] | None:
         """Plan the weight feed of one K-tile — rows ``tile`` of the
         weights constant; the MEM words it will stream from go to
         ``weight_slots`` — and an ``IW`` per plane; the cycle the last
-        chunk is installed, or None."""
+        chunk is installed and, per plane, the plan ref of the weights it
+        holds — or None."""
         attempt, lanes = self.attempt, self.config.n_lanes
         weight_dtype = node.params.get("weight_dtype", DType.INT8)
         hemisphere, position = part.offer.hemisphere, part.offer.position
@@ -235,50 +239,52 @@ class MxmLowering:
         n_streams = len(slices)
         layout = self.mem.alloc_sequential(slices, install_cycles)
         words = []
+        # what the IW captures, cycle by cycle, stream by stream
+        chunks = [[None] * n_streams for _ in range(install_cycles)]
         for j, (s, placement) in enumerate(zip(slices, layout.planes)):
             t_first = t_w - abs(position - s.position) - self._mxm_clock.read
             icu = self._mem_icu(s)
             for c in range(install_cycles):
-                address = placement.base_address + 2 * c
-                attempt.plan(
-                    icu,
-                    t_first + c,
-                    Read(
-                        address=address,
-                        stream=grant.base + j,
-                        direction=outward,
-                    ),
+                word = (s.hemisphere, s.index, placement.base_address + 2 * c)
+                chunks[c][j] = self._plan_read(
+                    icu, t_first + c, word, grant.base + j, outward
                 )
-                words.append((s.hemisphere, s.index, address))
+                words.append(word)
         weight_slots.append(
             ConstantSlot(node.inputs[0], tuple(words), tile, n_streams)
         )
+        fed = [ref for chunk in chunks for ref in chunk]
+        weights = []
         for plane, icu in zip(part.planes, iw_icus):
-            attempt.plan(
-                icu,
-                t_w - self.dskew("IW"),
-                InstallWeights(
-                    plane=plane,
-                    base_stream=grant.base,
-                    n_streams=n_streams,
-                    direction=outward,
-                    rows=k_rows,
-                    cols=lanes,
-                    dtype=weight_dtype,
-                ),
+            install = InstallWeights(
+                plane=plane,
+                base_stream=grant.base,
+                n_streams=n_streams,
+                direction=outward,
+                rows=k_rows,
+                cols=lanes,
+                dtype=weight_dtype,
             )
+            attempt.plan(icu, t_w - self.dskew("IW"), install)
+            (slot,) = attempt.slots(1)
+            self._emit(
+                ("install", slot, weight_dtype, k_rows, lanes, fed),
+                icu, t_w - self.dskew("IW"), install, install_cycles - 1,
+            )
+            weights.append(("s", slot))
         installed = t_w + install_cycles - 1
         self._mark("weights_installed", installed)
-        return installed
+        return installed, weights
 
     def _plan_pass(
         self, node: Node, part: MatmulPart, act: Node, t_from: int,
-        accumulate: bool, last: bool,
+        weights: list, sums: list, accumulate: bool, last: bool,
     ) -> int | None:
-        """Plan one K-tile's activations through the installed planes: the
-        operand delivery, an ``ABC``/``ACC`` pair per plane and — on the
-        ``last`` pass — the result group; the cycle the first activation
-        vector is at the MXM, or None."""
+        """Plan one K-tile's activations through the planes holding
+        ``weights``: the operand delivery, an ``ABC``/``ACC`` pair per
+        plane and — on the ``last`` pass — the result group; each row's
+        partial sum in ``sums`` moves on by this tile.  The cycle the first
+        activation vector is at the MXM, or None."""
         attempt, clock = self.attempt, self._mxm_clock
         hemisphere, position = part.offer.hemisphere, part.offer.position
         planes, rows = part.planes, part.rows
@@ -311,36 +317,56 @@ class MxmLowering:
                     attempt.give_back(out_grant)
                 continue
             out_base = out_grant.base if out_grant else 0
+            results = []
             for b, (plane, icu) in enumerate(zip(planes, compute_icus)):
-                attempt.plan(
-                    icu,
-                    t_abc,
-                    ActivationBufferControl(
-                        plane=plane,
-                        base_stream=delivery.base_stream + b * act_width,
-                        direction=delivery.direction,
-                        n_vectors=rows[b],
-                        dtype=weight_dtype,
-                    ),
+                abc = ActivationBufferControl(
+                    plane=plane,
+                    base_stream=delivery.base_stream + b * act_width,
+                    direction=delivery.direction,
+                    n_vectors=rows[b],
+                    dtype=weight_dtype,
                 )
-                attempt.plan(
-                    icu,
-                    t_acc,
-                    Accumulate(
-                        plane=plane,
-                        base_stream=out_base + b * out_width,
-                        direction=inward,
-                        n_vectors=rows[b],
-                        out_dtype=node.dtype,
-                        accumulate=accumulate,
-                        emit=last,
-                    ),
+                acc = Accumulate(
+                    plane=plane,
+                    base_stream=out_base + b * out_width,
+                    direction=inward,
+                    n_vectors=rows[b],
+                    out_dtype=node.dtype,
+                    accumulate=accumulate,
+                    emit=last,
                 )
+                attempt.plan(icu, t_abc, abc)
+                attempt.plan(icu, t_acc, acc)
+                for k in range(rows[b]):
+                    row = b * rows[0] + k
+                    (dot,) = attempt.slots(1)
+                    self._emit(
+                        ("dot", dot, weight_dtype, act.length, weights[b],
+                         delivery.refs[row]),
+                        icu, t_abc, abc, k,
+                    )
+                    total = ("s", dot)
+                    if accumulate:
+                        (folded,) = attempt.slots(1)
+                        self._emit(
+                            ("acc", folded, total, sums[row]),
+                            icu, t_acc, acc, k,
+                        )
+                        total = ("s", folded)
+                    sums[row] = total
+                    if last:
+                        out = attempt.slots(out_width)
+                        self._emit(
+                            ("emit", out, total, node.dtype),
+                            icu, t_acc, acc, k,
+                        )
+                        results.append([("s", slot) for slot in out])
             self._mark("first_operand", t_a)
             if last:
                 self.values[node.id] = StreamValue(
                     out_grant, position, t_a + clock.fill, node.n_vectors,
                     node.dtype, node.params["m"], split=tuple(rows),
+                    refs=results,
                 )
                 self._mark("first_result", t_a + clock.fill)
             return t_a

@@ -2,14 +2,19 @@
 lands a finished value in MEM.
 
 An SXM node is a :class:`~.schedule.UnitOp` for
-:meth:`~.scheduler.Scheduler._place`; a write has nothing to search — the
+:meth:`~.scheduler.Scheduler._place`, whose kernel is a ``route`` plan op —
+a lane gather — per stream it drives; a write has nothing to search — the
 value passes each slice exactly once — so it picks the slices that see it
-first and commits the cells in one attempt.
+first and commits the cells, and a ``write`` plan op per word, in one
+attempt.
 """
 
 from __future__ import annotations
 
 from functools import partial
+from typing import Callable
+
+import numpy as np
 
 from ..arch.geometry import Direction, Hemisphere
 from ..errors import CompileError, ScheduleError
@@ -23,6 +28,7 @@ from ..isa import (
     Write,
 )
 from ..isa.sxm import Distribute, Permute, Rotate
+from ..sim.sxm import lane_transform, rotation, select_mask
 from .allocator import RESULT_BANK, StreamGrant, TensorLayout
 from .graph import Graph, Node, OpKind
 from .placement import MemSlice, earliest
@@ -37,6 +43,31 @@ SXM_KINDS = {
     OpKind.TRANSPOSE16: (("transpose0", "transpose1"), "Transpose"),
     OpKind.ROTATE: (("rotate",), "Rotate"),
 }
+
+
+def probe_gather(
+    transform: Callable[[np.ndarray], np.ndarray], lanes: int
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """Derive the (src_lane, zero_mask) of a pure gather-with-zero-fill.
+
+    SXM shifts/permutes/distributes/rotations are data-independent lane
+    gathers that may zero-fill some outputs.  Probing with the low and
+    high bytes of ``lane_index + 1`` recovers the mapping; a third probe
+    verifies the transform really is a gather.
+    """
+    idx = np.arange(1, lanes + 1, dtype=np.int64)
+    lo = transform((idx & 0xFF).astype(np.uint8)).astype(np.int64)
+    hi = transform((idx >> 8).astype(np.uint8)).astype(np.int64)
+    code = (hi << 8) | lo
+    zero = code == 0
+    src = np.clip(code - 1, 0, lanes - 1)
+    check_in = ((idx * 37 + 11) & 0xFF).astype(np.uint8)
+    expect = transform(check_in)
+    got = check_in[src].copy()
+    got[zero] = 0
+    if not np.array_equal(got, expect):
+        raise CompileError("an SXM transform is not a lane gather")
+    return src, (zero if bool(zero.any()) else None)
 
 
 class SxmLowering:
@@ -76,7 +107,45 @@ class SxmLowering:
             build=partial(_sxm_instruction, node),
             parallel_in=transpose,
             parallel_out=parallel_out,
+            kernel=partial(self._sxm_kernel, node),
         ))
+
+    def _sxm_kernel(self, node: Node, instruction, operands: list) -> list:
+        """Per dispatch cell, the ``route`` ops of an SXM instruction —
+        the simulator's own transforms, probed as lane gathers — and the
+        rows they drive."""
+        config = self.config
+        lanes, per = config.n_lanes, config.lanes_per_superlane
+        lane = np.arange(lanes, dtype=np.int64)
+        rows = operands[0]
+        if node.kind is OpKind.TRANSPOSE16:
+            # out_s[sl*per + j] = in_j[sl*per + s]
+            routes = [(lane % per, (lane // per) * per + s, None)
+                      for s in range(per)]
+            sources = [[row[0] for row in rows]]
+        elif node.kind is OpKind.ROTATE:
+            n = instruction.n
+            routes = [(None, *probe_gather(rotation(n, per, r), lanes))
+                      for r in range(n * n)]
+            sources = [[row[0]] for row in rows]
+        elif node.kind is OpKind.SELECT:
+            mask = select_mask(instruction, config).astype(np.int64)
+            routes = [(mask, lane, None)]
+            sources = [[a[0], b[0]] for a, b in zip(rows, operands[1])]
+        else:
+            routes = [(None, *probe_gather(
+                lane_transform(instruction, config), lanes
+            ))]
+            sources = [[row[0]] for row in rows]
+        cells = []
+        for refs in sources:
+            out = self.attempt.slots(len(routes))
+            cells.append((
+                [("route", slot, refs, *route)
+                 for slot, route in zip(out, routes)],
+                [[("s", slot)] for slot in out],
+            ))
+        return cells
 
     # ------------------------------------------------------------------
     # WRITE nodes (program outputs)
@@ -132,16 +201,25 @@ class SxmLowering:
             for index, (s, placement) in enumerate(zip(slices, placements)):
                 first = value.arrival_at(s.position) - dskew
                 icu, n = self._mem_icu(s), placement.n_words
+                # slice ``index`` takes row ``index`` of a parallel value,
+                # byte plane ``plane`` of row block ``block`` of another
+                block, plane = divmod(index, value.dtype.n_bytes)
                 for j in range(n):
-                    attempt.plan(
-                        icu,
-                        first + j,
-                        Write(
-                            address=placement.base_address
-                            + placement.stride * j,
-                            stream=value.grant.base + index,
-                            direction=value.direction,
-                        ),
+                    write = Write(
+                        address=placement.base_address + placement.stride * j,
+                        stream=value.grant.base + index,
+                        direction=value.direction,
+                    )
+                    attempt.plan(icu, first + j, write)
+                    ref = (
+                        value.refs[index][0] if value.parallel
+                        else value.refs[block * value.blocks[0] + j][plane]
+                    )
+                    word = (s.hemisphere, s.index, write.address)
+                    self._emit(
+                        ("write", word, ref) if ref[0] == "s"
+                        else ("wconst", word, ref[1]),
+                        icu, first + j, write,
                     )
                 self._mark("last_write", first + n - 1, latest=True)
             attempt.commit(note=node.name)

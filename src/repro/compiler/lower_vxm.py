@@ -3,7 +3,8 @@ temporal shifts (COPY chains through the ALUs) and — their results flow
 the same way — stream-indirect gathers from a MEM slice near it.
 
 Each method describes its node as a :class:`~.schedule.UnitOp` and hands
-it to :meth:`~.scheduler.Scheduler._place`.
+it to :meth:`~.scheduler.Scheduler._place`; a point-wise op's kernel is a
+``vxm1`` / ``vxm2`` / ``vxmc`` plan op per row.
 """
 
 from __future__ import annotations
@@ -72,6 +73,22 @@ class VxmLowering:
                 alu=icu.unit,
             )
 
+        def kernel(instruction: Instruction, operands: list) -> list:
+            cells = []
+            for k in range(node.n_vectors):
+                out = self.attempt.slots(node.dtype.n_bytes)
+                if node.kind is OpKind.UNARY:
+                    op = ("vxm1", instruction.op, instruction.dtype,
+                          operands[0][k], node.dtype, out)
+                elif node.kind is OpKind.BINARY:
+                    op = ("vxm2", instruction.op, instruction.dtype,
+                          operands[0][k], operands[1][k], node.dtype, out)
+                else:
+                    op = ("vxmc", instruction.from_dtype, instruction.to_dtype,
+                          instruction.scale, operands[0][k], node.dtype, out)
+                cells.append(([op], [[("s", slot) for slot in out]]))
+            return cells
+
         self._place(node, inputs, UnitOp(
             position=self._vxm_position,
             icus=self._alus,
@@ -81,6 +98,7 @@ class VxmLowering:
             direction=Direction.EASTWARD,
             build=build,
             retime=True,
+            kernel=kernel,
         ))
 
     def _schedule_temporal_shift(self, graph: Graph, node: Node) -> None:
@@ -156,6 +174,11 @@ class VxmLowering:
                 base=placement.base_address,
             )
 
+        def kernel(instruction: Instruction, operands: list) -> list:
+            # data-dependent addressing: no op fills these rows, and a
+            # program holding a Gather has no plan
+            return [([], [[("s", slot)]]) for slot in self.attempt.slots(n)]
+
         self._place(node, [indices], UnitOp(
             position=home.position,
             icus=[self._mem_icu(home)],
@@ -164,4 +187,5 @@ class VxmLowering:
             width=1,
             direction=inward,
             build=build,
+            kernel=kernel,
         ))

@@ -200,6 +200,7 @@ def plane_split(
     result_bytes: int,
     transits: list[int],
     ready: list[int] | None = None,
+    room: list[int] | None = None,
 ) -> list[int]:
     """The MXM planes — a prefix of ``planes`` — a matmul should stream its
     rows through.
@@ -212,21 +213,36 @@ def plane_split(
     to each slice that could take one, nearest first), and nothing starts
     before the last of the ``k`` planes is free (``ready[p]``: the cycle
     ``planes[p]`` is done with its previous matmul; all idle when omitted).
+    A slice takes one block of ``ceil(rows / k)`` results, so only slices
+    with ``room`` for that many words count (``room[i]`` words fit in the
+    slice ``transits[i]`` hops away; any number when omitted).
     The winner is the ``k`` whose last byte lands first; a tie keeps fewer
     planes (fewer instructions), and a chip short of planes or of near
     slices — a degraded one — simply has less to win with.
     """
     best, best_done = 1, None
     for k in range(1, len(planes) + 1):
-        need = k * result_bytes
-        if need > len(transits) or not split_rows(rows, k)[-1]:
+        if not split_rows(rows, k)[-1]:
             break
-        done = -(-rows // k) + transits[need - 1]
+        block, need = -(-rows // k), k * result_bytes
+        hops = landing_hops(transits, room, block)
+        if need > len(hops):
+            continue
+        done = block + hops[need - 1]
         if ready is not None:
             done += max(ready[:k])
         if best_done is None or done < best_done:
             best, best_done = k, done
     return planes[:best]
+
+
+def landing_hops(
+    transits: list[int], room: list[int] | None, words: int
+) -> list[int]:
+    """The ``transits`` of the slices with ``room`` for ``words`` words."""
+    if room is None:
+        return transits
+    return [hops for hops, free in zip(transits, room) if free >= words]
 
 
 @dataclass(frozen=True)
@@ -264,9 +280,10 @@ class PlaneOffer:
 
     ``planes`` are its usable planes, first free first, and ``ready`` the
     cycle each is done with its previous matmul; ``landing`` the MEM slices
-    with room for a result and ``near`` every slice a weight feed could
+    a result may land in, ``room`` how many result words each still takes
+    (any number when omitted), and ``near`` every slice a weight feed could
     come from, ``fits(s, n)`` saying whether ``n`` words still fit in one —
-    both nearest the MXM first.
+    all nearest the MXM first.
     """
 
     hemisphere: Hemisphere
@@ -276,11 +293,17 @@ class PlaneOffer:
     landing: list[MemSlice]
     near: list[MemSlice]
     fits: Callable[[MemSlice, int], bool]
+    room: list[int] | None = None
 
     @cached_property
     def transits(self) -> list[int]:
         """Hops from the MXM to each landing slice, nearest first."""
         return [abs(s.position - self.position) for s in self.landing]
+
+    def lands(self, block: int, streams: int) -> bool:
+        """Whether ``streams`` result streams of ``block`` rows each find
+        landing slices of their own."""
+        return len(landing_hops(self.transits, self.room, block)) >= streams
 
     def feed(self, n_chunks: int, t_start: int, dfunc_read: int):
         """The best weight feed from ``t_start`` on (:func:`feed_options`):
@@ -334,8 +357,9 @@ def matmul_cost(
             t_a, reads = part.offer.feed(n_chunks, t, clock.read)
             instructions += reads + 3 * k + n * act_bytes
             t = t_a + part.rows[0] + clock.turn
+        hops = landing_hops(part.offer.transits, part.offer.room, part.rows[0])
         drained = max(
-            block + part.offer.transits[(b + 1) * result_bytes - 1]
+            block + hops[(b + 1) * result_bytes - 1]
             for b, block in enumerate(part.rows)
         )
         cycles = max(cycles, t_a + clock.fill + drained + clock.retire)
@@ -363,13 +387,21 @@ def matmul_parts(
     of their own.  The second hemisphere is therefore engaged only when it
     shortens the program by a larger share than it lengthens the
     instruction stream — predicted cycles x instructions
-    (:func:`matmul_cost`) must fall; a tie keeps fewer planes.
+    (:func:`matmul_cost`) must fall; a tie keeps fewer planes.  A cut that
+    leaves a part's blocks nowhere to land is not an option.
     """
     result_bytes = widths[1]
 
     def planes_for(offer: PlaneOffer, share: int) -> list[int]:
         return plane_split(
-            offer.planes, share, result_bytes, offer.transits, offer.ready
+            offer.planes, share, result_bytes, offer.transits, offer.ready,
+            offer.room,
+        )
+
+    def lands(parts: list[MatmulPart]) -> bool:
+        return all(
+            part.offer.lands(part.rows[0], len(part.planes) * result_bytes)
+            for part in parts
         )
 
     home = offers[0]
@@ -395,6 +427,10 @@ def matmul_parts(
         cycles, instructions = matmul_cost(parts, chunks, widths, clock)
         return cycles * instructions
 
+    if not lands(both):
+        return alone
+    if not lands(alone):
+        return both
     return both if product(both) < product(alone) else alone
 
 

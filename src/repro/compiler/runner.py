@@ -82,12 +82,37 @@ def fetch_output(chip: TspChip, spec: TensorSpec) -> np.ndarray:
 
 def _plan(compiled: CompiledProgram):
     """``compiled``'s replay plan — bound now from its schedule's if the
-    schedule gained one after this program was bound — or None."""
-    if compiled.replay is None:
-        recorded = getattr(compiled.schedule, "replay", None)
-        if recorded is not None:
-            compiled.replay = recorded.bind(compiled.memory_image)
+    schedule's was finished after this program was bound — or None, also
+    for a program whose text is not its schedule's."""
+    schedule = compiled.schedule
+    if schedule is None or compiled.program is not schedule.program:
+        return None
+    if compiled.replay is None and schedule.replay is not None:
+        compiled.replay = schedule.replay.bind(compiled.memory_image)
     return compiled.replay
+
+
+def _owes_plan(compiled: CompiledProgram) -> bool:
+    """Whether a run of ``compiled`` would finish its schedule's plan: the
+    compiler emitted one, and no run has finished it yet."""
+    schedule = compiled.schedule
+    return (
+        schedule is not None and schedule.plan is not None
+        and schedule.replay is None and compiled.program is schedule.program
+    )
+
+
+def finish_plan(compiled: CompiledProgram, chip: TspChip) -> None:
+    """Give ``compiled``'s schedule its finished replay plan now if it can
+    have one and has none: one simulation on ``chip``, zero inputs — the
+    only run that plan ever needs — which leaves the chip scrubbed."""
+    if _owes_plan(compiled):
+        execute(compiled, chip=chip, inputs={
+            name: np.zeros((spec.n_vectors, spec.length),
+                           spec.dtype.numpy_dtype)
+            for name, spec in compiled.inputs.items()
+        })
+        chip.scrub()
 
 
 def execute(
@@ -100,13 +125,14 @@ def execute(
 ) -> ExecutionResult:
     """Load, bind, run, and read back a compiled program.
 
-    The first clean execution of any program of a schedule records a
-    :class:`repro.sim.replay.ReplayPlan` onto ``compiled.schedule.replay``
-    and binds it to ``compiled.replay`` (see :mod:`repro.sim.replay`);
-    later calls with matching run parameters on pristine chips — for this
-    program or any other of its schedule — execute a bound plan directly
-    instead of simulating.  ``record=False`` disables both sides, forcing a
-    real simulation run — the reference a replay is compared against.
+    The first clean execution of any program of a schedule finishes the
+    :class:`repro.sim.replay.ReplayPlan` the compiler emitted with it onto
+    ``compiled.schedule.replay`` and binds it to ``compiled.replay`` (see
+    :mod:`repro.sim.replay`); later calls with matching run parameters on
+    pristine chips — for this program or any other of its schedule —
+    execute a bound plan directly instead of simulating.  ``record=False``
+    disables both sides, forcing a real simulation run — the reference a
+    replay is compared against.
     """
     from ..sim import replay as replay_mod
 
@@ -129,26 +155,20 @@ def execute(
     ):
         run = plan.replay_into(chip)
     else:
+        schedule = compiled.schedule
         recorder = None
-        if record and plan is None and replay_mod.record_allowed(chip):
+        if record and _owes_plan(compiled) and replay_mod.record_allowed(chip):
             recorder = replay_mod.ScheduleRecorder(
-                chip, compiled, warmup_barrier=warmup_barrier
+                schedule.plan, warmup_barrier=warmup_barrier
             )
-            chip.recorder = recorder
-        try:
-            run = chip.run(
-                compiled.program,
-                max_cycles=max_cycles,
-                warmup_barrier=warmup_barrier,
-            )
-        finally:
-            if recorder is not None:
-                chip.recorder = None
+        run = chip.run(
+            compiled.program,
+            max_cycles=max_cycles,
+            warmup_barrier=warmup_barrier,
+        )
         if recorder is not None:
-            recorded = recorder.finish(run)
-            if compiled.schedule is not None:
-                compiled.schedule.replay = recorded
-            compiled.replay = recorded.bind(compiled.memory_image)
+            schedule.replay = recorder.finish(run)
+            compiled.replay = schedule.replay.bind(compiled.memory_image)
     outputs = {
         name: fetch_output(chip, spec)
         for name, spec in compiled.outputs.items()
@@ -169,14 +189,13 @@ def execute_batched(
     max_cycles: int = 1_000_000,
     warmup_barrier: bool = False,
 ) -> list[ExecutionResult] | None:
-    """Evaluate B input bindings through the recorded plan in one pass.
+    """Evaluate B input bindings through the program's plan in one pass.
 
-    Returns ``None`` when the batch cannot be replayed (no plan recorded
-    for the program's schedule yet, plan unsupported, or the chip is in a
-    state that demands real
-    simulation) — the caller falls back to sequential :func:`execute`
-    calls.  On success the results are bit-identical to B sequential
-    executions; when a chip is given, the B runs land on it as B
+    Returns ``None`` when the batch cannot be replayed (the program has no
+    plan, its schedule's is not finished yet, or the chip is in a state
+    that demands real simulation) — the caller falls back to sequential
+    :func:`execute` calls.  On success the results are bit-identical to B
+    sequential executions; when a chip is given, the B runs land on it as B
     back-to-back runs would (:meth:`~repro.sim.replay.ReplayPlan.charge`),
     but its memory is untouched (the batch never materializes per-input
     SRAM state).

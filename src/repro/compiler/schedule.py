@@ -2,13 +2,18 @@
 
 The dataclasses are the compiler's outputs — a :class:`Schedule` (program
 text, tensor specs, :class:`ScheduleStats`, the checkable
-:class:`ScheduleIntent` and a :class:`ConstantSlot` per constant: all a
-function of shapes alone) and the :class:`CompiledProgram` that
-:meth:`Schedule.bind` makes of it by packing one graph's constants into
-those slots — and :class:`StreamValue`, the scheduler's record of a value
-in flight.  :class:`QueueBuilder` is one ICU's committed dispatch cells;
-:class:`Attempt` is the tentative schedule of one node, the only thing
-that writes to a queue or returns a stream grant.
+:class:`ScheduleIntent`, a :class:`ConstantSlot` per constant and the
+replay plan its lowerings emitted: all a function of shapes alone) and the
+:class:`CompiledProgram` that :meth:`Schedule.bind` makes of it by packing
+one graph's constants into those slots — and :class:`StreamValue`, the
+scheduler's record of a value in flight.  :class:`QueueBuilder` is one
+ICU's committed dispatch cells; :class:`Attempt` is the tentative schedule
+of one node, the only thing that writes to a queue, returns a stream grant
+or keeps a plan op.
+
+A plan op (:mod:`repro.sim.replay`) names the values it consumes by
+*ref*: ``("s", slot)`` for a value the plan computes into slot ``slot``,
+``("c", vector)`` for a one-lane constant.
 """
 
 from __future__ import annotations
@@ -56,6 +61,8 @@ class StreamValue:
     parallel: bool = False
     split: tuple[int, ...] = ()  # rows per block; () is one block
     rest: tuple["StreamValue", ...] = ()
+    #: per row, the plan ref of each of its byte streams
+    refs: list = field(default_factory=list, repr=False)
 
     @property
     def direction(self) -> Direction:
@@ -228,8 +235,8 @@ class Schedule:
 
     One schedule serves every graph of that shape: :meth:`bind` packs a
     graph's constants into ``slots`` and the bound programs share the
-    program text, specs, stats and intent, which nothing mutates — and,
-    once any of them has run clean, the replay plan.
+    program text, specs, stats, intent and emitted plan, which nothing
+    mutates — and, once any of them has run clean, the finished plan.
     """
 
     config: ArchConfig
@@ -242,16 +249,20 @@ class Schedule:
     #: ``shape_fingerprint`` of what was scheduled, attached by
     #: :meth:`repro.compiler.api.StreamProgramBuilder.schedule`
     shape_key: str | None = None
-    #: :class:`repro.sim.replay.ReplayPlan` recorded by the runner on the
-    #: first clean execution of any program of this schedule; the memory
-    #: image is among its inputs, so every program binds its own from it
+    #: the :class:`repro.sim.replay.ReplayPlan` the lowerings emitted, its
+    #: memory-image words among its inputs — None for a program no plan
+    #: stands in for
+    plan: object | None = field(default=None, repr=False, compare=False)
+    #: ``plan`` finished by the first clean execution of any program of
+    #: this schedule (:class:`repro.sim.replay.ScheduleRecorder`); every
+    #: program binds its own from it
     replay: object | None = field(default=None, repr=False, compare=False)
 
     def bind(self, graph: Graph, cache_key: str | None = None) -> "CompiledProgram":
         """The program of ``graph`` — one this schedule's shape — with
         its constants emplaced; byte for byte what scheduling ``graph``
         from scratch compiles, and already carrying its replay plan when
-        this schedule has one."""
+        this schedule's is finished."""
         lanes = self.config.n_lanes
         program = CompiledProgram(
             config=self.config,
@@ -345,10 +356,12 @@ class QueueBuilder:
 
 @dataclass(frozen=True)
 class Delivery:
-    """Where a consumer finds one operand: the group's base stream."""
+    """Where a consumer finds one operand: the group's base stream — and
+    what it finds there: per row, the plan ref of each byte stream."""
 
     base_stream: int
     direction: Direction
+    refs: list = field(compare=False)
 
 
 @dataclass
@@ -375,18 +388,22 @@ class UnitOp:
     #: a temporal shift has no instruction of its own (no ``icus``): its
     #: result is the operand, re-driven this many cycles later
     redrive: int = 0
+    #: (instruction built, operand refs in input order) -> per dispatch
+    #: cell, the plan ops it performs and the result rows it drives
+    kernel: Callable[[Instruction, list], list] | None = None
 
 
 class Attempt:
     """The tentative schedule of one node: a transaction over the queues
     and the stream allocator.
 
-    A placement attempt *plans* dispatch cells and takes stream grants as
-    it goes; nothing reaches a queue before :meth:`commit`, and leaving
-    the ``with`` block uncommitted gives every grant back, so an attempt
+    A placement attempt *plans* dispatch cells, takes stream grants and
+    emits plan ops into fresh value slots as it goes; nothing reaches a
+    queue or the plan before :meth:`commit`, and leaving the ``with``
+    block uncommitted gives every grant and slot back, so an attempt
     abandoned at any point leaves the queues, the set of queues that
-    exist and the stream allocator exactly as it found them.  A planned
-    cell is not free to the attempt's own later probes
+    exist, the stream allocator and the plan exactly as it found them.
+    A planned cell is not free to the attempt's own later probes
     (:meth:`cells_free` is the one probe, and it is pure).  One attempt is
     live at a time: the scheduler owns a single instance and re-enters it
     per candidate cycle.
@@ -401,6 +418,12 @@ class Attempt:
         self.cells: dict[IcuId, set[int]] = {}
         self.reservations: list[tuple[IcuId, int, Instruction, str]] = []
         self.grants: list[StreamGrant] = []
+        #: every committed plan op as ``(order, op)``, ``order`` being
+        #: when the chip performs it; the slots they number
+        self.emitted: list[tuple[tuple, tuple]] = []
+        self.n_slots = 0
+        self._ops: list[tuple[tuple, tuple]] = []
+        self._slots = 0
 
     def __enter__(self) -> "Attempt":
         return self
@@ -414,6 +437,18 @@ class Attempt:
         self.cells.clear()
         self.reservations.clear()
         self.grants.clear()
+        self._ops.clear()
+        self._slots = 0
+
+    def slots(self, n: int) -> list[int]:
+        """``n`` fresh value slots of the plan."""
+        first = self.n_slots + self._slots
+        self._slots += n
+        return list(range(first, first + n))
+
+    def emit(self, order: tuple, op: tuple) -> None:
+        """Keep plan op ``op``, which the chip performs at ``order``."""
+        self._ops.append((order, op))
 
     def cells_free(self, icu: IcuId, t: int, n: int = 1) -> bool:
         """Dispatch cells ``t .. t+n-1`` of a queue are neither reserved
@@ -485,4 +520,6 @@ class Attempt:
                 self.queues[icu] = QueueBuilder(icu)
         for icu, t, instruction, own in self.reservations:
             self.queues[icu].reserve(t, instruction, own or note)
+        self.emitted += self._ops
+        self.n_slots += self._slots
         self._forget()

@@ -35,16 +35,24 @@ chip's resources, operand delivery, the one placement loop
 per-unit lowerings (:mod:`.lower_vxm`, :mod:`.lower_mxm`,
 :mod:`.lower_sxm`) say *what* to place as :class:`UnitOp` descriptors and
 leave *how* to the loop.
+
+Each lowering also emits the replay-plan ops (:mod:`repro.sim.replay`) of
+what it places — a read per MEM word delivered, a kernel per dispatch
+cell, a write per word landed — into the same :class:`Attempt`, so the
+plan of a schedule is complete the moment the schedule is.
 """
 
 from __future__ import annotations
+
+import numpy as np
 
 from ..arch.geometry import Direction, Floorplan, Hemisphere, SliceKind
 from ..arch.streams import pack_tensor, unpack_tensor  # noqa: F401 (re-export)
 from ..arch.timing import TimingModel
 from ..config import ArchConfig
 from ..errors import CompileError, ScheduleError
-from ..isa import AluOp, IcuId, Program, Read, UnaryOp
+from ..isa import AluOp, IcuId, Instruction, Program, Read, UnaryOp
+from ..sim.replay import emitted_plan
 from .allocator import (
     INPUT_BANK,
     MemoryAllocator,
@@ -157,6 +165,33 @@ class Scheduler(VxmLowering, MxmLowering, SxmLowering):
 
     def _slice_free(self, s: MemSlice, t: int, n: int = 1) -> bool:
         return self.attempt.cells_free(self._mem_icu(s), t, n)
+
+    def _emit(
+        self, op: tuple, icu: IcuId, t: int, instruction: Instruction,
+        k: int = 0,
+    ) -> None:
+        """Keep plan op ``op`` of the ``instruction`` dispatched on ``icu``
+        at ``t``, in the order the chip performs it: a ``Read``'s op at its
+        dispatch, any other's at its ``k``-th capture — by cycle, then
+        dispatches before captures, then captures as their instructions
+        issued."""
+        if isinstance(instruction, Read):
+            order = (t, 0)
+        else:
+            order = (t + instruction.dskew(self.timing) + k, 1)
+        self.attempt.emit(order + (t, icu.sort_key(), k), op)
+
+    def _plan_read(
+        self, icu: IcuId, t: int, word: tuple, stream: int,
+        direction: Direction,
+    ) -> tuple:
+        """Plan a ``Read`` of MEM ``word`` — ``(hemisphere, slice,
+        address)`` — at ``t``; the plan ref of the vector it drives."""
+        read = Read(address=word[2], stream=stream, direction=direction)
+        self.attempt.plan(icu, t, read)
+        (slot,) = self.attempt.slots(1)
+        self._emit(("read", slot, word), icu, t, read)
+        return ("s", slot)
 
     def _mark(self, name: str, t: int, latest: bool = False) -> None:
         """Fold a critical-path mark into the stats (first, or last)."""
@@ -294,7 +329,7 @@ class Scheduler(VxmLowering, MxmLowering, SxmLowering):
                     f"{node_in.name}: this consumer needs a parallel "
                     "stream group"
                 )
-            return Delivery(value.grant.base, value.direction)
+            return Delivery(value.grant.base, value.direction, value.refs)
 
         layout = self.ensure_layout(
             node_in, position, arrival_t0, parallel_consumer, blocks
@@ -325,13 +360,13 @@ class Scheduler(VxmLowering, MxmLowering, SxmLowering):
         )
         if grant is None:
             return None
-        for icu, t, address, stream in reads:
-            self.attempt.plan(
-                icu, t,
-                Read(address=address, stream=grant.base + stream,
-                     direction=direction),
+        n_planes = 1 if layout.is_parallel else node_in.dtype.n_bytes
+        refs = [[None] * n_planes for _ in range(node_in.n_vectors)]
+        for icu, t, word, stream, plane, row in reads:
+            refs[row][plane] = self._plan_read(
+                icu, t, word, grant.base + stream, direction
             )
-        return Delivery(grant.base, direction)
+        return Delivery(grant.base, direction, refs)
 
     def _plan_reads(
         self,
@@ -341,19 +376,20 @@ class Scheduler(VxmLowering, MxmLowering, SxmLowering):
         consumer_position: int,
         arrival_t0: int,
         parallel_consumer: bool,
-    ) -> list[tuple[IcuId, int, int, int]] | None:
+    ) -> list[tuple] | None:
         """Time the Reads delivering a tensor to a consumer, as ``(queue,
-        dispatch cycle, address, stream)``.
+        dispatch cycle, MEM word, stream, byte plane, row)``.
 
         Streams are *relative* (plane index / 0); the caller rebases them
         onto the grant.  Returns None if any dispatch cell is taken or
         would precede cycle 0.
         """
         dfunc = self.dfunc("Read")
-        reads: list[tuple[IcuId, int, int, int]] = []
+        reads: list[tuple] = []
 
         def plan_one(plane: int, row: int, stream: int, arrival: int) -> bool:
-            hemisphere, slice_index, address = layout.address_of(plane, row)
+            word = layout.address_of(plane, row)
+            hemisphere, slice_index, _address = word
             dx = consumer_position - self._slice_position(
                 hemisphere, slice_index
             )
@@ -365,7 +401,7 @@ class Scheduler(VxmLowering, MxmLowering, SxmLowering):
             icu = IcuId(self.floorplan.mem_slice(hemisphere, slice_index))
             if not self.attempt.cells_free(icu, t_dispatch):
                 return False
-            reads.append((icu, t_dispatch, address, stream))
+            reads.append((icu, t_dispatch, word, stream, plane, row))
             return True
 
         if layout.is_parallel:
@@ -433,13 +469,13 @@ class Scheduler(VxmLowering, MxmLowering, SxmLowering):
                 continue
             if not 0 < early <= MAX_DELAY_CHAIN:
                 return None
-            grant = self._redrive(
-                Delivery(value.grant.base, value.direction), value.dtype,
-                t - early, early, value.n_vectors, "retime",
+            redriven = self._redrive(
+                Delivery(value.grant.base, value.direction, value.refs),
+                value.dtype, t - early, early, value.n_vectors, "retime",
             )
-            if grant is None:
+            if redriven is None:
                 return None
-            operands[n_in.id] = Delivery(grant.base, grant.direction)
+            operands[n_in.id] = redriven[1]
         icu = None
         if op.icus:
             icu = attempt.first_free(op.icus, t, op.cells)
@@ -456,40 +492,54 @@ class Scheduler(VxmLowering, MxmLowering, SxmLowering):
                     return None
                 operands[n_in.id] = delivery
         deliveries = [operands[n_in.id] for n_in in inputs]
+        refs: list = []
         if op.redrive:
             # the declared alignment: row j of the output is sampled where
             # row j of the *input* was sampled, but physically carries
-            # input row j-k (the data was re-driven k cycles later)
+            # input row j-k (the data was re-driven k cycles later); the
+            # first k rows sample a stream nothing has driven yet
             t0 = t
-            grant = self._redrive(
+            redriven = self._redrive(
                 deliveries[0], node.dtype, t, op.redrive, n,
                 f"{node.name} delay", widen=op.redrive,
             )
+            if redriven is None:
+                return None
+            grant, copied = redriven
+            zero = ("c", np.zeros(self.config.n_lanes, dtype=np.uint8))
+            refs = [[zero] * node.dtype.n_bytes] * op.redrive + copied.refs
+            del refs[n:]
         else:
             t0 = t + self.dfunc(op.mnemonic)
             grant = attempt.grant(
                 op.direction, op.width, t0, 1 if op.parallel_out else n,
                 op.parallel_out, op.position,
             )
-        if grant is None:
-            return None
+            if grant is None:
+                return None
         if icu is not None:
             instruction = op.build(icu, deliveries, grant)
             for k in range(op.cells):
                 attempt.plan(
                     icu, t + k, instruction, node.name if k == 0 else ""
                 )
+            cells = op.kernel(instruction, [d.refs for d in deliveries])
+            for k, (ops, rows) in enumerate(cells):
+                for plan_op in ops:
+                    self._emit(plan_op, icu, t + k, instruction)
+                refs += rows
         return StreamValue(
             grant, op.position, t0, n, node.dtype, node.length,
-            parallel=op.parallel_out,
+            parallel=op.parallel_out, refs=refs,
         )
 
     def _redrive(
         self, source: Delivery, dtype, t: int, steps: int, n: int,
         note: str, widen: int = 0,
-    ) -> StreamGrant | None:
+    ) -> tuple[StreamGrant, Delivery] | None:
         """Re-drive ``n`` vectors passing the VXM from cycle ``t`` so they
-        pass again ``steps`` cycles later; the last grant, or None.
+        pass again ``steps`` cycles later; the last grant and the delivery
+        of the rows it carries, or None.
 
         A stream cannot be stalled, but a VXM ALU can copy it back out one
         ``d_func`` later — the compiler's retiming idiom, one COPY per
@@ -519,10 +569,17 @@ class Scheduler(VxmLowering, MxmLowering, SxmLowering):
                 dtype=dtype,
                 alu=icu.unit,
             )
+            copied = []
             for k in range(n):
                 self.attempt.plan(icu, t_copy + k, copy, note)
-            source = Delivery(grant.base, grant.direction)
-        return grant
+                out = self.attempt.slots(dtype.n_bytes)
+                self._emit(
+                    ("vxm1", AluOp.COPY, dtype, source.refs[k], dtype, out),
+                    icu, t_copy + k, copy,
+                )
+                copied.append([("s", slot) for slot in out])
+            source = Delivery(grant.base, grant.direction, copied)
+        return grant, source
 
     # ------------------------------------------------------------------
     # the public entry point
@@ -548,6 +605,7 @@ class Scheduler(VxmLowering, MxmLowering, SxmLowering):
             default=0,
         )
         stats.stream_grants = self.streams.utilization()
+        ops = sorted(self.attempt.emitted, key=lambda entry: entry[0])
         return Schedule(
             config=self.config,
             program=program,
@@ -556,6 +614,11 @@ class Scheduler(VxmLowering, MxmLowering, SxmLowering):
             outputs=self.outputs,
             stats=stats,
             intent=self._build_intent(graph),
+            plan=emitted_plan(
+                self.config, self.timing, program, stats.makespan + 1,
+                [op for _order, op in ops], self.attempt.n_slots,
+                self.inputs, self.outputs,
+            ),
         )
 
     def _build_intent(self, graph: Graph) -> ScheduleIntent:

@@ -261,10 +261,8 @@ class TspCnnRunner:
         """The ``execute()`` route: load, bind, run, fetch one chunk.
 
         What a group falls back to when its program has no usable replay
-        plan or the chip demands real simulation — and the run that
-        records the plan for next time, after which the group's later
-        chunks replay it write-through.  One span per chunk: each run's
-        chip events are anchored to its own cycle 0.
+        plan or the chip demands real simulation.  One span per chunk:
+        each run's chip events are anchored to its own cycle 0.
         """
         with rtrace.span("execute") as span:
             result = execute(
@@ -301,11 +299,12 @@ class TspCnnRunner:
         degraded and healthy binaries for the same shape coexist in one
         cache.
 
-        The warm route is one cache lookup by the memoised key and one
-        pure batched replay of the program's recorded
-        :class:`~repro.sim.replay.ReplayPlan`; the chip's memory is never
-        touched.  Anything else — a miss, no (or a failed) plan yet, a
-        non-pristine chip — runs chunk by chunk through
+        The route is one cache lookup by the memoised key and one pure
+        batched replay of the program's
+        :class:`~repro.sim.replay.ReplayPlan` — a miss finishes the plan
+        inside the cache's single flight — and the chip's memory is never
+        touched.  A program with no (or a failed) plan, a cache-less call
+        and a non-pristine chip run chunk by chunk through
         :meth:`_run_matmul_chunk`.
         """
         from ..compiler.runner import execute_batched

@@ -192,10 +192,15 @@ def _run_scenario(
             if wave_ok and restored(server):
                 recovered = True
                 break
+            # the background repair loop hands hardware back under the
+            # pool's condition: wait for it, not for a guessed interval
+            with server.pool._cond:
+                server.pool._cond.wait_for(
+                    lambda: restored(server),
+                    max(0.0, deadline - time.monotonic()),
+                )
             if time.monotonic() > deadline:
                 break
-            # give the background repair loop a beat between waves
-            time.sleep(0.05)
         stats = server.stats()
     finally:
         server.close()

@@ -19,7 +19,11 @@ Thread-safe with single-flight compilation: when several workers miss on
 the same key simultaneously, one compiles and the rest wait for its
 result instead of duplicating the scheduler run — and a worker missing
 on a sibling of a key being scheduled waits for that schedule and binds
-to it.
+to it.  The flight ends only once the program's replay plan is finished
+(:func:`repro.compiler.runner.finish_plan` — one simulation per schedule,
+on a chip the cache keeps for it), so no program leaves the cache still
+owing the run that finishes it: two workers never both simulate a cold
+program, whatever their number.
 """
 
 from __future__ import annotations
@@ -30,8 +34,10 @@ from collections import OrderedDict
 from dataclasses import dataclass
 
 from ..compiler.cachekey import graph_fingerprint, shape_fingerprint
+from ..compiler.runner import finish_plan
 from ..compiler.scheduler import CompiledProgram
 from ..obs import rtrace
+from ..sim.chip import TspChip
 
 
 def _keyed(span, key: str, **args) -> None:
@@ -85,6 +91,9 @@ class ProgramCache:
         self._lock = threading.Lock()
         self._programs: OrderedDict[str, CompiledProgram] = OrderedDict()
         self._inflight: dict[str, _InFlight] = {}
+        #: the chip plans are finished on, one finishing at a time
+        self._chip: TspChip | None = None
+        self._finishing = threading.Lock()
 
     def __len__(self) -> int:
         with self._lock:
@@ -125,7 +134,8 @@ class ProgramCache:
         in-flight compile.  A miss makes it from a resident sibling's
         schedule when there is one (:meth:`_make`) and by running the
         scheduler otherwise; either way outside the cache lock, so a long
-        compile never stalls unrelated lookups.
+        compile never stalls unrelated lookups — and finishes its replay
+        plan before anyone else sees it.
         """
         with rtrace.span("cache") as lookup:
             if key is None:
@@ -161,6 +171,12 @@ class ProgramCache:
                 program, scheduled = self._make(
                     builder, blacklist, key, flight
                 )
+                with self._finishing:
+                    if self._chip is None or (
+                        self._chip.config != program.config
+                    ):
+                        self._chip = TspChip(program.config)
+                    finish_plan(program, self._chip)
                 _keyed(compiling, key, scheduled=scheduled)
         except BaseException as error:
             flight.error = error

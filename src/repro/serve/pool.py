@@ -262,7 +262,9 @@ class PoolWorker(threading.Thread):
             if recheck_due(hw.degraded_ok, pool.health_policy):
                 hw.degraded_ok = 0
                 if blacklist_recovered(hw.chips, hw.blacklist):
-                    hw.blacklist = None
+                    with pool._cond:
+                        hw.blacklist = None
+                        pool._cond.notify_all()
                     pool._emit("degraded_exit", worker=self.name)
 
     def _recover(self, batch: Batch, outcome: BatchOutcome, error) -> None:
@@ -301,7 +303,9 @@ class PoolWorker(threading.Thread):
                 diag, hw.blacklist, hw.strikes, pool.health_policy
             )
             if action == "degrade":
-                hw.blacklist, hw.degraded_ok = blacklist, 0
+                with pool._cond:
+                    hw.blacklist, hw.degraded_ok = blacklist, 0
+                    pool._cond.notify_all()
                 pool._emit(
                     "degraded_enter", worker=self.name,
                     blacklist=blacklist.describe(),
@@ -381,8 +385,10 @@ class ChipPool:
         #: observer called with health events: quarantine, repair,
         #: degraded_enter, degraded_exit, retired
         self.on_health = on_health
-        #: guards what follows; notified on every hand-over of hardware,
-        #: every worker exit and shutdown
+        #: guards what follows, which hardware each worker holds and the
+        #: blacklist it serves around; notified on every hand-over of
+        #: hardware, every blacklist change, every repair, every worker
+        #: exit and shutdown
         self._cond = threading.Condition()
         self._closing = False
         #: every quarantine ever taken (active + repaired), in order
@@ -526,8 +532,8 @@ class ChipPool:
                 span.set(name=None)
                 self._emit("retired", worker=record.worker)
                 return
-            record.repaired_s = self.clock()
             with self._cond:
+                record.repaired_s = self.clock()
                 self.repaired_count += 1
                 home = rehome([
                     w.index for w in self.workers

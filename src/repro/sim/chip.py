@@ -130,8 +130,6 @@ class TspChip:
         self.now = 0
         #: runtime invariant checkers (see repro.verify.invariants)
         self.checkers: list = []
-        #: attached schedule recorder (repro.sim.replay), or None
-        self.recorder = None
         #: count of host-injected hardware faults since the last scrub;
         #: non-zero disqualifies the chip from schedule replay
         self.faults_injected = 0
@@ -206,9 +204,8 @@ class TspChip:
     ) -> None:
         """Account one dispatch on queue ``icu`` (``name`` is its label).
 
-        Text is formatted only for a consumer that asked for it: the
-        recorder keeps the raw triple and a plan materialises trace
-        events on its first trace-enabled replay.
+        Text is formatted only for a consumer that asked for it (a plan
+        materialises its trace events on its first trace-enabled replay).
         """
         self.activity.instructions += 1
         if self.trace_enabled:
@@ -217,8 +214,6 @@ class TspChip:
             )
         if self.obs is not None:
             self.obs.on_dispatch(cycle, icu, instruction)
-        if self.recorder is not None:
-            self.recorder.on_dispatch(name, instruction, cycle)
         for checker in self.checkers:
             checker.on_dispatch(cycle, name, instruction)
 
@@ -300,8 +295,6 @@ class TspChip:
     def _notify_drive(
         self, direction: Direction, stream: int, position: int
     ) -> None:
-        if self.recorder is not None:
-            self.recorder.on_drive(direction, stream, position)
         for checker in self.checkers:
             checker.on_drive(self.now, direction, stream, position)
 
@@ -474,7 +467,6 @@ class TspChip:
         self.weights_installed_bytes = 0
         self.now = 0
         self.checkers.clear()
-        self.recorder = None
         self.faults_injected = 0
         self.external_fault_hooks = False
         self.disarm_watchdog()

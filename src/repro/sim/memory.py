@@ -200,9 +200,6 @@ class MemSliceUnit(FunctionalUnit):
             if not self._checks_valid[address]:
                 self._store_checks(address)
             checks = self.checks[address].copy()
-        recorder = self.chip.recorder
-        if recorder is not None and recorder.active:
-            recorder.mem_read(self, instruction, cycle + self.dfunc(instruction))
         self.drive_at(
             cycle + self.dfunc(instruction),
             instruction.direction,
@@ -223,9 +220,6 @@ class MemSliceUnit(FunctionalUnit):
         )
 
         def _commit(vector: np.ndarray) -> None:
-            recorder = self.chip.recorder
-            if recorder is not None and recorder.active:
-                recorder.mem_write(self, instruction, sample_cycle, vector)
             self.storage[instruction.address] = vector
             if self.chip.srf_ecc_enabled:
                 self._store_checks(instruction.address)

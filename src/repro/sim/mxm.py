@@ -44,7 +44,7 @@ class MxmPlane:
     dtype: DType = DType.INT8
     weights: np.ndarray | None = None  # (rows, cols) int8 or fp16
     #: ``weights`` at accumulator width (int64 / float32), converted once
-    #: per install and shared by every dot product and recorded plan op
+    #: per install and shared by every dot product
     wide: np.ndarray | None = None
     staging: np.ndarray | None = None  # LW buffer, raw bytes
     #: results awaiting ACC: (ready_cycle, vector) in stream order
@@ -112,23 +112,14 @@ class MxmUnit(FunctionalUnit):
     def _exec_lw(self, instruction: LoadWeights, cycle: int) -> None:
         plane = self.planes[instruction.plane]
         lanes = self.chip.config.n_lanes
-        sample = cycle + self.dskew(instruction)
 
         def _stage(vector: np.ndarray) -> None:
-            recorder = self.chip.recorder
-            if recorder is not None and recorder.active:
-                ref = recorder.resolve(
-                    sample, instruction.direction, instruction.stream,
-                    self.position, vector,
-                )
-                if ref[0] == "s":
-                    recorder.fail("input-derived LW weight load")
             if plane.staging is None:
                 plane.staging = np.zeros((lanes, lanes), dtype=np.uint8)
             plane.staging[instruction.row % lanes] = vector
 
         self.capture_at(
-            sample,
+            cycle + self.dskew(instruction),
             instruction.direction,
             instruction.stream,
             _stage,
@@ -151,9 +142,6 @@ class MxmUnit(FunctionalUnit):
                 raise SimulationError(
                     f"{self.address}: IW from empty LW buffer"
                 )
-            recorder = self.chip.recorder
-            if recorder is not None and recorder.active:
-                recorder.mxm_install(plane, instruction, [])
             raw = plane.staging.reshape(-1)[:total_bytes].copy()
             self._finish_install(
                 plane, instruction, raw, cycle + self.dskew(instruction)
@@ -161,25 +149,14 @@ class MxmUnit(FunctionalUnit):
             return
 
         staging = bytearray()
-        refs: list = []  # the recorder's ref of every captured vector
         n_cycles = instruction.install_cycles(lanes)
         # the last IW capture cycle: installation completes here
         done_cycle = cycle + self.dskew(instruction) + n_cycles - 1
 
         for c in range(n_cycles):
             def _absorb(
-                vectors: list[np.ndarray],
-                last=(c == n_cycles - 1),
-                when=cycle + self.dskew(instruction) + c,
+                vectors: list[np.ndarray], last=(c == n_cycles - 1)
             ) -> None:
-                recorder = self.chip.recorder
-                if recorder is not None and recorder.active:
-                    refs.extend(recorder.operand_refs(
-                        self, when, instruction.direction,
-                        instruction.base_stream, vectors,
-                    ))
-                    if last:
-                        recorder.mxm_install(plane, instruction, refs)
                 for v in vectors:
                     staging.extend(v.tobytes())
                 if last:
@@ -251,13 +228,6 @@ class MxmUnit(FunctionalUnit):
                     raise SimulationError(
                         f"{self.address}: ABC with no installed weights"
                     )
-                recorder = self.chip.recorder
-                if recorder is not None and recorder.active:
-                    refs = recorder.operand_refs(
-                        self, when, instruction.direction,
-                        instruction.base_stream, planes_bytes,
-                    )
-                    recorder.mxm_compute(plane, instruction.dtype, refs)
                 result = self._dot(plane, instruction.dtype, planes_bytes)
                 plane.results.append((when + depth, result))
                 self.chip.activity.macc_ops += plane.rows * plane.cols
@@ -311,21 +281,12 @@ class MxmUnit(FunctionalUnit):
                 plane.results.popleft()
                 slot = plane.next_drain_slot % max(instruction.n_vectors, 1)
                 plane.next_drain_slot += 1
-                recorder = self.chip.recorder
-                if recorder is not None and recorder.active:
-                    recorder.pending_emit = recorder.mxm_drain(
-                        plane, slot, value, instruction.accumulate,
-                        slot in plane.accumulators,
-                        plane.accumulators.get(slot),
-                    )
                 if instruction.accumulate and slot in plane.accumulators:
                     value = value + plane.accumulators[slot]
                 plane.accumulators[slot] = value
                 if instruction.emit:
                     self._emit(plane, instruction, value, out)
                     plane.accumulators.pop(slot, None)
-                    if recorder is not None and recorder.active:
-                        recorder.mxm_clear_acc(plane, slot)
 
             self.chip.events.schedule(drain, Phase.CAPTURE, _drain)
 
@@ -336,13 +297,6 @@ class MxmUnit(FunctionalUnit):
         value: np.ndarray,
         cycle: int,
     ) -> None:
-        recorder = self.chip.recorder
-        if recorder is not None and recorder.active:
-            recorder.mxm_emit(
-                self, plane, instruction, recorder.pending_emit, cycle,
-                instruction.out_dtype,
-            )
-            recorder.pending_emit = None
         lanes = self.chip.config.n_lanes
         if instruction.out_dtype is DType.INT32:
             narrowed = np.clip(value, -(2**31), 2**31 - 1).astype(np.int32)

@@ -1,49 +1,43 @@
-"""Deterministic schedule replay: record a schedule's plan once, re-run data.
+"""Deterministic schedule replay: the compiler's plan of a schedule, re-run
+over data.
 
 The TSP has no dynamic behaviour (paper Sections I, IV-F): the compiler
 knows the cycle-exact schedule ahead of time, so a program's execution is a
 pure *plan* over which only data varies — and since a
 :class:`~repro.compiler.schedule.Schedule` is a function of shape alone,
-so is the plan.  This module exploits that literally.  On the first clean
-execution of any program of a schedule, a :class:`ScheduleRecorder` hooks
-the simulator and folds the resolved operation stream into a linear
-:class:`ReplayPlan` of fused numpy kernels whose inputs are the run-time
-input tensors *and* the memory image.  :meth:`ReplayPlan.bind` specialises
-it to one program's memory image; every later execution of every program
-of the schedule runs a bound plan directly — no ICU queues, no event heap,
-no per-cycle SRF stepping.  One interpreter runs the kernels, always along
-a leading batch axis: the pure entry point evaluates B inputs in one pass,
+so is the plan.  This module exploits that literally.  Each lowering of
+the scheduler emits the plan ops of what it places, from what it already
+knows — a node's operand values, its result value, its MEM layout and its
+constant's words — into a linear :class:`ReplayPlan` of fused numpy
+kernels whose inputs are the run-time input tensors *and* the memory
+image.  The first clean run of any program of the schedule tells the plan
+the one thing the compiler does not count, its activity
+(:class:`ScheduleRecorder`); :meth:`ReplayPlan.bind` then specialises it to
+one program's memory image, and every later execution of every program of
+the schedule runs a bound plan directly — no ICU queues, no event heap, no
+per-cycle SRF stepping.  One interpreter runs the kernels, always along a
+leading batch axis: the pure entry point evaluates B inputs in one pass,
 the write-through one is a batch of one whose words come from and go back
 to a chip's SRAM.
 
-Correctness strategy (fail closed):
+Correctness strategy:
 
-* **Taint-based dataflow.**  The words holding program inputs and the
-  words of the memory image both seed a taint set: they are the plan's
-  inputs.  Values derived from tainted words (through streams, the
-  VXM/SXM/MXM — a weight install included — or MEM round-trips) are
-  recorded as dataflow ops over *slots*; everything else is the same for
-  every program of the schedule and folds to the constant observed during
-  recording.  A read of a word that is neither tainted nor written with a
-  constant earlier in the run marks the plan unsupported, so replay never
-  bakes in stale tenant state.
+* **The plan is the schedule's dataflow.**  A read names the MEM word it
+  reads, every other op the values it consumes: the values of its
+  operands' rows as the scheduler delivered them, or a constant where the
+  schedule delivers nothing (the leading rows of a temporal shift).  Ops
+  are kept in the order the chip performs them.
 * **Binding is partial evaluation.**  :meth:`ReplayPlan.bind` runs every
   op that depends on no run-time input once, on one program's memory
-  image, and folds its value into the ops that remain — the same
-  one-lane-vector constants the recorder folds — so a bound plan is the
-  plan that recording that very program would have produced.  A constant
-  that would have to reach something the plan cannot express (an
-  input-derived weight install, an ``LW`` staging load) fails closed.
-* **Diagonal provenance.**  A stream value driven at position ``p`` on
-  cycle ``c`` flows along the diagonal ``c - p`` (eastward; ``c + p``
-  westward).  Producers of tainted values *announce* their drives;
-  consumers resolve a captured value to the announced entry with the
-  largest drive cycle ``<=`` the capture cycle, or fold it to a constant.
-  Constant drives landing on a tainted diagonal register shadow entries so
-  later constants correctly occlude earlier tainted values.
-* **ISA whitelist.**  Any dispatch outside the supported set (``Gather``,
-  ``Scatter``, ``Config``, C2C transfers) marks the plan unsupported; the
-  recording run itself is never disturbed.
+  image, and folds its value into the ops that remain as a one-lane-vector
+  constant, so a bound plan costs per replay only what its inputs reach.
+  A constant that would have to reach something the plan cannot express
+  (an input-derived weight install) fails closed.
+* **The program text decides.**  A program holding an instruction outside
+  the plan's straight-line ISA (``Gather``, ``Scatter``, ``Config``, C2C
+  transfers, ``LW``, the barrier and fetch instructions) gets no plan; the
+  dispatch list and the cycle count are read off the program, and the
+  first clean run must agree with both before the plan is finished.
 * **Bypass predicate.**  :func:`replay_allowed` refuses to replay onto a
   chip with checkers, a telemetry collector, armed watchdogs, error
   models, dead slices, injected faults, events armed for the next run,
@@ -52,10 +46,10 @@ Correctness strategy (fail closed):
 
 What a replay reproduces is what a caller reads back from a run: its
 :class:`~repro.sim.chip.RunResult` (outputs, cycles, instructions,
-activity, dispatch trace) plus the SRAM words it writes.  The plan carries
-the recorded dispatches (formatted into trace events on the first
-trace-enabled replay), the exact cycle count and the activity-counter
-delta — all of them functions of the schedule — and
+activity, dispatch trace) plus the SRAM words it writes.  The finished
+plan carries the exact cycle and dispatch counts and the activity-counter
+delta, and reads its dispatches off the program when a trace-enabled
+replay first asks — all of them functions of the schedule — and
 :meth:`ReplayPlan.charge` is the one place a replayed run lands on a chip.
 """
 
@@ -63,386 +57,135 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field, fields, replace
-from collections import deque
-from typing import Any, Callable
 
 import numpy as np
 
-from ..arch.geometry import Direction, Hemisphere
+from ..arch.geometry import Hemisphere
 from ..arch.streams import DType, pack_tensor, unpack_tensor
 from ..errors import SimulationError
-from ..isa.icu import Ifetch, Nop, Notify, Repeat, Sync
+from ..isa.icu import Nop, Notify, Sync
 from ..isa.mem import Read, Write
-from ..isa.mxm import (
-    Accumulate,
-    ActivationBufferControl,
-    InstallWeights,
-    LoadWeights,
-)
+from ..isa.mxm import Accumulate, ActivationBufferControl, InstallWeights
 from ..isa.sxm import Distribute, Permute, Rotate, Select, Shift, Transpose
 from ..isa.vxm import BinaryOp, Convert, UnaryOp
 from . import alu
 from .chip import RunResult, TraceEvent
 
-_EAST = Direction.EASTWARD
-
-#: instruction classes whose simulation effects the recorder understands.
-#: ``Config`` is deliberately absent (it flips superlane power mid-run,
-#: which would invalidate the recorded lane masks), as are Gather/Scatter
-#: (data-dependent addressing) and the C2C transfer set.
-_SUPPORTED = frozenset((
+#: the instructions a plan can stand in for: what the stream compiler
+#: emits, less the data-dependent ``Gather``
+_PLANNED = frozenset((
     Read, Write,
     UnaryOp, BinaryOp, Convert,
     Shift, Select, Permute, Distribute, Rotate, Transpose,
-    LoadWeights, InstallWeights, ActivationBufferControl, Accumulate,
-    Nop, Sync, Notify, Ifetch, Repeat,
+    InstallWeights, ActivationBufferControl, Accumulate,
+    Nop,
 ))
 
 
-def _diag_key(direction: Direction, stream: int, cycle: int,
-              position: int) -> tuple:
-    """(dir index, stream, diagonal) of a value at ``position`` on ``cycle``
-    — an identity test, not an enum hash, picks the direction."""
-    if direction is _EAST:
-        return 0, stream, cycle - position
-    return 1, stream, cycle + position
+def issue_order(program, barrier: int | None = None) -> list[tuple]:
+    """``(cycle, queue name, instruction)`` of every dispatch of a
+    straight-line ``program``, in the order the chip dispatches them.
 
-
-def probe_gather(
-    transform: Callable[[np.ndarray], np.ndarray], lanes: int
-) -> tuple[np.ndarray, np.ndarray | None] | None:
-    """Derive the (src_lane, zero_mask) of a pure gather-with-zero-fill.
-
-    SXM shifts/permutes/distributes are data-independent lane gathers that
-    may zero-fill some outputs.  Probing with the low and high bytes of
-    ``lane_index + 1`` recovers the mapping; a third probe verifies the
-    transform really is a gather (anything else marks it unusable).
+    Each queue issues an instruction a cycle (a ``NOP n`` holds it ``n``),
+    and in one cycle the queues go in program order.  With ``barrier`` —
+    the post-reset barrier's release latency — every queue first parks on
+    a ``Sync`` that the first queue's ``Notify`` releases, and the program
+    starts there.
     """
-    idx = np.arange(1, lanes + 1, dtype=np.int64)
-    lo = transform((idx & 0xFF).astype(np.uint8)).astype(np.int64)
-    hi = transform((idx >> 8).astype(np.uint8)).astype(np.int64)
-    code = (hi << 8) | lo
-    zero = code == 0
-    src = np.clip(code - 1, 0, lanes - 1)
-    check_in = ((idx * 37 + 11) & 0xFF).astype(np.uint8)
-    expect = transform(check_in)
-    got = check_in[src].copy()
-    got[zero] = 0
-    if not np.array_equal(got, expect):
+    issued = []
+    start = barrier or 0
+    for index, icu in enumerate(program.icus):
+        name, t = str(icu), start
+        if barrier is not None:
+            issued.append((0, index, name, Notify() if index == 0 else Sync()))
+            if index == 0:
+                issued.append((1, 0, name, Sync()))
+        for instruction in program.queue(icu):
+            issued.append((t, index, name, instruction))
+            t += max(instruction.count, 1) if isinstance(instruction, Nop) else 1
+    issued.sort(key=lambda dispatch: dispatch[:2])
+    return [(t, name, instruction) for t, _i, name, instruction in issued]
+
+
+def _words(spec) -> list[tuple[int, int, tuple]]:
+    """``(byte plane, row, MEM word)`` of every word a tensor occupies."""
+    n_planes = 1 if spec.layout.is_parallel else spec.dtype.n_bytes
+    return [
+        (p, j, spec.layout.address_of(p, j))
+        for p in range(n_planes) for j in range(spec.n_vectors)
+    ]
+
+
+def emitted_plan(config, timing, program, cycles: int, ops: list,
+                 n_slots: int, inputs: dict, outputs: dict):
+    """The plan of a schedule whose lowerings emitted ``ops``, or None when
+    its program holds an instruction no plan stands in for."""
+    if any(
+        type(instruction) not in _PLANNED
+        for icu in program.icus for instruction in program.queue(icu)
+    ):
         return None
-    return src, (zero if bool(zero.any()) else None)
-
-
-# ---------------------------------------------------------------------------
-# recorder
-# ---------------------------------------------------------------------------
+    return ReplayPlan(
+        config=config,
+        timing=timing,
+        program=program,
+        cycles=cycles,
+        ops=ops,
+        n_slots=n_slots,
+        in_words=[
+            (name, p, j, key)
+            for name, spec in inputs.items() for p, j, key in _words(spec)
+        ],
+        out_words={
+            name: [("t", key) for _p, _j, key in _words(spec)]
+            for name, spec in outputs.items()
+        },
+        inputs=dict(inputs),
+        outputs=dict(outputs),
+    )
 
 
 class ScheduleRecorder:
-    """Hooks the simulator during one run and folds it into a ReplayPlan.
+    """Finishes a schedule's plan with what only a run can say.
 
-    Attach via ``chip.recorder`` *before* ``chip.run``; call
-    :meth:`finish` with the returned :class:`RunResult` afterwards.  The
-    recorder never alters the recorded run — on anything it cannot prove
-    a function of the plan's inputs it flips to ``failed`` and keeps
-    mirroring cheaply so the run completes untouched.
+    The compiler emitted the plan's ops; the program's text gives its
+    dispatches and cycle count.  The activity counters a run leaves on the
+    chip are the rest: pass the :class:`RunResult` of the first clean run
+    of any program of the schedule to :meth:`finish`.
     """
 
-    def __init__(self, chip, compiled, *, warmup_barrier: bool) -> None:
-        self.chip = chip
-        self.compiled = compiled
+    def __init__(self, plan: "ReplayPlan", *, warmup_barrier: bool) -> None:
+        self.plan = plan
         self.warmup_barrier = warmup_barrier
-        self.failed: str | None = None
-        self.lanes = chip.config.n_lanes
-        self.ops: list[tuple] = []
-        self.n_slots = 0
-        # word keys holding a plan input (a run-time input or a memory-image
-        # word) or a value derived from one right now
-        self.tainted: set[tuple] = set()
-        # word keys written with a constant during the run: a read of one
-        # folds to what the recording observed
-        self.known: set[tuple] = set()
-        self.in_words: list[tuple] = []
-        # (dir_idx, stream, diagonal) -> [(drive_cycle, slot | None)]
-        self._diag: dict[tuple, list] = {}
-        # (position, cycle, dir_idx, stream) drives already announced
-        self._announced: set[tuple] = set()
-        # id(plane) -> deque of pending result refs (None == constant)
-        self._mxm_results: dict[int, deque] = {}
-        # (id(plane), acc slot) -> ref | None for live accumulators
-        self._mxm_acc: dict[tuple, Any] = {}
-        # id(plane) -> slot ref of its recorded weight install; a plane
-        # absent here computes with weights that fold to a constant
-        self._mxm_weights: dict[int, tuple] = {}
-        #: raw (cycle, queue name, instruction) per dispatch — no text is
-        #: formatted unless a trace-enabled replay asks for it
-        self.dispatches: list[tuple] = []
-        self.pending_emit: Any = None
-        self._corr_start = chip.srf.corrections
-        for name, spec in compiled.inputs.items():
-            n_planes = 1 if spec.layout.is_parallel else spec.dtype.n_bytes
-            for p in range(n_planes):
-                for j in range(spec.n_vectors):
-                    hem, s, a = spec.layout.address_of(p, j)
-                    key = (hem, s, a)
-                    self.tainted.add(key)
-                    self.in_words.append((name, p, j, key))
-        for word in compiled.memory_image:
-            self.tainted.add((word.hemisphere, word.slice_index, word.address))
-
-    # -- plumbing ----------------------------------------------------------
-
-    @property
-    def active(self) -> bool:
-        return self.failed is None
-
-    def fail(self, reason: str) -> None:
-        if self.failed is None:
-            self.failed = reason
-
-    def _new_slot(self) -> int:
-        slot = self.n_slots
-        self.n_slots += 1
-        return slot
-
-    def resolve(self, cycle: int, direction: Direction, stream: int,
-                position: int, value: np.ndarray) -> tuple:
-        """Map a captured stream value to a slot ref or fold a constant."""
-        entries = self._diag.get(_diag_key(direction, stream, cycle, position))
-        if entries:
-            best_c = -1
-            best_ref = None
-            for c0, ref in entries:
-                if c0 <= cycle and c0 > best_c:
-                    best_c = c0
-                    best_ref = ref
-            if best_ref is not None:
-                return ("s", best_ref)
-        return ("c", np.asarray(value, dtype=np.uint8).copy())
-
-    def announce(self, position: int, cycle: int, direction: Direction,
-                 stream: int, slot: int) -> None:
-        """Register a tainted drive scheduled for (cycle, direction, stream)."""
-        if self.failed is not None:
-            return
-        key = _diag_key(direction, stream, cycle, position)
-        self._diag.setdefault(key, []).append((cycle, slot))
-        self._announced.add((position, cycle, key[0], stream))
-
-    # -- chip-level hooks --------------------------------------------------
-
-    def on_dispatch(self, name: str, instruction, cycle: int) -> None:
-        self.dispatches.append((cycle, name, instruction))
-        if self.failed is None and type(instruction) not in _SUPPORTED:
-            self.fail(f"unsupported instruction {instruction.mnemonic}")
-
-    def on_drive(self, direction: Direction, stream: int,
-                 position: int) -> None:
-        """Every SRF drive; shadows tainted diagonals hit by constants."""
-        if self.failed is not None:
-            return
-        cycle = self.chip.now
-        key = _diag_key(direction, stream, cycle, position)
-        if (position, cycle, key[0], stream) in self._announced:
-            return
-        entries = self._diag.get(key)
-        if entries is not None:
-            entries.append((cycle, None))
-
-    # -- MEM ---------------------------------------------------------------
-
-    def mem_read(self, unit, instruction, drive_cycle: int) -> None:
-        key = (unit.address.hemisphere, unit.address.index, instruction.address)
-        if key in self.tainted:
-            slot = self._new_slot()
-            self.ops.append(("read", slot, key))
-            self.announce(unit.position, drive_cycle, instruction.direction,
-                          instruction.stream, slot)
-        elif key not in self.known:
-            self.fail(f"read of unplaced word {key}")
-
-    def mem_write(self, unit, instruction, sample_cycle: int,
-                  vector: np.ndarray) -> None:
-        key = (unit.address.hemisphere, unit.address.index, instruction.address)
-        ref = self.resolve(sample_cycle, instruction.direction,
-                           instruction.stream, unit.position, vector)
-        if ref[0] == "s":
-            self.ops.append(("write", key, ref))
-            self.tainted.add(key)
-        else:
-            self.ops.append(("wconst", key, ref[1]))
-            self.tainted.discard(key)
-            self.known.add(key)
-
-    # -- VXM ---------------------------------------------------------------
-
-    def operand_refs(self, unit, sample: int, direction: Direction,
-                     base_stream: int, planes: list) -> list:
-        return [
-            self.resolve(sample, direction, base_stream + k, unit.position,
-                         planes[k])
-            for k in range(len(planes))
-        ]
-
-    def vxm_op(self, unit, op_tuple: tuple, out_dtype: DType, out_cycle: int,
-               out_direction: Direction, out_base_stream: int) -> None:
-        slots = [self._new_slot() for _ in range(out_dtype.n_streams)]
-        self.ops.append(op_tuple + (out_dtype, slots))
-        for k, slot in enumerate(slots):
-            self.announce(unit.position, out_cycle, out_direction,
-                          out_base_stream + k, slot)
-
-    # -- SXM ---------------------------------------------------------------
-
-    def sxm_route(self, unit, in_refs: list, src_input, src_lane, zero_mask,
-                  out_cycle: int, out_direction: Direction,
-                  out_stream: int) -> None:
-        slot = self._new_slot()
-        self.ops.append(("route", slot, list(in_refs), src_input, src_lane,
-                         zero_mask))
-        self.announce(unit.position, out_cycle, out_direction, out_stream,
-                      slot)
-
-    # -- MXM ---------------------------------------------------------------
-
-    def mxm_track(self, plane) -> deque:
-        q = self._mxm_results.get(id(plane))
-        if q is None:
-            q = deque()
-            self._mxm_results[id(plane)] = q
-        return q
-
-    def mxm_install(self, plane, instruction, refs: list) -> None:
-        """One ``IW``: ``refs`` of every weight vector it captured, in
-        order (none for an install from the ``LW`` buffer, which only
-        constants reach)."""
-        if all(r[0] == "c" for r in refs):
-            self._mxm_weights.pop(id(plane), None)
-            return
-        slot = self._new_slot()
-        self.ops.append(("install", slot, instruction.dtype, instruction.rows,
-                         instruction.cols, list(refs)))
-        self._mxm_weights[id(plane)] = ("s", slot)
-
-    def mxm_compute(self, plane, dtype: DType, refs: list) -> None:
-        q = self.mxm_track(plane)
-        weights = self._mxm_weights.get(id(plane))
-        if weights is None:
-            if all(r[0] == "c" for r in refs):
-                q.append(None)
-                return
-            if plane.weights is None:
-                self.fail("tainted MXM compute with no installed weights")
-                return
-            weights = ("c", plane.wide)
-        slot = self._new_slot()
-        # the install's one widened matrix, shared by every row's op
-        self.ops.append(
-            ("dot", slot, dtype, plane.rows, weights, list(refs))
-        )
-        q.append(("s", slot))
-
-    def mxm_drain(self, plane, slot_idx: int, psum_value, accumulate: bool,
-                  acc_present: bool, acc_value) -> Any:
-        """Mirror one ACC drain; returns the ref of the post-drain value."""
-        q = self.mxm_track(plane)
-        if not q:
-            self.fail("MXM result mirror underflow")
-            return None
-        psum_ref = q.popleft()
-        key = (id(plane), slot_idx)
-        acc_ref = self._mxm_acc.get(key)
-        if accumulate and acc_present:
-            if psum_ref is None and acc_ref is None:
-                combined = None
-            else:
-                out = self._new_slot()
-                a = psum_ref if psum_ref is not None else \
-                    ("c", np.asarray(psum_value).copy())
-                b = acc_ref if acc_ref is not None else \
-                    ("c", np.asarray(acc_value).copy())
-                self.ops.append(("acc", out, a, b))
-                combined = ("s", out)
-        else:
-            combined = psum_ref
-        self._mxm_acc[key] = combined
-        return combined
-
-    def mxm_clear_acc(self, plane, slot_idx: int) -> None:
-        self._mxm_acc.pop((id(plane), slot_idx), None)
-
-    def mxm_emit(self, unit, plane, instruction, ref, cycle: int,
-                 out_dtype: DType) -> None:
-        if ref is None:
-            return
-        slots = [self._new_slot() for _ in range(out_dtype.n_streams)]
-        self.ops.append(("emit", slots, ref, out_dtype))
-        for offset, slot in enumerate(slots):
-            self.announce(unit.position, cycle, instruction.direction,
-                          instruction.base_stream + offset, slot)
-
-    # -- finish ------------------------------------------------------------
 
     def finish(self, run: RunResult) -> "ReplayPlan":
-        """The plan of the recorded program's schedule: memory-image words
-        are among its inputs, so :meth:`ReplayPlan.bind` it to a program
-        before running it."""
-        chip = self.chip
-        if self.failed is None and run.ecc_corrections:
-            self.fail("ECC corrections during recording run")
-        if self.failed is None and chip.srf.corrections != self._corr_start:
-            self.fail("stream ECC corrections during recording run")
-        if self.failed is None:
-            for q in self._mxm_results.values():
-                if q:
-                    self.fail("undrained MXM results at end of run")
-                    break
-        if self.failed is None:
-            for ref in self._mxm_acc.values():
-                if ref is not None:
-                    self.fail("tainted MXM accumulator left at end of run")
-                    break
-        plan = ReplayPlan(
-            ok=self.failed is None,
-            reason=self.failed,
-            config=chip.config,
-            timing=chip.timing,
-            ecc_enabled=chip.srf_ecc_enabled,
-            warmup_barrier=self.warmup_barrier,
-            lanes=self.lanes,
-            cycles=run.cycles,
-            final_now=chip.now,
-            instructions=run.instructions,
-            activity=run.activity.copy(),
-            dispatches=self.dispatches,
-            ops=self.ops,
-            n_slots=self.n_slots,
-            in_words=self.in_words,
-            inputs=dict(self.compiled.inputs),
-            outputs=dict(self.compiled.outputs),
+        """The finished plan — refused if ``run`` is not the run the
+        schedule promised — with the memory-image words among its inputs,
+        so :meth:`ReplayPlan.bind` it to a program before running it."""
+        plan = self.plan
+        barrier = (
+            plan.config.barrier_latency_cycles if self.warmup_barrier
+            else None
         )
-        if not plan.ok:
-            plan.ops = []
-            plan.dispatches = []
-            return plan
-        for name, spec in self.compiled.outputs.items():
-            n_planes = 1 if spec.layout.is_parallel else spec.dtype.n_bytes
-            words = []
-            for p in range(n_planes):
-                for j in range(spec.n_vectors):
-                    hem, s, a = spec.layout.address_of(p, j)
-                    key = (hem, s, a)
-                    if key in self.tainted:
-                        words.append(("t", key))
-                    else:
-                        unit = chip.mem_unit(hem, s)
-                        if unit._storage is None:
-                            data = np.zeros(self.lanes, dtype=np.uint8)
-                        else:
-                            data = unit._storage[a].copy()
-                        words.append(("c", data))
-            plan.out_words[name] = words
-        return plan
+        finished = replace(
+            plan,
+            cycles=plan.cycles + (barrier or 0),
+            instructions=len(issue_order(plan.program, barrier)),
+            activity=run.activity.copy(),
+            warmup_barrier=self.warmup_barrier,
+        )
+        if (
+            (run.cycles, run.instructions)
+            != (finished.cycles, finished.instructions)
+            or (barrier is not None and barrier < 2)
+        ):
+            return replace(
+                finished, ok=False, ops=[],
+                reason=f"the run ({run.cycles} cycles, {run.instructions} "
+                f"dispatches) is not the schedule's ({finished.cycles}, "
+                f"{finished.instructions})",
+            )
+        return finished
 
 
 # ---------------------------------------------------------------------------
@@ -530,38 +273,56 @@ def _widen(dtype: DType, rows: int, cols: int, refs: list) -> np.ndarray:
 
 @dataclass
 class ReplayPlan:
-    """The recorded execution plan of a schedule, or of one program of it.
+    """The execution plan of a schedule, or of one program of it.
 
-    :meth:`ScheduleRecorder.finish` returns the schedule's plan, whose
-    inputs include the memory image; :meth:`bind` turns it into one
-    program's plan, whose only inputs are the run-time input tensors.
-    Only a bound plan runs.
+    The scheduler emits the schedule's plan, whose inputs include the
+    memory image; :meth:`ScheduleRecorder.finish` gives it its activity
+    and :meth:`bind` turns it into one program's plan, whose only inputs
+    are the run-time input tensors.  Only a bound plan runs.
     """
 
-    ok: bool
-    reason: str | None
     config: object
     timing: object
-    ecc_enabled: bool
-    warmup_barrier: bool
-    lanes: int
+    #: the straight-line program the plan stands in for
+    program: object = field(repr=False)
     cycles: int
-    final_now: int
-    instructions: int
-    activity: object
-    #: raw ``(cycle, queue name, instruction)`` per recorded dispatch
-    dispatches: list = field(repr=False, default_factory=list)
+    instructions: int = 0
     ops: list = field(repr=False, default_factory=list)
     n_slots: int = 0
     in_words: list = field(repr=False, default_factory=list)
     out_words: dict = field(repr=False, default_factory=dict)
     inputs: dict = field(repr=False, default_factory=dict)
     outputs: dict = field(repr=False, default_factory=dict)
+    #: what a run of the program leaves on the chip's counters, from the
+    #: first clean run; None until then
+    activity: object = None
+    warmup_barrier: bool = False
+    ok: bool = True
+    reason: str | None = None
+
+    @property
+    def lanes(self) -> int:
+        return self.config.n_lanes
+
+    @property
+    def final_now(self) -> int:
+        """``chip.now`` after a run: its last cycle."""
+        return self.cycles - 1
+
+    @functools.cached_property
+    def dispatches(self) -> list[tuple]:
+        """Raw ``(cycle, queue name, instruction)`` per dispatch, in
+        order, read off the program on first use."""
+        return issue_order(
+            self.program,
+            self.config.barrier_latency_cycles if self.warmup_barrier
+            else None,
+        )
 
     @functools.cached_property
     def trace(self) -> list[TraceEvent]:
-        """The recorded dispatches as trace events, formatted on first use
-        (only a trace-enabled replay ever asks)."""
+        """The dispatches as trace events, formatted on first use (only a
+        trace-enabled replay ever asks)."""
         return [
             TraceEvent(cycle, name, instruction.mnemonic, str(instruction))
             for cycle, name, instruction in self.dispatches
@@ -649,7 +410,7 @@ class ReplayPlan:
                 n = min(narrowed.shape[1], lanes)
                 padded[:, :n] = narrowed[:, :n]
                 _store_planes(values, padded, out_dtype, slots)
-            else:  # pragma: no cover - recorder and interpreter move together
+            else:  # pragma: no cover - lowerings and interpreter move together
                 raise SimulationError(f"unknown replay op {tag!r}")
 
     # -- binding -----------------------------------------------------------
@@ -660,8 +421,7 @@ class ReplayPlan:
         A partial evaluation: every op that depends on no run-time input
         runs here, once, through the interpreter, and its value is folded
         into the ops that remain as a one-lane constant — so the bound
-        plan is op for op what recording this program would have folded,
-        and costs what that plan costs per replay.
+        plan costs per replay only what its run-time inputs reach.
         """
         if not self.ok:
             return self
@@ -699,7 +459,7 @@ class ReplayPlan:
                     ops.append(("wconst", key, folded[2][1]))
             elif tag == "install":
                 if live:
-                    return replace(self, ok=False, ops=[], dispatches=[],
+                    return replace(self, ok=False, ops=[],
                                    reason="input-derived IW weight install")
                 weights[op[1]] = _widen(*folded[2:])
             elif live:
@@ -859,8 +619,6 @@ def _chip_is_pristine(chip) -> str | None:
         return "telemetry collector attached"
     if chip.watchdog is not None:
         return "watchdog armed"
-    if chip.recorder is not None:
-        return "recording in progress"
     if chip.events.pending:
         # armed before the run, they belong to it: only a run fires them
         return "events armed for the next run"
@@ -905,7 +663,5 @@ def replay_allowed(plan: ReplayPlan | None, chip, *, max_cycles: int,
     if chip.config is not plan.config and chip.config != plan.config:
         return False
     if chip.timing is not plan.timing and chip.timing != plan.timing:
-        return False
-    if chip.srf_ecc_enabled != plan.ecc_enabled:
         return False
     return _chip_is_pristine(chip) is None

@@ -5,9 +5,16 @@ The SXM is the Y dimension of the on-chip network: while MEM moves streams
 East-West, the SXM moves data *between lanes*.  All operations here are
 single-dispatch: operands are sampled at ``t + d_skew`` and results driven
 at ``t + d_func``.
+
+What a one-source instruction does to the vector it captures is a module
+function (:func:`lane_transform`, :func:`rotation`, :func:`select_mask`):
+the unit drives its result, and the compiler probes the same function for
+the lane gather its replay plan runs instead.
 """
 
 from __future__ import annotations
+
+from typing import Callable
 
 import numpy as np
 
@@ -26,23 +33,101 @@ from ..isa.sxm import (
 from .unit import FunctionalUnit
 
 
+def lane_transform(
+    instruction: Shift | Permute | Distribute, config
+) -> Callable[[np.ndarray], np.ndarray]:
+    """The lane gather a ``Shift``, ``Permute`` or ``Distribute`` applies
+    to one captured vector."""
+    lanes = config.n_lanes
+    if isinstance(instruction, Shift):
+        n = instruction.amount
+        north = instruction.shift is ShiftDirection.NORTH
+
+        def shift(v: np.ndarray) -> np.ndarray:
+            if n == 0:
+                return v.copy()
+            out = np.zeros_like(v)
+            if n < lanes:
+                if north:
+                    out[:-n] = v[n:]  # toward lane 0
+                else:
+                    out[n:] = v[:-n]  # toward lane 319
+            return out
+
+        return shift
+    mapping = np.asarray(instruction.mapping, dtype=np.int64)
+    if isinstance(instruction, Permute):
+        if mapping.size != lanes:
+            raise SimulationError(
+                f"Permute map covers {mapping.size} lanes, chip has {lanes}"
+            )
+        return lambda v: v[mapping]
+    per = config.lanes_per_superlane
+    if mapping.size != per:
+        raise SimulationError(
+            f"Distribute map must have {per} entries, got {mapping.size}"
+        )
+    zero = mapping < 0
+    safe = np.where(zero, 0, mapping)
+
+    def distribute(v: np.ndarray) -> np.ndarray:
+        out = v.reshape(-1, per)[:, safe]
+        out[:, zero] = 0
+        return out.reshape(-1)
+
+    return distribute
+
+
+def rotation(n: int, per: int, r: int) -> Callable[[np.ndarray], np.ndarray]:
+    """Output stream ``r`` of a ``Rotate n``: each superlane's n x n block
+    rolled up ``r // n`` rows and left ``r % n`` columns; the lanes past
+    n^2 of a superlane are zero-filled."""
+    dr, dc = divmod(r, n)
+
+    def rotate(v: np.ndarray) -> np.ndarray:
+        blocks = v.reshape(-1, per)
+        grid = blocks[:, : n * n].reshape(-1, n, n)
+        out = np.zeros_like(blocks)
+        out[:, : n * n] = np.roll(grid, (-dr, -dc), axis=(1, 2)).reshape(
+            -1, n * n
+        )
+        return out.reshape(-1)
+
+    return rotate
+
+
+def select_mask(instruction: Select, config) -> np.ndarray:
+    """Per lane, whether a ``Select`` takes its second source."""
+    lanes = config.n_lanes
+    if not instruction.mask:
+        return np.zeros(lanes, dtype=bool)
+    m = np.asarray(instruction.mask, dtype=np.int64)
+    if m.size == lanes:
+        return m != 0
+    if m.size == config.lanes_per_superlane:
+        return np.tile(m != 0, config.n_superlanes)
+    raise SimulationError(
+        f"Select mask must cover {lanes} lanes or one superlane"
+    )
+
+
 class SxmUnit(FunctionalUnit):
     """One hemisphere's switch execution module."""
 
     def execute(self, icu: IcuId, instruction: Instruction, cycle: int) -> None:
-        handlers = {
-            Shift: self._exec_shift,
-            Select: self._exec_select,
-            Permute: self._exec_permute,
-            Distribute: self._exec_distribute,
-            Rotate: self._exec_rotate,
-            Transpose: self._exec_transpose,
-        }
-        handler = handlers.get(type(instruction))
-        if handler is None:
+        if isinstance(instruction, (Shift, Permute, Distribute)):
+            self._simple(
+                instruction, cycle,
+                lane_transform(instruction, self.chip.config),
+            )
+        elif isinstance(instruction, Select):
+            self._exec_select(instruction, cycle)
+        elif isinstance(instruction, Rotate):
+            self._exec_rotate(instruction, cycle)
+        elif isinstance(instruction, Transpose):
+            self._exec_transpose(instruction, cycle)
+        else:
             super().execute(icu, instruction, cycle)
-            return
-        handler(instruction, cycle)
 
     # ------------------------------------------------------------------
     def _count(self, cycle: int, n_streams: int = 1) -> None:
@@ -57,80 +142,26 @@ class SxmUnit(FunctionalUnit):
     ) -> None:
         """Capture one source stream, transform, drive one destination."""
         out_cycle = cycle + self.dfunc(instruction)
-        sample = cycle + self.dskew(instruction)
 
         def _with_value(vector: np.ndarray) -> None:
-            recorder = self.chip.recorder
-            if recorder is not None and recorder.active:
-                ref = recorder.resolve(
-                    sample, instruction.direction, instruction.src_stream,
-                    self.position, vector,
-                )
-                if ref[0] == "s":
-                    from .replay import probe_gather
-
-                    probe = probe_gather(
-                        transform, self.chip.config.n_lanes
-                    )
-                    if probe is None:
-                        recorder.fail(
-                            f"{instruction.mnemonic} is not a pure gather"
-                        )
-                    else:
-                        recorder.sxm_route(
-                            self, [ref], None, probe[0], probe[1],
-                            out_cycle, instruction.dst_direction,
-                            instruction.dst_stream,
-                        )
-            result = self.apply_superlane_power(transform(vector))
             self.drive_at(
                 out_cycle,
                 instruction.dst_direction,
                 instruction.dst_stream,
-                result,
+                self.apply_superlane_power(transform(vector)),
             )
             self._count(out_cycle)
 
         self.capture_at(
-            sample,
+            cycle + self.dskew(instruction),
             instruction.direction,
             instruction.src_stream,
             _with_value,
         )
 
     # ------------------------------------------------------------------
-    def _exec_shift(self, instruction: Shift, cycle: int) -> None:
-        lanes = self.chip.config.n_lanes
-        n = instruction.amount
-
-        def _shift(v: np.ndarray) -> np.ndarray:
-            out = np.zeros_like(v)
-            if n == 0:
-                return v.copy()
-            if n >= lanes:
-                return out
-            if instruction.shift is ShiftDirection.NORTH:
-                out[:-n] = v[n:]  # toward lane 0
-            else:
-                out[n:] = v[:-n]  # toward lane 319
-            return out
-
-        self._simple(instruction, cycle, _shift)
-
     def _exec_select(self, instruction: Select, cycle: int) -> None:
-        lanes = self.chip.config.n_lanes
-        mask = np.zeros(lanes, dtype=bool)
-        entries = instruction.mask
-        if entries:
-            m = np.asarray(entries, dtype=np.int64)
-            if m.size == lanes:
-                mask = m != 0
-            elif m.size == self.chip.config.lanes_per_superlane:
-                mask = np.tile(m != 0, self.chip.config.n_superlanes)
-            else:
-                raise SimulationError(
-                    f"Select mask must cover {lanes} lanes or one superlane"
-                )
+        mask = select_mask(instruction, self.chip.config)
         out_cycle = cycle + self.dfunc(instruction)
         state: dict[str, np.ndarray] = {}
 
@@ -138,22 +169,6 @@ class SxmUnit(FunctionalUnit):
             if "a" not in state or "b" not in state:
                 return
             result = np.where(mask, state["b"], state["a"]).astype(np.uint8)
-            recorder = self.chip.recorder
-            if recorder is not None and recorder.active:
-                ref_a = recorder.resolve(
-                    sample, instruction.direction, instruction.src_stream_a,
-                    self.position, state["a"],
-                )
-                ref_b = recorder.resolve(
-                    sample, instruction.direction, instruction.src_stream_b,
-                    self.position, state["b"],
-                )
-                if ref_a[0] == "s" or ref_b[0] == "s":
-                    recorder.sxm_route(
-                        self, [ref_a, ref_b], mask.astype(np.int64),
-                        np.arange(lanes), None, out_cycle,
-                        instruction.dst_direction, instruction.dst_stream,
-                    )
             self.drive_at(
                 out_cycle,
                 instruction.dst_direction,
@@ -176,89 +191,25 @@ class SxmUnit(FunctionalUnit):
             lambda v: (state.__setitem__("b", v), _maybe()),
         )
 
-    def _exec_permute(self, instruction: Permute, cycle: int) -> None:
-        lanes = self.chip.config.n_lanes
-        mapping = np.asarray(instruction.mapping, dtype=np.int64)
-        if mapping.size != lanes:
-            raise SimulationError(
-                f"Permute map covers {mapping.size} lanes, chip has {lanes}"
-            )
-        self._simple(instruction, cycle, lambda v: v[mapping])
-
-    def _exec_distribute(self, instruction: Distribute, cycle: int) -> None:
-        per = self.chip.config.lanes_per_superlane
-        mapping = np.asarray(instruction.mapping, dtype=np.int64)
-        if mapping.size != per:
-            raise SimulationError(
-                f"Distribute map must have {per} entries, got {mapping.size}"
-            )
-        zero = mapping < 0
-        safe = np.where(zero, 0, mapping)
-
-        def _distribute(v: np.ndarray) -> np.ndarray:
-            blocks = v.reshape(-1, per)
-            out = blocks[:, safe]
-            out[:, zero] = 0
-            return out.reshape(-1)
-
-        self._simple(instruction, cycle, _distribute)
-
     def _exec_rotate(self, instruction: Rotate, cycle: int) -> None:
-        """Generate all n^2 rotations of each superlane's n x n block.
-
-        Lanes beyond n^2 within a superlane are zero-filled on every output
-        stream; output r = (dr, dc) rolls the block up dr rows and left dc
-        columns.
-        """
+        """Generate all n^2 rotations of each superlane's n x n block,
+        output ``r`` on stream ``dst_base_stream + r`` (:func:`rotation`)."""
         n = instruction.n
         per = self.chip.config.lanes_per_superlane
-        lanes = self.chip.config.n_lanes
         out_cycle = cycle + self.dfunc(instruction)
-        sample = cycle + self.dskew(instruction)
-
-        def _route_for(r: int) -> tuple[np.ndarray, np.ndarray | None]:
-            # lane sl*per + (i*n + k) sources sl*per + ((i+dr)%n)*n + (k+dc)%n
-            dr, dc = divmod(r, n)
-            lane = np.arange(lanes, dtype=np.int64)
-            base = (lane // per) * per
-            j = lane % per
-            row, col = np.divmod(np.minimum(j, n * n - 1), n)
-            src = base + ((row + dr) % n) * n + (col + dc) % n
-            zero = j >= n * n
-            return src, (zero if bool(zero.any()) else None)
 
         def _with_value(vector: np.ndarray) -> None:
-            recorder = self.chip.recorder
-            if recorder is not None and recorder.active:
-                ref = recorder.resolve(
-                    sample, instruction.direction, instruction.src_stream,
-                    self.position, vector,
-                )
-                if ref[0] == "s":
-                    for r in range(n * n):
-                        src, zero = _route_for(r)
-                        recorder.sxm_route(
-                            self, [ref], None, src, zero, out_cycle,
-                            instruction.dst_direction,
-                            instruction.dst_base_stream + r,
-                        )
-            blocks = vector.reshape(-1, per)
-            grid = blocks[:, : n * n].reshape(-1, n, n)
             for r in range(n * n):
-                dr, dc = divmod(r, n)
-                rolled = np.roll(grid, shift=(-dr, -dc), axis=(1, 2))
-                out = np.zeros_like(blocks)
-                out[:, : n * n] = rolled.reshape(-1, n * n)
                 self.drive_at(
                     out_cycle,
                     instruction.dst_direction,
                     instruction.dst_base_stream + r,
-                    self.apply_superlane_power(out.reshape(-1)),
+                    self.apply_superlane_power(rotation(n, per, r)(vector)),
                 )
             self._count(out_cycle, n * n)
 
         self.capture_at(
-            sample,
+            cycle + self.dskew(instruction),
             instruction.direction,
             instruction.src_stream,
             _with_value,
@@ -267,28 +218,9 @@ class SxmUnit(FunctionalUnit):
     def _exec_transpose(self, instruction: Transpose, cycle: int) -> None:
         """16x16 transpose across a 16-stream group, per superlane."""
         per = self.chip.config.lanes_per_superlane
-        lanes = self.chip.config.n_lanes
         out_cycle = cycle + self.dfunc(instruction)
-        sample = cycle + self.dskew(instruction)
 
         def _with_group(vectors: list[np.ndarray]) -> None:
-            recorder = self.chip.recorder
-            if recorder is not None and recorder.active:
-                refs = recorder.operand_refs(
-                    self, sample, instruction.direction,
-                    instruction.src_base_stream, vectors,
-                )
-                if any(r[0] == "s" for r in refs):
-                    # out_s[sl*per + j] = in_j[sl*per + s]
-                    lane = np.arange(lanes, dtype=np.int64)
-                    src_input = lane % per
-                    base = (lane // per) * per
-                    for s in range(per):
-                        recorder.sxm_route(
-                            self, refs, src_input, base + s, None,
-                            out_cycle, instruction.dst_direction,
-                            instruction.dst_base_stream + s,
-                        )
             # cube[s, superlane, lane]
             cube = np.stack(
                 [v.reshape(-1, per) for v in vectors], axis=0
@@ -305,7 +237,7 @@ class SxmUnit(FunctionalUnit):
             self._count(out_cycle, per)
 
         self.capture_group_at(
-            sample,
+            cycle + self.dskew(instruction),
             instruction.direction,
             instruction.src_base_stream,
             per,

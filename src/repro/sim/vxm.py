@@ -78,18 +78,6 @@ class VxmUnit(FunctionalUnit):
             out_dtype = (
                 dtype if z.dtype == dtype.numpy_dtype else _dtype_of(z.dtype)
             )
-            recorder = self.chip.recorder
-            if recorder is not None and recorder.active:
-                refs = recorder.operand_refs(
-                    self, sample, instruction.src_direction,
-                    instruction.src_stream, planes,
-                )
-                if any(r[0] == "s" for r in refs):
-                    recorder.vxm_op(
-                        self, ("vxm1", instruction.op, dtype, refs),
-                        out_dtype, out_cycle, instruction.dst_direction,
-                        instruction.dst_stream,
-                    )
             self._drive_elements(
                 out_cycle,
                 instruction.dst_stream,
@@ -114,22 +102,10 @@ class VxmUnit(FunctionalUnit):
         out_cycle = cycle + self.dfunc(instruction)
         state: dict[str, np.ndarray] = {}
 
-        refs: dict[str, list] = {}
-
         def _maybe_compute() -> None:
             if "x" not in state or "y" not in state:
                 return
             z = alu.apply_binary(instruction.op, dtype, state["x"], state["y"])
-            recorder = self.chip.recorder
-            if recorder is not None and recorder.active:
-                x_refs, y_refs = refs["x"], refs["y"]
-                if any(r[0] == "s" for r in x_refs + y_refs):
-                    recorder.vxm_op(
-                        self,
-                        ("vxm2", instruction.op, dtype, x_refs, y_refs),
-                        dtype, out_cycle, instruction.dst_direction,
-                        instruction.dst_stream,
-                    )
             self._drive_elements(
                 out_cycle,
                 instruction.dst_stream,
@@ -141,26 +117,12 @@ class VxmUnit(FunctionalUnit):
 
         sample = cycle + self.dskew(instruction)
 
-        def _resolve(direction, base_stream, planes):
-            recorder = self.chip.recorder
-            if recorder is None or not recorder.active:
-                return []
-            return recorder.operand_refs(
-                self, sample, direction, base_stream, planes
-            )
-
         def _got_x(planes: list[np.ndarray]) -> None:
             state["x"] = join_byte_planes(planes, dtype)
-            refs["x"] = _resolve(
-                instruction.src1_direction, instruction.src1_stream, planes
-            )
             _maybe_compute()
 
         def _got_y(planes: list[np.ndarray]) -> None:
             state["y"] = join_byte_planes(planes, dtype)
-            refs["y"] = _resolve(
-                instruction.src2_direction, instruction.src2_stream, planes
-            )
             _maybe_compute()
 
         self.capture_group_at(
@@ -191,20 +153,6 @@ class VxmUnit(FunctionalUnit):
             z = alu.apply_convert(
                 src_dtype, dst_dtype, instruction.scale, x
             )
-            recorder = self.chip.recorder
-            if recorder is not None and recorder.active:
-                refs = recorder.operand_refs(
-                    self, sample, instruction.src_direction,
-                    instruction.src_stream, planes,
-                )
-                if any(r[0] == "s" for r in refs):
-                    recorder.vxm_op(
-                        self,
-                        ("vxmc", src_dtype, dst_dtype, instruction.scale,
-                         refs),
-                        dst_dtype, out_cycle, instruction.dst_direction,
-                        instruction.dst_stream,
-                    )
             self._drive_elements(
                 out_cycle,
                 instruction.dst_stream,

@@ -1,17 +1,17 @@
 """Lockstep comparator: a simulation against its replays.
 
 A compiled program has two execution routes: the cycle simulator
-(:meth:`repro.sim.chip.TspChip.run`) and the replay of a plan recorded
-from one simulated run (:mod:`repro.sim.replay`), which walks no cycle.
-The replay claims to be *equivalent* to the simulation because the TSP's
-timing is fully deterministic and compiler-known (Section IV-F).  This
-module turns that claim into a checkable property: :func:`run_lockstep`
-simulates the program on a fresh chip, records it on a second, replays
-the plan write-through onto a third and evaluates it batched with no
-chip at all — and, given a *sibling* (another program of the same
+(:meth:`repro.sim.chip.TspChip.run`) and the replay of the plan the
+compiler emitted with its schedule (:mod:`repro.sim.replay`), which walks
+no cycle.  The replay claims to be *equivalent* to the simulation because
+the TSP's timing is fully deterministic and compiler-known (Section IV-F).
+This module turns that claim into a checkable property: :func:`run_lockstep`
+simulates the program on a fresh chip, finishes the plan from that run,
+replays it write-through onto a second chip and evaluates it batched with
+no chip at all — and, given a *sibling* (another program of the same
 schedule, other constants), does the same for the sibling with the plan
-recorded on the first, since a plan belongs to a schedule — then
-compares every observable surface bit-for-bit:
+finished on the first, since a plan belongs to a schedule — then compares
+every observable surface bit-for-bit:
 
 * output tensors and the full materialized MEM image;
 * cycle count, per-run instruction count, and every activity tally
@@ -88,14 +88,14 @@ class LockstepResult:
 
     ``simulated`` is the reference: the cycle simulator with tracing and
     a :class:`RecordingChecker` (``recorder``) attached.  ``replay`` is
-    the program recorded once into a
-    :class:`repro.sim.replay.ReplayPlan` and re-executed as fused numpy
-    kernels, write-through, on a fresh chip.  It is ``None`` when the
-    program is outside the replay engine's supported set (``plan`` then
-    carries the reason).  ``batched`` rides with it: the same plan's pure
-    evaluation of the inputs bound twice, one output dict per row — the
-    route that serves.  ``sibling`` holds the same comparison for another
-    program of the schedule, replaying the plan recorded on this one.
+    the schedule's :class:`repro.sim.replay.ReplayPlan`, bound to the
+    program and re-executed as fused numpy kernels, write-through, on a
+    fresh chip.  It is ``None`` when the program has no plan (``plan`` is
+    then None) or the simulation refused it (``plan.reason``).
+    ``batched`` rides with it: the same plan's pure evaluation of the
+    inputs bound twice, one output dict per row — the route that serves.
+    ``sibling`` holds the same comparison for another program of the
+    schedule, replaying the plan finished on this one.
     """
 
     simulated: LockstepExecution
@@ -125,18 +125,17 @@ def run_lockstep(
     enable_ecc: bool = False,
     sibling: CompiledProgram | None = None,
 ) -> LockstepResult:
-    """Simulate ``compiled``, record it, replay it; compare all state.
+    """Simulate ``compiled``, finish its plan, replay it; compare all state.
 
     Every leg starts from a fresh chip with the same memory image and
-    inputs.  The recording happens on a chip of its own with no checker
-    attached — a chip with checkers is outside the replay engine's bypass
-    predicate by design — and with tracing off, while the replay runs
-    with it on: the plan keeps raw dispatches and must format a trace
-    equal to the simulated one.
+    inputs.  The simulation runs with tracing on and a checker attached —
+    neither moves a counter, so its run finishes the schedule's plan — and
+    the replay traces too: the plan keeps raw dispatches and must format a
+    trace equal to the simulated one.
 
     ``sibling`` — another program of ``compiled``'s schedule, its
     constants other bytes (:func:`repro.testing.redrawn`) — adds the leg
-    that proves the plan belongs to the schedule: the plan recorded on
+    that proves the plan belongs to the schedule: the plan finished on
     ``compiled`` is bound to the sibling's memory image and compared
     with the sibling's own simulation on every surface above.  A weight
     that leaked into a folded constant differs there
@@ -152,10 +151,9 @@ def run_lockstep(
     if sibling is not None and sibling.program is not compiled.program:
         raise SimulationError("a lockstep sibling must share the schedule")
 
-    def fresh_chip(program: CompiledProgram, trace: bool) -> TspChip:
+    def fresh_chip(program: CompiledProgram) -> TspChip:
         chip = TspChip(
-            program.config, timing=timing, trace=trace,
-            enable_ecc=enable_ecc,
+            program.config, timing=timing, trace=True, enable_ecc=enable_ecc,
         )
         load_compiled(chip, program)
         for name, spec in program.inputs.items():
@@ -163,13 +161,6 @@ def run_lockstep(
                 raise SimulationError(f"input {name!r} was not bound")
             bind_input(chip, spec, inputs[name])
         return chip
-
-    def simulate(chip: TspChip) -> RunResult:
-        return chip.run(
-            compiled.program,
-            max_cycles=max_cycles,
-            warmup_barrier=warmup_barrier,
-        )
 
     def execution(chip: TspChip, run: RunResult) -> LockstepExecution:
         return LockstepExecution(
@@ -181,32 +172,38 @@ def run_lockstep(
             memory=chip.memory_image(),
         )
 
-    def legs(program: CompiledProgram, plan) -> LockstepResult:
-        chip = fresh_chip(program, trace=True)
+    def simulate(program: CompiledProgram) -> LockstepResult:
+        chip = fresh_chip(program)
         checker = RecordingChecker()
         chip.attach_checker(checker)
-        result = LockstepResult(
-            simulated=execution(chip, simulate(chip)), recorder=checker,
-            plan=plan,
+        run = chip.run(
+            compiled.program,
+            max_cycles=max_cycles,
+            warmup_barrier=warmup_barrier,
         )
-        if plan.ok:
-            chip = fresh_chip(program, trace=True)
-            result.replay = execution(chip, plan.replay_into(chip))
-            result.batched = plan.run_batched([inputs, inputs])
+        return LockstepResult(
+            simulated=execution(chip, run), recorder=checker
+        )
+
+    def replay(result: LockstepResult, program: CompiledProgram,
+               finished) -> LockstepResult:
+        if finished is not None:
+            result.plan = finished.bind(program.memory_image)
+        if result.plan is not None and result.plan.ok:
+            chip = fresh_chip(program)
+            result.replay = execution(chip, result.plan.replay_into(chip))
+            result.batched = result.plan.run_batched([inputs, inputs])
             _compare(result)
         return result
 
-    chip = fresh_chip(compiled, trace=False)
-    recorder = ScheduleRecorder(chip, compiled, warmup_barrier=warmup_barrier)
-    chip.recorder = recorder
-    try:
-        run = simulate(chip)
-    finally:
-        chip.recorder = None
-    recorded = recorder.finish(run)
-    result = legs(compiled, recorded.bind(compiled.memory_image))
-    if sibling is not None and recorded.ok:
-        result.sibling = legs(sibling, recorded.bind(sibling.memory_image))
+    result = simulate(compiled)
+    plan = getattr(compiled.schedule, "plan", None)
+    finished = plan and ScheduleRecorder(
+        plan, warmup_barrier=warmup_barrier
+    ).finish(result.simulated.run)
+    replay(result, compiled, finished)
+    if sibling is not None and result.replay is not None:
+        result.sibling = replay(simulate(sibling), sibling, finished)
         result.mismatches += [
             f"sibling: {m}" for m in result.sibling.mismatches
         ]

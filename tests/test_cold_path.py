@@ -8,9 +8,9 @@ program is built at exactly the rows the request carries.  Nor is it a
 simulation: the replay plan belongs to the schedule, with the memory
 image among its inputs, so the bind hands the new program its own plan
 (``ReplayPlan.bind``) and the first request replays.  Only the first
-program of each shape simulates, once, to record; only with no sibling
-resident does the scheduler run — and the answers are the same bits
-either way.
+program of each shape simulates, once, inside the miss that schedules it,
+to finish its plan; only with no sibling resident does the scheduler run —
+and the answers are the same bits either way.
 """
 
 import sys
@@ -137,12 +137,15 @@ class TestNeverSeenModel:
         resident, *_ = cache.get_or_compile(seen)
         calls.clear()
         degraded, _key, hit, _s = cache.get_or_compile(unseen, blacklist=lost)
-        assert not hit and calls == {"schedule": 1, "bind": 1}
+        # a schedule of its own, whose plan the miss finishes: one run
+        once = {"schedule": 1, "record": 1, "chip.run": 1, "rows": 1}
+        assert not hit and calls == {**once, "bind": 1}
         assert digest(lambda: degraded) == fresh_degraded != fresh
         # ... while the same model, healthy, does borrow — from the
-        # healthy resident, not from its own degraded program
+        # healthy resident, not from its own degraded program — and its
+        # finished plan with it
         healthy, *_ = cache.get_or_compile(unseen)
-        assert calls == {"schedule": 1, "bind": 2}
+        assert calls == {**once, "bind": 2}
         assert digest(lambda: healthy) == fresh
         assert healthy.schedule is resident.schedule
 

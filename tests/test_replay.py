@@ -2,10 +2,11 @@
 
 The TSP's determinism means a compiled program's execution plan is a pure
 function of the binary — only the data changes between runs.  These tests
-pin the contract that makes record-once/replay-many safe:
+pin the contract that makes emit-once/replay-many safe:
 
-* the first clean ``execute()`` of a schedule records a :class:`ReplayPlan`
-  whose inputs include the memory image; every program of the schedule
+* the compiler emits a :class:`ReplayPlan` with every schedule, whose
+  inputs include the memory image; the first clean ``execute()`` of any
+  program of the schedule finishes it, and every program of the schedule
   binds it and replays bit-identically (outputs, memory, cycles,
   activity);
 * the batched entry point equals B sequential executions;
@@ -38,7 +39,7 @@ from repro.serve.resilient import probe_memory
 from repro.sim import LinkErrorModel, TspChip
 from repro.sim.faults import FaultInjector
 from repro.sim.icu import QueueSet
-from repro.sim.replay import ScheduleRecorder, record_allowed, replay_allowed
+from repro.sim.replay import record_allowed, replay_allowed
 from repro.sim.streamreg import StreamRegisterFile
 from repro.verify import assert_lockstep
 from repro.verify.invariants import StreamCollisionChecker
@@ -119,8 +120,8 @@ class TestRecordReplay:
 
 
 class TestOnePlanPerSchedule:
-    """The plan is recorded once per schedule, with the memory image among
-    its inputs, and bound to every program of that schedule."""
+    """The plan is emitted and finished once per schedule, with the memory
+    image among its inputs, and bound to every program of that schedule."""
 
     def test_a_never_seen_model_replays_its_first_run(self, config):
         seen, _ = input_matmul_builder(config, seed=0)
@@ -265,11 +266,11 @@ class TestLockstep:
 
 
 class TestLazyPlanTrace:
-    """The recorder keeps raw dispatches; text is formatted on demand."""
+    """A plan keeps raw dispatches; text is formatted on demand."""
 
     def test_trace_off_recording_replays_the_simulated_trace(self, config):
-        """Simulated vs replayed: the replay leg records on a trace-off
-        chip and replays into a trace-enabled one."""
+        """Simulated vs replayed: the plan's dispatches, read off the
+        program text, format the trace the simulation recorded."""
         compiled, _ = build_input_matmul(config)
         result = assert_lockstep(compiled, inputs={"acts": acts_for(5)})
         assert result.replay is not None, result.plan.reason
@@ -465,11 +466,6 @@ def _pool_checkout_hook(config):
     return worker.chip, worker._checkout
 
 
-def _start_recording(chip):
-    compiled, _ = build_input_matmul(chip.config)
-    chip.recorder = ScheduleRecorder(chip, compiled, warmup_barrier=False)
-
-
 #: every public way to perturb a chip, as ``setup(config) -> (chip, undo)``.
 #: The recorded program lives in the West hemisphere, so the East MEM
 #: slice 0 faults perturb the chip without killing the run.
@@ -513,7 +509,6 @@ PERTURBATIONS = {
         lambda chip: chip.arm_watchdog(Watchdog(deadline=10**9, label="t")),
         TspChip.disarm_watchdog,
     ),
-    "recording": _on_fresh_chip(_start_recording),
     "pool-checkout-hook": _pool_checkout_hook,
     "telemetry-collector": _on_fresh_chip(
         lambda chip: chip.attach_telemetry(TelemetryCollector()),
@@ -577,7 +572,8 @@ class TestBypass:
         )
 
     def test_unsupported_op_fails_closed(self, config, rng):
-        """A gather program records a not-ok plan and keeps simulating."""
+        """A program that gathers has no plan — its text says so — and
+        every run of it simulates."""
         table = rng.integers(0, 200, (8, 64)).astype(np.uint8)
         idx = rng.integers(0, 8, (3, 64)).astype(np.uint8)
         g = StreamProgramBuilder(config)
@@ -586,11 +582,11 @@ class TestBypass:
         )
         g.write_back(out, name="o")
         compiled = g.compile()
+        assert compiled.schedule.plan is None
         first = execute(compiled)
-        plan = compiled.replay
-        assert plan is not None and not plan.ok
-        assert plan.reason  # names the unsupported instruction
-        second = execute(compiled)  # must fall back to real simulation
+        second = execute(compiled)
+        assert compiled.replay is None and compiled.schedule.replay is None
+        assert first.run.skipped_cycles == second.run.skipped_cycles == 0
         assert np.array_equal(first["o"], second["o"])
 
 

@@ -211,6 +211,28 @@ def test_chunk_programs_lockstep_with_a_sibling(
     assert result.sibling.replay is not None
 
 
+def test_rows_too_tall_for_one_slice_land_a_block_per_plane(config, models):
+    """256 rows of ``conv0`` in one program: a bank holds 128 result words
+    a slice, so the rows compile only because each plane lands just its
+    own block — 64 rows on each of all four planes, 94 cycles, the numpy
+    product bit for bit, and replay in lockstep with the simulation."""
+    layer, builder, bindings = chunk_builder(config, models, "cnn", "conv0", 256)
+    compiled = builder.compile()
+    assert (compiled.stats.makespan + 1, compiled.stats.mxm_planes) == (94, 4)
+    depth = layer.weight_q.shape[0]
+    inputs = chunk_inputs(bindings, 256, depth, 5)
+    result = assert_lockstep(
+        compiled, inputs=inputs,
+        sibling=redrawn(builder).bind(compiled.schedule),
+    )
+    acts = np.zeros((256, depth), dtype=np.int64)
+    for name, lo, hi in bindings:
+        acts[:, lo:hi] = inputs[name]
+    expected = acts @ layer.weight_q.astype(np.int64)
+    assert np.array_equal(result.simulated.outputs["acc"], expected)
+    assert result.sibling.replay is not None
+
+
 @pytest.fixture()
 def predicted(monkeypatch):
     """``matmul_cost``'s (cycles, instructions) for the parts of every

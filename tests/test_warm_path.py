@@ -1,11 +1,12 @@
 """The one warm serving path of :class:`TspCnnRunner`.
 
-After warm-up, every bucket group of a forward — one chunk or many —
-is one cache lookup by a memoised key and one pure batched replay of
-the recorded plan: no builder rebuild, no re-hash, no memory-image
-reload, no write-through.  A chip with tracing on takes the same route
-(the plan's dispatches land on its trace).  ``execute()`` remains what a
-miss or a perturbed chip falls back to, with identical answers.
+Every bucket group of a forward — one chunk or many, and from the first
+request on, since a miss finishes its program's plan in the cache — is
+one cache lookup by a memoised key and one pure batched replay of the
+plan: no builder rebuild, no re-hash, no memory-image reload, no
+write-through.  A chip with tracing on takes the same route (the plan's
+dispatches land on its trace).  ``execute()`` remains what a perturbed
+chip falls back to, with identical answers.
 """
 
 import threading
@@ -107,15 +108,19 @@ class TestLoneChunkReplaysPurely:
         assert chip.trace and chip.trace == simulated.trace
 
     def test_cold_cache_records_through_execute(self, calls):
+        """A miss finishes its program's plan inside the cache's single
+        flight — one ``execute()`` simulation per schedule — so even the
+        cold forward answers by batched replay."""
         model = make_mlp()
         x = np.random.default_rng(3).standard_normal((2, 16))
         cache, chip = ProgramCache(), TspChip(CONFIG)
         cold = model.runner.forward(x, chip=chip, cache=cache)
-        assert calls["chip.run"] == 2 and "run_batched" not in calls
+        assert calls["chip.run"] == 2 and calls["run_batched"] == 2
+        assert "replay_into" not in calls
         assert cache.snapshot()["replay_plans"] == 2
         chip.scrub()
         again = model.runner.forward(x, chip=chip, cache=cache)
-        assert calls["chip.run"] == 2 and calls["run_batched"] == 2
+        assert calls["chip.run"] == 2 and calls["run_batched"] == 4
         assert np.array_equal(cold.logits, again.logits)
         assert cold.total_cycles == again.total_cycles
 
@@ -255,7 +260,7 @@ class TestGroupOfOneAccounting:
             6, 6, 0, 3 * lone.total_cycles)
 
         for spans, batch, rows, replay, hit in (
-            (cold_spans, 1, 8, False, False),
+            (cold_spans, 1, 8, True, False),
             (lone_spans, 1, 8, True, True),
             (group_spans, 3, 24, True, True),
         ):
