@@ -88,7 +88,7 @@ def _plan(compiled: CompiledProgram):
     if schedule is None or compiled.program is not schedule.program:
         return None
     if compiled.replay is None and schedule.replay is not None:
-        compiled.replay = schedule.replay.bind(compiled.memory_image)
+        compiled.replay = schedule.replay.bind(compiled.image)
     return compiled.replay
 
 
@@ -168,7 +168,7 @@ def execute(
         )
         if recorder is not None:
             schedule.replay = recorder.finish(run)
-            compiled.replay = schedule.replay.bind(compiled.memory_image)
+            compiled.replay = schedule.replay.bind(compiled.image)
     outputs = {
         name: fetch_output(chip, spec)
         for name, spec in compiled.outputs.items()

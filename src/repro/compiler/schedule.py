@@ -18,6 +18,7 @@ A plan op (:mod:`repro.sim.replay`) names the values it consumes by
 
 from __future__ import annotations
 
+import functools
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
 
@@ -246,6 +247,8 @@ class Schedule:
     outputs: dict[str, TensorSpec]
     stats: ScheduleStats
     intent: ScheduleIntent
+    #: ``(hemisphere, slice, address)`` of each memory-image row
+    words: list = field(default_factory=list, repr=False)
     #: ``shape_fingerprint`` of what was scheduled, attached by
     #: :meth:`repro.compiler.api.StreamProgramBuilder.schedule`
     shape_key: str | None = None
@@ -267,13 +270,10 @@ class Schedule:
         program = CompiledProgram(
             config=self.config,
             program=self.program,
-            memory_image=[
-                MemWord(*where, data)
+            image=np.concatenate([np.empty((0, lanes), np.uint8)] + [
+                slot.pack(graph.node(slot.node_id), lanes)
                 for slot in self.slots
-                for where, data in zip(
-                    slot.words, slot.pack(graph.node(slot.node_id), lanes)
-                )
-            ],
+            ]),
             inputs=self.inputs,
             outputs=self.outputs,
             stats=self.stats,
@@ -282,7 +282,7 @@ class Schedule:
             schedule=self,
         )
         if self.replay is not None:
-            program.replay = self.replay.bind(program.memory_image)
+            program.replay = self.replay.bind(program.image)
         return program
 
 
@@ -293,7 +293,8 @@ class CompiledProgram:
 
     config: ArchConfig
     program: Program
-    memory_image: list[MemWord]
+    #: the memory image: a ``(lanes,)`` uint8 row per ``schedule.words``
+    image: np.ndarray = field(repr=False)
     inputs: dict[str, TensorSpec]
     outputs: dict[str, TensorSpec]
     stats: ScheduleStats
@@ -314,6 +315,11 @@ class CompiledProgram:
     #: what this program was bound from; a program of the same shape and
     #: other constants can be bound from it too
     schedule: Schedule | None = field(default=None, repr=False, compare=False)
+
+    @functools.cached_property
+    def memory_image(self) -> list[MemWord]:
+        """``image`` a :class:`MemWord` a row, built on first read."""
+        return [MemWord(*w, d) for w, d in zip(self.schedule.words, self.image)]
 
 
 class QueueBuilder:

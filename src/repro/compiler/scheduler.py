@@ -606,6 +606,7 @@ class Scheduler(VxmLowering, MxmLowering, SxmLowering):
         )
         stats.stream_grants = self.streams.utilization()
         ops = sorted(self.attempt.emitted, key=lambda entry: entry[0])
+        words = [where for slot in self.slots for where in slot.words]
         return Schedule(
             config=self.config,
             program=program,
@@ -614,10 +615,11 @@ class Scheduler(VxmLowering, MxmLowering, SxmLowering):
             outputs=self.outputs,
             stats=stats,
             intent=self._build_intent(graph),
+            words=words,
             plan=emitted_plan(
                 self.config, self.timing, program, stats.makespan + 1,
                 [op for _order, op in ops], self.attempt.n_slots,
-                self.inputs, self.outputs,
+                self.inputs, self.outputs, words,
             ),
         )
 

@@ -142,7 +142,7 @@ class TspCnnRunner:
         self.max_vectors = max_vectors_per_program
         self.layers = self._lower(model, calibration)
         #: (layer name, rows, blacklist) -> (builder, input
-        #: bindings, cache key); see :meth:`_resolve`
+        #: bindings, cache key, shape key); see :meth:`_resolve`
         self._resolved: dict[tuple, tuple] = {}
 
     # ------------------------------------------------------------------
@@ -237,20 +237,22 @@ class TspCnnRunner:
 
     # ------------------------------------------------------------------
     def _resolve(self, layer: CompiledLayer, n_rows: int, cache, blacklist):
-        """``(builder, input bindings, cache key)`` of one program shape.
+        """``(builder, input bindings, cache key, shape key)`` of one
+        program shape.
 
         A chunk program is a pure function of (layer, rows, blacklist)
-        and the runner is immutable after lowering, so its builder graph
-        and content address are resolved once and shared by every worker;
-        a warm batch neither rebuilds nor re-hashes them.  Racing first
-        resolutions compute equal values.
+        and the runner is immutable after lowering, so its builder graph,
+        content address and shape key are resolved once and shared by
+        every worker; neither a warm batch nor a cache miss rebuilds or
+        re-hashes them.  Racing first resolutions compute equal values.
         """
         memo_key = (layer.name, n_rows, blacklist)
         resolved = self._resolved.get(memo_key)
         if resolved is None:
             g, bindings = build_chunk_builder(self.config, layer, n_rows)
             resolved = self._resolved[memo_key] = (
-                g, bindings, cache.key_for(g, blacklist=blacklist)
+                g, bindings, cache.key_for(g, blacklist=blacklist),
+                g.shape_key(blacklist),
             )
         return resolved
 
@@ -311,9 +313,11 @@ class TspCnnRunner:
 
         n_rows = group[0].shape[0]
         if cache is not None:
-            g, bindings, key = self._resolve(layer, n_rows, cache, blacklist)
+            g, bindings, key, shape_key = self._resolve(
+                layer, n_rows, cache, blacklist
+            )
             compiled, _key, hit, compile_s = cache.get_or_compile(
-                g, blacklist=blacklist, key=key
+                g, blacklist=blacklist, key=key, shape_key=shape_key
             )
         else:
             g, bindings = build_chunk_builder(self.config, layer, n_rows)

@@ -121,14 +121,16 @@ class ProgramCache:
         )
 
     def get_or_compile(
-        self, builder, blacklist=None, key: str | None = None
+        self, builder, blacklist=None, key: str | None = None,
+        shape_key: str | None = None,
     ) -> tuple[CompiledProgram, str, bool, float]:
         """Look ``builder``'s graph up by content; compile on a true miss.
 
         ``key`` is :meth:`key_for` of the same ``(builder, blacklist)``
-        when the caller already holds it (a builder's graph does not
-        change, so its owner hashes it once); fingerprinted here
-        otherwise.  Returns ``(program, key, hit, compile_seconds)``.
+        and ``shape_key`` its ``builder.shape_key(blacklist)`` when the
+        caller already holds them (a builder's graph does not change, so
+        its owner hashes it once); fingerprinted here otherwise.
+        Returns ``(program, key, hit, compile_seconds)``.
         ``hit`` is True whenever this caller did not make the program
         itself — including waiters coalesced onto another thread's
         in-flight compile.  A miss makes it from a resident sibling's
@@ -169,11 +171,12 @@ class ProgramCache:
         try:
             with rtrace.span("compile") as compiling:
                 program, scheduled = self._make(
-                    builder, blacklist, key, flight
+                    builder, blacklist, key, shape_key, flight
                 )
                 with self._finishing:
                     if self._chip is None or (
-                        self._chip.config != program.config
+                        self._chip.config is not program.config
+                        and self._chip.config != program.config
                     ):
                         self._chip = TspChip(program.config)
                     finish_plan(program, self._chip)
@@ -197,7 +200,8 @@ class ProgramCache:
         return program, key, False, compile_s
 
     def _make(
-        self, builder, blacklist, key: str, flight: _InFlight
+        self, builder, blacklist, key: str, shape_key: str | None,
+        flight: _InFlight,
     ) -> tuple[CompiledProgram, bool]:
         """The program of a missed ``key``, and whether the scheduler ran.
 
@@ -208,7 +212,7 @@ class ProgramCache:
         lock and wait only for one that learned it earlier, so the first
         of a shape schedules and nobody waits in a circle.
         """
-        shape_key = shape_fingerprint(
+        shape_key = shape_key or shape_fingerprint(
             builder.graph, builder.config,
             timing=builder.timing, blacklist=blacklist,
         )

@@ -12,7 +12,7 @@ constant's words — into a linear :class:`ReplayPlan` of fused numpy
 kernels whose inputs are the run-time input tensors *and* the memory
 image.  The first clean run of any program of the schedule tells the plan
 the one thing the compiler does not count, its activity
-(:class:`ScheduleRecorder`); :meth:`ReplayPlan.bind` then specialises it to
+(:class:`ScheduleRecorder`); :meth:`ReplayPlan.bind` then fills it from
 one program's memory image, and every later execution of every program of
 the schedule runs a bound plan directly — no ICU queues, no event heap, no
 per-cycle SRF stepping.  One interpreter runs the kernels, always along a
@@ -27,12 +27,12 @@ Correctness strategy:
   operands' rows as the scheduler delivered them, or a constant where the
   schedule delivers nothing (the leading rows of a temporal shift).  Ops
   are kept in the order the chip performs them.
-* **Binding is partial evaluation.**  :meth:`ReplayPlan.bind` runs every
-  op that depends on no run-time input once, on one program's memory
-  image, and folds its value into the ops that remain as a one-lane-vector
-  constant, so a bound plan costs per replay only what its inputs reach.
-  A constant that would have to reach something the plan cannot express
-  (an input-derived weight install) fails closed.
+* **Binding is a gather.**  Which ops read no run-time input is decided
+  once per plan (:attr:`ReplayPlan.recipe`); :meth:`ReplayPlan.bind`
+  gathers their constants from one program's memory image, so a bound
+  plan costs per replay only what its inputs reach.  A constant that
+  would reach what the plan cannot express (an input-derived weight
+  install) fails closed, once per schedule.
 * **The program text decides.**  A program holding an instruction outside
   the plan's straight-line ISA (``Gather``, ``Scatter``, ``Config``, C2C
   transfers, ``LW``, the barrier and fetch instructions) gets no plan; the
@@ -117,7 +117,8 @@ def _words(spec) -> list[tuple[int, int, tuple]]:
 
 
 def emitted_plan(config, timing, program, cycles: int, ops: list,
-                 n_slots: int, inputs: dict, outputs: dict):
+                 n_slots: int, inputs: dict, outputs: dict,
+                 image_words: list):
     """The plan of a schedule whose lowerings emitted ``ops``, or None when
     its program holds an instruction no plan stands in for."""
     if any(
@@ -142,6 +143,7 @@ def emitted_plan(config, timing, program, cycles: int, ops: list,
         },
         inputs=dict(inputs),
         outputs=dict(outputs),
+        image_words=image_words,
     )
 
 
@@ -237,38 +239,49 @@ _REF_FIELDS = {
 }
 
 
-def _fold_refs(op: tuple, known: dict) -> tuple[tuple, bool]:
-    """``op`` with every slot ``known`` holds turned into its one-lane
-    constant, and whether a slot is left (the op depends on an input)."""
+#: per computing op tag, the field holding the slot (or slots) it fills
+_OUT_FIELD = {"vxm1": 5, "vxm2": 6, "vxmc": 6, "route": 1, "dot": 1,
+              "acc": 1, "emit": 1}
+
+
+def _map_refs(op: tuple, f) -> tuple:
+    """``op`` with every ref it consumes replaced by ``f(ref)``."""
     singles, lists = _REF_FIELDS[op[0]]
-    folded = list(op)
-    live = False
-
-    def fold(ref):
-        nonlocal live
-        if ref[0] == "s":
-            value = known.get(ref[1])
-            if value is None:
-                live = True
-                return ref
-            return ("c", value[0])
-        return ref
-
+    mapped = list(op)
     for i in singles:
-        folded[i] = fold(op[i])
+        mapped[i] = f(op[i])
     for i in lists:
-        folded[i] = [fold(r) for r in op[i]]
-    return tuple(folded), live
+        mapped[i] = [f(r) for r in op[i]]
+    return tuple(mapped)
 
 
-def _widen(dtype: DType, rows: int, cols: int, refs: list) -> np.ndarray:
-    """The weights an ``IW`` of constant vectors installs, at accumulator
-    width — what :class:`~repro.sim.mxm.MxmPlane` keeps as ``wide``."""
-    raw = np.concatenate([ref[1] for ref in refs])
-    raw = raw[: rows * cols * dtype.n_bytes]
+def _widen(dtype: DType, rows: int, cols: int, fed: np.ndarray) -> np.ndarray:
+    """The weights an ``IW`` of constant words ``fed`` installs, at
+    accumulator width — what :class:`~repro.sim.mxm.MxmPlane` keeps as
+    ``wide``."""
+    raw = fed.reshape(-1)[: rows * cols * dtype.n_bytes]
     if dtype is DType.FP16:
         return raw.view(np.float16).reshape(rows, cols).astype(np.float32)
     return raw.view(np.int8).reshape(rows, cols).astype(np.int64)
+
+
+@dataclass
+class BindRecipe:
+    """How a plan binds to a memory image (:attr:`ReplayPlan.recipe`).
+    Until then a constant is a placeholder ref: ``("i", row)`` for image
+    row ``row``, ``("k", slot)`` for what an op of ``pre`` computes."""
+
+    #: why no image binds (an input-derived weight install), or None
+    reason: str | None = None
+    #: ``(slot, dtype, rows, cols, image rows widened)`` per ``IW``
+    installs: list = field(default_factory=list)
+    #: the constant-only ops other than reads, run once per bind
+    pre: list = field(default_factory=list)
+    #: the bound plan's ops and output words, and which ops a bind fills
+    #: (those holding a placeholder, and every ``dot``: its weights)
+    ops: list = field(default_factory=list)
+    holes: list = field(default_factory=list)
+    out_words: dict = field(default_factory=dict)
 
 
 @dataclass
@@ -293,6 +306,8 @@ class ReplayPlan:
     out_words: dict = field(repr=False, default_factory=dict)
     inputs: dict = field(repr=False, default_factory=dict)
     outputs: dict = field(repr=False, default_factory=dict)
+    #: ``(hemisphere, slice, address)`` of each memory-image row, in order
+    image_words: list = field(repr=False, default_factory=list)
     #: what a run of the program leaves on the chip's counters, from the
     #: first clean run; None until then
     activity: object = None
@@ -415,64 +430,112 @@ class ReplayPlan:
 
     # -- binding -----------------------------------------------------------
 
-    def bind(self, memory_image) -> "ReplayPlan":
-        """This schedule plan for the program holding ``memory_image``.
+    @functools.cached_property
+    def recipe(self) -> BindRecipe:
+        """How this plan binds to a memory image: a function of the
+        schedule, not of the bytes bound, so walked once per plan."""
+        mem = {key: ("i", row) for row, key in enumerate(self.image_words)}
+        const: dict[int, tuple] = {}  # slot -> placeholder or ("c", value)
+        recipe, kinds = BindRecipe(), set()
 
-        A partial evaluation: every op that depends on no run-time input
-        runs here, once, through the interpreter, and its value is folded
-        into the ops that remain as a one-lane constant — so the bound
-        plan costs per replay only what its run-time inputs reach.
-        """
-        if not self.ok:
-            return self
-        mem = {
-            (word.hemisphere, word.slice_index, word.address): word.data[None]
-            for word in memory_image
-        }
-        known: dict[int, np.ndarray] = {}  # slot -> (1, ...) value
-        weights: dict[int, np.ndarray] = {}  # install slot -> wide matrix
-        ops = []
+        def source(ref):
+            if ref[0] == "s":
+                ref = const.get(ref[1], ref)
+            kinds.add(ref[0])
+            return ref
+
         for op in self.ops:
             tag = op[0]
-            if tag == "read":
-                _, slot, key = op
-                if key in mem:
-                    known[slot] = mem[key]
-                else:
-                    ops.append(op)
+            if tag == "read" and op[2] in mem:
+                const[op[1]] = mem[op[2]]
                 continue
-            if tag == "wconst":
-                mem[op[1]] = op[2][None]
-                ops.append(op)
+            if tag in ("read", "wconst"):
+                if tag == "wconst":
+                    mem[op[1]] = ("c", op[2])
+                recipe.ops.append(op)
                 continue
-            if tag == "dot":
-                kind, w = op[4]
-                op = op[:4] + (weights[w] if kind == "s" else w,) + op[5:]
-            folded, live = _fold_refs(op, known)
-            if tag == "write":
-                key = op[1]
-                if live:
-                    mem.pop(key, None)
-                    ops.append(folded)
-                else:
-                    mem[key] = known[op[2][1]]
-                    ops.append(("wconst", key, folded[2][1]))
-            elif tag == "install":
-                if live:
-                    return replace(self, ok=False, ops=[],
-                                   reason="input-derived IW weight install")
-                weights[op[1]] = _widen(*folded[2:])
-            elif live:
-                ops.append(folded)
+            kinds.clear()
+            mapped = _map_refs(op, source)
+            if tag == "install":
+                if kinds != {"i"}:
+                    return BindRecipe(reason="input-derived IW weight install"
+                                      if "s" in kinds
+                                      else "IW weights off the memory image")
+                recipe.installs.append(
+                    op[1:5] + (np.array([ref[1] for ref in mapped[5]]),)
+                )
+            elif "s" not in kinds and tag == "write":
+                mem[op[1]] = mapped[2]
+                recipe.holes.append(len(recipe.ops))
+                recipe.ops.append(("wconst", op[1], mapped[2]))
+            elif "s" not in kinds:
+                recipe.pre.append(_map_refs(
+                    mapped, lambda r: ("s", r[1]) if r[0] == "k" else r
+                ))
+                out = op[_OUT_FIELD[tag]]
+                for slot in out if isinstance(out, list) else (out,):
+                    const[slot] = ("k", slot)
             else:
-                self._execute_ops((op,), known, None, None, 1)
-        out_words = {
+                if tag == "write":
+                    mem.pop(op[1], None)
+                if tag == "dot" or kinds & {"i", "k"}:
+                    recipe.holes.append(len(recipe.ops))
+                recipe.ops.append(mapped)
+        recipe.out_words = {
             name: [
-                ("c", mem[payload][0]) if kind == "t" and payload in mem
+                mem.get(payload, (kind, payload)) if kind == "t"
                 else (kind, payload)
                 for kind, payload in words
             ]
             for name, words in self.out_words.items()
+        }
+        return recipe
+
+    def bind(self, image: np.ndarray) -> "ReplayPlan":
+        """This schedule plan for the program whose memory image is
+        ``image`` (a ``(lanes,)`` uint8 row per word of ``image_words``).
+
+        A gather over :attr:`recipe`: each weight install widens the rows
+        it reads, the constant-only ops that are not reads (a matmul
+        program has none) run once through the interpreter, and each
+        placeholder becomes the one-lane constant it stands for.
+        """
+        if not self.ok:
+            return self
+        recipe = self.recipe
+        if recipe.reason is not None:
+            return replace(self, ok=False, ops=[], reason=recipe.reason)
+        weights = {
+            slot: _widen(dtype, rows, cols, image[gather])
+            for slot, dtype, rows, cols, gather in recipe.installs
+        }
+        values: dict[int, np.ndarray] = {}  # slot -> (1, ...) value
+
+        def fill(ref):
+            if ref[0] == "i":
+                return ("c", image[ref[1]])
+            if ref[0] == "k":
+                return ("c", values[ref[1]][0])
+            return ref
+
+        def fill_op(op):
+            if op[0] == "wconst":
+                return ("wconst", op[1], fill(op[2])[1])
+            op = _map_refs(op, fill)
+            if op[0] == "dot":
+                return op[:4] + (weights[op[4][1]],) + op[5:]
+            return op
+
+        if recipe.pre:
+            self._execute_ops(
+                [fill_op(op) for op in recipe.pre], values, None, None, 1
+            )
+        ops = list(recipe.ops)
+        for i in recipe.holes:
+            ops[i] = fill_op(ops[i])
+        out_words = {
+            name: [fill(word) for word in words]
+            for name, words in recipe.out_words.items()
         }
         return replace(self, ops=ops, out_words=out_words)
 

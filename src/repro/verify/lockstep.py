@@ -188,7 +188,7 @@ def run_lockstep(
     def replay(result: LockstepResult, program: CompiledProgram,
                finished) -> LockstepResult:
         if finished is not None:
-            result.plan = finished.bind(program.memory_image)
+            result.plan = finished.bind(program.image)
         if result.plan is not None and result.plan.ok:
             chip = fresh_chip(program)
             result.replay = execution(chip, result.plan.replay_into(chip))

@@ -7,10 +7,11 @@ A miss is not a search: the schedule of a resident program of the same
 program is built at exactly the rows the request carries.  Nor is it a
 simulation: the replay plan belongs to the schedule, with the memory
 image among its inputs, so the bind hands the new program its own plan
-(``ReplayPlan.bind``) and the first request replays.  Only the first
-program of each shape simulates, once, inside the miss that schedules it,
-to finish its plan; only with no sibling resident does the scheduler run —
-and the answers are the same bits either way.
+(``ReplayPlan.bind``, a gather decided once per schedule) and the first
+request replays.  Only the first program of each shape simulates, once,
+inside the miss that schedules it, to finish its plan; only with no
+sibling resident does the scheduler run — and the answers are the same
+bits either way.
 """
 
 import sys
@@ -21,7 +22,9 @@ import pytest
 
 from binary_digest import digest
 from repro.arch import Hemisphere
+from repro.compiler import cachekey
 from repro.compiler import runner as runner_mod
+from repro.compiler import schedule as schedule_mod
 from repro.compiler.schedule import Schedule
 from repro.compiler.scheduler import Scheduler
 from repro.config import small_test_chip
@@ -30,7 +33,7 @@ from repro.nn.tsp_inference import build_chunk_builder
 from repro.resil import Blacklist
 from repro.serve import ProgramCache, TransformerMlpServeModel
 from repro.sim.chip import TspChip
-from repro.sim.replay import ScheduleRecorder
+from repro.sim.replay import ReplayPlan, ScheduleRecorder
 
 CONFIG = small_test_chip()
 FFN = TransformerConfig(
@@ -49,28 +52,33 @@ def models():
     ]
 
 
-@pytest.fixture()
-def calls(monkeypatch):
-    """Call counts of each step of a miss, and the rows bound on chip;
-    threads missing at once count without losing an increment."""
-    counts: dict[str, int] = {}
+def counted(monkeypatch, counts, owner, attr, name,
+            amount=lambda *args: 1):
+    """Count calls of ``owner.attr`` into ``counts[name]``; threads
+    calling at once count without losing an increment."""
+    original = getattr(owner, attr)
     lock = threading.Lock()
 
-    def counted(owner, attr, name, amount=lambda *args: 1):
-        original = getattr(owner, attr)
+    def wrapper(*args, **kwargs):
+        with lock:
+            counts[name] = counts.get(name, 0) + amount(*args)
+        return original(*args, **kwargs)
 
-        def wrapper(*args, **kwargs):
-            with lock:
-                counts[name] = counts.get(name, 0) + amount(*args)
-            return original(*args, **kwargs)
+    monkeypatch.setattr(owner, attr, wrapper)
 
-        monkeypatch.setattr(owner, attr, wrapper)
 
-    counted(Scheduler, "schedule", "schedule")
-    counted(Schedule, "bind", "bind")
-    counted(ScheduleRecorder, "finish", "record")
-    counted(TspChip, "run", "chip.run")
-    counted(runner_mod, "bind_input", "rows",
+@pytest.fixture()
+def calls(monkeypatch):
+    """Call counts of each step of a miss, and the rows bound on chip."""
+    counts: dict[str, int] = {}
+    for owner, attr, name in (
+        (Scheduler, "schedule", "schedule"),
+        (Schedule, "bind", "bind"),
+        (ScheduleRecorder, "finish", "record"),
+        (TspChip, "run", "chip.run"),
+    ):
+        counted(monkeypatch, counts, owner, attr, name)
+    counted(monkeypatch, counts, runner_mod, "bind_input", "rows",
             lambda chip, spec, data: spec.n_vectors)
     return counts
 
@@ -109,6 +117,30 @@ class TestNeverSeenModel:
             expected[0].tobytes()
         )
         assert calls["schedule"] == 2 and calls["bind"] == 48
+
+    def test_a_miss_after_the_first_round_only_gathers(
+        self, models, monkeypatch
+    ):
+        """Every builder's shape key is hashed by its first resolution,
+        the image is packed as one array, and each schedule's plan decides
+        its recipe once: a later miss hashes nothing, makes no
+        ``MemWord`` and runs the interpreter only to replay."""
+        token = np.random.default_rng(3).standard_normal(FFN.d_model)
+        expected = [model.run_reference(token) for model in models]
+        cache = ProgramCache(capacity=4)
+        serve_round(models, cache, token)
+        counts: dict[str, int] = {}
+        for owner, attr in (
+            (cachekey, "_fingerprint"), (schedule_mod, "MemWord"),
+            (Schedule, "bind"), (ReplayPlan, "run_batched"),
+            (ReplayPlan, "_execute_ops"),
+        ):
+            counted(monkeypatch, counts, owner, attr, attr)
+        replies = serve_round(models, cache, token)
+        assert all(np.array_equal(r, e) for r, e in zip(replies, expected))
+        # 24 misses, each a bind and a replay — the replay's the only
+        # interpreter run
+        assert counts == {"bind": 24, "run_batched": 24, "_execute_ops": 24}
 
     def test_no_sibling_resident_schedules_and_answers_the_same(
         self, models, calls

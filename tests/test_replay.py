@@ -180,16 +180,26 @@ class TestOnePlanPerSchedule:
 
     def test_an_input_derived_weight_install_fails_closed(self, config):
         """No compiled program installs weights it reads from an input,
-        but a plan that did would bind to a refusal, never to a guess."""
+        but a plan that did would bind to a refusal, never to a guess —
+        decided once per plan, from its ops, whatever image is bound."""
         compiled, _ = recorded_program(config)
         key = compiled.replay.in_words[0][3]
         plan = replace(compiled.replay, ops=[
             ("read", 0, key),
             ("install", 1, DType.INT8, 1, config.n_lanes, [("s", 0)]),
         ])
-        bound = plan.bind(compiled.memory_image)
+        bound = plan.bind(compiled.image)
         assert not bound.ok
         assert bound.reason == "input-derived IW weight install"
+        recipe = plan.recipe
+        plan.ops = []  # a second walk would find nothing to refuse
+        redrawn_image = np.random.default_rng(1).integers(
+            0, 256, compiled.image.shape, dtype=np.uint8
+        )
+        again = plan.bind(redrawn_image)
+        assert plan.recipe is recipe
+        assert not again.ok
+        assert again.reason == "input-derived IW weight install"
 
 
 class TestPlanSharesTheInstalledWeights:

@@ -180,7 +180,7 @@ def test_a_plan_bound_from_a_siblings_recording_is_its_own(
     execute(stranger, inputs=chunk_inputs(bindings, bucket, depth, 1))
     assert own.schedule is not stranger.schedule
     direct = own.replay
-    borrowed = stranger.schedule.replay.bind(own.memory_image)
+    borrowed = stranger.schedule.replay.bind(own.image)
     assert direct.ok and borrowed.ok
     assert [op[0] for op in borrowed.ops] == [op[0] for op in direct.ops]
     assert {

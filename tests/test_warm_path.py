@@ -186,6 +186,9 @@ class TestIdentityResolvedOnce:
         assert healthy[2] != degraded[2]
         assert healthy[2] == healthy[0].fingerprint()
         assert degraded[2] == degraded[0].fingerprint(blacklist)
+        # the shape key a miss looks its sibling up by, memoised alongside
+        assert healthy[3] == healthy[0].shape_key() != degraded[3]
+        assert degraded[3] == degraded[0].shape_key(blacklist)
 
     def test_workers_sharing_a_runner_resolve_the_same_key(self, warm):
         """Two workers race a cold runner's first resolution."""
@@ -211,7 +214,8 @@ class TestIdentityResolvedOnce:
         # one program per layer, each compiled once: both resolved alike
         assert len(cache) == 2 and cache.stats.misses == 2
         assert set(cache._programs) == {
-            key for _g, _bindings, key in model.runner._resolved.values()
+            key for _g, _bindings, key, _shape_key
+            in model.runner._resolved.values()
         }
 
 
