@@ -23,9 +23,9 @@ the cost of observability alongside the cost of simulation, and
 :class:`~repro.resil.HealthMonitor` poll), so it tracks the cost of the
 fault hooks when no fault ever occurs.  ``replay`` (compiled workloads
 only: the paced stream is hand-built, and only the compiler emits a
-:class:`repro.sim.replay.ReplayPlan`) finishes the plan on a first
-execution and times its write-through replay on a fresh chip instead of
-the simulator; ``replay_speedup`` is the plan's win over ``sim`` on the
+:class:`repro.sim.replay.ReplayPlan`, finished at compile time) times
+the plan's write-through replay on a fresh chip instead of the
+simulator; ``replay_speedup`` is the plan's win over ``sim`` on the
 identical workload, and a simulated-vs-replayed lockstep run
 (``replay.lockstep_ok``) pins bit-exactness of what the artifact is
 measuring.
@@ -43,7 +43,7 @@ The artifact schema (``tsp-sim-bench/5``)::
                     "cycles_per_host_second": r},
             "telemetry": {...same, collector attached...},
             "resil": {...same, watchdog armed...},
-            "replay": {...same, recorded plan replayed...}
+            "replay": {...same, the program's plan replayed...}
           },
           "telemetry_overhead": telemetry_seconds / sim_seconds - 1,
           "resil_overhead": resil_seconds / sim_seconds - 1,
@@ -71,7 +71,7 @@ import time
 import numpy as np
 
 from repro.arch import Direction, Floorplan, Hemisphere
-from repro.compiler import StreamProgramBuilder, execute, load_compiled
+from repro.compiler import StreamProgramBuilder, load_compiled
 from repro.compiler.runner import bind_input
 from repro.compiler.scheduler import CompiledProgram
 from repro.isa import IcuId, Nop, Program, Read, Repeat, Write
@@ -174,7 +174,7 @@ def measure(
 ) -> dict:
     """Best-of-``repeats`` wall time for one program on a fresh chip.
 
-    With ``replay_plan``, the timed region replays the recorded plan
+    With ``replay_plan``, the timed region replays the program's plan
     (:meth:`~repro.sim.replay.ReplayPlan.replay_into`) instead of running
     the simulator — load and input binding stay outside the
     timed region in both cases, so the ratio isolates execution itself.
@@ -234,26 +234,16 @@ def measure(
     }
 
 
-def record_plan(program: CompiledProgram, inputs: dict | None = None):
-    """One clean execution to finish the program's replay plan."""
-    if program.replay is None:
-        execute(program, inputs=inputs or {})
-    plan = program.replay
-    assert plan is not None and plan.ok, plan and plan.reason
-    return plan
-
-
 def measure_workload(
     name, lanes, config, program, repeats: int = 3, inputs: dict | None = None
 ) -> dict:
     # interleave the modes so host-speed drift (frequency scaling,
     # noisy neighbours) lands on all of them alike instead of skewing the
     # speedup/overhead ratios, then keep each mode's best round
-    plan = (
-        record_plan(program, inputs)
-        if isinstance(program, CompiledProgram)
-        else None
-    )
+    plan = None
+    if isinstance(program, CompiledProgram):
+        plan = program.replay
+        assert plan is not None and plan.ok, plan and plan.reason
     best: dict[str, dict] = {}
     overheads = []
     resil_overheads = []
@@ -307,10 +297,10 @@ def measure_workload(
 def check_replay_lockstep(quick: bool = False) -> dict:
     """Simulated-vs-replayed lockstep over the workloads.
 
-    ``run_lockstep`` finishes a plan from a fresh simulation and asserts
-    the replayed outputs, memory, cycle counts, activity and trace are
-    bit-identical to a simulated reference — the artifact's proof that
-    replay mode measures the same computation.
+    ``run_lockstep`` replays each program's plan and asserts the replayed
+    outputs, memory, cycle counts, activity and trace are bit-identical
+    to a fresh simulation — the artifact's proof that replay mode
+    measures the same computation.
     """
     small = make_small_config()
     checked = []

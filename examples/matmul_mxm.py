@@ -33,7 +33,7 @@ def conv_pattern(config) -> None:
     g.write_back(y, name="y")
     compiled = g.compile()
 
-    result = execute(compiled)
+    result = execute(compiled, replay=False)
     oracle = activations.astype(np.int64) @ weights.astype(np.int64)
     expected = np.maximum(
         np.clip(np.rint(oracle * scale), -128, 127), 0
@@ -59,7 +59,7 @@ def k_tiled(config) -> None:
     ]
     r = g.matmul(weights, tiles, name="big_weights")
     g.write_back(r, name="r")
-    result = execute(g.compile())
+    result = execute(g.compile(), replay=False)
     expected = (acts.astype(np.int64) @ weights.astype(np.int64)).astype(
         np.int32
     )

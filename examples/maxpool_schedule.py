@@ -43,7 +43,7 @@ def main() -> None:
 
     compiled = g.compile()
     chip = TspChip(config, trace=True)
-    result = execute(compiled, chip=chip)
+    result = execute(compiled, chip=chip, replay=False)
 
     print("Figure 11 — instruction schedule for the pooling pipeline")
     print(f"({compiled.stats.instructions} instructions, "
@@ -87,7 +87,7 @@ def full_2d_maxpool(config) -> None:
     s2 = g.shift(vmax, 2)
     windowed = g.maximum(g.maximum(g.copy(vmax), g.copy(s1)), g.copy(s2))
     g.write_back(windowed, name="windows")
-    result = execute(g.compile())
+    result = execute(g.compile(), replay=False)
 
     pooled = result["windows"][2::2, 0:-2:2]
     reference = MaxPool2D(kernel=3, stride=2).forward(

@@ -38,7 +38,7 @@ def main() -> None:
     print(compiled.program.listing()[:1200])
 
     # -- execute on the cycle-accurate simulator -------------------------
-    result = execute(compiled)
+    result = execute(compiled, replay=False)
     expected = np.clip(
         x_data.astype(np.int64) + y_data.astype(np.int64), -128, 127
     ).astype(np.int8)

@@ -360,6 +360,8 @@ class MxmLowering:
                             ("emit", out, total, node.dtype),
                             icu, t_acc, acc, k,
                         )
+                        attempt.drive(inward, acc.base_stream, out_width,
+                                      position, t_a + clock.fill + k)
                         results.append([("s", slot) for slot in out])
             self._mark("first_operand", t_a)
             if last:

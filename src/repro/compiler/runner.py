@@ -81,38 +81,12 @@ def fetch_output(chip: TspChip, spec: TensorSpec) -> np.ndarray:
 
 
 def _plan(compiled: CompiledProgram):
-    """``compiled``'s replay plan — bound now from its schedule's if the
-    schedule's was finished after this program was bound — or None, also
-    for a program whose text is not its schedule's."""
+    """``compiled``'s replay plan, or None — also for a program whose text
+    is not its schedule's."""
     schedule = compiled.schedule
     if schedule is None or compiled.program is not schedule.program:
         return None
-    if compiled.replay is None and schedule.replay is not None:
-        compiled.replay = schedule.replay.bind(compiled.image)
     return compiled.replay
-
-
-def _owes_plan(compiled: CompiledProgram) -> bool:
-    """Whether a run of ``compiled`` would finish its schedule's plan: the
-    compiler emitted one, and no run has finished it yet."""
-    schedule = compiled.schedule
-    return (
-        schedule is not None and schedule.plan is not None
-        and schedule.replay is None and compiled.program is schedule.program
-    )
-
-
-def finish_plan(compiled: CompiledProgram, chip: TspChip) -> None:
-    """Give ``compiled``'s schedule its finished replay plan now if it can
-    have one and has none: one simulation on ``chip``, zero inputs — the
-    only run that plan ever needs — which leaves the chip scrubbed."""
-    if _owes_plan(compiled):
-        execute(compiled, chip=chip, inputs={
-            name: np.zeros((spec.n_vectors, spec.length),
-                           spec.dtype.numpy_dtype)
-            for name, spec in compiled.inputs.items()
-        })
-        chip.scrub()
 
 
 def execute(
@@ -121,17 +95,15 @@ def execute(
     inputs: dict[str, np.ndarray] | None = None,
     max_cycles: int = 1_000_000,
     warmup_barrier: bool = False,
-    record: bool = True,
+    replay: bool = True,
 ) -> ExecutionResult:
     """Load, bind, run, and read back a compiled program.
 
-    The first clean execution of any program of a schedule finishes the
-    :class:`repro.sim.replay.ReplayPlan` the compiler emitted with it onto
-    ``compiled.schedule.replay`` and binds it to ``compiled.replay`` (see
-    :mod:`repro.sim.replay`); later calls with matching run parameters on
-    pristine chips — for this program or any other of its schedule —
-    execute a bound plan directly instead of simulating.  ``record=False``
-    disables both sides, forcing a real simulation run — the reference a
+    A program bound from a schedule carries that schedule's
+    :class:`repro.sim.replay.ReplayPlan`, finished by the compiler (see
+    :mod:`repro.sim.replay`), so a call whose run parameters match it on
+    a pristine chip executes the plan instead of simulating.
+    ``replay=False`` forces a real simulation run — the reference a
     replay is compared against.
     """
     from ..sim import replay as replay_mod
@@ -149,26 +121,17 @@ def execute(
     if unknown:
         raise SimulationError(f"unknown inputs bound: {sorted(unknown)}")
 
-    plan = _plan(compiled) if record else None
+    plan = _plan(compiled) if replay else None
     if replay_mod.replay_allowed(
         plan, chip, max_cycles=max_cycles, warmup_barrier=warmup_barrier
     ):
         run = plan.replay_into(chip)
     else:
-        schedule = compiled.schedule
-        recorder = None
-        if record and _owes_plan(compiled) and replay_mod.record_allowed(chip):
-            recorder = replay_mod.ScheduleRecorder(
-                schedule.plan, warmup_barrier=warmup_barrier
-            )
         run = chip.run(
             compiled.program,
             max_cycles=max_cycles,
             warmup_barrier=warmup_barrier,
         )
-        if recorder is not None:
-            schedule.replay = recorder.finish(run)
-            compiled.replay = schedule.replay.bind(compiled.image)
     outputs = {
         name: fetch_output(chip, spec)
         for name, spec in compiled.outputs.items()
@@ -192,13 +155,12 @@ def execute_batched(
     """Evaluate B input bindings through the program's plan in one pass.
 
     Returns ``None`` when the batch cannot be replayed (the program has no
-    plan, its schedule's is not finished yet, or the chip is in a state
-    that demands real simulation) — the caller falls back to sequential
-    :func:`execute` calls.  On success the results are bit-identical to B
-    sequential executions; when a chip is given, the B runs land on it as B
-    back-to-back runs would (:meth:`~repro.sim.replay.ReplayPlan.charge`),
-    but its memory is untouched (the batch never materializes per-input
-    SRAM state).
+    plan, or the chip is in a state that demands real simulation) — the
+    caller falls back to sequential :func:`execute` calls.  On success the
+    results are bit-identical to B sequential executions; when a chip is
+    given, the B runs land on it as B back-to-back runs would
+    (:meth:`~repro.sim.replay.ReplayPlan.charge`), but its memory is
+    untouched (the batch never materializes per-input SRAM state).
     """
     from ..sim import replay as replay_mod
 

@@ -236,8 +236,8 @@ class Schedule:
 
     One schedule serves every graph of that shape: :meth:`bind` packs a
     graph's constants into ``slots`` and the bound programs share the
-    program text, specs, stats, intent and emitted plan, which nothing
-    mutates — and, once any of them has run clean, the finished plan.
+    program text, specs, stats, intent and replay plan, which nothing
+    mutates — a plan finished, activity counted, with the schedule itself.
     """
 
     config: ArchConfig
@@ -252,20 +252,15 @@ class Schedule:
     #: ``shape_fingerprint`` of what was scheduled, attached by
     #: :meth:`repro.compiler.api.StreamProgramBuilder.schedule`
     shape_key: str | None = None
-    #: the :class:`repro.sim.replay.ReplayPlan` the lowerings emitted, its
-    #: memory-image words among its inputs — None for a program no plan
-    #: stands in for
+    #: the finished :class:`repro.sim.replay.ReplayPlan` the lowerings
+    #: emitted, its memory-image words among its inputs — None for a
+    #: program no plan stands in for; every program binds its own from it
     plan: object | None = field(default=None, repr=False, compare=False)
-    #: ``plan`` finished by the first clean execution of any program of
-    #: this schedule (:class:`repro.sim.replay.ScheduleRecorder`); every
-    #: program binds its own from it
-    replay: object | None = field(default=None, repr=False, compare=False)
 
     def bind(self, graph: Graph, cache_key: str | None = None) -> "CompiledProgram":
         """The program of ``graph`` — one this schedule's shape — with
         its constants emplaced; byte for byte what scheduling ``graph``
-        from scratch compiles, and already carrying its replay plan when
-        this schedule's is finished."""
+        from scratch compiles."""
         lanes = self.config.n_lanes
         program = CompiledProgram(
             config=self.config,
@@ -281,8 +276,6 @@ class Schedule:
             cache_key=cache_key,
             schedule=self,
         )
-        if self.replay is not None:
-            program.replay = self.replay.bind(program.image)
         return program
 
 
@@ -305,16 +298,17 @@ class CompiledProgram:
     #: so one instance can be executed any number of times on any chip of
     #: the same configuration.
     cache_key: str | None = None
-    #: this program's :class:`repro.sim.replay.ReplayPlan`: its schedule's
-    #: plan bound to its memory image, by :meth:`Schedule.bind` or by the
-    #: runner once the schedule has one; rides the compiled program (and
-    #: hence the serving program cache) rather than living in a parallel
-    #: registry.  Excluded from equality: the plan is a derived
-    #: acceleration structure, not part of the program's identity.
-    replay: object | None = field(default=None, repr=False, compare=False)
     #: what this program was bound from; a program of the same shape and
     #: other constants can be bound from it too
     schedule: Schedule | None = field(default=None, repr=False, compare=False)
+
+    @functools.cached_property
+    def replay(self):
+        """This program's :class:`repro.sim.replay.ReplayPlan`, or None:
+        its schedule's plan bound to ``image`` on first read, so a program
+        that only ever simulates (an oracle's) never binds one."""
+        plan = self.schedule.plan if self.schedule is not None else None
+        return plan.bind(self.image) if plan is not None else None
 
     @functools.cached_property
     def memory_image(self) -> list[MemWord]:
@@ -404,11 +398,11 @@ class Attempt:
     and the stream allocator.
 
     A placement attempt *plans* dispatch cells, takes stream grants and
-    emits plan ops into fresh value slots as it goes; nothing reaches a
-    queue or the plan before :meth:`commit`, and leaving the ``with``
-    block uncommitted gives every grant and slot back, so an attempt
-    abandoned at any point leaves the queues, the set of queues that
-    exist, the stream allocator and the plan exactly as it found them.
+    emits plan ops (and their drives) into fresh value slots as it goes;
+    nothing reaches a queue or the plan before :meth:`commit`, and leaving
+    the ``with`` block uncommitted gives every grant and slot back, so an
+    attempt abandoned at any point leaves the queues, the set of queues
+    that exist, the stream allocator and the plan exactly as it found them.
     A planned cell is not free to the attempt's own later probes
     (:meth:`cells_free` is the one probe, and it is pure).  One attempt is
     live at a time: the scheduler owns a single instance and re-enters it
@@ -428,8 +422,11 @@ class Attempt:
         #: when the chip performs it; the slots they number
         self.emitted: list[tuple[tuple, tuple]] = []
         self.n_slots = 0
+        #: every committed ``(direction, stream, position, cycle)`` drive
+        self.drives: list[tuple[Direction, int, int, int]] = []
         self._ops: list[tuple[tuple, tuple]] = []
         self._slots = 0
+        self._drives: list[tuple[Direction, int, int, int]] = []
 
     def __enter__(self) -> "Attempt":
         return self
@@ -445,6 +442,7 @@ class Attempt:
         self.grants.clear()
         self._ops.clear()
         self._slots = 0
+        self._drives.clear()
 
     def slots(self, n: int) -> list[int]:
         """``n`` fresh value slots of the plan."""
@@ -455,6 +453,13 @@ class Attempt:
     def emit(self, order: tuple, op: tuple) -> None:
         """Keep plan op ``op``, which the chip performs at ``order``."""
         self._ops.append((order, op))
+
+    def drive(self, direction: Direction, base: int, n: int, position: int,
+              t: int) -> None:
+        """Keep the drives of streams ``base .. base+n-1`` at ``position``
+        in cycle ``t``."""
+        self._drives += [(direction, s, position, t)
+                         for s in range(base, base + n)]
 
     def cells_free(self, icu: IcuId, t: int, n: int = 1) -> bool:
         """Dispatch cells ``t .. t+n-1`` of a queue are neither reserved
@@ -528,4 +533,5 @@ class Attempt:
             self.queues[icu].reserve(t, instruction, own or note)
         self.emitted += self._ops
         self.n_slots += self._slots
+        self.drives += self._drives
         self._forget()

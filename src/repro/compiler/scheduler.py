@@ -191,6 +191,9 @@ class Scheduler(VxmLowering, MxmLowering, SxmLowering):
         self.attempt.plan(icu, t, read)
         (slot,) = self.attempt.slots(1)
         self._emit(("read", slot, word), icu, t, read)
+        self.attempt.drive(direction, stream, 1,
+                           self.floorplan.position(icu.address),
+                           t + read.dfunc(self.timing))
         return ("s", slot)
 
     def _mark(self, name: str, t: int, latest: bool = False) -> None:
@@ -527,6 +530,8 @@ class Scheduler(VxmLowering, MxmLowering, SxmLowering):
             for k, (ops, rows) in enumerate(cells):
                 for plan_op in ops:
                     self._emit(plan_op, icu, t + k, instruction)
+                attempt.drive(grant.direction, grant.base,
+                              sum(map(len, rows)), op.position, t0 + k)
                 refs += rows
         return StreamValue(
             grant, op.position, t0, n, node.dtype, node.length,
@@ -577,6 +582,9 @@ class Scheduler(VxmLowering, MxmLowering, SxmLowering):
                     ("vxm1", AluOp.COPY, dtype, source.refs[k], dtype, out),
                     icu, t_copy + k, copy,
                 )
+                self.attempt.drive(grant.direction, grant.base, dtype.n_bytes,
+                                   self._vxm_position,
+                                   t_copy + k + copy.dfunc(self.timing))
                 copied.append([("s", slot) for slot in out])
             source = Delivery(grant.base, grant.direction, copied)
         return grant, source
@@ -619,7 +627,8 @@ class Scheduler(VxmLowering, MxmLowering, SxmLowering):
             plan=emitted_plan(
                 self.config, self.timing, program, stats.makespan + 1,
                 [op for _order, op in ops], self.attempt.n_slots,
-                self.inputs, self.outputs, words,
+                self.inputs, self.outputs, words, self.attempt.drives,
+                self.floorplan.n_positions,
             ),
         )
 

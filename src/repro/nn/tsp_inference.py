@@ -258,25 +258,26 @@ class TspCnnRunner:
 
     def _run_matmul_chunk(
         self, layer: CompiledLayer, compiled, inputs: dict, n_rows: int,
-        hit: bool, chip, record: bool,
+        hit: bool, chip,
     ):
-        """The ``execute()`` route: load, bind, run, fetch one chunk.
+        """The ``execute()`` route: load, bind, simulate, fetch one chunk.
 
         What a group falls back to when its program has no usable replay
-        plan or the chip demands real simulation.  One span per chunk:
-        each run's chip events are anchored to its own cycle 0.
+        plan, the chip demands real simulation (so ``execute()`` would not
+        replay either) or there is no cache.  One span per chunk: each
+        run's chip events are anchored to its own cycle 0.
         """
         with rtrace.span("execute") as span:
             result = execute(
                 compiled, chip=chip, inputs=inputs, max_cycles=2_000_000,
-                record=record,
+                replay=False,
             )
             if span:
                 span.anchor(
                     chip, result.run.cycles, self.config.clock_ghz,
                     result.run.trace, layer=layer.name, batch=1,
                     rows=n_rows, hit=hit,
-                    replay=result.run.skipped_cycles == result.run.cycles,
+                    replay=False,
                 )
         return result
 
@@ -303,11 +304,11 @@ class TspCnnRunner:
 
         The route is one cache lookup by the memoised key and one pure
         batched replay of the program's
-        :class:`~repro.sim.replay.ReplayPlan` — a miss finishes the plan
-        inside the cache's single flight — and the chip's memory is never
-        touched.  A program with no (or a failed) plan, a cache-less call
-        and a non-pristine chip run chunk by chunk through
-        :meth:`_run_matmul_chunk`.
+        :class:`~repro.sim.replay.ReplayPlan`, and the chip's memory is
+        never touched.  A program with no (or a failed) plan and a
+        non-pristine chip run chunk by chunk through
+        :meth:`_run_matmul_chunk`, and so does a cache-less call — the
+        serving oracle, ``ServeModel.run_reference`` — simulated.
         """
         from ..compiler.runner import execute_batched
 
@@ -331,7 +332,7 @@ class TspCnnRunner:
         ]
         t0 = time.perf_counter()
         with rtrace.span("execute") as span:
-            results = execute_batched(
+            results = None if cache is None else execute_batched(
                 compiled, inputs_list, chip=chip, max_cycles=2_000_000
             )
             if results is None:
@@ -352,12 +353,9 @@ class TspCnnRunner:
                     rows=n_rows * len(group), hit=hit, replay=True,
                 )
         if results is None:
-            # without a cache the compiled program dies with this call,
-            # so recording a replay plan onto it would be pure overhead
             results = [
                 self._run_matmul_chunk(
-                    layer, compiled, inputs, n_rows, hit, chip,
-                    record=cache is not None,
+                    layer, compiled, inputs, n_rows, hit, chip
                 )
                 for inputs in inputs_list
             ]

@@ -41,7 +41,7 @@ plus scalar high/low-water marks (instruction-queue depth).
   register file reports each hop's totals to :meth:`on_stream_flow`.
 
 A collector counts only what its chip simulates.  A chip with one
-attached never replays a recorded plan (:mod:`repro.sim.replay` refuses
+attached never replays a plan (:mod:`repro.sim.replay` refuses
 it as it refuses a checker), so every count is a transition the collector
 watched, and :meth:`rollup` equals the run's own ``RunResult.activity``.
 

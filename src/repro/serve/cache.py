@@ -19,11 +19,10 @@ Thread-safe with single-flight compilation: when several workers miss on
 the same key simultaneously, one compiles and the rest wait for its
 result instead of duplicating the scheduler run — and a worker missing
 on a sibling of a key being scheduled waits for that schedule and binds
-to it.  The flight ends only once the program's replay plan is finished
-(:func:`repro.compiler.runner.finish_plan` — one simulation per schedule,
-on a chip the cache keeps for it), so no program leaves the cache still
-owing the run that finishes it: two workers never both simulate a cold
-program, whatever their number.
+to it.  A program leaves a flight carrying its finished replay plan —
+the compiler counted the plan's activity when it made the schedule — so
+a cold program replays from its first request and nothing in the cache
+simulates.
 """
 
 from __future__ import annotations
@@ -34,10 +33,8 @@ from collections import OrderedDict
 from dataclasses import dataclass
 
 from ..compiler.cachekey import graph_fingerprint, shape_fingerprint
-from ..compiler.runner import finish_plan
 from ..compiler.scheduler import CompiledProgram
 from ..obs import rtrace
-from ..sim.chip import TspChip
 
 
 def _keyed(span, key: str, **args) -> None:
@@ -91,9 +88,6 @@ class ProgramCache:
         self._lock = threading.Lock()
         self._programs: OrderedDict[str, CompiledProgram] = OrderedDict()
         self._inflight: dict[str, _InFlight] = {}
-        #: the chip plans are finished on, one finishing at a time
-        self._chip: TspChip | None = None
-        self._finishing = threading.Lock()
 
     def __len__(self) -> int:
         with self._lock:
@@ -136,8 +130,7 @@ class ProgramCache:
         in-flight compile.  A miss makes it from a resident sibling's
         schedule when there is one (:meth:`_make`) and by running the
         scheduler otherwise; either way outside the cache lock, so a long
-        compile never stalls unrelated lookups — and finishes its replay
-        plan before anyone else sees it.
+        compile never stalls unrelated lookups.
         """
         with rtrace.span("cache") as lookup:
             if key is None:
@@ -173,13 +166,6 @@ class ProgramCache:
                 program, scheduled = self._make(
                     builder, blacklist, key, shape_key, flight
                 )
-                with self._finishing:
-                    if self._chip is None or (
-                        self._chip.config is not program.config
-                        and self._chip.config != program.config
-                    ):
-                        self._chip = TspChip(program.config)
-                    finish_plan(program, self._chip)
                 _keyed(compiling, key, scheduled=scheduled)
         except BaseException as error:
             flight.error = error
@@ -280,13 +266,14 @@ class ProgramCache:
             return {
                 "capacity": self.capacity,
                 "resident": len(self._programs),
-                # programs that have recorded a schedule-replay plan
+                # programs that carry a usable replay plan
                 # (repro.sim.replay) and serve cache hits without the
-                # event-driven simulator
+                # event-driven simulator; a plan is bound on its
+                # program's first run, and counting binds none
                 "replay_plans": sum(
                     1
                     for p in self._programs.values()
-                    if getattr(getattr(p, "replay", None), "ok", False)
+                    if getattr(vars(p).get("replay"), "ok", False)
                 ),
                 "hits": self.stats.hits,
                 "misses": self.stats.misses,

@@ -10,11 +10,12 @@ the scheduler emits the plan ops of what it places, from what it already
 knows — a node's operand values, its result value, its MEM layout and its
 constant's words — into a linear :class:`ReplayPlan` of fused numpy
 kernels whose inputs are the run-time input tensors *and* the memory
-image.  The first clean run of any program of the schedule tells the plan
-the one thing the compiler does not count, its activity
-(:class:`ScheduleRecorder`); :meth:`ReplayPlan.bind` then fills it from
-one program's memory image, and every later execution of every program of
-the schedule runs a bound plan directly — no ICU queues, no event heap, no
+image, and notes each stream drive it places.  :class:`ScheduleRecorder`
+counts the plan's activity from the ops and the drives: the compiler
+fixes every byte a run moves, so no run is needed to learn it.
+:meth:`ReplayPlan.bind` fills the plan from one program's memory image,
+and every execution of every program of the schedule, its first
+included, runs a bound plan directly — no ICU queues, no event heap, no
 per-cycle SRF stepping.  One interpreter runs the kernels, always along a
 leading batch axis: the pure entry point evaluates B inputs in one pass,
 the write-through one is a batch of one whose words come from and go back
@@ -36,8 +37,10 @@ Correctness strategy:
 * **The program text decides.**  A program holding an instruction outside
   the plan's straight-line ISA (``Gather``, ``Scatter``, ``Config``, C2C
   transfers, ``LW``, the barrier and fetch instructions) gets no plan; the
-  dispatch list and the cycle count are read off the program, and the
-  first clean run must agree with both before the plan is finished.
+  dispatch list and the cycle count are read off the program.
+* **The activity is counted, then checked.**  Every counter but the hop
+  count tallies the ops, and the hop count sweeps the drives;
+  :func:`repro.verify.lockstep.run_lockstep` holds both to a simulation.
 * **Bypass predicate.**  :func:`replay_allowed` refuses to replay onto a
   chip with checkers, a telemetry collector, armed watchdogs, error
   models, dead slices, injected faults, events armed for the next run,
@@ -56,11 +59,13 @@ replay first asks — all of them functions of the schedule — and
 from __future__ import annotations
 
 import functools
+from collections import Counter
 from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
-from ..arch.geometry import Hemisphere
+from ..arch.geometry import Direction, Hemisphere
+from ..arch.power import ActivityCounts
 from ..arch.streams import DType, pack_tensor, unpack_tensor
 from ..errors import SimulationError
 from ..isa.icu import Nop, Notify, Sync
@@ -118,15 +123,16 @@ def _words(spec) -> list[tuple[int, int, tuple]]:
 
 def emitted_plan(config, timing, program, cycles: int, ops: list,
                  n_slots: int, inputs: dict, outputs: dict,
-                 image_words: list):
-    """The plan of a schedule whose lowerings emitted ``ops``, or None when
-    its program holds an instruction no plan stands in for."""
+                 image_words: list, drives: list, n_positions: int):
+    """The finished plan of a schedule whose lowerings emitted ``ops`` and
+    ``drives`` over ``n_positions`` stream-register positions, or None
+    when its program holds an instruction no plan stands in for."""
     if any(
         type(instruction) not in _PLANNED
         for icu in program.icus for instruction in program.queue(icu)
     ):
         return None
-    return ReplayPlan(
+    return ScheduleRecorder(ReplayPlan(
         config=config,
         timing=timing,
         program=program,
@@ -144,50 +150,83 @@ def emitted_plan(config, timing, program, cycles: int, ops: list,
         inputs=dict(inputs),
         outputs=dict(outputs),
         image_words=image_words,
-    )
+        drives=drives,
+        n_positions=n_positions,
+    ), warmup_barrier=False).finish()
+
+
+def _hops(plan: "ReplayPlan") -> int:
+    """Stream-register hops of a run of ``plan``: a value hops a cycle
+    until it leaves the die, the run ends or a later drive on its stream
+    and moving-frame diagonal overwrites it."""
+    hops = 0
+    until: dict[tuple, int] = {}  # (direction, stream, diagonal) -> cycle
+    for direction, stream, position, t in sorted(
+        plan.drives, key=lambda drive: drive[3], reverse=True
+    ):
+        east = direction is Direction.EASTWARD
+        key = (east, stream, t - position if east else t + position)
+        edge = plan.n_positions - 1 - position if east else position
+        hops += min(edge, until.get(key, plan.cycles) - t)
+        until[key] = t
+    return hops
 
 
 class ScheduleRecorder:
-    """Finishes a schedule's plan with what only a run can say.
+    """Finishes a schedule's plan — counts what a run of it leaves on the
+    chip's counters — from its ops, its drives and its program text.
 
-    The compiler emitted the plan's ops; the program's text gives its
-    dispatches and cycle count.  The activity counters a run leaves on the
-    chip are the rest: pass the :class:`RunResult` of the first clean run
-    of any program of the schedule to :meth:`finish`.
+    The name is from when a plan was finished by its first simulated run;
+    it stays because the benchmark's layer tracer counts :meth:`finish`.
     """
 
     def __init__(self, plan: "ReplayPlan", *, warmup_barrier: bool) -> None:
         self.plan = plan
         self.warmup_barrier = warmup_barrier
 
-    def finish(self, run: RunResult) -> "ReplayPlan":
-        """The finished plan — refused if ``run`` is not the run the
-        schedule promised — with the memory-image words among its inputs,
-        so :meth:`ReplayPlan.bind` it to a program before running it."""
+    def finish(self) -> "ReplayPlan":
+        """The plan — emitted, or finished without the barrier — finished
+        for runs with or without it; :meth:`ReplayPlan.bind` it to a
+        program before running it.
+
+        A read or a write moves one vector, a VXM op is an ALU op per
+        lane, a route moves one vector through the SXM and a ``dot`` is
+        one pass through its install's ``rows × cols`` plane; the barrier
+        adds cycles and dispatches, and drives nothing.
+        """
         plan = self.plan
         barrier = (
             plan.config.barrier_latency_cycles if self.warmup_barrier
             else None
         )
-        finished = replace(
-            plan,
-            cycles=plan.cycles + (barrier or 0),
-            instructions=len(issue_order(plan.program, barrier)),
-            activity=run.activity.copy(),
-            warmup_barrier=self.warmup_barrier,
+        if barrier is not None and barrier < 2:
+            return replace(plan, ok=False, ops=[], reason=f"a {barrier}-"
+                           "cycle barrier overlaps its own Notify and Sync")
+        lanes, tally = plan.lanes, Counter(op[0] for op in plan.ops)
+        plane = {op[1]: op[3] * op[4] for op in plan.ops if op[0] == "install"}
+        cycles = plan.cycles + (barrier or 0)
+        icus = plan.program.icus
+        # a barrier parks every queue on a Sync, and the first queue also
+        # dispatches the Notify that releases them (:func:`issue_order`)
+        dispatches = sum(len(plan.program.queue(icu)) for icu in icus) + (
+            0 if barrier is None else len(icus) + 1
         )
-        if (
-            (run.cycles, run.instructions)
-            != (finished.cycles, finished.instructions)
-            or (barrier is not None and barrier < 2)
-        ):
-            return replace(
-                finished, ok=False, ops=[],
-                reason=f"the run ({run.cycles} cycles, {run.instructions} "
-                f"dispatches) is not the schedule's ({finished.cycles}, "
-                f"{finished.instructions})",
-            )
-        return finished
+        return replace(
+            plan, cycles=cycles, warmup_barrier=self.warmup_barrier,
+            activity=ActivityCounts(
+                cycles=cycles,
+                macc_ops=sum(
+                    plane[op[4][1]] for op in plan.ops if op[0] == "dot"
+                ),
+                alu_ops=lanes * (tally["vxm1"] + tally["vxm2"]
+                                 + tally["vxmc"]),
+                sram_read_bytes=lanes * tally["read"],
+                sram_write_bytes=lanes * (tally["write"] + tally["wconst"]),
+                stream_hop_bytes=lanes * _hops(plan),
+                sxm_bytes=lanes * tally["route"],
+                instructions=dispatches,
+            ),
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -289,9 +328,9 @@ class ReplayPlan:
     """The execution plan of a schedule, or of one program of it.
 
     The scheduler emits the schedule's plan, whose inputs include the
-    memory image; :meth:`ScheduleRecorder.finish` gives it its activity
-    and :meth:`bind` turns it into one program's plan, whose only inputs
-    are the run-time input tensors.  Only a bound plan runs.
+    memory image, and :meth:`ScheduleRecorder.finish` counts its activity;
+    :meth:`bind` turns it into one program's plan, whose only inputs are
+    the run-time input tensors.  Only a bound plan runs.
     """
 
     config: object
@@ -299,7 +338,6 @@ class ReplayPlan:
     #: the straight-line program the plan stands in for
     program: object = field(repr=False)
     cycles: int
-    instructions: int = 0
     ops: list = field(repr=False, default_factory=list)
     n_slots: int = 0
     in_words: list = field(repr=False, default_factory=list)
@@ -308,8 +346,12 @@ class ReplayPlan:
     outputs: dict = field(repr=False, default_factory=dict)
     #: ``(hemisphere, slice, address)`` of each memory-image row, in order
     image_words: list = field(repr=False, default_factory=list)
-    #: what a run of the program leaves on the chip's counters, from the
-    #: first clean run; None until then
+    #: ``(direction, stream, position, cycle)`` of every stream drive,
+    #: over ``n_positions`` stream-register positions
+    drives: list = field(repr=False, default_factory=list)
+    n_positions: int = 0
+    #: what a run of the program leaves on the chip's counters, counted
+    #: by :meth:`ScheduleRecorder.finish`; None until then
     activity: object = None
     warmup_barrier: bool = False
     ok: bool = True
@@ -561,7 +603,7 @@ class ReplayPlan:
         traced = chip is not None and chip.trace_enabled
         return RunResult(
             cycles=self.cycles,
-            instructions=self.instructions,
+            instructions=self.activity.instructions,
             activity=self.activity.copy(),
             trace=list(self.trace) if traced else [],
             ecc_corrections=0,
@@ -701,11 +743,6 @@ def _chip_is_pristine(chip) -> str | None:
             if link.error_model is not None:
                 return "C2C link error model attached"
     return None
-
-
-def record_allowed(chip) -> bool:
-    """May a recording of this chip's next run generalize to clean chips?"""
-    return _chip_is_pristine(chip) is None
 
 
 def replay_allowed(plan: ReplayPlan | None, chip, *, max_cycles: int,

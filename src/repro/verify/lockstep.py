@@ -6,16 +6,15 @@ compiler emitted with its schedule (:mod:`repro.sim.replay`), which walks
 no cycle.  The replay claims to be *equivalent* to the simulation because
 the TSP's timing is fully deterministic and compiler-known (Section IV-F).
 This module turns that claim into a checkable property: :func:`run_lockstep`
-simulates the program on a fresh chip, finishes the plan from that run,
-replays it write-through onto a second chip and evaluates it batched with
-no chip at all — and, given a *sibling* (another program of the same
-schedule, other constants), does the same for the sibling with the plan
-finished on the first, since a plan belongs to a schedule — then compares
-every observable surface bit-for-bit:
+simulates the program on a fresh chip, replays its schedule's plan
+write-through onto a second chip and evaluates it batched with no chip at
+all — and, given a *sibling* (another program of the same schedule, other
+constants), does the same for the sibling, since a plan belongs to a
+schedule — then compares every observable surface bit-for-bit:
 
 * output tensors and the full materialized MEM image;
 * cycle count, per-run instruction count, and every activity tally
-  (including ``stream_hop_bytes``);
+  (including ``stream_hop_bytes``), which the compiler counted;
 * the dispatch trace, and the dispatches the simulated chip's checker
   saw (every dispatch, stream drive, and SRAM access is recorded);
 * ECC correction counts.
@@ -91,11 +90,11 @@ class LockstepResult:
     the schedule's :class:`repro.sim.replay.ReplayPlan`, bound to the
     program and re-executed as fused numpy kernels, write-through, on a
     fresh chip.  It is ``None`` when the program has no plan (``plan`` is
-    then None) or the simulation refused it (``plan.reason``).
+    then None) or the plan refused to bind or run (``plan.reason``).
     ``batched`` rides with it: the same plan's pure evaluation of the
     inputs bound twice, one output dict per row — the route that serves.
     ``sibling`` holds the same comparison for another program of the
-    schedule, replaying the plan finished on this one.
+    schedule, replaying the same schedule plan bound to its constants.
     """
 
     simulated: LockstepExecution
@@ -125,21 +124,22 @@ def run_lockstep(
     enable_ecc: bool = False,
     sibling: CompiledProgram | None = None,
 ) -> LockstepResult:
-    """Simulate ``compiled``, finish its plan, replay it; compare all state.
+    """Simulate ``compiled``, replay its plan; compare all state.
 
     Every leg starts from a fresh chip with the same memory image and
     inputs.  The simulation runs with tracing on and a checker attached —
-    neither moves a counter, so its run finishes the schedule's plan — and
-    the replay traces too: the plan keeps raw dispatches and must format a
-    trace equal to the simulated one.
+    neither moves a counter — and the replay traces too: the plan keeps
+    raw dispatches and must format a trace equal to the simulated one.
+    With ``warmup_barrier`` the schedule's plan is finished for the
+    barrier first (:class:`~repro.sim.replay.ScheduleRecorder`).
 
     ``sibling`` — another program of ``compiled``'s schedule, its
     constants other bytes (:func:`repro.testing.redrawn`) — adds the leg
-    that proves the plan belongs to the schedule: the plan finished on
-    ``compiled`` is bound to the sibling's memory image and compared
-    with the sibling's own simulation on every surface above.  A weight
-    that leaked into a folded constant differs there
-    (``result.sibling``, its mismatches prefixed ``sibling:``).
+    that proves the plan belongs to the schedule: the schedule's plan is
+    bound to the sibling's memory image and compared with the sibling's
+    own simulation on every surface above.  A weight that leaked into a
+    folded constant differs there (``result.sibling``, its mismatches
+    prefixed ``sibling:``).
     """
     # imported on use, as in compiler.runner: ``repro.serve`` reaches this
     # module through ``repro.resil``, and loading the replay engine at
@@ -186,9 +186,9 @@ def run_lockstep(
         )
 
     def replay(result: LockstepResult, program: CompiledProgram,
-               finished) -> LockstepResult:
-        if finished is not None:
-            result.plan = finished.bind(program.image)
+               plan) -> LockstepResult:
+        if plan is not None:
+            result.plan = plan.bind(program.image)
         if result.plan is not None and result.plan.ok:
             chip = fresh_chip(program)
             result.replay = execution(chip, result.plan.replay_into(chip))
@@ -196,14 +196,12 @@ def run_lockstep(
             _compare(result)
         return result
 
-    result = simulate(compiled)
     plan = getattr(compiled.schedule, "plan", None)
-    finished = plan and ScheduleRecorder(
-        plan, warmup_barrier=warmup_barrier
-    ).finish(result.simulated.run)
-    replay(result, compiled, finished)
+    if plan is not None and warmup_barrier:
+        plan = ScheduleRecorder(plan, warmup_barrier=True).finish()
+    result = replay(simulate(compiled), compiled, plan)
     if sibling is not None and result.replay is not None:
-        result.sibling = replay(simulate(sibling), sibling, finished)
+        result.sibling = replay(simulate(sibling), sibling, plan)
         result.mismatches += [
             f"sibling: {m}" for m in result.sibling.mismatches
         ]

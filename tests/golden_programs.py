@@ -100,7 +100,7 @@ GOLDEN_PROGRAMS = {
 def compute_outputs(name: str) -> dict[str, np.ndarray]:
     """Run one golden program on the simulator."""
     builder = GOLDEN_PROGRAMS[name]()
-    return execute(builder.compile()).outputs
+    return execute(builder.compile(), replay=False).outputs
 
 
 def golden_path(name: str) -> str:

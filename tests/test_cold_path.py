@@ -8,14 +8,15 @@ program is built at exactly the rows the request carries.  Nor is it a
 simulation: the replay plan belongs to the schedule, with the memory
 image among its inputs, so the bind hands the new program its own plan
 (``ReplayPlan.bind``, a gather decided once per schedule) and the first
-request replays.  Only the first program of each shape simulates, once,
-inside the miss that schedules it, to finish its plan; only with no
-sibling resident does the scheduler run — and the answers are the same
-bits either way.
+request replays.  Not even the first program of a shape simulates: the
+compiler finished the plan, activity included, when it made the
+schedule.  Only with no sibling resident does the scheduler run — and
+the answers are the same bits either way.
 """
 
 import sys
 import threading
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -69,8 +70,9 @@ def counted(monkeypatch, counts, owner, attr, name,
 
 @pytest.fixture()
 def calls(monkeypatch):
-    """Call counts of each step of a miss, and the rows bound on chip."""
-    counts: dict[str, int] = {}
+    """Call counts of each step of a miss, and the rows bound on chip; a
+    step never taken counts 0."""
+    counts: Counter[str] = Counter()
     for owner, attr, name in (
         (Scheduler, "schedule", "schedule"),
         (Schedule, "bind", "bind"),
@@ -101,12 +103,13 @@ class TestNeverSeenModel:
         cache = ProgramCache(capacity=4)
         replies = serve_round(models, cache, token)
         assert all(np.array_equal(r, e) for r, e in zip(replies, expected))
-        # two layer shapes, twelve models: the scheduler ran, and the
-        # simulator recorded, once a shape; every other miss replayed
-        assert calls == {
-            "schedule": 2, "bind": 24, "record": 2, "chip.run": 2,
-            "rows": 2,  # one token per recording: nothing zero-padded
-        }
+        # two layer shapes, twelve models: the scheduler ran, and
+        # finished its plan, once a shape; nothing simulated, every miss
+        # replayed
+        assert calls == Counter({
+            "schedule": 2, "bind": 24, "record": 2, "chip.run": 0,
+            "rows": 0,
+        })
         snapshot = cache.snapshot()
         assert (snapshot["scheduled"], snapshot["bound"]) == (2, 24)
         # what a lookup *is* has not moved: every one of these missed
@@ -169,15 +172,15 @@ class TestNeverSeenModel:
         resident, *_ = cache.get_or_compile(seen)
         calls.clear()
         degraded, _key, hit, _s = cache.get_or_compile(unseen, blacklist=lost)
-        # a schedule of its own, whose plan the miss finishes: one run
-        once = {"schedule": 1, "record": 1, "chip.run": 1, "rows": 1}
-        assert not hit and calls == {**once, "bind": 1}
+        # a schedule of its own, its plan finished with it: no run
+        once = {"schedule": 1, "record": 1, "chip.run": 0, "rows": 0}
+        assert not hit and calls == Counter({**once, "bind": 1})
         assert digest(lambda: degraded) == fresh_degraded != fresh
         # ... while the same model, healthy, does borrow — from the
         # healthy resident, not from its own degraded program — and its
         # finished plan with it
         healthy, *_ = cache.get_or_compile(unseen)
-        assert calls == {**once, "bind": 2}
+        assert calls == Counter({**once, "bind": 2})
         assert digest(lambda: healthy) == fresh
         assert healthy.schedule is resident.schedule
 

@@ -38,7 +38,7 @@ class TestBinaryOps:
         y = g.constant_tensor("y", yd)
         z = getattr(g, method)(x, y)
         g.write_back(z, name="z")
-        result = execute(g.compile())
+        result = execute(g.compile(), replay=False)
         expected = oracle(
             xd.astype(np.int64), yd.astype(np.int64)
         ).astype(np.int8)
@@ -53,7 +53,7 @@ class TestBinaryOps:
             saturate=False,
         )
         g.write_back(z, name="z")
-        result = execute(g.compile())
+        result = execute(g.compile(), replay=False)
         expected = (xd.astype(np.int64) + yd.astype(np.int64)).astype(np.int8)
         assert np.array_equal(result["z"], expected)
 
@@ -62,7 +62,7 @@ class TestBinaryOps:
         g = StreamProgramBuilder(config)
         x = g.constant_tensor("x", xd)
         g.write_back(g.add(x, x), name="z")
-        result = execute(g.compile())
+        result = execute(g.compile(), replay=False)
         expected = np.clip(2 * xd.astype(np.int64), -128, 127).astype(np.int8)
         assert np.array_equal(result["z"], expected)
 
@@ -86,7 +86,7 @@ class TestBinaryOps:
         g = StreamProgramBuilder(config)
         z = g.add(g.constant_tensor("x", xd), g.constant_tensor("y", yd))
         g.write_back(z, name="z")
-        result = execute(g.compile())
+        result = execute(g.compile(), replay=False)
         expected = np.clip(
             xd.astype(np.int64) + yd.astype(np.int64), -128, 127
         ).astype(np.int8)
@@ -98,7 +98,7 @@ class TestUnaryOps:
         xd = i8(rng, (4, 64))
         g = StreamProgramBuilder(config)
         g.write_back(g.relu(g.constant_tensor("x", xd)), name="y")
-        result = execute(g.compile())
+        result = execute(g.compile(), replay=False)
         assert np.array_equal(result["y"], np.maximum(xd, 0))
 
     def test_negate_abs_chain(self, config, rng):
@@ -106,7 +106,7 @@ class TestUnaryOps:
         g = StreamProgramBuilder(config)
         x = g.constant_tensor("x", xd)
         g.write_back(g.abs(g.negate(x)), name="y")
-        result = execute(g.compile())
+        result = execute(g.compile(), replay=False)
         expected = np.abs(
             np.clip(-xd.astype(np.int64), -128, 127)
         ).astype(np.int8)
@@ -116,7 +116,7 @@ class TestUnaryOps:
         xd = rng.standard_normal((2, 64)).astype(np.float32)
         g = StreamProgramBuilder(config)
         g.write_back(g.tanh(g.constant_tensor("x", xd)), name="y")
-        result = execute(g.compile())
+        result = execute(g.compile(), replay=False)
         assert result["y"].dtype == np.float32
         assert np.allclose(result["y"], np.tanh(xd), atol=1e-6)
 
@@ -126,7 +126,7 @@ class TestUnaryOps:
         x = g.constant_tensor("x", xd)
         g.write_back(g.exp(x), name="e")
         g.write_back(g.rsqrt(x), name="r")
-        result = execute(g.compile())
+        result = execute(g.compile(), replay=False)
         assert np.allclose(result["e"], np.exp(xd), rtol=1e-6)
         assert np.allclose(result["r"], 1 / np.sqrt(xd), rtol=1e-6)
 
@@ -134,7 +134,7 @@ class TestUnaryOps:
         xd = np.array([[0, 1, -1, 0] * 16], dtype=np.int8)
         g = StreamProgramBuilder(config)
         g.write_back(g.mask(g.constant_tensor("x", xd)), name="m")
-        result = execute(g.compile())
+        result = execute(g.compile(), replay=False)
         assert np.array_equal(result["m"], (xd != 0).astype(np.int8))
 
 
@@ -144,7 +144,7 @@ class TestConvert:
         g = StreamProgramBuilder(config)
         x = g.constant_tensor("x", xd)
         g.write_back(g.convert(x, DType.INT8, scale=0.01), name="q")
-        result = execute(g.compile())
+        result = execute(g.compile(), replay=False)
         expected = np.clip(np.rint(xd * 0.01), -128, 127).astype(np.int8)
         assert np.array_equal(result["q"], expected)
 
@@ -153,7 +153,7 @@ class TestConvert:
         g = StreamProgramBuilder(config)
         x = g.constant_tensor("x", xd)
         g.write_back(g.convert(x, DType.FP32, scale=0.125), name="d")
-        result = execute(g.compile())
+        result = execute(g.compile(), replay=False)
         assert np.allclose(result["d"], xd * 0.125)
 
     def test_int16_roundtrip(self, config, rng):
@@ -161,7 +161,7 @@ class TestConvert:
         g = StreamProgramBuilder(config)
         x = g.constant_tensor("x", xd)
         g.write_back(g.copy(x), name="c")
-        result = execute(g.compile())
+        result = execute(g.compile(), replay=False)
         assert np.array_equal(result["c"], xd)
 
 
@@ -174,7 +174,7 @@ class TestChaining:
         x = g.constant_tensor("x", xd)
         y = g.constant_tensor("y", yd)
         g.write_back(g.relu(g.add(x, y)), name="z")
-        result = execute(g.compile())
+        result = execute(g.compile(), replay=False)
         expected = np.maximum(
             np.clip(xd.astype(np.int64) + yd.astype(np.int64), -128, 127), 0
         ).astype(np.int8)
@@ -203,7 +203,7 @@ class TestChaining:
         s = g.add(x, y)
         g.write_back(s, name="sum")
         g.write_back(g.relu(s), name="relu_sum")
-        result = execute(g.compile())
+        result = execute(g.compile(), replay=False)
         expected = np.clip(
             xd.astype(np.int64) + yd.astype(np.int64), -128, 127
         ).astype(np.int8)

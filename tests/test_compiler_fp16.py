@@ -28,7 +28,7 @@ class TestFp16Matmul:
         r = g.matmul(w, g.constant_tensor("x", x))
         assert r.dtype is DType.FP32
         g.write_back(r, name="r")
-        result = execute(g.compile())
+        result = execute(g.compile(), replay=False)
         expected = x.astype(np.float32) @ w.astype(np.float32)
         assert result["r"].dtype == np.float32
         assert np.allclose(result["r"], expected, atol=1e-2)
@@ -44,7 +44,7 @@ class TestFp16Matmul:
         ]
         r = g.matmul(w, tiles)
         g.write_back(r, name="r")
-        result = execute(g.compile())
+        result = execute(g.compile(), replay=False)
         expected = x.astype(np.float32) @ w.astype(np.float32)
         assert np.allclose(result["r"], expected, atol=1e-2)
 
@@ -73,7 +73,7 @@ class TestFp16Matmul:
         acc = g.matmul(w, g.constant_tensor("x", x))
         y = g.relu(acc)
         g.write_back(y, name="y")
-        result = execute(g.compile())
+        result = execute(g.compile(), replay=False)
         expected = np.maximum(
             x.astype(np.float32) @ w.astype(np.float32), 0
         )
@@ -116,7 +116,7 @@ class TestFp16Matmul:
         xi = rng.integers(-5, 5, (1, 64)).astype(np.int8)
         ri = g.matmul(wi, g.constant_tensor("xi", xi))
         g.write_back(ri, name="ri")
-        result = execute(g.compile())
+        result = execute(g.compile(), replay=False)
         assert np.allclose(
             result["rf"], xf.astype(np.float32) @ wf.astype(np.float32),
             atol=1e-2,

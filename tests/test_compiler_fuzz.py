@@ -48,10 +48,10 @@ def conform(builder, inputs=None, seed=None):
 
     Every corpus program is additionally executed under the lockstep
     comparator (:func:`repro.verify.assert_lockstep`), so the fuzz corpus
-    continuously re-proves that a recorded plan's replay is bit-identical
-    to the simulation — memory, traces, cycle counts, activity, and the
-    checker's dispatch stream — for the program it was recorded on and,
-    bound to other constants, for a sibling of the same schedule.
+    continuously re-proves that the compiler's plan replays bit-identical
+    to the simulation — memory, traces, cycle counts, the activity the
+    compiler counted, and the checker's dispatch stream — for the program
+    and, bound to other constants, for a sibling of the same schedule.
 
     Returns the :class:`repro.verify.DifferentialResult`, so callers can
     additionally assert their own independent numpy oracle against

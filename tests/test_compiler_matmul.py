@@ -24,7 +24,7 @@ class TestSingleTile:
         g = StreamProgramBuilder(config)
         r = g.matmul(w, g.constant_tensor("x", x))
         g.write_back(r, name="r")
-        result = execute(g.compile())
+        result = execute(g.compile(), replay=False)
         assert np.array_equal(result["r"], matmul_oracle(x, w))
 
     def test_narrow_output(self, config, rng):
@@ -36,7 +36,7 @@ class TestSingleTile:
         r = g.matmul(w, g.constant_tensor("x", x))
         assert r.shape == (n, m)
         g.write_back(r, name="r")
-        result = execute(g.compile())
+        result = execute(g.compile(), replay=False)
         assert np.array_equal(result["r"], matmul_oracle(x, w))
 
     def test_short_k(self, config, rng):
@@ -46,7 +46,7 @@ class TestSingleTile:
         g = StreamProgramBuilder(config)
         r = g.matmul(w, g.constant_tensor("x", x))
         g.write_back(r, name="r")
-        result = execute(g.compile())
+        result = execute(g.compile(), replay=False)
         assert np.array_equal(result["r"], matmul_oracle(x, w))
 
     def test_single_vector(self, config, rng):
@@ -56,7 +56,7 @@ class TestSingleTile:
         g = StreamProgramBuilder(config)
         r = g.matmul(w, g.constant_tensor("x", x))
         g.write_back(r, name="r")
-        result = execute(g.compile())
+        result = execute(g.compile(), replay=False)
         assert np.array_equal(result["r"], matmul_oracle(x, w))
 
     @given(
@@ -74,7 +74,7 @@ class TestSingleTile:
         g = StreamProgramBuilder(config)
         r = g.matmul(w, g.constant_tensor("x", x))
         g.write_back(r, name="r")
-        result = execute(g.compile())
+        result = execute(g.compile(), replay=False)
         assert np.array_equal(result["r"], matmul_oracle(x, w))
 
 
@@ -91,7 +91,7 @@ class TestKTiled:
         ]
         r = g.matmul(w, tiles)
         g.write_back(r, name="r")
-        result = execute(g.compile())
+        result = execute(g.compile(), replay=False)
         assert np.array_equal(result["r"], matmul_oracle(x, w))
 
     def test_three_uneven_tiles(self, config, rng):
@@ -106,7 +106,7 @@ class TestKTiled:
         ]
         r = g.matmul(w, tiles)
         g.write_back(r, name="r")
-        result = execute(g.compile())
+        result = execute(g.compile(), replay=False)
         assert np.array_equal(result["r"], matmul_oracle(x, w))
 
     def test_tile_coverage_checked(self, config, rng):
@@ -160,7 +160,7 @@ class TestFusedPipelines:
         q = g.convert(acc, DType.INT8, scale=0.02)
         y = g.relu(q)
         g.write_back(y, name="y")
-        result = execute(g.compile())
+        result = execute(g.compile(), replay=False)
         oracle = matmul_oracle(x, w)
         expected = np.maximum(
             np.clip(np.rint(oracle * 0.02), -128, 127), 0
@@ -179,7 +179,7 @@ class TestFusedPipelines:
         r2 = g.matmul(w2, g.constant_tensor("x2", x2), name="w2")
         g.write_back(r1, name="r1")
         g.write_back(r2, name="r2")
-        result = execute(g.compile())
+        result = execute(g.compile(), replay=False)
         assert np.array_equal(result["r1"], matmul_oracle(x1, w1))
         assert np.array_equal(result["r2"], matmul_oracle(x2, w2))
 
@@ -217,10 +217,10 @@ class TestFusedPipelines:
             g.write_back(g.matmul(w, handles, name=f"w{i}"), name=f"y{i}")
             expected[f"y{i}"] = matmul_oracle(x, w)
         compiled = g.compile()
-        result = execute(compiled, inputs=inputs)
+        result = execute(compiled, inputs=inputs, replay=False)
         for name, want in expected.items():
             assert np.array_equal(result[name], want), name
-        # the simulation and the recorded plan agree on everything
+        # the simulation and the compiler's plan agree on everything
         assert assert_lockstep(compiled, inputs=inputs).replay is not None
 
     @pytest.mark.parametrize("rows", [(8, 12), (8, 8, 8, 8, 8), (16, 16, 16)])
@@ -237,7 +237,7 @@ class TestFusedPipelines:
             g.write_back(g.matmul(w, handle, name=f"w{i}"), name=f"y{i}")
             expected[f"y{i}"] = matmul_oracle(inputs[f"x{i}"], w)
         compiled = g.compile()
-        result = execute(compiled, inputs=inputs, record=False)
+        result = execute(compiled, inputs=inputs, replay=False)
         for name, want in expected.items():
             assert np.array_equal(result[name], want), name
         assert assert_lockstep(compiled, inputs=inputs).replay is not None
@@ -266,7 +266,7 @@ class TestFusedPipelines:
             "MXM_E.plane0.compute", "MXM_E.plane0.weights",
             "MXM_W.plane0.compute", "MXM_W.plane0.weights",
         ]
-        result = execute(compiled)
+        result = execute(compiled, replay=False)
         for name, want in expected.items():
             assert np.array_equal(result[name], want)
 
@@ -279,7 +279,7 @@ class TestFusedPipelines:
         g.write_back(r, name="r")
         compiled = g.compile()
         assert compiled.outputs["r"].dtype is DType.INT32
-        result = execute(compiled)
+        result = execute(compiled, replay=False)
         assert result["r"].dtype == np.int32
 
 
@@ -296,7 +296,7 @@ class TestWideM:
         names = [
             g.write_back(p, name=f"part{i}") for i, p in enumerate(parts)
         ]
-        result = execute(g.compile())
+        result = execute(g.compile(), replay=False)
         out = np.hstack([result[name] for name in names])
         assert np.array_equal(out, matmul_oracle(x, w))
 

@@ -23,7 +23,7 @@ class TestTranspose:
         g = StreamProgramBuilder(config)
         t = g.transpose16(g.constant_tensor("x", x))
         g.write_back(t, name="t")
-        result = execute(g.compile())
+        result = execute(g.compile(), replay=False)
         assert np.array_equal(result["t"], transpose16_oracle(x))
 
     def test_double_transpose_is_identity(self, config, rng):
@@ -32,7 +32,7 @@ class TestTranspose:
         h = g.constant_tensor("x", x)
         tt = g.transpose16(g.transpose16(h))
         g.write_back(tt, name="tt")
-        result = execute(g.compile())
+        result = execute(g.compile(), replay=False)
         assert np.array_equal(result["tt"], x)
 
     def test_requires_16_vectors(self, config, rng):
@@ -59,7 +59,7 @@ class TestShift:
         g = StreamProgramBuilder(config)
         s = g.shift(g.constant_tensor("x", x), amount)
         g.write_back(s, name="s")
-        result = execute(g.compile())
+        result = execute(g.compile(), replay=False)
         expected = np.zeros_like(x)
         if amount < 64:
             expected[0, : 64 - amount] = x[0, amount:]
@@ -70,7 +70,7 @@ class TestShift:
         g = StreamProgramBuilder(config)
         s = g.shift(g.constant_tensor("x", x), 7, south=True)
         g.write_back(s, name="s")
-        result = execute(g.compile())
+        result = execute(g.compile(), replay=False)
         expected = np.zeros_like(x)
         expected[0, 7:] = x[0, :-7]
         assert np.array_equal(result["s"], expected)
@@ -80,7 +80,7 @@ class TestShift:
         g = StreamProgramBuilder(config)
         s = g.shift(g.constant_tensor("x", x), 3)
         g.write_back(s, name="s")
-        result = execute(g.compile())
+        result = execute(g.compile(), replay=False)
         expected = np.zeros_like(x)
         expected[:, :61] = x[:, 3:]
         assert np.array_equal(result["s"], expected)
@@ -93,7 +93,7 @@ class TestPermuteDistribute:
         g = StreamProgramBuilder(config)
         p = g.permute(g.constant_tensor("x", x), mapping)
         g.write_back(p, name="p")
-        result = execute(g.compile())
+        result = execute(g.compile(), replay=False)
         assert np.array_equal(result["p"], x[:, mapping])
 
     def test_permute_map_must_cover_lanes(self, config, rng):
@@ -109,7 +109,7 @@ class TestPermuteDistribute:
         g = StreamProgramBuilder(config)
         d = g.distribute(g.constant_tensor("x", x), mapping)
         g.write_back(d, name="d")
-        result = execute(g.compile())
+        result = execute(g.compile(), replay=False)
         expected = np.zeros_like(x)
         for sl in range(4):
             expected[0, sl * 16 : sl * 16 + 15] = x[0, sl * 16]
@@ -132,7 +132,7 @@ class TestSelect:
             g.constant_tensor("a", a), g.constant_tensor("b", b), mask
         )
         g.write_back(s, name="s")
-        result = execute(g.compile())
+        result = execute(g.compile(), replay=False)
         expected = np.where(np.array(mask) != 0, b, a)
         assert np.array_equal(result["s"], expected)
 
@@ -151,7 +151,7 @@ class TestRotate:
         r = g.rotate(g.constant_tensor("x", x), n=3)
         assert r.shape == (9, 64)
         g.write_back(r, name="r")
-        result = execute(g.compile())
+        result = execute(g.compile(), replay=False)
         blocks = x[0].reshape(4, 16)
         grid = blocks[:, :9].reshape(4, 3, 3)
         for idx in range(9):
@@ -186,7 +186,7 @@ class TestMaxPoolPattern:
         assert mnemonics.count("Read") == 16
         assert mnemonics.count("Transpose") == 1
         assert mnemonics.count("Write") == 16
-        result = execute(compiled)
+        result = execute(compiled, replay=False)
         assert np.array_equal(result["t"], transpose16_oracle(x))
 
     def test_rotate_max_reduction(self, config, rng):
@@ -197,7 +197,7 @@ class TestMaxPoolPattern:
         shifted = g.shift(xh, 1)
         pooled = g.maximum(g.copy(xh), g.copy(shifted))
         g.write_back(pooled, name="p")
-        result = execute(g.compile())
+        result = execute(g.compile(), replay=False)
         shifted_oracle = np.zeros_like(x)
         shifted_oracle[0, :63] = x[0, 1:]
         assert np.array_equal(result["p"], np.maximum(x, shifted_oracle))

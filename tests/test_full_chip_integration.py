@@ -3,7 +3,8 @@
 The unit suite runs on the scaled test chip for speed; these tests compile
 and cycle-simulate representative pipelines on the exact geometry the paper
 describes, catching anything that only shows up at full scale (44-slice
-hemispheres, 20-deep MXM pipeline, 320-lane packing).
+hemispheres, 20-deep MXM pipeline, 320-lane packing).  Each simulation is
+also held to the activity the compiler counted into the program's plan.
 """
 
 import numpy as np
@@ -19,6 +20,15 @@ def full_config():
     return groq_tsp_v1()
 
 
+def simulate(compiled):
+    """Simulate ``compiled`` on a fresh chip; its plan's counted activity
+    must equal the simulated run's."""
+    result = execute(compiled, replay=False)
+    assert result.run.skipped_cycles == 0
+    assert compiled.replay.activity == result.run.activity
+    return result
+
+
 class TestFullChip:
     def test_listing1_vector_add(self, full_config, rng):
         x = rng.integers(-100, 100, (8, 320)).astype(np.int8)
@@ -26,7 +36,7 @@ class TestFullChip:
         g = StreamProgramBuilder(full_config)
         z = g.add(g.constant_tensor("x", x), g.constant_tensor("y", y))
         g.write_back(z, name="z")
-        result = execute(g.compile())
+        result = simulate(g.compile())
         expected = np.clip(
             x.astype(np.int64) + y.astype(np.int64), -128, 127
         ).astype(np.int8)
@@ -39,7 +49,7 @@ class TestFullChip:
         g = StreamProgramBuilder(full_config)
         r = g.matmul(w, g.constant_tensor("x", x))
         g.write_back(r, name="r")
-        result = execute(g.compile())
+        result = simulate(g.compile())
         expected = (x.astype(np.int64) @ w.astype(np.int64)).astype(np.int32)
         assert np.array_equal(result["r"], expected)
 
@@ -52,7 +62,7 @@ class TestFullChip:
         acc = g.matmul(w, g.constant_tensor("x", x))
         q = g.convert(acc, DType.INT8, scale=0.002)
         g.write_back(g.relu(q), name="y")
-        result = execute(g.compile())
+        result = simulate(g.compile())
         oracle = x.astype(np.int64) @ w.astype(np.int64)
         expected = np.maximum(
             np.clip(np.rint(oracle * 0.002), -128, 127), 0
@@ -70,7 +80,7 @@ class TestFullChip:
         ]
         r = g.matmul(w, tiles)
         g.write_back(r, name="r")
-        result = execute(g.compile())
+        result = simulate(g.compile())
         expected = (x.astype(np.int64) @ w.astype(np.int64)).astype(np.int32)
         assert np.array_equal(result["r"], expected)
 
@@ -79,7 +89,7 @@ class TestFullChip:
         g = StreamProgramBuilder(full_config)
         t = g.transpose16(g.constant_tensor("x", x))
         g.write_back(t, name="t")
-        result = execute(g.compile())
+        result = simulate(g.compile())
         expected = np.zeros_like(x)
         for sl in range(20):
             block = x[:, sl * 16 : (sl + 1) * 16]
@@ -91,6 +101,7 @@ class TestFullChip:
         g = StreamProgramBuilder(full_config)
         g.write_back(g.relu(g.constant_tensor("x", x)), name="y")
         compiled = g.compile()
-        runs = [execute(compiled) for _ in range(2)]
-        assert runs[0].run.cycles == runs[1].run.cycles
-        assert np.array_equal(runs[0]["y"], runs[1]["y"])
+        runs = [simulate(compiled) for _ in range(2)] + [execute(compiled)]
+        assert runs[-1].run.skipped_cycles == runs[-1].run.cycles
+        assert len({r.run.cycles for r in runs}) == 1
+        assert all(np.array_equal(runs[0]["y"], r["y"]) for r in runs[1:])

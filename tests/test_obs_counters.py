@@ -1,10 +1,11 @@
 """Telemetry counter registry: exactness, integration, and rollup.
 
 An attached :class:`~repro.obs.TelemetryCollector` counts only what its
-chip simulated: a chip with a collector never replays a recorded plan,
-so every count is a transition the collector watched.  The tests here
-pin that (a recorded program still simulates under a collector, twice to
-the same snapshot), the closed-form primitives the counts rest on
+chip simulated: a chip with a collector never replays a plan, so every
+count is a transition the collector watched.  The tests here pin that (a
+program carrying a plan still simulates under a collector, twice to the
+same snapshot, which rolls up to the activity the compiler counted), the
+closed-form primitives the counts rest on
 (``count_span``, stream flow), and the coarse ``ActivityCounts`` rollup
 contract (``rollup() == run.activity``).
 """
@@ -25,7 +26,7 @@ from golden_programs import GOLDEN_PROGRAMS
 
 def _run_with_collector(compiled, window_cycles=64):
     """``execute`` on a fresh chip with a fresh collector — a simulation,
-    whether or not the program carries a recorded plan."""
+    though the program carries a plan."""
     chip = TspChip(compiled.config)
     collector = TelemetryCollector(window_cycles=window_cycles)
     chip.attach_telemetry(collector)
@@ -104,21 +105,22 @@ class TestStreamFlow:
 
 
 class TestReplayExactness:
-    """A recorded plan never stands in for a run a collector watches, over
-    every golden program: each ``execute()`` simulates, so the counts are
-    exact by construction."""
+    """A plan never stands in for a run a collector watches, over every
+    golden program: each watched ``execute()`` simulates, so the counts
+    are exact by construction — and equal what the compiler counted into
+    the plan."""
 
     @pytest.mark.parametrize("name", sorted(GOLDEN_PROGRAMS))
     def test_snapshots_bit_identical(self, name):
         compiled = GOLDEN_PROGRAMS[name]().compile()
-        runs = [_run_with_collector(compiled)]
-        assert compiled.replay is None  # a watched run records nothing
-        execute(compiled)  # a clean chip records the plan
-        plan = compiled.replay
+        plan = compiled.replay  # finished with the schedule, before a run
         assert plan is not None and plan.ok, plan and plan.reason
+        runs = [_run_with_collector(compiled)]
+        # a clean chip replays between the watched runs
+        assert execute(compiled).run.skipped_cycles > 0
         runs += [_run_with_collector(compiled) for _ in range(2)]
         (run, collector, outputs), *later = runs
-        assert collector.rollup() == run.activity
+        assert collector.rollup() == run.activity == plan.activity
         for again, other, other_outputs in later:
             # every watched run simulated
             assert run.skipped_cycles == again.skipped_cycles == 0
@@ -128,13 +130,13 @@ class TestReplayExactness:
 
     def test_rollup_equals_run_activity(self):
         compiled = GOLDEN_PROGRAMS["matmul"]().compile()
-        for recorded in (False, True):
-            if recorded:
-                execute(compiled)
+        for replayed in (False, True):
+            if replayed:
+                assert execute(compiled).run.skipped_cycles > 0
             run, collector, _ = _run_with_collector(compiled)
-            assert (compiled.replay is not None) == recorded
+            assert run.skipped_cycles == 0
             rollup = collector.rollup()
-            assert rollup == run.activity
+            assert rollup == run.activity == compiled.replay.activity
             assert rollup.cycles == run.cycles
 
 

@@ -445,7 +445,7 @@ class TestRowsAreFree:
         compiled = g.compile()
         assert compiled.stats.mxm_planes == 1
         x = (np.arange(256) % 7).astype(np.int8).reshape(16, 16)
-        result = execute(compiled, inputs={"acts": x})
+        result = execute(compiled, inputs={"acts": x}, replay=False)
         expected = x.astype(np.int32) @ np.ones((16, 8), np.int32)
         assert np.array_equal(result["a"], expected)
         assert np.array_equal(result["b"], expected)
@@ -484,7 +484,7 @@ class TestCoConsumed:
             for node in (x, y)
         }
         assert home[x].isdisjoint(home[y])
-        result = execute(compiled)
+        result = execute(compiled, replay=False)
         assert (result["a"] == 10).all() and (result["b"] == 12).all()
 
 
@@ -515,7 +515,7 @@ class TestResultsLandDownstream:
         mxm = floorplan.position(floorplan.mxm(W))
         landed = slice_positions(config, compiled.outputs["r"].layout.planes)
         assert landed == [mxm + 2, mxm + 3, mxm + 4, mxm + 5]
-        assert np.array_equal(execute(compiled)["r"], expected)
+        assert np.array_equal(execute(compiled, replay=False)["r"], expected)
 
     def test_result_shares_a_slice_with_the_weights_it_used(self, config):
         """Bank 0 streams operands, bank 1 takes the result: the slices
@@ -549,7 +549,7 @@ class TestWritesAllocateOnce:
             data.append(rng.integers(-9, 9, (rows, config.n_lanes), np.int8))
             x = g.constant_tensor(f"x{i}", data[-1])
             g.write_back(g.relu(x), name=f"y{i}")
-        result = execute(g.compile())
+        result = execute(g.compile(), replay=False)
         for i in range(n_outputs):
             assert np.array_equal(result[f"y{i}"], np.maximum(data[i], 0))
 

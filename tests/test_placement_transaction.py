@@ -21,11 +21,14 @@ from repro.isa import Nop, Read
 
 
 def snapshot(scheduler):
-    """Everything an attempt may touch: grants, queues, their cells."""
+    """Everything an attempt may touch: grants, queues, their cells, the
+    plan ops and the stream drives kept."""
     return (
         scheduler.streams.utilization(),
         {icu: dict(q.cells) for icu, q in scheduler.queues.items()},
         list(scheduler.queues),
+        list(scheduler.attempt.emitted),
+        list(scheduler.attempt.drives),
     )
 
 
@@ -49,8 +52,10 @@ class TestAttempt:
         with scheduler.attempt as attempt:  # something already committed
             attempt.plan(icus[0], 4, read(0))
             assert attempt.grant(Direction.EASTWARD, 1, 5, 3, False, 2)
+            attempt.drive(Direction.EASTWARD, 0, 1, 2, 5)
             attempt.commit()
         before = snapshot(scheduler)
+        assert before[-1] == [(Direction.EASTWARD, 0, 2, 5)]
 
         with scheduler.attempt as attempt:
             attempt.plan(icus[0], 5, read(1))  # a queue that exists
@@ -58,8 +63,12 @@ class TestAttempt:
             attempt.hold(icus[2], 7, 4)
             assert attempt.grant(Direction.EASTWARD, 4, 9, 6, False, 3)
             assert attempt.grant(Direction.WESTWARD, 16, 9, 1, True, 3)
+            attempt.drive(Direction.WESTWARD, 16, 16, 3, 9)
         assert snapshot(scheduler) == before
         assert not (attempt.cells or attempt.reservations or attempt.grants)
+        with scheduler.attempt as attempt:  # nothing left for a later commit
+            attempt.commit()
+        assert snapshot(scheduler) == before
 
     def test_an_error_mid_attempt_abandons_it(self, scheduler, icus):
         before = snapshot(scheduler)

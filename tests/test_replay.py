@@ -4,13 +4,12 @@ The TSP's determinism means a compiled program's execution plan is a pure
 function of the binary — only the data changes between runs.  These tests
 pin the contract that makes emit-once/replay-many safe:
 
-* the compiler emits a :class:`ReplayPlan` with every schedule, whose
-  inputs include the memory image; the first clean ``execute()`` of any
-  program of the schedule finishes it, and every program of the schedule
-  binds it and replays bit-identically (outputs, memory, cycles,
-  activity);
+* the compiler emits a finished :class:`ReplayPlan` with every schedule,
+  whose inputs include the memory image and whose activity it counted;
+  every program of the schedule binds it and replays bit-identically
+  (outputs, memory, cycles, activity) from its first run;
 * the batched entry point equals B sequential executions;
-* anything that can make a run diverge from the recording — error
+* anything that can make a run diverge from the plan — error
   models, injected faults, dead slices, armed watchdogs, hardware fault
   hooks, stream corruption — and any instrument that observes a run (a
   checker, a telemetry collector) bypasses the plan and falls back to
@@ -29,7 +28,7 @@ import numpy as np
 import pytest
 
 from golden_programs import GOLDEN_PROGRAMS
-from repro.arch import Direction, DType, Hemisphere
+from repro.arch import Direction, DType, Floorplan, Hemisphere
 from repro.compiler import StreamProgramBuilder, execute
 from repro.compiler.runner import execute_batched
 from repro.obs import TelemetryCollector
@@ -39,7 +38,7 @@ from repro.serve.resilient import probe_memory
 from repro.sim import LinkErrorModel, TspChip
 from repro.sim.faults import FaultInjector
 from repro.sim.icu import QueueSet
-from repro.sim.replay import record_allowed, replay_allowed
+from repro.sim.replay import ReplayPlan, _hops, replay_allowed
 from repro.sim.streamreg import StreamRegisterFile
 from repro.verify import assert_lockstep
 from repro.verify.invariants import StreamCollisionChecker
@@ -73,26 +72,26 @@ def oracle(x, w):
     return x.astype(np.int32) @ w.astype(np.int32)
 
 
-def recorded_program(config, seed=0):
-    """Compile and execute once so the program carries a usable plan."""
+def planned_program(config, seed=0):
+    """Compile a program: it carries a usable plan from the start."""
     compiled, w = build_input_matmul(config, seed=seed)
-    execute(compiled, inputs={"acts": acts_for(100 + seed)})
     assert compiled.replay is not None and compiled.replay.ok
     return compiled, w
 
 
 class TestRecordReplay:
-    def test_first_run_records_then_replays_bit_identical(self, config):
+    def test_first_run_replays_bit_identical(self, config):
         compiled, w = build_input_matmul(config)
+        plan = compiled.replay  # bound at compile time, before any run
+        assert plan is not None and plan.ok, plan and plan.reason
+        assert plan.activity is not None
         x1, x2 = acts_for(1), acts_for(2)
         first = execute(compiled, inputs={"acts": x1})
-        plan = compiled.replay
-        assert plan is not None and plan.ok, plan and plan.reason
-        assert first.run.skipped_cycles == 0  # the recording simulated
+        assert first.run.skipped_cycles == first.run.cycles
         assert np.array_equal(first["acc"], oracle(x1, w))
 
         replayed = execute(compiled, inputs={"acts": x2})
-        reference = execute(compiled, inputs={"acts": x2}, record=False)
+        reference = execute(compiled, inputs={"acts": x2}, replay=False)
         assert np.array_equal(replayed["acc"], oracle(x2, w))
         assert np.array_equal(replayed["acc"], reference["acc"])
         assert replayed.run.cycles == reference.run.cycles
@@ -102,20 +101,20 @@ class TestRecordReplay:
         assert replayed.run.skipped_cycles == replayed.run.cycles
 
     def test_replay_leaves_identical_chip_memory(self, config):
-        compiled, _ = recorded_program(config)
+        compiled, _ = planned_program(config)
         x = acts_for(3)
         real_chip = TspChip(config)
-        execute(compiled, chip=real_chip, inputs={"acts": x}, record=False)
+        execute(compiled, chip=real_chip, inputs={"acts": x}, replay=False)
         replay_chip = TspChip(config)
         replayed = execute(compiled, chip=replay_chip, inputs={"acts": x})
         assert replayed.run.skipped_cycles == replayed.run.cycles
         assert real_chip.memory_image() == replay_chip.memory_image()
 
-    def test_record_disabled_never_records(self, config):
+    def test_replay_disabled_simulates(self, config):
         compiled, w = build_input_matmul(config)
         x = acts_for(4)
-        result = execute(compiled, inputs={"acts": x}, record=False)
-        assert compiled.replay is None
+        result = execute(compiled, inputs={"acts": x}, replay=False)
+        assert compiled.replay.ok and result.run.skipped_cycles == 0
         assert np.array_equal(result["acc"], oracle(x, w))
 
 
@@ -127,30 +126,26 @@ class TestOnePlanPerSchedule:
         seen, _ = input_matmul_builder(config, seed=0)
         unseen, w = input_matmul_builder(config, seed=1)
         first = seen.compile()
-        early = unseen.bind(first.schedule)  # before anything has run
-        execute(first, inputs={"acts": acts_for(1)})
-        recorded = first.schedule.replay
-        assert recorded is not None and recorded.ok
-        late = unseen.bind(first.schedule)  # bound with its own plan
-        assert early.replay is None and late.replay.ok
+        finished = first.schedule.plan  # before anything has run
+        assert finished is not None and finished.ok
+        assert finished.activity is not None
+        program = unseen.bind(first.schedule)
+        assert program.replay.ok and program.replay.activity is finished.activity
         x = acts_for(2)
-        for program in (early, late):
-            result = execute(program, inputs={"acts": x})
-            assert result.run.skipped_cycles == result.run.cycles
-            assert np.array_equal(result["acc"], oracle(x, w))
-        # the early program picked the plan up instead of recording again
-        assert early.replay.ok and first.schedule.replay is recorded
+        result = execute(program, inputs={"acts": x})
+        assert result.run.skipped_cycles == result.run.cycles
+        assert np.array_equal(result["acc"], oracle(x, w))
+        assert first.schedule.plan is finished
 
     def test_threads_bind_one_plan_to_their_own_weights(self, config):
-        """More threads than cores each pick the one recorded plan up for
+        """More threads than cores each replay the one schedule plan for
         a model of its own at once: every answer is its own model's, and
-        nobody records again."""
+        the plan stays the schedule's."""
         seen, _ = input_matmul_builder(config, seed=0)
         first = seen.compile()
         models = [input_matmul_builder(config, seed=s) for s in range(1, 9)]
         programs = [g.bind(first.schedule) for g, _w in models]
-        execute(first, inputs={"acts": acts_for(1)})
-        recorded = first.schedule.replay
+        finished = first.schedule.plan
         x = acts_for(3)
         results = [None] * len(programs)
         barrier = threading.Barrier(len(programs))
@@ -176,13 +171,13 @@ class TestOnePlanPerSchedule:
         for (_g, w), result in zip(models, results):
             assert result.run.skipped_cycles == result.run.cycles
             assert np.array_equal(result["acc"], oracle(x, w))
-        assert first.schedule.replay is recorded
+        assert first.schedule.plan is finished
 
     def test_an_input_derived_weight_install_fails_closed(self, config):
         """No compiled program installs weights it reads from an input,
         but a plan that did would bind to a refusal, never to a guess —
         decided once per plan, from its ops, whatever image is bound."""
-        compiled, _ = recorded_program(config)
+        compiled, _ = planned_program(config)
         key = compiled.replay.in_words[0][3]
         plan = replace(compiled.replay, ops=[
             ("read", 0, key),
@@ -274,6 +269,56 @@ class TestLockstep:
             with pytest.raises(DivergenceError, match="cycles: simulated="):
                 assert_lockstep(compiled, inputs={"acts": acts_for(5)})
 
+    def test_a_miscounted_activity_is_reported(self, config):
+        """The activity the compiler counted is held against the
+        simulated run's, not a copy of that run against itself: a plan
+        that counts one ``read`` too few fails the comparator."""
+        from repro.errors import DivergenceError
+
+        compiled, _ = build_input_matmul(config)
+        plan = compiled.schedule.plan
+        short = replace(
+            plan.activity,
+            sram_read_bytes=plan.activity.sram_read_bytes - config.n_lanes,
+        )
+        compiled.schedule.plan = replace(plan, activity=short)
+        with pytest.raises(DivergenceError, match="activity: simulated="):
+            assert_lockstep(compiled, inputs={"acts": acts_for(5)})
+
+
+class TestHopSweep:
+    def test_the_sweep_counts_what_the_register_file_counts(self, config):
+        """Each bound of the plan's hop count, held against the register
+        file stepped cycle by cycle: values that reach the die edge, that
+        the run's end cuts off, and — what the stream allocator never
+        lets a schedule do — that a later drive onto the register they
+        flow into overwrites."""
+        floorplan = Floorplan(config)
+        n = floorplan.n_positions
+        east, west = Direction.EASTWARD, Direction.WESTWARD
+        drives = [
+            (east, 0, 0, 0), (east, 0, 3, 3),  # the second overwrites
+            (west, 1, n - 1, 1), (west, 1, n - 3, 3),  # likewise
+            (east, 2, n - 2, 0),  # leaves the die after one hop
+            (west, 3, n - 1, 6),  # the run ends first
+        ]
+        cycles = 10
+        srf = StreamRegisterFile(config, floorplan)
+        vector = np.ones(config.n_lanes, np.uint8)
+        for t in range(cycles):
+            for direction, stream, position, at in drives:
+                if at == t:
+                    srf.drive(direction, stream, position, vector)
+            srf.step(t)
+
+        def hops(drives):
+            return _hops(ReplayPlan(config, None, None, cycles,
+                                    drives=drives, n_positions=n))
+
+        assert 0 < hops(drives) * config.n_lanes == srf.hop_bytes_total
+        # without the overwrite bound the sweep would count more
+        assert hops(drives[:1]) + hops(drives[1:]) > hops(drives)
+
 
 class TestLazyPlanTrace:
     """A plan keeps raw dispatches; text is formatted on demand."""
@@ -288,7 +333,7 @@ class TestLazyPlanTrace:
         assert result.replay.run.trace == result.simulated.run.trace
 
     def test_nothing_is_formatted_until_a_trace_is_asked_for(self, config):
-        compiled, _ = recorded_program(config)
+        compiled, _ = planned_program(config)
         plan = compiled.replay
         assert plan.dispatches and "trace" not in vars(plan)
         quiet = TspChip(config)
@@ -302,7 +347,7 @@ class TestLazyPlanTrace:
         simulated = TspChip(config, trace=True)
         reference = execute(
             compiled, chip=simulated, inputs={"acts": acts_for(6)},
-            record=False,
+            replay=False,
         )
         assert replayed.run.trace == reference.run.trace
         assert traced.trace == simulated.trace
@@ -347,7 +392,7 @@ class TestReplayWorkCounts:
         return taken
 
     def test_write_through_replay_walks_no_cycle(self, config, entered):
-        compiled, _ = recorded_program(config)
+        compiled, _ = planned_program(config)
         plan = compiled.replay
         taken = self.count_ops(plan)
         chip = TspChip(config)
@@ -363,7 +408,7 @@ class TestReplayWorkCounts:
     def test_batched_replay_runs_each_op_once_whatever_B(
         self, config, entered, B
     ):
-        compiled, _ = recorded_program(config)
+        compiled, _ = planned_program(config)
         plan = compiled.replay
         taken = self.count_ops(plan)
         chip = TspChip(config)
@@ -380,7 +425,7 @@ class TestReplayWorkCounts:
 
 class TestBatched:
     def test_batched_matches_sequential(self, config):
-        compiled, w = recorded_program(config)
+        compiled, w = planned_program(config)
         xs = [acts_for(10 + i) for i in range(5)]
         results = execute_batched(
             compiled, [{"acts": x} for x in xs]
@@ -388,7 +433,7 @@ class TestBatched:
         assert results is not None and len(results) == len(xs)
         for x, res in zip(xs, results):
             reference = execute(
-                compiled, inputs={"acts": x}, record=False
+                compiled, inputs={"acts": x}, replay=False
             )
             assert np.array_equal(res["acc"], oracle(x, w))
             assert np.array_equal(res["acc"], reference["acc"])
@@ -400,20 +445,19 @@ class TestBatched:
         """``vxm1`` / ``vxm2`` / ``vxmc`` / ``route`` / fp16 ``dot``: the ops
         a constants-only program folds away, fed three distinct inputs in
         one pass against three real simulations."""
-        builder, inputs = build(config)
+        builder, _inputs = build(config)
         compiled = builder.compile()
-        execute(compiled, inputs=inputs)
         assert compiled.replay.ok, compiled.replay.reason
         batch = [build(config, offset)[1] for offset in (1, 2, 3)]
         results = execute_batched(compiled, batch)
         assert results is not None
         for bound, res in zip(batch, results):
-            reference = execute(compiled, inputs=bound, record=False)
+            reference = execute(compiled, inputs=bound, replay=False)
             for out, expected in reference.outputs.items():
                 assert res[out].tobytes() == expected.tobytes(), (name, out)
 
     def test_batched_accounts_on_the_chip(self, config):
-        compiled, _ = recorded_program(config)
+        compiled, _ = planned_program(config)
         plan = compiled.replay
         chip = TspChip(config)
         results = execute_batched(
@@ -430,10 +474,10 @@ class TestBatched:
     def test_batched_replay_leaves_the_final_cycle_on_the_chip(self, config):
         """``chip.now`` after a batch is where a simulation of its last
         input leaves it, so a health poll reports the cycle it ran to."""
-        compiled, _ = recorded_program(config)
+        compiled, _ = planned_program(config)
         simulated = TspChip(config)
         execute(compiled, chip=simulated, inputs={"acts": acts_for(25)},
-                record=False)
+                replay=False)
         chip = TspChip(config)
         chip.scrub()
         assert chip.now == 0
@@ -447,10 +491,11 @@ class TestBatched:
     def test_batched_empty_and_unrecorded(self, config):
         compiled, _ = build_input_matmul(config)
         assert execute_batched(compiled, []) == []
-        # no plan recorded yet -> the caller must fall back
-        assert (
-            execute_batched(compiled, [{"acts": acts_for(0)}]) is None
-        )
+        # a program with no schedule has no plan -> the caller must fall
+        # back
+        assert execute_batched(
+            replace(compiled, schedule=None), [{"acts": acts_for(0)}]
+        ) is None
 
 
 EAST = Hemisphere.EAST
@@ -477,7 +522,7 @@ def _pool_checkout_hook(config):
 
 
 #: every public way to perturb a chip, as ``setup(config) -> (chip, undo)``.
-#: The recorded program lives in the West hemisphere, so the East MEM
+#: The planned program lives in the West hemisphere, so the East MEM
 #: slice 0 faults perturb the chip without killing the run.
 PERTURBATIONS = {
     "link-error-model": _on_fresh_chip(
@@ -532,19 +577,18 @@ class TestBypass:
 
     @pytest.mark.parametrize("name", PERTURBATIONS)
     def test_perturbed_chip_simulates(self, config, name):
-        compiled, _ = recorded_program(config)
+        compiled, _ = planned_program(config)
         plan = compiled.replay
         x = acts_for(30)
         chip, undo = PERTURBATIONS[name](config)
         assert not replay_allowed(
             plan, chip, max_cycles=10**6, warmup_barrier=False
         )
-        assert not record_allowed(chip)
         result = execute(compiled, chip=chip, inputs={"acts": x})
         assert result.run.skipped_cycles == 0  # bypassed, not replayed
         twin, _ = PERTURBATIONS[name](config)
         reference = execute(
-            compiled, chip=twin, inputs={"acts": x}, record=False
+            compiled, chip=twin, inputs={"acts": x}, replay=False
         )
         assert np.array_equal(result["acc"], reference["acc"])
         assert result.run.cycles == reference.run.cycles
@@ -557,7 +601,7 @@ class TestBypass:
         """A flip armed for a future cycle belongs to the next run on that
         chip: the plan must not answer around it with the healthy result
         and leave it waiting for whichever run comes after."""
-        compiled, w = recorded_program(config)
+        compiled, w = planned_program(config)
         x = acts_for(31)
         chip = TspChip(config)
         injector = FaultInjector(chip)
@@ -569,10 +613,10 @@ class TestBypass:
         assert not np.array_equal(result["acc"], oracle(x, w))  # it landed
 
     def test_plan_bound_checks(self, config):
-        compiled, _ = recorded_program(config)
+        compiled, _ = planned_program(config)
         plan = compiled.replay
         chip = TspChip(config)
-        # tighter cycle budget than the recording -> no replay
+        # tighter cycle budget than the plan's -> no replay
         assert not replay_allowed(
             plan, chip, max_cycles=plan.cycles - 1, warmup_barrier=False
         )
@@ -595,7 +639,7 @@ class TestBypass:
         assert compiled.schedule.plan is None
         first = execute(compiled)
         second = execute(compiled)
-        assert compiled.replay is None and compiled.schedule.replay is None
+        assert compiled.replay is None
         assert first.run.skipped_cycles == second.run.skipped_cycles == 0
         assert np.array_equal(first["o"], second["o"])
 
@@ -607,7 +651,7 @@ class TestPoolCheckout:
         )
 
     def test_hardware_fault_hook_forces_real_sim(self, config):
-        compiled, _ = recorded_program(config)
+        compiled, _ = planned_program(config)
         pool = self._pool(config)
         worker = pool.workers[0]
         pool.attach_hardware_fault(
@@ -629,7 +673,7 @@ class TestPoolCheckout:
         )
 
     def test_one_shot_checkout_hook_forces_real_sim_once(self, config):
-        compiled, _ = recorded_program(config)
+        compiled, _ = planned_program(config)
         pool = self._pool(config)
         worker = pool.workers[0]
         worker.inject_at_checkout(lambda hw: None)
@@ -645,7 +689,7 @@ class TestPoolCheckout:
     def test_repair_probe_then_scrub_replays_exact(self, config):
         """Mid-quarantine probes leave junk in MEM; the checkout scrub
         restores pristine state, so a repaired chip replays bit-exact."""
-        compiled, w = recorded_program(config)
+        compiled, w = planned_program(config)
         chip = TspChip(config)
         probe_memory(chip)  # the repair loop's SRAM sweep
         chip.scrub()
@@ -663,14 +707,14 @@ class TestScrubReuse:
         x, y = acts_for(50), acts_for(51)
         reference = execute(
             compiled, chip=TspChip(config, enable_ecc=True),
-            inputs={"acts": x}, record=False,
+            inputs={"acts": x}, replay=False,
         )
         chip = TspChip(config, enable_ecc=True)
-        execute(compiled, chip=chip, inputs={"acts": y}, record=False)
+        execute(compiled, chip=chip, inputs={"acts": y}, replay=False)
         chip.scrub()
         chip.scrub()  # second scrub hits the untouched fast path
         again = execute(
-            compiled, chip=chip, inputs={"acts": x}, record=False
+            compiled, chip=chip, inputs={"acts": x}, replay=False
         )
         assert np.array_equal(again["acc"], reference["acc"])
         assert again.run.cycles == reference.run.cycles
@@ -680,11 +724,13 @@ class TestScrubReuse:
         compiled, _ = build_input_matmul(config, seed=8)
         chip = TspChip(config)
         execute(compiled, chip=chip, inputs={"acts": acts_for(60)},
-                record=False)
+                replay=False)
         chip.scrub()
         assert not chip.srf._touched
         assert not chip.srf._values.any()
         chip.scrub()  # fast path: nothing touched since the last scrub
         assert not chip.srf._values.any()
         assert chip.memory_image() == {}
-        assert record_allowed(chip)
+        assert replay_allowed(
+            compiled.replay, chip, max_cycles=10**6, warmup_barrier=False
+        )

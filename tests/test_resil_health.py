@@ -139,17 +139,17 @@ class TestAbortedRunLeavesNoEvents:
 
         compiled = self._matmul()
         fresh = TspChip(config, trace=True)
-        expected = execute(compiled, chip=fresh, record=False)
+        expected = execute(compiled, chip=fresh, replay=False)
         assert expected.run.cycles > 20
 
         chip = TspChip(config, trace=True)
         chip.arm_watchdog(Watchdog(deadline=10, label="abort"))
         with pytest.raises(WatchdogError):
-            execute(compiled, chip=chip, record=False)
+            execute(compiled, chip=chip, replay=False)
         assert chip.events.pending == 0  # nothing of the dead run survives
         chip.disarm_watchdog()
         # no scrub(): begin_run alone must make the chip runnable again
-        again = execute(compiled, chip=chip, record=False)
+        again = execute(compiled, chip=chip, replay=False)
         for name, value in expected.outputs.items():
             assert np.array_equal(again.outputs[name], value)
         assert again.run.cycles == expected.run.cycles

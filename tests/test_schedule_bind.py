@@ -123,9 +123,11 @@ class TestBoundEqualsFresh:
             a.data.tobytes() != b.data.tobytes()
             for a, b in zip(first.memory_image, second.memory_image)
         )
-        # nothing has run: no plan yet, for the schedule or its programs
+        # whether a schedule has a plan is decided with it, before any
+        # run, from the program text: this one looks a table up, so
+        # neither the schedule nor its programs ever hold one
+        assert first.schedule.plan is None
         assert first.replay is None and second.replay is None
-        assert first.schedule.replay is None
 
     def test_compile_is_schedule_then_bind(self):
         g = model_program(3, 0)

@@ -166,22 +166,21 @@ def chunk_inputs(bindings, rows, depth, seed):
 def test_a_plan_bound_from_a_siblings_recording_is_its_own(
     config, models, model, layer_name, bucket
 ):
-    """A replay plan belongs to the schedule: recorded on a never-seen
+    """A replay plan belongs to the schedule: emitted with a never-seen
     model of the same shape and bound to this program's weights, it is
-    the plan recorded on this program — the same ops, the same constant
-    output words, the same bits out — so the warm routes run the kernels
-    they ran when every program recorded its own."""
+    the plan emitted with this program — the same ops, the same constant
+    output words, the same activity, the same bits out — so the warm
+    routes run the kernels they ran when every program had its own."""
     layer, builder, bindings = chunk_builder(
         config, models, model, layer_name, bucket
     )
     depth = layer.weight_q.shape[0]
     own, stranger = builder.compile(), redrawn(builder).compile()
-    execute(own, inputs=chunk_inputs(bindings, bucket, depth, 0))
-    execute(stranger, inputs=chunk_inputs(bindings, bucket, depth, 1))
     assert own.schedule is not stranger.schedule
     direct = own.replay
-    borrowed = stranger.schedule.replay.bind(own.image)
+    borrowed = stranger.schedule.plan.bind(own.image)
     assert direct.ok and borrowed.ok
+    assert borrowed.activity == direct.activity
     assert [op[0] for op in borrowed.ops] == [op[0] for op in direct.ops]
     assert {
         name: [kind for kind, _ in words]

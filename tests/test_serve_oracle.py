@@ -26,6 +26,8 @@ from repro.serve import (
     InferenceServer,
     TransformerMlpServeModel,
 )
+from repro.sim.chip import TspChip
+from repro.sim.replay import ReplayPlan
 
 CONFIG = small_test_chip()
 
@@ -122,3 +124,33 @@ class TestServedMatchesSequential:
             assert warm.cache_hits > 0 and warm.cache_misses == 0
         snap = server.cache.snapshot()
         assert snap["hits"] > 0
+
+
+class TestOracleSimulates:
+    @pytest.mark.parametrize("which", ["cnn", "mlp"])
+    def test_run_reference_never_replays(
+        self, served_models, monkeypatch, which
+    ):
+        """The oracle a served reply is held against is a simulation,
+        though every program it compiles carries a finished plan: a
+        replay cannot vouch for a replay."""
+        cnn_model, mlp_model, data = served_models
+        model, payload = {
+            "cnn": (cnn_model, data.x_test[0]),
+            "mlp": (mlp_model, np.random.default_rng(0).standard_normal(24)),
+        }[which]
+        calls = dict.fromkeys(("run", "run_batched", "replay_into"), 0)
+        for owner, attr in (
+            (TspChip, "run"), (ReplayPlan, "run_batched"),
+            (ReplayPlan, "replay_into"),
+        ):
+            original = getattr(owner, attr)
+
+            def counted(*args, _attr=attr, _original=original, **kwargs):
+                calls[_attr] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(owner, attr, counted)
+        model.run_reference(payload)
+        assert calls["run"] >= 1
+        assert calls["run_batched"] == calls["replay_into"] == 0

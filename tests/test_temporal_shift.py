@@ -31,7 +31,7 @@ class TestTemporalShift:
         g = StreamProgramBuilder(config)
         d = g.temporal_shift(g.constant_tensor("x", x), k)
         g.write_back(d, name="d")
-        result = execute(g.compile())
+        result = execute(g.compile(), replay=False)
         assert np.array_equal(result["d"], rows_shifted(x, k))
 
     def test_shift_of_stream_value(self, config, rng):
@@ -41,7 +41,7 @@ class TestTemporalShift:
         r = g.relu(g.constant_tensor("x", x))
         d = g.temporal_shift(r, 1)
         g.write_back(d, name="d")
-        result = execute(g.compile())
+        result = execute(g.compile(), replay=False)
         assert np.array_equal(
             result["d"], rows_shifted(np.maximum(x, 0), 1)
         )
@@ -56,7 +56,7 @@ class TestTemporalShift:
             g.temporal_shift(xh, 2),
         )
         g.write_back(m, name="m")
-        result = execute(g.compile())
+        result = execute(g.compile(), replay=False)
         expected = np.maximum(
             np.maximum(x, rows_shifted(x, 1)), rows_shifted(x, 2)
         )
@@ -81,7 +81,7 @@ class TestTemporalShift:
         g = StreamProgramBuilder(config)
         d = g.temporal_shift(g.constant_tensor("x", x), k)
         g.write_back(d, name="d")
-        result = execute(g.compile())
+        result = execute(g.compile(), replay=False)
         assert np.array_equal(result["d"], rows_shifted(x, k))
 
 
@@ -119,7 +119,7 @@ class TestOnChip2DMaxPool:
         windowed = g.maximum(g.maximum(g.copy(vmax), g.copy(s1)), g.copy(s2))
         g.write_back(windowed, name="windows")
 
-        result = execute(g.compile())
+        result = execute(g.compile(), replay=False)
         # windows[r][c] = max(image[r-2..r, c..c+2]); the stride-2 pool is
         # the subsample at rows 2i+2, cols 2j
         windows = result["windows"]
@@ -146,7 +146,7 @@ class TestOnChip2DMaxPool:
             g.maximum(g.copy(vmax), g.copy(s1)), g.copy(s2)
         )
         g.write_back(windowed, name="w")
-        result = execute(g.compile())
+        result = execute(g.compile(), replay=False)
 
         reference = MaxPool2D(kernel=3, stride=2).forward(
             image.astype(np.float64)[None, None]
