@@ -8,9 +8,11 @@ Three pillars on top of the deterministic simulator:
 * :mod:`repro.resil.degrade` — degraded-mode recompilation against a
   :class:`Blacklist` of dead hardware, plus ring re-routing and fully
   timed store-and-forward transfer plans.
-* :mod:`repro.resil.campaign` — the seeded fault-campaign runner behind
-  ``python -m repro.resil`` (detection latency, recovery rate, degraded
-  slowdown -> ``BENCH_resil.json``).
+* :mod:`repro.resil.campaign` — the one seeded fault campaign behind
+  ``python -m repro.resil``: chip scenarios (detection latency, recovery,
+  degraded slowdown) and serving scenarios (a live server through a
+  fault window: wrong answers, availability, recovery waves) in one
+  table, byte-identical run to run -> ``BENCH_resil.json``.
 
 The campaign names load on first use (PEP 562): the campaign pulls in the
 whole of :mod:`repro.verify`, which a serving process never runs.

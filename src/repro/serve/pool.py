@@ -360,8 +360,6 @@ class ChipPool:
             raise ValueError("n_spares must be >= 0")
         self.config = config
         self.batcher = batcher
-        #: one serving clock: queueing, deadlines, retries, quarantines
-        self.clock = batcher.clock
         self.cache = cache
         self.n_chips = n_chips
         self.chip_kwargs = dict(chip_kwargs or {})
@@ -418,6 +416,12 @@ class ChipPool:
             chip.chip_id = f"{tag}.c{c}"
         return Hardware(list(system.chips), system)
 
+    @property
+    def clock(self):
+        """The one serving clock — queueing, deadlines, retries,
+        quarantines — is the batcher's: set ``batcher.clock`` to move it."""
+        return self.batcher.clock
+
     def model(self, name: str) -> ServeModel:
         try:
             return self._models[name]
@@ -425,7 +429,7 @@ class ChipPool:
             raise TspError(f"no model {name!r} registered with the pool")
 
     # ------------------------------------------------------------------
-    # fault injection (negative tests, chaos campaigns)
+    # fault injection (negative tests, the fault campaign)
     # ------------------------------------------------------------------
     def attach_hardware_fault(self, hardware, name: str, hook) -> None:
         """Re-apply ``hook(hardware)`` at every checkout of ``hardware``.
@@ -434,7 +438,7 @@ class ChipPool:
         the worker), a hardware fault is keyed to the physical chip or
         system: it follows the hardware into quarantine and back, and a
         spare swapped in for it starts clean — exactly the semantics a
-        chaos campaign needs for a fault window.
+        fault campaign needs for a fault window.
         """
         self.detach_hardware_fault(name)
         self._add_fault(name, hardware, hook)

@@ -74,7 +74,7 @@ class MemSliceUnit(FunctionalUnit):
         self.dead = True
 
     def revive(self) -> None:
-        """Clear a hard failure (the chaos harness's repair action)."""
+        """Clear a hard failure (a test's stand-in for a hardware repair)."""
         self.dead = False
 
     def _check_dead(self, cycle: int | None = None) -> None:

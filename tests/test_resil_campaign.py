@@ -1,11 +1,26 @@
-"""The seeded fault-campaign runner and its JSON report."""
+"""The seeded fault campaign — chip and serving scenarios — and its
+JSON report."""
 
 import json
+import threading
 
 import pytest
 
 from repro.resil import render_campaign, run_campaign
-from repro.resil.campaign import SCHEMA
+from repro.resil.campaign import (
+    MAX_RECOVERY_WAVES,
+    MIN_AVAILABILITY,
+    SCENARIOS,
+    SCHEMA,
+)
+
+SERVING = ("serving_watchdog_storm", "serving_link_ber_burst",
+           "serving_dead_mem_slice")
+
+
+def dumped(payload):
+    """The bytes ``python -m repro.resil -o`` writes for ``payload``."""
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
 @pytest.fixture(scope="module")
@@ -44,16 +59,59 @@ class TestCampaign:
             assert "aborted with context" in by_name[name]["notes"]
             assert "MISSING CONTEXT" not in by_name[name]["notes"]
 
+    def test_render_names_every_scenario(self, payload):
+        text = render_campaign(payload)
+        for s in payload["scenarios"]:
+            assert s["name"] in text
+
     def test_campaign_is_deterministic(self, payload):
+        """The whole ``--quick`` campaign — chip and serving — is a
+        function of its seeds."""
         again = run_campaign(quick=True)
         assert json.dumps(payload, sort_keys=True) == json.dumps(
             again, sort_keys=True
         )
 
-    def test_render_names_every_scenario(self, payload):
-        text = render_campaign(payload)
-        for s in payload["scenarios"]:
-            assert s["name"] in text
+    def test_every_scenario_gets_one_row(self, payload):
+        names = [s["name"] for s in payload["scenarios"]]
+        assert len(names) == len(set(names)) == len(SCENARIOS) == 11
+        assert names[-3:] == list(SERVING)
+        columns = {tuple(s) for s in payload["scenarios"]}
+        assert len(columns) == 1  # the same fixed columns for every row
+        assert payload["summary"]["ok"]
+
+
+class TestServingScenarios:
+    """A live server through a fault window, on the held serving clock."""
+
+    @pytest.fixture
+    def serving(self, payload):
+        rows = {s["name"]: s for s in payload["scenarios"]}
+        return [rows[name] for name in SERVING]
+
+    def test_zero_wrong_answers(self, payload, serving):
+        for s in serving:
+            assert "wrong" not in s["outcomes"], s["name"]
+            assert s["bit_exact"], s["name"]
+        assert payload["summary"]["wrong_answers"] == 0
+
+    def test_every_scenario_recovers_within_the_wave_budget(self, serving):
+        for s in serving:
+            assert s["recovered"], s["name"]
+            assert 1 <= s["recovery_waves"] <= MAX_RECOVERY_WAVES
+
+    def test_availability_and_clean_warm_up(self, serving):
+        for s in serving:
+            assert s["availability"] >= MIN_AVAILABILITY, s["name"]
+            assert s["warmup_ok"], s["name"]
+
+    def test_each_fault_shows_up_as_its_health_transition(self, serving):
+        storm, burst, dead = serving
+        for s in (storm, burst):
+            assert s["health"] == {"quarantine": 1, "repair": 1}
+            assert s["notes"].endswith("worker healthy")
+        assert dead["health"] == {"degraded_enter": 1}
+        assert dead["notes"].endswith("worker degraded")
 
 
 class TestFullSize:
@@ -64,7 +122,7 @@ class TestFullSize:
 
         out = tmp_path / "BENCH_resil.json"
         assert main(["-o", str(out)]) == 0
-        assert "8/8 detected" in capsys.readouterr().out
+        assert "11/11 detected" in capsys.readouterr().out
         payload = json.loads(out.read_text())
         assert not payload["quick"]
         summary = payload["summary"]
@@ -83,28 +141,45 @@ class TestFullSize:
         from repro.resil import campaign
         from repro.resil.__main__ import main
 
-        def scenario_cable_on_fire(config, quick):
+        def on_fire(*_):
             raise C2cLinkError("vector seq 11 failed FEC", chip=1, cycle=117)
 
-        monkeypatch.setattr(
-            campaign, "SCENARIOS",
-            [campaign.scenario_watchdog_hang, scenario_cable_on_fire],
-        )
+        def scenario_cable_on_fire(config, quick):
+            on_fire()
+
+        # a serving scenario's fault strikes with its server running
+        monkeypatch.setattr(campaign, "_used_mem_slice", on_fire)
+        monkeypatch.setattr(campaign, "SCENARIOS", [
+            campaign.scenario_watchdog_hang, scenario_cable_on_fire,
+            campaign.scenario_serving_dead_mem_slice,
+        ])
+        running = set(threading.enumerate())
         assert main([]) == 1  # the exit code is the gate
-        failed = run_campaign()["scenarios"][1]
-        assert failed["name"] == "cable_on_fire"
-        assert not failed["detected"] and not failed["recovered"]
-        assert "C2cLinkError" in failed["notes"]
-        assert "[chip 1, cycle 117] vector seq 11" in failed["notes"]
-        assert "cable_on_fire" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        hang, *failed = run_campaign()["scenarios"]
+        assert hang["detected"]
+        assert [s["name"] for s in failed] == [
+            "cable_on_fire", "serving_dead_mem_slice"
+        ]
+        for s in failed:
+            assert not s["detected"] and not s["recovered"]
+            assert "C2cLinkError" in s["notes"]
+            assert "[chip 1, cycle 117] vector seq 11" in s["notes"]
+            assert s["name"] in out
+        # a failed serving scenario still closed its server
+        assert not [
+            t for t in set(threading.enumerate()) - running
+            if t.name.startswith("tsp-serve-")
+        ]
 
 
 class TestCli:
-    def test_main_writes_the_report(self, tmp_path, capsys):
+    def test_main_writes_the_report(self, payload, tmp_path, capsys):
+        """``-o`` writes the bytes the in-process campaign serialises to."""
         from repro.resil.__main__ import main
 
         out = tmp_path / "BENCH_resil.json"
         assert main(["--quick", "-o", str(out)]) == 0
-        written = json.loads(out.read_text())
-        assert written["schema"] == SCHEMA
+        assert out.read_text() == dumped(payload)
+        assert json.loads(out.read_text())["schema"] == SCHEMA
         assert "resilience campaign" in capsys.readouterr().out

@@ -361,7 +361,7 @@ class TestQuarantineAndRepair:
 
 class TestDegradedInPlace:
     def test_dead_mem_slice_serves_bit_identical(self, config):
-        from repro.resil.chaos import _used_mem_slice
+        from repro.resil.campaign import _used_mem_slice
 
         server = InferenceServer(
             config, [make_mlp(config)], n_workers=1,
@@ -399,54 +399,25 @@ class TestFailFastClose:
             config, [make_mlp(config)], n_workers=1,
             default_policy=fast_policy(max_batch=2),
         )
-        futures = []
-        lock = threading.Lock()
-        start = threading.Barrier(5)
-        stop = threading.Event()
-        burst = threading.Event()  # a queue's worth has been submitted
-
-        def submitter():
-            start.wait()
-            payload = np.zeros(16)
-            while not stop.is_set():
-                try:
-                    future = server.submit("mlp", payload,
-                                           deadline_s=60.0)
-                except (RequestError, ServeError):
-                    return
-                with lock:
-                    futures.append(future)
-                    if len(futures) >= 16:
-                        burst.set()
-
-        threads = [threading.Thread(target=submitter) for _ in range(4)]
-        for t in threads:
-            t.start()
-        start.wait()
-        # a burst has built up in flight + queue once sixteen requests
-        # are in and the first has been answered (was a 0.2 s sleep)
-        assert burst.wait(timeout=30.0)
-        futures[0].error(timeout=30.0)
+        # the serving clock stands still: a batch leaves only when it is
+        # full, so of five requests two batches are served and the fifth
+        # is still queued when close() comes — by construction, not by
+        # racing submitter threads
+        server.batcher.clock = lambda: 0.0
+        payload = np.zeros(16)
+        futures = [
+            server.submit("mlp", payload, deadline_s=60.0) for _ in range(5)
+        ]
+        for future in futures[:4]:
+            assert future.error(timeout=30.0) is None
+        assert server.batcher.depth() == 1
         t0 = time.monotonic()
         server.close(timeout=30.0)
-        close_s = time.monotonic() - t0
-        stop.set()
-        for t in threads:
-            t.join(timeout=10.0)
-        assert all(not t.is_alive() for t in threads)
-        assert close_s < 20.0
-        assert futures, "burst produced no requests"
-        completed = shutdown = 0
-        for future in futures:
-            error = future.error(timeout=10.0)
-            if error is None:
-                completed += 1
-            else:
-                assert isinstance(error, RequestError)
-                assert error.outcome in ("shutdown", "shed")
-                shutdown += 1
-        assert completed > 0, "server served nothing before close"
-        assert shutdown > 0, "close drained the queue instead of failing fast"
+        assert time.monotonic() - t0 < 20.0
+        error = futures[4].error(timeout=10.0)
+        assert isinstance(error, RequestError)
+        assert error.outcome == "shutdown", "close drained the queue"
+        assert server.stats()["requests"]["completed"] == 4
         assert server.pool.alive == 0
 
 

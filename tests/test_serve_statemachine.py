@@ -91,7 +91,7 @@ class ServingMachine(RuleBasedStateMachine):
                 retry=RetryPolicy(max_attempts=3), health_policy=HEALTH,
             )
         self.pool, self.batcher = self.server.pool, self.server.batcher
-        self.batcher.clock = self.pool.clock = lambda: self.now
+        self.batcher.clock = lambda: self.now
         self.hardware = {id(w.hw) for w in self.pool.workers} | {
             id(hw) for hw in self.pool._spares
         }
