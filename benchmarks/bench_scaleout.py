@@ -1,6 +1,7 @@
 """Emit ``BENCH_scaleout.json`` — executed vs analytic pipeline scale-out.
 
-The scale-out story has two layers in this repo:
+The scale-out story has two layers in this repo, one record
+(:class:`repro.nn.ScaleOut`) for both:
 
 * **analytic** — :func:`repro.nn.scaleout.scale_out`: the paper-style
   first-order model (Section V.C) over :class:`~repro.nn.resnet.LayerSpec`
@@ -11,37 +12,39 @@ The scale-out story has two layers in this repo:
   forwarded between stages by compiler-scheduled C2C ``Send``/``Receive``
   pairs, per-stage cycles read back from :class:`~repro.sim.chip.RunResult`.
 
-This bench runs a paced CNN workload (four matrix layers on 8x8 images)
-through both at 1, 2, and 4 chips and reports throughput/latency per chip
-count side by side.  Because the executed figures live in the
-deterministic chip-cycle domain, every number here is bit-reproducible —
-so the artifact gates CI in smoke mode too:
+This bench runs a paced CNN workload (four matrix layers on 8x8 images,
+a batch of 6, seed 0) through both at 1, 2, and 4 chips and reports
+throughput/latency per chip count side by side.  Every number lives in
+the deterministic chip-cycle domain and the file names no host, so two
+runs write the same bytes — CI diffs the output against the committed
+artifact — and the run (about a second) gates on:
 
 * zero executed-vs-oracle logit mismatches at every chip count
   (the tentpole bit-exactness claim, dense oracle vs pipelined int8
   forwarding), and
 * executed 4-chip throughput >= 1.5x executed single-chip throughput.
 
-Artifact schema (``tsp-scaleout-bench/1``)::
+Artifact schema (``tsp-scaleout-bench/2``)::
 
     {
-      "schema": "tsp-scaleout-bench/1",
-      "smoke": false,
-      "host": {"python": ..., "numpy": ..., "machine": ...},
-      "workload": {"model": ..., "image_size": ..., "batch": ...},
+      "schema": "tsp-scaleout-bench/2",
+      "workload": {"model": ..., "image_size": ..., "batch": ...,
+                   "seed": ...},
       "single_chip": {"cycles_per_input": ..., "throughput_ips": ...},
       "chips": [
         {"n_chips": n,
          "executed": {"throughput_ips": ..., "latency_us": ...,
                       "bottleneck_cycles": ..., "transfer_cycles": ...,
-                      "speedup": ..., "efficiency": ...,
-                      "stages": [{"chip": c, "layers": [...],
-                                  "cycles": ..., "egress_vectors": ...}]},
-         "analytic": {"throughput_ips": ..., "latency_us": ...,
-                      "transfer_cycles": ...},
+                      "stages": [{"chip": c, "layer_names": [...],
+                                  "cycles": ..., "egress_vectors": ...,
+                                  "transfer_cycles": ...}],
+                      "speedup": ..., "efficiency": ...},
+         "analytic": {... the same record, without speedup/efficiency},
          "mismatches": 0},
         ...
-      ]
+      ],
+      "speedup_4chip": ...,
+      "mismatches": 0
     }
 """
 
@@ -49,8 +52,8 @@ from __future__ import annotations
 
 import argparse
 import json
-import platform
 import sys
+from dataclasses import asdict
 
 import numpy as np
 
@@ -65,6 +68,7 @@ from repro.nn import (  # noqa: E402
     Flatten,
     MaxPool2D,
     ReLU,
+    ScaleOut,
     Sequential,
     execute_pipeline,
     make_shapes,
@@ -100,28 +104,37 @@ def bench_specs() -> list[LayerSpec]:
     ]
 
 
+#: inputs per run, and the seed of the data and the weights
+BATCH = 6
+SEED = 0
+
+
+def record_row(record: ScaleOut) -> dict:
+    """One scale-out record as an artifact row."""
+    return {
+        "throughput_ips": record.throughput_ips,
+        "latency_us": record.latency_us,
+        "bottleneck_cycles": record.bottleneck_cycles,
+        "transfer_cycles": record.transfer_cycles,
+        "stages": [asdict(stage) for stage in record.stages],
+    }
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("-o", "--output", default="BENCH_scaleout.json")
-    parser.add_argument("--smoke", action="store_true",
-                        help="small batch; gates still apply (the cycle "
-                             "domain is deterministic)")
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--batch", type=int, default=None,
-                        help="inputs per run (default 6, 2 with --smoke)")
     args = parser.parse_args(argv)
 
-    batch = args.batch or (2 if args.smoke else 6)
     config = small_test_chip()
-    data = make_shapes(n_train=64, n_test=max(batch, 4),
-                       image_size=8, n_classes=3, seed=args.seed)
+    data = make_shapes(n_train=64, n_test=BATCH,
+                       image_size=8, n_classes=3, seed=SEED)
     runner = TspCnnRunner(
-        bench_model(args.seed), config, data.x_train[:32],
+        bench_model(SEED), config, data.x_train[:32],
         max_vectors_per_program=32,
     )
-    x = data.x_test[:batch]
+    x = data.x_test[:BATCH]
     oracle = runner.forward(x)
-    single_cycles = -(-oracle.total_cycles // batch)
+    single_cycles = -(-oracle.total_cycles // BATCH)
     single_ips = config.clock_ghz * 1e9 / single_cycles
     specs = bench_specs()
 
@@ -138,29 +151,11 @@ def main(argv=None) -> int:
         chips_rows.append({
             "n_chips": n_chips,
             "executed": {
-                "throughput_ips": executed.throughput_ips,
-                "latency_us": executed.latency_us,
-                "bottleneck_cycles": executed.bottleneck_cycles,
-                "transfer_cycles": executed.transfer_cycles,
+                **record_row(executed),
                 "speedup": executed.speedup_vs(single_ips),
                 "efficiency": executed.efficiency(single_ips),
-                "stages": [
-                    {
-                        "chip": stage.chip,
-                        "layers": stage.layer_names,
-                        "cycles": stage.cycles,
-                        "egress_vectors": stage.egress_vectors,
-                        "transfer_cycles": stage.transfer_cycles,
-                    }
-                    for stage in executed.stages
-                ],
             },
-            "analytic": {
-                "throughput_ips": analytic.throughput_ips,
-                "latency_us": analytic.latency_us,
-                "bottleneck_cycles": analytic.bottleneck_cycles,
-                "transfer_cycles": analytic.transfer_cycles,
-            },
+            "analytic": record_row(analytic),
             "mismatches": mismatches,
         })
         print(
@@ -177,18 +172,12 @@ def main(argv=None) -> int:
         for row in chips_rows if row["n_chips"] == 4
     )
     artifact = {
-        "schema": "tsp-scaleout-bench/1",
-        "smoke": args.smoke,
-        "host": {
-            "python": platform.python_version(),
-            "numpy": np.__version__,
-            "machine": platform.machine(),
-        },
+        "schema": "tsp-scaleout-bench/2",
         "workload": {
             "model": "conv4 CNN (3 conv + fc, four matrix layers)",
             "image_size": 8,
-            "batch": batch,
-            "seed": args.seed,
+            "batch": BATCH,
+            "seed": SEED,
         },
         "single_chip": {
             "cycles_per_input": single_cycles,

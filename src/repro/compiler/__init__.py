@@ -25,9 +25,12 @@ from .allocator import (
 from .partition import (
     PartitionPlan,
     PartitionStage,
+    RingTransferPlan,
     TimedProgram,
+    build_ring_transfer,
     pack_payload,
     partition_contiguous,
+    plan_ring_route,
     unpack_payload,
 )
 from .passes import insert_ifetch
@@ -61,9 +64,12 @@ __all__ = [
     "ExecutionResult",
     "PartitionPlan",
     "PartitionStage",
+    "RingTransferPlan",
     "TimedProgram",
+    "build_ring_transfer",
     "pack_payload",
     "partition_contiguous",
+    "plan_ring_route",
     "unpack_payload",
     "Graph",
     "MemWord",

@@ -1,11 +1,12 @@
-"""Pipeline partitioning, and the host-side pieces of C2C forwarding.
+"""Pipeline partitioning and stage-boundary planning: the compiler side
+of C2C forwarding.
 
 The paper provisions 3.84 Tb/s of deterministic chip-to-chip bandwidth so
 "large-scale systems" stay schedulable by a single compiler: Send and
 Receive are ordinary scheduled instructions, the links have fixed latency,
 and retransmission slack is pre-reserved at plan time
 (:attr:`repro.sim.c2c.C2cLink.arrival_latency`) — never arbitrated.  This
-module is the compiler side of that story for pipeline parallelism:
+module owns every decision about a pipeline's stage boundaries:
 
 * :func:`partition_contiguous` — split an ordered list of layer costs
   into contiguous per-chip stages, every stage non-empty (an empty stage
@@ -13,17 +14,21 @@ module is the compiler side of that story for pipeline parallelism:
   here, mirroring the ``ring(n_chips=1)`` guard).
 * :class:`PartitionPlan` — the named stages plus a content fingerprint,
   so every partition-dependent cached artifact (C2C transfer programs,
-  serve-layer entries) keys on *which* split produced it.
+  serve-layer entries) keys on *which* split produced it;
+  :meth:`PartitionPlan.transfer` plans the transfer out of one stage —
+  route, staging slice, pacing and cache key — around a blacklist.
+* :func:`plan_ring_route` / :func:`build_ring_transfer` — the one C2C
+  planner: the shortest healthy ring route, then fully timed
+  ``Read -> Send -> Receive`` store-and-forward programs for it.  A
+  :class:`RingTransferPlan` is payload-free and touches no chip;
+  :meth:`RingTransferPlan.run` stages a payload, runs the system in
+  lockstep and reads back what landed.
 * :func:`pack_payload` / :func:`unpack_payload` — raw-byte packing of an
   activation tensor into the ``(n_words, n_lanes)`` uint8 vectors the
   C2C links ship.
 * :class:`TimedProgram` — absolute dispatch cycles -> ``Nop``-padded ICU
   queues: a planner thinks in absolute cycles and lets the helper insert
   the gaps.
-
-The timed Read -> Send -> Receive programs themselves have one planner,
-:func:`repro.resil.degrade.build_ring_transfer`: a stage boundary is a
-two-chip route.
 """
 
 from __future__ import annotations
@@ -33,9 +38,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..arch.geometry import Direction, Hemisphere
 from ..config import ArchConfig
-from ..errors import CompileError, ConfigError
+from ..errors import C2cLinkError, CompileError, ConfigError
+from ..isa.c2c import Deskew, Receive, Send
 from ..isa.icu import Nop
+from ..isa.mem import Read
 from ..isa.program import IcuId, Program
 from .cachekey import config_fingerprint
 
@@ -180,6 +188,275 @@ class PartitionPlan:
             link_latency=link_latency,
             fingerprint=h.hexdigest(),
         )
+
+    def transfer(
+        self, system, stage: int, n_words: int, *, blacklist=None,
+        cache=None,
+    ) -> "RingTransferPlan":
+        """The timed transfer of ``n_words`` vectors out of ``stage``.
+
+        Every choice at the boundary is made here: the route (a dead ring
+        cable in ``blacklist`` sends the hop the long way around), the
+        staging slice (the first index healthy in both hemispheres), the
+        pacing (a direct hop sends every cycle, a detour's relays every
+        :data:`STORE_AND_FORWARD_INTERVAL`) and the cache key.  The key
+        folds in this plan's fingerprint and every hop's arrival latency,
+        so another split, or a cable whose error model reserves other
+        retry slack, recompiles instead of replaying a stale schedule.
+        ``cache`` is a :class:`repro.serve.ProgramCache`, or None to
+        build every time.
+        """
+        n_chips = len(system.chips)
+        dead = blacklist.ring_cables if blacklist is not None else frozenset()
+        route = plan_ring_route(n_chips, stage, stage + 1, dead)
+        stage_slice = _staging_slice(system.chips[0].config, blacklist)
+        interval = (
+            DIRECT_HOP_INTERVAL if len(route) == 2
+            else STORE_AND_FORWARD_INTERVAL
+        )
+
+        def build() -> RingTransferPlan:
+            return build_ring_transfer(
+                system, route, n_words, stage_slice=stage_slice,
+                interval=interval,
+            )
+
+        if cache is None:
+            return build()
+        eastward = route[1] == (route[0] + 1) % n_chips
+        out_hemisphere = Hemisphere.EAST if eastward else Hemisphere.WEST
+        latencies = "/".join(
+            str(system.chips[a].c2c_unit(out_hemisphere).links[0]
+                .arrival_latency)
+            for a in route[:-1]
+        )
+        key = (
+            f"xfer:{self.fingerprint}:{'-'.join(map(str, route))}:"
+            f"{n_words}:{latencies}:{stage_slice}"
+        )
+        return cache.get_or_build(key, build)
+
+
+# ----------------------------------------------------------------------
+# Stage-boundary transfers
+
+#: cycles between the sends of a direct (one-hop) transfer
+DIRECT_HOP_INTERVAL = 1
+#: cycles between a detour's sends: each relay re-reads what it received
+STORE_AND_FORWARD_INTERVAL = 4
+#: lockstep bound of one transfer run, far above any real transfer
+TRANSFER_MAX_CYCLES = 2_000_000
+
+
+def _staging_slice(config: ArchConfig, blacklist=None) -> int:
+    """First MEM slice index healthy in *both* hemispheres.
+
+    A direct (eastward) hop stages in WEST MEM, but a re-routed
+    (westward) hop stages in EAST — so under a blacklist the staging
+    index must be healthy on both sides, on every chip (the blacklist is
+    chip-agnostic, like the compiler's).
+    """
+    if blacklist is None or not blacklist.mem_slices:
+        return 0
+    for index in range(config.mem_slices_per_hemisphere):
+        if (Hemisphere.WEST, index) not in blacklist.mem_slices and (
+            Hemisphere.EAST, index
+        ) not in blacklist.mem_slices:
+            return index
+    raise ConfigError(
+        "no healthy MEM slice left to stage pipeline transfers in"
+    )
+
+
+def plan_ring_route(
+    n_chips: int,
+    src: int,
+    dst: int,
+    dead_cables: frozenset | set = frozenset(),
+) -> list[int]:
+    """Shortest healthy chip path around a ring with dead cables.
+
+    Cable ``i`` is the bidirectional East(i) <-> West(i+1 mod n) hop; a
+    dead cable kills both directions.  Returns the chip indices from
+    ``src`` to ``dst`` inclusive, preferring the shorter arc, falling
+    back to the longer one, and raising :class:`C2cLinkError` when the
+    dead set disconnects the pair.
+    """
+    if not 0 <= src < n_chips or not 0 <= dst < n_chips:
+        raise C2cLinkError(
+            f"route endpoints {src}->{dst} outside ring of {n_chips}"
+        )
+    if src == dst:
+        return [src]
+    clockwise = [
+        (src + k) % n_chips for k in range((dst - src) % n_chips + 1)
+    ]
+    counter = [
+        (src - k) % n_chips for k in range((src - dst) % n_chips + 1)
+    ]
+
+    def healthy(path: list[int]) -> bool:
+        for a, b in zip(path, path[1:]):
+            cable = a if b == (a + 1) % n_chips else b
+            if cable in dead_cables:
+                return False
+        return True
+
+    candidates = [p for p in (clockwise, counter) if healthy(p)]
+    if not candidates:
+        raise C2cLinkError(
+            f"no healthy ring route from chip {src} to chip {dst} — dead "
+            f"cables {sorted(dead_cables)} disconnect them"
+        )
+    return min(candidates, key=len)
+
+
+@dataclass(frozen=True)
+class RingTransferPlan:
+    """Timed store-and-forward programs along a ring route, one per chip.
+
+    Payload-free: a plan names where its ``n_words`` vectors are staged
+    (``src_hemisphere`` on ``route[0]``) and where they land
+    (``dst_hemisphere`` on ``route[-1]``), both at ``stage_slice``
+    address 0; :meth:`run` moves a payload through it.
+    """
+
+    route: list[int]
+    programs: list[Program]
+    src_hemisphere: Hemisphere
+    dst_hemisphere: Hemisphere
+    stage_slice: int
+    n_words: int
+
+    def run(self, system, words: np.ndarray) -> tuple[np.ndarray, list]:
+        """Stage ``words`` on the route head, run the whole system in
+        lockstep, and read back what landed on the route's last chip.
+
+        Returns the landed ``(n_words, n_lanes)`` uint8 words and one
+        :class:`~repro.sim.chip.RunResult` per chip (lockstep: every
+        chip reports the same cycle count).
+        """
+        if len(words) != self.n_words:
+            raise ConfigError(
+                f"a {self.n_words}-word transfer was given {len(words)} "
+                "words"
+            )
+        system.chips[self.route[0]].load_memory(
+            self.src_hemisphere, self.stage_slice, 0, words
+        )
+        runs = system.run(self.programs, max_cycles=TRANSFER_MAX_CYCLES)
+        landed = system.chips[self.route[-1]].read_memory(
+            self.dst_hemisphere, self.stage_slice, 0, self.n_words
+        )
+        return np.asarray(landed, dtype=np.uint8), runs
+
+
+def build_ring_transfer(
+    system,
+    route: list[int],
+    n_words: int,
+    stage_slice: int = 0,
+    interval: int = STORE_AND_FORWARD_INTERVAL,
+) -> RingTransferPlan:
+    """Fully timed multi-hop transfer of ``n_words`` vectors along ``route``.
+
+    Each hop Reads the vectors out of the sender's staging slice, Sends
+    them down the next cable, and the receiver's Receive emplaces them
+    into *its* staging slice — classic deterministic store-and-forward,
+    with every dispatch cycle computed here at plan time.  Receives are
+    placed after :attr:`~repro.sim.c2c.C2cLink.arrival_latency`, so the
+    plan already reserves the retransmission slack of any error model
+    attached to the cables.  ``system`` is only read (its floorplan,
+    timing and wiring); no chip is written.
+
+    Because a shortest ring route never reverses direction, data always
+    lands in the hemisphere it will next depart *away* from (an eastward
+    hop stages in WEST MEM, which feeds the EASTWARD stream path), so
+    one staging convention serves every chip on the route.
+    """
+    n_chips = len(system.chips)
+    chip0 = system.chips[0]
+    floorplan = chip0.floorplan
+    timing = chip0.timing
+    if not all(0 <= chip < n_chips for chip in route):
+        raise ConfigError(
+            f"route {route} leaves a {n_chips}-chip system"
+        )
+    if n_words < 1:
+        raise ConfigError("a transfer needs at least one vector")
+    words_per_slice = 1 << chip0.config.mem_addr_bits
+    if n_words > words_per_slice:
+        raise ConfigError(
+            f"{n_words} staged vectors overflow the {words_per_slice}-word "
+            "MEM slice; chunk the payload"
+        )
+
+    timed = [TimedProgram() for _ in range(n_chips)]
+    if len(route) == 1:
+        return RingTransferPlan(
+            route, [t.build() for t in timed], Hemisphere.WEST,
+            Hemisphere.WEST, stage_slice, n_words,
+        )
+
+    eastward = route[1] == (route[0] + 1) % n_chips
+    direction = Direction.EASTWARD if eastward else Direction.WESTWARD
+    # data flowing east departs from WEST-hemisphere MEM and vice versa
+    stage_hemisphere = Hemisphere.WEST if eastward else Hemisphere.EAST
+    out_hemisphere = Hemisphere.EAST if eastward else Hemisphere.WEST
+    in_hemisphere = stage_hemisphere
+
+    mem_address = floorplan.mem_slice(stage_hemisphere, stage_slice)
+    c2c_out = floorplan.c2c(out_hemisphere)
+    hops = floorplan.delta(mem_address, c2c_out)
+    probe_read = Read(address=0, stream=0, direction=direction)
+    probe_send = Send(link=0, stream=0, direction=direction)
+    probe_recv = Receive(link=0, mem_slice=0, address=0)
+    d_read = probe_read.dfunc(timing)
+    d_send_skew = probe_send.dskew(timing)
+    d_recv = probe_recv.dfunc(timing)
+
+    ready = 0  # cycle the staged payload (vector 0) is readable on route[0]
+    for a, b in zip(route, route[1:]):
+        if b != (route[1] - route[0] + a) % n_chips and n_chips > 2:
+            # defensive: plan_ring_route never produces a reversing path
+            raise C2cLinkError(
+                f"ring route {route} reverses direction at chip {a}"
+            )
+        link = system.chips[a].c2c_unit(out_hemisphere).links[0]
+        if link.peer is None:
+            raise C2cLinkError(
+                f"chip {a} {out_hemisphere.value}-link 0 is not wired — "
+                f"route {route} crosses a missing cable"
+            )
+        mem_icu = IcuId(mem_address)
+        send_icu = IcuId(c2c_out, 0)
+        recv_icu = IcuId(floorplan.c2c(in_hemisphere), 0)
+        t_capture0 = ready + d_read + hops
+        # calibrate the egress once, well before the first capture
+        timed[a].at(send_icu, ready, Deskew(link=0))
+        for i in range(n_words):
+            t_read = ready + i * interval
+            t_capture = t_read + d_read + hops
+            t_emplace = t_capture + link.arrival_latency
+            timed[a].at(
+                mem_icu, t_read,
+                Read(address=i, stream=0, direction=direction),
+            )
+            timed[a].at(
+                send_icu, t_capture - d_send_skew,
+                Send(link=0, stream=0, direction=direction),
+            )
+            timed[b].at(
+                recv_icu, t_emplace - d_recv,
+                Receive(link=0, mem_slice=stage_slice, address=i),
+            )
+        # next hop may read vector 0 the cycle after it is emplaced
+        ready = t_capture0 + link.arrival_latency + 1
+
+    return RingTransferPlan(
+        route, [t.build() for t in timed], stage_hemisphere,
+        in_hemisphere, stage_slice, n_words,
+    )
 
 
 # ----------------------------------------------------------------------

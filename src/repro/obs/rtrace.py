@@ -13,9 +13,11 @@ Three pieces:
   as the *ambient* one (a :class:`contextvars.ContextVar`, naturally
   thread-local across pool workers); deep layers that already exist —
   :meth:`repro.serve.cache.ProgramCache.get_or_compile`, the chunk
-  executor in :mod:`repro.nn.tsp_inference`, the ring transfers in
-  :func:`repro.nn.scaleout.execute_pipeline` — open their spans under it
-  with :func:`span` and no signature change.  When no tracer is
+  executor in :mod:`repro.nn.tsp_inference`, and
+  :func:`repro.nn.scaleout.execute_pipeline`'s stages and the ring
+  transfers it runs (:meth:`repro.compiler.RingTransferPlan.run`; a
+  ``transfer`` span anchors its hop's lockstep cycles) — open their
+  spans under it with :func:`span` and no signature change.  When no tracer is
   installed the cost is one ``ContextVar.get`` returning ``None``.
 * :class:`Span` — one phase of one request or batch: ``queue_wait``,
   ``batch_form``, ``checkout``, ``cache``, ``compile_wait``, ``compile``,

@@ -6,8 +6,10 @@ Three pillars on top of the deterministic simulator:
   :class:`HealthReport` s, wearout trends, and the :class:`Watchdog`
   that bounds hangs at an exact deadline.
 * :mod:`repro.resil.degrade` — degraded-mode recompilation against a
-  :class:`Blacklist` of dead hardware, plus ring re-routing and fully
-  timed store-and-forward transfer plans.
+  :class:`Blacklist` of dead hardware, and the check that a recompiled
+  program keeps off it.  Ring re-routing and the timed C2C transfer
+  programs are the compiler's (:mod:`repro.compiler.partition`); a
+  blacklisted cable is one more input to them.
 * :mod:`repro.resil.campaign` — the one seeded fault campaign behind
   ``python -m repro.resil``: chip scenarios (detection latency, recovery,
   degraded slowdown) and serving scenarios (a live server through a
@@ -22,14 +24,9 @@ import importlib
 
 from .degrade import (
     Blacklist,
-    RingTransferPlan,
-    TimedProgram,
     assert_avoids,
     blacklist_from_fault,
-    build_ring_transfer,
     compile_degraded,
-    plan_ring_route,
-    read_transferred,
 )
 from .health import (
     WEAROUT_THRESHOLD,
@@ -44,18 +41,13 @@ __all__ = [
     "HealthMonitor",
     "HealthReport",
     "LinkHealth",
-    "RingTransferPlan",
     "SCENARIOS",
     "ScenarioResult",
-    "TimedProgram",
     "WEAROUT_THRESHOLD",
     "Watchdog",
     "assert_avoids",
     "blacklist_from_fault",
-    "build_ring_transfer",
     "compile_degraded",
-    "plan_ring_route",
-    "read_transferred",
     "render_campaign",
     "run_campaign",
 ]

@@ -32,6 +32,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from ..arch.geometry import Direction, Hemisphere
+from ..compiler.partition import build_ring_transfer, plan_ring_route
 from ..config import ArchConfig, small_test_chip
 from ..errors import (
     C2cLinkError,
@@ -52,13 +53,7 @@ from ..sim.chip import TspChip
 from ..sim.faults import FaultInjector
 from ..sim.multichip import MultiChipSystem
 from ..verify.oracle import run_differential
-from .degrade import (
-    Blacklist,
-    build_ring_transfer,
-    compile_degraded,
-    plan_ring_route,
-    read_transferred,
-)
+from .degrade import Blacklist, compile_degraded
 from .health import HealthMonitor, Watchdog
 
 SCHEMA = "tsp-resil-campaign/2"
@@ -138,11 +133,10 @@ def _two_chip_transfer(
     system = MultiChipSystem.ring(config, 2)
     if model is not None:
         system.set_link_error_model(0, Hemisphere.EAST, 0, model)
-    plan = build_ring_transfer(system, [0, 1], payload)
-    results = system.run(plan.programs)
+    plan = build_ring_transfer(system, [0, 1], len(payload))
+    landed, results = plan.run(system, payload)
     monitor = HealthMonitor()
     monitor.poll_system(system)
-    landed = read_transferred(system, plan)
     # corrections/retries are counted where decode happens: the ingress
     ingress = system.chips[1].c2c_unit(Hemisphere.WEST).links[0]
     return landed, results[0].cycles, ingress, monitor
@@ -247,8 +241,8 @@ def scenario_dead_cable_reroute(
     # healthy baseline: the one-hop direct route
     healthy = MultiChipSystem.ring(config, n_chips)
     direct = plan_ring_route(n_chips, 0, 1)
-    plan = build_ring_transfer(healthy, direct, payload)
-    healthy_cycles = healthy.run(plan.programs)[0].cycles
+    plan = build_ring_transfer(healthy, direct, len(payload))
+    healthy_cycles = plan.run(healthy, payload)[1][0].cycles
 
     # the same route over the now-dark cable aborts deterministically
     broken = MultiChipSystem.ring(config, n_chips)
@@ -258,8 +252,9 @@ def scenario_dead_cable_reroute(
     detected = False
     detection_cycle = 0
     try:
-        bplan = build_ring_transfer(broken, direct, payload)
-        broken.run(bplan.programs)
+        build_ring_transfer(broken, direct, len(payload)).run(
+            broken, payload
+        )
     except C2cLinkError as fault:
         detected = True
         detection_cycle = fault.cycle or 0
@@ -270,9 +265,9 @@ def scenario_dead_cable_reroute(
         0, Hemisphere.EAST, 0, LinkErrorModel(dead_after=0)
     )
     route = plan_ring_route(n_chips, 0, 1, {dead_cable})
-    rplan = build_ring_transfer(rerouted, route, payload)
-    rerouted_cycles = rerouted.run(rplan.programs)[0].cycles
-    landed = read_transferred(rerouted, rplan)
+    rplan = build_ring_transfer(rerouted, route, len(payload))
+    landed, runs = rplan.run(rerouted, payload)
+    rerouted_cycles = runs[0].cycles
     bit_exact = bool(np.array_equal(landed, payload))
     return ScenarioResult(
         name="dead_cable_reroute",

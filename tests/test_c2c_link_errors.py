@@ -5,8 +5,8 @@ import pytest
 
 from repro.arch import Direction, Hemisphere
 from repro.errors import C2cLinkError, SimulationError
+from repro.compiler import build_ring_transfer
 from repro.isa import Deskew, IcuId, Nop, Program, Read, Receive, Send
-from repro.resil.degrade import build_ring_transfer, read_transferred
 from repro.sim import (
     DEFAULT_LINK_LATENCY,
     LinkErrorModel,
@@ -40,9 +40,8 @@ def transfer(config, payload, model):
     system = MultiChipSystem.ring(config, 2)
     if model is not None:
         system.set_link_error_model(0, Hemisphere.EAST, 0, model)
-    plan = build_ring_transfer(system, [0, 1], payload)
-    results = system.run(plan.programs)
-    landed = read_transferred(system, plan)
+    plan = build_ring_transfer(system, [0, 1], len(payload))
+    landed, results = plan.run(system, payload)
     ingress = system.chips[1].c2c_unit(Hemisphere.WEST).links[0]
     return landed, results[0].cycles, ingress
 

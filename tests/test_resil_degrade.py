@@ -5,18 +5,15 @@ import pytest
 
 from repro.arch import Hemisphere
 from repro.arch.geometry import SliceKind
-from repro.compiler import StreamProgramBuilder
+from repro.compiler import (
+    StreamProgramBuilder,
+    TimedProgram,
+    build_ring_transfer,
+    plan_ring_route,
+)
 from repro.errors import C2cLinkError, CompileError
 from repro.isa import IcuId, Nop, Program
-from repro.resil import (
-    Blacklist,
-    TimedProgram,
-    assert_avoids,
-    build_ring_transfer,
-    compile_degraded,
-    plan_ring_route,
-    read_transferred,
-)
+from repro.resil import Blacklist, assert_avoids, compile_degraded
 from repro.sim import LinkErrorModel, MultiChipSystem
 from repro.verify.oracle import run_differential
 
@@ -142,9 +139,11 @@ class TestRingTransfer:
     def test_multi_hop_store_and_forward(self, config, rng):
         payload = rng.integers(0, 256, (3, config.n_lanes), dtype=np.uint8)
         system = MultiChipSystem.ring(config, 4)
-        plan = build_ring_transfer(system, plan_ring_route(4, 0, 2), payload)
-        system.run(plan.programs)
-        assert np.array_equal(read_transferred(system, plan), payload)
+        plan = build_ring_transfer(
+            system, plan_ring_route(4, 0, 2), len(payload)
+        )
+        landed, _ = plan.run(system, payload)
+        assert np.array_equal(landed, payload)
 
     def test_reroute_around_dead_cable_recovers(self, config, rng):
         payload = rng.integers(0, 256, (2, config.n_lanes), dtype=np.uint8)
@@ -154,9 +153,9 @@ class TestRingTransfer:
         )
         route = plan_ring_route(4, 0, 1, {0})
         assert route == [0, 3, 2, 1]
-        plan = build_ring_transfer(system, route, payload)
-        system.run(plan.programs)
-        assert np.array_equal(read_transferred(system, plan), payload)
+        plan = build_ring_transfer(system, route, len(payload))
+        landed, _ = plan.run(system, payload)
+        assert np.array_equal(landed, payload)
 
     def test_transfer_rides_through_link_noise(self, config, rng):
         payload = rng.integers(0, 256, (4, config.n_lanes), dtype=np.uint8)
@@ -165,23 +164,27 @@ class TestRingTransfer:
             0, Hemisphere.EAST, 0,
             LinkErrorModel(seed=5, burst=(0, 2), max_retries=1),
         )
-        plan = build_ring_transfer(system, plan_ring_route(4, 0, 2), payload)
-        system.run(plan.programs)
-        assert np.array_equal(read_transferred(system, plan), payload)
+        plan = build_ring_transfer(
+            system, plan_ring_route(4, 0, 2), len(payload)
+        )
+        landed, _ = plan.run(system, payload)
+        assert np.array_equal(landed, payload)
         assert system.chips[1].c2c_unit(Hemisphere.WEST).links[0].retries == 2
 
     def test_westward_route(self, config, rng):
         payload = rng.integers(0, 256, (2, config.n_lanes), dtype=np.uint8)
         system = MultiChipSystem.ring(config, 4)
-        plan = build_ring_transfer(system, plan_ring_route(4, 1, 0), payload)
-        system.run(plan.programs)
-        assert np.array_equal(read_transferred(system, plan), payload)
+        plan = build_ring_transfer(
+            system, plan_ring_route(4, 1, 0), len(payload)
+        )
+        landed, _ = plan.run(system, payload)
+        assert np.array_equal(landed, payload)
 
     def test_unwired_cable_rejected_at_plan_time(self, config, rng):
         payload = rng.integers(0, 256, (1, config.n_lanes), dtype=np.uint8)
         system = MultiChipSystem(config, 4)  # no links at all
         with pytest.raises(C2cLinkError, match="not wired"):
-            build_ring_transfer(system, [0, 1], payload)
+            build_ring_transfer(system, [0, 1], len(payload))
 
 
 class TestTimedProgram:

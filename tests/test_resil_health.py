@@ -6,8 +6,8 @@ import pytest
 from repro.arch import Direction, Hemisphere
 from repro.errors import WatchdogError
 from repro.isa import IcuId, Nop, Program, Read, Sync, Write
+from repro.compiler import build_ring_transfer
 from repro.resil import HealthMonitor, Watchdog
-from repro.resil.degrade import build_ring_transfer
 from repro.sim import FaultInjector, LinkErrorModel, MultiChipSystem, TspChip
 
 E = Direction.EASTWARD
@@ -60,8 +60,8 @@ class TestHealthMonitor:
             0, Hemisphere.EAST, 0,
             LinkErrorModel(seed=5, burst=(0, 1), max_retries=1),
         )
-        plan = build_ring_transfer(system, [0, 1], payload)
-        system.run(plan.programs)
+        plan = build_ring_transfer(system, [0, 1], len(payload))
+        plan.run(system, payload)
         monitor = HealthMonitor()
         reports = monitor.poll_system(system)
         ingress = next(
@@ -176,17 +176,16 @@ class TestAbortedRunLeavesNoEvents:
     def test_multichip_abort_clears_every_chip(self, config, rng):
         payload = rng.integers(0, 256, (4, config.n_lanes), dtype=np.uint8)
         reference = MultiChipSystem.ring(config, 2)
-        plan = build_ring_transfer(reference, [0, 1], payload)
-        expected = reference.run(plan.programs)
+        plan = build_ring_transfer(reference, [0, 1], len(payload))
+        _, expected = plan.run(reference, payload)
 
         system = MultiChipSystem.ring(config, 2)
-        plan = build_ring_transfer(system, [0, 1], payload)
         system.chips[0].arm_watchdog(Watchdog(deadline=8))
         with pytest.raises(WatchdogError):
-            system.run(plan.programs)
+            plan.run(system, payload)
         assert all(chip.events.pending == 0 for chip in system.chips)
         system.chips[0].disarm_watchdog()
-        again = system.run(plan.programs)
+        _, again = plan.run(system, payload)
         for got, want in zip(again, expected):
             assert got.cycles == want.cycles
             assert got.activity == want.activity

@@ -3,17 +3,20 @@
 The tentpole claims, checked end to end:
 
 * the contiguous partitioner never emits empty stages (and raises
-  :class:`ConfigError` instead of silently idling chips);
-* the analytic model bills link hops only between non-empty consecutive
-  stages (the phantom-hop regression);
+  :class:`ConfigError` instead of silently idling chips), so the
+  analytic model never bills a hop toward an idle chip;
 * compiler-scheduled ``Read -> Send -> Receive`` forwarding lands
   activation payloads bit-exactly, healthy and under seeded link-error
   models (retransmission rides in pre-reserved ``arrival_latency``
   slack, so even the cycle counts agree);
+* planning a transfer writes no chip, and the emitted programs are
+  pinned by digest;
 * an executed N-chip pipeline produces logits bit-identical to the
   single-chip oracle for a small fuzz corpus of CNN/MLP models, with
   and without the serving-layer cache.
 """
+
+import hashlib
 
 import numpy as np
 import pytest
@@ -21,6 +24,7 @@ import pytest
 from repro.arch import Hemisphere
 from repro.compiler import (
     PartitionPlan,
+    build_ring_transfer,
     pack_payload,
     partition_contiguous,
     unpack_payload,
@@ -40,9 +44,8 @@ from repro.nn import (
     resnet_layers,
     scale_out,
 )
-from repro.nn.scaleout import ScaleOutEstimate, StagePlan
+from repro.isa.encoding import encode_program_text
 from repro.nn.tsp_inference import TspCnnRunner
-from repro.resil.degrade import build_ring_transfer
 from repro.serve import ProgramCache
 from repro.sim import DEFAULT_LINK_LATENCY, LinkErrorModel, MultiChipSystem
 
@@ -93,39 +96,10 @@ class TestPartitionContiguous:
 
 
 # ----------------------------------------------------------------------
-# Satellite regression: phantom link hops
+# Analytic stages are never empty
 
 
 class TestPhantomHops:
-    def make_estimate(self, config, n_empty):
-        stages = [
-            StagePlan(chip=i, layer_names=[f"l{i}"], cycles=100,
-                      egress_vectors=10)
-            for i in range(3)
-        ]
-        stages += [
-            StagePlan(chip=3 + i, layer_names=[], cycles=0,
-                      egress_vectors=0)
-            for i in range(n_empty)
-        ]
-        return ScaleOutEstimate(
-            stages=stages, config=config, link_latency=24
-        )
-
-    def test_only_real_hops_billed(self, config):
-        """8 chips / 3 useful stages is 2 hops, not 7 (the old model
-        billed link latency for every empty trailing stage and shipped
-        the last useful stage's egress toward a chip that computes
-        nothing)."""
-        padded = self.make_estimate(config, n_empty=5)
-        assert padded.transfer_cycles == 2 * (10 + 24)
-
-    def test_padding_does_not_change_latency(self, config):
-        assert (
-            self.make_estimate(config, 5).latency_us
-            == self.make_estimate(config, 0).latency_us
-        )
-
     def test_scale_out_refuses_empty_stages(self, full_config):
         specs = resnet_layers(50)[:3]
         with pytest.raises(ConfigError):
@@ -172,12 +146,9 @@ def run_forward_transfer(config, payload, model=None):
     system = MultiChipSystem.ring(config, 2)
     if model is not None:
         system.set_link_error_model(0, Hemisphere.EAST, 0, model)
-    transfer = build_ring_transfer(system, [0, 1], payload, interval=1)
-    results = system.run(transfer.programs)
-    landed = system.chips[1].read_memory(
-        Hemisphere.WEST, 0, 0, payload.shape[0]
-    )
-    return np.asarray(landed, np.uint8), results[0].cycles, system
+    transfer = build_ring_transfer(system, [0, 1], len(payload), interval=1)
+    landed, results = transfer.run(system, payload)
+    return landed, results[0].cycles, system
 
 
 class TestForwardTransfer:
@@ -205,24 +176,77 @@ class TestForwardTransfer:
 
     def test_staging_overflow_rejected(self, config):
         system = MultiChipSystem.ring(config, 2)
-        too_many = np.zeros(
-            ((1 << config.mem_addr_bits) + 1, config.n_lanes), np.uint8
-        )
         with pytest.raises(ConfigError):
-            build_ring_transfer(system, [0, 1], too_many)
+            build_ring_transfer(
+                system, [0, 1], (1 << config.mem_addr_bits) + 1
+            )
 
     def test_hop_outside_system_rejected(self, config):
         system = MultiChipSystem.ring(config, 2)
-        payload = np.zeros((4, config.n_lanes), np.uint8)
         with pytest.raises(ConfigError):
-            build_ring_transfer(system, [1, 2], payload)
+            build_ring_transfer(system, [1, 2], 4)
 
     def test_empty_payload_rejected(self, config):
         system = MultiChipSystem.ring(config, 2)
         with pytest.raises(ConfigError):
-            build_ring_transfer(
-                system, [0, 1], np.zeros((0, config.n_lanes), np.uint8)
-            )
+            build_ring_transfer(system, [0, 1], 0)
+
+    def test_run_refuses_a_payload_of_another_size(self, config):
+        system = MultiChipSystem.ring(config, 2)
+        transfer = build_ring_transfer(system, [0, 1], 4)
+        with pytest.raises(ConfigError):
+            transfer.run(system, np.zeros((3, config.n_lanes), np.uint8))
+
+
+def program_digest(plan):
+    """sha256 over every chip's per-ICU program text and instructions."""
+    h = hashlib.sha256()
+    for chip, program in enumerate(plan.programs):
+        for icu in program.icus:
+            queue = program.queue(icu)
+            h.update(f"{chip}|{icu}|".encode())
+            h.update(encode_program_text(queue))
+            h.update(repr(queue).encode())
+    return h.hexdigest()
+
+
+class TestTransferPlanner:
+    #: (route, interval) -> digest of the 5-word transfer's programs on a
+    #: 4-chip ring of the test chip; a change that means to move a
+    #: transfer's schedule moves these and says so
+    PINNED = {
+        ((0, 1), 1):
+            "5ba05e52b0bab9182da7f697ad2f4bda13e1d925298e47270a2b40970d8daa17",
+        ((0, 1), 4):
+            "f5c779c35fcd09784d9d4bbbd64998468a341f5c8569eb9ecbba7b762b449750",
+        ((0, 3, 2, 1), 4):
+            "ba7ec60e994fd2ed57307d0fef3bf088c8c137585a09c3cbef15b6c2d35eb136",
+        ((1, 0), 4):
+            "daba04db91921b7f8e9c1171f8718b1df22a84e122a859c41c58db4850edc350",
+    }
+
+    @pytest.mark.parametrize("route,interval", list(PINNED))
+    def test_emitted_programs_are_pinned(self, config, route, interval):
+        system = MultiChipSystem.ring(config, 4)
+        plan = build_ring_transfer(
+            system, list(route), 5, interval=interval
+        )
+        assert program_digest(plan) == self.PINNED[route, interval]
+
+    @pytest.mark.parametrize("route", [[0, 1], [0, 3, 2, 1], [1, 0], [2]])
+    def test_planning_writes_no_chip(self, config, route):
+        system = MultiChipSystem.ring(config, 4)
+        before = [chip.memory_image() for chip in system.chips]
+        build_ring_transfer(system, route, 5)
+        assert [chip.memory_image() for chip in system.chips] == before
+
+    def test_pipeline_boundary_plan_writes_no_chip(self, config):
+        plan = PartitionPlan.plan(["a", "b"], [1.0, 1.0], 2, config, 24)
+        system = MultiChipSystem.ring(config, 2)
+        before = [chip.memory_image() for chip in system.chips]
+        transfer = plan.transfer(system, 0, 5, cache=ProgramCache(8))
+        assert transfer.route == [0, 1]
+        assert [chip.memory_image() for chip in system.chips] == before
 
 
 # ----------------------------------------------------------------------
