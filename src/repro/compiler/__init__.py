@@ -47,7 +47,6 @@ from .scheduler import (
     CompiledProgram,
     ConstantSlot,
     MemWord,
-    PredictedDrive,
     Schedule,
     ScheduleIntent,
     ScheduleStats,
@@ -76,7 +75,6 @@ __all__ = [
     "MemoryAllocator",
     "Node",
     "OpKind",
-    "PredictedDrive",
     "Schedule",
     "ScheduleIntent",
     "ScheduleStats",

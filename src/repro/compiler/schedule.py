@@ -2,14 +2,16 @@
 
 The dataclasses are the compiler's outputs — a :class:`Schedule` (program
 text, tensor specs, :class:`ScheduleStats`, the checkable
-:class:`ScheduleIntent`, a :class:`ConstantSlot` per constant and the
-replay plan its lowerings emitted: all a function of shapes alone) and the
+:class:`ScheduleIntent` — reserved dispatch cells and the one list of
+stream drives the lowerings noted, which the replay plan shares — a
+:class:`ConstantSlot` per constant and the replay plan its lowerings
+emitted: all a function of shapes alone) and the
 :class:`CompiledProgram` that :meth:`Schedule.bind` makes of it by packing
 one graph's constants into those slots — and :class:`StreamValue`, the
 scheduler's record of a value in flight.  :class:`QueueBuilder` is one
 ICU's committed dispatch cells; :class:`Attempt` is the tentative schedule
 of one node, the only thing that writes to a queue, returns a stream grant
-or keeps a plan op.
+or keeps a plan op or a drive.
 
 A plan op (:mod:`repro.sim.replay`) names the values it consumes by
 *ref*: ``("s", slot)`` for a value the plan computes into slot ``slot``,
@@ -180,51 +182,24 @@ class ScheduleStats:
     mxm_planes: int = 0
 
 
-@dataclass(frozen=True)
-class PredictedDrive:
-    """One stream drive the scheduler's timing model promises will happen.
-
-    ``parallel`` values place ``n_vectors`` rows on streams ``base_stream ..
-    base_stream + width - 1`` all at ``t0``; sequential values drive the
-    ``width``-stream group once per row at ``t0 .. t0 + n_vectors - 1``.
-    """
-
-    name: str
-    direction: Direction
-    base_stream: int
-    width: int
-    position: int
-    t0: int
-    n_vectors: int
-    parallel: bool = False
-
-    def expected_drives(self) -> list[tuple[Direction, int, int, int]]:
-        """(direction, stream, position, cycle) tuples this drive implies."""
-        out = []
-        for k in range(self.n_vectors):
-            t = self.t0 if self.parallel else self.t0 + k
-            for s in range(self.width):
-                out.append(
-                    (self.direction, self.base_stream + s, self.position, t)
-                )
-        # parallel groups repeat the same (stream, cycle) per row; dedup
-        return sorted(set(out), key=lambda e: (e[3], e[1], e[2]))
-
-
 @dataclass
 class ScheduleIntent:
     """The scheduler's cycle-exact predictions, replayable against a run.
 
     This is Equation 4 made checkable: ``dispatch_cells`` records every
     reserved (queue, cycle, mnemonic) cell before NOP padding, and
-    ``drives`` records where and when each scheduled value's vectors are
-    promised to appear on stream registers.  The timing-contract checker in
-    :mod:`repro.verify.invariants` replays both against an actual run.
+    ``drives`` is every ``(direction, stream, position, cycle)`` stream
+    drive the lowerings placed — the list the schedule's replay plan
+    counts its hops from (``intent.drives is plan.drives``), physical
+    re-drives of a temporal shift included.  The timing-contract checker
+    in :mod:`repro.verify.invariants` replays both against an actual run.
     """
 
     #: str(IcuId) -> {dispatch cycle: mnemonic}
     dispatch_cells: dict[str, dict[int, str]] = field(default_factory=dict)
-    drives: list[PredictedDrive] = field(default_factory=list)
+    drives: list[tuple[Direction, int, int, int]] = field(
+        default_factory=list
+    )
 
 
 @dataclass

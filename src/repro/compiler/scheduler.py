@@ -31,22 +31,23 @@ Where the code lives: :mod:`.schedule` holds what a schedule is made of
 (the compiled-program dataclasses, :class:`QueueBuilder`, and the
 :class:`Attempt` transaction); this module is the scheduler core — the
 chip's resources, operand delivery, the one placement loop
-(:meth:`Scheduler._place`), queue emission and the timing intent; the
+(:meth:`Scheduler._place`) and queue emission; the
 per-unit lowerings (:mod:`.lower_vxm`, :mod:`.lower_mxm`,
 :mod:`.lower_sxm`) say *what* to place as :class:`UnitOp` descriptors and
 leave *how* to the loop.
 
 Each lowering also emits the replay-plan ops (:mod:`repro.sim.replay`) of
 what it places — a read per MEM word delivered, a kernel per dispatch
-cell, a write per word landed — into the same :class:`Attempt`, so the
-plan of a schedule is complete the moment the schedule is.
+cell, a write per word landed — and notes every stream drive it makes
+into the same :class:`Attempt`, so the plan of a schedule, and the drives
+its timing contract promises, are complete the moment the schedule is.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ..arch.geometry import Direction, Floorplan, Hemisphere, SliceKind
+from ..arch.geometry import Direction, Floorplan, Hemisphere
 from ..arch.streams import pack_tensor, unpack_tensor  # noqa: F401 (re-export)
 from ..arch.timing import TimingModel
 from ..config import ArchConfig
@@ -79,7 +80,6 @@ from .schedule import (  # noqa: F401 (the module's public names live on)
     ConstantSlot,
     Delivery,
     MemWord,
-    PredictedDrive,
     QueueBuilder,
     Schedule,
     ScheduleIntent,
@@ -622,7 +622,16 @@ class Scheduler(VxmLowering, MxmLowering, SxmLowering):
             inputs=self.inputs,
             outputs=self.outputs,
             stats=stats,
-            intent=self._build_intent(graph),
+            intent=ScheduleIntent(
+                dispatch_cells={
+                    str(icu): {
+                        t: instruction.mnemonic
+                        for t, instruction in queue.cells.items()
+                    }
+                    for icu, queue in self.queues.items()
+                },
+                drives=self.attempt.drives,
+            ),
             words=words,
             plan=emitted_plan(
                 self.config, self.timing, program, stats.makespan + 1,
@@ -631,54 +640,6 @@ class Scheduler(VxmLowering, MxmLowering, SxmLowering):
                 self.floorplan.n_positions,
             ),
         )
-
-    def _build_intent(self, graph: Graph) -> ScheduleIntent:
-        """Record the schedule's timing promises for later verification."""
-        intent = ScheduleIntent()
-        dfunc_read = self.dfunc("Read")
-        for icu, builder in self.queues.items():
-            intent.dispatch_cells[str(icu)] = {
-                t: instruction.mnemonic
-                for t, instruction in builder.cells.items()
-            }
-            if icu.address.kind is not SliceKind.MEM:
-                continue
-            position = self.floorplan.position(icu.address)
-            for t, instruction in builder.cells.items():
-                if isinstance(instruction, Read):
-                    intent.drives.append(
-                        PredictedDrive(
-                            name=f"{icu}.read@{t}",
-                            direction=instruction.direction,
-                            base_stream=instruction.stream,
-                            width=1,
-                            position=position,
-                            t0=t + dfunc_read,
-                            n_vectors=1,
-                        )
-                    )
-        for node_id, whole in self.values.items():
-            node = graph.node(node_id)
-            if node.kind is OpKind.TEMPORAL_SHIFT:
-                # the declared t0 is an alignment fiction: the physical
-                # drives happen k cycles later (see ``UnitOp.redrive``)
-                continue
-            for value in (whole, *whole.rest):
-                width = value.grant.width // len(value.blocks)
-                for b, rows in enumerate(value.blocks):
-                    intent.drives.append(
-                        PredictedDrive(
-                            name=node.name,
-                            direction=value.direction,
-                            base_stream=value.grant.base + b * width,
-                            width=width,
-                            position=value.position,
-                            t0=value.t0,
-                            n_vectors=rows,
-                            parallel=value.parallel,
-                        )
-                    )
-        return intent
 
     # ------------------------------------------------------------------
     def _schedule_node(self, graph: Graph, node: Node) -> None:

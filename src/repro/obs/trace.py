@@ -14,9 +14,10 @@ Converts one or more observed runs into the Chrome trace-event JSON that
   that sample the value downstream — computable exactly because a stream
   value's trajectory is ``position ± (t - t0)``: eastward producer/
   consumer pairs share the invariant ``t - p``, westward ``t + p``;
-* optional ``schedule.intent`` rows replaying the compiler's
-  :class:`~repro.compiler.scheduler.PredictedDrive` promises next to what
-  actually ran.
+* optional ``schedule.intent`` rows replaying the stream drives the
+  compiler promised (:class:`~repro.compiler.schedule.ScheduleIntent`)
+  next to what actually ran: one one-cycle span per direction, position
+  and cycle, naming the streams driven there.
 
 Timestamps are microseconds of simulated time (the unit the Chrome trace
 format expects); one cycle at ``clock_ghz`` GHz is ``1e-3 / clock_ghz``
@@ -427,18 +428,20 @@ class PerfettoTraceBuilder:
             "name": "thread_name", "ph": "M", "pid": pid, "tid": tid,
             "args": {"name": "schedule.intent"},
         })
-        for drive in intent.drives:
-            dur = 1 if drive.parallel else max(1, drive.n_vectors)
+        streams: dict[tuple, set[int]] = {}
+        for direction, stream, position, t in intent.drives:
+            streams.setdefault((t, position, direction.value), set()).add(
+                stream
+            )
+        for (t, position, direction), driven in sorted(streams.items()):
             self.events.append({
-                "name": drive.name, "cat": "intent", "ph": "X",
-                "ts": self._us(drive.t0), "dur": self._us(dur),
+                "name": f"drive {direction}@{position}", "cat": "intent",
+                "ph": "X", "ts": self._us(t), "dur": self._us(1),
                 "pid": pid, "tid": tid,
                 "args": {
-                    "direction": drive.direction.value,
-                    "base_stream": drive.base_stream,
-                    "width": drive.width,
-                    "position": drive.position,
-                    "n_vectors": drive.n_vectors,
+                    "direction": direction,
+                    "position": position,
+                    "streams": sorted(driven),
                 },
             })
 

@@ -115,7 +115,7 @@ class Flight:
 
     A ``None`` payload marks a copy lost to a dead link.  ``checks`` are
     the FEC check bits computed at capture (``None`` when the sending
-    link carries no error model — the legacy exact-transport path).
+    link carries no error model, whose transport is exact).
     """
 
     seq: int

@@ -173,10 +173,13 @@ class TimingContractChecker(InvariantChecker):
     """Replays a :class:`ScheduleIntent` against the observed run.
 
     Verifies both halves of Equation 4/5: every reserved dispatch cell fires
-    with the promised mnemonic at the promised cycle, and every predicted
-    stream drive — ``t_drive = t_dispatch + d_func``, positions per the
-    moving frame — is observed.  Valid only for a program executed exactly
-    as compiled: a warmup barrier or an ``insert_ifetch`` pass shifts every
+    with the promised mnemonic at the promised cycle, and the run drives
+    exactly the streams the lowerings noted — ``t_drive = t_dispatch +
+    d_func``, positions per the moving frame, a temporal shift's re-drives
+    included.  The drive check runs both ways: a promised drive never
+    observed is ``missing-drive``, an observed drive nobody promised is
+    ``unexpected-drive``.  Valid only for a program executed exactly as
+    compiled: a warmup barrier or an ``insert_ifetch`` pass shifts every
     queue and the contract no longer applies.
     """
 
@@ -226,24 +229,28 @@ class TimingContractChecker(InvariantChecker):
                         f"{icu}: schedule reserved {mnemonic} at cycle {t} "
                         "but nothing dispatched",
                     )
-        for predicted in self.intent.drives:
-            missing = [
-                e
-                for e in predicted.expected_drives()
-                if e not in self._seen_drives
-            ]
-            for direction, stream, position, t in missing[:4]:
-                self.record(
-                    t,
-                    "missing-drive",
-                    f"{predicted.name}: predicted drive of stream "
-                    f"{stream}{direction.value} at position {position}, "
-                    f"cycle {t} was not observed",
-                )
-            if len(missing) > 4:
-                self.record(
-                    missing[4][3],
-                    "missing-drive",
-                    f"{predicted.name}: {len(missing) - 4} further "
-                    "predicted drives not observed",
-                )
+        promised = set(self.intent.drives)
+        self._report_drives(
+            "missing-drive", promised - self._seen_drives,
+            "promised but not observed",
+        )
+        self._report_drives(
+            "unexpected-drive", self._seen_drives - promised,
+            "observed but never promised",
+        )
+
+    def _report_drives(self, kind: str, drives: set, what: str) -> None:
+        """One violation per drive, earliest first; past the eighth, one
+        that counts the rest."""
+        ordered = sorted(drives, key=lambda e: (e[3], e[0].value, e[1], e[2]))
+        for direction, stream, position, t in ordered[:8]:
+            self.record(
+                t, kind,
+                f"drive of stream {stream}{direction.value} at position "
+                f"{position}, cycle {t}: {what}",
+            )
+        if len(ordered) > 8:
+            self.record(
+                ordered[8][3], kind,
+                f"{len(ordered) - 8} further drives {what}",
+            )

@@ -8,7 +8,9 @@ a PR that *means* to move a schedule moves these digests, and says so.
 A digest covers everything ``CompiledProgram`` hands to a chip or a
 checker: per-ICU program text (and the compiler's annotations), memory
 image words, input/output layouts, ``ScheduleStats``, and the
-``ScheduleIntent`` (drives in order, non-empty dispatch cells).
+``ScheduleIntent``: its ``(direction, stream, position, cycle)`` drive
+tuples in the order the lowerings noted them, and its non-empty dispatch
+cells.
 
 The corpus: the 13 chunk programs of ``test_schedule_cycles.py`` healthy
 and under ``NO_SIBLING``; ``GOLDEN_PROGRAMS``; every builder

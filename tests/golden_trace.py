@@ -3,7 +3,8 @@
 Runs the ``matmul`` golden program (see :mod:`tests.golden_programs`) with
 a :class:`repro.obs.TelemetryCollector` attached and freezes the full
 Perfetto/Chrome trace — dispatch spans with true durations, counter
-tracks, flow arrows, and the compiler's schedule-intent rows — in
+tracks, flow arrows, and the compiler's schedule-intent rows (one span
+per direction, position and cycle the schedule promises a drive at) — in
 ``tests/goldens/trace_matmul.json``.  Because the simulator is
 deterministic, the trace is a bit-exact artifact: any change to dispatch
 timing, instruction durations, window accounting, or the trace schema

@@ -232,11 +232,20 @@ def test_every_unit_op_is_placed_by_the_shared_loop(
         (icu,) = {icu for icu, _t in promised}
         assert icu in {str(c) for c in op.icus}
         assert len(set(found.values())) == 1  # one instruction, n cells
-        # and the value it drives is promised d_func later
+        # and the node's op.width streams, and only those, are promised
+        # driven at op.position d_func after each cell
+        value = scheduler.values[node.id]
+        streams = {
+            (value.direction, value.grant.base + s) for s in range(op.width)
+        }
         t_first = min(t for _icu, t in promised)
-        (drive,) = [d for d in compiled.intent.drives if d.name == node.name]
-        assert drive.t0 == t_first + scheduler.dfunc(mnemonic)
-        assert drive.position == op.position and drive.width == op.width
+        for k in range(n_cells):
+            t = t_first + scheduler.dfunc(mnemonic) + k
+            assert {
+                (direction, stream)
+                for direction, stream, position, at in compiled.intent.drives
+                if (position, at) == (op.position, t)
+            } == streams
     else:
         # a temporal shift is k COPYs, each re-driving all n rows
         assert len(set(found.values())) == op.redrive

@@ -7,9 +7,13 @@ planted in a program and must be *observed* (recorded) by the checker even
 when the simulator also hard-faults.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from golden_programs import GOLDEN_PROGRAMS
+from repro.arch import DType
 from repro.arch.geometry import Direction, Hemisphere, SliceKind
 from repro.compiler import StreamProgramBuilder
 from repro.compiler.runner import load_compiled
@@ -19,7 +23,7 @@ from repro.errors import (
     InvariantViolationError,
     StreamContentionError,
 )
-from repro.isa import Gather, IcuId, Nop, Program, Read, Write
+from repro.isa import BinaryOp, Gather, IcuId, Nop, Program, Read, Write
 from repro.sim import TspChip
 from repro.verify import (
     BankDisciplineChecker,
@@ -29,8 +33,23 @@ from repro.verify import (
     run_conformance,
 )
 
+from test_schedule_cycles import (  # noqa: F401 (the models fixture)
+    CHUNK_CYCLES,
+    NO_SIBLING,
+    chunk_builder,
+    models,
+)
+
 E = Direction.EASTWARD
 W = Direction.WESTWARD
+
+#: every chunk program the benchmark's models serve, healthy and on a chip
+#: whose first MXM plane has no sibling: test id -> (key, blacklist)
+CHUNKS = {
+    f"{model}.{layer}x{rows}{suffix}": ((model, layer, rows), blacklist)
+    for model, layer, rows in sorted(CHUNK_CYCLES)
+    for suffix, blacklist in (("", None), ("/no-sibling", NO_SIBLING))
+}
 
 
 def _int8(shape, offset=0):
@@ -47,6 +66,27 @@ def _add_pair(config):
     y = b.constant_tensor("y", _int8((2, 32), offset=3))
     b.write_back(b.add(x, y), "sum")
     return b, b.compile()
+
+
+def _contract(b, compiled, program=None):
+    """The timing contract of ``compiled`` checked over a run of
+    ``program`` (by default its own text) on a freshly loaded chip."""
+    checker = TimingContractChecker(compiled.intent)
+    chip = TspChip(b.config, timing=b.timing)
+    chip.attach_checker(checker)
+    load_compiled(chip, compiled)
+    chip.run(compiled.program if program is None else program)
+    return checker
+
+
+def _edited(compiled, kind, edit):
+    """``compiled``'s program with the queue of the one ICU on a ``kind``
+    slice replaced by ``edit(its instructions)``."""
+    program = Program()
+    for icu in compiled.program.icus:
+        queue = list(compiled.program.queue(icu))
+        program.extend(icu, edit(queue) if icu.address.kind is kind else queue)
+    return program
 
 
 # ----------------------------------------------------------------------
@@ -141,11 +181,7 @@ class TestBankDiscipline:
 class TestTimingContract:
     def test_clean_run_satisfies_contract(self, config):
         b, compiled = _add_pair(config)
-        checker = TimingContractChecker(compiled.intent)
-        chip = TspChip(b.config, timing=b.timing)
-        chip.attach_checker(checker)
-        load_compiled(chip, compiled)
-        chip.run(compiled.program)
+        checker = _contract(b, compiled)
         assert checker.ok, [str(v) for v in checker.violations]
 
     def test_off_by_one_nop_detected(self, config):
@@ -169,11 +205,7 @@ class TestTimingContract:
                 queue[k] = Nop(queue[k].count + 1)
             perturbed.extend(icu, queue)
 
-        checker = TimingContractChecker(compiled.intent)
-        chip = TspChip(b.config, timing=b.timing)
-        chip.attach_checker(checker)
-        load_compiled(chip, compiled)
-        chip.run(perturbed)
+        checker = _contract(b, compiled, perturbed)
         kinds = {v.kind for v in checker.violations}
         assert "missing-dispatch" in kinds, checker.violations
         assert kinds & {"unexpected-dispatch", "dispatch-mismatch"}, (
@@ -184,20 +216,78 @@ class TestTimingContract:
         """Deleting the VXM queue silences its predicted drives: the
         checker reports both the unfired cells and the unobserved drives."""
         b, compiled = _add_pair(config)
-        perturbed = Program()
-        for icu in compiled.program.icus:
-            if icu.address.kind is SliceKind.VXM:
-                continue
-            perturbed.extend(icu, list(compiled.program.queue(icu)))
-
-        checker = TimingContractChecker(compiled.intent)
-        chip = TspChip(b.config, timing=b.timing)
-        chip.attach_checker(checker)
-        load_compiled(chip, compiled)
-        chip.run(perturbed)
+        checker = _contract(
+            b, compiled, _edited(compiled, SliceKind.VXM, lambda q: [])
+        )
         kinds = {v.kind for v in checker.violations}
         assert "missing-dispatch" in kinds
         assert "missing-drive" in kinds
+
+    def test_an_unplanned_drive_is_unexpected(self, config):
+        """The add re-issued at its own cell, widened to INT16 from stream
+        29: it still drives the promised stream 30, and stream 29 too —
+        a drive nobody promised, on an otherwise faithful run."""
+        b, compiled = _add_pair(config)
+
+        def widen(queue):
+            k = next(j for j, i in enumerate(queue) if isinstance(i, BinaryOp))
+            queue[k] = replace(
+                queue[k], dtype=DType.INT16, src1_stream=30, src2_stream=30,
+                dst_stream=29,
+            )
+            return queue
+
+        checker = _contract(
+            b, compiled, _edited(compiled, SliceKind.VXM, widen)
+        )
+        (violation,) = checker.violations
+        assert (violation.kind, violation.cycle) == ("unexpected-drive", 7)
+        assert "stream 29E at position 19, cycle 7" in violation.message
+
+    def test_a_late_temporal_shift_misses_its_redrives(self, config):
+        """A temporal shift's COPYs re-drive the stream at the VXM one row
+        a cycle; one NOP ahead of them moves every re-drive a cycle later,
+        so the first promised one goes unobserved and one past the last
+        is observed unpromised."""
+        b = StreamProgramBuilder(config)
+        x = b.constant_tensor("x", _int8((4, 32)))
+        b.write_back(b.temporal_shift(x, 1), "late")
+        compiled = b.compile()
+        (vxm,) = [
+            icu for icu in compiled.program.icus
+            if icu.address.kind is SliceKind.VXM
+        ]
+        position = TspChip(config).floorplan.position(vxm.address)
+        copies = sorted(
+            t for _d, _s, p, t in compiled.intent.drives if p == position
+        )
+        assert len(copies) == 4
+        checker = _contract(
+            b, compiled,
+            _edited(compiled, SliceKind.VXM, lambda q: [Nop(1), *q]),
+        )
+        drives = [v for v in checker.violations if v.kind.endswith("-drive")]
+        assert [(v.kind, v.cycle) for v in drives] == [
+            ("missing-drive", copies[0]), ("unexpected-drive", copies[-1] + 1)
+        ], checker.violations
+        assert all(f"at position {position}," in v.message for v in drives)
+
+    @pytest.mark.parametrize(
+        "program", [*GOLDEN_PROGRAMS, *CHUNKS], ids=str,
+    )
+    def test_every_served_and_golden_program_keeps_its_contract(
+        self, config, models, program
+    ):
+        if program in GOLDEN_PROGRAMS:
+            b, blacklist = GOLDEN_PROGRAMS[program](), None
+        else:
+            key, blacklist = CHUNKS[program]
+            _layer, b, _bindings = chunk_builder(config, models, *key)
+        compiled = b.compile(blacklist=blacklist)
+        # one record of the drives: the plan's hop count sweeps the same list
+        assert compiled.intent.drives is compiled.schedule.plan.drives
+        checker = _contract(b, compiled)
+        assert checker.ok, [str(v) for v in checker.violations]
 
 
 # ----------------------------------------------------------------------

@@ -81,8 +81,7 @@ class TestSeededFaults:
         compiled = b.compile()
         # pick a timing promise from the schedule intent and corrupt the
         # value one cycle / one hop after it is driven
-        drive = compiled.intent.drives[0]
-        direction, stream, position, t = drive.expected_drives()[0]
+        direction, stream, position, t = compiled.intent.drives[0]
         step = 1 if direction is Direction.EASTWARD else -1
 
         def corrupt(chip):
