@@ -727,9 +727,9 @@ def _chip_is_pristine(chip) -> str | None:
     if chip.events.pending:
         # armed before the run, they belong to it: only a run fires them
         return "events armed for the next run"
-    if getattr(chip, "faults_injected", 0):
+    if chip.faults_injected:
         return "injected faults present"
-    if getattr(chip, "external_fault_hooks", False):
+    if chip.external_fault_hooks:
         return "hardware fault hooks attached"
     if chip.srf._dirty:
         return "stream register file corrupted"

@@ -36,31 +36,31 @@ def make_rng(seed: int = DEFAULT_TEST_SEED) -> np.random.Generator:
     return np.random.default_rng(seed)
 
 
+def draw(rng: np.random.Generator, shape, dtype) -> np.ndarray:
+    """Values at ``shape`` and numpy ``dtype``: integers over the dtype's
+    range, floats from [0.25, 2) — finite and positive, inside the domain
+    of every float op the suites build (``rsqrt``, ``exp``, ``tanh``)."""
+    if np.issubdtype(dtype, np.floating):
+        data = rng.uniform(0.25, 2.0, shape)
+    else:
+        info = np.iinfo(dtype)
+        data = rng.integers(info.min, info.max, shape, endpoint=True)
+    return data.astype(dtype)
+
+
 def redrawn(builder, seed: int = 1):
     """A never-seen model of ``builder``'s shape: a twin holding the same
-    graph with every constant redrawn at its shape and dtype (a matmul's
-    weight tiles are cut from its new weights), so
+    graph with every constant redrawn (:func:`draw`) at its shape and
+    dtype (a matmul's weight tiles are cut from its new weights), so
     ``redrawn(b).bind(b.schedule())`` is another program of ``b``'s
     schedule.
-
-    Integers cover their dtype's range.  Floats are drawn from [0.25, 2):
-    finite and positive, inside the domain of every float op the suites
-    build (``rsqrt``, ``exp``, ``tanh``).
     """
     rng = np.random.default_rng(seed)
     twin = copy.copy(builder)
     graph = twin.graph = copy.deepcopy(builder.graph)
     for node in graph.nodes.values():
         if node.kind is OpKind.CONSTANT:
-            dtype = node.data.dtype
-            if np.issubdtype(dtype, np.floating):
-                data = rng.uniform(0.25, 2.0, node.data.shape)
-            else:
-                info = np.iinfo(dtype)
-                data = rng.integers(
-                    info.min, info.max, node.data.shape, endpoint=True
-                )
-            node.data = data.astype(dtype)
+            node.data = draw(rng, node.data.shape, node.data.dtype)
     for node in graph.nodes.values():
         if node.kind is OpKind.MATMUL:
             weights = graph.node(node.inputs[0]).data

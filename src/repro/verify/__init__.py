@@ -21,8 +21,10 @@ scheduled.  This package makes that claim checkable for the reproduction:
   proof-obligation of the replay engine;
 * :mod:`repro.verify.coverage` — tracks which opcodes, dtypes, and slice
   families a run exercises and enforces a coverage threshold;
-* :mod:`repro.verify.suite` — the conformance sweep exercising every
-  instruction class, runnable standalone via ``python -m repro.verify``.
+* :mod:`repro.verify.suite` — :func:`check`, the one check of a compiled
+  program (interpreter, checkers and lockstep together), and the
+  conformance sweep exercising every instruction class, runnable
+  standalone via ``python -m repro.verify``.
 """
 
 from .coverage import COVERAGE_CLASSES, CoverageChecker, CoverageTracker
@@ -47,7 +49,7 @@ from .oracle import (
     assert_conformance,
     run_differential,
 )
-from .suite import ConformanceSummary, run_conformance
+from .suite import ConformanceSummary, check, run_conformance
 
 __all__ = [
     "BankDisciplineChecker",
@@ -67,6 +69,7 @@ __all__ = [
     "assert_conformance",
     "assert_lockstep",
     "assert_trace_lockstep",
+    "check",
     "interpret",
     "run_conformance",
     "run_differential",

@@ -25,8 +25,9 @@ its counts need no proof here.
 
 ``assert_lockstep`` raises :class:`~repro.errors.DivergenceError` with a
 rendered report on any mismatch, mirroring the differential oracle's
-contract.  The compiler fuzz suite routes every generated program through
-it, so the corpus continuously re-proves the equivalence.
+contract.  :func:`repro.verify.check` runs it with a sibling, and the
+tier-1 corpus sweep (``tests/test_corpus.py``) runs that check on every
+program of the test corpus, so each test run re-proves the equivalence.
 """
 
 from __future__ import annotations

@@ -1,10 +1,11 @@
 """The conformance sweep: every instruction class, oracle-checked.
 
-Compiled cases go through :func:`repro.verify.oracle.assert_conformance`
-with the full checker stack attached (stream collisions, bank discipline,
-the Equation-4/5 timing contract) and then through the simulated /
-replayed lockstep; instructions the stream compiler never emits — ``LW``, ``Scatter``, ``Repeat``, ``Config``, ``Ifetch``,
-``Deskew``/``Send``/``Receive`` — are exercised by hand-built programs with
+Compiled programs (:data:`PROGRAMS`) go through :func:`check`: the graph
+interpreter with the full checker stack attached (stream collisions, bank
+discipline, the Equation-4/5 timing contract), then the simulated /
+replayed lockstep.  Instructions the stream compiler never emits — ``LW``,
+``Scatter``, ``Repeat``, ``Config``, ``Ifetch``, ``Deskew``/``Send``/
+``Receive`` — are exercised by hand-built programs (:data:`CASES`) with
 independently computed expected results.  One :class:`CoverageTracker`
 observes every run, and :func:`run_conformance` fails if any instruction
 class drops below the coverage threshold.
@@ -51,8 +52,8 @@ from .invariants import (
     StreamCollisionChecker,
     TimingContractChecker,
 )
-from .lockstep import assert_lockstep
-from .oracle import assert_conformance
+from .lockstep import run_lockstep
+from .oracle import run_differential
 
 E = Direction.EASTWARD
 W = Direction.WESTWARD
@@ -97,7 +98,7 @@ class ConformanceSummary:
 
 
 # ----------------------------------------------------------------------
-# compiled cases (differential oracle + full checker stack)
+# compiled programs (the one check)
 # ----------------------------------------------------------------------
 def _int8(shape, lo=-50, hi=50, offset=0):
     count = int(np.prod(shape))
@@ -113,33 +114,44 @@ def _fp16(shape, offset=0):
     return vals.astype(np.float16).reshape(shape)
 
 
-def _oracle(builder, tracker, inputs=None, warmup=False, compiled=None):
+def check(builder, inputs=None, *, compiled=None, tracker=None,
+          warmup=False):
+    """The one check of a compiled program: simulated with the stream
+    collision, strict bank and (unless ``warmup``, which shifts the
+    schedule) timing-contract checkers attached, against the graph
+    interpreter; then in lockstep with its replays, and with those of a
+    :func:`~repro.testing.redrawn` sibling bound to its schedule.
+
+    Every check runs; :class:`VerificationError` names each that failed,
+    a line ``<check>: <what>`` per failure.  Returns the differential
+    result, whose ``outputs`` a caller may hold to its own oracle.
+    """
     compiled = compiled if compiled is not None else builder.compile()
     checkers: list[InvariantChecker] = [
         StreamCollisionChecker(),
         BankDisciplineChecker(strict_discipline=True),
-        tracker.checker(),
     ]
     if not warmup:
-        # the contract only holds for a program executed exactly as compiled
         checkers.append(TimingContractChecker(compiled.intent))
-    assert_conformance(
-        builder,
-        compiled=compiled,
-        inputs=inputs,
-        checkers=checkers,
-        warmup_barrier=warmup,
+    result = run_differential(
+        builder, compiled=compiled, inputs=inputs, warmup_barrier=warmup,
+        checkers=checkers + ([tracker.checker()] if tracker else []),
     )
-    for checker in checkers:
-        checker.raise_if_violated()
-    assert_lockstep(
-        compiled, inputs=inputs, timing=builder.timing,
-        warmup_barrier=warmup,
-        sibling=redrawn(builder).bind(compiled.schedule),
+    failures = [f"oracle: {result.report.render()}"] if result.report else []
+    failures += [f"{c.name}: {v}" for c in checkers for v in c.violations]
+    lockstep = run_lockstep(
+        compiled, inputs=inputs, timing=builder.timing, warmup_barrier=warmup,
+        sibling=compiled.schedule.bind(redrawn(builder).graph),
     )
+    failures += [f"lockstep: {m}" for m in lockstep.mismatches]
+    if failures:
+        raise VerificationError("\n".join(failures))
+    return result
 
 
-def case_elementwise_int8(config: ArchConfig, tracker: CoverageTracker):
+# Each builder returns ``(builder, inputs)``: the inputs are the program's
+# run-time tensors (``None`` for a constants-only program).
+def elementwise_int8(config: ArchConfig):
     b = StreamProgramBuilder(config)
     x = b.constant_tensor("x", _int8((4, 50)))
     y = b.constant_tensor("y", _int8((4, 50), offset=3))
@@ -147,46 +159,46 @@ def case_elementwise_int8(config: ArchConfig, tracker: CoverageTracker):
     b.write_back(b.relu(b.sub(x, y)), "relu")
     b.write_back(b.maximum(x, y), "max")
     b.write_back(b.mul(x, y, saturate=True), "prod")
-    _oracle(b, tracker)
+    return b, None
 
 
-def case_fp16_transcendental(config: ArchConfig, tracker: CoverageTracker):
+def fp16_transcendental(config: ArchConfig):
     b = StreamProgramBuilder(config)
     x = b.constant_tensor("x", np.abs(_fp16((2, 20))) + 0.5)
     b.write_back(b.tanh(x), "tanh")
     b.write_back(b.exp(b.negate(x)), "exp")
     b.write_back(b.rsqrt(x), "rsqrt")
     b.write_back(b.convert(x, DType.FP32), "wide")
-    _oracle(b, tracker)
+    return b, None
 
 
-def case_temporal_shift(config: ArchConfig, tracker: CoverageTracker):
+def temporal_shift(config: ArchConfig):
     b = StreamProgramBuilder(config)
     x = b.constant_tensor("x", _int8((6, 30)))
     b.write_back(b.add(x, b.temporal_shift(x, 2)), "windowed")
-    _oracle(b, tracker)
+    return b, None
 
 
-def case_gather(config: ArchConfig, tracker: CoverageTracker):
+def gather(config: ArchConfig):
     b = StreamProgramBuilder(config)
     table = _int8((8, 40))
     idx = b.input_tensor("idx", (3, 40), DType.UINT8)
     b.write_back(b.gather(table, idx, name="lut"), "gathered")
     indices = ((np.arange(3 * 40) * 5) % 8).astype(np.uint8).reshape(3, 40)
-    _oracle(b, tracker, inputs={"idx": indices})
+    return b, {"idx": indices}
 
 
-def case_matmul_int8_ktiled(config: ArchConfig, tracker: CoverageTracker):
+def matmul_int8_ktiled(config: ArchConfig):
     lanes = config.n_lanes
     b = StreamProgramBuilder(config)
     a0 = b.constant_tensor("a0", _int8((3, lanes), lo=-8, hi=8))
     a1 = b.constant_tensor("a1", _int8((3, lanes), lo=-8, hi=8, offset=5))
     w = _int8((2 * lanes, 24), lo=-8, hi=8, offset=11)
     b.write_back(b.matmul(w, [a0, a1], name="w"), "mm")
-    _oracle(b, tracker)
+    return b, None
 
 
-def case_matmul_paired(config: ArchConfig, tracker: CoverageTracker):
+def matmul_paired(config: ArchConfig):
     """A serving-shaped ``input -> matmul -> write``: its odd row count
     streams as two unequal row blocks through both planes of an MXM."""
     lanes = config.n_lanes
@@ -194,18 +206,13 @@ def case_matmul_paired(config: ArchConfig, tracker: CoverageTracker):
     acts = b.input_tensor("acts", (17, lanes))
     w = _int8((lanes, 24), lo=-8, hi=8, offset=11)
     b.write_back(b.matmul(w, acts, name="w"), "acc")
-    compiled = b.compile()
-    if compiled.stats.mxm_planes != 2:
-        raise VerificationError(
-            f"expected a two-plane schedule, got {compiled.stats.mxm_planes}"
-        )
-    _oracle(
-        b, tracker, inputs={"acts": _int8((17, lanes), lo=-8, hi=8)},
-        compiled=compiled,
-    )
+    planes = b.compile().stats.mxm_planes
+    if planes != 2:
+        raise VerificationError(f"expected a two-plane schedule, got {planes}")
+    return b, {"acts": _int8((17, lanes), lo=-8, hi=8)}
 
 
-def case_matmul_four_planes(config: ArchConfig, tracker: CoverageTracker):
+def matmul_four_planes(config: ArchConfig):
     """Light weights, many rows, two K-tiles: the far hemisphere pays for
     its own weight copy and 34 rows stream as blocks of 9 + 9 + 9 + 7, two
     per MXM, behind one ``acts*`` / ``acc`` layout each."""
@@ -213,34 +220,30 @@ def case_matmul_four_planes(config: ArchConfig, tracker: CoverageTracker):
     tiles = [b.input_tensor(f"acts{i}", (34, k)) for i, k in enumerate((9, 5))]
     w = _int8((14, 4), lo=-8, hi=8, offset=11)
     b.write_back(b.matmul(w, tiles, name="w"), "acc")
-    compiled = b.compile()
     blocks = [
         (p.hemisphere, p.n_words)
-        for p in compiled.outputs["acc"].layout.planes[::4]
+        for p in b.compile().outputs["acc"].layout.planes[::4]
     ]
     west, east = Hemisphere.WEST, Hemisphere.EAST
     if blocks != [(west, 9), (west, 9), (east, 9), (east, 7)]:
         raise VerificationError(
             f"expected row blocks 9 + 9 | 9 + 7 over both MXMs, got {blocks}"
         )
-    _oracle(
-        b, tracker, compiled=compiled,
-        inputs={
-            "acts0": _int8((34, 9), lo=-8, hi=8),
-            "acts1": _int8((34, 5), lo=-8, hi=8, offset=3),
-        },
-    )
+    return b, {
+        "acts0": _int8((34, 9), lo=-8, hi=8),
+        "acts1": _int8((34, 5), lo=-8, hi=8, offset=3),
+    }
 
 
-def case_matmul_fp16(config: ArchConfig, tracker: CoverageTracker):
+def matmul_fp16(config: ArchConfig):
     b = StreamProgramBuilder(config)
     a = b.constant_tensor("a", _fp16((2, 32)))
     w = _fp16((32, 16), offset=7).astype(np.float16)
     b.write_back(b.matmul(w, a, name="wf"), "mmf")
-    _oracle(b, tracker)
+    return b, None
 
 
-def case_sxm_lane_ops(config: ArchConfig, tracker: CoverageTracker):
+def sxm_lane_ops(config: ArchConfig):
     lanes = config.n_lanes
     per = config.lanes_per_superlane
     b = StreamProgramBuilder(config)
@@ -253,61 +256,54 @@ def case_sxm_lane_ops(config: ArchConfig, tracker: CoverageTracker):
     b.write_back(b.distribute(x, mapping), "dist")
     mask = [i % 2 for i in range(per)]
     b.write_back(b.select(x, y, mask), "sel")
-    _oracle(b, tracker)
+    return b, None
 
 
-def case_rotate(config: ArchConfig, tracker: CoverageTracker):
+def rotate(config: ArchConfig):
     b = StreamProgramBuilder(config)
     x = b.constant_tensor("x", _int8((1, config.n_lanes)))
     b.write_back(b.rotate(x, 3), "rot")
-    _oracle(b, tracker)
+    return b, None
 
 
-def case_transpose16(config: ArchConfig, tracker: CoverageTracker):
+def transpose16(config: ArchConfig):
     b = StreamProgramBuilder(config)
     x = b.constant_tensor("x", _int8((16, config.n_lanes)))
     b.write_back(b.transpose16(x), "tr")
-    _oracle(b, tracker)
+    return b, None
 
 
-def case_warmup_barrier(config: ArchConfig, tracker: CoverageTracker):
+def warmup_barrier(config: ArchConfig):
     """Sync/Notify: the whole schedule shifts uniformly, outputs match."""
     b = StreamProgramBuilder(config)
     x = b.constant_tensor("x", _int8((2, 32)))
     y = b.constant_tensor("y", _int8((2, 32), offset=1))
     b.write_back(b.add(x, y), "sum")
-    _oracle(b, tracker, warmup=True)
+    return b, None
 
 
-# ----------------------------------------------------------------------
-# input-fed programs: what a replay plan cannot fold to constants
-# ----------------------------------------------------------------------
-# A constants-only program records as ``wconst`` writes and nothing else;
+# Input-fed programs: what a replay plan cannot fold to constants.  A
+# constants-only program records as ``wconst`` writes and nothing else;
 # only a value derived from a run-time input leaves a ``vxm1`` / ``vxm2`` /
-# ``vxmc`` / ``route`` / ``dot`` op in the plan.  Each builder returns
-# ``(builder, inputs)``; ``offset`` varies the inputs, not the program, so
-# a test can bind several distinct batches to one binary.
-def fed_vxm_chain(config: ArchConfig, offset: int = 0):
+# ``vxmc`` / ``route`` / ``dot`` op in the plan.
+def fed_vxm_chain(config: ArchConfig):
     """``relu(x) + const + y``: unary, input ⊕ constant, input ⊕ input."""
     b = StreamProgramBuilder(config)
     x = b.input_tensor("x", (4, 50))
     y = b.input_tensor("y", (4, 50))
     c = b.constant_tensor("c", _int8((4, 50), offset=3))
     b.write_back(b.add(b.add(b.relu(x), c), y), "out")
-    return b, {
-        "x": _int8((4, 50), offset=offset),
-        "y": _int8((4, 50), offset=offset + 5),
-    }
+    return b, {"x": _int8((4, 50)), "y": _int8((4, 50), offset=5)}
 
 
-def fed_convert(config: ArchConfig, offset: int = 0):
+def fed_convert(config: ArchConfig):
     b = StreamProgramBuilder(config)
     x = b.input_tensor("x", (3, 40))
     b.write_back(b.convert(x, DType.INT32), "wide")
-    return b, {"x": _int8((3, 40), offset=offset)}
+    return b, {"x": _int8((3, 40))}
 
 
-def fed_sxm_routes(config: ArchConfig, offset: int = 0):
+def fed_sxm_routes(config: ArchConfig):
     """One-source gathers (shift zero-fills) and a two-source select
     whose other side is a constant."""
     lanes = config.n_lanes
@@ -318,30 +314,36 @@ def fed_sxm_routes(config: ArchConfig, offset: int = 0):
     b.write_back(b.permute(x, list(reversed(range(lanes)))), "rev")
     mask = [i % 2 for i in range(config.lanes_per_superlane)]
     b.write_back(b.select(x, y, mask), "sel")
-    return b, {"x": _int8((2, lanes), offset=offset)}
+    return b, {"x": _int8((2, lanes))}
 
 
-def fed_matmul_fp16(config: ArchConfig, offset: int = 0):
+def fed_matmul_fp16(config: ArchConfig):
     b = StreamProgramBuilder(config)
     a = b.input_tensor("a", (2, 32), DType.FP16)
     b.write_back(b.matmul(_fp16((32, 16), offset=7), a, name="wf"), "mmf")
-    return b, {"a": _fp16((2, 32), offset=offset)}
+    return b, {"a": _fp16((2, 32))}
 
 
-FED_PROGRAMS = [
+#: every compiled program of the sweep, ``(name, build(config) -> (builder,
+#: inputs))``; the program corpus of the tests reads this list too
+PROGRAMS = [
+    ("elementwise-int8", elementwise_int8),
+    ("fp16-transcendental", fp16_transcendental),
+    ("temporal-shift", temporal_shift),
+    ("gather", gather),
+    ("matmul-int8-ktiled", matmul_int8_ktiled),
+    ("matmul-paired", matmul_paired),
+    ("matmul-four-planes", matmul_four_planes),
+    ("matmul-fp16", matmul_fp16),
+    ("sxm-lane-ops", sxm_lane_ops),
+    ("rotate", rotate),
+    ("transpose16", transpose16),
+    ("warmup-barrier", warmup_barrier),
     ("fed-vxm-chain", fed_vxm_chain),
     ("fed-convert", fed_convert),
     ("fed-sxm-routes", fed_sxm_routes),
     ("fed-matmul-fp16", fed_matmul_fp16),
 ]
-
-
-def _fed_case(build):
-    def case(config: ArchConfig, tracker: CoverageTracker):
-        builder, inputs = build(config)
-        _oracle(builder, tracker, inputs=inputs)
-
-    return case
 
 
 # ----------------------------------------------------------------------
@@ -530,20 +532,8 @@ def case_icu_repeat_config(config: ArchConfig, tracker: CoverageTracker):
 
 
 # ----------------------------------------------------------------------
+#: the hand-built cases, ``(name, case(config, tracker))``
 CASES = [
-    ("elementwise-int8", case_elementwise_int8),
-    ("fp16-transcendental", case_fp16_transcendental),
-    ("temporal-shift", case_temporal_shift),
-    ("gather", case_gather),
-    ("matmul-int8-ktiled", case_matmul_int8_ktiled),
-    ("matmul-paired", case_matmul_paired),
-    ("matmul-four-planes", case_matmul_four_planes),
-    ("matmul-fp16", case_matmul_fp16),
-    ("sxm-lane-ops", case_sxm_lane_ops),
-    ("rotate", case_rotate),
-    ("transpose16", case_transpose16),
-    ("warmup-barrier", case_warmup_barrier),
-    *((name, _fed_case(build)) for name, build in FED_PROGRAMS),
     ("scatter-hand", case_scatter_hand),
     ("mxm-lw-staging", case_mxm_lw_staging),
     ("c2c-loopback", case_c2c_loopback),
@@ -557,14 +547,22 @@ def run_conformance(
     """Run every conformance case; never raises, inspect ``summary.ok``."""
     config = config or small_test_chip()
     summary = ConformanceSummary(threshold=threshold)
-    for name, case in CASES:
+    tracker = summary.tracker
+
+    def run(name, case) -> None:
         try:
-            case(config, summary.tracker)
+            case()
             summary.results.append(CaseResult(name, True))
         except Exception as exc:  # noqa: BLE001 - each case is a test
             summary.results.append(CaseResult(name, False, str(exc)))
+
+    for name, build in PROGRAMS:
+        run(name, lambda: check(*build(config), tracker=tracker,
+                                warmup=name == "warmup-barrier"))
+    for name, case in CASES:
+        run(name, lambda: case(config, tracker))
     try:
-        summary.tracker.check(threshold)
+        tracker.check(threshold)
     except CoverageError as exc:
         summary.coverage_failure = str(exc)
     return summary

@@ -6,7 +6,7 @@ attached telemetry collector)."""
 import numpy as np
 import pytest
 
-from golden_programs import GOLDEN_PROGRAMS
+from corpus import corpus
 from repro.arch import Direction, Hemisphere
 from repro.errors import SimulationError
 from repro.isa import (
@@ -189,29 +189,14 @@ class TestRunLimits:
         )
 
 
-def _ffn_chunk_program(config):
-    """The serving stack's FFN up-projection chunk (the cold-path unit)."""
-    from repro.nn.transformer import TransformerConfig
-    from repro.nn.tsp_inference import build_chunk_builder
-    from repro.serve import TransformerMlpServeModel
-
-    ffn = TransformerConfig(
-        d_model=32, n_heads=4, d_ff=64, seq_len=16, n_layers=1, vocab=128
-    )
-    model = TransformerMlpServeModel(
-        "ffn", ffn, config, seed=0, max_vectors_per_program=16
-    )
-    builder, _ = build_chunk_builder(config, model.runner.layers[0], 16)
-    return builder.compile().program
-
-
-def _compiled_programs(config):
-    programs = {
-        name: build().compile().program
-        for name, build in sorted(GOLDEN_PROGRAMS.items())
+def _compiled_programs():
+    """The golden programs and the FFN up-projection chunk (the cold-path
+    unit) of the serving stack."""
+    return {
+        entry.name: entry.compile().program for entry in corpus()
+        if entry.name.startswith("golden/")
+        or entry.name == "chunk/ffn.dense0x16"
     }
-    programs["ffn-chunk"] = _ffn_chunk_program(config)
-    return programs
 
 
 class TestPerRunState:
@@ -243,7 +228,7 @@ class TestPerRunState:
         """Un-scrubbed reuse (the resilience paths) must not accumulate
         event bookkeeping from one run to the next."""
         chip = TspChip(config)
-        program = _ffn_chunk_program(config)
+        program = _compiled_programs()["chunk/ffn.dense0x16"]
         for _ in range(3):
             chip.run(program)
             assert chip.events.pending == 0
@@ -322,7 +307,7 @@ class TestWorkFollowsDispatches:
     def test_queue_steps_bounded_by_dispatches(
         self, config, step_calls, warmup_barrier
     ):
-        for name, program in _compiled_programs(config).items():
+        for name, program in _compiled_programs().items():
             step_calls.clear()
             chip = TspChip(config)
             queues = len(program.icus)
@@ -358,7 +343,7 @@ class TestObserversFollowDispatches:
 
     @pytest.fixture()
     def programs(self, config):
-        programs = _compiled_programs(config)
+        programs = _compiled_programs()
         programs["paced"] = paced_program(
             TspChip(config), requests=6, interval=64
         )

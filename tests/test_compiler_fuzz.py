@@ -6,11 +6,11 @@ exactly what a direct numpy evaluation of the dataflow graph produces.  Any
 timing-model inconsistency between the scheduler and the simulator breaks
 this, so these tests fuzz the whole stack at once.
 
-Every compiled program runs through the differential oracle
-(:func:`repro.verify.assert_conformance`) with the full invariant-checker
-stack attached — stream-collision, strict bank discipline, and the
-Equation-4/5 timing contract — in addition to each test's own independent
-numpy oracle.
+Every compiled program runs through :func:`repro.verify.check` — the
+differential oracle with the full invariant-checker stack attached
+(stream-collision, strict bank discipline, the Equation-4/5 timing
+contract), then the lockstep with its replays and a sibling's — in
+addition to each test's own independent numpy oracle.
 
 Set ``REPRO_FUZZ_DEEP=1`` for the long-soak configuration (roughly 5-8x
 the example counts); the default stays fast enough for tier-1.
@@ -26,14 +26,7 @@ from hypothesis import strategies as st
 from repro.arch import DType
 from repro.compiler import StreamProgramBuilder
 from repro.config import small_test_chip
-from repro.testing import redrawn
-from repro.verify import (
-    BankDisciplineChecker,
-    StreamCollisionChecker,
-    TimingContractChecker,
-    assert_conformance,
-    assert_lockstep,
-)
+from repro.verify import check
 
 #: opt-in long soak: REPRO_FUZZ_DEEP=1 raises every example count
 DEEP = os.environ.get("REPRO_FUZZ_DEEP") == "1"
@@ -41,38 +34,6 @@ DEEP = os.environ.get("REPRO_FUZZ_DEEP") == "1"
 
 def _examples(normal: int, deep: int) -> int:
     return deep if DEEP else normal
-
-
-def conform(builder, inputs=None, seed=None):
-    """Differential oracle + full checker stack on a compiled program.
-
-    Every corpus program is additionally executed under the lockstep
-    comparator (:func:`repro.verify.assert_lockstep`), so the fuzz corpus
-    continuously re-proves that the compiler's plan replays bit-identical
-    to the simulation — memory, traces, cycle counts, the activity the
-    compiler counted, and the checker's dispatch stream — for the program
-    and, bound to other constants, for a sibling of the same schedule.
-
-    Returns the :class:`repro.verify.DifferentialResult`, so callers can
-    additionally assert their own independent numpy oracle against
-    ``result.outputs``.
-    """
-    compiled = builder.compile()
-    checkers = [
-        StreamCollisionChecker(),
-        BankDisciplineChecker(strict_discipline=True),
-        TimingContractChecker(compiled.intent),
-    ]
-    result = assert_conformance(
-        builder, compiled=compiled, inputs=inputs, seed=seed, checkers=checkers
-    )
-    for checker in checkers:
-        checker.raise_if_violated()
-    assert_lockstep(
-        compiled, inputs=inputs, timing=builder.timing,
-        sibling=redrawn(builder).bind(compiled.schedule),
-    )
-    return result
 
 
 #: op name -> (numpy oracle on int64, arity)
@@ -132,7 +93,7 @@ class TestFuzzElementwise:
     @settings(max_examples=_examples(25, 200), deadline=None)
     def test_random_dag_matches_oracle(self, seed, n_ops, n_vectors, length):
         g, expected = build_random_graph(seed, n_ops, n_vectors, length)
-        result = conform(g, seed=seed)
+        result = check(g)
         assert np.array_equal(result.outputs["out"], expected)
 
     @pytest.mark.parametrize("seed", range(8 if not DEEP else 32))
@@ -141,7 +102,7 @@ class TestFuzzElementwise:
         g, expected = build_random_graph(
             seed * 101 + 7, n_ops=12, n_vectors=2, length=32
         )
-        result = conform(g, seed=seed)
+        result = check(g)
         assert np.array_equal(result.outputs["out"], expected)
 
     def test_wide_fanout(self):
@@ -153,7 +114,7 @@ class TestFuzzElementwise:
         x = g.constant_tensor("x", x_data)
         for i in range(4):
             g.write_back(g.relu(g.copy(x)), name=f"out{i}")
-        result = conform(g)
+        result = check(g)
         expected = np.maximum(x_data, 0)
         for i in range(4):
             assert np.array_equal(result.outputs[f"out{i}"], expected)
@@ -177,7 +138,7 @@ class TestFuzzSxm:
         x_data = rng.integers(-50, 50, (n_vectors, lanes)).astype(np.int8)
         x = g.constant_tensor("x", x_data)
         g.write_back(g.shift(x, amount, south=south), "out")
-        result = conform(g, seed=seed)
+        result = check(g)
         expected = np.zeros_like(x_data)
         if south:
             expected[:, amount:] = x_data[:, :-amount]
@@ -196,7 +157,7 @@ class TestFuzzSxm:
         mapping = rng.permutation(lanes)
         x = g.constant_tensor("x", x_data)
         g.write_back(g.permute(x, [int(m) for m in mapping]), "out")
-        result = conform(g, seed=seed)
+        result = check(g)
         assert np.array_equal(result.outputs["out"], x_data[:, mapping])
 
     @given(seed=st.integers(0, 10_000), n_vectors=st.integers(1, 3))
@@ -213,7 +174,7 @@ class TestFuzzSxm:
         a = g.constant_tensor("a", a_data)
         b = g.constant_tensor("b", b_data)
         g.write_back(g.select(a, b, [int(m) for m in mask]), "out")
-        result = conform(g, seed=seed)
+        result = check(g)
         full = np.tile(mask != 0, config.n_superlanes)
         expected = np.where(full, b_data, a_data)
         assert np.array_equal(result.outputs["out"], expected)
@@ -229,7 +190,7 @@ class TestFuzzSxm:
         mapping = [int(m) for m in rng.integers(-1, per, per)]
         x = g.constant_tensor("x", x_data)
         g.write_back(g.distribute(x, mapping), "out")
-        result = conform(g, seed=seed)
+        result = check(g)
         out = result.outputs["out"].reshape(2, -1, per)
         for j, m in enumerate(mapping):
             if m < 0:
@@ -248,7 +209,7 @@ class TestFuzzSxm:
         x = g.constant_tensor("x", x_data)
         g.write_back(g.rotate(x, n), "out")
         # the differential oracle is the check: simulator vs interpreter
-        result = conform(g, seed=seed)
+        result = check(g)
         # rotate emits all n^2 rotations of each superlane's n x n block
         assert result.outputs["out"].shape == (n * n, config.n_lanes)
 
@@ -277,7 +238,7 @@ class TestFuzzFp16:
         if seed % 2:
             h = g.convert(h, DType.FP32)
         g.write_back(h, "out")
-        result = conform(g, seed=seed)
+        result = check(g)
         out = result.outputs["out"]
         assert out.shape == (n_vectors, length)
         assert out.dtype == (np.float32 if seed % 2 else np.float16)
@@ -306,7 +267,7 @@ class TestFuzzMixedPipelines:
         q = g.convert(acc, DType.INT8, scale=scale)
         out = g.relu(q) if seed % 2 else g.abs(q)
         g.write_back(out, name="y")
-        result = conform(g, seed=seed)
+        result = check(g)
         oracle = x.astype(np.int64) @ w.astype(np.int64)
         quantized = np.clip(np.rint(oracle * scale), -128, 127)
         if seed % 2:

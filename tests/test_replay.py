@@ -20,13 +20,17 @@ pin the contract that makes emit-once/replay-many safe:
 * scrub keeps chip reuse bit-exact (the trimmed scrub fast path).
 """
 
+import ast
+import inspect
 import sys
+import textwrap
 import threading
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from corpus import draw_inputs
 from golden_programs import GOLDEN_PROGRAMS
 from repro.arch import Direction, DType, Floorplan, Hemisphere
 from repro.compiler import StreamProgramBuilder, execute
@@ -38,11 +42,13 @@ from repro.serve.resilient import probe_memory
 from repro.sim import LinkErrorModel, TspChip
 from repro.sim.faults import FaultInjector
 from repro.sim.icu import QueueSet
-from repro.sim.replay import ReplayPlan, _hops, replay_allowed
+from repro.sim.replay import (
+    ReplayPlan, _chip_is_pristine, _hops, replay_allowed,
+)
 from repro.sim.streamreg import StreamRegisterFile
 from repro.verify import assert_lockstep
 from repro.verify.invariants import StreamCollisionChecker
-from repro.verify.suite import FED_PROGRAMS
+from repro.verify.suite import PROGRAMS
 
 N_ROWS, K, M = 4, 16, 8
 
@@ -224,14 +230,9 @@ class TestPlanSharesTheInstalledWeights:
 
 
 class TestLockstep:
-    """The comparator over the golden programs: simulation, write-through
-    replay and batched replay agree on every observable surface."""
-
-    @pytest.mark.parametrize("name", sorted(GOLDEN_PROGRAMS))
-    def test_lockstep_on_golden_programs(self, name):
-        builder = GOLDEN_PROGRAMS[name]()
-        result = assert_lockstep(builder.compile(), timing=builder.timing)
-        assert result.ok and result.replay is not None, result.plan.reason
+    """The comparator's modes (``tests/test_corpus.py`` runs it on every
+    corpus program): simulation, write-through replay and batched replay
+    agree on every observable surface."""
 
     def test_lockstep_with_warmup_barrier(self):
         builder = GOLDEN_PROGRAMS["matmul"]()
@@ -440,7 +441,9 @@ class TestBatched:
             assert res.run.cycles == reference.run.cycles
             assert res.run.activity == reference.run.activity
 
-    @pytest.mark.parametrize("name, build", FED_PROGRAMS)
+    @pytest.mark.parametrize("name, build", [
+        (name, build) for name, build in PROGRAMS if name.startswith("fed-")
+    ])
     def test_input_fed_ops_match_three_simulations(self, config, name, build):
         """``vxm1`` / ``vxm2`` / ``vxmc`` / ``route`` / fp16 ``dot``: the ops
         a constants-only program folds away, fed three distinct inputs in
@@ -448,7 +451,7 @@ class TestBatched:
         builder, _inputs = build(config)
         compiled = builder.compile()
         assert compiled.replay.ok, compiled.replay.reason
-        batch = [build(config, offset)[1] for offset in (1, 2, 3)]
+        batch = [draw_inputs(builder, seed) for seed in (1, 2, 3)]
         results = execute_batched(compiled, batch)
         assert results is not None
         for bound, res in zip(batch, results):
@@ -521,9 +524,25 @@ def _pool_checkout_hook(config):
     return worker.chip, worker._checkout
 
 
-#: every public way to perturb a chip, as ``setup(config) -> (chip, undo)``.
-#: The planned program lives in the West hemisphere, so the East MEM
-#: slice 0 faults perturb the chip without killing the run.
+#: each public ``FaultInjector`` write and its arguments: the planned
+#: program lives in the West hemisphere, so the East MEM slice 0 faults
+#: perturb the chip without killing the run
+INJECTIONS = {
+    "inject_sram_fault": (EAST, 0, 7, 3),
+    "inject_double_sram_fault": (EAST, 0, 7, (3, 4)),
+    "inject_stream_fault": (Direction.EASTWARD, 0, 0, 5),
+    "inject_double_stream_fault": (Direction.EASTWARD, 0, 0, (3, 4)),
+    "inject_stream_fault_at": (22, Direction.EASTWARD, 28, 2, 3),
+}
+
+
+def _injected(name):
+    return _on_fresh_chip(
+        lambda chip: getattr(FaultInjector(chip), name)(*INJECTIONS[name])
+    )
+
+
+#: every public way to perturb a chip, as ``setup(config) -> (chip, undo)``
 PERTURBATIONS = {
     "link-error-model": _on_fresh_chip(
         lambda chip: chip.c2c_unit(EAST).set_error_model(
@@ -535,24 +554,10 @@ PERTURBATIONS = {
         lambda chip: chip.mem_unit(EAST, 0).mark_dead(),
         lambda chip: chip.mem_unit(EAST, 0).revive(),
     ),
-    "sram-flip": _on_fresh_chip(
-        lambda chip: FaultInjector(chip).inject_sram_fault(EAST, 0, 7, 3)
-    ),
-    "double-sram-flip": _on_fresh_chip(
-        lambda chip: FaultInjector(chip).inject_double_sram_fault(
-            EAST, 0, 7, (3, 4)
-        )
-    ),
-    "stream-flip-now": _on_fresh_chip(
-        lambda chip: FaultInjector(chip).inject_stream_fault(
-            Direction.EASTWARD, 0, 0, 5
-        )
-    ),
-    "stream-flip-armed": _on_fresh_chip(
-        lambda chip: FaultInjector(chip).inject_stream_fault_at(
-            22, Direction.EASTWARD, 28, 2, 3
-        )
-    ),
+    "sram-flip": _injected("inject_sram_fault"),
+    "double-sram-flip": _injected("inject_double_sram_fault"),
+    "stream-flip-now": _injected("inject_stream_fault"),
+    "stream-flip-armed": _injected("inject_stream_fault_at"),
     "superlane-off": _on_fresh_chip(
         lambda chip: chip.set_superlane_power(0, False),
         lambda chip: chip.set_superlane_power(0, True),
@@ -571,9 +576,57 @@ PERTURBATIONS = {
     ),
 }
 
+#: chip state and injector methods a plan may answer around; everything
+#: else ``scrub`` resets must be a ``_chip_is_pristine`` clause
+BENIGN = {
+    # what a program loads before it reads: SRAM words, installed weights
+    "_units", "weights_installed_cycle", "weights_installed_bytes",
+    # what a replay leaves as a run would, or every run starts afresh
+    "trace", "activity", "now", "barrier",
+    # reads of the CSR
+    "csr_corrections", "wearout_flag",
+}
+
+
+def _tree(function) -> ast.FunctionDef:
+    (tree,) = ast.parse(textwrap.dedent(inspect.getsource(function))).body
+    return tree
+
+
+def _resets(method) -> set:
+    """The ``self.<name>`` each statement of ``method`` assigns, calls or
+    loops over; a chip method's call stands for what that one resets."""
+    tree, names = _tree(method), set()
+    for stmt in tree.body[1 if ast.get_docstring(tree) else 0:]:
+        node = (stmt.targets[0] if isinstance(stmt, ast.Assign)
+                else getattr(stmt, "iter", None) or stmt.value)
+        while not isinstance(getattr(node, "value", None), ast.Name):
+            node = node.func if isinstance(node, ast.Call) else node.value
+        called = getattr(TspChip, node.attr, None)
+        names |= _resets(called) if inspect.isfunction(called) else {node.attr}
+    return names
+
 
 class TestBypass:
     """Every divergence source must force real simulation (fail-closed)."""
+
+    def test_every_chip_state_is_decided(self, config):
+        """What ``scrub`` resets is a ``_chip_is_pristine`` clause or
+        benign, and every injection trips a clause: chip state added
+        without deciding which fails here."""
+        clauses = {
+            node.attr for node in ast.walk(_tree(_chip_is_pristine))
+            if isinstance(node, ast.Attribute)
+            and getattr(node.value, "id", None) == "chip"
+        }
+        resets = _resets(TspChip.scrub)
+        assert resets - clauses == resets & BENIGN, resets - clauses
+        injector = {name for name, _ in inspect.getmembers(
+            FaultInjector, inspect.isfunction) if not name.startswith("_")}
+        assert injector == set(INJECTIONS) | (injector & BENIGN)
+        for name in INJECTIONS:
+            chip, _undo = _injected(name)(config)
+            assert _chip_is_pristine(chip) is not None, name
 
     @pytest.mark.parametrize("name", PERTURBATIONS)
     def test_perturbed_chip_simulates(self, config, name):

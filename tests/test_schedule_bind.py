@@ -16,7 +16,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from binary_digest import DEGRADED, digest
+from binary_digest import digest
+from corpus import DEGRADED
 from repro.arch import DType, Hemisphere
 from repro.compiler import StreamProgramBuilder
 from repro.config import small_test_chip

@@ -105,8 +105,8 @@ CHUNK_PLANES = {
 } | {("cnn", "conv0", 16): (1, 1), ("cnn", "conv0", 32): (2, 2)}
 
 
-@pytest.fixture(scope="module")
-def models():
+def serve_models():
+    """The benchmark's two models, untrained, and the CNN's dataset."""
     config = small_test_chip()
     data = make_shapes(
         n_train=160, n_test=64, image_size=8, n_classes=3, noise=0.08, seed=0
@@ -119,6 +119,11 @@ def models():
         "ffn", FFN, config, seed=0, max_vectors_per_program=16
     )
     return {"cnn": cnn, "ffn": ffn}, data
+
+
+@pytest.fixture(scope="module")
+def models():
+    return serve_models()
 
 
 #: the first matmul lands on MXM_W plane 0; this leaves it no sibling, so

@@ -12,7 +12,6 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from golden_programs import GOLDEN_PROGRAMS
 from repro.arch import DType
 from repro.arch.geometry import Direction, Hemisphere, SliceKind
 from repro.compiler import StreamProgramBuilder
@@ -33,23 +32,8 @@ from repro.verify import (
     run_conformance,
 )
 
-from test_schedule_cycles import (  # noqa: F401 (the models fixture)
-    CHUNK_CYCLES,
-    NO_SIBLING,
-    chunk_builder,
-    models,
-)
-
 E = Direction.EASTWARD
 W = Direction.WESTWARD
-
-#: every chunk program the benchmark's models serve, healthy and on a chip
-#: whose first MXM plane has no sibling: test id -> (key, blacklist)
-CHUNKS = {
-    f"{model}.{layer}x{rows}{suffix}": ((model, layer, rows), blacklist)
-    for model, layer, rows in sorted(CHUNK_CYCLES)
-    for suffix, blacklist in (("", None), ("/no-sibling", NO_SIBLING))
-}
 
 
 def _int8(shape, offset=0):
@@ -271,23 +255,6 @@ class TestTimingContract:
             ("missing-drive", copies[0]), ("unexpected-drive", copies[-1] + 1)
         ], checker.violations
         assert all(f"at position {position}," in v.message for v in drives)
-
-    @pytest.mark.parametrize(
-        "program", [*GOLDEN_PROGRAMS, *CHUNKS], ids=str,
-    )
-    def test_every_served_and_golden_program_keeps_its_contract(
-        self, config, models, program
-    ):
-        if program in GOLDEN_PROGRAMS:
-            b, blacklist = GOLDEN_PROGRAMS[program](), None
-        else:
-            key, blacklist = CHUNKS[program]
-            _layer, b, _bindings = chunk_builder(config, models, *key)
-        compiled = b.compile(blacklist=blacklist)
-        # one record of the drives: the plan's hop count sweeps the same list
-        assert compiled.intent.drives is compiled.schedule.plan.drives
-        checker = _contract(b, compiled)
-        assert checker.ok, [str(v) for v in checker.violations]
 
 
 # ----------------------------------------------------------------------
