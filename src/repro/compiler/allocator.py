@@ -24,7 +24,7 @@ Two resources are allocated here:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from ..arch.geometry import Direction, Floorplan, Hemisphere
 from ..config import ArchConfig
@@ -81,6 +81,16 @@ class TensorLayout:
         return TensorLayout(
             planes=[p for part in parts for p in part.planes],
             row_blocks=sum(part.row_blocks for part in parts),
+        )
+
+    def shifted(self, words: int) -> "TensorLayout":
+        """This layout ``words`` addresses further up every slice."""
+        return TensorLayout(
+            planes=[replace(p, base_address=p.base_address + words)
+                    for p in self.planes],
+            parallel=[replace(p, base_address=p.base_address + words)
+                      for p in self.parallel],
+            row_blocks=self.row_blocks,
         )
 
     def address_of(self, plane: int, row: int) -> tuple[Hemisphere, int, int]:
@@ -251,42 +261,69 @@ class StreamGrant:
     width: int
     t_start: int
     t_end: int
+    #: booked for every period of a periodic schedule, not just the first
+    recurs: bool = False
 
     @property
     def streams(self) -> list[int]:
         return list(range(self.base, self.base + self.width))
 
 
+def recurrence_meets(
+    a: tuple[int, int], b: tuple[int, int], period: int,
+    first: int | None = 0,
+) -> bool:
+    """Whether window ``a`` shifted by ``k * period`` meets window ``b``
+    for some ``k >= first`` (any ``k`` when ``first`` is None)."""
+    lo, hi = -((a[1] - b[0]) // period), (b[1] - a[0]) // period
+    return max(lo, first) <= hi if first is not None else lo <= hi
+
+
 class StreamAllocator:
-    """Interval allocation of the 32+32 logical streams."""
+    """Interval allocation of the 32+32 logical streams.
+
+    With a ``period``, a grant marked ``recurs`` is booked at every
+    ``t + k * period``, ``k >= 0``: a periodic schedule repeats it.
+    """
 
     def __init__(self, config: ArchConfig) -> None:
         self.config = config
+        self.period: int | None = None
         self._grants: dict[Direction, list[StreamGrant]] = {
             Direction.EASTWARD: [],
             Direction.WESTWARD: [],
         }
 
     def _free(
-        self, direction: Direction, base: int, width: int, t0: int, t1: int
+        self, direction: Direction, base: int, width: int, t0: int, t1: int,
+        recurs: bool,
     ) -> bool:
         for grant in self._grants[direction]:
             if grant.base + grant.width <= base or base + width <= grant.base:
                 continue  # disjoint stream ranges
-            if grant.t_end < t0 or t1 < grant.t_start:
-                continue  # disjoint time windows
-            return False
+            window, wanted = (grant.t_start, grant.t_end), (t0, t1)
+            if recurs and grant.recurs:
+                met = recurrence_meets(wanted, window, self.period, None)
+            elif recurs:
+                met = recurrence_meets(wanted, window, self.period)
+            elif grant.recurs:
+                met = recurrence_meets(window, wanted, self.period)
+            else:
+                met = not (window[1] < t0 or t1 < window[0])
+            if met:
+                return False
         return True
 
     def allocate(
-        self, direction: Direction, width: int, t_start: int, t_end: int
+        self, direction: Direction, width: int, t_start: int, t_end: int,
+        recurs: bool = False,
     ) -> StreamGrant:
         """Grant an aligned group of ``width`` streams for a window.
 
         The window is expressed in moving-frame coordinates (which may be
         negative).  ``width`` must be a power-of-two group size (1, 2, 4)
         or 16 for the transpose group; alignment follows the SG rules of
-        Section I-B.
+        Section I-B.  A ``recurs`` grant books every period of the window.
         """
         if t_end < t_start:
             raise AllocationError("stream window ends before it starts")
@@ -298,8 +335,10 @@ class StreamAllocator:
             # (weight feeds, transpose groups) keep the low blocks free
             bases.reverse()
         for base in bases:
-            if self._free(direction, base, width, t_start, t_end):
-                grant = StreamGrant(direction, base, width, t_start, t_end)
+            if self._free(direction, base, width, t_start, t_end, recurs):
+                grant = StreamGrant(
+                    direction, base, width, t_start, t_end, recurs
+                )
                 self._grants[direction].append(grant)
                 return grant
         raise AllocationError(

@@ -33,6 +33,7 @@ from ..isa.sxm import ShiftDirection
 from ..isa.vxm import AluOp
 from .cachekey import graph_fingerprint, shape_fingerprint
 from .graph import Graph, Node, OpKind
+from .repeat import passes_key
 from .scheduler import CompiledProgram, Schedule, Scheduler
 
 
@@ -490,7 +491,9 @@ class StreamProgramBuilder:
         return out_name
 
     # ------------------------------------------------------------------
-    def compile(self, blacklist=None, cache_key=None) -> CompiledProgram:
+    def compile(
+        self, blacklist=None, cache_key=None, passes: int = 1
+    ) -> CompiledProgram:
         """Schedule the graph in time and space, then bind its constants.
 
         ``blacklist`` — a :class:`repro.resil.degrade.Blacklist` of dead
@@ -504,18 +507,38 @@ class StreamProgramBuilder:
         be cached and replayed for any later request of the same shape.
         A program cache that just missed on this graph passes the
         ``cache_key`` it looked up instead of having it hashed again.
+
+        ``passes`` > 1 compiles a matmul program that streams that many
+        bindings of its inputs through one weight install — or as many as
+        MEM holds (:mod:`repro.compiler.repeat`).
         """
-        return self.schedule(blacklist).bind(
-            self.graph, cache_key or self.fingerprint(blacklist)
+        schedule = self.schedule(blacklist, passes)
+        return schedule.bind(
+            self.graph,
+            cache_key or self.fingerprint(blacklist, schedule.passes),
         )
 
-    def schedule(self, blacklist=None) -> Schedule:
+    def schedule(self, blacklist=None, passes: int = 1) -> Schedule:
         """The time × space search: everything about the program that is
         decided by shapes — and so shared by every graph with this one's
-        :meth:`shape_key`, whatever its constants hold."""
+        :meth:`shape_key`, whatever its constants hold.  ``passes`` > 1
+        repeats :meth:`pass_schedule` rather than searching again."""
+        if passes > 1:
+            return self.pass_schedule(blacklist).repeated(passes)
         scheduler = Scheduler(self.config, self.timing, blacklist=blacklist)
         schedule = scheduler.schedule(self.graph)
         schedule.shape_key = self.shape_key(blacklist)
+        return schedule
+
+    def pass_schedule(self, blacklist=None) -> Schedule:
+        """The schedule whose passes :meth:`schedule` repeats: a one-tile
+        matmul's pass planned to recur every period behind one weight
+        install; any other graph's own schedule, repeated whole."""
+        scheduler = Scheduler(
+            self.config, self.timing, blacklist=blacklist, periodic=True
+        )
+        schedule = scheduler.schedule(self.graph)
+        schedule.shape_key = self.shape_key(blacklist, passes=None)
         return schedule
 
     def bind(
@@ -524,27 +547,29 @@ class StreamProgramBuilder:
         """Emplace this graph's constants into ``schedule`` — its own, or
         one made for the same :meth:`shape_key` and ``blacklist``; either
         way the program :meth:`compile` returns, byte for byte."""
-        if schedule.shape_key != self.shape_key(blacklist):
+        if schedule.shape_key != self.shape_key(blacklist, schedule.passes):
             raise CompileError(
                 "this schedule was made for a graph of another shape, "
                 "configuration or blacklist"
             )
         return schedule.bind(
-            self.graph, cache_key or self.fingerprint(blacklist)
+            self.graph,
+            cache_key or self.fingerprint(blacklist, schedule.passes),
         )
 
-    def fingerprint(self, blacklist=None) -> str:
+    def fingerprint(self, blacklist=None, passes: int = 1) -> str:
         """The cache key :meth:`compile` would attach, without compiling."""
-        return graph_fingerprint(
+        return passes_key(graph_fingerprint(
             self.graph, self.config, timing=self.timing, blacklist=blacklist
-        )
+        ), passes)
 
-    def shape_key(self, blacklist=None) -> str:
+    def shape_key(self, blacklist=None, passes: int | None = 1) -> str:
         """:meth:`fingerprint` with every constant's bytes left out: what
-        a schedule is a function of."""
-        return shape_fingerprint(
+        a schedule is a function of (``passes=None``: the
+        :meth:`pass_schedule`)."""
+        return passes_key(shape_fingerprint(
             self.graph, self.config, timing=self.timing, blacklist=blacklist
-        )
+        ), passes)
 
 
 def _dtype_from_numpy(np_dtype: np.dtype) -> DType:

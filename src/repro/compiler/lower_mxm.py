@@ -76,6 +76,13 @@ class MxmLowering:
                 (act_nodes[0].dtype.n_bytes, node.dtype.n_bytes),
                 self._mxm_clock,
             )
+        # a graph that is one one-tile matmul alone (weights, activations,
+        # the matmul, its write) repeats its pass behind one install;
+        # anything else repeats whole
+        if self.periodic and free and len(tiles) == 1 and len(graph.nodes) == 4:
+            self.attempt.period = self.streams.period = (
+                self._mxm_clock.period(parts[0].rows[0])
+            )
         claimed = sum(len(part.planes) for part in parts)
         self._mxm_rr += 2 if fp16 else claimed
         self.stats.mxm_planes = max(self.stats.mxm_planes, claimed)
@@ -181,12 +188,15 @@ class MxmLowering:
         with self.attempt as attempt:
             for p_idx, (tile, act) in enumerate(zip(tiles, act_nodes)):
                 k_to = k_from + tile.shape[0]
+                # the install is the prologue a periodic pass repeats after
+                attempt.in_pass = False
                 installed = self._plan_install(
                     node, part, (k_from, k_to), t_cursor, weight_slots
                 )
                 if installed is None:
                     return False
                 k_from = k_to
+                attempt.in_pass = attempt.period is not None
                 t_a = self._plan_pass(
                     node, part, act, installed[0] + 1, installed[1], sums,
                     accumulate=p_idx > 0, last=p_idx == len(tiles) - 1,

@@ -253,13 +253,15 @@ class MxmClock:
     first result on a stream (the systolic depth plus ``ACC``); ``turn``:
     end of a plane's row stream to the cycle it may start installing other
     weights (a new install wipes results still draining); ``retire``: last
-    result byte at its slice to the program's last cycle.
+    result byte at its slice to the program's last cycle; ``lag``: a
+    plane's ``ABC`` dispatch to its ``ACC`` dispatch.
     """
 
     read: int
     fill: int
     turn: int
     retire: int
+    lag: int = 0
 
     @classmethod
     def of(cls, timing, plane_rows: int) -> "MxmClock":
@@ -271,7 +273,19 @@ class MxmClock:
             + timing.functional_delay("ACC"),
             turn=depth + 1,
             retire=1 - timing.operand_skew("Write"),
+            lag=depth + timing.operand_skew("ABC")
+            - timing.operand_skew("ACC"),
         )
+
+    def period(self, block: int) -> int:
+        """Cycles between two passes of a matmul streaming ``block`` rows
+        a plane (:mod:`repro.compiler.repeat`): one a row — or a cycle or
+        so more, where an ``ABC`` would meet a later pass's ``ACC`` in
+        their plane's queue."""
+        period = block
+        while self.lag and self.lag % period == 0:
+            period += 1
+        return period
 
 
 @dataclass(frozen=True)
@@ -334,9 +348,11 @@ def matmul_cost(
     chunks: list[int],
     widths: tuple[int, int],
     clock: MxmClock,
+    passes: int = 1,
 ) -> tuple[int, int]:
     """Predicted ``(cycles, instructions)`` of ``input -> matmul -> write``
-    scheduled as ``parts`` (which run side by side).
+    scheduled as ``parts`` (which run side by side), streaming ``passes``
+    bindings through it (:mod:`repro.compiler.repeat`).
 
     Per K-tile of ``chunks[p]`` weight chunks a part issues its feed's
     reads, an ``IW``/``ABC``/``ACC`` per plane and one activation read per
@@ -346,24 +362,52 @@ def matmul_cost(
     group of slices.  Exact for a program that is this matmul alone, as
     long as no two of its streams want one slice's dispatch queue at once
     — every benchmark chunk program (``tests/test_schedule_cycles.py``).
+
+    Passes of one tile share the feed and the ``IW`` s, the prologue: a
+    program of ``n`` runs ``cycles(1) + (n - 1) * period`` cycles and
+    ``prologue + n * body`` instructions.  A pass recurs on every queue
+    it touches, so once it streams rows more than half its period, no
+    activation slice (the slices :func:`operand_slices` would pick) has
+    the cycles of the period left to land a block of results: they land
+    clear of them — the once-paid lead a pass costs over a one-pass
+    program.
+    A K-tiled program repeats whole: ``n`` times each.
     """
     act_bytes, result_bytes = widths
-    cycles = instructions = 0
+    periodic = passes > 1 and len(chunks) == 1
+    cycles = prologue = body = 0
     for part in parts:
-        k, n = len(part.planes), sum(part.rows)
-        t = max(part.offer.ready[:k])
-        instructions += n * result_bytes
+        k, n, offer = len(part.planes), sum(part.rows), part.offer
+        t = max(offer.ready[:k])
+        body += n * result_bytes
         for n_chunks in chunks:
-            t_a, reads = part.offer.feed(n_chunks, t, clock.read)
-            instructions += reads + 3 * k + n * act_bytes
+            t_a, reads = offer.feed(n_chunks, t, clock.read)
+            prologue += reads + k
+            body += 2 * k + n * act_bytes
             t = t_a + part.rows[0] + clock.turn
-        hops = landing_hops(part.offer.transits, part.offer.room, part.rows[0])
+        room = offer.room
+        if periodic and 2 * part.rows[0] > clock.period(part.rows[0]):
+            # an activation slice has no cycles left to land results in
+            acts = operand_slices(
+                [s for s in offer.near if offer.fits(s, part.rows[0])],
+                k * act_bytes, part.rows[0], offer.position, t_a,
+                clock.read, lambda *_: True,
+            ) or []
+            room = [
+                0 if s in acts else free for s, free in zip(
+                    offer.landing, room or [part.rows[0]] * len(offer.landing)
+                )
+            ]
+        hops = landing_hops(offer.transits, room, part.rows[0])
         drained = max(
             block + hops[(b + 1) * result_bytes - 1]
             for b, block in enumerate(part.rows)
         )
         cycles = max(cycles, t_a + clock.fill + drained + clock.retire)
-    return cycles, instructions
+    if periodic:
+        period = clock.period(parts[0].rows[0])
+        return cycles + (passes - 1) * period, prologue + passes * body
+    return passes * cycles, passes * (prologue + body)
 
 
 def matmul_parts(

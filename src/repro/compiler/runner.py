@@ -161,6 +161,10 @@ def execute_batched(
     given, the B runs land on it as B back-to-back runs would
     (:meth:`~repro.sim.replay.ReplayPlan.charge`), but its memory is
     untouched (the batch never materializes per-input SRAM state).
+
+    A program of ``n`` passes (:mod:`repro.compiler.repeat`) takes one
+    binding per pass, under its pass-0 names: B bindings are B / n runs,
+    and each result carries its run's :class:`RunResult`.
     """
     from ..sim import replay as replay_mod
 
@@ -171,9 +175,15 @@ def execute_batched(
         plan, chip, max_cycles=max_cycles, warmup_barrier=warmup_barrier
     ):
         return None
+    runs, odd = divmod(len(inputs_list), plan.passes)
+    if odd:
+        raise SimulationError(
+            f"{len(inputs_list)} bindings are not whole runs of a "
+            f"{plan.passes}-pass program"
+        )
     outputs_list = plan.run_batched(inputs_list)
     if chip is not None:
-        plan.charge(chip, len(inputs_list))
+        plan.charge(chip, runs)
     return [
         ExecutionResult(outputs=outputs, run=plan.run_result(chip))
         for outputs in outputs_list

@@ -202,6 +202,20 @@ class ScheduleIntent:
     )
 
 
+@dataclass(frozen=True)
+class PassShape:
+    """What repeats of a periodic schedule (:mod:`repro.compiler.repeat`):
+    every ``period`` cycles, one more pass of its dispatch ``cells`` (per
+    queue), its ``drives`` and the plan ops ``ops`` marks; the rest —
+    the weight feed and install — is a prologue run once."""
+
+    period: int
+    cells: dict[IcuId, frozenset[int]]
+    drives: frozenset
+    #: per plan op, in plan order, whether the pass performs it
+    ops: tuple[bool, ...]
+
+
 @dataclass
 class Schedule:
     """Everything the scheduler decides — none of it from a constant's
@@ -231,6 +245,30 @@ class Schedule:
     #: emitted, its memory-image words among its inputs — None for a
     #: program no plan stands in for; every program binds its own from it
     plan: object | None = field(default=None, repr=False, compare=False)
+    #: a periodic schedule's pass; None for a schedule run once
+    pass_shape: PassShape | None = field(default=None, repr=False)
+    #: passes one run of the program makes (:mod:`repro.compiler.repeat`)
+    passes: int = 1
+    #: the periodic schedule this one repeats ``passes`` times
+    source: "Schedule | None" = field(default=None, repr=False, compare=False)
+    _repeats: dict = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
+
+    def repeated(self, passes: int) -> "Schedule":
+        """:func:`~repro.compiler.repeat.repeat` of this periodic schedule
+        — ``passes`` passes, or as many as MEM holds — made once per
+        count and shared by every program of its shape."""
+        from .repeat import max_passes, repeat
+
+        passes = min(passes, max_passes(self))
+        made = self._repeats.get(passes)
+        if made is None:
+            made = self._repeats[passes] = repeat(self, passes)
+            # this schedule's key is ``passes_key(key, None)``: the
+            # repeat's is ``passes_key(key, passes)``
+            made.shape_key = f"{self.shape_key}*{passes}"
+        return made
 
     def bind(self, graph: Graph, cache_key: str | None = None) -> "CompiledProgram":
         """The program of ``graph`` — one this schedule's shape — with
@@ -393,15 +431,23 @@ class Attempt:
         self.cells: dict[IcuId, set[int]] = {}
         self.reservations: list[tuple[IcuId, int, Instruction, str]] = []
         self.grants: list[StreamGrant] = []
-        #: every committed plan op as ``(order, op)``, ``order`` being
-        #: when the chip performs it; the slots they number
-        self.emitted: list[tuple[tuple, tuple]] = []
+        #: every committed plan op as ``(order, op, in pass)``, ``order``
+        #: being when the chip performs it; the slots they number
+        self.emitted: list[tuple[tuple, tuple, bool]] = []
         self.n_slots = 0
         #: every committed ``(direction, stream, position, cycle)`` drive
         self.drives: list[tuple[Direction, int, int, int]] = []
-        self._ops: list[tuple[tuple, tuple]] = []
+        #: a periodic schedule's period (see :meth:`cells_free`) and, per
+        #: queue, its pass's committed cells; the drives of the pass
+        self.period: int | None = None
+        self.in_pass = False
+        self.pass_cells: dict[IcuId, set[int]] = {}
+        self.pass_drives: list[tuple[Direction, int, int, int]] = []
+        self._ops: list[tuple[tuple, tuple, bool]] = []
         self._slots = 0
         self._drives: list[tuple[Direction, int, int, int]] = []
+        self._pass_planned: dict[IcuId, set[int]] = {}
+        self._pass_drives: list[tuple[Direction, int, int, int]] = []
 
     def __enter__(self) -> "Attempt":
         return self
@@ -418,6 +464,8 @@ class Attempt:
         self._ops.clear()
         self._slots = 0
         self._drives.clear()
+        self._pass_planned.clear()
+        self._pass_drives.clear()
 
     def slots(self, n: int) -> list[int]:
         """``n`` fresh value slots of the plan."""
@@ -427,14 +475,16 @@ class Attempt:
 
     def emit(self, order: tuple, op: tuple) -> None:
         """Keep plan op ``op``, which the chip performs at ``order``."""
-        self._ops.append((order, op))
+        self._ops.append((order, op, self.in_pass))
 
     def drive(self, direction: Direction, base: int, n: int, position: int,
               t: int) -> None:
         """Keep the drives of streams ``base .. base+n-1`` at ``position``
         in cycle ``t``."""
-        self._drives += [(direction, s, position, t)
-                         for s in range(base, base + n)]
+        drives = [(direction, s, position, t) for s in range(base, base + n)]
+        self._drives += drives
+        if self.in_pass:
+            self._pass_drives += drives
 
     def cells_free(self, icu: IcuId, t: int, n: int = 1) -> bool:
         """Dispatch cells ``t .. t+n-1`` of a queue are neither reserved
@@ -444,9 +494,30 @@ class Attempt:
         queue = self.queues.get(icu)
         reserved = queue.cells if queue is not None else ()
         planned = self.cells.get(icu, ())
-        return not any(
-            c in reserved or c in planned for c in range(t, t + n)
+        if any(c in reserved or c in planned for c in range(t, t + n)):
+            return False
+        return self.period is None or not any(
+            self._recurs_on(icu, c, reserved, planned) for c in range(t, t + n)
         )
+
+    def _recurs_on(self, icu: IcuId, t: int, reserved, planned) -> bool:
+        """In a periodic schedule a pass cell taken at ``t`` is taken at
+        every ``t + k * period`` too: whether cell ``t`` (a pass cell when
+        :attr:`in_pass`) meets another's recurrence, or its own meets
+        another cell."""
+        period = self.period
+        repeated = self.pass_cells.get(icu, set()) | self._pass_planned.get(
+            icu, set()
+        )
+        for c in (*reserved, *planned):
+            if (c - t) % period:
+                continue
+            if c in repeated:
+                if self.in_pass or c < t:
+                    return True
+            elif self.in_pass and c > t:
+                return True
+        return False
 
     def first_free(
         self, icus: Sequence[IcuId], t: int, n: int
@@ -457,12 +528,16 @@ class Attempt:
     def hold(self, icu: IcuId, t: int, n: int = 1) -> None:
         """Claim cells whose instruction is not known yet."""
         self.cells.setdefault(icu, set()).update(range(t, t + n))
+        if self.in_pass:
+            self._pass_planned.setdefault(icu, set()).update(range(t, t + n))
 
     def plan(
         self, icu: IcuId, t: int, instruction: Instruction, note: str = ""
     ) -> None:
         self.cells.setdefault(icu, set()).add(t)
         self.reservations.append((icu, t, instruction, note))
+        if self.in_pass:
+            self._pass_planned.setdefault(icu, set()).add(t)
 
     def grant(
         self,
@@ -486,7 +561,10 @@ class Attempt:
         c0 = t0 - position if direction is Direction.EASTWARD else t0 + position
         span = 0 if parallel else n_vectors - 1
         try:
-            grant = self.streams.allocate(direction, width, c0, c0 + span)
+            grant = self.streams.allocate(
+                direction, width, c0, c0 + span,
+                recurs=self.in_pass and self.period is not None,
+            )
         except AllocationError:
             return None
         self.grants.append(grant)
@@ -506,7 +584,10 @@ class Attempt:
                 self.queues[icu] = QueueBuilder(icu)
         for icu, t, instruction, own in self.reservations:
             self.queues[icu].reserve(t, instruction, own or note)
+        for icu, cells in self._pass_planned.items():
+            self.pass_cells.setdefault(icu, set()).update(cells)
         self.emitted += self._ops
         self.n_slots += self._slots
         self.drives += self._drives
+        self.pass_drives += self._pass_drives
         self._forget()

@@ -80,6 +80,7 @@ from .schedule import (  # noqa: F401 (the module's public names live on)
     ConstantSlot,
     Delivery,
     MemWord,
+    PassShape,
     QueueBuilder,
     Schedule,
     ScheduleIntent,
@@ -98,8 +99,11 @@ class Scheduler(VxmLowering, MxmLowering, SxmLowering):
         config: ArchConfig,
         timing: TimingModel | None = None,
         blacklist=None,
+        periodic: bool = False,
     ) -> None:
         self.config = config
+        #: schedule a matmul's pass to repeat every period (:mod:`.repeat`)
+        self.periodic = periodic
         self.timing = timing or TimingModel()
         self.floorplan = Floorplan(config)
         # degraded-mode recompilation: ``blacklist`` (duck-typed, see
@@ -613,7 +617,8 @@ class Scheduler(VxmLowering, MxmLowering, SxmLowering):
             default=0,
         )
         stats.stream_grants = self.streams.utilization()
-        ops = sorted(self.attempt.emitted, key=lambda entry: entry[0])
+        attempt = self.attempt
+        ops = sorted(attempt.emitted, key=lambda entry: entry[0])
         words = [where for slot in self.slots for where in slot.words]
         return Schedule(
             config=self.config,
@@ -630,14 +635,23 @@ class Scheduler(VxmLowering, MxmLowering, SxmLowering):
                     }
                     for icu, queue in self.queues.items()
                 },
-                drives=self.attempt.drives,
+                drives=attempt.drives,
             ),
             words=words,
             plan=emitted_plan(
                 self.config, self.timing, program, stats.makespan + 1,
-                [op for _order, op in ops], self.attempt.n_slots,
-                self.inputs, self.outputs, words, self.attempt.drives,
+                [op for _order, op, _in in ops], attempt.n_slots,
+                self.inputs, self.outputs, words, attempt.drives,
                 self.floorplan.n_positions,
+            ),
+            pass_shape=None if attempt.period is None else PassShape(
+                period=attempt.period,
+                cells={
+                    icu: frozenset(cells)
+                    for icu, cells in attempt.pass_cells.items()
+                },
+                drives=frozenset(attempt.pass_drives),
+                ops=tuple(in_pass for _order, _op, in_pass in ops),
             ),
         )
 

@@ -20,11 +20,12 @@ from __future__ import annotations
 
 import itertools
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from ..compiler import StreamProgramBuilder, execute
+from ..compiler.repeat import join_passes, pass_name
 from ..config import ArchConfig
 from ..errors import TspError
 from ..obs import rtrace
@@ -57,8 +58,8 @@ class TspForwardResult:
 
     logits: np.ndarray
     total_cycles: int
-    #: matrix layers that ran on the chip — not chunk programs: a layer
-    #: of more rows than ``max_vectors_per_program`` runs several
+    #: matrix layers that ran on the chip — not program runs: a layer of
+    #: chunks of more than one height runs a program per height
     #: (``ChunkRunStats.programs`` counts those)
     programs_run: int
     layer_cycles: dict[str, int] = field(default_factory=dict)
@@ -128,7 +129,13 @@ class TspCnnRunner:
     Supported layer sequence: (Conv2D [ReLU] [MaxPool2D])* Flatten Dense.
     Each matrix layer becomes one compiled stream program; K dimensions
     larger than the lane count are K-tiled (accumulated in the MXM), and
-    patch counts larger than the schedule window are processed in chunks.
+    a layer's rows are cut into chunks of ``max_vectors_per_program``
+    rows that stream through one weight install as the passes of that
+    program (:mod:`repro.compiler.repeat`).
+
+    ``max_vectors_per_program`` is the *pass height*: the rows one pass
+    carries, not a program's.  The name predates passes; it stays because
+    the repository benchmark's workload table passes it by name.
     """
 
     def __init__(
@@ -139,6 +146,7 @@ class TspCnnRunner:
         max_vectors_per_program: int = 64,
     ) -> None:
         self.config = config
+        #: the pass height (see the class docstring)
         self.max_vectors = max_vectors_per_program
         self.layers = self._lower(model, calibration)
         #: (layer name, rows, blacklist) -> (builder, input
@@ -240,7 +248,7 @@ class TspCnnRunner:
         """``(builder, input bindings, cache key, shape key)`` of one
         program shape.
 
-        A chunk program is a pure function of (layer, rows, blacklist)
+        A chunk's graph is a pure function of (layer, rows, blacklist)
         and the runner is immutable after lowering, so its builder graph,
         content address and shape key are resolved once and shared by
         every worker; neither a warm batch nor a cache miss rebuilds or
@@ -256,15 +264,16 @@ class TspCnnRunner:
             )
         return resolved
 
-    def _run_matmul_chunk(
-        self, layer: CompiledLayer, compiled, inputs: dict, n_rows: int,
-        hit: bool, chip,
+    def _simulate_group(
+        self, layer: CompiledLayer, compiled, inputs: dict, rows: int,
+        batch: int, hit: bool, chip,
     ):
-        """The ``execute()`` route: load, bind, simulate, fetch one chunk.
+        """The ``execute()`` route: load, bind, simulate, fetch one run of
+        a program of ``batch`` passes (``inputs`` names every pass's).
 
         What a group falls back to when its program has no usable replay
         plan, the chip demands real simulation (so ``execute()`` would not
-        replay either) or there is no cache.  One span per chunk: each
+        replay either) or there is no cache.  One span per run: each
         run's chip events are anchored to its own cycle 0.
         """
         with rtrace.span("execute") as span:
@@ -275,8 +284,8 @@ class TspCnnRunner:
             if span:
                 span.anchor(
                     chip, result.run.cycles, self.config.clock_ghz,
-                    result.run.trace, layer=layer.name, batch=1,
-                    rows=n_rows, hit=hit,
+                    result.run.trace, layer=layer.name, batch=batch,
+                    rows=rows, hit=hit,
                     replay=False,
                 )
         return result
@@ -290,25 +299,28 @@ class TspCnnRunner:
         stats: ChunkRunStats | None = None,
         blacklist=None,
     ) -> tuple[list[np.ndarray], int]:
-        """Run the same-program chunks of one layer; one chunk or many.
+        """Run the leading same-height chunks of one layer as the passes
+        of one program (:mod:`repro.compiler.repeat`): one weight install,
+        then a pass per chunk.
 
-        Returns the chip's int32 accumulators per chunk (bias and
-        dequantization are applied by the caller, matching the reference
-        quantized path) and the simulated cycles.  The program is built
-        at exactly the rows the chunks carry — nothing is zero-padded —
-        so a cache holds one entry per (layer, rows) and a one-token
-        request simulates one vector.  A ``blacklist`` (dead MEM slices /
-        MXM planes) reaches the scheduler through the cache key, so
-        degraded and healthy binaries for the same shape coexist in one
-        cache.
+        Returns the chip's int32 accumulators of the chunks it ran — all
+        of ``group``, or as many as MEM holds the passes of; the caller
+        runs the rest — (bias and dequantization are applied by the
+        caller, matching the reference quantized path) and the simulated
+        cycles.  The program is built at exactly the rows the chunks
+        carry — nothing is zero-padded — so a cache holds one entry per
+        (layer, rows, passes) and a one-token request simulates one
+        vector.  A ``blacklist`` (dead MEM slices / MXM planes) reaches
+        the scheduler through the cache key, so degraded and healthy
+        binaries for the same shape coexist in one cache.
 
         The route is one cache lookup by the memoised key and one pure
         batched replay of the program's
-        :class:`~repro.sim.replay.ReplayPlan`, and the chip's memory is
-        never touched.  A program with no (or a failed) plan and a
-        non-pristine chip run chunk by chunk through
-        :meth:`_run_matmul_chunk`, and so does a cache-less call — the
-        serving oracle, ``ServeModel.run_reference`` — simulated.
+        :class:`~repro.sim.replay.ReplayPlan`, a binding per pass, and the
+        chip's memory is never touched.  A program with no (or a failed)
+        plan and a non-pristine chip is simulated through
+        :meth:`_simulate_group`, and so is a cache-less call's — the
+        serving oracle, ``ServeModel.run_reference``.
         """
         from ..compiler.runner import execute_batched
 
@@ -318,14 +330,16 @@ class TspCnnRunner:
                 layer, n_rows, cache, blacklist
             )
             compiled, _key, hit, compile_s = cache.get_or_compile(
-                g, blacklist=blacklist, key=key, shape_key=shape_key
+                g, blacklist=blacklist, key=key, shape_key=shape_key,
+                passes=len(group),
             )
         else:
             g, bindings = build_chunk_builder(self.config, layer, n_rows)
             t0 = time.perf_counter()
-            compiled = g.compile(blacklist=blacklist)
+            compiled = g.compile(blacklist=blacklist, passes=len(group))
             compile_s = time.perf_counter() - t0
             hit = False
+        group = group[: compiled.schedule.passes]
         inputs_list = [
             {name: chunk[:, start:end] for name, start, end in bindings}
             for chunk in group
@@ -336,40 +350,33 @@ class TspCnnRunner:
                 compiled, inputs_list, chip=chip, max_cycles=2_000_000
             )
             if results is None:
-                span.set(name=None)  # not replayed: a span per chunk below
+                span.set(name=None)  # not replayed: its own span below
             elif span:
-                # one span for the group: its runs back to back, each
-                # run's events shifted past the cycles of those before it
-                trace, start = [], 0
-                for res in results:
-                    trace += [
-                        replace(event, cycle=event.cycle + start)
-                        for event in res.run.trace
-                    ]
-                    start += res.run.cycles
+                run = results[0].run
                 span.anchor(
-                    chip, start, self.config.clock_ghz, trace,
+                    chip, run.cycles, self.config.clock_ghz, run.trace,
                     layer=layer.name, batch=len(group),
                     rows=n_rows * len(group), hit=hit, replay=True,
                 )
         if results is None:
-            results = [
-                self._run_matmul_chunk(
-                    layer, compiled, inputs, n_rows, hit, chip
-                )
-                for inputs in inputs_list
-            ]
-        cycles = sum(res.run.cycles for res in results)
+            result = self._simulate_group(
+                layer, compiled, join_passes(inputs_list),
+                n_rows * len(group), len(group), hit, chip,
+            )
+            accs = [result[pass_name("acc", k)] for k in range(len(group))]
+            cycles = result.run.cycles
+        else:
+            accs = [res["acc"] for res in results]
+            cycles = results[0].run.cycles
         if stats is not None:
             stats.compile_s += compile_s
             stats.execute_s += time.perf_counter() - t0
             stats.cycles += cycles
-            stats.programs += len(group)
-            if cache is not None:
-                fresh = 0 if hit else 1  # one lower serves the whole group
-                stats.cache_misses += fresh
-                stats.cache_hits += len(group) - fresh
-        return [res["acc"] for res in results], cycles
+            stats.programs += 1
+            if cache is not None:  # one lookup per program run
+                stats.cache_misses += 0 if hit else 1
+                stats.cache_hits += 1 if hit else 0
+        return accs, cycles
 
     def _matrix_forward(
         self,
@@ -381,7 +388,8 @@ class TspCnnRunner:
         prequantized: bool = False,
         blacklist=None,
     ) -> tuple[np.ndarray, int]:
-        """Quantize, run on chip (in chunks), dequantize + bias (+ReLU).
+        """Quantize, run on chip (a pass per chunk), dequantize + bias
+        (+ReLU).
 
         ``prequantized`` activations arrive already in the layer's int8
         input domain (a pipeline stage boundary quantized them before
@@ -398,16 +406,18 @@ class TspCnnRunner:
         ]
         chunks = []
         cycles = 0
-        # consecutive chunks of one row count run the same compiled
+        # consecutive chunks of one row count are the passes of one
         # program: they go through it as one group
         for _rows, members in itertools.groupby(pieces, key=len):
             group = list(members)
-            accs, group_cycles = self._run_matmul_group(
-                layer, group, chip=chip, cache=cache, stats=stats,
-                blacklist=blacklist,
-            )
-            chunks.extend(accs)
-            cycles += group_cycles
+            while group:
+                accs, group_cycles = self._run_matmul_group(
+                    layer, group, chip=chip, cache=cache, stats=stats,
+                    blacklist=blacklist,
+                )
+                chunks.extend(accs)
+                cycles += group_cycles
+                group = group[len(accs):]
         acc = np.vstack(chunks).astype(np.float64)
         out = acc * (layer.in_scale * layer.weight_scale) + layer.bias
         if layer.relu:
@@ -467,7 +477,7 @@ class TspCnnRunner:
         """Batch inference; every MAC runs on the simulated chip.
 
         ``chip`` reuses one (possibly pooled) simulator instance for every
-        program instead of constructing a fresh chip per chunk; ``cache``
+        program instead of constructing a fresh chip per run; ``cache``
         is a compiled-program cache honouring ``get_or_compile(builder)``
         (see :class:`repro.serve.ProgramCache`); ``stats`` accumulates the
         compile/execute split the serving layer reports per request.

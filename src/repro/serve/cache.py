@@ -33,6 +33,7 @@ from collections import OrderedDict
 from dataclasses import dataclass
 
 from ..compiler.cachekey import graph_fingerprint, shape_fingerprint
+from ..compiler.repeat import passes_key
 from ..compiler.scheduler import CompiledProgram
 from ..obs import rtrace
 
@@ -116,7 +117,7 @@ class ProgramCache:
 
     def get_or_compile(
         self, builder, blacklist=None, key: str | None = None,
-        shape_key: str | None = None,
+        shape_key: str | None = None, passes: int = 1,
     ) -> tuple[CompiledProgram, str, bool, float]:
         """Look ``builder``'s graph up by content; compile on a true miss.
 
@@ -124,6 +125,10 @@ class ProgramCache:
         and ``shape_key`` its ``builder.shape_key(blacklist)`` when the
         caller already holds them (a builder's graph does not change, so
         its owner hashes it once); fingerprinted here otherwise.
+        ``passes`` > 1 asks for the program that streams that many
+        bindings through one weight install (:mod:`repro.compiler.repeat`),
+        filed under a key of its own; it holds as many of them as MEM
+        does (``program.schedule.passes``).
         Returns ``(program, key, hit, compile_seconds)``.
         ``hit`` is True whenever this caller did not make the program
         itself — including waiters coalesced onto another thread's
@@ -133,8 +138,7 @@ class ProgramCache:
         compile never stalls unrelated lookups.
         """
         with rtrace.span("cache") as lookup:
-            if key is None:
-                key = self.key_for(builder, blacklist)
+            key = passes_key(key or self.key_for(builder, blacklist), passes)
             with self._lock:
                 program = self._programs.get(key)
                 if program is not None:
@@ -164,7 +168,7 @@ class ProgramCache:
         try:
             with rtrace.span("compile") as compiling:
                 program, scheduled = self._make(
-                    builder, blacklist, key, shape_key, flight
+                    builder, blacklist, key, shape_key, flight, passes
                 )
                 _keyed(compiling, key, scheduled=scheduled)
         except BaseException as error:
@@ -187,7 +191,7 @@ class ProgramCache:
 
     def _make(
         self, builder, blacklist, key: str, shape_key: str | None,
-        flight: _InFlight,
+        flight: _InFlight, passes: int,
     ) -> tuple[CompiledProgram, bool]:
         """The program of a missed ``key``, and whether the scheduler ran.
 
@@ -196,29 +200,38 @@ class ProgramCache:
         bind.  A sibling still in flight is waited for instead of being
         raced; flights learn their shape keys one at a time under the
         lock and wait only for one that learned it earlier, so the first
-        of a shape schedules and nobody waits in a circle.
+        of a shape schedules and nobody waits in a circle.  A program of
+        ``passes`` > 1 repeats its shape's pass schedule, which any
+        resident program of another pass count lends too: the scheduler
+        runs once per shape for every count.
         """
         shape_key = shape_key or shape_fingerprint(
             builder.graph, builder.config,
             timing=builder.timing, blacklist=blacklist,
         )
+        wanted = passes_key(shape_key, passes)
+        periodic = passes_key(shape_key, None)
         with self._lock:
-            flight.shape_key = shape_key
+            flight.shape_key = wanted
             # residents are programs or get_or_build artifacts
+            schedules = [
+                getattr(p, "schedule", None) for p in self._programs.values()
+            ]
             schedule = next(
-                (
-                    s for s in (
-                        getattr(p, "schedule", None)
-                        for p in self._programs.values()
-                    )
-                    if getattr(s, "shape_key", None) == shape_key
-                ),
+                (s for s in schedules
+                 if getattr(s, "shape_key", None) == wanted),
                 None,
             )
-            ahead = None if schedule is not None else next(
+            source = None if schedule is not None or passes == 1 else next(
+                (s.source for s in schedules
+                 if getattr(getattr(s, "source", None), "shape_key", None)
+                 == periodic),
+                None,
+            )
+            ahead = None if schedule or source else next(
                 (
                     f for f in self._inflight.values()
-                    if f is not flight and f.shape_key == shape_key
+                    if f is not flight and f.shape_key == wanted
                 ),
                 None,
             )
@@ -226,9 +239,14 @@ class ProgramCache:
             ahead.done.wait()
             # nothing to borrow if it failed: this miss schedules then
             schedule = getattr(ahead.program, "schedule", None)
+        scheduled = False
+        if schedule is None and passes > 1:
+            scheduled = source is None
+            source = source or builder.pass_schedule(blacklist)
+            schedule = source.repeated(passes)
         if schedule is None:
             return builder.compile(blacklist=blacklist, cache_key=key), True
-        return schedule.bind(builder.graph, key), False
+        return schedule.bind(builder.graph, key), scheduled
 
     # ------------------------------------------------------------------
     def get_or_build(self, key: str, factory):

@@ -70,7 +70,14 @@ class ServeModel:
 
 
 class _RunnerServeModel(ServeModel):
-    """Shared plumbing: any model expressible as a TspCnnRunner pipeline."""
+    """Shared plumbing: any model expressible as a TspCnnRunner pipeline.
+
+    ``max_vectors_per_program`` is the runner's *pass height*: a batch's
+    rows of a layer are cut into chunks of that many, and a group of them
+    streams through one weight install, a pass per chunk
+    (:mod:`repro.compiler.repeat`).  The name predates passes and stays
+    because the repository benchmark's workload table passes it.
+    """
 
     def __init__(
         self,

@@ -47,6 +47,11 @@ Correctness strategy:
   disabled superlanes or attached hardware-fault hooks — faulty runs need
   the real machine, and an instrument observes only a run it watched.
 
+A program of ``n`` passes (:mod:`repro.compiler.repeat`) keeps its
+pass's plan: :attr:`ReplayPlan.passes` bindings make one run, and
+:meth:`ScheduleRecorder.finish` counts the prologue's ops once and the
+pass's ``n`` times.
+
 What a replay reproduces is what a caller reads back from a run: its
 :class:`~repro.sim.chip.RunResult` (outputs, cycles, instructions,
 activity, dispatch trace) plus the SRAM words it writes.  The finished
@@ -202,7 +207,12 @@ class ScheduleRecorder:
         if barrier is not None and barrier < 2:
             return replace(plan, ok=False, ops=[], reason=f"a {barrier}-"
                            "cycle barrier overlaps its own Notify and Sync")
-        lanes, tally = plan.lanes, Counter(op[0] for op in plan.ops)
+        lanes, tally = plan.lanes, Counter()
+        times = [plan.passes if each else 1 for each in plan.body] or (
+            [1] * len(plan.ops)
+        )
+        for op, n in zip(plan.ops, times):
+            tally[op[0]] += n
         plane = {op[1]: op[3] * op[4] for op in plan.ops if op[0] == "install"}
         cycles = plan.cycles + (barrier or 0)
         icus = plan.program.icus
@@ -216,7 +226,8 @@ class ScheduleRecorder:
             activity=ActivityCounts(
                 cycles=cycles,
                 macc_ops=sum(
-                    plane[op[4][1]] for op in plan.ops if op[0] == "dot"
+                    plane[op[4][1]] * n
+                    for op, n in zip(plan.ops, times) if op[0] == "dot"
                 ),
                 alu_ops=lanes * (tally["vxm1"] + tally["vxm2"]
                                  + tally["vxmc"]),
@@ -356,6 +367,13 @@ class ReplayPlan:
     warmup_barrier: bool = False
     ok: bool = True
     reason: str | None = None
+    #: passes one run makes (:mod:`repro.compiler.repeat`): a run takes
+    #: one input binding per pass, pass ``k``'s MEM words ``k * stride``
+    #: above pass 0's, and performs the ops ``body`` marks once a pass
+    #: (every op once when ``body`` is empty)
+    passes: int = 1
+    stride: int = 0
+    body: tuple = field(repr=False, default=())
 
     @property
     def lanes(self) -> int:
@@ -624,19 +642,23 @@ class ReplayPlan:
         chip.begin_run()
         unit = functools.cache(chip.mem_unit)
         ecc = chip.srf_ecc_enabled
+        # a bound plan's MEM words are its pass's: pass k's sit k strides up
+        shift = 0
 
         def mem_read(key):
-            return unit(key[0], key[1]).storage[key[2]].copy()[None]
+            return unit(key[0], key[1]).storage[key[2] + shift].copy()[None]
 
         def mem_write(key, vector, is_const):
             u = unit(key[0], key[1])
-            u.storage[key[2]] = vector if is_const else vector[0]
+            u.storage[key[2] + shift] = vector if is_const else vector[0]
             if ecc:
-                u._store_checks(key[2])
+                u._store_checks(key[2] + shift)
 
-        self._execute_ops(
-            self.ops, [None] * self.n_slots, mem_read, mem_write, 1
-        )
+        for k in range(self.passes):
+            shift = k * self.stride
+            self._execute_ops(
+                self.ops, [None] * self.n_slots, mem_read, mem_write, 1
+            )
         self.charge(chip, 1)
         return self.run_result(chip)
 

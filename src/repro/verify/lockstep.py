@@ -23,6 +23,13 @@ That is everything a caller reads back from a run.  A telemetry collector
 is not on the list: a chip with one attached simulates, never replays, so
 its counts need no proof here.
 
+A program of ``n`` passes (:mod:`repro.compiler.repeat`) is held to the
+same surfaces: the simulation runs its repeated text on every pass's
+inputs (named by ``pass_name``), the write-through replay runs the
+pass's plan once a pass and charges the run once, and the batched leg
+takes a binding per pass — so the cycles and activity a pass-count
+charges are checked against a real run of the repeated program.
+
 ``assert_lockstep`` raises :class:`~repro.errors.DivergenceError` with a
 rendered report on any mismatch, mirroring the differential oracle's
 contract.  :func:`repro.verify.check` runs it with a sibling, and the
@@ -36,6 +43,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ..compiler.repeat import join_passes, split_passes
 from ..compiler.runner import bind_input, fetch_output, load_compiled
 from ..compiler.scheduler import CompiledProgram
 from ..errors import DivergenceError, SimulationError
@@ -193,7 +201,14 @@ def run_lockstep(
         if result.plan is not None and result.plan.ok:
             chip = fresh_chip(program)
             result.replay = execution(chip, result.plan.replay_into(chip))
-            result.batched = result.plan.run_batched([inputs, inputs])
+            # the batch axis takes a binding per pass, under pass-0 names
+            passes = result.plan.passes
+            rows = result.plan.run_batched(
+                split_passes(inputs, result.plan.inputs, passes) * 2
+            )
+            result.batched = [
+                join_passes(rows[:passes]), join_passes(rows[passes:])
+            ]
             _compare(result)
         return result
 

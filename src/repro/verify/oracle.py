@@ -16,6 +16,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..compiler.api import StreamProgramBuilder
+from ..compiler.graph import OpKind
+from ..compiler.repeat import join_passes, split_passes
 from ..compiler.runner import bind_input, fetch_output, load_compiled
 from ..compiler.scheduler import CompiledProgram
 from ..errors import DivergenceError, SimulationError
@@ -121,7 +123,15 @@ def run_differential(
         for name, spec in compiled.outputs.items()
     }
 
-    reference = GraphInterpreter(builder.config).run(builder.graph, inputs)
+    # a program of n passes is the graph n times over, a binding a pass
+    names = [n.name for n in builder.graph.nodes.values()
+             if n.kind is OpKind.INPUT]
+    passes = compiled.schedule.passes if compiled.schedule else 1
+    interpreter = GraphInterpreter(builder.config)
+    reference = join_passes([
+        interpreter.run(builder.graph, bound)
+        for bound in split_passes(inputs, names, passes)
+    ])
     report = _compare(builder, compiled, outputs, reference, run, seed)
     return DifferentialResult(
         outputs=outputs,

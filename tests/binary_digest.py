@@ -78,9 +78,10 @@ def digest(build) -> str:
 def rebound(entry):
     """A :func:`redrawn` twin of ``entry`` as two thunks: compiled from
     scratch, and bound to the entry's schedule."""
-    twin, blacklist = redrawn(entry.builder), entry.blacklist
-    return (lambda: twin.compile(blacklist),
-            lambda: twin.bind(entry.builder.schedule(blacklist), blacklist))
+    twin, blacklist, passes = redrawn(entry.builder), entry.blacklist, entry.passes
+    return (lambda: twin.compile(blacklist, passes=passes),
+            lambda: twin.bind(entry.builder.schedule(blacklist, passes),
+                              blacklist))
 
 
 def main(rebind: bool = False) -> int:

@@ -18,7 +18,9 @@ from golden_programs import GOLDEN_PROGRAMS
 from repro.arch import DType, Hemisphere
 from repro.compiler import StreamProgramBuilder
 from repro.compiler.graph import OpKind
+from repro.compiler.repeat import join_passes
 from repro.config import small_test_chip
+from repro.nn.tsp_inference import CompiledLayer, build_chunk_builder
 from repro.resil import Blacklist
 from repro.testing import draw
 from repro.verify.suite import PROGRAMS
@@ -42,19 +44,25 @@ def draw_inputs(builder, seed: int = 0) -> dict[str, np.ndarray]:
 
 @dataclass
 class Entry:
-    """One corpus program: :meth:`compile` it, run it on ``inputs``."""
+    """One corpus program: :meth:`compile` it, run it on ``inputs`` — a
+    binding per pass of a program of ``passes``, under its pass names."""
 
     name: str
     builder: StreamProgramBuilder
     blacklist: Blacklist | None = None
     inputs: dict[str, np.ndarray] | None = None  # None: drawn
+    passes: int = 1
 
     def __post_init__(self) -> None:
         if self.inputs is None:
-            self.inputs = draw_inputs(self.builder)
+            self.inputs = join_passes([
+                draw_inputs(self.builder, seed) for seed in range(self.passes)
+            ])
 
     def compile(self):
-        return self.builder.compile(blacklist=self.blacklist)
+        return self.builder.compile(
+            blacklist=self.blacklist, passes=self.passes
+        )
 
 
 def chunk_programs():
@@ -64,6 +72,28 @@ def chunk_programs():
         name = "chunk/{}.{}x{}".format(*key)
         yield Entry(name, builder)
         yield Entry(name + "/no-sibling", builder, NO_SIBLING)
+
+
+def pass_programs():
+    """Programs of n passes (``repro.compiler.repeat``): the benchmark's,
+    one with no sibling plane, and a K-tiled layer's, whose whole
+    schedule repeats."""
+    config, models = small_test_chip(), serve_models()
+    for key, passes in ((("cnn", "conv0", 32), 2), (("cnn", "conv0", 32), 8),
+                        (("cnn", "conv1", 32), 2)):
+        builder = chunk_builder(config, models, *key)[1]
+        yield Entry("passes/{}.{}x{}".format(*key) + f"*{passes}", builder,
+                    passes=passes)
+    builder = chunk_builder(config, models, "cnn", "conv0", 32)[1]
+    yield Entry("passes/cnn.conv0x32*2/no-sibling", builder, NO_SIBLING,
+                passes=2)
+    rng = np.random.default_rng(9)
+    k_tiled = CompiledLayer(
+        "dense", "dense", _int8(rng, (config.n_lanes + 36, 24), -8, 8),
+        1.0, 1.0, None, np.zeros(24), False,
+    )
+    builder = build_chunk_builder(config, k_tiled, 8)[0]
+    yield Entry("passes/k-tiled.densex8*2", builder, passes=2)
 
 
 #: a chip that lost slices near both MXMs and the VXM, and an MXM plane
@@ -289,7 +319,7 @@ def corpus():
     for name, build in PROGRAMS:  # on the conformance suite's inputs
         builder, inputs = build(small_test_chip())
         yield Entry(f"suite/{name}", builder, inputs=inputs)
-    for source in (random_graphs, fuzz_shapes, tight_chips):
+    for source in (random_graphs, fuzz_shapes, tight_chips, pass_programs):
         yield from source()
 
 

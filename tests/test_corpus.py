@@ -29,6 +29,7 @@ def test_corpus_program_passes_the_check(name):
             entry.compile()
         return
     compiled = entry.compile()
+    assert compiled.schedule.passes == entry.passes
     plan = compiled.schedule.plan
     # every program but one that gathers has a plan the lockstep replays,
     # and one record of its drives

@@ -14,10 +14,13 @@ split it into feed + fill + stream + drain (EXPERIMENTS.md E21-E23), and
 
 Dispatches are pinned next to cycles: whether a program engages the far
 hemisphere's MXM planes is decided by predicted cycles x predicted
-instructions (``placement.matmul_parts``), and ``cold-churn`` simulates
-every instruction it compiles, so ``CHUNK_INSTRUCTIONS`` moves with the
-same care — and the closed form's prediction of both is held equal to
-what the scheduler then emits.
+instructions (``placement.matmul_parts``), so ``CHUNK_INSTRUCTIONS``
+moves with the same care — and the closed form's prediction of both is
+held equal to what the scheduler then emits.
+
+A layer's same-height chunks run as the passes of one program
+(``repro.compiler.repeat``): ``PASS_PROGRAMS`` pins each such program the
+benchmark runs, with its period, its split and the closed form.
 """
 
 import numpy as np
@@ -28,6 +31,8 @@ from repro.arch import Hemisphere
 from repro.compiler import execute
 from repro.compiler import lower_mxm
 from repro.compiler.placement import matmul_cost
+from repro.compiler.repeat import join_passes
+from repro.compiler.scheduler import Scheduler
 from repro.config import small_test_chip
 from repro.isa.encoding import encode_program_text
 from repro.nn import make_shapes, make_small_cnn
@@ -36,6 +41,7 @@ from repro.nn.tsp_inference import ChunkRunStats, build_chunk_builder
 from repro.resil import Blacklist
 from repro.serve import CnnServeModel, ProgramCache, TransformerMlpServeModel
 from repro.sim import TspChip
+from repro.sim.replay import ReplayPlan
 from repro.testing import redrawn
 from repro.verify import assert_lockstep
 
@@ -237,6 +243,103 @@ def test_rows_too_tall_for_one_slice_land_a_block_per_plane(config, models):
     assert result.sibling.replay is not None
 
 
+#: the n-pass programs the benchmark runs, (model, layer, rows, passes) ->
+#: (period, cycles, instructions): ``closed-cnn``'s four images are
+#: ``conv0`` x8 and ``conv1`` x2; one to three images run x2, x4, x6
+PASS_PROGRAMS = {
+    ("cnn", "conv0", 32, 2): (8, 46, 358),
+    ("cnn", "conv0", 32, 4): (8, 62, 694),
+    ("cnn", "conv0", 32, 6): (8, 78, 1030),
+    ("cnn", "conv0", 32, 8): (8, 94, 1366),
+    ("cnn", "conv1", 32, 2): (16, 68, 366),
+}
+
+
+@pytest.fixture()
+def costed(monkeypatch):
+    """The ``matmul_cost`` arguments ``(parts, chunks, widths, clock)`` of
+    every matmul scheduled during the test, in order."""
+    calls = []
+
+    def watching(rows, offers, chunks, widths, clock):
+        parts = matmul_parts(rows, offers, chunks, widths, clock)
+        calls.append((parts, chunks, widths, clock))
+        return parts
+
+    matmul_parts = lower_mxm.matmul_parts
+    monkeypatch.setattr(lower_mxm, "matmul_parts", watching)
+    return calls
+
+
+@pytest.mark.parametrize("model, layer_name, bucket, passes",
+                         sorted(PASS_PROGRAMS))
+def test_pass_programs_are_pinned_and_explained(
+    config, models, costed, model, layer_name, bucket, passes
+):
+    """An n-pass program runs ``cycles(1) + (n - 1) * period`` cycles,
+    the closed form to the cycle and the instruction.  Its split: the
+    feed and fill of a one-pass program, once; a row a cycle for every
+    pass; and a drain two cycles longer than a one-pass program's, once —
+    a pass recurs on every queue it touches, and its activations read on
+    every cycle of the period from the two nearest free slices, so its
+    results land clear of them."""
+    layer, builder, bindings = chunk_builder(
+        config, models, model, layer_name, bucket
+    )
+    compiled = builder.compile(passes=passes)
+    stats, source = compiled.stats, compiled.schedule.source
+    period, cycles, instructions = PASS_PROGRAMS[
+        (model, layer_name, bucket, passes)
+    ]
+    assert compiled.schedule.passes == passes
+    assert source.pass_shape.period == period
+    assert (stats.makespan + 1, stats.instructions) == (cycles, instructions)
+    (args,) = costed
+    assert matmul_cost(*args, passes=passes) == (cycles, instructions)
+    one = CHUNK_CYCLES[(model, layer_name, bucket)]
+    assert cycles == one + 2 + (passes - 1) * period
+    feed = stats.first_operand
+    fill = stats.first_result - stats.first_operand
+    stream = passes * period
+    drain = stats.last_write + 2 - stats.first_result - stream
+    assert (feed, fill, drain) == (one - (fill + period + 9), 7, 11)
+    assert feed + fill + stream + drain == cycles
+    run = execute(
+        compiled, inputs=chunk_pass_inputs(bindings, bucket, layer, passes),
+        replay=False,
+    ).run
+    assert run.cycles == cycles
+
+
+def chunk_pass_inputs(bindings, rows, layer, passes):
+    """One seeded binding per pass, under the program's pass names."""
+    depth = layer.weight_q.shape[0]
+    return join_passes([
+        chunk_inputs(bindings, rows, depth, seed) for seed in range(passes)
+    ])
+
+
+@pytest.mark.parametrize("model, layer_name", LAYERS)
+def test_closed_form_is_exact_for_passes_at_every_row_count(
+    config, models, costed, model, layer_name
+):
+    """Three passes of every row count from 1 to the cap, healthy and with
+    no sibling plane: the closed form's n term holds wherever the benchmark
+    could group chunks — a period bumped past a row count that divides
+    the ``ABC`` to ``ACC`` lag included."""
+    for rows in range(1, 33):
+        _layer, builder, _bindings = chunk_builder(
+            config, models, model, layer_name, rows
+        )
+        for blacklist in (None, NO_SIBLING):
+            costed.clear()
+            stats = builder.compile(blacklist=blacklist, passes=3).stats
+            (args,) = costed
+            assert matmul_cost(*args, passes=3) == (
+                stats.makespan + 1, stats.instructions
+            ), (rows, blacklist)
+
+
 @pytest.fixture()
 def predicted(monkeypatch):
     """``matmul_cost``'s (cycles, instructions) for the parts of every
@@ -387,15 +490,73 @@ def test_every_benchmark_layer_is_pinned(models):
 
 
 def test_cnn_batch_of_four_images(config, models):
-    """closed-cnn's unit of work: 8 conv0 + 2 conv1 chunks of 32 rows and
-    one dense chunk of the batch's 4 rows — 422 cycles, 105.5 per image."""
+    """closed-cnn's unit of work: 8 conv0 and 2 conv1 chunks of 32 rows as
+    the passes of two programs, and one dense chunk of the batch's 4 rows
+    — 196 cycles, 49 per image (422 and 105.5 as eleven programs)."""
     by_name, data = models
     stats = ChunkRunStats()
     by_name["cnn"].run_batch(
         TspChip(config), ProgramCache(), list(data.x_test[:4]), stats=stats
     )
-    assert stats.programs == 11
-    assert stats.cycles == 8 * 36 + 2 * 50 + 34 == 422
+    assert stats.programs == 3
+    assert stats.cycles == (38 + 7 * 8) + (52 + 16) + 34 == 196
+
+
+def test_a_batch_interprets_what_chunk_programs_did(config, models,
+                                                    monkeypatch):
+    """Host work is unchanged: a batch of four images is three batched
+    replays of 8, 2 and 1 bindings, each plan as many ops of each kind as
+    the one-pass program's plan of its chunk — only the order of the
+    writes and the cycles charged differ."""
+    by_name, data = models
+    runner = by_name["cnn"].runner
+    replays = []
+    run_batched = ReplayPlan.run_batched
+
+    def counting(plan, inputs_list):
+        replays.append((len(inputs_list), sorted(op[0] for op in plan.ops)))
+        return run_batched(plan, inputs_list)
+
+    monkeypatch.setattr(ReplayPlan, "run_batched", counting)
+    by_name["cnn"].run_batch(
+        TspChip(config), ProgramCache(), list(data.x_test[:4])
+    )
+    monkeypatch.setattr(ReplayPlan, "run_batched", run_batched)
+    expected = []
+    for layer, rows, batch in (("conv0", 32, 8), ("conv1", 32, 2),
+                               ("dense2", 4, 1)):
+        (compiled_layer,) = [l for l in runner.layers
+                             if getattr(l, "name", None) == layer]
+        builder, _bindings = build_chunk_builder(config, compiled_layer, rows)
+        expected.append(
+            (batch, sorted(op[0] for op in builder.compile().replay.ops))
+        )
+    assert replays == expected
+
+
+def test_scheduler_runs_per_shape_not_per_pass_count(config, models,
+                                                     monkeypatch):
+    """Batches of one to four images group ``conv0`` chunks two, four, six
+    and eight at a time, yet the scheduler runs once per (layer, rows)
+    program and once more per pass schedule — eight runs in all."""
+    by_name, data = models
+    runs = []
+    schedule = Scheduler.schedule
+
+    def counting(scheduler, graph):
+        runs.append(scheduler.periodic)
+        return schedule(scheduler, graph)
+
+    monkeypatch.setattr(Scheduler, "schedule", counting)
+    cache, stats = ProgramCache(), ChunkRunStats()
+    for images in (1, 2, 3, 4):
+        by_name["cnn"].run_batch(
+            TspChip(config), cache, list(data.x_test[:images]), stats=stats
+        )
+    # one-pass: conv1 x16 and x32, dense2 x1..x4; passes: conv0, conv1 x32
+    assert (runs.count(False), runs.count(True)) == (6, 2)
+    assert cache.stats.scheduled == len(runs)
+    assert stats.cache_hits + stats.cache_misses == cache.stats.lookups
 
 
 def test_ffn_single_token(config, models):

@@ -126,6 +126,28 @@ class TestServedMatchesSequential:
         assert snap["hits"] > 0
 
 
+    def test_registry_counts_the_caches_lookups(self, served_models):
+        """One lookup per program run: over a served mix the registry's
+        ``cache_hits + cache_misses`` are the cache's own lookups — a
+        layer's group of chunks is one program and one lookup."""
+        cnn_model, mlp_model, data = served_models
+        with InferenceServer(
+            CONFIG, [cnn_model, mlp_model], n_workers=1,
+            default_policy=BatchPolicy(max_batch=4, max_delay_s=0.0),
+        ) as server:
+            futures = [server.submit("cnn", x) for x in data.x_test[:6]]
+            futures += [server.submit("mlp", np.ones(24))]
+            for future in futures:
+                future.result(timeout=120.0)
+        totals = server.registry.totals()
+        counted = sum(
+            totals.get(f"serve:{name}", {}).get(kind, 0)
+            for name in ("cnn", "mlp")
+            for kind in ("cache_hits", "cache_misses")
+        )
+        assert counted == server.cache.stats.lookups > 0
+
+
 class TestOracleSimulates:
     @pytest.mark.parametrize("which", ["cnn", "mlp"])
     def test_run_reference_never_replays(
