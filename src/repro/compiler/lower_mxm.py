@@ -66,20 +66,25 @@ class MxmLowering:
         fp16 = weight_dtype is DType.FP16
         free = not fp16 and rows_are_free(graph, node)
         offers = self._plane_offers(node, act_nodes, fp16, free)
+        # a graph that is one one-tile matmul alone (weights, activations,
+        # the matmul, its write) repeats its pass behind one install;
+        # anything else repeats whole
+        periodic = (
+            self.periodic and free and len(tiles) == 1
+            and len(graph.nodes) == 4
+        )
         # rows the schedule may lay out freely stream through as many
-        # planes, of one hemisphere or both, as the closed forms say pay
+        # planes, of one hemisphere or both, as the closed forms say pay —
+        # for a pass, at the fewest passes a pass schedule ever serves
         parts = [MatmulPart(offers[0], offers[0].planes[:1], [node.n_vectors])]
         if free:
             parts = matmul_parts(
                 node.n_vectors, offers,
                 [tile.shape[0] * weight_dtype.n_bytes for tile in tiles],
                 (act_nodes[0].dtype.n_bytes, node.dtype.n_bytes),
-                self._mxm_clock,
+                self._mxm_clock, passes=2 if periodic else 1,
             )
-        # a graph that is one one-tile matmul alone (weights, activations,
-        # the matmul, its write) repeats its pass behind one install;
-        # anything else repeats whole
-        if self.periodic and free and len(tiles) == 1 and len(graph.nodes) == 4:
+        if periodic:
             self.attempt.period = self.streams.period = (
                 self._mxm_clock.period(parts[0].rows[0])
             )
@@ -175,12 +180,14 @@ class MxmLowering:
         """Plan the matmul on the planes of ``part``, none of them touched
         before it is free: per K-tile one weight feed installed into all
         of them at once, then plane ``b`` streaming its own block of
-        ``rows[b]``.  One attempt: all of it commits, or none."""
-        clock, position = self._mxm_clock, part.offer.position
+        ``rows[b]``.  One attempt: all of it commits, or none.
+
+        Only the planes and the clock bound an install; an operand's
+        arrival bounds its pass (:meth:`_plan_pass`), so activations
+        already in flight can meet weights installed ahead of them."""
+        clock = self._mxm_clock
         tiles = node.params["weight_tiles"]
         t_cursor = max(clock.read, *part.offer.ready[: len(part.planes)])
-        for act in act_nodes:
-            t_cursor = max(t_cursor, self._operand_min_arrival(act, position))
         weight_slots: list[ConstantSlot] = []
         k_from = 0
         # per row, the plan ref of its partial sum over the tiles so far

@@ -16,7 +16,8 @@ module owns every decision about a pipeline's stage boundaries:
   so every partition-dependent cached artifact (C2C transfer programs,
   serve-layer entries) keys on *which* split produced it;
   :meth:`PartitionPlan.transfer` plans the transfer out of one stage —
-  route, staging slice, pacing and cache key — around a blacklist.
+  route, head and staging slices, pacing and cache key — around a
+  blacklist.
 * :func:`plan_ring_route` / :func:`build_ring_transfer` — the one C2C
   planner: the shortest healthy ring route, then fully timed
   ``Read -> Send -> Receive`` store-and-forward programs for it.  A
@@ -197,12 +198,15 @@ class PartitionPlan:
 
         Every choice at the boundary is made here: the route (a dead ring
         cable in ``blacklist`` sends the hop the long way around), the
-        staging slice (the first index healthy in both hemispheres), the
-        pacing (a direct hop sends every cycle, a detour's relays every
-        :data:`STORE_AND_FORWARD_INTERVAL`) and the cache key.  The key
-        folds in this plan's fingerprint and every hop's arrival latency,
-        so another split, or a cable whose error model reserves other
-        retry slack, recompiles instead of replaying a stale schedule.
+        head slice the words leave from (the healthy slice nearest the
+        outgoing link, :func:`head_slice`), the staging slice relays and
+        the last chip receive into (the first index healthy in both
+        hemispheres), the pacing (a direct hop sends every cycle, a
+        detour's relays every :data:`STORE_AND_FORWARD_INTERVAL`) and the
+        cache key.  The key folds in this plan's fingerprint, both slices
+        and every hop's arrival latency, so another split, or a cable
+        whose error model reserves other retry slack, recompiles instead
+        of replaying a stale schedule.
         ``cache`` is a :class:`repro.serve.ProgramCache`, or None to
         build every time.
         """
@@ -210,6 +214,9 @@ class PartitionPlan:
         dead = blacklist.ring_cables if blacklist is not None else frozenset()
         route = plan_ring_route(n_chips, stage, stage + 1, dead)
         stage_slice = _staging_slice(system.chips[0].config, blacklist)
+        eastward = route[1] == (route[0] + 1) % n_chips
+        out_hemisphere = Hemisphere.EAST if eastward else Hemisphere.WEST
+        head = head_slice(system.chips[0].floorplan, out_hemisphere, blacklist)
         interval = (
             DIRECT_HOP_INTERVAL if len(route) == 2
             else STORE_AND_FORWARD_INTERVAL
@@ -218,13 +225,11 @@ class PartitionPlan:
         def build() -> RingTransferPlan:
             return build_ring_transfer(
                 system, route, n_words, stage_slice=stage_slice,
-                interval=interval,
+                interval=interval, head=head,
             )
 
         if cache is None:
             return build()
-        eastward = route[1] == (route[0] + 1) % n_chips
-        out_hemisphere = Hemisphere.EAST if eastward else Hemisphere.WEST
         latencies = "/".join(
             str(system.chips[a].c2c_unit(out_hemisphere).links[0]
                 .arrival_latency)
@@ -232,7 +237,7 @@ class PartitionPlan:
         )
         key = (
             f"xfer:{self.fingerprint}:{'-'.join(map(str, route))}:"
-            f"{n_words}:{latencies}:{stage_slice}"
+            f"{n_words}:{latencies}:{head}:{stage_slice}"
         )
         return cache.get_or_build(key, build)
 
@@ -251,10 +256,10 @@ TRANSFER_MAX_CYCLES = 2_000_000
 def _staging_slice(config: ArchConfig, blacklist=None) -> int:
     """First MEM slice index healthy in *both* hemispheres.
 
-    A direct (eastward) hop stages in WEST MEM, but a re-routed
-    (westward) hop stages in EAST — so under a blacklist the staging
-    index must be healthy on both sides, on every chip (the blacklist is
-    chip-agnostic, like the compiler's).
+    An eastward hop lands in WEST MEM, but a re-routed (westward) hop
+    lands in EAST — so under a blacklist the staging index must be
+    healthy on both sides, on every chip (the blacklist is chip-agnostic,
+    like the compiler's).
     """
     if blacklist is None or not blacklist.mem_slices:
         return 0
@@ -265,6 +270,30 @@ def _staging_slice(config: ArchConfig, blacklist=None) -> int:
             return index
     raise ConfigError(
         "no healthy MEM slice left to stage pipeline transfers in"
+    )
+
+
+def head_slice(floorplan, hemisphere: Hemisphere, blacklist=None) -> int:
+    """The healthy ``hemisphere`` MEM slice nearest that hemisphere's C2C
+    unit: where a transfer's first chip stages the words it sends, so
+    each read crosses the fewest hops to the link (3 on the test chip,
+    against 20 from the far hemisphere's innermost slice)."""
+    dead = blacklist.mem_slices if blacklist is not None else frozenset()
+    link = floorplan.c2c(hemisphere)
+    healthy = [
+        index for index in range(floorplan.config.mem_slices_per_hemisphere)
+        if (hemisphere, index) not in dead
+    ]
+    if not healthy:
+        raise ConfigError(
+            f"no healthy {hemisphere.value} MEM slice left to stage "
+            "pipeline transfers in"
+        )
+    return min(
+        healthy,
+        key=lambda index: floorplan.delta(
+            floorplan.mem_slice(hemisphere, index), link
+        ),
     )
 
 
@@ -316,15 +345,17 @@ class RingTransferPlan:
     """Timed store-and-forward programs along a ring route, one per chip.
 
     Payload-free: a plan names where its ``n_words`` vectors are staged
-    (``src_hemisphere`` on ``route[0]``) and where they land
-    (``dst_hemisphere`` on ``route[-1]``), both at ``stage_slice``
-    address 0; :meth:`run` moves a payload through it.
+    (``src_hemisphere`` slice ``head_slice`` on ``route[0]``) and where
+    they land (``dst_hemisphere`` slice ``stage_slice`` on
+    ``route[-1]``), both from address 0; :meth:`run` moves a payload
+    through it.
     """
 
     route: list[int]
     programs: list[Program]
     src_hemisphere: Hemisphere
     dst_hemisphere: Hemisphere
+    head_slice: int
     stage_slice: int
     n_words: int
 
@@ -342,7 +373,7 @@ class RingTransferPlan:
                 "words"
             )
         system.chips[self.route[0]].load_memory(
-            self.src_hemisphere, self.stage_slice, 0, words
+            self.src_hemisphere, self.head_slice, 0, words
         )
         runs = system.run(self.programs, max_cycles=TRANSFER_MAX_CYCLES)
         landed = system.chips[self.route[-1]].read_memory(
@@ -357,22 +388,28 @@ def build_ring_transfer(
     n_words: int,
     stage_slice: int = 0,
     interval: int = STORE_AND_FORWARD_INTERVAL,
+    head: int | None = None,
 ) -> RingTransferPlan:
     """Fully timed multi-hop transfer of ``n_words`` vectors along ``route``.
 
-    Each hop Reads the vectors out of the sender's staging slice, Sends
-    them down the next cable, and the receiver's Receive emplaces them
-    into *its* staging slice — classic deterministic store-and-forward,
-    with every dispatch cycle computed here at plan time.  Receives are
+    Each hop Reads the vectors out of the sender's slice, Sends them down
+    the next cable, and the receiver's Receive emplaces them into *its*
+    staging slice — classic deterministic store-and-forward, with every
+    dispatch cycle computed here at plan time.  Receives are
     placed after :attr:`~repro.sim.c2c.C2cLink.arrival_latency`, so the
     plan already reserves the retransmission slack of any error model
     attached to the cables.  ``system`` is only read (its floorplan,
     timing and wiring); no chip is written.
 
-    Because a shortest ring route never reverses direction, data always
-    lands in the hemisphere it will next depart *away* from (an eastward
-    hop stages in WEST MEM, which feeds the EASTWARD stream path), so
-    one staging convention serves every chip on the route.
+    The first chip's words wait in the outgoing hemisphere's MEM slice
+    ``head`` — by default the one nearest the link (:func:`head_slice`),
+    so the head's reads cross 3 hops on the test chip, not the 20 from
+    the far hemisphere's innermost slice.  A
+    Receive emplaces into its own hemisphere's ``stage_slice``; because a
+    shortest ring route never reverses direction, that is the hemisphere
+    a relay next departs *away* from (an eastward hop lands in WEST MEM,
+    which feeds the EASTWARD stream path), so one convention serves
+    every relay.
     """
     n_chips = len(system.chips)
     chip0 = system.chips[0]
@@ -395,19 +432,19 @@ def build_ring_transfer(
     if len(route) == 1:
         return RingTransferPlan(
             route, [t.build() for t in timed], Hemisphere.WEST,
-            Hemisphere.WEST, stage_slice, n_words,
+            Hemisphere.WEST, stage_slice, stage_slice, n_words,
         )
 
     eastward = route[1] == (route[0] + 1) % n_chips
     direction = Direction.EASTWARD if eastward else Direction.WESTWARD
-    # data flowing east departs from WEST-hemisphere MEM and vice versa
-    stage_hemisphere = Hemisphere.WEST if eastward else Hemisphere.EAST
     out_hemisphere = Hemisphere.EAST if eastward else Hemisphere.WEST
-    in_hemisphere = stage_hemisphere
-
-    mem_address = floorplan.mem_slice(stage_hemisphere, stage_slice)
+    # a Receive lands in the hemisphere a relay next departs away from
+    in_hemisphere = out_hemisphere.other
+    if head is None:
+        head = head_slice(floorplan, out_hemisphere)
     c2c_out = floorplan.c2c(out_hemisphere)
-    hops = floorplan.delta(mem_address, c2c_out)
+    relay_address = floorplan.mem_slice(in_hemisphere, stage_slice)
+    mem_address = floorplan.mem_slice(out_hemisphere, head)
     probe_read = Read(address=0, stream=0, direction=direction)
     probe_send = Send(link=0, stream=0, direction=direction)
     probe_recv = Receive(link=0, mem_slice=0, address=0)
@@ -428,6 +465,7 @@ def build_ring_transfer(
                 f"chip {a} {out_hemisphere.value}-link 0 is not wired — "
                 f"route {route} crosses a missing cable"
             )
+        hops = floorplan.delta(mem_address, c2c_out)
         mem_icu = IcuId(mem_address)
         send_icu = IcuId(c2c_out, 0)
         recv_icu = IcuId(floorplan.c2c(in_hemisphere), 0)
@@ -452,10 +490,11 @@ def build_ring_transfer(
             )
         # next hop may read vector 0 the cycle after it is emplaced
         ready = t_capture0 + link.arrival_latency + 1
+        mem_address = relay_address
 
     return RingTransferPlan(
-        route, [t.build() for t in timed], stage_hemisphere,
-        in_hemisphere, stage_slice, n_words,
+        route, [t.build() for t in timed], out_hemisphere, in_hemisphere,
+        head, stage_slice, n_words,
     )
 
 

@@ -416,9 +416,10 @@ def matmul_parts(
     chunks: list[int],
     widths: tuple[int, int],
     clock: MxmClock,
+    passes: int = 1,
 ) -> list[MatmulPart]:
     """How a matmul whose rows are free is cut into parts, one per
-    hemisphere that takes a share.
+    hemisphere that takes a share, for a program of ``passes`` passes.
 
     ``offers[0]`` is the hemisphere the matmul lands in anyway; alone, it
     streams all the rows through its own :func:`plane_split`.  A second
@@ -430,8 +431,11 @@ def matmul_parts(
     sample the first hemisphere's feed: they need a weight copy and reads
     of their own.  The second hemisphere is therefore engaged only when it
     shortens the program by a larger share than it lengthens the
-    instruction stream — predicted cycles x instructions
-    (:func:`matmul_cost`) must fall; a tie keeps fewer planes.  A cut that
+    instruction stream — predicted cycles x instructions of the program
+    that runs, all ``passes`` of it (:func:`matmul_cost`), must fall; a
+    tie keeps fewer planes.  At two passes the prologue a second weight
+    copy adds is paid once for twice the rows, so a pass program may take
+    planes a one-pass program of the same rows does not.  A cut that
     leaves a part's blocks nowhere to land is not an option.
     """
     result_bytes = widths[1]
@@ -468,7 +472,9 @@ def matmul_parts(
     ]
 
     def product(parts: list[MatmulPart]) -> int:
-        cycles, instructions = matmul_cost(parts, chunks, widths, clock)
+        cycles, instructions = matmul_cost(
+            parts, chunks, widths, clock, passes
+        )
         return cycles * instructions
 
     if not lands(both):

@@ -73,10 +73,8 @@ def build_conv3() -> StreamProgramBuilder:
 def build_attention_proj() -> StreamProgramBuilder:
     """Transformer projection block: parallel Q/K matmuls + combine.
 
-    A chained matmul (activations produced by an earlier matmul) is outside
-    the scheduler's placement window, so the block stages two parallel
-    projections of the same input — the Q/K half of an attention layer —
-    requantizes each, and fuses them elementwise.
+    Two parallel projections of the same input — the Q/K half of an
+    attention layer — each requantized, then fused elementwise.
     """
     config = small_test_chip()
     lanes = config.n_lanes

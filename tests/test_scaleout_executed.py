@@ -45,7 +45,9 @@ from repro.nn import (
     scale_out,
 )
 from repro.isa.encoding import encode_program_text
+from repro.isa.mem import Read
 from repro.nn.tsp_inference import TspCnnRunner
+from repro.resil import Blacklist
 from repro.serve import ProgramCache
 from repro.sim import DEFAULT_LINK_LATENCY, LinkErrorModel, MultiChipSystem
 
@@ -213,16 +215,19 @@ def program_digest(plan):
 class TestTransferPlanner:
     #: (route, interval) -> digest of the 5-word transfer's programs on a
     #: 4-chip ring of the test chip; a change that means to move a
-    #: transfer's schedule moves these and says so
+    #: transfer's schedule moves these and says so.  The first chip reads
+    #: its words out of the outgoing hemisphere's slice nearest the link
+    #: (3 hops), so every route's head hop is 17 cycles shorter than from
+    #: the far hemisphere's slice 0; relays still read where they receive
     PINNED = {
         ((0, 1), 1):
-            "5ba05e52b0bab9182da7f697ad2f4bda13e1d925298e47270a2b40970d8daa17",
+            "4252852dafa145037f7eca87e7a6db932f28d50d6ac567f82d0b72a83186a2e3",
         ((0, 1), 4):
-            "f5c779c35fcd09784d9d4bbbd64998468a341f5c8569eb9ecbba7b762b449750",
+            "76f1b5a81d1e0f9b4bc73fa5958a4aeab60ab663b2c47643cb23852462bccac2",
         ((0, 3, 2, 1), 4):
-            "ba7ec60e994fd2ed57307d0fef3bf088c8c137585a09c3cbef15b6c2d35eb136",
+            "6c9ccade5fb59c7af50150d069d729315a053a74640620a4876fcf02f1a5b3d2",
         ((1, 0), 4):
-            "daba04db91921b7f8e9c1171f8718b1df22a84e122a859c41c58db4850edc350",
+            "78e207dffaaaa01fa208a820cb4de6909671f55c1c0ff6d73ca8d4fa5e2bd54c",
     }
 
     @pytest.mark.parametrize("route,interval", list(PINNED))
@@ -239,6 +244,59 @@ class TestTransferPlanner:
         before = [chip.memory_image() for chip in system.chips]
         build_ring_transfer(system, route, 5)
         assert [chip.memory_image() for chip in system.chips] == before
+
+    @pytest.mark.parametrize("dead, hops", [
+        (frozenset(), 3), (frozenset(range(1, 16)), 18),
+    ])
+    def test_direct_run_is_hops_plus_words(self, config, rng, dead, hops):
+        """A direct transfer's run: the last word leaves its slice
+        ``n_words - 1`` cycles after the first, reaches the link after
+        the read's delay and ``hops`` hops, and lands a link latency
+        later — the one cycle the run retires in included.  Dead EAST
+        slices push the head ``hops`` away from the link."""
+        plan = PartitionPlan.plan(["a", "b"], [1.0, 1.0], 2, config, 24)
+        blacklist = Blacklist(
+            mem_slices=frozenset((Hemisphere.EAST, i) for i in dead)
+        )
+        system = MultiChipSystem.ring(config, 2)
+        floorplan = system.chips[0].floorplan
+        d_read = Read(address=0, stream=0).dfunc(system.chips[0].timing)
+        link = system.chips[0].c2c_unit(Hemisphere.EAST).links[0]
+        for n_words in (1, 2, 5):
+            payload = rng.integers(0, 256, (n_words, config.n_lanes),
+                                   np.uint8)
+            transfer = plan.transfer(system, 0, n_words, blacklist=blacklist)
+            assert floorplan.delta(
+                floorplan.mem_slice(Hemisphere.EAST, transfer.head_slice),
+                floorplan.c2c(Hemisphere.EAST),
+            ) == hops
+            landed, runs = transfer.run(system, payload)
+            assert np.array_equal(landed, payload)
+            assert runs[0].cycles == (
+                hops + n_words + d_read + link.arrival_latency
+            )
+
+    def test_head_stages_next_to_its_link(self, config, rng):
+        """The boundary's words leave from the healthy slice nearest the
+        outgoing link: a blacklist that kills the nearest moves the head
+        to the next nearest, under a cache key of its own, and the payload
+        still lands byte for byte."""
+        plan = PartitionPlan.plan(["a", "b"], [1.0, 1.0], 2, config, 24)
+        payload = rng.integers(0, 256, (3, config.n_lanes), np.uint8)
+        cache = ProgramCache(8)
+        heads = []
+        for blacklist in (None, Blacklist(
+            mem_slices=frozenset({(Hemisphere.EAST, 15)})
+        )):
+            system = MultiChipSystem.ring(config, 2)
+            transfer = plan.transfer(
+                system, 0, len(payload), blacklist=blacklist, cache=cache
+            )
+            landed, _runs = transfer.run(system, payload)
+            assert np.array_equal(landed, payload)
+            heads.append((transfer.src_hemisphere, transfer.head_slice))
+        assert heads == [(Hemisphere.EAST, 15), (Hemisphere.EAST, 14)]
+        assert cache.stats.misses == 2
 
     def test_pipeline_boundary_plan_writes_no_chip(self, config):
         plan = PartitionPlan.plan(["a", "b"], [1.0, 1.0], 2, config, 24)
