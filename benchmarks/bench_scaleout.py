@@ -72,6 +72,7 @@ from repro.nn import (  # noqa: E402
     Sequential,
     execute_pipeline,
     make_shapes,
+    plan_runner_partition,
     scale_out,
 )
 from repro.nn.resnet import LayerKind, LayerSpec  # noqa: E402
@@ -141,7 +142,9 @@ def main(argv=None) -> int:
     chips_rows = []
     total_mismatches = 0
     for n_chips in (1, 2, 4):
-        result = execute_pipeline(runner, x, n_chips)
+        result = execute_pipeline(
+            runner, x, plan_runner_partition(runner, n_chips)
+        )
         executed = result.executed
         mismatches = int(
             np.sum(~np.all(result.logits == oracle.logits, axis=-1))

@@ -26,7 +26,6 @@ from .partition import (
     PartitionPlan,
     PartitionStage,
     RingTransferPlan,
-    TimedProgram,
     build_ring_transfer,
     pack_payload,
     partition_contiguous,
@@ -64,7 +63,6 @@ __all__ = [
     "PartitionPlan",
     "PartitionStage",
     "RingTransferPlan",
-    "TimedProgram",
     "build_ring_transfer",
     "pack_payload",
     "partition_contiguous",

@@ -15,21 +15,19 @@ module owns every decision about a pipeline's stage boundaries:
 * :class:`PartitionPlan` — the named stages plus a content fingerprint,
   so every partition-dependent cached artifact (C2C transfer programs,
   serve-layer entries) keys on *which* split produced it;
-  :meth:`PartitionPlan.transfer` plans the transfer out of one stage —
-  route, head and staging slices, pacing and cache key — around a
-  blacklist.
+  :meth:`PartitionPlan.transfer` routes the transfer out of one stage
+  around a blacklist's dead cables, keys it and asks the planner for it.
 * :func:`plan_ring_route` / :func:`build_ring_transfer` — the one C2C
   planner: the shortest healthy ring route, then fully timed
-  ``Read -> Send -> Receive`` store-and-forward programs for it.  A
+  ``Read -> Send -> Receive`` store-and-forward programs for it, with
+  the head slice, staging slice and pace decided from the route and the
+  blacklist alone.  A
   :class:`RingTransferPlan` is payload-free and touches no chip;
   :meth:`RingTransferPlan.run` stages a payload, runs the system in
   lockstep and reads back what landed.
 * :func:`pack_payload` / :func:`unpack_payload` — raw-byte packing of an
   activation tensor into the ``(n_words, n_lanes)`` uint8 vectors the
   C2C links ship.
-* :class:`TimedProgram` — absolute dispatch cycles -> ``Nop``-padded ICU
-  queues: a planner thinks in absolute cycles and lets the helper insert
-  the gaps.
 """
 
 from __future__ import annotations
@@ -41,46 +39,12 @@ import numpy as np
 
 from ..arch.geometry import Direction, Hemisphere
 from ..config import ArchConfig
-from ..errors import C2cLinkError, CompileError, ConfigError
+from ..errors import C2cLinkError, ConfigError
 from ..isa.c2c import Deskew, Receive, Send
-from ..isa.icu import Nop
 from ..isa.mem import Read
 from ..isa.program import IcuId, Program
 from .cachekey import config_fingerprint
-
-
-class TimedProgram:
-    """Build a :class:`Program` from absolute dispatch cycles.
-
-    Planners think in absolute cycles ("Send must dispatch at
-    capture - d_skew"); ICU queues think in relative order with ``Nop``
-    gap fillers.  This helper converts: record ``at(icu, cycle,
-    instruction)`` pairs, then :meth:`build` sorts each queue and inserts
-    the exact ``Nop`` padding.
-    """
-
-    def __init__(self) -> None:
-        self._queues: dict[IcuId, list[tuple[int, object]]] = {}
-
-    def at(self, icu: IcuId, cycle: int, instruction) -> None:
-        self._queues.setdefault(icu, []).append((cycle, instruction))
-
-    def build(self) -> Program:
-        program = Program()
-        for icu, items in self._queues.items():
-            items.sort(key=lambda pair: pair[0])
-            cursor = 0
-            for cycle, instruction in items:
-                if cycle < cursor:
-                    raise CompileError(
-                        f"{icu}: dispatch at cycle {cycle} overlaps the "
-                        f"previous instruction (queue busy until {cursor})"
-                    )
-                if cycle > cursor:
-                    program.add(icu, Nop(cycle - cursor))
-                program.add(icu, instruction)
-                cursor = cycle + instruction.issue_cycles()
-        return program
+from .schedule import QueueBuilder
 
 
 # ----------------------------------------------------------------------
@@ -196,48 +160,36 @@ class PartitionPlan:
     ) -> "RingTransferPlan":
         """The timed transfer of ``n_words`` vectors out of ``stage``.
 
-        Every choice at the boundary is made here: the route (a dead ring
-        cable in ``blacklist`` sends the hop the long way around), the
-        head slice the words leave from (the healthy slice nearest the
-        outgoing link, :func:`head_slice`), the staging slice relays and
-        the last chip receive into (the first index healthy in both
-        hemispheres), the pacing (a direct hop sends every cycle, a
-        detour's relays every :data:`STORE_AND_FORWARD_INTERVAL`) and the
-        cache key.  The key folds in this plan's fingerprint, both slices
-        and every hop's arrival latency, so another split, or a cable
-        whose error model reserves other retry slack, recompiles instead
-        of replaying a stale schedule.
+        A dead ring cable in ``blacklist`` sends the hop the long way
+        around (:func:`plan_ring_route`); every other choice is
+        :func:`build_ring_transfer`'s.  The cache key folds in this
+        plan's fingerprint, the route, the word count, every hop's
+        arrival latency and the blacklist's dead MEM slices (all the
+        planner reads besides the route), so another split, a cable whose
+        error model reserves other retry slack, or another set of dead
+        slices recompiles instead of replaying a stale schedule.
         ``cache`` is a :class:`repro.serve.ProgramCache`, or None to
         build every time.
         """
-        n_chips = len(system.chips)
         dead = blacklist.ring_cables if blacklist is not None else frozenset()
-        route = plan_ring_route(n_chips, stage, stage + 1, dead)
-        stage_slice = _staging_slice(system.chips[0].config, blacklist)
-        eastward = route[1] == (route[0] + 1) % n_chips
-        out_hemisphere = Hemisphere.EAST if eastward else Hemisphere.WEST
-        head = head_slice(system.chips[0].floorplan, out_hemisphere, blacklist)
-        interval = (
-            DIRECT_HOP_INTERVAL if len(route) == 2
-            else STORE_AND_FORWARD_INTERVAL
-        )
+        route = plan_ring_route(len(system.chips), stage, stage + 1, dead)
 
         def build() -> RingTransferPlan:
-            return build_ring_transfer(
-                system, route, n_words, stage_slice=stage_slice,
-                interval=interval, head=head,
-            )
+            return build_ring_transfer(system, route, n_words, blacklist)
 
         if cache is None:
             return build()
         latencies = "/".join(
-            str(system.chips[a].c2c_unit(out_hemisphere).links[0]
-                .arrival_latency)
-            for a in route[:-1]
+            str(link.arrival_latency) for link in _hop_links(system, route)[1]
         )
+        dead_slices = ",".join(sorted(
+            f"{hemisphere.value}{index}" for hemisphere, index in (
+                blacklist.mem_slices if blacklist is not None else ()
+            )
+        ))
         key = (
             f"xfer:{self.fingerprint}:{'-'.join(map(str, route))}:"
-            f"{n_words}:{latencies}:{head}:{stage_slice}"
+            f"{n_words}:{latencies}:{dead_slices}"
         )
         return cache.get_or_build(key, build)
 
@@ -344,11 +296,12 @@ def plan_ring_route(
 class RingTransferPlan:
     """Timed store-and-forward programs along a ring route, one per chip.
 
-    Payload-free: a plan names where its ``n_words`` vectors are staged
-    (``src_hemisphere`` slice ``head_slice`` on ``route[0]``) and where
-    they land (``dst_hemisphere`` slice ``stage_slice`` on
-    ``route[-1]``), both from address 0; :meth:`run` moves a payload
-    through it.
+    What :func:`build_ring_transfer` decided, and nothing a caller chose:
+    where the ``n_words`` vectors are staged (``src_hemisphere`` slice
+    ``head_slice`` on ``route[0]``) and where they land
+    (``dst_hemisphere`` slice ``stage_slice`` on ``route[-1]``), both
+    from address 0.  Payload-free; :meth:`run` moves a payload through
+    it.
     """
 
     route: list[int]
@@ -382,13 +335,34 @@ class RingTransferPlan:
         return np.asarray(landed, dtype=np.uint8), runs
 
 
+def _hop_links(system, route: list[int]) -> tuple[Hemisphere, list]:
+    """The hemisphere every hop of ``route`` leaves by (EAST on a
+    clockwise route; a shortest ring route never reverses direction) and
+    the outgoing C2C link each hop crosses, in order."""
+    n_chips = len(system.chips)
+    out_hemisphere = (
+        Hemisphere.EAST if route[1] == (route[0] + 1) % n_chips
+        else Hemisphere.WEST
+    )
+    links = []
+    for a, b in zip(route, route[1:]):
+        if b != (route[1] - route[0] + a) % n_chips and n_chips > 2:
+            # defensive: plan_ring_route never produces a reversing path
+            raise C2cLinkError(
+                f"ring route {route} reverses direction at chip {a}"
+            )
+        link = system.chips[a].c2c_unit(out_hemisphere).links[0]
+        if link.peer is None:
+            raise C2cLinkError(
+                f"chip {a} {out_hemisphere.value}-link 0 is not wired — "
+                f"route {route} crosses a missing cable"
+            )
+        links.append(link)
+    return out_hemisphere, links
+
+
 def build_ring_transfer(
-    system,
-    route: list[int],
-    n_words: int,
-    stage_slice: int = 0,
-    interval: int = STORE_AND_FORWARD_INTERVAL,
-    head: int | None = None,
+    system, route: list[int], n_words: int, blacklist=None
 ) -> RingTransferPlan:
     """Fully timed multi-hop transfer of ``n_words`` vectors along ``route``.
 
@@ -401,15 +375,20 @@ def build_ring_transfer(
     attached to the cables.  ``system`` is only read (its floorplan,
     timing and wiring); no chip is written.
 
-    The first chip's words wait in the outgoing hemisphere's MEM slice
-    ``head`` — by default the one nearest the link (:func:`head_slice`),
-    so the head's reads cross 3 hops on the test chip, not the 20 from
-    the far hemisphere's innermost slice.  A
-    Receive emplaces into its own hemisphere's ``stage_slice``; because a
-    shortest ring route never reverses direction, that is the hemisphere
-    a relay next departs *away* from (an eastward hop lands in WEST MEM,
-    which feeds the EASTWARD stream path), so one convention serves
-    every relay.
+    Every other choice is made here too, from the route and the dead MEM
+    slices of ``blacklist`` (a :class:`repro.resil.Blacklist` or None;
+    its dead cables are the route's business, :func:`plan_ring_route`):
+
+    * the first chip's words wait in the outgoing hemisphere's healthy
+      slice nearest the link (:func:`head_slice`) — 3 hops on the test
+      chip, not the 20 from the far hemisphere's innermost slice;
+    * a Receive emplaces into its own hemisphere's staging slice, the
+      first index healthy in both hemispheres.  A shortest ring route
+      never reverses direction, so that is the hemisphere a relay next
+      departs *away* from (an eastward hop lands in WEST MEM, which feeds
+      the EASTWARD stream path) and one convention serves every relay;
+    * a direct hop sends a word every :data:`DIRECT_HOP_INTERVAL`
+      cycles, a longer route's every :data:`STORE_AND_FORWARD_INTERVAL`.
     """
     n_chips = len(system.chips)
     chip0 = system.chips[0]
@@ -427,21 +406,25 @@ def build_ring_transfer(
             f"{n_words} staged vectors overflow the {words_per_slice}-word "
             "MEM slice; chunk the payload"
         )
-
-    timed = [TimedProgram() for _ in range(n_chips)]
+    stage_slice = _staging_slice(chip0.config, blacklist)
     if len(route) == 1:
         return RingTransferPlan(
-            route, [t.build() for t in timed], Hemisphere.WEST,
+            route, [Program() for _ in range(n_chips)], Hemisphere.WEST,
             Hemisphere.WEST, stage_slice, stage_slice, n_words,
         )
 
-    eastward = route[1] == (route[0] + 1) % n_chips
-    direction = Direction.EASTWARD if eastward else Direction.WESTWARD
-    out_hemisphere = Hemisphere.EAST if eastward else Hemisphere.WEST
+    out_hemisphere, links = _hop_links(system, route)
+    direction = (
+        Direction.EASTWARD if out_hemisphere is Hemisphere.EAST
+        else Direction.WESTWARD
+    )
     # a Receive lands in the hemisphere a relay next departs away from
     in_hemisphere = out_hemisphere.other
-    if head is None:
-        head = head_slice(floorplan, out_hemisphere)
+    head = head_slice(floorplan, out_hemisphere, blacklist)
+    interval = (
+        DIRECT_HOP_INTERVAL if len(route) == 2
+        else STORE_AND_FORWARD_INTERVAL
+    )
     c2c_out = floorplan.c2c(out_hemisphere)
     relay_address = floorplan.mem_slice(in_hemisphere, stage_slice)
     mem_address = floorplan.mem_slice(out_hemisphere, head)
@@ -452,49 +435,45 @@ def build_ring_transfer(
     d_send_skew = probe_send.dskew(timing)
     d_recv = probe_recv.dfunc(timing)
 
+    queues: list[dict[IcuId, QueueBuilder]] = [{} for _ in range(n_chips)]
+
+    def at(chip: int, icu: IcuId, cycle: int, instruction) -> None:
+        if icu not in queues[chip]:
+            queues[chip][icu] = QueueBuilder(icu)
+        queues[chip][icu].reserve(cycle, instruction)
+
     ready = 0  # cycle the staged payload (vector 0) is readable on route[0]
-    for a, b in zip(route, route[1:]):
-        if b != (route[1] - route[0] + a) % n_chips and n_chips > 2:
-            # defensive: plan_ring_route never produces a reversing path
-            raise C2cLinkError(
-                f"ring route {route} reverses direction at chip {a}"
-            )
-        link = system.chips[a].c2c_unit(out_hemisphere).links[0]
-        if link.peer is None:
-            raise C2cLinkError(
-                f"chip {a} {out_hemisphere.value}-link 0 is not wired — "
-                f"route {route} crosses a missing cable"
-            )
+    for a, b, link in zip(route, route[1:], links):
         hops = floorplan.delta(mem_address, c2c_out)
         mem_icu = IcuId(mem_address)
         send_icu = IcuId(c2c_out, 0)
         recv_icu = IcuId(floorplan.c2c(in_hemisphere), 0)
         t_capture0 = ready + d_read + hops
         # calibrate the egress once, well before the first capture
-        timed[a].at(send_icu, ready, Deskew(link=0))
+        at(a, send_icu, ready, Deskew(link=0))
         for i in range(n_words):
             t_read = ready + i * interval
             t_capture = t_read + d_read + hops
             t_emplace = t_capture + link.arrival_latency
-            timed[a].at(
-                mem_icu, t_read,
-                Read(address=i, stream=0, direction=direction),
-            )
-            timed[a].at(
-                send_icu, t_capture - d_send_skew,
-                Send(link=0, stream=0, direction=direction),
-            )
-            timed[b].at(
-                recv_icu, t_emplace - d_recv,
-                Receive(link=0, mem_slice=stage_slice, address=i),
-            )
+            at(a, mem_icu, t_read,
+               Read(address=i, stream=0, direction=direction))
+            at(a, send_icu, t_capture - d_send_skew,
+               Send(link=0, stream=0, direction=direction))
+            at(b, recv_icu, t_emplace - d_recv,
+               Receive(link=0, mem_slice=stage_slice, address=i))
         # next hop may read vector 0 the cycle after it is emplaced
         ready = t_capture0 + link.arrival_latency + 1
         mem_address = relay_address
 
+    programs = []
+    for chip_queues in queues:
+        program = Program()
+        for queue in chip_queues.values():
+            queue.emit(program)
+        programs.append(program)
     return RingTransferPlan(
-        route, [t.build() for t in timed], out_hemisphere, in_hemisphere,
-        head, stage_slice, n_words,
+        route, programs, out_hemisphere, in_hemisphere, head, stage_slice,
+        n_words,
     )
 
 

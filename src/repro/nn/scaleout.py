@@ -210,15 +210,15 @@ class PipelineRunResult:
 def execute_pipeline(
     runner: TspCnnRunner,
     x: np.ndarray,
-    n_chips: int,
+    plan: PartitionPlan,
     *,
     system=None,
     cache=None,
     stats: ChunkRunStats | None = None,
-    plan: PartitionPlan | None = None,
     blacklist=None,
 ) -> PipelineRunResult:
-    """Run one batch through an executed N-chip pipeline.
+    """Run one batch through the executed pipeline ``plan`` describes
+    (:func:`plan_runner_partition`; its chip count is the pipeline's).
 
     Stage ``i``'s layers execute on ``system.chips[i]``; at each stage
     boundary the producer quantizes its compact activation tensor into
@@ -247,13 +247,7 @@ def execute_pipeline(
     payload.
     """
     config = runner.config
-    if plan is None:
-        plan = plan_runner_partition(runner, n_chips)
-    if plan.n_chips != n_chips:
-        raise ConfigError(
-            f"partition plan covers {plan.n_chips} chips, asked to "
-            f"execute on {n_chips}"
-        )
+    n_chips = plan.n_chips
     if system is None:
         # a one-stage plan ships nothing, so a lone chip's self-ring
         # carries no traffic
@@ -286,7 +280,6 @@ def execute_pipeline(
                     chip=chip,
                     cache=cache,
                     stats=stage_stats[index],
-                    prequantized=(index > 0 and position == start),
                     blacklist=blacklist,
                 )
                 cycles += layer_cycles
@@ -394,7 +387,9 @@ def main(argv: list[str] | None = None) -> int:
     x = data.x_test[: args.batch]
 
     oracle = runner.forward(x)
-    result = execute_pipeline(runner, x, args.chips)
+    result = execute_pipeline(
+        runner, x, plan_runner_partition(runner, args.chips)
+    )
     executed = result.executed
     exact = bool(np.array_equal(oracle.logits, result.logits))
 

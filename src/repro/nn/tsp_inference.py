@@ -385,20 +385,19 @@ class TspCnnRunner:
         chip=None,
         cache=None,
         stats: ChunkRunStats | None = None,
-        prequantized: bool = False,
         blacklist=None,
     ) -> tuple[np.ndarray, int]:
         """Quantize, run on chip (a pass per chunk), dequantize + bias
         (+ReLU).
 
-        ``prequantized`` activations arrive already in the layer's int8
-        input domain (a pipeline stage boundary quantized them before
-        shipping over C2C) and skip the rounding here.
+        int8 activations are already in the layer's input domain (a
+        pipeline stage boundary quantized them before shipping over C2C)
+        and skip the rounding here.
         """
-        if prequantized:
-            acts_q = acts.astype(np.int8, copy=False)
-        else:
-            acts_q = self.quantize_boundary(layer, acts)
+        acts_q = (
+            acts if acts.dtype == np.int8
+            else self.quantize_boundary(layer, acts)
+        )
         step = self.max_vectors
         pieces = [
             acts_q[start : start + step]
@@ -432,16 +431,15 @@ class TspCnnRunner:
         chip=None,
         cache=None,
         stats: ChunkRunStats | None = None,
-        prequantized: bool = False,
         blacklist=None,
     ) -> tuple[np.ndarray, int]:
         """Run one lowered layer; returns ``(activations, chip cycles)``.
 
         The unit of pipeline-parallel execution: a stage is a contiguous
-        run of these calls against one designated chip, and
-        ``prequantized`` marks the first matrix layer after a stage
-        boundary (its int8 input arrived over C2C already quantized).
-        Host layers (pooling, flatten) cost zero chip cycles.
+        run of these calls against one designated chip; the first matrix
+        layer after a stage boundary gets the int8 tensor that arrived
+        over C2C already quantized.  Host layers (pooling, flatten) cost
+        zero chip cycles.
         """
         if not isinstance(layer, CompiledLayer):
             return layer.forward(current), 0
@@ -452,7 +450,7 @@ class TspCnnRunner:
             )
             out, cycles = self._matrix_forward(
                 layer, cols, chip=chip, cache=cache, stats=stats,
-                prequantized=prequantized, blacklist=blacklist,
+                blacklist=blacklist,
             )
             n = current.shape[0]
             return out.reshape(n, ho, wo, -1).transpose(0, 3, 1, 2), cycles
@@ -462,7 +460,6 @@ class TspCnnRunner:
             chip=chip,
             cache=cache,
             stats=stats,
-            prequantized=prequantized,
             blacklist=blacklist,
         )
 

@@ -176,9 +176,8 @@ class ShardedCnnServeModel(CnnServeModel):
     ) -> list[np.ndarray]:
         x = np.stack(payloads)
         result = execute_pipeline(
-            self.runner, x, self.n_chips,
-            system=system, cache=cache, stats=stats, plan=self.plan,
-            blacklist=blacklist,
+            self.runner, x, self.plan,
+            system=system, cache=cache, stats=stats, blacklist=blacklist,
         )
         return [result.logits[i] for i in range(len(payloads))]
 

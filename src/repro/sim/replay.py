@@ -603,7 +603,10 @@ class ReplayPlan:
         """Land ``runs`` back-to-back executions on ``chip``: everything
         but SRAM that that many real runs would have left there —
         activity, hop bytes, the dispatches when the chip traces, and
-        ``chip.now``.  Both replay entry points land here."""
+        ``chip.now``.  Both replay entry points land here.  The one
+        exception is the MXM install record (``weights_installed_bytes``,
+        ``weights_installed_cycle``): a replay leaves it untouched, so a
+        run that reads it must simulate (``execute(..., replay=False)``)."""
         for f in fields(self.activity):
             if f.name != "stream_hop_bytes":
                 setattr(chip.activity, f.name,

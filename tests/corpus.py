@@ -26,7 +26,7 @@ from repro.testing import draw
 from repro.verify.suite import PROGRAMS
 from test_compiler_fuzz import build_random_graph
 from test_schedule_cycles import CHUNK_CYCLES, NO_SIBLING, chunk_builder
-from test_schedule_cycles import serve_models
+from test_schedule_cycles import fused_ffn_builder, serve_models
 
 
 def draw_inputs(builder, seed: int = 0) -> dict[str, np.ndarray]:
@@ -94,6 +94,15 @@ def pass_programs():
     )
     builder = build_chunk_builder(config, k_tiled, 8)[0]
     yield Entry("passes/k-tiled.densex8*2", builder, passes=2)
+
+
+def fused_programs():
+    """An MXM -> VXM -> MXM chain: the one-token FFN as one program
+    (serving runs it as two), at the row counts of a decode batch."""
+    config, models = small_test_chip(), serve_models()
+    for rows in (1, 4, 8):
+        yield Entry(f"fused/ffn.x{rows}",
+                    fused_ffn_builder(config, models, rows))
 
 
 #: a chip that lost slices near both MXMs and the VXM, and an MXM plane
@@ -320,7 +329,8 @@ def corpus():
     for name, build in PROGRAMS:  # on the conformance suite's inputs
         builder, inputs = build(small_test_chip())
         yield Entry(f"suite/{name}", builder, inputs=inputs)
-    for source in (random_graphs, fuzz_shapes, tight_chips, pass_programs):
+    for source in (random_graphs, fuzz_shapes, tight_chips, pass_programs,
+                   fused_programs):
         yield from source()
 
 

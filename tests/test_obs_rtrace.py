@@ -20,7 +20,7 @@ import pytest
 
 from repro.errors import DivergenceError
 from repro.nn import make_shapes, make_small_cnn, train
-from repro.nn.scaleout import execute_pipeline
+from repro.nn.scaleout import execute_pipeline, plan_runner_partition
 from repro.nn.tsp_inference import TspCnnRunner
 from repro.obs import rtrace
 from repro.obs.metrics import MetricsExporter
@@ -666,7 +666,9 @@ class TestTraceLockstep:
                            batch_id=0, model="cnn", worker="w0")
         token = rtrace.push(ctx)
         try:
-            result = execute_pipeline(runner, x, n_chips)
+            result = execute_pipeline(
+                runner, x, plan_runner_partition(runner, n_chips)
+            )
         finally:
             rtrace.pop(token)
         return tracer, result

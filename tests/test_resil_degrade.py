@@ -7,12 +7,10 @@ from repro.arch import Hemisphere
 from repro.arch.geometry import SliceKind
 from repro.compiler import (
     StreamProgramBuilder,
-    TimedProgram,
     build_ring_transfer,
     plan_ring_route,
 )
 from repro.errors import C2cLinkError, CompileError
-from repro.isa import IcuId, Nop, Program
 from repro.resil import Blacklist, assert_avoids, compile_degraded
 from repro.sim import LinkErrorModel, MultiChipSystem
 from repro.verify.oracle import run_differential
@@ -186,25 +184,3 @@ class TestRingTransfer:
         with pytest.raises(C2cLinkError, match="not wired"):
             build_ring_transfer(system, [0, 1], len(payload))
 
-
-class TestTimedProgram:
-    def test_gap_filling_is_exact(self, config, chip):
-        timed = TimedProgram()
-        icu = IcuId(chip.floorplan.mem_slice(Hemisphere.EAST, 0))
-        timed.at(icu, 5, Nop(1))
-        timed.at(icu, 0, Nop(1))
-        program = timed.build()
-        queue = program.queue(icu)
-        # sorted by cycle, with a 4-cycle filler between dispatch 0 and 5
-        assert [i.issue_cycles() for i in queue] == [1, 4, 1]
-
-    def test_overlapping_dispatch_raises(self, config, chip):
-        timed = TimedProgram()
-        icu = IcuId(chip.floorplan.mem_slice(Hemisphere.EAST, 0))
-        timed.at(icu, 3, Nop(5))
-        timed.at(icu, 4, Nop(1))
-        with pytest.raises(CompileError, match="overlaps"):
-            timed.build()
-
-    def test_empty_build_is_an_empty_program(self):
-        assert len(TimedProgram().build()) == 0

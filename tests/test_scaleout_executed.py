@@ -148,7 +148,7 @@ def run_forward_transfer(config, payload, model=None):
     system = MultiChipSystem.ring(config, 2)
     if model is not None:
         system.set_link_error_model(0, Hemisphere.EAST, 0, model)
-    transfer = build_ring_transfer(system, [0, 1], len(payload), interval=1)
+    transfer = build_ring_transfer(system, [0, 1], len(payload))
     landed, results = transfer.run(system, payload)
     return landed, results[0].cycles, system
 
@@ -213,30 +213,37 @@ def program_digest(plan):
 
 
 class TestTransferPlanner:
-    #: (route, interval) -> digest of the 5-word transfer's programs on a
-    #: 4-chip ring of the test chip; a change that means to move a
-    #: transfer's schedule moves these and says so.  The first chip reads
-    #: its words out of the outgoing hemisphere's slice nearest the link
-    #: (3 hops), so every route's head hop is 17 cycles shorter than from
-    #: the far hemisphere's slice 0; relays still read where they receive
+    #: route -> digest of the 5-word transfer's programs on a 4-chip ring
+    #: of the test chip; a change that means to move a transfer's schedule
+    #: moves these and says so.  The first chip reads its words out of the
+    #: outgoing hemisphere's slice nearest the link (3 hops); a direct hop,
+    #: either way round, sends every cycle and a detour every 4
     PINNED = {
-        ((0, 1), 1):
+        (0, 1):
             "4252852dafa145037f7eca87e7a6db932f28d50d6ac567f82d0b72a83186a2e3",
-        ((0, 1), 4):
-            "76f1b5a81d1e0f9b4bc73fa5958a4aeab60ab663b2c47643cb23852462bccac2",
-        ((0, 3, 2, 1), 4):
+        (0, 3, 2, 1):
             "6c9ccade5fb59c7af50150d069d729315a053a74640620a4876fcf02f1a5b3d2",
-        ((1, 0), 4):
-            "78e207dffaaaa01fa208a820cb4de6909671f55c1c0ff6d73ca8d4fa5e2bd54c",
+        (1, 0):
+            "0074964cfa3d4693095a48d8a22c7f75122940f7a5c61ddeb9702fba45d4c228",
     }
 
-    @pytest.mark.parametrize("route,interval", list(PINNED))
-    def test_emitted_programs_are_pinned(self, config, route, interval):
+    @pytest.mark.parametrize(
+        "route", list(PINNED), ids=lambda r: "-".join(map(str, r))
+    )
+    def test_emitted_programs_are_pinned(self, config, route):
         system = MultiChipSystem.ring(config, 4)
-        plan = build_ring_transfer(
-            system, list(route), 5, interval=interval
-        )
-        assert program_digest(plan) == self.PINNED[route, interval]
+        plan = build_ring_transfer(system, list(route), 5)
+        assert program_digest(plan) == self.PINNED[route]
+
+    def test_the_campaign_runs_the_transfer_serving_runs(self, config):
+        """``build_ring_transfer`` has no options, so the fault campaign's
+        direct hop and a pipeline boundary's are one program."""
+        system = MultiChipSystem.ring(config, 2)
+        plan = PartitionPlan.plan(["a", "b"], [1.0, 1.0], 2, config, 24)
+        for n_words in (1, 5):
+            assert program_digest(
+                build_ring_transfer(system, [0, 1], n_words)
+            ) == program_digest(plan.transfer(system, 0, n_words))
 
     @pytest.mark.parametrize("route", [[0, 1], [0, 3, 2, 1], [1, 0], [2]])
     def test_planning_writes_no_chip(self, config, route):
@@ -351,7 +358,8 @@ class TestExecutedPipeline:
         runner, x_test = cnn_runner(config)
         x = x_test[:3]
         oracle = runner.forward(x)
-        result = execute_pipeline(runner, x, 2)
+        plan = plan_runner_partition(runner, 2)
+        result = execute_pipeline(runner, x, plan)
         assert np.array_equal(result.logits, oracle.logits)
         executed = result.executed
         assert executed.n_chips == 2
@@ -364,7 +372,8 @@ class TestExecutedPipeline:
         runner, x_test = cnn_runner(config)
         x = x_test[:2]
         oracle = runner.forward(x)
-        result = execute_pipeline(runner, x, 3)
+        plan = plan_runner_partition(runner, 3)
+        result = execute_pipeline(runner, x, plan)
         assert np.array_equal(result.logits, oracle.logits)
         names = [n for s in result.executed.stages for n in s.layer_names]
         assert names == ["conv0", "conv1", "dense2"]
@@ -373,7 +382,8 @@ class TestExecutedPipeline:
         runner, x_test = cnn_runner(config, model=make_deep_cnn())
         x = x_test[:2]
         oracle = runner.forward(x)
-        result = execute_pipeline(runner, x, 4)
+        plan = plan_runner_partition(runner, 4)
+        result = execute_pipeline(runner, x, plan)
         assert np.array_equal(result.logits, oracle.logits)
         assert result.executed.n_chips == 4
         assert all(s.layer_names for s in result.executed.stages)
@@ -382,7 +392,8 @@ class TestExecutedPipeline:
         runner, x_test = cnn_runner(config)
         x = x_test[:2]
         oracle = runner.forward(x)
-        result = execute_pipeline(runner, x, 1)
+        plan = plan_runner_partition(runner, 1)
+        result = execute_pipeline(runner, x, plan)
         assert np.array_equal(result.logits, oracle.logits)
         assert result.executed.stages[0].cycles == oracle.total_cycles
 
@@ -392,10 +403,11 @@ class TestExecutedPipeline:
         oracle = runner.forward(x)
         cache = ProgramCache(capacity=64)
         system = MultiChipSystem.ring(config, 2)
-        first = execute_pipeline(runner, x, 2, system=system, cache=cache)
+        plan = plan_runner_partition(runner, 2)
+        first = execute_pipeline(runner, x, plan, system=system, cache=cache)
         assert np.array_equal(first.logits, oracle.logits)
         misses = cache.stats.misses
-        again = execute_pipeline(runner, x, 2, system=system, cache=cache)
+        again = execute_pipeline(runner, x, plan, system=system, cache=cache)
         assert np.array_equal(again.logits, oracle.logits)
         # the second run replays every chunk program *and* every timed
         # transfer from the cache — zero fresh builds
@@ -411,8 +423,8 @@ class TestExecutedPipeline:
         runner, x_test = cnn_runner(config)
         x = x_test[:1]
         cache = ProgramCache(capacity=64)
-        execute_pipeline(runner, x, 2, cache=cache)
         plan = plan_runner_partition(runner, 2)
+        execute_pipeline(runner, x, plan, cache=cache)
         with cache._lock:
             transfer_keys = [
                 k for k in cache._programs if str(k).startswith("xfer:")
@@ -440,8 +452,9 @@ class TestExecutedPipelineUnderFaults:
             )
             return system
 
-        first = execute_pipeline(runner, x, 2, system=faulty_system())
-        again = execute_pipeline(runner, x, 2, system=faulty_system())
+        plan = plan_runner_partition(runner, 2)
+        first = execute_pipeline(runner, x, plan, system=faulty_system())
+        again = execute_pipeline(runner, x, plan, system=faulty_system())
         assert np.array_equal(first.logits, oracle.logits)
         assert np.array_equal(again.logits, oracle.logits)
         for a, b in zip(first.executed.stages, again.executed.stages):
@@ -454,8 +467,9 @@ class TestExecutedPipelineUnderFaults:
         system.set_link_error_model(
             0, Hemisphere.EAST, 0, LinkErrorModel(dead_after=0)
         )
+        plan = plan_runner_partition(runner, 2)
         with pytest.raises(C2cLinkError) as err:
-            execute_pipeline(runner, x_test[:1], 2, system=system)
+            execute_pipeline(runner, x_test[:1], plan, system=system)
         message = str(err.value)
         assert "link" in message
         assert "cycle" in message
@@ -482,7 +496,9 @@ class TestFuzzCorpus:
         )
         x = x_test[:2]
         oracle = runner.forward(x)
-        result = execute_pipeline(runner, x, n_chips)
+        result = execute_pipeline(
+            runner, x, plan_runner_partition(runner, n_chips)
+        )
         assert np.array_equal(result.logits, oracle.logits)
 
     def test_mlp_corpus(self, config, rng):
@@ -492,5 +508,6 @@ class TestFuzzCorpus:
         )
         x = rng.standard_normal((4, 16))
         oracle = runner.forward(x)
-        result = execute_pipeline(runner, x, 2)
+        plan = plan_runner_partition(runner, 2)
+        result = execute_pipeline(runner, x, plan)
         assert np.array_equal(result.logits, oracle.logits)

@@ -44,7 +44,7 @@ from repro.isa.vxm import AluOp
 from repro.sim import TspChip, alu
 from repro.sim.replay import ReplayPlan
 from repro.testing import redrawn
-from repro.verify import assert_lockstep, check
+from repro.verify import assert_lockstep
 
 FFN = TransformerConfig(
     d_model=32, n_heads=4, d_ff=64, seq_len=16, n_layers=1, vocab=128
@@ -591,16 +591,37 @@ def test_ffn_single_token(config, models):
     assert stats.cycles == 31 + 35 == 66
 
 
-def test_fused_ffn_equals_its_two_programs(config, models):
-    """The FFN as one program — ``dense0``, int32 bias add, ``convert``,
-    ReLU, ``dense1`` — schedules, passes the check and equals the two
-    layer programs joined by the same integer epilogue on the host.
-    (Serving keeps two programs: EXPERIMENTS.md E40 measures what the
-    fused one costs.)"""
+def ffn_epilogue(models):
+    """The FFN's two dense layers and the integer epilogue between them:
+    ``(dense0, dense1, bias, scale)`` — dense0's bias in its int32
+    accumulator's units, and the scale that converts that accumulator
+    into dense1's int8 input domain."""
     d0, d1 = [layer for layer in models[0]["ffn"].runner.layers
               if getattr(layer, "name", "").startswith("dense")]
     bias = np.rint(d0.bias / (d0.in_scale * d0.weight_scale))
-    scale = d0.in_scale * d0.weight_scale / d1.in_scale
+    return d0, d1, bias, d0.in_scale * d0.weight_scale / d1.in_scale
+
+
+def fused_ffn_builder(config, models, rows):
+    """The FFN as one program of ``rows`` rows: ``dense0``, int32 bias
+    add, ``convert``, ReLU, ``dense1``."""
+    d0, d1, bias, scale = ffn_epilogue(models)
+    biases = np.tile(bias, (rows, 1)).astype(np.int32)
+    g = StreamProgramBuilder(config)
+    x = g.input_tensor("acts", (rows, d0.weight_q.shape[0]))
+    hidden = g.add(g.matmul(d0.weight_q, x, name="w0"),
+                   g.constant_tensor("bias", biases, DType.INT32))
+    hidden = g.relu(g.convert(hidden, DType.INT8, scale=scale))
+    g.write_back(g.matmul(d1.weight_q, hidden, name="w1"), "acc")
+    return g
+
+
+def test_fused_ffn_equals_its_two_programs(config, models):
+    """The fused FFN (:func:`fused_ffn_builder`, checked with the rest of
+    ``tests/corpus.py``) equals the two layer programs joined by the same
+    integer epilogue on the host.  (Serving keeps two programs:
+    EXPERIMENTS.md E40 measures what the fused one costs.)"""
+    d0, d1, bias, scale = ffn_epilogue(models)
     width = d1.weight_q.shape[1]
 
     def layer(compiled_layer, rows, acts):
@@ -610,24 +631,19 @@ def test_fused_ffn_equals_its_two_programs(config, models):
 
     for rows in (1, 4, 8):
         biases = np.tile(bias, (rows, 1)).astype(np.int32)
-        g = StreamProgramBuilder(config)
-        x = g.input_tensor("acts", (rows, d0.weight_q.shape[0]))
-        hidden = g.add(g.matmul(d0.weight_q, x, name="w0"),
-                       g.constant_tensor("bias", biases, DType.INT32))
-        hidden = g.relu(g.convert(hidden, DType.INT8, scale=scale))
-        g.write_back(g.matmul(d1.weight_q, hidden, name="w1"), "acc")
         acts = np.random.default_rng(rows).integers(
             -127, 128, (rows, d0.weight_q.shape[0])
         ).astype(np.int8)
-        compiled = g.compile()
-        check(g, {"acts": acts}, compiled=compiled)
         hidden = alu.apply_convert(
             DType.INT32, DType.INT8, scale, alu.apply_binary(
                 AluOp.ADD_SAT, DType.INT32, layer(d0, rows, acts), biases
             ),
         )
         two = layer(d1, rows, np.maximum(hidden, 0))
-        fused = execute(compiled, inputs={"acts": acts}).outputs["acc"]
+        fused = execute(
+            fused_ffn_builder(config, models, rows).compile(),
+            inputs={"acts": acts},
+        ).outputs["acc"]
         assert np.array_equal(fused[:, :width], two)
 
 

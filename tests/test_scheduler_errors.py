@@ -4,11 +4,13 @@ cannot do, with actionable messages."""
 import numpy as np
 import pytest
 
-from repro.arch import Direction, DType
+from repro.arch import Direction, DType, Hemisphere
 from repro.compiler import StreamProgramBuilder, Scheduler
 from repro.compiler.graph import Graph, OpKind
+from repro.compiler.schedule import QueueBuilder
 from repro.config import small_test_chip
 from repro.errors import CompileError, ScheduleError
+from repro.isa import IcuId, Nop, Program
 
 
 class TestGraphValidation:
@@ -148,3 +150,30 @@ class TestSearchWindowMessages:
             token in message
             for token in ("stream", "search window", "place")
         )
+
+
+class TestQueueBuilder:
+    """Absolute dispatch cycles -> one NOP-padded ICU queue."""
+
+    def test_gap_filling_is_exact(self, chip):
+        icu = IcuId(chip.floorplan.mem_slice(Hemisphere.EAST, 0))
+        queue = QueueBuilder(icu)
+        queue.reserve(5, Nop(1))
+        queue.reserve(0, Nop(1))
+        program = Program()
+        queue.emit(program)
+        # sorted by cycle, with a 4-cycle filler between dispatch 0 and 5
+        assert [i.issue_cycles() for i in program.queue(icu)] == [1, 4, 1]
+
+    def test_taken_cell_raises(self, chip):
+        icu = IcuId(chip.floorplan.mem_slice(Hemisphere.EAST, 0))
+        queue = QueueBuilder(icu)
+        queue.reserve(3, Nop(1))
+        with pytest.raises(ScheduleError, match="already taken"):
+            queue.reserve(3, Nop(1))
+
+    def test_empty_emit_is_an_empty_program(self, chip):
+        icu = IcuId(chip.floorplan.mem_slice(Hemisphere.EAST, 0))
+        program = Program()
+        assert QueueBuilder(icu).emit(program) == (0, 0)
+        assert len(program) == 0

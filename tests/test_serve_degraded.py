@@ -32,7 +32,7 @@ from repro.config import small_test_chip
 from repro.errors import CompileError
 from repro.isa.encoding import encode_program_text
 from repro.nn import Dense, ReLU, Sequential
-from repro.nn.scaleout import execute_pipeline
+from repro.nn.scaleout import execute_pipeline, plan_runner_partition
 from repro.nn.tsp_inference import TspCnnRunner, build_chunk_builder
 from repro.resil import Blacklist, assert_avoids, compile_degraded
 from repro.serve import (
@@ -306,7 +306,9 @@ class TestRingRerouteBitIdentical:
         # cable 0 (East(0) <-> West(1)) dark: the stage-0 -> stage-1
         # hand-off must go 0 -> 2 -> 1 the long way around
         blacklist = Blacklist(ring_cables=frozenset({0}))
-        result = execute_pipeline(runner, x, 3, blacklist=blacklist)
+        result = execute_pipeline(
+            runner, x, plan_runner_partition(runner, 3), blacklist=blacklist
+        )
         assert np.array_equal(result.logits, oracle.logits)
 
     def test_reroute_with_physically_dead_slice(self):
@@ -325,6 +327,7 @@ class TestRingRerouteBitIdentical:
             ring_cables=frozenset({0}),
         )
         result = execute_pipeline(
-            runner, x, 3, system=system, blacklist=blacklist
+            runner, x, plan_runner_partition(runner, 3), system=system,
+            blacklist=blacklist,
         )
         assert np.array_equal(result.logits, oracle.logits)
