@@ -10,7 +10,9 @@ What is here, all exact — a fact per cycle, never a sample:
 * :mod:`repro.obs.trace` — :class:`PerfettoTraceBuilder`, the one
   renderer of chip traces and request traces: it joins compile-time
   schedule intent with runtime dispatch into Chrome/Perfetto trace JSON
-  (true durations, counter tracks, producer→consumer flows).
+  (each dispatch drawn one way, at the occupancy its
+  :class:`~repro.sim.chip.TraceEvent` carries; counter tracks;
+  producer→consumer flows).
 * :mod:`repro.obs.attribution` — :func:`attribute` /
   :func:`render_report`, the per-phase roofline + top-slices + stall
   taxonomy report behind ``python -m repro.obs``.
@@ -36,11 +38,7 @@ from .metrics import (
     percentile,
 )
 from .rtrace import RequestTracer, Span, TraceContext
-from .trace import (
-    PerfettoTraceBuilder,
-    instruction_duration,
-    write_trace,
-)
+from .trace import PerfettoTraceBuilder, write_trace
 
 __all__ = [
     "AutoTelemetry",
@@ -54,7 +52,6 @@ __all__ = [
     "TelemetryCollector",
     "TraceContext",
     "attribute",
-    "instruction_duration",
     "percentile",
     "render_report",
     "write_report",

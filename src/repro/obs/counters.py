@@ -132,6 +132,13 @@ class TelemetryCollector(CounterRegistry):
     One chip runs on one thread, so the hooks (and :meth:`count`, which
     here takes the cycle the amount belongs to) write the inherited
     dicts directly, without the lock.
+
+    ``dispatch_log`` keeps the chip's :class:`~repro.sim.chip.TraceEvent`
+    of every dispatch — the chip builds each event once, with its
+    occupancy, and a traced chip's ``trace`` holds the same objects.  The
+    collector keeps its own list because a chip's trace does not outlive
+    ``scrub()``; the trace builder draws the log, and its flow arrows
+    place each queue with the geometry :meth:`bind` remembered.
     """
 
     def __init__(
@@ -146,8 +153,8 @@ class TelemetryCollector(CounterRegistry):
         self._windows: dict[tuple[str, str], dict[int, int]] = {}
         #: observed cycles, accumulated by ``on_run_end``
         self.cycles = 0
-        #: (cycle, IcuId, Instruction) per dispatch, for the trace builder
-        self.dispatch_log: list[tuple] = []
+        #: the chip's ``TraceEvent`` per dispatch, for the trace builder
+        self.dispatch_log: list = []
         # hot-path caches: pre-resolved (key, bucket) slots for the
         # counters touched on every dispatch and every live SRF cycle,
         # so those hooks skip :meth:`count`'s key construction + lookups
@@ -230,17 +237,19 @@ class TelemetryCollector(CounterRegistry):
     # ------------------------------------------------------------------
     # simulator hooks (see the instrumentation sites in repro.sim)
     # ------------------------------------------------------------------
-    def on_dispatch(self, cycle: int, icu, instruction) -> None:
-        """Every dispatched instruction, including Repeat iterations."""
-        state = self._dispatch_state.get(icu)
+    def on_dispatch(self, event) -> None:
+        """Every dispatched instruction, including Repeat iterations, as
+        the chip's :class:`~repro.sim.chip.TraceEvent`."""
+        state = self._dispatch_state.get(event.icu)
         if state is None:
-            key = (f"icu:{icu}", "dispatches")
-            state = self._dispatch_state[icu] = (key, self._bucket(key))
+            key = (f"icu:{event.icu}", "dispatches")
+            state = (key, self._bucket(key))
+            self._dispatch_state[event.icu] = state
         key, buckets = state
-        window = cycle // self.window_cycles
+        window = event.cycle // self.window_cycles
         buckets[window] = buckets.get(window, 0) + 1
         self._totals[key] += 1
-        self.dispatch_log.append((cycle, icu, instruction))
+        self.dispatch_log.append(event)
 
     def on_icu_dispatch(
         self,

@@ -235,7 +235,8 @@ class Span:
     chip: str | None = None
     cycles: int | None = None
     clock_ghz: float | None = None
-    #: per-run dispatch events (sim TraceEvent: cycle/icu/mnemonic/text)
+    #: the run's dispatches, the chip's own :class:`~repro.sim.chip.
+    #: TraceEvent` objects (cycle, queue, instruction, occupancy)
     chip_events: tuple = ()
     args: dict = field(default_factory=dict)
 

@@ -4,10 +4,11 @@ Converts one or more observed runs into the Chrome trace-event JSON that
 ``chrome://tracing`` / https://ui.perfetto.dev render:
 
 * one *process* (pid) per chip, one *thread* (tid) per instruction queue;
-* ``"X"`` duration spans per dispatched instruction with **true
-  durations** derived from the timing model (``d_func``/``d_skew``, NOP
-  counts, Repeat cadences, MXM install/stream lengths) rather than a
-  fixed one-cycle slice;
+* ``"X"`` duration spans per dispatched instruction, each as long as
+  the occupancy its :class:`~repro.sim.chip.TraceEvent` carries — the
+  **true duration** the chip stamped from the timing model
+  (``d_func``/``d_skew``, NOP counts, Repeat cadences, MXM
+  install/stream lengths) rather than a fixed one-cycle slice;
 * ``"C"`` counter tracks sampled from the telemetry windows (SRAM
   traffic, MACCs, ALU ops, SRF occupancy);
 * ``"s"``/``"f"`` flow arrows from each producing drive to the consumers
@@ -27,11 +28,10 @@ microseconds.
 from __future__ import annotations
 
 import json
+from collections.abc import Sequence
 
 from ..arch.geometry import Direction
-from ..errors import IsaError
 from ..isa.c2c import Receive, Send
-from ..isa.icu import Ifetch, Nop, Repeat
 from ..isa.mem import Gather, Read, Scatter, Write
 from ..isa.mxm import (
     Accumulate,
@@ -41,7 +41,10 @@ from ..isa.mxm import (
 )
 from ..isa.sxm import Distribute, Permute, Rotate, Select, Shift, Transpose
 from ..isa.vxm import BinaryOp, Convert, UnaryOp
-from ..sim.tracer import mnemonic_duration
+# ``repro.sim`` loads with this module: loaded later instead (at
+# serving's first chip import), the benchmark's cold-churn read +1.6 MiB
+# of peak RSS with the same Python allocations (EXPERIMENTS.md E42)
+from ..sim.chip import TraceEvent
 
 #: domain-level counter tracks emitted when a collector is given
 _COUNTER_TRACKS = (
@@ -53,34 +56,6 @@ _COUNTER_TRACKS = (
     ("srf", "occupancy_cycles", "SRF live values"),
     ("srf", "hop_bytes", "SRF hop bytes"),
 )
-
-
-def instruction_duration(instruction, timing, config) -> int:
-    """True occupancy of one instruction, in cycles.
-
-    The span a profiler should draw: from dispatch until the instruction's
-    last architecturally-timed effect (result drive, final operand sample,
-    NOP expiry).  Always >= 1.
-    """
-    if isinstance(instruction, Nop):
-        return max(1, instruction.count)
-    if isinstance(instruction, Repeat):
-        return max(1, (instruction.n - 1) * instruction.d + 1)
-    if isinstance(instruction, InstallWeights):
-        skew = instruction.dskew(timing)
-        if instruction.from_buffer:
-            return max(1, skew + 1)
-        return max(1, skew + instruction.install_cycles(config.n_lanes))
-    if isinstance(instruction, ActivationBufferControl):
-        return max(1, instruction.dskew(timing) + instruction.n_vectors)
-    if isinstance(instruction, Accumulate):
-        return max(1, instruction.dfunc(timing) + instruction.n_vectors)
-    try:
-        return max(
-            1, instruction.dfunc(timing), instruction.dskew(timing) + 1
-        )
-    except IsaError:
-        return 1
 
 
 # ----------------------------------------------------------------------
@@ -284,20 +259,18 @@ class PerfettoTraceBuilder:
         pid: int = 0,
         trace=None,
         collector=None,
-        timing=None,
         intent=None,
     ) -> None:
         """Add one chip's run.
 
-        ``collector`` (a bound :class:`TelemetryCollector`) is the richest
-        source: its dispatch log carries instruction objects, enabling
-        exact durations and flow arrows, and its windows become counter
-        tracks.  ``trace`` (a ``TraceEvent`` list) is the fallback with
-        mnemonic-derived durations.  ``intent`` adds the compile-time
+        Its dispatches are ``collector.dispatch_log`` when a collector (a
+        bound :class:`TelemetryCollector`) has one, else ``trace`` (a
+        ``TraceEvent`` list); both are the chip's own events, each drawn
+        as long as the occupancy it carries.  A collector also knows the
+        chip's geometry, so its dispatches get flow arrows, and its
+        windows become counter tracks.  ``intent`` adds the compile-time
         schedule promises as their own row.
         """
-        if collector is not None:
-            timing = timing or collector.timing
         self.events.append({
             "name": "process_name", "ph": "M", "pid": pid,
             "args": {"name": name},
@@ -307,60 +280,79 @@ class PerfettoTraceBuilder:
             "args": {"sort_index": pid},
         })
         if collector is not None and collector.dispatch_log:
-            self._add_spans_from_log(pid, collector, timing)
-        elif trace:
-            self._add_spans_from_trace(pid, trace, timing)
+            dispatches, flows = collector.dispatch_log, collector
+        else:
+            dispatches, flows = trace or [], None
+        tids: dict[str, int] = {}
+        for icu in sorted({event.icu for event in dispatches}):
+            self._tid(pid, tids, icu)
+        self._add_dispatches(
+            pid, tids, dispatches, 0.0, 1e-3 / self.clock_ghz, flows=flows
+        )
         if collector is not None:
             self._add_counter_tracks(pid, collector)
         if intent is not None:
             self._add_intent(pid, intent)
 
     # ------------------------------------------------------------------
-    def _thread_metadata(self, pid: int, icu_names: list[str]) -> dict:
-        tids = {icu: i for i, icu in enumerate(sorted(icu_names))}
-        for icu, tid in tids.items():
+    def _tid(self, pid: int, tids: dict[str, int], icu: str) -> int:
+        """The thread row of queue ``icu`` in process ``pid``, named on
+        first use."""
+        tid = tids.get(icu)
+        if tid is None:
+            tid = tids[icu] = len(tids)
             self.events.append({
                 "name": "thread_name", "ph": "M", "pid": pid, "tid": tid,
                 "args": {"name": icu},
             })
-        return tids
+        return tid
 
-    def _add_spans_from_log(self, pid, collector, timing) -> None:
-        log = collector.dispatch_log
-        config = collector.config
-        floorplan = collector.floorplan
-        tids = self._thread_metadata(
-            pid, list({str(icu) for _, icu, _ in log})
-        )
+    def _add_dispatches(
+        self, pid, tids, dispatches: Sequence[TraceEvent], origin_us,
+        cycle_us, args=None, flows=None,
+    ):
+        """Draw every dispatch one way: an ``"X"`` slice per non-NOP
+        ``TraceEvent`` at ``origin_us + cycle * cycle_us``, its
+        ``occupancy`` long, on its queue's row.
+
+        ``flows`` — a collector bound to the chip that ran them — adds an
+        arrow from each drive to every capture downstream on the same
+        moving stream value.  ``args`` are added to each slice's.
+        Returns the earliest slice's ``(ts, tid)``, or None.
+        """
         # index every capture endpoint by its trajectory invariant so each
         # drive finds its downstream consumers in O(1)
         captures_by_key: dict[tuple, list[tuple]] = {}
-        entries = []
-        for cycle, icu, instruction in log:
-            name = str(icu)
-            position = floorplan.position(icu.address)
-            drives, captures = instruction_endpoints(
-                instruction, cycle, position, timing, config
-            )
-            entries.append((cycle, name, instruction, drives))
-            for direction, stream, pos, t in captures:
-                key = _flow_key(direction, stream, pos, t)
-                captures_by_key.setdefault(key, []).append(
-                    (t, pos, direction, tids[name])
+        drives_of = [()] * len(dispatches)
+        if flows is not None:
+            for index, event in enumerate(dispatches):
+                drives_of[index], captures = instruction_endpoints(
+                    event.instruction, event.cycle,
+                    flows.floorplan.position(event.queue.address),
+                    flows.timing, flows.config,
                 )
-        for cycle, name, instruction, drives in entries:
-            tid = tids[name]
-            if instruction.mnemonic != "NOP":
-                self.events.append({
-                    "name": instruction.mnemonic, "cat": "dispatch",
-                    "ph": "X", "ts": self._us(cycle),
-                    "dur": self._us(
-                        instruction_duration(instruction, timing, config)
-                    ),
-                    "pid": pid, "tid": tid,
-                    "args": {"text": str(instruction), "cycle": cycle},
-                })
-            for direction, stream, pos, t0 in drives:
+                for direction, stream, pos, t in captures:
+                    key = _flow_key(direction, stream, pos, t)
+                    captures_by_key.setdefault(key, []).append(
+                        (t, pos, direction, self._tid(pid, tids, event.icu))
+                    )
+        first = None
+        for index, event in enumerate(dispatches):
+            if event.mnemonic == "NOP":
+                continue
+            tid = self._tid(pid, tids, event.icu)
+            ts = round(origin_us + event.cycle * cycle_us, 9)
+            if first is None or ts < first[0]:
+                first = (ts, tid)
+            self.events.append({
+                "name": event.mnemonic, "cat": "dispatch", "ph": "X",
+                "ts": ts, "dur": round(event.occupancy * cycle_us, 9),
+                "pid": pid, "tid": tid,
+                "args": {
+                    "text": event.text, "cycle": event.cycle, **(args or {})
+                },
+            })
+            for direction, stream, pos, t0 in drives_of[index]:
                 key = _flow_key(direction, stream, pos, t0)
                 for t1, p1, _d, consumer_tid in captures_by_key.get(key, ()):
                     downstream = (
@@ -369,35 +361,22 @@ class PerfettoTraceBuilder:
                     )
                     if not downstream or t1 < t0:
                         continue
-                    flow_id = self._next_flow_id
-                    self._next_flow_id += 1
-                    common = {
-                        "cat": "dataflow",
-                        "name": f"stream {stream}{direction.value}",
-                        "id": flow_id, "pid": pid,
-                    }
-                    self.events.append({
-                        **common, "ph": "s", "ts": self._us(t0), "tid": tid,
-                    })
-                    self.events.append({
-                        **common, "ph": "f", "bp": "e",
-                        "ts": self._us(t1), "tid": consumer_tid,
-                    })
+                    self._add_flow(
+                        f"stream {stream}{direction.value}", "dataflow",
+                        (pid, tid, self._us(t0)),
+                        (pid, consumer_tid, self._us(t1)),
+                    )
+        return first
 
-    def _add_spans_from_trace(self, pid, trace, timing) -> None:
-        tids = self._thread_metadata(pid, list({e.icu for e in trace}))
-        for event in trace:
-            if event.mnemonic == "NOP":
-                continue
-            dur = (
-                mnemonic_duration(event.mnemonic, timing)
-                if timing is not None else 1
-            )
+    def _add_flow(self, name, cat, start, finish) -> None:
+        """One arrow from ``start`` to ``finish``, each ``(pid, tid, ts)``."""
+        flow_id = self._next_flow_id
+        self._next_flow_id += 1
+        common = {"cat": cat, "name": name, "id": flow_id}
+        for ph, (pid, tid, ts) in (("s", start), ("f", finish)):
             self.events.append({
-                "name": event.mnemonic, "cat": "dispatch", "ph": "X",
-                "ts": self._us(event.cycle), "dur": self._us(dur),
-                "pid": pid, "tid": tids[event.icu],
-                "args": {"text": event.text, "cycle": event.cycle},
+                **common, "ph": ph, "ts": ts, "pid": pid, "tid": tid,
+                **({"bp": "e"} if ph == "f" else {}),
             })
 
     def _add_counter_tracks(self, pid, collector) -> None:
@@ -452,7 +431,6 @@ class PerfettoTraceBuilder:
         name: str = "serve",
         pid: int = 100,
         chip_pid_base: int = 200,
-        timing=None,
     ) -> None:
         """Render a :class:`~repro.obs.rtrace.RequestTracer` as ONE
         unified trace: host phases and on-chip events share a timeline.
@@ -465,10 +443,10 @@ class PerfettoTraceBuilder:
           per request spanning its whole life.
         * Spans that carry a clock anchor (a chip run: ``chip``,
           ``cycles``, ``clock_ghz``) and retained chip events get one
-          process per chip (``chip_pid_base + i``); every cycle-stamped
-          instruction event is placed at
-          ``span.start_us + cycle * 1e-3 / clock_ghz`` — the anchor math
-          that folds the deterministic cycle domain into the host µs
+          process per chip (``chip_pid_base + i``); every dispatch is
+          drawn as :meth:`add_chip` draws it (its occupancy long), placed
+          at ``span.start_us + cycle * 1e-3 / clock_ghz`` — the anchor
+          math that folds the deterministic cycle domain into the host µs
           domain — and a flow arrow connects the owning host span to the
           span's earliest on-chip event, on that event's queue row.
         """
@@ -543,77 +521,18 @@ class PerfettoTraceBuilder:
                     **common, "ph": "e", "ts": round(span.end_us, 3),
                 })
             if span.chip and span.chip_events and span.clock_ghz:
-                self._add_anchored_chip_events(
-                    span, chip_pids[span.chip], chip_icus[span.chip],
-                    pid, tid, timing,
+                chip_pid = chip_pids[span.chip]
+                first = self._add_dispatches(
+                    chip_pid, chip_icus[span.chip], span.chip_events,
+                    span.start_us, 1e-3 / span.clock_ghz,
+                    args={"span": span.id},
                 )
-
-    def _add_anchored_chip_events(
-        self, span, chip_pid, icu_tids, host_pid, host_tid, timing
-    ) -> None:
-        """Place one anchored run's cycle-stamped events on the host
-        timeline and draw the host-span -> chip flow arrow."""
-        cycle_us = 1e-3 / span.clock_ghz
-        first_ts = first_tid = None
-        for event in span.chip_events:
-            if event.mnemonic == "NOP":
-                continue
-            tid = icu_tids.get(event.icu)
-            if tid is None:
-                tid = icu_tids[event.icu] = len(icu_tids)
-                self.events.append({
-                    "name": "thread_name", "ph": "M", "pid": chip_pid,
-                    "tid": tid, "args": {"name": event.icu},
-                })
-            ts = round(span.start_us + event.cycle * cycle_us, 6)
-            if first_ts is None or ts < first_ts:
-                first_ts, first_tid = ts, tid
-            dur = (
-                mnemonic_duration(event.mnemonic, timing)
-                if timing is not None else 1
-            )
-            self.events.append({
-                "name": event.mnemonic, "cat": "dispatch", "ph": "X",
-                "ts": ts, "dur": round(dur * cycle_us, 6),
-                "pid": chip_pid, "tid": tid,
-                "args": {
-                    "text": event.text, "cycle": event.cycle,
-                    "span": span.id,
-                },
-            })
-        if first_ts is not None:
-            flow_id = self._next_flow_id
-            self._next_flow_id += 1
-            common = {
-                "cat": "rtrace", "name": f"{span.name} anchor",
-                "id": flow_id,
-            }
-            self.events.append({
-                **common, "ph": "s", "ts": round(span.start_us, 3),
-                "pid": host_pid, "tid": host_tid,
-            })
-            self.events.append({
-                **common, "ph": "f", "bp": "e", "ts": first_ts,
-                "pid": chip_pid, "tid": first_tid,
-            })
-
-    # ------------------------------------------------------------------
-    def add_system(self, system, collectors=None, intents=None) -> None:
-        """One process per chip of a :class:`MultiChipSystem`."""
-        for i, chip in enumerate(system.chips):
-            collector = None
-            if collectors is not None:
-                collector = collectors[i]
-            elif chip.obs is not None:
-                collector = chip.obs
-            self.add_chip(
-                name=f"chip{i}",
-                pid=i,
-                trace=chip.trace,
-                collector=collector,
-                timing=chip.timing,
-                intent=intents[i] if intents else None,
-            )
+                if first is not None:
+                    self._add_flow(
+                        f"{span.name} anchor", "rtrace",
+                        (pid, tid, round(span.start_us, 3)),
+                        (chip_pid, first[1], first[0]),
+                    )
 
     def build(self) -> list[dict]:
         return list(self.events)

@@ -262,30 +262,12 @@ def scaleout_report(config) -> ExperimentReport:
     return report
 
 
-def coverage_report() -> ExperimentReport:
-    """ISA conformance coverage from the verify layer's sweep."""
-    from .verify import run_conformance
-
-    summary = run_conformance()
-    report = ExperimentReport("E21", "ISA conformance coverage (verify layer)")
-    report.add("conformance cases", len(summary.results),
-               sum(1 for r in summary.results if r.ok), "passing")
-    for cls in summary.tracker.by_class():
-        note = f"missing: {', '.join(cls.missing)}" if cls.missing else ""
-        report.add(f"{cls.name} opcode coverage", ">= 90%",
-                   f"{cls.fraction:.0%}", note=note)
-    return report
-
-
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    if "--coverage" in argv:
-        from .verify import run_conformance
-
-        summary = run_conformance()
-        print(summary.render())
-        return 0 if summary.ok else 1
-
+    if argv:
+        print("usage: python -m repro.report (takes no arguments; the "
+              "conformance sweep is python -m repro.verify)", file=sys.stderr)
+        return 2
     config = groq_tsp_v1()
     print("Groq TSP reproduction — paper-vs-measured summary\n")
 

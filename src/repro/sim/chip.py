@@ -51,18 +51,36 @@ from .memory import MemSliceUnit
 from .mxm import MxmUnit
 from .streamreg import StreamRegisterFile
 from .sxm import SxmUnit
+from .tracer import instruction_duration
 from .unit import FunctionalUnit
 from .vxm import VxmUnit
 
 
-@dataclass
+@dataclass(slots=True)
 class TraceEvent:
-    """One dispatched instruction, for schedule visualization."""
+    """One dispatch: when, on which queue, what, and for how long.
+
+    The one dispatch record (a chip's ``trace``, a collector's
+    ``dispatch_log``, a replay plan's ``trace``).  ``icu`` names the queue
+    ``queue``; ``occupancy`` is fixed when the dispatch is recorded
+    (:func:`~repro.sim.tracer.instruction_duration`) — the TSP knows a
+    dispatch's timing ahead of time, so a renderer reads it, never
+    guesses.  Nothing is formatted until ``text`` is read.
+    """
 
     cycle: int
     icu: str
-    mnemonic: str
-    text: str
+    queue: IcuId
+    instruction: Instruction
+    occupancy: int
+
+    @property
+    def mnemonic(self) -> str:
+        return self.instruction.mnemonic
+
+    @property
+    def text(self) -> str:
+        return str(self.instruction)
 
 
 @dataclass
@@ -204,16 +222,20 @@ class TspChip:
     ) -> None:
         """Account one dispatch on queue ``icu`` (``name`` is its label).
 
-        Text is formatted only for a consumer that asked for it (a plan
-        materialises its trace events on its first trace-enabled replay).
+        Its :class:`TraceEvent` is built once, and only when the chip's
+        trace or its telemetry collector will keep it; checkers see the
+        instruction itself.  Nothing is formatted.
         """
         self.activity.instructions += 1
-        if self.trace_enabled:
-            self.trace.append(
-                TraceEvent(cycle, name, instruction.mnemonic, str(instruction))
+        if self.trace_enabled or self.obs is not None:
+            event = TraceEvent(
+                cycle, name, icu, instruction,
+                instruction_duration(instruction, self.timing, self.config),
             )
-        if self.obs is not None:
-            self.obs.on_dispatch(cycle, icu, instruction)
+            if self.trace_enabled:
+                self.trace.append(event)
+            if self.obs is not None:
+                self.obs.on_dispatch(event)
         for checker in self.checkers:
             checker.on_dispatch(cycle, name, instruction)
 

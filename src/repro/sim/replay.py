@@ -56,7 +56,7 @@ What a replay reproduces is what a caller reads back from a run: its
 :class:`~repro.sim.chip.RunResult` (outputs, cycles, instructions,
 activity, dispatch trace) plus the SRAM words it writes.  The finished
 plan carries the exact cycle and dispatch counts and the activity-counter
-delta, and reads its dispatches off the program when a trace-enabled
+delta, and reads its dispatch trace off the program when a trace-enabled
 replay first asks — all of them functions of the schedule — and
 :meth:`ReplayPlan.charge` is the one place a replayed run lands on a chip.
 """
@@ -80,6 +80,7 @@ from ..isa.sxm import Distribute, Permute, Rotate, Select, Shift, Transpose
 from ..isa.vxm import BinaryOp, Convert, UnaryOp
 from . import alu
 from .chip import RunResult, TraceEvent
+from .tracer import instruction_duration
 
 #: the instructions a plan can stand in for: what the stream compiler
 #: emits, less the data-dependent ``Gather``
@@ -92,8 +93,9 @@ _PLANNED = frozenset((
 ))
 
 
-def issue_order(program, barrier: int | None = None) -> list[tuple]:
-    """``(cycle, queue name, instruction)`` of every dispatch of a
+def issue_order(program, timing, config,
+                barrier: int | None = None) -> list[TraceEvent]:
+    """The :class:`~repro.sim.chip.TraceEvent` of every dispatch of a
     straight-line ``program``, in the order the chip dispatches them.
 
     Each queue issues an instruction a cycle (a ``NOP n`` holds it ``n``),
@@ -105,16 +107,20 @@ def issue_order(program, barrier: int | None = None) -> list[tuple]:
     issued = []
     start = barrier or 0
     for index, icu in enumerate(program.icus):
-        name, t = str(icu), start
+        t = start
         if barrier is not None:
-            issued.append((0, index, name, Notify() if index == 0 else Sync()))
+            issued.append((0, index, icu, Notify() if index == 0 else Sync()))
             if index == 0:
-                issued.append((1, 0, name, Sync()))
+                issued.append((1, 0, icu, Sync()))
         for instruction in program.queue(icu):
-            issued.append((t, index, name, instruction))
+            issued.append((t, index, icu, instruction))
             t += max(instruction.count, 1) if isinstance(instruction, Nop) else 1
     issued.sort(key=lambda dispatch: dispatch[:2])
-    return [(t, name, instruction) for t, _i, name, instruction in issued]
+    return [
+        TraceEvent(t, str(icu), icu, instruction,
+                   instruction_duration(instruction, timing, config))
+        for t, _i, icu, instruction in issued
+    ]
 
 
 def _words(spec) -> list[tuple[int, int, tuple]]:
@@ -385,23 +391,14 @@ class ReplayPlan:
         return self.cycles - 1
 
     @functools.cached_property
-    def dispatches(self) -> list[tuple]:
-        """Raw ``(cycle, queue name, instruction)`` per dispatch, in
-        order, read off the program on first use."""
+    def trace(self) -> list[TraceEvent]:
+        """Every dispatch of a run, in order, read off the program on
+        first use (only a trace-enabled replay ever asks)."""
         return issue_order(
-            self.program,
+            self.program, self.timing, self.config,
             self.config.barrier_latency_cycles if self.warmup_barrier
             else None,
         )
-
-    @functools.cached_property
-    def trace(self) -> list[TraceEvent]:
-        """The dispatches as trace events, formatted on first use (only a
-        trace-enabled replay ever asks)."""
-        return [
-            TraceEvent(cycle, name, instruction.mnemonic, str(instruction))
-            for cycle, name, instruction in self.dispatches
-        ]
 
     # -- kernel interpreter ------------------------------------------------
 

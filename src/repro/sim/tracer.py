@@ -1,25 +1,63 @@
-"""Schedule rendering: reproduce the paper's Figure 6 and Figure 11 views.
+"""Dispatch occupancy and schedule rendering (the paper's Figure 6 and
+Figure 11 views).
 
-Figure 11 shows an instruction schedule as a grid — functional units down
-the side, cycles across the top, one glyph per dispatched instruction.
-Figure 6 shows the staggered SIMD execution of a single instruction across
-the 20 tiles of a slice.  Both are regenerated here as ASCII from a chip's
-trace.  (The Perfetto rendering of the same trace is
+:func:`instruction_duration` is how long a dispatch occupies its unit;
+the chip stamps it on every :class:`~repro.sim.chip.TraceEvent` it
+records, so every renderer reads it off the event.
+
+Figure 11 shows an instruction schedule as a grid — functional units
+down the side, cycles across the top, one glyph per dispatched
+instruction.  Figure 6 shows the staggered SIMD execution of a single
+instruction across the 20 tiles of a slice.  Both are regenerated here
+as ASCII from a chip's trace.  (The Perfetto rendering of the same trace is
 :meth:`repro.obs.trace.PerfettoTraceBuilder.add_chip`.)
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
+from typing import TYPE_CHECKING
 
 from ..arch.timing import TimingModel
 from ..errors import IsaError
-from .chip import TraceEvent
+from ..isa.icu import Nop, Repeat
+from ..isa.mxm import Accumulate, ActivationBufferControl, InstallWeights
+
+if TYPE_CHECKING:
+    from .chip import TraceEvent
+
+
+def instruction_duration(instruction, timing, config) -> int:
+    """True occupancy of one instruction, in cycles.
+
+    The span a profiler should draw: from dispatch until the instruction's
+    last architecturally-timed effect (result drive, final operand sample,
+    NOP expiry).  Always >= 1.
+    """
+    if isinstance(instruction, Nop):
+        return max(1, instruction.count)
+    if isinstance(instruction, Repeat):
+        return max(1, (instruction.n - 1) * instruction.d + 1)
+    if isinstance(instruction, InstallWeights):
+        skew = instruction.dskew(timing)
+        if instruction.from_buffer:
+            return max(1, skew + 1)
+        return max(1, skew + instruction.install_cycles(config.n_lanes))
+    if isinstance(instruction, ActivationBufferControl):
+        return max(1, instruction.dskew(timing) + instruction.n_vectors)
+    if isinstance(instruction, Accumulate):
+        return max(1, instruction.dfunc(timing) + instruction.n_vectors)
+    try:
+        return max(
+            1, instruction.dfunc(timing), instruction.dskew(timing) + 1
+        )
+    except IsaError:
+        return 1
 
 
 def mnemonic_duration(mnemonic: str, timing: TimingModel) -> int:
-    """Cycles a dispatch occupies when only its mnemonic survives (a
-    plain ``TraceEvent``): its functional delay, at least 1."""
+    """Cycles :func:`utilization_histogram` charges a dispatch: its
+    mnemonic's functional delay, at least 1."""
     try:
         return max(1, timing.functional_delay(mnemonic))
     except IsaError:
@@ -145,13 +183,18 @@ def utilization_histogram(
 ) -> dict[str, float]:
     """Fraction of cycles each ICU kept its unit busy with real work.
 
-    Occupancy, not dispatch counting: each non-NOP instruction is charged
+    Busy time, not dispatch counting: each non-NOP instruction is charged
     its functional delay under ``timing`` (default
     :class:`~repro.arch.timing.TimingModel`), so multi-cycle operations —
     an MXM weight install, a Transpose — read as busy for their whole
     span rather than the single dispatch cycle.  Overlapping spans from
     back-to-back pipelined dispatches can over-charge, so fractions are
     clamped to 1.0.
+
+    This is a different metric from a trace slice's length: a slice
+    spans the event's ``occupancy`` (:func:`instruction_duration` — a
+    NOP's count, an install's whole stream, an accumulate's vectors),
+    while this charges each dispatch its mnemonic's functional delay.
     """
     if total_cycles <= 0:
         return {}

@@ -67,9 +67,7 @@ class RecordingChecker(InvariantChecker):
         self.final_cycle: int | None = None
 
     def on_dispatch(self, cycle, icu, instruction) -> None:
-        self.events.append(
-            ("dispatch", cycle, icu, instruction.mnemonic, str(instruction))
-        )
+        self.events.append(("dispatch", cycle, icu, instruction))
 
     def on_drive(self, cycle, direction, stream, position) -> None:
         self.events.append(("drive", cycle, direction.value, stream, position))
@@ -137,8 +135,9 @@ def run_lockstep(
 
     Every leg starts from a fresh chip with the same memory image and
     inputs.  The simulation runs with tracing on and a checker attached —
-    neither moves a counter — and the replay traces too: the plan keeps
-    raw dispatches and must format a trace equal to the simulated one.
+    neither moves a counter — and the replay traces too: the plan reads
+    its dispatch events off the program and they must equal the simulated
+    ones, cycle, queue, instruction and occupancy.
     With ``warmup_barrier`` the schedule's plan is finished for the
     barrier first (:class:`~repro.sim.replay.ScheduleRecorder`).
 
@@ -271,7 +270,7 @@ def _compare(result: LockstepResult) -> None:
     first_difference(
         "checker dispatch",
         [e[1:] for e in result.recorder.events if e[0] == "dispatch"],
-        [(t.cycle, t.icu, t.mnemonic, t.text) for t in replay.run.trace],
+        [(t.cycle, t.icu, t.instruction) for t in replay.run.trace],
     )
     if result.recorder.final_cycle != replay.run.cycles:
         note(

@@ -21,6 +21,7 @@ from ..compiler.repeat import join_passes, split_passes
 from ..compiler.runner import bind_input, fetch_output, load_compiled
 from ..compiler.scheduler import CompiledProgram
 from ..errors import DivergenceError, SimulationError
+from ..isa.mem import Write
 from ..sim.chip import RunResult, TspChip
 from .interpreter import GraphInterpreter
 from .invariants import InvariantChecker
@@ -228,12 +229,11 @@ def _write_cycle_of(
     layout = compiled.outputs[name].layout
     hemisphere, slice_index, address = layout.address_of(0, row)
     icu_name = f"MEM_{hemisphere.value}{slice_index}"
-    needle = f"address={address},"
     for event in run.trace:
         if (
-            event.mnemonic == "Write"
+            isinstance(event.instruction, Write)
             and event.icu == icu_name
-            and needle in event.text
+            and event.instruction.address == address
         ):
             return event.cycle
     return None

@@ -45,7 +45,6 @@ def compute_trace() -> list[dict]:
         name="matmul",
         pid=1,
         collector=collector,
-        timing=chip.timing,
         intent=compiled.intent,
     )
     return builder.build()

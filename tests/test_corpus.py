@@ -11,9 +11,13 @@ from dataclasses import replace
 import pytest
 
 from corpus import REJECTED, corpus
+from repro.compiler import execute
 from repro.compiler.graph import OpKind
 from repro.compiler.scheduler import Scheduler
 from repro.errors import ScheduleError, VerificationError
+from repro.isa import Instruction
+from repro.obs import PerfettoTraceBuilder, TelemetryCollector
+from repro.sim.chip import TspChip
 from repro.sim.replay import ScheduleRecorder
 from repro.verify import check
 
@@ -84,3 +88,42 @@ def test_a_miscounted_read_fails_the_activity(monkeypatch):
     lines = failures("golden/matmul")
     assert all(line.startswith("lockstep: ") for line in lines), lines
     assert any(line.startswith("lockstep: activity: ") for line in lines)
+
+
+def test_no_instruction_is_formatted_until_a_trace_is_rendered(monkeypatch):
+    """A dispatch is recorded as its instruction: simulating with a trace
+    and a collector, replaying into a traced chip and the whole check
+    (lockstep included) format nothing.  Text is made when a trace is
+    rendered, and only then."""
+    entry = CORPUS["golden/matmul"]
+    compiled = entry.compile()
+
+    def unformatted(instruction):
+        raise AssertionError(f"{instruction.mnemonic} was formatted")
+
+    monkeypatch.setattr(Instruction, "__str__", unformatted)
+    check(entry.builder, entry.inputs, compiled=compiled)
+    collector = TelemetryCollector()
+    simulated = TspChip(compiled.config, trace=True)
+    simulated.attach_telemetry(collector)
+    execute(compiled, chip=simulated, inputs=entry.inputs, replay=False)
+    replayed = TspChip(compiled.config, trace=True)
+    run = execute(compiled, chip=replayed, inputs=entry.inputs).run
+    assert run.skipped_cycles == run.cycles
+    monkeypatch.undo()
+
+    # one record per dispatch: the collector keeps the chip's own events
+    assert len(collector.dispatch_log) == len(simulated.trace)
+    assert all(a is b for a, b in zip(collector.dispatch_log, simulated.trace))
+    assert replayed.trace == simulated.trace
+    builder = PerfettoTraceBuilder()
+    builder.add_chip(collector=collector)
+    builder.add_chip(pid=1, trace=replayed.trace)
+    texts = {0: [], 1: []}
+    for event in builder.build():
+        if event.get("cat") == "dispatch":
+            texts[event["pid"]].append(event["args"]["text"])
+    assert texts[0] == texts[1] == [
+        str(event.instruction) for event in simulated.trace
+        if event.mnemonic != "NOP"
+    ]

@@ -294,25 +294,85 @@ class TestServeTracing:
         assert stats["spans"]["max_spans"] == 4096
 
 
+class TestChipSlices:
+    def test_an_install_is_drawn_at_its_install_occupancy(self):
+        """A request trace draws a chip's dispatches as ``add_chip`` does:
+        an MXM weight install spans its operand skew plus the cycles its
+        weights stream in, not one cycle."""
+        from golden_programs import build_matmul
+        from repro.compiler import execute
+        from repro.isa import InstallWeights
+        from repro.sim.chip import TspChip
+
+        compiled = build_matmul().compile()
+        config = compiled.config
+        chip = TspChip(config, trace=True)
+        run = execute(compiled, chip=chip).run
+        tracer = RequestTracer(max_spans=8)
+        tracer.record(
+            "execute", "w0", 5.0, 6.0, chip="c0", cycles=run.cycles,
+            clock_ghz=config.clock_ghz, chip_events=run.trace,
+        )
+        builder = PerfettoTraceBuilder(clock_ghz=config.clock_ghz)
+        builder.add_request_trace(tracer)
+        slices = [
+            e for e in builder.build()
+            if e.get("cat") == "dispatch" and e["name"] == "IW"
+        ]
+        # one MXM weights queue issues them all, in program order
+        program = compiled.program
+        installs = [
+            instruction for icu in program.icus
+            for instruction in program.queue(icu)
+            if isinstance(instruction, InstallWeights)
+        ]
+        assert installs and len(slices) == len(installs)
+        assert len({e["tid"] for e in slices}) == 1
+        cycle_us = 1e-3 / config.clock_ghz
+        for drawn, install in zip(slices, installs):
+            assert not install.from_buffer
+            cycles = install.dskew(chip.timing) + install.install_cycles(
+                config.n_lanes
+            )
+            assert cycles > 1
+            assert drawn["dur"] == pytest.approx(cycles * cycle_us)
+
+
 class TestAnchorArrows:
     def test_each_arrow_lands_on_its_own_spans_first_slice(self):
         """Two spans on one chip whose earliest dispatches sit on different
         queues: each arrow ends on its own span's earliest slice, not on
         the first queue the chip ever showed."""
+        from repro.arch.geometry import Floorplan, Hemisphere
+        from repro.arch.timing import TimingModel
+        from repro.isa import Accumulate, BinaryOp, IcuId, Read
         from repro.sim.chip import TraceEvent
+        from repro.sim.tracer import instruction_duration
+
+        config = make_small_config()
+        floorplan = Floorplan(config)
+        mem = IcuId(floorplan.mem_slice(Hemisphere.WEST, 0))
+        alu = IcuId(floorplan.vxm())
+        acc = IcuId(floorplan.mxm(Hemisphere.WEST), 1)
+
+        def event(cycle, queue, instruction):
+            return TraceEvent(
+                cycle, str(queue), queue, instruction,
+                instruction_duration(instruction, TimingModel(), config),
+            )
 
         tracer = RequestTracer(max_spans=8)
         anchor = {"chip": "c0", "cycles": 4, "clock_ghz": 1.0}
         first = tracer.record(
             "execute", "w0", 10.0, 20.0, **anchor, chip_events=(
-                TraceEvent(0, "MEM_W0", "Read", "read"),
-                TraceEvent(2, "VXM_0", "Add", "add"),
+                event(0, mem, Read(address=0, stream=0)),
+                event(2, alu, BinaryOp()),
             ),
         )
         second = tracer.record(
             "execute", "w0", 30.0, 40.0, **anchor, chip_events=(
-                TraceEvent(1, "VXM_0", "Add", "add"),
-                TraceEvent(0, "MXM_W", "Acc", "acc"),
+                event(1, alu, BinaryOp()),
+                event(0, acc, Accumulate(n_vectors=3)),
             ),
         )
         builder = PerfettoTraceBuilder(clock_ghz=1.0)

@@ -17,13 +17,9 @@ from repro.config import small_test_chip
 from repro.isa.icu import Nop, Repeat
 from repro.isa.mem import Read
 from repro.isa.program import Program
-from repro.obs import (
-    PerfettoTraceBuilder,
-    TelemetryCollector,
-    instruction_duration,
-)
-from repro.obs.trace import mnemonic_duration
+from repro.obs import PerfettoTraceBuilder, TelemetryCollector
 from repro.sim.chip import TspChip
+from repro.sim.tracer import instruction_duration, mnemonic_duration
 
 import golden_trace
 

@@ -27,7 +27,7 @@ def traced_run(config, rng):
 def chip_trace_events(chip, clock_ghz=1.0):
     """The one chip-trace renderer, fed a plain ``TraceEvent`` list."""
     builder = PerfettoTraceBuilder(clock_ghz=clock_ghz)
-    builder.add_chip(trace=chip.trace, timing=chip.timing)
+    builder.add_chip(trace=chip.trace)
     return builder.build()
 
 
