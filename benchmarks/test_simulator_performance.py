@@ -163,10 +163,10 @@ def test_telemetry_overhead_gate(report_sink, small_config):
     assert attached["cycles"] == detached["cycles"]
 
     # detached really is detached: no collector object anywhere on the hot
-    # path, so the per-site guard short-circuits
+    # path (the register file gets the chip's, per step), so the per-site
+    # guard short-circuits
     chip = TspChip(small_config)
     assert chip.obs is None
-    assert chip.srf.collector is None
 
 
 def test_resilience_overhead_gate(report_sink, small_config):

@@ -26,8 +26,7 @@ byte-identical faults.
 
 from __future__ import annotations
 
-from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -124,29 +123,15 @@ class Flight:
     checks: np.ndarray | None = None
 
 
-@dataclass
 class C2cLink:
-    """One x4 link endpoint."""
+    """One x4 link endpoint: wiring and error process here; the chip sets
+    the rest, the CSR counters health polls too (``sim.chip.STATE``)."""
 
-    index: int
-    deskewed: bool = False
-    peer: tuple["C2cUnit", int] | None = None
-    latency: int = DEFAULT_LINK_LATENCY
-    rx_queue: deque = field(default_factory=deque)  # of Flight
-    sent_vectors: int = 0
-    received_vectors: int = 0
-    #: deterministic error process for this egress, or None (exact link)
-    error_model: LinkErrorModel | None = None
-    #: completed ``Deskew`` count — vectors are stamped with the sender
-    #: epoch and strict receivers fault on a mismatch
-    deskew_epoch: int = 0
-    #: per-egress vector sequence number (feeds the error process)
-    tx_seq: int = 0
-    # -- CSR-style fault counters (polled by repro.resil.health) --------
-    corrected: int = 0  #: single-bit FEC corrections at this ingress
-    retries: int = 0  #: retransmission copies consumed at this ingress
-    uncorrectable: int = 0  #: transfers where every copy failed FEC
-    dropped: int = 0  #: vectors lost to a dead link at this egress
+    def __init__(self, index: int) -> None:
+        self.index = index
+        self.peer: tuple["C2cUnit", int] | None = None
+        self.latency = DEFAULT_LINK_LATENCY
+        self.error_model: LinkErrorModel | None = None
 
     @property
     def retry_latency(self) -> int:
@@ -196,29 +181,6 @@ class C2cUnit(FunctionalUnit):
     ) -> None:
         """Attach (or clear) the error process on this egress."""
         self._link(link).error_model = model
-
-    def begin_run(self) -> None:
-        # rx entries are keyed by the previous run's cycle numbers; any
-        # vector still in flight between runs drains with the streams
-        for link in self.links:
-            link.rx_queue.clear()
-
-    def scrub(self) -> None:
-        # checkout reset: deskew training, sequence numbers, and the
-        # CSR fault counters restart as on a fresh chip.  Topology stays:
-        # ``peer``/``latency`` are wiring and ``error_model`` is the
-        # injected channel configuration, not run state.
-        for link in self.links:
-            link.rx_queue.clear()
-            link.deskewed = False
-            link.sent_vectors = 0
-            link.received_vectors = 0
-            link.deskew_epoch = 0
-            link.tx_seq = 0
-            link.corrected = 0
-            link.retries = 0
-            link.uncorrectable = 0
-            link.dropped = 0
 
     # ------------------------------------------------------------------
     def execute(self, icu: IcuId, instruction: Instruction, cycle: int) -> None:

@@ -27,6 +27,7 @@ is a ring rotation.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -38,17 +39,17 @@ from ..arch.geometry import (
     SliceAddress,
     SliceKind,
 )
-from ..arch.power import ActivityCounts, PowerModel
+from ..arch.power import ActivityCounts
 from ..arch.timing import TimingModel
 from ..config import ArchConfig
 from ..errors import SimulationError, TspError, WatchdogError
 from ..isa.base import Instruction
 from ..isa.program import IcuId, Program
-from .c2c import C2cUnit
+from .c2c import C2cLink, C2cUnit
 from .events import EventQueue, Phase
 from .icu import BarrierController, QueueSet
 from .memory import MemSliceUnit
-from .mxm import MxmUnit
+from .mxm import MxmUnit, dark_planes
 from .streamreg import StreamRegisterFile
 from .sxm import SxmUnit
 from .tracer import instruction_duration
@@ -127,48 +128,36 @@ class TspChip:
     ) -> None:
         config.validate()
         self.config = config
-        #: identity in a multi-chip system (threaded into error context)
         self.chip_id = chip_id
-        #: armed deadline monitor (see repro.resil.health.Watchdog), or None
-        self.watchdog = None
         self.timing = timing or TimingModel()
         self.floorplan = Floorplan(config)
         self.srf = StreamRegisterFile(config, self.floorplan)
-        self.events = EventQueue()
-        self.barrier = BarrierController(config.barrier_latency_cycles)
         self.strict_ifetch = strict_ifetch
         self.strict_c2c = strict_c2c
         self.trace_enabled = trace
-        self.trace: list[TraceEvent] = []
-        self.activity = ActivityCounts()
-        self.power_model = PowerModel()
-        self.superlane_enabled = np.ones(config.n_superlanes, dtype=bool)
-        self.weights_installed_cycle: int | None = None
-        self.weights_installed_bytes = 0
-        self.now = 0
-        #: runtime invariant checkers (see repro.verify.invariants)
-        self.checkers: list = []
-        #: count of host-injected hardware faults since the last scrub;
-        #: non-zero disqualifies the chip from schedule replay
-        self.faults_injected = 0
-        #: set by the serving pool when persistent hardware-fault hooks
-        #: were applied at checkout; cleared by scrub()
-        self.external_fault_hooks = False
-        #: attached telemetry collector (repro.obs), or None — every
-        #: instrumentation site in the simulator guards on this, so a chip
-        #: without a collector runs zero telemetry code
-        self.obs = None
         self.srf.on_drive = self._notify_drive
 
         if enable_ecc:
             self.srf.enable_ecc(True)
 
-        self._units: dict[SliceAddress, FunctionalUnit] = {}
-        for address in self.floorplan.slices:
-            self._units[address] = self._make_unit(address)
-        self._mem_units = [
-            u for u in self._units.values() if isinstance(u, MemSliceUnit)
+        self._units: dict[SliceAddress, FunctionalUnit] = {
+            address: self._make_unit(address)
+            for address in self.floorplan.slices
+        }
+        self.parts: dict[type, list] = {kind: [] for kind in STATE}
+        for part in [self, self.srf, *self._units.values()]:
+            self.parts[type(part)].append(part)
+        self.parts[C2cLink] = [
+            link for unit in self.parts[C2cUnit] for link in unit.links
         ]
+        self.watched = [
+            (part, name, entry.tag)
+            for kind, parts in self.parts.items() for part in parts
+            for name, entry in STATE[kind].items()
+            if entry.tag in (INSTRUMENT, UNIT_FAULT)
+        ]
+        # the rest of every part's state is what a scrub leaves
+        _refresh(self.parts, _FRESH)
 
         if TspChip.auto_telemetry is not None:
             TspChip.auto_telemetry.register(self)
@@ -209,29 +198,28 @@ class TspChip:
 
     def mem_units(self) -> list[MemSliceUnit]:
         """All 88 MEM slices, in floorplan order."""
-        return self._mem_units
+        return self.parts[MemSliceUnit]
 
     # ------------------------------------------------------------------
     def set_superlane_power(self, superlane: int, on: bool) -> None:
         if not 0 <= superlane < self.config.n_superlanes:
             raise SimulationError(f"superlane {superlane} does not exist")
-        self.superlane_enabled[superlane] = on
+        off = self.superlanes_off
+        self.superlanes_off = off - {superlane} if on else off | {superlane}
 
     def record_dispatch(
-        self, icu: IcuId, name: str, instruction: Instruction, cycle: int
+        self, icu: IcuId, name: str, instruction: Instruction, cycle: int,
+        occupancy: int | None,
     ) -> None:
         """Account one dispatch on queue ``icu`` (``name`` is its label).
 
         Its :class:`TraceEvent` is built once, and only when the chip's
-        trace or its telemetry collector will keep it; checkers see the
-        instruction itself.  Nothing is formatted.
+        trace or its telemetry collector will keep it (the queue then
+        passes ``occupancy``); checkers see the instruction itself.
         """
         self.activity.instructions += 1
         if self.trace_enabled or self.obs is not None:
-            event = TraceEvent(
-                cycle, name, icu, instruction,
-                instruction_duration(instruction, self.timing, self.config),
-            )
+            event = TraceEvent(cycle, name, icu, instruction, occupancy)
             if self.trace_enabled:
                 self.trace.append(event)
             if self.obs is not None:
@@ -302,17 +290,14 @@ class TspChip:
     def attach_telemetry(self, collector) -> None:
         """Attach a :class:`repro.obs.TelemetryCollector` to this chip.
 
-        One collector per chip; attaching replaces any previous one.  The
-        stream register file gets a direct reference so hop/occupancy
-        counting needs no indirection through the chip.
+        One collector per chip; attaching replaces any previous one.  Each
+        cycle hands it to the stream register file's hop count.
         """
         collector.bind(self)
         self.obs = collector
-        self.srf.collector = collector
 
     def detach_telemetry(self) -> None:
         self.obs = None
-        self.srf.collector = None
 
     def _notify_drive(
         self, direction: Direction, stream: int, position: int
@@ -427,7 +412,7 @@ class TspChip:
             events.run_phase(cycle, Phase.DRIVE)
             queues.dispatch(cycle)
             events.run_phase(cycle, Phase.CAPTURE)
-            self.srf.step(cycle)
+            self.srf.step(cycle, self.obs)
         except TspError as fault:
             fault.with_context(chip=self.chip_id, cycle=cycle)
             raise
@@ -451,13 +436,12 @@ class TspChip:
         """Reset cycle-keyed transient state before a run starts at cycle 0.
 
         Durable state (SRAM, installed weights, cumulative tallies) is
-        kept; only logs and epochs indexed by the previous run's cycle
-        numbers are dropped, so back-to-back ``run()`` calls on one chip
-        behave like runs on a freshly powered chip with warm memory.
+        kept; only the entries of :data:`STATE` keyed by the previous
+        run's cycle numbers (``State.run``) get their fresh values, so
+        back-to-back ``run()`` calls on one chip behave like runs on a
+        freshly powered chip with warm memory.
         """
-        self.barrier.begin_run()
-        for unit in self._units.values():
-            unit.begin_run()
+        _refresh(self.parts, _RUN_FRESH)
         # anything still in flight drains off the edge during the idle
         # gap between runs; its remaining hops are billed to that gap —
         # callers snapshot hop_bytes_total after this, so neither run's
@@ -468,36 +452,29 @@ class TspChip:
     def scrub(self) -> None:
         """Factory-reset the chip for checkout by a new program.
 
-        The worker-pool reuse discipline (``repro.serve``): ``begin_run``
-        deliberately keeps SRAM, installed weights, and cumulative tallies
-        warm so back-to-back runs of *one* program behave like a powered
-        chip; a pooled chip handed to a *different* program must instead be
-        indistinguishable from a freshly constructed one — no tenant's
-        data, trace, telemetry, armed watchdog, or checker may leak into
-        the next checkout.  Wiring (C2C topology, ECC enables, strict
-        modes) is configuration and survives.
+        ``begin_run`` keeps SRAM, installed weights and tallies warm for
+        back-to-back runs of *one* program; a pooled chip handed to a
+        *different* program (``repro.serve``) must be indistinguishable
+        from a fresh one, so each entry of :data:`STATE` with a fresh
+        value — benign, instrument, soft fault — gets it back, on the chip
+        and on each of its parts.  Configuration (C2C wiring, ECC enables,
+        strict modes) and physical damage (dead slices, link error models)
+        survive.
         """
-        self.barrier = BarrierController(self.config.barrier_latency_cycles)
-        self.events = EventQueue()
-        self.srf.scrub()
-        for unit in self._units.values():
-            unit.scrub()
-        self.trace.clear()
-        self.activity = ActivityCounts()
-        self.superlane_enabled[:] = True
-        self.weights_installed_cycle = None
-        self.weights_installed_bytes = 0
-        self.now = 0
-        self.checkers.clear()
-        self.faults_injected = 0
-        self.external_fault_hooks = False
-        self.disarm_watchdog()
-        self.detach_telemetry()
+        _refresh(self.parts, _FRESH)
 
     def make_queues(
         self, program: Program, warmup_barrier: bool = False
     ) -> QueueSet:
-        return QueueSet(self, program, warmup_barrier)
+        queues = QueueSet(self, program, warmup_barrier)
+        if self.trace_enabled or self.obs is not None:
+            # a kept dispatch's occupancy: once per instruction object
+            memo: dict[int, int] = {}  # id(instruction) -> occupancy >= 1
+            for queue in queues:
+                queue.occupancy = [memo.get(id(i)) or memo.setdefault(
+                    id(i), instruction_duration(i, self.timing, self.config)
+                ) for i in queue.instructions]
+        return queues
 
     def is_idle(self, queues: QueueSet) -> bool:
         return queues.live == 0 and self.events.pending == 0
@@ -566,3 +543,156 @@ def run_lockstep(
         for chip in chips:
             chip.events.clear()
         raise
+
+
+# ---------------------------------------------------------------------------
+# the chip's state, declared once
+# ---------------------------------------------------------------------------
+
+#: what a scrub and the replay verdict make of an attribute: a scrub keeps
+#: *configuration*; *benign* is what a program loads or a run leaves; while
+#: an *instrument* (watching or steering a run) is set (truthy) the chip
+#: simulates, as it does a plan whose run meets a set *unit fault*
+CONFIGURATION, BENIGN, INSTRUMENT = "configuration", "benign", "instrument"
+UNIT_FAULT = "unit fault"
+#: the ``fresh`` of what a scrub keeps
+KEPT = object()
+
+
+@dataclass(frozen=True)
+class State:
+    """One attribute of a chip or of one of its parts (:data:`STATE`)."""
+
+    tag: str
+    """One of the four tags above."""
+    doc: str
+    """What the attribute holds."""
+    fresh: object = KEPT
+    """What construction and a scrub set, ``fresh(part)`` if callable;
+    :data:`KEPT` for configuration and physical damage."""
+    run: bool = False
+    """Keyed by a run's cycle numbers: each run begins with it fresh."""
+
+
+def _emptied(srf: StreamRegisterFile, array: np.ndarray) -> np.ndarray:
+    """``array`` of ``srf`` zeroed, unless nothing is live or corrupted
+    and it already is (:meth:`StreamRegisterFile.flush`'s shortcut)."""
+    if srf._n_live[0] or srf._n_live[1] or srf._dirty:
+        array[...] = 0
+    return array
+
+
+#: what every functional unit holds: where it sits
+_UNIT = {
+    "chip": State(CONFIGURATION, "the chip the unit belongs to"),
+    "address": State(CONFIGURATION, "the slice the unit models"),
+    "name": State(CONFIGURATION, "``str(address)``, for error context"),
+    "position": State(CONFIGURATION, "its stream-register position"),
+}
+
+#: every attribute of a chip and of its parts, by kind of part
+STATE: dict[type, dict[str, State]] = {
+    TspChip: {
+        "config": State(CONFIGURATION, "the architecture"),
+        "chip_id": State(CONFIGURATION, "identity in a multi-chip system"),
+        "timing": State(CONFIGURATION, "the timing model"),
+        "floorplan": State(CONFIGURATION, "where each slice sits"),
+        "strict_ifetch": State(CONFIGURATION, "a dry queue faults"),
+        "strict_c2c": State(CONFIGURATION, "an un-deskewed link faults"),
+        "trace_enabled": State(CONFIGURATION, "dispatches are kept"),
+        "srf": State(CONFIGURATION, "the stream register file"),
+        "_units": State(CONFIGURATION, "the functional unit of each slice"),
+        "parts": State(CONFIGURATION, "it and all its parts, by kind"),
+        "watched": State(CONFIGURATION, "``(part, name, tag)`` to watch"),
+        "trace": State(BENIGN, "the dispatches kept", lambda c: []),
+        "activity": State(BENIGN, "counters", lambda c: ActivityCounts()),
+        "barrier": State(BENIGN, "this run's barrier", lambda c:
+                         BarrierController(c.config.barrier_latency_cycles),
+                         run=True),
+        "now": State(BENIGN, "the cycle being stepped", 0),
+        "weights_installed_cycle": State(BENIGN, "last MXM install", None),
+        "weights_installed_bytes": State(BENIGN, "bytes installed", 0),
+        "watchdog": State(INSTRUMENT, "the armed deadline monitor", None),
+        "checkers": State(INSTRUMENT, "invariant checkers", lambda c: []),
+        "obs": State(INSTRUMENT, "the telemetry collector", None),
+        "events": State(INSTRUMENT, "pending events", lambda c: EventQueue()),
+        "faults_injected": State(INSTRUMENT, "SRAM bits flipped", 0),
+        "external_fault_hooks": State(INSTRUMENT, "checkout hooks", False),
+        "superlanes_off": State(UNIT_FAULT, "powered down", lambda c: set()),
+    },
+    StreamRegisterFile: {
+        "config": State(CONFIGURATION, "the architecture"),
+        "floorplan": State(CONFIGURATION, "where each slice sits"),
+        "_n_pos": State(CONFIGURATION, "positions along a stream"),
+        "_n_streams": State(CONFIGURATION, "streams per direction"),
+        "_ecc_enabled": State(CONFIGURATION, "values carry ECC checks"),
+        "on_drive": State(CONFIGURATION, "called before a drive can fault"),
+        "_hops": State(BENIGN, "hops so far, mod ``_n_pos``: the ring", 0),
+        "_values": State(BENIGN, "values", lambda s: _emptied(s, s._values)),
+        "_valid": State(BENIGN, "occupancy", lambda s: _emptied(s, s._valid)),
+        "_checks": State(BENIGN, "checks", lambda s: _emptied(s, s._checks)),
+        "_driven_this_cycle": State(BENIGN, "driven now", lambda s: set()),
+        "_live": State(BENIGN, "live counts, by column", lambda s: ({}, {})),
+        "_n_live": State(BENIGN, "their totals", lambda s: [0, 0]),
+        "hop_bytes_total": State(BENIGN, "bytes that hopped", 0),
+        "corrections": State(BENIGN, "corrected stream errors (CSR)", 0),
+        "_dirty": State(UNIT_FAULT, "changed behind ``drive``", False),
+    },
+    MemSliceUnit: {
+        **_UNIT,
+        "n_words": State(CONFIGURATION, "words per slice"),
+        "_storage": State(BENIGN, "SRAM words, made on first touch", None),
+        "_checks": State(BENIGN, "their stored ECC checks", None),
+        "_checks_valid_arr": State(BENIGN, "which checks are current", None),
+        "_accesses": State(BENIGN, "this run's log", lambda u: {}, run=True),
+        "dead": State(UNIT_FAULT, "a hard failure: every access faults"),
+    },
+    MxmUnit: {**_UNIT, "planes": State(BENIGN, "weights", dark_planes)},
+    VxmUnit: _UNIT,
+    SxmUnit: _UNIT,
+    C2cUnit: {**_UNIT, "links": State(CONFIGURATION, "its link endpoints")},
+    C2cLink: {
+        "index": State(CONFIGURATION, "the link's number on its unit"),
+        "peer": State(CONFIGURATION, "the ``(unit, link)`` it is wired to"),
+        "latency": State(CONFIGURATION, "cycles a flight takes"),
+        "deskewed": State(BENIGN, "deskew training done", False),
+        "deskew_epoch": State(BENIGN, "``Deskew``s: a vector's epoch", 0),
+        "rx_queue": State(BENIGN, "in flight", lambda k: deque(), run=True),
+        "tx_seq": State(BENIGN, "egress sequence number", 0),
+        "sent_vectors": State(BENIGN, "vectors sent", 0),
+        "received_vectors": State(BENIGN, "vectors received", 0),
+        "corrected": State(BENIGN, "FEC corrections (CSR)", 0),
+        "retries": State(BENIGN, "retransmissions consumed (CSR)", 0),
+        "uncorrectable": State(BENIGN, "transfers lost to FEC (CSR)", 0),
+        "dropped": State(BENIGN, "vectors lost to a dead link (CSR)", 0),
+        "error_model": State(UNIT_FAULT, "the egress's error process"),
+    },
+}
+
+
+def _fresh(run: bool) -> dict:
+    """Per kind of part, ``(name, fresh)`` of the constant and of the
+    callable fresh values, of every entry that has one or of the ``run``
+    ones."""
+    table = {}
+    for kind, record in STATE.items():
+        entries = [(name, e.fresh) for name, e in record.items()
+                   if e.fresh is not KEPT and (e.run or not run)]
+        table[kind] = ([(n, f) for n, f in entries if not callable(f)],
+                       [(n, f) for n, f in entries if callable(f)])
+    return table
+
+
+_FRESH, _RUN_FRESH = _fresh(run=False), _fresh(run=True)
+
+
+def _refresh(parts: dict[type, list], table: dict) -> None:
+    """Give each entry of ``parts`` that ``table`` names its fresh value."""
+    for kind, group in parts.items():
+        constants, factories = table[kind]
+        for part in group if constants or factories else ():
+            # the callables first: each sees the part as it was
+            for name, fresh in factories:
+                setattr(part, name, fresh(part))
+            for name, value in constants:
+                setattr(part, name, value)

@@ -42,6 +42,10 @@ class EventQueue:
         #: events scheduled and not yet run
         self.pending = 0
 
+    def __len__(self) -> int:
+        """Events scheduled and not yet run: an armed queue is truthy."""
+        return self.pending
+
     def schedule(
         self, cycle: int, phase: Phase, action: Callable[[int], None]
     ) -> None:

@@ -51,11 +51,6 @@ class BarrierController:
         self.latency = latency
         self._releases: list[int] = []
 
-    def begin_run(self) -> None:
-        """Cycle numbering restarts per run; old epochs must not release
-        a Sync parked by a later run."""
-        self._releases.clear()
-
     def notify(self, cycle: int) -> int:
         release = cycle + self.latency
         self._releases.append(release)
@@ -99,7 +94,11 @@ class IcuQueue:
         self.busy_until = 0
         self.wake: int | None = 0 if instructions else None
         self.park_cycle: int | None = None
-        self._previous: Instruction | None = None
+        #: index of the last unit instruction (a ``Repeat`` re-issues it)
+        self._previous: int | None = None
+        #: each instruction's occupancy when the chip keeps dispatches
+        #: (:meth:`~repro.sim.chip.TspChip.make_queues`), else None
+        self.occupancy: list[int] | None = None
 
         # instruction-supply model: structural sizes, totalled once
         self._sizes = [encoded_length(i) for i in instructions]
@@ -147,15 +146,17 @@ class IcuQueue:
                 self.wake = None  # the Sync was the final instruction
                 return
 
-        instruction = self.instructions[self.pc]
-        self._consume_text(self._sizes[self.pc], cycle)
+        pc = self.pc
+        instruction = self.instructions[pc]
+        self._consume_text(self._sizes[pc], cycle)
         self.pc += 1
-        chip.record_dispatch(self.icu, self._name, instruction, cycle)
+        chip.record_dispatch(self.icu, self._name, instruction, cycle,
+                             self.occupancy and self.occupancy[pc])
         handler = _ICU_HANDLERS.get(type(instruction))
         if handler is None:
             # a slice-specific instruction: hand to the functional unit
             self.unit.execute(self.icu, instruction, cycle)
-            self._previous = instruction
+            self._previous = pc
             self.busy_until = cycle + 1
         else:
             handler(self, instruction, cycle)
@@ -237,13 +238,14 @@ class IcuQueue:
 
     def _exec_repeat(self, instruction: Repeat, cycle: int) -> None:
         """Re-execute the previous instruction n times, d cycles apart."""
-        previous = self._previous
-        if previous is None:
+        if self._previous is None:
             raise SimulationError(
                 f"{self.icu}: Repeat with no previous instruction",
                 cycle=cycle,
                 unit=self._name,
             )
+        previous = self.instructions[self._previous]
+        occupancy = self.occupancy and self.occupancy[self._previous]
         unit = self.unit
         for k in range(instruction.n):
             when = cycle + k * instruction.d
@@ -253,7 +255,9 @@ class IcuQueue:
                 Phase.CAPTURE,
                 lambda c, ins=previous: unit.execute(self.icu, ins, c),
             )
-            self.chip.record_dispatch(self.icu, self._name, previous, when)
+            self.chip.record_dispatch(
+                self.icu, self._name, previous, when, occupancy
+            )
         self.busy_until = cycle + (instruction.n - 1) * instruction.d + 1
 
 

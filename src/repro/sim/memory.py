@@ -32,32 +32,9 @@ class MemSliceUnit(FunctionalUnit):
 
     def __init__(self, chip, address: SliceAddress) -> None:
         super().__init__(chip, address)
-        cfg = chip.config
-        self.n_words = cfg.mem_words_per_slice_tile
-        # SRAM arrays materialize on first touch: a full chip has 88
-        # slices x 2.5 MiB, and most programs touch only a few
-        self._storage: np.ndarray | None = None
-        self._checks: np.ndarray | None = None
-        self._checks_valid_arr: np.ndarray | None = None
-        # (cycle -> set of access kinds) for bank-conflict detection
-        self._accesses: dict[int, list[tuple[str, int]]] = {}
-        #: hard physical failure: every access faults until revive()
+        self.n_words = chip.config.mem_words_per_slice_tile
         self.dead = False
-
-    def begin_run(self) -> None:
-        # cycle-keyed: run N+1's cycle 0 must not conflict with run N's
-        self._accesses.clear()
-
-    def scrub(self) -> None:
-        # checkout reset: dematerialize SRAM (and its ECC check words) so
-        # no tenant's data survives into the next checkout; the zero-fill
-        # contract of a fresh chip is restored lazily by ``storage``.
-        # ``dead`` deliberately survives: a hard slice failure is physical
-        # damage, not tenant state — only revive() clears it.
-        self._storage = None
-        self._checks = None
-        self._checks_valid_arr = None
-        self._accesses.clear()
+        # the chip sets the rest: SRAM (made on first touch), checks, log
 
     # ------------------------------------------------------------------
     # hard-failure modeling
@@ -66,10 +43,11 @@ class MemSliceUnit(FunctionalUnit):
         """Hard-fail the whole slice: every access raises until revive().
 
         Models a permanently failed SRAM tile (as opposed to the soft
-        errors of :meth:`inject_fault`, which ECC corrects): scrubs do
-        not clear it, so a pooled chip carries the damage across checkout
-        boundaries and the serving layer must blacklist the slice and
-        recompile around it.
+        errors of :meth:`inject_fault`, which ECC corrects): scrubs do not
+        clear it, so a pooled chip carries the damage across checkouts and
+        the serving layer recompiles around the slice.  A program that
+        touches it simulates and faults; one whose plan's footprint
+        (:attr:`repro.sim.replay.ReplayPlan.footprint`) avoids it replays.
         """
         self.dead = True
 

@@ -88,8 +88,8 @@ class MultiChipSystem:
     def clear_error_models(self) -> None:
         """Detach every injected link error process, leaving wiring intact.
 
-        :meth:`~repro.sim.c2c.C2cUnit.scrub` deliberately keeps error
-        models (they are channel configuration, not run state); a pool
+        :meth:`TspChip.scrub` deliberately keeps error models (a unit
+        fault with no fresh value, :data:`repro.sim.chip.STATE`); a pool
         that hands whole systems to tenants calls this so a fault
         injected for one batch cannot poison the next tenant's links.
         """

@@ -56,44 +56,18 @@ class MxmPlane:
     tandem_busy: bool = False  # True when the partner plane holds fp16 state
 
 
+def dark_planes(unit: "MxmUnit") -> list[MxmPlane]:
+    """``unit``'s planes as a fresh chip has them: no weights."""
+    config = unit.chip.config
+    return [
+        MxmPlane(rows=config.n_lanes, cols=config.mxm_plane_cols)
+        for _ in range(config.mxm_planes_per_hemisphere)
+    ]
+
+
 class MxmUnit(FunctionalUnit):
-    """One hemisphere's matrix execution module."""
-
-    def __init__(self, chip, address) -> None:
-        super().__init__(chip, address)
-        self._dark_planes()
-
-    def _dark_planes(self) -> None:
-        config = self.chip.config
-        self.planes = [
-            MxmPlane(rows=config.n_lanes, cols=config.mxm_plane_cols)
-            for _ in range(config.mxm_planes_per_hemisphere)
-        ]
-        self._staging_bytes: dict[int, bytearray] = {
-            p: bytearray() for p in range(len(self.planes))
-        }
-
-    def scrub(self) -> None:
-        # checkout reset: installed weights, staging buffers, pending
-        # results, and K-tile accumulators all belong to the previous
-        # program; a checked-out chip starts with dark planes
-        lanes = self.chip.config.n_lanes
-        cols = self.chip.config.mxm_plane_cols
-        if not any(self._staging_bytes.values()) and all(
-            p.weights is None
-            and p.staging is None
-            and not p.results
-            and not p.accumulators
-            and p.next_result_slot == 0
-            and p.next_drain_slot == 0
-            and not p.tandem_busy
-            and p.rows == lanes
-            and p.cols == cols
-            and p.dtype is DType.INT8
-            for p in self.planes
-        ):
-            return  # planes are already dark — nothing to reset
-        self._dark_planes()
+    """One hemisphere's matrix execution module; the chip sets its
+    ``planes`` (:data:`repro.sim.chip.STATE`)."""
 
     # ------------------------------------------------------------------
     def execute(self, icu: IcuId, instruction: Instruction, cycle: int) -> None:

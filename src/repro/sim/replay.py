@@ -41,11 +41,12 @@ Correctness strategy:
 * **The activity is counted, then checked.**  Every counter but the hop
   count tallies the ops, and the hop count sweeps the drives;
   :func:`repro.verify.lockstep.run_lockstep` holds both to a simulation.
-* **Bypass predicate.**  :func:`replay_allowed` refuses to replay onto a
-  chip with checkers, a telemetry collector, armed watchdogs, error
-  models, dead slices, injected faults, events armed for the next run,
-  disabled superlanes or attached hardware-fault hooks — faulty runs need
-  the real machine, and an instrument observes only a run it watched.
+* **Bypass predicate.**  :func:`replay_allowed` reads the chip's state
+  record (:data:`repro.sim.chip.STATE`): any instrument set refuses (an
+  instrument observes only a run it watched), and so does a unit fault
+  the run touches (:meth:`ReplayPlan.touches`) — a dead MEM slice in the
+  plan's footprint, powered-down superlanes, a corrupted stream register
+  file — so a chip degraded around a dead slice still replays.
 
 A program of ``n`` passes (:mod:`repro.compiler.repeat`) keeps its
 pass's plan: :attr:`ReplayPlan.passes` bindings make one run, and
@@ -69,7 +70,7 @@ from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
-from ..arch.geometry import Direction, Hemisphere
+from ..arch.geometry import Direction
 from ..arch.power import ActivityCounts
 from ..arch.streams import DType, pack_tensor, unpack_tensor
 from ..errors import SimulationError
@@ -79,7 +80,9 @@ from ..isa.mxm import Accumulate, ActivationBufferControl, InstallWeights
 from ..isa.sxm import Distribute, Permute, Rotate, Select, Shift, Transpose
 from ..isa.vxm import BinaryOp, Convert, UnaryOp
 from . import alu
-from .chip import RunResult, TraceEvent
+from .c2c import C2cLink
+from .chip import INSTRUMENT, RunResult, TraceEvent
+from .memory import MemSliceUnit
 from .tracer import instruction_duration
 
 #: the instructions a plan can stand in for: what the stream compiler
@@ -399,6 +402,26 @@ class ReplayPlan:
             self.config.barrier_latency_cycles if self.warmup_barrier
             else None,
         )
+
+    @functools.cached_property
+    def footprint(self) -> frozenset:
+        """``(hemisphere, slice)`` of each MEM slice a real run touches:
+        its ops' words, and the inputs, image and outputs the host moves."""
+        words = [op[2] if op[0] == "read" else op[1] for op in self.ops
+                 if op[0] in ("read", "write", "wconst")]
+        words += [key for *_, key in self.in_words] + self.image_words
+        words += [key for out in self.out_words.values()
+                  for kind, key in out if kind == "t"]
+        return frozenset(key[:2] for key in words)
+
+    def touches(self, part) -> bool:
+        """Whether a run touches ``part`` of a chip: the MEM slices of its
+        :attr:`footprint`, no C2C link (no plan holds a C2C op), and the
+        rest always — every plan streams, on every superlane."""
+        if isinstance(part, MemSliceUnit):
+            address = part.address
+            return (address.hemisphere, address.index) in self.footprint
+        return not isinstance(part, C2cLink)
 
     # -- kernel interpreter ------------------------------------------------
 
@@ -734,36 +757,16 @@ class ReplayPlan:
 
 
 # ---------------------------------------------------------------------------
-# bypass predicates
+# bypass predicate
 # ---------------------------------------------------------------------------
 
 
-def _chip_is_pristine(chip) -> str | None:
-    """Reason the chip needs real simulation, or None if replay is safe."""
-    if chip.checkers:
-        return "conformance checkers attached"
-    if chip.obs is not None:
-        return "telemetry collector attached"
-    if chip.watchdog is not None:
-        return "watchdog armed"
-    if chip.events.pending:
-        # armed before the run, they belong to it: only a run fires them
-        return "events armed for the next run"
-    if chip.faults_injected:
-        return "injected faults present"
-    if chip.external_fault_hooks:
-        return "hardware fault hooks attached"
-    if chip.srf._dirty:
-        return "stream register file corrupted"
-    if not bool(chip.superlane_enabled.all()):
-        return "superlanes disabled"
-    for unit in chip.mem_units():
-        if unit.dead:
-            return "dead MEM slice"
-    for hemisphere in Hemisphere:
-        for link in chip.c2c_unit(hemisphere).links:
-            if link.error_model is not None:
-                return "C2C link error model attached"
+def _refusal(plan: ReplayPlan, chip) -> str | None:
+    """The state that makes ``chip`` simulate ``plan`` — a set instrument,
+    or a set unit fault on a part a run of the plan touches — or None."""
+    for part, name, tag in chip.watched:
+        if getattr(part, name) and (tag == INSTRUMENT or plan.touches(part)):
+            return name
     return None
 
 
@@ -786,4 +789,4 @@ def replay_allowed(plan: ReplayPlan | None, chip, *, max_cycles: int,
         return False
     if chip.timing is not plan.timing and chip.timing != plan.timing:
         return False
-    return _chip_is_pristine(chip) is None
+    return _refusal(plan, chip) is None

@@ -51,64 +51,23 @@ class StreamRegisterFile:
         streams = config.streams_per_direction
         self._n_pos = n_pos
         self._n_streams = streams
-        #: hops shifted so far, mod ``n_pos`` — the ring's rotation
         self._hops = 0
         self._values = np.zeros((2, streams, n_pos, lanes), dtype=np.uint8)
         self._valid = np.zeros((2, streams, n_pos), dtype=bool)
-        # ECC check bits per superlane word of each stream value
         self._ecc_enabled = False
         self._checks = np.zeros(
             (2, streams, n_pos, config.n_superlanes), dtype=np.uint16
         )
         self._driven_this_cycle: set[tuple[int, int, int]] = set()
-        #: live values per direction as ``{ring column: count}``, and
-        #: their totals: a shift reads who completes hops and who leaves
-        #: the chip from these, never from a scan of the mask
         self._live: tuple[dict[int, int], dict[int, int]] = ({}, {})
         self._n_live = [0, 0]
-        #: set when state was mutated behind ``drive()``'s back (fault
-        #: injection, raw check overrides) — disables the empty-chip
-        #: shortcut so such bytes still propagate exactly
+        # set when state was mutated behind ``drive()``'s back (fault
+        # injection, raw check overrides) — disables the empty-chip
+        # shortcut so such bytes still propagate exactly
         self._dirty = False
-        #: any write since construction/scrub; lets ``scrub`` skip the
-        #: three dense-array clears on a register file that is still
-        #: bit-identical to freshly constructed (the common pool case)
-        self._touched = False
-        #: bytes that advanced a hop, for the power model
         self.hop_bytes_total = 0
-        #: single-bit stream errors corrected at consumers (CSR counter)
         self.corrections = 0
-        #: optional observer called as ``on_drive(direction, stream,
-        #: position)`` on every drive, *before* contention faulting, so
-        #: invariant checkers see the colliding drive too
         self.on_drive = None
-        #: attached telemetry collector (repro.obs), or None; fed every
-        #: hop's per-direction live, hop and fall-off totals
-        self.collector = None
-
-    # ------------------------------------------------------------------
-    def scrub(self) -> None:
-        """Checkout reset: no value, check bit, or counter survives.
-
-        Part of the worker-pool chip-reuse discipline (see
-        :meth:`repro.sim.chip.TspChip.scrub`): a scrubbed register file is
-        bit-identical to a freshly constructed one, including the CSR-style
-        cumulative tallies.  The ECC enable stays — it is configuration,
-        not run state.
-        """
-        if self._touched:
-            self._values[:] = 0
-            self._valid[:] = False
-            self._checks[:] = 0
-            self._touched = False
-        self._driven_this_cycle.clear()
-        self._hops = 0
-        for live in self._live:
-            live.clear()
-        self._n_live = [0, 0]
-        self._dirty = False
-        self.hop_bytes_total = 0
-        self.corrections = 0
 
     # ------------------------------------------------------------------
     def enable_ecc(self, enabled: bool = True) -> None:
@@ -134,7 +93,6 @@ class StreamRegisterFile:
         """
         d, s, p = self._index(direction, stream, position)
         self._checks[d, s, p] = np.asarray(checks, dtype=np.uint16)
-        self._touched = True
         if not self._valid[d, s, p]:
             self._dirty = True
 
@@ -179,7 +137,6 @@ class StreamRegisterFile:
                 f"{vec.shape}"
             )
         self._values[d, s, p] = vec
-        self._touched = True
         if not self._valid[d, s, p]:
             self._valid[d, s, p] = True
             live = self._live[d]
@@ -227,10 +184,9 @@ class StreamRegisterFile:
         byte, bitpos = divmod(bit, 8)
         self._values[d, s, p, byte] ^= np.uint8(1 << bitpos)
         self._dirty = True
-        self._touched = True
 
     # ------------------------------------------------------------------
-    def step(self, now: int = 0) -> None:
+    def step(self, now: int = 0, collector=None) -> None:
         """Advance every stream one hop; edge values fall off the chip.
 
         A hop is charged only when a value actually lands on the next
@@ -238,7 +194,7 @@ class StreamRegisterFile:
         in which it leaves.  The accounting reads the per-column live
         tallies — no mask is scanned, and a hop that drops nothing
         touches no array.  ``now`` is the cycle being completed — only
-        consumed by an attached telemetry collector.
+        consumed by ``collector``, the chip's telemetry collector if any.
         """
         n_live = self._n_live
         if n_live[0] or n_live[1] or self._dirty:
@@ -255,8 +211,8 @@ class StreamRegisterFile:
             n_live[1] = moved_w
             lanes = self.config.n_lanes
             self.hop_bytes_total += (moved_e + moved_w) * lanes
-            if self.collector is not None:
-                self.collector.on_stream_flow(
+            if collector is not None:
+                collector.on_stream_flow(
                     now, lanes,
                     before_e, moved_e, fell_e, before_w, moved_w, fell_w,
                 )
@@ -273,7 +229,7 @@ class StreamRegisterFile:
 
         What ``n_positions`` single steps would leave — an empty file,
         each value billed the hops it had left — without walking them:
-        the idle gap between two runs.  An attached collector is not told
+        the idle gap between two runs.  The chip's collector is not told
         (the gap belongs to neither run's windows).
         """
         if self._n_live[0] or self._n_live[1] or self._dirty:

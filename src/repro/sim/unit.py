@@ -42,27 +42,6 @@ class FunctionalUnit:
             f"{self.address} cannot execute {instruction.mnemonic}"
         )
 
-    def begin_run(self) -> None:
-        """Per-run reset: drop state keyed by the previous run's cycles.
-
-        Cycle numbering restarts at 0 on every ``run()`` call, so any
-        cycle-keyed transient log (e.g. the MEM bank-conflict window)
-        would alias the old run's accesses onto the new one.  Durable
-        state — SRAM contents, installed weights — is deliberately kept.
-        """
-
-    def scrub(self) -> None:
-        """Factory-reset for chip checkout: drop durable state too.
-
-        ``begin_run`` keeps SRAM and installed weights warm for
-        back-to-back runs of one program; a worker-pool chip handed to a
-        *different* program (a different tenant's request) must instead be
-        indistinguishable from a freshly constructed chip — see
-        :meth:`repro.sim.chip.TspChip.scrub`.  Units with durable state
-        override this; the default has nothing beyond per-run transients.
-        """
-        self.begin_run()
-
     # -- timing helpers --------------------------------------------------
     def dfunc(self, instruction: Instruction) -> int:
         return instruction.dfunc(self.chip.timing)
@@ -139,11 +118,11 @@ class FunctionalUnit:
     # -- lane masking ------------------------------------------------------
     def apply_superlane_power(self, vector: np.ndarray) -> np.ndarray:
         """Zero lanes of powered-down superlanes (Config low-power mode)."""
-        mask = self.chip.superlane_enabled
-        if mask.all():
+        off = self.chip.superlanes_off
+        if not off:
             return vector
         lanes = self.chip.config.lanes_per_superlane
         out = vector.copy()
-        for sl in np.nonzero(~mask)[0]:
+        for sl in off:
             out[sl * lanes : (sl + 1) * lanes] = 0
         return out

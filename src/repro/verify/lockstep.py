@@ -43,6 +43,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ..arch.geometry import SliceAddress, SliceKind
 from ..compiler.repeat import join_passes, split_passes
 from ..compiler.runner import bind_input, fetch_output, load_compiled
 from ..compiler.scheduler import CompiledProgram
@@ -296,6 +297,14 @@ def _compare(result: LockstepResult) -> None:
             note(f"MEM slice {name} materialized on only one route")
         elif a != b:
             note(f"MEM slice {name} differs bit-wise")
+    # a plan answers for a chip whose dead slices lie off its footprint,
+    # so the footprint must hold every slice the simulated run touched
+    footprint = {
+        str(SliceAddress(SliceKind.MEM, hemisphere, index))
+        for hemisphere, index in result.plan.footprint
+    }
+    for name in sorted(set(sim.memory) - footprint):
+        note(f"footprint: the run touched MEM slice {name} off the plan's")
 
 
 # ----------------------------------------------------------------------

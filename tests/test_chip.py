@@ -446,6 +446,51 @@ class TestObserversFollowDispatches:
         # the paced program is mostly such cycles (the last one checked)
         assert len(eventful) * 2 < result.cycles
 
+    def test_occupancy_is_worked_out_once_per_instruction(
+        self, config, monkeypatch
+    ):
+        """A kept dispatch carries its occupancy, worked out once per
+        instruction object of the program however often it issues — a
+        ``Repeat`` reuses its instruction's — not once per dispatch."""
+        from golden_programs import build_matmul
+        from repro.compiler import execute
+        from repro.obs import TelemetryCollector
+        from repro.sim import chip as chip_module
+        from repro.sim import tracer
+
+        asked = []
+
+        def counted(instruction, timing, config):
+            asked.append(instruction)
+            return tracer.instruction_duration(instruction, timing, config)
+
+        monkeypatch.setattr(chip_module, "instruction_duration", counted)
+        compiled = build_matmul().compile()
+        chip = TspChip(compiled.config, trace=True)
+        chip.attach_telemetry(TelemetryCollector())
+        result = execute(compiled, chip=chip, replay=False)
+        program = [i for q in compiled.program.icus
+                   for i in compiled.program.queue(q)]
+        assert len(asked) == len({id(i) for i in asked})
+        assert len(asked) == len({id(i) for i in program}) < len(program)
+        assert len(chip.trace) == result.run.instructions
+        for event in chip.trace:
+            assert event.occupancy == tracer.instruction_duration(
+                event.instruction, chip.timing, chip.config
+            )
+
+        asked.clear()
+        repeat = TspChip(config, trace=True)
+        program = Program()
+        mem0 = IcuId(repeat.floorplan.mem_slice(Hemisphere.WEST, 0))
+        read = Read(address=0, stream=0, direction=E)
+        program.add(mem0, read)
+        program.add(mem0, Repeat(n=3, d=2))
+        repeat.run(program)
+        assert [e.occupancy for e in repeat.trace if e.instruction is read] \
+            == [tracer.instruction_duration(read, repeat.timing, config)] * 4
+        assert len(asked) == 2  # the Read and the Repeat
+
 
 class TestActivityAccounting:
     def test_instruction_and_sram_counts(self, config, rng):

@@ -2,8 +2,8 @@
 
 With no reactive element on the chip, any disagreement between compiler,
 plan and simulator is a bug, so checking the whole corpus
-(``tests/corpus.py``) is exact, not a sample.  Two seeded mutations show
-the check bites, each naming the check that must catch it.
+(``tests/corpus.py``) is exact, not a sample.  Seeded mutations show the
+check bites, each naming the check that must catch it.
 """
 
 from dataclasses import replace
@@ -18,7 +18,7 @@ from repro.errors import ScheduleError, VerificationError
 from repro.isa import Instruction
 from repro.obs import PerfettoTraceBuilder, TelemetryCollector
 from repro.sim.chip import TspChip
-from repro.sim.replay import ScheduleRecorder
+from repro.sim.replay import ReplayPlan, ScheduleRecorder
 from repro.verify import check
 
 CORPUS = {entry.name: entry for entry in corpus()}
@@ -88,6 +88,20 @@ def test_a_miscounted_read_fails_the_activity(monkeypatch):
     lines = failures("golden/matmul")
     assert all(line.startswith("lockstep: ") for line in lines), lines
     assert any(line.startswith("lockstep: activity: ") for line in lines)
+
+
+def test_a_short_footprint_fails_the_lockstep(monkeypatch):
+    """The footprint that lets a plan answer for a chip with dead slices
+    is held to the slices a simulation touches: a plan that forgets one
+    fails, and only the lockstep sees it."""
+    footprint = ReplayPlan.footprint.func
+    monkeypatch.setattr(ReplayPlan, "footprint", property(
+        lambda plan: frozenset(sorted(footprint(plan), key=str)[1:])
+    ))
+    lines = failures("golden/matmul")
+    assert all(line.startswith("lockstep: ") for line in lines), lines
+    assert "lockstep: footprint: the run touched MEM slice MEM_E0 off the " \
+        "plan's" in lines
 
 
 def test_no_instruction_is_formatted_until_a_trace_is_rendered(monkeypatch):

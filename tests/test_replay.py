@@ -9,21 +9,18 @@ pin the contract that makes emit-once/replay-many safe:
   every program of the schedule binds it and replays bit-identically
   (outputs, memory, cycles, activity) from its first run;
 * the batched entry point equals B sequential executions;
-* anything that can make a run diverge from the plan — error
-  models, injected faults, dead slices, armed watchdogs, hardware fault
-  hooks, stream corruption — and any instrument that observes a run (a
-  checker, a telemetry collector) bypasses the plan and falls back to
-  real simulation (fail-closed);
+* any instrument that observes or steers a run, and any unit fault the
+  run touches (the chip's state record says which attribute is which),
+  bypasses the plan and falls back to real simulation (fail-closed); a
+  fault the run never touches leaves the plan answering;
 * the serving pool's checkout path flags fault hooks so a chaos window
   never serves replayed results, and repair probes never poison replay
   (the checkout scrub restores pristine state);
 * scrub keeps chip reuse bit-exact (the trimmed scrub fast path).
 """
 
-import ast
 import inspect
 import sys
-import textwrap
 import threading
 from dataclasses import replace
 
@@ -35,16 +32,16 @@ from golden_programs import GOLDEN_PROGRAMS
 from repro.arch import Direction, DType, Floorplan, Hemisphere
 from repro.compiler import StreamProgramBuilder, execute
 from repro.compiler.runner import execute_batched
+from repro.errors import MemoryFaultError
 from repro.obs import TelemetryCollector
 from repro.resil.health import HealthMonitor, Watchdog
 from repro.serve import ChipPool, DynamicBatcher, ProgramCache
 from repro.serve.resilient import probe_memory
 from repro.sim import LinkErrorModel, TspChip
+from repro.sim.chip import BENIGN, CONFIGURATION, INSTRUMENT, KEPT, STATE
 from repro.sim.faults import FaultInjector
 from repro.sim.icu import QueueSet
-from repro.sim.replay import (
-    ReplayPlan, _chip_is_pristine, _hops, replay_allowed,
-)
+from repro.sim.replay import ReplayPlan, _hops, replay_allowed
 from repro.sim.streamreg import StreamRegisterFile
 from repro.verify import assert_lockstep
 from repro.verify.invariants import StreamCollisionChecker
@@ -524,15 +521,16 @@ def _pool_checkout_hook(config):
     return worker.chip, worker._checkout
 
 
-#: each public ``FaultInjector`` write and its arguments: the planned
-#: program lives in the West hemisphere, so the East MEM slice 0 faults
-#: perturb the chip without killing the run
+#: each public ``FaultInjector`` method and its arguments: the planned
+#: program lives in the West, so East MEM slice 0 faults spare its run
 INJECTIONS = {
     "inject_sram_fault": (EAST, 0, 7, 3),
     "inject_double_sram_fault": (EAST, 0, 7, (3, 4)),
     "inject_stream_fault": (Direction.EASTWARD, 0, 0, 5),
     "inject_double_stream_fault": (Direction.EASTWARD, 0, 0, (3, 4)),
     "inject_stream_fault_at": (22, Direction.EASTWARD, 28, 2, 3),
+    "csr_corrections": (),
+    "wearout_flag": (),
 }
 
 
@@ -542,113 +540,125 @@ def _injected(name):
     )
 
 
-#: every public way to perturb a chip, as ``setup(config) -> (chip, undo)``
+#: ``entry: (label, setup)``: how to set each instrument and unit fault
 PERTURBATIONS = {
-    "link-error-model": _on_fresh_chip(
+    "error_model": ("link-error-model", _on_fresh_chip(
         lambda chip: chip.c2c_unit(EAST).set_error_model(
-            0, LinkErrorModel(dead_after=0)
-        ),
-        lambda chip: chip.c2c_unit(EAST).set_error_model(0, None),
-    ),
-    "dead-slice": _on_fresh_chip(
+            0, LinkErrorModel(dead_after=0)),
+        lambda chip: chip.c2c_unit(EAST).set_error_model(0, None))),
+    "dead": ("dead-slice", _on_fresh_chip(
         lambda chip: chip.mem_unit(EAST, 0).mark_dead(),
-        lambda chip: chip.mem_unit(EAST, 0).revive(),
-    ),
-    "sram-flip": _injected("inject_sram_fault"),
-    "double-sram-flip": _injected("inject_double_sram_fault"),
-    "stream-flip-now": _injected("inject_stream_fault"),
-    "stream-flip-armed": _injected("inject_stream_fault_at"),
-    "superlane-off": _on_fresh_chip(
+        lambda chip: chip.mem_unit(EAST, 0).revive())),
+    "faults_injected": ("sram-flip", _injected("inject_sram_fault")),
+    "_dirty": ("stream-flip-now", _injected("inject_stream_fault")),
+    "events": ("stream-flip-armed", _injected("inject_stream_fault_at")),
+    "superlanes_off": ("superlane-off", _on_fresh_chip(
         lambda chip: chip.set_superlane_power(0, False),
-        lambda chip: chip.set_superlane_power(0, True),
-    ),
-    "checker-attached": _on_fresh_chip(
-        lambda chip: chip.attach_checker(StreamCollisionChecker())
-    ),
-    "watchdog-armed": _on_fresh_chip(
+        lambda chip: chip.set_superlane_power(0, True))),
+    "checkers": ("checker-attached", _on_fresh_chip(
+        lambda chip: chip.attach_checker(StreamCollisionChecker()))),
+    "watchdog": ("watchdog-armed", _on_fresh_chip(
         lambda chip: chip.arm_watchdog(Watchdog(deadline=10**9, label="t")),
-        TspChip.disarm_watchdog,
-    ),
-    "pool-checkout-hook": _pool_checkout_hook,
-    "telemetry-collector": _on_fresh_chip(
+        TspChip.disarm_watchdog)),
+    "external_fault_hooks": ("pool-checkout-hook", _pool_checkout_hook),
+    "obs": ("telemetry-collector", _on_fresh_chip(
         lambda chip: chip.attach_telemetry(TelemetryCollector()),
-        TspChip.detach_telemetry,
-    ),
+        TspChip.detach_telemetry)),
 }
-
-#: chip state and injector methods a plan may answer around; everything
-#: else ``scrub`` resets must be a ``_chip_is_pristine`` clause
-BENIGN = {
-    # what a program loads before it reads: SRAM words, installed weights
-    "_units", "weights_installed_cycle", "weights_installed_bytes",
-    # what a replay leaves as a run would, or every run starts afresh
-    "trace", "activity", "now", "barrier",
-    # reads of the CSR
-    "csr_corrections", "wearout_flag",
-}
+#: the faults above the planned program never touches: East, a link
+UNTOUCHED = ("dead", "error_model")
+#: injections that set an entry another row sets
+DOUBLES = {"double-sram-flip": _injected("inject_double_sram_fault"),
+           "double-stream-flip": _injected("inject_double_stream_fault")}
 
 
-def _tree(function) -> ast.FunctionDef:
-    (tree,) = ast.parse(textwrap.dedent(inspect.getsource(function))).body
-    return tree
+def _rows(untouched):
+    rows = {label: setup for entry, (label, setup) in PERTURBATIONS.items()
+            if (entry in UNTOUCHED) == untouched}
+    rows.update({} if untouched else DOUBLES)
+    return [pytest.param(setup, id=label) for label, setup in rows.items()]
 
 
-def _resets(method) -> set:
-    """The ``self.<name>`` each statement of ``method`` assigns, calls or
-    loops over; a chip method's call stands for what that one resets."""
-    tree, names = _tree(method), set()
-    for stmt in tree.body[1 if ast.get_docstring(tree) else 0:]:
-        node = (stmt.targets[0] if isinstance(stmt, ast.Assign)
-                else getattr(stmt, "iter", None) or stmt.value)
-        while not isinstance(getattr(node, "value", None), ast.Name):
-            node = node.func if isinstance(node, ast.Call) else node.value
-        called = getattr(TspChip, node.attr, None)
-        names |= _resets(called) if inspect.isfunction(called) else {node.attr}
-    return names
+def _allowed(plan, chip):
+    return replay_allowed(plan, chip, max_cycles=10**6, warmup_barrier=False)
+
+
+def _run_row(config, setup, replays):
+    """The plan answers for a chip ``setup`` perturbed iff ``replays``,
+    equal to a simulation of a twin, and once that is undone it does."""
+    compiled, _ = planned_program(config)
+    x, (chip, undo) = acts_for(30), setup(config)
+    assert _allowed(compiled.replay, chip) == replays
+    result = execute(compiled, chip=chip, inputs={"acts": x})
+    reference = execute(
+        compiled, chip=setup(config)[0], inputs={"acts": x}, replay=False
+    )
+    assert result.run.skipped_cycles == (result.run.cycles if replays else 0)
+    assert np.array_equal(result["acc"], reference["acc"])
+    assert result.run.cycles == reference.run.cycles
+    assert result.run.activity == reference.run.activity
+    undo()
+    again = execute(compiled, chip=chip, inputs={"acts": x})
+    assert again.run.skipped_cycles == again.run.cycles
 
 
 class TestBypass:
-    """Every divergence source must force real simulation (fail-closed)."""
+    """A plan answers for a chip only where nothing it runs through is
+    perturbed: every instrument, and every unit fault its run touches,
+    forces real simulation (fail-closed)."""
 
-    def test_every_chip_state_is_decided(self, config):
-        """What ``scrub`` resets is a ``_chip_is_pristine`` clause or
-        benign, and every injection trips a clause: chip state added
-        without deciding which fails here."""
-        clauses = {
-            node.attr for node in ast.walk(_tree(_chip_is_pristine))
-            if isinstance(node, ast.Attribute)
-            and getattr(node.value, "id", None) == "chip"
+    def test_every_attribute_is_declared(self, config):
+        """A fresh chip and each of its parts hold exactly the attributes
+        the state record names — a field added untagged fails here — and
+        a scrub resets each benign and instrument one, no configuration."""
+        parts = TspChip(config).parts
+        assert set(parts) == set(STATE)
+        for kind, group in parts.items():
+            for part in group:
+                assert set(vars(part)) == set(STATE[kind]), kind.__name__
+        kept = {(e.tag, e.fresh is KEPT)
+                for record in STATE.values() for e in record.values()}
+        assert not kept & {(CONFIGURATION, False), (BENIGN, True),
+                           (INSTRUMENT, True)}
+
+    def test_every_instrument_and_unit_fault_has_a_perturbation(
+        self, config
+    ):
+        """A row per instrument or unit-fault entry and per public injector
+        method: a write makes the chip refuse the plan, a CSR read not."""
+        assert set(PERTURBATIONS) == {
+            name for record in STATE.values()
+            for name, entry in record.items()
+            if entry.tag not in (CONFIGURATION, BENIGN)
         }
-        resets = _resets(TspChip.scrub)
-        assert resets - clauses == resets & BENIGN, resets - clauses
         injector = {name for name, _ in inspect.getmembers(
             FaultInjector, inspect.isfunction) if not name.startswith("_")}
-        assert injector == set(INJECTIONS) | (injector & BENIGN)
-        for name in INJECTIONS:
-            chip, _undo = _injected(name)(config)
-            assert _chip_is_pristine(chip) is not None, name
+        assert injector == set(INJECTIONS)
+        plan = planned_program(config)[0].replay
+        for name, args in INJECTIONS.items():
+            chip = TspChip(config)
+            read = getattr(FaultInjector(chip), name)(*args)
+            assert _allowed(plan, chip) == (read is not None), name
 
-    @pytest.mark.parametrize("name", PERTURBATIONS)
-    def test_perturbed_chip_simulates(self, config, name):
+    @pytest.mark.parametrize("setup", _rows(untouched=False))
+    def test_perturbed_chip_simulates(self, config, setup):
+        _run_row(config, setup, replays=False)
+
+    @pytest.mark.parametrize("setup", _rows(untouched=True))
+    def test_a_fault_the_plan_does_not_touch_replays(self, config, setup):
+        """A dead slice off the footprint, or a link error model."""
+        assert (EAST, 0) not in planned_program(config)[0].replay.footprint
+        _run_row(config, setup, replays=True)
+
+    def test_a_dead_slice_the_plan_touches_faults(self, config):
+        """The batched route declines; ``execute`` simulates into it."""
         compiled, _ = planned_program(config)
-        plan = compiled.replay
-        x = acts_for(30)
-        chip, undo = PERTURBATIONS[name](config)
-        assert not replay_allowed(
-            plan, chip, max_cycles=10**6, warmup_barrier=False
-        )
-        result = execute(compiled, chip=chip, inputs={"acts": x})
-        assert result.run.skipped_cycles == 0  # bypassed, not replayed
-        twin, _ = PERTURBATIONS[name](config)
-        reference = execute(
-            compiled, chip=twin, inputs={"acts": x}, replay=False
-        )
-        assert np.array_equal(result["acc"], reference["acc"])
-        assert result.run.cycles == reference.run.cycles
-        undo()
-        again = execute(compiled, chip=chip, inputs={"acts": x})
-        # pristine again: the plan serves
-        assert again.run.skipped_cycles == again.run.cycles
+        x, chip = acts_for(30), TspChip(config)
+        chip.mem_unit(*min(compiled.replay.footprint, key=str)).mark_dead()
+        assert not _allowed(compiled.replay, chip)
+        assert execute_batched(compiled, [{"acts": x}], chip=chip) is None
+        with pytest.raises(MemoryFaultError, match="slice is dead"):
+            execute(compiled, chip=chip, inputs={"acts": x})
 
     def test_armed_flip_fires_in_the_run_it_was_armed_for(self, config):
         """A flip armed for a future cycle belongs to the next run on that
@@ -779,7 +789,6 @@ class TestScrubReuse:
         execute(compiled, chip=chip, inputs={"acts": acts_for(60)},
                 replay=False)
         chip.scrub()
-        assert not chip.srf._touched
         assert not chip.srf._values.any()
         chip.scrub()  # fast path: nothing touched since the last scrub
         assert not chip.srf._values.any()

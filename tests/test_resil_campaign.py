@@ -6,13 +6,17 @@ import threading
 
 import pytest
 
+from repro.config import small_test_chip
 from repro.resil import render_campaign, run_campaign
 from repro.resil.campaign import (
     MAX_RECOVERY_WAVES,
     MIN_AVAILABILITY,
     SCENARIOS,
     SCHEMA,
+    scenario_serving_dead_mem_slice,
 )
+from repro.serve import ChipPool
+from repro.sim import TspChip
 
 SERVING = ("serving_watchdog_storm", "serving_link_ber_burst",
            "serving_dead_mem_slice")
@@ -112,6 +116,43 @@ class TestServingScenarios:
             assert s["notes"].endswith("worker healthy")
         assert dead["health"] == {"degraded_enter": 1}
         assert dead["notes"].endswith("worker degraded")
+
+    def test_a_degraded_worker_replays_around_its_dead_slice(
+        self, monkeypatch
+    ):
+        """Once the worker has recompiled around the dead slice, none of
+        its batches simulates: every program it serves keeps off the
+        slice, so its plan answers on the damaged chip.  (The cache-less
+        oracle references simulate on fresh chips, outside any batch.)"""
+        degraded, batch, runs = threading.Event(), threading.local(), []
+        run, execute_batch, emit = (
+            TspChip.run, ChipPool.execute_batch, ChipPool._emit
+        )
+
+        def counted_run(chip, *args, **kwargs):
+            if degraded.is_set() and getattr(batch, "open", False):
+                runs.append(chip)
+            return run(chip, *args, **kwargs)
+
+        def in_batch(pool, worker, served):
+            batch.open = True
+            try:
+                execute_batch(pool, worker, served)
+            finally:
+                batch.open = False
+
+        def noted(pool, kind, **details):
+            if kind == "degraded_enter":
+                degraded.set()
+            emit(pool, kind, **details)
+
+        monkeypatch.setattr(TspChip, "run", counted_run)
+        monkeypatch.setattr(ChipPool, "execute_batch", in_batch)
+        monkeypatch.setattr(ChipPool, "_emit", noted)
+        result = scenario_serving_dead_mem_slice(small_test_chip(), True)
+        assert degraded.is_set()
+        assert result.outcomes == {"ok": 12}
+        assert runs == []
 
 
 class TestFullSize:

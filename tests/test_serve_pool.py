@@ -65,7 +65,7 @@ class TestScrub:
         assert chip.watchdog is None     # armed deadlines do not leak
         assert chip.checkers == []
         assert chip.srf.hop_bytes_total == 0
-        assert all(chip.superlane_enabled)
+        assert not chip.superlanes_off
         assert chip.weights_installed_cycle is None
 
     def test_back_to_back_programs_bit_identical_to_fresh(self, config):

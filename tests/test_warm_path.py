@@ -128,17 +128,10 @@ class TestLoneChunkReplaysPurely:
 class TestBypassPreserved:
     """A chip that demands real simulation never sees the pure plan."""
 
-    def check(self, warm, calls, chip, route, blacklist=None):
+    def check(self, warm, calls, chip, route):
         model, x, expected, cache, _chip = warm
-        if blacklist is not None:
-            # compile the degraded programs on healthy hardware first
-            model.runner.forward(
-                x, chip=TspChip(CONFIG), cache=cache, blacklist=blacklist
-            )
         calls.clear()
-        result = model.runner.forward(
-            x, chip=chip, cache=cache, blacklist=blacklist
-        )
+        result = model.runner.forward(x, chip=chip, cache=cache)
         assert calls.get(route) == 2
         assert "run_batched" not in calls
         assert np.array_equal(result.logits, expected)
@@ -153,13 +146,23 @@ class TestBypassPreserved:
         FaultInjector(chip).inject_sram_fault(Hemisphere.EAST, 0, 7, 3)
         self.check(warm, calls, chip, "chip.run")
 
-    def test_dead_slice_simulates_the_degraded_binary(self, warm, calls):
+    def test_dead_slice_off_the_degraded_binary_replays(self, warm, calls):
+        """The degraded binary keeps off the dead slice — its plan's
+        footprint does not meet it — so the damaged chip serves it from
+        the plan, bit for bit."""
+        model, x, expected, cache, _chip = warm
+        blacklist = Blacklist(mem_slices=frozenset({DEAD}))
+        model.runner.forward(
+            x, chip=TspChip(CONFIG), cache=cache, blacklist=blacklist
+        )
         chip = TspChip(CONFIG)
         chip.mem_unit(*DEAD).mark_dead()
-        self.check(
-            warm, calls, chip, "chip.run",
-            blacklist=Blacklist(mem_slices=frozenset({DEAD})),
+        calls.clear()
+        result = model.runner.forward(
+            x, chip=chip, cache=cache, blacklist=blacklist
         )
+        assert calls == {"run_batched": 2}
+        assert np.array_equal(result.logits, expected)
 
 
 class TestIdentityResolvedOnce:
