@@ -13,11 +13,8 @@ workloads:
   cycles dispatch nothing, so it prices a walked quiet cycle.
 * ``serve-64`` — the serving path's cacheable unit, an input-fed matmul.
 
-Each workload is measured in four modes.  ``sim`` is the simulator
-itself.  ``telemetry`` is the simulator with a
-:class:`repro.obs.TelemetryCollector` attached, so the artifact tracks
-the cost of observability alongside the cost of simulation, and
-``resil`` the simulator with the resilience runtime armed (a
+Each workload is measured in three modes.  ``sim`` is the simulator
+itself, and ``resil`` the simulator with the resilience runtime armed (a
 :class:`~repro.resil.Watchdog` that never fires, a
 :class:`~repro.sim.FaultInjector`, and a post-run
 :class:`~repro.resil.HealthMonitor` poll), so it tracks the cost of the
@@ -30,10 +27,15 @@ identical workload, and a simulated-vs-replayed lockstep run
 (``replay.lockstep_ok``) pins bit-exactness of what the artifact is
 measuring.
 
-The artifact schema (``tsp-sim-bench/5``)::
+A telemetry collector has no mode: it is charged once per run with what
+ran, and costs nothing while a run goes (what a collected run costs is
+``test_simulator_performance.py::test_telemetry_overhead_gate``'s
+report).
+
+The artifact schema (``tsp-sim-bench/6``)::
 
     {
-      "schema": "tsp-sim-bench/5",
+      "schema": "tsp-sim-bench/6",
       "host": {"python": ..., "numpy": ..., "machine": ...},
       "workloads": [
         {
@@ -41,11 +43,9 @@ The artifact schema (``tsp-sim-bench/5``)::
           "modes": {
             "sim": {"seconds": s, "cpu_seconds": c,
                     "cycles_per_host_second": r},
-            "telemetry": {...same, collector attached...},
             "resil": {...same, watchdog armed...},
             "replay": {...same, the program's plan replayed...}
           },
-          "telemetry_overhead": telemetry_seconds / sim_seconds - 1,
           "resil_overhead": resil_seconds / sim_seconds - 1,
           "replay_speedup": sim_seconds / replay_seconds
         }, ...
@@ -81,7 +81,7 @@ from repro.sim import FaultInjector, TspChip
 from repro.testing import make_full_config, make_small_config
 from repro.verify.lockstep import run_lockstep
 
-SCHEMA = "tsp-sim-bench/5"
+SCHEMA = "tsp-sim-bench/6"
 
 # a deadline no benchmark workload can reach: the watchdog hook runs
 # every cycle but never fires, which is exactly the cost being measured
@@ -245,7 +245,6 @@ def measure_workload(
         plan = program.replay
         assert plan is not None and plan.ok, plan and plan.reason
     best: dict[str, dict] = {}
-    overheads = []
     resil_overheads = []
     replay_speedups = []
 
@@ -255,19 +254,14 @@ def measure_workload(
 
     for _ in range(repeats):
         sim = measure(config, program, repeats=1, inputs=inputs)
-        t = measure(
-            config, program, repeats=1, attach_telemetry=True, inputs=inputs
-        )
         r = measure(
             config, program, repeats=1, attach_resil=True, inputs=inputs
         )
         # overhead ratios are taken within a round (adjacent runs),
         # medians across rounds, so a disturbance in one round cannot
         # skew the figures
-        overheads.append(t["seconds"] / sim["seconds"] - 1.0)
         resil_overheads.append(r["seconds"] / sim["seconds"] - 1.0)
         keep("sim", sim)
-        keep("telemetry", t)
         keep("resil", r)
         if plan is not None:
             p = measure(
@@ -284,7 +278,6 @@ def measure_workload(
             mode: {k: v for k, v in run.items() if k != "cycles"}
             for mode, run in best.items()
         },
-        "telemetry_overhead": round(statistics.median(overheads), 4),
         "resil_overhead": round(statistics.median(resil_overheads), 4),
     }
     if replay_speedups:
@@ -390,7 +383,6 @@ def main(argv=None) -> None:
         )
         print(
             f"{w['name']:>10}: sim {sim:>12,.0f} cyc/s   "
-            f"telemetry {w['telemetry_overhead']:+.1%}   "
             f"resil {w['resil_overhead']:+.1%}{replay}"
         )
     print(f"replay lockstep: {payload['replay']}")

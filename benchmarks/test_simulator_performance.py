@@ -5,8 +5,9 @@ how many simulated cycles per host-second the model sustains on
 representative programs, so users can size their experiments.  Workload
 builders and the ``BENCH_sim.json`` artifact schema live in
 :mod:`bench_emit`; this module adds the pytest-benchmark timing tables,
-the replay lockstep gate and the two observer-overhead *reports* — what
-observing a run costs is gated as work counts in tier-1
+the replay lockstep gate and the two observer-overhead *reports* (a
+collected run, armed fault hooks) — what observing a run costs is gated
+as work counts in tier-1
 (``tests/test_chip.py::TestObserversFollowDispatches``), not as one
 wall-clock divided by another.
 """
@@ -19,10 +20,11 @@ from bench_emit import (
     build_busy_program,
     build_busy_program_full,
     build_paced_program,
+    build_serve_program,
 )
 
 from repro.bench import ExperimentReport
-from repro.compiler import load_compiled
+from repro.compiler import execute, load_compiled
 from repro.obs import TelemetryCollector
 from repro.sim import TspChip
 
@@ -121,19 +123,19 @@ def test_replay_lockstep_and_artifact(report_sink, tmp_path):
 
 
 def test_telemetry_overhead_gate(report_sink, small_config):
-    """Report what an attached collector costs; gate only its structure.
+    """Report what a collected run costs; gate the structure behind it.
 
-    Attached: a full :class:`~repro.obs.TelemetryCollector` on the paced
-    serving workload — the collector's per-dispatch and per-live-cycle
-    bookkeeping against a run that walks every cycle (ten runs read
-    14.1–27.5 %, EXPERIMENTS.md E28).  The figure is *reported*: the two
-    configurations are measured in interleaved pairs and the overhead is
-    the median of the per-pair ratios, so drift in host speed hits both
-    halves of a pair alike.  What is *gated* is the work behind it, in
-    tier-1: callbacks per dispatch O(1), none on a cycle where nothing
-    happens.  Detached: a chip constructed without a collector executes
-    zero telemetry code beyond one ``is not None`` test per
-    instrumentation site — asserted structurally here.
+    A :class:`~repro.obs.TelemetryCollector` is charged once per run
+    with what ran (:meth:`~repro.obs.TelemetryCollector.charge`): while
+    one is attached the chip keeps each dispatch's event and each stream
+    drive, and calls the collector at no dispatch and no cycle (tier-1:
+    ``tests/test_chip.py::TestObserversFollowDispatches``).  *Reported*:
+    the paced serving workload simulated with and without a collector,
+    in interleaved pairs, as the median of the per-pair ratios, so drift
+    in host speed hits both halves of a pair alike.  *Gated*: the watched
+    run is cycle- and activity-identical and its collector rolls up to
+    that activity; a watched compiled program replays; and a chip
+    constructed without a collector has none.
     """
     program = build_paced_program(small_config, requests=600, interval=64)
     detached = attached = None
@@ -160,13 +162,21 @@ def test_telemetry_overhead_gate(report_sink, small_config):
     report.add("attached overhead", "reported", f"{overhead:.1%}")
     report_sink.append(report.render())
 
-    assert attached["cycles"] == detached["cycles"]
-
-    # detached really is detached: no collector object anywhere on the hot
-    # path (the register file gets the chip's, per step), so the per-site
-    # guard short-circuits
+    bare = TspChip(small_config).run(program)
     chip = TspChip(small_config)
-    assert chip.obs is None
+    collector = TelemetryCollector()
+    chip.attach_telemetry(collector)
+    watched = chip.run(program)
+    assert (watched.cycles, watched.activity) == (bare.cycles, bare.activity)
+    assert collector.rollup() == watched.activity
+
+    serve, inputs = build_serve_program(small_config)
+    chip = TspChip(small_config)
+    chip.attach_telemetry(TelemetryCollector())
+    run = execute(serve, chip=chip, inputs=inputs).run
+    assert run.skipped_cycles == run.cycles
+
+    assert TspChip(small_config).obs is None
 
 
 def test_resilience_overhead_gate(report_sink, small_config):

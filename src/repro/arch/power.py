@@ -94,7 +94,7 @@ class ActivityCounts:
         ``unit_totals`` maps ``"domain:instance"`` unit names to
         ``{counter: total}`` dicts (the shape of
         :meth:`repro.obs.TelemetryCollector.totals`).  Counters without a
-        :data:`FINE_ROLLUP` entry (bank conflicts, stall/parked cycles,
+        :data:`FINE_ROLLUP` entry (stall/parked cycles,
         occupancy, C2C link traffic, weight installs) have no dynamic-energy
         term here and are ignored.
         """

@@ -127,7 +127,6 @@ def _top_slices(collector, config, top_k: int) -> list[dict]:
             detail = {
                 "read_bytes": counters.get("read_bytes", 0),
                 "write_bytes": counters.get("write_bytes", 0),
-                "bank_conflicts": counters.get("bank_conflicts", 0),
             }
         elif domain == "mxm":
             busy = counters.get("macc_ops", 0) / plane_peak

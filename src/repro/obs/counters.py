@@ -9,15 +9,15 @@ the registry of a *chip*: the same totals and marks, plus the cycle each
 increment happened at.
 
 The collector is the observability analogue of the paper's determinism
-argument: because every state transition on the TSP happens at a
-compiler-known cycle, *telemetry does not need to sample* — every counter
-increment can be attributed to an exact cycle, bucketed into fixed-width
-windows, and the result is a fact, not an estimate.
+argument: every instruction's time and place on the TSP is fixed by the
+program, so *telemetry does not need to watch* — every counter increment
+is a function of what ran, attributed to an exact cycle, bucketed into
+fixed-width windows, and the result is a fact, not an estimate.
 
 Its registry is hierarchical: counters are keyed ``domain:unit`` →
 ``counter name`` → ``window index`` → value, e.g.
 
-    mem:MEM_W3   read_bytes / write_bytes / bank_conflicts
+    mem:MEM_W3   read_bytes / write_bytes
     icu:MEM_W3   dispatches / dispatch_cycles / stall_cycles /
                  parked_cycles / ifetch_bytes
     mxm:MXM_E.plane0   macc_ops / weight_bytes
@@ -28,26 +28,23 @@ Its registry is hierarchical: counters are keyed ``domain:unit`` →
 
 plus scalar high/low-water marks (instruction-queue depth).
 
-**Exactness.**  Counters fall into two classes:
+**One count.**  A chip charges its collector once per finished run, with
+the run's dispatches (:class:`~repro.sim.chip.TraceEvent` s), its stream
+drives and its cycle count (:meth:`TelemetryCollector.charge`).  Each
+count is the one the chip's own activity tally makes of the same event,
+at the cycle the bound chip's timing model puts it: a dispatch's unit
+work at its skew or functional delay, a queue's stall over its occupancy,
+a parked ``Sync`` until its ``Notify`` releases, an ``Ifetch`` refill
+through the queue's text budget, a stream value over every register it
+occupies.  A simulated run hands over what the chip kept; a replayed one
+(:meth:`repro.sim.replay.ReplayPlan.charge`) its plan's dispatches and
+drives — so a chip with a collector replays like any other, and
+:meth:`rollup` equals the run's ``RunResult.activity`` on either route.
+The one count a run must be watched for is a C2C link's fault-protocol
+events under an error model (:meth:`TelemetryCollector.on_link_event`).
 
-* *Transition-attributed* counters (dispatches, SRAM bytes, MACCs, ALU
-  ops, stall/parked spans) are incremented at state transitions —
-  dispatches and scheduled events.  Multi-cycle spans (a ``NOP 500``'s
-  occupancy, a parked ``Sync``) are known in full at the transition that
-  starts or ends them, so :meth:`count_span` distributes them over
-  windows in closed form.
-* *Flow-counted* counters (stream hop bytes, per-direction SRF
-  occupancy) change on every cycle a value is in flight; the stream
-  register file reports each hop's totals to :meth:`on_stream_flow`.
-
-A collector counts only what its chip simulates.  A chip with one
-attached never replays a plan (:mod:`repro.sim.replay` refuses
-it as it refuses a checker), so every count is a transition the collector
-watched, and :meth:`rollup` equals the run's own ``RunResult.activity``.
-
-Collectors are opt-in: a chip with no collector attached executes zero
-telemetry code beyond one ``is not None`` test per instrumentation site
-(and none per cycle).
+Collectors are opt-in: a chip with no collector attached runs no
+telemetry code at all.
 """
 
 from __future__ import annotations
@@ -55,13 +52,11 @@ from __future__ import annotations
 import threading
 from ..arch.power import ActivityCounts
 
-# registry keys of the four SRF counters — the only ones touched on every
-# live cycle, so the hot paths below pre-resolve their buckets
-_SRF_E_HOP = ("srf:E", "hop_bytes")
-_SRF_W_HOP = ("srf:W", "hop_bytes")
-_SRF_E_OCC = ("srf:E", "occupancy_cycles")
-_SRF_W_OCC = ("srf:W", "occupancy_cycles")
-
+#: the mnemonics of the VXM's ALU work and of the SXM's routes
+_ALU = frozenset(("UnaryOp", "BinaryOp", "Convert"))
+_ROUTES = frozenset(
+    ("Shift", "Select", "Permute", "Distribute", "Rotate", "Transpose")
+)
 
 def _by_unit(flat: dict[tuple[str, str], int]) -> dict[str, dict[str, int]]:
     """``(unit, counter) -> value`` nested as ``unit -> counter -> value``."""
@@ -123,22 +118,23 @@ class TelemetryCollector(CounterRegistry):
     """Hierarchical per-unit perf counters in fixed-width cycle windows.
 
     Attach to a chip with :meth:`~repro.sim.chip.TspChip.attach_telemetry`;
-    every instrumentation hook in the simulator feeds it.  One collector
+    the chip :meth:`charge` s it with every run it finishes.  One collector
     is meant to observe one chip; cycle numbering restarts at 0 on every
     ``run()``, so windows of back-to-back runs on the same chip alias onto
     each other (totals stay exact; attach a fresh collector per run when
     per-window data matters).
 
-    One chip runs on one thread, so the hooks (and :meth:`count`, which
-    here takes the cycle the amount belongs to) write the inherited
+    One chip runs on one thread, so a charge (and :meth:`count`, which
+    here takes the cycle the amount belongs to) writes the inherited
     dicts directly, without the lock.
 
     ``dispatch_log`` keeps the chip's :class:`~repro.sim.chip.TraceEvent`
-    of every dispatch — the chip builds each event once, with its
-    occupancy, and a traced chip's ``trace`` holds the same objects.  The
-    collector keeps its own list because a chip's trace does not outlive
-    ``scrub()``; the trace builder draws the log, and its flow arrows
-    place each queue with the geometry :meth:`bind` remembered.
+    of every dispatch it was charged with — the chip builds each event
+    once, with its occupancy, and a chip's ``trace`` holds the same
+    objects.  The collector keeps its own list because a chip's trace
+    does not outlive ``scrub()``; the trace builder draws the log, and
+    its flow arrows place each queue with the geometry :meth:`bind`
+    remembered.
     """
 
     def __init__(
@@ -151,31 +147,32 @@ class TelemetryCollector(CounterRegistry):
         #: (unit, counter) -> {window index -> amount}; the inherited
         #: running total of a counter == the sum of its windows
         self._windows: dict[tuple[str, str], dict[int, int]] = {}
-        #: observed cycles, accumulated by ``on_run_end``
+        #: cycles of the runs charged
         self.cycles = 0
         #: the chip's ``TraceEvent`` per dispatch, for the trace builder
         self.dispatch_log: list = []
-        # hot-path caches: pre-resolved (key, bucket) slots for the
-        # counters touched on every dispatch and every live SRF cycle,
-        # so those hooks skip :meth:`count`'s key construction + lookups
-        self._dispatch_state: dict = {}
-        self._icu_state: dict = {}
-        self._mem_state: dict = {}
-        self._srf_eh: dict[int, int] | None = None
-        self._srf_wh: dict[int, int] | None = None
-        self._srf_eo: dict[int, int] | None = None
-        self._srf_wo: dict[int, int] | None = None
-        # bound at attach time (used by the trace/attribution layers)
+        # bound at attach time: the geometry and timing a charge reads
         self.config = None
         self.floorplan = None
         self.timing = None
+        #: ``(MXM, plane) -> rows * cols`` of the tile each plane holds
+        self._tiles: dict[tuple[str, int], int] = {}
 
     # ------------------------------------------------------------------
     def bind(self, chip) -> None:
-        """Remember the observed chip's geometry and timing model."""
+        """Remember the observed chip's geometry and timing model, and the
+        tile each of its MXM planes holds: a plane keeps its weights from
+        run to run, so a run may multiply by a tile installed before."""
+        from ..sim.mxm import MxmUnit
+
         self.config = chip.config
         self.floorplan = chip.floorplan
         self.timing = chip.timing
+        self._tiles = {
+            (unit.name, k): plane.rows * plane.cols
+            for unit in chip.parts[MxmUnit]
+            for k, plane in enumerate(unit.planes)
+        }
 
     # ------------------------------------------------------------------
     # primitive accumulation
@@ -192,10 +189,7 @@ class TelemetryCollector(CounterRegistry):
         """Attribute ``amount`` to the window containing ``cycle``."""
         key = (unit, counter)
         window = cycle // self.window_cycles
-        buckets = self._windows.get(key)
-        if buckets is None:
-            buckets = self._windows[key] = {}
-            self._totals[key] = 0
+        buckets = self._bucket(key)
         buckets[window] = buckets.get(window, 0) + amount
         self._totals[key] += amount
 
@@ -216,10 +210,7 @@ class TelemetryCollector(CounterRegistry):
             return
         key = (unit, counter)
         width = self.window_cycles
-        buckets = self._windows.get(key)
-        if buckets is None:
-            buckets = self._windows[key] = {}
-            self._totals[key] = 0
+        buckets = self._bucket(key)
         first = start_cycle // width
         last = (start_cycle + n_cycles - 1) // width
         if first == last:
@@ -235,204 +226,161 @@ class TelemetryCollector(CounterRegistry):
         self._totals[key] += n_cycles * per_cycle
 
     # ------------------------------------------------------------------
-    # simulator hooks (see the instrumentation sites in repro.sim)
+    # what a run leaves
     # ------------------------------------------------------------------
-    def on_dispatch(self, event) -> None:
-        """Every dispatched instruction, including Repeat iterations, as
-        the chip's :class:`~repro.sim.chip.TraceEvent`."""
-        state = self._dispatch_state.get(event.icu)
-        if state is None:
-            key = (f"icu:{event.icu}", "dispatches")
-            state = (key, self._bucket(key))
-            self._dispatch_state[event.icu] = state
-        key, buckets = state
-        window = event.cycle // self.window_cycles
-        buckets[window] = buckets.get(window, 0) + 1
-        self._totals[key] += 1
-        self.dispatch_log.append(event)
+    def charge(self, trace: list, drives: list, cycles: int) -> None:
+        """Count one finished run of the bound chip from what it ran.
 
-    def on_icu_dispatch(
-        self,
-        icu_name: str,
-        cycle: int,
-        instruction,
-        busy_until: int,
-        buffer_bytes: int,
-    ) -> None:
-        """A queue consumed one dispatch slot (Repeat iterations excluded)."""
-        state = self._icu_state.get(icu_name)
-        if state is None:
-            unit = f"icu:{icu_name}"
-            dc_key = (unit, "dispatch_cycles")
-            sc_key = (unit, "stall_cycles")
-            state = self._icu_state[icu_name] = (
-                dc_key,
-                self._bucket(dc_key),
-                sc_key,
-                self._bucket(sc_key),
-                (unit, "iq_low_water_bytes"),
-            )
-        dc_key, dc_buckets, sc_key, sc_buckets, low_key = state
-        width = self.window_cycles
-        window = cycle // width
-        dc_buckets[window] = dc_buckets.get(window, 0) + 1
-        totals = self._totals
-        totals[dc_key] += 1
-        if busy_until > cycle + 1:
-            # NOP burn, Repeat pacing, multi-cycle occupancy: the queue is
-            # stalled (cannot dispatch) from cycle+1 until busy_until —
-            # same closed-form window split as count_span, inlined
-            start = cycle + 1
-            first = start // width
-            last = (busy_until - 1) // width
-            if first == last:
-                sc_buckets[first] = (
-                    sc_buckets.get(first, 0) + busy_until - start
-                )
+        ``trace`` is its dispatches in the order the chip made them (a
+        ``Repeat``'s iterations right behind it), ``drives`` its stream
+        drives ``(direction, stream, position, cycle)`` and ``cycles``
+        its length.
+        """
+        self.cycles += cycles
+        self.dispatch_log.extend(trace)
+        self._charge_queues(self._charge_units(trace), trace)
+        self._charge_streams(drives, cycles)
+
+    def _charge_units(self, trace: list) -> dict[str, list]:
+        """What each dispatch does on its unit, when the timing model says
+        it happens; returns each queue's own dispatches, in order."""
+        timing, lanes = self.timing, self.config.n_lanes
+        count = self.count
+        steps: dict[str, list] = {}
+        # MXM installs and samples, in (cycle, dispatch order): a plane's
+        # MACCs are its installed tile's size when the sample is taken
+        planes: list[tuple] = []
+        iterations = 0
+        for order, event in enumerate(trace):
+            t, ins, kind = event.cycle, event.instruction, event.mnemonic
+            count(f"icu:{event.icu}", "dispatches", t)
+            if iterations:  # a Repeat's, issued by the unit
+                iterations -= 1
             else:
-                head = (first + 1) * width - start
-                sc_buckets[first] = sc_buckets.get(first, 0) + head
-                for w in range(first + 1, last):
-                    sc_buckets[w] = sc_buckets.get(w, 0) + width
-                tail = busy_until - last * width
-                sc_buckets[last] = sc_buckets.get(last, 0) + tail
-            totals[sc_key] += busy_until - start
-        low = self._low
-        if low_key not in low or buffer_bytes < low[low_key]:
-            low[low_key] = buffer_bytes
+                steps.setdefault(event.icu, []).append(event)
+                iterations = ins.n if kind == "Repeat" else 0
+            unit = str(event.queue.address)
+            if kind == "Read":
+                count(f"mem:{unit}", "read_bytes", t, lanes)
+            elif kind == "Gather":
+                count(f"mem:{unit}", "read_bytes", t + ins.dskew(timing), lanes)
+            elif kind in ("Write", "Scatter"):
+                count(f"mem:{unit}", "write_bytes", t + ins.dskew(timing), lanes)
+            elif kind in _ALU:
+                count(f"vxm:alu{event.queue.unit}", "alu_ops",
+                      t + ins.dfunc(timing), lanes)
+            elif kind in _ROUTES:
+                streams = (ins.n * ins.n if kind == "Rotate" else
+                           self.config.lanes_per_superlane
+                           if kind == "Transpose" else 1)
+                count(f"sxm:{unit}", "bytes", t + ins.dfunc(timing),
+                      streams * lanes)
+            elif kind == "Send":
+                count(f"c2c:{unit}.link{ins.link}", "sent_bytes",
+                      t + ins.dskew(timing), lanes)
+            elif kind == "Receive":
+                count(f"c2c:{unit}.link{ins.link}", "received_bytes",
+                      t + ins.dfunc(timing), lanes)
+            elif kind == "IW":
+                done = t + ins.dskew(timing) + (
+                    0 if ins.from_buffer else ins.install_cycles(lanes) - 1
+                )
+                size = ins.rows * ins.cols
+                count(f"mxm:{unit}.plane{ins.plane}", "weight_bytes", done,
+                      size * ins.dtype.n_bytes)
+                planes.append((done, order, unit, ins.plane, size))
+            elif kind == "ABC":
+                sample = t + ins.dskew(timing)
+                planes += [(sample + k, order, unit, ins.plane, None)
+                           for k in range(ins.n_vectors)]
+        tile = self._tiles
+        for at, _order, unit, plane, size in sorted(
+            planes, key=lambda entry: entry[:2]
+        ):
+            if size is not None:
+                tile[unit, plane] = size
+            else:
+                count(f"mxm:{unit}.plane{plane}", "macc_ops", at,
+                      tile[unit, plane])
+        return steps
 
-    def on_icu_parked(
-        self, icu_name: str, park_cycle: int, release_cycle: int
-    ) -> None:
-        """A parked ``Sync`` released; bill the wait to its span."""
-        self.count_span(
-            f"icu:{icu_name}",
-            "parked_cycles",
-            park_cycle + 1,
-            release_cycle - park_cycle - 1,
-        )
+    def _charge_queues(self, steps: dict[str, list], trace: list) -> None:
+        """Each queue's dispatch slots, stalls, parked spans and text
+        supply: a ``NOP n`` or a ``Repeat`` holds its queue for its
+        occupancy, a ``Sync`` parks until the first ``Notify`` release at
+        or after it, and the queue's buffer starts with as much of its
+        program text as fits, pays each dispatch's encoded size and takes
+        an ``Ifetch``'s refill when it lands (before that cycle's
+        dispatch)."""
+        from ..isa.encoding import encoded_length
+        from ..sim.icu import RESET_SEQUENCE
 
-    def on_iq_depth(self, icu_name: str, buffer_bytes: int) -> None:
-        unit = f"icu:{icu_name}"
-        self.mark_high(unit, "iq_high_water_bytes", buffer_bytes)
-        self.mark_low(unit, "iq_low_water_bytes", buffer_bytes)
-
-    def on_ifetch(
-        self, icu_name: str, cycle: int, n_bytes: int, buffer_bytes: int
-    ) -> None:
-        unit = f"icu:{icu_name}"
-        self.count(unit, "ifetch_bytes", cycle, n_bytes)
-        self.mark_high(unit, "iq_high_water_bytes", buffer_bytes)
-
-    def on_mem_traffic(
-        self, slice_name: str, cycle: int, kind: str, n_bytes: int
-    ) -> None:
-        state = self._mem_state.get((slice_name, kind))
-        if state is None:
-            key = (f"mem:{slice_name}", f"{kind}_bytes")
-            state = self._mem_state[(slice_name, kind)] = (
-                key, self._bucket(key),
+        config, timing, count = self.config, self.timing, self.count
+        capacity, fetch = config.iq_capacity_bytes, config.ifetch_bytes
+        releases = sorted(e.cycle + config.barrier_latency_cycles
+                          for e in trace if e.mnemonic == "Notify")
+        reset = {id(instruction) for instruction in RESET_SEQUENCE}
+        for name, queue in steps.items():
+            unit = f"icu:{name}"
+            self._bucket((unit, "stall_cycles"))  # a queue has one, if 0
+            sizes = [encoded_length(e.instruction) for e in queue]
+            text = sum(size for e, size in zip(queue, sizes)
+                       if id(e.instruction) not in reset)
+            buffer = min(text, capacity)
+            unfetched = text - buffer
+            self.mark_high(unit, "iq_high_water_bytes", buffer)
+            self.mark_low(unit, "iq_low_water_bytes", buffer)
+            # each refill lands (None) ahead of its cycle's dispatch
+            timeline = sorted(
+                [(e.cycle + e.instruction.dfunc(timing), 0, None, 0)
+                 for e in queue if e.mnemonic == "Ifetch"]
+                + [(e.cycle, 1, e, size) for e, size in zip(queue, sizes)],
+                key=lambda entry: entry[:2],
             )
-        key, buckets = state
-        window = cycle // self.window_cycles
-        buckets[window] = buckets.get(window, 0) + n_bytes
-        self._totals[key] += n_bytes
+            for t, _phase, event, size in timeline:
+                if event is None:
+                    take = max(0, min(fetch, unfetched, capacity - buffer))
+                    unfetched -= take
+                    buffer += take
+                    count(unit, "ifetch_bytes", t, take)
+                    self.mark_high(unit, "iq_high_water_bytes", buffer)
+                    continue
+                buffer = max(buffer, size) - size
+                count(unit, "dispatch_cycles", t)
+                if event.mnemonic in ("NOP", "Repeat"):
+                    self.count_span(unit, "stall_cycles", t + 1,
+                                    event.occupancy - 1)
+                elif event.mnemonic == "Sync":
+                    release = next(r for r in releases if r >= t)
+                    self.count_span(unit, "parked_cycles", t + 1,
+                                    release - t - 1)
+                self.mark_low(unit, "iq_low_water_bytes", buffer)
 
-    def on_bank_conflict(self, slice_name: str, cycle: int) -> None:
-        self.count(f"mem:{slice_name}", "bank_conflicts", cycle)
+    def _charge_streams(self, drives: list, cycles: int) -> None:
+        """Each stream value's registers: one occupied per cycle, and a
+        hop's bytes for each it lands on (:func:`repro.sim.replay.flights`)."""
+        from ..sim.replay import flights
 
-    def on_macc(
-        self, unit_name: str, plane: int, cycle: int, n_ops: int
-    ) -> None:
-        self.count(f"mxm:{unit_name}.plane{plane}", "macc_ops", cycle, n_ops)
-
-    def on_weights(
-        self, unit_name: str, plane: int, cycle: int, n_bytes: int
-    ) -> None:
-        self.count(
-            f"mxm:{unit_name}.plane{plane}", "weight_bytes", cycle, n_bytes
-        )
-
-    def on_alu(self, alu: int, cycle: int, n_ops: int) -> None:
-        self.count(f"vxm:alu{alu}", "alu_ops", cycle, n_ops)
-
-    def on_sxm(self, unit_name: str, cycle: int, n_bytes: int) -> None:
-        self.count(f"sxm:{unit_name}", "bytes", cycle, n_bytes)
-
-    def on_c2c(
-        self, unit_name: str, link: int, cycle: int, kind: str, n_bytes: int
-    ) -> None:
-        self.count(f"c2c:{unit_name}.link{link}", f"{kind}_bytes", cycle, n_bytes)
+        if not drives:
+            return
+        for direction in "EW":  # registered together, whichever flowed
+            self._bucket((f"srf:{direction}", "hop_bytes"))
+            self._bucket((f"srf:{direction}", "occupancy_cycles"))
+        lanes = self.config.n_lanes
+        for direction, t, hops, occupancy in flights(
+            drives, self.floorplan.n_positions, cycles
+        ):
+            unit = f"srf:{direction.value}"
+            self.count_span(unit, "occupancy_cycles", t, occupancy)
+            self.count_span(unit, "hop_bytes", t, hops, lanes)
 
     def on_link_event(
         self, unit_name: str, link: int, cycle: int, kind: str, n: int = 1
     ) -> None:
         """A link fault-protocol event: ``corrected`` / ``retry`` /
-        ``uncorrectable`` / ``dropped`` (see repro.sim.c2c)."""
+        ``uncorrectable`` / ``dropped`` (see repro.sim.c2c) — what an error
+        model draws, so the run reports it as it happens."""
         self.count(f"c2c:{unit_name}.link{link}", f"{kind}_events", cycle, n)
-
-    def on_run_end(self, final_cycle: int) -> None:
-        self.cycles += final_cycle
-
-    # ------------------------------------------------------------------
-    def _init_srf(self) -> None:
-        """Resolve and cache the four SRF counter buckets.
-
-        All four are registered together on the first live hop, whichever
-        direction carried it.
-        """
-        self._srf_eh = self._bucket(_SRF_E_HOP)
-        self._srf_wh = self._bucket(_SRF_W_HOP)
-        self._srf_eo = self._bucket(_SRF_E_OCC)
-        self._srf_wo = self._bucket(_SRF_W_OCC)
-
-    def on_stream_flow(
-        self,
-        cycle: int,
-        lanes: int,
-        live_e: int,
-        hops_e: int,
-        fell_e: int,
-        live_w: int,
-        hops_w: int,
-        fell_w: int,
-    ) -> None:
-        """Charge the stream hop that completes ``cycle``.
-
-        Per direction, ``live`` values were in flight, ``hops`` of them
-        landed on the next register and ``fell`` left the chip.  Those
-        integers settle the whole charge: the hop charge is ``hops *
-        lanes`` and the occupancy is ``hops + fell`` (a value that leaves
-        still occupied its register this cycle, but is never billed the
-        hop — the same contract as ``StreamRegisterFile.hop_bytes_total``).
-        """
-        if live_e == 0 and live_w == 0:
-            return
-        eh = self._srf_eh
-        if eh is None:
-            self._init_srf()
-            eh = self._srf_eh
-        totals = self._totals
-        window = cycle // self.window_cycles
-        if live_e:
-            occ = hops_e + fell_e
-            eo = self._srf_eo
-            eo[window] = eo.get(window, 0) + occ
-            totals[_SRF_E_OCC] += occ
-            if hops_e:
-                amount = hops_e * lanes
-                eh[window] = eh.get(window, 0) + amount
-                totals[_SRF_E_HOP] += amount
-        if live_w:
-            occ = hops_w + fell_w
-            wo = self._srf_wo
-            wo[window] = wo.get(window, 0) + occ
-            totals[_SRF_W_OCC] += occ
-            if hops_w:
-                wh = self._srf_wh
-                amount = hops_w * lanes
-                wh[window] = wh.get(window, 0) + amount
-                totals[_SRF_W_HOP] += amount
 
     # ------------------------------------------------------------------
     # read-out
@@ -440,9 +388,8 @@ class TelemetryCollector(CounterRegistry):
     def snapshot(self) -> dict:
         """Canonical, JSON-able image of every counter and scalar.
 
-        Dict comparison is order-blind, so two simulations of one program
-        give equal snapshots even where hook order differs *within* a
-        cycle.
+        Dict comparison is order-blind, so two runs of one program give
+        equal snapshots whatever order their counters were charged in.
         """
         counters: dict[str, dict[str, dict[str, int]]] = {}
         for (unit, name), buckets in self._windows.items():

@@ -30,7 +30,7 @@ class MeasuredTelemetry:
     """Counter-registry readout of one profiled on-chip workload.
 
     The measured rows in the experiment reports read from this — the
-    telemetry registry of real simulated runs — rather than each report
+    telemetry registry of the profiled runs — rather than each report
     recomputing its own ad-hoc tallies from ``RunResult`` fields.
     """
 

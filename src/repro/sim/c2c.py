@@ -245,11 +245,6 @@ class C2cUnit(FunctionalUnit):
                 link.deskewed = False
             peer_unit._link(peer_index).rx_queue.append(flight)
             link.sent_vectors += 1
-            if self.chip.obs is not None:
-                self.chip.obs.on_c2c(
-                    self.name, instruction.link, t_capture, "sent",
-                    vector.size,
-                )
 
         self.capture_at(
             cycle + self.dskew(instruction),
@@ -342,10 +337,6 @@ class C2cUnit(FunctionalUnit):
                 )
             vector = self._decode(link, flight, _c)
             link.received_vectors += 1
-            if self.chip.obs is not None:
-                self.chip.obs.on_c2c(
-                    self.name, instruction.link, _c, "received", vector.size
-                )
             hemisphere = self.address.hemisphere
             mem = self.chip.mem_unit(hemisphere, instruction.mem_slice)
             mem.host_write(instruction.address, vector[None, :])

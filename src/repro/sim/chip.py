@@ -207,23 +207,27 @@ class TspChip:
         off = self.superlanes_off
         self.superlanes_off = off - {superlane} if on else off | {superlane}
 
+    @property
+    def keeps_dispatches(self) -> bool:
+        """Whether each dispatch's :class:`TraceEvent` is kept on
+        ``trace``: the chip traces, or it charges a telemetry collector."""
+        return self.trace_enabled or self.obs is not None
+
     def record_dispatch(
         self, icu: IcuId, name: str, instruction: Instruction, cycle: int,
         occupancy: int | None,
     ) -> None:
         """Account one dispatch on queue ``icu`` (``name`` is its label).
 
-        Its :class:`TraceEvent` is built once, and only when the chip's
-        trace or its telemetry collector will keep it (the queue then
-        passes ``occupancy``); checkers see the instruction itself.
+        Its :class:`TraceEvent` is built once, and only when the chip
+        keeps it (the queue then passes ``occupancy``); checkers see the
+        instruction itself.
         """
         self.activity.instructions += 1
-        if self.trace_enabled or self.obs is not None:
-            event = TraceEvent(cycle, name, icu, instruction, occupancy)
-            if self.trace_enabled:
-                self.trace.append(event)
-            if self.obs is not None:
-                self.obs.on_dispatch(event)
+        if self.keeps_dispatches:
+            self.trace.append(
+                TraceEvent(cycle, name, icu, instruction, occupancy)
+            )
         for checker in self.checkers:
             checker.on_dispatch(cycle, name, instruction)
 
@@ -291,7 +295,10 @@ class TspChip:
         """Attach a :class:`repro.obs.TelemetryCollector` to this chip.
 
         One collector per chip; attaching replaces any previous one.  Each
-        cycle hands it to the stream register file's hop count.
+        finished run charges it once — with the dispatches and stream
+        drives the chip kept, or, replayed, with its plan's
+        (:meth:`repro.sim.replay.ReplayPlan.charge`) — and a chip with a
+        collector replays like any other.
         """
         collector.bind(self)
         self.obs = collector
@@ -302,6 +309,8 @@ class TspChip:
     def _notify_drive(
         self, direction: Direction, stream: int, position: int
     ) -> None:
+        if self.obs is not None:
+            self.drives.append((direction, stream, position, self.now))
         for checker in self.checkers:
             checker.on_drive(self.now, direction, stream, position)
 
@@ -392,7 +401,7 @@ class TspChip:
         """The :class:`RunResult` of the run opened by :meth:`open_run`."""
         activity_start, trace_start, corrections_start = window
         if self.obs is not None:
-            self.obs.on_run_end(cycles)
+            self.obs.charge(self.trace[trace_start:], self.drives, cycles)
         self.activity.stream_hop_bytes = self.srf.hop_bytes_total
         return RunResult(
             cycles=cycles,
@@ -412,7 +421,7 @@ class TspChip:
             events.run_phase(cycle, Phase.DRIVE)
             queues.dispatch(cycle)
             events.run_phase(cycle, Phase.CAPTURE)
-            self.srf.step(cycle, self.obs)
+            self.srf.step()
         except TspError as fault:
             fault.with_context(chip=self.chip_id, cycle=cycle)
             raise
@@ -445,8 +454,8 @@ class TspChip:
         # anything still in flight drains off the edge during the idle
         # gap between runs; its remaining hops are billed to that gap —
         # callers snapshot hop_bytes_total after this, so neither run's
-        # reported window is polluted by the other's traffic (the telemetry
-        # collector is likewise blind to the drain)
+        # reported window is polluted by the other's traffic (nor is a
+        # telemetry collector charged with the drain)
         self.srf.flush()
 
     def scrub(self) -> None:
@@ -467,7 +476,7 @@ class TspChip:
         self, program: Program, warmup_barrier: bool = False
     ) -> QueueSet:
         queues = QueueSet(self, program, warmup_barrier)
-        if self.trace_enabled or self.obs is not None:
+        if self.keeps_dispatches:
             # a kept dispatch's occupancy: once per instruction object
             memo: dict[int, int] = {}  # id(instruction) -> occupancy >= 1
             for queue in queues:
@@ -550,9 +559,10 @@ def run_lockstep(
 # ---------------------------------------------------------------------------
 
 #: what a scrub and the replay verdict make of an attribute: a scrub keeps
-#: *configuration*; *benign* is what a program loads or a run leaves; while
-#: an *instrument* (watching or steering a run) is set (truthy) the chip
-#: simulates, as it does a plan whose run meets a set *unit fault*
+#: *configuration*; *benign* is what a program loads, a run leaves or is
+#: told of it; while an *instrument* (watching or steering a run as it
+#: goes) is set (truthy) the chip simulates, as it does a plan whose run
+#: meets a set *unit fault*
 CONFIGURATION, BENIGN, INSTRUMENT = "configuration", "benign", "instrument"
 UNIT_FAULT = "unit fault"
 #: the ``fresh`` of what a scrub keeps
@@ -610,11 +620,14 @@ STATE: dict[type, dict[str, State]] = {
                          BarrierController(c.config.barrier_latency_cycles),
                          run=True),
         "now": State(BENIGN, "the cycle being stepped", 0),
+        "obs": State(BENIGN, "the telemetry collector each run charges",
+                     None),
+        "drives": State(BENIGN, "this run's stream drives, for ``obs``",
+                        lambda c: [], run=True),
         "weights_installed_cycle": State(BENIGN, "last MXM install", None),
         "weights_installed_bytes": State(BENIGN, "bytes installed", 0),
         "watchdog": State(INSTRUMENT, "the armed deadline monitor", None),
         "checkers": State(INSTRUMENT, "invariant checkers", lambda c: []),
-        "obs": State(INSTRUMENT, "the telemetry collector", None),
         "events": State(INSTRUMENT, "pending events", lambda c: EventQueue()),
         "faults_injected": State(INSTRUMENT, "SRAM bits flipped", 0),
         "external_fault_hooks": State(INSTRUMENT, "checkout hooks", False),
@@ -636,7 +649,8 @@ STATE: dict[type, dict[str, State]] = {
         "_n_live": State(BENIGN, "their totals", lambda s: [0, 0]),
         "hop_bytes_total": State(BENIGN, "bytes that hopped", 0),
         "corrections": State(BENIGN, "corrected stream errors (CSR)", 0),
-        "_dirty": State(UNIT_FAULT, "changed behind ``drive``", False),
+        "_dirty": State(BENIGN, "changed behind ``drive``: the next "
+                        "flush zeroes it all, whatever is live", False),
     },
     MemSliceUnit: {
         **_UNIT,

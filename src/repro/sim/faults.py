@@ -64,7 +64,12 @@ class FaultInjector:
     def inject_stream_fault(
         self, direction: Direction, stream: int, position: int, bit: int
     ) -> None:
-        """Flip one bit of an in-flight stream value (datapath SEU)."""
+        """Flip one bit of an in-flight stream value (datapath SEU).
+
+        A flip made between runs never reaches the next one: its start
+        drains every value left in flight.  To hit a run, arm the flip
+        for one of its cycles (:meth:`inject_stream_fault_at`).
+        """
         self.chip.srf.inject_stream_fault(direction, stream, position, bit)
         self.log.append(
             CorrectionRecord(

@@ -37,6 +37,12 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from .chip import TspChip
 
 
+#: the post-reset barrier's ``Notify`` and ``Sync`` (``warmup_barrier``):
+#: dispatched like any instruction, but no part of the program text — a
+#: dispatch of one of these objects is the barrier's
+RESET_SEQUENCE = (Notify(), Sync())
+
+
 class BarrierController:
     """Chip-wide Sync/Notify barrier (Section III-A2).
 
@@ -106,8 +112,6 @@ class IcuQueue:
         capacity = chip.config.iq_capacity_bytes
         self.buffer_bytes = min(total_text, capacity)
         self.unfetched_bytes = total_text - self.buffer_bytes
-        if chip.obs is not None:
-            chip.obs.on_iq_depth(self._name, self.buffer_bytes)
 
     # ------------------------------------------------------------------
     @property
@@ -137,10 +141,6 @@ class IcuQueue:
             return  # retired, parked, or still occupied
         chip = self.chip
         if self.park_cycle is not None:
-            if chip.obs is not None:
-                # the release is first observed at exactly this cycle
-                # (it is the queue's wake): the parked span in full
-                chip.obs.on_icu_parked(self._name, self.park_cycle, cycle)
             self.park_cycle = None
             if self.pc >= len(self.instructions):
                 self.wake = None  # the Sync was the final instruction
@@ -166,11 +166,6 @@ class IcuQueue:
                 self.wake = max(self.busy_until, cycle + 1)
             else:
                 self.wake = None
-        if chip.obs is not None:
-            chip.obs.on_icu_dispatch(
-                self._name, cycle, instruction, self.busy_until,
-                self.buffer_bytes,
-            )
 
     # ------------------------------------------------------------------
     def _consume_text(self, size: int, cycle: int) -> None:
@@ -228,10 +223,6 @@ class IcuQueue:
             self.unfetched_bytes -= take
             self.buffer_bytes += take
             self.chip.activity.sram_read_bytes += take
-            if self.chip.obs is not None:
-                self.chip.obs.on_ifetch(
-                    self._name, _c, take, self.buffer_bytes
-                )
 
         self.chip.events.schedule(arrival, Phase.DRIVE, _arrive)
         self.busy_until = cycle + 1
@@ -296,9 +287,10 @@ class QueueSet:
             # on Sync; the notifier queue issues Notify first, then parks
             # too, so all queues resume at the same release cycle and the
             # compiled schedule keeps its relative timing
+            notify, sync = RESET_SEQUENCE
             for queue in self.queues[1:]:
-                queue.prepend([Sync()])
-            self.queues[0].prepend([Notify(), Sync()])
+                queue.prepend([sync])
+            self.queues[0].prepend([notify, sync])
         #: queues that have not retired
         self.live = 0
         #: cycle at which the last retired queue's occupancy (a trailing

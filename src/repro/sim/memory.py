@@ -134,14 +134,10 @@ class MemSliceUnit(FunctionalUnit):
         accesses = self._accesses.setdefault(cycle, [])
         for other_kind, other_bank in accesses:
             if other_kind == kind:
-                if self.chip.obs is not None:
-                    self.chip.obs.on_bank_conflict(self.name, cycle)
                 raise BankConflictError(
                     f"{self.address}: two {kind}s in cycle {cycle}"
                 )
             if other_bank == bank:
-                if self.chip.obs is not None:
-                    self.chip.obs.on_bank_conflict(self.name, cycle)
                 raise BankConflictError(
                     f"{self.address}: read and write hit bank {bank} in "
                     f"cycle {cycle}"
@@ -186,10 +182,6 @@ class MemSliceUnit(FunctionalUnit):
             checks=checks,
         )
         self.chip.activity.sram_read_bytes += self.chip.config.n_lanes
-        if self.chip.obs is not None:
-            self.chip.obs.on_mem_traffic(
-                self.name, cycle, "read", self.chip.config.n_lanes
-            )
 
     def _exec_write(self, instruction: Write, cycle: int) -> None:
         sample_cycle = cycle + self.dskew(instruction)
@@ -202,10 +194,6 @@ class MemSliceUnit(FunctionalUnit):
             if self.chip.srf_ecc_enabled:
                 self._store_checks(instruction.address)
             self.chip.activity.sram_write_bytes += self.chip.config.n_lanes
-            if self.chip.obs is not None:
-                self.chip.obs.on_mem_traffic(
-                    self.name, sample_cycle, "write", self.chip.config.n_lanes
-                )
 
         self.capture_at(
             sample_cycle, instruction.direction, instruction.stream, _commit
@@ -232,10 +220,6 @@ class MemSliceUnit(FunctionalUnit):
                 vector,
             )
             self.chip.activity.sram_read_bytes += self.chip.config.n_lanes
-            if self.chip.obs is not None:
-                self.chip.obs.on_mem_traffic(
-                    self.name, sample, "read", self.chip.config.n_lanes
-                )
 
         self.capture_at(
             sample,
@@ -264,10 +248,6 @@ class MemSliceUnit(FunctionalUnit):
                 for a in np.unique(addresses):
                     self._store_checks(int(a))
             self.chip.activity.sram_write_bytes += self.chip.config.n_lanes
-            if self.chip.obs is not None:
-                self.chip.obs.on_mem_traffic(
-                    self.name, sample, "write", self.chip.config.n_lanes
-                )
 
         sample = cycle + self.dskew(instruction)
 

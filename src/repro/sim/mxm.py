@@ -182,10 +182,6 @@ class MxmUnit(FunctionalUnit):
         # what lets a dot product accumulate across K-tile installs
         plane.results.clear()
         self.chip.note_weights_installed(done_cycle, raw.size)
-        if self.chip.obs is not None:
-            self.chip.obs.on_weights(
-                self.name, instruction.plane, done_cycle, raw.size
-            )
 
     # ------------------------------------------------------------------
     def _exec_abc(self, instruction: ActivationBufferControl, cycle: int) -> None:
@@ -205,11 +201,6 @@ class MxmUnit(FunctionalUnit):
                 result = self._dot(plane, instruction.dtype, planes_bytes)
                 plane.results.append((when + depth, result))
                 self.chip.activity.macc_ops += plane.rows * plane.cols
-                if self.chip.obs is not None:
-                    self.chip.obs.on_macc(
-                        self.name, instruction.plane, when,
-                        plane.rows * plane.cols,
-                    )
 
             self.capture_group_at(
                 sample,

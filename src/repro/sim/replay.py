@@ -43,10 +43,13 @@ Correctness strategy:
   :func:`repro.verify.lockstep.run_lockstep` holds both to a simulation.
 * **Bypass predicate.**  :func:`replay_allowed` reads the chip's state
   record (:data:`repro.sim.chip.STATE`): any instrument set refuses (an
-  instrument observes only a run it watched), and so does a unit fault
-  the run touches (:meth:`ReplayPlan.touches`) — a dead MEM slice in the
-  plan's footprint, powered-down superlanes, a corrupted stream register
-  file — so a chip degraded around a dead slice still replays.
+  instrument watches or steers a run as it goes — a checker, an armed
+  event, a watchdog), and so does a unit fault the run touches
+  (:meth:`ReplayPlan.touches`) — a dead MEM slice in the plan's
+  footprint, powered-down superlanes — so a chip degraded around a dead
+  slice still replays.  A telemetry collector is no instrument: it is
+  charged with what ran, and a plan's dispatches and drives are what
+  its run would run.
 
 A program of ``n`` passes (:mod:`repro.compiler.repeat`) keeps its
 pass's plan: :attr:`ReplayPlan.passes` bindings make one run, and
@@ -57,9 +60,10 @@ What a replay reproduces is what a caller reads back from a run: its
 :class:`~repro.sim.chip.RunResult` (outputs, cycles, instructions,
 activity, dispatch trace) plus the SRAM words it writes.  The finished
 plan carries the exact cycle and dispatch counts and the activity-counter
-delta, and reads its dispatch trace off the program when a trace-enabled
-replay first asks — all of them functions of the schedule — and
-:meth:`ReplayPlan.charge` is the one place a replayed run lands on a chip.
+delta, and reads its dispatch trace off the program when a replay that
+keeps dispatches first asks — all of them functions of the schedule — and
+:meth:`ReplayPlan.charge` is the one place a replayed run lands on a chip,
+its telemetry collector included.
 """
 
 from __future__ import annotations
@@ -74,7 +78,7 @@ from ..arch.geometry import Direction
 from ..arch.power import ActivityCounts
 from ..arch.streams import DType, pack_tensor, unpack_tensor
 from ..errors import SimulationError
-from ..isa.icu import Nop, Notify, Sync
+from ..isa.icu import Nop
 from ..isa.mem import Read, Write
 from ..isa.mxm import Accumulate, ActivationBufferControl, InstallWeights
 from ..isa.sxm import Distribute, Permute, Rotate, Select, Shift, Transpose
@@ -107,14 +111,17 @@ def issue_order(program, timing, config,
     a ``Sync`` that the first queue's ``Notify`` releases, and the program
     starts there.
     """
+    from .icu import RESET_SEQUENCE
+
     issued = []
     start = barrier or 0
+    notify, sync = RESET_SEQUENCE
     for index, icu in enumerate(program.icus):
         t = start
         if barrier is not None:
-            issued.append((0, index, icu, Notify() if index == 0 else Sync()))
+            issued.append((0, index, icu, notify if index == 0 else sync))
             if index == 0:
-                issued.append((1, 0, icu, Sync()))
+                issued.append((1, 0, icu, sync))
         for instruction in program.queue(icu):
             issued.append((t, index, icu, instruction))
             t += max(instruction.count, 1) if isinstance(instruction, Nop) else 1
@@ -169,21 +176,24 @@ def emitted_plan(config, timing, program, cycles: int, ops: list,
     ), warmup_barrier=False).finish()
 
 
-def _hops(plan: "ReplayPlan") -> int:
-    """Stream-register hops of a run of ``plan``: a value hops a cycle
-    until it leaves the die, the run ends or a later drive on its stream
-    and moving-frame diagonal overwrites it."""
-    hops = 0
+def flights(drives: list, n_positions: int, cycles: int):
+    """``(direction, cycle, hops, occupancy)`` of the value each of
+    ``drives`` puts on a stream register, over ``n_positions`` positions
+    in a run of ``cycles``: driven at ``cycle``, it occupies a register a
+    cycle and hops on until it leaves the die (its last cycle, no hop),
+    the run ends or a later drive on its stream and moving-frame
+    diagonal overwrites it."""
     until: dict[tuple, int] = {}  # (direction, stream, diagonal) -> cycle
+    eastward = Direction.EASTWARD
     for direction, stream, position, t in sorted(
-        plan.drives, key=lambda drive: drive[3], reverse=True
+        drives, key=lambda drive: drive[3], reverse=True
     ):
-        east = direction is Direction.EASTWARD
+        east = direction is eastward
         key = (east, stream, t - position if east else t + position)
-        edge = plan.n_positions - 1 - position if east else position
-        hops += min(edge, until.get(key, plan.cycles) - t)
+        edge = n_positions - 1 - position if east else position
+        span = until.get(key, cycles) - t
         until[key] = t
-    return hops
+        yield direction, t, min(edge, span), min(edge + 1, span)
 
 
 class ScheduleRecorder:
@@ -216,6 +226,10 @@ class ScheduleRecorder:
         if barrier is not None and barrier < 2:
             return replace(plan, ok=False, ops=[], reason=f"a {barrier}-"
                            "cycle barrier overlaps its own Notify and Sync")
+        cycles, drives = plan.cycles, plan.drives
+        if barrier is not None:  # the run starts at the barrier's release
+            cycles += barrier
+            drives = [(d, s, p, t + barrier) for d, s, p, t in drives]
         lanes, tally = plan.lanes, Counter()
         times = [plan.passes if each else 1 for each in plan.body] or (
             [1] * len(plan.ops)
@@ -223,7 +237,6 @@ class ScheduleRecorder:
         for op, n in zip(plan.ops, times):
             tally[op[0]] += n
         plane = {op[1]: op[3] * op[4] for op in plan.ops if op[0] == "install"}
-        cycles = plan.cycles + (barrier or 0)
         icus = plan.program.icus
         # a barrier parks every queue on a Sync, and the first queue also
         # dispatches the Notify that releases them (:func:`issue_order`)
@@ -231,7 +244,8 @@ class ScheduleRecorder:
             0 if barrier is None else len(icus) + 1
         )
         return replace(
-            plan, cycles=cycles, warmup_barrier=self.warmup_barrier,
+            plan, cycles=cycles, drives=drives,
+            warmup_barrier=self.warmup_barrier,
             activity=ActivityCounts(
                 cycles=cycles,
                 macc_ops=sum(
@@ -242,7 +256,10 @@ class ScheduleRecorder:
                                  + tally["vxmc"]),
                 sram_read_bytes=lanes * tally["read"],
                 sram_write_bytes=lanes * (tally["write"] + tally["wconst"]),
-                stream_hop_bytes=lanes * _hops(plan),
+                stream_hop_bytes=lanes * sum(
+                    hops for _d, _t, hops, _o
+                    in flights(drives, plan.n_positions, cycles)
+                ),
                 sxm_bytes=lanes * tally["route"],
                 instructions=dispatches,
             ),
@@ -622,9 +639,10 @@ class ReplayPlan:
     def charge(self, chip, runs: int) -> None:
         """Land ``runs`` back-to-back executions on ``chip``: everything
         but SRAM that that many real runs would have left there —
-        activity, hop bytes, the dispatches when the chip traces, and
-        ``chip.now``.  Both replay entry points land here.  The one
-        exception is the MXM install record (``weights_installed_bytes``,
+        activity, hop bytes, the dispatches when the chip keeps them, a
+        charge of its telemetry collector per run, and ``chip.now``.
+        Both replay entry points land here.  The one exception is the
+        MXM install record (``weights_installed_bytes``,
         ``weights_installed_cycle``): a replay leaves it untouched, so a
         run that reads it must simulate (``execute(..., replay=False)``)."""
         for f in fields(self.activity):
@@ -634,14 +652,17 @@ class ReplayPlan:
                         + getattr(self.activity, f.name) * runs)
         chip.srf.hop_bytes_total += self.activity.stream_hop_bytes * runs
         chip.activity.stream_hop_bytes = chip.srf.hop_bytes_total
-        if chip.trace_enabled:
+        if chip.keeps_dispatches:
             chip.trace.extend(self.trace * runs)
+        if chip.obs is not None:
+            for _ in range(runs):
+                chip.obs.charge(self.trace, self.drives, self.cycles)
         chip.now = self.final_now
 
     def run_result(self, chip) -> RunResult:
         """One replayed run's :class:`RunResult` on ``chip`` (or on none);
         a replay walks no cycle, so every one of them counts as skipped."""
-        traced = chip is not None and chip.trace_enabled
+        traced = chip is not None and chip.keeps_dispatches
         return RunResult(
             cycles=self.cycles,
             instructions=self.activity.instructions,

@@ -186,15 +186,14 @@ class StreamRegisterFile:
         self._dirty = True
 
     # ------------------------------------------------------------------
-    def step(self, now: int = 0, collector=None) -> None:
+    def step(self) -> None:
         """Advance every stream one hop; edge values fall off the chip.
 
         A hop is charged only when a value actually lands on the next
         stream register, so an edge value is never billed for the cycle
         in which it leaves.  The accounting reads the per-column live
         tallies — no mask is scanned, and a hop that drops nothing
-        touches no array.  ``now`` is the cycle being completed — only
-        consumed by ``collector``, the chip's telemetry collector if any.
+        touches no array.
         """
         n_live = self._n_live
         if n_live[0] or n_live[1] or self._dirty:
@@ -202,20 +201,13 @@ class StreamRegisterFile:
             hops = self._hops
             # the last flow slot's column: whatever it holds leaves
             column = (n_pos - 1 - hops) % n_pos
-            before_e, before_w = n_live
             fell_e = self._live[0].pop(column, 0)
             fell_w = self._live[1].pop(column, 0)
-            moved_e = before_e - fell_e
-            moved_w = before_w - fell_w
-            n_live[0] = moved_e
-            n_live[1] = moved_w
-            lanes = self.config.n_lanes
-            self.hop_bytes_total += (moved_e + moved_w) * lanes
-            if collector is not None:
-                collector.on_stream_flow(
-                    now, lanes,
-                    before_e, moved_e, fell_e, before_w, moved_w, fell_w,
-                )
+            n_live[0] -= fell_e
+            n_live[1] -= fell_w
+            self.hop_bytes_total += (
+                (n_live[0] + n_live[1]) * self.config.n_lanes
+            )
             if fell_e or fell_w or self._dirty:
                 self._values[:, :, column] = 0
                 self._valid[:, :, column] = False
@@ -229,8 +221,8 @@ class StreamRegisterFile:
 
         What ``n_positions`` single steps would leave — an empty file,
         each value billed the hops it had left — without walking them:
-        the idle gap between two runs.  The chip's collector is not told
-        (the gap belongs to neither run's windows).
+        the idle gap between two runs, which belongs to neither run's
+        telemetry windows.
         """
         if self._n_live[0] or self._n_live[1] or self._dirty:
             n_pos = self._n_pos

@@ -130,12 +130,8 @@ class SxmUnit(FunctionalUnit):
             super().execute(icu, instruction, cycle)
 
     # ------------------------------------------------------------------
-    def _count(self, cycle: int, n_streams: int = 1) -> None:
+    def _count(self, n_streams: int = 1) -> None:
         self.chip.activity.sxm_bytes += n_streams * self.chip.config.n_lanes
-        if self.chip.obs is not None:
-            self.chip.obs.on_sxm(
-                self.name, cycle, n_streams * self.chip.config.n_lanes
-            )
 
     def _simple(
         self, instruction, cycle: int, transform
@@ -150,7 +146,7 @@ class SxmUnit(FunctionalUnit):
                 instruction.dst_stream,
                 self.apply_superlane_power(transform(vector)),
             )
-            self._count(out_cycle)
+            self._count()
 
         self.capture_at(
             cycle + self.dskew(instruction),
@@ -175,7 +171,7 @@ class SxmUnit(FunctionalUnit):
                 instruction.dst_stream,
                 self.apply_superlane_power(result),
             )
-            self._count(out_cycle)
+            self._count()
 
         sample = cycle + self.dskew(instruction)
         self.capture_at(
@@ -206,7 +202,7 @@ class SxmUnit(FunctionalUnit):
                     instruction.dst_base_stream + r,
                     self.apply_superlane_power(rotation(n, per, r)(vector)),
                 )
-            self._count(out_cycle, n * n)
+            self._count(n * n)
 
         self.capture_at(
             cycle + self.dskew(instruction),
@@ -234,7 +230,7 @@ class SxmUnit(FunctionalUnit):
                     instruction.dst_base_stream + s,
                     self.apply_superlane_power(out),
                 )
-            self._count(out_cycle, per)
+            self._count(per)
 
         self.capture_group_at(
             cycle + self.dskew(instruction),

@@ -31,11 +31,11 @@ class VxmUnit(FunctionalUnit):
 
     def execute(self, icu: IcuId, instruction: Instruction, cycle: int) -> None:
         if isinstance(instruction, UnaryOp):
-            self._exec_unary(instruction, cycle, icu.unit)
+            self._exec_unary(instruction, cycle)
         elif isinstance(instruction, BinaryOp):
-            self._exec_binary(instruction, cycle, icu.unit)
+            self._exec_binary(instruction, cycle)
         elif isinstance(instruction, Convert):
-            self._exec_convert(instruction, cycle, icu.unit)
+            self._exec_convert(instruction, cycle)
         else:
             super().execute(icu, instruction, cycle)
 
@@ -58,15 +58,11 @@ class VxmUnit(FunctionalUnit):
                 self.apply_superlane_power(plane),
             )
 
-    def _count_alu_ops(self, alu_index: int, cycle: int) -> None:
+    def _count_alu_ops(self) -> None:
         self.chip.activity.alu_ops += self.chip.config.n_lanes
-        if self.chip.obs is not None:
-            self.chip.obs.on_alu(alu_index, cycle, self.chip.config.n_lanes)
 
     # ------------------------------------------------------------------
-    def _exec_unary(
-        self, instruction: UnaryOp, cycle: int, alu_index: int = 0
-    ) -> None:
+    def _exec_unary(self, instruction: UnaryOp, cycle: int) -> None:
         dtype = instruction.dtype
         out_cycle = cycle + self.dfunc(instruction)
         sample = cycle + self.dskew(instruction)
@@ -85,7 +81,7 @@ class VxmUnit(FunctionalUnit):
                 out_dtype,
                 z,
             )
-            self._count_alu_ops(alu_index, out_cycle)
+            self._count_alu_ops()
 
         self.capture_group_at(
             sample,
@@ -95,9 +91,7 @@ class VxmUnit(FunctionalUnit):
             _with_operand,
         )
 
-    def _exec_binary(
-        self, instruction: BinaryOp, cycle: int, alu_index: int = 0
-    ) -> None:
+    def _exec_binary(self, instruction: BinaryOp, cycle: int) -> None:
         dtype = instruction.dtype
         out_cycle = cycle + self.dfunc(instruction)
         state: dict[str, np.ndarray] = {}
@@ -113,7 +107,7 @@ class VxmUnit(FunctionalUnit):
                 dtype,
                 z,
             )
-            self._count_alu_ops(alu_index, out_cycle)
+            self._count_alu_ops()
 
         sample = cycle + self.dskew(instruction)
 
@@ -140,9 +134,7 @@ class VxmUnit(FunctionalUnit):
             _got_y,
         )
 
-    def _exec_convert(
-        self, instruction: Convert, cycle: int, alu_index: int = 0
-    ) -> None:
+    def _exec_convert(self, instruction: Convert, cycle: int) -> None:
         src_dtype = instruction.from_dtype
         dst_dtype = instruction.to_dtype
         out_cycle = cycle + self.dfunc(instruction)
@@ -160,7 +152,7 @@ class VxmUnit(FunctionalUnit):
                 dst_dtype,
                 z,
             )
-            self._count_alu_ops(alu_index, out_cycle)
+            self._count_alu_ops()
 
         self.capture_group_at(
             sample,

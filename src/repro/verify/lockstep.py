@@ -19,9 +19,11 @@ schedule — then compares every observable surface bit-for-bit:
   saw (every dispatch, stream drive, and SRAM access is recorded);
 * ECC correction counts.
 
-That is everything a caller reads back from a run.  A telemetry collector
-is not on the list: a chip with one attached simulates, never replays, so
-its counts need no proof here.
+That is everything a caller reads back from a run.  A telemetry
+collector's counts are a function of three of these — the dispatch
+trace, the stream drives (:func:`repro.verify.check`'s timing-contract
+checker holds the plan's to the simulated set) and the cycle count — so
+a replayed chip's collector reads what a simulated one does.
 
 A program of ``n`` passes (:mod:`repro.compiler.repeat`) is held to the
 same surfaces: the simulation runs its repeated text on every pass's

@@ -3,6 +3,8 @@ per-run state on a reused chip, and host work that follows dispatches —
 the core's, and that of the observers riding it (an armed watchdog, an
 attached telemetry collector)."""
 
+import inspect
+
 import numpy as np
 import pytest
 
@@ -338,8 +340,7 @@ class TestObserversFollowDispatches:
     wall-clock ratio gates in ``benchmarks/test_simulator_performance.py``,
     ≤ 2 % and ≤ 45 %, measured below a shared host's noise floor): an
     armed watchdog that never fires does nothing at all, and a telemetry
-    collector is called a bounded number of times per dispatch and not
-    once on a cycle where nothing happens."""
+    collector is charged once per run, never per dispatch or per cycle."""
 
     @pytest.fixture()
     def programs(self, config):
@@ -379,72 +380,49 @@ class TestObserversFollowDispatches:
             chip.run(programs["paced"])
         assert checks == [5]
 
-    def test_collector_callbacks_follow_dispatches(
+    def test_collector_is_charged_once_per_run(
         self, config, programs, monkeypatch
     ):
+        """The chip calls its collector once, as the run ends — never on a
+        dispatch or a cycle — and that call is the charge with what ran."""
         from repro.obs import TelemetryCollector
-        from repro.sim.events import EventQueue
-        from repro.sim.icu import IcuQueue
 
-        now = [None]   # the cycle being stepped; None outside a run
-        calls = []     # (hook, cycle) of every collector callback
-        eventful = set()  # cycles with a dispatch, an event or a live hop
+        now = [None]   # the cycle being stepped; None outside the loop
+        calls = []     # (method, cycle) of every outermost collector call
+        depth = [0]
 
-        def counting(name, hook):
+        def counting(name, method):
             def counted(self, *args, **kwargs):
-                calls.append((name, now[0]))
-                return hook(self, *args, **kwargs)
+                if not depth[0]:
+                    calls.append((name, now[0]))
+                depth[0] += 1
+                try:
+                    return method(self, *args, **kwargs)
+                finally:
+                    depth[0] -= 1
             return counted
 
-        for name, hook in vars(TelemetryCollector).items():
-            if name.startswith("on_"):
+        for name, method in vars(TelemetryCollector).items():
+            if inspect.isfunction(method):
                 monkeypatch.setattr(
-                    TelemetryCollector, name, counting(name, hook)
+                    TelemetryCollector, name, counting(name, method)
                 )
-
-        def noting(method, happened):
-            def noted(self, cycle, *args):
-                result = method(self, cycle, *args)
-                if happened(self, result):
-                    eventful.add(cycle)
-                return result
-            return noted
-
-        monkeypatch.setattr(IcuQueue, "step", noting(
-            IcuQueue.step, lambda queue, _: True
-        ))
-        monkeypatch.setattr(EventQueue, "run_phase", noting(
-            EventQueue.run_phase, lambda events, run: run > 0
-        ))
         step_cycle = TspChip.step_cycle
 
         def stepping(chip, queues, cycle):
             now[0] = cycle
-            if any(chip.srf._n_live):
-                eventful.add(cycle)
             step_cycle(chip, queues, cycle)
             now[0] = None
 
         monkeypatch.setattr(TspChip, "step_cycle", stepping)
         for name, program in programs.items():
-            calls.clear()
-            eventful.clear()
             chip = TspChip(config)
-            chip.attach_telemetry(TelemetryCollector())
+            collector = TelemetryCollector()
+            chip.attach_telemetry(collector)
+            calls.clear()
             result = chip.run(program)
-            in_run = [call for call in calls if call[1] is not None]
-            flows = [call for call in in_run if call[0] == "on_stream_flow"]
-            # O(1) per dispatch: every program here reads 2.3-3.1
-            assert len(in_run) - len(flows) <= 4 * result.instructions, name
-            # at most one flow charge per cycle, none on an empty file
-            assert len(flows) == len(set(flows)) <= result.cycles, name
-            # and nothing at all on a cycle where nothing happened
-            assert {cycle for _, cycle in in_run} <= eventful, name
-            # outside the cycle loop: queue depths at load, the closing
-            # call — per queue, never per cycle
-            assert len(calls) - len(in_run) <= 2 * len(program.icus) + 1
-        # the paced program is mostly such cycles (the last one checked)
-        assert len(eventful) * 2 < result.cycles
+            assert calls == [("charge", None)], name
+            assert collector.rollup() == result.activity, name
 
     def test_occupancy_is_worked_out_once_per_instruction(
         self, config, monkeypatch

@@ -120,7 +120,11 @@ def test_no_instruction_is_formatted_until_a_trace_is_rendered(monkeypatch):
     collector = TelemetryCollector()
     simulated = TspChip(compiled.config, trace=True)
     simulated.attach_telemetry(collector)
-    execute(compiled, chip=simulated, inputs=entry.inputs, replay=False)
+    run = execute(compiled, chip=simulated, inputs=entry.inputs,
+                  replay=False).run
+    # what the collector derived from the run, against the simulator's
+    # own tally of it
+    assert run.skipped_cycles == 0 and collector.rollup() == run.activity
     replayed = TspChip(compiled.config, trace=True)
     run = execute(compiled, chip=replayed, inputs=entry.inputs).run
     assert run.skipped_cycles == run.cycles

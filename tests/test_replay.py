@@ -41,7 +41,7 @@ from repro.sim import LinkErrorModel, TspChip
 from repro.sim.chip import BENIGN, CONFIGURATION, INSTRUMENT, KEPT, STATE
 from repro.sim.faults import FaultInjector
 from repro.sim.icu import QueueSet
-from repro.sim.replay import ReplayPlan, _hops, replay_allowed
+from repro.sim.replay import flights, replay_allowed
 from repro.sim.streamreg import StreamRegisterFile
 from repro.verify import assert_lockstep
 from repro.verify.invariants import StreamCollisionChecker
@@ -307,11 +307,10 @@ class TestHopSweep:
             for direction, stream, position, at in drives:
                 if at == t:
                     srf.drive(direction, stream, position, vector)
-            srf.step(t)
+            srf.step()
 
         def hops(drives):
-            return _hops(ReplayPlan(config, None, None, cycles,
-                                    drives=drives, n_positions=n))
+            return sum(h for _d, _t, h, _o in flights(drives, n, cycles))
 
         assert 0 < hops(drives) * config.n_lanes == srf.hop_bytes_total
         # without the overwrite bound the sweep would count more
@@ -550,7 +549,6 @@ PERTURBATIONS = {
         lambda chip: chip.mem_unit(EAST, 0).mark_dead(),
         lambda chip: chip.mem_unit(EAST, 0).revive())),
     "faults_injected": ("sram-flip", _injected("inject_sram_fault")),
-    "_dirty": ("stream-flip-now", _injected("inject_stream_fault")),
     "events": ("stream-flip-armed", _injected("inject_stream_fault_at")),
     "superlanes_off": ("superlane-off", _on_fresh_chip(
         lambda chip: chip.set_superlane_power(0, False),
@@ -561,15 +559,13 @@ PERTURBATIONS = {
         lambda chip: chip.arm_watchdog(Watchdog(deadline=10**9, label="t")),
         TspChip.disarm_watchdog)),
     "external_fault_hooks": ("pool-checkout-hook", _pool_checkout_hook),
-    "obs": ("telemetry-collector", _on_fresh_chip(
-        lambda chip: chip.attach_telemetry(TelemetryCollector()),
-        TspChip.detach_telemetry)),
 }
 #: the faults above the planned program never touches: East, a link
 UNTOUCHED = ("dead", "error_model")
 #: injections that set an entry another row sets
-DOUBLES = {"double-sram-flip": _injected("inject_double_sram_fault"),
-           "double-stream-flip": _injected("inject_double_stream_fault")}
+DOUBLES = {"double-sram-flip": _injected("inject_double_sram_fault")}
+#: injections whose flip the next run's start drains: it never sees them
+DRAINED = ("inject_stream_fault", "inject_double_stream_fault")
 
 
 def _rows(untouched):
@@ -625,7 +621,8 @@ class TestBypass:
         self, config
     ):
         """A row per instrument or unit-fault entry and per public injector
-        method: a write makes the chip refuse the plan, a CSR read not."""
+        method: a write makes the chip refuse the plan, a CSR read or a
+        flip the run never sees not."""
         assert set(PERTURBATIONS) == {
             name for record in STATE.values()
             for name, entry in record.items()
@@ -638,7 +635,9 @@ class TestBypass:
         for name, args in INJECTIONS.items():
             chip = TspChip(config)
             read = getattr(FaultInjector(chip), name)(*args)
-            assert _allowed(plan, chip) == (read is not None), name
+            assert _allowed(plan, chip) == (
+                read is not None or name in DRAINED
+            ), name
 
     @pytest.mark.parametrize("setup", _rows(untouched=False))
     def test_perturbed_chip_simulates(self, config, setup):
@@ -649,6 +648,25 @@ class TestBypass:
         """A dead slice off the footprint, or a link error model."""
         assert (EAST, 0) not in planned_program(config)[0].replay.footprint
         _run_row(config, setup, replays=True)
+
+    @pytest.mark.parametrize("name", DRAINED)
+    def test_a_flip_made_before_the_run_is_drained(self, config, name):
+        """A stream flip made between runs is gone when the next one
+        starts, so the plan answers — equal to a simulation of a twin,
+        and the healthy result."""
+        _run_row(config, _injected(name), replays=True)
+        compiled, w = planned_program(config)
+        x, (chip, _undo) = acts_for(30), _injected(name)(config)
+        assert chip.srf._dirty
+        result = execute(compiled, chip=chip, inputs={"acts": x})
+        assert np.array_equal(result["acc"], oracle(x, w))
+
+    def test_a_watched_chip_replays(self, config):
+        """A telemetry collector is charged with what ran, not watching it
+        run: the chip replays, to a simulated twin's result and counts."""
+        _run_row(config, _on_fresh_chip(
+            lambda chip: chip.attach_telemetry(TelemetryCollector()),
+            TspChip.detach_telemetry), replays=True)
 
     def test_a_dead_slice_the_plan_touches_faults(self, config):
         """The batched route declines; ``execute`` simulates into it."""
