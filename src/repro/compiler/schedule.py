@@ -191,8 +191,8 @@ class ScheduleIntent:
     ``drives`` is every ``(direction, stream, position, cycle)`` stream
     drive the lowerings placed — the list the schedule's replay plan
     counts its hops from (``intent.drives is plan.drives``), physical
-    re-drives of a temporal shift included.  The timing-contract checker
-    in :mod:`repro.verify.invariants` replays both against an actual run.
+    re-drives of a temporal shift included.  The timing-contract check
+    in :mod:`repro.verify.invariants` holds both to a run's record.
     """
 
     #: str(IcuId) -> {dispatch cycle: mnemonic}

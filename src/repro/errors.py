@@ -177,7 +177,7 @@ class DivergenceError(VerificationError):
 
 
 class InvariantViolationError(VerificationError):
-    """A runtime invariant checker recorded one or more violations."""
+    """An invariant check of a run's record found one or more violations."""
 
 
 class CoverageError(VerificationError):

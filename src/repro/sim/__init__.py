@@ -21,7 +21,6 @@ from .tracer import (
     dispatch_counts,
     render_schedule,
     render_stagger,
-    utilization_histogram,
 )
 from .vxm import VxmUnit
 from .c2c import (
@@ -59,5 +58,4 @@ __all__ = [
     "dispatch_counts",
     "render_schedule",
     "render_stagger",
-    "utilization_histogram",
 ]

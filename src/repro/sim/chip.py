@@ -210,7 +210,8 @@ class TspChip:
     @property
     def keeps_dispatches(self) -> bool:
         """Whether each dispatch's :class:`TraceEvent` is kept on
-        ``trace``: the chip traces, or it charges a telemetry collector."""
+        ``trace``, and each stream drive on ``drives``: the chip traces,
+        or it charges a telemetry collector."""
         return self.trace_enabled or self.obs is not None
 
     def record_dispatch(
@@ -220,23 +221,15 @@ class TspChip:
         """Account one dispatch on queue ``icu`` (``name`` is its label).
 
         Its :class:`TraceEvent` is built once, and only when the chip
-        keeps it (the queue then passes ``occupancy``); checkers see the
-        instruction itself.
+        keeps it (the queue then passes ``occupancy``).  It is kept before
+        the instruction executes, so the record of a run that faults
+        holds the dispatch that faulted.
         """
         self.activity.instructions += 1
         if self.keeps_dispatches:
             self.trace.append(
                 TraceEvent(cycle, name, icu, instruction, occupancy)
             )
-        for checker in self.checkers:
-            checker.on_dispatch(cycle, name, instruction)
-
-    # ------------------------------------------------------------------
-    # invariant-checker hooks (repro.verify.invariants)
-    # ------------------------------------------------------------------
-    def attach_checker(self, checker) -> None:
-        """Register a runtime invariant checker for subsequent runs."""
-        self.checkers.append(checker)
 
     # ------------------------------------------------------------------
     # watchdog (repro.resil.health)
@@ -309,22 +302,10 @@ class TspChip:
     def _notify_drive(
         self, direction: Direction, stream: int, position: int
     ) -> None:
-        if self.obs is not None:
+        """A stream register is about to be driven (before a collision
+        can fault)."""
+        if self.keeps_dispatches:
             self.drives.append((direction, stream, position, self.now))
-        for checker in self.checkers:
-            checker.on_drive(self.now, direction, stream, position)
-
-    def notify_mem_access(
-        self,
-        slice_address: SliceAddress,
-        cycle: int,
-        kind: str,
-        bank: int,
-        address: int,
-    ) -> None:
-        """A MEM slice is about to access SRAM (before conflict faulting)."""
-        for checker in self.checkers:
-            checker.on_mem_access(cycle, str(slice_address), kind, bank, address)
 
     def note_weights_installed(self, cycle: int, n_bytes: int) -> None:
         """Bookkeeping for the weight-load experiment (E09)."""
@@ -383,8 +364,6 @@ class TspChip:
         except TspError as fault:
             fault.with_context(chip=self.chip_id, cycle=self.now)
             raise
-        for checker in self.checkers:
-            checker.finish(cycles)
         return self.close_run(window, cycles)
 
     def open_run(self) -> tuple:
@@ -622,12 +601,11 @@ STATE: dict[type, dict[str, State]] = {
         "now": State(BENIGN, "the cycle being stepped", 0),
         "obs": State(BENIGN, "the telemetry collector each run charges",
                      None),
-        "drives": State(BENIGN, "this run's stream drives, for ``obs``",
-                        lambda c: [], run=True),
+        "drives": State(BENIGN, "this run's stream drives, kept with "
+                        "``trace``", lambda c: [], run=True),
         "weights_installed_cycle": State(BENIGN, "last MXM install", None),
         "weights_installed_bytes": State(BENIGN, "bytes installed", 0),
         "watchdog": State(INSTRUMENT, "the armed deadline monitor", None),
-        "checkers": State(INSTRUMENT, "invariant checkers", lambda c: []),
         "events": State(INSTRUMENT, "pending events", lambda c: EventQueue()),
         "faults_injected": State(INSTRUMENT, "SRAM bits flipped", 0),
         "external_fault_hooks": State(INSTRUMENT, "checkout hooks", False),

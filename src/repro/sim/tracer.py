@@ -18,7 +18,6 @@ from __future__ import annotations
 from collections import defaultdict
 from typing import TYPE_CHECKING
 
-from ..arch.timing import TimingModel
 from ..errors import IsaError
 from ..isa.icu import Nop, Repeat
 from ..isa.mxm import Accumulate, ActivationBufferControl, InstallWeights
@@ -51,15 +50,6 @@ def instruction_duration(instruction, timing, config) -> int:
         return max(
             1, instruction.dfunc(timing), instruction.dskew(timing) + 1
         )
-    except IsaError:
-        return 1
-
-
-def mnemonic_duration(mnemonic: str, timing: TimingModel) -> int:
-    """Cycles :func:`utilization_histogram` charges a dispatch: its
-    mnemonic's functional delay, at least 1."""
-    try:
-        return max(1, timing.functional_delay(mnemonic))
     except IsaError:
         return 1
 
@@ -174,36 +164,3 @@ def dispatch_counts(trace: list[TraceEvent]) -> dict[str, int]:
     for event in trace:
         counts[event.icu] += 1
     return dict(counts)
-
-
-def utilization_histogram(
-    trace: list[TraceEvent],
-    total_cycles: int,
-    timing: TimingModel | None = None,
-) -> dict[str, float]:
-    """Fraction of cycles each ICU kept its unit busy with real work.
-
-    Busy time, not dispatch counting: each non-NOP instruction is charged
-    its functional delay under ``timing`` (default
-    :class:`~repro.arch.timing.TimingModel`), so multi-cycle operations —
-    an MXM weight install, a Transpose — read as busy for their whole
-    span rather than the single dispatch cycle.  Overlapping spans from
-    back-to-back pipelined dispatches can over-charge, so fractions are
-    clamped to 1.0.
-
-    This is a different metric from a trace slice's length: a slice
-    spans the event's ``occupancy`` (:func:`instruction_duration` — a
-    NOP's count, an install's whole stream, an accumulate's vectors),
-    while this charges each dispatch its mnemonic's functional delay.
-    """
-    if total_cycles <= 0:
-        return {}
-    if timing is None:
-        timing = TimingModel()
-    busy: dict[str, int] = defaultdict(int)
-    for event in trace:
-        if event.mnemonic != "NOP":
-            busy[event.icu] += mnemonic_duration(event.mnemonic, timing)
-    return {
-        icu: min(1.0, count / total_cycles) for icu, count in busy.items()
-    }

@@ -10,35 +10,35 @@ scheduled.  This package makes that claim checkable for the reproduction:
 * :mod:`repro.verify.oracle` — runs a program on both the cycle simulator
   and the interpreter, compares bit-for-bit, and renders a minimized repro
   on divergence;
-* :mod:`repro.verify.invariants` — runtime checkers pluggable into
-  :class:`~repro.sim.chip.TspChip` that watch stream drives, SRAM bank
-  accesses, and instruction dispatch against the scheduler's predictions
-  (Equation 4/5);
-* :mod:`repro.verify.lockstep` — simulates one compiled program, records
-  and replays it (write-through and batched), and asserts bit-identical
-  memory, outputs, traces, cycle counts, activity and checker dispatch
-  streams — everything a caller reads back from a run, the equivalence
-  proof-obligation of the replay engine;
+* :mod:`repro.verify.invariants` — checks of a run's record (its
+  dispatch trace and stream drives): stream collisions, SRAM bank
+  discipline, and the scheduler's timing contract (Equation 4/5), each a
+  function returning the violations it finds;
+* :mod:`repro.verify.lockstep` — simulates one compiled program, replays
+  its plan (write-through and batched), and asserts bit-identical memory,
+  outputs, traces, stream drives, cycle counts and activity — everything
+  a caller reads back from a run, the equivalence proof-obligation of the
+  replay engine;
 * :mod:`repro.verify.coverage` — tracks which opcodes, dtypes, and slice
   families a run exercises and enforces a coverage threshold;
 * :mod:`repro.verify.suite` — :func:`check`, the one check of a compiled
-  program (interpreter, checkers and lockstep together), and the
-  conformance sweep exercising every instruction class, runnable
-  standalone via ``python -m repro.verify``.
+  program (one simulation held to the interpreter, the invariant checks
+  and its replays), and the conformance sweep exercising every
+  instruction class, runnable standalone via ``python -m repro.verify``.
 """
 
-from .coverage import COVERAGE_CLASSES, CoverageChecker, CoverageTracker
+from .coverage import COVERAGE_CLASSES, CoverageTracker
 from .interpreter import GraphInterpreter, interpret
 from .invariants import (
-    BankDisciplineChecker,
-    InvariantChecker,
-    StreamCollisionChecker,
-    TimingContractChecker,
     Violation,
+    bank_violations,
+    check_run,
+    contract_violations,
+    mem_accesses,
+    stream_collisions,
 )
 from .lockstep import (
     LockstepResult,
-    RecordingChecker,
     assert_lockstep,
     assert_trace_lockstep,
     run_lockstep,
@@ -52,26 +52,25 @@ from .oracle import (
 from .suite import ConformanceSummary, check, run_conformance
 
 __all__ = [
-    "BankDisciplineChecker",
     "COVERAGE_CLASSES",
     "ConformanceSummary",
-    "CoverageChecker",
     "CoverageTracker",
     "DifferentialResult",
     "DivergenceReport",
     "GraphInterpreter",
-    "InvariantChecker",
     "LockstepResult",
-    "RecordingChecker",
-    "StreamCollisionChecker",
-    "TimingContractChecker",
     "Violation",
     "assert_conformance",
     "assert_lockstep",
     "assert_trace_lockstep",
+    "bank_violations",
     "check",
+    "check_run",
+    "contract_violations",
     "interpret",
+    "mem_accesses",
     "run_conformance",
     "run_differential",
     "run_lockstep",
+    "stream_collisions",
 ]

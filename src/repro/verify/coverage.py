@@ -16,7 +16,6 @@ from ..arch.streams import DType
 from ..errors import CoverageError
 from ..isa.base import INSTRUCTION_REGISTRY, Instruction
 from ..isa.program import Program
-from .invariants import InvariantChecker
 
 COVERAGE_CLASSES = ("MEM", "VXM", "MXM", "SXM", "ICU", "C2C")
 
@@ -58,21 +57,6 @@ class ClassCoverage:
         return len(self.exercised) / len(self.total)
 
 
-class CoverageChecker(InvariantChecker):
-    """Chip-attachable checker feeding dispatches into a tracker."""
-
-    name = "coverage"
-
-    def __init__(self, tracker: "CoverageTracker") -> None:
-        super().__init__()
-        self.tracker = tracker
-
-    def on_dispatch(
-        self, cycle: int, icu: str, instruction: Instruction
-    ) -> None:
-        self.tracker.record_instruction(instruction)
-
-
 class CoverageTracker:
     """Accumulates exercised opcodes and dtypes across runs."""
 
@@ -94,9 +78,10 @@ class CoverageTracker:
             for instruction in program.queue(icu):
                 self.record_instruction(instruction)
 
-    def checker(self) -> CoverageChecker:
-        """A chip-attachable checker recording runtime dispatches."""
-        return CoverageChecker(self)
+    def record_trace(self, trace) -> None:
+        """Runtime coverage: every dispatch of a run's trace."""
+        for event in trace:
+            self.record_instruction(event.instruction)
 
     # ------------------------------------------------------------------
     def by_class(self) -> list[ClassCoverage]:

@@ -1,17 +1,24 @@
-"""Runtime invariant checkers for the cycle simulator.
+"""Invariant checks of a run's record.
 
-Checkers attach to a chip via :meth:`TspChip.attach_checker` and observe
-three event streams during a run:
+The TSP has no arbiter and no reactive element, so a stream collision, a
+bank conflict or a broken timing contract is a fact of what ran: which
+instruction dispatched where and when (a run's ``trace`` of
+:class:`~repro.sim.chip.TraceEvent`), and which stream register was driven
+when (the chip's ``drives``, ``(direction, stream, position, cycle)``,
+kept whenever it keeps its dispatches).  Each check here is a function of
+that record returning the :class:`Violation` records it finds:
 
-* ``on_drive(cycle, direction, stream, position)`` — every stream-register
-  drive, *including* ones the simulator is about to fault on;
-* ``on_mem_access(cycle, slice, kind, bank, address)`` — every SRAM access
-  a MEM slice performs, before conflict faulting;
-* ``on_dispatch(cycle, icu, instruction)`` — every instruction dispatch.
+* :func:`stream_collisions` — two drives of one register in one cycle;
+* :func:`bank_violations` — the Section IV-A pseudo-dual-port rule over
+  the SRAM accesses :func:`mem_accesses` reads off the trace, plus the
+  compiler's bank convention;
+* :func:`contract_violations` — a :class:`ScheduleIntent` (Equation 4/5)
+  against the dispatches and the drives, both ways.
 
-Unlike the simulator's own hard faults (which raise and abort the run),
-checkers *record* violations, so a test can assert that a seeded defect was
-observed — and so several defects can be collected from one run.
+A chip appends a dispatch and a drive to its record before either can
+fault, so a run the simulator aborts with its own hard fault
+(``BankConflictError``, ``StreamContentionError``) is still checked, and
+several defects are collected from one run.
 """
 
 from __future__ import annotations
@@ -20,17 +27,21 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from ..arch.geometry import Direction
+from ..arch.timing import TimingModel
 from ..compiler.allocator import INPUT_BANK, RESULT_BANK
-from ..errors import InvariantViolationError
-from ..isa.base import Instruction
+from ..isa.mem import Read, Write
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..compiler.scheduler import ScheduleIntent
+    from ..sim.chip import TraceEvent
+
+#: ``(direction, stream, position, cycle)``: one stream-register drive
+Drive = tuple[Direction, int, int, int]
 
 
 @dataclass(frozen=True)
 class Violation:
-    """One recorded invariant breach."""
+    """One invariant breach."""
 
     cycle: int
     kind: str
@@ -40,217 +51,177 @@ class Violation:
         return f"[cycle {self.cycle}] {self.kind}: {self.message}"
 
 
-class InvariantChecker:
-    """Base checker: no-op hooks plus violation bookkeeping."""
-
-    name = "invariant"
-
-    def __init__(self) -> None:
-        self.violations: list[Violation] = []
-
-    # hooks ------------------------------------------------------------
-    def on_dispatch(
-        self, cycle: int, icu: str, instruction: Instruction
-    ) -> None:  # pragma: no cover - overridden
-        pass
-
-    def on_drive(
-        self, cycle: int, direction: Direction, stream: int, position: int
-    ) -> None:  # pragma: no cover - overridden
-        pass
-
-    def on_mem_access(
-        self, cycle: int, slice_name: str, kind: str, bank: int, address: int
-    ) -> None:  # pragma: no cover - overridden
-        pass
-
-    def finish(self, cycle: int) -> None:
-        pass
-
-    # reporting --------------------------------------------------------
-    def record(self, cycle: int, kind: str, message: str) -> None:
-        self.violations.append(Violation(cycle, kind, message))
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-    def raise_if_violated(self) -> None:
-        if self.violations:
-            summary = "\n".join(str(v) for v in self.violations[:20])
-            extra = len(self.violations) - 20
-            if extra > 0:
-                summary += f"\n... and {extra} more"
-            raise InvariantViolationError(
-                f"{self.name}: {len(self.violations)} violation(s)\n{summary}"
-            )
+def drive_order(drive: Drive) -> tuple:
+    """Sort key of a drive: cycle, then direction, stream and position."""
+    direction, stream, position, cycle = drive
+    return cycle, direction.value, stream, position
 
 
-class StreamCollisionChecker(InvariantChecker):
+def stream_collisions(drives: list[Drive]) -> list[Violation]:
     """Two producers driving one stream register in one cycle.
 
-    The simulator also hard-faults on this; the checker exists so the
-    condition is *observable* (negative tests, multi-defect collection) and
-    so a future relaxation of the hard fault cannot silently lose coverage.
+    The simulator also hard-faults on this; the check keeps the condition
+    *observable* (negative tests, multi-defect collection), so a
+    relaxation of the hard fault cannot silently lose coverage.
     """
-
-    name = "stream-collision"
-
-    def __init__(self) -> None:
-        super().__init__()
-        self._cycle = -1
-        self._driven: set[tuple[Direction, int, int]] = set()
-
-    def on_drive(
-        self, cycle: int, direction: Direction, stream: int, position: int
-    ) -> None:
-        if cycle != self._cycle:
-            self._cycle = cycle
-            self._driven.clear()
-        key = (direction, stream, position)
-        if key in self._driven:
-            self.record(
-                cycle,
-                "stream-collision",
+    seen: set[Drive] = set()
+    found = []
+    for drive in drives:
+        if drive in seen:
+            direction, stream, position, cycle = drive
+            found.append(Violation(
+                cycle, "stream-collision",
                 f"two producers drove stream {stream}{direction.value} at "
                 f"position {position}",
-            )
-        self._driven.add(key)
+            ))
+        seen.add(drive)
+    return found
 
 
-class BankDisciplineChecker(InvariantChecker):
+def mem_accesses(
+    trace: list["TraceEvent"], timing: TimingModel | None = None
+) -> list[tuple[int, str, str, int, int]]:
+    """``(cycle, slice, kind, bank, address)`` of each SRAM access the
+    trace's dispatches make, by the simulator's own rule: a ``Read`` at
+    its dispatch cycle, a ``Write`` when it samples, ``d_skew`` later."""
+    timing = timing or TimingModel()
+    accesses = []
+    for event in trace:
+        instruction = event.instruction
+        if type(instruction) is Read:
+            cycle, kind = event.cycle, "read"
+        elif type(instruction) is Write:
+            cycle, kind = event.cycle + instruction.dskew(timing), "write"
+        else:
+            continue
+        accesses.append((
+            cycle, str(event.queue.address), kind, instruction.bank,
+            instruction.address,
+        ))
+    return accesses
+
+
+def bank_violations(
+    accesses: list[tuple[int, str, str, int, int]], strict: bool = False
+) -> list[Violation]:
     """MEM pseudo-dual-port constraint plus the compiler's bank discipline.
 
-    Section IV-A: one read and one write may share a cycle only on opposite
-    banks.  The stream compiler additionally keeps a convention — operand
-    reads come from bank 0 (``INPUT_BANK``) and result writes land in bank 1
-    (``RESULT_BANK``) — which is what makes same-cycle read+write physically
-    schedulable.  ``strict_discipline`` enforces that convention; leave it
-    off for hand-built programs that address banks freely.
+    Section IV-A: one read and one write may share a cycle only on
+    opposite banks.  The stream compiler additionally keeps a convention —
+    operand reads come from bank 0 (``INPUT_BANK``) and result writes land
+    in bank 1 (``RESULT_BANK``) — which is what makes same-cycle
+    read+write physically schedulable.  ``strict`` enforces that
+    convention; leave it off for hand-built programs that address banks
+    freely.
     """
-
-    name = "bank-discipline"
-
-    def __init__(self, strict_discipline: bool = False) -> None:
-        super().__init__()
-        self.strict_discipline = strict_discipline
-        self._accesses: dict[tuple[str, int], list[tuple[str, int]]] = {}
-
-    def on_mem_access(
-        self, cycle: int, slice_name: str, kind: str, bank: int, address: int
-    ) -> None:
-        key = (slice_name, cycle)
-        accesses = self._accesses.setdefault(key, [])
-        for other_kind, other_bank in accesses:
+    by_slot: dict[tuple[str, int], list[tuple[str, int]]] = {}
+    found = []
+    for cycle, slice_name, kind, bank, address in accesses:
+        slot = by_slot.setdefault((slice_name, cycle), [])
+        for other_kind, other_bank in slot:
             if other_kind == kind:
-                self.record(
-                    cycle,
-                    "bank-conflict",
+                found.append(Violation(
+                    cycle, "bank-conflict",
                     f"{slice_name}: two {kind}s in one cycle",
-                )
+                ))
             elif other_bank == bank:
-                self.record(
-                    cycle,
-                    "bank-conflict",
+                found.append(Violation(
+                    cycle, "bank-conflict",
                     f"{slice_name}: read and write hit bank {bank}",
-                )
-        accesses.append((kind, bank))
-        if len(self._accesses) > 256:
-            for old in [k for k in self._accesses if k[1] < cycle - 8]:
-                del self._accesses[old]
-        if self.strict_discipline:
-            expected = INPUT_BANK if kind == "read" else RESULT_BANK
-            if bank != expected:
-                self.record(
-                    cycle,
-                    "bank-discipline",
-                    f"{slice_name}: {kind} of address {address} hit bank "
-                    f"{bank}, compiler convention is bank {expected}",
-                )
+                ))
+        slot.append((kind, bank))
+        expected = INPUT_BANK if kind == "read" else RESULT_BANK
+        if strict and bank != expected:
+            found.append(Violation(
+                cycle, "bank-discipline",
+                f"{slice_name}: {kind} of address {address} hit bank "
+                f"{bank}, compiler convention is bank {expected}",
+            ))
+    return found
 
 
-class TimingContractChecker(InvariantChecker):
-    """Replays a :class:`ScheduleIntent` against the observed run.
+def contract_violations(
+    intent: "ScheduleIntent", trace: list["TraceEvent"], drives: list[Drive]
+) -> list[Violation]:
+    """A :class:`ScheduleIntent` against the run's record.
 
-    Verifies both halves of Equation 4/5: every reserved dispatch cell fires
-    with the promised mnemonic at the promised cycle, and the run drives
-    exactly the streams the lowerings noted — ``t_drive = t_dispatch +
-    d_func``, positions per the moving frame, a temporal shift's re-drives
-    included.  The drive check runs both ways: a promised drive never
-    observed is ``missing-drive``, an observed drive nobody promised is
-    ``unexpected-drive``.  Valid only for a program executed exactly as
-    compiled: a warmup barrier or an ``insert_ifetch`` pass shifts every
-    queue and the contract no longer applies.
+    Verifies both halves of Equation 4/5: every reserved dispatch cell
+    fires with the promised mnemonic at the promised cycle, and the run
+    drives exactly the streams the lowerings noted — ``t_drive =
+    t_dispatch + d_func``, positions per the moving frame, a temporal
+    shift's re-drives included.  The drive check runs both ways: a
+    promised drive never observed is ``missing-drive``, an observed drive
+    nobody promised is ``unexpected-drive``.  Valid only for a program
+    executed exactly as compiled: a warmup barrier or an ``insert_ifetch``
+    pass shifts every queue and the contract no longer applies.
     """
-
-    name = "timing-contract"
-
-    def __init__(self, intent: "ScheduleIntent") -> None:
-        super().__init__()
-        self.intent = intent
-        self._seen_dispatch: set[tuple[str, int]] = set()
-        self._seen_drives: set[tuple[Direction, int, int, int]] = set()
-
-    def on_dispatch(
-        self, cycle: int, icu: str, instruction: Instruction
-    ) -> None:
-        if instruction.mnemonic == "NOP":
-            return  # padding, not a reserved cell
-        cells = self.intent.dispatch_cells.get(icu)
-        expected = None if cells is None else cells.get(cycle)
+    found = []
+    fired: set[tuple[str, int]] = set()
+    for event in trace:
+        mnemonic, icu, cycle = event.mnemonic, event.icu, event.cycle
+        if mnemonic == "NOP":
+            continue  # padding, not a reserved cell
+        expected = intent.dispatch_cells.get(icu, {}).get(cycle)
         if expected is None:
-            self.record(
-                cycle,
-                "unexpected-dispatch",
-                f"{icu}: dispatched {instruction.mnemonic} with no "
-                "reserved cell at this cycle",
-            )
-        elif expected != instruction.mnemonic:
-            self.record(
-                cycle,
-                "dispatch-mismatch",
-                f"{icu}: dispatched {instruction.mnemonic}, schedule "
-                f"reserved {expected}",
-            )
-        self._seen_dispatch.add((icu, cycle))
+            found.append(Violation(
+                cycle, "unexpected-dispatch",
+                f"{icu}: dispatched {mnemonic} with no reserved cell at "
+                "this cycle",
+            ))
+        elif expected != mnemonic:
+            found.append(Violation(
+                cycle, "dispatch-mismatch",
+                f"{icu}: dispatched {mnemonic}, schedule reserved {expected}",
+            ))
+        fired.add((icu, cycle))
+    for icu, cells in intent.dispatch_cells.items():
+        for t, mnemonic in sorted(cells.items()):
+            if (icu, t) not in fired:
+                found.append(Violation(
+                    t, "missing-dispatch",
+                    f"{icu}: schedule reserved {mnemonic} at cycle {t} but "
+                    "nothing dispatched",
+                ))
+    promised, seen = set(intent.drives), set(drives)
+    found += _drive_violations(
+        "missing-drive", promised - seen, "promised but not observed")
+    found += _drive_violations(
+        "unexpected-drive", seen - promised, "observed but never promised")
+    return found
 
-    def on_drive(
-        self, cycle: int, direction: Direction, stream: int, position: int
-    ) -> None:
-        self._seen_drives.add((direction, stream, position, cycle))
 
-    def finish(self, cycle: int) -> None:
-        for icu, cells in self.intent.dispatch_cells.items():
-            for t, mnemonic in sorted(cells.items()):
-                if (icu, t) not in self._seen_dispatch:
-                    self.record(
-                        t,
-                        "missing-dispatch",
-                        f"{icu}: schedule reserved {mnemonic} at cycle {t} "
-                        "but nothing dispatched",
-                    )
-        promised = set(self.intent.drives)
-        self._report_drives(
-            "missing-drive", promised - self._seen_drives,
-            "promised but not observed",
-        )
-        self._report_drives(
-            "unexpected-drive", self._seen_drives - promised,
-            "observed but never promised",
-        )
+def _drive_violations(kind: str, drives: set, what: str) -> list[Violation]:
+    """One violation per drive, earliest first; past the eighth, one that
+    counts the rest."""
+    ordered = sorted(drives, key=drive_order)
+    found = [
+        Violation(t, kind, f"drive of stream {stream}{direction.value} at "
+                  f"position {position}, cycle {t}: {what}")
+        for direction, stream, position, t in ordered[:8]
+    ]
+    if len(ordered) > 8:
+        found.append(Violation(
+            ordered[8][3], kind, f"{len(ordered) - 8} further drives {what}"
+        ))
+    return found
 
-    def _report_drives(self, kind: str, drives: set, what: str) -> None:
-        """One violation per drive, earliest first; past the eighth, one
-        that counts the rest."""
-        ordered = sorted(drives, key=lambda e: (e[3], e[0].value, e[1], e[2]))
-        for direction, stream, position, t in ordered[:8]:
-            self.record(
-                t, kind,
-                f"drive of stream {stream}{direction.value} at position "
-                f"{position}, cycle {t}: {what}",
-            )
-        if len(ordered) > 8:
-            self.record(
-                ordered[8][3], kind,
-                f"{len(ordered) - 8} further drives {what}",
-            )
+
+def check_run(
+    trace: list["TraceEvent"],
+    drives: list[Drive],
+    timing: TimingModel | None = None,
+    intent: "ScheduleIntent | None" = None,
+    strict_banks: bool = False,
+) -> list[str]:
+    """Every check of one run's record, a ``<check>: <violation>`` line
+    each: stream collisions, bank discipline (``strict_banks``: the
+    compiler's convention too) and, given ``intent``, the timing
+    contract."""
+    found = {
+        "stream-collision": stream_collisions(drives),
+        "bank-discipline": bank_violations(
+            mem_accesses(trace, timing), strict_banks),
+        "timing-contract": [] if intent is None
+        else contract_violations(intent, trace, drives),
+    }
+    return [f"{name}: {v}" for name, vs in found.items() for v in vs]

@@ -15,15 +15,15 @@ schedule — then compares every observable surface bit-for-bit:
 * output tensors and the full materialized MEM image;
 * cycle count, per-run instruction count, and every activity tally
   (including ``stream_hop_bytes``), which the compiler counted;
-* the dispatch trace, and the dispatches the simulated chip's checker
-  saw (every dispatch, stream drive, and SRAM access is recorded);
+* the run's record: the dispatch trace, and the stream drives the
+  simulated chip kept against the plan's ``drives``;
 * ECC correction counts.
 
 That is everything a caller reads back from a run.  A telemetry
 collector's counts are a function of three of these — the dispatch
-trace, the stream drives (:func:`repro.verify.check`'s timing-contract
-checker holds the plan's to the simulated set) and the cycle count — so
-a replayed chip's collector reads what a simulated one does.
+trace, the stream drives and the cycle count — so a replayed chip's
+collector reads what a simulated one does, and the invariant checks
+(:mod:`repro.verify.invariants`) read the simulated leg's record.
 
 A program of ``n`` passes (:mod:`repro.compiler.repeat`) is held to the
 same surfaces: the simulation runs its repeated text on every pass's
@@ -51,52 +51,26 @@ from ..compiler.runner import bind_input, fetch_output, load_compiled
 from ..compiler.scheduler import CompiledProgram
 from ..errors import DivergenceError, SimulationError
 from ..sim.chip import RunResult, TspChip
-from .invariants import InvariantChecker
-
-
-class RecordingChecker(InvariantChecker):
-    """Records the full observable event stream of one run.
-
-    Attached to the simulated chip so the comparator can hold the stream
-    the invariant layer was shown against what the replay reconstructs —
-    not merely the end states.
-    """
-
-    name = "recording"
-
-    def __init__(self) -> None:
-        super().__init__()
-        self.events: list[tuple] = []
-        self.final_cycle: int | None = None
-
-    def on_dispatch(self, cycle, icu, instruction) -> None:
-        self.events.append(("dispatch", cycle, icu, instruction))
-
-    def on_drive(self, cycle, direction, stream, position) -> None:
-        self.events.append(("drive", cycle, direction.value, stream, position))
-
-    def on_mem_access(self, cycle, slice_name, kind, bank, address) -> None:
-        self.events.append(("mem", cycle, slice_name, kind, bank, address))
-
-    def finish(self, cycle) -> None:
-        self.final_cycle = cycle
+from .invariants import Drive, drive_order
 
 
 @dataclass
 class LockstepExecution:
-    """One leg of the comparison."""
+    """One leg of the comparison: its run, its outputs, the MEM image it
+    left and the stream drives it made."""
 
     run: RunResult
     outputs: dict[str, np.ndarray]
     memory: dict[str, bytes]
+    drives: list[Drive]
 
 
 @dataclass
 class LockstepResult:
     """All executions plus every detected divergence.
 
-    ``simulated`` is the reference: the cycle simulator with tracing and
-    a :class:`RecordingChecker` (``recorder``) attached.  ``replay`` is
+    ``simulated`` is the reference: the cycle simulator with tracing on,
+    so its run keeps its whole record.  ``replay`` is
     the schedule's :class:`repro.sim.replay.ReplayPlan`, bound to the
     program and re-executed as fused numpy kernels, write-through, on a
     fresh chip.  It is ``None`` when the program has no plan (``plan`` is
@@ -108,7 +82,6 @@ class LockstepResult:
     """
 
     simulated: LockstepExecution
-    recorder: RecordingChecker
     replay: LockstepExecution | None = None
     plan: object | None = None
     batched: list[dict[str, np.ndarray]] | None = None
@@ -137,10 +110,11 @@ def run_lockstep(
     """Simulate ``compiled``, replay its plan; compare all state.
 
     Every leg starts from a fresh chip with the same memory image and
-    inputs.  The simulation runs with tracing on and a checker attached —
-    neither moves a counter — and the replay traces too: the plan reads
-    its dispatch events off the program and they must equal the simulated
-    ones, cycle, queue, instruction and occupancy.
+    inputs.  The simulation runs with tracing on — it moves no counter —
+    and the replay traces too: the plan reads its dispatch events off the
+    program and they must equal the simulated ones, cycle, queue,
+    instruction and occupancy; its ``drives`` must equal the drives the
+    simulated chip kept.
     With ``warmup_barrier`` the schedule's plan is finished for the
     barrier first (:class:`~repro.sim.replay.ScheduleRecorder`).
 
@@ -173,7 +147,8 @@ def run_lockstep(
             bind_input(chip, spec, inputs[name])
         return chip
 
-    def execution(chip: TspChip, run: RunResult) -> LockstepExecution:
+    def execution(chip: TspChip, run: RunResult,
+                  drives: list[Drive]) -> LockstepExecution:
         return LockstepExecution(
             run=run,
             outputs={
@@ -181,20 +156,17 @@ def run_lockstep(
                 for name, spec in compiled.outputs.items()
             },
             memory=chip.memory_image(),
+            drives=list(drives),
         )
 
     def simulate(program: CompiledProgram) -> LockstepResult:
         chip = fresh_chip(program)
-        checker = RecordingChecker()
-        chip.attach_checker(checker)
         run = chip.run(
             compiled.program,
             max_cycles=max_cycles,
             warmup_barrier=warmup_barrier,
         )
-        return LockstepResult(
-            simulated=execution(chip, run), recorder=checker
-        )
+        return LockstepResult(simulated=execution(chip, run, chip.drives))
 
     def replay(result: LockstepResult, program: CompiledProgram,
                plan) -> LockstepResult:
@@ -202,7 +174,9 @@ def run_lockstep(
             result.plan = plan.bind(program.image)
         if result.plan is not None and result.plan.ok:
             chip = fresh_chip(program)
-            result.replay = execution(chip, result.plan.replay_into(chip))
+            result.replay = execution(
+                chip, result.plan.replay_into(chip), result.plan.drives
+            )
             # the batch axis takes a binding per pass, under pass-0 names
             passes = result.plan.passes
             rows = result.plan.run_batched(
@@ -240,7 +214,9 @@ def _compare(result: LockstepResult) -> None:
 
     Everything the replay engine reconstructs must be bit-identical to
     the simulated run: outputs, memory, cycle/instruction counts, ECC
-    corrections, activity and the dispatch trace.  A simulation walks
+    corrections, activity, the dispatch trace and the stream drives (in
+    cycle order: the simulator keeps a cycle's drives in the order its
+    units make them).  A simulation walks
     every cycle and a replay none, so ``skipped_cycles`` must be 0 and
     ``cycles`` respectively.  Both rows of the pure batched evaluation
     must equal the simulated outputs too — a constant that failed to
@@ -271,15 +247,10 @@ def _compare(result: LockstepResult) -> None:
 
     first_difference("trace", sim.run.trace, replay.run.trace)
     first_difference(
-        "checker dispatch",
-        [e[1:] for e in result.recorder.events if e[0] == "dispatch"],
-        [(t.cycle, t.icu, t.instruction) for t in replay.run.trace],
+        "drives",
+        sorted(sim.drives, key=drive_order),
+        sorted(replay.drives, key=drive_order),
     )
-    if result.recorder.final_cycle != replay.run.cycles:
-        note(
-            f"checker finish cycle: simulated="
-            f"{result.recorder.final_cycle} replay={replay.run.cycles}"
-        )
 
     for name in sorted(set(sim.outputs) | set(replay.outputs)):
         a, b = sim.outputs.get(name), replay.outputs.get(name)

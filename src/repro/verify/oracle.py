@@ -11,7 +11,7 @@ dispatch trace.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,7 +24,6 @@ from ..errors import DivergenceError, SimulationError
 from ..isa.mem import Write
 from ..sim.chip import RunResult, TspChip
 from .interpreter import GraphInterpreter
-from .invariants import InvariantChecker
 
 
 @dataclass
@@ -76,7 +75,6 @@ class DifferentialResult:
     reference: dict[str, np.ndarray]
     run: RunResult
     report: DivergenceReport | None = None
-    checkers: list[InvariantChecker] = field(default_factory=list)
 
     @property
     def ok(self) -> bool:
@@ -89,7 +87,6 @@ def run_differential(
     inputs: dict[str, np.ndarray] | None = None,
     seed: int | None = None,
     after_load=None,
-    checkers: list[InvariantChecker] | None = None,
     warmup_barrier: bool = False,
     max_cycles: int = 1_000_000,
 ) -> DifferentialResult:
@@ -97,16 +94,12 @@ def run_differential(
 
     ``after_load(chip)`` runs after the memory image and inputs are
     emplaced but before the program starts — the hook used by negative
-    tests to seed faults.  ``checkers`` are attached to the chip for the
-    run and returned on the result for inspection.
+    tests to seed faults.
     """
     compiled = compiled if compiled is not None else builder.compile()
     inputs = inputs or {}
-    checkers = checkers or []
 
     chip = TspChip(builder.config, timing=builder.timing, trace=True)
-    for checker in checkers:
-        chip.attach_checker(checker)
     load_compiled(chip, compiled)
     for name, spec in compiled.inputs.items():
         if name not in inputs:
@@ -123,7 +116,19 @@ def run_differential(
         name: fetch_output(chip, spec)
         for name, spec in compiled.outputs.items()
     }
+    return interpreted(builder, compiled, inputs, outputs, run, seed)
 
+
+def interpreted(
+    builder: StreamProgramBuilder,
+    compiled: CompiledProgram,
+    inputs: dict[str, np.ndarray],
+    outputs: dict[str, np.ndarray],
+    run: RunResult,
+    seed: int | None = None,
+) -> DifferentialResult:
+    """The ``outputs`` a simulated ``run`` of ``compiled`` fetched,
+    against the graph interpreter's on ``inputs``."""
     # a program of n passes is the graph n times over, a binding a pass
     names = [n.name for n in builder.graph.nodes.values()
              if n.kind is OpKind.INPUT]
@@ -135,11 +140,7 @@ def run_differential(
     ])
     report = _compare(builder, compiled, outputs, reference, run, seed)
     return DifferentialResult(
-        outputs=outputs,
-        reference=reference,
-        run=run,
-        report=report,
-        checkers=checkers,
+        outputs=outputs, reference=reference, run=run, report=report
     )
 
 

@@ -1,14 +1,15 @@
 """The conformance sweep: every instruction class, oracle-checked.
 
-Compiled programs (:data:`PROGRAMS`) go through :func:`check`: the graph
-interpreter with the full checker stack attached (stream collisions, bank
-discipline, the Equation-4/5 timing contract), then the simulated /
-replayed lockstep.  Instructions the stream compiler never emits — ``LW``,
-``Scatter``, ``Repeat``, ``Config``, ``Ifetch``, ``Deskew``/``Send``/
-``Receive`` — are exercised by hand-built programs (:data:`CASES`) with
-independently computed expected results.  One :class:`CoverageTracker`
-observes every run, and :func:`run_conformance` fails if any instruction
-class drops below the coverage threshold.
+Compiled programs (:data:`PROGRAMS`) go through :func:`check`: one
+simulation, held to the graph interpreter and to every invariant check of
+its record (stream collisions, bank discipline, the Equation-4/5 timing
+contract), and in lockstep with its replays.  Instructions the stream
+compiler never emits — ``LW``, ``Scatter``, ``Repeat``, ``Config``,
+``Ifetch``, ``Deskew``/``Send``/``Receive`` — are exercised by hand-built
+programs (:data:`CASES`) with independently computed expected results.
+One :class:`CoverageTracker` counts every run's dispatches, and
+:func:`run_conformance` fails if any instruction class drops below the
+coverage threshold.
 
 Run standalone with ``python -m repro.verify``.
 """
@@ -23,7 +24,7 @@ from ..arch.geometry import Direction, Hemisphere
 from ..arch.streams import DType, join_byte_planes
 from ..compiler.api import StreamProgramBuilder
 from ..config import ArchConfig, small_test_chip
-from ..errors import CoverageError, VerificationError
+from ..errors import CoverageError, InvariantViolationError, VerificationError
 from ..isa import (
     Accumulate,
     ActivationBufferControl,
@@ -46,14 +47,9 @@ from ..isa import (
 from ..sim.chip import TspChip
 from ..testing import redrawn
 from .coverage import CoverageTracker
-from .invariants import (
-    BankDisciplineChecker,
-    InvariantChecker,
-    StreamCollisionChecker,
-    TimingContractChecker,
-)
+from .invariants import check_run
 from .lockstep import run_lockstep
-from .oracle import run_differential
+from .oracle import interpreted
 
 E = Direction.EASTWARD
 W = Direction.WESTWARD
@@ -116,32 +112,32 @@ def _fp16(shape, offset=0):
 
 def check(builder, inputs=None, *, compiled=None, tracker=None,
           warmup=False):
-    """The one check of a compiled program: simulated with the stream
-    collision, strict bank and (unless ``warmup``, which shifts the
-    schedule) timing-contract checkers attached, against the graph
-    interpreter; then in lockstep with its replays, and with those of a
-    :func:`~repro.testing.redrawn` sibling bound to its schedule.
+    """The one check of a compiled program: in lockstep with its replays,
+    and with those of a :func:`~repro.testing.redrawn` sibling bound to
+    its schedule; the lockstep's simulated run held to the graph
+    interpreter and to the stream collision, strict bank and (unless
+    ``warmup``, which shifts the schedule) timing-contract checks of its
+    record.  ``tracker`` counts that run's dispatches.
 
     Every check runs; :class:`VerificationError` names each that failed,
     a line ``<check>: <what>`` per failure.  Returns the differential
     result, whose ``outputs`` a caller may hold to its own oracle.
     """
     compiled = compiled if compiled is not None else builder.compile()
-    checkers: list[InvariantChecker] = [
-        StreamCollisionChecker(),
-        BankDisciplineChecker(strict_discipline=True),
-    ]
-    if not warmup:
-        checkers.append(TimingContractChecker(compiled.intent))
-    result = run_differential(
-        builder, compiled=compiled, inputs=inputs, warmup_barrier=warmup,
-        checkers=checkers + ([tracker.checker()] if tracker else []),
-    )
-    failures = [f"oracle: {result.report.render()}"] if result.report else []
-    failures += [f"{c.name}: {v}" for c in checkers for v in c.violations]
     lockstep = run_lockstep(
         compiled, inputs=inputs, timing=builder.timing, warmup_barrier=warmup,
         sibling=compiled.schedule.bind(redrawn(builder).graph),
+    )
+    simulated = lockstep.simulated
+    result = interpreted(
+        builder, compiled, inputs or {}, simulated.outputs, simulated.run
+    )
+    if tracker is not None:
+        tracker.record_trace(simulated.run.trace)
+    failures = [f"oracle: {result.report.render()}"] if result.report else []
+    failures += check_run(
+        simulated.run.trace, simulated.drives, builder.timing,
+        intent=None if warmup else compiled.intent, strict_banks=True,
     )
     failures += [f"lockstep: {m}" for m in lockstep.mismatches]
     if failures:
@@ -349,16 +345,15 @@ PROGRAMS = [
 # ----------------------------------------------------------------------
 # hand-built programs for instructions the compiler never emits
 # ----------------------------------------------------------------------
-def _hand_chip(config: ArchConfig, tracker: CoverageTracker):
-    chip = TspChip(config, trace=True)
-    checkers = [
-        StreamCollisionChecker(),
-        BankDisciplineChecker(),
-        tracker.checker(),
-    ]
-    for checker in checkers:
-        chip.attach_checker(checker)
-    return chip, checkers
+def _hand_run(chip: TspChip, program: Program, tracker: CoverageTracker):
+    """Run ``program`` on the traced ``chip``, count its dispatches into
+    ``tracker`` and raise :class:`InvariantViolationError` on a stream
+    collision or bank conflict in its record."""
+    chip.run(program)
+    tracker.record_trace(chip.trace)
+    violations = check_run(chip.trace, chip.drives, chip.timing)
+    if violations:
+        raise InvariantViolationError("\n".join(violations))
 
 
 def _expect_equal(actual, expected, what: str) -> None:
@@ -370,7 +365,7 @@ def _expect_equal(actual, expected, what: str) -> None:
 
 def case_scatter_hand(config: ArchConfig, tracker: CoverageTracker):
     """Scatter: per-lane indirect write (Section III-B)."""
-    chip, checkers = _hand_chip(config, tracker)
+    chip = TspChip(config, trace=True)
     fp = chip.floorplan
     lanes = config.n_lanes
     values = (np.arange(lanes) * 3 % 251).astype(np.uint8)
@@ -393,18 +388,16 @@ def case_scatter_hand(config: ArchConfig, tracker: CoverageTracker):
     program.add(
         IcuId(target), Scatter(stream=0, map_stream=1, direction=E, base=16)
     )
-    chip.run(program)
+    _hand_run(chip, program, tracker)
     stored = chip.read_memory(Hemisphere.EAST, 3, 16, 4)
     expected = np.zeros((4, lanes), dtype=np.uint8)
     expected[offsets, np.arange(lanes)] = values
     _expect_equal(stored, expected, "scatter")
-    for checker in checkers:
-        checker.raise_if_violated()
 
 
 def case_mxm_lw_staging(config: ArchConfig, tracker: CoverageTracker):
     """LW-staged install: Read rows -> LW buffer -> IW -> ABC -> ACC."""
-    chip, checkers = _hand_chip(config, tracker)
+    chip = TspChip(config, trace=True)
     fp = chip.floorplan
     lanes = config.n_lanes
     rows = 4
@@ -463,7 +456,7 @@ def case_mxm_lw_staging(config: ArchConfig, tracker: CoverageTracker):
         capture = emit + fp.delta(out, mxm)
         program.add(icu, Nop(capture - 1 - program.dispatch_length(icu)))
         program.add(icu, Write(address=120, stream=j, direction=W))
-    chip.run(program)
+    _hand_run(chip, program, tracker)
 
     planes = [
         chip.read_memory(Hemisphere.EAST, j, 120)[0] for j in range(4)
@@ -472,15 +465,13 @@ def case_mxm_lw_staging(config: ArchConfig, tracker: CoverageTracker):
     acc = w.astype(np.int64).T @ act[:rows].astype(np.int64)
     expected = np.clip(acc, -(2**31), 2**31 - 1).astype(np.int32)
     _expect_equal(result, expected, "LW-staged matmul")
-    for checker in checkers:
-        checker.raise_if_violated()
 
 
 def case_c2c_loopback(config: ArchConfig, tracker: CoverageTracker):
     """Deskew/Send/Receive over a looped-back East link."""
     from ..sim.c2c import DEFAULT_LINK_LATENCY
 
-    chip, checkers = _hand_chip(config, tracker)
+    chip = TspChip(config, trace=True)
     fp = chip.floorplan
     chip.c2c_unit(Hemisphere.EAST).loopback(0)
     data = (np.arange(config.n_lanes) * 11 % 256).astype(np.uint8)
@@ -497,16 +488,14 @@ def case_c2c_loopback(config: ArchConfig, tracker: CoverageTracker):
     capture = 5 + hops
     program.add(c2c, Nop(DEFAULT_LINK_LATENCY))
     program.add(c2c, Receive(link=0, mem_slice=2, address=8))
-    chip.run(program)
+    _hand_run(chip, program, tracker)
     landed = chip.read_memory(Hemisphere.EAST, 2, 8)[0]
     _expect_equal(landed, data, "c2c loopback")
-    for checker in checkers:
-        checker.raise_if_violated()
 
 
 def case_icu_repeat_config(config: ArchConfig, tracker: CoverageTracker):
     """Config, Ifetch, and Repeat re-dispatching a Read."""
-    chip, checkers = _hand_chip(config, tracker)
+    chip = TspChip(config, trace=True)
     fp = chip.floorplan
     data = (np.arange(config.n_lanes) * 5 % 256).astype(np.uint8)
     chip.load_memory(Hemisphere.WEST, 0, 0, data[None, :])
@@ -524,11 +513,9 @@ def case_icu_repeat_config(config: ArchConfig, tracker: CoverageTracker):
     out = IcuId(dst)
     program.add(out, Nop(capture - 1))
     program.add(out, Write(address=30, stream=0, direction=E))
-    chip.run(program)
+    _hand_run(chip, program, tracker)
     landed = chip.read_memory(Hemisphere.EAST, 1, 30)[0]
     _expect_equal(landed, data, "repeated read")
-    for checker in checkers:
-        checker.raise_if_violated()
 
 
 # ----------------------------------------------------------------------

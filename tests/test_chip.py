@@ -424,6 +424,21 @@ class TestObserversFollowDispatches:
             assert calls == [("charge", None)], name
             assert collector.rollup() == result.activity, name
 
+    def test_drives_are_kept_with_the_dispatches(self, config, programs):
+        """A chip keeps a run's stream drives, the record the invariant
+        checks read, exactly when it keeps its dispatches: it traces or
+        charges a collector.  A bare chip keeps neither."""
+        from repro.obs import TelemetryCollector
+
+        for name, program in programs.items():
+            bare, watched = TspChip(config), TspChip(config)
+            traced = TspChip(config, trace=True)
+            watched.attach_telemetry(TelemetryCollector())
+            for chip in (bare, traced, watched):
+                chip.run(program)
+            assert bare.trace == bare.drives == [], name
+            assert traced.drives and traced.drives == watched.drives, name
+
     def test_occupancy_is_worked_out_once_per_instruction(
         self, config, monkeypatch
     ):

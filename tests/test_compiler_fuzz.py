@@ -7,10 +7,10 @@ timing-model inconsistency between the scheduler and the simulator breaks
 this, so these tests fuzz the whole stack at once.
 
 Every compiled program runs through :func:`repro.verify.check` — the
-differential oracle with the full invariant-checker stack attached
+lockstep with its replays and a sibling's, its simulated run held to the
+differential oracle and every invariant check of its record
 (stream-collision, strict bank discipline, the Equation-4/5 timing
-contract), then the lockstep with its replays and a sibling's — in
-addition to each test's own independent numpy oracle.
+contract) — in addition to each test's own independent numpy oracle.
 
 Set ``REPRO_FUZZ_DEEP=1`` for the long-soak configuration (roughly 5-8x
 the example counts); the default stays fast enough for tier-1.

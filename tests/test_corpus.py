@@ -25,7 +25,7 @@ CORPUS = {entry.name: entry for entry in corpus()}
 
 
 @pytest.mark.parametrize("name", CORPUS)
-def test_corpus_program_passes_the_check(name):
+def test_corpus_program_passes_the_check(name, monkeypatch):
     entry = CORPUS[name]
     if name in REJECTED:
         with pytest.raises(ScheduleError, match=f"could not place "
@@ -42,7 +42,17 @@ def test_corpus_program_passes_the_check(name):
     if plan is not None:
         assert compiled.intent.drives is plan.drives
         assert compiled.replay.ok, compiled.replay.reason
+    # the program simulates once, and a sibling with a plan to replay once
+    # more: every other check reads those runs
+    runs, simulate = [], TspChip.run
+
+    def counted(chip, *args, **kwargs):
+        runs.append(chip)
+        return simulate(chip, *args, **kwargs)
+
+    monkeypatch.setattr(TspChip, "run", counted)
     check(entry.builder, entry.inputs, compiled=compiled)
+    assert len(runs) == 1 + (plan is not None)
 
 
 def failures(name) -> list[str]:
@@ -102,6 +112,32 @@ def test_a_short_footprint_fails_the_lockstep(monkeypatch):
     assert all(line.startswith("lockstep: ") for line in lines), lines
     assert "lockstep: footprint: the run touched MEM slice MEM_E0 off the " \
         "plan's" in lines
+
+
+def test_a_moved_barrier_drive_fails_the_lockstep(monkeypatch):
+    """A plan finished for the warmup barrier charges its drives shifted
+    to the release: one a cycle late is held to the barrier run's drives
+    on both legs, and only the lockstep sees it."""
+    finish = ScheduleRecorder.finish
+
+    def moved(self):
+        plan = finish(self)
+        if not self.warmup_barrier:
+            return plan
+        (direction, stream, position, cycle), *rest = plan.drives
+        return replace(plan, drives=[(direction, stream, position, cycle + 1),
+                                     *rest])
+
+    monkeypatch.setattr(ScheduleRecorder, "finish", moved)
+    entry = CORPUS["suite/warmup-barrier"]
+    with pytest.raises(VerificationError) as failed:
+        check(entry.builder, entry.inputs, compiled=entry.compile(),
+              warmup=True)
+    lines = str(failed.value).splitlines()
+    assert all(line.startswith("lockstep: ") for line in lines), lines
+    assert any(line.startswith("lockstep: drives") for line in lines), lines
+    assert any(line.startswith("lockstep: sibling: drives")
+               for line in lines), lines
 
 
 def test_no_instruction_is_formatted_until_a_trace_is_rendered(monkeypatch):

@@ -19,7 +19,7 @@ from repro.isa.mem import Read
 from repro.isa.program import Program
 from repro.obs import PerfettoTraceBuilder, TelemetryCollector
 from repro.sim.chip import TspChip
-from repro.sim.tracer import instruction_duration, mnemonic_duration
+from repro.sim.tracer import instruction_duration
 
 import golden_trace
 
@@ -50,13 +50,6 @@ class TestDurations:
         assert instruction_duration(read, timing, config) == max(
             timing.functional_delay("Read"), read.dskew(timing) + 1
         )
-
-    def test_mnemonic_fallback(self):
-        timing = TimingModel()
-        assert mnemonic_duration("Read", timing) == max(
-            1, timing.functional_delay("Read")
-        )
-        assert mnemonic_duration("NotAnInstruction", timing) == 1
 
 
 class TestTraceStructure:

@@ -44,7 +44,6 @@ from repro.sim.icu import QueueSet
 from repro.sim.replay import flights, replay_allowed
 from repro.sim.streamreg import StreamRegisterFile
 from repro.verify import assert_lockstep
-from repro.verify.invariants import StreamCollisionChecker
 from repro.verify.suite import PROGRAMS
 
 N_ROWS, K, M = 4, 16, 8
@@ -553,8 +552,6 @@ PERTURBATIONS = {
     "superlanes_off": ("superlane-off", _on_fresh_chip(
         lambda chip: chip.set_superlane_power(0, False),
         lambda chip: chip.set_superlane_power(0, True))),
-    "checkers": ("checker-attached", _on_fresh_chip(
-        lambda chip: chip.attach_checker(StreamCollisionChecker()))),
     "watchdog": ("watchdog-armed", _on_fresh_chip(
         lambda chip: chip.arm_watchdog(Watchdog(deadline=10**9, label="t")),
         TspChip.disarm_watchdog)),

@@ -4,7 +4,7 @@ Two layers of guarantees:
 
 * ``TspChip.scrub()`` is a factory reset — two tenants sharing a pooled
   chip back-to-back must see bit-identical results and cycle counts to
-  fresh chips, with no SRAM, trace, telemetry, checker, or watchdog
+  fresh chips, with no SRAM, trace, telemetry or watchdog
   leakage between checkouts (the chip-reuse regression suite).
 * A worker that faults mid-batch fails only its own batch's requests —
   each with the chip/cycle context the simulator attached — and the pool
@@ -63,7 +63,6 @@ class TestScrub:
         assert chip.now == 0
         assert chip.obs is None          # telemetry does not leak
         assert chip.watchdog is None     # armed deadlines do not leak
-        assert chip.checkers == []
         assert chip.srf.hop_bytes_total == 0
         assert not chip.superlanes_off
         assert chip.weights_installed_cycle is None

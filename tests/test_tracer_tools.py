@@ -7,7 +7,7 @@ import numpy as np
 from repro.arch import Direction, Hemisphere
 from repro.isa import IcuId, Nop, Program, Read, Write
 from repro.obs.trace import PerfettoTraceBuilder
-from repro.sim import TspChip, utilization_histogram
+from repro.sim import TspChip
 
 
 def traced_run(config, rng):
@@ -65,19 +65,6 @@ class TestChromeTrace:
         for f, s in nonzero:
             assert f["ts"] == s["ts"] / 2
             assert f["dur"] == s["dur"] / 2
-
-
-class TestUtilization:
-    def test_histogram_excludes_nops(self, config, rng):
-        chip, result = traced_run(config, rng)
-        util = utilization_histogram(chip.trace, result.cycles)
-        assert 0 < util["MEM_W0"] <= 1.0
-        # MEM_E0 dispatched 1 write + 1 NOP: only the write counts
-        assert util["MEM_E0"] == 1 / result.cycles
-
-    def test_empty_cases(self):
-        assert utilization_histogram([], 0) == {}
-        assert utilization_histogram([], 100) == {}
 
 
 class TestReportCli:

@@ -1,10 +1,11 @@
-"""Invariant-checker and ISA-coverage tests.
+"""Invariant-check and ISA-coverage tests.
 
-Each checker gets a unit test against its hooks plus an integration test
-where a real defect — two producers on one stream register, a same-bank
-read+write, an off-by-one NOP against the schedule's timing contract — is
-planted in a program and must be *observed* (recorded) by the checker even
-when the simulator also hard-faults.
+Each check gets a unit test against a hand-written record plus an
+integration test where a real defect — two producers on one stream
+register, a same-bank read+write, an off-by-one NOP against the
+schedule's timing contract — is planted in a program and must be found in
+the run's record (its ``trace`` and ``drives``) even when the simulator
+also hard-faults.
 """
 
 from dataclasses import replace
@@ -19,17 +20,18 @@ from repro.compiler.runner import load_compiled
 from repro.errors import (
     BankConflictError,
     CoverageError,
-    InvariantViolationError,
     StreamContentionError,
 )
 from repro.isa import BinaryOp, Gather, IcuId, Nop, Program, Read, Write
 from repro.sim import TspChip
 from repro.verify import (
-    BankDisciplineChecker,
     CoverageTracker,
-    StreamCollisionChecker,
-    TimingContractChecker,
+    bank_violations,
+    check_run,
+    contract_violations,
+    mem_accesses,
     run_conformance,
+    stream_collisions,
 )
 
 E = Direction.EASTWARD
@@ -53,14 +55,13 @@ def _add_pair(config):
 
 
 def _contract(b, compiled, program=None):
-    """The timing contract of ``compiled`` checked over a run of
-    ``program`` (by default its own text) on a freshly loaded chip."""
-    checker = TimingContractChecker(compiled.intent)
-    chip = TspChip(b.config, timing=b.timing)
-    chip.attach_checker(checker)
+    """The timing-contract violations of ``compiled`` over the record of
+    a run of ``program`` (by default its own text) on a freshly loaded
+    chip."""
+    chip = TspChip(b.config, timing=b.timing, trace=True)
     load_compiled(chip, compiled)
-    chip.run(compiled.program if program is None else program)
-    return checker
+    run = chip.run(compiled.program if program is None else program)
+    return contract_violations(compiled.intent, run.trace, chip.drives)
 
 
 def _edited(compiled, kind, edit):
@@ -76,31 +77,27 @@ def _edited(compiled, kind, edit):
 # ----------------------------------------------------------------------
 class TestStreamCollision:
     def test_same_cycle_double_drive_recorded(self):
-        c = StreamCollisionChecker()
-        c.on_drive(5, E, 3, 10)
-        c.on_drive(5, E, 3, 10)
-        assert not c.ok
-        assert c.violations[0].kind == "stream-collision"
-        with pytest.raises(InvariantViolationError, match="stream-collision"):
-            c.raise_if_violated()
+        drives = [(E, 3, 10, 5), (E, 3, 10, 5)]
+        (found,) = stream_collisions(drives)
+        assert (found.kind, found.cycle) == ("stream-collision", 5)
+        (line,) = check_run([], drives)
+        assert line.startswith("stream-collision: [cycle 5]"), line
 
     def test_distinct_cycle_stream_direction_ok(self):
-        c = StreamCollisionChecker()
-        c.on_drive(5, E, 3, 10)
-        c.on_drive(6, E, 3, 10)  # next cycle: fine
-        c.on_drive(6, W, 3, 10)  # other direction: fine
-        c.on_drive(6, E, 4, 10)  # other stream: fine
-        assert c.ok
+        assert stream_collisions([
+            (E, 3, 10, 5),
+            (E, 3, 10, 6),  # next cycle: fine
+            (W, 3, 10, 6),  # other direction: fine
+            (E, 4, 10, 6),  # other stream: fine
+        ]) == []
 
     def test_integration_gather_read_same_register(self, config):
         """Gather at t drives at t+7; Read at t+2 drives at t+7 — collision.
 
-        The simulator hard-faults too; the checker must have recorded the
-        collision before the raise (its hook fires first).
+        The simulator hard-faults too; the chip kept the second drive
+        before the raise, so the collision is in the run's record.
         """
-        chip = TspChip(config)
-        checker = StreamCollisionChecker()
-        chip.attach_checker(checker)
+        chip = TspChip(config, trace=True)
         icu = IcuId(chip.floorplan.mem_slice(Hemisphere.WEST, 0))
         program = Program()
         program.add(icu, Gather(stream=5, map_stream=6, direction=E))
@@ -108,65 +105,69 @@ class TestStreamCollision:
         program.add(icu, Read(address=0, stream=5, direction=E))
         with pytest.raises(StreamContentionError):
             chip.run(program)
-        assert [v.kind for v in checker.violations] == ["stream-collision"]
+        found = stream_collisions(chip.drives)
+        assert [v.kind for v in found] == ["stream-collision"]
 
 
 # ----------------------------------------------------------------------
 class TestBankDiscipline:
     def test_same_bank_read_write_recorded(self):
-        c = BankDisciplineChecker()
-        c.on_mem_access(4, "MEM_W0", "read", 0, 2)
-        c.on_mem_access(4, "MEM_W0", "write", 0, 6)
-        assert [v.kind for v in c.violations] == ["bank-conflict"]
+        found = bank_violations([
+            (4, "MEM_W0", "read", 0, 2), (4, "MEM_W0", "write", 0, 6),
+        ])
+        assert [v.kind for v in found] == ["bank-conflict"]
 
     def test_two_reads_one_cycle_recorded(self):
-        c = BankDisciplineChecker()
-        c.on_mem_access(4, "MEM_W0", "read", 0, 2)
-        c.on_mem_access(4, "MEM_W0", "read", 1, 3)
-        assert [v.kind for v in c.violations] == ["bank-conflict"]
+        found = bank_violations([
+            (4, "MEM_W0", "read", 0, 2), (4, "MEM_W0", "read", 1, 3),
+        ])
+        assert [v.kind for v in found] == ["bank-conflict"]
 
     def test_opposite_banks_and_convention_ok(self):
-        c = BankDisciplineChecker(strict_discipline=True)
-        c.on_mem_access(4, "MEM_W0", "read", 0, 2)  # INPUT_BANK
-        c.on_mem_access(4, "MEM_W0", "write", 1, 7)  # RESULT_BANK
-        assert c.ok
+        assert bank_violations([
+            (4, "MEM_W0", "read", 0, 2),  # INPUT_BANK
+            (4, "MEM_W0", "write", 1, 7),  # RESULT_BANK
+        ], strict=True) == []
 
     def test_strict_discipline_flags_read_of_result_bank(self):
-        c = BankDisciplineChecker(strict_discipline=True)
-        c.on_mem_access(5, "MEM_W0", "read", 1, 7)
-        assert [v.kind for v in c.violations] == ["bank-discipline"]
+        found = bank_violations([(5, "MEM_W0", "read", 1, 7)], strict=True)
+        assert [v.kind for v in found] == ["bank-discipline"]
 
     def test_integration_write_then_read_same_bank(self, config):
         """Write at t samples (and occupies its bank) at t+1; a Read
-        dispatched at t+1 hitting the same bank violates Section IV-A."""
-        chip = TspChip(config)
-        checker = BankDisciplineChecker()
-        chip.attach_checker(checker)
+        dispatched at t+1 hitting the same bank violates Section IV-A.
+        The chip kept the Read's dispatch before its access faulted."""
+        chip = TspChip(config, trace=True)
         icu = IcuId(chip.floorplan.mem_slice(Hemisphere.WEST, 0))
         program = Program()
         program.add(icu, Write(address=3, stream=0, direction=E))  # bank 1
         program.add(icu, Read(address=1, stream=1, direction=E))  # bank 1
         with pytest.raises(BankConflictError):
             chip.run(program)
-        assert any(v.kind == "bank-conflict" for v in checker.violations)
+        accesses = mem_accesses(chip.trace, chip.timing)
+        assert accesses == [(1, "MEM_W0", "write", 1, 3),
+                            (1, "MEM_W0", "read", 1, 1)]
+        found = bank_violations(accesses)
+        assert [v.kind for v in found] == ["bank-conflict"]
 
     def test_compiled_programs_keep_the_convention(self, config):
         """The stream compiler reads bank 0 and writes bank 1, always."""
         b, compiled = _add_pair(config)
-        checker = BankDisciplineChecker(strict_discipline=True)
-        chip = TspChip(b.config, timing=b.timing)
-        chip.attach_checker(checker)
+        chip = TspChip(b.config, timing=b.timing, trace=True)
         load_compiled(chip, compiled)
-        chip.run(compiled.program)
-        assert checker.ok, [str(v) for v in checker.violations]
+        run = chip.run(compiled.program)
+        accesses = mem_accesses(run.trace, chip.timing)
+        assert accesses
+        found = bank_violations(accesses, strict=True)
+        assert found == [], [str(v) for v in found]
 
 
 # ----------------------------------------------------------------------
 class TestTimingContract:
     def test_clean_run_satisfies_contract(self, config):
         b, compiled = _add_pair(config)
-        checker = _contract(b, compiled)
-        assert checker.ok, [str(v) for v in checker.violations]
+        found = _contract(b, compiled)
+        assert found == [], [str(v) for v in found]
 
     def test_off_by_one_nop_detected(self, config):
         """Stretch one NOP in a Write queue by a cycle: the delayed Write
@@ -189,21 +190,19 @@ class TestTimingContract:
                 queue[k] = Nop(queue[k].count + 1)
             perturbed.extend(icu, queue)
 
-        checker = _contract(b, compiled, perturbed)
-        kinds = {v.kind for v in checker.violations}
-        assert "missing-dispatch" in kinds, checker.violations
-        assert kinds & {"unexpected-dispatch", "dispatch-mismatch"}, (
-            checker.violations
-        )
+        found = _contract(b, compiled, perturbed)
+        kinds = {v.kind for v in found}
+        assert "missing-dispatch" in kinds, found
+        assert kinds & {"unexpected-dispatch", "dispatch-mismatch"}, found
 
     def test_dropped_queue_detected_as_missing_drive(self, config):
         """Deleting the VXM queue silences its predicted drives: the
-        checker reports both the unfired cells and the unobserved drives."""
+        check reports both the unfired cells and the unobserved drives."""
         b, compiled = _add_pair(config)
-        checker = _contract(
+        found = _contract(
             b, compiled, _edited(compiled, SliceKind.VXM, lambda q: [])
         )
-        kinds = {v.kind for v in checker.violations}
+        kinds = {v.kind for v in found}
         assert "missing-dispatch" in kinds
         assert "missing-drive" in kinds
 
@@ -221,10 +220,9 @@ class TestTimingContract:
             )
             return queue
 
-        checker = _contract(
+        (violation,) = _contract(
             b, compiled, _edited(compiled, SliceKind.VXM, widen)
         )
-        (violation,) = checker.violations
         assert (violation.kind, violation.cycle) == ("unexpected-drive", 7)
         assert "stream 29E at position 19, cycle 7" in violation.message
 
@@ -246,14 +244,14 @@ class TestTimingContract:
             t for _d, _s, p, t in compiled.intent.drives if p == position
         )
         assert len(copies) == 4
-        checker = _contract(
+        found = _contract(
             b, compiled,
             _edited(compiled, SliceKind.VXM, lambda q: [Nop(1), *q]),
         )
-        drives = [v for v in checker.violations if v.kind.endswith("-drive")]
+        drives = [v for v in found if v.kind.endswith("-drive")]
         assert [(v.kind, v.cycle) for v in drives] == [
             ("missing-drive", copies[0]), ("unexpected-drive", copies[-1] + 1)
-        ], checker.violations
+        ], found
         assert all(f"at position {position}," in v.message for v in drives)
 
 

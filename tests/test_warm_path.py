@@ -27,7 +27,6 @@ from repro.serve import cache as cache_mod
 from repro.sim.chip import TspChip
 from repro.sim.faults import FaultInjector
 from repro.sim.replay import ReplayPlan
-from repro.verify.invariants import StreamCollisionChecker
 
 CONFIG = small_test_chip()
 DEAD = (Hemisphere.WEST, 1)
@@ -135,11 +134,6 @@ class TestBypassPreserved:
         assert calls.get(route) == 2
         assert "run_batched" not in calls
         assert np.array_equal(result.logits, expected)
-
-    def test_checker_attached_simulates(self, warm, calls):
-        chip = TspChip(CONFIG)
-        chip.attach_checker(StreamCollisionChecker())
-        self.check(warm, calls, chip, "chip.run")
 
     def test_injected_fault_simulates(self, warm, calls):
         chip = TspChip(CONFIG)
