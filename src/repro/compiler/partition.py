@@ -21,10 +21,12 @@ module owns every decision about a pipeline's stage boundaries:
   planner: the shortest healthy ring route, then fully timed
   ``Read -> Send -> Receive`` store-and-forward programs for it, with
   the head slice, staging slice and pace decided from the route and the
-  blacklist alone.  A
+  blacklist alone, and the transfer's plan: where each sender's words
+  land, and each chip's :class:`~repro.sim.replay.ReplayPlan`.  A
   :class:`RingTransferPlan` is payload-free and touches no chip;
-  :meth:`RingTransferPlan.run` stages a payload, runs the system in
-  lockstep and reads back what landed.
+  :meth:`RingTransferPlan.run` stages a payload, replays the plan (or,
+  where a chip's state record refuses it, runs the system in lockstep)
+  and reads back what landed.
 * :func:`pack_payload` / :func:`unpack_payload` — raw-byte packing of an
   activation tensor into the ``(n_words, n_lanes)`` uint8 vectors the
   C2C links ship.
@@ -33,7 +35,7 @@ module owns every decision about a pipeline's stage boundaries:
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -43,6 +45,7 @@ from ..errors import C2cLinkError, ConfigError
 from ..isa.c2c import Deskew, Receive, Send
 from ..isa.mem import Read
 from ..isa.program import IcuId, Program
+from ..sim.replay import ReplayPlan, ScheduleRecorder, replay_allowed
 from .cachekey import config_fingerprint
 from .schedule import QueueBuilder
 
@@ -119,6 +122,10 @@ class PartitionPlan:
     n_chips: int
     link_latency: int
     fingerprint: str
+    #: the cache key of each transfer :meth:`transfer` has looked up, by
+    #: what it folds in, so a warm lookup formats no string
+    transfer_keys: dict = field(default_factory=dict, compare=False,
+                                repr=False)
 
     @staticmethod
     def plan(
@@ -179,18 +186,21 @@ class PartitionPlan:
 
         if cache is None:
             return build()
-        latencies = "/".join(
-            str(link.arrival_latency) for link in _hop_links(system, route)[1]
+        latencies = tuple(
+            link.arrival_latency for link in _hop_links(system, route)[1]
         )
-        dead_slices = ",".join(sorted(
-            f"{hemisphere.value}{index}" for hemisphere, index in (
-                blacklist.mem_slices if blacklist is not None else ()
-            )
-        ))
-        key = (
-            f"xfer:{self.fingerprint}:{'-'.join(map(str, route))}:"
-            f"{n_words}:{latencies}:{dead_slices}"
-        )
+        slices = (blacklist.mem_slices if blacklist is not None
+                  else frozenset())
+        folded = (tuple(route), n_words, latencies, slices)
+        key = self.transfer_keys.get(folded)
+        if key is None:
+            dead_slices = ",".join(sorted(
+                f"{hemisphere.value}{index}" for hemisphere, index in slices
+            ))
+            key = self.transfer_keys.setdefault(folded, (
+                f"xfer:{self.fingerprint}:{'-'.join(map(str, route))}:"
+                f"{n_words}:{'/'.join(map(str, latencies))}:{dead_slices}"
+            ))
         return cache.get_or_build(key, build)
 
 
@@ -294,7 +304,8 @@ def plan_ring_route(
 
 @dataclass(frozen=True)
 class RingTransferPlan:
-    """Timed store-and-forward programs along a ring route, one per chip.
+    """Timed store-and-forward programs along a ring route, one per chip,
+    and the plan of a run of them.
 
     What :func:`build_ring_transfer` decided, and nothing a caller chose:
     where the ``n_words`` vectors are staged (``src_hemisphere`` slice
@@ -302,6 +313,14 @@ class RingTransferPlan:
     (``dst_hemisphere`` slice ``stage_slice`` on ``route[-1]``), both
     from address 0.  Payload-free; :meth:`run` moves a payload through
     it.
+
+    The plan: ``hops`` maps each sender's words to its receiver's —
+    ``(sender, (hemisphere, slice), receiver, (hemisphere, slice))``, word
+    ``i`` of the one landing at address ``i`` of the other — and
+    ``plans`` holds each chip's :class:`~repro.sim.replay.ReplayPlan`: its
+    program, the run's cycles, its reads and their stream drives, the C2C
+    links it drives and the activity counted from them.  ``latencies``
+    are the link latencies each hop was timed for.
     """
 
     route: list[int]
@@ -311,14 +330,21 @@ class RingTransferPlan:
     head_slice: int
     stage_slice: int
     n_words: int
+    hops: tuple = ()
+    plans: list = field(default_factory=list, repr=False)
+    latencies: tuple = ()
 
-    def run(self, system, words: np.ndarray) -> tuple[np.ndarray, list]:
-        """Stage ``words`` on the route head, run the whole system in
-        lockstep, and read back what landed on the route's last chip.
+    def run(self, system, words: np.ndarray,
+            replay: bool = True) -> tuple[np.ndarray, list]:
+        """Stage ``words`` on the route head, run the transfer, and read
+        back what landed on the route's last chip.
 
+        The plan stands in for the run whenever :meth:`replays` (and
+        ``replay``, which a test that means the simulator turns off);
+        otherwise the whole system simulates the programs in lockstep.
         Returns the landed ``(n_words, n_lanes)`` uint8 words and one
-        :class:`~repro.sim.chip.RunResult` per chip (lockstep: every
-        chip reports the same cycle count).
+        :class:`~repro.sim.chip.RunResult` per chip (lockstep: every chip
+        reports the same cycle count).
         """
         if len(words) != self.n_words:
             raise ConfigError(
@@ -328,11 +354,59 @@ class RingTransferPlan:
         system.chips[self.route[0]].load_memory(
             self.src_hemisphere, self.head_slice, 0, words
         )
-        runs = system.run(self.programs, max_cycles=TRANSFER_MAX_CYCLES)
+        if replay and self.replays(system):
+            runs = self.replay(system)
+        else:
+            runs = system.run(self.programs, max_cycles=TRANSFER_MAX_CYCLES)
         landed = system.chips[self.route[-1]].read_memory(
             self.dst_hemisphere, self.stage_slice, 0, self.n_words
         )
         return np.asarray(landed, dtype=np.uint8), runs
+
+    def replays(self, system) -> bool:
+        """May the plan stand in for a run of ``system``?  Each chip's
+        state record decides for its own plan
+        (:func:`~repro.sim.replay.replay_allowed`: a set instrument, or a
+        unit fault its run touches — a dead slice it stages in, an error
+        model on a link it drives — refuses).  So does a chip in strict
+        C2C mode, whose Receives check deskew epochs the plan does not
+        model, and a link whose latency is not the one a hop was timed
+        for."""
+        chips = system.chips
+        if len(chips) != len(self.plans) or any(
+            chips[a].c2c_unit(self.src_hemisphere).links[0].latency
+            != latency
+            for a, latency in zip(self.route, self.latencies)
+        ):
+            return False
+        return all(
+            not chip.strict_c2c and replay_allowed(
+                plan, chip, max_cycles=TRANSFER_MAX_CYCLES,
+                warmup_barrier=False,
+            )
+            for chip, plan in zip(chips, self.plans)
+        )
+
+    def replay(self, system) -> list:
+        """Apply the plan to ``system`` as a run of the programs would:
+        each hop's words land in its receiver's slice, and every chip is
+        charged with its plan (:meth:`~repro.sim.replay.ReplayPlan.charge`:
+        activity, ``now``, dispatches when kept, its telemetry collector,
+        its links' counters).  A transfer computes nothing, so this is an
+        identity on the words plus a charge.  One ``RunResult`` per chip.
+        """
+        chips = system.chips
+        for chip in chips:
+            chip.begin_run()
+        for a, src, b, dst in self.hops:
+            chips[b].load_memory(
+                *dst, 0, chips[a].read_memory(*src, 0, self.n_words)
+            )
+        runs = []
+        for chip, plan in zip(chips, self.plans):
+            plan.charge(chip, 1)
+            runs.append(plan.run_result(chip))
+        return runs
 
 
 def _hop_links(system, route: list[int]) -> tuple[Hemisphere, list]:
@@ -408,19 +482,18 @@ def build_ring_transfer(
         )
     stage_slice = _staging_slice(chip0.config, blacklist)
     if len(route) == 1:
-        return RingTransferPlan(
-            route, [Program() for _ in range(n_chips)], Hemisphere.WEST,
-            Hemisphere.WEST, stage_slice, stage_slice, n_words,
-        )
-
-    out_hemisphere, links = _hop_links(system, route)
+        # no hop: the words stay where they are staged, and no chip runs
+        out_hemisphere = in_hemisphere = Hemisphere.WEST
+        head, links = stage_slice, []
+    else:
+        out_hemisphere, links = _hop_links(system, route)
+        # a Receive lands in the hemisphere a relay next departs away from
+        in_hemisphere = out_hemisphere.other
+        head = head_slice(floorplan, out_hemisphere, blacklist)
     direction = (
         Direction.EASTWARD if out_hemisphere is Hemisphere.EAST
         else Direction.WESTWARD
     )
-    # a Receive lands in the hemisphere a relay next departs away from
-    in_hemisphere = out_hemisphere.other
-    head = head_slice(floorplan, out_hemisphere, blacklist)
     interval = (
         DIRECT_HOP_INTERVAL if len(route) == 2
         else STORE_AND_FORWARD_INTERVAL
@@ -434,14 +507,23 @@ def build_ring_transfer(
     d_read = probe_read.dfunc(timing)
     d_send_skew = probe_send.dskew(timing)
     d_recv = probe_recv.dfunc(timing)
+    d_deskew = Deskew(link=0).dfunc(timing)
 
     queues: list[dict[IcuId, QueueBuilder]] = [{} for _ in range(n_chips)]
+    #: per chip, the MEM word each Read reads and the drive it makes
+    reads: list[list] = [[] for _ in range(n_chips)]
+    drives: list[list] = [[] for _ in range(n_chips)]
+    end = 1  # the run retires the cycle after its last event lands
 
-    def at(chip: int, icu: IcuId, cycle: int, instruction) -> None:
+    def at(chip: int, icu: IcuId, cycle: int, instruction,
+           lands: int) -> None:
+        nonlocal end
         if icu not in queues[chip]:
             queues[chip][icu] = QueueBuilder(icu)
         queues[chip][icu].reserve(cycle, instruction)
+        end = max(end, lands + 1)
 
+    hop_words = []
     ready = 0  # cycle the staged payload (vector 0) is readable on route[0]
     for a, b, link in zip(route, route[1:], links):
         hops = floorplan.delta(mem_address, c2c_out)
@@ -450,17 +532,25 @@ def build_ring_transfer(
         recv_icu = IcuId(floorplan.c2c(in_hemisphere), 0)
         t_capture0 = ready + d_read + hops
         # calibrate the egress once, well before the first capture
-        at(a, send_icu, ready, Deskew(link=0))
+        at(a, send_icu, ready, Deskew(link=0), ready + d_deskew)
         for i in range(n_words):
             t_read = ready + i * interval
             t_capture = t_read + d_read + hops
             t_emplace = t_capture + link.arrival_latency
             at(a, mem_icu, t_read,
-               Read(address=i, stream=0, direction=direction))
+               Read(address=i, stream=0, direction=direction),
+               t_read + d_read)
             at(a, send_icu, t_capture - d_send_skew,
-               Send(link=0, stream=0, direction=direction))
+               Send(link=0, stream=0, direction=direction), t_capture)
             at(b, recv_icu, t_emplace - d_recv,
-               Receive(link=0, mem_slice=stage_slice, address=i))
+               Receive(link=0, mem_slice=stage_slice, address=i), t_emplace)
+            reads[a].append((mem_address.hemisphere, mem_address.index, i))
+            drives[a].append((direction, 0, floorplan.position(mem_address),
+                              t_read + d_read))
+        hop_words.append((
+            a, (mem_address.hemisphere, mem_address.index),
+            b, (in_hemisphere, stage_slice),
+        ))
         # next hop may read vector 0 the cycle after it is emplaced
         ready = t_capture0 + link.arrival_latency + 1
         mem_address = relay_address
@@ -471,10 +561,55 @@ def build_ring_transfer(
         for queue in chip_queues.values():
             queue.emit(program)
         programs.append(program)
+    staged = [(out_hemisphere, head, i) for i in range(n_words)]
+    landed = [(in_hemisphere, stage_slice, i) for i in range(n_words)]
     return RingTransferPlan(
         route, programs, out_hemisphere, in_hemisphere, head, stage_slice,
         n_words,
+        hops=tuple(hop_words),
+        plans=[
+            _chip_plan(
+                chip0, program, end, reads[chip], drives[chip],
+                staged if chip == route[0] else [],
+                landed if chip == route[-1] else [],
+            )
+            for chip, program in enumerate(programs)
+        ],
+        latencies=tuple(link.latency for link in links),
     )
+
+
+def _chip_plan(chip0, program: Program, cycles: int, reads: list,
+               drives: list, staged: list, landed: list):
+    """One chip's plan of a transfer run of ``cycles``: ``program``, the
+    MEM words its Reads read (``reads``) and their ``drives``, the words
+    the host stages on it and reads back off it, and the links its C2C
+    instructions drive — its activity counted from these by the
+    compiler's rules (:class:`~repro.sim.replay.ScheduleRecorder`).  A
+    Receive emplaces by the C2C unit's DMA, so it writes no counted SRAM
+    byte, as a simulated one does not."""
+    links: dict = {}
+    kinds = (Deskew, Send, Receive)
+    for icu in program.icus:
+        for instruction in program.queue(icu):
+            if isinstance(instruction, kinds):
+                counts = links.setdefault(
+                    (icu.address.hemisphere, instruction.link), [0, 0, 0]
+                )
+                counts[kinds.index(type(instruction))] += 1
+    return ScheduleRecorder(ReplayPlan(
+        config=chip0.config,
+        timing=chip0.timing,
+        program=program,
+        cycles=cycles,
+        ops=[("read", slot, word) for slot, word in enumerate(reads)],
+        n_slots=len(reads),
+        in_words=[("payload", 0, i, word) for i, word in enumerate(staged)],
+        out_words={"payload": [("t", word) for word in landed]},
+        drives=drives,
+        n_positions=chip0.floorplan.n_positions,
+        links={key: tuple(counts) for key, counts in links.items()},
+    ), warmup_barrier=False).finish()
 
 
 # ----------------------------------------------------------------------

@@ -18,10 +18,10 @@ per chip, activations forwarded over C2C — twice over, into one record
   :meth:`repro.sim.MultiChipSystem.ring`, and every stage boundary runs
   the compiler's transfer for it
   (:meth:`repro.compiler.PartitionPlan.transfer`: compiler-scheduled C2C
-  ``Send``/``Receive`` programs) — the per-stage cycles are measured,
-  not modeled, and the logits are bit-identical to the single-chip
-  oracle (quantize-before-ship commutes with the consumer's layout
-  glue; see
+  ``Send``/``Receive`` programs and their plan) — the per-stage cycles
+  are the programs' own, not modeled, and the logits are bit-identical
+  to the single-chip oracle (quantize-before-ship commutes with the
+  consumer's layout glue; see
   :meth:`~repro.nn.tsp_inference.TspCnnRunner.quantize_boundary`).
 
 Both partition through :meth:`repro.compiler.PartitionPlan.plan`; this
@@ -224,12 +224,16 @@ def execute_pipeline(
     boundary the producer quantizes its compact activation tensor into
     the consumer's int8 domain, packs it into lane-wide byte vectors,
     and runs the compiler's transfer for the boundary
-    (:meth:`~repro.compiler.PartitionPlan.transfer`): the payload is
-    staged on the producer, the whole system runs the timed
-    ``Read -> Send -> Receive`` programs in lockstep, and the consumer
-    computes on exactly the bytes that landed in *its* MEM — so the
-    transport is honest and the logits stay bit-identical to the
-    single-chip oracle.  Payloads larger than a MEM slice are chunked.
+    (:meth:`~repro.compiler.PartitionPlan.transfer`, one cache lookup):
+    the payload is staged on the producer, the transfer's plan lands it
+    in the consumer's MEM and charges every chip with the timed
+    ``Read -> Send -> Receive`` programs' run (where a chip's state
+    record refuses the plan — an error model on a route link, a set
+    instrument — the whole system simulates them in lockstep instead),
+    and the consumer computes on exactly the bytes that landed in *its*
+    MEM, so the logits stay bit-identical to the single-chip oracle.  A
+    warm batch on a healthy ring simulates nothing.  Payloads larger
+    than a MEM slice are chunked.
     One chip is a one-stage plan: the same loop, with no boundary.
 
     ``system`` defaults to a fresh :meth:`MultiChipSystem.ring`; pass a

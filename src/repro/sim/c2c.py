@@ -127,8 +127,9 @@ class C2cLink:
     """One x4 link endpoint: wiring and error process here; the chip sets
     the rest, the CSR counters health polls too (``sim.chip.STATE``)."""
 
-    def __init__(self, index: int) -> None:
+    def __init__(self, index: int, hemisphere: Hemisphere) -> None:
         self.index = index
+        self.hemisphere = hemisphere
         self.peer: tuple["C2cUnit", int] | None = None
         self.latency = DEFAULT_LINK_LATENCY
         self.error_model: LinkErrorModel | None = None
@@ -159,7 +160,9 @@ class C2cUnit(FunctionalUnit):
     def __init__(self, chip: "TspChip", address: SliceAddress) -> None:
         super().__init__(chip, address)
         n_links = chip.config.c2c_links // chip.config.hemispheres
-        self.links = [C2cLink(i) for i in range(n_links)]
+        self.links = [
+            C2cLink(i, address.hemisphere) for i in range(n_links)
+        ]
 
     # ------------------------------------------------------------------
     def connect(

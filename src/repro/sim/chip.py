@@ -157,7 +157,7 @@ class TspChip:
             if entry.tag in (INSTRUMENT, UNIT_FAULT)
         ]
         # the rest of every part's state is what a scrub leaves
-        _refresh(self.parts, _FRESH)
+        _FRESH(self.parts)
 
         if TspChip.auto_telemetry is not None:
             TspChip.auto_telemetry.register(self)
@@ -429,7 +429,7 @@ class TspChip:
         back-to-back ``run()`` calls on one chip behave like runs on a
         freshly powered chip with warm memory.
         """
-        _refresh(self.parts, _RUN_FRESH)
+        _RUN_FRESH(self.parts)
         # anything still in flight drains off the edge during the idle
         # gap between runs; its remaining hops are billed to that gap —
         # callers snapshot hop_bytes_total after this, so neither run's
@@ -449,7 +449,7 @@ class TspChip:
         strict modes) and physical damage (dead slices, link error models)
         survive.
         """
-        _refresh(self.parts, _FRESH)
+        _FRESH(self.parts)
 
     def make_queues(
         self, program: Program, warmup_barrier: bool = False
@@ -557,7 +557,8 @@ class State:
     doc: str
     """What the attribute holds."""
     fresh: object = KEPT
-    """What construction and a scrub set, ``fresh(part)`` if callable;
+    """What construction and a scrub set: a new empty one of an empty
+    container type (:data:`_EMPTY`), else ``fresh(part)`` if callable;
     :data:`KEPT` for configuration and physical damage."""
     run: bool = False
     """Keyed by a run's cycle numbers: each run begins with it fresh."""
@@ -593,7 +594,7 @@ STATE: dict[type, dict[str, State]] = {
         "_units": State(CONFIGURATION, "the functional unit of each slice"),
         "parts": State(CONFIGURATION, "it and all its parts, by kind"),
         "watched": State(CONFIGURATION, "``(part, name, tag)`` to watch"),
-        "trace": State(BENIGN, "the dispatches kept", lambda c: []),
+        "trace": State(BENIGN, "the dispatches kept", list),
         "activity": State(BENIGN, "counters", lambda c: ActivityCounts()),
         "barrier": State(BENIGN, "this run's barrier", lambda c:
                          BarrierController(c.config.barrier_latency_cycles),
@@ -602,14 +603,14 @@ STATE: dict[type, dict[str, State]] = {
         "obs": State(BENIGN, "the telemetry collector each run charges",
                      None),
         "drives": State(BENIGN, "this run's stream drives, kept with "
-                        "``trace``", lambda c: [], run=True),
+                        "``trace``", list, run=True),
         "weights_installed_cycle": State(BENIGN, "last MXM install", None),
         "weights_installed_bytes": State(BENIGN, "bytes installed", 0),
         "watchdog": State(INSTRUMENT, "the armed deadline monitor", None),
         "events": State(INSTRUMENT, "pending events", lambda c: EventQueue()),
         "faults_injected": State(INSTRUMENT, "SRAM bits flipped", 0),
         "external_fault_hooks": State(INSTRUMENT, "checkout hooks", False),
-        "superlanes_off": State(UNIT_FAULT, "powered down", lambda c: set()),
+        "superlanes_off": State(UNIT_FAULT, "powered down", set),
     },
     StreamRegisterFile: {
         "config": State(CONFIGURATION, "the architecture"),
@@ -622,7 +623,7 @@ STATE: dict[type, dict[str, State]] = {
         "_values": State(BENIGN, "values", lambda s: _emptied(s, s._values)),
         "_valid": State(BENIGN, "occupancy", lambda s: _emptied(s, s._valid)),
         "_checks": State(BENIGN, "checks", lambda s: _emptied(s, s._checks)),
-        "_driven_this_cycle": State(BENIGN, "driven now", lambda s: set()),
+        "_driven_this_cycle": State(BENIGN, "driven now", set),
         "_live": State(BENIGN, "live counts, by column", lambda s: ({}, {})),
         "_n_live": State(BENIGN, "their totals", lambda s: [0, 0]),
         "hop_bytes_total": State(BENIGN, "bytes that hopped", 0),
@@ -636,7 +637,7 @@ STATE: dict[type, dict[str, State]] = {
         "_storage": State(BENIGN, "SRAM words, made on first touch", None),
         "_checks": State(BENIGN, "their stored ECC checks", None),
         "_checks_valid_arr": State(BENIGN, "which checks are current", None),
-        "_accesses": State(BENIGN, "this run's log", lambda u: {}, run=True),
+        "_accesses": State(BENIGN, "this run's log", dict, run=True),
         "dead": State(UNIT_FAULT, "a hard failure: every access faults"),
     },
     MxmUnit: {**_UNIT, "planes": State(BENIGN, "weights", dark_planes)},
@@ -645,11 +646,12 @@ STATE: dict[type, dict[str, State]] = {
     C2cUnit: {**_UNIT, "links": State(CONFIGURATION, "its link endpoints")},
     C2cLink: {
         "index": State(CONFIGURATION, "the link's number on its unit"),
+        "hemisphere": State(CONFIGURATION, "the hemisphere of its unit"),
         "peer": State(CONFIGURATION, "the ``(unit, link)`` it is wired to"),
         "latency": State(CONFIGURATION, "cycles a flight takes"),
         "deskewed": State(BENIGN, "deskew training done", False),
         "deskew_epoch": State(BENIGN, "``Deskew``s: a vector's epoch", 0),
-        "rx_queue": State(BENIGN, "in flight", lambda k: deque(), run=True),
+        "rx_queue": State(BENIGN, "in flight", deque, run=True),
         "tx_seq": State(BENIGN, "egress sequence number", 0),
         "sent_vectors": State(BENIGN, "vectors sent", 0),
         "received_vectors": State(BENIGN, "vectors received", 0),
@@ -662,29 +664,38 @@ STATE: dict[type, dict[str, State]] = {
 }
 
 
-def _fresh(run: bool) -> dict:
-    """Per kind of part, ``(name, fresh)`` of the constant and of the
-    callable fresh values, of every entry that has one or of the ``run``
-    ones."""
-    table = {}
-    for kind, record in STATE.items():
+#: fresh values written into a refresh function's text as themselves
+_LITERAL = (bool, int, type(None))
+#: fresh container types, and the literal of a new empty one
+_EMPTY = {list: "[]", dict: "{}", set: "set()", deque: "deque()"}
+
+
+def _compile_refresh(run: bool):
+    """``refresh(parts)``: give every entry of :data:`STATE` that has a
+    fresh value (only the ``run`` ones, with ``run``) that value, on each
+    part of ``parts`` — one function of literal stores, written from the
+    state record once, as :mod:`dataclasses` writes an ``__init__``."""
+    lines, scope = ["def refresh(parts):"], {"deque": deque}
+    for k, (kind, record) in enumerate(STATE.items()):
         entries = [(name, e.fresh) for name, e in record.items()
                    if e.fresh is not KEPT and (e.run or not run)]
-        table[kind] = ([(n, f) for n, f in entries if not callable(f)],
-                       [(n, f) for n, f in entries if callable(f)])
-    return table
+        if not entries:
+            continue
+        scope[f"kind{k}"] = kind
+        lines.append(f"    for part in parts[kind{k}]:")
+        # the callables first: each sees the part as it was
+        for name, fresh in sorted(entries, key=lambda e: not callable(e[1])):
+            if type(fresh) in _LITERAL:
+                value = repr(fresh)
+            elif isinstance(fresh, type) and fresh in _EMPTY:
+                value = _EMPTY[fresh]
+            else:
+                value = f"fresh{k}_{name}" + ("(part)" if callable(fresh)
+                                              else "")
+                scope[f"fresh{k}_{name}"] = fresh
+            lines.append(f"        part.{name} = {value}")
+    exec("\n".join(lines), scope)
+    return scope["refresh"]
 
 
-_FRESH, _RUN_FRESH = _fresh(run=False), _fresh(run=True)
-
-
-def _refresh(parts: dict[type, list], table: dict) -> None:
-    """Give each entry of ``parts`` that ``table`` names its fresh value."""
-    for kind, group in parts.items():
-        constants, factories = table[kind]
-        for part in group if constants or factories else ():
-            # the callables first: each sees the part as it was
-            for name, fresh in factories:
-                setattr(part, name, fresh(part))
-            for name, value in constants:
-                setattr(part, name, value)
+_FRESH, _RUN_FRESH = _compile_refresh(run=False), _compile_refresh(run=True)

@@ -16,7 +16,7 @@ from ..arch.geometry import Hemisphere
 from ..config import ArchConfig
 from ..errors import ConfigError, SimulationError
 from ..isa.program import Program
-from .c2c import DEFAULT_LINK_LATENCY, LinkErrorModel
+from .c2c import DEFAULT_LINK_LATENCY, C2cLink, LinkErrorModel
 from .chip import RunResult, TspChip, run_lockstep
 
 
@@ -94,9 +94,8 @@ class MultiChipSystem:
         injected for one batch cannot poison the next tenant's links.
         """
         for chip in self.chips:
-            for hemisphere in Hemisphere:
-                for link in chip.c2c_unit(hemisphere).links:
-                    link.error_model = None
+            for link in chip.parts[C2cLink]:
+                link.error_model = None
 
     @staticmethod
     def ring(

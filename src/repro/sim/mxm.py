@@ -57,8 +57,21 @@ class MxmPlane:
 
 
 def dark_planes(unit: "MxmUnit") -> list[MxmPlane]:
-    """``unit``'s planes as a fresh chip has them: no weights."""
+    """``unit``'s planes as a fresh chip has them: no weights.  Planes
+    nothing has touched since they were made are kept, not made again."""
     config = unit.chip.config
+    planes = vars(unit).get("planes")
+    if planes is not None and all(
+        plane.weights is None and plane.wide is None
+        and plane.staging is None
+        and not plane.results and not plane.accumulators
+        and not plane.next_result_slot and not plane.next_drain_slot
+        and not plane.tandem_busy and plane.dtype is DType.INT8
+        and plane.rows == config.n_lanes
+        and plane.cols == config.mxm_plane_cols
+        for plane in planes
+    ):
+        return planes
     return [
         MxmPlane(rows=config.n_lanes, cols=config.mxm_plane_cols)
         for _ in range(config.mxm_planes_per_hemisphere)

@@ -36,8 +36,13 @@ Correctness strategy:
   install) fails closed, once per schedule.
 * **The program text decides.**  A program holding an instruction outside
   the plan's straight-line ISA (``Gather``, ``Scatter``, ``Config``, C2C
-  transfers, ``LW``, the barrier and fetch instructions) gets no plan; the
-  dispatch list and the cycle count are read off the program.
+  transfers, ``LW``, the barrier and fetch instructions) gets no plan from
+  the scheduler; the dispatch list and the cycle count are read off the
+  program.  A C2C transfer's planner
+  (:func:`repro.compiler.partition.build_ring_transfer`) writes each
+  chip's plan itself: its ``read`` ops, drives and :attr:`ReplayPlan.links`,
+  counted like any plan's; the words it moves land by the transfer's own
+  word map, so no op computes them.
 * **The activity is counted, then checked.**  Every counter but the hop
   count tallies the ops, and the hop count sweeps the drives;
   :func:`repro.verify.lockstep.run_lockstep` holds both to a simulation.
@@ -46,10 +51,10 @@ Correctness strategy:
   instrument watches or steers a run as it goes — an armed event, a
   watchdog), and so does a unit fault the run touches
   (:meth:`ReplayPlan.touches`) — a dead MEM slice in the plan's
-  footprint, powered-down superlanes — so a chip degraded around a dead
-  slice still replays.  A telemetry collector is no instrument: it is
-  charged with what ran, and a plan's dispatches and drives are what
-  its run would run.
+  footprint, an error model on a C2C link it drives, powered-down
+  superlanes — so a chip degraded around a dead slice still replays.  A
+  telemetry collector is no instrument: it is charged with what ran, and
+  a plan's dispatches and drives are what its run would run.
 
 A program of ``n`` passes (:mod:`repro.compiler.repeat`) keeps its
 pass's plan: :attr:`ReplayPlan.passes` bindings make one run, and
@@ -270,6 +275,11 @@ class ScheduleRecorder:
 # plan
 # ---------------------------------------------------------------------------
 
+#: the activity counters a charge adds to: all but the hop bytes, which
+#: the chip's register file keeps
+_COUNTED = tuple(f.name for f in fields(ActivityCounts)
+                 if f.name != "stream_hop_bytes")
+
 
 def _load(values: list, ref: tuple) -> np.ndarray:
     return values[ref[1]] if ref[0] == "s" else ref[1]
@@ -387,6 +397,9 @@ class ReplayPlan:
     #: over ``n_positions`` stream-register positions
     drives: list = field(repr=False, default_factory=list)
     n_positions: int = 0
+    #: ``(hemisphere, link) -> (deskews, sends, receives)`` of each C2C
+    #: link a run drives: a transfer's (:mod:`repro.compiler.partition`)
+    links: dict = field(repr=False, default_factory=dict)
     #: what a run of the program leaves on the chip's counters, counted
     #: by :meth:`ScheduleRecorder.finish`; None until then
     activity: object = None
@@ -433,12 +446,14 @@ class ReplayPlan:
 
     def touches(self, part) -> bool:
         """Whether a run touches ``part`` of a chip: the MEM slices of its
-        :attr:`footprint`, no C2C link (no plan holds a C2C op), and the
-        rest always — every plan streams, on every superlane."""
+        :attr:`footprint`, the C2C links of :attr:`links`, and the rest
+        always — every plan streams, on every superlane."""
         if isinstance(part, MemSliceUnit):
             address = part.address
             return (address.hemisphere, address.index) in self.footprint
-        return not isinstance(part, C2cLink)
+        if isinstance(part, C2cLink):
+            return (part.hemisphere, part.index) in self.links
+        return True
 
     # -- kernel interpreter ------------------------------------------------
 
@@ -640,16 +655,16 @@ class ReplayPlan:
         """Land ``runs`` back-to-back executions on ``chip``: everything
         but SRAM that that many real runs would have left there —
         activity, hop bytes, the dispatches when the chip keeps them, a
-        charge of its telemetry collector per run, and ``chip.now``.
+        charge of its telemetry collector per run, the counters of the
+        C2C links it drives (an exact link: no error model, which
+        refuses the plan) and ``chip.now``.
         Both replay entry points land here.  The one exception is the
         MXM install record (``weights_installed_bytes``,
         ``weights_installed_cycle``): a replay leaves it untouched, so a
         run that reads it must simulate (``execute(..., replay=False)``)."""
-        for f in fields(self.activity):
-            if f.name != "stream_hop_bytes":
-                setattr(chip.activity, f.name,
-                        getattr(chip.activity, f.name)
-                        + getattr(self.activity, f.name) * runs)
+        for name in _COUNTED:
+            setattr(chip.activity, name, getattr(chip.activity, name)
+                    + getattr(self.activity, name) * runs)
         chip.srf.hop_bytes_total += self.activity.stream_hop_bytes * runs
         chip.activity.stream_hop_bytes = chip.srf.hop_bytes_total
         if chip.keeps_dispatches:
@@ -657,6 +672,15 @@ class ReplayPlan:
         if chip.obs is not None:
             for _ in range(runs):
                 chip.obs.charge(self.trace, self.drives, self.cycles)
+        for (hemisphere, index), counts in self.links.items():
+            deskews, sends, receives = (n * runs for n in counts)
+            link = chip.c2c_unit(hemisphere).links[index]
+            if deskews:
+                link.deskewed = True
+                link.deskew_epoch += deskews
+            link.tx_seq += sends
+            link.sent_vectors += sends
+            link.received_vectors += receives
         chip.now = self.final_now
 
     def run_result(self, chip) -> RunResult:

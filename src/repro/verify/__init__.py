@@ -41,7 +41,9 @@ from .lockstep import (
     LockstepResult,
     assert_lockstep,
     assert_trace_lockstep,
+    assert_transfer_lockstep,
     run_lockstep,
+    run_transfer_lockstep,
 )
 from .oracle import (
     DifferentialResult,
@@ -63,6 +65,7 @@ __all__ = [
     "assert_conformance",
     "assert_lockstep",
     "assert_trace_lockstep",
+    "assert_transfer_lockstep",
     "bank_violations",
     "check",
     "check_run",
@@ -72,5 +75,6 @@ __all__ = [
     "run_conformance",
     "run_differential",
     "run_lockstep",
+    "run_transfer_lockstep",
     "stream_collisions",
 ]

@@ -208,6 +208,88 @@ def assert_lockstep(compiled: CompiledProgram, **kwargs) -> LockstepResult:
     return result
 
 
+def run_transfer_lockstep(transfer, make_system,
+                          words: np.ndarray) -> list[LockstepResult]:
+    """A C2C transfer's plan against a simulation of its programs.
+
+    ``transfer`` is a :class:`~repro.compiler.RingTransferPlan` and
+    ``make_system()`` a fresh :class:`~repro.sim.MultiChipSystem` of the
+    kind it was planned for, one per leg: ``words`` is staged on each, the
+    whole system simulates the programs on one and the plan replays on
+    the other.  Each chip's leg is held to the single-chip surfaces —
+    its MEM words, cycles, instructions, activity, dispatch trace, its
+    plan's drives against the simulated chip's, and the landed words on
+    the route's last chip — and to ``now`` and the counters of its C2C
+    links.  One :class:`LockstepResult` per chip, its mismatches prefixed
+    ``chip <i>:``.
+    """
+    from ..sim.c2c import C2cLink
+    from ..sim.chip import BENIGN, STATE
+
+    counters = [name for name, entry in STATE[C2cLink].items()
+                if entry.tag == BENIGN and name != "rx_queue"]
+
+    def leg(replay: bool) -> tuple:
+        system = make_system()
+        for chip in system.chips:
+            chip.trace_enabled = True
+        landed, runs = transfer.run(system, words, replay=replay)
+        return landed, runs, system.chips
+
+    (sim_landed, sim_runs, sim_chips), (landed, runs, chips) = (
+        leg(False), leg(True)
+    )
+    def execution(chip, run, outputs, drives) -> LockstepExecution:
+        return LockstepExecution(run=run, outputs=outputs,
+                                 memory=chip.memory_image(),
+                                 drives=list(drives))
+
+    results = []
+    for index, (plan, sim_run, run, sim_chip, chip) in enumerate(
+        zip(transfer.plans, sim_runs, runs, sim_chips, chips)
+    ):
+        last = index == transfer.route[-1]
+        result = LockstepResult(
+            simulated=execution(sim_chip, sim_run,
+                                {"landed": sim_landed} if last else {},
+                                sim_chip.drives),
+            replay=execution(chip, run, {"landed": landed} if last else {},
+                             plan.drives),
+            plan=plan, batched=[],
+        )
+        _compare(result)
+        if sim_chip.now != chip.now:
+            result.mismatches.append(
+                f"now: simulated={sim_chip.now} replay={chip.now}"
+            )
+        for a, b in zip(sim_chip.parts[C2cLink], chip.parts[C2cLink]):
+            for name in counters:
+                if getattr(a, name) != getattr(b, name):
+                    result.mismatches.append(
+                        f"{a.hemisphere.value} link {a.index} {name}: "
+                        f"simulated={getattr(a, name)} "
+                        f"replay={getattr(b, name)}"
+                    )
+        result.mismatches[:] = [f"chip {index}: {m}"
+                                for m in result.mismatches]
+        results.append(result)
+    return results
+
+
+def assert_transfer_lockstep(transfer, make_system,
+                             words: np.ndarray) -> list[LockstepResult]:
+    """``run_transfer_lockstep`` that raises :class:`DivergenceError` on
+    any chip's mismatch."""
+    results = run_transfer_lockstep(transfer, make_system, words)
+    mismatches = [m for result in results for m in result.mismatches]
+    if mismatches:
+        raise DivergenceError("\n".join(
+            ["lockstep comparator: transfer simulation and replay disagree"]
+            + [f"  {m}" for m in mismatches]
+        ))
+    return results
+
+
 # ----------------------------------------------------------------------
 def _compare(result: LockstepResult) -> None:
     """The replayed plan against the simulation.

@@ -1,9 +1,15 @@
 """Binary-identity digests: one sha256 per program of the corpus.
 
-The scheduler is deterministic, so a refactor that claims "emitted binaries
-unchanged" is checked exactly: run this helper on the parent commit and on
-the change and ``diff`` the two outputs.  Nothing is pinned in the tree —
-a PR that *means* to move a schedule moves these digests, and says so.
+The scheduler is deterministic, so a change that claims "emitted binaries
+unchanged" is checked exactly: each mode's output is committed under
+``tests/goldens/digests/`` (``default.txt``, ``rebind.txt``,
+``telemetry.txt``) and CI diffs a fresh run against it, so a moved
+schedule, binding or telemetry count fails naming its program.  A change
+that *means* to move one regenerates the file and says so::
+
+    PYTHONPATH=src:tests python tests/binary_digest.py > tests/goldens/digests/default.txt
+    PYTHONPATH=src:tests python tests/binary_digest.py --rebind > tests/goldens/digests/rebind.txt
+    PYTHONPATH=src:tests python tests/binary_digest.py --telemetry > tests/goldens/digests/telemetry.txt
 
 A digest covers everything ``CompiledProgram`` hands to a chip or a
 checker: per-ICU program text (and the compiler's annotations), memory

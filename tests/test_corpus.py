@@ -8,18 +8,21 @@ check bites, each naming the check that must catch it.
 
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from corpus import REJECTED, corpus
-from repro.compiler import execute
+from repro.compiler import PartitionPlan, execute, partition
 from repro.compiler.graph import OpKind
 from repro.compiler.scheduler import Scheduler
 from repro.errors import ScheduleError, VerificationError
 from repro.isa import Instruction
+from repro.config import small_test_chip
 from repro.obs import PerfettoTraceBuilder, TelemetryCollector
+from repro.sim import MultiChipSystem
 from repro.sim.chip import TspChip
 from repro.sim.replay import ReplayPlan, ScheduleRecorder
-from repro.verify import check
+from repro.verify import check, run_transfer_lockstep
 
 CORPUS = {entry.name: entry for entry in corpus()}
 
@@ -138,6 +141,38 @@ def test_a_moved_barrier_drive_fails_the_lockstep(monkeypatch):
     assert any(line.startswith("lockstep: drives") for line in lines), lines
     assert any(line.startswith("lockstep: sibling: drives")
                for line in lines), lines
+
+
+def test_a_wrong_landing_slice_fails_the_transfer_lockstep(monkeypatch):
+    """A transfer plan that lands its words one slice off from where its
+    Receives emplace them: the landed words and the receiver's MEM differ
+    from a simulation of the programs, and only the transfer's lockstep
+    leg sees it."""
+    build = partition.build_ring_transfer
+
+    def misplaced(*args, **kwargs):
+        transfer = build(*args, **kwargs)
+        return replace(transfer, hops=tuple(
+            (a, source, b, (hemisphere, index + 1))
+            for a, source, b, (hemisphere, index) in transfer.hops
+        ))
+
+    monkeypatch.setattr(partition, "build_ring_transfer", misplaced)
+    config = small_test_chip()
+
+    def make_system():
+        return MultiChipSystem.ring(config, 2)
+
+    plan = PartitionPlan.plan(["a", "b"], [1.0, 1.0], 2, config, 24)
+    words = np.arange(2 * config.n_lanes).astype(np.uint8).reshape(2, -1)
+    results = run_transfer_lockstep(
+        plan.transfer(make_system(), 0, len(words)), make_system, words
+    )
+    assert [m for result in results for m in result.mismatches] == [
+        "chip 1: output 'landed' differs bit-wise",
+        "chip 1: MEM slice MEM_W0 differs bit-wise",
+        "chip 1: MEM slice MEM_W1 materialized on only one route",
+    ]
 
 
 def test_no_instruction_is_formatted_until_a_trace_is_rendered(monkeypatch):

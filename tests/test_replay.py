@@ -30,14 +30,15 @@ import pytest
 from corpus import draw_inputs
 from golden_programs import GOLDEN_PROGRAMS
 from repro.arch import Direction, DType, Floorplan, Hemisphere
-from repro.compiler import StreamProgramBuilder, execute
+from repro.compiler import PartitionPlan, StreamProgramBuilder, execute
 from repro.compiler.runner import execute_batched
 from repro.errors import MemoryFaultError
 from repro.obs import TelemetryCollector
+from repro.resil import Blacklist
 from repro.resil.health import HealthMonitor, Watchdog
 from repro.serve import ChipPool, DynamicBatcher, ProgramCache
 from repro.serve.resilient import probe_memory
-from repro.sim import LinkErrorModel, TspChip
+from repro.sim import LinkErrorModel, MultiChipSystem, TspChip
 from repro.sim.chip import BENIGN, CONFIGURATION, INSTRUMENT, KEPT, STATE
 from repro.sim.faults import FaultInjector
 from repro.sim.icu import QueueSet
@@ -572,6 +573,30 @@ def _rows(untouched):
     return [pytest.param(setup, id=label) for label, setup in rows.items()]
 
 
+def _transfer_row(config, perturb, replays, blacklist=None):
+    """The boundary transfer out of stage 0 of a 3-chip ring ``perturb``
+    set up: its plan answers iff ``replays``, and lands the words a
+    simulation of an identically perturbed ring lands, every chip's run
+    equal to the simulated one's."""
+    plan = PartitionPlan.plan(["a", "b", "c"], [1.0] * 3, 3, config, 24)
+    payload = np.arange(3 * config.n_lanes).astype(np.uint8).reshape(3, -1)
+    outcomes = []
+    for replay in (True, False):
+        system = MultiChipSystem.ring(config, 3)
+        perturb(system)
+        transfer = plan.transfer(system, 0, len(payload),
+                                 blacklist=blacklist)
+        if replay:
+            assert transfer.replays(system) == replays
+        landed, runs = transfer.run(system, payload, replay=replay)
+        outcomes.append((landed.tobytes(), runs))
+    (landed, runs), (simulated, reference) = outcomes
+    assert landed == simulated == payload.tobytes()
+    for run, ref in zip(runs, reference):
+        assert run.skipped_cycles == (run.cycles if replays else 0)
+        assert (run.cycles, run.activity) == (ref.cycles, ref.activity)
+
+
 def _allowed(plan, chip):
     return replay_allowed(plan, chip, max_cycles=10**6, warmup_barrier=False)
 
@@ -702,6 +727,33 @@ class TestBypass:
         assert not replay_allowed(
             plan, chip, max_cycles=10**6, warmup_barrier=True
         )
+
+    def test_a_transfer_over_a_link_with_an_error_model_simulates(
+        self, config
+    ):
+        """The error model sits on the route's link: the plan refuses, and
+        the simulated run lands the words through the noise."""
+        _transfer_row(config, lambda system: system.set_link_error_model(
+            0, EAST, 0, LinkErrorModel(seed=3, ber=1e-3, max_retries=2)),
+            replays=False)
+
+    def test_a_dead_cable_reroute_replays_its_own_plan(self, config):
+        """The dark cable is off the detour's route, so the detour's plan
+        answers, equal to a simulation."""
+        _transfer_row(config, lambda system: system.set_link_error_model(
+            0, EAST, 0, LinkErrorModel(dead_after=0)), replays=True,
+            blacklist=Blacklist(ring_cables=frozenset({0})))
+
+    @pytest.mark.parametrize("perturb", [
+        lambda system: system.chips[1].arm_watchdog(
+            Watchdog(deadline=10**9, label="t")),
+        lambda system: setattr(system.chips[0], "external_fault_hooks",
+                               True),
+    ], ids=["watchdog-armed", "pool-checkout-hook"])
+    def test_a_transfer_on_a_chip_with_an_instrument_set_simulates(
+        self, config, perturb
+    ):
+        _transfer_row(config, perturb, replays=False)
 
     def test_unsupported_op_fails_closed(self, config, rng):
         """A program that gathers has no plan — its text says so — and

@@ -49,7 +49,13 @@ from repro.isa.mem import Read
 from repro.nn.tsp_inference import TspCnnRunner
 from repro.resil import Blacklist
 from repro.serve import ProgramCache
-from repro.sim import DEFAULT_LINK_LATENCY, LinkErrorModel, MultiChipSystem
+from repro.sim import (
+    DEFAULT_LINK_LATENCY,
+    LinkErrorModel,
+    MultiChipSystem,
+    TspChip,
+)
+from repro.verify import assert_transfer_lockstep
 
 
 # ----------------------------------------------------------------------
@@ -312,6 +318,83 @@ class TestTransferPlanner:
         transfer = plan.transfer(system, 0, 5, cache=ProgramCache(8))
         assert transfer.route == [0, 1]
         assert [chip.memory_image() for chip in system.chips] == before
+
+
+class TestTransferLockstep:
+    """A transfer's plan stands in for a simulation of its programs: on
+    every route the planner is pinned on, the replay lands the same words
+    and leaves every chip the MEM words, cycles, activity, dispatches,
+    drives, ``now`` and link counters a simulation leaves."""
+
+    ROUTES = [list(route) for route in TestTransferPlanner.PINNED] + [[2]]
+
+    @pytest.mark.parametrize("route", ROUTES,
+                             ids=lambda r: "-".join(map(str, r)))
+    def test_replay_equals_a_simulation(self, config, rng, route):
+        def make_system():
+            return MultiChipSystem.ring(config, 4)
+
+        transfer = build_ring_transfer(make_system(), route, 5)
+        payload = rng.integers(0, 256, (5, config.n_lanes), np.uint8)
+        results = assert_transfer_lockstep(transfer, make_system, payload)
+        assert len(results) == 4
+        assert all(result.replay.run.skipped_cycles
+                   == result.replay.run.cycles for result in results)
+        landed = results[route[-1]].replay.outputs["landed"]
+        assert np.array_equal(landed, payload)
+
+    def test_a_degraded_route_replays_equal_to_a_simulation(self, config,
+                                                            rng):
+        """Dead MEM slices move the head and the staging slice, a dead
+        cable the route: the plan follows both, and replays on chips
+        with those slices dead and that cable's link dark."""
+        blacklist = Blacklist(
+            mem_slices=frozenset({(Hemisphere.EAST, 15),
+                                  (Hemisphere.WEST, 0), (Hemisphere.EAST, 0)}),
+            ring_cables=frozenset({0}),
+        )
+        plan = PartitionPlan.plan(["a", "b", "c"], [1.0] * 3, 3, config, 24)
+
+        def make_system():
+            system = MultiChipSystem.ring(config, 3)
+            system.set_link_error_model(0, Hemisphere.EAST, 0,
+                                        LinkErrorModel(dead_after=0))
+            for chip in system.chips:
+                for hemisphere, index in blacklist.mem_slices:
+                    chip.mem_unit(hemisphere, index).mark_dead()
+            return system
+
+        transfer = plan.transfer(make_system(), 0, 3, blacklist=blacklist)
+        assert transfer.route == [0, 2, 1] and transfer.stage_slice == 1
+        payload = rng.integers(0, 256, (3, config.n_lanes), np.uint8)
+        assert_transfer_lockstep(transfer, make_system, payload)
+
+    def test_a_warm_pipeline_batch_simulates_nothing(self, config,
+                                                     monkeypatch):
+        """Once its programs are cached, a 2-chip batch runs no cycle of
+        any chip: every stage replays, and so does the transfer."""
+        runner, x_test = cnn_runner(config)
+        plan = plan_runner_partition(runner, 2)
+        system = MultiChipSystem.ring(config, 2)
+        cache = ProgramCache(capacity=64)
+        x = x_test[:4]
+        oracle = runner.forward(x).logits
+        execute_pipeline(runner, x, plan, system=system, cache=cache)
+        calls = []
+        monkeypatch.setattr(MultiChipSystem, "run",
+                            lambda *a, **k: calls.append("system"))
+        monkeypatch.setattr(TspChip, "run",
+                            lambda *a, **k: calls.append("chip"))
+        system.scrub()
+        result = execute_pipeline(runner, x, plan, system=system,
+                                  cache=cache)
+        assert calls == []
+        assert np.array_equal(result.logits, oracle)
+        link = system.chips[0].c2c_unit(Hemisphere.EAST).links[0]
+        ingress = system.chips[1].c2c_unit(Hemisphere.WEST).links[0]
+        vectors = result.executed.stages[0].egress_vectors
+        assert link.sent_vectors == link.tx_seq == vectors
+        assert ingress.received_vectors == vectors
 
 
 # ----------------------------------------------------------------------

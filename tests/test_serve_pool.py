@@ -35,6 +35,7 @@ from repro.nn import make_shapes, make_small_cnn
 from repro.nn.transformer import TransformerConfig
 from repro.sim import LinkErrorModel
 from repro.sim.chip import TspChip
+from repro.sim.mxm import MxmUnit
 
 
 def compile_matmul(config, seed, k=16, m=16, n=2):
@@ -86,6 +87,27 @@ class TestScrub:
         for f, q in zip(fresh, pooled):
             assert np.array_equal(f["r"], q["r"])
             assert f.run.cycles == q.run.cycles  # timing doesn't drift
+
+    def test_scrub_darkens_loaded_planes_and_keeps_untouched_ones(
+        self, config
+    ):
+        """A simulated matmul installs weights; the scrub gives its unit
+        dark planes again, and leaves the unit nothing touched as it is."""
+        compiled, _, _ = compile_matmul(config, seed=1)
+        chip = TspChip(config)
+        before = [list(unit.planes) for unit in chip.parts[MxmUnit]]
+        execute(compiled, chip=chip, replay=False)
+        loaded = [any(plane.weights is not None for plane in unit.planes)
+                  for unit in chip.parts[MxmUnit]]
+        assert any(loaded) and not all(loaded)
+        chip.scrub()
+        for unit, planes, was_loaded in zip(chip.parts[MxmUnit], before,
+                                            loaded):
+            assert all(plane.weights is None and plane.wide is None
+                       and not plane.results for plane in unit.planes)
+            assert all(a is b for a, b in zip(unit.planes, planes)) == (
+                not was_loaded
+            )
 
     def test_scrub_keeps_configuration(self, config):
         """Wiring/config survives a scrub; only tenant state dies."""
