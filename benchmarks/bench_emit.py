@@ -13,13 +13,8 @@ workloads:
   cycles dispatch nothing, so it prices a walked quiet cycle.
 * ``serve-64`` — the serving path's cacheable unit, an input-fed matmul.
 
-Each workload is measured in three modes.  ``sim`` is the simulator
-itself, and ``resil`` the simulator with the resilience runtime armed (a
-:class:`~repro.resil.Watchdog` that never fires, a
-:class:`~repro.sim.FaultInjector`, and a post-run
-:class:`~repro.resil.HealthMonitor` poll), so it tracks the cost of the
-fault hooks when no fault ever occurs.  ``replay`` (compiled workloads
-only: the paced stream is hand-built, and only the compiler emits a
+Each workload is measured in two modes.  ``sim`` is the simulator
+itself.  ``replay`` (compiled workloads only: the paced stream is hand-built, and only the compiler emits a
 :class:`repro.sim.replay.ReplayPlan`, finished at compile time) times
 the plan's write-through replay on a fresh chip instead of the
 simulator; ``replay_speedup`` is the plan's win over ``sim`` on the
@@ -27,15 +22,17 @@ identical workload, and a simulated-vs-replayed lockstep run
 (``replay.lockstep_ok``) pins bit-exactness of what the artifact is
 measuring.
 
-A telemetry collector has no mode: it is charged once per run with what
-ran, and costs nothing while a run goes (what a collected run costs is
-``test_simulator_performance.py::test_telemetry_overhead_gate``'s
-report).
+Neither a telemetry collector nor the resilience runtime has a mode.  A
+collector is charged once per run with what ran, and costs nothing while
+a run goes; what a collected run and armed fault hooks cost are
+``test_simulator_performance.py``'s ``test_telemetry_overhead_gate`` and
+``test_resilience_overhead_gate`` reports (:func:`measure`'s
+``attach_resil``).
 
-The artifact schema (``tsp-sim-bench/6``)::
+The artifact schema (``tsp-sim-bench/7``)::
 
     {
-      "schema": "tsp-sim-bench/6",
+      "schema": "tsp-sim-bench/7",
       "host": {"python": ..., "numpy": ..., "machine": ...},
       "workloads": [
         {
@@ -43,10 +40,8 @@ The artifact schema (``tsp-sim-bench/6``)::
           "modes": {
             "sim": {"seconds": s, "cpu_seconds": c,
                     "cycles_per_host_second": r},
-            "resil": {...same, watchdog armed...},
             "replay": {...same, the program's plan replayed...}
           },
-          "resil_overhead": resil_seconds / sim_seconds - 1,
           "replay_speedup": sim_seconds / replay_seconds
         }, ...
       ],
@@ -81,7 +76,7 @@ from repro.sim import FaultInjector, TspChip
 from repro.testing import make_full_config, make_small_config
 from repro.verify.lockstep import run_lockstep
 
-SCHEMA = "tsp-sim-bench/6"
+SCHEMA = "tsp-sim-bench/7"
 
 # a deadline no benchmark workload can reach: the watchdog hook runs
 # every cycle but never fires, which is exactly the cost being measured
@@ -239,13 +234,12 @@ def measure_workload(
 ) -> dict:
     # interleave the modes so host-speed drift (frequency scaling,
     # noisy neighbours) lands on all of them alike instead of skewing the
-    # speedup/overhead ratios, then keep each mode's best round
+    # replay speedup, then keep each mode's best round
     plan = None
     if isinstance(program, CompiledProgram):
         plan = program.replay
         assert plan is not None and plan.ok, plan and plan.reason
     best: dict[str, dict] = {}
-    resil_overheads = []
     replay_speedups = []
 
     def keep(mode: str, run: dict) -> None:
@@ -254,16 +248,11 @@ def measure_workload(
 
     for _ in range(repeats):
         sim = measure(config, program, repeats=1, inputs=inputs)
-        r = measure(
-            config, program, repeats=1, attach_resil=True, inputs=inputs
-        )
-        # overhead ratios are taken within a round (adjacent runs),
-        # medians across rounds, so a disturbance in one round cannot
-        # skew the figures
-        resil_overheads.append(r["seconds"] / sim["seconds"] - 1.0)
         keep("sim", sim)
-        keep("resil", r)
         if plan is not None:
+            # the speedup is taken within a round (adjacent runs), its
+            # median across rounds, so a disturbance in one round cannot
+            # skew it
             p = measure(
                 config, program, repeats=1, inputs=inputs, replay_plan=plan
             )
@@ -278,7 +267,6 @@ def measure_workload(
             mode: {k: v for k, v in run.items() if k != "cycles"}
             for mode, run in best.items()
         },
-        "resil_overhead": round(statistics.median(resil_overheads), 4),
     }
     if replay_speedups:
         entry["replay_speedup"] = round(
@@ -381,10 +369,7 @@ def main(argv=None) -> None:
             if "replay_speedup" in w
             else ""
         )
-        print(
-            f"{w['name']:>10}: sim {sim:>12,.0f} cyc/s   "
-            f"resil {w['resil_overhead']:+.1%}{replay}"
-        )
+        print(f"{w['name']:>10}: sim {sim:>12,.0f} cyc/s{replay}")
     print(f"replay lockstep: {payload['replay']}")
     print(f"wrote {args.output}")
 

@@ -4,46 +4,23 @@ The paper's first ResNet50 revision serialized layer pipelines ("latency
 bubbles were created as the pipeline filled and emptied"); redistributing
 tensors across slices and interleaving SRAM banks let the next pipeline
 start early, cutting ~5,500 cycles and reaching 20.4K IPS.  The ablation
-re-runs the performance model in both modes.
+re-runs the performance model in both modes
+(:func:`repro.report.alloc_section`).
 """
 
 import pytest
 
 from repro.arch import Hemisphere
-from repro.bench import ExperimentReport
-from repro.nn import estimate_network, resnet_layers
+from repro.report import alloc_section
 
 
 def test_alloc_optimization_ablation(report_sink, full_config, benchmark):
-    layers = resnet_layers(50)
-
-    def both_modes():
-        return (
-            estimate_network(layers, full_config, optimized=False),
-            estimate_network(layers, full_config, optimized=True),
-        )
-
-    naive, optimized = benchmark(both_modes)
-    saved = naive.total_cycles - optimized.total_cycles
-
-    report = ExperimentReport(
-        "E12", "Memory-allocation optimization ablation (Section IV-C)"
-    )
-    report.add("cycles saved", 5_500, saved, "cycles")
-    report.add("un-optimized cycles/image", "—", naive.total_cycles)
-    report.add("optimized cycles/image", "—", optimized.total_cycles)
-    report.add("un-optimized throughput", "—", round(naive.ips), "IPS")
-    report.add("optimized throughput", 20_400, round(optimized.ips), "IPS")
-    exposed = sum(l.bubble_cycles for l in naive.layers)
-    hidden = sum(l.bubble_cycles for l in optimized.layers)
-    report.add("pipeline bubbles exposed (naive)", "—", exposed, "cycles")
-    report.add("pipeline bubbles exposed (optimized)", "—", hidden,
-               "cycles")
+    report, values = benchmark(alloc_section, full_config)
     report_sink.append(report.render())
 
-    assert saved == pytest.approx(5_500, rel=0.35)
-    assert optimized.ips == pytest.approx(20_400, rel=0.05)
-    assert hidden < exposed
+    assert values["saved"] == pytest.approx(5_500, rel=0.35)
+    assert values["optimized_ips"] == pytest.approx(20_400, rel=0.05)
+    assert values["bubbles_optimized"] < values["bubbles_naive"]
 
 
 def test_bank_interleaving_enables_same_cycle_read_write(

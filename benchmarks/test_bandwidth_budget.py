@@ -5,7 +5,7 @@ SRAM provides 55 "TiB/s" (2 hem x 44 slices x 2 banks x 320 B), instruction
 fetch consumes at most 2.25 "TiB/s" (144 x 16 B), and the remainder margins
 work out so operands and instructions are simultaneously serviceable.  The
 paper's "TiB/s" is bytes/cycle divided by 1024 at 1 GHz; exact B/cycle
-figures are also reported.
+figures are also reported (:func:`repro.report.bandwidth_section`).
 """
 
 import numpy as np
@@ -13,43 +13,18 @@ import numpy as np
 from repro.arch import Direction, Hemisphere
 from repro.bench import ExperimentReport
 from repro.isa import IcuId, Program, Read
+from repro.report import bandwidth_section
 from repro.sim import TspChip
 
 
 def test_bandwidth_budget(report_sink, full_config, benchmark):
-    cfg = full_config
-
-    def compute_budget():
-        return {
-            "stream": cfg.stream_bytes_per_cycle,
-            "sram": cfg.sram_bytes_per_cycle,
-            "sram_hem": cfg.sram_bytes_per_cycle_per_hemisphere,
-            "ifetch": cfg.ifetch_bytes_per_cycle,
-        }
-
-    budget = benchmark(compute_budget)
-
-    report = ExperimentReport("E11", "Bandwidth budget (Eq. 1, Eq. 2)")
-    report.add("Eq.1 stream registers", 20.0,
-               cfg.paper_tib_per_s(budget["stream"]), "paper-TiB/s",
-               note=f'{budget["stream"]} B/cycle')
-    report.add("Eq.2 SRAM total", 55.0,
-               cfg.paper_tib_per_s(budget["sram"]), "paper-TiB/s",
-               note=f'{budget["sram"]} B/cycle')
-    report.add("SRAM per hemisphere", 27.5,
-               cfg.paper_tib_per_s(budget["sram_hem"]), "paper-TiB/s")
-    report.add("peak instruction fetch", 2.25,
-               cfg.paper_tib_per_s(budget["ifetch"]), "paper-TiB/s",
-               note=f'{budget["ifetch"]} B/cycle = 144 IQs x 16 B')
-    leftover = cfg.paper_tib_per_s(budget["sram"] - budget["ifetch"])
-    report.add("SRAM left for streams after ifetch", "~52.75",
-               round(leftover, 2), "paper-TiB/s",
-               note="covers the 20 needed by Eq.1")
+    report, budget = benchmark(bandwidth_section, full_config)
     report_sink.append(report.render())
 
-    assert cfg.paper_tib_per_s(budget["stream"]) == 20.0
-    assert cfg.paper_tib_per_s(budget["sram"]) == 55.0
-    assert cfg.paper_tib_per_s(budget["ifetch"]) == 2.25
+    tib = full_config.paper_tib_per_s
+    assert tib(budget["stream"]) == 20.0
+    assert tib(budget["sram"]) == 55.0
+    assert tib(budget["ifetch"]) == 2.25
     assert budget["sram"] - budget["ifetch"] >= budget["stream"]
 
 

@@ -2,80 +2,20 @@
 
 Paper claims: 20.4K IPS batch-1 is ~4x modern GPUs and accelerators, 2.5x
 Google TPU v3 large-batch inference; 49 us end-to-end latency is ~5x better
-than Goya's 240 us batch-1 figure.
+than Goya's 240 us batch-1 figure (:func:`repro.report.comparison_section`).
 """
 
 import pytest
 
-from repro.baselines import ALL_COMPARATORS, GOYA, GpuModel, TPU_V3
-from repro.bench import ExperimentReport, ascii_series
-from repro.nn import estimate_network, resnet_layers
+from repro.report import comparison_section
 
 
 def test_comparison_table(report_sink, full_config, benchmark):
-    layers = resnet_layers(50)
-    tsp = estimate_network(layers, full_config)
-    gpu = GpuModel()
+    report, values = benchmark(comparison_section, full_config)
+    report_sink.append(report.render())
 
-    def gpu_sweep():
-        return {
-            batch: gpu.throughput_ips(layers, batch)
-            for batch in (1, 8, 32, 128)
-        }
-
-    gpu_ips = benchmark(gpu_sweep)
-
-    report = ExperimentReport(
-        "E08", "ResNet50 inference: TSP vs published accelerators"
-    )
-    report.add("TSP batch-1 throughput", 20_400, round(tsp.ips), "IPS")
-    report.add(
-        "speedup vs TPU v3 (large batch)", 2.5,
-        round(tsp.ips / TPU_V3.resnet50_ips, 2), "x",
-    )
-    report.add(
-        "latency advantage vs Goya (batch 1)", 5.0,
-        round(GOYA.batch1_latency_us / tsp.latency_us, 2), "x",
-        note="240 us vs measured",
-    )
-    report.add(
-        "speedup vs GPU-class baseline (batch 128)", 4.0,
-        round(tsp.ips / gpu_ips[128], 2), "x",
-    )
-    report.add(
-        "speedup vs GPU-class baseline (batch 1)", ">>4",
-        round(tsp.ips / gpu_ips[1], 1), "x",
-    )
-    for spec in ALL_COMPARATORS:
-        if spec.resnet50_ips:
-            report.add(
-                f"{spec.name} published IPS (batch "
-                f"{spec.resnet50_batch})",
-                spec.resnet50_ips,
-                spec.resnet50_ips,
-                "IPS",
-                note="published figure",
-            )
-    # the batch-1 crossover figure: GPU throughput climbs with batch but
-    # never reaches the TSP's batch-1 line
-    sweep = {
-        batch: gpu.throughput_ips(layers, batch)
-        for batch in (1, 2, 4, 8, 16, 32, 64, 128, 256)
-    }
-    art = ascii_series(
-        [(b, ips / 1000) for b, ips in sweep.items()],
-        logx=True,
-        width=56,
-        height=12,
-        title="GPU-class IPS (K) vs batch — X marks the TSP at batch 1",
-        marks=[(1.0, tsp.ips / 1000, "X")],
-    )
-    report_sink.append(report.render() + "\n\n" + art)
-
-    assert tsp.ips / TPU_V3.resnet50_ips == pytest.approx(2.5, rel=0.10)
-    assert GOYA.batch1_latency_us / tsp.latency_us == pytest.approx(
-        4.9, rel=0.10
-    )
-    assert tsp.ips / gpu_ips[128] > 3.0
+    assert values["vs_tpu"] == pytest.approx(2.5, rel=0.10)
+    assert values["vs_goya"] == pytest.approx(4.9, rel=0.10)
+    assert values["vs_gpu_128"] > 3.0
     # batch-1 crossover: the GPU's large batch never catches the TSP
-    assert tsp.ips > max(sweep.values())
+    assert values["tsp_ips"] > max(values["gpu_sweep"].values())

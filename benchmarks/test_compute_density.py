@@ -2,52 +2,21 @@
 
 Paper figures: 820 TeraOps/s peak at 1 GHz from the 25x29 mm 14 nm die
 (> 1 TeraOp/s/mm^2); 26.8 B transistors give ~30K deep-learning
-ops/s/transistor versus Volta V100's ~6.2K (130 TFLOPS / 21.1 B).
+ops/s/transistor versus Volta V100's ~6.2K (130 TFLOPS / 21.1 B)
+(:func:`repro.report.density_section`).
 """
 
 import pytest
 
-from repro.arch.area import AreaModel
-from repro.baselines import V100
-from repro.bench import ExperimentReport
+from repro.report import density_section
 
 
 def test_compute_density(report_sink, full_config, benchmark):
-    area = AreaModel(full_config)
-
-    def metrics():
-        return {
-            "peak": full_config.peak_teraops(1.0),
-            "density": full_config.teraops_per_mm2(1.0),
-            "tsp_eff": area.tsp_ops_per_transistor(),
-            "v100_eff": area.comparator_ops_per_transistor(
-                V100.peak_teraops, V100.transistors
-            ),
-        }
-
-    m = benchmark(metrics)
-
-    report = ExperimentReport(
-        "E16", "Compute density and ops/transistor (conclusion)"
-    )
-    report.add("peak compute @ 1 GHz", 820, round(m["peak"], 1),
-               "TeraOps/s")
-    report.add("die area", 725, full_config.die_area_mm2, "mm^2",
-               note="25 x 29 mm")
-    report.add("computational density", "> 1",
-               round(m["density"], 2), "TeraOps/s/mm^2")
-    report.add("TSP ops/s/transistor", 30_000, round(m["tsp_eff"]),
-               note="26.8B transistors")
-    report.add("V100 ops/s/transistor", 6_200, round(m["v100_eff"]),
-               note="130 TFLOPS / 21.1B")
-    report.add("TSP advantage", 4.8,
-               round(m["tsp_eff"] / m["v100_eff"], 2), "x")
-    report.add("ICU area share", "< 3%",
-               f"{AreaModel(full_config).icu_fraction:.1%}")
+    report, m = benchmark(density_section, full_config)
     report_sink.append(report.render())
 
     assert m["peak"] == pytest.approx(819.2)
     assert m["density"] > 1.0
     assert m["tsp_eff"] == pytest.approx(30_567, rel=0.02)
     assert m["v100_eff"] == pytest.approx(6_161, rel=0.02)
-    assert area.icu_area_under_3_percent()
+    assert m["icu_under_3_percent"]

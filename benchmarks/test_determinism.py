@@ -2,60 +2,34 @@
 
 "The TSP's hardware eliminates arbiters and other reactive elements in the
 data path, making performance deterministic and precisely predictable from
-run-to-run execution."  We run the same compiled program repeatedly on the
-cycle simulator (zero variance, bit-identical results) and contrast with
-the GPU-style baseline whose cache/arbitration jitter produces a latency
-distribution.
+run-to-run execution."  We simulate the same compiled program five times
+(zero variance, bit-identical results) and contrast with the GPU-style
+baseline whose cache/arbitration jitter produces a latency distribution
+(:func:`repro.report.determinism_section`).
 """
 
-import numpy as np
-
-from repro.arch import DType
-from repro.baselines import GpuModel
-from repro.bench import ExperimentReport
-from repro.compiler import StreamProgramBuilder, execute
-from repro.nn import resnet_layers
+from repro.report import determinism_section
 from repro.sim import TspChip
 
 
-def test_determinism_vs_gpu_jitter(report_sink, small_config, benchmark):
-    rng = np.random.default_rng(3)
-    k, m, n = 64, 64, 4
-    w = rng.integers(-7, 7, (k, m)).astype(np.int8)
-    x = rng.integers(-7, 7, (n, k)).astype(np.int8)
+def test_determinism_vs_gpu_jitter(report_sink, small_config, benchmark,
+                                   monkeypatch):
+    simulated = []
+    run = TspChip.run
 
-    g = StreamProgramBuilder(small_config)
-    acc = g.matmul(w, g.constant_tensor("x", x))
-    q = g.convert(acc, DType.INT8, scale=0.02)
-    g.write_back(g.relu(q), name="y")
-    compiled = g.compile()
+    def recording_run(chip, *args, **kwargs):
+        simulated.append(run(chip, *args, **kwargs))
+        return simulated[-1]
 
-    def run_five_times():
-        cycles = []
-        digests = []
-        for _ in range(5):
-            result = execute(compiled, chip=TspChip(small_config))
-            cycles.append(result.run.cycles)
-            digests.append(result["y"].tobytes())
-        return cycles, digests
-
-    cycles, digests = benchmark(run_five_times)
-
-    gpu = GpuModel(seed=9)
-    layers = resnet_layers(50)
-    gpu_samples = gpu.latency_samples(layers, batch=1, runs=50)
-    gpu_cov = float(gpu_samples.std() / gpu_samples.mean())
-
-    report = ExperimentReport("E15", "Run-to-run determinism (Section IV-F)")
-    report.add("TSP latency variance across runs", 0, int(np.std(cycles)),
-               "cycles")
-    report.add("TSP distinct cycle counts (5 runs)", 1, len(set(cycles)))
-    report.add("TSP bit-identical outputs", "yes",
-               "yes" if len(set(digests)) == 1 else "NO")
-    report.add("GPU-baseline latency CoV (50 runs)", "> 0",
-               round(gpu_cov, 4), note="cache/arbitration jitter model")
+    monkeypatch.setattr(TspChip, "run", recording_run)
+    report, values = benchmark(determinism_section, small_config)
     report_sink.append(report.render())
 
-    assert len(set(cycles)) == 1
-    assert len(set(digests)) == 1
-    assert gpu_cov > 0.01
+    # five simulations, each walking its cycles: no run is a replay
+    runs = values["runs"]
+    assert len(runs) == 5
+    assert all(any(r is s for s in simulated) for r in runs)
+    assert all(r.skipped_cycles == 0 for r in runs)
+    assert len({r.cycles for r in runs}) == 1
+    assert values["distinct_outputs"] == 1
+    assert values["gpu_cov"] > 0.01

@@ -4,54 +4,18 @@ The paper's Figure 10 plots per-layer power as the program executes: spikes
 where four simultaneous conv2d operations saturate the MXMs, valleys on
 data-movement and element-wise layers.  We integrate the per-op energy
 model over the deterministic layer schedule and reproduce exactly that
-shape.
+shape (:func:`repro.report.power_section`).
 """
 
-from repro.bench import ExperimentReport, ascii_series
-from repro.nn import estimate_network, resnet_layers
+from repro.report import power_section
 
 
 def test_fig10_power_trace(report_sink, full_config, benchmark):
-    layers = resnet_layers(50)
-    estimate = benchmark(estimate_network, layers, full_config)
-
-    trace = estimate.power_trace()
-    conv_power = [
-        l.power_w for l in estimate.layers if l.kind in ("conv", "fc")
-    ]
-    pool_power = [
-        l.power_w
-        for l in estimate.layers
-        if l.kind in ("maxpool", "avgpool")
-    ]
-    spike_layers = [
-        l for l in estimate.layers if l.active_planes == 4 and l.kind == "conv"
-    ]
-
-    report = ExperimentReport("E04", "Figure 10 — ResNet50 per-layer power")
-    report.add(
-        "power spikes = 4 simultaneous conv2d", "yes",
-        "yes" if spike_layers else "no",
-        note=f"{len(spike_layers)} layers run 4 planes",
-    )
-    report.add("peak layer power", "~chip TDP class", round(max(conv_power)), "W")
-    report.add("min conv-layer power", "—", round(min(conv_power)), "W")
-    report.add("pool-layer power", "valleys", round(max(pool_power)), "W")
-    report.add(
-        "average power over inference", "—",
-        round(estimate.average_power_w), "W",
-    )
+    report, values = benchmark(power_section, full_config)
+    report_sink.append(report.render())
 
     # shape assertions: spikes sit well above the valleys
-    assert spike_layers, "no saturated-conv layers found"
-    spike_avg = sum(l.power_w for l in spike_layers) / len(spike_layers)
-    assert spike_avg > 1.5 * max(pool_power)
-    assert max(conv_power) > estimate.average_power_w
-
-    series = [(i, p) for i, (_n, p) in enumerate(trace)]
-    art = ascii_series(
-        series,
-        width=76,
-        title="Fig 10: power (W) by layer index — conv spikes, pool valleys",
-    )
-    report_sink.append(report.render() + "\n\n" + art)
+    spikes = values["spike_powers"]
+    assert spikes, "no saturated-conv layers found"
+    assert sum(spikes) / len(spikes) > 1.5 * max(values["pool_power"])
+    assert max(values["conv_power"]) > values["average_power_w"]

@@ -3,75 +3,26 @@
 Regenerates the roof (820 TeraOps/s peak at 1 GHz, weight-load bandwidth
 slope) and plots measured matmul points from the performance model, checking
 the regime split the paper describes: memory-bound while loading weights for
-small batches of work, arithmetic-bound at saturation.
+small batches of work, arithmetic-bound at saturation.  The section is
+:func:`repro.report.roofline_section`, which ``python -m repro.report``
+prints too.
 """
 
-import numpy as np
-
-from repro.baselines import Roofline
-from repro.bench import ExperimentReport, ascii_series
+from repro.report import roofline_section
 
 
 def test_fig9_roofline(report_sink, full_config, benchmark):
-    roofline = Roofline(full_config, clock_ghz=1.0)
-
-    workloads = [
-        ("MatMul 320x320, N=1", 320, 320, 1),
-        ("MatMul 320x320, N=49", 320, 320, 49),
-        ("MatMul 320x320, N=196", 320, 320, 196),
-        ("MatMul 320x320, N=3136", 320, 320, 3136),
-        ("MatMul 320x320, N=100K", 320, 320, 100_000),
-        ("Conv-ish 256x256, N=196", 2304, 256, 196),
-        ("FC 2048x1000, N=1", 2048, 1000, 1),
-    ]
-
-    def measure_points():
-        return [
-            roofline.matmul_point(k, m, n, name)
-            for (name, k, m, n) in workloads
-        ]
-
-    points = benchmark(measure_points)
-
-    report = ExperimentReport("E03", "Figure 9 — roofline at 1 GHz")
-    report.add("arithmetic peak", 820.0, roofline.peak_teraops, "TeraOps/s")
-    report.add(
-        "MXM operand stream bandwidth", 10.0,
-        full_config.paper_tib_per_s(roofline.mxm_operand_bytes_per_cycle),
-        "paper-TiB/s", note="Section V-b",
-    )
-    report.add(
-        "ridge intensity", "—", round(roofline.ridge_intensity(), 1),
-        "ops/byte",
-    )
-    for point in points:
-        report.add(
-            f"{point.name} [{point.bound}-bound]",
-            "<= roof",
-            round(point.achieved_teraops, 1),
-            "TeraOps/s",
-        )
+    report, values = benchmark(roofline_section, full_config)
+    report_sink.append(report.render())
 
     # the regime claims of the paper
-    assert roofline.matmul_point(320, 320, 1).bound == "memory"
-    assert roofline.matmul_point(320, 320, 100_000).bound == "compute"
-    saturated = roofline.matmul_point(320, 320, 100_000)
+    roofline, points = values["roofline"], values["points"]
+    assert points["MatMul 320x320, N=1"].bound == "memory"
+    saturated = points["MatMul 320x320, N=100K"]
+    assert saturated.bound == "compute"
     assert saturated.achieved_teraops > 0.5 * roofline.peak_teraops
-    for point in points:
+    for point in points.values():
         assert (
             point.achieved_teraops
             <= roofline.attainable_teraops(point.intensity) * 1.001
         )
-
-    roof_series = roofline.series(list(np.logspace(-0.5, 4, 48)))
-    marks = [
-        (p.intensity, p.achieved_teraops, "o") for p in points
-    ]
-    art = ascii_series(
-        roof_series,
-        logx=True,
-        title="Fig 9: attainable TeraOps/s vs operational intensity "
-        "(o = measured)",
-        marks=marks,
-    )
-    report_sink.append(report.render() + "\n\n" + art)

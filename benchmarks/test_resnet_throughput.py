@@ -2,59 +2,20 @@
 
 Paper operating points (Sections IV-F, V): 20.4K IPS / <49 us for ResNet50
 at batch 1; 14.3K and 10.7K IPS for ResNet101/152 "projected to the cycle"
-from the shared block structure.
+from the shared block structure (:func:`repro.report.resnet_section`).
 """
 
 import pytest
 
-from repro.bench import ExperimentReport
-from repro.nn import estimate_network, resnet_layers, total_macs
-
-PAPER = {50: (20_400, 49.0), 101: (14_300, None), 152: (10_700, None)}
+from repro.nn import estimate_network, resnet_layers
+from repro.report import resnet_section
 
 
 def test_resnet_family_throughput(report_sink, full_config, benchmark):
-    def estimate_all():
-        return {
-            depth: estimate_network(resnet_layers(depth), full_config)
-            for depth in (50, 101, 152)
-        }
-
-    estimates = benchmark(estimate_all)
-
-    report = ExperimentReport(
-        "E06/E07", "ResNet50/101/152 batch-1 inference (900 MHz)"
-    )
-    for depth, (paper_ips, paper_latency) in PAPER.items():
-        estimate = estimates[depth]
-        report.add(f"ResNet{depth} throughput", paper_ips,
-                   round(estimate.ips), "IPS")
-        if paper_latency:
-            report.add(
-                f"ResNet{depth} latency", paper_latency,
-                round(estimate.latency_us, 1), "us",
-            )
-        report.add(
-            f"ResNet{depth} cycles/image", "—", estimate.total_cycles,
-            "cycles",
-        )
-    report.add(
-        "ResNet101/ResNet50 IPS ratio",
-        round(14_300 / 20_400, 3),
-        round(estimates[101].ips / estimates[50].ips, 3),
-        note="structural, calibration-free",
-    )
-    report.add(
-        "ResNet152/ResNet50 IPS ratio",
-        round(10_700 / 20_400, 3),
-        round(estimates[152].ips / estimates[50].ips, 3),
-    )
-    report.add(
-        "GMACs per ResNet50 image", "~4",
-        round(total_macs(resnet_layers(50)) / 1e9, 2),
-    )
+    report, values = benchmark(resnet_section, full_config)
     report_sink.append(report.render())
 
+    estimates = values["estimates"]
     assert estimates[50].ips == pytest.approx(20_400, rel=0.05)
     assert estimates[50].latency_us == pytest.approx(49.0, rel=0.05)
     assert estimates[101].ips == pytest.approx(14_300, rel=0.10)

@@ -4,49 +4,18 @@ The paper provisions 3.84 Tb/s of deterministic C2C bandwidth for
 "high-radix interconnection networks of TSPs" but publishes no multi-chip
 numbers; this extension bench models the natural pipeline-parallel
 deployment with the same deterministic cycle accounting, showing near-
-linear throughput scaling while batch-1 latency grows only by link hops.
+linear throughput scaling while batch-1 latency grows only by link hops
+(:func:`repro.report.scaleout_section`).
 """
 
-from repro.bench import ExperimentReport, ascii_series
-from repro.nn import estimate_network, resnet_layers, scale_out
+from repro.report import scaleout_section
 
 
 def test_pipeline_scaleout(report_sink, full_config, benchmark):
-    layers = resnet_layers(50)
-    single = estimate_network(layers, full_config)
+    report, values = benchmark(scaleout_section, full_config)
+    report_sink.append(report.render())
 
-    def sweep():
-        return {
-            n: scale_out(layers, full_config, n) for n in (1, 2, 4, 8)
-        }
-
-    plans = benchmark(sweep)
-
-    report = ExperimentReport(
-        "E19", "Pipeline-parallel ResNet50 across TSP chips (extension)"
-    )
-    report.add("single-chip baseline", 20_400, round(single.ips), "IPS")
-    for n, plan in plans.items():
-        report.add(
-            f"{n}-chip throughput", "—", round(plan.throughput_ips),
-            "IPS",
-            note=f"speedup {plan.speedup_vs(single.ips):.2f}x, "
-            f"efficiency {plan.efficiency(single.ips):.0%}, "
-            f"latency {plan.latency_us:.1f} us",
-        )
-    report.add(
-        "latency growth at 8 chips",
-        "link hops only",
-        f"{plans[8].latency_us - single.latency_us:.1f} us",
-        note="deterministic pipelining adds no queueing",
-    )
-    art = ascii_series(
-        [(n, plan.throughput_ips / 1000) for n, plan in plans.items()],
-        width=40, height=10,
-        title="throughput (K IPS) vs chips",
-    )
-    report_sink.append(report.render() + "\n\n" + art)
-
+    single, plans = values["single"], values["plans"]
     assert plans[2].speedup_vs(single.ips) > 1.8
     assert plans[4].speedup_vs(single.ips) > 3.0
     assert plans[8].latency_us < single.latency_us * 1.25

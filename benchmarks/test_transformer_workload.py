@@ -2,70 +2,20 @@
 
 Section I names "attention and transformer models" among the drivers of
 domain-specific architectures; the paper evaluates only ResNet.  This
-extension maps a 12-layer decoder (batch-1 prefill) through the same
-tiling/performance model and contrasts with the GPU-class baseline —
-the deterministic-latency argument carries over unchanged.
+extension maps a 12-layer decoder (batch-1 prefill and decode) through the
+same tiling/performance model and contrasts with the GPU-class baseline —
+the deterministic-latency argument carries over unchanged
+(:func:`repro.report.transformer_section`).
 """
 
-import pytest
-
-from repro.baselines import GpuModel
-from repro.bench import ExperimentReport, ascii_series
-from repro.nn import (
-    TransformerConfig,
-    estimate_transformer,
-    transformer_layers,
-    transformer_macs,
-)
+from repro.report import transformer_section
 
 
 def test_transformer_prefill(report_sink, full_config, benchmark):
-    config = TransformerConfig()
+    report, values = benchmark(transformer_section, full_config)
+    report_sink.append(report.render())
 
-    def estimate():
-        return estimate_transformer(config, full_config)
-
-    est = benchmark(estimate)
-
-    gpu = GpuModel()
-    layers = transformer_layers(config)
-    gpu_latency = gpu.inference_latency_us(layers, batch=1, jitter=False)
-
-    ops = 2 * transformer_macs(config)
-    sustained = ops / (est.prefill_latency_us / 1e6) / 1e12
-
-    report = ExperimentReport(
-        "E20", "Transformer decoder prefill (extension; Section I workload)"
-    )
-    report.add("model", "—",
-               f"{config.n_layers}L d={config.d_model} ff={config.d_ff} "
-               f"seq={config.seq_len}")
-    report.add("prefill GMACs", "—",
-               round(transformer_macs(config) / 1e9, 1))
-    report.add("prefill latency", "deterministic",
-               round(est.prefill_latency_us), "us")
-    report.add("prefill rate", "—", round(est.tokens_per_second),
-               "tokens/s")
-    report.add("sustained throughput", "—", round(sustained), "TeraOps/s",
-               note=f"{sustained / full_config.peak_teraops():.0%} of peak")
-    report.add("GPU-class batch-1 latency", "—", round(gpu_latency), "us")
-    report.add("TSP advantage at batch 1", "—",
-               round(gpu_latency / est.prefill_latency_us, 2), "x")
-
-    sweep = [
-        (s, estimate_transformer(
-            TransformerConfig(seq_len=s), full_config
-        ).prefill_latency_us)
-        for s in (64, 128, 256, 512, 1024)
-    ]
-    art = ascii_series(
-        sweep, width=48, height=12, logx=True,
-        title="prefill latency (us) vs sequence length — quadratic "
-        "attention term emerges",
-    )
-    report_sink.append(report.render() + "\n\n" + art)
-
-    assert est.prefill_latency_us < 2_000
-    assert gpu_latency > est.prefill_latency_us
-    latencies = [latency for _s, latency in sweep]
+    assert values["prefill_latency_us"] < 2_000
+    assert values["gpu_latency_us"] > values["prefill_latency_us"]
+    latencies = values["sweep_latencies"]
     assert all(b > a for a, b in zip(latencies, latencies[1:]))

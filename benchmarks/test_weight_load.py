@@ -5,40 +5,20 @@ install them into the four 320x320 MXM arrays in less than 40 cycles
 including SRAM and on-chip network transit delay", possible because 32
 1-byte stream operands per lane feed 10 TiB/s (paper units) into the MXMs.
 
-We reproduce the figure analytically from the full-chip geometry and verify
-the formula against cycle-accurate simulation on the scaled test chip.
+We reproduce the figure analytically from the full-chip geometry
+(:func:`repro.report.weight_load_section`) and verify the formula against
+cycle-accurate simulation on the scaled test chip.
 """
 
 import numpy as np
-import pytest
 
-from repro.bench import ExperimentReport
 from repro.compiler import StreamProgramBuilder, execute
-from repro.nn import weight_install_summary
+from repro.report import weight_load_section
 from repro.sim import TspChip
 
 
 def test_weight_load_full_chip(report_sink, full_config, benchmark):
-    summary = benchmark(weight_install_summary, full_config)
-
-    operand_bw = full_config.paper_tib_per_s(
-        full_config.streams_per_direction * full_config.n_lanes
-    )
-    report = ExperimentReport(
-        "E09", "Weight load: all four MXM planes (Section V-b)"
-    )
-    report.add("weights installed", 409_600, summary["weights"])
-    report.add(
-        "install cycles (stream-fed)", "—", summary["install_cycles"],
-        "cycles", note="16 streams x 320 lanes per plane, 4 planes",
-    )
-    report.add(
-        "with SRAM + network transit", "< 40", summary["with_transit"],
-        "cycles",
-    )
-    report.add(
-        "operand bandwidth into MXMs", 10.0, operand_bw, "paper-TiB/s"
-    )
+    report, summary = benchmark(weight_load_section, full_config)
     report_sink.append(report.render())
 
     assert summary["weights"] == 409_600

@@ -32,11 +32,13 @@ class PaperComparison:
 
 @dataclass
 class ExperimentReport:
-    """A named experiment with its comparison rows."""
+    """A named experiment with its comparison rows and, when it plots
+    one, its figure (an :func:`ascii_series`) under the table."""
 
     experiment: str
     title: str
     rows: list[PaperComparison] = field(default_factory=list)
+    figure: str = ""
 
     def add(
         self,
@@ -65,6 +67,8 @@ class ExperimentReport:
             if row.note:
                 line += f"  ({row.note})"
             lines.append(line)
+        if self.figure:
+            lines += ["", self.figure]
         return "\n".join(lines)
 
 

@@ -585,9 +585,8 @@ def _chip_plan(chip0, program: Program, cycles: int, reads: list,
     MEM words its Reads read (``reads``) and their ``drives``, the words
     the host stages on it and reads back off it, and the links its C2C
     instructions drive — its activity counted from these by the
-    compiler's rules (:class:`~repro.sim.replay.ScheduleRecorder`).  A
-    Receive emplaces by the C2C unit's DMA, so it writes no counted SRAM
-    byte, as a simulated one does not."""
+    compiler's rules (:class:`~repro.sim.replay.ScheduleRecorder`): each
+    Receive lands one lane-wide SRAM write, as a simulated one does."""
     links: dict = {}
     kinds = (Deskew, Send, Receive)
     for icu in program.icus:

@@ -279,8 +279,12 @@ class TelemetryCollector(CounterRegistry):
                 count(f"c2c:{unit}.link{ins.link}", "sent_bytes",
                       t + ins.dskew(timing), lanes)
             elif kind == "Receive":
+                landed = t + ins.dfunc(timing)
                 count(f"c2c:{unit}.link{ins.link}", "received_bytes",
-                      t + ins.dfunc(timing), lanes)
+                      landed, lanes)
+                mem = self.floorplan.mem_slice(event.queue.address.hemisphere,
+                                               ins.mem_slice)
+                count(f"mem:{mem}", "write_bytes", landed, lanes)
             elif kind == "IW":
                 done = t + ins.dskew(timing) + (
                     0 if ins.from_buffer else ins.install_cycles(lanes) - 1

@@ -343,6 +343,8 @@ class C2cUnit(FunctionalUnit):
             hemisphere = self.address.hemisphere
             mem = self.chip.mem_unit(hemisphere, instruction.mem_slice)
             mem.host_write(instruction.address, vector[None, :])
+            # the DMA's landing is one lane-wide SRAM write
+            self.chip.activity.sram_write_bytes += self.chip.config.n_lanes
 
         self.chip.events.schedule(when, Phase.CAPTURE, _emplace)
 

@@ -220,8 +220,10 @@ class ScheduleRecorder:
 
         A read or a write moves one vector, a VXM op is an ALU op per
         lane, a route moves one vector through the SXM and a ``dot`` is
-        one pass through its install's ``rows × cols`` plane; the barrier
-        adds cycles and dispatches, and drives nothing.
+        one pass through its install's ``rows × cols`` plane; a C2C
+        ``Receive`` (counted in :attr:`ReplayPlan.links`) lands one
+        vector in SRAM; the barrier adds cycles and dispatches, and drives
+        nothing.
         """
         plan = self.plan
         barrier = (
@@ -260,7 +262,10 @@ class ScheduleRecorder:
                 alu_ops=lanes * (tally["vxm1"] + tally["vxm2"]
                                  + tally["vxmc"]),
                 sram_read_bytes=lanes * tally["read"],
-                sram_write_bytes=lanes * (tally["write"] + tally["wconst"]),
+                sram_write_bytes=lanes * (
+                    tally["write"] + tally["wconst"]
+                    + sum(counts[2] for counts in plan.links.values())
+                ),
                 stream_hop_bytes=lanes * sum(
                     hops for _d, _t, hops, _o
                     in flights(drives, plan.n_positions, cycles)

@@ -343,6 +343,27 @@ class TestTransferLockstep:
         landed = results[route[-1]].replay.outputs["landed"]
         assert np.array_equal(landed, payload)
 
+    @pytest.mark.parametrize("replay", [False, True],
+                             ids=["simulated", "replayed"])
+    def test_a_landing_counts_one_sram_write_per_vector(self, config, rng,
+                                                        replay):
+        """A Receive's DMA landing is a lane-wide SRAM write: the
+        simulator, the plan and a collector's rollup count it alike on
+        every chip of a relayed route, by either route of running it."""
+        from repro.obs import TelemetryCollector
+
+        system = MultiChipSystem.ring(config, 4)
+        collectors = [TelemetryCollector() for _ in system.chips]
+        system.attach_telemetry(collectors)
+        transfer = build_ring_transfer(system, [0, 3, 2, 1], 5)
+        payload = rng.integers(0, 256, (5, config.n_lanes), np.uint8)
+        _landed, runs = transfer.run(system, payload, replay=replay)
+        for collector, run, plan in zip(collectors, runs, transfer.plans):
+            assert collector.rollup() == run.activity == plan.activity
+        writes = [run.activity.sram_write_bytes for run in runs]
+        assert writes == [0, 5 * config.n_lanes, 5 * config.n_lanes,
+                          5 * config.n_lanes]
+
     def test_a_degraded_route_replays_equal_to_a_simulation(self, config,
                                                             rng):
         """Dead MEM slices move the head and the staging slice, a dead

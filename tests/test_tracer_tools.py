@@ -74,3 +74,21 @@ class TestReportCli:
         assert main([]) == 0
         out = capsys.readouterr().out
         assert "E11" in out and "ResNet50" in out and "roofline" in out
+
+    def test_each_section_prints_once_as_its_function_renders(self, capsys):
+        """The benchmarks render the same functions, so a label printed
+        here is the section ``bench_reports.txt`` holds, byte for byte."""
+        from repro.report import SECTIONS, main
+
+        assert main([]) == 0
+        out = capsys.readouterr().out
+        labels = ("E03", "E04", "E06/E07", "E08", "E09", "E11", "E12",
+                  "E15", "E16", "E19", "E20")
+        for label in labels:
+            assert out.count(f"== {label}: ") == 1, label
+        printed = set()
+        for section, chip in SECTIONS:
+            report, _values = section(chip())
+            assert f"\n{report.render()}\n\n" in out, report.experiment
+            printed.add(report.experiment)
+        assert printed >= set(labels)
