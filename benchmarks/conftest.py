@@ -2,8 +2,10 @@
 
 Every experiment bench renders an :class:`ExperimentReport` and appends it
 to the session sink; the terminal summary prints all of them after the
-pytest-benchmark tables, and a copy is persisted to
-``benchmarks/bench_reports.txt`` so EXPERIMENTS.md can be cross-checked.
+pytest-benchmark tables, and ``benchmarks/bench_reports.txt`` keeps the
+latest render of every section, by title, so EXPERIMENTS.md can be
+cross-checked: a run replaces the sections it rendered and keeps the rest
+(:func:`repro.bench.reporting.merge_rendered`).
 
 Chip-config fixtures come from :mod:`repro.testing`, shared with the main
 test suite's conftest.
@@ -21,6 +23,7 @@ import os
 
 import pytest
 
+from repro.bench.reporting import merge_rendered
 from repro.testing import make_full_config, make_small_config
 
 _REPORTS_KEY = pytest.StashKey()
@@ -56,6 +59,12 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         for line in text.splitlines():
             terminalreporter.write_line(line)
     path = os.path.join(os.path.dirname(__file__), "bench_reports.txt")
+    previous = ""
+    if os.path.exists(path):
+        with open(path) as handle:
+            previous = handle.read()
     with open(path, "w") as handle:
-        handle.write("\n\n".join(reports) + "\n")
-    terminalreporter.write_line(f"\n(reports saved to {path})")
+        handle.write(merge_rendered(previous, reports))
+    terminalreporter.write_line(
+        f"\n({len(reports)} reports saved to {path}, the others kept)"
+    )

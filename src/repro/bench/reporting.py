@@ -72,6 +72,31 @@ class ExperimentReport:
         return "\n".join(lines)
 
 
+def merge_rendered(previous: str, rendered: list[str]) -> str:
+    """A reports file: the sections of ``previous`` (a file this wrote
+    before) with each of ``rendered`` — :meth:`ExperimentReport.render`
+    texts — in place of the section of its title, or added; every
+    section once, in the order of their title lines.
+
+    So a run of some benchmarks refreshes their sections and keeps the
+    others' as the last run that rendered them left them.
+    """
+    sections: dict[str, list[str]] = {}
+    title = None
+    for line in previous.splitlines():
+        if line.startswith("== ") and line.endswith(" =="):
+            title = line
+            sections[title] = []
+        if title is not None:
+            sections[title].append(line)
+    texts = {key: "\n".join(lines) for key, lines in sections.items()}
+    for text in rendered:
+        texts[text.splitlines()[0]] = text
+    return "\n\n".join(
+        texts[key].strip("\n") for key in sorted(texts)
+    ) + "\n"
+
+
 def _fmt(value: float | str) -> str:
     if isinstance(value, str):
         return value

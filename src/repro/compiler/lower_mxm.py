@@ -65,7 +65,7 @@ class MxmLowering:
         weight_dtype = node.params.get("weight_dtype", DType.INT8)
         fp16 = weight_dtype is DType.FP16
         free = not fp16 and rows_are_free(graph, node)
-        offers = self._plane_offers(node, act_nodes, fp16, free)
+        offers = self._plane_offers(node.name, act_nodes, fp16, free)
         # a graph that is one one-tile matmul alone (weights, activations,
         # the matmul, its write) repeats its pass behind one install;
         # anything else repeats whole
@@ -120,10 +120,10 @@ class MxmLowering:
             )
 
     def _plane_offers(
-        self, node: Node, act_nodes: list[Node], fp16: bool, free: bool
+        self, name: str, act_nodes: list[Node], fp16: bool, free: bool
     ) -> list[PlaneOffer]:
-        """What each hemisphere's MXM offers ``node``, the one it lands in
-        first: in-flight activations dictate it, else it is where a plane
+        """What each hemisphere's MXM offers matmul ``name``, the one it
+        lands in first: in-flight activations dictate it, else where a plane
         is free first — the round-robin only breaks ties, and a blacklist
         (degraded mode) only shortens the offers.  An fp16 tile runs two
         byte-planes in tandem, hosted by plane 0 with its siblings captive
@@ -171,7 +171,7 @@ class MxmLowering:
             dead = sorted((h.value, p) for h, p in self._dead_planes)
             pinned = " (hemisphere pinned by in-flight activations)"
             raise CompileError(
-                f"degraded mode: no healthy MXM plane for {node.name} — "
+                f"degraded mode: no healthy MXM plane for {name} — "
                 f"blacklist {dead}{pinned if len(hemispheres) == 1 else ''}"
             )
         return sorted(offers, key=lambda offer: offer.ready[0])

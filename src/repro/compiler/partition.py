@@ -440,10 +440,11 @@ def build_ring_transfer(
 ) -> RingTransferPlan:
     """Fully timed multi-hop transfer of ``n_words`` vectors along ``route``.
 
-    Each hop Reads the vectors out of the sender's slice, Sends them down
-    the next cable, and the receiver's Receive emplaces them into *its*
-    staging slice — classic deterministic store-and-forward, with every
-    dispatch cycle computed here at plan time.  Receives are
+    Each hop Deskews both ends of the next cable, Reads the vectors out of
+    the sender's slice, Sends them down it, and the receiver's Receive
+    emplaces them into *its* staging slice — classic deterministic
+    store-and-forward, with every dispatch cycle computed here at plan
+    time, so the programs run on a strict-C2C system too.  Receives are
     placed after :attr:`~repro.sim.c2c.C2cLink.arrival_latency`, so the
     plan already reserves the retransmission slack of any error model
     attached to the cables.  ``system`` is only read (its floorplan,
@@ -531,8 +532,11 @@ def build_ring_transfer(
         send_icu = IcuId(c2c_out, 0)
         recv_icu = IcuId(floorplan.c2c(in_hemisphere), 0)
         t_capture0 = ready + d_read + hops
-        # calibrate the egress once, well before the first capture
+        # calibrate both ends of the cable once, well before the first
+        # capture: a strict link refuses a vector sent at another epoch
+        # than the receiver's
         at(a, send_icu, ready, Deskew(link=0), ready + d_deskew)
+        at(b, recv_icu, ready, Deskew(link=0), ready + d_deskew)
         for i in range(n_words):
             t_read = ready + i * interval
             t_capture = t_read + d_read + hops

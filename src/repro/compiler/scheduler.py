@@ -48,6 +48,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..arch.geometry import Direction, Floorplan, Hemisphere
+from ..arch.streams import DType
 from ..arch.streams import pack_tensor, unpack_tensor  # noqa: F401 (re-export)
 from ..arch.timing import TimingModel
 from ..config import ArchConfig
@@ -69,6 +70,8 @@ from .placement import (
     MemSlice,
     MxmClock,
     co_consumed,
+    matmul_cost,
+    matmul_parts,
     operand_slices,
     read_direction,
 )
@@ -673,3 +676,37 @@ class Scheduler(VxmLowering, MxmLowering, SxmLowering):
             self._schedule_write(graph, node)
         else:
             raise CompileError(f"cannot lower {node.kind.value}")
+
+
+def matmul_program_cost(
+    config: ArchConfig,
+    rows: int,
+    k: int,
+    passes: int = 1,
+    blacklist=None,
+) -> tuple[int, int]:
+    """The closed form's ``(cycles, instructions)`` of the program
+    ``input (rows, k) int8 -> matmul -> write int32`` compiled with
+    ``passes`` passes and ``blacklist`` (default timing), without
+    scheduling it.
+
+    Such a program's matmul is the first thing its scheduler places, so
+    the planes and slices on offer are a fresh scheduler's; the parts are
+    the ones :meth:`Scheduler._schedule_matmul` would take
+    (:func:`~.placement.matmul_parts`, scored at two passes for a pass
+    program) and their price is :func:`~.placement.matmul_cost` — equal to
+    the scheduled program's for every shape the benchmark serves
+    (``tests/test_schedule_cycles.py``), as long as MEM holds all
+    ``passes`` (:func:`~.repeat.max_passes`).  The output width is not an
+    argument: weights are fed lane-padded, so it moves neither count.
+    """
+    scheduler = Scheduler(config, blacklist=blacklist, periodic=passes > 1)
+    lanes, clock = config.n_lanes, scheduler._mxm_clock
+    chunks = [min(lanes, k - start) for start in range(0, k, lanes)]
+    widths = (DType.INT8.n_bytes, DType.INT32.n_bytes)
+    periodic = passes > 1 and len(chunks) == 1
+    offers = scheduler._plane_offers("matmul", [], fp16=False, free=True)
+    parts = matmul_parts(
+        rows, offers, chunks, widths, clock, passes=2 if periodic else 1
+    )
+    return matmul_cost(parts, chunks, widths, clock, passes)

@@ -36,8 +36,11 @@ def make_small_cnn(
 
     The paper widened ResNet50's channels to fill the MXM's 320-element
     vector length "for the same computational cost and latency"; here the
-    same study scales ``channels`` while the TSP mapper shows the padded
-    tiles cost identical cycles.
+    same study scales ``channels``.  A padded tile streams in as many
+    cycles as a full one, so a narrow layer (the one-channel first conv:
+    9 x ``channels``) fills the vector the other way on the chip — the
+    runner streams several of its rows a vector
+    (:meth:`~repro.nn.tsp_inference.TspCnnRunner.rows_per_vector`).
     """
     rng = np.random.default_rng(seed)
     pooled = image_size // 4  # two 2x2 max pools

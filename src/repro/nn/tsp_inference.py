@@ -11,6 +11,12 @@ flattening) and — for now — each layer's epilogue: the int32 accumulators
 are dequantized, biased and rectified in float64, and the next layer's
 int8 input is rounded from that (``TspCnnRunner._matrix_forward``).
 
+A plane streams one vector a cycle however few of its lanes a layer
+uses, so a narrow layer runs several activation rows a vector through a
+block-diagonal install of its weights (``TspCnnRunner.rows_per_vector``)
+— Section IV-E's "same computational cost and latency" for wider
+vectors, taken the other way round: the same integers in fewer cycles.
+
 The runner calibrates per-layer activation scales on a calibration batch
 (standard post-training quantization) and verifies against the host
 reference path in :mod:`repro.nn.quantize`.
@@ -20,12 +26,13 @@ from __future__ import annotations
 
 import itertools
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from ..compiler import StreamProgramBuilder, execute
 from ..compiler.repeat import join_passes, pass_name
+from ..compiler.scheduler import matmul_program_cost
 from ..config import ArchConfig
 from ..errors import TspError
 from ..obs import rtrace
@@ -131,7 +138,10 @@ class TspCnnRunner:
     larger than the lane count are K-tiled (accumulated in the MXM), and
     a layer's rows are cut into chunks of ``max_vectors_per_program``
     rows that stream through one weight install as the passes of that
-    program (:mod:`repro.compiler.repeat`).
+    program (:mod:`repro.compiler.repeat`).  A layer narrow enough runs
+    ``r`` rows a vector through ``diag(W, ..., W)``, ``r`` chosen per
+    (layer, rows, blacklist) by the compiler's closed form
+    (:meth:`rows_per_vector`); nothing selects it from outside.
 
     ``max_vectors_per_program`` is the *pass height*: the rows one pass
     carries, not a program's.  The name predates passes; it stays because
@@ -149,9 +159,15 @@ class TspCnnRunner:
         #: the pass height (see the class docstring)
         self.max_vectors = max_vectors_per_program
         self.layers = self._lower(model, calibration)
-        #: (layer name, rows, blacklist) -> (builder, input
+        #: (layer name, weight shape, rows, blacklist) -> (builder, input
         #: bindings, cache key, shape key); see :meth:`_resolve`
         self._resolved: dict[tuple, tuple] = {}
+        #: (layer name, rows, blacklist) -> rows a vector carries; see
+        #: :meth:`rows_per_vector`
+        self._packings: dict[tuple, int] = {}
+        #: (layer name, rows a vector carries) -> the layer as the chip
+        #: runs it; see :meth:`packed_layer`
+        self._packed: dict[tuple, CompiledLayer] = {}
 
     # ------------------------------------------------------------------
     def _lower(
@@ -248,13 +264,14 @@ class TspCnnRunner:
         """``(builder, input bindings, cache key, shape key)`` of one
         program shape.
 
-        A chunk's graph is a pure function of (layer, rows, blacklist)
-        and the runner is immutable after lowering, so its builder graph,
-        content address and shape key are resolved once and shared by
-        every worker; neither a warm batch nor a cache miss rebuilds or
-        re-hashes them.  Racing first resolutions compute equal values.
+        A chunk's graph is a pure function of (layer as packed — its
+        weight shape says how —, rows, blacklist) and the runner is
+        immutable after lowering, so its builder graph, content address
+        and shape key are resolved once and shared by every worker;
+        neither a warm batch nor a cache miss rebuilds or re-hashes them.
+        Racing first resolutions compute equal values.
         """
-        memo_key = (layer.name, n_rows, blacklist)
+        memo_key = (layer.name, layer.weight_q.shape, n_rows, blacklist)
         resolved = self._resolved.get(memo_key)
         if resolved is None:
             g, bindings = build_chunk_builder(self.config, layer, n_rows)
@@ -378,26 +395,94 @@ class TspCnnRunner:
                 stats.cache_hits += 1 if hit else 0
         return accs, cycles
 
-    def _matrix_forward(
+    def rows_per_vector(
+        self, layer: CompiledLayer, n_rows: int, blacklist=None
+    ) -> int:
+        """How many of ``layer``'s ``n_rows`` activation rows one vector
+        carries on the chip.
+
+        A plane streams one vector a cycle however few of its rows and
+        columns a layer uses, so ``r`` rows side by side through the
+        block-diagonal ``diag(W, ..., W)`` (:meth:`packed_layer`) cost a
+        ``r``-th of the stream for a longer weight feed.  Of the ``r``
+        whose block fits a plane — ``r * K`` lanes in, ``r * M`` columns
+        out — this is the one whose programs, ``ceil(n_rows / r)`` rows
+        cut into chunks of the pass height, the compiler's closed form
+        (:func:`~repro.compiler.scheduler.matmul_program_cost`) says
+        finish in the fewest cycles; a tie keeps the smaller ``r``.
+        Nothing is scheduled to decide it, and it is decided once per
+        (layer, rows, blacklist).
+        """
+        memo_key = (layer.name, n_rows, blacklist)
+        r = self._packings.get(memo_key)
+        if r is None:
+            k, m = layer.weight_q.shape
+            lanes = self.config.n_lanes
+            cols = min(lanes, self.config.mxm_plane_cols)
+            fits = [r for r in range(1, lanes // k + 1) if r * m <= cols]
+
+            def price(r: int) -> tuple[int, int]:
+                rows = -(-n_rows // r)
+                return self._predicted_cycles(r * k, rows, blacklist), r
+
+            r = min(fits, key=price) if len(fits) > 1 else 1
+            self._packings[memo_key] = r
+        return r
+
+    def _predicted_cycles(self, k: int, n_rows: int, blacklist) -> int:
+        """Predicted cycles of ``n_rows`` rows of depth ``k`` as
+        :meth:`matrix_accumulators` runs them: the whole chunks as the
+        passes of one program, the tail as one more."""
+        whole, tail = divmod(n_rows, self.max_vectors)
+        return sum(
+            matmul_program_cost(
+                self.config, rows, k, passes=passes, blacklist=blacklist
+            )[0]
+            for rows, passes in ((self.max_vectors, whole), (tail, 1))
+            if rows and passes
+        )
+
+    def packed_layer(self, layer: CompiledLayer, r: int) -> CompiledLayer:
+        """``layer`` as the chip runs it ``r`` rows a vector: the weights
+        are ``diag(W, ..., W)``, ``r * K`` by ``r * M``, so packed row
+        ``p`` holds rows ``p * r .. p * r + r - 1`` side by side and its
+        result holds theirs, ``M`` columns each."""
+        if r == 1:
+            return layer
+        packed = self._packed.get((layer.name, r))
+        if packed is None:
+            packed = self._packed[(layer.name, r)] = replace(
+                layer,
+                weight_q=np.kron(np.eye(r, dtype=np.int8), layer.weight_q),
+            )
+        return packed
+
+    def matrix_accumulators(
         self,
         layer: CompiledLayer,
-        acts: np.ndarray,
+        acts_q: np.ndarray,
         chip=None,
         cache=None,
         stats: ChunkRunStats | None = None,
         blacklist=None,
     ) -> tuple[np.ndarray, int]:
-        """Quantize, run on chip (a pass per chunk), dequantize + bias
-        (+ReLU).
+        """The chip's int32 ``acts_q @ layer.weight_q`` — one row per
+        activation row — and the cycles it took.
 
-        int8 activations are already in the layer's input domain (a
-        pipeline stage boundary quantized them before shipping over C2C)
-        and skip the rounding here.
+        The ``(rows, K)`` activations run as ``(ceil(rows / r), r * K)``
+        through :meth:`packed_layer` (``r`` from :meth:`rows_per_vector`;
+        zero rows pad the tail) and the result is viewed back as ``(rows,
+        M)``, the pad rows dropped: the same integers as ``r = 1``.  The
+        packed rows are cut into chunks of the pass height, and
+        consecutive chunks of one height are the passes of one program.
         """
-        acts_q = (
-            acts if acts.dtype == np.int8
-            else self.quantize_boundary(layer, acts)
-        )
+        n_rows, k = acts_q.shape
+        r = self.rows_per_vector(layer, n_rows, blacklist)
+        packed = self.packed_layer(layer, r)
+        if r > 1:
+            acts_q = np.concatenate(
+                [acts_q, np.zeros((-n_rows % r, k), dtype=np.int8)]
+            ).reshape(-1, r * k)
         step = self.max_vectors
         pieces = [
             acts_q[start : start + step]
@@ -411,14 +496,42 @@ class TspCnnRunner:
             group = list(members)
             while group:
                 accs, group_cycles = self._run_matmul_group(
-                    layer, group, chip=chip, cache=cache, stats=stats,
+                    packed, group, chip=chip, cache=cache, stats=stats,
                     blacklist=blacklist,
                 )
                 chunks.extend(accs)
                 cycles += group_cycles
                 group = group[len(accs):]
-        acc = np.vstack(chunks).astype(np.float64)
-        out = acc * (layer.in_scale * layer.weight_scale) + layer.bias
+        acc = np.vstack(chunks)
+        return acc.reshape(-1, layer.weight_q.shape[1])[:n_rows], cycles
+
+    def _matrix_forward(
+        self,
+        layer: CompiledLayer,
+        acts: np.ndarray,
+        chip=None,
+        cache=None,
+        stats: ChunkRunStats | None = None,
+        blacklist=None,
+    ) -> tuple[np.ndarray, int]:
+        """Quantize, run on chip (:meth:`matrix_accumulators`), dequantize
+        + bias (+ReLU).
+
+        int8 activations are already in the layer's input domain (a
+        pipeline stage boundary quantized them before shipping over C2C)
+        and skip the rounding here.
+        """
+        acts_q = (
+            acts if acts.dtype == np.int8
+            else self.quantize_boundary(layer, acts)
+        )
+        acc, cycles = self.matrix_accumulators(
+            layer, acts_q, chip=chip, cache=cache, stats=stats,
+            blacklist=blacklist,
+        )
+        out = acc.astype(np.float64) * (
+            layer.in_scale * layer.weight_scale
+        ) + layer.bias
         if layer.relu:
             out = np.maximum(out, 0)
         return out, cycles

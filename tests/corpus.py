@@ -25,7 +25,8 @@ from repro.resil import Blacklist
 from repro.testing import draw
 from repro.verify.suite import PROGRAMS
 from test_compiler_fuzz import build_random_graph
-from test_schedule_cycles import CHUNK_CYCLES, NO_SIBLING, chunk_builder
+from test_schedule_cycles import CHUNK_CYCLES, NO_SIBLING, PACKED_PROGRAMS
+from test_schedule_cycles import chunk_builder
 from test_schedule_cycles import fused_ffn_builder, serve_models
 
 
@@ -103,6 +104,19 @@ def fused_programs():
     for rows in (1, 4, 8):
         yield Entry(f"fused/ffn.x{rows}",
                     fused_ffn_builder(config, models, rows))
+
+
+def packed_programs():
+    """``conv0`` run several rows a vector through one block-diagonal
+    install, as a batch of one to four images runs it."""
+    config, models = small_test_chip(), serve_models()
+    for r, rows, passes in sorted(PACKED_PROGRAMS):
+        builder = chunk_builder(config, models, "cnn", "conv0", rows, r)[1]
+        yield Entry(
+            f"packed/cnn.conv0.{r}-high.x{rows}"
+            + (f"*{passes}" if passes > 1 else ""),
+            builder, passes=passes,
+        )
 
 
 #: a chip that lost slices near both MXMs and the VXM, and an MXM plane
@@ -330,7 +344,7 @@ def corpus():
         builder, inputs = build(small_test_chip())
         yield Entry(f"suite/{name}", builder, inputs=inputs)
     for source in (random_graphs, fuzz_shapes, tight_chips, pass_programs,
-                   fused_programs):
+                   fused_programs, packed_programs):
         yield from source()
 
 

@@ -509,8 +509,9 @@ class TestTracingWork:
                 s.name.split()[0] for s in spans if s.batch_id == batch_id
             )
             # one cache lookup + one execute per layer group (conv0,
-            # conv1, dense2), whatever the batch: conv0 alone is 2
-            # chunks of 32 rows for one image and 8 for four
+            # conv1, dense2), whatever the batch: conv0 alone runs one
+            # image's 64 rows two a vector (one chunk of 32) and four
+            # images' 256 four a vector (two chunks of 32)
             assert names == sorted(
                 ["batch", "batch_form", "checkout", "respond"]
                 + 3 * ["cache", "execute"]
@@ -520,7 +521,7 @@ class TestTracingWork:
                 s.args["layer"]: s.args["batch"] for s in spans
                 if s.batch_id == batch_id and s.name == "execute"
             }
-            assert chunks["conv0"] == 2 * n
+            assert chunks["conv0"] == {1: 1, 4: 2}[n]
 
 
 class TestChipEventsKeepTheRoute:

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.bench import ExperimentReport, PaperComparison, ascii_series
+from repro.bench.reporting import merge_rendered
 
 
 class TestExperimentReport:
@@ -45,3 +46,33 @@ class TestAsciiSeries:
 
     def test_empty(self):
         assert "no data" in ascii_series([])
+
+
+class TestMergeRendered:
+    """``benchmarks/bench_reports.txt`` keeps every section a run did not
+    render: a run replaces only its own, by title, in title order."""
+
+    @staticmethod
+    def section(experiment, title, value, figure=""):
+        report = ExperimentReport(experiment, title, figure=figure)
+        report.add("metric", 1.0, value)
+        return report.render()
+
+    def test_a_subset_replaces_only_its_sections(self):
+        a = self.section("E03", "roofline", 1.0, figure="x\n\ny")
+        b = self.section("E11", "bandwidth", 2.0)
+        h = self.section("housekeeping", "host", 3.0)
+        full = merge_rendered("", [h, b, a])
+        assert full == "\n\n".join([a, b, h]) + "\n"
+        b2 = self.section("E11", "bandwidth", 5.0)
+        assert merge_rendered(full, [b2]) == "\n\n".join([a, b2, h]) + "\n"
+        # a run of every section rewrites the file it would write afresh
+        assert merge_rendered(full, [a, b, h]) == full
+
+    def test_a_new_section_takes_its_place_in_title_order(self):
+        a = self.section("E03", "roofline", 1.0)
+        h = self.section("housekeeping", "host", 3.0)
+        e = self.section("E05", "maxpool", 4.0)
+        assert merge_rendered(merge_rendered("", [a, h]), [e]) == (
+            "\n\n".join([a, e, h]) + "\n"
+        )

@@ -223,14 +223,15 @@ class TestTransferPlanner:
     #: of the test chip; a change that means to move a transfer's schedule
     #: moves these and says so.  The first chip reads its words out of the
     #: outgoing hemisphere's slice nearest the link (3 hops); a direct hop,
-    #: either way round, sends every cycle and a detour every 4
+    #: either way round, sends every cycle and a detour every 4; both ends
+    #: of each cable are deskewed when the hop's payload is readable
     PINNED = {
         (0, 1):
-            "4252852dafa145037f7eca87e7a6db932f28d50d6ac567f82d0b72a83186a2e3",
+            "63a18ae6dea7dd5a9812f76306e13c07c67d4104852b47a071847a64cc11fbf5",
         (0, 3, 2, 1):
-            "6c9ccade5fb59c7af50150d069d729315a053a74640620a4876fcf02f1a5b3d2",
+            "4e18d900305d67c48c6c04d962c84b31ee51e9b7e7c27f568bb1561c1a758882",
         (1, 0):
-            "0074964cfa3d4693095a48d8a22c7f75122940f7a5c61ddeb9702fba45d4c228",
+            "b6e85770b207e99a8498e70467a5a4620ce85c68047580379feb05f76abb9b54",
     }
 
     @pytest.mark.parametrize(
@@ -240,6 +241,26 @@ class TestTransferPlanner:
         system = MultiChipSystem.ring(config, 4)
         plan = build_ring_transfer(system, list(route), 5)
         assert program_digest(plan) == self.PINNED[route]
+
+    @pytest.mark.parametrize("route", [[0, 1], [0, 3, 2, 1]])
+    def test_a_strict_ring_lands_the_words(self, config, route):
+        """A strict link refuses a vector sent at another deskew epoch
+        than its receiver's, so each hop deskews both ends of its cable —
+        before the first ``Receive``, so the run is as long as on a
+        lenient ring (34 cycles for two words over one hop)."""
+        words = np.arange(2 * config.n_lanes, dtype=np.uint8).reshape(
+            2, config.n_lanes
+        )
+        cycles = []
+        for strict in (True, False):
+            system = MultiChipSystem.ring(config, 4, strict_c2c=strict)
+            plan = build_ring_transfer(system, route, 2)
+            landed, runs = plan.run(system, words, replay=False)
+            assert np.array_equal(landed, words)
+            cycles.append([run.cycles for run in runs])
+        assert cycles[0] == cycles[1]
+        if route == [0, 1]:
+            assert cycles[0][0] == 34
 
     def test_the_campaign_runs_the_transfer_serving_runs(self, config):
         """``build_ring_transfer`` has no options, so the fault campaign's

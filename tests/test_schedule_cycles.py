@@ -21,6 +21,11 @@ held equal to what the scheduler then emits.
 A layer's same-height chunks run as the passes of one program
 (``repro.compiler.repeat``): ``PASS_PROGRAMS`` pins each such program the
 benchmark runs, with its period, its split and the closed form.
+
+A narrow layer runs several rows a vector through a block-diagonal
+install (``TspCnnRunner.rows_per_vector``): ``ROWS_PER_VECTOR`` pins the
+choice for every batch the benchmark serves and ``PACKED_PROGRAMS`` the
+programs it makes, term by term.
 """
 
 import numpy as np
@@ -32,7 +37,7 @@ from repro.compiler import StreamProgramBuilder, execute
 from repro.compiler import lower_mxm
 from repro.compiler.placement import matmul_cost
 from repro.compiler.repeat import join_passes
-from repro.compiler.scheduler import Scheduler
+from repro.compiler.scheduler import Scheduler, matmul_program_cost
 from repro.config import small_test_chip
 from repro.isa.encoding import encode_program_text
 from repro.nn import make_shapes, make_small_cnn
@@ -143,11 +148,14 @@ NO_SIBLING = Blacklist(mxm_planes=frozenset({(Hemisphere.WEST, 1)}))
 LAYERS = sorted({key[:2] for key in CHUNK_CYCLES})
 
 
-def chunk_builder(config, models, model, layer_name, bucket):
+def chunk_builder(config, models, model, layer_name, bucket, r=1):
+    """``(layer, builder, bindings)`` of ``bucket`` rows of the layer run
+    ``r`` rows a vector (``layer`` as packed)."""
     runner = models[0][model].runner
     (layer,) = [
         l for l in runner.layers if getattr(l, "name", None) == layer_name
     ]
+    layer = runner.packed_layer(layer, r)
     return (layer, *build_chunk_builder(config, layer, bucket))
 
 
@@ -353,9 +361,12 @@ def test_closed_form_is_exact_for_passes_at_every_row_count(
             costed.clear()
             stats = builder.compile(blacklist=blacklist, passes=3).stats
             (args,) = costed
-            assert matmul_cost(*args, passes=3) == (
-                stats.makespan + 1, stats.instructions
-            ), (rows, blacklist)
+            scheduled = (stats.makespan + 1, stats.instructions)
+            assert matmul_cost(*args, passes=3) == scheduled, (rows, blacklist)
+            assert matmul_program_cost(
+                config, rows, _layer.weight_q.shape[0], passes=3,
+                blacklist=blacklist,
+            ) == scheduled, (rows, blacklist)
 
 
 @pytest.fixture()
@@ -390,20 +401,38 @@ def test_closed_form_predicts_cycles_and_instructions(
     assert predicted == [(CHUNK_CYCLES[key], CHUNK_INSTRUCTIONS[key])]
 
 
-@pytest.mark.parametrize("model, layer_name", LAYERS)
+#: every block-diagonal shape a benchmark layer could run as: ``conv0``
+#: (9 x 4) two to seven rows a vector, ``dense2`` (32 x 3) two
+PACKABLE = [
+    *((model, layer_name, 1) for model, layer_name in LAYERS),
+    *(("cnn", "conv0", r) for r in range(2, 8)),
+    ("cnn", "dense2", 2),
+]
+
+
+@pytest.mark.parametrize(
+    "model, layer_name, r", PACKABLE,
+    ids=[f"{m}-{name}" + (f"-x{r}" if r > 1 else "")
+         for m, name, r in PACKABLE],
+)
 def test_closed_form_is_exact_at_every_row_count(
-    config, models, predicted, model, layer_name
+    config, models, predicted, model, layer_name, r
 ):
     """Not only at the pinned rows: with programs built at the rows they
     carry, any count from 1 to the cap is served, and ``matmul_cost``
-    predicts the cycles *and* the instructions of each."""
+    predicts the cycles *and* the instructions of each — block-diagonal
+    installs included, and so does ``matmul_program_cost``, which prices
+    them without scheduling (what ``rows_per_vector`` compares)."""
     scheduled = []
     for rows in range(1, 33):
-        _layer, builder, _bindings = chunk_builder(
-            config, models, model, layer_name, rows
+        layer, builder, _bindings = chunk_builder(
+            config, models, model, layer_name, rows, r
         )
         stats = builder.compile().stats
         scheduled.append((stats.makespan + 1, stats.instructions))
+        assert matmul_program_cost(
+            config, rows, layer.weight_q.shape[0]
+        ) == scheduled[-1], rows
     assert predicted == scheduled
 
 
@@ -507,12 +536,93 @@ def test_every_benchmark_layer_is_pinned(models):
     assert expected == set(CHUNK_CYCLES)
 
 
+#: rows a vector carries (``TspCnnRunner.rows_per_vector``) at every
+#: (model, layer, rows) the benchmark serves: a batch of ``n`` CNN images
+#: is ``64 n`` rows of ``conv0``, ``16 n`` of ``conv1`` and ``n`` of
+#: ``dense2``; ``n`` FFN tokens are ``n`` rows of each layer.  Only
+#: ``conv0`` (9 x 4) packs.  ``conv1`` is 36 deep and the FFN's layers
+#: 64 wide or deep, so one row is all a 64-lane plane takes; ``dense2``
+#: (32 x 3) could go two a vector, but at 1-4 rows its feed would grow
+#: by more than its stream shrinks (31 cycles against 35 at one row)
+ROWS_PER_VECTOR = {
+    ("cnn", "conv0", 64): 2,
+    ("cnn", "conv0", 128): 7,
+    ("cnn", "conv0", 192): 3,
+    ("cnn", "conv0", 256): 4,
+    **{("cnn", "conv1", 16 * n): 1 for n in range(1, 5)},
+    **{("cnn", "dense2", n): 1 for n in range(1, 5)},
+    **{("ffn", name, n): 1
+       for name in ("dense0", "dense1") for n in range(1, 17)},
+}
+
+
+@pytest.mark.parametrize("model, layer_name, rows", sorted(ROWS_PER_VECTOR))
+def test_rows_per_vector_is_pinned(models, model, layer_name, rows):
+    runner = models[0][model].runner
+    (layer,) = [
+        l for l in runner.layers if getattr(l, "name", None) == layer_name
+    ]
+    assert runner.rows_per_vector(layer, rows) == ROWS_PER_VECTOR[
+        (model, layer_name, rows)
+    ]
+
+
+#: the packed ``conv0`` programs a batch of one to four images runs,
+#: (rows a vector, rows, passes) -> (cycles, instructions, (feed, fill,
+#: stream, drain)): a wider block feeds more weight chunks (12 cycles of
+#: feed at one row a vector, 15 at two, 18 at four, 22 at seven) and
+#: streams a ``r``-th of the rows.  Four a vector is 36 deep, as deep as
+#: ``conv1``: the same 52 cycles and 412 instructions, the same split
+PACKED_PROGRAMS = {
+    (2, 32, 1): (39, 208, (15, 7, 8, 9)),
+    (7, 19, 1): (47, 164, (22, 7, 10, 8)),
+    (3, 32, 2): (51, 396, (17, 7, 16, 11)),
+    (4, 32, 2): (52, 412, (18, 7, 16, 11)),
+}
+
+
+@pytest.mark.parametrize("r, rows, passes", sorted(PACKED_PROGRAMS))
+def test_packed_programs_are_pinned_and_explained(
+    config, models, r, rows, passes
+):
+    """feed + fill + stream + drain, read off the marks as in
+    :func:`test_marks_explain_every_cycle` and
+    :func:`test_pass_programs_are_pinned_and_explained`; the closed form
+    the runner chose ``r`` by predicts both counts, and the simulator
+    runs the program in as many cycles."""
+    layer, builder, bindings = chunk_builder(
+        config, models, "cnn", "conv0", rows, r
+    )
+    compiled = builder.compile(passes=passes)
+    stats = compiled.stats
+    cycles, instructions, split = PACKED_PROGRAMS[(r, rows, passes)]
+    assert (stats.makespan + 1, stats.instructions) == (cycles, instructions)
+    assert matmul_program_cost(
+        config, rows, layer.weight_q.shape[0], passes=passes
+    ) == (cycles, instructions)
+    if passes > 1:
+        stream = passes * compiled.schedule.source.pass_shape.period
+    else:
+        stream = -(-rows // stats.mxm_planes)
+    feed = stats.first_operand
+    fill = stats.first_result - stats.first_operand
+    drain = stats.last_write + 2 - stats.first_result - stream
+    assert (feed, fill, stream, drain) == split
+    assert sum(split) == cycles
+    run = execute(
+        compiled, inputs=chunk_pass_inputs(bindings, rows, layer, passes),
+        replay=False,
+    ).run
+    assert run.cycles == cycles
+
+
 def test_cnn_batch_of_four_images(config, models):
-    """closed-cnn's unit of work: 8 conv0 and 2 conv1 chunks of 32 rows as
-    the passes of two programs on all four MXM planes, and one dense chunk
-    of the batch's 4 rows on one — 180 cycles, 45 per image (196 with
-    conv1's passes on two planes, 422 as eleven programs).  Each term is
-    feed + fill + stream + drain."""
+    """closed-cnn's unit of work: ``conv0``'s 256 rows four a vector — 64
+    rows, two 32-row passes of one program on all four MXM planes —, 2
+    ``conv1`` chunks of 32 rows as the passes of another, and one dense
+    chunk of the batch's 4 rows on one plane — 138 cycles, 34.5 per
+    image (180 with ``conv0`` one row a vector: 8 passes, 12 + 7 + 64 +
+    11).  Each term is feed + fill + stream + drain."""
     by_name, data = models
     stats = ChunkRunStats()
     by_name["cnn"].run_batch(
@@ -520,16 +630,17 @@ def test_cnn_batch_of_four_images(config, models):
     )
     assert stats.programs == 3
     assert stats.cycles == (
-        (12 + 7 + 8 * 8 + 11) + (18 + 7 + 2 * 8 + 11) + (18 + 7 + 4 + 5)
-    ) == 180
+        (18 + 7 + 2 * 8 + 11) + (18 + 7 + 2 * 8 + 11) + (18 + 7 + 4 + 5)
+    ) == 138
 
 
 def test_a_batch_interprets_what_chunk_programs_did(config, models,
                                                     monkeypatch):
-    """Host work is unchanged: a batch of four images is three batched
-    replays of 8, 2 and 1 bindings, each plan as many ops of each kind as
-    the one-pass program's plan of its chunk — only the order of the
-    writes and the cycles charged differ."""
+    """A batch of four images is three batched replays of 2, 2 and 1
+    bindings — ``conv0`` packed four rows a vector, ``conv1`` and
+    ``dense2`` one —, each plan as many ops of each kind as the one-pass
+    program's plan of its chunk: only the order of the writes and the
+    cycles charged differ."""
     by_name, data = models
     runner = by_name["cnn"].runner
     replays = []
@@ -545,11 +656,11 @@ def test_a_batch_interprets_what_chunk_programs_did(config, models,
     )
     monkeypatch.setattr(ReplayPlan, "run_batched", run_batched)
     expected = []
-    for layer, rows, batch in (("conv0", 32, 8), ("conv1", 32, 2),
-                               ("dense2", 4, 1)):
-        (compiled_layer,) = [l for l in runner.layers
-                             if getattr(l, "name", None) == layer]
-        builder, _bindings = build_chunk_builder(config, compiled_layer, rows)
+    for layer, r, rows, batch in (("conv0", 4, 32, 2), ("conv1", 1, 32, 2),
+                                  ("dense2", 1, 4, 1)):
+        _layer, builder, _bindings = chunk_builder(
+            config, models, "cnn", layer, rows, r
+        )
         expected.append(
             (batch, sorted(op[0] for op in builder.compile().replay.ops))
         )
@@ -558,9 +669,11 @@ def test_a_batch_interprets_what_chunk_programs_did(config, models,
 
 def test_scheduler_runs_per_shape_not_per_pass_count(config, models,
                                                      monkeypatch):
-    """Batches of one to four images group ``conv0`` chunks two, four, six
-    and eight at a time, yet the scheduler runs once per (layer, rows)
-    program and once more per pass schedule — eight runs in all."""
+    """Batches of one to four images run ``conv0`` two, seven, three and
+    four rows a vector (``ROWS_PER_VECTOR``), yet the scheduler runs once
+    per (layer as packed, rows) program and once more per pass schedule:
+    eleven runs in all (``conv0`` four a vector is as deep as ``conv1``
+    but twice as wide, a shape of its own)."""
     by_name, data = models
     runs = []
     schedule = Scheduler.schedule
@@ -575,8 +688,9 @@ def test_scheduler_runs_per_shape_not_per_pass_count(config, models,
         by_name["cnn"].run_batch(
             TspChip(config), cache, list(data.x_test[:images]), stats=stats
         )
-    # one-pass: conv1 x16 and x32, dense2 x1..x4; passes: conv0, conv1 x32
-    assert (runs.count(False), runs.count(True)) == (6, 2)
+    # one-pass: conv0 x2 x32 and x7 x19, conv1 x16 and x32, dense2
+    # x1..x4; passes: conv0 x3 x32 and x4 x32, conv1 x32
+    assert (runs.count(False), runs.count(True)) == (8, 3)
     assert cache.stats.scheduled == len(runs)
     assert stats.cache_hits + stats.cache_misses == cache.stats.lookups
 

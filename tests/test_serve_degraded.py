@@ -213,11 +213,13 @@ class TestSplitDegradesByItself:
     def test_served_batch_matches_the_healthy_oracle(self, dense_runner, lost):
         """A batch is a program of exactly its rows.  The first layer's far
         copy pays from 24 rows on — four planes stream 6 rows each where
-        the near two stream 12, so losing the far hemisphere gives 6
-        cycles back (8 at 32 rows: 8 against 16) — and a 20-row batch
-        never left the near hemisphere: same cycles, own cache keys.  The
+        the near two would stream 12 — but losing the far hemisphere
+        gives back 4 cycles, not 6 (nor 8 of 16 at 32 rows): the degraded
+        runner packs two rows a vector instead (12 and 16 rows of depth
+        32, ``TspCnnRunner.rows_per_vector``) — and a 20-row batch packs
+        two a vector on either chip: same cycles, own cache keys.  The
         second layer is unmoved throughout."""
-        for rows, back in ((20, 0), (24, 6), (32, 8)):
+        for rows, back in ((20, 0), (24, 4), (32, 4)):
             x = np.random.default_rng(9).standard_normal((rows, 16))
             cache = ProgramCache()
             oracle = dense_runner.forward(x, cache=cache)
