@@ -45,6 +45,8 @@ its timing contract promises, are complete the moment the schedule is.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from ..arch.geometry import Direction, Floorplan, Hemisphere
@@ -678,6 +680,17 @@ class Scheduler(VxmLowering, MxmLowering, SxmLowering):
             raise CompileError(f"cannot lower {node.kind.value}")
 
 
+@functools.lru_cache(maxsize=64)
+def _first_matmul_offers(config: ArchConfig, blacklist, periodic: bool):
+    """What a fresh scheduler offers its first matmul, and its MXM clock:
+    a function of (config, default timing, blacklist, periodic) alone, so
+    built once per key and shared by every :func:`matmul_program_cost` —
+    :func:`~.placement.matmul_parts` and the cost only read the offers."""
+    scheduler = Scheduler(config, blacklist=blacklist, periodic=periodic)
+    offers = scheduler._plane_offers("matmul", [], fp16=False, free=True)
+    return offers, scheduler._mxm_clock
+
+
 def matmul_program_cost(
     config: ArchConfig,
     rows: int,
@@ -700,12 +713,11 @@ def matmul_program_cost(
     ``passes`` (:func:`~.repeat.max_passes`).  The output width is not an
     argument: weights are fed lane-padded, so it moves neither count.
     """
-    scheduler = Scheduler(config, blacklist=blacklist, periodic=passes > 1)
-    lanes, clock = config.n_lanes, scheduler._mxm_clock
+    offers, clock = _first_matmul_offers(config, blacklist, passes > 1)
+    lanes = config.n_lanes
     chunks = [min(lanes, k - start) for start in range(0, k, lanes)]
     widths = (DType.INT8.n_bytes, DType.INT32.n_bytes)
     periodic = passes > 1 and len(chunks) == 1
-    offers = scheduler._plane_offers("matmul", [], fp16=False, free=True)
     parts = matmul_parts(
         rows, offers, chunks, widths, clock, passes=2 if periodic else 1
     )

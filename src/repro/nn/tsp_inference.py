@@ -24,7 +24,6 @@ reference path in :mod:`repro.nn.quantize`.
 
 from __future__ import annotations
 
-import itertools
 import time
 from dataclasses import dataclass, field, replace
 
@@ -65,8 +64,8 @@ class TspForwardResult:
 
     logits: np.ndarray
     total_cycles: int
-    #: matrix layers that ran on the chip — not program runs: a layer of
-    #: chunks of more than one height runs a program per height
+    #: matrix layers that ran on the chip — not program runs: a layer
+    #: with more passes than MEM holds runs more than one program
     #: (``ChunkRunStats.programs`` counts those)
     programs_run: int
     layer_cycles: dict[str, int] = field(default_factory=dict)
@@ -136,12 +135,12 @@ class TspCnnRunner:
     Supported layer sequence: (Conv2D [ReLU] [MaxPool2D])* Flatten Dense.
     Each matrix layer becomes one compiled stream program; K dimensions
     larger than the lane count are K-tiled (accumulated in the MXM), and
-    a layer's rows are cut into chunks of ``max_vectors_per_program``
-    rows that stream through one weight install as the passes of that
-    program (:mod:`repro.compiler.repeat`).  A layer narrow enough runs
-    ``r`` rows a vector through ``diag(W, ..., W)``, ``r`` chosen per
-    (layer, rows, blacklist) by the compiler's closed form
-    (:meth:`rows_per_vector`); nothing selects it from outside.
+    a layer's rows are cut into equal passes of at most
+    ``max_vectors_per_program`` rows (:meth:`pass_shape`) that stream
+    through one weight install (:mod:`repro.compiler.repeat`).  A layer
+    narrow enough runs ``r`` rows a vector through ``diag(W, ..., W)``,
+    ``r`` chosen per (layer, rows, blacklist) by the compiler's closed
+    form (:meth:`rows_per_vector`); nothing selects it from outside.
 
     ``max_vectors_per_program`` is the *pass height*: the rows one pass
     carries, not a program's.  The name predates passes; it stays because
@@ -324,11 +323,12 @@ class TspCnnRunner:
         of ``group``, or as many as MEM holds the passes of; the caller
         runs the rest — (bias and dequantization are applied by the
         caller, matching the reference quantized path) and the simulated
-        cycles.  The program is built at exactly the rows the chunks
-        carry — nothing is zero-padded — so a cache holds one entry per
-        (layer, rows, passes) and a one-token request simulates one
-        vector.  A ``blacklist`` (dead MEM slices / MXM planes) reaches
-        the scheduler through the cache key, so degraded and healthy
+        cycles.  The program is built at exactly the rows a chunk
+        carries — only the last of several passes holds zero rows
+        (:meth:`pass_shape`) — so a cache holds one entry per (layer,
+        rows, passes) and a one-token request simulates one vector.  A
+        ``blacklist`` (dead MEM slices / MXM planes) reaches the
+        scheduler through the cache key, so degraded and healthy
         binaries for the same shape coexist in one cache.
 
         The route is one cache lookup by the memoised key and one pure
@@ -406,9 +406,9 @@ class TspCnnRunner:
         block-diagonal ``diag(W, ..., W)`` (:meth:`packed_layer`) cost a
         ``r``-th of the stream for a longer weight feed.  Of the ``r``
         whose block fits a plane — ``r * K`` lanes in, ``r * M`` columns
-        out — this is the one whose programs, ``ceil(n_rows / r)`` rows
-        cut into chunks of the pass height, the compiler's closed form
-        (:func:`~repro.compiler.scheduler.matmul_program_cost`) says
+        out — this is the one whose program, ``ceil(n_rows / r)`` rows
+        cut into equal passes (:meth:`pass_shape`), the compiler's closed
+        form (:func:`~repro.compiler.scheduler.matmul_program_cost`) says
         finish in the fewest cycles; a tie keeps the smaller ``r``.
         Nothing is scheduled to decide it, and it is decided once per
         (layer, rows, blacklist).
@@ -431,16 +431,19 @@ class TspCnnRunner:
 
     def _predicted_cycles(self, k: int, n_rows: int, blacklist) -> int:
         """Predicted cycles of ``n_rows`` rows of depth ``k`` as
-        :meth:`matrix_accumulators` runs them: the whole chunks as the
-        passes of one program, the tail as one more."""
-        whole, tail = divmod(n_rows, self.max_vectors)
-        return sum(
-            matmul_program_cost(
-                self.config, rows, k, passes=passes, blacklist=blacklist
-            )[0]
-            for rows, passes in ((self.max_vectors, whole), (tail, 1))
-            if rows and passes
-        )
+        :meth:`matrix_accumulators` runs them: one program of
+        :meth:`pass_shape`'s equal passes."""
+        height, passes = self.pass_shape(n_rows)
+        return matmul_program_cost(
+            self.config, height, k, passes=passes, blacklist=blacklist
+        )[0]
+
+    def pass_shape(self, n_rows: int) -> tuple[int, int]:
+        """``(rows a pass, passes)`` of ``n_rows`` rows: ``ceil(n_rows /
+        h)`` passes of one height, no more than the pass height ``h``,
+        zero rows padding the last — never a chunk and a shorter tail."""
+        passes = -(-n_rows // self.max_vectors)
+        return -(-n_rows // passes), passes
 
     def packed_layer(self, layer: CompiledLayer, r: int) -> CompiledLayer:
         """``layer`` as the chip runs it ``r`` rows a vector: the weights
@@ -470,38 +473,30 @@ class TspCnnRunner:
         activation row — and the cycles it took.
 
         The ``(rows, K)`` activations run as ``(ceil(rows / r), r * K)``
-        through :meth:`packed_layer` (``r`` from :meth:`rows_per_vector`;
-        zero rows pad the tail) and the result is viewed back as ``(rows,
-        M)``, the pad rows dropped: the same integers as ``r = 1``.  The
-        packed rows are cut into chunks of the pass height, and
-        consecutive chunks of one height are the passes of one program.
+        through :meth:`packed_layer` (``r`` from :meth:`rows_per_vector`)
+        and the result is viewed back as ``(rows, M)``, the pad rows
+        dropped: the same integers as ``r = 1``.  The packed rows are cut
+        into :meth:`pass_shape`'s equal passes of one program — zero rows
+        pad the packing and the last pass —, and a program holds as many
+        of them as MEM does, the rest running through another.
         """
         n_rows, k = acts_q.shape
         r = self.rows_per_vector(layer, n_rows, blacklist)
         packed = self.packed_layer(layer, r)
-        if r > 1:
-            acts_q = np.concatenate(
-                [acts_q, np.zeros((-n_rows % r, k), dtype=np.int8)]
-            ).reshape(-1, r * k)
-        step = self.max_vectors
-        pieces = [
-            acts_q[start : start + step]
-            for start in range(0, acts_q.shape[0], step)
-        ]
+        height, passes = self.pass_shape(-(-n_rows // r))
+        padded = np.zeros((passes * height * r, k), dtype=np.int8)
+        padded[:n_rows] = acts_q
+        group = list(padded.reshape(passes, height, r * k))
         chunks = []
         cycles = 0
-        # consecutive chunks of one row count are the passes of one
-        # program: they go through it as one group
-        for _rows, members in itertools.groupby(pieces, key=len):
-            group = list(members)
-            while group:
-                accs, group_cycles = self._run_matmul_group(
-                    packed, group, chip=chip, cache=cache, stats=stats,
-                    blacklist=blacklist,
-                )
-                chunks.extend(accs)
-                cycles += group_cycles
-                group = group[len(accs):]
+        while group:
+            accs, group_cycles = self._run_matmul_group(
+                packed, group, chip=chip, cache=cache, stats=stats,
+                blacklist=blacklist,
+            )
+            chunks.extend(accs)
+            cycles += group_cycles
+            group = group[len(accs):]
         acc = np.vstack(chunks)
         return acc.reshape(-1, layer.weight_q.shape[1])[:n_rows], cycles
 

@@ -73,10 +73,10 @@ class _RunnerServeModel(ServeModel):
     """Shared plumbing: any model expressible as a TspCnnRunner pipeline.
 
     ``max_vectors_per_program`` is the runner's *pass height*: a batch's
-    rows of a layer are cut into chunks of that many, and a group of them
-    streams through one weight install, a pass per chunk
-    (:mod:`repro.compiler.repeat`).  The name predates passes and stays
-    because the repository benchmark's workload table passes it.
+    rows of a layer are cut into equal passes of at most that many, which
+    stream through one weight install (:mod:`repro.compiler.repeat`).
+    The name predates passes and stays because the repository
+    benchmark's workload table passes it.
     """
 
     def __init__(

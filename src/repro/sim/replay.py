@@ -43,6 +43,12 @@ Correctness strategy:
   chip's plan itself: its ``read`` ops, drives and :attr:`ReplayPlan.links`,
   counted like any plan's; the words it moves land by the transfer's own
   word map, so no op computes them.
+* **A result is stored once.**  A 32-bit result is one vector on four
+  byte-wide streams: the interpreter narrows a computed lane vector once
+  into one lane-padded ``(B, lanes)`` array of its op's output dtype, and
+  each stored byte plane is a strided view of that array.  No op writes a
+  stored value in place (a ``route`` indexes with lane arrays, so it
+  copies), so no view is ever written through.
 * **The activity is counted, then checked.**  Every counter but the hop
   count tallies the ops, and the hop count sweeps the drives;
   :func:`repro.verify.lockstep.run_lockstep` holds both to a simulation.
@@ -305,14 +311,38 @@ def _join_refs(values: list, refs: list, dtype: DType, B: int) -> np.ndarray:
         .reshape(B, -1)
 
 
+#: the int32 saturation bounds, typed as the accumulators they bound
+_INT32_MIN, _INT32_MAX = np.int64(-(2 ** 31)), np.int64(2 ** 31 - 1)
+
+
 def _store_planes(values: list, z: np.ndarray, out_dtype: DType,
                   slots: list) -> None:
+    """Store the ``(B, lanes)`` vector ``z`` of ``out_dtype`` as its byte
+    planes, one slot each: strided views of the one array, not copies —
+    safe because no op writes a stored value in place."""
     arr = np.ascontiguousarray(z, dtype=out_dtype.numpy_dtype)
     raw = arr.view(np.uint8).reshape(
         arr.shape[0], arr.shape[1], out_dtype.n_bytes
     )
     for b, slot in enumerate(slots):
-        values[slot] = np.ascontiguousarray(raw[:, :, b])
+        values[slot] = raw[:, :, b]
+
+
+def _narrowed(value: np.ndarray, out_dtype: DType, B: int,
+              lanes: int) -> np.ndarray:
+    """An accumulator ``value`` as the MXM emits it: one lane-padded
+    ``(B, lanes)`` array of ``out_dtype``, int32 saturated (bit for bit
+    ``np.clip(value, -2**31, 2**31 - 1)``), fp32 rounded as ``astype``
+    rounds."""
+    out = np.zeros((B, lanes), dtype=out_dtype.numpy_dtype)
+    n = min(value.shape[1], lanes)
+    if out_dtype is DType.INT32:
+        # two ufuncs: ``np.clip``'s Python wrapper costs more than both
+        np.minimum(np.maximum(value[:, :n], _INT32_MIN), _INT32_MAX,
+                   out=out[:, :n], casting="unsafe")
+    else:
+        out[:, :n] = value[:, :n]
+    return out
 
 
 #: per op tag, the fields holding one ref and the fields holding a list of
@@ -418,6 +448,13 @@ class ReplayPlan:
     passes: int = 1
     stride: int = 0
     body: tuple = field(repr=False, default=())
+    #: the schedule plan :meth:`bind` made this one from (None on a
+    #: schedule plan): a binding has its own ``ops`` and ``out_words``
+    #: only, and reads what the schedule alone decides — :attr:`trace`,
+    #: :attr:`footprint` — off it, worked out once per schedule
+    schedule: ReplayPlan | None = field(
+        repr=False, compare=False, default=None
+    )
 
     @property
     def lanes(self) -> int:
@@ -432,6 +469,8 @@ class ReplayPlan:
     def trace(self) -> list[TraceEvent]:
         """Every dispatch of a run, in order, read off the program on
         first use (only a trace-enabled replay ever asks)."""
+        if self.schedule is not None:
+            return self.schedule.trace
         return issue_order(
             self.program, self.timing, self.config,
             self.config.barrier_latency_cycles if self.warmup_barrier
@@ -441,7 +480,11 @@ class ReplayPlan:
     @functools.cached_property
     def footprint(self) -> frozenset:
         """``(hemisphere, slice)`` of each MEM slice a real run touches:
-        its ops' words, and the inputs, image and outputs the host moves."""
+        its ops' words, and the inputs, image and outputs the host moves.
+        A binding touches its schedule's: it reads as constants image words
+        the schedule reads, and writes the words it writes."""
+        if self.schedule is not None:
+            return self.schedule.footprint
         words = [op[2] if op[0] == "read" else op[1] for op in self.ops
                  if op[0] in ("read", "write", "wconst")]
         words += [key for *_, key in self.in_words] + self.image_words
@@ -531,17 +574,10 @@ class ReplayPlan:
                 values[out_slot] = _load(values, ref_a) + _load(values, ref_b)
             elif tag == "emit":
                 _, slots, ref, out_dtype = op
-                value = _load(values, ref)
-                if out_dtype is DType.INT32:
-                    narrowed = np.clip(
-                        value, -(2 ** 31), 2 ** 31 - 1
-                    ).astype(np.int32)
-                else:
-                    narrowed = value.astype(np.float32)
-                padded = np.zeros((B, lanes), dtype=narrowed.dtype)
-                n = min(narrowed.shape[1], lanes)
-                padded[:, :n] = narrowed[:, :n]
-                _store_planes(values, padded, out_dtype, slots)
+                _store_planes(
+                    values, _narrowed(_load(values, ref), out_dtype, B, lanes),
+                    out_dtype, slots,
+                )
             else:  # pragma: no cover - lowerings and interpreter move together
                 raise SimulationError(f"unknown replay op {tag!r}")
 
@@ -654,7 +690,7 @@ class ReplayPlan:
             name: [fill(word) for word in words]
             for name, words in recipe.out_words.items()
         }
-        return replace(self, ops=ops, out_words=out_words)
+        return replace(self, ops=ops, out_words=out_words, schedule=self)
 
     def charge(self, chip, runs: int) -> None:
         """Land ``runs`` back-to-back executions on ``chip``: everything

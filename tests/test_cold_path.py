@@ -31,8 +31,10 @@ from repro.compiler.scheduler import Scheduler
 from repro.config import small_test_chip
 from repro.nn.transformer import TransformerConfig
 from repro.nn.tsp_inference import build_chunk_builder
+from repro.obs import TelemetryCollector
 from repro.resil import Blacklist
 from repro.serve import ProgramCache, TransformerMlpServeModel
+from repro.sim import replay as replay_mod
 from repro.sim.chip import TspChip
 from repro.sim.replay import ReplayPlan, ScheduleRecorder
 
@@ -144,6 +146,34 @@ class TestNeverSeenModel:
         # 24 misses, each a bind and a replay — the replay's the only
         # interpreter run
         assert counts == {"bind": 24, "run_batched": 24, "_execute_ops": 24}
+
+    def test_a_watched_round_walks_each_schedules_issue_order_once(
+        self, models, monkeypatch
+    ):
+        """A telemetry collector is charged each replay's dispatches
+        (``ReplayPlan.trace``), and a binding reads them off its
+        schedule's plan: twelve models and two schedules walk the issue
+        order twice, not once a miss."""
+        token = np.random.default_rng(4).standard_normal(FFN.d_model)
+        counts: dict[str, int] = {}
+        counted(monkeypatch, counts, replay_mod, "issue_order", "issue_order")
+        charged = []
+        counted(monkeypatch, counts, ReplayPlan, "charge", "charge",
+                lambda plan, chip, runs: charged.append(plan) or runs)
+        chip, collector = TspChip(CONFIG), TelemetryCollector()
+        cache = ProgramCache(capacity=4)
+        for model in models:
+            chip.attach_telemetry(collector)  # a scrub detaches it
+            model.run_batch(chip, cache, [token])
+            chip.scrub()
+        assert cache.snapshot()["scheduled"] == 2
+        assert counts == {"issue_order": 2, "charge": 24}
+        assert len({id(plan) for plan in charged}) == 24
+        assert len({id(plan.trace) for plan in charged}) == 2
+        assert all(plan.trace is plan.schedule.trace for plan in charged)
+        assert len(collector.dispatch_log) == sum(
+            len(plan.trace) for plan in charged
+        )
 
     def test_no_sibling_resident_schedules_and_answers_the_same(
         self, models, calls

@@ -14,6 +14,7 @@ import pytest
 from corpus import REJECTED, corpus
 from repro.compiler import PartitionPlan, execute, partition
 from repro.compiler.graph import OpKind
+from repro.compiler.repeat import join_passes, split_passes
 from repro.compiler.scheduler import Scheduler
 from repro.errors import ScheduleError, VerificationError
 from repro.isa import Instruction
@@ -56,6 +57,83 @@ def test_corpus_program_passes_the_check(name, monkeypatch):
     monkeypatch.setattr(TspChip, "run", counted)
     check(entry.builder, entry.inputs, compiled=compiled)
     assert len(runs) == 1 + (plan is not None)
+
+
+def planned():
+    """``(name, entry, compiled)`` of every corpus program with a plan."""
+    for name, entry in CORPUS.items():
+        if name not in REJECTED:
+            compiled = entry.compile()
+            if compiled.schedule.plan is not None:
+                yield name, entry, compiled
+
+
+def test_a_bound_plan_touches_its_schedules_footprint():
+    """A bound plan reads its footprint off its schedule's plan, worked
+    out once per schedule: worked out from the bound plan's own ops and
+    words, it is the same set of slices on every planned program."""
+    for name, _entry, compiled in planned():
+        bound, plan = compiled.replay, compiled.schedule.plan
+        assert bound.schedule is plan, name
+        assert replace(bound, schedule=None).footprint == plan.footprint, name
+        assert bound.footprint is plan.footprint, name
+
+
+class ReadOnlySlots:
+    """A plan's value slots, each value set read-only as it is stored: an
+    op that then writes into a stored value in place raises."""
+
+    def __init__(self, values) -> None:
+        self.values = values
+
+    def __getitem__(self, slot):
+        return self.values[slot]
+
+    def __setitem__(self, slot, value) -> None:
+        value.setflags(write=False)
+        self.values[slot] = value
+
+
+@pytest.fixture()
+def read_only_slots(monkeypatch):
+    execute_ops = ReplayPlan._execute_ops
+
+    def guarded(plan, ops, values, *args):
+        return execute_ops(plan, ops, ReadOnlySlots(values), *args)
+
+    monkeypatch.setattr(ReplayPlan, "_execute_ops", guarded)
+
+
+def test_no_op_writes_a_stored_value_in_place(read_only_slots):
+    """A stored byte plane is a view of its op's one narrowed vector, so
+    an op that wrote into what it reads would corrupt its siblings: every
+    planned program replays — written through a chip and batched — with
+    every stored value read-only, and both routes agree."""
+    for name, entry, compiled in planned():
+        plan = compiled.replay
+        replayed = execute(
+            compiled, chip=TspChip(compiled.config), inputs=entry.inputs
+        )
+        assert replayed.run.skipped_cycles == replayed.run.cycles, name
+        batched = join_passes(plan.run_batched(
+            split_passes(entry.inputs, plan.inputs, plan.passes)
+        ))
+        for output, value in replayed.outputs.items():
+            assert batched[output].tobytes() == value.tobytes(), name
+
+
+def test_the_read_only_slots_catch_an_in_place_write(read_only_slots):
+    """The guard bites: a route that sliced its operand instead of
+    gathering it would zero its masked lanes in the stored value."""
+    config = small_test_chip()
+    plan = ReplayPlan(config=config, timing=None, program=None, cycles=1)
+    ops = [("read", 0, "word"),
+           ("route", 1, [("s", 0)], None, slice(None), [0])]
+    with pytest.raises(ValueError, match="read-only"):
+        plan._execute_ops(
+            ops, [None, None],
+            lambda _key: np.ones((1, config.n_lanes), np.uint8), None, 1,
+        )
 
 
 def failures(name) -> list[str]:

@@ -23,6 +23,7 @@ import inspect
 import sys
 import threading
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -42,7 +43,8 @@ from repro.sim import LinkErrorModel, MultiChipSystem, TspChip
 from repro.sim.chip import BENIGN, CONFIGURATION, INSTRUMENT, KEPT, STATE
 from repro.sim.faults import FaultInjector
 from repro.sim.icu import QueueSet
-from repro.sim.replay import flights, replay_allowed
+from repro.sim.mxm import MxmUnit
+from repro.sim.replay import ReplayPlan, flights, replay_allowed
 from repro.sim.streamreg import StreamRegisterFile
 from repro.verify import assert_lockstep
 from repro.verify.suite import PROGRAMS
@@ -418,6 +420,82 @@ class TestReplayWorkCounts:
         assert len(taken) == len(plan.ops)
         for res in results:
             assert res.run.cycles - res.run.skipped_cycles == 0
+
+
+class TestStoredOnce:
+    """An emitted vector is narrowed once, into one lane-padded array of
+    its output dtype, and its byte planes are views of that array."""
+
+    #: int64 accumulators at, inside and beyond the int32 range
+    INT = np.array([
+        [0, 1, -1, 2 ** 31 - 1, 2 ** 31, -(2 ** 31), -(2 ** 31) - 1],
+        [2 ** 40, -(2 ** 40), 2 ** 63 - 1, -(2 ** 63), 12345, -6789, 255],
+        [2 ** 31 - 2, -(2 ** 31) + 1, 2 ** 32, -(2 ** 32), 256, -256, 7],
+    ], dtype=np.int64)
+    #: fp16 products' float64 sums, some of which fp32 rounds
+    FLOAT = np.array([
+        [0.0, -0.0, 0.1, -2.5, 1 / 3, 3.0000001, 65504.0 * 65504.0],
+        [1e-40, -1e-45, 2.0 ** -126, 1.5, -1e30, 7.0, 0.2],
+    ], dtype=np.float64)
+
+    @staticmethod
+    def replayed(config, value, out_dtype):
+        """The planes an ``emit`` of ``value`` stores, one per byte."""
+        plan = ReplayPlan(config=config, timing=None, program=None, cycles=1)
+        n = out_dtype.n_bytes
+        values = [value] + [None] * n
+        plan._execute_ops(
+            [("emit", list(range(1, n + 1)), ("s", 0), out_dtype)],
+            values, None, None, value.shape[0],
+        )
+        return values[1:]
+
+    @staticmethod
+    def simulated(config, row, out_dtype):
+        """The planes the simulator's MXM (``MxmUnit._emit``) drives for
+        one row of accumulators."""
+        driven = []
+        unit = SimpleNamespace(
+            chip=SimpleNamespace(config=config),
+            drive_at=lambda _cycle, _direction, _stream, v: driven.append(v),
+            apply_superlane_power=lambda v: v,
+        )
+        MxmUnit._emit(
+            unit, SimpleNamespace(cols=row.shape[0]),
+            SimpleNamespace(out_dtype=out_dtype, direction=None,
+                            base_stream=0),
+            row, 0,
+        )
+        return driven
+
+    @pytest.mark.parametrize("out_dtype", [DType.INT32, DType.FP32])
+    def test_an_emit_stores_the_mxms_planes(self, config, out_dtype):
+        value = self.INT if out_dtype is DType.INT32 else self.FLOAT
+        planes = self.replayed(config, value, out_dtype)
+        assert len(planes) == out_dtype.n_bytes
+        for b, row in enumerate(value):
+            expected = self.simulated(config, row, out_dtype)
+            assert [plane[b].tobytes() for plane in planes] == [
+                plane.tobytes() for plane in expected
+            ], b
+
+    def test_an_emitted_vectors_planes_share_one_buffer(self, config):
+        """Four interleaved views of one ``(B, lanes)`` int32 array — no
+        plane is a copy, and none overlaps another's bytes."""
+        planes = self.replayed(config, self.INT, DType.INT32)
+
+        def root(array):
+            while array.base is not None:
+                array = array.base
+            return array
+
+        (buffer,) = {id(root(plane)): root(plane) for plane in planes}.values()
+        assert buffer.nbytes == 3 * config.n_lanes * 4
+        for b, plane in enumerate(planes):
+            assert plane.shape == (3, config.n_lanes)
+            assert np.shares_memory(plane, buffer)
+            assert not any(np.shares_memory(plane, other)
+                           for other in planes[b + 1:])
 
 
 class TestBatched:

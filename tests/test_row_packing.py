@@ -11,6 +11,8 @@ benchmark CNN's logits to an integer forward that never packs.
 import numpy as np
 import pytest
 
+from repro.compiler import scheduler as scheduler_mod
+from repro.compiler.scheduler import Scheduler
 from repro.nn.layers import im2col
 from repro.nn.tsp_inference import CompiledLayer, TspCnnRunner
 from repro.serve import ProgramCache
@@ -122,7 +124,7 @@ def unpacked_forward(runner: TspCnnRunner, x: np.ndarray) -> np.ndarray:
 @pytest.mark.parametrize("images", [1, 2, 3, 4])
 def test_forward_equals_an_unpacked_integer_forward(config, models, images):
     """Byte for byte, on the serving route and the cache-less one, while
-    ``conv0`` runs two, seven, three and four rows a vector."""
+    ``conv0`` runs two, three, four and four rows a vector."""
     (by_name, data) = models
     runner = by_name["cnn"].runner
     x = data.x_test[:images]
@@ -132,5 +134,36 @@ def test_forward_equals_an_unpacked_integer_forward(config, models, images):
     assert runner.forward(x).logits.tobytes() == expected
     conv0 = layer_named(runner, "conv0")
     assert runner.rows_per_vector(conv0, 64 * images) == {
-        1: 2, 2: 7, 3: 3, 4: 4
+        1: 2, 2: 3, 3: 4, 4: 4
     }[images]
+
+
+def test_a_pick_prices_its_candidates_from_one_set_of_offers(
+    models, monkeypatch
+):
+    """``rows_per_vector`` prices each feasible ``r`` by the closed form,
+    which reads what a fresh scheduler offers a first matmul: that is a
+    function of (config, timing, blacklist, periodic), so one pick of
+    ``conv0``'s seven candidates builds a scheduler per periodic flag its
+    candidates need — not one per candidate — and later picks none."""
+    runner = models[0]["cnn"].runner
+    conv0 = layer_named(runner, "conv0")
+    scheduler_mod._first_matmul_offers.cache_clear()
+    monkeypatch.setattr(runner, "_packings", {})
+    built = []
+    init = Scheduler.__init__
+
+    def counting(scheduler, *args, **kwargs):
+        built.append(kwargs.get("periodic"))
+        init(scheduler, *args, **kwargs)
+
+    monkeypatch.setattr(Scheduler, "__init__", counting)
+    # 256 rows: every r from 1 to 7 runs two passes or more
+    assert runner.rows_per_vector(conv0, 256) == 4
+    assert built == [True]
+    # 64 rows: r = 1 runs two passes, r >= 2 one
+    assert runner.rows_per_vector(conv0, 64) == 2
+    assert built == [True, False]
+    for rows in (128, 192):
+        runner.rows_per_vector(conv0, rows)
+    assert built == [True, False]

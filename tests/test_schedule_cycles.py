@@ -254,18 +254,20 @@ def test_rows_too_tall_for_one_slice_land_a_block_per_plane(config, models):
     assert result.sibling.replay is not None
 
 
-#: the n-pass programs the benchmark runs, (model, layer, rows, passes) ->
-#: (period, cycles, instructions): ``closed-cnn``'s four images are
-#: ``conv0`` x8 and ``conv1`` x2; one to three images run x2, x4, x6.
-#: Planes are scored at two passes, the fewest a pass program serves:
-#: ``conv1`` x2 on the near hemisphere's two planes would run P 16, 68
-#: cycles and 366 instructions (24 888); on all four, P 8, 52 and 412
-#: (21 424)
+#: the n-pass programs of unpacked layers, (model, layer, rows, passes) ->
+#: (period, cycles, instructions): ``conv1`` runs two passes of 32 rows
+#: for four images and two of 24 for three; ``conv0`` one row a vector
+#: (x2 to x8 at 32 rows) is what one to four images ran before packing,
+#: kept as pins (packed ``conv0`` is ``PACKED_PROGRAMS``).  Planes are
+#: scored at two passes, the fewest a pass program serves: ``conv1`` x2
+#: on the near hemisphere's two planes would run P 16, 68 cycles and 366
+#: instructions (24 888); on all four, P 8, 52 and 412 (21 424)
 PASS_PROGRAMS = {
     ("cnn", "conv0", 32, 2): (8, 46, 358),
     ("cnn", "conv0", 32, 4): (8, 62, 694),
     ("cnn", "conv0", 32, 6): (8, 78, 1030),
     ("cnn", "conv0", 32, 8): (8, 94, 1366),
+    ("cnn", "conv1", 24, 2): (6, 48, 332),
     ("cnn", "conv1", 32, 2): (8, 52, 412),
 }
 
@@ -546,8 +548,8 @@ def test_every_benchmark_layer_is_pinned(models):
 #: by more than its stream shrinks (31 cycles against 35 at one row)
 ROWS_PER_VECTOR = {
     ("cnn", "conv0", 64): 2,
-    ("cnn", "conv0", 128): 7,
-    ("cnn", "conv0", 192): 3,
+    ("cnn", "conv0", 128): 3,
+    ("cnn", "conv0", 192): 4,
     ("cnn", "conv0", 256): 4,
     **{("cnn", "conv1", 16 * n): 1 for n in range(1, 5)},
     **{("cnn", "dense2", n): 1 for n in range(1, 5)},
@@ -567,16 +569,22 @@ def test_rows_per_vector_is_pinned(models, model, layer_name, rows):
     ]
 
 
-#: the packed ``conv0`` programs a batch of one to four images runs,
+#: the packed ``conv0`` programs a batch of one to four images runs — x2
+#: at 32 rows, x3 at two passes of 22, x4 at two of 24 and of 32 —, and
+#: two a batch ran while rows were cut at the pass height (x7 at 19 rows
+#: for two images, x3 at two passes of 32 for three), kept as pins:
 #: (rows a vector, rows, passes) -> (cycles, instructions, (feed, fill,
-#: stream, drain)): a wider block feeds more weight chunks (12 cycles of
-#: feed at one row a vector, 15 at two, 18 at four, 22 at seven) and
-#: streams a ``r``-th of the rows.  Four a vector is 36 deep, as deep as
-#: ``conv1``: the same 52 cycles and 412 instructions, the same split
+#: stream, drain)).  A wider block feeds more weight chunks (12 cycles of
+#: feed at one row a vector, 15 at two, 17 at three, 18 at four, 22 at
+#: seven) and streams a ``r``-th of the rows.  Four a vector is 36 deep,
+#: as deep as ``conv1``: the same 52 cycles and 412 instructions at 32
+#: rows, 48 and 332 at 24, the same split
 PACKED_PROGRAMS = {
     (2, 32, 1): (39, 208, (15, 7, 8, 9)),
     (7, 19, 1): (47, 164, (22, 7, 10, 8)),
+    (3, 22, 2): (47, 296, (17, 7, 12, 11)),
     (3, 32, 2): (51, 396, (17, 7, 16, 11)),
+    (4, 24, 2): (48, 332, (18, 7, 12, 11)),
     (4, 32, 2): (52, 412, (18, 7, 16, 11)),
 }
 
@@ -669,11 +677,11 @@ def test_a_batch_interprets_what_chunk_programs_did(config, models,
 
 def test_scheduler_runs_per_shape_not_per_pass_count(config, models,
                                                      monkeypatch):
-    """Batches of one to four images run ``conv0`` two, seven, three and
+    """Batches of one to four images run ``conv0`` two, three, four and
     four rows a vector (``ROWS_PER_VECTOR``), yet the scheduler runs once
-    per (layer as packed, rows) program and once more per pass schedule:
-    eleven runs in all (``conv0`` four a vector is as deep as ``conv1``
-    but twice as wide, a shape of its own)."""
+    per (layer as packed, rows, one pass or several) program: twelve runs
+    in all (``conv0`` four a vector is as deep as ``conv1`` but twice as
+    wide, a shape of its own)."""
     by_name, data = models
     runs = []
     schedule = Scheduler.schedule
@@ -688,9 +696,10 @@ def test_scheduler_runs_per_shape_not_per_pass_count(config, models,
         by_name["cnn"].run_batch(
             TspChip(config), cache, list(data.x_test[:images]), stats=stats
         )
-    # one-pass: conv0 x2 x32 and x7 x19, conv1 x16 and x32, dense2
-    # x1..x4; passes: conv0 x3 x32 and x4 x32, conv1 x32
-    assert (runs.count(False), runs.count(True)) == (8, 3)
+    # one-pass: conv0 x2 at 32 rows, conv1 at 16 and 32, dense2 at
+    # 1..4; passes: conv0 x3 at 22 rows, x4 at 24 and 32, conv1 at 24
+    # and 32 (three images: 48 rows as two passes of 24)
+    assert (runs.count(False), runs.count(True)) == (7, 5)
     assert cache.stats.scheduled == len(runs)
     assert stats.cache_hits + stats.cache_misses == cache.stats.lookups
 

@@ -263,13 +263,19 @@ class TestGroupOfOneAccounting:
             assert (stats.programs, stats.cache_hits, stats.cache_misses,
                     stats.cycles) == (2, hits, 2 - hits, result.total_cycles)
 
-        for spans, batch, rows, replay, hit, result in (
-            (cold_spans, 1, 8, True, False, cold),
-            (lone_spans, 1, 8, True, True, lone),
-            (group_spans, 3, 24, True, True, group),
+        # (passes, rows) per layer: 24 rows of dense1 (32 x 16) run two a
+        # vector, 12 rows as two equal passes of 6 (47 cycles by the
+        # closed form, against 55 as three passes of 8)
+        one = {"dense0": (1, 8), "dense1": (1, 8)}
+        for spans, shapes, replay, hit, result in (
+            (cold_spans, one, True, False, cold),
+            (lone_spans, one, True, True, lone),
+            (group_spans, {"dense0": (3, 24), "dense1": (2, 12)}, True, True,
+             group),
         ):
             assert len(spans) == 2  # one per layer
             for span, layer in zip(spans, ("dense0", "dense1")):
+                batch, rows = shapes[layer]
                 assert span.args == {
                     "layer": layer, "batch": batch, "rows": rows,
                     "hit": hit, "replay": replay,
