@@ -5,15 +5,19 @@ The scale-out story has two layers in this repo, one record
 
 * **analytic** — :func:`repro.nn.scaleout.scale_out`: the paper-style
   first-order model (Section V.C) over :class:`~repro.nn.resnet.LayerSpec`
-  descriptions; cycles are predicted, links are a fixed-latency term.
-* **executed** — :func:`repro.nn.scaleout.execute_pipeline`: the same
-  contiguous partition actually *run* on a
+  descriptions, here derived from the runner's own lowered layers
+  (:func:`layer_specs`); cycles are predicted, links are a fixed-latency
+  term.
+* **executed** — :func:`repro.nn.scaleout.execute_pipeline`: a
+  contiguous partition priced by the compiler's closed form
+  (:func:`repro.nn.scaleout.plan_runner_partition`) actually *run* on a
   :meth:`~repro.sim.MultiChipSystem.ring` of simulated chips, activations
   forwarded between stages by compiler-scheduled C2C ``Send``/``Receive``
   pairs, per-stage cycles read back from :class:`~repro.sim.chip.RunResult`.
 
-This bench runs a paced CNN workload (four matrix layers on 8x8 images,
-a batch of 6, seed 0) through both at 1, 2, and 4 chips and reports
+This bench is the one scale-out command: it runs a paced CNN workload
+(four matrix layers on 8x8 images, a batch of 6, seed 0) through both at
+1, 2, and 4 chips, prints each executed stage, and reports
 throughput/latency per chip count side by side.  Every number lives in
 the deterministic chip-cycle domain and the file names no host, so two
 runs write the same bytes — CI diffs the output against the committed
@@ -21,7 +25,8 @@ artifact — and the run (about a second) gates on:
 
 * zero executed-vs-oracle logit mismatches at every chip count
   (the tentpole bit-exactness claim, dense oracle vs pipelined int8
-  forwarding), and
+  forwarding),
+* executed 2-chip efficiency >= 0.75, and
 * executed 4-chip throughput >= 1.5x executed single-chip throughput.
 
 Artifact schema (``tsp-scaleout-bench/2``)::
@@ -52,6 +57,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import asdict
 
@@ -76,7 +82,7 @@ from repro.nn import (  # noqa: E402
     scale_out,
 )
 from repro.nn.resnet import LayerKind, LayerSpec  # noqa: E402
-from repro.nn.tsp_inference import TspCnnRunner  # noqa: E402
+from repro.nn.tsp_inference import CompiledLayer, TspCnnRunner  # noqa: E402
 
 
 def bench_model(seed: int = 0) -> Sequential:
@@ -95,14 +101,23 @@ def bench_model(seed: int = 0) -> Sequential:
     ])
 
 
-def bench_specs() -> list[LayerSpec]:
-    """The same network, described for the analytic estimator."""
-    return [
-        LayerSpec("conv0", LayerKind.CONV, 1, 4, 3, 1, 8, 8),
-        LayerSpec("conv1", LayerKind.CONV, 4, 4, 3, 1, 8, 8),
-        LayerSpec("conv2", LayerKind.CONV, 4, 8, 3, 1, 4, 4),
-        LayerSpec("fc", LayerKind.FC, 128, 3, 1, 1, 1, 1),
-    ]
+def layer_specs(runner: TspCnnRunner) -> list[LayerSpec]:
+    """The runner's matrix layers, described for the analytic estimator:
+    ``K / kernel²`` input channels, ``M`` outputs, and one input's rows
+    (``rows_per_input``) as the square output size."""
+    specs = []
+    for layer in runner.layers:
+        if not isinstance(layer, CompiledLayer):
+            continue
+        k, m = layer.weight_q.shape
+        conv = layer.conv
+        kernel, stride = (conv.kernel, conv.stride) if conv else (1, 1)
+        size = math.isqrt(layer.rows_per_input)
+        specs.append(LayerSpec(
+            layer.name, LayerKind.CONV if conv else LayerKind.FC,
+            k // kernel**2, m, kernel, stride, size * stride, size,
+        ))
+    return specs
 
 
 #: inputs per run, and the seed of the data and the weights
@@ -137,7 +152,7 @@ def main(argv=None) -> int:
     oracle = runner.forward(x)
     single_cycles = -(-oracle.total_cycles // BATCH)
     single_ips = config.clock_ghz * 1e9 / single_cycles
-    specs = bench_specs()
+    specs = layer_specs(runner)
 
     chips_rows = []
     total_mismatches = 0
@@ -169,11 +184,18 @@ def main(argv=None) -> int:
             f"{analytic.throughput_ips:,.0f} ips, "
             f"mismatches={mismatches}"
         )
+        for stage in executed.stages:
+            print(
+                f"  chip {stage.chip}: {'+'.join(stage.layer_names):<16} "
+                f"{stage.cycles:>8} cycles"
+                + (f"   -> {stage.egress_vectors} vectors "
+                   f"({stage.transfer_cycles} transfer cycles)"
+                   if stage.egress_vectors else "")
+            )
 
-    speedup4 = next(
-        row["executed"]["speedup"]
-        for row in chips_rows if row["n_chips"] == 4
-    )
+    executed_at = {row["n_chips"]: row["executed"] for row in chips_rows}
+    speedup4 = executed_at[4]["speedup"]
+    efficiency2 = executed_at[2]["efficiency"]
     artifact = {
         "schema": "tsp-scaleout-bench/2",
         "workload": {
@@ -200,6 +222,10 @@ def main(argv=None) -> int:
         failures.append(
             f"{total_mismatches} executed logits diverged from the "
             "single-chip oracle"
+        )
+    if efficiency2 < 0.75:
+        failures.append(
+            f"2-chip executed efficiency {efficiency2:.2f} < 0.75 gate"
         )
     if speedup4 < 1.5:
         failures.append(

@@ -26,8 +26,9 @@ per chip, activations forwarded over C2C — twice over, into one record
 
 Both partition through :meth:`repro.compiler.PartitionPlan.plan`; this
 module plans nothing about a boundary, it only runs what the compiler
-planned.  ``python -m repro.nn.scaleout`` runs a self-contained
-executed-vs-oracle demo.
+planned.  An executed partition is priced by the compiler's closed form
+(:func:`plan_runner_partition`).  ``benchmarks/bench_scaleout.py``
+reports both side by side.
 """
 
 from __future__ import annotations
@@ -150,13 +151,6 @@ def scale_out(
 # Executed pipeline parallelism
 
 
-def _matrix_cost(layer: CompiledLayer, lanes: int) -> float:
-    """Per-input cycle proxy: streamed rows x K-tiles + weight install."""
-    k = layer.weight_q.shape[0]
-    k_tiles = -(-k // lanes)
-    return float(layer.rows_per_input * k_tiles + k)
-
-
 def plan_runner_partition(
     runner: TspCnnRunner, n_chips: int
 ) -> PartitionPlan:
@@ -166,7 +160,10 @@ def plan_runner_partition(
     glue between two matrix layers (pooling, flatten, dequant+ReLU)
     belongs to the *producer's* stage, so what crosses the C2C boundary
     is always the compact activation tensor, quantized into the
-    consumer's int8 input domain.
+    consumer's int8 input domain.  Each layer is priced at one input's
+    rows as the chip runs them
+    (:meth:`~repro.nn.tsp_inference.TspCnnRunner.predicted_cycles`, the
+    closed form that also picks its rows a vector).
     """
     matrices = [
         layer for layer in runner.layers
@@ -174,7 +171,8 @@ def plan_runner_partition(
     ]
     return PartitionPlan.plan(
         [layer.name for layer in matrices],
-        [_matrix_cost(layer, runner.config.n_lanes) for layer in matrices],
+        [runner.predicted_cycles(layer, layer.rows_per_input)
+         for layer in matrices],
         n_chips,
         runner.config,
         DEFAULT_LINK_LATENCY,
@@ -204,7 +202,6 @@ class PipelineRunResult:
     logits: np.ndarray
     plan: PartitionPlan
     executed: ScaleOut
-    stage_stats: list[ChunkRunStats]
 
 
 def execute_pipeline(
@@ -266,7 +263,6 @@ def execute_pipeline(
     segments = _stage_segments(runner, plan)
     lanes = config.n_lanes
     words_cap = 1 << config.mem_addr_bits
-    stage_stats = [ChunkRunStats() for _ in range(n_chips)]
     stages: list[PipelineStage] = []
     current = x
     for index, (start, stop) in enumerate(segments):
@@ -283,7 +279,7 @@ def execute_pipeline(
                     current,
                     chip=chip,
                     cache=cache,
-                    stats=stage_stats[index],
+                    stats=stats,
                     blacklist=blacklist,
                 )
                 cycles += layer_cycles
@@ -331,93 +327,7 @@ def execute_pipeline(
                 transfer_cycles=transfer_cycles,
             )
         )
-    if stats is not None:
-        for per_stage in stage_stats:
-            stats.merge(per_stage)
-        stats.cycles += sum(stage.transfer_cycles for stage in stages)
     executed = ScaleOut(stages=stages, config=config, n_inputs=x.shape[0])
-    return PipelineRunResult(
-        logits=current, plan=plan, executed=executed,
-        stage_stats=stage_stats,
-    )
-
-
-# ----------------------------------------------------------------------
-# `python -m repro.nn.scaleout` — executed-vs-oracle demo
-
-
-def main(argv: list[str] | None = None) -> int:
-    """Partition a small CNN over a ring and check it against the oracle."""
-    import argparse
-
-    from ..config import small_test_chip
-    from .dataset import make_shapes
-    from .layers import Conv2D, Dense, Flatten, MaxPool2D, ReLU
-    from .model import Sequential
-    from .training import make_small_cnn, train
-
-    parser = argparse.ArgumentParser(
-        description="executed multi-chip pipeline demo"
-    )
-    parser.add_argument("--chips", type=int, default=2)
-    parser.add_argument("--batch", type=int, default=4)
-    parser.add_argument("--seed", type=int, default=0)
-    args = parser.parse_args(argv)
-
-    config = small_test_chip()
-    data = make_shapes(
-        n_train=96, n_test=16, image_size=8, n_classes=3, seed=args.seed
-    )
-    if args.chips <= 3:
-        model = make_small_cnn(3, channels=4, image_size=8, seed=args.seed)
-    else:
-        # four matrix layers, enough pipeline depth for a 4-chip ring
-        rng = np.random.default_rng(args.seed)
-        model = Sequential([
-            Conv2D(1, 4, kernel=3, rng=rng),
-            ReLU(),
-            Conv2D(4, 4, kernel=3, rng=rng),
-            ReLU(),
-            MaxPool2D(2),
-            Conv2D(4, 8, kernel=3, rng=rng),
-            ReLU(),
-            Flatten(),
-            Dense(8 * 4 * 4, 3, rng=rng),
-        ])
-    train(model, data, epochs=2, lr=0.1, seed=args.seed)
-    runner = TspCnnRunner(
-        model, config, data.x_train[:32], max_vectors_per_program=32
-    )
-    x = data.x_test[: args.batch]
-
-    oracle = runner.forward(x)
-    result = execute_pipeline(
-        runner, x, plan_runner_partition(runner, args.chips)
-    )
-    executed = result.executed
-    exact = bool(np.array_equal(oracle.logits, result.logits))
-
-    print(f"pipeline over {args.chips} chips, batch {args.batch}:")
-    for stage in executed.stages:
-        print(
-            f"  chip {stage.chip}: {'+'.join(stage.layer_names):<16} "
-            f"{stage.cycles:>8} cycles"
-            + (
-                f"   -> {stage.egress_vectors} vectors "
-                f"({stage.transfer_cycles} transfer cycles)"
-                if stage.chip < executed.n_chips - 1
-                else ""
-            )
-        )
-    print(
-        f"  bottleneck {executed.bottleneck_cycles} cycles/input vs "
-        f"single-chip {-(-oracle.total_cycles // x.shape[0])}"
-    )
-    print(f"  bit-exact vs single-chip oracle: {exact}")
-    return 0 if exact else 1
-
-
-if __name__ == "__main__":
-    import sys
-
-    sys.exit(main())
+    if stats is not None:
+        stats.cycles += executed.transfer_cycles
+    return PipelineRunResult(logits=current, plan=plan, executed=executed)

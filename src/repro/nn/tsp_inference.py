@@ -49,12 +49,11 @@ class CompiledLayer:
     weight_q: np.ndarray  # int8 (K, M)
     weight_scale: float
     in_scale: float  # int8 quantization scale of the input activations
-    out_scale: float | None  # requant scale target, None = emit int32
     bias: np.ndarray
     relu: bool
     conv: Conv2D | None = None
     #: activation rows one input contributes (im2col patches, or 1 for
-    #: dense) — the pipeline partitioner's per-layer cost driver
+    #: dense) — what the pipeline partitioner prices the layer at
     rows_per_input: int = 1
 
 
@@ -86,14 +85,6 @@ class ChunkRunStats:
     programs: int = 0
     cache_hits: int = 0
     cache_misses: int = 0
-
-    def merge(self, other: "ChunkRunStats") -> None:
-        self.compile_s += other.compile_s
-        self.execute_s += other.execute_s
-        self.cycles += other.cycles
-        self.programs += other.programs
-        self.cache_hits += other.cache_hits
-        self.cache_misses += other.cache_misses
 
 
 def build_chunk_builder(
@@ -206,12 +197,6 @@ class TspCnnRunner:
                     f"{type(layer).__name__} is not supported on the TSP "
                     "runner"
                 )
-        # fix output scales: each matrix layer requantizes into the next
-        # matrix layer's input scale; the final one emits int32
-        matrices = [l for l in lowered if isinstance(l, CompiledLayer)]
-        for layer, successor in zip(matrices, matrices[1:]):
-            layer.out_scale = successor.in_scale
-        matrices[-1].out_scale = None
         return lowered
 
     def _lower_matrix(self, layer, x, kind: str, index: int) -> CompiledLayer:
@@ -234,7 +219,6 @@ class TspCnnRunner:
             weight_q=w_q,
             weight_scale=float(w_params.scale),
             in_scale=in_scale,
-            out_scale=None,
             bias=layer.b,
             relu=False,
             conv=layer if kind == "conv" else None,
@@ -422,20 +406,29 @@ class TspCnnRunner:
             fits = [r for r in range(1, lanes // k + 1) if r * m <= cols]
 
             def price(r: int) -> tuple[int, int]:
-                rows = -(-n_rows // r)
-                return self._predicted_cycles(r * k, rows, blacklist), r
+                return self.predicted_cycles(layer, n_rows, blacklist, r), r
 
             r = min(fits, key=price) if len(fits) > 1 else 1
             self._packings[memo_key] = r
         return r
 
-    def _predicted_cycles(self, k: int, n_rows: int, blacklist) -> int:
-        """Predicted cycles of ``n_rows`` rows of depth ``k`` as
-        :meth:`matrix_accumulators` runs them: one program of
-        :meth:`pass_shape`'s equal passes."""
-        height, passes = self.pass_shape(n_rows)
+    def predicted_cycles(
+        self, layer: CompiledLayer, n_rows: int, blacklist=None,
+        r: int | None = None,
+    ) -> int:
+        """The cycles :meth:`matrix_accumulators` takes for ``n_rows`` of
+        ``layer``'s activation rows, ``r`` a vector (by default
+        :meth:`rows_per_vector`'s), by the compiler's closed form: one
+        program of :meth:`pass_shape`'s equal passes of ``ceil(n_rows /
+        r)`` rows ``r * K`` deep.  :meth:`rows_per_vector` minimises it
+        over ``r``; :func:`repro.nn.scaleout.plan_runner_partition`
+        prices a layer by it."""
+        if r is None:
+            r = self.rows_per_vector(layer, n_rows, blacklist)
+        height, passes = self.pass_shape(-(-n_rows // r))
         return matmul_program_cost(
-            self.config, height, k, passes=passes, blacklist=blacklist
+            self.config, height, r * layer.weight_q.shape[0],
+            passes=passes, blacklist=blacklist,
         )[0]
 
     def pass_shape(self, n_rows: int) -> tuple[int, int]:

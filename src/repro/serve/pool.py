@@ -5,8 +5,8 @@ record — a :class:`~repro.sim.chip.TspChip`, or with ``n_chips > 1`` a
 whole :meth:`~repro.sim.MultiChipSystem.ring` for pipeline-sharded models
 — and loops: pull a batch from the
 :class:`~repro.serve.batcher.DynamicBatcher`, check the hardware out (a
-full scrub of every chip, so no tenant's SRAM, trace, telemetry, or armed
-watchdog leaks between requests), execute the batch through the model
+full scrub of every chip, so no tenant's SRAM, trace or armed watchdog
+leaks between requests), execute the batch through the model
 adapter and the compiled-program cache, and end every request of it
 (:meth:`~repro.serve.request.InferenceRequest.finish`, the one place a
 request ends — so no caller can hang on a dead batch).

@@ -135,6 +135,7 @@ class TspChip:
         self.strict_ifetch = strict_ifetch
         self.strict_c2c = strict_c2c
         self.trace_enabled = trace
+        self.obs = None
         self.srf.on_drive = self._notify_drive
 
         if enable_ecc:
@@ -291,7 +292,8 @@ class TspChip:
         finished run charges it once — with the dispatches and stream
         drives the chip kept, or, replayed, with its plan's
         (:meth:`repro.sim.replay.ReplayPlan.charge`) — and a chip with a
-        collector replays like any other.
+        collector replays like any other.  A :meth:`scrub` keeps it, so a
+        pooled chip's collector counts every checkout's runs.
         """
         collector.bind(self)
         self.obs = collector
@@ -446,8 +448,8 @@ class TspChip:
         from a fresh one, so each entry of :data:`STATE` with a fresh
         value — benign, instrument, soft fault — gets it back, on the chip
         and on each of its parts.  Configuration (C2C wiring, ECC enables,
-        strict modes) and physical damage (dead slices, link error models)
-        survive.
+        strict modes, the telemetry collector) and physical damage (dead
+        slices, link error models) survive.
         """
         _FRESH(self.parts)
 
@@ -538,7 +540,8 @@ def run_lockstep(
 # ---------------------------------------------------------------------------
 
 #: what a scrub and the replay verdict make of an attribute: a scrub keeps
-#: *configuration*; *benign* is what a program loads, a run leaves or is
+#: *configuration* (its observers too: what is traced, the telemetry
+#: collector); *benign* is what a program loads, a run leaves or is
 #: told of it; while an *instrument* (watching or steering a run as it
 #: goes) is set (truthy) the chip simulates, as it does a plan whose run
 #: meets a set *unit fault*
@@ -600,8 +603,8 @@ STATE: dict[type, dict[str, State]] = {
                          BarrierController(c.config.barrier_latency_cycles),
                          run=True),
         "now": State(BENIGN, "the cycle being stepped", 0),
-        "obs": State(BENIGN, "the telemetry collector each run charges",
-                     None),
+        "obs": State(CONFIGURATION, "the telemetry collector each run "
+                     "charges: an observer, like ``trace_enabled``"),
         "drives": State(BENIGN, "this run's stream drives, kept with "
                         "``trace``", list, run=True),
         "weights_installed_cycle": State(BENIGN, "last MXM install", None),

@@ -91,7 +91,7 @@ def pass_programs():
     rng = np.random.default_rng(9)
     k_tiled = CompiledLayer(
         "dense", "dense", _int8(rng, (config.n_lanes + 36, 24), -8, 8),
-        1.0, 1.0, None, np.zeros(24), False,
+        1.0, 1.0, np.zeros(24), False,
     )
     builder = build_chunk_builder(config, k_tiled, 8)[0]
     yield Entry("passes/k-tiled.densex8*2", builder, passes=2)

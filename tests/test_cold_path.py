@@ -162,8 +162,8 @@ class TestNeverSeenModel:
                 lambda plan, chip, runs: charged.append(plan) or runs)
         chip, collector = TspChip(CONFIG), TelemetryCollector()
         cache = ProgramCache(capacity=4)
+        chip.attach_telemetry(collector)
         for model in models:
-            chip.attach_telemetry(collector)  # a scrub detaches it
             model.run_batch(chip, cache, [token])
             chip.scrub()
         assert cache.snapshot()["scheduled"] == 2

@@ -5,6 +5,8 @@ The tentpole claims, checked end to end:
 * the contiguous partitioner never emits empty stages (and raises
   :class:`ConfigError` instead of silently idling chips), so the
   analytic model never bills a hop toward an idle chip;
+* an executed partition prices each matrix layer by the compiler's
+  closed form, and the price is the layer's executed one-input cycles;
 * compiler-scheduled ``Read -> Send -> Receive`` forwarding lands
   activation payloads bit-exactly, healthy and under seeded link-error
   models (retransmission rides in pre-reserved ``arrival_latency``
@@ -17,6 +19,8 @@ The tentpole claims, checked end to end:
 """
 
 import hashlib
+import importlib.util
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -31,10 +35,7 @@ from repro.compiler import (
 )
 from repro.errors import C2cLinkError, ConfigError
 from repro.nn import (
-    Conv2D,
     Dense,
-    Flatten,
-    MaxPool2D,
     ReLU,
     Sequential,
     execute_pipeline,
@@ -443,19 +444,17 @@ class TestTransferLockstep:
 # Executed pipeline vs the single-chip oracle
 
 
-def make_deep_cnn(seed=0):
-    rng = np.random.default_rng(seed)
-    return Sequential([
-        Conv2D(1, 4, kernel=3, rng=rng),
-        ReLU(),
-        Conv2D(4, 4, kernel=3, rng=rng),
-        ReLU(),
-        MaxPool2D(2),
-        Conv2D(4, 8, kernel=3, rng=rng),
-        ReLU(),
-        Flatten(),
-        Dense(8 * 4 * 4, 3, rng=rng),
-    ])
+def load_bench():
+    """``benchmarks/bench_scaleout.py``, whose four-matrix-layer CNN
+    (``bench_model``) the deep-pipeline tests run."""
+    spec = importlib.util.spec_from_file_location("bench_scaleout", BENCH)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+BENCH = Path(__file__).resolve().parents[1] / "benchmarks/bench_scaleout.py"
+make_deep_cnn = load_bench().bench_model
 
 
 def make_mlp(seed=0):
@@ -476,6 +475,45 @@ def cnn_runner(config, model=None, seed=0):
         model, config, data.x_train[:24], max_vectors_per_program=32
     )
     return runner, data.x_test
+
+
+def matrix_names(plan):
+    return [list(stage.names) for stage in plan.stages]
+
+
+class TestPartitionPrice:
+    """The partitioner prices a matrix layer at one input's rows by the
+    compiler's closed form (``TspCnnRunner.predicted_cycles``), and the
+    price is what a one-input forward runs."""
+
+    @pytest.mark.parametrize("factory, cycles", [
+        (None, {"conv0": 39, "conv1": 42, "dense2": 31}),
+        (make_deep_cnn,
+         {"conv0": 39, "conv1": 52, "conv2": 42, "dense3": 45}),
+    ], ids=["benchmark-cnn", "bench-model"])
+    def test_price_is_the_one_input_cycles(self, config, factory, cycles):
+        runner, x_test = cnn_runner(
+            config, model=factory() if factory else None
+        )
+        plan = plan_runner_partition(runner, len(cycles))  # a layer a chip
+        assert {stage.names[0]: stage.cost for stage in plan.stages} == (
+            runner.forward(x_test[:1]).layer_cycles
+        ) == cycles
+
+    def test_splits_are_pinned(self, config):
+        """The benchmark CNN's 2-chip split is ``pipeline-2chip``'s; the
+        bench model's is its 2-chip ``BENCH_scaleout.json`` record."""
+        cnn, _ = cnn_runner(config)
+        assert matrix_names(plan_runner_partition(cnn, 2)) == [
+            ["conv0", "conv1"], ["dense2"],
+        ]
+        deep, _ = cnn_runner(config, model=make_deep_cnn())
+        assert matrix_names(plan_runner_partition(deep, 2)) == [
+            ["conv0", "conv1"], ["conv2", "dense3"],
+        ]
+        assert matrix_names(plan_runner_partition(deep, 4)) == [
+            ["conv0"], ["conv1"], ["conv2"], ["dense3"],
+        ]
 
 
 class TestExecutedPipeline:

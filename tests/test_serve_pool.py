@@ -4,8 +4,9 @@ Two layers of guarantees:
 
 * ``TspChip.scrub()`` is a factory reset — two tenants sharing a pooled
   chip back-to-back must see bit-identical results and cycle counts to
-  fresh chips, with no SRAM, trace, telemetry or watchdog
-  leakage between checkouts (the chip-reuse regression suite).
+  fresh chips, with no SRAM, trace or watchdog leakage between
+  checkouts (the chip-reuse regression suite); an attached telemetry
+  collector observes every checkout.
 * A worker that faults mid-batch fails only its own batch's requests —
   each with the chip/cycle context the simulator attached — and the pool
   stays serviceable with no deadlocked callers (the concurrency negative
@@ -16,6 +17,7 @@ import numpy as np
 import pytest
 
 from repro.arch import Hemisphere
+from repro.arch.power import ActivityCounts
 from repro.compiler import StreamProgramBuilder, execute
 from repro.config import small_test_chip
 from repro.errors import C2cLinkError, ServeError, TspError, WatchdogError
@@ -51,9 +53,10 @@ class TestScrub:
     def test_scrub_restores_fresh_state(self, config):
         compiled, _, _ = compile_matmul(config, seed=1)
         chip = TspChip(config, chip_id="pooled", trace=True)
-        chip.attach_telemetry(TelemetryCollector())
+        collector = TelemetryCollector()
+        chip.attach_telemetry(collector)
         chip.arm_watchdog(Watchdog(deadline=10**9))
-        execute(compiled, chip=chip)
+        run = execute(compiled, chip=chip).run
         assert chip.memory_image() != {}
         assert chip.trace
 
@@ -62,7 +65,8 @@ class TestScrub:
         assert chip.trace == []
         assert chip.activity.instructions == 0
         assert chip.now == 0
-        assert chip.obs is None          # telemetry does not leak
+        assert chip.obs is collector     # an observer: the scrub keeps it,
+        assert collector.rollup() == run.activity  # holding what ran only
         assert chip.watchdog is None     # armed deadlines do not leak
         assert chip.srf.hop_bytes_total == 0
         assert not chip.superlanes_off
@@ -87,6 +91,24 @@ class TestScrub:
         for f, q in zip(fresh, pooled):
             assert np.array_equal(f["r"], q["r"])
             assert f.run.cycles == q.run.cycles  # timing doesn't drift
+
+    def test_a_collector_counts_every_checkout(self, config):
+        """A collector attached once outlives the scrub at each checkout:
+        over runs of two programs, replayed and simulated, its rollup is
+        the sum of their activity."""
+        chip, collector = TspChip(config), TelemetryCollector()
+        chip.attach_telemetry(collector)
+        total = ActivityCounts()
+        for seed, k, n, replay in ((1, 16, 2, True), (2, 24, 3, False),
+                                   (1, 16, 2, False), (2, 24, 3, True)):
+            compiled = compile_matmul(config, seed=seed, k=k, n=n)[0]
+            chip.scrub()
+            run = execute(compiled, chip=chip, replay=replay).run
+            assert run.skipped_cycles == (run.cycles if replay else 0)
+            total = total.merge(run.activity)
+        assert chip.obs is collector
+        assert collector.rollup() == total
+        assert collector.cycles == total.cycles > 0
 
     def test_scrub_darkens_loaded_planes_and_keeps_untouched_ones(
         self, config
